@@ -418,6 +418,10 @@ type Client struct {
 	opScratch   []fabric.Op
 	bufScratch  [][]byte
 	nodeScratch []*rart.Node
+
+	// pub carries the hash-table publications of the structural write in
+	// progress (see publisher).
+	pub publisher
 }
 
 // NewClient mounts a Sphinx index over one fabric client.

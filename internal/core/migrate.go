@@ -6,7 +6,7 @@
 // status-field protocols as foreground writes. Serving never stops:
 // lookups fall back to the previous epoch's tables for entries the sweep
 // has not moved yet (locate.go), structural writes publish into whichever
-// table currently holds their entry (ops.go TypeSwitched), and leaf moves
+// table currently holds their entry (ops.go typeSwitched), and leaf moves
 // retire the old image so remote leaf-address caches refute and unlearn
 // through their ordinary trust-but-verify path.
 //
@@ -149,7 +149,7 @@ func (c *Client) migrateVisit(p *Placement, n *rart.Node, prefix []byte, rep *Mi
 			// type-switch hook to move the entry cur/prev-aware.
 			moved, did, err := c.eng.RelocateNode(n, child, childFull, target,
 				func(old, grown *rart.Node) error {
-					return hooks{c}.TypeSwitched(childFull, old, grown)
+					return c.typeSwitched(childFull, old, grown)
 				})
 			if err != nil {
 				rep.Remaining++

@@ -27,39 +27,143 @@ func (h hooks) SawNode(prefix []byte, n *rart.Node) {
 	h.c.filter.Insert(PrefixFilterHash(prefix))
 }
 
-// NewInner publishes a fresh inner node: an 8-byte entry keyed by its full
-// prefix goes into the owning memory node's hash table, and the local
-// filter learns the prefix. Remote CNs learn it lazily during traversals
-// (§IV Insert: "synchronization of caches on other CNs is deferred").
-func (h hooks) NewInner(prefix []byte, n *rart.Node) error {
-	entry := wire.HashEntry{Valid: true, FP: wire.FP12(prefix), Type: n.Hdr.Type, Addr: n.Addr}
-	if err := h.c.viewFor(prefix).Insert(n.Hdr.PrefixHash, entry, h.c.eng.Alloc); err != nil {
-		return err
+// Plan implements rart.Hooks: every publication of a structural write is one
+// entry change in the inner-node hash table, and the bucket reads that
+// precede the entry CASes are handed to the write's lock batch.
+func (h hooks) Plan(pubs []rart.Publication) (rart.Publisher, error) {
+	p := &h.c.pub
+	if err := p.plan(h.c, pubs); err != nil {
+		return nil, err
 	}
-	if h.c.filter != nil {
-		h.c.filter.Insert(PrefixFilterHash(prefix))
+	return p, nil
+}
+
+// publisher carries the hash-table publications of one structural write
+// from plan to commit (rart.Publisher): the read-piggyback-then-CAS publish.
+// A fresh inner node is an insert of an 8-byte entry keyed by its full
+// prefix into the owning memory node's table (§IV Insert; the local filter
+// learns the prefix, remote CNs learn it lazily during traversals:
+// "synchronization of caches on other CNs is deferred"); a type switch is a
+// swap of the node's entry for the grown copy's (typeSwitched). The bucket
+// pairs were fetched with the write's lock batch, so the first Publish lands
+// every entry CAS, each with its bucket-header re-check, in ONE doorbell
+// batch; an entry whose prefetched buckets turned out stale, split-locked,
+// full or already changed — and every entry on a re-driven Publish — takes
+// the table's own read-then-CAS loop, which is idempotent.
+//
+// One per client, reused across operations: the write paths are not
+// re-entrant.
+type publisher struct {
+	c     *Client
+	pubs  []rart.Publication
+	views []*racehash.View // table of pubs[i]; nil: published by the slow path only
+	reads []racehash.PreparedRead
+	done  []bool
+	ops   []fabric.Op
+	fused bool // the one-batch publish has been attempted
+}
+
+func (p *publisher) plan(c *Client, pubs []rart.Publication) error {
+	p.c, p.pubs, p.fused = c, pubs, false
+	p.views, p.done = p.views[:0], p.done[:0]
+	if cap(p.reads) < len(pubs) {
+		p.reads = make([]racehash.PreparedRead, len(pubs))
+	}
+	p.reads = p.reads[:len(pubs)]
+	cur := c.members.Current()
+	for i, pub := range pubs {
+		var view *racehash.View
+		// A type switch during a membership transition may find its entry
+		// in the previous epoch's table; typeSwitched sorts that out.
+		if pub.Old == nil || c.prevViewFor(cur, pub.Prefix) == nil {
+			view = c.viewOf(c.placeIn(cur, pub.Prefix))
+			if err := view.PrepareInto(&p.reads[i], pub.Node.Hdr.PrefixHash); err != nil {
+				return err
+			}
+		}
+		p.views = append(p.views, view)
+		p.done = append(p.done, false)
 	}
 	return nil
 }
 
-// TypeSwitched swaps the node's hash entry for the grown copy with one CAS
-// (§IV Insert: "This update can be performed atomically using an RDMA CAS,
-// as the client modifies only one 8-byte hash entry"). The full prefix —
-// the entry's key — is unchanged, so no other state moves.
+// AppendReads implements rart.Publisher.
+func (p *publisher) AppendReads(ops []fabric.Op) []fabric.Op {
+	for i, view := range p.views {
+		if view != nil {
+			ops = p.reads[i].AppendOps(ops)
+		}
+	}
+	return ops
+}
+
+func entryOf(prefix []byte, n *rart.Node) wire.HashEntry {
+	return wire.HashEntry{Valid: true, FP: wire.FP12(prefix), Type: n.Hdr.Type, Addr: n.Addr}
+}
+
+// Publish implements rart.Publisher.
+func (p *publisher) Publish() error {
+	c := p.c
+	var ops []fabric.Op // nil on a re-driven Publish: outcomes of the fused batch are unknown
+	if !p.fused {
+		p.fused = true
+		ops = p.ops[:0]
+		for i, pub := range p.pubs {
+			switch {
+			case p.views[i] == nil:
+			case pub.Old == nil:
+				ops, _ = p.reads[i].AppendInsert(ops, entryOf(pub.Prefix, pub.Node))
+			default:
+				ops, _ = p.reads[i].AppendReplace(ops, entryOf(pub.Prefix, pub.Old), entryOf(pub.Prefix, pub.Node))
+			}
+		}
+		p.ops = ops[:0]
+		if len(ops) > 0 {
+			if err := c.eng.C.Batch(ops); err != nil {
+				return err
+			}
+		}
+	}
+	for i, pub := range p.pubs {
+		if p.done[i] {
+			continue
+		}
+		var err error
+		switch view := p.views[i]; {
+		case view == nil:
+			err = c.typeSwitched(pub.Prefix, pub.Old, pub.Node)
+		case pub.Old == nil:
+			err = view.FinishInsert(&p.reads[i], ops, entryOf(pub.Prefix, pub.Node), c.eng.Alloc)
+		default:
+			err = view.FinishReplace(&p.reads[i], ops, entryOf(pub.Prefix, pub.Old), entryOf(pub.Prefix, pub.Node))
+		}
+		if err != nil {
+			return err
+		}
+		p.done[i] = true
+		if pub.Old == nil && c.filter != nil {
+			c.filter.Insert(PrefixFilterHash(pub.Prefix))
+		}
+	}
+	return nil
+}
+
+// typeSwitched swaps a node's hash entry for its grown (or relocated) copy
+// with one CAS (§IV Insert: "This update can be performed atomically using
+// an RDMA CAS, as the client modifies only one 8-byte hash entry"). The full
+// prefix — the entry's key — is unchanged, so no other state moves.
 //
 // During a membership transition the old entry may still live in the
 // PREVIOUS epoch's table (the migrator has not moved this prefix yet), so
-// the hook locates the holding table first: held by the current table →
-// plain Replace; held by the previous one → Insert into the current table,
-// then retire the old entry (in that order, so a concurrent locate always
-// finds at least one of the two). The caller holds the node's lease, which
+// the holding table is located first: held by the current table → plain
+// Replace; held by the previous one → Insert into the current table, then
+// retire the old entry (in that order, so a concurrent locate always finds
+// at least one of the two). The caller holds the node's lease, which
 // serializes all entry movement for this prefix. The migrator's node-copy
-// publication reuses this hook verbatim.
-func (h hooks) TypeSwitched(prefix []byte, old, grown *rart.Node) error {
-	c := h.c
+// publication calls this directly.
+func (c *Client) typeSwitched(prefix []byte, old, grown *rart.Node) error {
 	fp := wire.FP12(prefix)
-	oldE := wire.HashEntry{Valid: true, FP: fp, Type: old.Hdr.Type, Addr: old.Addr}
-	newE := wire.HashEntry{Valid: true, FP: fp, Type: grown.Hdr.Type, Addr: grown.Addr}
+	oldE, newE := entryOf(prefix, old), entryOf(prefix, grown)
 	h42 := old.Hdr.PrefixHash
 	p := c.members.Current()
 	cur := c.viewOf(c.placeIn(p, prefix))
@@ -106,6 +210,21 @@ func (c *Client) noteRestart(err error) {
 	if c.rec != nil {
 		c.rec.Note(fabric.StageNone, c.eng.C.Clock(), fmt.Sprintf("restart: %v", err))
 	}
+}
+
+// noteAbandoned annotates, on the armed trace recorder, the write-ahead
+// objects the engine abandoned since the counters were last sampled into
+// objects and bytes: what a lost lock or verify cost the put being traced.
+func (c *Client) noteAbandoned(objects, bytes *uint64) {
+	if c.rec == nil {
+		return
+	}
+	o, b := c.eng.Abandoned()
+	if o > *objects {
+		c.rec.Note(fabric.StageLock, c.eng.C.Clock(),
+			fmt.Sprintf("abandoned %d write-ahead objects (%d bytes)", o-*objects, b-*bytes))
+	}
+	*objects, *bytes = o, b
 }
 
 func (c *Client) checkKey(key []byte) error {
@@ -350,11 +469,16 @@ func (c *Client) Update(key, value []byte) (bool, error) {
 func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 	maxLen := len(key)
 	var last error
+	var abObjects, abBytes uint64
+	if c.rec != nil {
+		abObjects, abBytes = c.eng.Abandoned()
+	}
 	for bo := c.eng.Backoff(); ; {
 		start, startLen, err := c.locate(key, maxLen)
 		if err == nil {
 			var existed bool
 			existed, err = c.eng.PutFrom(start, key, value, mode, hooks{c})
+			c.noteAbandoned(&abObjects, &abBytes)
 			switch {
 			case errors.Is(err, rart.ErrNeedParent) && startLen > 0:
 				// A split is needed at or above the jump target. This is a

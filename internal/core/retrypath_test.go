@@ -48,8 +48,12 @@ func plantImpostor(t *testing.T, c *Client, prefix []byte, edge byte, slot wire.
 	slot.Present = true
 	slot.KeyByte = edge
 	n.Slots[0] = slot.Encode()
-	n, err := c.eng.WriteNewNode(n, prefix)
+	addr, err := c.eng.Alloc.Alloc(c.eng.NodeHome(prefix), mem.ClassInner, wire.NodeSize(n.Hdr.Type))
 	if err != nil {
+		t.Fatal(err)
+	}
+	n.Addr = addr
+	if err := c.eng.C.Write(addr, n.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	entry := wire.HashEntry{Valid: true, FP: wire.FP12(prefix), Type: n.Hdr.Type, Addr: n.Addr}

@@ -1,6 +1,9 @@
 package fabric
 
-import "runtime"
+import (
+	"runtime"
+	"time"
+)
 
 // BackoffPolicy is the shared capped-exponential-backoff-with-jitter used
 // by every retry loop in the client stack (lock acquisition, torn-leaf
@@ -91,7 +94,28 @@ func (b *Backoff) Wait() bool {
 	wait := step/2 + int64(b.c.Rand64()%uint64(step/2+1))
 	b.c.AdvanceClock(wait)
 	b.waitedPs += wait
+	Yield(b.attempts)
 	b.attempts++
-	runtime.Gosched()
 	return true
+}
+
+// yieldSpins is how many polls of one wait merely yield the processor
+// before they start parking.
+const yieldSpins = 8
+
+// Yield hands the host CPU to whichever goroutine the caller is waiting
+// for (a lock holder, a publisher mid-protocol, a segment split); attempt
+// counts the caller's polls so far. All waiting in the client stack is on
+// virtual clocks, so this only matters to the Go scheduler: the first polls
+// yield, later ones park for a moment. A waiter that merely yields stays
+// runnable and keeps its P busy, and Go moves a goroutine queued behind a
+// busy, never-yielding worker on another P only to an idle P — so a
+// spinning waiter can burn its whole retry budget while the goroutine it
+// waits for never runs.
+func Yield(attempt int) {
+	if attempt < yieldSpins {
+		runtime.Gosched()
+		return
+	}
+	time.Sleep(20 * time.Microsecond)
 }

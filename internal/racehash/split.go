@@ -2,7 +2,6 @@ package racehash
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"sphinx/internal/fabric"
@@ -46,7 +45,7 @@ func (v *View) split(h uint64, alloc *mem.Allocator) error {
 			return fmt.Errorf("%w: table split lock", ErrRetryExhausted)
 		}
 		v.c.AdvanceClock(1_000_000) // back off 1 µs before re-polling
-		runtime.Gosched()
+		fabric.Yield(attempt)
 	}
 	leftovers, err := v.splitLocked(h, alloc)
 	if uerr := v.c.WriteUint64(lockAddr, 0); uerr != nil && err == nil {
@@ -83,7 +82,7 @@ func (v *View) splitLocked(h uint64, alloc *mem.Allocator) ([]leftover, error) {
 		return nil, err
 	}
 	if p.Valid() {
-		if _, _, ok := p.emptySlot(); ok {
+		if _, ok := p.find(0); ok {
 			return nil, nil
 		}
 	}

@@ -3,7 +3,6 @@ package racehash
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"sphinx/internal/fabric"
@@ -67,8 +66,16 @@ type View struct {
 	stats   Stats
 	// scratch backs LookupAppend's bucket read, sparing the warm read path
 	// one PreparedRead allocation per lookup. Only the lookup path may use
-	// it: mutations hold their reads across nested reads (waitSplit).
+	// it; mutations read into mut.
 	scratch PreparedRead
+	// mut backs every mutation's bucket read, waitSplit's polls included.
+	// A mutation copies what it needs (slot address, header word) out of a
+	// read before it issues the next one, and re-reads after any nested
+	// mutation (a split re-inserting leftovers), so one buffer serves.
+	mut PreparedRead
+	// casOps and casHdr back casChecked's two-verb batch.
+	casOps [2]fabric.Op
+	casHdr [8]byte
 }
 
 // NewView creates a view; the directory cache is fetched lazily on first
@@ -156,11 +163,23 @@ type Candidate struct {
 // doorbell batch (the paper's parallel multi-prefix read, §III-A). Use
 // Prepare → collect Ops from several PreparedReads → Client.Batch →
 // Candidates on each.
+//
+// A fetched read can also carry the entry mutation that follows it: Prepare
+// → merge Ops into an earlier batch → AppendInsert/AppendReplace into a
+// later batch → View.FinishInsert/FinishReplace (the read-piggyback-then-CAS
+// publish).
 type PreparedRead struct {
 	view  *View
 	h     uint64
 	addrs [2]mem.Addr
 	bufs  [2][BucketSize]byte
+
+	// State of a planned swap: the slot the CAS targets (with the header
+	// word its bucket showed when it was chosen), the header re-read riding
+	// the CAS, and the CAS's index in the caller's batch (-1: none planned).
+	at     slotRef
+	chk    [8]byte
+	swapAt int
 }
 
 // Prepare resolves the candidate buckets for h through the directory cache
@@ -169,14 +188,15 @@ type PreparedRead struct {
 // cache, in which case the resolution itself is two dependent round trips.
 func (v *View) Prepare(h uint64) (*PreparedRead, error) {
 	p := new(PreparedRead)
-	if err := v.prepareInto(p, h); err != nil {
+	if err := v.PrepareInto(p, h); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// prepareInto is Prepare into caller-provided storage.
-func (v *View) prepareInto(p *PreparedRead, h uint64) error {
+// PrepareInto is Prepare into caller-provided storage.
+func (v *View) PrepareInto(p *PreparedRead, h uint64) error {
+	p.swapAt = -1
 	if v.noCache {
 		return v.prepareUncached(p, h)
 	}
@@ -241,31 +261,25 @@ func (p *PreparedRead) locked() bool {
 // header returns the fetched header word of bucket b (0 or 1).
 func (p *PreparedRead) header(b int) uint64 { return getUint64(p.bufs[b][:]) }
 
-// emptySlot returns the address of the first empty entry slot and the
-// header word of its bucket as observed by this read, or ok=false if both
-// buckets are full.
-func (p *PreparedRead) emptySlot() (slot mem.Addr, hdr uint64, ok bool) {
-	for b := 0; b < 2; b++ {
-		for s := 0; s < EntriesPerBucket; s++ {
-			if getUint64(p.bufs[b][8*(1+s):]) == 0 {
-				return p.addrs[b].Add(uint64(8 * (1 + s))), p.header(b), true
-			}
-		}
-	}
-	return 0, 0, false
+// slotRef names an entry slot found by a bucket-pair read: its address, the
+// address of its bucket (whose first word is the bucket header) and the
+// header word the read observed there.
+type slotRef struct {
+	slot, bucket mem.Addr
+	hdr          uint64
 }
 
-// find returns the slot currently holding the exact entry word and its
-// bucket's observed header word, if present.
-func (p *PreparedRead) find(word uint64) (slot mem.Addr, hdr uint64, ok bool) {
+// find returns the slot currently holding the exact entry word, if present.
+// The zero word finds the first empty slot.
+func (p *PreparedRead) find(word uint64) (slotRef, bool) {
 	for b := 0; b < 2; b++ {
 		for s := 0; s < EntriesPerBucket; s++ {
 			if getUint64(p.bufs[b][8*(1+s):]) == word {
-				return p.addrs[b].Add(uint64(8 * (1 + s))), p.header(b), true
+				return slotRef{p.addrs[b].Add(uint64(8 * (1 + s))), p.addrs[b], p.header(b)}, true
 			}
 		}
 	}
-	return 0, 0, false
+	return slotRef{}, false
 }
 
 // prepareUncached resolves h by reading the meta word and the directory
@@ -295,21 +309,21 @@ func (v *View) prepareUncached(p *PreparedRead, h uint64) error {
 // Refresh discards and refetches the directory cache.
 func (v *View) Refresh() error { return v.refresh() }
 
-// read performs a validated bucket-pair read, refreshing the directory
-// cache as needed. One round trip in the common case.
+// read performs a validated bucket-pair read into the view's mutation
+// scratch, refreshing the directory cache as needed. One round trip in the
+// common case. The result is valid until the view's next mutation read.
 func (v *View) read(h uint64) (*PreparedRead, error) {
-	p := new(PreparedRead)
-	if err := v.readInto(p, h); err != nil {
+	if err := v.readInto(&v.mut, h); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &v.mut, nil
 }
 
 // readInto is read into caller-provided storage.
 func (v *View) readInto(p *PreparedRead, h uint64) error {
 	var opsArr [2]fabric.Op
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if err := v.prepareInto(p, h); err != nil {
+		if err := v.PrepareInto(p, h); err != nil {
 			return err
 		}
 		if err := v.c.Batch(p.AppendOps(opsArr[:0])); err != nil {
@@ -352,17 +366,62 @@ func (v *View) LookupAppend(dst []Candidate, h uint64, fp uint16) ([]Candidate, 
 // changed), a split overlapped the CAS and may have missed it; the caller
 // must wait for the split and re-verify. This closes the window between a
 // split's segment snapshot and its old-segment rewrite.
-func (v *View) casChecked(slot mem.Addr, old, new, wantHdr uint64) (won, ambiguous bool, err error) {
-	bucket := mem.NewAddr(slot.Node(), slot.Offset()&^uint64(BucketSize-1))
-	var hdr [8]byte
-	ops := []fabric.Op{
-		{Kind: fabric.CAS, Addr: slot, Expect: old, Desired: new},
-		{Kind: fabric.Read, Addr: bucket, Data: hdr[:]},
-	}
+func (v *View) casChecked(at slotRef, old, new uint64) (won, ambiguous bool, err error) {
+	ops := v.casOps[:]
+	ops[0] = fabric.Op{Kind: fabric.CAS, Addr: at.slot, Expect: old, Desired: new}
+	ops[1] = fabric.Op{Kind: fabric.Read, Addr: at.bucket, Data: v.casHdr[:]}
 	if err := v.c.Batch(ops); err != nil {
 		return false, false, err
 	}
-	return ops[0].Old == old, getUint64(hdr[:]) != wantHdr, nil
+	return ops[0].Old == old, getUint64(v.casHdr[:]) != at.hdr, nil
+}
+
+// appendSwap plans the CAS oldWord → newWord from this already-fetched read
+// and appends it, with the bucket-header re-read of casChecked, to ops — so
+// the caller can land several tables' entry changes in one doorbell batch.
+// ok=false (nothing appended) when the read cannot carry the swap: stale
+// directory, split lock visible, no slot holding oldWord, or newWord already
+// present; FinishInsert/FinishReplace then take the read-then-CAS loop.
+func (p *PreparedRead) appendSwap(ops []fabric.Op, oldWord, newWord uint64) ([]fabric.Op, bool) {
+	p.swapAt = -1
+	if !p.Valid() || p.locked() {
+		return ops, false
+	}
+	if _, dup := p.find(newWord); dup {
+		return ops, false
+	}
+	at, ok := p.find(oldWord)
+	if !ok {
+		return ops, false
+	}
+	p.at, p.swapAt = at, len(ops)
+	return append(ops,
+		fabric.Op{Kind: fabric.CAS, Addr: at.slot, Expect: oldWord, Desired: newWord},
+		fabric.Op{Kind: fabric.Read, Addr: at.bucket, Data: p.chk[:]},
+	), true
+}
+
+// AppendInsert plans View.Insert's CAS from this fetched read (see
+// appendSwap); conclude it with View.FinishInsert.
+func (p *PreparedRead) AppendInsert(ops []fabric.Op, e wire.HashEntry) ([]fabric.Op, bool) {
+	return p.appendSwap(ops, 0, e.Encode())
+}
+
+// AppendReplace plans View.Replace's CAS from this fetched read (see
+// appendSwap); conclude it with View.FinishReplace.
+func (p *PreparedRead) AppendReplace(ops []fabric.Op, old, new wire.HashEntry) ([]fabric.Op, bool) {
+	return p.appendSwap(ops, old.Encode(), new.Encode())
+}
+
+// swapResult consumes the outcome of a planned swap from the executed batch
+// it rode. ok=false when none was planned or the batch is not given.
+func (p *PreparedRead) swapResult(ops []fabric.Op) (won, ambiguous, ok bool) {
+	at := p.swapAt
+	p.swapAt = -1
+	if at < 0 || at+1 >= len(ops) {
+		return false, false, false
+	}
+	return ops[at].Old == ops[at].Expect, getUint64(p.chk[:]) != p.at.hdr, true
 }
 
 // waitSplit polls the candidate buckets of h until no split lock is
@@ -377,12 +436,35 @@ func (v *View) waitSplit(h uint64) (*PreparedRead, error) {
 		if !p.locked() {
 			return p, nil
 		}
-		// Model a brief backoff before polling again; Gosched lets the
-		// goroutine driving the split make progress on a busy machine.
+		// Model a brief backoff before polling again, and let the goroutine
+		// driving the split make progress on a busy machine.
 		v.c.AdvanceClock(500_000) // 0.5 µs
-		runtime.Gosched()
+		fabric.Yield(attempt)
 	}
 	return nil, fmt.Errorf("%w: split lock never cleared for h=%#x", ErrRetryExhausted, h)
+}
+
+// settle concludes a CAS that installed word in slot. A clean header
+// re-read means it is live. Otherwise a split overlapped the CAS: it may
+// have snapshotted the bucket before the word landed and rebuilt the
+// segment without it, so wait for the split and verify through the
+// (possibly new) segment. done=false means the rewrite dropped the word;
+// the orphan is cleaned up best-effort (it may survive in a segment that
+// is no longer this hash's home) and the caller redoes the mutation.
+func (v *View) settle(h, word uint64, slot mem.Addr, ambiguous bool) (done bool, err error) {
+	if !ambiguous {
+		return true, nil
+	}
+	atomic.AddUint64(&v.stats.StaleChecks, 1)
+	q, err := v.waitSplit(h)
+	if err != nil {
+		return false, err
+	}
+	if _, ok := q.find(word); ok {
+		return true, nil
+	}
+	_, err = v.c.CompareSwap(slot, word, 0)
+	return false, err
 }
 
 // Insert adds an entry for placement hash h. If the entry word is already
@@ -391,7 +473,33 @@ func (v *View) waitSplit(h uint64) (*PreparedRead, error) {
 // provides memory.
 func (v *View) Insert(h uint64, e wire.HashEntry, alloc *mem.Allocator) error {
 	atomic.AddUint64(&v.stats.Inserts, 1)
+	return v.insert(h, e.Encode(), alloc)
+}
+
+// landed concludes the swap planned on p (AppendInsert/AppendReplace) and
+// executed in ops, reporting whether word is now live in the table. False
+// when the CAS lost, was never planned, or its batch is unknown (ops nil:
+// it faulted); the caller then takes the mutation's own loop, which is
+// idempotent on an entry that did land.
+func (v *View) landed(p *PreparedRead, ops []fabric.Op, word uint64) (bool, error) {
+	if won, ambiguous, ok := p.swapResult(ops); ok && won {
+		return v.settle(p.h, word, p.at.slot, ambiguous)
+	}
+	return false, nil
+}
+
+// FinishInsert concludes an insert whose CAS was planned with AppendInsert
+// on p and executed in ops; see landed.
+func (v *View) FinishInsert(p *PreparedRead, ops []fabric.Op, e wire.HashEntry, alloc *mem.Allocator) error {
+	atomic.AddUint64(&v.stats.Inserts, 1)
 	word := e.Encode()
+	if done, err := v.landed(p, ops, word); done || err != nil {
+		return err
+	}
+	return v.insert(p.h, word, alloc)
+}
+
+func (v *View) insert(h, word uint64, alloc *mem.Allocator) error {
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		p, err := v.read(h)
 		if err != nil {
@@ -403,10 +511,10 @@ func (v *View) Insert(h uint64, e wire.HashEntry, alloc *mem.Allocator) error {
 			}
 			continue
 		}
-		if _, _, ok := p.find(word); ok {
+		if _, ok := p.find(word); ok {
 			return nil
 		}
-		slot, hdr, ok := p.emptySlot()
+		at, ok := p.find(0)
 		if !ok {
 			atomic.AddUint64(&v.stats.BucketOverflows, 1)
 			if err := v.split(h, alloc); err != nil {
@@ -414,32 +522,14 @@ func (v *View) Insert(h uint64, e wire.HashEntry, alloc *mem.Allocator) error {
 			}
 			continue
 		}
-		won, ambiguous, err := v.casChecked(slot, 0, word, hdr)
+		won, ambiguous, err := v.casChecked(at, 0, word)
 		if err != nil {
 			return err
 		}
 		if !won {
 			continue // someone claimed the slot; rescan
 		}
-		if !ambiguous {
-			return nil
-		}
-		// A split overlapped the CAS: it may have snapshotted the bucket
-		// before our entry landed and rebuilt the segment without it.
-		// Wait for the split, then verify through the (possibly new)
-		// segment.
-		atomic.AddUint64(&v.stats.StaleChecks, 1)
-		q, err := v.waitSplit(h)
-		if err != nil {
-			return err
-		}
-		if _, _, ok := q.find(word); ok {
-			return nil
-		}
-		// Lost to the rewrite. Best-effort cleanup of the orphan word in
-		// case it survived in a segment that is no longer this hash's
-		// home, then retry the insert from scratch.
-		if _, err := v.c.CompareSwap(slot, word, 0); err != nil {
+		if done, err := v.settle(h, word, at.slot, ambiguous); done || err != nil {
 			return err
 		}
 	}
@@ -450,64 +540,27 @@ func (v *View) Insert(h uint64, e wire.HashEntry, alloc *mem.Allocator) error {
 // switch, §IV Insert: "the inner node hash table is updated ... performed
 // atomically using an RDMA CAS"). The caller must hold the node-grained
 // lock that serializes competing replaces of the same entry.
+//
+// The old entry's own publication can still be in flight: a node becomes
+// reachable through the tree (and thus switchable) before its creator's
+// table insert lands. That insert is guaranteed to complete, so Replace
+// waits for it rather than failing the switch.
 func (v *View) Replace(h uint64, old, new wire.HashEntry) error {
 	atomic.AddUint64(&v.stats.Replaces, 1)
-	oldWord, newWord := old.Encode(), new.Encode()
-	waits := 0
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		p, err := v.read(h)
-		if err != nil {
-			return err
-		}
-		if p.locked() {
-			if _, err := v.waitSplit(h); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, _, ok := p.find(newWord); ok {
-			return nil
-		}
-		slot, hdr, ok := p.find(oldWord)
-		if !ok {
-			// The old entry's own publication can still be in flight: a
-			// node becomes reachable through the tree (and thus
-			// switchable) before its creator's table insert lands. That
-			// insert is guaranteed to complete, so wait for it rather
-			// than failing the switch — on a budget independent of the
-			// CAS retry budget.
-			if waits++; waits > maxAttempts*64 {
-				return fmt.Errorf("%w: replace target never appeared for h=%#x", ErrRetryExhausted, h)
-			}
-			attempt--
-			v.c.AdvanceClock(500_000)
-			runtime.Gosched()
-			continue
-		}
-		won, ambiguous, err := v.casChecked(slot, oldWord, newWord, hdr)
-		if err != nil {
-			return err
-		}
-		if won && !ambiguous {
-			return nil
-		}
-		if won && ambiguous {
-			atomic.AddUint64(&v.stats.StaleChecks, 1)
-			q, err := v.waitSplit(h)
-			if err != nil {
-				return err
-			}
-			if _, _, ok := q.find(newWord); ok {
-				return nil
-			}
-			// The split captured the pre-CAS image: the old word is live
-			// again somewhere; loop and redo the replace.
-			if _, err := v.c.CompareSwap(slot, newWord, 0); err != nil {
-				return err
-			}
-		}
+	_, err := v.swap(h, old.Encode(), new.Encode(), true)
+	return err
+}
+
+// FinishReplace concludes a replace whose CAS was planned with
+// AppendReplace on p and executed in ops; see landed.
+func (v *View) FinishReplace(p *PreparedRead, ops []fabric.Op, old, new wire.HashEntry) error {
+	atomic.AddUint64(&v.stats.Replaces, 1)
+	newWord := new.Encode()
+	if done, err := v.landed(p, ops, newWord); done || err != nil {
+		return err
 	}
-	return fmt.Errorf("%w: replace h=%#x", ErrRetryExhausted, h)
+	_, err := v.swap(p.h, old.Encode(), newWord, true)
+	return err
 }
 
 // SwapIfPresent atomically swaps old for new like Replace, but returns
@@ -519,7 +572,14 @@ func (v *View) Replace(h uint64, old, new wire.HashEntry) error {
 // re-read and re-decide on, not a publication still in flight.
 func (v *View) SwapIfPresent(h uint64, old, new wire.HashEntry) (bool, error) {
 	atomic.AddUint64(&v.stats.Replaces, 1)
-	oldWord, newWord := old.Encode(), new.Encode()
+	return v.swap(h, old.Encode(), new.Encode(), false)
+}
+
+// swap is the shared loop of Replace (wait=true: an absent oldWord is a
+// publication still in flight, waited for on a budget independent of the
+// CAS retry budget) and SwapIfPresent (wait=false: absent means lost).
+func (v *View) swap(h, oldWord, newWord uint64, wait bool) (bool, error) {
+	waits := 0
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		p, err := v.read(h)
 		if err != nil {
@@ -531,34 +591,33 @@ func (v *View) SwapIfPresent(h uint64, old, new wire.HashEntry) (bool, error) {
 			}
 			continue
 		}
-		if _, _, ok := p.find(newWord); ok {
+		if _, ok := p.find(newWord); ok {
 			return true, nil
 		}
-		slot, hdr, ok := p.find(oldWord)
+		at, ok := p.find(oldWord)
 		if !ok {
-			return false, nil
+			if !wait {
+				return false, nil
+			}
+			if waits++; waits > maxAttempts*64 {
+				return false, fmt.Errorf("%w: replace target never appeared for h=%#x", ErrRetryExhausted, h)
+			}
+			attempt--
+			v.c.AdvanceClock(500_000)
+			fabric.Yield(waits)
+			continue
 		}
-		won, ambiguous, err := v.casChecked(slot, oldWord, newWord, hdr)
+		won, ambiguous, err := v.casChecked(at, oldWord, newWord)
 		if err != nil {
 			return false, err
 		}
-		if won && !ambiguous {
-			return true, nil
+		if !won {
+			continue
 		}
-		if won && ambiguous {
-			atomic.AddUint64(&v.stats.StaleChecks, 1)
-			q, err := v.waitSplit(h)
-			if err != nil {
-				return false, err
-			}
-			if _, _, ok := q.find(newWord); ok {
-				return true, nil
-			}
-			// The split captured the pre-CAS image: clean our orphan and
-			// redo from the re-read.
-			if _, err := v.c.CompareSwap(slot, newWord, 0); err != nil {
-				return false, err
-			}
+		// On done=false the split captured the pre-CAS image: the old word
+		// is live again somewhere; loop and redo the swap.
+		if done, err := v.settle(h, newWord, at.slot, ambiguous); done || err != nil {
+			return done, err
 		}
 	}
 	return false, fmt.Errorf("%w: swap h=%#x", ErrRetryExhausted, h)
@@ -580,11 +639,11 @@ func (v *View) Remove(h uint64, old wire.HashEntry) error {
 			}
 			continue
 		}
-		slot, hdr, ok := p.find(oldWord)
+		at, ok := p.find(oldWord)
 		if !ok {
 			return nil
 		}
-		won, ambiguous, err := v.casChecked(slot, oldWord, 0, hdr)
+		won, ambiguous, err := v.casChecked(at, oldWord, 0)
 		if err != nil {
 			return err
 		}

@@ -409,3 +409,33 @@ func TestInsertLookupProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCleanInsertNeedsNoSplitCheck: an insert no split overlaps is two round
+// trips — bucket read, then CAS with the bucket-header re-read — and the
+// re-read must compare clean wherever the table's segments sit in memory. A
+// small table's directory is shorter than a bucket, so its segments are not
+// bucket-aligned; the header must be re-read at the bucket's own address,
+// not at the slot address rounded down.
+func TestCleanInsertNeedsNoSplitCheck(t *testing.T) {
+	for _, expected := range []int{10, 100, 100000} {
+		env := newEnv(t, expected)
+		c := env.f.NewClient()
+		alloc := mem.NewAllocator(c, 0)
+		v := NewView(env.table, c)
+		if err := v.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		h, fp := hashFP(1)
+		e := env.makeEntry(t, c, alloc, h, fp)
+		before := c.Stats().RoundTrips
+		if err := v.Insert(h, e, alloc); err != nil {
+			t.Fatal(err)
+		}
+		if rts := c.Stats().RoundTrips - before; rts != 2 {
+			t.Errorf("expected=%d: clean insert took %d round trips, want 2", expected, rts)
+		}
+		if st := v.Stats(); st.StaleChecks != 0 || st.SplitWaits != 0 {
+			t.Errorf("expected=%d: clean insert ran %d stale checks, %d split waits", expected, st.StaleChecks, st.SplitWaits)
+		}
+	}
+}

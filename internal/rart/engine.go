@@ -105,6 +105,10 @@ type Engine struct {
 	// copies everything it keeps, so a buffer is reusable the moment the
 	// image is decoded.
 	bufs [][]byte
+	// stagedOps and pubs back the write paths' fused lock batch and its
+	// publication plan (see staged); like bufs, per-worker and reused.
+	stagedOps []fabric.Op
+	pubs      []Publication
 }
 
 // maxPooledBufs caps the free list; beyond it buffers are dropped to the GC.
@@ -156,6 +160,15 @@ type EngineStats struct {
 	// the slot swing already live (the leaf-address cache must never find
 	// such a leaf Idle).
 	LeafRetireRepairs uint64
+	// AbandonedObjects and AbandonedBytes count speculative write-ahead
+	// waste: fresh leaves and inner nodes reserved (and usually written)
+	// ahead of an operation's lock whose operation then did not commit — the
+	// lock batch faulted, the locked image refuted the unlocked one, or the
+	// edge was claimed first. Nothing references them and the bump
+	// allocator never frees, so they are the leak cost of fusing writes
+	// before the lock. Zero without write contention or faults.
+	AbandonedObjects uint64
+	AbandonedBytes   uint64
 }
 
 // Add returns s + t, field-wise; used to aggregate workers.
@@ -165,6 +178,8 @@ func (s EngineStats) Add(t EngineStats) EngineStats {
 	s.DeleteRepairs += t.DeleteRepairs
 	s.PublishRetries += t.PublishRetries
 	s.LeafRetireRepairs += t.LeafRetireRepairs
+	s.AbandonedObjects += t.AbandonedObjects
+	s.AbandonedBytes += t.AbandonedBytes
 	return s
 }
 
@@ -178,7 +193,16 @@ func (e *Engine) Stats() EngineStats {
 		DeleteRepairs:     atomic.LoadUint64(&e.stats.DeleteRepairs),
 		PublishRetries:    atomic.LoadUint64(&e.stats.PublishRetries),
 		LeafRetireRepairs: atomic.LoadUint64(&e.stats.LeafRetireRepairs),
+		AbandonedObjects:  atomic.LoadUint64(&e.stats.AbandonedObjects),
+		AbandonedBytes:    atomic.LoadUint64(&e.stats.AbandonedBytes),
 	}
+}
+
+// Abandoned returns the speculative write-ahead waste counters alone
+// (EngineStats.AbandonedObjects, AbandonedBytes); the put path samples them
+// around every traced operation.
+func (e *Engine) Abandoned() (objects, bytes uint64) {
+	return atomic.LoadUint64(&e.stats.AbandonedObjects), atomic.LoadUint64(&e.stats.AbandonedBytes)
 }
 
 // Backoff starts one retry sequence under the engine's policy; the
@@ -424,43 +448,239 @@ func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8) (*Leaf, error) {
 	return l, nil
 }
 
-// WriteLeaf allocates and writes a fresh leaf for (key, value) on the
-// key's home node and returns its address.
-func (e *Engine) WriteLeaf(key, value []byte) (mem.Addr, error) {
+// staged is the write-ahead half of a structural write: the fresh objects
+// (leaf, inner nodes) whose addresses were reserved locally and whose WRITEs
+// — together with any side-structure reads the publication wants — ride the
+// operation's lock batch (lockNodes). Nothing staged is reachable until a
+// later batch swings a slot at it, so the WRITEs need no ordering among
+// themselves or against the lock verbs.
+type staged struct {
+	ops     []fabric.Op
+	objects uint64
+	bytes   uint64
+}
+
+// stage starts a write-ahead set on the engine's reusable op storage.
+func (e *Engine) stage() staged { return staged{ops: e.stagedOps[:0]} }
+
+// stageLeaf reserves a fresh leaf for (key, value) on the key's home node
+// and stages its WRITE, returning the reserved address.
+func (e *Engine) stageLeaf(st *staged, key, value []byte) (mem.Addr, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageAlloc))
 	img := wire.EncodeLeaf(wire.StatusIdle, key, value)
 	addr, err := e.Alloc.Alloc(e.LeafHome(key), mem.ClassLeaf, uint64(len(img)))
 	if err != nil {
 		return 0, err
 	}
-	e.C.SetStage(fabric.StageLeafWrite)
-	if err := e.C.Write(addr, img); err != nil {
-		return 0, err
-	}
+	st.ops = append(st.ops, fabric.Op{Kind: fabric.Write, Addr: addr, Data: img})
+	st.objects++
+	st.bytes += uint64(len(img))
 	return addr, nil
 }
 
-// WriteNewNode allocates space for a locally built node on the home node
-// of its prefix and writes it, returning the node with its address set.
-func (e *Engine) WriteNewNode(n *Node, prefix []byte) (*Node, error) {
+// reserveNode reserves space for the locally built node n on the home node
+// of its prefix and sets n.Addr, so parents can link to n before any image
+// is encoded.
+func (e *Engine) reserveNode(st *staged, n *Node, prefix []byte) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageAlloc))
-	addr, err := e.Alloc.Alloc(e.NodeHome(prefix), mem.ClassInner, e.nodeAllocSize(n.Hdr.Type))
+	size := e.nodeAllocSize(n.Hdr.Type)
+	addr, err := e.Alloc.Alloc(e.NodeHome(prefix), mem.ClassInner, size)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n.Addr = addr
-	e.C.SetStage(fabric.StageNodeWrite)
-	if err := e.C.Write(addr, n.Encode()); err != nil {
-		return nil, err
+	st.objects++
+	st.bytes += size
+	return nil
+}
+
+// stageNode stages the WRITE of a reserved node's finished image.
+func (st *staged) stageNode(n *Node) {
+	st.ops = append(st.ops, fabric.Op{Kind: fabric.Write, Addr: n.Addr, Data: n.Encode()})
+}
+
+// abandon books a write-ahead set whose operation will not commit.
+func (e *Engine) abandon(st *staged) {
+	if st == nil || st.objects == 0 {
+		return
 	}
-	return n, nil
+	atomic.AddUint64(&e.stats.AbandonedObjects, st.objects)
+	atomic.AddUint64(&e.stats.AbandonedBytes, st.bytes)
+	st.objects, st.bytes = 0, 0
+}
+
+// abort is the one exit of a structural write that fails before its commit
+// point: it releases every lock the operation holds (nil nodes are skipped)
+// and books the staged objects as abandoned. The release is best effort — a
+// lease it cannot reach expires, or is reclaimed when this client next
+// locks the node — so the cause, not the release, is what the caller sees.
+func (e *Engine) abort(st *staged, cause error, a, b *Node) error {
+	e.abandon(st)
+	var arr [2]fabric.Op
+	ops := arr[:0]
+	for _, n := range [2]*Node{a, b} {
+		if n != nil {
+			ops = append(ops, e.UnlockOp(n))
+		}
+	}
+	e.release(ops)
+	return cause
+}
+
+// release posts lease-release CASes best effort: each expects the exact
+// lease word its lock attempt installed, so it is a no-op on a lease that
+// was never taken or has since been stolen, and a release the fabric drops
+// only means the lease expires instead (docs/failure-model.md §3).
+func (e *Engine) release(ops []fabric.Op) {
+	if len(ops) == 0 {
+		return
+	}
+	prev := e.C.SetStage(fabric.StageUnlock)
+	_ = e.C.Batch(ops) // best effort, see above
+	e.C.SetStage(prev)
+}
+
+// lockTry is the state of one node's lease acquisition across attempts.
+type lockTry struct {
+	addr             mem.Addr
+	want             uint64 // bytes to READ for the post-lock image
+	expect, watching uint64 // lease word the next CAS expects / the holder being watched
+	tryCAS           bool
+	buf              []byte // destination of the in-flight attempt's READ
+	cas              int    // index of the in-flight attempt's CAS in its batch, -1 if it only polls
+}
+
+// newLockTry starts an acquisition. expectLease is the lease word the caller
+// last observed (from a decoded image), letting a first attempt on a free or
+// self-owned lock CAS immediately; 0 when unknown.
+func (e *Engine) newLockTry(addr mem.Addr, hint wire.NodeType, expectLease uint64) lockTry {
+	return lockTry{
+		addr: addr, want: e.nodeReadSize(hint),
+		expect: expectLease, watching: expectLease,
+		tryCAS: expectLease == 0 || wire.LeaseOwnedBy(expectLease, uint16(e.C.ID())),
+	}
+}
+
+// postLock appends one attempt to ops: the lease-word CAS (when armed) and a
+// full re-read. Both target one memory node, where a batch executes in
+// posting order, so a winning CAS guarantees the trailing read is a stable
+// post-lock snapshot (paper §III-C).
+func (e *Engine) postLock(t *lockTry, ops []fabric.Op) []fabric.Op {
+	t.buf = e.grabBuf(t.want)
+	t.cas = -1
+	if t.tryCAS {
+		t.cas = len(ops)
+		ops = append(ops, fabric.Op{
+			Kind: fabric.CAS, Addr: t.addr.Add(wire.LeaseOff),
+			Expect:  t.expect,
+			Desired: wire.EncodeLease(uint16(e.C.ID()), e.C.Clock()+e.Cfg.leasePs()),
+		})
+	}
+	return append(ops, fabric.Op{Kind: fabric.Read, Addr: t.addr, Data: t.buf})
+}
+
+// undoLock builds the release of the lease word the in-flight attempt's CAS
+// tried to install.
+func (t *lockTry) undoLock(ops []fabric.Op) fabric.Op {
+	return fabric.Op{Kind: fabric.CAS, Addr: ops[t.cas].Addr, Expect: ops[t.cas].Desired, Desired: 0}
+}
+
+// dropLock cleans up after an attempt whose batch faulted. The CAS may have
+// executed (a transient truncates after it, a timeout loses only the
+// completion), so the lease it may have taken is released.
+func (e *Engine) dropLock(t *lockTry, ops []fabric.Op, cause error) {
+	e.ReleaseBuf(t.buf)
+	t.buf = nil
+	if t.cas >= 0 && (errors.Is(cause, fabric.ErrTransient) || errors.Is(cause, fabric.ErrTimeout)) {
+		e.release([]fabric.Op{t.undoLock(ops)})
+	}
+}
+
+// settleLock interprets a completed attempt. It returns the locked image
+// when the lease was won; (nil, nil) when it was not, with t advanced to
+// what the next poll should do; or an error (ErrNodeInvalid for a retired
+// node — nobody revives one, so a lease won on it is moot).
+func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*Node, error) {
+	buf := t.buf
+	t.buf = nil
+	hdr := wire.DecodeNodeHeader(leUint64(buf))
+	if hdr.Status == wire.StatusInvalid {
+		e.ReleaseBuf(buf)
+		return nil, ErrNodeInvalid
+	}
+	owner := uint16(e.C.ID())
+	if t.cas >= 0 && ops[t.cas].Old == t.expect {
+		if t.expect != 0 {
+			atomic.AddUint64(&e.stats.LockSteals, 1)
+		}
+		var err error
+		if need := wire.NodeSize(hdr.Type); need > uint64(len(buf)) {
+			// Stale size hint; re-read at full size while holding the
+			// lock, under which the image is stable.
+			e.ReleaseBuf(buf)
+			buf = e.grabBuf(need)
+			err = e.C.Read(t.addr, buf)
+		}
+		var n *Node
+		if err == nil {
+			n, err = Decode(t.addr, buf)
+		}
+		e.ReleaseBuf(buf)
+		if err != nil {
+			e.release([]fabric.Op{t.undoLock(ops)})
+			return nil, err
+		}
+		return n, nil
+	}
+	if need := wire.NodeSize(hdr.Type); need > t.want {
+		t.want = need
+	}
+	lease := leUint64(buf[wire.LeaseOff:])
+	e.ReleaseBuf(buf)
+	switch {
+	case lease == 0:
+		t.tryCAS, t.expect = true, 0
+	case wire.LeaseOwnedBy(lease, owner):
+		// Our own abandoned lease: reclaim without waiting it out.
+		t.tryCAS, t.expect = true, lease
+	case lease == t.watching && bo.WaitedPs() >= e.Cfg.leasePs():
+		// Same holder for a full lease of our waiting: presume dead.
+		t.tryCAS, t.expect = true, lease
+	default:
+		if lease != t.watching {
+			t.watching = lease
+			bo.ResetWatch()
+		}
+		t.tryCAS = false
+	}
+	return nil, nil
+}
+
+// acquire polls one node's lease, one round trip per attempt with a backoff
+// wait between attempts, until it is won, the node turns out retired, or
+// the backoff budget runs out. polled says t already made an attempt (in a
+// fused batch), so the first poll here waits too.
+func (e *Engine) acquire(t *lockTry, bo *fabric.Backoff, polled bool) (*Node, error) {
+	var arr [2]fabric.Op
+	for ; ; polled = true {
+		if polled && !bo.Wait() {
+			return nil, fmt.Errorf("%w: lock on %v", ErrRetriesExhausted, t.addr)
+		}
+		ops := e.postLock(t, arr[:0])
+		if err := e.C.Batch(ops); err != nil {
+			e.dropLock(t, ops, err)
+			return nil, err
+		}
+		if n, err := e.settleLock(t, ops, bo); n != nil || err != nil {
+			return n, err
+		}
+	}
 }
 
 // Lock acquires the node-grained lease lock on the node at addr and
 // returns a fresh image read under the lock. Each attempt is one round
 // trip: the lease-word CAS and a full re-read ride the same doorbell
-// batch, and the CAS executing first means a winning lock guarantees the
-// trailing read is a stable post-lock snapshot (paper §III-C).
+// batch (postLock).
 //
 // The lock is a lease (docs/failure-model.md): acquisition CASes the lease
 // word from 0 to (owner, stamp). A waiter that observes the *same* held
@@ -472,93 +692,87 @@ func (e *Engine) WriteNewNode(n *Node, prefix []byte) (*Node, error) {
 // reclaims it immediately.
 //
 // expectLease is the lease word the caller last observed (from a decoded
-// image), letting a first attempt on a free or self-owned lock CAS
-// immediately; pass 0 when unknown.
+// image); pass 0 when unknown.
 func (e *Engine) Lock(addr mem.Addr, hint wire.NodeType, expectLease uint64) (*Node, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLock))
-	want := e.nodeReadSize(hint)
-	owner := uint16(e.C.ID())
-	leaseAddr := addr.Add(wire.LeaseOff)
+	t := e.newLockTry(addr, hint, expectLease)
+	return e.acquire(&t, e.Backoff(), false)
+}
+
+// lockNodes is the first dependency level of every structural write, in one
+// doorbell batch: the staged fresh-object WRITEs and publication reads, the
+// lease CAS + re-read of child, and — for the two-node protocols (split,
+// grow, relocate) — the lease CAS + re-read of parent. The staged verbs
+// ride that first batch only; if a lease is held by someone else the wait
+// continues with plain one-node polls. The batch is charged to StageLock,
+// the stage of its gating verb.
+//
+// Locks are only ever waited for in child-then-parent order: a first batch
+// that won the parent but not the child gives the parent back before
+// queueing for the child, so two writers can never hold one lock each
+// while waiting for the other's.
+//
+// It returns images read under the locks, each verified to still have the
+// depth the caller's unlocked image had (callers re-derive slot state from
+// the locked images). On any error nothing is held and the staged objects
+// are booked as abandoned.
+func (e *Engine) lockNodes(child, parent *Node, st *staged) (lc, lp *Node, err error) {
+	defer e.C.SetStage(e.C.SetStage(fabric.StageLock))
 	bo := e.Backoff()
-	expect := expectLease
-	tryCAS := expect == 0 || wire.LeaseOwnedBy(expect, owner)
-	watching := expectLease
-	var opsArr [2]fabric.Op
-	for {
-		buf := e.grabBuf(want)
-		ops := opsArr[:0]
-		casIdx := -1
-		if tryCAS {
-			casIdx = 0
-			ops = append(ops, fabric.Op{
-				Kind: fabric.CAS, Addr: leaseAddr,
-				Expect:  expect,
-				Desired: wire.EncodeLease(owner, e.C.Clock()+e.Cfg.leasePs()),
-			})
-		}
-		ops = append(ops, fabric.Op{Kind: fabric.Read, Addr: addr, Data: buf})
-		if err := e.C.Batch(ops); err != nil {
-			e.ReleaseBuf(buf)
-			return nil, err
-		}
-		if casIdx >= 0 && ops[casIdx].Old == expect {
-			if expect != 0 {
-				atomic.AddUint64(&e.stats.LockSteals, 1)
-			}
-			hdr := wire.DecodeNodeHeader(leUint64(buf))
-			if hdr.Status == wire.StatusInvalid {
-				// Retired while we raced for the lock. Nobody revives a
-				// retired node, so the lease we hold on it is moot.
-				e.ReleaseBuf(buf)
-				return nil, ErrNodeInvalid
-			}
-			if need := wire.NodeSize(hdr.Type); need > uint64(len(buf)) {
-				// Stale size hint; re-read at full size while holding the
-				// lock, under which the image is stable.
-				e.ReleaseBuf(buf)
-				buf = e.grabBuf(need)
-				if err := e.C.Read(addr, buf); err != nil {
-					e.ReleaseBuf(buf)
-					return nil, err
-				}
-			}
-			n, err := Decode(addr, buf)
-			e.ReleaseBuf(buf)
-			if err != nil {
-				return nil, err
-			}
-			return n, nil
-		}
-		hdr := wire.DecodeNodeHeader(leUint64(buf))
-		if hdr.Status == wire.StatusInvalid {
-			e.ReleaseBuf(buf)
-			return nil, ErrNodeInvalid
-		}
-		if need := wire.NodeSize(hdr.Type); need > want {
-			want = need
-		}
-		lease := leUint64(buf[wire.LeaseOff:])
-		e.ReleaseBuf(buf)
-		switch {
-		case lease == 0:
-			tryCAS, expect = true, 0
-		case wire.LeaseOwnedBy(lease, owner):
-			// Our own abandoned lease: reclaim without waiting it out.
-			tryCAS, expect = true, lease
-		case lease == watching && bo.WaitedPs() >= e.Cfg.leasePs():
-			// Same holder for a full lease of our waiting: presume dead.
-			tryCAS, expect = true, lease
-		default:
-			if lease != watching {
-				watching = lease
-				bo.ResetWatch()
-			}
-			tryCAS = false
-		}
-		if !bo.Wait() {
-			return nil, fmt.Errorf("%w: lock on %v", ErrRetriesExhausted, addr)
-		}
+	tc := e.newLockTry(child.Addr, child.Hdr.Type, child.LeaseWord)
+	var tp lockTry
+	ops := e.stagedOps[:0]
+	if st != nil {
+		ops = st.ops
 	}
+	ops = e.postLock(&tc, ops)
+	if parent != nil {
+		tp = e.newLockTry(parent.Addr, parent.Hdr.Type, parent.LeaseWord)
+		ops = e.postLock(&tp, ops)
+	}
+	err = e.C.Batch(ops)
+	e.stagedOps = ops[:0]
+	if err != nil {
+		e.dropLock(&tc, ops, err)
+		if parent != nil {
+			e.dropLock(&tp, ops, err)
+		}
+		e.abandon(st)
+		return nil, nil, err
+	}
+	lc, err = e.settleLock(&tc, ops, bo)
+	parentPolled := false
+	if parent != nil {
+		var perr error
+		if lp, perr = e.settleLock(&tp, ops, bo); err == nil {
+			err = perr
+		}
+		parentPolled = lp == nil
+	}
+	if err == nil && lc == nil {
+		if lp != nil {
+			e.release([]fabric.Op{e.UnlockOp(lp)})
+			lp, parentPolled = nil, false
+			tp = e.newLockTry(parent.Addr, parent.Hdr.Type, 0)
+		}
+		lc, err = e.acquire(&tc, bo, true)
+	}
+	if err == nil && parent != nil && lp == nil {
+		lp, err = e.acquire(&tp, bo, parentPolled)
+	}
+	switch {
+	case err == ErrNodeInvalid:
+		err = fmt.Errorf("lock: node %v or its parent invalid: %w", child.Addr, ErrRestart)
+	case err != nil:
+	case lc.Hdr.Depth != child.Hdr.Depth:
+		err = fmt.Errorf("lock: node %v depth changed: %w", lc.Addr, ErrRestart)
+	case lp != nil && lp.Hdr.Depth != parent.Hdr.Depth:
+		err = fmt.Errorf("lock: node %v depth changed: %w", lp.Addr, ErrRestart)
+	}
+	if err != nil {
+		return nil, nil, e.abort(st, err, lc, lp)
+	}
+	return lc, lp, nil
 }
 
 // UnlockOp builds the CAS releasing a lease taken by Lock. It is meant to

@@ -38,10 +38,7 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 	depth := int(locked.Hdr.Depth)
 	if depth > len(key) {
 		// Restructured past this key since the walk snapshot.
-		if uerr := e.unlock(locked); uerr != nil {
-			return false, uerr
-		}
-		return false, fmt.Errorf("relocate: node %v outgrew key: %w", locked.Addr, ErrRestart)
+		return false, e.abort(nil, fmt.Errorf("relocate: node %v outgrew key: %w", locked.Addr, ErrRestart), locked, nil)
 	}
 	eol := len(key) == depth
 	var slot wire.Slot
@@ -56,25 +53,16 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 	}
 	if !slot.Present || !slot.Leaf || slot.Addr.Node() == target {
 		// Deleted, converted to a subtree, or already home: nothing to move.
-		if uerr := e.unlock(locked); uerr != nil {
-			return false, uerr
-		}
-		return false, nil
+		return false, e.abort(nil, nil, locked, nil)
 	}
 	leaf, err := e.ReadLeaf(slot.Addr)
 	if err != nil {
-		if uerr := e.unlock(locked); uerr != nil {
-			return false, uerr
-		}
-		return false, err
+		return false, e.abort(nil, err, locked, nil)
 	}
 	if leaf.Status == wire.StatusInvalid || !bytes.Equal(leaf.Key, key) {
 		// An interrupted delete (completeDelete's business) or a collided
 		// edge; either way not this key's leaf to move.
-		if uerr := e.unlock(locked); uerr != nil {
-			return false, uerr
-		}
-		return false, nil
+		return false, e.abort(nil, nil, locked, nil)
 	}
 	// Lock the leaf header so a concurrent in-place update cannot slip
 	// between our snapshot and the copy.
@@ -84,17 +72,11 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 	}.Encode()
 	old, err := e.C.CompareSwap(slot.Addr, idleWord, wire.WithStatus(idleWord, wire.StatusLocked))
 	if err != nil {
-		if uerr := e.unlock(locked); uerr != nil {
-			return false, uerr
-		}
-		return false, err
+		return false, e.abort(nil, err, locked, nil)
 	}
 	if old != idleWord {
 		// A writer beat us to the leaf; retry on a later sweep.
-		if uerr := e.unlock(locked); uerr != nil {
-			return false, uerr
-		}
-		return false, fmt.Errorf("relocate: leaf %v contended: %w", slot.Addr, ErrRestart)
+		return false, e.abort(nil, fmt.Errorf("relocate: leaf %v contended: %w", slot.Addr, ErrRestart), locked, nil)
 	}
 	unlockLeaf := func() error {
 		_, cerr := e.C.CompareSwap(slot.Addr, wire.WithStatus(idleWord, wire.StatusLocked), idleWord)
@@ -108,10 +90,7 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 		if lerr := unlockLeaf(); lerr != nil {
 			return false, lerr
 		}
-		if uerr := e.unlock(locked); uerr != nil {
-			return false, uerr
-		}
-		return false, err
+		return false, e.abort(nil, err, locked, nil)
 	}
 	k, v, _, ok := wire.DecodeLeaf(buf)
 	if !ok || !bytes.Equal(k, key) {
@@ -119,10 +98,7 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 		if lerr := unlockLeaf(); lerr != nil {
 			return false, lerr
 		}
-		if uerr := e.unlock(locked); uerr != nil {
-			return false, uerr
-		}
-		return false, fmt.Errorf("relocate: leaf %v unstable under lock: %w", slot.Addr, ErrRestart)
+		return false, e.abort(nil, fmt.Errorf("relocate: leaf %v unstable under lock: %w", slot.Addr, ErrRestart), locked, nil)
 	}
 	img := wire.EncodeLeaf(wire.StatusIdle, k, v)
 	e.ReleaseBuf(buf)
@@ -134,10 +110,7 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 		if lerr := unlockLeaf(); lerr != nil {
 			return false, lerr
 		}
-		if uerr := e.unlock(locked); uerr != nil {
-			return false, uerr
-		}
-		return false, err
+		return false, e.abort(nil, err, locked, nil)
 	}
 	newSlot := wire.Slot{Present: true, Leaf: true, Addr: newAddr}
 	var swing fabric.Op
@@ -185,30 +158,17 @@ func (e *Engine) RelocateNode(parent, child *Node, prefix []byte, target mem.Nod
 		return nil, false, nil
 	}
 	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
-	lockedChild, err := e.lockVerified(child)
+	lockedChild, lockedParent, err := e.lockNodes(child, parent, nil)
 	if err != nil {
-		return nil, false, err
-	}
-	lockedParent, err := e.lockVerified(parent)
-	if err != nil {
-		if uerr := e.unlock(lockedChild); uerr != nil {
-			return nil, false, uerr
-		}
 		return nil, false, err
 	}
 	if int(lockedParent.Hdr.Depth) >= len(prefix) {
-		if uerr := e.unlockBoth(lockedParent, lockedChild); uerr != nil {
-			return nil, false, uerr
-		}
-		return nil, false, fmt.Errorf("relocate: parent %v outgrew prefix: %w", lockedParent.Addr, ErrRestart)
+		return nil, false, e.abort(nil, fmt.Errorf("relocate: parent %v outgrew prefix: %w", lockedParent.Addr, ErrRestart), lockedParent, lockedChild)
 	}
 	edge := prefix[lockedParent.Hdr.Depth]
 	ps, idx, ok := lockedParent.Child(edge)
 	if !ok || ps.Leaf || ps.Addr != lockedChild.Addr {
-		if uerr := e.unlockBoth(lockedParent, lockedChild); uerr != nil {
-			return nil, false, uerr
-		}
-		return nil, false, fmt.Errorf("relocate: parent slot moved on %v: %w", lockedParent.Addr, ErrRestart)
+		return nil, false, e.abort(nil, fmt.Errorf("relocate: parent slot moved on %v: %w", lockedParent.Addr, ErrRestart), lockedParent, lockedChild)
 	}
 
 	// Clone the locked image at the same type: fresh lease, Idle status.
@@ -230,10 +190,7 @@ func (e *Engine) RelocateNode(parent, child *Node, prefix []byte, target mem.Nod
 		err = e.C.Write(addr, clone.Encode())
 	}
 	if err != nil {
-		if uerr := e.unlockBoth(lockedParent, lockedChild); uerr != nil {
-			return nil, false, uerr
-		}
-		return nil, false, err
+		return nil, false, e.abort(nil, err, lockedParent, lockedChild)
 	}
 	newSlot := wire.Slot{Present: true, KeyByte: edge, ChildType: clone.Hdr.Type, Addr: clone.Addr}
 	// Commit point: from here the publication runs to completion, exactly

@@ -16,29 +16,55 @@ import (
 // Sphinx maintains its inner-node hash table and filter cache through
 // these; the baselines use NopHooks.
 type Hooks interface {
-	// NewInner runs after a fresh inner node with a brand-new full prefix
-	// has been published (leaf conversion or compressed-path split).
-	NewInner(prefix []byte, n *Node) error
-	// TypeSwitched runs after a node was replaced by a larger copy at a
-	// new address. Never called in Prealloc256 mode, where every node is
-	// born with the Node256 footprint and never moves.
-	TypeSwitched(prefix []byte, old *Node, grown *Node) error
+	// Plan is called by a structural write before it takes its locks, with
+	// every side-structure change the write will make once it commits. The
+	// returned Publisher's reads ride the write's lock batch and its Publish
+	// runs after the commit point.
+	Plan(pubs []Publication) (Publisher, error)
 	// SawNode runs for every valid inner node visited during a descent,
 	// with the node's full prefix (Sphinx learns these into its filter).
 	SawNode(prefix []byte, n *Node)
 }
 
+// Publication is one side-structure change a structural write owes once it
+// commits: a fresh inner node with a brand-new full prefix (leaf conversion
+// or compressed-path split; Old nil), or a node replaced by a larger copy
+// at a new address (type switch; Old is the retired original — never in
+// Prealloc256 mode, where nodes are born with the Node256 footprint and
+// never move). Node's address is already reserved when Plan sees it. The
+// slice and its prefixes are valid until the Publisher's last Publish.
+type Publication struct {
+	Prefix []byte
+	Node   *Node
+	Old    *Node
+}
+
+// Publisher carries one write's publications from plan to commit.
+type Publisher interface {
+	// AppendReads appends the READs the publication wants fetched ahead of
+	// its own verbs (hash-bucket reads that precede an entry CAS); they
+	// ride the write's lock batch. Publish is only called after a batch
+	// carrying them completed.
+	AppendReads(ops []fabric.Op) []fabric.Op
+	// Publish makes every planned change visible. It runs after the write's
+	// commit point, is re-driven across fabric faults until it returns nil
+	// (completeHook), and must therefore be idempotent.
+	Publish() error
+}
+
 // NopHooks ignores all events.
 type NopHooks struct{}
 
-// NewInner implements Hooks.
-func (NopHooks) NewInner([]byte, *Node) error { return nil }
-
-// TypeSwitched implements Hooks.
-func (NopHooks) TypeSwitched([]byte, *Node, *Node) error { return nil }
+// Plan implements Hooks.
+func (NopHooks) Plan([]Publication) (Publisher, error) { return nopPublisher{}, nil }
 
 // SawNode implements Hooks.
 func (NopHooks) SawNode([]byte, *Node) {}
+
+type nopPublisher struct{}
+
+func (nopPublisher) AppendReads(ops []fabric.Op) []fabric.Op { return ops }
+func (nopPublisher) Publish() error                          { return nil }
 
 // PutMode selects upsert semantics for PutFrom.
 type PutMode int
@@ -218,65 +244,63 @@ func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) 
 	return false, fmt.Errorf("%w: descent exceeded max depth", ErrRetriesExhausted)
 }
 
-// lockVerified acquires n's lock and re-verifies that the locked image
-// still has the same depth; callers then re-derive slot state from the
-// fresh image. Returns ErrRestart if the node was invalidated.
+// lockVerified acquires n's lock alone, with nothing riding the batch; see
+// lockNodes.
 func (e *Engine) lockVerified(n *Node) (*Node, error) {
-	locked, err := e.Lock(n.Addr, n.Hdr.Type, n.LeaseWord)
-	if err != nil {
-		if err == ErrNodeInvalid {
-			return nil, fmt.Errorf("lock: node %v invalid: %w", n.Addr, ErrRestart)
-		}
-		return nil, err
-	}
-	if locked.Hdr.Depth != n.Hdr.Depth {
-		if uerr := e.unlock(locked); uerr != nil {
-			return nil, uerr
-		}
-		return nil, fmt.Errorf("lock: node %v depth changed: %w", n.Addr, ErrRestart)
-	}
-	return locked, nil
+	locked, _, err := e.lockNodes(n, nil, nil)
+	return locked, err
 }
 
-// installLeaf writes a fresh leaf and links it into node n (paper §IV
-// Insert: write leaf; lock node; install slot with the unlock piggybacked
-// on the same doorbell batch).
+// plan stages the publication reads of a structural write: the hook learns
+// what the write will publish and its reads join the lock batch.
+func (e *Engine) plan(st *staged, h Hooks, pubs []Publication) (Publisher, error) {
+	pub, err := h.Plan(pubs)
+	if err != nil {
+		e.abandon(st)
+		return nil, err
+	}
+	st.ops = pub.AppendReads(st.ops)
+	return pub, nil
+}
+
+// installLeaf links a fresh leaf into node n in two round trips (paper §IV
+// Insert): the leaf WRITE rides the lock batch, the slot install carries
+// the unlock.
 func (e *Engine) installLeaf(parent, n *Node, key, value []byte, eol bool, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageInstall))
-	leafAddr, err := e.WriteLeaf(key, value)
+	if !eol {
+		if _, free := n.FreeSlot(key[n.Hdr.Depth]); !free {
+			return e.growAndInstall(parent, n, key, value, h)
+		}
+	}
+	st := e.stage()
+	leafAddr, err := e.stageLeaf(&st, key, value)
 	if err != nil {
 		return err
 	}
-	locked, err := e.lockVerified(n)
+	locked, _, err := e.lockNodes(n, nil, &st)
 	if err != nil {
 		return err
 	}
 	// The locked image is authoritative: if a competing writer claimed the
-	// edge first, redo the descent (the written leaf is abandoned, as in
-	// any aborted one-sided insert).
-	claimed := false
-	if eol {
-		claimed = locked.EOL.Present
-	} else if _, _, ok := locked.Child(key[int(locked.Hdr.Depth)]); ok {
-		claimed = true
-	}
-	if claimed {
-		if uerr := e.unlock(locked); uerr != nil {
-			return uerr
-		}
-		return fmt.Errorf("install: edge claimed on %v: %w", locked.Addr, ErrRestart)
-	}
+	// edge or the last free slot first, redo the descent.
 	slot := wire.Slot{Present: true, Leaf: true, Addr: leafAddr}
 	if eol {
+		if locked.EOL.Present {
+			return e.abort(&st, fmt.Errorf("install: edge claimed on %v: %w", locked.Addr, ErrRestart), locked, nil)
+		}
 		return e.C.Batch([]fabric.Op{
 			{Kind: fabric.Write, Addr: locked.EOLAddr(), Data: leBytes(slot.Encode())},
 			e.UnlockOp(locked),
 		})
 	}
 	slot.KeyByte = key[int(locked.Hdr.Depth)]
+	if _, _, ok := locked.Child(slot.KeyByte); ok {
+		return e.abort(&st, fmt.Errorf("install: edge claimed on %v: %w", locked.Addr, ErrRestart), locked, nil)
+	}
 	idx, ok := locked.FreeSlot(slot.KeyByte)
 	if !ok {
-		return e.growAndInstall(parent, locked, slot, key, h)
+		return e.abort(&st, fmt.Errorf("install: node %v filled up: %w", locked.Addr, ErrRestart), locked, nil)
 	}
 	ops := []fabric.Op{{Kind: fabric.Write, Addr: locked.SlotAddr(idx), Data: leBytes(slot.Encode())}}
 	if locked.Hdr.Type == wire.Node48 {
@@ -286,43 +310,67 @@ func (e *Engine) installLeaf(parent, n *Node, key, value []byte, eol bool, h Hoo
 	return e.C.Batch(ops)
 }
 
+// sameImage reports whether the image read under the lock still is the one
+// a copy was built from before the lock was taken.
+func sameImage(locked, seen *Node) bool {
+	if locked.Hdr != seen.Hdr || locked.EOL != seen.EOL ||
+		!bytes.Equal(locked.Partial, seen.Partial) || !bytes.Equal(locked.Index, seen.Index) ||
+		len(locked.Slots) != len(seen.Slots) {
+		return false
+	}
+	for i, w := range locked.Slots {
+		if w != seen.Slots[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // growAndInstall performs a node type switch (paper §III-C): a larger copy
-// of the locked node absorbs the new slot, the parent is repointed, the
-// hash table is updated through the hook, and the original is invalidated
-// so that readers holding stale pointers retry.
-func (e *Engine) growAndInstall(parent, locked *Node, slot wire.Slot, key []byte, h Hooks) error {
+// of the full node n absorbs the new key's slot, the parent is repointed,
+// the hash table is updated through the publisher, and the original is
+// invalidated so that readers holding stale pointers retry. The copy is
+// built from the descent's unlocked image and written, with the new leaf,
+// in the batch that locks both nodes; the locked image must then match it.
+func (e *Engine) growAndInstall(parent, n *Node, key, value []byte, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
 	if parent == nil {
 		// Root nodes are born Node256 and cannot fill; only a hash-jump
-		// start node can land here. Restart through a parent-bearing path.
-		if uerr := e.unlock(locked); uerr != nil {
-			return uerr
-		}
+		// start node can land here. Restart through a parent-bearing path
+		// (nothing is written or locked yet).
 		return ErrNeedParent
 	}
-	prefix := key[:locked.Hdr.Depth]
-	grown := locked.Grown()
-	grown.addChildLocal(slot)
-	grownOut, err := e.WriteNewNode(grown, prefix)
+	prefix := key[:n.Hdr.Depth]
+	st := e.stage()
+	leafAddr, err := e.stageLeaf(&st, key, value)
 	if err != nil {
 		return err
 	}
-	lockedParent, err := e.lockVerified(parent)
-	if err != nil {
-		if uerr := e.unlock(locked); uerr != nil {
-			return uerr
-		}
+	grown := n.Grown()
+	grown.addChildLocal(wire.Slot{Present: true, Leaf: true, KeyByte: key[n.Hdr.Depth], Addr: leafAddr})
+	if err := e.reserveNode(&st, grown, prefix); err != nil {
+		e.abandon(&st)
 		return err
+	}
+	st.stageNode(grown)
+	e.pubs = append(e.pubs[:0], Publication{Prefix: prefix, Node: grown, Old: n})
+	pub, err := e.plan(&st, h, e.pubs)
+	if err != nil {
+		return err
+	}
+	locked, lockedParent, err := e.lockNodes(n, parent, &st)
+	if err != nil {
+		return err
+	}
+	if !sameImage(locked, n) {
+		return e.abort(&st, fmt.Errorf("grow: node %v changed: %w", locked.Addr, ErrRestart), locked, lockedParent)
 	}
 	edge := key[lockedParent.Hdr.Depth]
 	ps, idx, ok := lockedParent.Child(edge)
 	if !ok || ps.Addr != locked.Addr {
-		if uerr := e.unlockBoth(lockedParent, locked); uerr != nil {
-			return uerr
-		}
-		return fmt.Errorf("grow: parent slot moved on %v: %w", lockedParent.Addr, ErrRestart)
+		return e.abort(&st, fmt.Errorf("grow: parent slot moved on %v: %w", lockedParent.Addr, ErrRestart), locked, lockedParent)
 	}
-	newSlot := wire.Slot{Present: true, KeyByte: edge, ChildType: grownOut.Hdr.Type, Addr: grownOut.Addr}
+	newSlot := wire.Slot{Present: true, KeyByte: edge, ChildType: grown.Hdr.Type, Addr: grown.Addr}
 
 	// Publish phase: parent slot → grown, hash entry → grown, original →
 	// invalid. Abandoning this sequence midway would leave the retired
@@ -336,7 +384,7 @@ func (e *Engine) growAndInstall(parent, locked *Node, slot wire.Slot, key []byte
 	}); err != nil {
 		return err
 	}
-	if err := e.completeHook(func() error { return h.TypeSwitched(prefix, locked, grownOut) }); err != nil {
+	if err := e.completeHook(pub.Publish); err != nil {
 		return err
 	}
 	// Invalidation both retires the original and releases any waiters on
@@ -403,34 +451,23 @@ func (e *Engine) completeHook(run func() error) error {
 // convertLeaf replaces a leaf edge of n by a chain of inner nodes covering
 // the common prefix of the existing leaf's key and the new key, ending in
 // a node that holds both. Chains longer than one node arise when the
-// shared prefix exceeds the inline partial capacity.
+// shared prefix exceeds the inline partial capacity. Everything the chain
+// is made of — n's depth, the old leaf's key and address — was read by the
+// descent, so the new leaf and the whole chain are written in the lock
+// batch; under the lock only the slot still naming the old leaf is checked.
 func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
-	locked, err := e.lockVerified(n)
-	if err != nil {
-		return err
-	}
-	depth := int(locked.Hdr.Depth)
+	depth := int(n.Hdr.Depth)
 	edge := key[depth]
-	ps, idx, ok := locked.Child(edge)
-	if !ok || !ps.Leaf || ps.Addr != oldLeaf.Addr {
-		if uerr := e.unlock(locked); uerr != nil {
-			return uerr
-		}
-		return fmt.Errorf("convert: slot moved on %v: %w", locked.Addr, ErrRestart)
-	}
-
 	cp := CommonPrefixLen(key, oldLeaf.Key)
 	if cp <= depth {
 		// The leaf does not actually extend this node's prefix: the
 		// descent raced with a structural change (or a collided jump
 		// slipped past the hash checks). Redo the operation.
-		if uerr := e.unlock(locked); uerr != nil {
-			return uerr
-		}
 		return fmt.Errorf("convert: leaf %v off path: %w", oldLeaf.Addr, ErrRestart)
 	}
-	newLeafAddr, err := e.WriteLeaf(key, value)
+	st := e.stage()
+	newLeafAddr, err := e.stageLeaf(&st, key, value)
 	if err != nil {
 		return err
 	}
@@ -456,10 +493,14 @@ func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks)
 		chain = append(chain, upper)
 		bottom = upper
 	}
-	// Write leaf-most first so every published pointer targets complete
-	// data; link each node into its parent image before writing it.
-	for i := 0; i < len(chain); i++ {
-		node := chain[i]
+	// Reserve every address first, so each node can link its child before
+	// its image is encoded.
+	pubs := e.pubs[:0]
+	for i, node := range chain {
+		if err := e.reserveNode(&st, node, key[:node.Hdr.Depth]); err != nil {
+			e.abandon(&st)
+			return err
+		}
 		if i > 0 {
 			// chain[i] is the parent of chain[i-1].
 			child := chain[i-1]
@@ -468,9 +509,23 @@ func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks)
 				ChildType: child.Hdr.Type, Addr: child.Addr,
 			})
 		}
-		if _, err := e.WriteNewNode(node, key[:node.Hdr.Depth]); err != nil {
-			return err
-		}
+		pubs = append(pubs, Publication{Prefix: key[:node.Hdr.Depth], Node: node})
+	}
+	e.pubs = pubs
+	for _, node := range chain {
+		st.stageNode(node)
+	}
+	pub, err := e.plan(&st, h, pubs)
+	if err != nil {
+		return err
+	}
+	locked, _, err := e.lockNodes(n, nil, &st)
+	if err != nil {
+		return err
+	}
+	ps, idx, ok := locked.Child(edge)
+	if !ok || !ps.Leaf || ps.Addr != oldLeaf.Addr {
+		return e.abort(&st, fmt.Errorf("convert: slot moved on %v: %w", locked.Addr, ErrRestart), locked, nil)
 	}
 	top := chain[len(chain)-1]
 	newSlot := wire.Slot{Present: true, KeyByte: edge, ChildType: top.Hdr.Type, Addr: top.Addr}
@@ -483,71 +538,65 @@ func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks)
 	}); err != nil {
 		return err
 	}
-	for _, node := range chain {
-		node := node
-		if err := e.completeHook(func() error { return h.NewInner(key[:node.Hdr.Depth], node) }); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.completeHook(pub.Publish)
 }
 
 // splitPartial handles a key diverging inside child's compressed path: a
 // new parent node takes over the matched part of the partial, child keeps
 // its full prefix (only its partial shrinks — the coherence property of
-// §III-B), and the new key's leaf hangs off the new parent.
+// §III-B), and the new key's leaf hangs off the new parent. The new parent
+// is built from the descent's images of child and parent and written, with
+// the leaf, in the batch that locks both; the locked images must confirm
+// child's partial and the parent slot.
 func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
-	lockedChild, err := e.lockVerified(child)
-	if err != nil {
-		return err
-	}
-	// Re-derive the divergence from the locked image.
-	m, full := MatchPartial(lockedChild, key)
+	m, full := MatchPartial(child, key)
 	if full {
-		// The partial changed under us and now matches; redo the descent.
-		if uerr := e.unlock(lockedChild); uerr != nil {
-			return uerr
-		}
-		return fmt.Errorf("split: partial now matches on %v: %w", lockedChild.Addr, ErrRestart)
+		return fmt.Errorf("split: partial matches on %v: %w", child.Addr, ErrRestart)
 	}
-	base := lockedChild.Base()
-	splitAt := base + m // new parent's depth
-
-	lockedParent, err := e.lockVerified(parent)
+	if child.Base() != int(parent.Hdr.Depth)+1 {
+		// Images from two different moments of a restructuring.
+		return fmt.Errorf("split: node %v not directly below %v: %w", child.Addr, parent.Addr, ErrRestart)
+	}
+	splitAt := child.Base() + m // new parent's depth
+	st := e.stage()
+	newLeafAddr, err := e.stageLeaf(&st, key, value)
 	if err != nil {
-		if uerr := e.unlock(lockedChild); uerr != nil {
-			return uerr
-		}
 		return err
 	}
-	edge := key[lockedParent.Hdr.Depth]
-	ps, idx, ok := lockedParent.Child(edge)
-	if !ok || ps.Leaf || ps.Addr != lockedChild.Addr {
-		if uerr := e.unlockBoth(lockedParent, lockedChild); uerr != nil {
-			return uerr
-		}
-		return fmt.Errorf("split: parent slot moved on %v: %w", lockedParent.Addr, ErrRestart)
-	}
-
-	mid := NewNode(e.freshType(), key[:splitAt], splitAt-(int(lockedParent.Hdr.Depth)+1))
+	mid := NewNode(e.freshType(), key[:splitAt], splitAt-(int(parent.Hdr.Depth)+1))
 	// Old child hangs off the partial byte where the paths diverge.
 	mid.addChildLocal(wire.Slot{
-		Present: true, KeyByte: lockedChild.Partial[m],
-		ChildType: lockedChild.Hdr.Type, Addr: lockedChild.Addr,
+		Present: true, KeyByte: child.Partial[m],
+		ChildType: child.Hdr.Type, Addr: child.Addr,
 	})
 	// The new key ends at the split point (EOL) or continues below it.
-	newLeafAddr, err := e.WriteLeaf(key, value)
-	if err != nil {
-		return err
-	}
 	if len(key) == splitAt {
 		mid.EOL = wire.Slot{Present: true, Leaf: true, Addr: newLeafAddr}
 	} else {
 		mid.addChildLocal(wire.Slot{Present: true, Leaf: true, KeyByte: key[splitAt], Addr: newLeafAddr})
 	}
-	if _, err := e.WriteNewNode(mid, key[:splitAt]); err != nil {
+	if err := e.reserveNode(&st, mid, key[:splitAt]); err != nil {
+		e.abandon(&st)
 		return err
+	}
+	st.stageNode(mid)
+	e.pubs = append(e.pubs[:0], Publication{Prefix: key[:splitAt], Node: mid})
+	pub, err := e.plan(&st, h, e.pubs)
+	if err != nil {
+		return err
+	}
+	lockedChild, lockedParent, err := e.lockNodes(child, parent, &st)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(lockedChild.Partial, child.Partial) {
+		return e.abort(&st, fmt.Errorf("split: partial changed on %v: %w", lockedChild.Addr, ErrRestart), lockedChild, lockedParent)
+	}
+	edge := key[lockedParent.Hdr.Depth]
+	ps, idx, ok := lockedParent.Child(edge)
+	if !ok || ps.Leaf || ps.Addr != lockedChild.Addr {
+		return e.abort(&st, fmt.Errorf("split: parent slot moved on %v: %w", lockedParent.Addr, ErrRestart), lockedChild, lockedParent)
 	}
 
 	// Shrink the child's partial: header + partial bytes live in the first
@@ -578,7 +627,7 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 	}); err != nil {
 		return err
 	}
-	return e.completeHook(func() error { return h.NewInner(key[:splitAt], mid) })
+	return e.completeHook(pub.Publish)
 }
 
 // updateLeaf applies the paper's update protocol (§III-C, §IV Update):
@@ -590,13 +639,15 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool) er
 	if wire.LeafSize(len(leaf.Key), len(value)) <= uint64(leaf.Units)*wire.LeafUnit {
 		return e.updateLeafInPlace(leaf, value)
 	}
-	// Out-of-place: write the replacement, swing the pointer under the
-	// node lock, retire the old leaf so in-flight readers retry.
-	newAddr, err := e.WriteLeaf(key, value)
+	// Out-of-place: write the replacement (riding the lock batch), swing the
+	// pointer under the node lock, retire the old leaf so in-flight readers
+	// retry.
+	st := e.stage()
+	newAddr, err := e.stageLeaf(&st, key, value)
 	if err != nil {
 		return err
 	}
-	locked, err := e.lockVerified(n)
+	locked, _, err := e.lockNodes(n, nil, &st)
 	if err != nil {
 		return err
 	}
@@ -604,19 +655,13 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool) er
 	newSlot := wire.Slot{Present: true, Leaf: true, Addr: newAddr}
 	if eol {
 		if !locked.EOL.Present || locked.EOL.Addr != leaf.Addr {
-			if uerr := e.unlock(locked); uerr != nil {
-				return uerr
-			}
-			return fmt.Errorf("update: EOL moved on %v: %w", locked.Addr, ErrRestart)
+			return e.abort(&st, fmt.Errorf("update: EOL moved on %v: %w", locked.Addr, ErrRestart), locked, nil)
 		}
 		slotAddr[0] = fabric.Op{Kind: fabric.Write, Addr: locked.EOLAddr(), Data: leBytes(newSlot.Encode())}
 	} else {
 		ps, idx, ok := locked.Child(key[int(locked.Hdr.Depth)])
 		if !ok || ps.Addr != leaf.Addr {
-			if uerr := e.unlock(locked); uerr != nil {
-				return uerr
-			}
-			return fmt.Errorf("update: slot moved on %v: %w", locked.Addr, ErrRestart)
+			return e.abort(&st, fmt.Errorf("update: slot moved on %v: %w", locked.Addr, ErrRestart), locked, nil)
 		}
 		newSlot.KeyByte = ps.KeyByte
 		slotAddr[0] = fabric.Op{Kind: fabric.Write, Addr: locked.SlotAddr(idx), Data: leBytes(newSlot.Encode())}
@@ -643,14 +688,23 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool) er
 		// swing may have landed without the retirement. Probe the slot: if
 		// it no longer names the old leaf, the swing (or a competing
 		// writer's) is live and retiring the old leaf is required — and
-		// idempotent if someone else already did.
-		if word, rerr := e.C.ReadUint64(slotAddr[0].Addr); rerr == nil {
-			if s := wire.DecodeSlot(word); !s.Present || !s.Leaf || s.Addr != leaf.Addr {
-				if ierr := e.invalidateLeaf(leaf); ierr == nil {
-					atomic.AddUint64(&e.stats.LeafRetireRepairs, 1)
-				}
+		// idempotent if someone else already did. The repair runs on the
+		// same faulty fabric, so it is driven to completion like a
+		// publication: were it abandoned, the restarted put would find the
+		// key at the new leaf and acknowledge with the old one still Idle.
+		_ = e.completeHook(func() error {
+			word, rerr := e.C.ReadUint64(slotAddr[0].Addr)
+			if rerr != nil {
+				return rerr
 			}
-		}
+			if s := wire.DecodeSlot(word); !s.Present || !s.Leaf || s.Addr != leaf.Addr {
+				if ierr := e.invalidateLeaf(leaf); ierr != nil {
+					return ierr
+				}
+				atomic.AddUint64(&e.stats.LeafRetireRepairs, 1)
+			}
+			return nil
+		})
 		return err
 	}
 	return nil
@@ -809,19 +863,13 @@ func (e *Engine) DeleteFrom(start *Node, key []byte, h Hooks) (bool, error) {
 		var clearAddr fabric.Op
 		if eol {
 			if !locked.EOL.Present || locked.EOL.Addr != leaf.Addr {
-				if uerr := e.unlock(locked); uerr != nil {
-					return false, uerr
-				}
-				return false, fmt.Errorf("delete: EOL moved on %v: %w", locked.Addr, ErrRestart)
+				return false, e.abort(nil, fmt.Errorf("delete: EOL moved on %v: %w", locked.Addr, ErrRestart), locked, nil)
 			}
 			clearAddr = fabric.Op{Kind: fabric.Write, Addr: locked.EOLAddr(), Data: leBytes(0)}
 		} else {
 			ps, idx, ok := locked.Child(key[depth])
 			if !ok || ps.Addr != leaf.Addr {
-				if uerr := e.unlock(locked); uerr != nil {
-					return false, uerr
-				}
-				return false, fmt.Errorf("delete: slot moved on %v: %w", locked.Addr, ErrRestart)
+				return false, e.abort(nil, fmt.Errorf("delete: slot moved on %v: %w", locked.Addr, ErrRestart), locked, nil)
 			}
 			clearAddr = fabric.Op{Kind: fabric.Write, Addr: locked.SlotAddr(idx), Data: leBytes(0)}
 		}
@@ -889,16 +937,6 @@ func (e *Engine) completeDelete(n *Node, key []byte, leafAddr mem.Addr) (bool, e
 		atomic.AddUint64(&e.stats.DeleteRepairs, 1)
 	}
 	return cleared, nil
-}
-
-func (e *Engine) unlock(n *Node) error {
-	defer e.C.SetStage(e.C.SetStage(fabric.StageUnlock))
-	return e.C.Batch([]fabric.Op{e.UnlockOp(n)})
-}
-
-func (e *Engine) unlockBoth(a, b *Node) error {
-	defer e.C.SetStage(e.C.SetStage(fabric.StageUnlock))
-	return e.C.Batch([]fabric.Op{e.UnlockOp(a), e.UnlockOp(b)})
 }
 
 func min(a, b int) int {

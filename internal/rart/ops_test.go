@@ -121,16 +121,26 @@ type recordingHooks struct {
 	onSwitch func(prefix []byte, old, grown *Node)
 }
 
-func (h recordingHooks) NewInner(p []byte, n *Node) error {
-	if h.onNew != nil {
-		h.onNew(p, n)
-	}
-	return nil
+// Plan implements Hooks: the callbacks fire at Publish, once per publication.
+func (h recordingHooks) Plan(pubs []Publication) (Publisher, error) {
+	return recordingPublisher{h, append([]Publication(nil), pubs...)}, nil
 }
 
-func (h recordingHooks) TypeSwitched(p []byte, old, grown *Node) error {
-	if h.onSwitch != nil {
-		h.onSwitch(p, old, grown)
+type recordingPublisher struct {
+	h    recordingHooks
+	pubs []Publication
+}
+
+func (recordingPublisher) AppendReads(ops []fabric.Op) []fabric.Op { return ops }
+
+func (p recordingPublisher) Publish() error {
+	for _, pub := range p.pubs {
+		switch {
+		case pub.Old != nil && p.h.onSwitch != nil:
+			p.h.onSwitch(pub.Prefix, pub.Old, pub.Node)
+		case pub.Old == nil && p.h.onNew != nil:
+			p.h.onNew(pub.Prefix, pub.Node)
+		}
 	}
 	return nil
 }
@@ -266,42 +276,97 @@ func TestEngineNeedParentSignal(t *testing.T) {
 	}
 }
 
-func TestEngineLeafRoundTripsBudget(t *testing.T) {
-	// A put of a brand-new key under an existing node: leaf write (1) +
-	// lock/read (1) + install+unlock (1), plus descent reads.
-	f := fabric.New(fabric.DefaultConfig())
-	node := f.AddNode(64 << 20)
-	ring := consistenthash.New([]mem.NodeID{node}, 8)
-	boot := mem.NewAllocator(f.Regions(), 0)
-	rootAddr, err := BootstrapRoot(f.Region(node), boot, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := f.NewClient()
-	e := NewEngine(c, mem.NewAllocator(c, 0), ring, Config{})
-	root := func() *Node {
-		n, err := e.ReadNode(rootAddr, wire.Node256)
-		if err != nil {
-			t.Fatal(err)
+// batchLog records every doorbell batch a client posts.
+type batchLog struct{ evs []fabric.BatchEvent }
+
+func (b *batchLog) ObserveBatch(ev fabric.BatchEvent) { b.evs = append(b.evs, ev) }
+
+// writeCost sums the batches that follow an operation's descent: everything
+// but the node and leaf reads that located the edge.
+func (b *batchLog) writeCost() (rts, verbs int, stages []string) {
+	for _, ev := range b.evs {
+		if ev.Stage == fabric.StageNodeRead || ev.Stage == fabric.StageLeafRead {
+			continue
 		}
-		return n
+		rts += int(ev.RoundTrips)
+		verbs += ev.Verbs
+		stages = append(stages, ev.Stage.String())
 	}
-	// Prime: two keys create the inner node.
-	for _, k := range []string{"budget-a", "budget-b"} {
-		if _, err := e.PutFrom(root(), []byte(k), []byte("v"), PutUpsert, NopHooks{}); err != nil {
-			t.Fatal(err)
-		}
+	return rts, verbs, stages
+}
+
+// TestWriteBudgets pins the post-descent cost of every structural write at
+// the engine level (no side structure: NopHooks), in round trips AND verbs.
+// One doorbell batch per dependency level: the fresh objects ride the lock
+// batch, then the commit batch(es). The verb counts are exactly the verbs
+// of the one-batch-per-verb-group protocol — fusion regroups verbs, it adds
+// none — so a change that splits a fused batch, or fuses by adding verbs,
+// fails here.
+func TestWriteBudgets(t *testing.T) {
+	long := string(bytes.Repeat([]byte("p"), 2*wire.MaxPartial+5))
+	cases := []struct {
+		name  string
+		setup []string
+		key   string
+		rts   int
+		verbs int
+		want  []string // batch stages, in order
+	}{
+		// W leaf + CAS,READ lock | W slot + CAS unlock
+		{"fresh insert", []string{"budget-a", "budget-b"}, "budget-c", 2, 5, []string{"lock", "install"}},
+		{"EOL insert", []string{"budget-a", "budget-b"}, "budget-", 2, 5, []string{"lock", "install"}},
+		// W leaf + W node + CAS,READ | W slot + CAS unlock
+		{"leaf conversion, chain 1", []string{"budget-a", "budget-b"}, "budget-ax", 2, 6, []string{"lock", "publish"}},
+		// W leaf + 3 W node + CAS,READ | W slot + CAS unlock
+		{"leaf conversion, chain 3", []string{"budget-a", "budget-b", long + "A"}, long + "B", 2, 8, []string{"lock", "publish"}},
+		// W leaf + W mid + 2×(CAS,READ) | W child head | W parent slot + CAS unlock
+		{"partial split", []string{"budget-a", "budget-b"}, "bud!", 3, 9, []string{"lock", "publish", "publish"}},
+		// W leaf + W grown + 2×(CAS,READ) | W parent slot + CAS unlock | W invalidate
+		{"type switch", []string{"budget-a", "budget-b", "budget-c", "budget-d"}, "budget-e", 3, 9, []string{"lock", "publish", "publish"}},
 	}
-	start := root() // root read paid outside the measurement
-	before := c.Stats()
-	if _, err := e.PutFrom(start, []byte("budget-c"), []byte("v"), PutUpsert, NopHooks{}); err != nil {
-		t.Fatal(err)
-	}
-	d := c.Stats().Sub(before)
-	// Descent: inner node read (1). Install: leaf write (1, slab alloc
-	// amortized but the first costs 2 FAA RTs), lock+read (1),
-	// slot+unlock (1). Allow slack for the allocator's slab reservation.
-	if d.RoundTrips > 8 {
-		t.Errorf("fresh-key install took %d round trips", d.RoundTrips)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := fabric.New(fabric.DefaultConfig())
+			node := f.AddNode(64 << 20)
+			ring := consistenthash.New([]mem.NodeID{node}, 8)
+			rootAddr, err := BootstrapRoot(f.Region(node), mem.NewAllocator(f.Regions(), 0), node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := f.NewClient()
+			e := NewEngine(c, mem.NewAllocator(c, 0), ring, Config{})
+			root := func() *Node {
+				n, err := e.ReadNode(rootAddr, wire.Node256)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			// The setup puts also reserve the leaf and inner-node slabs, so
+			// the measured put pays no allocator round trips.
+			for _, k := range tc.setup {
+				mustPut(t, e, root, k, "v")
+			}
+			start := root()
+			var log batchLog
+			c.SetObserver(&log)
+			if _, err := e.PutFrom(start, []byte(tc.key), []byte("v"), PutUpsert, NopHooks{}); err != nil {
+				t.Fatal(err)
+			}
+			c.SetObserver(nil)
+			rts, verbs, stages := log.writeCost()
+			if rts != tc.rts || verbs != tc.verbs || fmt.Sprint(stages) != fmt.Sprint(tc.want) {
+				t.Errorf("post-descent cost = %d RT, %d verbs, batches %v; want %d RT, %d verbs, batches %v",
+					rts, verbs, stages, tc.rts, tc.verbs, tc.want)
+			}
+			if st := e.Stats(); st.AbandonedObjects != 0 || st.AbandonedBytes != 0 {
+				t.Errorf("uncontended put abandoned %d objects (%d bytes)", st.AbandonedObjects, st.AbandonedBytes)
+			}
+			for _, k := range append(tc.setup, tc.key) {
+				if _, ok := mustGet(t, e, root, k); !ok {
+					t.Errorf("%q unreadable after the put", k)
+				}
+			}
+		})
 	}
 }

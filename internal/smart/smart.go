@@ -166,6 +166,7 @@ type Client struct {
 	eng    *rart.Engine
 	cache  *NodeCache
 	stats  Stats
+	pub    cachePublisher
 }
 
 // Stats counts SMART-level events.
@@ -217,14 +218,28 @@ type hooks struct{ c *Client }
 // SawNode implements rart.Hooks.
 func (h hooks) SawNode(prefix []byte, n *rart.Node) { h.c.cache.Add(n) }
 
-// NewInner implements rart.Hooks: fresh nodes go straight into the cache.
-func (h hooks) NewInner(prefix []byte, n *rart.Node) error {
-	h.c.cache.Add(n)
-	return nil
+// Plan implements rart.Hooks: fresh nodes go straight into the cache once
+// published. Type switches are unreachable under Prealloc256.
+func (h hooks) Plan(pubs []rart.Publication) (rart.Publisher, error) {
+	h.c.pub = cachePublisher{h.c, pubs}
+	return &h.c.pub, nil
 }
 
-// TypeSwitched implements rart.Hooks; unreachable under Prealloc256.
-func (h hooks) TypeSwitched(prefix []byte, old, grown *rart.Node) error { return nil }
+// cachePublisher is the client's one publication in flight (write paths are
+// not re-entrant), held by the client so planning allocates nothing.
+type cachePublisher struct {
+	c    *Client
+	pubs []rart.Publication
+}
+
+func (*cachePublisher) AppendReads(ops []fabric.Op) []fabric.Op { return ops }
+
+func (p *cachePublisher) Publish() error {
+	for _, pub := range p.pubs {
+		p.c.cache.Add(pub.Node)
+	}
+	return nil
+}
 
 // localWalk walks the cached tree and returns the deepest cached node
 // lying on key's path, or the root address when nothing useful is cached.

@@ -179,3 +179,69 @@ func TestTraceWarmGet(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceWarmPut pins the write path in trace form: a Put of a fresh key
+// under a node the filter cache knows costs exactly FOUR round trips —
+// hash-read, node-read, the lock batch carrying the fresh leaf's WRITE, and
+// the slot install carrying the unlock — abandons nothing, and reconciles
+// with the fabric's own counters.
+func TestTraceWarmPut(t *testing.T) {
+	cluster, err := NewCluster(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cluster.NewComputeNode().NewSession()
+
+	// Two keys diverging at depth 3 create the inner node "LYR" and teach
+	// the filter cache its prefix.
+	if err := s.Put([]byte("LYRICS"), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("LYRBIC"), []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+
+	tr, err := s.Trace("put LYRE", func() error { return s.Put([]byte("LYRE"), []byte("v3")) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.RoundTrips(); got != 4 {
+		t.Fatalf("warm fresh-key Put took %d round trips, want 4:\n%s", got, tr.Format())
+	}
+	var stages []string
+	for _, e := range tr.Events {
+		if e.Batch {
+			stages = append(stages, e.Stage.String())
+		}
+	}
+	want := []string{
+		fabric.StageHashRead.String(),
+		fabric.StageNodeRead.String(),
+		fabric.StageLock.String(),
+		fabric.StageInstall.String(),
+	}
+	if strings.Join(stages, " ") != strings.Join(want, " ") {
+		t.Fatalf("batch stages = %v, want %v:\n%s", stages, want, tr.Format())
+	}
+	if out := tr.Format(); strings.Contains(out, "abandoned") || strings.Contains(out, "restart") {
+		t.Errorf("uncontended Put trace reports waste or a restart:\n%s", out)
+	}
+	if v, ok, err := s.Get([]byte("LYRE")); err != nil || !ok || string(v) != "v3" {
+		t.Errorf("Get after traced Put = %q, %v, %v", v, ok, err)
+	}
+
+	st := s.Stats()
+	if got := s.Metrics().StageRTTotal(); got != st.RoundTrips {
+		t.Errorf("stage RT total %d != fabric round trips %d", got, st.RoundTrips)
+	}
+	if got := s.Metrics().OpRTTotal(); got != st.RoundTrips {
+		t.Errorf("op RT total %d != fabric round trips %d", got, st.RoundTrips)
+	}
+	// The speculative-waste counters travel the registry's reflection path.
+	snap := s.Registry().Snapshot()
+	for _, name := range []string{"engine_abandoned_objects", "engine_abandoned_bytes"} {
+		if v, ok := snap.Counters[name]; !ok || v != 0 {
+			t.Errorf("registry counter %s = %d (present %v), want 0", name, v, ok)
+		}
+	}
+}
