@@ -129,11 +129,6 @@ type Config struct {
 	// leaf-address cache alike — is visible instead of averaged away.
 	Warm bool
 
-	// SFCMode selects the Succinct Filter Cache's concurrency control for
-	// the Sphinx-family systems: the default lock-free filter, or the
-	// mutex-serialized baseline the scaling experiment ablates against.
-	SFCMode core.FilterCacheMode
-
 	// HotReplicas enables the hotness-driven read-replication layer for
 	// the Sphinx-family systems: each CN tracks its hottest read keys and
 	// promotes them into this many replicated, immutable, versioned
@@ -362,7 +357,7 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 				budget /= 64
 				policy = cuckoo.PolicyRandom
 			}
-			cl.filters[i] = core.NewFilterCacheBytesPolicyMode(budget, uint64(cfg.Seed)+uint64(i)|1, policy, cfg.SFCMode)
+			cl.filters[i] = core.NewFilterCacheBytesPolicy(budget, uint64(cfg.Seed)+uint64(i)|1, policy)
 		}
 		if sys != SphinxNoLAC {
 			cl.lacs = make([]*core.LeafCache, cfg.CNs)

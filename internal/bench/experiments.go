@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 
-	"sphinx/internal/core"
 	"sphinx/internal/dataset"
 	"sphinx/internal/fabric"
 	"sphinx/internal/ycsb"
@@ -205,19 +204,18 @@ func TreeDepthScaling(base Config, keySteps []int, out io.Writer) ([]Result, err
 var ScalingWorkers = []int{1, 2, 4, 8, 16}
 
 // WorkerScaling measures CN-side multicore scalability: wall-clock YCSB-C
-// throughput as the worker count grows, for the lock-free Succinct Filter
-// Cache against the retained mutex-serialized baseline. The fabric is
-// exact-in-data but virtual-in-time, so virtual throughput is identical
-// for both modes; any separation between the two rows is pure CN-side CPU
-// contention — the per-CN shared filter is the one structure every worker
-// of a CN touches on every operation, and with a mutex even the
-// read-dominant warm path serializes (Contains mutates the hotness bit).
-// ParallelEfficiency is each point's per-worker wall throughput relative
-// to the sweep's first point; perfect scaling holds it at 1.0.
+// throughput as the worker count grows. The fabric is exact-in-data but
+// virtual-in-time, so virtual throughput does not depend on the host; what
+// moves the wall column is CN-side CPU contention — the per-CN shared
+// filter is the one structure every worker of a CN touches on every
+// operation. ParallelEfficiency is each point's per-worker wall throughput
+// relative to the sweep's first point; perfect scaling holds it at 1.0.
+// (The mutex-serialized filter this used to be compared against was
+// measured at PR 5 — EXPERIMENTS.md keeps the numbers — and removed in
+// PR 13.)
 //
 // Wall-clock numbers depend on the machine (GOMAXPROCS is printed in the
-// header); on a single-core host both modes stay near-flat and only the
-// mutex's queueing overhead separates them.
+// header); on a single-core host the curve stays near-flat.
 func WorkerScaling(base Config, workerSteps []int, out io.Writer) ([]Result, error) {
 	if len(workerSteps) == 0 {
 		workerSteps = ScalingWorkers
@@ -225,52 +223,36 @@ func WorkerScaling(base Config, workerSteps []int, out io.Writer) ([]Result, err
 	cfg := base.withDefaults()
 	fmt.Fprintf(out, "# Scaling — CN multicore: YCSB-C wall-clock throughput vs workers, dataset=%v keys=%d GOMAXPROCS=%d\n",
 		cfg.Dataset, cfg.Keys, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(out, "%-16s %8s %8s %14s %14s %12s\n",
-		"system", "sfc", "workers", "wall(Mops)", "virt(Mops)", "efficiency")
-	var results []Result
-	best := map[core.FilterCacheMode]Result{}
-	for _, mode := range []core.FilterCacheMode{core.FilterLockFree, core.FilterMutex} {
-		mcfg := base
-		mcfg.SFCMode = mode
-		name := "Sphinx"
-		if mode == core.FilterMutex {
-			name = "Sphinx-mutexSFC"
-		}
-		cl, err := NewCluster(Sphinx, mcfg)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := cl.Load(0); err != nil {
-			return nil, fmt.Errorf("%s load: %w", name, err)
-		}
-		var basePerWorker float64
-		for _, wkr := range workerSteps {
-			if wkr < 1 {
-				return nil, fmt.Errorf("scaling: invalid worker count %d", wkr)
-			}
-			r, err := cl.Run(ycsb.WorkloadC, wkr, 0)
-			if err != nil {
-				return nil, fmt.Errorf("%s workers=%d: %w", name, wkr, err)
-			}
-			r.System = name
-			r.Workload = fmt.Sprintf("C/w%d", wkr)
-			perWorker := r.WallMops / float64(wkr)
-			if wkr == workerSteps[0] {
-				basePerWorker = perWorker
-			}
-			if basePerWorker > 0 {
-				r.ParallelEfficiency = perWorker / basePerWorker
-			}
-			results = append(results, r)
-			best[mode] = r
-			fmt.Fprintf(out, "%-16s %8s %8d %14.3f %14.3f %12.2f\n",
-				name, mode, wkr, r.WallMops, r.ThroughputMops, r.ParallelEfficiency)
-		}
+	fmt.Fprintf(out, "%-16s %8s %14s %14s %12s\n",
+		"system", "workers", "wall(Mops)", "virt(Mops)", "efficiency")
+	cl, err := NewCluster(Sphinx, base)
+	if err != nil {
+		return nil, err
 	}
-	lf, mx := best[core.FilterLockFree], best[core.FilterMutex]
-	if mx.WallMops > 0 {
-		fmt.Fprintf(out, "    at %d workers: lock-free %.2fx mutex wall throughput (efficiency %.2f vs %.2f)\n",
-			lf.Workers, lf.WallMops/mx.WallMops, lf.ParallelEfficiency, mx.ParallelEfficiency)
+	if _, err := cl.Load(0); err != nil {
+		return nil, fmt.Errorf("Sphinx load: %w", err)
+	}
+	var results []Result
+	var basePerWorker float64
+	for _, wkr := range workerSteps {
+		if wkr < 1 {
+			return nil, fmt.Errorf("scaling: invalid worker count %d", wkr)
+		}
+		r, err := cl.Run(ycsb.WorkloadC, wkr, 0)
+		if err != nil {
+			return nil, fmt.Errorf("Sphinx workers=%d: %w", wkr, err)
+		}
+		r.Workload = fmt.Sprintf("C/w%d", wkr)
+		perWorker := r.WallMops / float64(wkr)
+		if wkr == workerSteps[0] {
+			basePerWorker = perWorker
+		}
+		if basePerWorker > 0 {
+			r.ParallelEfficiency = perWorker / basePerWorker
+		}
+		results = append(results, r)
+		fmt.Fprintf(out, "%-16s %8d %14.3f %14.3f %12.2f\n",
+			r.System, wkr, r.WallMops, r.ThroughputMops, r.ParallelEfficiency)
 	}
 	return results, nil
 }

@@ -16,7 +16,7 @@
 package core
 
 import (
-	"sync"
+	"fmt"
 	"sync/atomic"
 
 	"sphinx/internal/consistenthash"
@@ -71,86 +71,31 @@ func Bootstrap(f *fabric.Fabric, ring *consistenthash.Ring, expectedKeys int) (S
 	if err != nil {
 		return Shared{}, err
 	}
-	tables := make(map[mem.NodeID]racehash.Table, len(ring.Nodes()))
 	// Inner nodes are a fraction of the key count (one per shared-prefix
 	// branch point); a quarter is generous for both datasets, and the
 	// table resizes itself beyond that.
-	perNode := expectedKeys/(4*len(ring.Nodes())) + 1
-	for _, node := range ring.Nodes() {
-		t, err := racehash.Bootstrap(f.Region(node), alloc, node, perNode)
-		if err != nil {
-			return Shared{}, err
-		}
-		tables[node] = t
+	tables, err := bootstrapTables(f, alloc, ring.Nodes(), expectedKeys/(4*len(ring.Nodes()))+1)
+	if err != nil {
+		return Shared{}, fmt.Errorf("core: bootstrap hash %w", err)
 	}
 	sh := Shared{Root: root, Ring: ring, Tables: tables}
 	sh.Members = NewMembership(&Placement{Ring: ring, Tables: tables})
 	return sh, nil
 }
 
-// FilterCacheMode selects the concurrency control of a FilterCache.
-type FilterCacheMode int
-
-// FilterCache concurrency modes.
-const (
-	// FilterModeDefault resolves to the build's default: lock-free,
-	// unless the `sfc_mutex` build tag selects the serialized baseline.
-	FilterModeDefault FilterCacheMode = iota
-	// FilterLockFree shares the lock-free cuckoo filter directly (the
-	// filter's own whole-word CAS protocols carry all synchronization).
-	FilterLockFree
-	// FilterMutex serializes every access behind one mutex — the
-	// pre-lock-free design, retained as the CN-scaling ablation baseline
-	// (see the `sphinxbench scaling` experiment).
-	FilterMutex
-)
-
-func (m FilterCacheMode) resolve() FilterCacheMode {
-	if m == FilterModeDefault {
-		return buildFilterCacheMode
-	}
-	return m
-}
-
-// String names the mode as the scaling experiment's tables do.
-func (m FilterCacheMode) String() string {
-	switch m.resolve() {
-	case FilterMutex:
-		return "mutex"
-	default:
-		return "lockfree"
-	}
-}
-
 // FilterCache is the per-compute-node Succinct Filter Cache: a cuckoo
 // filter shared by all workers of one CN (paper §III-B, "a lightweight
-// per-CN cache"). By default it is lock-free — Contains is two atomic
-// bucket loads (plus a best-effort CAS marking hotness), so the
-// read-dominant warm path scales with the CN's cores instead of
-// funnelling every worker through one lock. The mutex mode keeps the old
-// serialized behaviour for ablation.
+// per-CN cache"). It is lock-free — Contains is two atomic bucket loads
+// (plus a best-effort CAS marking hotness), so the read-dominant warm path
+// scales with the CN's cores instead of funnelling every worker through
+// one lock.
 type FilterCache struct {
-	mu *sync.Mutex // non-nil only in FilterMutex mode
-	f  *cuckoo.Filter
-}
-
-func newFilterCache(f *cuckoo.Filter, mode FilterCacheMode) *FilterCache {
-	fc := &FilterCache{f: f}
-	if mode.resolve() == FilterMutex {
-		fc.mu = new(sync.Mutex)
-	}
-	return fc
+	f *cuckoo.Filter
 }
 
 // NewFilterCache creates a filter cache with capacity for n prefixes.
 func NewFilterCache(n int, seed uint64) *FilterCache {
-	return NewFilterCacheMode(n, seed, FilterModeDefault)
-}
-
-// NewFilterCacheMode creates a capacity-sized filter cache with an
-// explicit concurrency mode.
-func NewFilterCacheMode(n int, seed uint64, mode FilterCacheMode) *FilterCache {
-	return newFilterCache(cuckoo.New(n, seed), mode)
+	return &FilterCache{f: cuckoo.New(n, seed)}
 }
 
 // NewFilterCacheBytes creates a filter cache bounded by a CN-side memory
@@ -161,45 +106,23 @@ func NewFilterCacheBytes(budget uint64, seed uint64) *FilterCache {
 
 // NewFilterCacheBytesPolicy additionally selects the eviction policy —
 // the paper's hotness-driven second chance, or random replacement for the
-// ablation comparison.
+// ablation comparison. The filter fills the budget exactly (within one
+// 8-byte bucket word): cuckoo bucket counts are not constrained to powers
+// of two, so none of the budget is lost to rounding.
 func NewFilterCacheBytesPolicy(budget uint64, seed uint64, policy cuckoo.Policy) *FilterCache {
-	return NewFilterCacheBytesPolicyMode(budget, seed, policy, FilterModeDefault)
-}
-
-// NewFilterCacheBytesPolicyMode additionally selects the concurrency
-// mode. The filter fills the budget exactly (within one 8-byte bucket
-// word): cuckoo bucket counts are not constrained to powers of two, so
-// none of the budget is lost to rounding.
-func NewFilterCacheBytesPolicyMode(budget uint64, seed uint64, policy cuckoo.Policy, mode FilterCacheMode) *FilterCache {
 	if budget < 16 {
 		budget = 16
 	}
-	return newFilterCache(cuckoo.NewBytesPolicy(budget, seed, policy), mode)
-}
-
-// Mode reports the cache's resolved concurrency mode.
-func (fc *FilterCache) Mode() FilterCacheMode {
-	if fc.mu != nil {
-		return FilterMutex
-	}
-	return FilterLockFree
+	return &FilterCache{f: cuckoo.NewBytesPolicy(budget, seed, policy)}
 }
 
 // Contains checks a prefix hash, marking it hot on a hit.
 func (fc *FilterCache) Contains(h uint64) bool {
-	if fc.mu != nil {
-		fc.mu.Lock()
-		defer fc.mu.Unlock()
-	}
 	return fc.f.Contains(h)
 }
 
 // Insert learns a prefix hash.
 func (fc *FilterCache) Insert(h uint64) {
-	if fc.mu != nil {
-		fc.mu.Lock()
-		defer fc.mu.Unlock()
-	}
 	fc.f.Insert(h)
 }
 
@@ -208,29 +131,17 @@ func (fc *FilterCache) Insert(h uint64) {
 // this probe — the signal the hot-key tracker uses as corroborating
 // evidence of skew.
 func (fc *FilterCache) ContainsWasHot(h uint64) (present, wasHot bool) {
-	if fc.mu != nil {
-		fc.mu.Lock()
-		defer fc.mu.Unlock()
-	}
 	return fc.f.ContainsWasHot(h)
 }
 
 // HotEntries returns how many live filter entries currently carry the
 // hotness bit (exported as the sfc_hot_entries gauge).
 func (fc *FilterCache) HotEntries() uint64 {
-	if fc.mu != nil {
-		fc.mu.Lock()
-		defer fc.mu.Unlock()
-	}
 	return fc.f.HotEntries()
 }
 
 // Delete unlearns a prefix hash (after a detected false positive).
 func (fc *FilterCache) Delete(h uint64) {
-	if fc.mu != nil {
-		fc.mu.Lock()
-		defer fc.mu.Unlock()
-	}
 	fc.f.Delete(h)
 }
 
@@ -400,17 +311,15 @@ type Client struct {
 	index *obs.IndexMetrics // nil when index distributions are off
 	rec   *obs.Recorder     // armed per-op by Session.Trace; nil when idle
 
-	// Fault-tolerance state (empty without Shared.FT): per-node views on
-	// the anchor tables, copy-on-write like views.
-	anchorViews atomic.Pointer[viewSet]
+	// The two replica layers' record stores (records.go): anchors is nil
+	// without Shared.FT, hot without Shared.Hot.
+	anchors *recordStore
+	hot     *recordStore
 
-	// Hot-replication state (inert without Shared.Hot): per-node views on
-	// the hot-record tables, the CN's hot-key tracker, the SFC hotness
-	// observation of the last locate, and target-resolution scratch.
-	hotViews       atomic.Pointer[viewSet]
-	hotset         *HotSet
-	sfcWasHot      bool
-	hotNodeScratch []mem.NodeID
+	// Hot-replication state (inert without Shared.Hot): the CN's hot-key
+	// tracker and the SFC hotness observation of the last locate.
+	hotset    *HotSet
+	sfcWasHot bool
 
 	// Warm-path scratch, reused across operations (clients are
 	// single-goroutine). Valid only within one locate step.
@@ -430,26 +339,16 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 	if members == nil {
 		// Hand-built Shared (tests, static deployments): synthesize the
 		// epoch-0 placement from the legacy fields.
-		p := &Placement{Ring: shared.Ring, Tables: shared.Tables}
-		if shared.FT != nil {
-			p.Anchors = shared.FT.Anchors
-		}
-		members = NewMembership(p)
+		members = NewMembership(&Placement{Ring: shared.Ring, Tables: shared.Tables})
 	}
-	if ft := shared.FT; ft != nil {
-		// Steer new tree allocations (inner nodes, leaves) to the first
-		// healthy successor on the CURRENT ring, so post-loss growth avoids
-		// dead nodes and post-rebalance growth lands on the new placement.
-		opts.Engine.Place = func(key []byte) mem.NodeID {
-			return ft.place(members.Current().Ring, key)
-		}
-	} else {
-		opts.Engine.Place = func(key []byte) mem.NodeID {
-			return members.Current().Ring.OwnerKey(key)
-		}
-	}
+	// Steer new tree allocations (inner nodes, leaves) by the CURRENT ring
+	// — and, with fault tolerance, to the first healthy successor on it — so
+	// post-loss growth avoids dead nodes and post-rebalance growth lands on
+	// the new placement.
+	var cl *Client
+	opts.Engine.Place = func(key []byte) mem.NodeID { return cl.placeIn(members.Current(), key) }
 	alloc := mem.NewAllocator(c, 0)
-	cl := &Client{
+	cl = &Client{
 		shared:  shared,
 		members: members,
 		eng:     rart.NewEngine(c, alloc, shared.Ring, opts.Engine),
@@ -464,16 +363,18 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 		views.m[node] = cl.newDirView(t, c)
 	}
 	cl.views.Store(views)
-	anchors := &viewSet{m: make(map[mem.NodeID]*racehash.View, len(cur.Anchors))}
-	for node, t := range cur.Anchors {
-		anchors.m[node] = racehash.NewView(t, c)
+	if ft := shared.FT; ft != nil {
+		cl.anchors = &recordStore{fc: c, alloc: alloc, tables: ft.records, r: ft.R, eligible: ft.Health.Alive,
+			views: make(map[mem.NodeID]*racehash.View)}
 	}
-	cl.anchorViews.Store(anchors)
-	cl.hotViews.Store(&viewSet{m: make(map[mem.NodeID]*racehash.View)})
-	if hot := shared.Hot; hot != nil && !opts.DisableHot {
-		cl.hotset = opts.Hot
-		if cl.hotset == nil {
-			cl.hotset = NewHotSet(uint64(opts.HotSetBytes), opts.Seed, hot.R)
+	if hot := shared.Hot; hot != nil {
+		cl.hot = &recordStore{fc: c, alloc: alloc, tables: hot.records, r: hot.R, eligible: hot.records.hosts,
+			routed: true, stage: fabric.StageHotPub, views: make(map[mem.NodeID]*racehash.View)}
+		if !opts.DisableHot {
+			cl.hotset = opts.Hot
+			if cl.hotset == nil {
+				cl.hotset = NewHotSet(uint64(opts.HotSetBytes), opts.Seed, hot.R)
+			}
 		}
 	}
 	if cl.filter == nil && !opts.DisableFilter {
@@ -589,9 +490,6 @@ func (c *Client) newDirView(t racehash.Table, fc *fabric.Client) *racehash.View 
 	return racehash.NewView(t, fc)
 }
 
-// ring returns the current epoch's consistent-hash ring.
-func (c *Client) ring() *consistenthash.Ring { return c.members.Current().Ring }
-
 // placeIn resolves the memory node owning key under placement p: the ring
 // owner, or (with fault tolerance) the first healthy successor.
 func (c *Client) placeIn(p *Placement, key []byte) mem.NodeID {
@@ -618,39 +516,17 @@ func (c *Client) viewOf(node mem.NodeID) *racehash.View {
 		return nil
 	}
 	v := c.newDirView(t, c.eng.C)
-	c.storeView(&c.views, node, v)
-	return v
-}
-
-// anchorViewOf is viewOf for the anchor-replica tables.
-func (c *Client) anchorViewOf(node mem.NodeID) *racehash.View {
-	if v, ok := c.anchorViews.Load().m[node]; ok {
-		return v
-	}
-	p := c.members.Current()
-	t, ok := p.Anchors[node]
-	if !ok && p.Prev != nil {
-		t, ok = p.Prev.Anchors[node]
-	}
-	if !ok {
-		return nil
-	}
-	v := racehash.NewView(t, c.eng.C)
-	c.storeView(&c.anchorViews, node, v)
-	return v
-}
-
-// storeView publishes a grown copy of a view set. Only the owning worker
-// goroutine mutates view sets, so a plain load-copy-store suffices; the
-// atomic pointer is for concurrent metrics scrapes.
-func (c *Client) storeView(set *atomic.Pointer[viewSet], node mem.NodeID, v *racehash.View) {
-	old := set.Load()
+	// Publish a grown copy of the view set. Only the owning worker
+	// goroutine mutates it, so a plain load-copy-store suffices; the atomic
+	// pointer is for concurrent metrics scrapes.
+	old := c.views.Load()
 	next := &viewSet{m: make(map[mem.NodeID]*racehash.View, len(old.m)+1)}
 	for n, ov := range old.m {
 		next.m[n] = ov
 	}
 	next.m[node] = v
-	set.Store(next)
+	c.views.Store(next)
+	return v
 }
 
 // viewFor returns the hash-table view of the memory node owning a prefix

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -691,5 +692,34 @@ func TestDeleteInsertAlternationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStatsFieldListsComplete guards the two hand-written field lists over
+// Stats — Stats.Add and Client.Stats — against a forgotten field, which
+// would be a silently missing metric: every field is set to a distinct
+// value and must come out of both.
+func TestStatsFieldListsComplete(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetUint(uint64(i + 1))
+		bv.Field(i).SetUint(uint64(1000 * (i + 1)))
+	}
+	sum := reflect.ValueOf(a.Add(b))
+	for i := 0; i < sum.NumField(); i++ {
+		if got, want := sum.Field(i).Uint(), uint64(1001*(i+1)); got != want {
+			t.Errorf("Stats.Add drops %s: got %d, want %d", sum.Type().Field(i).Name, got, want)
+		}
+	}
+
+	f, shared := newCluster(t, 1, fabric.InstantConfig(), 100)
+	c := newTestClient(f, shared, Options{})
+	c.stats = a
+	snap := reflect.ValueOf(c.Stats())
+	for i := 0; i < snap.NumField(); i++ {
+		if got, want := snap.Field(i).Uint(), uint64(i+1); got != want {
+			t.Errorf("Client.Stats drops %s: got %d, want %d", snap.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
+	"sphinx/internal/wire"
 )
 
 // newReplicatedCluster is newCluster with the fault-tolerance layer
@@ -271,19 +272,18 @@ func TestConcurrentKillRepairServe(t *testing.T) {
 }
 
 // TestAnchorConcurrentSameKeyUpdates is the regression test for the
-// anchor last-writer-wins race: concurrent updates to the same key race
-// on the anchor-table entry CAS, and before the SwapIfPresent fix the
-// losing writer called View.Replace with its stale expectation — a wait
-// loop meant for lock-holding callers — and died with "replace target
-// never appeared". Competing writers must all succeed, and the surviving
-// value must be one of the acknowledged ones on every replica.
+// anchor last-writer-wins races: concurrent writers of one key race on the
+// anchor-table entry CAS. Before the SwapIfPresent fix the losing updater
+// called View.Replace with its stale expectation — a wait loop meant for
+// lock-holding callers — and died with "replace target never appeared";
+// and concurrent FIRST inserts, which all observe "absent", each insert an
+// entry, so a replica holds duplicates until the next publish. Competing
+// writers must all succeed, every replica must serve the same acknowledged
+// value — the highest version, whatever the bucket order — and one more
+// write must leave one entry per replica.
 func TestAnchorConcurrentSameKeyUpdates(t *testing.T) {
 	f, shared := newReplicatedCluster(t, 3, fabric.InstantConfig(), 1000)
-	loader := newTestClient(f, shared, Options{})
 	key := []byte("anchor-race-key")
-	if _, err := loader.Insert(key, []byte("v0")); err != nil {
-		t.Fatal(err)
-	}
 
 	const writers, updates = 6, 40
 	written := make(map[string]bool)
@@ -297,8 +297,10 @@ func TestAnchorConcurrentSameKeyUpdates(t *testing.T) {
 			c := newTestClient(f, shared, Options{})
 			for i := 0; i < updates; i++ {
 				val := []byte(fmt.Sprintf("w%d-i%d", w, i))
-				if _, err := c.Update(key, val); err != nil {
-					errCh <- fmt.Errorf("writer %d update %d: %w", w, i, err)
+				// Round 0 is every writer's first Insert of the key, all at
+				// once; the rest are updates.
+				if _, err := c.Insert(key, val); err != nil {
+					errCh <- fmt.Errorf("writer %d write %d: %w", w, i, err)
 					return
 				}
 				mu.Lock()
@@ -314,7 +316,9 @@ func TestAnchorConcurrentSameKeyUpdates(t *testing.T) {
 	}
 
 	// The tree's value and every anchor replica must hold an acknowledged
-	// value (LWW: the winner is the highest version, which is one of them).
+	// value (LWW: the winner is the highest version, which is one of them),
+	// and the replicas must agree on it: every writer published to every
+	// replica, so each one's highest version is the cluster's.
 	r := newTestClient(f, shared, Options{})
 	v, ok, err := r.Search(key)
 	if err != nil || !ok {
@@ -323,13 +327,78 @@ func TestAnchorConcurrentSameKeyUpdates(t *testing.T) {
 	if !written[string(v)] {
 		t.Fatalf("surviving value %q was never acknowledged", v)
 	}
-	for _, node := range shared.FT.targets(shared.Ring, key) {
-		_, av, _, found, err := r.findAnchor(node, key)
-		if err != nil || !found {
-			t.Fatalf("anchor on node %d: found=%v err=%v", node, found, err)
+	targets := r.anchors.place(nil, shared.Ring, key)
+	var agreed []byte
+	for _, node := range targets {
+		cands, err := r.anchors.candidates(node, key)
+		if err != nil || len(cands) == 0 {
+			t.Fatalf("anchor on node %d: %d records, err=%v", node, len(cands), err)
 		}
+		av := cands[newest(cands)].value
 		if !written[string(av)] {
 			t.Fatalf("anchor on node %d holds unacknowledged value %q", node, av)
 		}
+		if agreed == nil {
+			agreed = av
+		} else if !bytes.Equal(av, agreed) {
+			t.Fatalf("replicas disagree: node %d serves %q, node %d serves %q", node, av, targets[0], agreed)
+		}
+	}
+	if av, ok, err := r.anchorGet(key); err != nil || !ok || !bytes.Equal(av, agreed) {
+		t.Fatalf("anchorGet = %q, %v, %v; want the replicas' %q", av, ok, err, agreed)
+	}
+	if _, err := r.Update(key, []byte("settled")); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range targets {
+		if cands, err := r.anchors.candidates(node, key); err != nil || len(cands) != 1 || string(cands[0].value) != "settled" {
+			t.Fatalf("anchor on node %d after one more write: %d records, err=%v; want exactly the new one", node, len(cands), err)
+		}
+	}
+}
+
+// TestAnchorDuplicateEntriesServeNewest replays, on one goroutine, what two
+// publishers that both observed "absent" leave behind — a foreground write
+// racing the repair or migration sweep, or two clients' first Insert of one
+// key: two entries for the key in one anchor table. Reads must serve the
+// higher version whichever entry comes first in bucket order, and the next
+// publish must leave exactly one entry.
+func TestAnchorDuplicateEntriesServeNewest(t *testing.T) {
+	for _, order := range []string{"older entry first", "newer entry first"} {
+		t.Run(order, func(t *testing.T) {
+			f, shared := newReplicatedCluster(t, 3, fabric.InstantConfig(), 1000)
+			c := newTestClient(f, shared, Options{})
+			key := []byte("twice-inserted-key")
+			older := record{wire.StatusIdle, key, []byte("older"), c.anchors.nextVersion()}
+			newer := record{wire.StatusIdle, key, []byte("newer"), c.anchors.nextVersion()}
+			planted := []record{older, newer}
+			if order == "newer entry first" {
+				planted = []record{newer, older}
+			}
+			targets := c.anchors.place(nil, shared.Ring, key)
+			for _, node := range targets {
+				for _, rec := range planted {
+					plantRecord(t, c.anchors, node, rec)
+				}
+				if cands, err := c.anchors.candidates(node, key); err != nil || len(cands) != 2 {
+					t.Fatalf("node %d: staged %d records, err=%v; want the duplicate pair", node, len(cands), err)
+				}
+			}
+			if v, ok, err := c.anchorGet(key); err != nil || !ok || string(v) != "newer" {
+				t.Fatalf("anchorGet over duplicates = %q, %v, %v; want the higher version's %q", v, ok, err, "newer")
+			}
+			if _, err := c.anchorUpsert(key, []byte("next")); err != nil {
+				t.Fatal(err)
+			}
+			for _, node := range targets {
+				cands, err := c.anchors.candidates(node, key)
+				if err != nil || len(cands) != 1 || string(cands[0].value) != "next" {
+					t.Fatalf("node %d after the next publish: %d records, err=%v; want exactly the new one", node, len(cands), err)
+				}
+			}
+			if v, ok, err := c.anchorGet(key); err != nil || !ok || string(v) != "next" {
+				t.Fatalf("anchorGet after the next publish = %q, %v, %v", v, ok, err)
+			}
+		})
 	}
 }

@@ -6,101 +6,58 @@ import (
 	"testing"
 
 	"sphinx/internal/cuckoo"
-	"sphinx/internal/wire"
 )
 
 // TestFilterCacheConcurrentChurn hammers one shared FilterCache — the
 // object every worker of a CN shares — with mixed Contains/Insert/Delete
-// from many goroutines, in both concurrency modes, and asserts the
+// from many goroutines and asserts the
 // occupancy invariants PR 4 pinned down for the single-threaded filter:
 // occupancy is never negative (it is unsigned: "negative" shows up as a
 // huge value above capacity), never above capacity, and stays equal to
 // inserts − evictions − deletes. Run under -race this is the
-// data-race-freedom proof for the lock-free mode.
+// data-race-freedom proof for the lock-free filter.
 func TestFilterCacheConcurrentChurn(t *testing.T) {
-	for _, mode := range []FilterCacheMode{FilterLockFree, FilterMutex} {
-		t.Run(mode.String(), func(t *testing.T) {
-			fc := NewFilterCacheBytesPolicyMode(32<<10, 7, cuckoo.PolicySecondChance, mode)
-			if got := fc.Mode(); got != mode {
-				t.Fatalf("mode = %v, want %v", got, mode)
-			}
-			const workers = 8
-			const opsPer = 15000
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := uint64(w)*0x9e3779b97f4a7c15 + 1
-					for i := 0; i < opsPer; i++ {
-						rng ^= rng << 13
-						rng ^= rng >> 7
-						rng ^= rng << 17
-						// Key universe ~2× slot capacity: constant eviction
-						// pressure plus plenty of hits.
-						h := PrefixFilterHash([]byte(fmt.Sprintf("p%d", rng%(64<<10))))
-						switch {
-						case rng>>32%16 < 10:
-							fc.Contains(h)
-						case rng>>32%16 < 14:
-							fc.Insert(h)
-						default:
-							fc.Delete(h)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-
-			occupied, capacity := fc.Occupancy()
-			if occupied > capacity {
-				t.Fatalf("occupancy %d above capacity %d (or negative via wraparound)", occupied, capacity)
-			}
-			st := fc.FilterStats()
-			if want := st.Inserts - st.Evictions - st.Deletes; occupied != want {
-				t.Fatalf("occupancy %d != inserts-evictions-deletes %d (stats %+v)", occupied, want, st)
-			}
-			if l := fc.Load(); l < 0 || l > 1 {
-				t.Fatalf("load %f outside [0, 1]", l)
-			}
-			if st.Hits == 0 || st.Inserts == 0 || st.Deletes == 0 || st.Evictions == 0 {
-				t.Fatalf("churn did not exercise all paths (stats %+v)", st)
-			}
-		})
-	}
-}
-
-// TestFilterCacheModesAgreeSingleThreaded drives both modes through an
-// identical single-goroutine mixed sequence: the mutex shim must be
-// behaviourally transparent (same filter underneath, same seed, same
-// decisions), so every counter and the occupancy must match exactly.
-func TestFilterCacheModesAgreeSingleThreaded(t *testing.T) {
-	run := func(mode FilterCacheMode) (cuckoo.Stats, uint64) {
-		fc := NewFilterCacheBytesPolicyMode(8<<10, 3, cuckoo.PolicySecondChance, mode)
-		for i := 0; i < 30000; i++ {
-			h := wire.Mix64(uint64(i % 5000))
-			switch i % 5 {
-			case 0, 1, 2:
-				fc.Contains(h)
-			case 3:
-				fc.Insert(h)
-			default:
-				if i%35 == 4 {
+	fc := NewFilterCacheBytesPolicy(32<<10, 7, cuckoo.PolicySecondChance)
+	const workers = 8
+	const opsPer = 15000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := uint64(w)*0x9e3779b97f4a7c15 + 1
+			for i := 0; i < opsPer; i++ {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				// Key universe ~2× slot capacity: constant eviction
+				// pressure plus plenty of hits.
+				h := PrefixFilterHash([]byte(fmt.Sprintf("p%d", rng%(64<<10))))
+				switch {
+				case rng>>32%16 < 10:
+					fc.Contains(h)
+				case rng>>32%16 < 14:
+					fc.Insert(h)
+				default:
 					fc.Delete(h)
-				} else {
-					fc.Insert(wire.Mix64(uint64(i)))
 				}
 			}
-		}
-		occ, _ := fc.Occupancy()
-		return fc.FilterStats(), occ
+		}(w)
 	}
-	lfStats, lfOcc := run(FilterLockFree)
-	muStats, muOcc := run(FilterMutex)
-	if lfStats != muStats {
-		t.Errorf("modes diverged:\nlockfree %+v\nmutex    %+v", lfStats, muStats)
+	wg.Wait()
+
+	occupied, capacity := fc.Occupancy()
+	if occupied > capacity {
+		t.Fatalf("occupancy %d above capacity %d (or negative via wraparound)", occupied, capacity)
 	}
-	if lfOcc != muOcc {
-		t.Errorf("occupancy diverged: lockfree %d, mutex %d", lfOcc, muOcc)
+	st := fc.FilterStats()
+	if want := st.Inserts - st.Evictions - st.Deletes; occupied != want {
+		t.Fatalf("occupancy %d != inserts-evictions-deletes %d (stats %+v)", occupied, want, st)
+	}
+	if l := fc.Load(); l < 0 || l > 1 {
+		t.Fatalf("load %f outside [0, 1]", l)
+	}
+	if st.Hits == 0 || st.Inserts == 0 || st.Deletes == 0 || st.Evictions == 0 {
+		t.Fatalf("churn did not exercise all paths (stats %+v)", st)
 	}
 }

@@ -27,17 +27,13 @@ func TestFilterCacheBudgetPrecision(t *testing.T) {
 	}
 	for _, budget := range budgets {
 		for _, policy := range []cuckoo.Policy{cuckoo.PolicySecondChance, cuckoo.PolicyRandom} {
-			for _, mode := range []FilterCacheMode{FilterLockFree, FilterMutex} {
-				fc := NewFilterCacheBytesPolicyMode(budget, 1, policy, mode)
-				got := fc.SizeBytes()
-				if got > budget {
-					t.Errorf("budget %d policy %d mode %v: SizeBytes %d exceeds budget",
-						budget, policy, mode, got)
-				}
-				if float64(got) < 0.95*float64(budget) {
-					t.Errorf("budget %d policy %d mode %v: SizeBytes %d is under 95%% of budget",
-						budget, policy, mode, got)
-				}
+			fc := NewFilterCacheBytesPolicy(budget, 1, policy)
+			got := fc.SizeBytes()
+			if got > budget {
+				t.Errorf("budget %d policy %d: SizeBytes %d exceeds budget", budget, policy, got)
+			}
+			if float64(got) < 0.95*float64(budget) {
+				t.Errorf("budget %d policy %d: SizeBytes %d is under 95%% of budget", budget, policy, got)
 			}
 		}
 	}

@@ -4,11 +4,11 @@
 // Single-owner placement concentrates a Zipfian workload's head keys on
 // one MN's NIC. This layer lets each CN promote the keys its HotSet
 // tracker finds hot into R-way replicated placement: the key's value is
-// republished as immutable versioned records — the anchor-record format
-// of replica.go — into dedicated per-MN hot tables on the key's first R
-// ring successors. A promoted read then takes one round trip to a replica
-// chosen by power-of-two-choices on the fabric's cached per-MN queued-wait
-// signal, spreading the head of the distribution across NICs.
+// republished as immutable versioned records — a routed instance of the
+// record store of records.go — into dedicated per-MN hot tables on the
+// key's first R ring successors. A promoted read then takes one round trip
+// to a replica chosen by power-of-two-choices on the fabric's cached per-MN
+// queued-wait signal, spreading the head of the distribution across NICs.
 //
 // The read keeps the trust-but-verify shape of the leaf-address cache:
 // the cached record address is only a hint, the record image is verified
@@ -21,10 +21,10 @@
 //
 // Promotion closes the publish-vs-write race with a placeholder phase:
 //
+//	v0 := nextVersion()           // drawn before anything else
 //	open the writers' gate        // Published() true from here on
-//	v0 := nextHotVersion()        // drawn before anything else
-//	publish Locked placeholders   // key now discoverable to writers
-//	v1 := nextHotVersion()        // still before the read
+//	publish Locked placeholders   // insert-if-absent; key now discoverable to writers
+//	v1 := nextVersion()           // still before the read
 //	value := authoritative read
 //	swap records in at v1         // swap-only: absence aborts
 //
@@ -52,15 +52,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
 
-	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
-	"sphinx/internal/racehash"
 	"sphinx/internal/wire"
 )
 
@@ -75,22 +72,22 @@ const DefaultHotReplication = 3
 // by every client. It is independent of the fault-tolerance layer: hot
 // records are a performance cache of the tree, not a durability store.
 type HotReplicas struct {
-	// R is how many ring successors a promoted key is replicated onto.
+	// R is how many ring successors a promoted key is replicated onto: the
+	// first R that host a hot table. No health filter — the set must be
+	// deterministic so writers provably cover every record a reader could
+	// reach; unreachable targets are handled by error policy (writers skip
+	// only permanently killed nodes, whose records no reader can fetch
+	// either).
 	R int
-	// Health is the fabric's shared breaker table (diagnostics; targeting
-	// is deterministic so writers and readers agree on the replica set).
-	Health *fabric.Health
-	// Tables maps each bootstrap-time memory node to its hot-record
-	// table. Deliberately static: nodes added by elastic scale-out simply
-	// do not host hot replicas, and targeting skips nodes without tables.
-	Tables map[mem.NodeID]racehash.Table
+	// records holds the per-MN hot-record tables and the version counter.
+	// The table set is deliberately static: nodes added by elastic
+	// scale-out simply do not host hot replicas, and targeting skips nodes
+	// without tables.
+	records *recordTables
 	// Load is the shared per-MN contention snapshot cache driving the
 	// power-of-two-choices replica pick.
 	Load *fabric.LoadCache
 
-	// verCounter issues cluster-ordered LWW versions for hot records
-	// (same construction as FaultTolerance.verCounter).
-	verCounter uint64
 	// published is nonzero once a hot record — including a promotion
 	// placeholder — may be discoverable; writers skip the per-write
 	// replica probe while it is still zero (nothing can be stale). Set
@@ -105,27 +102,6 @@ func (hr *HotReplicas) Published() bool {
 	return atomic.LoadUint64(&hr.published) != 0
 }
 
-// targetsAppend appends the key's hot replica set to dst: the first R
-// distinct ring successors that host a hot table. No health filter — the
-// set must be deterministic so writers provably cover every record a
-// reader could reach; unreachable targets are handled by error policy
-// (writers skip only permanently killed nodes, whose records no reader
-// can fetch either).
-func (hr *HotReplicas) targetsAppend(dst []mem.NodeID, ring *consistenthash.Ring, key []byte) []mem.NodeID {
-	start := len(dst)
-	owners := ring.OwnersKey(key, len(ring.Nodes()))
-	for _, o := range owners {
-		if _, ok := hr.Tables[o]; !ok {
-			continue
-		}
-		dst = append(dst, o)
-		if len(dst)-start >= hr.R {
-			break
-		}
-	}
-	return dst
-}
-
 // BootstrapHot adds the hot-replication layer to a bootstrapped cluster:
 // one hot-record table per current memory node (sized for expectedHot
 // promoted keys at replica factor r) plus the shared descriptor, stored
@@ -136,52 +112,19 @@ func BootstrapHot(f *fabric.Fabric, sh *Shared, expectedHot, r int) error {
 	if r < 2 {
 		r = DefaultHotReplication
 	}
-	ring := sh.Ring
-	nodes := ring.Nodes()
+	nodes := sh.Ring.Nodes()
 	if r > len(nodes) {
 		r = len(nodes)
 	}
 	if expectedHot < 1 {
 		expectedHot = 1
 	}
-	alloc := mem.NewAllocator(f.Regions(), 0)
-	perNode := expectedHot*r/len(nodes) + 1
-	tables := make(map[mem.NodeID]racehash.Table, len(nodes))
-	for _, node := range nodes {
-		t, err := racehash.Bootstrap(f.Region(node), alloc, node, perNode)
-		if err != nil {
-			return fmt.Errorf("core: bootstrap hot table on node %d: %w", node, err)
-		}
-		tables[node] = t
+	tables, err := bootstrapTables(f, mem.NewAllocator(f.Regions(), 0), nodes, expectedHot*r/len(nodes)+1)
+	if err != nil {
+		return fmt.Errorf("core: bootstrap hot %w", err)
 	}
-	sh.Hot = &HotReplicas{
-		R:      r,
-		Health: f.Health(),
-		Tables: tables,
-		Load:   f.NewLoadCache(0),
-	}
+	sh.Hot = &HotReplicas{R: r, records: newRecordTables(tables), Load: f.NewLoadCache(0)}
 	return nil
-}
-
-// hotViewOf returns the client's view on node's hot table (nil if the
-// node hosts none). Views are lazy copy-on-write like the anchor views.
-func (c *Client) hotViewOf(node mem.NodeID) *racehash.View {
-	if v, ok := c.hotViews.Load().m[node]; ok {
-		return v
-	}
-	t, ok := c.shared.Hot.Tables[node]
-	if !ok {
-		return nil
-	}
-	v := racehash.NewView(t, c.eng.C)
-	c.storeView(&c.hotViews, node, v)
-	return v
-}
-
-// nextHotVersion returns a fresh cluster-ordered LWW version for hot
-// records, tagged with the client ID.
-func (c *Client) nextHotVersion() uint64 {
-	return atomic.AddUint64(&c.shared.Hot.verCounter, 1)<<8 | uint64(c.eng.C.ID())&0xff
 }
 
 // hotEnabled reports whether this client participates in the hot layer.
@@ -190,31 +133,6 @@ func (c *Client) nextHotVersion() uint64 {
 // every other CN.
 func (c *Client) hotEnabled() bool {
 	return c.shared.Hot != nil && !c.opts.DisableHot
-}
-
-// hotTargets resolves the key's replica set under the current placement,
-// unioned with the previous epoch's mid-transition (records published
-// against the old ring must keep being refreshed until cutover). curN is
-// how many leading entries come from the current ring — their position
-// defines the replica rank for the route caches.
-func (c *Client) hotTargets(key []byte, includePrev bool) (ts []mem.NodeID, curN int) {
-	hot := c.shared.Hot
-	p := c.members.Current()
-	ts = hot.targetsAppend(c.hotNodeScratch[:0], p.Ring, key)
-	curN = len(ts)
-	if includePrev && p.Prev != nil {
-	prev:
-		for _, t := range hot.targetsAppend(nil, p.Prev.Ring, key) {
-			for _, u := range ts {
-				if u == t {
-					continue prev
-				}
-			}
-			ts = append(ts, t)
-		}
-	}
-	c.hotNodeScratch = ts
-	return ts, curN
 }
 
 // hotUnits converts a record image length to the route cache's 64-byte
@@ -235,186 +153,27 @@ func hotUnits(imgLen int) uint8 {
 // and be retried as soon as the sketch re-crossed the threshold —
 // steady candidate-lookup churn plus orphaned records, zero benefit.
 func hotRoutable(key []byte, valLen int) bool {
-	return hotUnits(anchorDataOff+len(key)+valLen) != 0
-}
-
-// hotCand is one decoded hot-table candidate whose record stores the key.
-type hotCand struct {
-	entry   wire.HashEntry
-	status  wire.Status
-	value   []byte
-	version uint64
-	imgLen  int
-}
-
-// hotCandidates returns every candidate on node's hot table whose record
-// matches key exactly, decoded. Maintenance traffic: StageHotPub.
-func (c *Client) hotCandidates(node mem.NodeID, key []byte) ([]hotCand, error) {
-	view := c.hotViewOf(node)
-	if view == nil {
-		return nil, nil
-	}
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
-	cands, err := view.Lookup(racehash.PlacementHash(key), wire.FP12(key))
-	if err != nil {
-		return nil, err
-	}
-	var out []hotCand
-	for _, cand := range cands {
-		st, k, v, ver, err := c.readRecord(cand.Entry.Addr)
-		if err != nil {
-			return nil, err
-		}
-		if bytes.Equal(k, key) {
-			out = append(out, hotCand{cand.Entry, st, v, ver, anchorDataOff + len(k) + len(v)})
-		}
-	}
-	return out, nil
-}
-
-// retireRecord overwrites a superseded record's status word with
-// StatusInvalid so any route cache still holding its address refutes on
-// the next read instead of serving stale data. One 8-byte write.
-func (c *Client) retireRecord(addr mem.Addr, key []byte) error {
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
-	hdr := wire.NodeHeader{
-		Status:     wire.StatusInvalid,
-		Type:       wire.Node4,
-		Depth:      uint16(len(key)),
-		PrefixHash: wire.PrefixHash42(key),
-	}
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], hdr.Encode())
-	return c.eng.C.Write(addr, w[:])
-}
-
-// hotDedup removes and retires every candidate except keep — losers of
-// racing promotions. CAS-exact removes, so a concurrently refreshed entry
-// survives; its old image was superseded anyway, so retiring it stays
-// correct.
-func (c *Client) hotDedup(node mem.NodeID, key []byte, cands []hotCand, keep int) {
-	view := c.hotViewOf(node)
-	h42 := racehash.PlacementHash(key)
-	for i := range cands {
-		if i == keep {
-			continue
-		}
-		_ = view.Remove(h42, cands[i].entry)
-		_ = c.retireRecord(cands[i].entry.Addr, key)
-	}
-}
-
-// hotSwapIn publishes (key, value, version) over whatever records node
-// currently holds for key — swap-only, never insert: absence means the
-// key is not (or no longer) promoted there, and inserting could resurrect
-// a concurrently deleted key. Returns the address and size of the record
-// now servable for the key (ours, or a newer Idle winner's); ok=false
-// when the node holds nothing servable.
-func (c *Client) hotSwapIn(node mem.NodeID, key, value []byte, version uint64) (addr mem.Addr, imgLen int, ok bool, err error) {
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
-	var img []byte
-	var newAddr mem.Addr
-	// dropOrphan retires a written-but-never-published image when an exit
-	// abandons it — a retry iteration adopted a newer winner, the record
-	// vanished, or the race budget ran out. The bump allocator cannot
-	// reclaim the bytes, but invalidating the status word keeps the
-	// orphan permanently un-servable instead of a live-looking Idle
-	// record floating in dead memory.
-	dropOrphan := func() {
-		if img != nil {
-			_ = c.retireRecord(newAddr, key)
-		}
-	}
-	for attempt := 0; attempt < anchorPutMaxRaces; attempt++ {
-		cands, err := c.hotCandidates(node, key)
-		if err != nil {
-			dropOrphan()
-			return 0, 0, false, err
-		}
-		if len(cands) == 0 {
-			dropOrphan()
-			return 0, 0, false, nil
-		}
-		best := 0
-		for i := range cands {
-			if cands[i].version > cands[best].version {
-				best = i
-			}
-		}
-		if cands[best].version >= version {
-			// A newer write already won; keep it (LWW).
-			dropOrphan()
-			if cands[best].status != wire.StatusIdle {
-				return 0, 0, false, nil
-			}
-			c.hotDedup(node, key, cands, best)
-			return cands[best].entry.Addr, cands[best].imgLen, true, nil
-		}
-		if img == nil {
-			// Immutable record: one allocation serves every retry. img is
-			// only set once the image is fully written, so dropOrphan never
-			// touches a half-initialized record.
-			rec := encodeRecord(wire.StatusIdle, key, value, version)
-			newAddr, err = c.eng.Alloc.Alloc(node, mem.ClassLeaf, uint64(len(rec)))
-			if err != nil {
-				return 0, 0, false, err
-			}
-			if err := c.eng.C.Write(newAddr, rec); err != nil {
-				return 0, 0, false, err
-			}
-			img = rec
-		}
-		newEntry := wire.HashEntry{Valid: true, FP: wire.FP12(key), Type: wire.Node4, Addr: newAddr}
-		won, err := c.hotViewOf(node).SwapIfPresent(racehash.PlacementHash(key), cands[best].entry, newEntry)
-		if err != nil {
-			dropOrphan()
-			return 0, 0, false, err
-		}
-		if won {
-			_ = c.retireRecord(cands[best].entry.Addr, key)
-			c.hotDedup(node, key, cands, best)
-			return newAddr, len(img), true, nil
-		}
-		// Lost the swap race; re-read and re-decide by version.
-	}
-	dropOrphan()
-	return 0, 0, false, fmt.Errorf("core: hot publish for %q lost %d consecutive swap races", key, anchorPutMaxRaces)
+	return hotUnits(recordDataOff+len(key)+valLen) != 0
 }
 
 // hotPlacehold publishes a Locked placeholder at version v0 on every
 // target that holds nothing for the key yet, making the key discoverable
 // to concurrent writers before the promoter's authoritative read.
 func (c *Client) hotPlacehold(targets []mem.NodeID, key []byte, v0 uint64) error {
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
+	// Open the writers' probe gate before the first placeholder can become
+	// discoverable: a put/delete committing between an insert below and
+	// the promoter's authoritative read must see Published() true and run
+	// the swap that outranks v1, or the promoter's pre-write value would
+	// stick as a verified-servable stale record. Once the gate opened it
+	// stays open even if this promotion fizzles — correctness over the
+	// probe's cost.
+	atomic.StoreUint64(&c.shared.Hot.published, 1)
+	placeholder := record{status: wire.StatusLocked, key: key, version: v0}
 	for _, t := range targets {
-		cands, err := c.hotCandidates(t, key)
-		if err != nil {
+		if _, err := c.hot.publish(t, placeholder, publishIfAbsent); err != nil {
 			if errors.Is(err, fabric.ErrNodeKilled) {
 				continue // no reader can fetch from a killed node either
 			}
-			return err
-		}
-		if len(cands) > 0 {
-			continue // already discoverable (record or racing placeholder)
-		}
-		img := encodeRecord(wire.StatusLocked, key, nil, v0)
-		addr, err := c.eng.Alloc.Alloc(t, mem.ClassLeaf, uint64(len(img)))
-		if err != nil {
-			return err
-		}
-		if err := c.eng.C.Write(addr, img); err != nil {
-			return err
-		}
-		entry := wire.HashEntry{Valid: true, FP: wire.FP12(key), Type: wire.Node4, Addr: addr}
-		// Open the writers' probe gate before the placeholder becomes
-		// discoverable: a put/delete committing between this insert and
-		// the promoter's authoritative read must see Published() true and
-		// run the swap that outranks v1, or the promoter's pre-write
-		// value would stick as a verified-servable stale record. Once the
-		// gate opened it stays open even if this promotion fizzles —
-		// correctness over the probe's cost.
-		atomic.StoreUint64(&c.shared.Hot.published, 1)
-		if err := c.hotViewOf(t).Insert(racehash.PlacementHash(key), entry, c.eng.Alloc); err != nil {
 			return err
 		}
 	}
@@ -425,20 +184,9 @@ func (c *Client) hotPlacehold(targets []mem.NodeID, key []byte, v0 uint64) error
 // still Locked) after an aborted promotion. CAS-exact: a placeholder a
 // writer already swapped live is left alone.
 func (c *Client) hotAbandon(targets []mem.NodeID, key []byte, v0 uint64) {
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
+	own := func(r recordCand) bool { return r.version == v0 && r.status == wire.StatusLocked }
 	for _, t := range targets {
-		cands, err := c.hotCandidates(t, key)
-		if err != nil {
-			continue
-		}
-		view := c.hotViewOf(t)
-		for i := range cands {
-			if cands[i].version == v0 && cands[i].status == wire.StatusLocked {
-				if view.Remove(racehash.PlacementHash(key), cands[i].entry) == nil {
-					_ = c.retireRecord(cands[i].entry.Addr, key)
-				}
-			}
-		}
+		_, _ = c.hot.remove(t, key, own)
 	}
 }
 
@@ -457,7 +205,7 @@ func (c *Client) hotAbandon(targets []mem.NodeID, key []byte, v0 uint64) {
 // hot reads. The placeholder/versioned-swap protocol below runs only
 // against targets that hold nothing yet.
 func (c *Client) hotPromote(key []byte) {
-	targets, _ := c.hotTargets(key, false)
+	targets, _ := c.hot.targets(c.members.Current(), key, false)
 	if len(targets) == 0 {
 		c.hotset.Unclaim(key)
 		return
@@ -466,19 +214,12 @@ func (c *Client) hotPromote(key []byte) {
 	fresh := targets[:0]
 	freshRanks := make([]int, 0, len(targets))
 	for i, t := range targets {
-		cands, err := c.hotCandidates(t, key)
+		cands, err := c.hot.candidates(t, key)
 		if err != nil {
 			continue // killed or transient: forgo this rank
 		}
-		best := -1
-		for j := range cands {
-			if cands[j].status == wire.StatusIdle && (best < 0 || cands[j].version > cands[best].version) {
-				best = j
-			}
-		}
-		if best >= 0 {
-			if units := hotUnits(cands[best].imgLen); units != 0 && i < c.hotset.Ranks() {
-				c.hotset.Rank(i).Learn(key, cands[best].entry.Addr, units)
+		if b := newest(cands); b >= 0 && cands[b].status == wire.StatusIdle {
+			if c.hotLearn(i, key, cands[b].entry.Addr, cands[b].size()) {
 				routed++
 			}
 			continue
@@ -487,7 +228,7 @@ func (c *Client) hotPromote(key []byte) {
 		freshRanks = append(freshRanks, i)
 	}
 	if len(fresh) > 0 {
-		v0 := c.nextHotVersion()
+		v0 := c.hot.nextVersion()
 		if err := c.hotPlacehold(fresh, key, v0); err != nil {
 			c.hotset.Unclaim(key)
 			return
@@ -495,33 +236,26 @@ func (c *Client) hotPromote(key []byte) {
 		// Both versions are drawn before the read: any write committing
 		// after it outranks v1, so our swap below can never bury a fresher
 		// value.
-		v1 := c.nextHotVersion()
+		v1 := c.hot.nextVersion()
 		val, ok, err := c.searchTree(key)
 		if err != nil {
 			c.hotset.Unclaim(key)
 			return
 		}
-		if !ok {
+		if !ok || !hotRoutable(key, len(val)) {
+			// The key was deleted, or its value outgrew the routable bound
+			// between the observation and this read: retract our
+			// placeholders and stand down. For the oversized value the
+			// hotTouch size gate keeps the key from being re-claimed, so
+			// this is a terminal demotion, not a retry loop.
 			c.hotAbandon(fresh, key, v0)
 			c.hotset.Unclaim(key)
 			return
 		}
-		if !hotRoutable(key, len(val)) {
-			// The value outgrew the routable bound between the observation
-			// and this read: retract our placeholders and stand down —
-			// the hotTouch size gate keeps the key from being re-claimed,
-			// so this is a terminal demotion, not a retry loop.
-			c.hotAbandon(fresh, key, v0)
-			c.hotset.Unclaim(key)
-			return
-		}
+		rec := record{wire.StatusIdle, key, val, v1}
 		for i, t := range fresh {
-			addr, imgLen, ok, err := c.hotSwapIn(t, key, val, v1)
-			if err != nil || !ok {
-				continue
-			}
-			if units := hotUnits(imgLen); units != 0 && freshRanks[i] < c.hotset.Ranks() {
-				c.hotset.Rank(freshRanks[i]).Learn(key, addr, units)
+			pub, err := c.hot.publish(t, rec, publishSwapOnly)
+			if err == nil && pub.servable && c.hotLearn(freshRanks[i], key, pub.addr, pub.size) {
 				routed++
 			}
 		}
@@ -531,6 +265,17 @@ func (c *Client) hotPromote(key []byte) {
 		return
 	}
 	atomic.AddUint64(&c.stats.HotPromotes, 1)
+}
+
+// hotLearn records a servable record in the rank's route cache, reporting
+// whether it fit (the rank exists and the image fits the unit field).
+func (c *Client) hotLearn(rank int, key []byte, addr mem.Addr, size int) bool {
+	units := hotUnits(size)
+	if units == 0 || rank >= c.hotset.Ranks() {
+		return false
+	}
+	c.hotset.Rank(rank).Learn(key, addr, units)
+	return true
 }
 
 // hotRefresh republishes a committed write over the key's hot records,
@@ -543,26 +288,24 @@ func (c *Client) hotRefresh(key, value []byte) error {
 	if !c.shared.Hot.Published() {
 		return nil
 	}
-	version := c.nextHotVersion()
+	rec := record{wire.StatusIdle, key, value, c.hot.nextVersion()}
 	refreshed := false
-	targets, curN := c.hotTargets(key, true)
+	targets, curN := c.hot.targets(c.members.Current(), key, true)
 	for i, t := range targets {
-		addr, imgLen, ok, err := c.hotSwapIn(t, key, value, version)
+		pub, err := c.hot.publish(t, rec, publishSwapOnly)
 		if err != nil {
 			if errors.Is(err, fabric.ErrNodeKilled) {
 				continue
 			}
 			return err
 		}
-		refreshed = refreshed || ok
+		refreshed = refreshed || pub.servable
 		// The old record was just retired, so this CN's route to it is
 		// stale; re-learn the fresh address in the same breath (rank =
 		// position among the current ring's targets). Other CNs refute
 		// once and re-promote — see hotGet.
-		if ok && c.hotset != nil && i < curN && i < c.hotset.Ranks() {
-			if units := hotUnits(imgLen); units != 0 {
-				c.hotset.Rank(i).Learn(key, addr, units)
-			}
+		if pub.servable && c.hotset != nil && i < curN {
+			c.hotLearn(i, key, pub.addr, pub.size)
 		}
 	}
 	if refreshed {
@@ -579,26 +322,10 @@ func (c *Client) hotRemove(key []byte, strict bool) error {
 	if !c.shared.Hot.Published() {
 		return nil
 	}
-	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotPub))
-	h42 := racehash.PlacementHash(key)
-	targets, _ := c.hotTargets(key, true)
+	targets, _ := c.hot.targets(c.members.Current(), key, true)
 	for _, t := range targets {
-		cands, err := c.hotCandidates(t, key)
-		if err != nil {
-			if !strict || errors.Is(err, fabric.ErrNodeKilled) {
-				continue
-			}
+		if _, err := c.hot.remove(t, key, nil); err != nil && strict && !errors.Is(err, fabric.ErrNodeKilled) {
 			return err
-		}
-		view := c.hotViewOf(t)
-		for i := range cands {
-			if err := view.Remove(h42, cands[i].entry); err != nil {
-				if !strict || errors.Is(err, fabric.ErrNodeKilled) {
-					continue
-				}
-				return err
-			}
-			_ = c.retireRecord(cands[i].entry.Addr, key)
 		}
 	}
 	return nil
@@ -651,15 +378,8 @@ const (
 // records are immutable, so a size mismatch already proves staleness.
 func (c *Client) hotReadRecord(addr mem.Addr, units uint8, key []byte) ([]byte, int) {
 	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotRead))
-	regionSize := c.eng.C.Fabric().RegionSize(addr.Node())
-	size := uint64(units) * 64
-	if addr.Offset() >= regionSize {
-		return nil, hotReadSkip
-	}
-	if addr.Offset()+size > regionSize {
-		size = regionSize - addr.Offset()
-	}
-	if size < anchorDataOff {
+	size := min(uint64(units)*64, c.hot.room(addr))
+	if size < recordDataOff {
 		return nil, hotReadSkip
 	}
 	buf := make([]byte, size)
@@ -669,20 +389,17 @@ func (c *Client) hotReadRecord(addr mem.Addr, units uint8, key []byte) ([]byte, 
 		}
 		return nil, hotReadAbort
 	}
-	hdr := wire.DecodeNodeHeader(binary.LittleEndian.Uint64(buf[0:]))
-	if hdr.Status != wire.StatusIdle {
+	st, _, keyLen, valLen := decodeRecordWords(buf)
+	if st != wire.StatusIdle {
 		return nil, hotReadRefute
 	}
-	lens := binary.LittleEndian.Uint64(buf[anchorLensOff:])
-	keyLen := int(lens & 0xffff)
-	valLen := int(lens >> 16)
-	if keyLen != len(key) || anchorDataOff+keyLen+valLen > len(buf) {
+	if keyLen != len(key) || recordDataOff+keyLen+valLen > len(buf) {
 		return nil, hotReadRefute
 	}
-	if !bytes.Equal(buf[anchorDataOff:anchorDataOff+keyLen], key) {
+	if !bytes.Equal(buf[recordDataOff:recordDataOff+keyLen], key) {
 		return nil, hotReadRefute
 	}
-	val := append([]byte(nil), buf[anchorDataOff+keyLen:anchorDataOff+keyLen+valLen]...)
+	val := append([]byte(nil), buf[recordDataOff+keyLen:recordDataOff+keyLen+valLen]...)
 	return val, hotReadHit
 }
 

@@ -160,7 +160,7 @@ func TestHotStaleRouteRefutedNoBackoff(t *testing.T) {
 	// if the protocol allowed one).
 	for i := 0; i < hs.Ranks(); i++ {
 		if addr, _, ok := hs.Rank(i).Lookup(key); ok {
-			if err := c.retireRecord(addr, key); err != nil {
+			if err := c.hot.retire(addr, key); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -441,21 +441,21 @@ func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
 		t.Fatal("Published() true before any hot record exists")
 	}
 	// Promoter phase 1: placeholders become discoverable, versions drawn.
-	targets, _ := c.hotTargets(key, false)
+	targets, _ := c.hot.targets(c.members.Current(), key, false)
 	if len(targets) == 0 {
 		t.Fatal("no hot targets for key")
 	}
-	// hotTargets returns the client's scratch slice; the Update below
-	// reuses it, so keep a private copy across the race.
+	// targets returns the store's scratch slice; the Update below reuses
+	// it, so keep a private copy across the race.
 	targets = append([]mem.NodeID(nil), targets...)
-	v0 := c.nextHotVersion()
+	v0 := c.hot.nextVersion()
 	if err := c.hotPlacehold(targets, key, v0); err != nil {
 		t.Fatal(err)
 	}
 	if !shared.Hot.Published() {
 		t.Fatal("Published() false with placeholders discoverable; a racing write would skip the replica refresh")
 	}
-	v1 := c.nextHotVersion()
+	v1 := c.hot.nextVersion()
 	stale, ok, err := c.searchTree(key)
 	if err != nil || !ok {
 		t.Fatalf("authoritative read = %v, %v", ok, err)
@@ -467,22 +467,22 @@ func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
 	// Promoter phase 2: swapping the pre-write value in at v1 must lose
 	// on every target; whatever record is servable must hold v2.
 	for _, tgt := range targets {
-		addr, _, ok, err := c.hotSwapIn(tgt, key, stale, v1)
+		pub, err := c.hot.publish(tgt, record{wire.StatusIdle, key, stale, v1}, publishSwapOnly)
 		if err != nil {
-			t.Fatalf("hotSwapIn(node %d): %v", tgt, err)
+			t.Fatalf("publish(node %d): %v", tgt, err)
 		}
-		if !ok {
+		if !pub.servable {
 			continue // nothing servable there: fine, never stale
 		}
-		st, k, v, _, err := c.readRecord(addr)
+		rec, err := c.hot.read(pub.addr)
 		if err != nil {
-			t.Fatalf("readRecord(node %d): %v", tgt, err)
+			t.Fatalf("read(node %d): %v", tgt, err)
 		}
-		if st != wire.StatusIdle || !bytes.Equal(k, key) {
-			t.Fatalf("node %d: servable record status=%v key=%q", tgt, st, k)
+		if rec.status != wire.StatusIdle || !bytes.Equal(rec.key, key) {
+			t.Fatalf("node %d: servable record status=%v key=%q", tgt, rec.status, rec.key)
 		}
-		if !bytes.Equal(v, []byte("v2")) {
-			t.Errorf("node %d: hot record serves %q after racing write, want %q", tgt, v, "v2")
+		if !bytes.Equal(rec.value, []byte("v2")) {
+			t.Errorf("node %d: hot record serves %q after racing write, want %q", tgt, rec.value, "v2")
 		}
 	}
 }

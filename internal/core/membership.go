@@ -44,7 +44,8 @@ var ErrTransitionActive = errors.New("core: membership transition already active
 
 // Placement is one epoch's immutable placement snapshot: which memory
 // nodes exist, how keys map onto them, and where each node's inner-node
-// hash table (and anchor table, under fault tolerance) lives.
+// hash table lives. (The replica layers' record tables are not per epoch:
+// a node's table outlives its ring membership, see recordTables.)
 type Placement struct {
 	// Epoch numbers placements monotonically from 0 (bootstrap).
 	Epoch uint64
@@ -52,9 +53,6 @@ type Placement struct {
 	Ring *consistenthash.Ring
 	// Tables maps each member node to its inner-node hash table.
 	Tables map[mem.NodeID]racehash.Table
-	// Anchors maps each member node to its anchor-replica table; nil when
-	// the fault-tolerance layer is off.
-	Anchors map[mem.NodeID]racehash.Table
 	// Prev is the preceding epoch, non-nil only while its migration is in
 	// flight. Readers fall back to it for state not yet moved.
 	Prev *Placement
@@ -136,27 +134,24 @@ func BeginAddNode(f *fabric.Fabric, sh Shared, id mem.NodeID, expectedKeys int) 
 	}
 	alloc := mem.NewAllocator(f.Regions(), 0)
 	members := len(cur.Ring.Nodes()) + 1
-	table, err := racehash.Bootstrap(f.Region(id), alloc, id, expectedKeys/(4*members)+1)
+	joining := []mem.NodeID{id}
+	tables, err := bootstrapTables(f, alloc, joining, expectedKeys/(4*members)+1)
 	if err != nil {
-		return nil, fmt.Errorf("core: bootstrap hash table on node %d: %w", id, err)
+		return nil, fmt.Errorf("core: bootstrap hash %w", err)
 	}
-	var anchorTable racehash.Table
 	if sh.FT != nil {
-		anchorTable, err = racehash.Bootstrap(f.Region(id), alloc, id, expectedKeys*sh.FT.R/members+1)
+		anchors, err := bootstrapTables(f, alloc, joining, expectedKeys*sh.FT.R/members+1)
 		if err != nil {
-			return nil, fmt.Errorf("core: bootstrap anchor table on node %d: %w", id, err)
+			return nil, fmt.Errorf("core: bootstrap anchor %w", err)
 		}
+		sh.FT.records.extend(id, anchors[id])
 	}
 	return sh.Members.BeginChange(func(cur *Placement) (*Placement, error) {
 		ring, err := cur.Ring.WithNode(id)
 		if err != nil {
 			return nil, err
 		}
-		next := &Placement{Ring: ring, Tables: extendTables(cur.Tables, id, table)}
-		if sh.FT != nil {
-			next.Anchors = extendTables(cur.Anchors, id, anchorTable)
-		}
-		return next, nil
+		return &Placement{Ring: ring, Tables: extendTables(cur.Tables, id, tables[id])}, nil
 	})
 }
 
@@ -180,11 +175,7 @@ func BeginDrainNode(sh Shared, id mem.NodeID) (*Placement, error) {
 		}
 		// The drained node's tables stay reachable through Prev for the
 		// duration of the migration and are empty by convergence.
-		next := &Placement{Ring: ring, Tables: dropTable(cur.Tables, id)}
-		if cur.Anchors != nil {
-			next.Anchors = dropTable(cur.Anchors, id)
-		}
-		return next, nil
+		return &Placement{Ring: ring, Tables: dropTable(cur.Tables, id)}, nil
 	})
 }
 

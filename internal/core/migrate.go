@@ -20,8 +20,6 @@ package core
 import (
 	"sync/atomic"
 
-	"sphinx/internal/mem"
-	"sphinx/internal/racehash"
 	"sphinx/internal/rart"
 	"sphinx/internal/wire"
 )
@@ -172,63 +170,15 @@ func (c *Client) migrateVisit(p *Placement, n *rart.Node, prefix []byte, rep *Mi
 // confirmed the copy — remove-after-copy, so the replica count never dips
 // below the invariant mid-transition.
 func (c *Client) migrateAnchors(p *Placement, rep *MigrateReport) {
-	ft := c.shared.FT
-	seen := make(map[mem.NodeID]bool)
-	var srcs []mem.NodeID
-	for _, n := range p.Prev.Ring.Nodes() {
-		if !seen[n] {
-			seen[n] = true
-			srcs = append(srcs, n)
-		}
-	}
-	for _, n := range p.Ring.Nodes() {
-		if !seen[n] {
-			seen[n] = true
-			srcs = append(srcs, n)
-		}
-	}
-	for _, src := range srcs {
-		if !ft.Health.Alive(src) {
+	for _, src := range unionNodes(unionNodes(nil, p.Prev.Ring.Nodes()), p.Ring.Nodes()) {
+		if !c.shared.FT.Health.Alive(src) {
 			continue
 		}
-		view := c.anchorViewOf(src)
-		if view == nil {
-			rep.Remaining++
-			continue
-		}
-		err := view.Walk(func(e wire.HashEntry) error {
-			key, value, ver, err := c.readAnchor(e.Addr)
-			if err != nil {
-				rep.Remaining++
-				return nil
-			}
-			rep.AnchorsScanned++
-			inTargets := false
-			settled := true
-			for _, t := range ft.targets(p.Ring, key) {
-				if t == src {
-					inTargets = true
-					continue
-				}
-				_, wrote, err := c.anchorPutOne(t, key, value, ver)
-				if err != nil {
-					settled = false
-					rep.Remaining++
-					continue
-				}
-				if wrote {
-					rep.AnchorsCopied++
-				}
-			}
-			if !inTargets && settled {
-				if err := view.Remove(racehash.PlacementHash(key), e); err != nil {
-					rep.Remaining++
-				} else {
-					rep.AnchorsRemoved++
-				}
-			}
-			return nil
-		})
+		t, err := c.anchors.sweep(p, src, true)
+		rep.AnchorsScanned += t.scanned
+		rep.AnchorsCopied += t.copied
+		rep.AnchorsRemoved += t.removed
+		rep.Remaining += t.failed + t.unread
 		if err != nil {
 			// The source became unreachable mid-walk; its records stay for
 			// the next sweep, which cannot then report convergence.

@@ -21,18 +21,16 @@
 //     healthy successors, returning the system to full replication while
 //     CNs keep serving.
 //
-// Anchor records are immutable and versioned; updates publish a new record
-// and swap the table entry with the view's CAS-based Replace, giving
-// last-writer-wins per replica (exact when a key has one writer, as the
-// failover benchmark arranges; approximate under concurrent writers to the
-// same key, like the tree itself). The record's first word is a
-// wire.NodeHeader carrying the key's 42-bit prefix hash — the format the
-// hash table's one-sided segment split relies on to re-derive placement.
+// Anchors are one instance of the replicated record store (records.go):
+// immutable versioned records, last-writer-wins per replica (exact when a
+// key has one writer, as the failover benchmark arranges; approximate under
+// concurrent writers to the same key, like the tree itself). Nothing caches
+// anchor addresses, so the store is unrouted. This file holds what is
+// anchor-specific: health-aware placement, the partial-replica accounting
+// of the write path, and the repair sweep's reporting.
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -40,7 +38,6 @@ import (
 	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
-	"sphinx/internal/racehash"
 	"sphinx/internal/wire"
 )
 
@@ -53,19 +50,14 @@ const DefaultReplication = 2
 // atomic) by every client.
 type FaultTolerance struct {
 	// R is the replication factor: each anchor targets the first R healthy
-	// distinct successors of its key on the ring.
+	// distinct successors of its key on the ring (fewer when fewer healthy
+	// nodes remain).
 	R int
 	// Health is the fabric's shared per-MN breaker table; placement skips
 	// nodes it reports dead.
 	Health *fabric.Health
-	// Anchors maps each memory node to its anchor table.
-	Anchors map[mem.NodeID]racehash.Table
-
-	// verCounter issues LWW versions for anchor records. Shared across
-	// clients (modelling a CN-side timestamp oracle) so that versions are
-	// totally ordered cluster-wide: a fresh client's update must outrank
-	// anchors written earlier by longer-lived clients.
-	verCounter uint64
+	// records holds the per-MN anchor tables and the version counter.
+	records *recordTables
 
 	// underReplicated is the gauge the repair sweeper maintains: replica
 	// deficits found by the latest sweep (0 once repair has converged).
@@ -98,22 +90,6 @@ func (ft *FaultTolerance) place(ring *consistenthash.Ring, key []byte) mem.NodeI
 	return owners[0]
 }
 
-// targets returns the key's anchor replica set: the first R healthy
-// distinct successors (fewer when fewer healthy nodes remain).
-func (ft *FaultTolerance) targets(ring *consistenthash.Ring, key []byte) []mem.NodeID {
-	owners := ring.OwnersKey(key, len(ring.Nodes()))
-	targets := make([]mem.NodeID, 0, ft.R)
-	for _, o := range owners {
-		if ft.Health.Alive(o) {
-			targets = append(targets, o)
-			if len(targets) == ft.R {
-				break
-			}
-		}
-	}
-	return targets
-}
-
 // anyDead reports whether any ring node is known permanently lost — the
 // cluster's degraded mode, in which tree-"absent" answers are confirmed
 // against the anchors (degraded writes are anchor-only).
@@ -138,198 +114,14 @@ func BootstrapReplicated(f *fabric.Fabric, ring *consistenthash.Ring, expectedKe
 	if err != nil {
 		return Shared{}, err
 	}
-	alloc := mem.NewAllocator(f.Regions(), 0)
-	perNode := expectedKeys*r/len(ring.Nodes()) + 1
-	anchors := make(map[mem.NodeID]racehash.Table, len(ring.Nodes()))
-	for _, node := range ring.Nodes() {
-		t, err := racehash.Bootstrap(f.Region(node), alloc, node, perNode)
-		if err != nil {
-			return Shared{}, fmt.Errorf("core: bootstrap anchor table on node %d: %w", node, err)
-		}
-		anchors[node] = t
+	nodes := ring.Nodes()
+	anchors, err := bootstrapTables(f, mem.NewAllocator(f.Regions(), 0), nodes, expectedKeys*r/len(nodes)+1)
+	if err != nil {
+		return Shared{}, fmt.Errorf("core: bootstrap anchor %w", err)
 	}
-	sh.FT = &FaultTolerance{R: r, Health: f.Health(), Anchors: anchors}
-	// Republish the epoch-0 placement with the anchor tables included, so
-	// elastic membership changes can carry them forward.
-	sh.Members = NewMembership(&Placement{Ring: ring, Tables: sh.Tables, Anchors: anchors})
+	sh.FT = &FaultTolerance{R: r, Health: f.Health(), records: newRecordTables(anchors)}
 	f.Health().EnableGating(true)
 	return sh, nil
-}
-
-// Anchor record layout (immutable once written):
-//
-//	word 0: wire.NodeHeader — Status Idle, Type Node4, Depth = len(key),
-//	        PrefixHash = the key's 42-bit hash. The hash table's segment
-//	        split recovers entry placement by reading this word, so anchor
-//	        records must carry it exactly like inner nodes do.
-//	word 1: version (LWW order: per-writer counter ‖ writer ID)
-//	word 2: len(key) | len(value)<<16
-//	24..  : key bytes, then value bytes
-const (
-	anchorVersionOff = 8
-	anchorLensOff    = 16
-	anchorDataOff    = 24
-	// anchorSpecRead is the speculative first-read size for anchor records
-	// of unknown length: header plus a typical small-key/64-byte-value
-	// payload in one round trip.
-	anchorSpecRead = 256
-)
-
-func encodeAnchor(key, value []byte, version uint64) []byte {
-	return encodeRecord(wire.StatusIdle, key, value, version)
-}
-
-// encodeRecord builds one immutable record image in the anchor layout with
-// an explicit status word — StatusIdle for servable records, StatusLocked
-// for hot-promotion placeholders (see hotreplica.go).
-func encodeRecord(st wire.Status, key, value []byte, version uint64) []byte {
-	img := make([]byte, anchorDataOff+len(key)+len(value))
-	hdr := wire.NodeHeader{
-		Status:     st,
-		Type:       wire.Node4,
-		Depth:      uint16(len(key)),
-		PrefixHash: wire.PrefixHash42(key),
-	}
-	binary.LittleEndian.PutUint64(img[0:], hdr.Encode())
-	binary.LittleEndian.PutUint64(img[anchorVersionOff:], version)
-	binary.LittleEndian.PutUint64(img[anchorLensOff:], uint64(len(key))|uint64(len(value))<<16)
-	copy(img[anchorDataOff:], key)
-	copy(img[anchorDataOff+len(key):], value)
-	return img
-}
-
-// readAnchor fetches and decodes one anchor record, dropping the status
-// (anchor records are always published Idle).
-func (c *Client) readAnchor(addr mem.Addr) (key, value []byte, version uint64, err error) {
-	_, key, value, version, err = c.readRecord(addr)
-	return key, value, version, err
-}
-
-// readRecord fetches and decodes one record in the anchor layout: a
-// speculative read clamped at the region boundary, with a follow-up read
-// when the record outgrows the speculation.
-func (c *Client) readRecord(addr mem.Addr) (st wire.Status, key, value []byte, version uint64, err error) {
-	regionSize := c.eng.C.Fabric().RegionSize(addr.Node())
-	size := uint64(anchorSpecRead)
-	if addr.Offset()+size > regionSize {
-		size = regionSize - addr.Offset()
-	}
-	if size < anchorDataOff {
-		return 0, nil, nil, 0, fmt.Errorf("core: anchor record at %v truncated by region boundary", addr)
-	}
-	buf := make([]byte, size)
-	if err := c.eng.C.Read(addr, buf); err != nil {
-		return 0, nil, nil, 0, err
-	}
-	lens := binary.LittleEndian.Uint64(buf[anchorLensOff:])
-	keyLen := int(lens & 0xffff)
-	valLen := int(lens >> 16)
-	if keyLen == 0 || keyLen > wire.MaxDepth || uint64(anchorDataOff+keyLen+valLen) > regionSize {
-		return 0, nil, nil, 0, fmt.Errorf("core: malformed anchor record at %v (keyLen=%d valLen=%d)", addr, keyLen, valLen)
-	}
-	total := anchorDataOff + keyLen + valLen
-	if total > len(buf) {
-		buf = make([]byte, total)
-		if err := c.eng.C.Read(addr, buf); err != nil {
-			return 0, nil, nil, 0, err
-		}
-	}
-	st = wire.DecodeNodeHeader(binary.LittleEndian.Uint64(buf[0:])).Status
-	version = binary.LittleEndian.Uint64(buf[anchorVersionOff:])
-	key = append([]byte(nil), buf[anchorDataOff:anchorDataOff+keyLen]...)
-	value = append([]byte(nil), buf[anchorDataOff+keyLen:total]...)
-	return st, key, value, version, nil
-}
-
-// findAnchor locates the exact key's live entry in one node's anchor
-// table, returning the entry, its record's value and version.
-func (c *Client) findAnchor(node mem.NodeID, key []byte) (entry wire.HashEntry, value []byte, version uint64, found bool, err error) {
-	view := c.anchorViewOf(node)
-	if view == nil {
-		return wire.HashEntry{}, nil, 0, false, fmt.Errorf("core: no anchor table known for node %d", node)
-	}
-	cands, err := view.Lookup(racehash.PlacementHash(key), wire.FP12(key))
-	if err != nil {
-		return wire.HashEntry{}, nil, 0, false, err
-	}
-	for _, cand := range cands {
-		k, v, ver, err := c.readAnchor(cand.Entry.Addr)
-		if err != nil {
-			return wire.HashEntry{}, nil, 0, false, err
-		}
-		if bytes.Equal(k, key) {
-			return cand.Entry, v, ver, true, nil
-		}
-	}
-	return wire.HashEntry{}, nil, 0, false, nil
-}
-
-// anchorPutMaxRaces bounds how many lost same-key swap races one anchor
-// publish will absorb before giving up (each loss means another writer
-// landed a version in the meantime, so starvation needs a pathological
-// single-key write storm).
-const anchorPutMaxRaces = 16
-
-// anchorPutOne publishes (key, value, version) to one node's anchor table:
-// allocate an immutable record, write it, then CAS the table entry in
-// (Insert for a new key, SwapIfPresent for an update). Last-writer-wins
-// without any serializing lock: competing writers to the same key race
-// on the entry CAS, and the loser re-reads the winner's version and
-// re-decides — never waits for its own stale expectation to reappear
-// (View.Replace's wait loop assumes a lock-holding caller and would spin
-// to exhaustion here). A replica already holding version ≥ ours is left
-// untouched.
-func (c *Client) anchorPutOne(node mem.NodeID, key, value []byte, version uint64) (existed, wrote bool, err error) {
-	h42 := racehash.PlacementHash(key)
-	var img []byte
-	var addr mem.Addr
-	for attempt := 0; attempt < anchorPutMaxRaces; attempt++ {
-		oldEntry, _, oldVer, found, err := c.findAnchor(node, key)
-		if err != nil {
-			return false, false, err
-		}
-		if found && oldVer >= version {
-			// A newer write already won; last-writer-wins keeps it.
-			return true, false, nil
-		}
-		if img == nil {
-			// The record is immutable; one allocation serves every retry.
-			img = encodeAnchor(key, value, version)
-			addr, err = c.eng.Alloc.Alloc(node, mem.ClassLeaf, uint64(len(img)))
-			if err != nil {
-				return found, false, err
-			}
-			if err := c.eng.C.Write(addr, img); err != nil {
-				return found, false, err
-			}
-		}
-		newEntry := wire.HashEntry{Valid: true, FP: wire.FP12(key), Type: wire.Node4, Addr: addr}
-		view := c.anchorViewOf(node)
-		if !found {
-			if err := view.Insert(h42, newEntry, c.eng.Alloc); err != nil {
-				return false, false, err
-			}
-			return false, true, nil
-		}
-		won, err := view.SwapIfPresent(h42, oldEntry, newEntry)
-		if err != nil {
-			return true, false, err
-		}
-		if won {
-			return true, true, nil
-		}
-		// Lost the swap race: a concurrent writer replaced the entry
-		// between our read and our CAS. Re-read and re-decide by version.
-	}
-	return true, false, fmt.Errorf("core: anchor put for %q lost %d consecutive swap races", key, anchorPutMaxRaces)
-}
-
-// nextVersion returns a fresh LWW version from the cluster-wide counter,
-// tagged with the client ID for debuggability. Totally ordered across
-// clients — exact when each key has a single writer at a time,
-// last-writer-wins under concurrent writers to the same key.
-func (c *Client) nextVersion() uint64 {
-	return atomic.AddUint64(&c.shared.FT.verCounter, 1)<<8 | uint64(c.eng.C.ID())&0xff
 }
 
 // anchorUpsert publishes the write to the key's replica set,
@@ -337,126 +129,85 @@ func (c *Client) nextVersion() uint64 {
 // Dead or unreachable replicas are skipped (counted as partial); if no
 // replica is reachable the write fails with ErrReplicaSetUnavailable.
 func (c *Client) anchorUpsert(key, value []byte) (existed bool, err error) {
-	ft := c.shared.FT
-	version := c.nextVersion()
-	targets := ft.targets(c.ring(), key)
+	rec := record{wire.StatusIdle, key, value, c.anchors.nextVersion()}
+	targets, _ := c.anchors.targets(c.members.Current(), key, false)
 	written := 0
 	for _, t := range targets {
-		ex, _, err := c.anchorPutOne(t, key, value, version)
+		pub, err := c.anchors.publish(t, rec, publishUpsert)
 		if err != nil {
 			if errors.Is(err, fabric.ErrNodeDown) {
 				continue
 			}
 			return false, err
 		}
-		existed = existed || ex
+		existed = existed || pub.existed
 		written++
 	}
 	if written == 0 {
 		return false, fmt.Errorf("%w: no anchor replica reachable for %q", ErrReplicaSetUnavailable, key)
 	}
-	if written < ft.R {
+	if written < c.shared.FT.R {
 		atomic.AddUint64(&c.stats.PartialReplicas, 1)
 	}
 	return existed, nil
 }
 
 // anchorGet reads the key from its replica set, returning the freshest
-// version found across reachable replicas. Absence on every reachable
-// replica is an authoritative "not found" for acknowledged data: an acked
-// write reached all (then-healthy) replicas, so any one surviving replica
-// suffices. If no replica is reachable, ErrReplicaSetUnavailable.
+// version found across reachable replicas — and across every matching
+// record on each (see the duplicate note in records.go). Absence on every
+// reachable replica is an authoritative "not found" for acknowledged data:
+// an acked write reached all (then-healthy) replicas, so any one surviving
+// replica suffices. Mid-transition the migrator may not have copied the
+// key's anchors to the new epoch's replica set yet, so when that set holds
+// nothing the previous epoch's is consulted. If no replica is reachable,
+// ErrReplicaSetUnavailable.
 func (c *Client) anchorGet(key []byte) (value []byte, ok bool, err error) {
-	ft := c.shared.FT
-	p := c.members.Current()
-	targets := ft.targets(p.Ring, key)
+	targets, curN := c.anchors.targets(c.members.Current(), key, true)
 	reached := 0
-	var best []byte
 	var bestVer uint64
-	var found bool
-	probe := func(nodes []mem.NodeID, seen map[mem.NodeID]bool) error {
-		for _, t := range nodes {
-			if seen != nil && seen[t] {
+	for i, t := range targets {
+		if i == curN && ok {
+			break
+		}
+		cands, err := c.anchors.candidates(t, key)
+		if err != nil {
+			if errors.Is(err, fabric.ErrNodeDown) {
 				continue
 			}
-			_, v, ver, f, err := c.findAnchor(t, key)
-			if err != nil {
-				if errors.Is(err, fabric.ErrNodeDown) {
-					continue
-				}
-				return err
-			}
-			reached++
-			if f && (!found || ver > bestVer) {
-				found, best, bestVer = true, v, ver
-			}
-		}
-		return nil
-	}
-	if err := probe(targets, nil); err != nil {
-		return nil, false, err
-	}
-	if !found && p.Prev != nil {
-		// Mid-transition the migrator may not have copied this key's
-		// anchors to the new epoch's replica set yet; consult the old one.
-		seen := make(map[mem.NodeID]bool, len(targets))
-		for _, t := range targets {
-			seen[t] = true
-		}
-		if err := probe(ft.targets(p.Prev.Ring, key), seen); err != nil {
 			return nil, false, err
 		}
-		if found {
-			atomic.AddUint64(&c.stats.EpochFallbacks, 1)
+		reached++
+		if b := newest(cands); b >= 0 && (!ok || cands[b].version > bestVer) {
+			if !ok && i >= curN {
+				atomic.AddUint64(&c.stats.EpochFallbacks, 1)
+			}
+			ok, value, bestVer = true, cands[b].value, cands[b].version
 		}
 	}
 	if reached == 0 {
 		return nil, false, fmt.Errorf("%w: no anchor replica reachable for %q", ErrReplicaSetUnavailable, key)
 	}
-	return best, found, nil
+	return value, ok, nil
 }
 
-// anchorRemove deletes the key from every reachable replica. No
-// tombstones: a replica that was unreachable during the delete and later
-// repairs from a stale peer can resurrect the key (documented in
-// docs/failure-model.md).
+// anchorRemove deletes the key from every reachable replica — mid-
+// transition from the UNION of the new and old replica sets: a replica left
+// behind on the previous epoch's targets would otherwise resurrect the key
+// when the migration sweep LWW-copies it forward. No tombstones: a replica
+// that was unreachable during the delete and later repairs from a stale
+// peer can resurrect the key (documented in docs/failure-model.md).
 func (c *Client) anchorRemove(key []byte) (present bool, err error) {
-	ft := c.shared.FT
-	p := c.members.Current()
-	targets := ft.targets(p.Ring, key)
-	if p.Prev != nil {
-		// Mid-transition, delete from the UNION of the new and old replica
-		// sets: a replica left behind on the previous epoch's targets would
-		// otherwise resurrect the key when the migration sweep LWW-copies it
-		// forward.
-		seen := make(map[mem.NodeID]bool, len(targets))
-		for _, t := range targets {
-			seen[t] = true
-		}
-		for _, t := range ft.targets(p.Prev.Ring, key) {
-			if !seen[t] {
-				targets = append(targets, t)
-			}
-		}
-	}
+	targets, _ := c.anchors.targets(c.members.Current(), key, true)
 	reached := 0
 	for _, t := range targets {
-		entry, _, _, f, err := c.findAnchor(t, key)
+		held, err := c.anchors.remove(t, key, nil)
 		if err != nil {
 			if errors.Is(err, fabric.ErrNodeDown) {
 				continue
 			}
 			return false, err
 		}
-		if f {
-			if err := c.anchorViewOf(t).Remove(racehash.PlacementHash(key), entry); err != nil {
-				if errors.Is(err, fabric.ErrNodeDown) {
-					continue
-				}
-				return false, err
-			}
-			present = true
-		}
+		present = present || held
 		reached++
 	}
 	if reached == 0 {
@@ -499,37 +250,16 @@ func (c *Client) RepairSweep() (RepairReport, error) {
 		return RepairReport{}, errors.New("core: repair sweep on a cluster without fault tolerance")
 	}
 	var rep RepairReport
-	ring := c.ring()
-	for _, src := range ring.Nodes() {
+	p := c.members.Current()
+	for _, src := range p.Ring.Nodes() {
 		if !ft.Health.Alive(src) {
 			continue
 		}
-		err := c.anchorViewOf(src).Walk(func(e wire.HashEntry) error {
-			key, value, ver, err := c.readAnchor(e.Addr)
-			if err != nil {
-				// Concurrently replaced record or transient fault: the
-				// surviving entry will be seen by the next sweep.
-				rep.Remaining++
-				return nil
-			}
-			rep.Scanned++
-			for _, t := range ft.targets(ring, key) {
-				if t == src {
-					continue // this record is node src's replica
-				}
-				_, wrote, err := c.anchorPutOne(t, key, value, ver)
-				if err != nil {
-					rep.Deficits++
-					rep.Remaining++
-					continue
-				}
-				if wrote {
-					rep.Deficits++
-					rep.Copied++
-				}
-			}
-			return nil
-		})
+		t, err := c.anchors.sweep(p, src, false)
+		rep.Scanned += t.scanned
+		rep.Copied += t.copied
+		rep.Deficits += t.copied + t.failed
+		rep.Remaining += t.failed + t.unread
 		if err != nil {
 			if errors.Is(err, fabric.ErrNodeDown) {
 				// src died mid-walk: its records are repaired from the
@@ -562,5 +292,5 @@ func (c *Client) failoverable(err error) bool {
 // that mode tree-"absent" answers are double-checked against the anchors,
 // because degraded writes land only there.
 func (c *Client) degraded() bool {
-	return c.shared.FT != nil && c.shared.FT.anyDead(c.ring())
+	return c.shared.FT != nil && c.shared.FT.anyDead(c.members.Current().Ring)
 }
