@@ -343,14 +343,16 @@ func PipelineSweep(base Config, depths []int, out io.Writer) ([]Result, error) {
 // speculative reads coalesce into shared pipeline flushes.
 var FastpathDepths = []int{4, 8}
 
-// Fastpath measures the speculative 1-RT warm-read path (DESIGN.md
-// §5.12): YCSB-C with the run split into a warmup pass (the leaf-address
-// cache learning addresses) and a steady-state pass (the converged fast
-// path), for Sphinx against the Sphinx-noLAC ablation. The acceptance
+// Fastpath measures the speculative paths through the leaf-address cache
+// (DESIGN.md §5.11, §5.12): YCSB-C with the run split into a warmup pass
+// (the cache learning addresses) and a steady-state pass (the converged
+// fast path), for Sphinx against the Sphinx-noLAC ablation. The acceptance
 // numbers are the steady-state depth-1 RT/op — well under 2.0 with the
 // LAC on, ≈3.0 without — and the lac_reconciled verdict: every
 // speculative round trip accounted as exactly one hit or refute, and the
-// four read stages summing to the fabric's own counter. Metrics are
+// four read stages summing to the fabric's own counter. A YCSB-A pass
+// (50 % Update) on the then warm cache follows for both systems: a warm
+// Update is 2 round trips through the cache, 5 without. Metrics are
 // forced on (the verdict needs them); the warm split is the experiment's
 // whole point, so Config.Warm is implied.
 func Fastpath(base Config, out io.Writer) ([]Result, error) {
@@ -359,11 +361,11 @@ func Fastpath(base Config, out io.Writer) ([]Result, error) {
 	cfg.Metrics = true
 	cfg.Depth = 1
 	d := cfg.withDefaults()
-	fmt.Fprintf(out, "# Fastpath — speculative warm reads: YCSB-C warmup/steady, LAC on vs off, dataset=%v keys=%d workers=%d\n",
+	fmt.Fprintf(out, "# Fastpath — speculative warm reads and in-place writes: YCSB-C warmup/steady then YCSB-A, LAC on vs off, dataset=%v keys=%d workers=%d\n",
 		d.Dataset, d.Keys, d.Workers)
 	fmt.Fprintln(out, ResultHeader())
 	var results []Result
-	steady := map[System]Result{}
+	steady, mixed := map[System]Result{}, map[System]Result{}
 	for _, sys := range []System{Sphinx, SphinxNoLAC} {
 		cl, err := NewCluster(sys, cfg)
 		if err != nil {
@@ -385,6 +387,17 @@ func Fastpath(base Config, out io.Writer) ([]Result, error) {
 			}
 		}
 		steady[sys] = st
+		a, err := cl.Run(ycsb.WorkloadA, 0, 0)
+		if err != nil {
+			return nil, fmt.Errorf("%v fastpath YCSB-A: %w", sys, err)
+		}
+		a.Workload, a.Phase = "A/steady", "steady"
+		mixed[sys] = a
+		results = append(results, a)
+		fmt.Fprintln(out, a.Row())
+		if diag := fastpathDiag(a); diag != "" {
+			fmt.Fprintln(out, diag)
+		}
 		if sys == Sphinx {
 			// Depth sweep on the now fully warm cache: speculative reads
 			// of concurrent ops share doorbell flushes, so RT/op falls
@@ -411,6 +424,10 @@ func Fastpath(base Config, out io.Writer) ([]Result, error) {
 		fmt.Fprintf(out, "    steady YCSB-C depth 1: LAC on %.2f RT/op vs off %.2f (%.2fx throughput, p50 %.2f vs %.2f us)\n",
 			on.RoundTripsPerOp, off.RoundTripsPerOp,
 			on.ThroughputMops/off.ThroughputMops, on.P50LatUs, off.P50LatUs)
+	}
+	if on, off := mixed[Sphinx], mixed[SphinxNoLAC]; off.ThroughputMops > 0 {
+		fmt.Fprintf(out, "    steady YCSB-A depth 1: LAC on %.2f RT/op vs off %.2f (%.2fx throughput)\n",
+			on.RoundTripsPerOp, off.RoundTripsPerOp, on.ThroughputMops/off.ThroughputMops)
 	}
 	return results, nil
 }
@@ -624,9 +641,14 @@ func fastpathDiag(r Result) string {
 			verdict = "true"
 		}
 	}
-	return fmt.Sprintf("    [lac] hits %d  misses %d  refutes %d  aborts %d  hit-rate %.1f%%  occupancy %.1f%%  reconciled %s",
+	diag := fmt.Sprintf("    [lac] hits %d  misses %d  refutes %d  aborts %d  hit-rate %.1f%%  occupancy %.1f%%  reconciled %s",
 		l.SpecHits, l.SpecMisses, l.SpecRefutes, l.SpecAborts,
 		100*l.HitRate, 100*l.Occupancy, verdict)
+	if writes := l.SpecUpdHits + l.SpecUpdMisses + l.SpecUpdRefutes + l.SpecUpdAborts; writes > 0 {
+		diag += fmt.Sprintf("\n    [lac update] hits %d  misses %d  refutes %d  aborts %d  hit-rate %.1f%%",
+			l.SpecUpdHits, l.SpecUpdMisses, l.SpecUpdRefutes, l.SpecUpdAborts, 100*float64(l.SpecUpdHits)/float64(writes))
+	}
+	return diag
 }
 
 // WriteCSV renders results as CSV for external plotting.

@@ -240,6 +240,13 @@ type LACBlock struct {
 	// HitRate is hits over all speculative decisions (hits + misses +
 	// refutes + aborts).
 	HitRate float64 `json:"hit_rate"`
+	// SpecUpdHits..SpecUpdAborts are the same four outcomes for this
+	// phase's speculative in-place writes (Puts and Updates through a cached
+	// leaf address: lock + verify in one batch, then the releasing WRITE).
+	SpecUpdHits    uint64 `json:"spec_upd_hits,omitempty"`
+	SpecUpdMisses  uint64 `json:"spec_upd_misses,omitempty"`
+	SpecUpdRefutes uint64 `json:"spec_upd_refutes,omitempty"`
+	SpecUpdAborts  uint64 `json:"spec_upd_aborts,omitempty"`
 
 	// Learns/Unlearns/Evictions are this phase's share of cache
 	// maintenance across the CN leaf-address caches.
@@ -571,10 +578,12 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 		lacSt := cl.lacStatsAgg()
 		occupied, capacity, bytes := cl.lacOccupancy()
 		lac := &LACBlock{
-			SpecHits:      coreAgg.SpecHits,
-			SpecMisses:    coreAgg.SpecMisses,
-			SpecRefutes:   coreAgg.SpecRefutes,
-			SpecAborts:    coreAgg.SpecAborts,
+			SpecHits:    coreAgg.SpecHits,
+			SpecMisses:  coreAgg.SpecMisses,
+			SpecRefutes: coreAgg.SpecRefutes,
+			SpecAborts:  coreAgg.SpecAborts,
+			SpecUpdHits: coreAgg.SpecUpdHits, SpecUpdMisses: coreAgg.SpecUpdMisses,
+			SpecUpdRefutes: coreAgg.SpecUpdRefutes, SpecUpdAborts: coreAgg.SpecUpdAborts,
 			Learns:        lacSt.Learns - cl.lacBase.Learns,
 			Unlearns:      lacSt.Unlearns - cl.lacBase.Unlearns,
 			Evictions:     lacSt.Evictions - cl.lacBase.Evictions,

@@ -241,6 +241,10 @@ type Stats struct {
 	SpecMisses      uint64 // searches with no leaf-address-cache entry
 	SpecRefutes     uint64 // speculative reads refuted in-place (unlearned)
 	SpecAborts      uint64 // speculative reads abandoned on unstable leaf or fabric error
+	SpecUpdHits     uint64 // puts served by a speculative in-place write (lock + verify in one batch)
+	SpecUpdMisses   uint64 // puts with no leaf-address-cache entry
+	SpecUpdRefutes  uint64 // speculative in-place writes refuted by the leaf image (unlearned)
+	SpecUpdAborts   uint64 // speculative in-place writes given up, entry kept (busy or outgrown leaf, fabric error)
 	EpochFallbacks  uint64 // reads served from the previous epoch mid-transition
 	Cutovers        uint64 // membership transitions this client retired after convergence
 	HotHits         uint64 // searches served by one verified hot-replica read
@@ -275,6 +279,10 @@ func (s Stats) Add(t Stats) Stats {
 	s.SpecMisses += t.SpecMisses
 	s.SpecRefutes += t.SpecRefutes
 	s.SpecAborts += t.SpecAborts
+	s.SpecUpdHits += t.SpecUpdHits
+	s.SpecUpdMisses += t.SpecUpdMisses
+	s.SpecUpdRefutes += t.SpecUpdRefutes
+	s.SpecUpdAborts += t.SpecUpdAborts
 	s.EpochFallbacks += t.EpochFallbacks
 	s.Cutovers += t.Cutovers
 	s.HotHits += t.HotHits
@@ -432,6 +440,10 @@ func (c *Client) Stats() Stats {
 	s.SpecMisses = atomic.LoadUint64(&c.stats.SpecMisses)
 	s.SpecRefutes = atomic.LoadUint64(&c.stats.SpecRefutes)
 	s.SpecAborts = atomic.LoadUint64(&c.stats.SpecAborts)
+	s.SpecUpdHits = atomic.LoadUint64(&c.stats.SpecUpdHits)
+	s.SpecUpdMisses = atomic.LoadUint64(&c.stats.SpecUpdMisses)
+	s.SpecUpdRefutes = atomic.LoadUint64(&c.stats.SpecUpdRefutes)
+	s.SpecUpdAborts = atomic.LoadUint64(&c.stats.SpecUpdAborts)
 	s.EpochFallbacks = atomic.LoadUint64(&c.stats.EpochFallbacks)
 	s.Cutovers = atomic.LoadUint64(&c.stats.Cutovers)
 	s.HotHits = atomic.LoadUint64(&c.stats.HotHits)

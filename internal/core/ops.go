@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"sphinx/internal/fabric"
+	"sphinx/internal/mem"
 	"sphinx/internal/racehash"
 	"sphinx/internal/rart"
 	"sphinx/internal/wire"
@@ -25,6 +26,12 @@ func (h hooks) SawNode(prefix []byte, n *rart.Node) {
 		return
 	}
 	h.c.filter.Insert(PrefixFilterHash(prefix))
+}
+
+// UpdatedLeaf learns where a put that took the tree path found (or moved)
+// its key's leaf, so the next put or get of the key goes straight there.
+func (h hooks) UpdatedLeaf(key []byte, addr mem.Addr, units uint8) {
+	h.c.learn(key, addr, units)
 }
 
 // Plan implements rart.Hooks: every publication of a structural write is one
@@ -318,7 +325,7 @@ func (c *Client) searchTree(key []byte) ([]byte, bool, error) {
 					}
 					return c.searchAbsent(key)
 				}
-				c.learn(key, leaf)
+				c.learn(key, leaf.Addr, leaf.Units)
 				return leaf.Value, true, nil
 			}
 		}
@@ -347,19 +354,97 @@ func (c *Client) searchTree(key []byte) ([]byte, bool, error) {
 	}
 }
 
+// specOutcome is the verdict of one speculative round trip at a cached leaf
+// address.
+type specOutcome uint8
+
+const (
+	specHit    specOutcome = iota // the image is the key's live leaf
+	specRefute                    // provably not: the entry is unlearned
+	specAbort                     // nothing provable either way: the entry is kept
+)
+
+// specVerify is the trust-but-verify step every speculative access through
+// the leaf-address cache ends in — specGet's one READ, specPut's lock CAS +
+// READ. err is the round trip's fabric error; stable says the image was
+// neither torn nor locked by someone else; status and leafKey are what the
+// image says. Only a positive, verified match is trusted:
+//
+//   - Hit: status Idle and the full key the leaf stores equals key.
+//   - Refuted: Invalid status, another key's leaf, or the address is on a
+//     lost node. The address is no longer (or never was) the key's leaf.
+//   - Aborted: a torn or locked image or a transient fabric error proves
+//     nothing; an in-flight writer's in-place update keeps the address valid.
+//
+// The second result words the verdict for the trace.
+func specVerify(key []byte, err error, stable bool, status wire.Status, leafKey []byte) (specOutcome, string) {
+	switch {
+	case errors.Is(err, fabric.ErrNodeKilled) || errors.Is(err, fabric.ErrBreakerOpen):
+		return specRefute, "node lost"
+	case err != nil:
+		return specAbort, "fabric error"
+	case !stable:
+		return specAbort, "leaf unstable"
+	case status != wire.StatusIdle || !bytes.Equal(leafKey, key):
+		return specRefute, "verification failed"
+	}
+	return specHit, ""
+}
+
+// specPath is one speculative path through the leaf-address cache: its
+// outcome counters and the vocabulary of its trace notes.
+type specPath struct {
+	hits, refutes, aborts *uint64
+	stage                 fabric.Stage
+	name, hit             string
+}
+
+func (c *Client) specGets() specPath {
+	return specPath{&c.stats.SpecHits, &c.stats.SpecRefutes, &c.stats.SpecAborts,
+		fabric.StageLeafSpec, "lac", "lac hit: leaf verified in one round trip"}
+}
+
+func (c *Client) specUpdates() specPath {
+	return specPath{&c.stats.SpecUpdHits, &c.stats.SpecUpdRefutes, &c.stats.SpecUpdAborts,
+		fabric.StageLeafWrite, "lac update", "lac update hit: locked+verified in one round trip"}
+}
+
+// specSettle books a speculative access's outcome: the path's counter, the
+// unlearn a refutation owes, and the note on the armed trace recorder. why is
+// specVerify's wording; a hit's note is a constant (sessions keep a tail
+// recorder armed, so the hit path must not build strings), the path's own
+// unless why names another.
+func (c *Client) specSettle(p specPath, key []byte, out specOutcome, why string) {
+	note := p.hit
+	switch out {
+	case specHit:
+		atomic.AddUint64(p.hits, 1)
+		if why != "" {
+			note = why
+		}
+	case specRefute:
+		c.lac.Unlearn(key)
+		atomic.AddUint64(p.refutes, 1)
+		if c.rec != nil {
+			note = p.name + " refuted: " + why + ", unlearned"
+		}
+	case specAbort:
+		atomic.AddUint64(p.aborts, 1)
+		if c.rec != nil {
+			note = p.name + " aborted: " + why + ", entry kept"
+		}
+	}
+	if c.rec != nil {
+		c.rec.Note(p.stage, c.eng.C.Clock(), note)
+	}
+}
+
 // specGet attempts the speculative 1-RT fast path (trust-but-verify, the
 // SFC's shape applied to the whole traversal): read the leaf at the cached
 // address in one round trip and verify the image in place — checksum (the
-// read decoded), status word (Idle), and the full key the leaf stores.
-// Only a positive, verified hit is served; a mismatched leaf proves
-// nothing about absence, so misses always take the authoritative path.
-//
-//   - Verified hit: value served, one round trip total.
-//   - Refuted (Invalid status, wrong key, or the address is on a lost
-//     node): the entry is unlearned and the caller falls back.
-//   - Aborted (torn or locked image, transient fabric error): nothing is
-//     provable either way; the entry survives — an in-flight writer's
-//     in-place update keeps the address valid.
+// read decoded), status word and full key (specVerify). Only a verified hit
+// is served; a mismatched leaf proves nothing about absence, so everything
+// else takes the authoritative path.
 //
 // Never called in degraded mode: degraded writes land anchor-only, so a
 // cached tree address could serve a stale value with a clean checksum.
@@ -373,52 +458,94 @@ func (c *Client) specGet(key []byte) ([]byte, bool) {
 		atomic.AddUint64(&c.stats.SpecMisses, 1)
 		return nil, false
 	}
+	// A nil leaf is a torn or locked image: an in-flight single-WRITE updater.
 	leaf, err := c.eng.SpecReadLeaf(addr, units)
-	if err != nil {
-		if errors.Is(err, fabric.ErrNodeKilled) || errors.Is(err, fabric.ErrBreakerOpen) {
-			// The cached address points into permanently lost memory.
-			c.lac.Unlearn(key)
-			atomic.AddUint64(&c.stats.SpecRefutes, 1)
-			c.noteSpec(key, "lac refuted: node lost, unlearned")
-		} else {
-			atomic.AddUint64(&c.stats.SpecAborts, 1)
-			c.noteSpec(key, "lac aborted: fabric error, entry kept")
-		}
+	var status wire.Status
+	var leafKey []byte
+	if leaf != nil {
+		status, leafKey = leaf.Status, leaf.Key
+	}
+	out, why := specVerify(key, err, leaf != nil, status, leafKey)
+	c.specSettle(c.specGets(), key, out, why)
+	if out != specHit {
 		return nil, false
 	}
-	if leaf == nil {
-		// Torn or locked image: an in-flight single-WRITE updater. The
-		// address is still the key's leaf, so keep the entry.
-		atomic.AddUint64(&c.stats.SpecAborts, 1)
-		c.noteSpec(key, "lac aborted: leaf unstable, entry kept")
-		return nil, false
-	}
-	if leaf.Status != wire.StatusIdle || !bytes.Equal(leaf.Key, key) {
-		c.lac.Unlearn(key)
-		atomic.AddUint64(&c.stats.SpecRefutes, 1)
-		c.noteSpec(key, "lac refuted: verification failed, unlearned")
-		return nil, false
-	}
-	atomic.AddUint64(&c.stats.SpecHits, 1)
-	c.noteSpec(key, "lac hit: leaf verified in one round trip")
 	return leaf.Value, true
+}
+
+// specPut attempts the speculative in-place write: the shortcut specGet
+// gives reads, for a put whose key has a leaf-address-cache entry. ONE batch
+// at the cached address locks the leaf and reads it (rart.SpecLockLeaf); the
+// full key in the locked image is verified (specVerify); then the ordinary
+// single image WRITE lands the value and releases the lock — 2 round trips
+// instead of the tree path's 5 (hash entry, node, leaf, lock CAS, WRITE).
+// It reports whether the put is done; anything else falls to the tree path
+// with a fresh backoff, like a refuted specGet.
+//
+// The lock CAS has to guess the whole header word. Units come from the
+// cache and the key length from key; the stored value's length is guessed
+// to equal the new one's. A wrong guess cannot corrupt anything — the CAS
+// then simply fails — and the read behind it shows the true header:
+//
+//   - Hit: CAS won, key matches. 2 round trips.
+//   - Hit after re-CAS: the leaf is Idle and the key's, only the value
+//     length differs: lock again with the observed word. 3 round trips.
+//   - Refuted: Invalid, lost node, or another key's leaf. If the CAS WON on
+//     that other leaf (the cache tags entries with 7 fingerprint bits, and
+//     both lengths happened to agree), its Idle header is restored first
+//     and the leaf is byte-identical afterwards.
+//   - Aborted: locked by another writer, a transient fault, or a value that
+//     no longer fits the leaf's units (out-of-place is the tree path's job,
+//     which then relearns the new leaf).
+//
+// Never called in degraded mode, for specGet's reason.
+func (c *Client) specPut(key, value []byte) bool {
+	if c.lac == nil {
+		return false
+	}
+	addr, units, ok := c.lac.Lookup(key)
+	if !ok {
+		atomic.AddUint64(&c.stats.SpecUpdMisses, 1)
+		return false
+	}
+	p := c.specUpdates()
+	if wire.LeafSize(len(key), len(value)) > uint64(units)*wire.LeafUnit {
+		c.specSettle(p, key, specAbort, "value outgrows the leaf")
+		return false
+	}
+	lk, err := c.eng.SpecLockLeaf(addr, units, len(key), len(value))
+	seen := wire.DecodeLeafHeader(lk.Seen)
+	out, why := specVerify(key, err, seen.Status != wire.StatusLocked, seen.Status, lk.Key)
+	if out == specHit && !lk.Held {
+		why = "lac update hit: locked+verified, second CAS for the stored value length"
+		if err := c.eng.TryLeafLock(&lk); err != nil {
+			out, why = specAbort, "fabric error"
+		} else if !lk.Held {
+			out, why = specAbort, "leaf contended"
+		}
+	}
+	switch {
+	case out == specHit:
+		if err := c.eng.WriteLockedLeaf(&lk, key, value); err != nil {
+			out, why = specAbort, "releasing write failed"
+		}
+	case lk.Held:
+		// Best effort: a restore the fabric drops leaves a lock the next
+		// reader breaks after a lease, over the same intact image.
+		_ = c.eng.UnlockLeaf(&lk)
+		why = "stranger's leaf restored"
+	}
+	c.specSettle(p, key, out, why)
+	return out == specHit
 }
 
 // learn records a verified (key → leaf) binding in the leaf-address cache
 // after a successful authoritative traversal.
-func (c *Client) learn(key []byte, leaf *rart.Leaf) {
-	if c.lac == nil || leaf.Units == 0 {
+func (c *Client) learn(key []byte, addr mem.Addr, units uint8) {
+	if c.lac == nil || units == 0 {
 		return
 	}
-	c.lac.Learn(key, leaf.Addr, leaf.Units)
-}
-
-// noteSpec annotates a speculative fast-path decision on the armed trace
-// recorder; the fmt.Sprintf only runs while tracing.
-func (c *Client) noteSpec(key []byte, msg string) {
-	if c.rec != nil {
-		c.rec.Note(fabric.StageLeafSpec, c.eng.C.Clock(), msg)
-	}
+	c.lac.Learn(key, addr, units)
 }
 
 // searchAbsent finalizes a tree search that found nothing. In degraded
@@ -467,6 +594,13 @@ func (c *Client) Update(key, value []byte) (bool, error) {
 }
 
 func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
+	// Speculative in-place write: a cached leaf address turns the descent,
+	// the lock and the verification into one round trip (see specPut). A
+	// refuted or aborted speculation falls through to the tree path below
+	// with a fresh backoff, like Search's.
+	if !c.degraded() && c.specPut(key, value) {
+		return c.ackPut(key, value, mode, true)
+	}
 	maxLen := len(key)
 	var last error
 	var abObjects, abBytes uint64
@@ -501,28 +635,7 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 			case err != nil:
 				return false, err
 			default:
-				// Publish-to-completion to the replica set before the write
-				// is acknowledged: from here on, losing any single replica
-				// cannot lose this write. An update-only miss wrote nothing
-				// to the tree, so nothing is published either — except in
-				// degraded mode, where the key may live only in the anchors.
-				if c.shared.FT != nil && (mode == rart.PutUpsert || existed || c.degraded()) {
-					anchorExisted, aerr := c.anchorUpsert(key, value)
-					if aerr != nil {
-						return false, aerr
-					}
-					existed = existed || anchorExisted
-				}
-				// Same publish-to-completion contract for the hot replica
-				// records: a promoted key's replicas carry this write (LWW)
-				// before it is acknowledged, so no reader can verify a hit
-				// on the superseded value afterwards.
-				if c.hotEnabled() && (mode == rart.PutUpsert || existed) {
-					if herr := c.hotRefresh(key, value); herr != nil {
-						return false, herr
-					}
-				}
-				return existed, nil
+				return c.ackPut(key, value, mode, existed)
 			}
 		} else if c.failoverable(err) {
 			return c.degradedPut(key, value, mode)
@@ -538,6 +651,32 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 			return false, exhausted("put", key, last)
 		}
 	}
+}
+
+// ackPut finishes a put whose tree write has committed — through the tree
+// path or the speculative one — by carrying it to the replica layers before
+// it is acknowledged.
+func (c *Client) ackPut(key, value []byte, mode rart.PutMode, existed bool) (bool, error) {
+	// Publish-to-completion to the replica set: from here on, losing any
+	// single replica cannot lose this write. An update-only miss wrote nothing
+	// to the tree, so nothing is published either — except in degraded mode,
+	// where the key may live only in the anchors.
+	if c.shared.FT != nil && (mode == rart.PutUpsert || existed || c.degraded()) {
+		anchorExisted, aerr := c.anchorUpsert(key, value)
+		if aerr != nil {
+			return false, aerr
+		}
+		existed = existed || anchorExisted
+	}
+	// Same contract for the hot replica records: a promoted key's replicas
+	// carry this write (LWW) before it is acknowledged, so no reader can
+	// verify a hit on the superseded value afterwards.
+	if c.hotEnabled() && (mode == rart.PutUpsert || existed) {
+		if herr := c.hotRefresh(key, value); herr != nil {
+			return false, herr
+		}
+	}
+	return existed, nil
 }
 
 // degradedPut serves a write whose tree path crosses a permanently lost

@@ -109,6 +109,11 @@ type Engine struct {
 	// publication plan (see staged); like bufs, per-worker and reused.
 	stagedOps []fabric.Op
 	pubs      []Publication
+	// leafBuf and leafOps back the in-place leaf update (LeafLock): the READ
+	// behind the lock CAS lands in leafBuf, which the releasing WRITE's image
+	// then overwrites.
+	leafBuf []byte
+	leafOps [2]fabric.Op
 }
 
 // maxPooledBufs caps the free list; beyond it buffers are dropped to the GC.
@@ -446,6 +451,138 @@ func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8) (*Leaf, error) {
 	}
 	e.ReleaseBuf(buf)
 	return l, nil
+}
+
+// LeafLock is one in-place update's hold on a leaf: the leaf's header lock
+// (§III-C: CAS the header word Idle → Locked), from the first lock attempt to
+// the single image WRITE that releases it. Every release short of that WRITE
+// is a CAS expecting the exact Locked word, so it cannot touch a leaf that has
+// since been rewritten, retired or lock-broken. The word carries no owner,
+// though: a release after a faulted attempt (whose CAS may or may not have
+// run) can hit another writer's identical Locked word — the blind spot the
+// lock break after a lease already has, and one that takes two writers on
+// one key.
+type LeafLock struct {
+	Addr  mem.Addr
+	Units uint8
+	// Held says this client's CAS installed the Locked word: the image is
+	// stable until WriteLockedLeaf or UnlockLeaf.
+	Held bool
+	// Seen is the header word the last lock CAS observed: the Idle word it
+	// replaced when Held, otherwise what stood in its way.
+	Seen uint64
+	// Key is the key field of the image SpecLockLeaf read behind its CAS, cut
+	// to the key length in Seen. A leaf's key and key length never change
+	// while its address lives, so the bytes are the leaf's key even when the
+	// read raced a writer. Aliases engine scratch: valid until the next
+	// LeafLock call on this engine.
+	Key []byte
+}
+
+// lockWords returns the Idle word the next lock CAS expects — the Idle form
+// of what the last attempt saw, so a waiter adopts a changed value length —
+// and its Locked counterpart.
+func (l *LeafLock) lockWords() (idle, locked uint64) {
+	idle = wire.WithStatus(l.Seen, wire.StatusIdle)
+	return idle, wire.WithStatus(idle, wire.StatusLocked)
+}
+
+// SpecLockLeaf is the speculative first half of an in-place update through
+// an address supplied by a CN-side cache, not by a traversal: ONE batch
+// carrying the header CAS Idle{units, keyLen, valLen} → Locked and a READ of
+// the whole leaf. Both target one memory node, where a batch executes in
+// posting order (the postLock idiom), so behind a winning CAS the read is the
+// locked, stable image. keyLen is the caller's key; valLen is a guess — the
+// cache does not know the stored value's length — that is right whenever the
+// update keeps the length. The caller owns verification of l.Key and decides
+// between WriteLockedLeaf, TryLeafLock (lost to a different value length)
+// and UnlockLeaf (won on another key's leaf).
+//
+// On a fabric error nothing is held: the CAS may have executed (a transient
+// truncates after it, a timeout loses only the completion), so the lock it
+// may have taken is given back, as dropLock does for a node lease.
+func (e *Engine) SpecLockLeaf(addr mem.Addr, units uint8, keyLen, valLen int) (LeafLock, error) {
+	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
+	l := LeafLock{Addr: addr, Units: units}
+	l.Seen = wire.LeafHeader{
+		Status: wire.StatusIdle, Units: units, KeyLen: uint16(keyLen), ValLen: uint32(valLen),
+	}.Encode()
+	want := e.clampRead(addr, uint64(units)*wire.LeafUnit)
+	if uint64(cap(e.leafBuf)) < want {
+		e.leafBuf = make([]byte, want)
+	}
+	buf := e.leafBuf[:want]
+	if err := e.lockLeaf(&l, buf); err != nil {
+		return l, err
+	}
+	l.Key = buf[min(wire.LeafHeaderSize, len(buf)):]
+	if n := int(wire.DecodeLeafHeader(l.Seen).KeyLen); n < len(l.Key) {
+		l.Key = l.Key[:n]
+	}
+	return l, nil
+}
+
+// TryLeafLock is one bare lock attempt (one round trip): the header CAS,
+// expecting the Idle form of l.Seen — the header a descent read, or the one
+// the previous attempt observed. Same fault contract as SpecLockLeaf.
+func (e *Engine) TryLeafLock(l *LeafLock) error {
+	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
+	return e.lockLeaf(l, nil)
+}
+
+// lockLeaf posts one lock attempt: the header CAS and, when image is non-nil,
+// a READ of the leaf behind it.
+func (e *Engine) lockLeaf(l *LeafLock, image []byte) error {
+	idle, locked := l.lockWords()
+	ops := e.leafOps[:1]
+	ops[0] = fabric.Op{Kind: fabric.CAS, Addr: l.Addr, Expect: idle, Desired: locked}
+	if image != nil {
+		ops = append(ops, fabric.Op{Kind: fabric.Read, Addr: l.Addr, Data: image})
+	}
+	if err := e.C.Batch(ops); err != nil {
+		if errors.Is(err, fabric.ErrTransient) || errors.Is(err, fabric.ErrTimeout) {
+			// Re-issued across further faults (UnlockLeaf): a lock left behind
+			// costs whoever meets it — most likely this put's own restart — a
+			// whole lease. l.Seen is untouched, so the words are this attempt's.
+			_ = e.UnlockLeaf(l)
+		}
+		return err
+	}
+	l.Seen = ops[0].Old
+	l.Held = l.Seen == idle
+	return nil
+}
+
+// UnlockLeaf gives a held lock back without writing: the CAS restores the
+// exact Idle header the lock replaced, leaving the leaf byte-identical.
+func (e *Engine) UnlockLeaf(l *LeafLock) error {
+	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
+	idle, locked := l.lockWords()
+	ops := e.leafOps[:1]
+	ops[0] = fabric.Op{Kind: fabric.CAS, Addr: l.Addr, Expect: locked, Desired: idle}
+	l.Held = false
+	return e.completeBatch(ops)
+}
+
+// WriteLockedLeaf is the second half of every in-place update (§III-C), on
+// the tree path and the speculative one alike: ONE WRITE of the leaf's whole
+// footprint — new value, new checksum, Idle status — that doubles as the
+// release of the held lock. The allocated unit count is preserved so later
+// fit checks see the real footprint, and the whole footprint is written so
+// no stale byte survives. key must not alias l.Key.
+//
+// The WRITE is past the update's commit point (the lock is ours), so it is
+// driven like a publication: a transient executed nothing and is re-issued —
+// abandoning it would leave the leaf locked by ourselves, and the restarted
+// put would wait out a lease to break its own lock — while a timeout means
+// the image landed and the lock is gone, so it is never re-issued.
+func (e *Engine) WriteLockedLeaf(l *LeafLock, key, value []byte) error {
+	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
+	e.leafBuf = wire.EncodeLeafInto(e.leafBuf, wire.StatusIdle, l.Units, key, value)
+	ops := e.leafOps[:1]
+	ops[0] = fabric.Op{Kind: fabric.Write, Addr: l.Addr, Data: e.leafBuf}
+	l.Held = false
+	return e.completeBatch(ops)
 }
 
 // staged is the write-ahead half of a structural write: the fresh objects

@@ -24,6 +24,11 @@ type Hooks interface {
 	// SawNode runs for every valid inner node visited during a descent,
 	// with the node's full prefix (Sphinx learns these into its filter).
 	SawNode(prefix []byte, n *Node)
+	// UpdatedLeaf runs when a put has overwritten an existing key, with the
+	// leaf that now holds it: the same one after an in-place update, the
+	// replacement after an out-of-place one (Sphinx learns it into its
+	// leaf-address cache). Fresh inserts do not report.
+	UpdatedLeaf(key []byte, addr mem.Addr, units uint8)
 }
 
 // Publication is one side-structure change a structural write owes once it
@@ -60,6 +65,9 @@ func (NopHooks) Plan([]Publication) (Publisher, error) { return nopPublisher{}, 
 
 // SawNode implements Hooks.
 func (NopHooks) SawNode([]byte, *Node) {}
+
+// UpdatedLeaf implements Hooks.
+func (NopHooks) UpdatedLeaf([]byte, mem.Addr, uint8) {}
 
 type nopPublisher struct{}
 
@@ -225,7 +233,7 @@ func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) 
 				if mode == PutInsertOnly {
 					return true, nil
 				}
-				return true, e.updateLeaf(n, leaf, key, value, eol)
+				return true, e.updateLeaf(n, leaf, key, value, eol, h)
 			}
 			if mode == PutUpdateOnly {
 				return false, nil
@@ -401,7 +409,7 @@ func (e *Engine) growAndInstall(parent, n *Node, key, value []byte, h Hooks) err
 // mid-batch without releasing anything (the unlock, when present, is the
 // last verb), so re-issuing is safe.
 func (e *Engine) completeBatch(ops []fabric.Op) error {
-	bo := e.Backoff()
+	var bo *fabric.Backoff // started by the first fault: the clean path allocates nothing
 	for {
 		err := e.C.Batch(ops)
 		switch {
@@ -412,6 +420,9 @@ func (e *Engine) completeBatch(ops []fabric.Op) error {
 			return nil
 		case errors.Is(err, fabric.ErrTransient) || errors.Is(err, fabric.ErrNodeDown):
 			atomic.AddUint64(&e.stats.PublishRetries, 1)
+			if bo == nil {
+				bo = e.Backoff()
+			}
 			if !bo.Wait() {
 				return fmt.Errorf("%w: publish batch", ErrRetriesExhausted)
 			}
@@ -634,10 +645,14 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 // in-place with the checksum scheme when the new value fits the leaf's
 // 64-byte units, out-of-place (new leaf, repointed slot, invalidated old)
 // otherwise.
-func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool) error {
+func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
 	if wire.LeafSize(len(leaf.Key), len(value)) <= uint64(leaf.Units)*wire.LeafUnit {
-		return e.updateLeafInPlace(leaf, value)
+		if err := e.updateLeafInPlace(leaf, value); err != nil {
+			return err
+		}
+		h.UpdatedLeaf(key, leaf.Addr, leaf.Units)
+		return nil
 	}
 	// Out-of-place: write the replacement (riding the lock batch), swing the
 	// pointer under the node lock, retire the old leaf so in-flight readers
@@ -707,80 +722,60 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool) er
 		})
 		return err
 	}
+	h.UpdatedLeaf(key, newAddr, uint8(wire.LeafSize(len(key), len(value))/wire.LeafUnit))
 	return nil
 }
 
 // updateLeafInPlace is the checksum-based single-WRITE update (§III-C):
 // lock the leaf with one CAS on its header word, then write the whole new
 // image — new value, new checksum, Idle status — in one WRITE that doubles
-// as the lock release. A lock that never clears (its holder crashed before
-// the WRITE; the old image is intact underneath) is broken after a full
-// lease of watching, like ReadLeaf does.
+// as the lock release (WriteLockedLeaf). A lock that never clears (its
+// holder crashed before the WRITE; the old image is intact underneath) is
+// broken after a full lease of watching, like ReadLeaf does.
 func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
-	units := leaf.Units
-	idleWord := wire.LeafHeader{
-		Status: wire.StatusIdle, Units: units,
+	l := LeafLock{Addr: leaf.Addr, Units: leaf.Units}
+	l.Seen = wire.LeafHeader{
+		Status: wire.StatusIdle, Units: leaf.Units,
 		KeyLen: uint16(len(leaf.Key)), ValLen: uint32(len(leaf.Value)),
 	}.Encode()
-	locked := false
-	bo := e.Backoff()
+	var bo *fabric.Backoff // started by the first lost attempt
 	var watching uint64
 	for {
-		lockedWord := wire.WithStatus(idleWord, wire.StatusLocked)
-		old, err := e.C.CompareSwap(leaf.Addr, idleWord, lockedWord)
-		if err != nil {
+		// A lost attempt leaves the observed header in l.Seen, and the next
+		// one expects its Idle form: a concurrent in-place update that
+		// changed the value length is adopted.
+		if err := e.TryLeafLock(&l); err != nil {
 			return err
 		}
-		if old == idleWord {
-			locked = true
-			break
+		if l.Held {
+			return e.WriteLockedLeaf(&l, leaf.Key, value)
 		}
-		got := wire.DecodeLeafHeader(old)
-		switch got.Status {
+		if bo == nil {
+			bo = e.Backoff()
+		}
+		switch wire.DecodeLeafHeader(l.Seen).Status {
 		case wire.StatusInvalid:
 			return fmt.Errorf("update: leaf %v invalidated: %w", leaf.Addr, ErrRestart)
 		case wire.StatusLocked:
-			if old != watching {
-				watching = old
+			if l.Seen != watching {
+				watching = l.Seen
 				bo.ResetWatch()
 			} else if bo.WaitedPs() >= e.Cfg.leasePs() {
-				// Stuck lock: restore Idle over the intact old image and
-				// retry the acquisition CAS from that word.
-				if broke, err := e.C.CompareSwap(leaf.Addr, old, wire.WithStatus(old, wire.StatusIdle)); err != nil {
+				// Stuck lock: restore Idle over the intact old image.
+				if broke, err := e.C.CompareSwap(leaf.Addr, l.Seen, wire.WithStatus(l.Seen, wire.StatusIdle)); err != nil {
 					return err
-				} else if broke == old {
+				} else if broke == l.Seen {
 					atomic.AddUint64(&e.stats.LeafLockBreaks, 1)
 				}
-				idleWord = wire.WithStatus(old, wire.StatusIdle)
 				watching = 0
 				bo.ResetWatch()
 			}
-		default:
-			// A concurrent in-place update changed the value length;
-			// adopt the observed header and retry the CAS.
-			idleWord = old
 		}
 		if !bo.Wait() {
-			break
+			return fmt.Errorf("%w: leaf lock at %v", ErrRetriesExhausted, leaf.Addr)
 		}
 	}
-	if !locked {
-		return fmt.Errorf("%w: leaf lock at %v", ErrRetriesExhausted, leaf.Addr)
-	}
-	// One WRITE carries the new image with status Idle: value write and
-	// lock release combined (the round trip the paper's scheme saves).
-	// The allocated unit count is preserved so future fit checks see the
-	// real footprint, and the whole footprint is written so stale bytes
-	// cannot survive.
-	img := wire.EncodeLeaf(wire.StatusIdle, leaf.Key, value)
-	if pad := int(units)*wire.LeafUnit - len(img); pad > 0 {
-		img = append(img, make([]byte, pad)...)
-	}
-	h := wire.DecodeLeafHeader(binary.LittleEndian.Uint64(img))
-	h.Units = units
-	binary.LittleEndian.PutUint64(img, h.Encode())
-	return e.C.Write(leaf.Addr, img)
 }
 
 // invalidateLeaf retires a leaf so readers that still hold its address

@@ -147,6 +147,8 @@ func (p recordingPublisher) Publish() error {
 
 func (recordingHooks) SawNode([]byte, *Node) {}
 
+func (recordingHooks) UpdatedLeaf([]byte, mem.Addr, uint8) {}
+
 // SearchChainNode walks from start to the inner node with the exact full
 // prefix, for white-box tests.
 func (e *Engine) SearchChainNode(start *Node, prefix []byte) (*Node, error) {

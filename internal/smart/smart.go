@@ -218,6 +218,9 @@ type hooks struct{ c *Client }
 // SawNode implements rart.Hooks.
 func (h hooks) SawNode(prefix []byte, n *rart.Node) { h.c.cache.Add(n) }
 
+// UpdatedLeaf implements rart.Hooks; SMART caches inner nodes only.
+func (hooks) UpdatedLeaf([]byte, mem.Addr, uint8) {}
+
 // Plan implements rart.Hooks: fresh nodes go straight into the cache once
 // published. Type switches are unreachable under Prealloc256.
 func (h hooks) Plan(pubs []rart.Publication) (rart.Publisher, error) {

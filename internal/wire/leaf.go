@@ -85,17 +85,35 @@ func LeafChecksum(key, value []byte) uint64 {
 // EncodeLeaf serializes a leaf with the given status into a fresh padded
 // buffer ready for a single WRITE.
 func EncodeLeaf(status Status, key, value []byte) []byte {
-	size := LeafSize(len(key), len(value))
-	units := size / LeafUnit
+	units := LeafSize(len(key), len(value)) / LeafUnit
 	if units > MaxLeafUnits {
-		panic(fmt.Sprintf("wire: leaf of %d bytes exceeds max size", size))
+		panic(fmt.Sprintf("wire: leaf of %d bytes exceeds max size", units*LeafUnit))
 	}
-	buf := make([]byte, size)
-	h := LeafHeader{Status: status, Units: uint8(units), KeyLen: uint16(len(key)), ValLen: uint32(len(value))}
+	return EncodeLeafInto(nil, status, uint8(units), key, value)
+}
+
+// EncodeLeafInto serializes a leaf occupying exactly units 64-byte units —
+// its allocated footprint, which an in-place update must preserve and may
+// exceed what (key, value) need — into buf, reallocating only when buf is
+// too small, and returns the image. Everything past the value is zeroed, so
+// a reused buf (or a longer previous value on the memory node) leaves no
+// stale bytes. key and value must not alias buf.
+func EncodeLeafInto(buf []byte, status Status, units uint8, key, value []byte) []byte {
+	size := int(units) * LeafUnit
+	end := LeafHeaderSize + len(key) + len(value)
+	if end > size {
+		panic(fmt.Sprintf("wire: leaf of %d bytes exceeds its %d units", end, units))
+	}
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	h := LeafHeader{Status: status, Units: units, KeyLen: uint16(len(key)), ValLen: uint32(len(value))}
 	binary.LittleEndian.PutUint64(buf[0:], h.Encode())
 	binary.LittleEndian.PutUint64(buf[8:], LeafChecksum(key, value))
 	copy(buf[LeafHeaderSize:], key)
 	copy(buf[LeafHeaderSize+len(key):], value)
+	clear(buf[end:])
 	return buf
 }
 

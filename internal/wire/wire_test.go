@@ -213,6 +213,33 @@ func TestLeafRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestEncodeLeafIntoReusesAndScrubs: the in-place update's encoder keeps the
+// leaf's allocated unit count (not the count the new value needs), reuses the
+// caller's buffer, and leaves no byte of whatever the buffer held before.
+func TestEncodeLeafIntoReusesAndScrubs(t *testing.T) {
+	key := []byte("key")
+	scratch := bytes.Repeat([]byte{0xee}, 4*LeafUnit)
+	img := EncodeLeafInto(scratch[:0], StatusIdle, 3, key, []byte("short"))
+	if &img[0] != &scratch[0] || len(img) != 3*LeafUnit {
+		t.Fatalf("image of %d bytes, reused buffer: %v; want the caller's buffer cut to 3 units", len(img), &img[0] == &scratch[0])
+	}
+	if h := DecodeLeafHeader(leGet(img)); h.Units != 3 || h.Status != StatusIdle {
+		t.Errorf("header %+v, want 3 units, Idle", h)
+	}
+	k, v, _, ok := DecodeLeaf(img)
+	if !ok || string(k) != "key" || string(v) != "short" {
+		t.Errorf("decoded (%q, %q, %v)", k, v, ok)
+	}
+	for i, b := range img[LeafHeaderSize+len(key)+len("short"):] {
+		if b != 0 {
+			t.Fatalf("stale byte %#x survives %d bytes past the value", b, i)
+		}
+	}
+	if fresh := EncodeLeafInto(nil, StatusIdle, 1, key, []byte("short")); !bytes.Equal(fresh, EncodeLeaf(StatusIdle, key, []byte("short"))) {
+		t.Error("EncodeLeaf and EncodeLeafInto disagree on a minimal leaf")
+	}
+}
+
 func TestLeafChecksumDetectsTamper(t *testing.T) {
 	key, val := []byte("key"), []byte("value")
 	buf := EncodeLeaf(StatusIdle, key, val)

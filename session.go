@@ -342,6 +342,22 @@ type SphinxCounters struct {
 	// SpecAborts counts speculative reads abandoned without a verdict (a
 	// torn or locked leaf, or a transient fabric error); the entry is kept.
 	SpecAborts uint64
+	// SpecUpdHits counts Puts and Updates served by the speculative in-place
+	// write: the leaf locked and verified in one batch at the cached address,
+	// then the single releasing image write (2 round trips, 3 when the stored
+	// value's length differed and the lock took a second CAS).
+	SpecUpdHits uint64
+	// SpecUpdMisses counts Puts and Updates with no leaf-address-cache entry
+	// (fresh keys, cold keys, or the cache disabled).
+	SpecUpdMisses uint64
+	// SpecUpdRefutes counts speculative writes the leaf image refuted (a
+	// retired or foreign leaf); the entry is unlearned and the write takes
+	// the tree path without consuming retry budget.
+	SpecUpdRefutes uint64
+	// SpecUpdAborts counts speculative writes given up with the entry kept: a
+	// leaf locked by another writer, a value that outgrew the leaf's units,
+	// or a transient fabric error.
+	SpecUpdAborts uint64
 	// EpochFallbacks counts reads served from the previous placement epoch
 	// while a membership change was mid-migration.
 	EpochFallbacks uint64
@@ -363,16 +379,23 @@ type SphinxCounters struct {
 	HotRefreshes uint64
 }
 
+// coreStats sums the Sphinx client's counters with those of the session's
+// pipeline lanes, if it has any.
+func (s *Session) coreStats() core.Stats {
+	st := s.sphinx.Stats()
+	if pl := s.pl.Load(); pl != nil {
+		st = st.Add(pl.Stats())
+	}
+	return st
+}
+
 // SphinxStats returns Sphinx-specific counters; ok is false for other
 // systems.
 func (s *Session) SphinxStats() (SphinxCounters, bool) {
 	if s.sphinx == nil {
 		return SphinxCounters{}, false
 	}
-	st := s.sphinx.Stats()
-	if pl := s.pl.Load(); pl != nil {
-		st = st.Add(pl.Stats())
-	}
+	st := s.coreStats()
 	return SphinxCounters{
 		Searches: st.Searches, Inserts: st.Inserts, Updates: st.Updates,
 		Deletes: st.Deletes, Scans: st.Scans,
@@ -381,6 +404,8 @@ func (s *Session) SphinxStats() (SphinxCounters, bool) {
 		CollisionRetries: st.CollisionRetry, Restarts: st.Restarts,
 		SpecHits: st.SpecHits, SpecMisses: st.SpecMisses,
 		SpecRefutes: st.SpecRefutes, SpecAborts: st.SpecAborts,
+		SpecUpdHits: st.SpecUpdHits, SpecUpdMisses: st.SpecUpdMisses,
+		SpecUpdRefutes: st.SpecUpdRefutes, SpecUpdAborts: st.SpecUpdAborts,
 		EpochFallbacks: st.EpochFallbacks,
 		HotHits:        st.HotHits, HotRefutes: st.HotRefutes,
 		HotAborts: st.HotAborts, HotPromotes: st.HotPromotes,
@@ -458,13 +483,7 @@ func (s *Session) Registry() *Registry {
 	r.AddCounterStruct("fabric", func() any { return s.fc.Stats() })
 	switch {
 	case s.sphinx != nil:
-		r.AddCounterStruct("core", func() any {
-			st := s.sphinx.Stats()
-			if pl := s.pl.Load(); pl != nil {
-				st = st.Add(pl.Stats())
-			}
-			return st
-		})
+		r.AddCounterStruct("core", func() any { return s.coreStats() })
 		r.AddCounterStruct("engine", func() any {
 			st := s.sphinx.Engine().Stats()
 			if pl := s.pl.Load(); pl != nil {
@@ -497,10 +516,7 @@ func (s *Session) Registry() *Registry {
 				// single session per CN — the exporter's usual shape — the
 				// ratio is the measured per-probe FP rate, comparable to
 				// the analytic bound above.
-				st := s.sphinx.Stats()
-				if pl := s.pl.Load(); pl != nil {
-					st = st.Add(pl.Stats())
-				}
+				st := s.coreStats()
 				fst := f.FilterStats()
 				if probes := fst.Hits + fst.Misses; probes > 0 {
 					g["false_positive_rate"] = float64(st.FalsePositives) / float64(probes)
@@ -513,6 +529,17 @@ func (s *Session) Registry() *Registry {
 		}
 		if lac := s.sphinx.LeafCache(); lac != nil {
 			r.AddCounterStruct("lac", func() any { return lac.Stats() })
+			// The speculative in-place write's outcomes, under the cache's own
+			// prefix (they are also core_spec_upd_*, like the Get outcomes).
+			r.AddCounters("lac", func() map[string]uint64 {
+				st := s.coreStats()
+				return map[string]uint64{
+					"update_hits":    st.SpecUpdHits,
+					"update_misses":  st.SpecUpdMisses,
+					"update_refutes": st.SpecUpdRefutes,
+					"update_aborts":  st.SpecUpdAborts,
+				}
+			})
 			r.AddGauges("lac", func() map[string]float64 {
 				occupied, capacity := lac.Occupancy()
 				g := map[string]float64{
@@ -520,10 +547,7 @@ func (s *Session) Registry() *Registry {
 					"capacity_slots": float64(capacity),
 					"size_bytes":     float64(lac.SizeBytes()),
 				}
-				st := s.sphinx.Stats()
-				if pl := s.pl.Load(); pl != nil {
-					st = st.Add(pl.Stats())
-				}
+				st := s.coreStats()
 				if attempts := st.SpecHits + st.SpecMisses + st.SpecRefutes + st.SpecAborts; attempts > 0 {
 					g["hit_rate"] = float64(st.SpecHits) / float64(attempts)
 				}
@@ -532,10 +556,7 @@ func (s *Session) Registry() *Registry {
 		}
 		if hs := s.sphinx.HotSet(); hs != nil {
 			r.AddGauges("hot", func() map[string]float64 {
-				st := s.sphinx.Stats()
-				if pl := s.pl.Load(); pl != nil {
-					st = st.Add(pl.Stats())
-				}
+				st := s.coreStats()
 				g := map[string]float64{
 					"tracker_bytes": float64(hs.SizeBytes()),
 				}

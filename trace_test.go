@@ -1,6 +1,7 @@
 package sphinx
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -174,6 +175,68 @@ func TestTraceWarmGet(t *testing.T) {
 		"sphinx_core_spec_hits 1",
 		"sphinx_lac_learns",
 	} {
+		if !strings.Contains(prom.String(), needle) {
+			t.Errorf("prometheus export missing %q", needle)
+		}
+	}
+}
+
+// TestTraceWarmUpdate pins the speculative in-place write in trace form: an
+// Update whose key the leaf-address cache knows costs exactly TWO round
+// trips, both leaf-write stage — the header CAS + leaf READ at the cached
+// address, then the releasing image WRITE — carries the hit annotation, and
+// surfaces in the session counters and the registry under lac_update_*.
+func TestTraceWarmUpdate(t *testing.T) {
+	cluster, err := NewCluster(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cluster.NewComputeNode().NewSession()
+	for _, k := range []string{"LYRICS", "LYRBIC"} {
+		if err := s.Put([]byte(k), []byte("v1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first Update walks the tree and teaches the cache LYRICS's leaf.
+	if ok, err := s.Update([]byte("LYRICS"), []byte("v2")); err != nil || !ok {
+		t.Fatalf("warm-up Update = ok %v, err %v", ok, err)
+	}
+
+	tr, err := s.Trace("update LYRICS", func() error {
+		_, err := s.Update([]byte("LYRICS"), []byte("v3"))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages []string
+	for _, e := range tr.Events {
+		if e.Batch {
+			stages = append(stages, e.Stage.String())
+		}
+	}
+	if tr.RoundTrips() != 2 || fmt.Sprint(stages) != "[leaf-write leaf-write]" {
+		t.Fatalf("warm Update: %d round trips, batches %v; want 2, [leaf-write leaf-write]:\n%s", tr.RoundTrips(), stages, tr.Format())
+	}
+	if out := tr.Format(); !strings.Contains(out, "lac update hit: locked+verified in one round trip") {
+		t.Errorf("trace lacks the hit note:\n%s", out)
+	}
+	if v, ok, err := s.Get([]byte("LYRICS")); err != nil || !ok || string(v) != "v3" {
+		t.Errorf("Get after the traced Update = %q, %v, %v", v, ok, err)
+	}
+
+	sc, ok := s.SphinxStats()
+	if !ok || sc.SpecUpdHits != 1 || sc.SpecUpdMisses != 3 || sc.SpecHits != 1 {
+		t.Errorf("SphinxStats = %+v (ok %v); want 1 speculative update hit, 3 misses (2 Puts, 1 cold Update), 1 Get hit", sc, ok)
+	}
+	if got, want := s.Metrics().StageRTTotal(), s.Stats().RoundTrips; got != want {
+		t.Errorf("stage RT total %d != fabric round trips %d", got, want)
+	}
+	var prom strings.Builder
+	if err := s.Registry().Snapshot().WritePrometheus(&prom, "sphinx"); err != nil {
+		t.Fatal(err)
+	}
+	for _, needle := range []string{"sphinx_lac_update_hits 1", "sphinx_lac_update_misses 3", "sphinx_core_spec_upd_hits 1"} {
 		if !strings.Contains(prom.String(), needle) {
 			t.Errorf("prometheus export missing %q", needle)
 		}
