@@ -175,8 +175,9 @@ func TestSpecRefuteAfterLeafMove(t *testing.T) {
 // TestSpecCrossClientInvalidation: sessions of one CN share the
 // leaf-address cache; a delete issued by one client must be seen by the
 // other through verification, not through any cache coherence protocol —
-// the next speculative access through the stale entry refutes and unlearns
-// it, and the truth is served.
+// the other's next speculative read through the stale entry refutes and
+// unlearns it, and the truth is served. (A writer's put through a stale
+// shared entry: TestSpecUpdateRefutesStaleAddress.)
 func TestSpecCrossClientInvalidation(t *testing.T) {
 	f, shared := newCluster(t, 2, fabric.InstantConfig(), 1000)
 	lac := NewLeafCache(1<<12, 1)
@@ -191,19 +192,32 @@ func TestSpecCrossClientInvalidation(t *testing.T) {
 	}
 	warmSearch(t, c1, key, []byte("v1"))
 
-	// c2 deletes and re-inserts; nothing tells the shared cache.
+	// c2 deletes; nothing tells the shared cache. c1's cached address points
+	// at the retired leaf: its speculative read refutes, unlearns and falls
+	// back to the tree, which says absent.
 	if ok, err := c2.Delete(key); err != nil || !ok {
 		t.Fatalf("c2 delete = %v, %v", ok, err)
 	}
+	st1 := c1.Stats()
+	if v, found, err := c1.Search(key); err != nil || found {
+		t.Fatalf("c1 Search after c2 delete = %q, %v, %v; want absent", v, found, err)
+	}
+	if got := c1.Stats().SpecRefutes; got != st1.SpecRefutes+1 {
+		t.Errorf("c1 SpecRefutes = %d, want %d", got, st1.SpecRefutes+1)
+	}
+	if _, _, ok := lac.Lookup(key); ok {
+		t.Error("the refuted entry is still in the shared cache")
+	}
+
+	// c2 re-inserts: the entry is gone, so the put's speculative write has
+	// nothing to try (a miss, not a refute), and c1 reads the new value.
+	st2 := c2.Stats()
 	if _, err := c2.Insert(key, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-
-	// The shared entry pointed at the retired leaf when c2 re-inserted: the
-	// put's speculative write refuted and unlearned it, so c1 takes the
-	// authoritative path and serves the re-inserted value.
-	if got := c2.Stats().SpecUpdRefutes; got != 1 {
-		t.Errorf("c2 SpecUpdRefutes = %d, want 1 (re-insert over a retired leaf's address)", got)
+	if got := c2.Stats(); got.SpecUpdMisses != st2.SpecUpdMisses+1 || got.SpecUpdRefutes != st2.SpecUpdRefutes {
+		t.Errorf("c2 re-insert: SpecUpdMisses %d -> %d, SpecUpdRefutes %d -> %d; want +1, +0",
+			st2.SpecUpdMisses, got.SpecUpdMisses, st2.SpecUpdRefutes, got.SpecUpdRefutes)
 	}
 	v, found, err := c1.Search(key)
 	if err != nil || !found || !bytes.Equal(v, []byte("v2")) {

@@ -22,8 +22,9 @@ import (
 var (
 	// ErrTransient is a verb that the NIC completed with an error (RNR
 	// NAK, ECC hiccup, dropped ACK on a reliable QP after retries). Verbs
-	// posted before the failing one in the same batch have executed; the
-	// failing verb and everything after it have not.
+	// posted before the failing one in the same batch have executed and
+	// their results stand (READ destinations filled, CAS/FAA pre-images in
+	// Op.Old); the failing verb and everything after it have not.
 	ErrTransient = errors.New("fabric: transient verb failure")
 	// ErrTimeout is a lost completion: the batch executed on the memory
 	// node, but the client never saw the CQE. The client's clock advances

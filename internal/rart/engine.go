@@ -457,11 +457,10 @@ func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8) (*Leaf, error) {
 // (§III-C: CAS the header word Idle → Locked), from the first lock attempt to
 // the single image WRITE that releases it. Every release short of that WRITE
 // is a CAS expecting the exact Locked word, so it cannot touch a leaf that has
-// since been rewritten, retired or lock-broken. The word carries no owner,
-// though: a release after a faulted attempt (whose CAS may or may not have
-// run) can hit another writer's identical Locked word — the blind spot the
-// lock break after a lease already has, and one that takes two writers on
-// one key.
+// since been rewritten or retired. The word carries no owner — two writers
+// storing values of one length install the same Locked word — so a release is
+// only ever posted by a client that KNOWS its own CAS won (lockLeaf); a lock
+// whose fate a lost completion hides is left to the lease.
 type LeafLock struct {
 	Addr  mem.Addr
 	Units uint8
@@ -487,6 +486,15 @@ func (l *LeafLock) lockWords() (idle, locked uint64) {
 	return idle, wire.WithStatus(idle, wire.StatusLocked)
 }
 
+// lockOf starts a hold on a leaf a traversal read: the first lock CAS expects
+// the Idle form of that image's header.
+func lockOf(leaf *Leaf) LeafLock {
+	return LeafLock{Addr: leaf.Addr, Units: leaf.Units, Seen: wire.LeafHeader{
+		Status: wire.StatusIdle, Units: leaf.Units,
+		KeyLen: uint16(len(leaf.Key)), ValLen: uint32(len(leaf.Value)),
+	}.Encode()}
+}
+
 // SpecLockLeaf is the speculative first half of an in-place update through
 // an address supplied by a CN-side cache, not by a traversal: ONE batch
 // carrying the header CAS Idle{units, keyLen, valLen} → Locked and a READ of
@@ -498,9 +506,8 @@ func (l *LeafLock) lockWords() (idle, locked uint64) {
 // between WriteLockedLeaf, TryLeafLock (lost to a different value length)
 // and UnlockLeaf (won on another key's leaf).
 //
-// On a fabric error nothing is held: the CAS may have executed (a transient
-// truncates after it, a timeout loses only the completion), so the lock it
-// may have taken is given back, as dropLock does for a node lease.
+// On a fabric error l.Held is false; see lockLeaf for what became of a lock
+// the cut batch took.
 func (e *Engine) SpecLockLeaf(addr mem.Addr, units uint8, keyLen, valLen int) (LeafLock, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
 	l := LeafLock{Addr: addr, Units: units}
@@ -532,15 +539,27 @@ func (e *Engine) TryLeafLock(l *LeafLock) error {
 
 // lockLeaf posts one lock attempt: the header CAS and, when image is non-nil,
 // a READ of the leaf behind it.
+//
+// A faulted attempt releases the lock only when this client provably took it.
+// That is one case: a transient that fell on the READ, after the CAS executed
+// and delivered the Idle word it replaced (verbs ahead of the failing one
+// have executed and their results stand, fabric.ErrTransient). A transient on
+// the CAS itself executed nothing, and a timeout hides who won: the header
+// names no owner, so a release posted "just in case" would free the
+// identical Locked word of another writer — or of a RelocateLeaf about to
+// copy the image — and break mutual exclusion on the spot. A lock a timeout
+// did take is left to the lease, like a crashed holder's (ReadLeaf breaks it).
 func (e *Engine) lockLeaf(l *LeafLock, image []byte) error {
 	idle, locked := l.lockWords()
 	ops := e.leafOps[:1]
-	ops[0] = fabric.Op{Kind: fabric.CAS, Addr: l.Addr, Expect: idle, Desired: locked}
+	// Old is preset to a word a winning CAS cannot return, so after a
+	// transient "Old == idle" means executed and won.
+	ops[0] = fabric.Op{Kind: fabric.CAS, Addr: l.Addr, Expect: idle, Desired: locked, Old: locked}
 	if image != nil {
 		ops = append(ops, fabric.Op{Kind: fabric.Read, Addr: l.Addr, Data: image})
 	}
 	if err := e.C.Batch(ops); err != nil {
-		if errors.Is(err, fabric.ErrTransient) || errors.Is(err, fabric.ErrTimeout) {
+		if errors.Is(err, fabric.ErrTransient) && ops[0].Old == idle {
 			// Re-issued across further faults (UnlockLeaf): a lock left behind
 			// costs whoever meets it — most likely this put's own restart — a
 			// whole lease. l.Seen is untouched, so the words are this attempt's.

@@ -1,0 +1,196 @@
+package rart
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"sphinx/internal/fabric"
+	"sphinx/internal/mem"
+	"sphinx/internal/wire"
+)
+
+// faultyEngine returns an engine whose every batch faults — with a transient,
+// or a lost completion — until one has, then never again.
+func faultyEngine(f *fabric.Fabric, e *Engine, seed uint64, timeout bool) *Engine {
+	plan := &fabric.FaultPlan{Seed: seed, TimeoutPs: 1_000_000}
+	if timeout {
+		plan.TimeoutPer64k = 1 << 16
+	} else {
+		plan.TransientPer64k = 1 << 16
+	}
+	f.SetFaultPlan(plan)
+	c := f.NewClient()
+	f.SetFaultPlan(nil)
+	c.SetObserver(disarm{plan})
+	return NewEngine(c, e.Alloc, e.Ring, Config{})
+}
+
+type disarm struct{ plan *fabric.FaultPlan }
+
+func (d disarm) ObserveBatch(ev fabric.BatchEvent) {
+	if ev.Err != nil {
+		d.plan.TransientPer64k, d.plan.TimeoutPer64k = 0, 0
+	}
+}
+
+func leafStatus(t *testing.T, e *Engine, addr mem.Addr) wire.Status {
+	t.Helper()
+	w, err := e.C.ReadUint64(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.DecodeLeafHeader(w).Status
+}
+
+// TestFaultedLeafLockNeverFreesAnothersLock: the leaf header names no owner,
+// so two writers of same-length values install the identical Locked word. A
+// lock attempt cut by a fault may therefore release only what it provably
+// took — after a transient that fell behind a CAS that executed and won.
+// Anything looser (release after any transient, or after a timeout) frees the
+// lock of the writer that actually holds the leaf, at once, not after a lease.
+func TestFaultedLeafLockNeverFreesAnothersLock(t *testing.T) {
+	key := []byte("lease-a")
+	setup := func(t *testing.T) (*fabric.Fabric, *Engine, *Leaf) {
+		f, ring, root := leaseCluster(t)
+		clean := engineOn(f, ring)
+		leaf, err := clean.SearchFrom(root(clean), key, NopHooks{})
+		if err != nil || leaf == nil {
+			t.Fatalf("search = %v, %v", leaf, err)
+		}
+		return f, clean, leaf
+	}
+	// attempt is one lock attempt by the faulty engine b: the tree path's bare
+	// CAS, or the speculative CAS+READ batch.
+	attempts := map[string]func(b *Engine, leaf *Leaf) error{
+		"bare": func(b *Engine, leaf *Leaf) error {
+			l := lockOf(leaf)
+			return b.TryLeafLock(&l)
+		},
+		"speculative": func(b *Engine, leaf *Leaf) error {
+			_, err := b.SpecLockLeaf(leaf.Addr, leaf.Units, len(leaf.Key), len(leaf.Value))
+			return err
+		},
+	}
+
+	for name, attempt := range attempts {
+		for _, timeout := range []bool{false, true} {
+			fault, want := "transient", fabric.ErrTransient
+			if timeout {
+				fault, want = "timeout", fabric.ErrTimeout
+			}
+			t.Run(name+"/"+fault+"/held by another writer", func(t *testing.T) {
+				casRan := map[bool]int{}
+				for seed := uint64(1); seed <= 16; seed++ {
+					f, a, leaf := setup(t)
+					held := lockOf(leaf)
+					if err := a.TryLeafLock(&held); err != nil || !held.Held {
+						t.Fatalf("holder's lock = %v, %v", held.Held, err)
+					}
+					b := faultyEngine(f, a, seed, timeout)
+					if err := attempt(b, leaf); !errors.Is(err, want) {
+						t.Fatalf("seed %d: contender = %v, want %v", seed, err, want)
+					}
+					st := b.C.Stats()
+					casRan[st.ByKind[fabric.CAS] > 0]++
+					if st.RoundTrips != 1 {
+						t.Errorf("seed %d: contender spent %d round trips; it lost (or never ran) its CAS and has nothing to release", seed, st.RoundTrips)
+					}
+					if got := leafStatus(t, a, leaf.Addr); got != wire.StatusLocked {
+						t.Fatalf("seed %d: leaf header is %v while the first writer still holds it: the faulted contender freed a lock it never took", seed, got)
+					}
+					// The holder's release lands on its own lock.
+					if err := a.WriteLockedLeaf(&held, key, []byte("w")); err != nil {
+						t.Fatal(err)
+					}
+					if got, err := a.ReadLeaf(leaf.Addr); err != nil || !bytes.Equal(got.Value, []byte("w")) {
+						t.Fatalf("seed %d: after the holder's write: %v, %v", seed, got, err)
+					}
+				}
+				if name == "speculative" && !timeout && (casRan[false] == 0 || casRan[true] == 0) {
+					t.Fatalf("transients fell before the CAS %d times and behind it %d times; the sweep misses a side", casRan[false], casRan[true])
+				}
+			})
+		}
+	}
+
+	// The one release a faulted attempt owes: nobody else holds the leaf, the
+	// CAS executed and won, the READ behind it failed. Left alone, that lock
+	// costs this put's own restart a whole lease.
+	t.Run("speculative/transient/won then cut", func(t *testing.T) {
+		won := 0
+		for seed := uint64(1); seed <= 16; seed++ {
+			f, a, leaf := setup(t)
+			b := faultyEngine(f, a, seed, false)
+			if err := attempts["speculative"](b, leaf); !errors.Is(err, fabric.ErrTransient) {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if got := leafStatus(t, a, leaf.Addr); got != wire.StatusIdle {
+				t.Fatalf("seed %d: leaf left %v behind a cut lock batch", seed, got)
+			}
+			if b.C.Stats().ByKind[fabric.CAS] == 2 {
+				won++ // lock, then the release
+			}
+		}
+		if won == 0 {
+			t.Fatal("no transient fell behind a winning CAS; the sweep exercises nothing")
+		}
+	})
+}
+
+// TestFaultedContenderLeavesRelocationLocked: RelocateLeaf holds the leaf
+// header lock from its re-read to the copy, so that no in-place update can
+// land in between and be lost with the retired original. A contender whose
+// lock attempt faults right then must leave that lock alone: its retry finds
+// the leaf Locked, the relocation copies what it read, and the contender's
+// value lands on the copy afterwards.
+func TestFaultedContenderLeavesRelocationLocked(t *testing.T) {
+	key := []byte("lease-a")
+	f, ring, root := leaseCluster(t)
+	relocator, clean := engineOn(f, ring), engineOn(f, ring)
+	leaf, err := clean.SearchFrom(root(clean), key, NopHooks{})
+	if err != nil || leaf == nil {
+		t.Fatalf("search = %v, %v", leaf, err)
+	}
+	contender := faultyEngine(f, clean, 1, false)
+
+	var interleaved bool
+	f.Trace = func(c *fabric.Client, op *fabric.Op) {
+		// The relocator's re-read under its leaf lock.
+		if c != relocator.C || op.Kind != fabric.Read || op.Addr != leaf.Addr || leafStatus(t, clean, leaf.Addr) != wire.StatusLocked {
+			return
+		}
+		f.Trace = nil
+		interleaved = true
+		if err := contender.updateLeafInPlace(leaf, []byte("w")); !errors.Is(err, fabric.ErrTransient) {
+			t.Errorf("contender's faulted update = %v, want a transient", err)
+		}
+		if got := leafStatus(t, clean, leaf.Addr); got != wire.StatusLocked {
+			t.Errorf("leaf header is %v mid-relocation: the faulted contender freed the relocator's lock", got)
+		}
+		retry := lockOf(leaf)
+		if err := contender.TryLeafLock(&retry); err != nil || retry.Held {
+			t.Errorf("contender's retry took the leaf under the relocator (held %v, err %v): its write would be lost with the retired original", retry.Held, err)
+		}
+	}
+	var target mem.NodeID
+	for _, n := range ring.Nodes() {
+		if n != leaf.Addr.Node() {
+			target = n
+		}
+	}
+	moved, err := relocator.RelocateLeaf(root(clean), key, target)
+	if err != nil || !moved || !interleaved {
+		t.Fatalf("relocate = %v, %v (interleaved %v)", moved, err, interleaved)
+	}
+	if got := leafStatus(t, clean, leaf.Addr); got != wire.StatusInvalid {
+		t.Fatalf("old leaf is %v after the move, want Invalid", got)
+	}
+	if _, err := contender.PutFrom(root(clean), key, []byte("w"), PutUpsert, NopHooks{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := clean.SearchFrom(root(clean), key, NopHooks{})
+	if err != nil || got == nil || got.Addr.Node() != target || !bytes.Equal(got.Value, []byte("w")) {
+		t.Fatalf("after relocation + update: %+v, %v", got, err)
+	}
+}

@@ -66,28 +66,20 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 	}
 	// Lock the leaf header so a concurrent in-place update cannot slip
 	// between our snapshot and the copy.
-	idleWord := wire.LeafHeader{
-		Status: wire.StatusIdle, Units: leaf.Units,
-		KeyLen: uint16(len(leaf.Key)), ValLen: uint32(len(leaf.Value)),
-	}.Encode()
-	old, err := e.C.CompareSwap(slot.Addr, idleWord, wire.WithStatus(idleWord, wire.StatusLocked))
-	if err != nil {
+	ll := lockOf(leaf)
+	if err := e.TryLeafLock(&ll); err != nil {
 		return false, e.abort(nil, err, locked, nil)
 	}
-	if old != idleWord {
+	if !ll.Held {
 		// A writer beat us to the leaf; retry on a later sweep.
 		return false, e.abort(nil, fmt.Errorf("relocate: leaf %v contended: %w", slot.Addr, ErrRestart), locked, nil)
-	}
-	unlockLeaf := func() error {
-		_, cerr := e.C.CompareSwap(slot.Addr, wire.WithStatus(idleWord, wire.StatusLocked), idleWord)
-		return cerr
 	}
 	// Re-read the image under the lock: it is stable now (writers CAS the
 	// header before touching bytes, and we hold it).
 	buf := e.grabBuf(uint64(leaf.Units) * wire.LeafUnit)
 	if err := e.C.Read(slot.Addr, buf); err != nil {
 		e.ReleaseBuf(buf)
-		if lerr := unlockLeaf(); lerr != nil {
+		if lerr := e.UnlockLeaf(&ll); lerr != nil {
 			return false, lerr
 		}
 		return false, e.abort(nil, err, locked, nil)
@@ -95,7 +87,7 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 	k, v, _, ok := wire.DecodeLeaf(buf)
 	if !ok || !bytes.Equal(k, key) {
 		e.ReleaseBuf(buf)
-		if lerr := unlockLeaf(); lerr != nil {
+		if lerr := e.UnlockLeaf(&ll); lerr != nil {
 			return false, lerr
 		}
 		return false, e.abort(nil, fmt.Errorf("relocate: leaf %v unstable under lock: %w", slot.Addr, ErrRestart), locked, nil)
@@ -107,7 +99,7 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 		err = e.C.Write(newAddr, img)
 	}
 	if err != nil {
-		if lerr := unlockLeaf(); lerr != nil {
+		if lerr := e.UnlockLeaf(&ll); lerr != nil {
 			return false, lerr
 		}
 		return false, e.abort(nil, err, locked, nil)

@@ -734,11 +734,7 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool, h 
 // broken after a full lease of watching, like ReadLeaf does.
 func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
-	l := LeafLock{Addr: leaf.Addr, Units: leaf.Units}
-	l.Seen = wire.LeafHeader{
-		Status: wire.StatusIdle, Units: leaf.Units,
-		KeyLen: uint16(len(leaf.Key)), ValLen: uint32(len(leaf.Value)),
-	}.Encode()
+	l := lockOf(leaf)
 	var bo *fabric.Backoff // started by the first lost attempt
 	var watching uint64
 	for {
