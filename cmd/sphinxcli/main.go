@@ -90,7 +90,7 @@ func main() {
 			return
 		case cmd == "help":
 			fmt.Println("get K | put K V | update K V | del K | scan LO HI [N] | stats | metrics | mem | quit")
-			fmt.Println("trace get K | trace put K V | trace update K V | trace del K  — one op's round-trip timeline")
+			fmt.Println("trace get K | trace put K V | trace update K V | trace del K | trace scan LO HI [N]  — one op's round-trip timeline")
 			fmt.Println("top  — per-MN load table (busy ratio, verb share, occupancy, health) plus SLOs and alerts")
 			fmt.Println("serve [ADDR]  — start the live observability HTTP endpoint (default 127.0.0.1:0)")
 			continue
@@ -212,8 +212,17 @@ func traceOp(s *sphinx.Session, args []string) (*sphinx.Trace, error) {
 			_, err := s.Update(key, []byte(args[2]))
 			return err
 		})
+	case op == "scan" && len(args) >= 3:
+		limit := 0
+		if len(args) > 3 {
+			limit, _ = strconv.Atoi(args[3])
+		}
+		return s.Trace(strings.Join(args, " "), func() error {
+			_, err := s.Scan(key, []byte(args[2]), limit)
+			return err
+		})
 	default:
-		return nil, fmt.Errorf("trace: usage: trace get K | trace put K V | trace update K V | trace del K")
+		return nil, fmt.Errorf("trace: usage: trace get K | trace put K V | trace update K V | trace del K | trace scan LO HI [N]")
 	}
 }
 

@@ -352,7 +352,8 @@ var FastpathDepths = []int{4, 8}
 // speculative round trip accounted as exactly one hit or refute, and the
 // four read stages summing to the fabric's own counter. A YCSB-A pass
 // (50 % Update) on the then warm cache follows for both systems: a warm
-// Update is 2 round trips through the cache, 5 without. Metrics are
+// Update is 2 round trips through the cache, 5 without; and a YCSB-E pass
+// (95 % Scan), the one the cache must not move. Metrics are
 // forced on (the verdict needs them); the warm split is the experiment's
 // whole point, so Config.Warm is implied.
 func Fastpath(base Config, out io.Writer) ([]Result, error) {
@@ -361,11 +362,11 @@ func Fastpath(base Config, out io.Writer) ([]Result, error) {
 	cfg.Metrics = true
 	cfg.Depth = 1
 	d := cfg.withDefaults()
-	fmt.Fprintf(out, "# Fastpath — speculative warm reads and in-place writes: YCSB-C warmup/steady then YCSB-A, LAC on vs off, dataset=%v keys=%d workers=%d\n",
+	fmt.Fprintf(out, "# Fastpath — speculative warm reads and in-place writes: YCSB-C warmup/steady, YCSB-A, then YCSB-E, LAC on vs off, dataset=%v keys=%d workers=%d\n",
 		d.Dataset, d.Keys, d.Workers)
 	fmt.Fprintln(out, ResultHeader())
 	var results []Result
-	steady, mixed := map[System]Result{}, map[System]Result{}
+	steady, mixed, scans := map[System]Result{}, map[System]Result{}, map[System]Result{}
 	for _, sys := range []System{Sphinx, SphinxNoLAC} {
 		cl, err := NewCluster(sys, cfg)
 		if err != nil {
@@ -418,6 +419,16 @@ func Fastpath(base Config, out io.Writer) ([]Result, error) {
 			}
 			cl.Cfg.Depth = 1
 		}
+		// YCSB-E last (its 5 % inserts change the key set): the cost of range
+		// scans, which never consult the cache — both systems must agree.
+		e, err := cl.Run(ycsb.WorkloadE, 0, 0)
+		if err != nil {
+			return nil, fmt.Errorf("%v fastpath YCSB-E: %w", sys, err)
+		}
+		e.Workload, e.Phase = "E/steady", "steady"
+		scans[sys] = e
+		results = append(results, e)
+		fmt.Fprintln(out, e.Row())
 	}
 	on, off := steady[Sphinx], steady[SphinxNoLAC]
 	if off.ThroughputMops > 0 {
@@ -428,6 +439,10 @@ func Fastpath(base Config, out io.Writer) ([]Result, error) {
 	if on, off := mixed[Sphinx], mixed[SphinxNoLAC]; off.ThroughputMops > 0 {
 		fmt.Fprintf(out, "    steady YCSB-A depth 1: LAC on %.2f RT/op vs off %.2f (%.2fx throughput)\n",
 			on.RoundTripsPerOp, off.RoundTripsPerOp, on.ThroughputMops/off.ThroughputMops)
+	}
+	if on, off := scans[Sphinx], scans[SphinxNoLAC]; off.ThroughputMops > 0 {
+		fmt.Fprintf(out, "    steady YCSB-E depth 1: LAC on %.2f RT/op, %.1f verbs/op, %.0f B/op vs off %.2f, %.1f, %.0f (scans bypass the cache)\n",
+			on.RoundTripsPerOp, on.VerbsPerOp, on.BytesPerOp, off.RoundTripsPerOp, off.VerbsPerOp, off.BytesPerOp)
 	}
 	return results, nil
 }

@@ -219,6 +219,22 @@ func (c *Client) noteRestart(err error) {
 	}
 }
 
+// noteScan annotates, on the armed trace recorder, what the scan that began
+// at the engine counters before cost the tree (restarted attempts included):
+// its frontier rounds, the objects they fetched against the keys returned —
+// the over-fetch of the window estimate — and the retired objects it followed.
+func (c *Client) noteScan(before rart.EngineStats) {
+	if c.rec == nil {
+		return
+	}
+	st := c.eng.Stats()
+	reads, nodes := st.ScanReads-before.ScanReads, st.ScanNodeReads-before.ScanNodeReads
+	c.rec.Note(fabric.StageScan, c.eng.C.Clock(), fmt.Sprintf(
+		"scan: %d rounds, %d reads (%d nodes, %d leaves), %d emitted, %d re-resolved",
+		st.ScanRounds-before.ScanRounds, reads, nodes, reads-nodes,
+		st.ScanEmitted-before.ScanEmitted, st.ScanReresolved-before.ScanReresolved))
+}
+
 // noteAbandoned annotates, on the armed trace recorder, the write-ahead
 // objects the engine abandoned since the counters were last sampled into
 // objects and bytes: what a lost lock or verify cost the put being traced.
@@ -797,12 +813,17 @@ func (c *Client) Scan(lo, hi []byte, limit int) ([]rart.KV, error) {
 			ErrReplicaSetUnavailable, lo, hi)
 	}
 	var last error
+	var before rart.EngineStats
+	if c.rec != nil {
+		before = c.eng.Stats()
+	}
 	for bo := c.eng.Backoff(); ; {
 		root, err := c.readRoot()
 		if err == nil {
 			var kvs []rart.KV
 			kvs, err = c.eng.ScanFrom(root, lo, hi, limit, true)
 			if err == nil {
+				c.noteScan(before)
 				return kvs, nil
 			}
 		}

@@ -114,6 +114,9 @@ type Engine struct {
 	// then overwrites.
 	leafBuf []byte
 	leafOps [2]fabric.Op
+	// scan is the range scan in progress, kept for its frontier, op list and
+	// read arena (ScanFrom).
+	scan scanner
 }
 
 // maxPooledBufs caps the free list; beyond it buffers are dropped to the GC.
@@ -144,7 +147,8 @@ func (e *Engine) ReleaseBuf(b []byte) {
 	e.bufs = append(e.bufs, b)
 }
 
-// EngineStats counts the engine's lock-recovery events.
+// EngineStats counts the engine's lock-recovery events and the cost of its
+// range scans.
 type EngineStats struct {
 	// LockSteals is the number of node leases this client took over from
 	// an apparently dead holder (including reclaiming its own lease after
@@ -174,6 +178,18 @@ type EngineStats struct {
 	// before the lock. Zero without write contention or faults.
 	AbandonedObjects uint64
 	AbandonedBytes   uint64
+	// The cost of range scans (ScanFrom): ScanRounds doorbell batches posted
+	// by scan frontiers; ScanReads tree objects those fetched, ScanNodeReads
+	// the inner nodes among them; ScanEmitted keys returned. ScanReresolved
+	// counts frontier entries that met a retired object (a node after a type
+	// switch, a leaf after an out-of-place update or a delete) or a child
+	// whose partial a split had shortened, and followed the parent's slot
+	// word again.
+	ScanRounds     uint64
+	ScanReads      uint64
+	ScanNodeReads  uint64
+	ScanEmitted    uint64
+	ScanReresolved uint64
 }
 
 // Add returns s + t, field-wise; used to aggregate workers.
@@ -185,6 +201,11 @@ func (s EngineStats) Add(t EngineStats) EngineStats {
 	s.LeafRetireRepairs += t.LeafRetireRepairs
 	s.AbandonedObjects += t.AbandonedObjects
 	s.AbandonedBytes += t.AbandonedBytes
+	s.ScanRounds += t.ScanRounds
+	s.ScanReads += t.ScanReads
+	s.ScanNodeReads += t.ScanNodeReads
+	s.ScanEmitted += t.ScanEmitted
+	s.ScanReresolved += t.ScanReresolved
 	return s
 }
 
@@ -200,6 +221,11 @@ func (e *Engine) Stats() EngineStats {
 		LeafRetireRepairs: atomic.LoadUint64(&e.stats.LeafRetireRepairs),
 		AbandonedObjects:  atomic.LoadUint64(&e.stats.AbandonedObjects),
 		AbandonedBytes:    atomic.LoadUint64(&e.stats.AbandonedBytes),
+		ScanRounds:        atomic.LoadUint64(&e.stats.ScanRounds),
+		ScanReads:         atomic.LoadUint64(&e.stats.ScanReads),
+		ScanNodeReads:     atomic.LoadUint64(&e.stats.ScanNodeReads),
+		ScanEmitted:       atomic.LoadUint64(&e.stats.ScanEmitted),
+		ScanReresolved:    atomic.LoadUint64(&e.stats.ScanReresolved),
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
-	"sphinx/internal/wire"
 )
 
 // leaseCluster builds a three-node cluster with the root on node 0 and one
@@ -17,22 +16,8 @@ import (
 // other memory nodes.
 func leaseCluster(t *testing.T) (*fabric.Fabric, *consistenthash.Ring, func(*Engine) *Node) {
 	t.Helper()
-	f := fabric.New(fabric.DefaultConfig())
-	nodes := []mem.NodeID{f.AddNode(4 << 20), f.AddNode(4 << 20), f.AddNode(4 << 20)}
-	ring := consistenthash.New(nodes, 8)
-	rootAddr, err := BootstrapRoot(f.Region(nodes[0]), mem.NewAllocator(f.Regions(), 0), nodes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := func(e *Engine) *Node {
-		n, err := e.ReadNode(rootAddr, wire.Node256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	c := f.NewClient()
-	setup := NewEngine(c, mem.NewAllocator(c, 0), ring, Config{})
+	f, ring, root := scanCluster(t)
+	setup := engineOn(f, ring)
 	if _, err := setup.PutFrom(root(setup), []byte("lease-a"), []byte("v"), PutUpsert, NopHooks{}); err != nil {
 		t.Fatal(err)
 	}

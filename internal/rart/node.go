@@ -41,26 +41,34 @@ type Node struct {
 // [Base, Depth).
 func (n *Node) Base() int { return int(n.Hdr.Depth) - int(n.Hdr.PartialLen) }
 
+// decodeNodeHeader parses the header word of a node image and rejects
+// structurally impossible ones: a torn read or a collided pointer can
+// surface arbitrary bytes, and callers must get a clean error to retry on
+// rather than a garbage node.
+func decodeNodeHeader(buf []byte) (wire.NodeHeader, error) {
+	if len(buf) < wire.SlotBase {
+		return wire.NodeHeader{}, fmt.Errorf("rart: node image of %d bytes too short", len(buf))
+	}
+	hdr := wire.DecodeNodeHeader(binary.LittleEndian.Uint64(buf[wire.HeaderOff:]))
+	if hdr.PartialLen > wire.MaxPartial {
+		return hdr, fmt.Errorf("rart: header partialLen %d exceeds max %d", hdr.PartialLen, wire.MaxPartial)
+	}
+	if int(hdr.PartialLen) > int(hdr.Depth) {
+		return hdr, fmt.Errorf("rart: header partialLen %d exceeds depth %d", hdr.PartialLen, hdr.Depth)
+	}
+	if hdr.Status > wire.StatusInvalid {
+		return hdr, fmt.Errorf("rart: undefined status %d", hdr.Status)
+	}
+	return hdr, nil
+}
+
 // Decode parses a node image read from addr. The buffer must hold at least
 // the node's encoded size; Decode reports how many bytes the node actually
 // occupies so callers that over-read can tell.
 func Decode(addr mem.Addr, buf []byte) (*Node, error) {
-	if len(buf) < wire.SlotBase {
-		return nil, fmt.Errorf("rart: node image of %d bytes too short", len(buf))
-	}
-	w := binary.LittleEndian.Uint64(buf[wire.HeaderOff:])
-	hdr := wire.DecodeNodeHeader(w)
-	// Reject structurally impossible headers: a torn read or a collided
-	// pointer can surface arbitrary bytes, and callers must get a clean
-	// error to retry on rather than a garbage node.
-	if hdr.PartialLen > wire.MaxPartial {
-		return nil, fmt.Errorf("rart: header partialLen %d exceeds max %d", hdr.PartialLen, wire.MaxPartial)
-	}
-	if int(hdr.PartialLen) > int(hdr.Depth) {
-		return nil, fmt.Errorf("rart: header partialLen %d exceeds depth %d", hdr.PartialLen, hdr.Depth)
-	}
-	if hdr.Status > wire.StatusInvalid {
-		return nil, fmt.Errorf("rart: undefined status %d", hdr.Status)
+	hdr, err := decodeNodeHeader(buf)
+	if err != nil {
+		return nil, err
 	}
 	size := wire.NodeSize(hdr.Type)
 	if uint64(len(buf)) < size {
@@ -69,7 +77,7 @@ func Decode(addr mem.Addr, buf []byte) (*Node, error) {
 	n := &Node{
 		Addr:      addr,
 		Hdr:       hdr,
-		HdrWord:   w,
+		HdrWord:   binary.LittleEndian.Uint64(buf[wire.HeaderOff:]),
 		LeaseWord: binary.LittleEndian.Uint64(buf[wire.LeaseOff:]),
 		EOL:       wire.DecodeSlot(binary.LittleEndian.Uint64(buf[wire.EOLSlotOff:])),
 		Partial:   append([]byte(nil), buf[wire.PartialOff:wire.PartialOff+int(hdr.PartialLen)]...),
@@ -88,11 +96,16 @@ func Decode(addr mem.Addr, buf []byte) (*Node, error) {
 
 // Encode serializes the node into a fresh buffer of its exact size.
 func (n *Node) Encode() []byte {
-	buf := make([]byte, wire.NodeSize(n.Hdr.Type))
+	return n.encodeInto(make([]byte, wire.NodeSize(n.Hdr.Type)))
+}
+
+// encodeInto serializes the node into buf, which must have the node's exact
+// size; every byte of it is written.
+func (n *Node) encodeInto(buf []byte) []byte {
 	binary.LittleEndian.PutUint64(buf[wire.HeaderOff:], n.Hdr.Encode())
 	binary.LittleEndian.PutUint64(buf[wire.LeaseOff:], n.LeaseWord)
 	binary.LittleEndian.PutUint64(buf[wire.EOLSlotOff:], n.EOL.Encode())
-	copy(buf[wire.PartialOff:], n.Partial)
+	clear(buf[wire.PartialOff+copy(buf[wire.PartialOff:], n.Partial) : wire.SlotBase])
 	if n.Hdr.Type == wire.Node48 {
 		copy(buf[wire.SlotBase:], n.Index)
 	}

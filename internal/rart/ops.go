@@ -155,7 +155,7 @@ func (e *Engine) SearchFrom(start *Node, key []byte, h Hooks) (*Leaf, error) {
 				// An invalid leaf still linked from a slot is a delete that
 				// faulted between committing (invalidating the leaf) and
 				// clearing the slot. Finish it; the key is absent.
-				cleared, cerr := e.completeDelete(n, key, leaf.Addr)
+				cleared, cerr := e.completeDelete(n, len(key) == depth, slot.KeyByte, leaf.Addr)
 				if cerr != nil {
 					return nil, cerr
 				}
@@ -224,7 +224,7 @@ func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) 
 				// Residue of an interrupted delete (see completeDelete).
 				// Repair, then restart: the retried descent sees a free
 				// slot and installs normally.
-				if _, cerr := e.completeDelete(n, key, leaf.Addr); cerr != nil {
+				if _, cerr := e.completeDelete(n, eol, slot.KeyByte, leaf.Addr); cerr != nil {
 					return false, cerr
 				}
 				return false, fmt.Errorf("put: leaf %v invalid: %w", leaf.Addr, ErrRestart)
@@ -835,7 +835,7 @@ func (e *Engine) DeleteFrom(start *Node, key []byte, h Hooks) (bool, error) {
 		if leaf.Status == wire.StatusInvalid {
 			// Residue of an interrupted delete (see completeDelete): finish
 			// the clear. Either way the key is already deleted.
-			cleared, cerr := e.completeDelete(n, key, leaf.Addr)
+			cleared, cerr := e.completeDelete(n, eol, slot.KeyByte, leaf.Addr)
 			if cerr != nil {
 				return false, cerr
 			}
@@ -894,29 +894,24 @@ func (e *Engine) DeleteFrom(start *Node, key []byte, h Hooks) (bool, error) {
 // before retiring the old leaf, so under the node lock the pairing is
 // unambiguous. Clearing the slot here unblocks every descent through this
 // edge — without the repair, the tree answers ErrRestart on this key
-// forever. Reports whether it cleared the slot; false means the edge
-// moved on and the caller should restart its descent.
-func (e *Engine) completeDelete(n *Node, key []byte, leafAddr mem.Addr) (bool, error) {
+// forever. The edge is n's EOL slot or the child slot for byte edge. Reports
+// whether it cleared the slot; false means the edge moved on and the caller
+// should restart its descent.
+func (e *Engine) completeDelete(n *Node, eol bool, edge byte, leafAddr mem.Addr) (bool, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
 	locked, err := e.lockVerified(n)
 	if err != nil {
 		return false, err
 	}
-	depth := int(locked.Hdr.Depth)
 	var ops []fabric.Op
-	switch {
-	case depth > len(key):
-		// The node was restructured past this key; nothing to repair here.
-	case depth == len(key):
+	if eol {
 		if locked.EOL.Present && locked.EOL.Leaf && locked.EOL.Addr == leafAddr {
 			ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: locked.EOLAddr(), Data: leBytes(0)})
 		}
-	default:
-		if ps, idx, ok := locked.Child(key[depth]); ok && ps.Leaf && ps.Addr == leafAddr {
-			ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: locked.SlotAddr(idx), Data: leBytes(0)})
-			if locked.Hdr.Type == wire.Node48 {
-				ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: locked.IndexAddr(key[depth]), Data: []byte{0}})
-			}
+	} else if ps, idx, ok := locked.Child(edge); ok && ps.Leaf && ps.Addr == leafAddr {
+		ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: locked.SlotAddr(idx), Data: leBytes(0)})
+		if locked.Hdr.Type == wire.Node48 {
+			ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: locked.IndexAddr(edge), Data: []byte{0}})
 		}
 	}
 	cleared := len(ops) > 0

@@ -2,7 +2,8 @@ package rart
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
+	"sync/atomic"
 
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
@@ -28,29 +29,6 @@ func BootstrapRoot(region *mem.Region, alloc *mem.Allocator, node mem.NodeID) (m
 	return addr, nil
 }
 
-// prefixMayContain reports whether a subtree whose keys all start with p
-// can intersect [lo, hi].
-func prefixMayContain(p, lo, hi []byte) bool {
-	if lo != nil {
-		m := min(len(p), len(lo))
-		if bytes.Compare(p[:m], lo[:m]) < 0 {
-			return false
-		}
-	}
-	if hi != nil {
-		m := min(len(p), len(hi))
-		switch bytes.Compare(p[:m], hi[:m]) {
-		case 1:
-			return false
-		case 0:
-			if len(p) > len(hi) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func keyInRange(k, lo, hi []byte) bool {
 	if lo != nil && bytes.Compare(k, lo) < 0 {
 		return false
@@ -61,178 +39,464 @@ func keyInRange(k, lo, hi []byte) bool {
 	return true
 }
 
-// errScanDone terminates the traversal once limit results are collected.
-var errScanDone = errors.New("rart: scan limit reached")
+// scanChunk caps the READs of one scan round (one doorbell batch): large
+// enough to amortize round trips, small enough that a round stays one NIC
+// burst. It is the only cap; how much of it a limit-bounded round uses is
+// worked out from the slots themselves (scanner.plan).
+const scanChunk = 32
 
-// scanner carries one in-order traversal (paper §IV Scan).
+// scanTries bounds how often one frontier entry is read again — a torn, locked
+// or under-read image, a retired object followed through its parent's slot —
+// before the scan gives up with ErrRestart and its caller starts over.
+const scanTries = 3
+
+// scanYield is the number of keys an unopened inner child is taken to bring,
+// by the type its parent's slot records: the midpoint of the fan-out range
+// of that type, every child being at least one key. Taking the lower end of
+// the range instead saves round trips but fetches nodes the limit never
+// reaches; the capacity costs a round more often than it saves a node.
+var scanYield = [...]int{wire.Node4: 3, wire.Node16: 10, wire.Node48: 32, wire.Node256: 152}
+
+// The states of a frontier entry.
+const (
+	entPending uint8 = iota // the object the slot names is still to be read
+	entStale                // that object was retired or is off its path: the slot word is to be read again
+	entLeaf                 // a leaf image, in range, waiting for everything ahead of it
+	entNode                 // an inner node image: a cursor over its children not yet spliced in
+	entDropped              // out of range, deleted, or used up
+)
+
+// scanEnt is one entry of a scan's frontier: a child slot of a node the scan
+// has opened, from before its READ until its keys are emitted. Entries stand
+// in key order and cover disjoint key ranges, and an entry keeps its place
+// whatever its slot turns out to name.
+type scanEnt struct {
+	slot   wire.Slot // what the parent's slot word named when last read
+	parent mem.Addr  // the node holding that word (unused for the root)
+	img    []byte    // entLeaf, entNode: the image, cut from the scan arena
+	want   uint32    // bytes the next READ of the object asks for; 0 = by slot
+	off    uint16    // offset of the slot word within the parent
+	base   uint16    // parent's depth + 1: where the partial of an inner child must start
+	next   int16     // entNode: -1 before the EOL leaf, else the lowest edge byte not yet spliced in
+	ptype  wire.NodeType
+	state  uint8
+	tries  uint8
+	// onLo (onHi) says the prefix the entry hangs off — the parent's full
+	// prefix plus the edge byte — is a prefix of lo (hi), so that bound
+	// still cuts through the subtree; otherwise every key below lies on the
+	// inner side of it.
+	onLo, onHi bool
+}
+
+// scanner carries one range scan (paper §IV Scan) as an ordered frontier: the
+// not-yet-emitted child slots of ALL opened nodes, in key order. A round reads
+// the head of the frontier in one doorbell batch; a fetched inner node stays
+// in place as a cursor and splices its in-range children in ahead of itself
+// as later rounds reach them, a fetched leaf waits in place until everything
+// ahead of it is emitted and is never read twice. A scan therefore costs about
+// one round per tree level, not one per visited node. The scanner lives in
+// the engine so that its frontier, op list and read arena are reused.
 type scanner struct {
-	e       *Engine
-	lo, hi  []byte
-	limit   int
-	batched bool
-	out     []KV
+	e      *Engine
+	lo, hi []byte
+	limit  int
+	out    []KV
+
+	front, spare []scanEnt // the frontier from head on, and the buffer the next round rebuilds it in
+	head         int
+	ops          []fabric.Op
+	sel          []int // ops[i] reads for front[sel[i]]
+	// arena holds every image of the scan. A block that fills up is left to
+	// the images cut from it and replaced; the engine keeps the first one.
+	arena, block0 []byte
+	// What the scan cost, booked into EngineStats.Scan* when it ends.
+	rounds, reads, nodeReads, reresolved uint64
 }
 
 // ScanFrom collects keys in [lo, hi] (inclusive; nil bounds open) in
 // ascending order starting at the root node, stopping after limit results
-// when limit > 0.
+// when limit > 0. Every key committed before the call and not deleted before
+// it returns is among them (up to the limit), none twice; keys written
+// meanwhile may or may not be.
 //
-// The traversal is an ordered depth-first walk. With batched=true, each
-// visited inner node's relevant children — leaves and inner nodes alike —
-// are fetched in a single doorbell batch, the mechanism behind the
-// 2.3–3.1× YCSB-E advantage of Sphinx/SMART over the naive ART port
-// (§V-B); with batched=false every child costs its own round trip.
-// Limit-bounded scans therefore touch only the subtrees they emit from.
+// With batched=true each round reads as many frontier entries as the limit
+// still lacks keys, judged by what the slots say, up to scanChunk — the
+// mechanism behind the YCSB-E advantage of Sphinx/SMART over the naive ART
+// port (§V-B); with batched=false a round is one entry, i.e. one round trip
+// per visited object, in depth-first order. Either way a limit-bounded scan
+// touches only the subtrees it emits from, plus what the estimate overshoots.
 func (e *Engine) ScanFrom(root *Node, lo, hi []byte, limit int, batched bool) ([]KV, error) {
-	s := &scanner{e: e, lo: lo, hi: hi, limit: limit, batched: batched}
-	err := s.visit(root, nil)
-	if err != nil && !errors.Is(err, errScanDone) {
+	defer e.C.SetStage(e.C.SetStage(fabric.StageScan))
+	s := &e.scan
+	*s = scanner{e: e, lo: lo, hi: hi, limit: limit,
+		front: s.front[:0], spare: s.spare[:0], ops: s.ops[:0], sel: s.sel[:0],
+		arena: s.block0[:0], block0: s.block0}
+	window := scanChunk
+	if !batched {
+		window = 1
+	}
+	s.front = append(s.front, scanEnt{
+		state: entNode, slot: wire.Slot{Addr: root.Addr}, next: -1, onLo: lo != nil, onHi: hi != nil,
+		img: root.encodeInto(s.take(wire.NodeSize(root.Hdr.Type))),
+	})
+	var err error
+	for err == nil && s.drain() {
+		s.plan(window)
+		s.rounds++
+		if err = e.C.Batch(s.ops); err == nil {
+			err = s.settle()
+		}
+	}
+	atomic.AddUint64(&e.stats.ScanRounds, s.rounds)
+	atomic.AddUint64(&e.stats.ScanReads, s.reads)
+	atomic.AddUint64(&e.stats.ScanNodeReads, s.nodeReads)
+	atomic.AddUint64(&e.stats.ScanEmitted, uint64(len(s.out)))
+	atomic.AddUint64(&e.stats.ScanReresolved, s.reresolved)
+	if s.block0 == nil {
+		s.block0 = s.arena[:0]
+	}
+	// The engine keeps the scratch, not the caller's bounds and results.
+	out := s.out
+	s.lo, s.hi, s.out = nil, nil, nil
+	if err != nil {
 		return nil, err
 	}
-	return s.out, nil
+	return out, nil
 }
 
-// visit walks one node in key order. prefix is the node's full prefix
-// minus its partial (i.e., up to the parent edge).
-func (s *scanner) visit(n *Node, prefix []byte) error {
-	if n.Hdr.Status == wire.StatusInvalid {
-		return nil // retired mid-scan; its replacement is reachable elsewhere
+// take cuts n bytes off the arena.
+func (s *scanner) take(n uint64) []byte {
+	if uint64(cap(s.arena)-len(s.arena)) < n {
+		s.arena = make([]byte, 0, max(n, 32<<10))
 	}
-	full := append(append([]byte(nil), prefix...), n.Partial...)
-	if !prefixMayContain(full, s.lo, s.hi) {
-		return nil
-	}
+	off := uint64(len(s.arena))
+	s.arena = s.arena[:off+n]
+	return s.arena[off : off+n : off+n]
+}
 
-	// Gather the in-range children in key order: the EOL leaf first, then
-	// edges ascending.
-	type childRef struct {
-		slot wire.Slot
-		stub []byte // child's prefix including its edge byte (nil for EOL)
-	}
-	var kids []childRef
-	if n.EOL.Present && n.EOL.Leaf && keyInRange(full, s.lo, s.hi) {
-		kids = append(kids, childRef{slot: n.EOL, stub: full})
-	}
-	for _, sl := range n.Children() {
-		stub := append(append([]byte(nil), full...), sl.KeyByte)
-		if !prefixMayContain(stub, s.lo, s.hi) {
-			continue
-		}
-		kids = append(kids, childRef{slot: sl, stub: stub})
-	}
-	if len(kids) == 0 {
-		return nil
-	}
-
-	// Fetch children lazily in in-order chunks, so a limit-bounded scan
-	// stops without paying for the rest of the frontier. Batched mode
-	// reads each chunk in one doorbell batch; unbatched mode degrades to
-	// one child per round trip (chunk size 1).
-	chunk := scanChunk
-	if !s.batched {
-		chunk = 1
-	}
-	for base := 0; base < len(kids); base += chunk {
-		end := base + chunk
-		if end > len(kids) {
-			end = len(kids)
-		}
-		part := kids[base:end]
-		leaves := make([]*Leaf, len(part))
-		nodes := make([]*Node, len(part))
-
-		var ops []fabric.Op
-		bufs := make([][]byte, len(part))
-		spec := uint64(s.e.Cfg.leafSpecRead())
-		for i, k := range part {
-			var size uint64
-			if k.slot.Leaf {
-				size = s.e.clampRead(k.slot.Addr, spec)
-			} else {
-				size = s.e.nodeReadSize(k.slot.ChildType)
+// drain emits the resolved head of the frontier and reports whether the scan
+// goes on: false once the limit is reached or nothing is left.
+func (s *scanner) drain() bool {
+	for ; s.head < len(s.front); s.head++ {
+		ent := &s.front[s.head]
+		switch ent.state {
+		case entLeaf:
+			// Key and value lie back to back in the image; only now, for a
+			// leaf that is returned, are they copied out of the arena.
+			h := wire.DecodeLeafHeader(leUint64(ent.img))
+			kv := append([]byte(nil), ent.img[wire.LeafHeaderSize:wire.LeafHeaderSize+int(h.KeyLen)+int(h.ValLen)]...)
+			if s.out == nil && s.limit > 0 {
+				s.out = make([]KV, 0, min(s.limit, 2*scanChunk))
 			}
-			bufs[i] = make([]byte, size)
-			ops = append(ops, fabric.Op{Kind: fabric.Read, Addr: k.slot.Addr, Data: bufs[i]})
+			s.out = append(s.out, KV{Key: kv[:h.KeyLen:h.KeyLen], Value: kv[h.KeyLen:]})
+			if len(s.out) == s.limit {
+				return false
+			}
+		case entNode:
+			if _, _, more := s.peek(ent); more {
+				return true
+			}
+		case entPending, entStale:
+			return true
 		}
-		prevStage := s.e.C.SetStage(fabric.StageScan)
-		err := s.e.C.Batch(ops)
-		s.e.C.SetStage(prevStage)
+	}
+	return false
+}
+
+// plan rebuilds the frontier for the next round and picks what the round
+// reads: walking in key order, it adds up what the limit can already count
+// on — a waiting leaf is one key, a leaf slot one, an inner child what
+// scanYield says, or one if lo runs through it (its keys from lo on may be
+// few) — and posts a READ for every entry it passes, splicing the children
+// of opened nodes in as it reaches them, until the limit is covered or the
+// window is full. What lies behind that point is carried over unread.
+func (s *scanner) plan(window int) {
+	next := s.spare[:0]
+	s.ops, s.sel = s.ops[:0], s.sel[:0]
+	have := len(s.out)
+	open := func() bool { return len(s.ops) < window && (s.limit == 0 || have < s.limit) }
+	for i := s.head; i < len(s.front); i++ {
+		if !open() {
+			next = append(next, s.front[i:]...)
+			break
+		}
+		ent := s.front[i]
+		switch ent.state {
+		case entLeaf:
+			have++
+			next = append(next, ent)
+		case entPending, entStale:
+			next = s.post(next, ent)
+			have += s.yield(&ent)
+		case entNode:
+			for open() {
+				child, after, ok := s.peek(&ent)
+				if !ok {
+					ent.state = entDropped
+					break
+				}
+				ent.next = int16(after)
+				next = s.post(next, child)
+				have += s.yield(&child)
+			}
+			if ent.state == entNode {
+				next = append(next, ent)
+			}
+		}
+	}
+	s.front, s.spare, s.head = next, s.front[:0], 0
+}
+
+// yield is what reading ent is taken to add to the keys the limit can count on.
+func (s *scanner) yield(ent *scanEnt) int {
+	switch {
+	case ent.slot.Leaf || ent.onLo:
+		return 1
+	case s.e.Cfg.Prealloc256:
+		// Every node is born with the Node256 type, which therefore says
+		// nothing about its fan-out; most nodes of a radix tree are small.
+		return scanYield[wire.Node16]
+	}
+	return scanYield[ent.slot.ChildType&3]
+}
+
+// post appends ent to the frontier being built together with the READ the
+// round owes it: the object its slot names, or the slot word itself.
+func (s *scanner) post(next []scanEnt, ent scanEnt) []scanEnt {
+	addr, size := ent.slot.Addr, uint64(ent.want)
+	switch {
+	case ent.state == entStale:
+		addr, size = ent.parent.Add(uint64(ent.off)), 8
+	case size != 0:
+	case ent.slot.Leaf:
+		size = s.e.clampRead(addr, uint64(s.e.Cfg.leafSpecRead()))
+	default:
+		size = s.e.nodeReadSize(ent.slot.ChildType)
+	}
+	s.sel = append(s.sel, len(next))
+	s.ops = append(s.ops, fabric.Op{Kind: fabric.Read, Addr: addr, Data: s.take(size)})
+	return append(next, ent)
+}
+
+// peek returns the entry for the next in-range child of the opened node n,
+// and the cursor position behind that child, without moving the cursor.
+func (s *scanner) peek(n *scanEnt) (child scanEnt, after int, ok bool) {
+	hdr := wire.DecodeNodeHeader(leUint64(n.img))
+	depth := int(hdr.Depth)
+	addr := n.slot.Addr
+	child = scanEnt{parent: addr, ptype: hdr.Type, base: hdr.Depth + 1}
+	// lo cuts below this node only if it runs on past the node's prefix.
+	loEdge, hiEdge := -1, 255
+	if n.onLo && len(s.lo) > depth {
+		loEdge = int(s.lo[depth])
+	}
+	if n.onHi {
+		hiEdge = -1 // hi ends here: it admits the EOL key and no child
+		if len(s.hi) > depth {
+			hiEdge = int(s.hi[depth])
+		}
+	}
+	from := int(n.next)
+	if from < 0 {
+		from = 0
+		// The EOL leaf holds the node's own prefix as its key: in range
+		// unless lo runs on past it.
+		if w := leUint64(n.img[wire.EOLSlotOff:]); loEdge < 0 && w>>62 == 3 {
+			child.slot, child.off = wire.DecodeSlot(w), wire.EOLSlotOff
+			return child, 0, true
+		}
+	}
+	w, idx, edge := nextChild(n.img, hdr.Type, max(from, loEdge))
+	if edge > hiEdge {
+		return child, 256, false
+	}
+	child.slot = wire.DecodeSlot(w)
+	child.off = uint16(wire.SlotsOff(hdr.Type)) + 8*uint16(idx)
+	child.onLo, child.onHi = n.onLo && edge == loEdge, n.onHi && edge == hiEdge
+	return child, edge + 1, true
+}
+
+// nextChild finds, in the raw image of a node of type t, the present child
+// with the lowest edge byte ≥ from: its slot word, slot index and edge byte
+// (256 if there is none). Nothing is materialised or sorted, so a node the
+// scan uses two children of costs two probes.
+func nextChild(img []byte, t wire.NodeType, from int) (w uint64, idx, edge int) {
+	slots := img[wire.SlotsOff(t):]
+	edge = 256
+	switch t {
+	case wire.Node4, wire.Node16:
+		for i := 0; i < t.Capacity(); i++ {
+			sw := leUint64(slots[8*i:])
+			if b := int(byte(sw >> 54)); sw>>63 == 1 && b >= from && b < edge {
+				w, idx, edge = sw, i, b
+			}
+		}
+	default: // Node48 through its index, Node256 directly: probe the edge bytes upward
+		for b := from; b < 256; b++ {
+			i := b
+			if t == wire.Node48 {
+				if i = int(img[wire.SlotBase+b]) - 1; i < 0 || i >= t.Capacity() {
+					continue
+				}
+			}
+			if sw := leUint64(slots[8*i:]); sw>>63 == 1 {
+				return sw, i, b
+			}
+		}
+	}
+	return w, idx, edge
+}
+
+// settle takes in what the round read, entry by entry.
+func (s *scanner) settle() error {
+	for i, at := range s.sel {
+		ent, buf := &s.front[at], s.ops[i].Data
+		var err error
+		switch {
+		case ent.state == entStale:
+			err = s.followSlot(ent, leUint64(buf))
+		case ent.slot.Leaf:
+			s.reads++
+			err = s.gotLeaf(ent, buf)
+		default:
+			s.reads++
+			s.nodeReads++
+			err = s.gotNode(ent, buf)
+		}
 		if err != nil {
 			return err
-		}
-		for i, k := range part {
-			if k.slot.Leaf {
-				leaves[i] = s.decodeOrReread(k.slot.Addr, bufs[i])
-				if leaves[i] == nil {
-					// Torn, locked or under-read: fall back individually.
-					l, err := s.e.ReadLeaf(k.slot.Addr)
-					if err != nil {
-						return err
-					}
-					leaves[i] = l
-				}
-			} else {
-				nd, err := Decode(k.slot.Addr, bufs[i])
-				if err != nil {
-					nd, err = s.e.ReadNode(k.slot.Addr, k.slot.ChildType)
-					if err != nil {
-						return err
-					}
-				}
-				nodes[i] = nd
-			}
-		}
-
-		// Emit / recurse in order within the chunk.
-		for i, k := range part {
-			if k.slot.Leaf {
-				l := leaves[i]
-				if l.Status == wire.StatusInvalid {
-					continue
-				}
-				if !keyInRange(l.Key, s.lo, s.hi) {
-					continue
-				}
-				s.out = append(s.out, KV{Key: l.Key, Value: l.Value})
-				if s.limit > 0 && len(s.out) >= s.limit {
-					return errScanDone
-				}
-				continue
-			}
-			if err := s.visit(nodes[i], k.stub); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// scanChunk is the doorbell-batch size of a batched scan's child fetches:
-// large enough to amortize round trips, small enough that limit-bounded
-// scans do not over-fetch wide nodes.
-const scanChunk = 32
-
-// decodeOrReread parses a speculatively read leaf, returning nil when the
-// image is torn, locked or longer than the speculative read (the caller
-// re-reads those individually).
-func (s *scanner) decodeOrReread(addr mem.Addr, buf []byte) *Leaf {
-	if len(buf) < 8 {
-		return nil
+// again leaves ent for the next round to read once more (as it stands, or
+// through its parent's slot when stale), unless it has had its tries.
+func (s *scanner) again(ent *scanEnt, stale bool, why string) error {
+	if ent.tries++; ent.tries > scanTries {
+		return fmt.Errorf("scan: %s at %v: %w", why, ent.slot.Addr, ErrRestart)
 	}
+	if stale {
+		ent.state = entStale
+		s.reresolved++
+	}
+	return nil
+}
+
+func (s *scanner) gotLeaf(ent *scanEnt, buf []byte) error {
 	hdr := wire.DecodeLeafHeader(leUint64(buf))
 	if hdr.Status == wire.StatusInvalid {
-		return &Leaf{Addr: addr, Status: wire.StatusInvalid, Units: hdr.Units}
+		// Retired by an out-of-place update, a relocation or a delete; the
+		// slot says which.
+		return s.again(ent, true, "leaf retired")
 	}
-	if uint64(hdr.Units)*wire.LeafUnit > uint64(len(buf)) {
-		return nil
+	if need := uint64(hdr.Units) * wire.LeafUnit; need > uint64(len(buf)) {
+		ent.want = uint32(s.e.clampRead(ent.slot.Addr, need))
+		return s.again(ent, false, "leaf longer than read")
 	}
-	key, val, st, ok := wire.DecodeLeaf(buf)
+	key, _, st, ok := wire.DecodeLeaf(buf)
 	if !ok || st != wire.StatusIdle {
+		// Torn or locked: an in-place update is one WRITE from done, so the
+		// next round usually finds it whole. A lock that outlives the tries
+		// is ReadLeaf's to wait out or break.
+		if ent.tries++; ent.tries <= scanTries {
+			return nil
+		}
+		l, err := s.e.ReadLeaf(ent.slot.Addr)
+		if err != nil {
+			return err
+		}
+		if l.Status == wire.StatusInvalid {
+			return s.again(ent, true, "leaf retired")
+		}
+		key = l.Key
+		buf = wire.EncodeLeafInto(s.take(uint64(l.Units)*wire.LeafUnit), l.Status, l.Units, l.Key, l.Value)
+	}
+	if !keyInRange(key, s.lo, s.hi) {
+		ent.state = entDropped
 		return nil
 	}
-	return &Leaf{
-		Addr: addr, Status: st, Units: hdr.Units,
-		Key:   append([]byte(nil), key...),
-		Value: append([]byte(nil), val...),
+	ent.state, ent.img = entLeaf, buf
+	return nil
+}
+
+func (s *scanner) gotNode(ent *scanEnt, buf []byte) error {
+	hdr, err := decodeNodeHeader(buf)
+	if err != nil {
+		return s.again(ent, false, err.Error())
 	}
+	if need := wire.NodeSize(hdr.Type); need > uint64(len(buf)) {
+		ent.want = uint32(need)
+		return s.again(ent, false, "node larger than its slot says")
+	}
+	if hdr.Status == wire.StatusInvalid {
+		return s.again(ent, true, "node retired")
+	}
+	if hdr.Depth-uint16(hdr.PartialLen) != ent.base {
+		// A compressed-path split shortened the partial after the parent
+		// was read: the bytes now missing sit in a node the parent's slot
+		// names by now, or will in a moment.
+		return s.again(ent, true, "node partial split")
+	}
+	// Settle the bounds against the partial: the subtree may fall wholly
+	// outside the range, or wholly inside a bound that cut its parent.
+	partial := buf[wire.PartialOff : wire.PartialOff+int(hdr.PartialLen)]
+	var lo, hi int
+	if ent.onLo {
+		lo = sideOf(partial, s.lo[ent.base:])
+	}
+	if ent.onHi {
+		hi = sideOf(partial, s.hi[ent.base:])
+	}
+	if lo < 0 || hi > 0 {
+		ent.state = entDropped
+		return nil
+	}
+	ent.onLo, ent.onHi = ent.onLo && lo == 0, ent.onHi && hi == 0
+	ent.state, ent.img, ent.next = entNode, buf, -1
+	return nil
+}
+
+// sideOf places a subtree whose prefix runs on with partial against a bound
+// that runs on with rest: -1 wholly below the bound, +1 wholly above it (also
+// when the partial outruns the bound: every key below extends it), 0 when the
+// bound runs on through the subtree.
+func sideOf(partial, rest []byte) int {
+	m := min(len(partial), len(rest))
+	if c := bytes.Compare(partial[:m], rest[:m]); c != 0 || len(rest) >= len(partial) {
+		return c
+	}
+	return 1
+}
+
+// followSlot resolves a stale entry from its parent's slot word, read again.
+func (s *scanner) followSlot(ent *scanEnt, word uint64) error {
+	now := wire.DecodeSlot(word)
+	switch {
+	case !now.Present || now.KeyByte != ent.slot.KeyByte:
+		// Deleted (and the slot perhaps reused for a younger edge).
+		ent.state = entDropped
+	case now.Addr != ent.slot.Addr || now.Leaf != ent.slot.Leaf:
+		ent.slot, ent.state, ent.want = now, entPending, 0
+	case now.Leaf:
+		// The slot still names the retired leaf. Updates and relocations
+		// swing the slot before they retire, so this is a delete past its
+		// commit point — if the parent image is current, which only its
+		// lock can tell: finish the delete as a point operation would.
+		parent := &Node{Addr: ent.parent, Hdr: wire.NodeHeader{Type: ent.ptype, Depth: ent.base - 1}}
+		cleared, err := s.e.completeDelete(parent, ent.off == wire.EOLSlotOff, now.KeyByte, now.Addr)
+		if err != nil {
+			return err
+		}
+		if !cleared {
+			return fmt.Errorf("scan: retired leaf %v still linked: %w", now.Addr, ErrRestart)
+		}
+		ent.state = entDropped
+	default:
+		// The slot still names the node: the parent image is itself stale
+		// (retired with this child in it), or a split is between its two
+		// writes. The tries bound the wait.
+		return s.again(ent, false, "node retired under a stale parent")
+	}
+	return nil
 }

@@ -296,3 +296,33 @@ func BenchmarkFilterCacheInsertParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSphinxScan50 is a limit-50 range scan from a key in the tree:
+// 100 k email keys, 64-byte values, start keys walked through the key set.
+// Beside -benchmem's CN-side cost it reports the network cost of one scan
+// from Session.Stats: round trips, verbs and bytes read.
+// -benchtime 2000x -benchmem: 24.0 rt, 123 verbs, 33.8 KB, 953 allocs and
+// 131 KB allocated per scan with the depth-first walk (one batch per visited
+// node, every buffer, prefix and decoded node allocated); 8.9 rt, 101 verbs,
+// 17.2 KB, 55 allocs and 12 KB with the ordered frontier (DESIGN.md §5.15) —
+// the result slice, one copy per returned key, the root's decoded image and
+// the trace note.
+// Budget: ≤ 10 rt, ≤ 105 verbs, ≤ 18 KB, ≤ 300 allocs, ≤ 40 KB allocated.
+func BenchmarkSphinxScan50(b *testing.B) {
+	keys := dataset.GenerateEmail(100_000, 1)
+	_, s := benchCluster(b, keys)
+	before := s.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kvs, err := s.Scan(keys[(i*7919)%len(keys)], nil, 50)
+		if err != nil || len(kvs) == 0 {
+			b.Fatal(len(kvs), err)
+		}
+	}
+	b.StopTimer()
+	st, n := s.Stats(), float64(b.N)
+	b.ReportMetric(float64(st.RoundTrips-before.RoundTrips)/n, "rt/scan")
+	b.ReportMetric(float64(st.Verbs-before.Verbs)/n, "verbs/scan")
+	b.ReportMetric(float64(st.BytesRead-before.BytesRead)/n, "B/scan")
+}

@@ -308,3 +308,56 @@ func TestTraceWarmPut(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceScan pins a range scan in trace form: the root's node-read, then
+// only scan-stage batches — one per tree level plus what the window estimate
+// fell short by, not one per visited node — closed by one note accounting for
+// every round, fetched object and returned key, which the registry's
+// engine_scan_* counters repeat.
+func TestTraceScan(t *testing.T) {
+	cluster, err := NewCluster(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cluster.NewComputeNode().NewSession()
+	for i := 0; i < 400; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("scan/%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := s.Trace("scan scan/0100 50", func() error {
+		kvs, err := s.Scan([]byte("scan/0100"), nil, 50)
+		if err == nil && (len(kvs) != 50 || string(kvs[0].Key) != "scan/0100" || string(kvs[49].Key) != "scan/0149") {
+			t.Errorf("traced Scan returned %d keys", len(kvs))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages []string
+	for _, e := range tr.Events {
+		if e.Batch {
+			stages = append(stages, e.Stage.String())
+		}
+	}
+	// Keys scan/0100..0149 sit under root → "scan/0" → "scan/01" → ten-key
+	// nodes: four levels below the root's own read.
+	rounds := len(stages) - 1
+	if stages[0] != fabric.StageNodeRead.String() || strings.Count(strings.Join(stages, " "), "scan") != rounds || rounds > 6 {
+		t.Fatalf("batch stages = %v, want node-read then at most 6 × scan:\n%s", stages, tr.Format())
+	}
+	snap := s.Registry().Snapshot()
+	reads, nodes := snap.Counters["engine_scan_reads"], snap.Counters["engine_scan_node_reads"]
+	note := fmt.Sprintf("scan: %d rounds, %d reads (%d nodes, %d leaves), 50 emitted, 0 re-resolved", rounds, reads, nodes, reads-nodes)
+	if out := tr.Format(); !strings.Contains(out, note) || reads > 100 {
+		t.Errorf("trace lacks the note %q, or the scan over-fetched:\n%s", note, out)
+	}
+	if snap.Counters["engine_scan_rounds"] != uint64(rounds) || snap.Counters["engine_scan_emitted"] != 50 {
+		t.Errorf("registry engine_scan_rounds = %d, engine_scan_emitted = %d; want %d, 50",
+			snap.Counters["engine_scan_rounds"], snap.Counters["engine_scan_emitted"], rounds)
+	}
+	if got, want := s.Metrics().StageRTTotal(), s.Stats().RoundTrips; got != want {
+		t.Errorf("stage RT total %d != fabric round trips %d", got, want)
+	}
+}
