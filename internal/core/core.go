@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 
 	"sphinx/internal/consistenthash"
@@ -165,23 +166,16 @@ func (fc *FilterCache) AnalyticFPBound() float64 { return fc.f.AnalyticFPBound()
 
 // Options tunes one Sphinx client.
 type Options struct {
-	// Filter is the CN's shared Succinct Filter Cache. If nil and
-	// FilterEntries > 0, the client builds a private one; if nil and
-	// FilterEntries == 0, a default-sized private one is built.
+	// Filter is the CN's shared Succinct Filter Cache. If nil (and not
+	// disabled), the client builds a private default-sized one.
 	Filter *FilterCache
-	// FilterEntries sizes the private filter when Filter is nil.
-	FilterEntries int
 	// DisableFilter turns the Succinct Filter Cache off: every operation
 	// falls back to the parallel multi-prefix hash read (the Θ(L) mode of
 	// §III-B's analysis). Ablation lever.
 	DisableFilter bool
 	// LeafCache is the CN's shared speculative leaf-address cache. If nil
-	// (and not disabled), the client builds a private one sized by
-	// LeafCacheEntries (default 1<<16).
+	// (and not disabled), the client builds a private default-sized one.
 	LeafCache *LeafCache
-	// LeafCacheEntries sizes the private leaf-address cache when LeafCache
-	// is nil.
-	LeafCacheEntries int
 	// DisableLeafCache turns the speculative 1-RT fast path off: every
 	// Search pays the full 3-RT hash path. Ablation lever.
 	DisableLeafCache bool
@@ -217,6 +211,22 @@ type Options struct {
 	DisableHot bool
 }
 
+// defaultCacheEntries sizes the private caches of a client no CN shares its
+// caches with.
+const defaultCacheEntries = 1 << 16
+
+// withCaches fills in a private default-sized filter cache and leaf-address
+// cache where opts names neither a shared one nor the ablation.
+func (opts Options) withCaches() Options {
+	if opts.Filter == nil && !opts.DisableFilter {
+		opts.Filter = NewFilterCache(defaultCacheEntries, opts.Seed|1)
+	}
+	if opts.LeafCache == nil && !opts.DisableLeafCache {
+		opts.LeafCache = NewLeafCache(defaultCacheEntries, opts.Seed)
+	}
+	return opts
+}
+
 // Stats counts Sphinx-level events per client.
 type Stats struct {
 	Searches        uint64
@@ -229,7 +239,7 @@ type Stats struct {
 	RootStarts      uint64 // locates that started at the root
 	FalsePositives  uint64 // filter said yes, index said no (unlearned)
 	CollisionRetry  uint64 // leaf-level common-prefix check tripped (§III-B)
-	Restarts        uint64 // operation-level retries (coherence protocol)
+	Restarts        uint64 // operation-level retries (coherence protocol); the sum of the Restarts* causes
 	ParentRetries   uint64 // ErrNeedParent re-routes (structural, no backoff)
 	StaleEntries    uint64 // invalid hash entries cleaned opportunistically
 	FPMismatches    uint64 // candidate nodes read but failing the §III-B checks
@@ -253,45 +263,26 @@ type Stats struct {
 	HotPromotes     uint64 // keys promoted into replicated placement
 	HotDemotes      uint64 // cooled keys torn back down to single-owner
 	HotRefreshes    uint64 // writes that republished at least one hot record
+	// Restarts, by the cause the operation driver classified (ops.go drive).
+	RestartsStructural uint64 // lost a structural race (rart.ErrRestart, need-parent at the root)
+	RestartsTransient  uint64 // a batch failed part-way (fabric.ErrTransient)
+	RestartsTimeout    uint64 // a completion was lost (fabric.ErrTimeout)
+	RestartsNodeDown   uint64 // a memory node rejected the batch (down window, or lost without failover)
 }
 
 // Add returns s + t, field-wise; used to aggregate workers.
 func (s Stats) Add(t Stats) Stats {
-	s.Searches += t.Searches
-	s.Inserts += t.Inserts
-	s.Updates += t.Updates
-	s.Deletes += t.Deletes
-	s.Scans += t.Scans
-	s.FilterHits += t.FilterHits
-	s.FilterFallbacks += t.FilterFallbacks
-	s.RootStarts += t.RootStarts
-	s.FalsePositives += t.FalsePositives
-	s.CollisionRetry += t.CollisionRetry
-	s.Restarts += t.Restarts
-	s.ParentRetries += t.ParentRetries
-	s.StaleEntries += t.StaleEntries
-	s.FPMismatches += t.FPMismatches
-	s.Failovers += t.Failovers
-	s.DegradedPuts += t.DegradedPuts
-	s.PartialReplicas += t.PartialReplicas
-	s.AnchorConfirms += t.AnchorConfirms
-	s.SpecHits += t.SpecHits
-	s.SpecMisses += t.SpecMisses
-	s.SpecRefutes += t.SpecRefutes
-	s.SpecAborts += t.SpecAborts
-	s.SpecUpdHits += t.SpecUpdHits
-	s.SpecUpdMisses += t.SpecUpdMisses
-	s.SpecUpdRefutes += t.SpecUpdRefutes
-	s.SpecUpdAborts += t.SpecUpdAborts
-	s.EpochFallbacks += t.EpochFallbacks
-	s.Cutovers += t.Cutovers
-	s.HotHits += t.HotHits
-	s.HotRefutes += t.HotRefutes
-	s.HotAborts += t.HotAborts
-	s.HotPromotes += t.HotPromotes
-	s.HotDemotes += t.HotDemotes
-	s.HotRefreshes += t.HotRefreshes
+	eachCounter(&s, &t, func(dst, src *uint64) { *dst += *src })
 	return s
+}
+
+// eachCounter pairs every counter of dst with the same counter of src. Stats
+// is counters only — a field of another type panics here, in the first test.
+func eachCounter(dst, src *Stats, fn func(dst, src *uint64)) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+	for i := 0; i < d.NumField(); i++ {
+		fn(d.Field(i).Addr().Interface().(*uint64), s.Field(i).Addr().Interface().(*uint64))
+	}
 }
 
 // viewSet is a copy-on-write map of per-node hash-table views. The owning
@@ -354,6 +345,7 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 	// post-loss growth avoids dead nodes and post-rebalance growth lands on
 	// the new placement.
 	var cl *Client
+	opts = opts.withCaches()
 	opts.Engine.Place = func(key []byte) mem.NodeID { return cl.placeIn(members.Current(), key) }
 	alloc := mem.NewAllocator(c, 0)
 	cl = &Client{
@@ -385,20 +377,6 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 			}
 		}
 	}
-	if cl.filter == nil && !opts.DisableFilter {
-		n := opts.FilterEntries
-		if n == 0 {
-			n = 1 << 16
-		}
-		cl.filter = NewFilterCache(n, opts.Seed|1)
-	}
-	if cl.lac == nil && !opts.DisableLeafCache {
-		n := opts.LeafCacheEntries
-		if n == 0 {
-			n = 1 << 16
-		}
-		cl.lac = NewLeafCache(n, opts.Seed)
-	}
 	if opts.Observer != nil {
 		c.SetObserver(opts.Observer)
 	}
@@ -418,40 +396,7 @@ func (c *Client) Engine() *rart.Engine { return c.eng }
 // it is safe to call concurrently with the worker driving the client.
 func (c *Client) Stats() Stats {
 	var s Stats
-	s.Searches = atomic.LoadUint64(&c.stats.Searches)
-	s.Inserts = atomic.LoadUint64(&c.stats.Inserts)
-	s.Updates = atomic.LoadUint64(&c.stats.Updates)
-	s.Deletes = atomic.LoadUint64(&c.stats.Deletes)
-	s.Scans = atomic.LoadUint64(&c.stats.Scans)
-	s.FilterHits = atomic.LoadUint64(&c.stats.FilterHits)
-	s.FilterFallbacks = atomic.LoadUint64(&c.stats.FilterFallbacks)
-	s.RootStarts = atomic.LoadUint64(&c.stats.RootStarts)
-	s.FalsePositives = atomic.LoadUint64(&c.stats.FalsePositives)
-	s.CollisionRetry = atomic.LoadUint64(&c.stats.CollisionRetry)
-	s.Restarts = atomic.LoadUint64(&c.stats.Restarts)
-	s.ParentRetries = atomic.LoadUint64(&c.stats.ParentRetries)
-	s.StaleEntries = atomic.LoadUint64(&c.stats.StaleEntries)
-	s.FPMismatches = atomic.LoadUint64(&c.stats.FPMismatches)
-	s.Failovers = atomic.LoadUint64(&c.stats.Failovers)
-	s.DegradedPuts = atomic.LoadUint64(&c.stats.DegradedPuts)
-	s.PartialReplicas = atomic.LoadUint64(&c.stats.PartialReplicas)
-	s.AnchorConfirms = atomic.LoadUint64(&c.stats.AnchorConfirms)
-	s.SpecHits = atomic.LoadUint64(&c.stats.SpecHits)
-	s.SpecMisses = atomic.LoadUint64(&c.stats.SpecMisses)
-	s.SpecRefutes = atomic.LoadUint64(&c.stats.SpecRefutes)
-	s.SpecAborts = atomic.LoadUint64(&c.stats.SpecAborts)
-	s.SpecUpdHits = atomic.LoadUint64(&c.stats.SpecUpdHits)
-	s.SpecUpdMisses = atomic.LoadUint64(&c.stats.SpecUpdMisses)
-	s.SpecUpdRefutes = atomic.LoadUint64(&c.stats.SpecUpdRefutes)
-	s.SpecUpdAborts = atomic.LoadUint64(&c.stats.SpecUpdAborts)
-	s.EpochFallbacks = atomic.LoadUint64(&c.stats.EpochFallbacks)
-	s.Cutovers = atomic.LoadUint64(&c.stats.Cutovers)
-	s.HotHits = atomic.LoadUint64(&c.stats.HotHits)
-	s.HotRefutes = atomic.LoadUint64(&c.stats.HotRefutes)
-	s.HotAborts = atomic.LoadUint64(&c.stats.HotAborts)
-	s.HotPromotes = atomic.LoadUint64(&c.stats.HotPromotes)
-	s.HotDemotes = atomic.LoadUint64(&c.stats.HotDemotes)
-	s.HotRefreshes = atomic.LoadUint64(&c.stats.HotRefreshes)
+	eachCounter(&s, &c.stats, func(dst, src *uint64) { *dst = atomic.LoadUint64(src) })
 	return s
 }
 

@@ -468,7 +468,7 @@ func TestOracleWithTinyFilterEviction(t *testing.T) {
 	// A capacity-starved filter evicts constantly; correctness must hold
 	// (evictions only cost round trips).
 	f, shared := newCluster(t, 2, fabric.InstantConfig(), 2000)
-	c := newTestClient(f, shared, Options{FilterEntries: 32})
+	c := newTestClient(f, shared, Options{Filter: NewFilterCache(32, 1)})
 	oracle := map[string]string{}
 	rng := rand.New(rand.NewSource(13))
 	for step := 0; step < 2500; step++ {
@@ -569,7 +569,7 @@ func TestConcurrentChurnSharedKeys(t *testing.T) {
 
 func TestCacheBytesReported(t *testing.T) {
 	f, shared := newCluster(t, 2, fabric.InstantConfig(), 1000)
-	c := newTestClient(f, shared, Options{FilterEntries: 10000})
+	c := newTestClient(f, shared, Options{Filter: NewFilterCache(10000, 1)})
 	if _, err := c.Insert([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,5 @@ func exhausted(op string, key []byte, last error) error {
 	if errors.Is(last, fabric.ErrNodeDown) {
 		base = ErrNodeUnavailable
 	}
-	if last != nil {
-		return fmt.Errorf("%w: %s for %q (last: %v)", base, op, key, last)
-	}
-	return fmt.Errorf("%w: %s for %q", base, op, key)
+	return fmt.Errorf("%w: %s for %q (last: %v)", base, op, key, last)
 }

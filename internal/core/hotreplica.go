@@ -51,7 +51,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -364,43 +363,34 @@ func (c *Client) hotTouch(key []byte, valLen int, sfcHot bool) {
 	}
 }
 
-// Outcomes of one speculative hot-record read attempt.
-const (
-	hotReadHit    = iota // verified; value served
-	hotReadRefute        // provably stale route; unlearn (1 RT paid)
-	hotReadAbort         // transient fault; keep route, fall back (1 RT paid)
-	hotReadSkip          // locally dropped before any round trip
-)
-
 // hotReadRecord speculatively reads one replica record in a single round
-// trip and verifies it in place: Idle status and the exact key bytes. No
-// follow-up reads — the route cache learned the record's exact size, and
-// records are immutable, so a size mismatch already proves staleness.
-func (c *Client) hotReadRecord(addr mem.Addr, units uint8, key []byte) ([]byte, int) {
+// trip and settles it like every speculative access (specVerify, specSettle):
+// only an Idle record storing exactly key is a hit; a refutation unlearns the
+// route from the rank's cache it came from. No follow-up reads — the route
+// cache learned the record's exact size, and records are immutable, so a size
+// mismatch already proves staleness.
+func (c *Client) hotReadRecord(routes *LeafCache, addr mem.Addr, units uint8, key []byte) ([]byte, specOutcome) {
 	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHotRead))
+	p := c.specHots(routes)
 	size := min(uint64(units)*64, c.hot.room(addr))
 	if size < recordDataOff {
-		return nil, hotReadSkip
+		c.specSettle(p, key, specRefute, "refuted: route past the region's end, unlearned")
+		return nil, specRefute
 	}
 	buf := make([]byte, size)
-	if err := c.eng.C.Read(addr, buf); err != nil {
-		if errors.Is(err, fabric.ErrNodeKilled) || errors.Is(err, fabric.ErrBreakerOpen) {
-			return nil, hotReadRefute
-		}
-		return nil, hotReadAbort
-	}
+	err := c.eng.C.Read(addr, buf)
 	st, _, keyLen, valLen := decodeRecordWords(buf)
-	if st != wire.StatusIdle {
-		return nil, hotReadRefute
+	valOff := recordDataOff + keyLen
+	var recKey []byte
+	if keyLen == len(key) && valOff+valLen <= len(buf) {
+		recKey = buf[recordDataOff:valOff]
 	}
-	if keyLen != len(key) || recordDataOff+keyLen+valLen > len(buf) {
-		return nil, hotReadRefute
+	out, why := specVerify(key, err, true, st, recKey)
+	c.specSettle(p, key, out, why)
+	if out != specHit {
+		return nil, out
 	}
-	if !bytes.Equal(buf[recordDataOff:recordDataOff+keyLen], key) {
-		return nil, hotReadRefute
-	}
-	val := append([]byte(nil), buf[recordDataOff+keyLen:recordDataOff+keyLen+valLen]...)
-	return val, hotReadHit
+	return append([]byte(nil), buf[valOff:valOff+valLen]...), specHit
 }
 
 // hotGet attempts the replicated 1-RT fast path: gather the key's routes
@@ -452,19 +442,10 @@ func (c *Client) hotGet(key []byte) ([]byte, bool) {
 	}
 	for k := 0; k < n; k++ {
 		r := routes[(start+k)%n]
-		val, verdict := c.hotReadRecord(r.addr, r.units, key)
-		switch verdict {
-		case hotReadHit:
-			atomic.AddUint64(&c.stats.HotHits, 1)
-			return val, true
-		case hotReadRefute:
-			atomic.AddUint64(&c.stats.HotRefutes, 1)
-			hs.Rank(r.rank).Unlearn(key)
-		case hotReadAbort:
-			atomic.AddUint64(&c.stats.HotAborts, 1)
-			return nil, false
-		case hotReadSkip:
-			hs.Rank(r.rank).Unlearn(key)
+		// A refuted route falls to the next; an abort keeps its route and ends
+		// the attempt.
+		if val, out := c.hotReadRecord(hs.Rank(r.rank), r.addr, r.units, key); out != specRefute {
+			return val, out == specHit
 		}
 	}
 	return nil, false

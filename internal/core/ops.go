@@ -211,14 +211,6 @@ func viewHolds(v *racehash.View, h42 uint64, fp uint16, e wire.HashEntry) (bool,
 	return false, nil
 }
 
-// noteRestart annotates an operation-level restart on the armed trace
-// recorder; the fmt.Sprintf only runs while tracing.
-func (c *Client) noteRestart(err error) {
-	if c.rec != nil {
-		c.rec.Note(fabric.StageNone, c.eng.C.Clock(), fmt.Sprintf("restart: %v", err))
-	}
-}
-
 // noteScan annotates, on the armed trace recorder, what the scan that began
 // at the engine counters before cost the tree (restarted attempts included):
 // its frontier rounds, the objects they fetched against the keys returned —
@@ -257,18 +249,107 @@ func (c *Client) checkKey(key []byte) error {
 	return nil
 }
 
-// retriable reports whether an error is worth re-running the operation
-// for: a lost structural race, or an injected fabric fault that a later
-// attempt can outlive. Budget exhaustion and client crashes are terminal.
-func retriable(err error) bool {
-	return errors.Is(err, rart.ErrRestart) ||
-		errors.Is(err, fabric.ErrTransient) ||
-		errors.Is(err, fabric.ErrTimeout) ||
-		errors.Is(err, fabric.ErrNodeDown)
+// drive runs one operation to its end — the one retry discipline every
+// operation shares (DESIGN.md §5.16 holds the decision table). Each round
+// locates the start node — the deepest known prefix of key no longer than
+// maxLen, or the root for a rooted operation (Scan has no key to locate) —
+// runs attempt from it, and settles what the attempt reported:
+//
+//   - done (nil error): the operation's results are where attempt left them.
+//   - a wrong start that costs nothing to fix — attempt reported a prefix
+//     collision, or the tree needs the parent of the start node and there is
+//     one above: narrow maxLen below startLen and go again. No budget, no
+//     backoff, no restart counted; the narrowing survives later restarts (a
+//     fabric fault says nothing about the collided prefix, and descents
+//     re-learn it into the filter, so widening would re-detect it each time).
+//   - the path crosses a lost node and the layer above can answer instead
+//     (anchors with fault tolerance; a rooted scan's typed error): lost is
+//     reported with the error, in one decision, no backoff.
+//   - a lost race or an injected fault a later attempt can outlive: counted
+//     once, by cause, noted on the trace, and charged to the backoff budget.
+//   - anything else, or the budget is spent: the terminal error.
+func (c *Client) drive(op string, key []byte, rooted bool,
+	attempt func(start *rart.Node, startLen int) (collided bool, err error)) (lost bool, err error) {
+	maxLen := len(key)
+	for bo := c.eng.Backoff(); ; {
+		var start *rart.Node
+		var startLen int
+		if rooted {
+			start, err = c.readRoot()
+		} else {
+			start, startLen, err = c.locate(key, maxLen)
+		}
+		if err == nil {
+			var narrow bool
+			narrow, err = attempt(start, startLen)
+			if errors.Is(err, rart.ErrNeedParent) && startLen > 0 {
+				atomic.AddUint64(&c.stats.ParentRetries, 1)
+				c.note(fabric.StagePublish, "need parent: re-routing via prefix %d, no backoff", startLen-1)
+				narrow = true
+			}
+			if narrow {
+				maxLen = startLen - 1
+				continue
+			}
+			if err == nil {
+				return false, nil
+			}
+		}
+		if nodeLost(err) && (rooted || c.shared.FT != nil) {
+			c.note(fabric.StageNone, "node lost: %v", err)
+			return true, err
+		}
+		cause := c.restartCause(err)
+		if cause == nil {
+			return false, err
+		}
+		atomic.AddUint64(&c.stats.Restarts, 1)
+		atomic.AddUint64(cause, 1)
+		c.note(fabric.StageNone, "restart: %v", err)
+		if !bo.Wait() {
+			return false, exhausted(op, key, err)
+		}
+	}
 }
 
-// Search returns the value stored for key (paper §IV Search). Warm path:
-// one hash-entry round trip, one inner-node round trip, one leaf round
+// restartCause classifies an error worth re-running the operation for — a
+// lost structural race, or an injected fabric fault that a later attempt can
+// outlive — as the counter of its cause; nil for a terminal error (budget
+// exhaustion and client crashes among them).
+func (c *Client) restartCause(err error) *uint64 {
+	switch {
+	case errors.Is(err, rart.ErrRestart), errors.Is(err, rart.ErrNeedParent):
+		return &c.stats.RestartsStructural
+	case errors.Is(err, fabric.ErrTransient):
+		return &c.stats.RestartsTransient
+	case errors.Is(err, fabric.ErrTimeout):
+		return &c.stats.RestartsTimeout
+	case errors.Is(err, fabric.ErrNodeDown):
+		return &c.stats.RestartsNodeDown
+	}
+	return nil
+}
+
+// nodeLost reports whether an error says its target node is permanently gone
+// (killed) or breaker-rejected (suspected down). A plain down window is not
+// that: the node will come back.
+func nodeLost(err error) bool {
+	return errors.Is(err, fabric.ErrNodeKilled) || errors.Is(err, fabric.ErrBreakerOpen)
+}
+
+// note annotates a local event on the armed trace recorder; the fmt.Sprintf
+// only runs while tracing.
+func (c *Client) note(stage fabric.Stage, format string, args ...any) {
+	if c.rec != nil {
+		c.rec.Note(stage, c.eng.C.Clock(), fmt.Sprintf(format, args...))
+	}
+}
+
+// Search returns the value stored for key (paper §IV Search): a ladder of
+// trust-but-verify tiers, each one round trip when it serves, each falling to
+// the next with a fresh budget when it cannot — a refuted or aborted
+// speculation is a routing decision, not contention. Warm path of the last
+// tier: one hash-entry round trip, one inner-node round trip, one leaf round
 // trip.
 func (c *Client) Search(key []byte) ([]byte, bool, error) {
 	if err := c.checkKey(key); err != nil {
@@ -284,90 +365,57 @@ func (c *Client) Search(key []byte) ([]byte, bool, error) {
 		atomic.AddUint64(&c.stats.Failovers, 1)
 		return c.anchorGet(key)
 	}
-	// Hottest path: a key promoted into replicated placement serves from a
-	// contention-chosen replica record in one verified round trip (see
-	// hotreplica.go). A refute or abort falls through with a fresh budget,
-	// like the speculative path below.
-	if val, served := c.hotGet(key); served {
-		c.hotTouch(key, len(val), false)
-		return val, true, nil
+	// Hottest first: a replica record of a promoted key, chosen by contention
+	// (hotreplica.go); then the leaf at the address the leaf-address cache
+	// remembers (specGet); then the tree.
+	val, ok := c.hotGet(key)
+	if !ok {
+		val, ok = c.specGet(key)
 	}
-	// Speculative fast path: if the leaf-address cache has an opinion, one
-	// doorbell read against the cached address, verified in place. A refuted
-	// or aborted speculation falls through to the 3-RT hash path below with
-	// a FRESH backoff — the fallback is a routing decision, not contention,
-	// so it consumes no retry budget and injects no sleep (same contract as
-	// the ErrNeedParent re-route in put).
-	if val, served := c.specGet(key); served {
-		c.hotTouch(key, len(val), false)
-		return val, true, nil
-	}
-	// The authoritative walk below probes the filter inside locate, which
+	// Only the authoritative walk probes the filter (inside locate), which
 	// records the SFC hotness observation into sfcWasHot for hotTouch.
 	c.sfcWasHot = false
-	val, ok, err := c.searchTree(key)
-	if err == nil && ok {
+	var err error
+	if !ok {
+		val, ok, err = c.searchTree(key)
+	}
+	if ok && err == nil {
 		c.hotTouch(key, len(val), c.sfcWasHot)
 	}
 	return val, ok, err
 }
 
-// searchTree is the authoritative read: locate (filter-guided jump) plus
-// the tree walk, with collision narrowing, failover and retry. Factored
-// out of Search so hot promotion can fetch an authoritative value without
-// recursing through the fast paths or the operation counters.
+// searchTree is the authoritative read: the filter-guided jump plus the tree
+// walk. Hot promotion calls it directly to fetch an authoritative value
+// without recursing through the fast tiers or the operation counters.
 func (c *Client) searchTree(key []byte) ([]byte, bool, error) {
-	maxLen := len(key)
-	var last error
-	for bo := c.eng.Backoff(); ; {
-		start, startLen, err := c.locate(key, maxLen)
-		if err == nil {
-			var leaf *rart.Leaf
-			leaf, err = c.eng.SearchFrom(start, key, hooks{c})
-			if err == nil {
-				if leaf == nil {
-					return c.searchAbsent(key)
-				}
-				if !bytes.Equal(leaf.Key, key) {
-					if cp := rart.CommonPrefixLen(leaf.Key, key); cp < startLen {
-						// The start node was not on the key's path after
-						// all: the filter fingerprint and the 42-bit prefix
-						// hash both collided. Unlearn and retry with a
-						// shorter prefix (paper §III-B's leaf-level
-						// detection).
-						c.noteCollision(key, startLen)
-						maxLen = startLen - 1
-						continue
-					}
-					return c.searchAbsent(key)
-				}
-				c.learn(key, leaf.Addr, leaf.Units)
-				return leaf.Value, true, nil
-			}
+	var leaf *rart.Leaf
+	lost, err := c.drive("search", key, false, func(start *rart.Node, startLen int) (collided bool, err error) {
+		leaf, err = c.eng.SearchFrom(start, key, hooks{c})
+		if err == nil && leaf != nil && !bytes.Equal(leaf.Key, key) {
+			collided, leaf = c.collided(key, leaf.Key, startLen), nil
 		}
-		if c.failoverable(err) {
-			// The key's tree path crosses a lost node: answer from the
-			// anchor replicas in one decision, no backoff (acked writes
-			// reached every replica, so any survivor is authoritative).
-			atomic.AddUint64(&c.stats.Failovers, 1)
-			c.noteRestart(err)
-			return c.anchorGet(key)
-		}
-		if !retriable(err) {
-			return nil, false, err
-		}
-		atomic.AddUint64(&c.stats.Restarts, 1)
-		c.noteRestart(err)
-		last = err
-		// maxLen stays narrowed: a retriable fabric fault says nothing
-		// about the collided prefix, and SawNode re-learns it into the
-		// filter during descents, so widening here would re-detect the
-		// same collision on every retry (§III-B narrowing must survive
-		// restarts).
-		if !bo.Wait() {
-			return nil, false, exhausted("search", key, last)
-		}
+		return collided, err
+	})
+	switch {
+	case lost:
+		// The key's tree path crosses a lost node: acked writes reached every
+		// anchor replica, so any survivor is authoritative.
+		atomic.AddUint64(&c.stats.Failovers, 1)
+		return c.anchorGet(key)
+	case err != nil:
+		return nil, false, err
+	case leaf == nil && c.degraded():
+		// A node was lost while the search ran: absence in the tree is not
+		// authoritative, degraded writes land only in the anchors. Confirm
+		// there.
+		atomic.AddUint64(&c.stats.AnchorConfirms, 1)
+		return c.anchorGet(key)
+	case leaf == nil:
+		return nil, false, nil
 	}
+	c.learn(key, leaf.Addr, leaf.Units)
+	return leaf.Value, true, nil
 }
 
 // specOutcome is the verdict of one speculative round trip at a cached leaf
@@ -380,11 +428,11 @@ const (
 	specAbort                     // nothing provable either way: the entry is kept
 )
 
-// specVerify is the trust-but-verify step every speculative access through
-// the leaf-address cache ends in — specGet's one READ, specPut's lock CAS +
-// READ. err is the round trip's fabric error; stable says the image was
-// neither torn nor locked by someone else; status and leafKey are what the
-// image says. Only a positive, verified match is trusted:
+// specVerify is the trust-but-verify step every speculative access at a
+// remembered address ends in — specGet's one READ, specPut's lock CAS + READ,
+// hotGet's one record READ. err is the round trip's fabric error; stable says
+// the image was neither torn nor locked by someone else; status and leafKey
+// are what the image says. Only a positive, verified match is trusted:
 //
 //   - Hit: status Idle and the full key the leaf stores equals key.
 //   - Refuted: Invalid status, another key's leaf, or the address is on a
@@ -392,63 +440,67 @@ const (
 //   - Aborted: a torn or locked image or a transient fabric error proves
 //     nothing; an in-flight writer's in-place update keeps the address valid.
 //
-// The second result words the verdict for the trace.
+// The second result is the verdict's trace note — constants, because sessions
+// keep a tail recorder armed and a refutation must not build strings; the
+// trace row's stage names the tier. Empty for a hit: the path's own note.
+const abortedFabricError = "aborted: fabric error, entry kept"
+
 func specVerify(key []byte, err error, stable bool, status wire.Status, leafKey []byte) (specOutcome, string) {
 	switch {
-	case errors.Is(err, fabric.ErrNodeKilled) || errors.Is(err, fabric.ErrBreakerOpen):
-		return specRefute, "node lost"
+	case nodeLost(err):
+		return specRefute, "refuted: node lost, unlearned"
 	case err != nil:
-		return specAbort, "fabric error"
+		return specAbort, abortedFabricError
 	case !stable:
-		return specAbort, "leaf unstable"
+		return specAbort, "aborted: leaf unstable, entry kept"
 	case status != wire.StatusIdle || !bytes.Equal(leafKey, key):
-		return specRefute, "verification failed"
+		return specRefute, "refuted: verification failed, unlearned"
 	}
 	return specHit, ""
 }
 
-// specPath is one speculative path through the leaf-address cache: its
-// outcome counters and the vocabulary of its trace notes.
+// specPath is one speculative path through a cache of remembered addresses:
+// the cache a refutation unlearns from, the path's outcome counters, and the
+// stage and hit note it appears under on a trace.
 type specPath struct {
+	cache                 *LeafCache
 	hits, refutes, aborts *uint64
 	stage                 fabric.Stage
-	name, hit             string
+	hit                   string
 }
 
 func (c *Client) specGets() specPath {
-	return specPath{&c.stats.SpecHits, &c.stats.SpecRefutes, &c.stats.SpecAborts,
-		fabric.StageLeafSpec, "lac", "lac hit: leaf verified in one round trip"}
+	return specPath{c.lac, &c.stats.SpecHits, &c.stats.SpecRefutes, &c.stats.SpecAborts,
+		fabric.StageLeafSpec, "lac hit: leaf verified in one round trip"}
 }
 
 func (c *Client) specUpdates() specPath {
-	return specPath{&c.stats.SpecUpdHits, &c.stats.SpecUpdRefutes, &c.stats.SpecUpdAborts,
-		fabric.StageLeafWrite, "lac update", "lac update hit: locked+verified in one round trip"}
+	return specPath{c.lac, &c.stats.SpecUpdHits, &c.stats.SpecUpdRefutes, &c.stats.SpecUpdAborts,
+		fabric.StageLeafWrite, "lac update hit: locked+verified in one round trip"}
+}
+
+// specHots is the read of a promoted key's replica record through one rank's
+// route cache (hotGet).
+func (c *Client) specHots(routes *LeafCache) specPath {
+	return specPath{routes, &c.stats.HotHits, &c.stats.HotRefutes, &c.stats.HotAborts,
+		fabric.StageHotRead, "hot hit: replica record verified in one round trip"}
 }
 
 // specSettle books a speculative access's outcome: the path's counter, the
-// unlearn a refutation owes, and the note on the armed trace recorder. why is
-// specVerify's wording; a hit's note is a constant (sessions keep a tail
-// recorder armed, so the hit path must not build strings), the path's own
-// unless why names another.
-func (c *Client) specSettle(p specPath, key []byte, out specOutcome, why string) {
-	note := p.hit
+// unlearn a refutation owes, and the note on the armed trace recorder —
+// specVerify's, or the path's own for a hit that names no other.
+func (c *Client) specSettle(p specPath, key []byte, out specOutcome, note string) {
 	switch out {
 	case specHit:
 		atomic.AddUint64(p.hits, 1)
-		if why != "" {
-			note = why
+		if note == "" {
+			note = p.hit
 		}
 	case specRefute:
-		c.lac.Unlearn(key)
+		p.cache.Unlearn(key)
 		atomic.AddUint64(p.refutes, 1)
-		if c.rec != nil {
-			note = p.name + " refuted: " + why + ", unlearned"
-		}
 	case specAbort:
 		atomic.AddUint64(p.aborts, 1)
-		if c.rec != nil {
-			note = p.name + " aborted: " + why + ", entry kept"
-		}
 	}
 	if c.rec != nil {
 		c.rec.Note(p.stage, c.eng.C.Clock(), note)
@@ -526,7 +578,7 @@ func (c *Client) specPut(key, value []byte) bool {
 	}
 	p := c.specUpdates()
 	if wire.LeafSize(len(key), len(value)) > uint64(units)*wire.LeafUnit {
-		c.specSettle(p, key, specAbort, "value outgrows the leaf")
+		c.specSettle(p, key, specAbort, "aborted: value outgrows the leaf, entry kept")
 		return false
 	}
 	lk, err := c.eng.SpecLockLeaf(addr, units, len(key), len(value))
@@ -535,21 +587,23 @@ func (c *Client) specPut(key, value []byte) bool {
 	if out == specHit && !lk.Held {
 		why = "lac update hit: locked+verified, second CAS for the stored value length"
 		if err := c.eng.TryLeafLock(&lk); err != nil {
-			out, why = specAbort, "fabric error"
+			out, why = specAbort, abortedFabricError
 		} else if !lk.Held {
-			out, why = specAbort, "leaf contended"
+			out, why = specAbort, "aborted: leaf contended, entry kept"
 		}
 	}
 	switch {
 	case out == specHit:
 		if err := c.eng.WriteLockedLeaf(&lk, key, value); err != nil {
-			out, why = specAbort, "releasing write failed"
+			out, why = specAbort, "aborted: releasing write failed, entry kept"
 		}
 	case lk.Held:
 		// Best effort: a restore the fabric drops leaves a lock the next
 		// reader breaks after a lease, over the same intact image.
 		_ = c.eng.UnlockLeaf(&lk)
-		why = "stranger's leaf restored"
+		if out == specRefute {
+			why = "refuted: stranger's leaf restored, unlearned"
+		}
 	}
 	c.specSettle(p, key, out, why)
 	return out == specHit
@@ -564,26 +618,20 @@ func (c *Client) learn(key []byte, addr mem.Addr, units uint8) {
 	c.lac.Learn(key, addr, units)
 }
 
-// searchAbsent finalizes a tree search that found nothing. In degraded
-// mode (a node permanently lost) absence in the tree is not authoritative:
-// degraded writes land only in the anchors, so confirm there.
-func (c *Client) searchAbsent(key []byte) ([]byte, bool, error) {
-	if !c.degraded() {
-		return nil, false, nil
+// collided reports whether the leaf a descent from the jump to key[:startLen]
+// ended at proves the start node was not on key's path after all: the filter
+// fingerprint and the 42-bit prefix hash both collided (paper §III-B's
+// leaf-level detection). The prefix is unlearned; drive narrows below it.
+func (c *Client) collided(key, leafKey []byte, startLen int) bool {
+	if rart.CommonPrefixLen(leafKey, key) >= startLen {
+		return false
 	}
-	atomic.AddUint64(&c.stats.AnchorConfirms, 1)
-	return c.anchorGet(key)
-}
-
-func (c *Client) noteCollision(key []byte, startLen int) {
 	atomic.AddUint64(&c.stats.CollisionRetry, 1)
 	if c.filter != nil {
 		c.filter.Delete(PrefixFilterHash(key[:startLen]))
 	}
-	if c.rec != nil {
-		c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(),
-			fmt.Sprintf("prefix collision at %d: unlearned, narrowing to %d", startLen, startLen-1))
-	}
+	c.note(fabric.StageFilterProbe, "prefix collision at %d: unlearned, narrowing to %d", startLen, startLen-1)
+	return true
 }
 
 // Insert stores value for key, overwriting any existing value (paper §IV
@@ -613,60 +661,27 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 	// Speculative in-place write: a cached leaf address turns the descent,
 	// the lock and the verification into one round trip (see specPut). A
 	// refuted or aborted speculation falls through to the tree path below
-	// with a fresh backoff, like Search's.
+	// with a fresh budget, like Search's.
 	if !c.degraded() && c.specPut(key, value) {
 		return c.ackPut(key, value, mode, true)
 	}
-	maxLen := len(key)
-	var last error
 	var abObjects, abBytes uint64
 	if c.rec != nil {
 		abObjects, abBytes = c.eng.Abandoned()
 	}
-	for bo := c.eng.Backoff(); ; {
-		start, startLen, err := c.locate(key, maxLen)
-		if err == nil {
-			var existed bool
-			existed, err = c.eng.PutFrom(start, key, value, mode, hooks{c})
-			c.noteAbandoned(&abObjects, &abBytes)
-			switch {
-			case errors.Is(err, rart.ErrNeedParent) && startLen > 0:
-				// A split is needed at or above the jump target. This is a
-				// deterministic structural condition, not contention: re-route
-				// immediately through a path that knows the parent, without
-				// consuming retry budget or injecting backoff sleep.
-				atomic.AddUint64(&c.stats.ParentRetries, 1)
-				if c.rec != nil {
-					c.rec.Note(fabric.StagePublish, c.eng.C.Clock(),
-						fmt.Sprintf("need parent: re-routing via prefix %d, no backoff", startLen-1))
-				}
-				maxLen = startLen - 1
-				continue
-			case c.failoverable(err):
-				return c.degradedPut(key, value, mode)
-			case retriable(err) || errors.Is(err, rart.ErrNeedParent):
-				atomic.AddUint64(&c.stats.Restarts, 1)
-				c.noteRestart(err)
-				maxLen = len(key)
-			case err != nil:
-				return false, err
-			default:
-				return c.ackPut(key, value, mode, existed)
-			}
-		} else if c.failoverable(err) {
-			return c.degradedPut(key, value, mode)
-		} else if retriable(err) {
-			atomic.AddUint64(&c.stats.Restarts, 1)
-			c.noteRestart(err)
-			maxLen = len(key)
-		} else {
-			return false, err
-		}
-		last = err
-		if !bo.Wait() {
-			return false, exhausted("put", key, last)
-		}
+	var existed bool
+	lost, err := c.drive("put", key, false, func(start *rart.Node, _ int) (_ bool, err error) {
+		existed, err = c.eng.PutFrom(start, key, value, mode, hooks{c})
+		c.noteAbandoned(&abObjects, &abBytes)
+		return false, err
+	})
+	switch {
+	case lost:
+		return c.degradedPut(key, value, mode)
+	case err != nil:
+		return false, err
 	}
+	return c.ackPut(key, value, mode, existed)
 }
 
 // ackPut finishes a put whose tree write has committed — through the tree
@@ -719,68 +734,47 @@ func (c *Client) Delete(key []byte) (bool, error) {
 		return false, err
 	}
 	atomic.AddUint64(&c.stats.Deletes, 1)
-	maxLen := len(key)
-	var last error
-	for bo := c.eng.Backoff(); ; {
-		start, startLen, err := c.locate(key, maxLen)
-		if err == nil {
-			var ok bool
-			ok, err = c.eng.DeleteFrom(start, key, hooks{c})
-			if err == nil && !ok && startLen > 0 {
-				// The jump may have landed beside the key (hash collision):
-				// deletes must not report absence on a collided path, so
-				// confirm through a shallower start once. A confirm error
-				// flows into the shared retry machinery below — a transient
-				// fault here must restart the operation, never turn into a
-				// fabricated "absent" answer.
-				var leafCheck *rart.Leaf
-				leafCheck, err = c.eng.SearchFrom(start, key, hooks{c})
-				if err == nil && leafCheck != nil && !bytes.Equal(leafCheck.Key, key) {
-					if cp := rart.CommonPrefixLen(leafCheck.Key, key); cp < startLen {
-						c.noteCollision(key, startLen)
-						maxLen = startLen - 1
-						continue
-					}
-				}
-			}
-			if err == nil {
-				if c.shared.FT != nil {
-					// Remove the anchors before acknowledging, mirroring the
-					// put path's publish-to-completion.
-					anchorPresent, aerr := c.anchorRemove(key)
-					if aerr != nil {
-						return false, aerr
-					}
-					ok = ok || anchorPresent
-				}
-				// Hot replica records go before the ack too: a reader must
-				// not verify a hit on a key whose delete was acknowledged.
-				if c.hotEnabled() {
-					if herr := c.hotRemove(key, true); herr != nil {
-						return false, herr
-					}
-				}
-				return ok, nil
-			}
+	var ok bool
+	lost, err := c.drive("delete", key, false, func(start *rart.Node, startLen int) (collided bool, err error) {
+		ok, err = c.eng.DeleteFrom(start, key, hooks{c})
+		if err == nil && !ok && startLen > 0 {
+			// The jump may have landed beside the key (hash collision):
+			// deletes must not report absence on a collided path, so confirm
+			// through the same start. A confirm error goes to drive like any
+			// other — a transient fault here must restart the operation, never
+			// turn into a fabricated "absent" answer.
+			var beside *rart.Leaf
+			beside, err = c.eng.SearchFrom(start, key, hooks{c})
+			collided = err == nil && beside != nil && c.collided(key, beside.Key, startLen)
 		}
-		if c.failoverable(err) {
-			// Tree path lost: delete the anchors only; presence is judged
-			// from them (acked writes reached every replica).
-			atomic.AddUint64(&c.stats.DegradedPuts, 1)
-			c.noteRestart(err)
-			return c.anchorRemove(key)
+		return collided, err
+	})
+	switch {
+	case lost:
+		// Tree path lost: delete the anchors only; presence is judged from
+		// them (acked writes reached every replica).
+		atomic.AddUint64(&c.stats.DegradedPuts, 1)
+		return c.anchorRemove(key)
+	case err != nil:
+		return false, err
+	}
+	if c.shared.FT != nil {
+		// Remove the anchors before acknowledging, mirroring the put path's
+		// publish-to-completion.
+		anchorPresent, aerr := c.anchorRemove(key)
+		if aerr != nil {
+			return false, aerr
 		}
-		if !retriable(err) {
-			return false, err
-		}
-		atomic.AddUint64(&c.stats.Restarts, 1)
-		c.noteRestart(err)
-		last = err
-		maxLen = len(key)
-		if !bo.Wait() {
-			return false, exhausted("delete", key, last)
+		ok = ok || anchorPresent
+	}
+	// Hot replica records go before the ack too: a reader must not verify a
+	// hit on a key whose delete was acknowledged.
+	if c.hotEnabled() {
+		if herr := c.hotRemove(key, true); herr != nil {
+			return false, herr
 		}
 	}
+	return ok, nil
 }
 
 // Scan returns up to limit key-value pairs in [lo, hi], ascending (paper
@@ -812,38 +806,26 @@ func (c *Client) Scan(lo, hi []byte, limit int) ([]rart.KV, error) {
 		return nil, fmt.Errorf("%w: scan %q..%q while a memory node is lost (tree not authoritative)",
 			ErrReplicaSetUnavailable, lo, hi)
 	}
-	var last error
 	var before rart.EngineStats
 	if c.rec != nil {
 		before = c.eng.Stats()
 	}
-	for bo := c.eng.Backoff(); ; {
-		root, err := c.readRoot()
-		if err == nil {
-			var kvs []rart.KV
-			kvs, err = c.eng.ScanFrom(root, lo, hi, limit, true)
-			if err == nil {
-				c.noteScan(before)
-				return kvs, nil
-			}
-		}
-		if errors.Is(err, fabric.ErrNodeKilled) || errors.Is(err, fabric.ErrBreakerOpen) {
-			// The traversal crossed a permanently lost (or breaker-
-			// rejected) node. Anchors are unordered, so scans cannot fail
-			// over to them; fail fast with a typed error instead of
-			// sleeping out the backoff budget. Post-loss scans regain full
-			// coverage only after a tree rebuild (future work).
-			return nil, fmt.Errorf("%w: scan range %q..%q crosses a lost node (%v)",
-				ErrReplicaSetUnavailable, lo, hi, err)
-		}
-		if !retriable(err) {
-			return nil, err
-		}
-		atomic.AddUint64(&c.stats.Restarts, 1)
-		c.noteRestart(err)
-		last = err
-		if !bo.Wait() {
-			return nil, exhausted("scan", lo, last)
-		}
+	var kvs []rart.KV
+	lost, err := c.drive("scan", lo, true, func(root *rart.Node, _ int) (_ bool, err error) {
+		kvs, err = c.eng.ScanFrom(root, lo, hi, limit, true)
+		return false, err
+	})
+	switch {
+	case lost:
+		// Anchors are unordered, so scans cannot fail over to them; fail fast
+		// with a typed error instead of sleeping out the backoff budget.
+		// Post-loss scans regain full coverage only after a tree rebuild
+		// (future work).
+		return nil, fmt.Errorf("%w: scan range %q..%q crosses a lost node (%v)",
+			ErrReplicaSetUnavailable, lo, hi, err)
+	case err != nil:
+		return nil, err
 	}
+	c.noteScan(before)
+	return kvs, nil
 }

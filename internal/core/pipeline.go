@@ -71,21 +71,7 @@ type Pipeline struct {
 // one lane coalesces into the same doorbell flush as the other lanes'
 // batches, so the 1-RT fast path stacks with depth>1 pipelining.
 func NewPipeline(shared Shared, main *fabric.Client, opts Options) *Pipeline {
-	if opts.Filter == nil && !opts.DisableFilter {
-		n := opts.FilterEntries
-		if n == 0 {
-			n = 1 << 16
-		}
-		opts.Filter = NewFilterCache(n, opts.Seed|1)
-	}
-	if opts.LeafCache == nil && !opts.DisableLeafCache {
-		n := opts.LeafCacheEntries
-		if n == 0 {
-			n = 1 << 16
-		}
-		opts.LeafCache = NewLeafCache(n, opts.Seed)
-	}
-	return &Pipeline{shared: shared, opts: opts, pipe: fabric.NewPipe(main)}
+	return &Pipeline{shared: shared, opts: opts.withCaches(), pipe: fabric.NewPipe(main)}
 }
 
 // Pipe exposes the underlying coalescer (flush accounting for tests).

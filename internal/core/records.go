@@ -340,7 +340,8 @@ func (s *recordStore) candidates(node mem.NodeID, key []byte) ([]recordCand, err
 // drop removes one entry of key from node's table (CAS-exact, so a
 // concurrently swapped entry survives) and, in a routed store, retires its
 // image — even when the remove failed: an unservable record is the safe
-// direction for a cache.
+// direction for a cache. A failed retire is an error too: the image may still
+// be servable through another CN's route, so the caller must not acknowledge.
 func (s *recordStore) drop(node mem.NodeID, key []byte, e wire.HashEntry) error {
 	view, err := s.viewOf(node)
 	if err != nil {
@@ -349,7 +350,9 @@ func (s *recordStore) drop(node mem.NodeID, key []byte, e wire.HashEntry) error 
 	defer s.fc.SetStage(s.fc.SetStage(s.stage))
 	err = view.Remove(racehash.PlacementHash(key), e)
 	if s.routed {
-		_ = s.retire(e.Addr, key)
+		if rerr := s.retire(e.Addr, key); err == nil {
+			err = rerr
+		}
 	}
 	return err
 }
@@ -401,8 +404,9 @@ type published struct {
 // Insert onto an empty node and SwapIfPresent over the pick. No lock
 // serialises publishers: a lost swap race means another writer landed a
 // version in between, so the loser re-reads and re-decides by version. The
-// winner retires the superseded image if the store is routed and drops
-// every other candidate it saw.
+// winner retires the superseded image if the store is routed (a publish whose
+// retire failed is an error, like one whose entry CAS failed) and drops every
+// other candidate it saw.
 //
 // An exit that provably never published a written image — a newer winner
 // adopted after a lost race, the record vanished, the race budget ran out —
@@ -419,6 +423,7 @@ func (s *recordStore) publish(node mem.NodeID, rec record, mode publishMode) (pu
 	var own wire.HashEntry // the entry of our image, once written
 	abandon := func() {
 		if own.Valid {
+			// Best effort: no table entry and no route ever named this image.
 			_ = s.retire(own.Addr, rec.key)
 		}
 	}
@@ -461,7 +466,11 @@ func (s *recordStore) publish(node mem.NodeID, rec record, mode publishMode) (pu
 		}
 		if won {
 			if s.routed {
-				_ = s.retire(cands[best].entry.Addr, rec.key)
+				// Our image is live, but until the superseded one is retired
+				// another CN's route still serves it: no ack without this.
+				if err := s.retire(cands[best].entry.Addr, rec.key); err != nil {
+					return published{}, err
+				}
 			}
 			s.dedup(node, rec.key, cands, best)
 			return ours, nil

@@ -416,3 +416,64 @@ func plantRecord(t *testing.T, s *recordStore, node mem.NodeID, rec record) {
 		t.Fatal(err)
 	}
 }
+
+// TestHotRetireFaultIsNotAcked replays a transient on the one 8-byte WRITE
+// that retires a superseded hot record — right after the entry CAS that took
+// it out of the table — while another CN still routes to it. With the retire
+// error dropped, the put (or delete) was acknowledged and that CN's next read
+// verified the old image in place: an acked write read stale. The error must
+// reach the writer instead, so that either the operation is not acknowledged
+// or the reader refutes.
+func TestHotRetireFaultIsNotAcked(t *testing.T) {
+	key, old := []byte("retire-key"), []byte("v1")
+	for _, op := range []string{"put", "delete"} {
+		t.Run(op, func(t *testing.T) {
+			f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+			reader := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 3)})
+			plan := &fabric.FaultPlan{Seed: 1}
+			f.SetFaultPlan(plan)
+			writer := newTestClient(f, shared, Options{})
+			f.SetFaultPlan(nil)
+			if _, err := reader.Insert(key, old); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8 && reader.Stats().HotPromotes == 0; i++ {
+				warmSearch(t, reader, key, old)
+			}
+			hits := reader.Stats().HotHits
+			warmSearch(t, reader, key, old)
+			if reader.Stats().HotHits != hits+1 {
+				t.Fatal("the reader never got a route to the key's hot records")
+			}
+
+			// The writer's first winning CAS in the hot store — the swap over
+			// (or removal of) a record — makes its next batch, the retire
+			// WRITE, fail once.
+			f.Trace = func(c *fabric.Client, o *fabric.Op) {
+				if c == writer.eng.C && c.Stage() == fabric.StageHotPub && o.Kind == fabric.CAS && o.Old == o.Expect {
+					f.Trace = nil
+					plan.TransientPer64k = 1 << 16
+				}
+			}
+			writer.eng.C.SetObserver(faultOnce{plan})
+			var err error
+			want, present := []byte("v2"), true
+			if op == "put" {
+				_, err = writer.Insert(key, want)
+			} else {
+				_, err = writer.Delete(key)
+				want, present = nil, false
+			}
+			f.Trace = nil
+			if writer.eng.C.Stats().Transients != 1 {
+				t.Fatalf("%d transients; the fault missed the retire write", writer.eng.C.Stats().Transients)
+			}
+			if err != nil {
+				return // not acknowledged: the reader may see either value
+			}
+			if v, ok, err := reader.Search(key); err != nil || ok != present || !bytes.Equal(v, want) {
+				t.Errorf("reader after the acked %s = %q, %v, %v; want %q, %v", op, v, ok, err, want, present)
+			}
+		})
+	}
+}

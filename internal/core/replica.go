@@ -278,16 +278,6 @@ func (c *Client) RepairSweep() (RepairReport, error) {
 	return rep, nil
 }
 
-// failoverable reports whether an error should trigger replica failover
-// rather than backoff-and-retry: the fault-tolerance layer is active and
-// the error says the target node is permanently gone (killed) or
-// breaker-rejected (suspected down). Plain down-window errors keep the
-// retry path — the node will come back.
-func (c *Client) failoverable(err error) bool {
-	return c.shared.FT != nil &&
-		(errors.Is(err, fabric.ErrNodeKilled) || errors.Is(err, fabric.ErrBreakerOpen))
-}
-
 // degraded reports whether the cluster has lost a node permanently; in
 // that mode tree-"absent" answers are double-checked against the anchors,
 // because degraded writes land only there.

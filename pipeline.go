@@ -145,23 +145,18 @@ func (p *Pipeline) runSequential() {
 }
 
 // corePipeline lazily creates the session's pipelined executor, flushing
-// (and accounting) on the session's own fabric client and sharing the
-// compute node's filter cache across lanes.
+// (and accounting) on the session's own fabric client; its lanes are built
+// from the session's own options (coreOptions).
 func (s *Session) corePipeline() *core.Pipeline {
 	if pl := s.pl.Load(); pl != nil {
 		return pl
 	}
-	pl := core.NewPipeline(s.cn.cluster.sphinxShared, s.fc, core.Options{
-		Filter:           s.cn.filter,
-		LeafCache:        s.cn.lac,
-		DisableLeafCache: s.cn.cluster.cfg.DisableLeafCache,
-		// Lanes report their stage-attributed share of each flush into
-		// the session metrics; the flush itself accounts on s.fc, whose
-		// observer is already the same metrics set. Lanes share the
-		// session's index distributions.
-		Observer: s.metrics,
-		Index:    s.index,
-	})
+	opts := s.coreOptions()
+	// Lanes report their stage-attributed share of each flush into the
+	// session metrics; the flush itself accounts on s.fc, whose observer is
+	// already the same metrics set.
+	opts.Observer = s.metrics
+	pl := core.NewPipeline(s.cn.cluster.sphinxShared, s.fc, opts)
 	s.pl.Store(pl)
 	return pl
 }

@@ -74,15 +74,7 @@ func (cn *ComputeNode) NewSession() *Session {
 	fc.SetObserver(obs.Tee{A: s.metrics, B: s.tailRec})
 	switch c.cfg.System {
 	case SystemSphinx:
-		s.sphinx = core.NewClient(c.sphinxShared, fc, core.Options{
-			Filter:           cn.filter,
-			LeafCache:        cn.lac,
-			DisableLeafCache: c.cfg.DisableLeafCache,
-			Hot:              cn.hotset,
-			HotSetBytes:      int(c.cfg.HotSetBytes),
-			DisableHot:       c.cfg.DisableHotReplicas,
-			Index:            s.index,
-		})
+		s.sphinx = core.NewClient(c.sphinxShared, fc, s.coreOptions())
 		s.sphinx.SetRecorder(s.tailRec)
 	case SystemSMART:
 		s.smart = smart.NewClient(c.smartShared, fc, smart.Options{Cache: cn.cache})
@@ -90,6 +82,23 @@ func (cn *ComputeNode) NewSession() *Session {
 		s.art = artdm.NewClient(c.artShared, fc, rart.Config{})
 	}
 	return s
+}
+
+// coreOptions is what every core client of the session is built from — its
+// own and each pipeline lane's — so all of them share the compute node's
+// caches and hot-key tracker, the session's index distributions and the
+// cluster's ablation switches.
+func (s *Session) coreOptions() core.Options {
+	cfg := &s.cn.cluster.cfg
+	return core.Options{
+		Filter:           s.cn.filter,
+		LeafCache:        s.cn.lac,
+		DisableLeafCache: cfg.DisableLeafCache,
+		Hot:              s.cn.hotset,
+		HotSetBytes:      int(cfg.HotSetBytes),
+		DisableHot:       cfg.DisableHotReplicas,
+		Index:            s.index,
+	}
 }
 
 // beginOp arms the tail recorder for one operation and captures the

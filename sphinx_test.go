@@ -165,3 +165,61 @@ func TestSystemString(t *testing.T) {
 		t.Error("system names wrong")
 	}
 }
+
+// TestPipelineLanesShareSessionOptions: pipeline lanes are core clients of
+// the session like its own, built from the same options. Built from a second,
+// shorter literal they missed the hot layer's: each lane grew a private
+// tracker, and under DisableHotReplicas kept promoting and serving replica
+// records that the session's writes (hot layer off) no longer refresh.
+func TestPipelineLanesShareSessionOptions(t *testing.T) {
+	key := []byte("lane-hot-key")
+	heat := make([][]byte, 400) // 100 per lane at depth 4: past the promote threshold on every one
+	for i := range heat {
+		heat[i] = key
+	}
+	setup := func(t *testing.T, disable bool) (*ComputeNode, *Session) {
+		cluster, err := NewCluster(Config{MemoryNodes: 3, HotReplicaFactor: 3, DisableHotReplicas: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cn := cluster.NewComputeNode()
+		s := cn.NewSession()
+		if err := s.Put(key, []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range s.MultiGet(heat, 4) {
+			if r.Err != nil || string(r.Value) != "old" {
+				t.Fatalf("heating MultiGet = %q, %v", r.Value, r.Err)
+			}
+		}
+		return cn, s
+	}
+	t.Run("hot layer disabled", func(t *testing.T) {
+		_, s := setup(t, true)
+		if err := s.Put(key, []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range s.MultiGet(heat[:8], 4) {
+			if r.Err != nil || string(r.Value) != "new" {
+				t.Fatalf("MultiGet after an acked Put = %q, %v; want the new value", r.Value, r.Err)
+			}
+		}
+		if st, _ := s.SphinxStats(); st.HotPromotes != 0 || st.HotHits != 0 {
+			t.Errorf("%d promotions, %d hot hits with the hot layer disabled", st.HotPromotes, st.HotHits)
+		}
+	})
+	t.Run("hot layer enabled", func(t *testing.T) {
+		cn, s := setup(t, false)
+		if !cn.hotset.Claimed(key) {
+			t.Fatal("the compute node's tracker never saw the lanes' reads: lanes track hotness privately")
+		}
+		// The routes the lanes' promotion learned serve the session's own client.
+		before, _ := s.SphinxStats()
+		if v, ok, err := s.Get(key); err != nil || !ok || string(v) != "old" {
+			t.Fatalf("Get = %q, %v, %v", v, ok, err)
+		}
+		if after, _ := s.SphinxStats(); after.HotHits != before.HotHits+1 {
+			t.Errorf("sequential Get after the lanes promoted the key: %d hot hits, want 1", after.HotHits-before.HotHits)
+		}
+	})
+}

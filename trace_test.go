@@ -243,6 +243,65 @@ func TestTraceWarmUpdate(t *testing.T) {
 	}
 }
 
+// TestTraceHotGet pins the hot-replica read in trace form, in the vocabulary
+// it shares with the two leaf-address-cache paths: a Get of a promoted key is
+// ONE hot-read round trip carrying the hit note; once another compute node's
+// write has retired the records this node's routes name, the next Get says so
+// on a hot-read row — refuted, unlearned — and is served by the tier below.
+func TestTraceHotGet(t *testing.T) {
+	cluster, err := NewCluster(Config{MemoryNodes: 3, HotReplicaFactor: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn := cluster.NewComputeNode()
+	cn.hotset.SetThresholds(3, 1, 1<<40)
+	s, other := cn.NewSession(), cluster.NewComputeNode().NewSession()
+	key := []byte("popular-key")
+	if err := s.Put(key, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, ok, err := s.Get(key); err != nil || !ok {
+			t.Fatalf("heating Get = ok %v, err %v", ok, err)
+		}
+	}
+	tracedGet := func(want string) *Trace {
+		t.Helper()
+		tr, err := s.Trace("get", func() error {
+			v, ok, err := s.Get(key)
+			if err == nil && (!ok || string(v) != want) {
+				t.Errorf("traced Get = %q, ok %v; want %q", v, ok, want)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+
+	tr := tracedGet("v1")
+	if out := tr.Format(); tr.RoundTrips() != 1 || !strings.Contains(out, "hot-read") ||
+		!strings.Contains(out, "hot hit: replica record verified in one round trip") {
+		t.Errorf("promoted Get: %d round trips, want 1 hot-read with the hit note:\n%s", tr.RoundTrips(), out)
+	}
+
+	if err := other.Put(key, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	tr = tracedGet("v2")
+	refuted := false
+	for _, e := range tr.Events {
+		refuted = refuted || (e.Stage == fabric.StageHotRead && e.Note == "refuted: verification failed, unlearned")
+	}
+	if !refuted {
+		t.Errorf("Get over retired records lacks the hot-read refutation note:\n%s", tr.Format())
+	}
+	if sc, _ := s.SphinxStats(); sc.HotHits == 0 || sc.HotRefutes == 0 {
+		t.Errorf("SphinxStats = %d hot hits, %d hot refutes; want both counted", sc.HotHits, sc.HotRefutes)
+	}
+}
+
 // TestTraceWarmPut pins the write path in trace form: a Put of a fresh key
 // under a node the filter cache knows costs exactly FOUR round trips —
 // hash-read, node-read, the lock batch carrying the fresh leaf's WRITE, and
