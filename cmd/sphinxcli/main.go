@@ -31,6 +31,8 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve live observability HTTP on this address (host:0 for an ephemeral port): /metrics, /snapshot, /traces, /debug/pprof")
 	topAddr := flag.String("top", "", "one-shot: fetch /mn from a live observability endpoint (URL or host:port), render the per-MN table, and exit")
 	watch := flag.Duration("watch", 0, "with -top, redraw the table at this interval until interrupted")
+	replication := flag.Int("replication", 0, "sphinx: replicate every acknowledged write to this many memory nodes (anchors; 0 = off)")
+	hotReplicas := flag.Int("hot-replicas", 0, "sphinx: promote hot keys onto this many memory nodes (hot-replica layer; 0 = off)")
 	flag.Parse()
 
 	if *topAddr != "" {
@@ -54,7 +56,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cluster, err := sphinx.NewCluster(sphinx.Config{System: sys})
+	cluster, err := sphinx.NewCluster(sphinx.Config{System: sys, Replication: *replication, HotReplicaFactor: *hotReplicas})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -268,6 +268,12 @@ type Stats struct {
 	RestartsTransient  uint64 // a batch failed part-way (fabric.ErrTransient)
 	RestartsTimeout    uint64 // a completion was lost (fabric.ErrTimeout)
 	RestartsNodeDown   uint64 // a memory node rejected the batch (down window, or lost without failover)
+	// The replica layers' fan-outs (records.go fanout), anchors and hot together.
+	ReplicaFanouts  uint64 // fan-outs started: one per find, publish or remove over a key's targets
+	ReplicaRounds   uint64 // doorbell batches they posted
+	ReplicaLegs     uint64 // node-legs they carried
+	ReplicaRequeues uint64 // legs sent back to the bucket read: a lost entry CAS, a stale directory
+	ReplicaSplits   uint64 // rounds whose batch faulted and was posted again one node at a time
 }
 
 // Add returns s + t, field-wise; used to aggregate workers.
@@ -365,11 +371,12 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 	cl.views.Store(views)
 	if ft := shared.FT; ft != nil {
 		cl.anchors = &recordStore{fc: c, alloc: alloc, tables: ft.records, r: ft.R, eligible: ft.Health.Alive,
-			views: make(map[mem.NodeID]*racehash.View)}
+			skip: fabric.ErrNodeDown, views: make(map[mem.NodeID]*racehash.View), stats: &cl.stats}
 	}
 	if hot := shared.Hot; hot != nil {
 		cl.hot = &recordStore{fc: c, alloc: alloc, tables: hot.records, r: hot.R, eligible: hot.records.hosts,
-			routed: true, stage: fabric.StageHotPub, views: make(map[mem.NodeID]*racehash.View)}
+			routed: true, stage: fabric.StageHotPub, skip: fabric.ErrNodeKilled,
+			views: make(map[mem.NodeID]*racehash.View), stats: &cl.stats}
 		if !opts.DisableHot {
 			cl.hotset = opts.Hot
 			if cl.hotset == nil {

@@ -330,11 +330,11 @@ func TestAnchorConcurrentSameKeyUpdates(t *testing.T) {
 	targets := r.anchors.place(nil, shared.Ring, key)
 	var agreed []byte
 	for _, node := range targets {
-		cands, err := r.anchors.candidates(node, key)
+		cands, err := r.anchors.recordsOn(node, key)
 		if err != nil || len(cands) == 0 {
 			t.Fatalf("anchor on node %d: %d records, err=%v", node, len(cands), err)
 		}
-		av := cands[newest(cands)].value
+		av := newestWhole(cands).value
 		if !written[string(av)] {
 			t.Fatalf("anchor on node %d holds unacknowledged value %q", node, av)
 		}
@@ -351,7 +351,7 @@ func TestAnchorConcurrentSameKeyUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, node := range targets {
-		if cands, err := r.anchors.candidates(node, key); err != nil || len(cands) != 1 || string(cands[0].value) != "settled" {
+		if cands, err := r.anchors.recordsOn(node, key); err != nil || len(cands) != 1 || string(cands[0].value) != "settled" {
 			t.Fatalf("anchor on node %d after one more write: %d records, err=%v; want exactly the new one", node, len(cands), err)
 		}
 	}
@@ -380,7 +380,7 @@ func TestAnchorDuplicateEntriesServeNewest(t *testing.T) {
 				for _, rec := range planted {
 					plantRecord(t, c.anchors, node, rec)
 				}
-				if cands, err := c.anchors.candidates(node, key); err != nil || len(cands) != 2 {
+				if cands, err := c.anchors.recordsOn(node, key); err != nil || len(cands) != 2 {
 					t.Fatalf("node %d: staged %d records, err=%v; want the duplicate pair", node, len(cands), err)
 				}
 			}
@@ -391,7 +391,7 @@ func TestAnchorDuplicateEntriesServeNewest(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, node := range targets {
-				cands, err := c.anchors.candidates(node, key)
+				cands, err := c.anchors.recordsOn(node, key)
 				if err != nil || len(cands) != 1 || string(cands[0].value) != "next" {
 					t.Fatalf("node %d after the next publish: %d records, err=%v; want exactly the new one", node, len(cands), err)
 				}

@@ -1,0 +1,410 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+
+	"sphinx/internal/fabric"
+	"sphinx/internal/mem"
+	"sphinx/internal/racehash"
+	"sphinx/internal/wire"
+)
+
+// The fan-out suite pins the replica fan-out (records.go fanout, DESIGN.md
+// §5.14): its round-trip and verb budget per path, a swap race lost on one
+// leg only, and a target killed before and in the middle of a fan-out.
+
+// The per-node forms the record store's suites are written in. Each is a
+// one-target fan-out — which is the sequential path.
+
+func (s *recordStore) publishOn(node mem.NodeID, rec record, mode publishMode) (published, error) {
+	l := &s.publish([]mem.NodeID{node}, rec, mode)[0]
+	return l.pub, l.err
+}
+
+func (s *recordStore) removeOn(node mem.NodeID, key []byte, only func(head) bool) (bool, error) {
+	l := &s.remove([]mem.NodeID{node}, key, only)[0]
+	return len(l.heads) > 0, l.err
+}
+
+// whole is a record's head with the value a separate read fetched.
+type whole struct {
+	head
+	value []byte
+}
+
+// recordsOn returns every record of key on node, values included.
+func (s *recordStore) recordsOn(node mem.NodeID, key []byte) ([]whole, error) {
+	l := &s.find([]mem.NodeID{node}, key)[0]
+	if l.err != nil {
+		return nil, l.err
+	}
+	var out []whole
+	for _, h := range l.heads {
+		rec, err := s.read(h.entry.Addr, h.size)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, whole{h, rec.value})
+	}
+	return out, nil
+}
+
+// newestWhole returns the highest-version record of a non-empty list.
+func newestWhole(ws []whole) whole {
+	best := ws[0]
+	for _, w := range ws[1:] {
+		if w.version > best.version {
+			best = w
+		}
+	}
+	return best
+}
+
+// onBatch runs fn once, right after the observed client completes a batch of
+// exactly verbs verbs moving exactly bytes bytes — with the head size of a key
+// that is the head-read round of a fan-out, after which a competing writer has
+// to land to win the race for the entry CAS of the next round.
+type onBatch struct {
+	verbs int
+	bytes uint64
+	fn    func()
+}
+
+func (o *onBatch) ObserveBatch(ev fabric.BatchEvent) {
+	if o.fn != nil && ev.Err == nil && ev.Verbs == o.verbs && ev.Bytes == o.bytes {
+		fn := o.fn
+		o.fn = nil
+		fn()
+	}
+}
+
+// afterHeads observes the head-read round of a fan-out of key over n nodes
+// that each hold one fingerprint match.
+func afterHeads(key []byte, n int, fn func()) *onBatch {
+	return &onBatch{verbs: n, bytes: uint64(n * (recordDataOff + len(key))), fn: fn}
+}
+
+// newAckCluster is a 3-MN cluster with both replica layers on — anchors at
+// R=2, hot replicas at factor 3 — and a client whose tracker never promotes
+// by itself.
+func newAckCluster(t *testing.T, cfg fabric.Config) (*fabric.Fabric, Shared, *Client) {
+	t.Helper()
+	f, shared := newReplicatedCluster(t, 3, cfg, 1000)
+	if err := BootstrapHot(f, &shared, 256, 3); err != nil {
+		t.Fatal(err)
+	}
+	return f, shared, newTestClient(f, shared, Options{Hot: eagerHotSet(3, 1<<30)})
+}
+
+// warmAck runs enough replicated writes through c that every record-table
+// view holds its directory and every allocator slab of the record class
+// exists: what is measured afterwards is the fan-outs alone.
+func warmAck(t *testing.T, c *Client, value []byte) {
+	t.Helper()
+	for i := 0; i < 12; i++ {
+		key := []byte(fmt.Sprintf("warm-key-%02d", i))
+		if _, err := c.Insert(key, value); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			c.hotPromote(key) // opens the writers' gate; the rest probe all three hot tables
+		}
+	}
+}
+
+// TestReplicaAckBudget pins what the replicated part of an acknowledgement
+// costs, fault-free, with 1 KiB values and warm directory caches: round trips
+// AND verbs per path, so that a fan-out that comes apart into per-node
+// batches, or is fused by adding verbs, fails here. was is what the per-node
+// store this replaced took, measured with this test at the parent commit: one
+// bucket read, two record reads, the image write, a second bucket read plus
+// the entry CAS, a retire — per target, one target after another.
+func TestReplicaAckBudget(t *testing.T) {
+	f, shared, c := newAckCluster(t, fabric.DefaultConfig())
+	val := bytes.Repeat([]byte("v"), 1024)
+	warmAck(t, c, val)
+	other := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 1<<30)})
+	warmAck(t, other, val)
+
+	key := []byte("budget-key")
+	if _, err := c.Insert(key, val); err != nil {
+		t.Fatal(err)
+	}
+	// Every step runs on the state the one before it left.
+	steps := []struct {
+		name       string
+		rts, verbs uint64 // exact, unless atMost
+		atMost     bool
+		was        [2]uint64 // round trips and verbs of the per-node store this replaced
+		run        func() error
+	}{
+		{name: "anchored fresh insert", rts: 2, verbs: 10, was: [2]uint64{8, 14}, run: func() error {
+			_, err := c.anchorUpsert([]byte("budget-fresh"), val)
+			return err
+		}},
+		{name: "anchored update", rts: 3, verbs: 12, was: [2]uint64{12, 18}, run: func() error {
+			_, err := c.anchorUpsert(key, val)
+			return err
+		}},
+		{name: "anchor failover read", rts: 3, verbs: 7, atMost: true, was: [2]uint64{6, 8}, run: func() error {
+			v, ok, err := c.anchorGet(key)
+			if err == nil && (!ok || !bytes.Equal(v, val)) {
+				err = fmt.Errorf("anchorGet = %d bytes, ok %v", len(v), ok)
+			}
+			return err
+		}},
+		{name: "anchor remove", rts: 3, verbs: 10, was: [2]uint64{10, 16}, run: func() error {
+			_, err := c.anchorRemove([]byte("budget-fresh"))
+			return err
+		}},
+		{name: "hot refresh, key not promoted", rts: 1, verbs: 6, was: [2]uint64{3, 6}, run: func() error {
+			return c.hotRefresh(key, val)
+		}},
+		{name: "hot remove, key not promoted", rts: 1, verbs: 6, was: [2]uint64{3, 6}, run: func() error {
+			return c.hotRemove(key)
+		}},
+		{name: "promotion onto three empty targets", rts: 11, verbs: 45, atMost: true, was: [2]uint64{36, 57}, run: func() error {
+			c.hotPromote(key)
+			if c.Stats().HotPromotes != 2 {
+				return fmt.Errorf("the key did not promote")
+			}
+			return nil
+		}},
+		{name: "hot refresh, key live on three targets", rts: 4, verbs: 21, was: [2]uint64{21, 30}, run: func() error {
+			return c.hotRefresh(key, val)
+		}},
+		{name: "adoption re-promotion by another CN", rts: 2, verbs: 9, was: [2]uint64{9, 12}, run: func() error {
+			other.hotPromote(key)
+			if other.Stats().HotPromotes != 2 {
+				return fmt.Errorf("the other CN did not adopt the records")
+			}
+			return nil
+		}},
+		{name: "hot remove, key live on three targets", rts: 3, verbs: 18, was: [2]uint64{18, 27}, run: func() error {
+			return c.hotRemove(key)
+		}},
+	}
+	for _, st := range steps {
+		who := c
+		if st.name == "adoption re-promotion by another CN" {
+			who = other
+		}
+		before := who.eng.C.Stats()
+		if err := st.run(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		d := who.eng.C.Stats().Sub(before)
+		t.Logf("%-40s %2d round trips (was %2d), %2d verbs (was %2d)", st.name, d.RoundTrips, st.was[0], d.Verbs, st.was[1])
+		exact := d.RoundTrips == st.rts && d.Verbs == st.verbs
+		if !exact && !(st.atMost && d.RoundTrips <= st.rts && d.Verbs <= st.verbs) {
+			t.Errorf("%s: %d round trips, %d verbs; want %d, %d (at most: %v)", st.name, d.RoundTrips, d.Verbs, st.rts, st.verbs, st.atMost)
+		}
+		if d.Verbs > st.was[1] {
+			t.Errorf("%s: %d verbs, above the per-node store's %d", st.name, d.Verbs, st.was[1])
+		}
+	}
+	if st := c.Stats(); st.ReplicaRequeues != 0 || st.ReplicaSplits != 0 || st.ReplicaRounds >= st.ReplicaLegs {
+		t.Errorf("fault-free, one writer: %d requeues, %d splits, %d rounds for %d legs; want none, none, and fewer rounds than legs",
+			st.ReplicaRequeues, st.ReplicaSplits, st.ReplicaRounds, st.ReplicaLegs)
+	}
+}
+
+// TestFanoutLosesRaceOnOneLeg replays, on one goroutine, a rival that lands a
+// version on ONE target between the fan-out's read of the heads and its round
+// of image WRITEs and entry CASes. Only that leg goes back to the bucket read;
+// the others publish in the round they were in. A newer rival is adopted there
+// and our unpublished image retired; an older one is swapped over on the second
+// try (and, in a routed store, retired). Either way every node ends up serving
+// its highest version through exactly one entry.
+func TestFanoutLosesRaceOnOneLeg(t *testing.T) {
+	for _, rivalIs := range []string{"newer", "older"} {
+		t.Run(rivalIs+" rival", func(t *testing.T) {
+			eachShape(t, func(t *testing.T, sh storeShape) {
+				f, shared := sh.cluster(t, 3)
+				key := []byte("one-leg-key")
+				a, b := newTestClient(f, shared, Options{}), newTestClient(f, shared, Options{})
+				sa, sb := sh.store(a), sh.store(b)
+				nodes := sa.place(nil, shared.Ring, key)
+				if len(nodes) < 2 {
+					t.Fatalf("%d targets; the race needs a leg that is not raced", len(nodes))
+				}
+				for _, n := range nodes {
+					if err := sh.seed(sa, n, key); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ours := record{wire.StatusIdle, key, bytes.Repeat([]byte("a"), 100), 0}
+				rival := record{wire.StatusIdle, key, bytes.Repeat([]byte("b"), 100), 0}
+				if rivalIs == "newer" {
+					ours.version, rival.version = sa.nextVersion(), sb.nextVersion()
+				} else {
+					rival.version, ours.version = sb.nextVersion(), sa.nextVersion()
+				}
+				var rivalPub published
+				var rivalErr error
+				a.eng.C.SetObserver(afterHeads(key, len(nodes), func() {
+					rivalPub, rivalErr = sb.publishOn(nodes[0], rival, sh.live)
+				}))
+				before := a.Stats()
+				legs := sa.publish(nodes, ours, sh.live)
+				a.eng.C.SetObserver(nil)
+				if rivalErr != nil || !rivalPub.wrote {
+					t.Fatalf("rival's publish: %+v, %v", rivalPub, rivalErr)
+				}
+				if d := a.Stats().ReplicaRequeues - before.ReplicaRequeues; d != 1 {
+					t.Errorf("%d legs went back to the bucket read, want the raced one only", d)
+				}
+				for i := range legs {
+					l := &legs[i]
+					lost := i == 0 && rivalIs == "newer"
+					if l.err != nil || l.pub.wrote == lost || !l.pub.servable || (lost && l.pub.addr != rivalPub.addr) {
+						t.Errorf("leg %d (node %d): %+v, err %v; want wrote=%v", i, l.node, l.pub, l.err, !lost)
+					}
+					want := ours
+					if lost {
+						want = rival
+					}
+					if recs, err := sa.recordsOn(l.node, key); err != nil || len(recs) != 1 || recs[0].version != want.version || !bytes.Equal(recs[0].value, want.value) {
+						t.Errorf("node %d holds %d records (err %v), want exactly version %d", l.node, len(recs), err, want.version)
+					}
+				}
+				// The raced node's loser: our image if the rival was newer — never
+				// named by an entry, so retired in any store — else the rival's,
+				// superseded like any record: retired where readers cache addresses.
+				loser, retired := ours, true
+				if rivalIs == "older" {
+					loser, retired = rival, sa.routed
+				}
+				im, ok := imageAt(scanImages(t, f, nodes[0], key), loser.version)
+				if !ok || (im.status == wire.StatusInvalid) != retired {
+					t.Errorf("the loser's image on node %d: found=%v status=%v, want retired=%v", nodes[0], ok, im.status, retired)
+				}
+			})
+		})
+	}
+}
+
+// TestFanoutKilledLeg kills one target of a replicated write — before the
+// fan-out's first batch, and between its bucket read and the rounds behind it.
+// A batch that names a killed node is rejected whole, so the round is posted
+// again one node at a time: the surviving legs land, the dead one is the
+// layer's to judge. Anchors skip it and count a partial replica set; the hot
+// writer skips it because it is KILLED — a node that is merely down fails the
+// write, or a reader could be served the record the refresh never reached.
+func TestFanoutKilledLeg(t *testing.T) {
+	val := bytes.Repeat([]byte("v"), 1024)
+	key := []byte("killed-leg-key")
+	for _, when := range []string{"before the bucket read", "after the bucket read"} {
+		t.Run("anchors/"+when, func(t *testing.T) {
+			f, _, c := newAckCluster(t, fabric.DefaultConfig())
+			warmAck(t, c, val)
+			if _, err := c.Insert(key, val); err != nil {
+				t.Fatal(err)
+			}
+			targets, _ := c.anchors.targets(c.members.Current(), key, false)
+			victim := targets[len(targets)-1]
+			if when == "before the bucket read" {
+				f.KillNode(victim)
+			} else {
+				c.eng.C.SetObserver(&onBatch{verbs: 2 * len(targets), bytes: uint64(2 * len(targets) * racehash.BucketSize), fn: func() { f.KillNode(victim) }})
+			}
+			before := c.Stats()
+			existed, err := c.anchorUpsert(key, []byte("after the kill"))
+			c.eng.C.SetObserver(nil)
+			if err != nil || !existed {
+				t.Fatalf("anchorUpsert with one target killed = %v, %v; want it acknowledged by the survivor", existed, err)
+			}
+			st := c.Stats()
+			if st.PartialReplicas != before.PartialReplicas+1 || st.ReplicaSplits != before.ReplicaSplits+1 {
+				t.Errorf("partial replicas %d→%d, splits %d→%d; want one more of each",
+					before.PartialReplicas, st.PartialReplicas, before.ReplicaSplits, st.ReplicaSplits)
+			}
+			if v, ok, err := c.anchorGet(key); err != nil || !ok || string(v) != "after the kill" {
+				t.Errorf("anchorGet after the kill = %q, %v, %v", v, ok, err)
+			}
+		})
+	}
+
+	t.Run("hot", func(t *testing.T) {
+		f, shared, c := newAckCluster(t, fabric.DefaultConfig())
+		plan := &fabric.FaultPlan{Seed: 1}
+		f.SetFaultPlan(plan)
+		writer := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 1<<30)})
+		f.SetFaultPlan(nil)
+		warmAck(t, c, val)
+		warmAck(t, writer, val)
+		if _, err := c.Insert(key, val); err != nil {
+			t.Fatal(err)
+		}
+		c.hotPromote(key)
+		targets, _ := c.hot.targets(c.members.Current(), key, false)
+		targets = append([]mem.NodeID(nil), targets...)
+
+		// Down, not dead: the write must not be acknowledged.
+		plan.Down = []fabric.DownWindow{{Node: targets[0], FromPs: 0, ToPs: 1 << 62}}
+		if err := writer.hotRefresh(key, val); !errors.Is(err, fabric.ErrNodeDown) || errors.Is(err, fabric.ErrNodeKilled) {
+			t.Fatalf("hotRefresh with a target down = %v; want the node-down error", err)
+		}
+		plan.Down = nil
+
+		f.KillNode(targets[0])
+		before := writer.Stats()
+		if err := writer.hotRefresh(key, []byte("after the kill")); err != nil {
+			t.Fatalf("hotRefresh with a target killed = %v; want the killed node skipped", err)
+		}
+		if st := writer.Stats(); st.HotRefreshes != before.HotRefreshes+1 || st.ReplicaSplits == before.ReplicaSplits {
+			t.Errorf("refreshes %d→%d, splits %d→%d; want the survivors refreshed after a split round",
+				before.HotRefreshes, st.HotRefreshes, before.ReplicaSplits, st.ReplicaSplits)
+		}
+		for _, n := range targets[1:] {
+			if recs, err := writer.hot.recordsOn(n, key); err != nil || len(recs) != 1 || string(recs[0].value) != "after the kill" {
+				t.Errorf("surviving target %d: %d records, err %v; want exactly the refreshed one", n, len(recs), err)
+			}
+		}
+	})
+}
+
+// TestCommitToKilledNodeFailsOver replays the kill TestConcurrentKillRepairServe
+// met by luck: the memory node holding a key's leaf dies between an update's
+// lock and the WRITE that commits it. The engine used to re-issue that WRITE
+// until its budget died and return "retries exhausted: publish batch", which
+// names no node, so the driver could only fail the put. The kill now comes
+// back as what it is, and the write is served by the anchors like any other
+// whose tree path is lost.
+func TestCommitToKilledNodeFailsOver(t *testing.T) {
+	f, shared := newReplicatedCluster(t, 3, fabric.DefaultConfig(), 1000)
+	// The tree path's lock and commit: two batches, with the kill between them.
+	c := newTestClient(f, shared, Options{DisableLeafCache: true})
+	keys := testKeys(32)
+	for _, k := range keys {
+		if _, err := c.Insert(k, []byte("before")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := keys[0]
+	leaf := leafAddrOf(t, c, key)
+	f.Trace = func(fc *fabric.Client, o *fabric.Op) {
+		if fc == c.eng.C && o.Kind == fabric.CAS && o.Addr == leaf && o.Old == o.Expect {
+			f.Trace = nil
+			f.KillNode(leaf.Node())
+		}
+	}
+	before := c.Stats()
+	existed, err := c.Update(key, []byte("after!"))
+	if f.Trace != nil {
+		t.Fatal("the update never locked the leaf; nothing was replayed")
+	}
+	if err != nil || !existed {
+		t.Fatalf("update whose commit met a killed node = %v, %v; want it failed over to the anchors", existed, err)
+	}
+	if st := c.Stats(); st.DegradedPuts != before.DegradedPuts+1 || st.Restarts != before.Restarts || c.eng.Stats().PublishRetries != 0 {
+		t.Errorf("degraded puts %d→%d, restarts %d→%d, %d re-issued commits; want one fail-over decision and nothing else",
+			before.DegradedPuts, st.DegradedPuts, before.Restarts, st.Restarts, c.eng.Stats().PublishRetries)
+	}
+	if v, ok, err := c.Search(key); err != nil || !ok || string(v) != "after!" {
+		t.Errorf("read after the failed-over update = %q, %v, %v", v, ok, err)
+	}
+}

@@ -51,7 +51,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -157,8 +156,10 @@ func hotRoutable(key []byte, valLen int) bool {
 
 // hotPlacehold publishes a Locked placeholder at version v0 on every
 // target that holds nothing for the key yet, making the key discoverable
-// to concurrent writers before the promoter's authoritative read.
-func (c *Client) hotPlacehold(targets []mem.NodeID, key []byte, v0 uint64) error {
+// to concurrent writers before the promoter's authoritative read. The legs it
+// returns also say what the other targets hold already: it is the promoter's
+// adoption probe too.
+func (c *Client) hotPlacehold(targets []mem.NodeID, key []byte, v0 uint64) []leg {
 	// Open the writers' probe gate before the first placeholder can become
 	// discoverable: a put/delete committing between an insert below and
 	// the promoter's authoritative read must see Published() true and run
@@ -167,26 +168,14 @@ func (c *Client) hotPlacehold(targets []mem.NodeID, key []byte, v0 uint64) error
 	// stays open even if this promotion fizzles — correctness over the
 	// probe's cost.
 	atomic.StoreUint64(&c.shared.Hot.published, 1)
-	placeholder := record{status: wire.StatusLocked, key: key, version: v0}
-	for _, t := range targets {
-		if _, err := c.hot.publish(t, placeholder, publishIfAbsent); err != nil {
-			if errors.Is(err, fabric.ErrNodeKilled) {
-				continue // no reader can fetch from a killed node either
-			}
-			return err
-		}
-	}
-	return nil
+	return c.hot.publish(targets, record{status: wire.StatusLocked, key: key, version: v0}, publishIfAbsent)
 }
 
 // hotAbandon removes the promoter's own placeholders (exact version v0,
 // still Locked) after an aborted promotion. CAS-exact: a placeholder a
 // writer already swapped live is left alone.
 func (c *Client) hotAbandon(targets []mem.NodeID, key []byte, v0 uint64) {
-	own := func(r recordCand) bool { return r.version == v0 && r.status == wire.StatusLocked }
-	for _, t := range targets {
-		_, _ = c.hot.remove(t, key, own)
-	}
+	c.hot.remove(targets, key, func(h head) bool { return h.version == v0 && h.status == wire.StatusLocked })
 }
 
 // hotPromote publishes a hot key into R-way replicated placement. Best
@@ -196,45 +185,35 @@ func (c *Client) hotAbandon(targets []mem.NodeID, key []byte, v0 uint64) {
 // Targets that already hold an Idle record for the key are ADOPTED, not
 // republished: an Idle record was placed by a completed promotion or
 // write refresh (publish-to-completion + LWW), so its image is at least
-// as fresh as the last acknowledged write, and learning its address
-// costs one lookup. Republishing instead would retire the record every
+// as fresh as the last acknowledged write, and the placeholder fan-out —
+// insert-if-absent, so it leaves such a record alone — reports its address
+// at no extra cost. Republishing instead would retire the record every
 // other CN has routes to, and with one independent promoter per CN the
 // cluster would churn through refute → re-promote cycles — each CN's
 // promotion invalidating everyone else's routes — instead of serving
-// hot reads. The placeholder/versioned-swap protocol below runs only
-// against targets that hold nothing yet.
+// hot reads. The versioned swap below runs only against the targets that
+// held nothing servable. A target whose leg failed — killed, or a transient —
+// forgoes its rank: whatever the fault left there no route names.
 func (c *Client) hotPromote(key []byte) {
 	targets, _ := c.hot.targets(c.members.Current(), key, false)
-	if len(targets) == 0 {
-		c.hotset.Unclaim(key)
-		return
-	}
+	// Both versions are drawn before the read: any write committing after it
+	// outranks v1, so our swap below can never bury a fresher value.
+	v0 := c.hot.nextVersion()
 	routed := 0
 	fresh := targets[:0]
 	freshRanks := make([]int, 0, len(targets))
-	for i, t := range targets {
-		cands, err := c.hot.candidates(t, key)
-		if err != nil {
-			continue // killed or transient: forgo this rank
+	legs := c.hotPlacehold(targets, key, v0)
+	for i := range legs {
+		switch l := &legs[i]; {
+		case l.err != nil:
+		case !l.pub.servable:
+			fresh = append(fresh, l.node)
+			freshRanks = append(freshRanks, i)
+		case c.hotLearn(i, key, l.pub.addr, l.pub.size):
+			routed++
 		}
-		if b := newest(cands); b >= 0 && cands[b].status == wire.StatusIdle {
-			if c.hotLearn(i, key, cands[b].entry.Addr, cands[b].size()) {
-				routed++
-			}
-			continue
-		}
-		fresh = append(fresh, t)
-		freshRanks = append(freshRanks, i)
 	}
 	if len(fresh) > 0 {
-		v0 := c.hot.nextVersion()
-		if err := c.hotPlacehold(fresh, key, v0); err != nil {
-			c.hotset.Unclaim(key)
-			return
-		}
-		// Both versions are drawn before the read: any write committing
-		// after it outranks v1, so our swap below can never bury a fresher
-		// value.
 		v1 := c.hot.nextVersion()
 		val, ok, err := c.searchTree(key)
 		if err != nil {
@@ -251,10 +230,9 @@ func (c *Client) hotPromote(key []byte) {
 			c.hotset.Unclaim(key)
 			return
 		}
-		rec := record{wire.StatusIdle, key, val, v1}
-		for i, t := range fresh {
-			pub, err := c.hot.publish(t, rec, publishSwapOnly)
-			if err == nil && pub.servable && c.hotLearn(freshRanks[i], key, pub.addr, pub.size) {
+		legs := c.hot.publish(fresh, record{wire.StatusIdle, key, val, v1}, publishSwapOnly)
+		for i := range legs {
+			if pub := legs[i].pub; legs[i].err == nil && pub.servable && c.hotLearn(freshRanks[i], key, pub.addr, pub.size) {
 				routed++
 			}
 		}
@@ -290,44 +268,42 @@ func (c *Client) hotRefresh(key, value []byte) error {
 	rec := record{wire.StatusIdle, key, value, c.hot.nextVersion()}
 	refreshed := false
 	targets, curN := c.hot.targets(c.members.Current(), key, true)
-	for i, t := range targets {
-		pub, err := c.hot.publish(t, rec, publishSwapOnly)
-		if err != nil {
-			if errors.Is(err, fabric.ErrNodeKilled) {
-				continue
-			}
-			return err
+	legs := c.hot.publish(targets, rec, publishSwapOnly)
+	if _, err := c.hot.reached(legs); err != nil {
+		return err
+	}
+	for i := range legs {
+		pub := legs[i].pub
+		if legs[i].err != nil || !pub.servable {
+			continue
 		}
-		refreshed = refreshed || pub.servable
+		refreshed = true
 		// The old record was just retired, so this CN's route to it is
 		// stale; re-learn the fresh address in the same breath (rank =
 		// position among the current ring's targets). Other CNs refute
 		// once and re-promote — see hotGet.
-		if pub.servable && c.hotset != nil && i < curN {
+		if c.hotset != nil && i < curN {
 			c.hotLearn(i, key, pub.addr, pub.size)
 		}
 	}
 	if refreshed {
 		atomic.AddUint64(&c.stats.HotRefreshes, 1)
 	}
+	c.noteReplicas(c.hot)
 	return nil
 }
 
 // hotRemove removes and retires every hot record of the key, called by
-// Delete between tree commit and acknowledgement (strict=true: failures
-// other than killed nodes propagate) and by demotion (strict=false: best
-// effort).
-func (c *Client) hotRemove(key []byte, strict bool) error {
+// Delete between tree commit and acknowledgement (failures other than killed
+// nodes propagate) and by demotion (best effort: the error is dropped there).
+func (c *Client) hotRemove(key []byte) error {
 	if !c.shared.Hot.Published() {
 		return nil
 	}
 	targets, _ := c.hot.targets(c.members.Current(), key, true)
-	for _, t := range targets {
-		if _, err := c.hot.remove(t, key, nil); err != nil && strict && !errors.Is(err, fabric.ErrNodeKilled) {
-			return err
-		}
-	}
-	return nil
+	_, err := c.hot.reached(c.hot.remove(targets, key, nil))
+	c.noteReplicas(c.hot)
+	return err
 }
 
 // hotDemote tears down a cooled key: forget the routes, best-effort
@@ -338,7 +314,7 @@ func (c *Client) hotDemote(key []byte) {
 	for i := 0; i < c.hotset.Ranks(); i++ {
 		c.hotset.Rank(i).Unlearn(key)
 	}
-	_ = c.hotRemove(key, false)
+	_ = c.hotRemove(key)
 	atomic.AddUint64(&c.stats.HotDemotes, 1)
 }
 
@@ -377,8 +353,10 @@ func (c *Client) hotReadRecord(routes *LeafCache, addr mem.Addr, units uint8, ke
 		c.specSettle(p, key, specRefute, "refuted: route past the region's end, unlearned")
 		return nil, specRefute
 	}
-	buf := make([]byte, size)
-	err := c.eng.C.Read(addr, buf)
+	buf := c.eng.GrabBuf(size)
+	defer c.eng.ReleaseBuf(buf)
+	c.opScratch = append(c.opScratch[:0], fabric.Op{Kind: fabric.Read, Addr: addr, Data: buf})
+	err := c.eng.C.Batch(c.opScratch)
 	st, _, keyLen, valLen := decodeRecordWords(buf)
 	valOff := recordDataOff + keyLen
 	var recKey []byte

@@ -160,7 +160,7 @@ func TestHotStaleRouteRefutedNoBackoff(t *testing.T) {
 	// if the protocol allowed one).
 	for i := 0; i < hs.Ranks(); i++ {
 		if addr, _, ok := hs.Rank(i).Lookup(key); ok {
-			if err := c.hot.retire(addr, key); err != nil {
+			if err := c.eng.C.WriteUint64(addr, recordHeader(wire.StatusInvalid, key)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -449,8 +449,10 @@ func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
 	// it, so keep a private copy across the race.
 	targets = append([]mem.NodeID(nil), targets...)
 	v0 := c.hot.nextVersion()
-	if err := c.hotPlacehold(targets, key, v0); err != nil {
-		t.Fatal(err)
+	for _, l := range c.hotPlacehold(targets, key, v0) {
+		if l.err != nil {
+			t.Fatal(l.err)
+		}
 	}
 	if !shared.Hot.Published() {
 		t.Fatal("Published() false with placeholders discoverable; a racing write would skip the replica refresh")
@@ -467,14 +469,14 @@ func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
 	// Promoter phase 2: swapping the pre-write value in at v1 must lose
 	// on every target; whatever record is servable must hold v2.
 	for _, tgt := range targets {
-		pub, err := c.hot.publish(tgt, record{wire.StatusIdle, key, stale, v1}, publishSwapOnly)
+		pub, err := c.hot.publishOn(tgt, record{wire.StatusIdle, key, stale, v1}, publishSwapOnly)
 		if err != nil {
 			t.Fatalf("publish(node %d): %v", tgt, err)
 		}
 		if !pub.servable {
 			continue // nothing servable there: fine, never stale
 		}
-		rec, err := c.hot.read(pub.addr)
+		rec, err := c.hot.read(pub.addr, recordSpecRead)
 		if err != nil {
 			t.Fatalf("read(node %d): %v", tgt, err)
 		}

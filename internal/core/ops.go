@@ -345,6 +345,29 @@ func (c *Client) note(stage fabric.Stage, format string, args ...any) {
 	}
 }
 
+// replicaNotes holds the note of every fan-out shape a write normally takes,
+// so that a session's always-armed tail recorder costs an acked write no
+// allocation.
+var replicaNotes [8][8]string
+
+func init() {
+	for legs := range replicaNotes {
+		for rounds := range replicaNotes[legs] {
+			replicaNotes[legs][rounds] = fmt.Sprintf("replicas: %d legs, %d rounds", legs, rounds)
+		}
+	}
+}
+
+// noteReplicas annotates, on the armed trace recorder, what the layer's last
+// fan-out — the one an acked write just waited for — cost.
+func (c *Client) noteReplicas(s *recordStore) {
+	if legs := len(s.legs); legs >= len(replicaNotes) || s.batchN >= len(replicaNotes[0]) {
+		c.note(s.stage, "replicas: %d legs, %d rounds", legs, s.batchN)
+	} else if c.rec != nil {
+		c.rec.Note(s.stage, c.eng.C.Clock(), replicaNotes[legs][s.batchN])
+	}
+}
+
 // Search returns the value stored for key (paper §IV Search): a ladder of
 // trust-but-verify tiers, each one round trip when it serves, each falling to
 // the next with a fresh budget when it cannot — a refuted or aborted
@@ -770,7 +793,7 @@ func (c *Client) Delete(key []byte) (bool, error) {
 	// Hot replica records go before the ack too: a reader must not verify a
 	// hit on a key whose delete was acknowledged.
 	if c.hotEnabled() {
-		if herr := c.hotRemove(key, true); herr != nil {
+		if herr := c.hotRemove(key); herr != nil {
 			return false, herr
 		}
 	}

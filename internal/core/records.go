@@ -8,21 +8,25 @@
 // node on the table entry CAS, and unioned with the previous epoch's
 // replica set while a membership transition is in flight. A recordStore is
 // one client's handle on one such layer; find, publish, remove and sweep
-// are written here once. What stays with each layer is its placement
-// predicate and its callers' policy.
+// are written here once, and each of the first three is ONE fan-out over the
+// key's whole target list (fanout): every target advances together, one
+// doorbell batch per dependency level, instead of one target after another.
+// What stays with each layer is its placement predicate and its callers'
+// per-node error policy.
 //
 // Publication takes no serialising lock, so two publishers that both
 // observe "absent" on a node both insert and the table briefly holds two
 // entries for one key (the CAS-publish duplicate class of "Hash Table
 // Design for RDMA", arXiv:2606.24073). The store therefore never trusts
-// the first match: candidates returns every record of the key, readers and
-// publishers pick the highest version, and every publish removes the losers
-// it saw.
+// the first match: a fan-out reads the head of every record of the key,
+// readers and publishers pick the highest version, and every publish removes
+// the losers it saw.
 package core
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -67,8 +71,6 @@ type record struct {
 	version uint64
 }
 
-func (r record) size() int { return recordDataOff + len(r.key) + len(r.value) }
-
 func recordHeader(st wire.Status, key []byte) uint64 {
 	return wire.NodeHeader{
 		Status:     st,
@@ -78,14 +80,12 @@ func recordHeader(st wire.Status, key []byte) uint64 {
 	}.Encode()
 }
 
-func encodeRecord(r record) []byte {
-	img := make([]byte, r.size())
-	binary.LittleEndian.PutUint64(img[0:], recordHeader(r.status, r.key))
-	binary.LittleEndian.PutUint64(img[recordVersionOff:], r.version)
-	binary.LittleEndian.PutUint64(img[recordLensOff:], uint64(len(r.key))|uint64(len(r.value))<<16)
-	copy(img[recordDataOff:], r.key)
-	copy(img[recordDataOff+len(r.key):], r.value)
-	return img
+// appendRecord appends r's image to dst.
+func appendRecord(dst []byte, r record) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, recordHeader(r.status, r.key))
+	dst = binary.LittleEndian.AppendUint64(dst, r.version)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(r.key))|uint64(len(r.value))<<16)
+	return append(append(dst, r.key...), r.value...)
 }
 
 // decodeRecordWords parses the three fixed words of a record image.
@@ -96,17 +96,21 @@ func decodeRecordWords(buf []byte) (st wire.Status, version uint64, keyLen, valL
 	return st, version, int(lens & 0xffff), int(lens >> 16)
 }
 
-// recordCand is one table entry of a key together with its decoded record.
-type recordCand struct {
-	entry wire.HashEntry
-	record
+// head is one table entry of a key with the fixed words of its record —
+// everything the store decides on. The value is read only by whoever returns
+// it (read).
+type head struct {
+	entry   wire.HashEntry
+	status  wire.Status
+	version uint64
+	size    int // the whole image: fixed words, key, value
 }
 
-// newest returns the index of the highest-version candidate, -1 for none.
-func newest(cands []recordCand) int {
+// newest returns the index of the highest-version head, -1 for none.
+func newest(heads []head) int {
 	best := -1
-	for i := range cands {
-		if best < 0 || cands[i].version > cands[best].version {
+	for i := range heads {
+		if best < 0 || heads[i].version > heads[best].version {
 			best = i
 		}
 	}
@@ -191,10 +195,27 @@ type recordStore struct {
 	routed bool
 	// stage annotates the store's verbs (StageNone: anchors are unstaged).
 	stage fabric.Stage
+	// skip is the layer's error policy: a target whose leg failed with it is
+	// passed over, any other error fails the operation (reached). Anchors skip
+	// every unreachable node, and count; the hot layer only killed ones, whose
+	// records no reader can fetch either.
+	skip error
 
-	views  map[mem.NodeID]*racehash.View // grown lazily, one per node touched
-	lookup []racehash.Candidate          // bucket-lookup scratch
-	nodes  []mem.NodeID                  // target-resolution scratch
+	views map[mem.NodeID]*racehash.View // grown lazily, one per node touched
+	nodes []mem.NodeID                  // target-resolution scratch
+	cands []racehash.Candidate          // bucket-lookup scratch
+	stats *Stats                        // the owning client's counters (Replica*)
+
+	// The fan-out in progress and its scratch, reused across operations: the
+	// operation, the legs (valid until the next fan-out), the round's batch,
+	// the record image — encoded once, written to every target — and the
+	// status word that retires an image of the key.
+	op     fanOp
+	legs   []leg
+	ops    []fabric.Op
+	img    []byte
+	dead   [8]byte
+	batchN int // batches the last fan-out posted, for its trace note
 }
 
 // nextVersion returns a fresh LWW version from the layer's cluster-wide
@@ -256,21 +277,19 @@ func entryOfRecord(key []byte, addr mem.Addr) wire.HashEntry {
 // the clamp every read of a record of unknown or remembered size applies.
 func (s *recordStore) room(addr mem.Addr) uint64 {
 	size := s.fc.Fabric().RegionSize(addr.Node())
-	if addr.Offset() >= size {
-		return 0
-	}
-	return size - addr.Offset()
+	return max(size, addr.Offset()) - addr.Offset()
 }
 
-// read fetches and decodes the record at addr: a speculative read clamped
-// at the region boundary, with a follow-up read when the record outgrows
-// the speculation. The returned key and value alias the read buffer.
-func (s *recordStore) read(addr mem.Addr) (record, error) {
+// read fetches and decodes the record at addr: a first read of size bytes —
+// the image's exact size where a head gave it, recordSpecRead where nothing is
+// known — with a follow-up when the record outgrows it. Reads are clamped at
+// the region boundary. The returned key and value alias the read buffer.
+func (s *recordStore) read(addr mem.Addr, size int) (record, error) {
 	room := s.room(addr)
 	if room < recordDataOff {
 		return record{}, fmt.Errorf("core: record at %v truncated by region boundary", addr)
 	}
-	buf := make([]byte, min(recordSpecRead, room))
+	buf := make([]byte, min(uint64(size), room))
 	if err := s.fc.Read(addr, buf); err != nil {
 		return record{}, err
 	}
@@ -289,85 +308,7 @@ func (s *recordStore) read(addr mem.Addr) (record, error) {
 	return record{status: st, key: buf[recordDataOff:valOff:valOff], value: buf[valOff:total:total], version: version}, nil
 }
 
-// write allocates and writes one record image on node — the only place a
-// record comes into being.
-func (s *recordStore) write(node mem.NodeID, rec record) (mem.Addr, error) {
-	img := encodeRecord(rec)
-	addr, err := s.alloc.Alloc(node, mem.ClassLeaf, uint64(len(img)))
-	if err != nil {
-		return 0, err
-	}
-	return addr, s.fc.Write(addr, img)
-}
-
-// retire overwrites a record's status word with StatusInvalid so a cached
-// address refutes on its next read instead of serving the image. One 8-byte
-// write; the bump allocator cannot reclaim the bytes.
-func (s *recordStore) retire(addr mem.Addr, key []byte) error {
-	defer s.fc.SetStage(s.fc.SetStage(s.stage))
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], recordHeader(wire.StatusInvalid, key))
-	return s.fc.Write(addr, w[:])
-}
-
-// candidates returns every record of key on node, decoded: each table entry
-// with the key's fingerprint whose record stores exactly key. Beyond the
-// bucket-pair read it costs one record read per fingerprint match — one in
-// the common case, more only on a 12-bit collision or a duplicate.
-func (s *recordStore) candidates(node mem.NodeID, key []byte) ([]recordCand, error) {
-	view, err := s.viewOf(node)
-	if err != nil {
-		return nil, err
-	}
-	defer s.fc.SetStage(s.fc.SetStage(s.stage))
-	s.lookup, err = view.LookupAppend(s.lookup[:0], racehash.PlacementHash(key), wire.FP12(key))
-	if err != nil {
-		return nil, err
-	}
-	var out []recordCand
-	for _, cand := range s.lookup {
-		rec, err := s.read(cand.Entry.Addr)
-		if err != nil {
-			return nil, err
-		}
-		if bytes.Equal(rec.key, key) {
-			out = append(out, recordCand{cand.Entry, rec})
-		}
-	}
-	return out, nil
-}
-
-// drop removes one entry of key from node's table (CAS-exact, so a
-// concurrently swapped entry survives) and, in a routed store, retires its
-// image — even when the remove failed: an unservable record is the safe
-// direction for a cache. A failed retire is an error too: the image may still
-// be servable through another CN's route, so the caller must not acknowledge.
-func (s *recordStore) drop(node mem.NodeID, key []byte, e wire.HashEntry) error {
-	view, err := s.viewOf(node)
-	if err != nil {
-		return err
-	}
-	defer s.fc.SetStage(s.fc.SetStage(s.stage))
-	err = view.Remove(racehash.PlacementHash(key), e)
-	if s.routed {
-		if rerr := s.retire(e.Addr, key); err == nil {
-			err = rerr
-		}
-	}
-	return err
-}
-
-// dedup drops every candidate except keep: losers of racing publishes.
-// Best effort — a survivor is dropped by the next publish that sees it.
-func (s *recordStore) dedup(node mem.NodeID, key []byte, cands []recordCand, keep int) {
-	for i := range cands {
-		if i != keep {
-			_ = s.drop(node, key, cands[i].entry)
-		}
-	}
-}
-
-// publishMode is what a publish may do to the node's table.
+// publishMode is what a publish may do to a node's table.
 type publishMode int
 
 const (
@@ -385,7 +326,7 @@ const (
 	publishIfAbsent
 )
 
-// published is the outcome of one publish.
+// published is the outcome of a publish on one node.
 type published struct {
 	// addr and size locate the record now live for the key on the node —
 	// ours, or the winner's that outranked it; servable says it is Idle.
@@ -397,108 +338,372 @@ type published struct {
 	wrote    bool // our image went live
 }
 
-// publish makes rec the node's record of its key unless a record of equal
-// or higher version is already there: pick the highest-version candidate,
-// keep it if it outranks rec, else write rec's image (once — it is
-// immutable, so one allocation serves every retry) and CAS its entry in,
-// Insert onto an empty node and SwapIfPresent over the pick. No lock
-// serialises publishers: a lost swap race means another writer landed a
-// version in between, so the loser re-reads and re-decides by version. The
-// winner retires the superseded image if the store is routed (a publish whose
-// retire failed is an error, like one whose entry CAS failed) and drops every
-// other candidate it saw.
+// fanOp is the operation a fan-out carries to every target: the key, and what
+// to do on a node once the heads of the key's records there are known —
+// nothing (find), drop them (remove), or publish a record over them.
+type fanOp struct {
+	key     []byte
+	h42     uint64
+	fp      uint16
+	remove  bool
+	only    func(head) bool // remove: which records go; nil takes all
+	publish bool
+	rec     record
+	mode    publishMode
+}
+
+// legStep is where a leg stands: the doorbell batch it posts next.
+type legStep uint8
+
+const (
+	stepBuckets legStep = iota // R1: READ the key's bucket pair
+	stepHeads                  // R2: READ the head of every fingerprint match
+	stepSwap                   // R3: WRITE our image, CAS its entry in, re-check the bucket header
+	stepDrops                  // R4: retire a superseded image; drop an entry (CAS→0, re-check, retire)
+	stepDone
+)
+
+// leg is one target node's way through a fan-out. Callers read node, err,
+// heads and pub; the rest is the fan-out's own.
+type leg struct {
+	node  mem.NodeID
+	err   error     // the target's terminal error; what it means is the caller's policy
+	heads []head    // the key's records on the node, as last read
+	pub   published // publish: the outcome on this node
+
+	view     *racehash.View
+	read     racehash.PreparedRead // the bucket pair: R1 fetches it, every later entry CAS is planned from it
+	step     legStep
+	races    int              // re-entries into R1: lost swaps, stale directories
+	from, to int              // the leg's verbs in the round's batch
+	bufs     []byte           // the head reads of R2, back to back
+	own      wire.HashEntry   // our image's entry, once allocated
+	over     int              // which head our entry replaces; -1: none, insert
+	retire   mem.Addr         // an image the next drop round retires: the superseded one, or ours abandoned
+	drops    []wire.HashEntry // entries to take out of the table, one per round
+	must     bool             // a failed drop round fails the leg; else it is best effort
+}
+
+// find reads the heads of key's records on every node.
+func (s *recordStore) find(nodes []mem.NodeID, key []byte) []leg {
+	return s.fanout(nodes, fanOp{key: key})
+}
+
+// newestOf returns the highest-version head across the legs that answered,
+// with its leg; nil when none of them holds a record.
+func newestOf(legs []leg) (at *leg, pick head) {
+	for i := range legs {
+		l := &legs[i]
+		if b := newest(l.heads); l.err == nil && b >= 0 && (at == nil || l.heads[b].version > pick.version) {
+			at, pick = l, l.heads[b]
+		}
+	}
+	return at, pick
+}
+
+// remove deletes every record of key on every node — or, with only, every
+// one only accepts. No tombstones: see docs/failure-model.md.
+func (s *recordStore) remove(nodes []mem.NodeID, key []byte, only func(head) bool) []leg {
+	return s.fanout(nodes, fanOp{key: key, remove: true, only: only})
+}
+
+// publish makes rec each node's record of its key unless a record of equal
+// or higher version is already there. Per node: pick the highest-version head,
+// keep it if it outranks rec, else write rec's image (once — it is immutable,
+// so one allocation serves every retry) and CAS its entry in, over the pick
+// or into an empty slot. No lock serialises publishers: a lost swap race means
+// another writer landed a version in between, so the loser re-reads and
+// re-decides by version. The winner retires the superseded image if the store
+// is routed (a publish whose retire failed is an error, like one whose entry
+// CAS failed) and drops every other head it saw.
 //
 // An exit that provably never published a written image — a newer winner
 // adopted after a lost race, the record vanished, the race budget ran out —
 // retires it, so no live-looking Idle orphan floats in dead memory. An
 // entry CAS that failed with an error is not such an exit: the completion
 // may have been lost after the CAS landed, and the image may be live.
-func (s *recordStore) publish(node mem.NodeID, rec record, mode publishMode) (published, error) {
-	view, err := s.viewOf(node)
-	if err != nil {
-		return published{}, err
-	}
-	defer s.fc.SetStage(s.fc.SetStage(s.stage))
-	h42 := racehash.PlacementHash(rec.key)
-	var own wire.HashEntry // the entry of our image, once written
-	abandon := func() {
-		if own.Valid {
-			// Best effort: no table entry and no route ever named this image.
-			_ = s.retire(own.Addr, rec.key)
-		}
-	}
-	for attempt := 0; attempt < publishMaxRaces; attempt++ {
-		cands, err := s.candidates(node, rec.key)
-		if err != nil {
-			abandon()
-			return published{}, err
-		}
-		best := newest(cands)
-		switch {
-		case best < 0 && mode == publishSwapOnly:
-			abandon()
-			return published{}, nil
-		case best >= 0 && (mode == publishIfAbsent || cands[best].version >= rec.version):
-			abandon()
-			if mode != publishIfAbsent {
-				s.dedup(node, rec.key, cands, best)
-			}
-			w := cands[best]
-			return published{addr: w.entry.Addr, size: w.size(), servable: w.status == wire.StatusIdle, existed: true}, nil
-		}
-		if !own.Valid {
-			addr, err := s.write(node, rec)
-			if err != nil {
-				return published{}, err
-			}
-			own = entryOfRecord(rec.key, addr)
-		}
-		ours := published{addr: own.Addr, size: rec.size(), servable: rec.status == wire.StatusIdle, existed: best >= 0, wrote: true}
-		if best < 0 {
-			if err := view.Insert(h42, own, s.alloc); err != nil {
-				return published{}, err
-			}
-			return ours, nil
-		}
-		won, err := view.SwapIfPresent(h42, cands[best].entry, own)
-		if err != nil {
-			return published{}, err
-		}
-		if won {
-			if s.routed {
-				// Our image is live, but until the superseded one is retired
-				// another CN's route still serves it: no ack without this.
-				if err := s.retire(cands[best].entry.Addr, rec.key); err != nil {
-					return published{}, err
-				}
-			}
-			s.dedup(node, rec.key, cands, best)
-			return ours, nil
-		}
-	}
-	abandon()
-	return published{}, fmt.Errorf("core: publish of %q on node %d lost %d consecutive swap races", rec.key, node, publishMaxRaces)
+func (s *recordStore) publish(nodes []mem.NodeID, rec record, mode publishMode) []leg {
+	s.img = appendRecord(s.img[:0], rec)
+	return s.fanout(nodes, fanOp{key: rec.key, publish: true, rec: rec, mode: mode})
 }
 
-// remove deletes every record of key on node — or, with only, every one
-// only accepts — reporting whether it dropped any. No tombstones: see
-// docs/failure-model.md.
-func (s *recordStore) remove(node mem.NodeID, key []byte, only func(recordCand) bool) (present bool, err error) {
-	cands, err := s.candidates(node, key)
-	if err != nil {
-		return false, err
-	}
-	for i := range cands {
-		if only != nil && !only(cands[i]) {
-			continue
+// fanout carries op to every node at once: each round posts ONE doorbell
+// batch holding whatever every unfinished leg does next, so the targets pay a
+// dependency level together — bucket pairs, heads, image WRITE + entry CAS,
+// retires and drops — not one after another. One MN executes a batch in
+// posting order, so an image is whole before the entry CAS behind it names it.
+// A leg whose swap lost, or whose directory was stale, goes back to the bucket
+// read alone. A batch that failed says nothing about which node failed it, so
+// each leg's share is posted again by itself and the error, if it repeats, is
+// that leg's: every verb here is idempotent, or concluded by a racehash
+// Finish… that is. The returned legs are store scratch, valid until the next
+// fan-out.
+func (s *recordStore) fanout(nodes []mem.NodeID, op fanOp) []leg {
+	defer s.fc.SetStage(s.fc.SetStage(s.stage))
+	op.h42, op.fp = racehash.PlacementHash(op.key), wire.FP12(op.key)
+	s.op = op
+	binary.LittleEndian.PutUint64(s.dead[:], recordHeader(wire.StatusInvalid, op.key))
+	s.legs = slices.Grow(s.legs[:0], len(nodes))[:len(nodes)]
+	legs := s.legs
+	for i := range legs {
+		l := &legs[i]
+		*l = leg{node: nodes[i], heads: l.heads[:0], bufs: l.bufs[:0], drops: l.drops[:0]}
+		if l.view, l.err = s.viewOf(l.node); l.err != nil {
+			l.step = stepDone
 		}
-		if err := s.drop(node, key, cands[i].entry); err != nil {
-			return present, err
-		}
-		present = true
 	}
-	return present, nil
+	s.batchN = 0
+	atomic.AddUint64(&s.stats.ReplicaFanouts, 1)
+	atomic.AddUint64(&s.stats.ReplicaLegs, uint64(len(legs)))
+	for active := true; active; {
+		ops := s.ops[:0]
+		for i := range legs {
+			l := &legs[i]
+			l.from = len(ops)
+			ops = s.post(l, ops)
+			l.to = len(ops)
+		}
+		s.ops = ops[:0]
+		err := s.batch(ops)
+		split := false
+		active = false
+		for i := range legs {
+			l := &legs[i]
+			if l.step == stepDone {
+				continue
+			}
+			lerr := err
+			if err != nil && l.to-l.from < len(ops) {
+				split = true
+				lerr = s.batch(ops[l.from:l.to])
+			}
+			if lerr != nil {
+				l.fail(lerr)
+			} else {
+				s.settle(l, ops)
+			}
+			active = active || l.step != stepDone
+		}
+		if split {
+			atomic.AddUint64(&s.stats.ReplicaSplits, 1)
+		}
+	}
+	return legs
 }
+
+// batch posts one doorbell batch of a fan-out.
+func (s *recordStore) batch(ops []fabric.Op) error {
+	if len(ops) == 0 {
+		return nil
+	}
+	s.batchN++
+	atomic.AddUint64(&s.stats.ReplicaRounds, 1)
+	return s.fc.Batch(ops)
+}
+
+// reached applies the layer's error policy to a fan-out's legs: how many
+// targets it reached, and the first error the layer does not skip.
+func (s *recordStore) reached(legs []leg) (n int, err error) {
+	for i := range legs {
+		switch err := legs[i].err; {
+		case err == nil:
+			n++
+		case !errors.Is(err, s.skip):
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// post appends the verbs of l's next round to ops: none once l is done.
+func (s *recordStore) post(l *leg, ops []fabric.Op) []fabric.Op {
+	switch l.step {
+	case stepBuckets:
+		if err := l.view.PrepareInto(&l.read, s.op.h42); err != nil {
+			l.fail(err)
+			return ops
+		}
+		return l.read.AppendOps(ops)
+	case stepHeads:
+		// Status, version, lengths and key: all a decision reads. The value
+		// stays where it is.
+		n := recordDataOff + len(s.op.key)
+		l.bufs = slices.Grow(l.bufs[:0], n*len(l.heads))[:n*len(l.heads)]
+		for i, h := range l.heads {
+			ops = append(ops, fabric.Op{Kind: fabric.Read, Addr: h.entry.Addr, Data: l.bufs[i*n : (i+1)*n]})
+		}
+	case stepSwap:
+		// The image is immutable, so a retry after a lost race posts the same
+		// bytes to the same address again.
+		ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: l.own.Addr, Data: s.img})
+		// A read that cannot carry the CAS (split-locked, full) plans nothing:
+		// settle's Finish… then takes the table's own loop.
+		if l.over < 0 {
+			ops, _ = l.read.AppendInsert(ops, l.own)
+		} else {
+			ops, _ = l.read.AppendReplace(ops, l.heads[l.over].entry, l.own)
+		}
+	case stepDrops:
+		if l.retire != 0 {
+			ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: l.retire, Data: s.dead[:]})
+		}
+		if n := len(l.drops); n > 0 {
+			// In a routed store the entry's image is retired whether or not the
+			// remove lands: an unservable record is the safe direction for a cache.
+			ops, _ = l.read.AppendRemove(ops, l.drops[n-1])
+			if s.routed {
+				ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: l.drops[n-1].Addr, Data: s.dead[:]})
+			}
+		}
+	}
+	return ops
+}
+
+// settle consumes the results of l's round from the executed batch and moves
+// the leg on.
+func (s *recordStore) settle(l *leg, ops []fabric.Op) {
+	switch l.step {
+	case stepBuckets:
+		if !l.read.Valid() {
+			if err := l.view.Refresh(); err != nil {
+				l.fail(err)
+			} else {
+				s.again(l)
+			}
+			return
+		}
+		// A match with no room behind it for the key's head is not the key's.
+		l.heads, s.cands = l.heads[:0], l.read.AppendCandidates(s.cands[:0], s.op.fp)
+		for _, m := range s.cands {
+			if s.room(m.Entry.Addr) >= uint64(recordDataOff+len(s.op.key)) {
+				l.heads = append(l.heads, head{entry: m.Entry})
+			}
+		}
+		if len(l.heads) > 0 {
+			l.step = stepHeads
+			return
+		}
+		s.decide(l)
+	case stepHeads:
+		n, matches := recordDataOff+len(s.op.key), l.heads
+		l.heads = l.heads[:0]
+		for i, h := range matches {
+			buf := l.bufs[i*n : (i+1)*n]
+			if st, version, keyLen, valLen := decodeRecordWords(buf); keyLen == len(s.op.key) && bytes.Equal(buf[recordDataOff:], s.op.key) {
+				l.heads = append(l.heads, head{h.entry, st, version, n + valLen})
+			}
+		}
+		s.decide(l)
+	case stepSwap:
+		var err error
+		won := true
+		if l.over < 0 {
+			err = l.view.FinishInsert(&l.read, ops, l.own, s.alloc)
+		} else {
+			won, err = l.view.FinishSwapIfPresent(&l.read, ops, l.heads[l.over].entry, l.own)
+		}
+		switch {
+		case err != nil:
+			l.fail(err)
+		case !won:
+			s.again(l)
+		default:
+			l.pub = published{addr: l.own.Addr, size: len(s.img), servable: s.op.rec.status == wire.StatusIdle, existed: l.over >= 0, wrote: true}
+			if l.over >= 0 && s.routed {
+				// Our image is live, but until the superseded one is retired
+				// another CN's route still serves it: no ack without this.
+				l.retire, l.must = l.heads[l.over].entry.Addr, true
+			}
+			l.dedup(l.over)
+			l.drain()
+		}
+	case stepDrops:
+		l.retire = 0
+		if n := len(l.drops); n > 0 {
+			if err := l.view.FinishRemove(&l.read, ops, l.drops[n-1]); err != nil && l.must {
+				l.fail(err)
+				return
+			}
+			l.drops = l.drops[:n-1]
+		}
+		l.drain()
+	}
+}
+
+// decide is the version gate: what the operation does on l's node, now that
+// the heads of the key's records there are known.
+func (s *recordStore) decide(l *leg) {
+	best := newest(l.heads)
+	switch {
+	case !s.op.publish:
+		for _, h := range l.heads {
+			if s.op.remove && (s.op.only == nil || s.op.only(h)) {
+				l.drops = append(l.drops, h.entry)
+			}
+		}
+		l.must = true
+		l.drain()
+	case best < 0 && s.op.mode == publishSwapOnly:
+		l.abandon()
+	case best >= 0 && (s.op.mode == publishIfAbsent || l.heads[best].version >= s.op.rec.version):
+		w := l.heads[best]
+		l.pub = published{addr: w.entry.Addr, size: w.size, servable: w.status == wire.StatusIdle, existed: true}
+		if s.op.mode != publishIfAbsent {
+			l.dedup(best)
+		}
+		l.abandon()
+	default:
+		if !l.own.Valid {
+			addr, err := s.alloc.Alloc(l.node, mem.ClassLeaf, uint64(len(s.img)))
+			if err != nil {
+				l.fail(err)
+				return
+			}
+			l.own = entryOfRecord(s.op.key, addr)
+		}
+		l.over, l.step = best, stepSwap
+	}
+}
+
+// dedup queues every head but keep for dropping: losers of racing publishes.
+// Best effort — a survivor is dropped by the next publish that sees it.
+func (l *leg) dedup(keep int) {
+	for i, h := range l.heads {
+		if i != keep {
+			l.drops = append(l.drops, h.entry)
+		}
+	}
+}
+
+// abandon ends a publish that leaves our image, if it wrote one, unpublished:
+// retired, best effort — no table entry and no route ever named it.
+func (l *leg) abandon() {
+	l.retire = l.own.Addr
+	l.drain()
+}
+
+// drain sends l to its next drop round, or ends it when nothing is queued.
+func (l *leg) drain() {
+	l.step = stepDone
+	if l.retire != 0 || len(l.drops) > 0 {
+		l.step = stepDrops
+	}
+}
+
+// again sends l back to the bucket read — a lost swap, a stale directory —
+// within the race budget.
+func (s *recordStore) again(l *leg) {
+	atomic.AddUint64(&s.stats.ReplicaRequeues, 1)
+	l.step = stepBuckets
+	if l.races++; l.races == publishMaxRaces {
+		l.err = fmt.Errorf("core: publish of %q on node %d lost %d consecutive swap races", s.op.key, l.node, publishMaxRaces)
+		l.abandon()
+	}
+}
+
+// fail ends l with err, where it stands. An image it wrote stays as it is:
+// the entry CAS behind it may have landed although its batch failed.
+func (l *leg) fail(err error) { l.err, l.step = err, stepDone }
 
 // sweepTally counts what one table sweep saw and did.
 type sweepTally struct {
@@ -524,29 +729,27 @@ func (s *recordStore) sweep(p *Placement, src mem.NodeID, moveOut bool) (sweepTa
 	}
 	defer s.fc.SetStage(s.fc.SetStage(s.stage))
 	err = view.Walk(func(e wire.HashEntry) error {
-		rec, err := s.read(e.Addr)
+		rec, err := s.read(e.Addr, recordSpecRead)
 		if err != nil {
 			t.unread++
 			return nil
 		}
 		t.scanned++
-		home, settled := false, true
+		// src is among the targets while the record is at home: there the
+		// publish finds this very version and leaves it, losers deduplicated.
 		targets, _ := s.targets(p, rec.key, false)
-		for _, n := range targets {
-			if n == src {
-				home = true
-				continue
-			}
-			pub, err := s.publish(n, rec, publishUpsert)
-			if err != nil {
+		home, settled := slices.Contains(targets, src), true
+		legs := s.publish(targets, rec, publishUpsert)
+		for i := range legs {
+			if legs[i].err != nil {
 				settled = false
 				t.failed++
-			} else if pub.wrote {
+			} else if legs[i].pub.wrote {
 				t.copied++
 			}
 		}
 		if moveOut && !home && settled {
-			if err := s.drop(src, rec.key, e); err != nil {
+			if s.remove(append(targets[:0], src), rec.key, func(h head) bool { return h.entry == e })[0].err != nil {
 				t.failed++
 			} else {
 				t.removed++

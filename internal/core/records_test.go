@@ -39,7 +39,7 @@ var storeShapes = []storeShape{
 		store: func(c *Client) *recordStore { return c.anchors },
 		live:  publishUpsert,
 		seed: func(s *recordStore, node mem.NodeID, key []byte) error {
-			_, err := s.publish(node, record{wire.StatusIdle, key, []byte("seed"), s.nextVersion()}, publishUpsert)
+			_, err := s.publishOn(node, record{wire.StatusIdle, key, []byte("seed"), s.nextVersion()}, publishUpsert)
 			return err
 		},
 	},
@@ -51,7 +51,7 @@ var storeShapes = []storeShape{
 		store: func(c *Client) *recordStore { return c.hot },
 		live:  publishSwapOnly,
 		seed: func(s *recordStore, node mem.NodeID, key []byte) error {
-			_, err := s.publish(node, record{status: wire.StatusLocked, key: key, version: s.nextVersion()}, publishIfAbsent)
+			_, err := s.publishOn(node, record{status: wire.StatusLocked, key: key, version: s.nextVersion()}, publishIfAbsent)
 			return err
 		},
 	},
@@ -105,22 +105,6 @@ func imageAt(imgs []image, version uint64) (image, bool) {
 	return image{}, false
 }
 
-// onWrite runs fn once, right after the observed client completes a write
-// of exactly size bytes — between a publisher's image write and its entry
-// CAS, which is where a competing writer has to land to win the race.
-type onWrite struct {
-	size uint64
-	fn   func()
-}
-
-func (o *onWrite) ObserveBatch(ev fabric.BatchEvent) {
-	if o.fn != nil && ev.Err == nil && ev.Verbs == 1 && ev.Bytes == o.size {
-		fn := o.fn
-		o.fn = nil
-		fn()
-	}
-}
-
 // TestRecordLWWConcurrentPublishers: N publishers race on one key of one
 // node with cluster-ordered versions. Whatever the interleaving, the node
 // must end up serving the highest version published, and one more publish
@@ -150,7 +134,7 @@ func TestRecordLWWConcurrentPublishers(t *testing.T) {
 				for i := 0; i < rounds; i++ {
 					ver := s.nextVersion()
 					rec := record{wire.StatusIdle, key, []byte(strconv.FormatUint(ver, 10)), ver}
-					if _, err := s.publish(node, rec, sh.live); err != nil {
+					if _, err := s.publishOn(node, rec, sh.live); err != nil {
 						errCh <- err
 						return
 					}
@@ -165,19 +149,19 @@ func TestRecordLWWConcurrentPublishers(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := sh.store(newTestClient(f, shared, Options{}))
-		cands, err := s.candidates(node, key)
+		cands, err := s.recordsOn(node, key)
 		if err != nil || len(cands) == 0 {
 			t.Fatalf("after the race: %d records, err=%v", len(cands), err)
 		}
-		best := cands[newest(cands)]
+		best := newestWhole(cands)
 		if best.version != top.Load() || string(best.value) != strconv.FormatUint(best.version, 10) {
 			t.Fatalf("newest record is version %d value %q; highest published was %d", best.version, best.value, top.Load())
 		}
 		ver := s.nextVersion()
-		if pub, err := s.publish(node, record{wire.StatusIdle, key, []byte("final"), ver}, sh.live); err != nil || !pub.wrote {
+		if pub, err := s.publishOn(node, record{wire.StatusIdle, key, []byte("final"), ver}, sh.live); err != nil || !pub.wrote {
 			t.Fatalf("final publish: %+v, %v", pub, err)
 		}
-		cands, err = s.candidates(node, key)
+		cands, err = s.recordsOn(node, key)
 		if err != nil || len(cands) != 1 || cands[0].version != ver {
 			t.Fatalf("after the final publish: %d records (want exactly the final one), err=%v", len(cands), err)
 		}
@@ -185,8 +169,9 @@ func TestRecordLWWConcurrentPublishers(t *testing.T) {
 }
 
 // TestRecordLostSwapRetiresImage replays a lost swap race on one goroutine:
-// a competitor lands a newer version between the publisher's image write
-// and its entry CAS. The loser must adopt the winner and retire the image
+// a competitor lands a newer version between the publisher's read of the
+// heads and the round that writes its image and CASes its entry in, one
+// behind the other in one batch. The loser must adopt the winner and retire the image
 // it wrote but never published — no live-looking Idle orphan in dead memory.
 func TestRecordLostSwapRetiresImage(t *testing.T) {
 	eachShape(t, func(t *testing.T, sh storeShape) {
@@ -202,10 +187,10 @@ func TestRecordLostSwapRetiresImage(t *testing.T) {
 		winner := record{wire.StatusIdle, key, bytes.Repeat([]byte("b"), 100), sb.nextVersion()}
 		var winPub published
 		var winErr error
-		a.eng.C.SetObserver(&onWrite{size: uint64(loser.size()), fn: func() {
-			winPub, winErr = sb.publish(node, winner, sh.live)
-		}})
-		pub, err := sa.publish(node, loser, sh.live)
+		a.eng.C.SetObserver(afterHeads(key, 1, func() {
+			winPub, winErr = sb.publishOn(node, winner, sh.live)
+		}))
+		pub, err := sa.publishOn(node, loser, sh.live)
 		a.eng.C.SetObserver(nil)
 		if winErr != nil || !winPub.wrote {
 			t.Fatalf("competing publish: %+v, %v", winPub, winErr)
@@ -220,7 +205,7 @@ func TestRecordLostSwapRetiresImage(t *testing.T) {
 		if im, ok := imageAt(imgs, winner.version); !ok || im.status != wire.StatusIdle || im.addr != winPub.addr {
 			t.Errorf("winner's image: found=%v %+v, want Idle at %v", ok, im, winPub.addr)
 		}
-		if cands, err := sa.candidates(node, key); err != nil || len(cands) != 1 || cands[0].version != winner.version {
+		if cands, err := sa.recordsOn(node, key); err != nil || len(cands) != 1 || cands[0].version != winner.version {
 			t.Errorf("table holds %d records after the race (err=%v), want only the winner's", len(cands), err)
 		}
 	})
@@ -228,8 +213,8 @@ func TestRecordLostSwapRetiresImage(t *testing.T) {
 
 // TestRecordSwapOnlyNeverInserts: a swap-only publish onto a node that
 // holds nothing for the key inserts nothing — including when the key
-// vanishes between the publisher's image write and its entry CAS, the
-// concurrent delete that must not be resurrected.
+// vanishes between the publisher's read of the heads and its image write and
+// entry CAS, the concurrent delete that must not be resurrected.
 func TestRecordSwapOnlyNeverInserts(t *testing.T) {
 	eachShape(t, func(t *testing.T, sh storeShape) {
 		f, shared := sh.cluster(t, 3)
@@ -239,13 +224,13 @@ func TestRecordSwapOnlyNeverInserts(t *testing.T) {
 		sa, sb := sh.store(a), sh.store(b)
 		absent := func(context string) {
 			t.Helper()
-			if cands, err := sa.candidates(node, key); err != nil || len(cands) != 0 {
+			if cands, err := sa.recordsOn(node, key); err != nil || len(cands) != 0 {
 				t.Fatalf("%s: %d records, err=%v; want none", context, len(cands), err)
 			}
 		}
 
 		rec := record{wire.StatusIdle, key, bytes.Repeat([]byte("v"), 100), sa.nextVersion()}
-		if pub, err := sa.publish(node, rec, publishSwapOnly); err != nil || pub != (published{}) {
+		if pub, err := sa.publishOn(node, rec, publishSwapOnly); err != nil || pub != (published{}) {
 			t.Fatalf("swap-only publish onto an absent key = %+v, %v; want nothing", pub, err)
 		}
 		absent("after a swap-only publish onto an absent key")
@@ -259,10 +244,10 @@ func TestRecordSwapOnlyNeverInserts(t *testing.T) {
 		rec.version = sa.nextVersion()
 		var removed bool
 		var rmErr error
-		a.eng.C.SetObserver(&onWrite{size: uint64(rec.size()), fn: func() {
-			removed, rmErr = sb.remove(node, key, nil)
-		}})
-		pub, err := sa.publish(node, rec, publishSwapOnly)
+		a.eng.C.SetObserver(afterHeads(key, 1, func() {
+			removed, rmErr = sb.removeOn(node, key, nil)
+		}))
+		pub, err := sa.publishOn(node, rec, publishSwapOnly)
 		a.eng.C.SetObserver(nil)
 		if rmErr != nil || !removed {
 			t.Fatalf("concurrent remove = %v, %v", removed, rmErr)
@@ -321,11 +306,11 @@ func TestRecordRemoveCoversPreviousEpoch(t *testing.T) {
 			t.Fatalf("mid-transition targets %v (first %d from the new ring) miss the old replica on node %d", union, curN, victim)
 		}
 		for _, n := range append([]mem.NodeID(nil), union...) {
-			if _, err := s.remove(n, key, nil); err != nil {
+			if _, err := s.removeOn(n, key, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if cands, err := s.candidates(victim, key); err != nil || len(cands) != 0 {
+		if cands, err := s.recordsOn(victim, key); err != nil || len(cands) != 0 {
 			t.Errorf("old-epoch replica survived the remove: %d records, err=%v", len(cands), err)
 		}
 	})
@@ -346,7 +331,7 @@ func TestRecordSweepConverges(t *testing.T) {
 			targets := s.place(nil, p.Ring, key)
 			replicas += uint64(len(targets))
 			rec := record{wire.StatusIdle, key, []byte("v"), s.nextVersion()}
-			if _, err := s.publish(targets[0], rec, publishUpsert); err != nil {
+			if _, err := s.publishOn(targets[0], rec, publishUpsert); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -382,19 +367,19 @@ func TestRecordReadRejectsOverrun(t *testing.T) {
 	key := []byte("overrun!")
 	// The image starts 128 bytes before the region's end and claims a
 	// kilobyte of value: in range for the region as a whole, not from here.
-	img := encodeRecord(record{wire.StatusIdle, key, nil, 1})
+	img := appendRecord(nil, record{wire.StatusIdle, key, nil, 1})
 	img[recordLensOff+3] = 0x04 // valLen = 0x400
 	region.Write(region.Size()-128, img)
-	if _, err := s.read(mem.NewAddr(node, region.Size()-128)); err == nil {
+	if _, err := s.read(mem.NewAddr(node, region.Size()-128), recordSpecRead); err == nil {
 		t.Error("record overrunning the region end read without error")
 	}
-	if _, err := s.read(mem.NewAddr(node, region.Size()-8)); err == nil {
+	if _, err := s.read(mem.NewAddr(node, region.Size()-8), recordSpecRead); err == nil {
 		t.Error("record address with no room for a header read without error")
 	}
 	// The same image read with room to spare is well-formed but truncated
 	// by nothing: the control that the rejection is about the boundary.
 	region.Write(region.Size()-4096, img)
-	if rec, err := s.read(mem.NewAddr(node, region.Size()-4096)); err != nil || !bytes.Equal(rec.key, key) || len(rec.value) != 0x400 {
+	if rec, err := s.read(mem.NewAddr(node, region.Size()-4096), recordSpecRead); err != nil || !bytes.Equal(rec.key, key) || len(rec.value) != 0x400 {
 		t.Errorf("in-range record = key %q, %d value bytes, err=%v", rec.key, len(rec.value), err)
 	}
 }
@@ -404,7 +389,11 @@ func TestRecordReadRejectsOverrun(t *testing.T) {
 // stage the duplicate entries two such publishers leave behind.
 func plantRecord(t *testing.T, s *recordStore, node mem.NodeID, rec record) {
 	t.Helper()
-	addr, err := s.write(node, rec)
+	img := appendRecord(nil, rec)
+	addr, err := s.alloc.Alloc(node, mem.ClassLeaf, uint64(len(img)))
+	if err == nil {
+		err = s.fc.Write(addr, img)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,11 +435,18 @@ func TestHotRetireFaultIsNotAcked(t *testing.T) {
 				t.Fatal("the reader never got a route to the key's hot records")
 			}
 
-			// The writer's first winning CAS in the hot store — the swap over
-			// (or removal of) a record — makes its next batch, the retire
-			// WRITE, fail once.
+			// A put's first winning CAS in the hot store — the swap over a
+			// record — makes its next batch, the round of retire WRITEs, fail
+			// once. A delete's drop round holds the entry CAS and the retire
+			// WRITE behind it, so there the read of a head makes the drop round
+			// the next batch.
 			f.Trace = func(c *fabric.Client, o *fabric.Op) {
-				if c == writer.eng.C && c.Stage() == fabric.StageHotPub && o.Kind == fabric.CAS && o.Old == o.Expect {
+				if c != writer.eng.C || c.Stage() != fabric.StageHotPub {
+					return
+				}
+				won := o.Kind == fabric.CAS && o.Old == o.Expect
+				head := o.Kind == fabric.Read && len(o.Data) == recordDataOff+len(key)
+				if (op == "put" && won) || (op == "delete" && head) {
 					f.Trace = nil
 					plan.TransientPer64k = 1 << 16
 				}

@@ -131,17 +131,13 @@ func BootstrapReplicated(f *fabric.Fabric, ring *consistenthash.Ring, expectedKe
 func (c *Client) anchorUpsert(key, value []byte) (existed bool, err error) {
 	rec := record{wire.StatusIdle, key, value, c.anchors.nextVersion()}
 	targets, _ := c.anchors.targets(c.members.Current(), key, false)
-	written := 0
-	for _, t := range targets {
-		pub, err := c.anchors.publish(t, rec, publishUpsert)
-		if err != nil {
-			if errors.Is(err, fabric.ErrNodeDown) {
-				continue
-			}
-			return false, err
-		}
-		existed = existed || pub.existed
-		written++
+	legs := c.anchors.publish(targets, rec, publishUpsert)
+	written, err := c.anchors.reached(legs)
+	if err != nil {
+		return false, err
+	}
+	for i := range legs {
+		existed = existed || legs[i].pub.existed
 	}
 	if written == 0 {
 		return false, fmt.Errorf("%w: no anchor replica reachable for %q", ErrReplicaSetUnavailable, key)
@@ -149,12 +145,14 @@ func (c *Client) anchorUpsert(key, value []byte) (existed bool, err error) {
 	if written < c.shared.FT.R {
 		atomic.AddUint64(&c.stats.PartialReplicas, 1)
 	}
+	c.noteReplicas(c.anchors)
 	return existed, nil
 }
 
 // anchorGet reads the key from its replica set, returning the freshest
 // version found across reachable replicas — and across every matching
-// record on each (see the duplicate note in records.go). Absence on every
+// record on each (see the duplicate note in records.go): the heads of all of
+// them in one fan-out, then ONE read of the newest's value. Absence on every
 // reachable replica is an authoritative "not found" for acknowledged data:
 // an acked write reached all (then-healthy) replicas, so any one surviving
 // replica suffices. Mid-transition the migrator may not have copied the
@@ -163,31 +161,33 @@ func (c *Client) anchorUpsert(key, value []byte) (existed bool, err error) {
 // ErrReplicaSetUnavailable.
 func (c *Client) anchorGet(key []byte) (value []byte, ok bool, err error) {
 	targets, curN := c.anchors.targets(c.members.Current(), key, true)
-	reached := 0
-	var bestVer uint64
-	for i, t := range targets {
-		if i == curN && ok {
-			break
-		}
-		cands, err := c.anchors.candidates(t, key)
-		if err != nil {
-			if errors.Is(err, fabric.ErrNodeDown) {
-				continue
+	legs := c.anchors.find(targets, key)
+	reached, err := c.anchors.reached(legs)
+	if err != nil {
+		return nil, false, err
+	}
+	for from, to := 0, curN; from < len(legs); from, to = to, len(legs) {
+		// A replica that answered with its heads and is gone for the value is
+		// one more unreachable replica: the next-newest record serves.
+		for at, pick := newestOf(legs[from:to]); at != nil; at, pick = newestOf(legs[from:to]) {
+			rec, err := c.anchors.read(pick.entry.Addr, pick.size)
+			if err == nil {
+				if to > curN {
+					atomic.AddUint64(&c.stats.EpochFallbacks, 1)
+				}
+				return rec.value, true, nil
 			}
-			return nil, false, err
-		}
-		reached++
-		if b := newest(cands); b >= 0 && (!ok || cands[b].version > bestVer) {
-			if !ok && i >= curN {
-				atomic.AddUint64(&c.stats.EpochFallbacks, 1)
+			if !errors.Is(err, fabric.ErrNodeDown) {
+				return nil, false, err
 			}
-			ok, value, bestVer = true, cands[b].value, cands[b].version
+			at.err = err
+			reached--
 		}
 	}
 	if reached == 0 {
 		return nil, false, fmt.Errorf("%w: no anchor replica reachable for %q", ErrReplicaSetUnavailable, key)
 	}
-	return value, ok, nil
+	return nil, false, nil
 }
 
 // anchorRemove deletes the key from every reachable replica — mid-
@@ -198,21 +198,18 @@ func (c *Client) anchorGet(key []byte) (value []byte, ok bool, err error) {
 // peer can resurrect the key (documented in docs/failure-model.md).
 func (c *Client) anchorRemove(key []byte) (present bool, err error) {
 	targets, _ := c.anchors.targets(c.members.Current(), key, true)
-	reached := 0
-	for _, t := range targets {
-		held, err := c.anchors.remove(t, key, nil)
-		if err != nil {
-			if errors.Is(err, fabric.ErrNodeDown) {
-				continue
-			}
-			return false, err
-		}
-		present = present || held
-		reached++
+	legs := c.anchors.remove(targets, key, nil)
+	reached, err := c.anchors.reached(legs)
+	if err != nil {
+		return false, err
+	}
+	for i := range legs {
+		present = present || len(legs[i].heads) > 0
 	}
 	if reached == 0 {
 		return false, fmt.Errorf("%w: no anchor replica reachable for %q", ErrReplicaSetUnavailable, key)
 	}
+	c.noteReplicas(c.anchors)
 	return present, nil
 }
 

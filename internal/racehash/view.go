@@ -165,9 +165,11 @@ type Candidate struct {
 // Candidates on each.
 //
 // A fetched read can also carry the entry mutation that follows it: Prepare
-// → merge Ops into an earlier batch → AppendInsert/AppendReplace into a
-// later batch → View.FinishInsert/FinishReplace (the read-piggyback-then-CAS
-// publish).
+// → merge Ops into an earlier batch → AppendInsert/AppendReplace/AppendRemove
+// into a later batch → View.FinishInsert/FinishReplace/FinishSwapIfPresent/
+// FinishRemove (the read-piggyback-then-CAS publish). One mutation is planned
+// at a time; a read whose planned mutation has been finished can carry the
+// next one, as long as that one touches another slot.
 type PreparedRead struct {
 	view  *View
 	h     uint64
@@ -381,13 +383,13 @@ func (v *View) casChecked(at slotRef, old, new uint64) (won, ambiguous bool, err
 // the caller can land several tables' entry changes in one doorbell batch.
 // ok=false (nothing appended) when the read cannot carry the swap: stale
 // directory, split lock visible, no slot holding oldWord, or newWord already
-// present; FinishInsert/FinishReplace then take the read-then-CAS loop.
+// present; the Finish… call then takes the table's own read-then-CAS loop.
 func (p *PreparedRead) appendSwap(ops []fabric.Op, oldWord, newWord uint64) ([]fabric.Op, bool) {
 	p.swapAt = -1
 	if !p.Valid() || p.locked() {
 		return ops, false
 	}
-	if _, dup := p.find(newWord); dup {
+	if _, dup := p.find(newWord); dup && newWord != 0 { // an empty slot is no duplicate of a remove
 		return ops, false
 	}
 	at, ok := p.find(oldWord)
@@ -407,10 +409,17 @@ func (p *PreparedRead) AppendInsert(ops []fabric.Op, e wire.HashEntry) ([]fabric
 	return p.appendSwap(ops, 0, e.Encode())
 }
 
-// AppendReplace plans View.Replace's CAS from this fetched read (see
-// appendSwap); conclude it with View.FinishReplace.
+// AppendReplace plans View.Replace's CAS — or View.SwapIfPresent's, the same
+// verbs — from this fetched read (see appendSwap); conclude it with
+// View.FinishReplace or View.FinishSwapIfPresent.
 func (p *PreparedRead) AppendReplace(ops []fabric.Op, old, new wire.HashEntry) ([]fabric.Op, bool) {
 	return p.appendSwap(ops, old.Encode(), new.Encode())
+}
+
+// AppendRemove plans View.Remove's CAS from this fetched read (see
+// appendSwap); conclude it with View.FinishRemove.
+func (p *PreparedRead) AppendRemove(ops []fabric.Op, old wire.HashEntry) ([]fabric.Op, bool) {
+	return p.appendSwap(ops, old.Encode(), 0)
 }
 
 // swapResult consumes the outcome of a planned swap from the executed batch
@@ -563,6 +572,18 @@ func (v *View) FinishReplace(p *PreparedRead, ops []fabric.Op, old, new wire.Has
 	return err
 }
 
+// FinishSwapIfPresent concludes a swap whose CAS was planned with
+// AppendReplace on p and executed in ops, under SwapIfPresent's rule: an
+// entry that did not land and whose old word is gone is lost, not waited for.
+func (v *View) FinishSwapIfPresent(p *PreparedRead, ops []fabric.Op, old, new wire.HashEntry) (bool, error) {
+	atomic.AddUint64(&v.stats.Replaces, 1)
+	newWord := new.Encode()
+	if done, err := v.landed(p, ops, newWord); done || err != nil {
+		return done, err
+	}
+	return v.swap(p.h, old.Encode(), newWord, false)
+}
+
 // SwapIfPresent atomically swaps old for new like Replace, but returns
 // won=false instead of waiting when old is not (or no longer) in the
 // table. Replace's wait-for-publication semantics assume the caller
@@ -621,6 +642,18 @@ func (v *View) swap(h, oldWord, newWord uint64, wait bool) (bool, error) {
 		}
 	}
 	return false, fmt.Errorf("%w: swap h=%#x", ErrRetryExhausted, h)
+}
+
+// FinishRemove concludes a remove whose CAS was planned with AppendRemove on
+// p and executed in ops. Anything but a clean win — lost, overlapped by a
+// split that may have resurrected the entry, never planned — takes Remove's
+// own loop, which is idempotent.
+func (v *View) FinishRemove(p *PreparedRead, ops []fabric.Op, old wire.HashEntry) error {
+	if won, ambiguous, ok := p.swapResult(ops); ok && won && !ambiguous {
+		atomic.AddUint64(&v.stats.Removes, 1)
+		return nil
+	}
+	return v.Remove(p.h, old)
 }
 
 // Remove deletes an existing entry (key delete path). Idempotent: removing

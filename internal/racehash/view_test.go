@@ -439,3 +439,112 @@ func TestCleanInsertNeedsNoSplitCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestPlannedSwapAndRemove pins the no-wait planned mutations the record
+// store's fan-out posts (AppendReplace + FinishSwapIfPresent, AppendRemove +
+// FinishRemove): planned from a bucket pair fetched earlier, each is ONE
+// batch of CAS + header re-read when nothing interfered; a swap whose old
+// entry a rival replaced in between is reported lost — never waited for — at
+// the cost of one re-read; a remove of an entry already gone succeeds; and
+// both are safe to post a second time after they landed.
+func TestPlannedSwapAndRemove(t *testing.T) {
+	env := newEnv(t, 100)
+	c := env.f.NewClient()
+	alloc := mem.NewAllocator(c, 0)
+	v := NewView(env.table, c)
+	h, fp := hashFP(1)
+	old, next, rival := env.makeEntry(t, c, alloc, h, fp), env.makeEntry(t, c, alloc, h, fp), env.makeEntry(t, c, alloc, h, fp)
+	if err := v.Insert(h, old, alloc); err != nil {
+		t.Fatal(err)
+	}
+	fetch := func() *PreparedRead {
+		t.Helper()
+		p, err := v.Prepare(h)
+		if err == nil {
+			err = c.Batch(p.Ops())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	holds := func(want ...wire.HashEntry) {
+		t.Helper()
+		cands, err := v.Lookup(h, fp)
+		if err != nil || len(cands) != len(want) {
+			t.Fatalf("table holds %d entries (err %v), want %d", len(cands), err, len(want))
+		}
+		for i, e := range want {
+			if cands[i].Entry != e {
+				t.Fatalf("entry %d = %+v, want %+v", i, cands[i].Entry, e)
+			}
+		}
+	}
+	rts := func() uint64 { return c.Stats().RoundTrips }
+
+	// A clean planned swap: one batch, won. Posted again, it finds its entry.
+	p := fetch()
+	ops, ok := p.AppendReplace(nil, old, next)
+	if !ok || len(ops) != 2 {
+		t.Fatalf("AppendReplace planned %d verbs, ok %v; want the CAS and the header re-read", len(ops), ok)
+	}
+	before := rts()
+	if err := c.Batch(ops); err != nil {
+		t.Fatal(err)
+	}
+	if won, err := v.FinishSwapIfPresent(p, ops, old, next); err != nil || !won || rts()-before != 1 {
+		t.Fatalf("clean planned swap = %v, %v in %d round trips; want won in 1", won, err, rts()-before)
+	}
+	ops, _ = p.AppendReplace(ops[:0], old, next)
+	if err := c.Batch(ops); err != nil {
+		t.Fatal(err)
+	}
+	if won, err := v.FinishSwapIfPresent(p, ops, old, next); err != nil || !won {
+		t.Fatalf("planned swap posted a second time = %v, %v; want it to find its entry", won, err)
+	}
+	holds(next)
+
+	// A rival replaces the entry between the fetch and the CAS: lost, not waited for.
+	p = fetch()
+	if won, err := v.SwapIfPresent(h, next, rival); err != nil || !won {
+		t.Fatalf("rival's swap = %v, %v", won, err)
+	}
+	ops, _ = p.AppendReplace(ops[:0], next, old)
+	if err := c.Batch(ops); err != nil {
+		t.Fatal(err)
+	}
+	if won, err := v.FinishSwapIfPresent(p, ops, next, old); err != nil || won {
+		t.Fatalf("planned swap over a replaced entry = %v, %v; want lost", won, err)
+	}
+	holds(rival)
+
+	// A planned remove: one batch. Posted again, and of an entry that is not
+	// there at all, it succeeds and changes nothing.
+	p = fetch()
+	ops, ok = p.AppendRemove(ops[:0], rival)
+	if !ok || len(ops) != 2 {
+		t.Fatalf("AppendRemove planned %d verbs, ok %v", len(ops), ok)
+	}
+	before = rts()
+	if err := c.Batch(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.FinishRemove(p, ops, rival); err != nil || rts()-before != 1 {
+		t.Fatalf("clean planned remove: %v in %d round trips; want 1", err, rts()-before)
+	}
+	holds()
+	ops, ok = p.AppendRemove(ops[:0], rival)
+	if err := c.Batch(ops); err != nil || !ok {
+		t.Fatal(err, ok)
+	}
+	if err := v.FinishRemove(p, ops, rival); err != nil {
+		t.Fatalf("planned remove posted a second time: %v", err)
+	}
+	if ops, ok = fetch().AppendRemove(ops[:0], old); ok || len(ops) != 0 {
+		t.Errorf("AppendRemove of an absent entry planned %d verbs", len(ops))
+	}
+	if err := v.FinishRemove(p, nil, old); err != nil {
+		t.Fatalf("remove of an absent entry: %v", err)
+	}
+	holds()
+}

@@ -122,9 +122,9 @@ type Engine struct {
 // maxPooledBufs caps the free list; beyond it buffers are dropped to the GC.
 const maxPooledBufs = 16
 
-// grabBuf returns a zero-fill-free read buffer of length n, reusing a
+// GrabBuf returns a zero-fill-free read buffer of length n, reusing a
 // pooled one when large enough.
-func (e *Engine) grabBuf(n uint64) []byte {
+func (e *Engine) GrabBuf(n uint64) []byte {
 	for i := len(e.bufs) - 1; i >= 0; i-- {
 		if b := e.bufs[i]; uint64(cap(b)) >= n {
 			last := len(e.bufs) - 1
@@ -309,7 +309,7 @@ func (e *Engine) ReadNode(addr mem.Addr, hint wire.NodeType) (*Node, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageNodeRead))
 	want := e.nodeReadSize(hint)
 	for attempt := 0; attempt < 2; attempt++ {
-		buf := e.grabBuf(want)
+		buf := e.GrabBuf(want)
 		if err := e.C.Read(addr, buf); err != nil {
 			e.ReleaseBuf(buf)
 			return nil, err
@@ -332,7 +332,7 @@ func (e *Engine) ReadNode(addr mem.Addr, hint wire.NodeType) (*Node, error) {
 // with the destination buffer. The buffer comes from the engine's free
 // list; the caller passes it back via ReleaseBuf once the image is decoded.
 func (e *Engine) AppendNodeRead(ops []fabric.Op, addr mem.Addr, hint wire.NodeType) ([]fabric.Op, []byte) {
-	buf := e.grabBuf(e.nodeReadSize(hint))
+	buf := e.GrabBuf(e.nodeReadSize(hint))
 	return append(ops, fabric.Op{Kind: fabric.Read, Addr: addr, Data: buf}), buf
 }
 
@@ -359,7 +359,7 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 	bo := e.Backoff()
 	var watching uint64
 	for {
-		buf := e.grabBuf(want)
+		buf := e.GrabBuf(want)
 		if err := e.C.Read(addr, buf); err != nil {
 			e.ReleaseBuf(buf)
 			return nil, err
@@ -443,7 +443,7 @@ func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8) (*Leaf, error) {
 	if want < wire.LeafHeaderSize {
 		return nil, nil
 	}
-	buf := e.grabBuf(want)
+	buf := e.GrabBuf(want)
 	if err := e.C.Read(addr, buf); err != nil {
 		e.ReleaseBuf(buf)
 		return nil, err
@@ -748,7 +748,7 @@ func (e *Engine) newLockTry(addr mem.Addr, hint wire.NodeType, expectLease uint6
 // posting order, so a winning CAS guarantees the trailing read is a stable
 // post-lock snapshot (paper §III-C).
 func (e *Engine) postLock(t *lockTry, ops []fabric.Op) []fabric.Op {
-	t.buf = e.grabBuf(t.want)
+	t.buf = e.GrabBuf(t.want)
 	t.cas = -1
 	if t.tryCAS {
 		t.cas = len(ops)
@@ -800,7 +800,7 @@ func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*N
 			// Stale size hint; re-read at full size while holding the
 			// lock, under which the image is stable.
 			e.ReleaseBuf(buf)
-			buf = e.grabBuf(need)
+			buf = e.GrabBuf(need)
 			err = e.C.Read(t.addr, buf)
 		}
 		var n *Node

@@ -194,3 +194,36 @@ func TestFaultedContenderLeavesRelocationLocked(t *testing.T) {
 		t.Fatalf("after relocation + update: %+v, %v", got, err)
 	}
 }
+
+// TestCommitToKilledNodeReturnsAtOnce: a batch past an operation's commit
+// point is re-issued across transients and down windows, but a node that was
+// KILLED between the lock and the commit rejects it without executing a verb
+// and never comes back. ErrNodeKilled wraps ErrNodeDown, so the re-issue loop
+// used to take it for a window, spend its whole backoff budget and end in
+// "retries exhausted: publish batch" — an error that names no node, which the
+// layer above cannot fail over. It must come back at once, still the kill.
+func TestCommitToKilledNodeReturnsAtOnce(t *testing.T) {
+	f, ring, root := leaseCluster(t)
+	e := engineOn(f, ring)
+	key := []byte("lease-a")
+	leaf, err := e.SearchFrom(root(e), key, NopHooks{})
+	if err != nil || leaf == nil {
+		t.Fatalf("search = %v, %v", leaf, err)
+	}
+	// The node dies right behind the CAS that takes the leaf's lock.
+	f.Trace = func(c *fabric.Client, o *fabric.Op) {
+		if c == e.C && o.Kind == fabric.CAS && o.Addr == leaf.Addr && o.Old == o.Expect {
+			f.Trace = nil
+			f.KillNode(leaf.Addr.Node())
+		}
+	}
+	before := e.C.Stats()
+	_, err = e.PutFrom(root(e), key, bytes.Repeat([]byte("w"), len(leaf.Value)), PutUpsert, NopHooks{})
+	f.Trace = nil
+	if !errors.Is(err, fabric.ErrNodeKilled) || errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("put whose commit met a killed node = %v; want the kill, not an exhausted budget", err)
+	}
+	if d := e.C.Stats().Sub(before); e.Stats().PublishRetries != 0 || d.NodeDownRejects+d.HealthRejects != 1 {
+		t.Errorf("%d re-issues, %d rejected batches; want the one rejection returned", e.Stats().PublishRetries, d.NodeDownRejects+d.HealthRejects)
+	}
+}

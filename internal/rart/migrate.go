@@ -76,7 +76,7 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 	}
 	// Re-read the image under the lock: it is stable now (writers CAS the
 	// header before touching bytes, and we hold it).
-	buf := e.grabBuf(uint64(leaf.Units) * wire.LeafUnit)
+	buf := e.GrabBuf(uint64(leaf.Units) * wire.LeafUnit)
 	if err := e.C.Read(slot.Addr, buf); err != nil {
 		e.ReleaseBuf(buf)
 		if lerr := e.UnlockLeaf(&ll); lerr != nil {

@@ -407,7 +407,11 @@ func (e *Engine) growAndInstall(parent, n *Node, key, value []byte, h Hooks) err
 // re-issued — re-issuing could clobber state the batch's own trailing
 // unlock already handed to another client. A transient fault failed
 // mid-batch without releasing anything (the unlock, when present, is the
-// last verb), so re-issuing is safe.
+// last verb), so re-issuing is safe. A batch a permanently killed node
+// rejected executed no verb and never will (ErrNodeKilled wraps ErrNodeDown,
+// so it has to be told apart first): the error goes back at once, still
+// naming the node, so the layer above can fail the operation over instead of
+// watching the budget die on "retries exhausted".
 func (e *Engine) completeBatch(ops []fabric.Op) error {
 	var bo *fabric.Backoff // started by the first fault: the clean path allocates nothing
 	for {
@@ -415,6 +419,8 @@ func (e *Engine) completeBatch(ops []fabric.Op) error {
 		switch {
 		case err == nil:
 			return nil
+		case errors.Is(err, fabric.ErrNodeKilled):
+			return err
 		case errors.Is(err, fabric.ErrTimeout):
 			atomic.AddUint64(&e.stats.PublishRetries, 1)
 			return nil
@@ -439,7 +445,8 @@ func (e *Engine) completeBatch(ops []fabric.Op) error {
 // type switch waits for the node's hash entry before swapping it, so an
 // abandoned insert would wedge every grow of that node. The hooks are
 // idempotent (the table insert returns early on an already-present entry),
-// so re-execution is safe.
+// so re-execution is safe. A table on a permanently killed node is gone for
+// good: that error is returned at once, like completeBatch's.
 func (e *Engine) completeHook(run func() error) error {
 	bo := e.Backoff()
 	for {
@@ -447,6 +454,8 @@ func (e *Engine) completeHook(run func() error) error {
 		switch {
 		case err == nil:
 			return nil
+		case errors.Is(err, fabric.ErrNodeKilled):
+			return err
 		case errors.Is(err, fabric.ErrTransient) || errors.Is(err, fabric.ErrTimeout) ||
 			errors.Is(err, fabric.ErrNodeDown):
 			atomic.AddUint64(&e.stats.PublishRetries, 1)

@@ -386,6 +386,20 @@ type SphinxCounters struct {
 	// HotRefreshes counts writes that republished at least one hot record
 	// before acknowledging.
 	HotRefreshes uint64
+	// Restarts by the cause the operation driver classified; they sum to
+	// Restarts. Structural: a lost tree race. Transient, Timeout: an injected
+	// fabric fault of that kind. NodeDown: a memory node rejected the batch
+	// (a down window, or a lost node with no replica layer to fail over to).
+	RestartsStructural, RestartsTransient, RestartsTimeout, RestartsNodeDown uint64
+	// The replica layers' write acknowledgement (anchors and hot records
+	// together): ReplicaFanouts counts passes over a key's whole target set,
+	// ReplicaRounds the doorbell batches they posted, ReplicaLegs the
+	// node-legs they carried — rounds per fan-out is what an acked write
+	// waits for, legs per round what batching saves. ReplicaRequeues counts
+	// legs sent back to the bucket read by a lost entry CAS or a stale
+	// directory cache, ReplicaSplits rounds whose batch faulted and was
+	// posted again one node at a time.
+	ReplicaFanouts, ReplicaRounds, ReplicaLegs, ReplicaRequeues, ReplicaSplits uint64
 }
 
 // coreStats sums the Sphinx client's counters with those of the session's
@@ -419,6 +433,10 @@ func (s *Session) SphinxStats() (SphinxCounters, bool) {
 		HotHits:        st.HotHits, HotRefutes: st.HotRefutes,
 		HotAborts: st.HotAborts, HotPromotes: st.HotPromotes,
 		HotDemotes: st.HotDemotes, HotRefreshes: st.HotRefreshes,
+		RestartsStructural: st.RestartsStructural, RestartsTransient: st.RestartsTransient,
+		RestartsTimeout: st.RestartsTimeout, RestartsNodeDown: st.RestartsNodeDown,
+		ReplicaFanouts: st.ReplicaFanouts, ReplicaRounds: st.ReplicaRounds, ReplicaLegs: st.ReplicaLegs,
+		ReplicaRequeues: st.ReplicaRequeues, ReplicaSplits: st.ReplicaSplits,
 	}, true
 }
 

@@ -1,6 +1,7 @@
 package sphinx
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -299,6 +300,81 @@ func TestTraceHotGet(t *testing.T) {
 	}
 	if sc, _ := s.SphinxStats(); sc.HotHits == 0 || sc.HotRefutes == 0 {
 		t.Errorf("SphinxStats = %d hot hits, %d hot refutes; want both counted", sc.HotHits, sc.HotRefutes)
+	}
+}
+
+// TestTraceReplicatedPut pins a write's acknowledgement on a cluster with both
+// replica layers in trace form: a warm Update of a key that is not promoted,
+// once another key's promotion has opened the hot writers' gate, is the
+// speculative in-place write (2 round trips), ONE fan-out over the key's two
+// anchor replicas (3: bucket pairs, heads, image WRITE + entry CAS — unstaged,
+// the "none" rows) and ONE probe of its three hot tables (1) — each fan-out
+// closed by a note of its legs and rounds, and counted.
+func TestTraceReplicatedPut(t *testing.T) {
+	cluster, err := NewCluster(Config{MemoryNodes: 3, Replication: 2, HotReplicaFactor: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn := cluster.NewComputeNode()
+	cn.hotset.SetThresholds(3, 1, 1<<40)
+	s := cn.NewSession()
+	key, popular, value := []byte("plain-key"), []byte("popular-key"), bytes.Repeat([]byte("v"), 1024)
+	for _, k := range [][]byte{key, popular} {
+		if err := s.Put(k, value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if _, ok, err := s.Get(popular); err != nil || !ok {
+			t.Fatalf("heating Get = ok %v, err %v", ok, err)
+		}
+	}
+	before, _ := s.SphinxStats()
+	if before.HotPromotes != 1 {
+		t.Fatalf("%d promotions; the hot writers' gate is still shut", before.HotPromotes)
+	}
+	// The first Update walks the tree and teaches the cache the key's leaf.
+	if ok, err := s.Update(key, value); err != nil || !ok {
+		t.Fatalf("warm-up Update = ok %v, err %v", ok, err)
+	}
+	before, _ = s.SphinxStats()
+
+	tr, err := s.Trace("update plain-key", func() error {
+		_, err := s.Update(key, value)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, e := range tr.Events {
+		if e.Batch {
+			rows = append(rows, e.Stage.String())
+		} else if strings.HasPrefix(e.Note, "replicas: ") {
+			rows = append(rows, e.Stage.String()+" "+e.Note)
+		}
+	}
+	want := "[leaf-write leaf-write none none none none replicas: 2 legs, 3 rounds hot-pub hot-pub replicas: 3 legs, 1 rounds]"
+	if tr.RoundTrips() != 6 || fmt.Sprint(rows) != want {
+		t.Errorf("replicated warm Update: %d round trips, rows %v; want 6, %s:\n%s", tr.RoundTrips(), rows, want, tr.Format())
+	}
+	after, _ := s.SphinxStats()
+	if d := [5]uint64{after.ReplicaFanouts - before.ReplicaFanouts, after.ReplicaRounds - before.ReplicaRounds,
+		after.ReplicaLegs - before.ReplicaLegs, after.ReplicaRequeues - before.ReplicaRequeues, after.ReplicaSplits - before.ReplicaSplits}; d != [5]uint64{2, 4, 5, 0, 0} {
+		t.Errorf("fan-outs, rounds, legs, requeues, splits of the traced Update = %v; want [2 4 5 0 0]", d)
+	}
+	var prom strings.Builder
+	if err := s.Registry().Snapshot().WritePrometheus(&prom, "sphinx"); err != nil {
+		t.Fatal(err)
+	}
+	for _, needle := range []string{"sphinx_core_replica_fanouts ", "sphinx_core_replica_rounds ", "sphinx_core_replica_legs ",
+		"sphinx_core_replica_requeues 0", "sphinx_core_replica_splits 0"} {
+		if !strings.Contains(prom.String(), needle) {
+			t.Errorf("prometheus export missing %q", needle)
+		}
+	}
+	if got, want := s.Metrics().StageRTTotal(), s.Stats().RoundTrips; got != want {
+		t.Errorf("stage RT total %d != fabric round trips %d", got, want)
 	}
 }
 
