@@ -131,10 +131,11 @@ func (lv *Live) Registry() *obs.Registry {
 		if cl == nil || len(cl.lacs) == 0 {
 			return nil
 		}
-		occupied, capacity, bytes := cl.lacOccupancy()
+		occupied, capacity, full, bytes := cl.lacOccupancy()
 		g := map[string]float64{
 			"occupied_slots": float64(occupied),
 			"capacity_slots": float64(capacity),
+			"full_buckets":   float64(full),
 			"size_bytes":     float64(bytes),
 		}
 		if capacity > 0 {
@@ -257,7 +258,11 @@ type LACBlock struct {
 	Occupancy     float64 `json:"occupancy"`
 	OccupiedSlots uint64  `json:"occupied_slots"`
 	CapacitySlots uint64  `json:"capacity_slots"`
-	SizeBytes     uint64  `json:"size_bytes"`
+	// FullBuckets is how many 8-way buckets have no empty way left: a learn
+	// into one displaces a live entry (Evictions). Misses with none full are
+	// keys not yet learned, not a cache that is too small.
+	FullBuckets uint64 `json:"full_buckets,omitempty"`
+	SizeBytes   uint64 `json:"size_bytes"`
 
 	// LACReconciled is set for read-only depth-1 phases: true iff the
 	// leaf-spec stage's round trips == speculative hits + refutes (every
@@ -381,16 +386,17 @@ func (cl *Cluster) lacStatsAgg() core.LACStats {
 	return agg
 }
 
-// lacOccupancy aggregates live entries, slot capacity and byte footprint
-// across the CN leaf-address caches.
-func (cl *Cluster) lacOccupancy() (occupied, capacity, bytes uint64) {
+// lacOccupancy aggregates live entries, slot capacity, full buckets and byte
+// footprint across the CN leaf-address caches.
+func (cl *Cluster) lacOccupancy() (occupied, capacity, fullBuckets, bytes uint64) {
 	for _, lc := range cl.lacs {
-		o, c := lc.Occupancy()
+		o, c, f := lc.Occupancy()
 		occupied += o
 		capacity += c
+		fullBuckets += f
 		bytes += lc.SizeBytes()
 	}
-	return occupied, capacity, bytes
+	return occupied, capacity, fullBuckets, bytes
 }
 
 // filterStatsAgg sums the CN filter caches' counters (empty for systems
@@ -576,7 +582,7 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 	// Leaf-address-cache section (absent for the SphinxNoLAC ablation).
 	if len(cl.lacs) > 0 {
 		lacSt := cl.lacStatsAgg()
-		occupied, capacity, bytes := cl.lacOccupancy()
+		occupied, capacity, full, bytes := cl.lacOccupancy()
 		lac := &LACBlock{
 			SpecHits:    coreAgg.SpecHits,
 			SpecMisses:  coreAgg.SpecMisses,
@@ -589,6 +595,7 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 			Evictions:     lacSt.Evictions - cl.lacBase.Evictions,
 			OccupiedSlots: occupied,
 			CapacitySlots: capacity,
+			FullBuckets:   full,
 			SizeBytes:     bytes,
 		}
 		if probes := coreAgg.SpecHits + coreAgg.SpecMisses + coreAgg.SpecRefutes + coreAgg.SpecAborts; probes > 0 {

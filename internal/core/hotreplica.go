@@ -350,13 +350,12 @@ func (c *Client) hotReadRecord(routes *LeafCache, addr mem.Addr, units uint8, ke
 	p := c.specHots(routes)
 	size := min(uint64(units)*64, c.hot.room(addr))
 	if size < recordDataOff {
-		c.specSettle(p, key, specRefute, "refuted: route past the region's end, unlearned")
+		c.specSettle(p, key, addr, specRefute, "refuted: route past the region's end, unlearned")
 		return nil, specRefute
 	}
 	buf := c.eng.GrabBuf(size)
 	defer c.eng.ReleaseBuf(buf)
-	c.opScratch = append(c.opScratch[:0], fabric.Op{Kind: fabric.Read, Addr: addr, Data: buf})
-	err := c.eng.C.Batch(c.opScratch)
+	err := c.eng.C.Read(addr, buf)
 	st, _, keyLen, valLen := decodeRecordWords(buf)
 	valOff := recordDataOff + keyLen
 	var recKey []byte
@@ -364,7 +363,7 @@ func (c *Client) hotReadRecord(routes *LeafCache, addr mem.Addr, units uint8, ke
 		recKey = buf[recordDataOff:valOff]
 	}
 	out, why := specVerify(key, err, true, st, recKey)
-	c.specSettle(p, key, out, why)
+	c.specSettle(p, key, addr, out, why)
 	if out != specHit {
 		return nil, out
 	}

@@ -87,8 +87,11 @@ func TestHotSetDecayDemotes(t *testing.T) {
 func TestHotSetFlushRoutesOncePerEpoch(t *testing.T) {
 	hs := NewHotSet(0, 1, 2)
 	key := []byte("k")
-	hs.Rank(0).Learn(key, 42, 1)
-	hs.Rank(1).Learn(key, 43, 1)
+	hs.Rank(0).Learn(key, 64, 1)
+	hs.Rank(1).Learn(key, 128, 1)
+	if _, _, ok := hs.Rank(1).Lookup(key); !ok {
+		t.Fatal("route not learned")
+	}
 	if !hs.FlushRoutes(1) {
 		t.Fatal("first flush at epoch 1 did not run")
 	}
@@ -101,7 +104,7 @@ func TestHotSetFlushRoutesOncePerEpoch(t *testing.T) {
 	if hs.FlushRoutes(1) {
 		t.Error("second flush at the same epoch ran again")
 	}
-	hs.Rank(0).Learn(key, 44, 1)
+	hs.Rank(0).Learn(key, 192, 1)
 	if !hs.FlushRoutes(2) {
 		t.Error("flush at epoch 2 did not run")
 	}

@@ -18,34 +18,53 @@ const lacSeed = 9
 //	[63]    present
 //	[62:55] leaf size in 64-byte units (exact, so a speculative read
 //	        fetches the whole leaf in one round trip)
-//	[54:48] 7-bit key fingerprint (tags the slot's owner so an unlearn
-//	        for key A cannot evict a fresher entry for key B)
-//	[47:0]  packed leaf mem.Addr (node in [47:40], offset in [39:0])
+//	[54:42] 13-bit key fingerprint (tells the bucket's entries apart; an
+//	        unlearn for key A cannot remove an entry of key B)
+//	[41:0]  leaf mem.Addr >> 6 (node in [41:34], offset>>6 in [33:0])
 //
-// The zero word is "empty": a valid entry always has the present bit set,
-// and no valid leaf ever lives at the null address.
+// Everything the cache stores is a mem.ClassLeaf address, which the
+// allocator aligns to 64 bytes: the six zero bits are not stored, and pay for
+// a fingerprint wide enough that a probe of a full bucket matches a stranger
+// at most 8 times in 8192 — each such match a wasted, refuted round trip.
+//
+// The zero word is "empty": a valid entry always has the present bit set.
 const (
 	lacPresentBit = uint64(1) << 63
 	lacUnitsShift = 55
-	lacFPShift    = 48
-	lacFPMask     = uint64(0x7f)
-	lacAddrMask   = (uint64(1) << 48) - 1
+	lacFPShift    = 42
+	lacFPMask     = uint64(1)<<13 - 1
+	lacAddrMask   = uint64(1)<<lacFPShift - 1
+	lacAlignBits  = 6 // log2(mem.LineSize)
+	// lacTagMask selects what Lookup matches on: present and fingerprint.
+	lacTagMask = lacPresentBit | lacFPMask<<lacFPShift
+
+	// lacWays is the bucket width: eight words, one 64-byte cache line.
+	lacWays = 8
 )
 
-func packLACWord(addr mem.Addr, units uint8, fp uint64) uint64 {
-	return lacPresentBit |
-		uint64(units)<<lacUnitsShift |
-		(fp&lacFPMask)<<lacFPShift |
-		uint64(addr)&lacAddrMask
+// packLACWord returns the entry, under a key's tag (bucketTag), for a leaf of
+// the given size at addr, or false for an address the packed form cannot
+// hold (not 64-byte aligned, or bits above mem.AddrBits set): storing it
+// truncated would send speculative reads to some other object.
+func packLACWord(tag uint64, addr mem.Addr, units uint8) (uint64, bool) {
+	a := uint64(addr)
+	if a&(1<<lacAlignBits-1) != 0 || a>>mem.AddrBits != 0 {
+		return 0, false
+	}
+	return tag | uint64(units)<<lacUnitsShift | a>>lacAlignBits, true
 }
+
+// lacAddr and lacUnits unpack a present word.
+func lacAddr(w uint64) mem.Addr { return mem.Addr((w & lacAddrMask) << lacAlignBits) }
+func lacUnits(w uint64) uint8   { return uint8(w >> lacUnitsShift) }
 
 // LACStats counts leaf-address-cache maintenance events. Hit/refute
 // outcomes are operation-level decisions and live in core.Stats; these are
 // the cache's own bookkeeping.
 type LACStats struct {
 	Learns    uint64 // entries written (fresh or overwriting)
-	Unlearns  uint64 // entries removed after a refuted speculative read
-	Evictions uint64 // learns that displaced a live entry for another key
+	Unlearns  uint64 // entries removed: refuted speculative reads, demotions
+	Evictions uint64 // learns into a full bucket that displaced a live entry
 }
 
 // Add returns s + t, field-wise.
@@ -57,20 +76,29 @@ func (s LACStats) Add(t LACStats) LACStats {
 }
 
 // LeafCache is the per-CN speculative leaf-address cache (LAC): a
-// direct-mapped, lock-free map from key hash to the leaf address the key
-// was last found at, plus the leaf's exact size. A hit lets a warm Get
-// issue one doorbell read straight at the leaf and verify in place —
-// trust-but-verify, the same shape as the succinct filter cache, but for
-// the whole traversal instead of the deepest prefix.
+// set-associative, lock-free map from key hash to the leaf address the key
+// was last found at, plus the leaf's exact size. The key hash selects a
+// bucket of lacWays consecutive words — one cache line — and a fingerprint
+// tells the bucket's entries apart, so keys lose entries to each other only
+// once more than lacWays of them share a bucket (the paper's SFC is
+// bucketised for the same reason, §III-B). A hit lets a warm Get issue one
+// doorbell read straight at the leaf and verify in place — trust-but-verify,
+// the same shape as the succinct filter cache, but for the whole traversal
+// instead of the deepest prefix.
 //
 // Entries are single uint64 words accessed with atomic load/store/CAS, so
 // all workers of one CN share the cache with no locks. The cache is only a
 // hint: a wrong or stale entry costs one refuted read, never a wrong
 // answer (verification is the leaf's checksum, status word and full-key
-// comparison — see specGet in ops.go).
+// comparison — see specGet in ops.go). That is also what makes the races
+// between workers benign: two concurrent Learns of one key that both found
+// no entry of it may each write one (a duplicate: the later way answers once
+// the earlier is refuted or displaced), and a Learn may overwrite a way a
+// concurrent Learn just gave to another key (a lost learn: that key relearns
+// on its next miss).
 type LeafCache struct {
-	words []uint64
-	mask  uint64
+	words []uint64 // len(words)/lacWays buckets of lacWays words each
+	mask  uint64   // bucket count - 1
 	seed  uint64
 	stats LACStats
 }
@@ -84,7 +112,7 @@ func NewLeafCache(n int, seed uint64) *LeafCache {
 	}
 	return &LeafCache{
 		words: make([]uint64, size),
-		mask:  uint64(size) - 1,
+		mask:  uint64(size/lacWays) - 1,
 		seed:  seed,
 	}
 }
@@ -104,51 +132,85 @@ func NewLeafCacheBytes(budget uint64, seed uint64) *LeafCache {
 	return NewLeafCache(size, seed)
 }
 
-// slotFP derives the slot index and fingerprint of a key from one hash:
-// low bits index, bits above the table's width tag.
-func (lc *LeafCache) slotFP(key []byte) (slot uint64, fp uint64) {
+// bucketTag derives a key's bucket and the tag (present bit and fingerprint)
+// its entries carry from one hash: low bits pick the bucket, bits above any
+// table's width the fingerprint.
+func (lc *LeafCache) bucketTag(key []byte) (bucket []uint64, tag uint64) {
 	h := wire.Hash64Seed(key, lacSeed^lc.seed)
-	slot = h & lc.mask
-	fp = (h >> 48) & lacFPMask
-	return slot, fp
+	base := (h & lc.mask) * lacWays
+	return lc.words[base : base+lacWays : base+lacWays], lacPresentBit | (h>>48&lacFPMask)<<lacFPShift
 }
 
 // Lookup returns the cached leaf address and exact unit count for a key.
 // A false return means the cache has no opinion; a true return is a hint
 // that MUST be verified against the leaf image it resolves to.
 func (lc *LeafCache) Lookup(key []byte) (addr mem.Addr, units uint8, ok bool) {
-	slot, fp := lc.slotFP(key)
-	w := atomic.LoadUint64(&lc.words[slot])
-	if w&lacPresentBit == 0 || (w>>lacFPShift)&lacFPMask != fp {
-		return 0, 0, false
+	bucket, tag := lc.bucketTag(key)
+	for i := range bucket {
+		if w := atomic.LoadUint64(&bucket[i]); w&lacTagMask == tag {
+			return lacAddr(w), lacUnits(w), true
+		}
 	}
-	return mem.Addr(w & lacAddrMask), uint8(w >> lacUnitsShift), true
+	return 0, 0, false
 }
 
 // Learn records that key was found at addr in a leaf of the given exact
-// size. Direct-mapped: a colliding entry for another key is displaced
-// (counted as an eviction).
+// size: over the entry already carrying the key's fingerprint, else into an
+// empty way, else — the bucket is full — over a way that rotates with the
+// learn count, so no resident is singled out (counted as an eviction). An
+// address the word cannot hold is dropped: the key simply stays uncached.
 func (lc *LeafCache) Learn(key []byte, addr mem.Addr, units uint8) {
-	slot, fp := lc.slotFP(key)
-	next := packLACWord(addr, units, fp)
-	prev := atomic.SwapUint64(&lc.words[slot], next)
-	atomic.AddUint64(&lc.stats.Learns, 1)
-	if prev&lacPresentBit != 0 && (prev>>lacFPShift)&lacFPMask != fp {
+	bucket, tag := lc.bucketTag(key)
+	next, ok := packLACWord(tag, addr, units)
+	if !ok {
+		return
+	}
+	n := atomic.AddUint64(&lc.stats.Learns, 1)
+	empty := -1
+	for i := range bucket {
+		switch w := atomic.LoadUint64(&bucket[i]); {
+		case w&lacTagMask == tag:
+			atomic.StoreUint64(&bucket[i], next)
+			return
+		case w == 0 && empty < 0:
+			empty = i
+		}
+	}
+	if empty >= 0 && atomic.CompareAndSwapUint64(&bucket[empty], 0, next) {
+		return
+	}
+	// Full, or another learner took the empty way first.
+	if prev := atomic.SwapUint64(&bucket[(tag>>lacFPShift+n)%lacWays], next); prev != 0 {
 		atomic.AddUint64(&lc.stats.Evictions, 1)
 	}
 }
 
-// Unlearn removes the entry for key after a refuted speculative read. The
-// removal is a CAS on the exact observed word, so a concurrent Learn that
-// already replaced the slot (fresher information) is never clobbered.
+// Unlearn removes every entry carrying key's fingerprint: the key-only form,
+// for a caller that wants the key forgotten wherever it points (demotion).
 func (lc *LeafCache) Unlearn(key []byte) {
-	slot, fp := lc.slotFP(key)
-	w := atomic.LoadUint64(&lc.words[slot])
-	if w&lacPresentBit == 0 || (w>>lacFPShift)&lacFPMask != fp {
-		return
+	bucket, tag := lc.bucketTag(key)
+	lc.remove(bucket, tag, lacTagMask)
+}
+
+// UnlearnAt removes key's entry only if it still names addr — the address a
+// speculative access was just refuted at. An entry another worker of the CN
+// learned for the key's new address in the meantime is fresher information
+// and stays.
+func (lc *LeafCache) UnlearnAt(key []byte, addr mem.Addr) {
+	bucket, tag := lc.bucketTag(key)
+	if named, ok := packLACWord(tag, addr, 0); ok {
+		lc.remove(bucket, named, lacTagMask|lacAddrMask)
 	}
-	if atomic.CompareAndSwapUint64(&lc.words[slot], w, 0) {
-		atomic.AddUint64(&lc.stats.Unlearns, 1)
+}
+
+// remove empties the bucket's words that equal want under mask. Each removal
+// is a CAS on the exact observed word, so a concurrent Learn that already
+// replaced the way is never clobbered.
+func (lc *LeafCache) remove(bucket []uint64, want, mask uint64) {
+	for i := range bucket {
+		if w := atomic.LoadUint64(&bucket[i]); w&mask == want && atomic.CompareAndSwapUint64(&bucket[i], w, 0) {
+			atomic.AddUint64(&lc.stats.Unlearns, 1)
+		}
 	}
 }
 
@@ -168,14 +230,24 @@ func (lc *LeafCache) SizeBytes() uint64 { return uint64(len(lc.words)) * 8 }
 // Entries returns the cache's slot capacity.
 func (lc *LeafCache) Entries() int { return len(lc.words) }
 
-// Occupancy returns the number of live entries and the slot capacity.
-func (lc *LeafCache) Occupancy() (occupied, capacity uint64) {
-	for i := range lc.words {
-		if atomic.LoadUint64(&lc.words[i])&lacPresentBit != 0 {
-			occupied++
+// Occupancy returns the number of live entries, the slot capacity, and the
+// number of buckets with no empty way left: a learn into one of those
+// displaces a resident. Misses with next to no full buckets are keys not yet
+// learned; misses with many are a cache too small for its working set.
+func (lc *LeafCache) Occupancy() (occupied, capacity, fullBuckets uint64) {
+	for base := 0; base < len(lc.words); base += lacWays {
+		bucket, live := lc.words[base:base+lacWays], 0
+		for i := range bucket {
+			if atomic.LoadUint64(&bucket[i]) != 0 {
+				live++
+			}
+		}
+		occupied += uint64(live)
+		if live == lacWays {
+			fullBuckets++
 		}
 	}
-	return occupied, uint64(len(lc.words))
+	return occupied, uint64(len(lc.words)), fullBuckets
 }
 
 // Stats returns a snapshot of the cache's maintenance counters.

@@ -509,10 +509,12 @@ func (c *Client) specHots(routes *LeafCache) specPath {
 		fabric.StageHotRead, "hot hit: replica record verified in one round trip"}
 }
 
-// specSettle books a speculative access's outcome: the path's counter, the
-// unlearn a refutation owes, and the note on the armed trace recorder —
-// specVerify's, or the path's own for a hit that names no other.
-func (c *Client) specSettle(p specPath, key []byte, out specOutcome, note string) {
+// specSettle books the outcome of a speculative access at addr: the path's
+// counter, the unlearn a refutation owes — of the entry naming addr only; one
+// another worker has since learned for the key is not what was refuted — and
+// the note on the armed trace recorder: specVerify's, or the path's own for a
+// hit that names no other.
+func (c *Client) specSettle(p specPath, key []byte, addr mem.Addr, out specOutcome, note string) {
 	switch out {
 	case specHit:
 		atomic.AddUint64(p.hits, 1)
@@ -520,7 +522,7 @@ func (c *Client) specSettle(p specPath, key []byte, out specOutcome, note string
 			note = p.hit
 		}
 	case specRefute:
-		p.cache.Unlearn(key)
+		p.cache.UnlearnAt(key, addr)
 		atomic.AddUint64(p.refutes, 1)
 	case specAbort:
 		atomic.AddUint64(p.aborts, 1)
@@ -549,15 +551,10 @@ func (c *Client) specGet(key []byte) ([]byte, bool) {
 		atomic.AddUint64(&c.stats.SpecMisses, 1)
 		return nil, false
 	}
-	// A nil leaf is a torn or locked image: an in-flight single-WRITE updater.
-	leaf, err := c.eng.SpecReadLeaf(addr, units)
-	var status wire.Status
-	var leafKey []byte
-	if leaf != nil {
-		status, leafKey = leaf.Status, leaf.Key
-	}
-	out, why := specVerify(key, err, leaf != nil, status, leafKey)
-	c.specSettle(c.specGets(), key, out, why)
+	// An unstable image is torn or locked: an in-flight single-WRITE updater.
+	leaf, stable, err := c.eng.SpecReadLeaf(addr, units)
+	out, why := specVerify(key, err, stable, leaf.Status, leaf.Key)
+	c.specSettle(c.specGets(), key, addr, out, why)
 	if out != specHit {
 		return nil, false
 	}
@@ -582,7 +579,7 @@ func (c *Client) specGet(key []byte) ([]byte, bool) {
 //   - Hit after re-CAS: the leaf is Idle and the key's, only the value
 //     length differs: lock again with the observed word. 3 round trips.
 //   - Refuted: Invalid, lost node, or another key's leaf. If the CAS WON on
-//     that other leaf (the cache tags entries with 7 fingerprint bits, and
+//     that other leaf (the cache tags entries with 13 fingerprint bits, and
 //     both lengths happened to agree), its Idle header is restored first
 //     and the leaf is byte-identical afterwards.
 //   - Aborted: locked by another writer, a transient fault, or a value that
@@ -601,7 +598,7 @@ func (c *Client) specPut(key, value []byte) bool {
 	}
 	p := c.specUpdates()
 	if wire.LeafSize(len(key), len(value)) > uint64(units)*wire.LeafUnit {
-		c.specSettle(p, key, specAbort, "aborted: value outgrows the leaf, entry kept")
+		c.specSettle(p, key, addr, specAbort, "aborted: value outgrows the leaf, entry kept")
 		return false
 	}
 	lk, err := c.eng.SpecLockLeaf(addr, units, len(key), len(value))
@@ -628,7 +625,7 @@ func (c *Client) specPut(key, value []byte) bool {
 			why = "refuted: stranger's leaf restored, unlearned"
 		}
 	}
-	c.specSettle(p, key, out, why)
+	c.specSettle(p, key, addr, out, why)
 	return out == specHit
 }
 

@@ -199,7 +199,7 @@ func TestSpecUpdateRefutesStaleAddress(t *testing.T) {
 }
 
 // TestSpecUpdateRestoresStrangersLeaf forces the one case where the guessed
-// lock word WINS on the wrong leaf: the cache tags entries with 7 fingerprint
+// lock word WINS on the wrong leaf: the cache tags entries with 13 fingerprint
 // bits, so key A's lookup can return key B's leaf, and when both keys and
 // both values have equal lengths the CAS matches B's Idle header. The locked
 // image's key refutes it; B's header must be restored before anything else

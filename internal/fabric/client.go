@@ -95,6 +95,11 @@ type Client struct {
 	rng     uint64
 	posted  uint64
 	crashed bool
+
+	// one backs the single-verb calls (Read, Write, CompareSwap, FetchAdd): a
+	// slice literal per call would escape into Batch. A client runs one call
+	// at a time — a pipeline lane blocks in submit — so one array does.
+	one [1]Op
 }
 
 // SetNoBatch disables doorbell batching for this client: every verb in a
@@ -477,14 +482,30 @@ func (c *Client) execute(op *Op) error {
 	return nil
 }
 
+// post runs op as a doorbell batch of its own out of the client's one-verb
+// array, returning a CAS or FAA pre-image; the array keeps no reference to
+// the caller's buffer afterwards.
+func (c *Client) post(op Op) (uint64, error) {
+	c.one[0] = op
+	err := c.Batch(c.one[:])
+	old := c.one[0].Old
+	c.one[0].Data = nil
+	if err != nil {
+		return 0, err
+	}
+	return old, nil
+}
+
 // Read fetches len(dst) bytes at addr in one round trip.
 func (c *Client) Read(addr mem.Addr, dst []byte) error {
-	return c.Batch([]Op{{Kind: Read, Addr: addr, Data: dst}})
+	_, err := c.post(Op{Kind: Read, Addr: addr, Data: dst})
+	return err
 }
 
 // Write stores src at addr in one round trip.
 func (c *Client) Write(addr mem.Addr, src []byte) error {
-	return c.Batch([]Op{{Kind: Write, Addr: addr, Data: src}})
+	_, err := c.post(Op{Kind: Write, Addr: addr, Data: src})
+	return err
 }
 
 // ReadUint64 fetches the 8-byte word at addr.
@@ -507,20 +528,12 @@ func (c *Client) WriteUint64(addr mem.Addr, v uint64) error {
 // CompareSwap executes an RDMA CAS and returns the pre-image. The swap
 // succeeded iff the returned value equals expect.
 func (c *Client) CompareSwap(addr mem.Addr, expect, desired uint64) (uint64, error) {
-	ops := []Op{{Kind: CAS, Addr: addr, Expect: expect, Desired: desired}}
-	if err := c.Batch(ops); err != nil {
-		return 0, err
-	}
-	return ops[0].Old, nil
+	return c.post(Op{Kind: CAS, Addr: addr, Expect: expect, Desired: desired})
 }
 
 // FetchAdd executes an RDMA FAA and returns the pre-image. Together with
 // ReadUint64 it satisfies mem.RemoteOps, so a mem.Allocator can run over a
 // client and pay real round trips.
 func (c *Client) FetchAdd(addr mem.Addr, delta uint64) (uint64, error) {
-	ops := []Op{{Kind: FAA, Addr: addr, Delta: delta}}
-	if err := c.Batch(ops); err != nil {
-		return 0, err
-	}
-	return ops[0].Old, nil
+	return c.post(Op{Kind: FAA, Addr: addr, Delta: delta})
 }

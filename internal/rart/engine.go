@@ -427,56 +427,54 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 // a traversal — with no retry loop and no backoff. The caller owns
 // verification; this primitive only reports what one round trip saw:
 //
-//   - a decoded image (including Status Invalid): (leaf, nil) — the caller
-//     checks status and key;
-//   - a torn or locked image: (nil, nil) — an in-flight writer, nothing to
-//     conclude, fall back without unlearning;
-//   - a fabric error: (nil, err) — the caller maps failoverable errors to
-//     unlearns.
+//   - a decoded image (including Status Invalid): (leaf, true, nil) — the
+//     caller checks status and key;
+//   - a torn or locked image: (_, false, nil) — an in-flight writer, nothing
+//     to conclude, fall back without unlearning;
+//   - a fabric error: (_, false, err) — the caller maps failoverable errors
+//     to unlearns.
+//
+// The leaf is returned by value: on the warm path the one allocation is the
+// array its key and value share.
 //
 // Batches are stage-annotated StageLeafSpec so the speculative round trips
 // reconcile separately from the 3-RT hash path (the lac_reconciled
 // verdict).
-func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8) (*Leaf, error) {
+func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8) (leaf Leaf, stable bool, err error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafSpec))
 	want := e.clampRead(addr, uint64(units)*wire.LeafUnit)
 	if want < wire.LeafHeaderSize {
-		return nil, nil
+		return Leaf{}, false, nil
 	}
 	buf := e.GrabBuf(want)
-	if err := e.C.Read(addr, buf); err != nil {
-		e.ReleaseBuf(buf)
-		return nil, err
+	defer e.ReleaseBuf(buf)
+	if err = e.C.Read(addr, buf); err != nil {
+		return Leaf{}, false, err
 	}
 	hdr := wire.DecodeLeafHeader(leUint64(buf))
 	if hdr.Status == wire.StatusInvalid {
-		e.ReleaseBuf(buf)
-		return &Leaf{Addr: addr, Status: wire.StatusInvalid, Units: hdr.Units}, nil
+		return Leaf{Addr: addr, Status: wire.StatusInvalid, Units: hdr.Units}, true, nil
 	}
 	if need := uint64(hdr.Units) * wire.LeafUnit; need > uint64(len(buf)) {
 		// The leaf at this address grew past the cached size (the address
 		// was reused or the hint is stale): nothing provable in one round
 		// trip.
-		e.ReleaseBuf(buf)
-		return nil, nil
+		return Leaf{}, false, nil
 	}
 	key, val, st, ok := wire.DecodeLeaf(buf)
 	if !ok || st == wire.StatusLocked {
-		e.ReleaseBuf(buf)
-		return nil, nil
+		return Leaf{}, false, nil
 	}
 	kv := make([]byte, len(key)+len(val))
 	copy(kv, key)
 	copy(kv[len(key):], val)
-	l := &Leaf{
+	return Leaf{
 		Addr:   addr,
 		Status: st,
 		Units:  hdr.Units,
 		Key:    kv[:len(key):len(key)],
 		Value:  kv[len(key):],
-	}
-	e.ReleaseBuf(buf)
-	return l, nil
+	}, true, nil
 }
 
 // LeafLock is one in-place update's hold on a leaf: the leaf's header lock

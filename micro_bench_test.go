@@ -150,6 +150,9 @@ func benchCluster(b *testing.B, keys [][]byte) (*sphinx.ComputeNode, *sphinx.Ses
 // single-backing-array leaf decode and the view-scratch lookup, GetWarm
 // cost 23 allocs/op (1281 B); Put and Update 32 allocs/op (1670 B) each.
 // After: GetWarm 6 allocs/op (586 B), Put and Update 9 allocs/op (874 B).
+// With the leaf-address cache holding every key (-benchtime 20000x) GetWarm
+// is 1 alloc/op (90 B): the array the returned value lives in
+// (TestWarmPathAllocations).
 func BenchmarkSphinxGetWarm(b *testing.B) {
 	keys := dataset.GenerateEmail(20_000, 1)
 	_, s := benchCluster(b, keys)
@@ -172,9 +175,9 @@ func BenchmarkSphinxGetWarm(b *testing.B) {
 // the speculative in-place write (lock + verify in one batch, one releasing
 // WRITE). -benchtime 20000x -benchmem: 10 allocs/op (919 B) when every Update
 // walked the tree and built its image with EncodeLeaf + pad + re-encode;
-// 1 alloc/op (165 B) now — none on a hit, the average is the ~14 % of the
-// 20 000 keys that the default direct-mapped cache of 65 536 entries displaced
-// and that take the tree path (7 allocs/op, BenchmarkSphinxUpdate).
+// 0 allocs/op now: the default cache of 65 536 entries in 8-way buckets holds
+// all 20 000 keys, and a hit allocates nothing (the tree path's cost is
+// BenchmarkSphinxUpdate's, 6 allocs/op). TestWarmPathAllocations pins it.
 func BenchmarkWarmUpdate(b *testing.B) {
 	keys := dataset.GenerateEmail(20_000, 1)
 	_, s := benchCluster(b, keys)

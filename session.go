@@ -568,11 +568,14 @@ func (s *Session) Registry() *Registry {
 				}
 			})
 			r.AddGauges("lac", func() map[string]float64 {
-				occupied, capacity := lac.Occupancy()
+				occupied, capacity, full := lac.Occupancy()
 				g := map[string]float64{
 					"occupied_slots": float64(occupied),
 					"capacity_slots": float64(capacity),
-					"size_bytes":     float64(lac.SizeBytes()),
+					// Buckets with no empty way: a learn there displaces a live
+					// entry. Misses with none full are keys not yet learned.
+					"full_buckets": float64(full),
+					"size_bytes":   float64(lac.SizeBytes()),
 				}
 				st := s.coreStats()
 				if attempts := st.SpecHits + st.SpecMisses + st.SpecRefutes + st.SpecAborts; attempts > 0 {

@@ -223,3 +223,49 @@ func TestPipelineLanesShareSessionOptions(t *testing.T) {
 		}
 	})
 }
+
+// TestWarmPathAllocations pins what the Go code of a compute node allocates
+// per operation on the two warm paths through the leaf-address cache — near
+// one round trip per op the CN's own work decides throughput. A warm Get is
+// the one array its returned value lives in (beside the leaf's key); a warm
+// same-size Update allocates nothing (single verbs post from the fabric
+// client's own one-op array; the speculative read returns its leaf by value).
+func TestWarmPathAllocations(t *testing.T) {
+	cluster, err := NewCluster(Config{Timing: TimingInstant})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cluster.NewComputeNode().NewSession()
+	keys := make([][]byte, 256)
+	val := make([]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("alloc-key-%04d", i))
+		if err := s.Put(keys[i], val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range keys { // teach the cache
+		if _, ok, err := s.Get(k); err != nil || !ok {
+			t.Fatalf("warming Get(%q) = %v, %v", k, ok, err)
+		}
+	}
+	i := 0
+	gets := testing.AllocsPerRun(1000, func() {
+		if _, ok, err := s.Get(keys[i%len(keys)]); err != nil || !ok {
+			t.Fatalf("Get = %v, %v", ok, err)
+		}
+		i++
+	})
+	updates := testing.AllocsPerRun(1000, func() {
+		if ok, err := s.Update(keys[i%len(keys)], val); err != nil || !ok {
+			t.Fatalf("Update = %v, %v", ok, err)
+		}
+		i++
+	})
+	if gets > 1 {
+		t.Errorf("warm Get: %.2f allocs/op, want <= 1", gets)
+	}
+	if updates > 0 {
+		t.Errorf("warm Update: %.2f allocs/op, want 0", updates)
+	}
+}

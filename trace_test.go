@@ -175,6 +175,7 @@ func TestTraceWarmGet(t *testing.T) {
 		`sphinx_session_stage_round_trips_count{stage="leaf-spec"}`,
 		"sphinx_core_spec_hits 1",
 		"sphinx_lac_learns",
+		"sphinx_lac_full_buckets 0",
 	} {
 		if !strings.Contains(prom.String(), needle) {
 			t.Errorf("prometheus export missing %q", needle)
