@@ -3,10 +3,15 @@
 //
 // Usage:
 //
-//	sphinxbench [flags] fig4|fig5|fig6|ablation|all
+//	sphinxbench [flags] fig4|fig5|fig6|ablation|scaling|treedepth|valsweep|pipeline|fastpath|failover|elastic|skew|all
 //
-// Each experiment prints an aligned table; see EXPERIMENTS.md for the
-// mapping to the paper's figures and the expected shapes.
+// fig4–fig6 and ablation regenerate the paper's figures; scaling (CN
+// multicore), treedepth, valsweep, pipeline (issue depth) and fastpath
+// (leaf-address cache, warmup/steady) extend them; failover, elastic and
+// skew are the ledgered chaos and hot-spot experiments the CI smoke jobs
+// gate on; all runs fig4, fig5, fig6, ablation and pipeline. Each
+// experiment prints an aligned table; see EXPERIMENTS.md for the mapping
+// to the paper's figures and the expected shapes.
 package main
 
 import (
@@ -43,7 +48,6 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve live observability HTTP on this address while experiments run (host:0 for an ephemeral port): /metrics, /snapshot, /traces, /debug/pprof")
 	serveLinger := flag.Duration("serve-linger", 0, "with -serve, keep serving this long after the experiments finish (lets scrapers read final totals)")
 	scaleWorkers := flag.String("scale-workers", "", "comma-separated worker counts for the scaling experiment (default 1,2,4,8,16)")
-	warm := flag.Bool("warm", false, "split every workload run into a warmup and a steady-state pass, reporting both (fastpath implies it)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] fig4|fig5|fig6|ablation|scaling|treedepth|valsweep|pipeline|fastpath|failover|elastic|skew|all\n", os.Args[0])
 		flag.PrintDefaults()
@@ -72,7 +76,6 @@ func main() {
 		Theta:        *theta,
 		Depth:        *depth,
 		Metrics:      *metrics,
-		Warm:         *warm,
 	}
 	var live *bench.Live
 	if *serveAddr != "" {

@@ -110,38 +110,6 @@ type Config struct {
 	// the paper. The load phase is always sequential.
 	Depth int
 
-	// Cache budgets in bytes. Zero selects the paper's ratios: Sphinx and
-	// SMART get 20 MB per 480 MB of u64 key bytes (≈4.17%), SMART+C 10×
-	// that — both computed against the u64-equivalent key volume so that
-	// email runs see the same absolute budget, as in §V-A.
-	SphinxCache uint64
-	SmartCache  uint64
-	SmartCCache uint64
-
-	// LeafCacheBytes is the Sphinx-family per-CN budget for the speculative
-	// leaf-address cache (default 512 KiB — 64K packed 8-byte entries).
-	// SphinxNoLAC ignores it.
-	LeafCacheBytes uint64
-
-	// Warm splits each measurement into a warmup pass and a steady-state
-	// pass over the same workload: the experiment reports both phases
-	// (Result.Phase "warmup" / "steady") so CN-cache learning — filter and
-	// leaf-address cache alike — is visible instead of averaged away.
-	Warm bool
-
-	// HotReplicas enables the hotness-driven read-replication layer for
-	// the Sphinx-family systems: each CN tracks its hottest read keys and
-	// promotes them into this many replicated, immutable, versioned
-	// records spread over ring-successor MNs; hot reads then pick among
-	// replicas with power-of-two-choices on NIC load. 0 (the default)
-	// disables the layer; the SphinxHot system forces
-	// core.DefaultHotReplication when unset.
-	HotReplicas int
-
-	// HotSetBytes is the per-CN budget for the hot-key tracker (frequency
-	// sketch + replica route caches). 0 selects core.DefaultHotSetBytes.
-	HotSetBytes uint64
-
 	// Replication enables the memory-node fault-tolerance layer for the
 	// Sphinx-family systems: every published entry is replicated to this
 	// many distinct MNs, reads fail over behind the per-node health
@@ -165,17 +133,13 @@ type Config struct {
 	// bound, hash-table load factor).
 	Metrics bool
 
-	// Tail enables tail-latency trace sampling: sequential (depth-1)
-	// workers record each op's round-trip timeline, and ops above the
-	// moving per-kind p99 keep their trace, pre-explained. Counts land in
-	// the Result.Metrics tail fields; the traces themselves are servable
-	// via Live.
-	Tail bool
-
 	// Live, when non-nil, accumulates every phase's metrics, index
 	// distributions and tail samples into a harness-lifetime surface
 	// servable over HTTP while experiments run (sphinxbench -serve). It
-	// implies Tail.
+	// also turns tail-latency trace sampling on: sequential (depth-1)
+	// workers record each op's round-trip timeline, ops above the moving
+	// per-kind p99 keep their trace, and the counts land in the
+	// Result.Metrics tail fields.
 	Live *Live
 }
 
@@ -216,29 +180,35 @@ func (c Config) withDefaults() Config {
 	if c.Depth == 0 {
 		c.Depth = 1
 	}
-	u64Bytes := uint64(c.Keys) * 8
-	if c.SphinxCache == 0 {
-		c.SphinxCache = u64Bytes * 417 / 10000
-	}
-	if c.SmartCache == 0 {
-		c.SmartCache = u64Bytes * 417 / 10000
-	}
-	if c.SmartCCache == 0 {
-		c.SmartCCache = u64Bytes * 4170 / 10000
-	}
-	if c.LeafCacheBytes == 0 {
-		c.LeafCacheBytes = 512 << 10
-	}
 	return c
 }
 
-// Index is the operation surface shared by all compared systems.
+// cacheBudget is a system's per-CN cache budget in bytes at the paper's
+// ratios (§V-A): Sphinx's filter and SMART's node cache get 20 MB per
+// 480 MB of u64 key bytes (≈4.17 %), SMART+C 10× that — computed against
+// the u64-equivalent key volume so that email runs see the same absolute
+// budget. The starved-filter ablations get 1/64 of Sphinx's.
+func cacheBudget(sys System, keys int) uint64 {
+	u64Bytes := uint64(keys) * 8
+	switch sys {
+	case SMARTC:
+		return u64Bytes * 4170 / 10000
+	case SphinxTinySFC, SphinxTinyRand:
+		return u64Bytes * 417 / 10000 / 64
+	default:
+		return u64Bytes * 417 / 10000
+	}
+}
+
+// Index is the operation surface shared by all compared systems: the
+// method set *core.Client, *smart.Client and *artdm.Client have in common.
 type Index interface {
 	Search(key []byte) ([]byte, bool, error)
 	Insert(key, value []byte) (bool, error)
 	Update(key, value []byte) (bool, error)
 	Delete(key []byte) (bool, error)
-	ScanN(lo []byte, n int) ([]rart.KV, error)
+	Scan(lo, hi []byte, limit int) ([]rart.KV, error)
+	Engine() *rart.Engine
 }
 
 // Cluster is one bootstrapped system instance plus its dataset and
@@ -313,13 +283,8 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 	case cfg.Live != nil:
 		cl.index = cfg.Live.Index
 		cl.tail = cfg.Live.Tail
-	default:
-		if cfg.Metrics {
-			cl.index = obs.NewIndexMetrics()
-		}
-		if cfg.Tail {
-			cl.tail = obs.NewTailSampler(0, 0)
-		}
+	case cfg.Metrics:
+		cl.index = obs.NewIndexMetrics()
 	}
 	cl.keys = dataset.Generate(cfg.Dataset, cfg.Keys, cfg.Seed)
 	cl.space = ycsb.NewKeySpace(cl.keys, dataset.Novel(cfg.Dataset, cfg.Seed+7))
@@ -334,46 +299,36 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 		} else {
 			cl.sphinxShared, err = core.Bootstrap(f, ring, cfg.Keys)
 		}
-		hotR := cfg.HotReplicas
-		if sys == SphinxHot && hotR == 0 {
-			hotR = core.DefaultHotReplication
-		}
-		if err == nil && hotR > 0 {
-			if err = core.BootstrapHot(f, &cl.sphinxShared, 4096, hotR); err == nil {
+		// SphinxHot alone turns the hot read-replication layer on, at the
+		// default replica count and per-CN tracker budget.
+		if err == nil && sys == SphinxHot {
+			if err = core.BootstrapHot(f, &cl.sphinxShared, 4096, core.DefaultHotReplication); err == nil {
 				cl.hotsets = make([]*core.HotSet, cfg.CNs)
 				for i := range cl.hotsets {
-					cl.hotsets[i] = core.NewHotSet(cfg.HotSetBytes, uint64(cfg.Seed)+uint64(i)*7919+3, cl.sphinxShared.Hot.R)
+					cl.hotsets[i] = core.NewHotSet(0, uint64(cfg.Seed)+uint64(i)*7919+3, cl.sphinxShared.Hot.R)
 				}
 			}
 		}
+		policy := cuckoo.PolicySecondChance
+		if sys == SphinxTinyRand {
+			policy = cuckoo.PolicyRandom
+		}
 		cl.filters = make([]*core.FilterCache, cfg.CNs)
 		for i := range cl.filters {
-			budget := cfg.SphinxCache
-			policy := cuckoo.PolicySecondChance
-			switch sys {
-			case SphinxTinySFC:
-				budget /= 64
-			case SphinxTinyRand:
-				budget /= 64
-				policy = cuckoo.PolicyRandom
-			}
-			cl.filters[i] = core.NewFilterCacheBytesPolicy(budget, uint64(cfg.Seed)+uint64(i)|1, policy)
+			cl.filters[i] = core.NewFilterCacheBytesPolicy(cacheBudget(sys, cfg.Keys), uint64(cfg.Seed)+uint64(i)|1, policy)
 		}
 		if sys != SphinxNoLAC {
+			// 512 KiB per CN: 64K packed 8-byte leaf addresses.
 			cl.lacs = make([]*core.LeafCache, cfg.CNs)
 			for i := range cl.lacs {
-				cl.lacs[i] = core.NewLeafCacheBytes(cfg.LeafCacheBytes, uint64(cfg.Seed)+uint64(i))
+				cl.lacs[i] = core.NewLeafCacheBytes(512<<10, uint64(cfg.Seed)+uint64(i))
 			}
 		}
 	case SMART, SMARTC:
 		cl.smartShared, err = smart.Bootstrap(f, ring)
-		budget := cfg.SmartCache
-		if sys == SMARTC {
-			budget = cfg.SmartCCache
-		}
 		cl.caches = make([]*smart.NodeCache, cfg.CNs)
 		for i := range cl.caches {
-			cl.caches[i] = smart.NewNodeCache(budget)
+			cl.caches[i] = smart.NewNodeCache(cacheBudget(sys, cfg.Keys))
 		}
 	case ART:
 		cl.artShared, err = artdm.Bootstrap(f, ring)
@@ -422,41 +377,6 @@ func (cl *Cluster) observeOp(k obs.OpKind, latencyPs int64, roundTrips uint64) {
 	}
 }
 
-// scanAdapter bridges the per-system Scan(lo, hi, limit) signatures to the
-// YCSB scan(start, count) shape.
-type sphinxIndex struct{ c *core.Client }
-
-func (s sphinxIndex) Search(k []byte) ([]byte, bool, error) { return s.c.Search(k) }
-func (s sphinxIndex) Insert(k, v []byte) (bool, error)      { return s.c.Insert(k, v) }
-func (s sphinxIndex) Update(k, v []byte) (bool, error)      { return s.c.Update(k, v) }
-func (s sphinxIndex) Delete(k []byte) (bool, error)         { return s.c.Delete(k) }
-func (s sphinxIndex) ScanN(lo []byte, n int) ([]rart.KV, error) {
-	return s.c.Scan(lo, nil, n)
-}
-func (s sphinxIndex) engine() *rart.Engine { return s.c.Engine() }
-
-type smartIndex struct{ c *smart.Client }
-
-func (s smartIndex) Search(k []byte) ([]byte, bool, error) { return s.c.Search(k) }
-func (s smartIndex) Insert(k, v []byte) (bool, error)      { return s.c.Insert(k, v) }
-func (s smartIndex) Update(k, v []byte) (bool, error)      { return s.c.Update(k, v) }
-func (s smartIndex) Delete(k []byte) (bool, error)         { return s.c.Delete(k) }
-func (s smartIndex) ScanN(lo []byte, n int) ([]rart.KV, error) {
-	return s.c.Scan(lo, nil, n)
-}
-func (s smartIndex) engine() *rart.Engine { return s.c.Engine() }
-
-type artIndex struct{ c *artdm.Client }
-
-func (s artIndex) Search(k []byte) ([]byte, bool, error) { return s.c.Search(k) }
-func (s artIndex) Insert(k, v []byte) (bool, error)      { return s.c.Insert(k, v) }
-func (s artIndex) Update(k, v []byte) (bool, error)      { return s.c.Update(k, v) }
-func (s artIndex) Delete(k []byte) (bool, error)         { return s.c.Delete(k) }
-func (s artIndex) ScanN(lo []byte, n int) ([]rart.KV, error) {
-	return s.c.Scan(lo, nil, n)
-}
-func (s artIndex) engine() *rart.Engine { return s.c.Engine() }
-
 // sphinxOptions returns the core.Options for one worker of a
 // Sphinx-family system on the given compute node, or ok=false for the
 // baselines.
@@ -499,26 +419,32 @@ func (cl *Cluster) sphinxOptions(cn int) (core.Options, bool) {
 	return o, true
 }
 
-// NewIndex mounts the cluster's system for one worker on the given compute
-// node. The returned index is single-worker; CN-level caches are shared.
-func (cl *Cluster) NewIndex(cn int) (Index, *fabric.Client) {
+// fabricClient builds one worker's fabric client: clock zero, the
+// system's batching mode, the phase's batch observers.
+func (cl *Cluster) fabricClient() *fabric.Client {
 	fc := cl.F.NewClient()
 	if cl.Sys == SphinxNoBatch {
 		fc.SetNoBatch(true)
 	}
+	// The nil guard matters here too (see sphinxOptions).
 	if observer := cl.phaseObs(); observer != nil {
 		fc.SetObserver(observer)
 	}
+	return fc
+}
+
+// NewIndex mounts the cluster's system for one worker on the given compute
+// node. The returned index is single-worker; CN-level caches are shared.
+func (cl *Cluster) NewIndex(cn int) (Index, *fabric.Client) {
+	fc := cl.fabricClient()
 	if opts, ok := cl.sphinxOptions(cn); ok {
-		return sphinxIndex{core.NewClient(cl.sphinxShared, fc, opts)}, fc
+		return core.NewClient(cl.sphinxShared, fc, opts), fc
 	}
 	switch cl.Sys {
 	case SMART, SMARTC:
-		c := smart.NewClient(cl.smartShared, fc, smart.Options{Cache: cl.caches[cn%len(cl.caches)]})
-		return smartIndex{c}, fc
+		return smart.NewClient(cl.smartShared, fc, smart.Options{Cache: cl.caches[cn%len(cl.caches)]}), fc
 	case ART:
-		c := artdm.NewClient(cl.artShared, fc, rart.Config{})
-		return artIndex{c}, fc
+		return artdm.NewClient(cl.artShared, fc, rart.Config{}), fc
 	default:
 		panic("bench: unknown system")
 	}
@@ -526,11 +452,10 @@ func (cl *Cluster) NewIndex(cn int) (Index, *fabric.Client) {
 
 // NewIndexNoSpec mounts a Sphinx-family worker like NewIndex but with
 // the speculative leaf-address cache disabled. The elastic chaos run's
-// measured workers use this: the LAC's 1-RT hits mask most of a
-// migration's epoch-fallback cost, and its shared-slot collision
-// refutes cost the same 4 round trips as a fallback — latency-
-// indistinguishable from chaos. With it off the warm read path is
-// deterministic, so the run's latency SLO cleanly separates steady
+// measured workers use this: a 1-RT cache hit never consults the
+// placement, so it hides the epoch-fallback cost of a migration that the
+// run's latency SLO must see. With the cache off the warm read path is
+// the deterministic locate-descend, and the SLO cleanly separates steady
 // windows from transitions. Baselines (no speculation) fall through to
 // NewIndex.
 func (cl *Cluster) NewIndexNoSpec(cn int) (Index, *fabric.Client) {
@@ -538,16 +463,9 @@ func (cl *Cluster) NewIndexNoSpec(cn int) (Index, *fabric.Client) {
 	if !ok {
 		return cl.NewIndex(cn)
 	}
-	opts.LeafCache = nil
-	opts.DisableLeafCache = true
-	fc := cl.F.NewClient()
-	if cl.Sys == SphinxNoBatch {
-		fc.SetNoBatch(true)
-	}
-	if observer := cl.phaseObs(); observer != nil {
-		fc.SetObserver(observer)
-	}
-	return sphinxIndex{core.NewClient(cl.sphinxShared, fc, opts)}, fc
+	opts.LeafCache, opts.DisableLeafCache = nil, true
+	fc := cl.fabricClient()
+	return core.NewClient(cl.sphinxShared, fc, opts), fc
 }
 
 // NewPipeline mounts a pipelined Sphinx executor for one worker, or
@@ -559,13 +477,7 @@ func (cl *Cluster) NewPipeline(cn int) (*core.Pipeline, *fabric.Client, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	fc := cl.F.NewClient()
-	if cl.Sys == SphinxNoBatch {
-		fc.SetNoBatch(true)
-	}
-	if observer := cl.phaseObs(); observer != nil {
-		fc.SetObserver(observer)
-	}
+	fc := cl.fabricClient()
 	return core.NewPipeline(cl.sphinxShared, fc, opts), fc, true
 }
 

@@ -175,8 +175,13 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Keys == 0 || c.ValueSize != 64 || c.MNs != 3 || c.CNs != 3 {
 		t.Errorf("defaults: %+v", c)
 	}
-	if c.SmartCCache != c.SmartCache*10 {
-		t.Errorf("SMART+C cache must be 10× SMART's: %d vs %d", c.SmartCCache, c.SmartCache)
+	// The budgets the clusters are built with (NewCluster calls cacheBudget).
+	smartC, smart := cacheBudget(SMARTC, c.Keys), cacheBudget(SMART, c.Keys)
+	if smart == 0 || smartC != smart*10 {
+		t.Errorf("SMART+C cache must be 10× SMART's: %d vs %d", smartC, smart)
+	}
+	if sphinx := cacheBudget(Sphinx, c.Keys); sphinx != smart {
+		t.Errorf("Sphinx's filter budget %d must equal SMART's cache budget %d", sphinx, smart)
 	}
 }
 
@@ -399,7 +404,7 @@ func TestCrossSystemEquivalence(t *testing.T) {
 	// Full-state equivalence via scans.
 	var images []string
 	for i, s := range systems {
-		kvs, err := s.idx.ScanN([]byte{0}, 0)
+		kvs, err := s.idx.Scan([]byte{0}, nil, 0)
 		if err != nil {
 			t.Fatalf("%s scan: %v", s.name, err)
 		}

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sync"
-
-	"sort"
 
 	"sphinx/internal/core"
 	"sphinx/internal/fabric"
@@ -185,36 +182,27 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	}
 
 	// Part 1 — MN-count sweep on static clusters.
-	fmt.Fprintf(out, "# Elastic — MN-count sweep (YCSB-A), then mid-run add+drain chaos, R=%d, dataset=%v keys=%d workers=%d\n",
+	t := newTable(out, "# Elastic — MN-count sweep (YCSB-A), then mid-run add+drain chaos, R=%d, dataset=%v keys=%d workers=%d\n",
 		cfg.Replication, cfg.Dataset, cfg.Keys, cfg.Workers)
-	fmt.Fprintln(out, ResultHeader())
-	var results []Result
 	for _, mn := range ElasticMNSweep {
 		c := cfg
 		c.MNs = mn
-		cl, err := NewCluster(Sphinx, c)
+		cl, _, err := loaded(Sphinx, c)
 		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := cl.Load(0); err != nil {
-			return nil, nil, fmt.Errorf("elastic sweep mns=%d load: %w", mn, err)
+			return nil, nil, fmt.Errorf("elastic sweep mns=%d: %w", mn, err)
 		}
 		r, err := cl.Run(ycsb.WorkloadA, 0, 0)
 		if err != nil {
 			return nil, nil, fmt.Errorf("elastic sweep mns=%d: %w", mn, err)
 		}
 		r.Workload = fmt.Sprintf("A/mn=%d", mn)
-		results = append(results, r)
-		fmt.Fprintln(out, r.Row())
+		t.add(r)
 	}
 
 	// Part 2 — the chaos run.
-	cl, err := NewCluster(Sphinx, cfg)
+	cl, _, err := loaded(Sphinx, cfg)
 	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := cl.Load(0); err != nil {
-		return nil, nil, fmt.Errorf("elastic load: %w", err)
+		return nil, nil, fmt.Errorf("elastic: %w", err)
 	}
 	rep := &ElasticReport{
 		System:      Sphinx.String(),
@@ -240,21 +228,21 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	}
 	rep.DrainedNode = int(victim)
 
-	led := newLedger(cl, cfg)
+	run := newChaosRun(cl)
 	// Calibrate the read-latency SLO and bring up the observability
 	// plane before the first measured phase.
-	if err := led.calibrate(); err != nil {
+	if err := run.calibrate(); err != nil {
 		return nil, nil, fmt.Errorf("elastic calibrate: %w", err)
 	}
 
 	// Window 1: steady state before the add.
-	w1, err := led.window("pre-add")
+	w1, err := run.window("pre-add")
 	if err != nil {
 		return nil, nil, err
 	}
 
 	// Chaos phase 1: scale-out mid-run.
-	addChaos, err := led.chaos("add", func() (*core.Placement, error) {
+	addChaos, err := run.chaos("add", func() (*core.Placement, error) {
 		return core.BeginAddNode(cl.F, cl.sphinxShared, added, cfg.Keys)
 	})
 	if err != nil {
@@ -264,13 +252,13 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	rep.Add = *addChaos
 
 	// Window 2: steady state with the new member serving.
-	w2, err := led.window("post-add")
+	w2, err := run.window("post-add")
 	if err != nil {
 		return nil, nil, err
 	}
 
 	// Chaos phase 2: scale-in mid-run.
-	drainChaos, err := led.chaos("drain", func() (*core.Placement, error) {
+	drainChaos, err := run.chaos("drain", func() (*core.Placement, error) {
 		return core.BeginDrainNode(cl.sphinxShared, victim)
 	})
 	if err != nil {
@@ -280,7 +268,7 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	rep.Drain = *drainChaos
 
 	// Window 3: steady state with the drained node out of the ring.
-	w3, err := led.window("post-drain")
+	w3, err := run.window("post-drain")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -294,13 +282,14 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	rep.Converged = p.Prev == nil
 	rep.Cutovers = addChaos.Cutovers() + drainChaos.Cutovers()
 
-	rep.SLO = &led.slo
-	rep.SLOPhases = led.sloPhases
-	planeSnap := led.plane.Snapshot()
+	rep.SLO = &run.slo
+	rep.SLOPhases = run.sloPhases
+	planeSnap := run.plane.Snapshot()
 	rep.Plane = &planeSnap
 
 	// Verification pass 1: a fresh client re-reads every acknowledged
 	// write from every phase.
+	led := run.led
 	rep.AckedWrites = uint64(led.size())
 	vidx, _ := cl.NewIndex(0)
 	led.verify(vidx, &rep.VerifiedReads, &rep.LostAckedWrites, &rep.WrongValueReads)
@@ -342,7 +331,7 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 		rep.AckedWrites, rep.VerifiedReads, rep.LostAckedWrites, rep.WrongValueReads,
 		rep.LostAfterDecommission, rep.WrongAfterDecommission)
 	fmt.Fprintf(out, "final epoch %d converged %v cutovers %d\n", rep.FinalEpoch, rep.Converged, rep.Cutovers)
-	return results, rep, nil
+	return t.rows, rep, nil
 }
 
 // Cutovers extracts the transition's cutover count (1 per retired epoch).
@@ -363,45 +352,37 @@ func shareOf(w MNWindow, node int) float64 {
 	return 0
 }
 
-// ledger runs the chaos experiment's ledgered worker phases: every write
-// acknowledged to a worker is recorded (single writer per key, so the
-// last acknowledged value is the exact expected value), and verify
-// re-reads the union of all phases.
-type ledger struct {
-	cl     *Cluster
-	cfg    Config
-	shards [][][]byte       // per-worker key partition
-	acked  []map[int][]byte // per-worker shard index -> last acked value
-	phase  int
+// chaosRun is the elastic experiment's add-then-drain run on one
+// cluster: the ledgered passes, and the observability they feed.
+type chaosRun struct {
+	cl  *Cluster
+	led *ledger
 
-	// Observability of the chaos run: every worker op's virtual latency
-	// and round trips land in metrics; worker 0 ticks the plane on its
-	// virtual clock offset by basePs (the accumulated end time of the
-	// finished phases — per-phase clients restart their clocks at zero).
+	// metrics collects every pass's op latencies for the plane's SLO
+	// engine; worker 0 ticks the plane on its virtual clock offset by
+	// basePs (the accumulated end time of the finished passes — each
+	// pass's clients restart their clocks at zero).
 	metrics   *obs.Metrics
 	plane     *obs.Plane
 	slo       obs.SLO
 	basePs    int64
 	tickEvery int
 	sloPhases []ElasticSLOPhase
-	// lastLats is the previous pass's exact sorted read latencies. The
+	// lastReads is the previous pass's exact read latencies. The
 	// per-phase SLO verdicts are computed from these rather than from
 	// the power-of-two histograms: the one-round-trip cost of an epoch
 	// fallback shifts a read by ~25%, which bucket edges cannot resolve.
-	lastLats []int64
+	lastReads latencies
 }
 
-func newLedger(cl *Cluster, cfg Config) *ledger {
-	l := &ledger{cl: cl, cfg: cfg, metrics: obs.NewMetrics()}
-	l.shards = make([][][]byte, cfg.Workers)
-	l.acked = make([]map[int][]byte, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		for i := w; i < len(cl.keys); i += cfg.Workers {
-			l.shards[w] = append(l.shards[w], cl.keys[i])
-		}
-		l.acked[w] = make(map[int][]byte)
-	}
-	return l
+// newChaosRun installs the run's metric set as the cluster's phase set,
+// which is where the driver's workers report every op: unlike Load and
+// Run, the chaos passes share one set, so the plane's SLO engine sees
+// cumulative histograms.
+func newChaosRun(cl *Cluster) *chaosRun {
+	r := &chaosRun{cl: cl, led: newLedger(cl.keys, cl.Cfg.Workers, cl.Cfg.Seed), metrics: obs.NewMetrics()}
+	cl.runMetrics = r.metrics
+	return r
 }
 
 // calibrate runs one full ledgered pass under the same contention as
@@ -424,66 +405,53 @@ func newLedger(cl *Cluster, cfg Config) *ledger {
 // duration so each later phase spans several windows. The pass's
 // writes are ledgered like any other phase's, so they are covered by
 // the final verification.
-func (l *ledger) calibrate() error {
-	if _, err := l.run("calibrate", nil); err != nil {
+func (r *chaosRun) calibrate() error {
+	if _, err := r.pass("calibrate", nil); err != nil {
 		return err
 	}
-	lats := l.lastLats
-	if len(lats) == 0 {
+	if len(r.lastReads) == 0 {
 		return fmt.Errorf("calibrate: no reads observed")
 	}
-	median := uint64(lats[len(lats)/2])
-	l.slo = obs.SLO{Name: "read-p99", Op: obs.OpGet, Quantile: 0.99,
-		LatencyPs: median * 3 / 2}
+	r.slo = obs.SLO{Name: "read-p99", Op: obs.OpGet, Quantile: 0.99,
+		LatencyPs: uint64(r.lastReads.pct(50)) * 3 / 2}
 
-	windowPs := max(l.basePs/8, 1)
-	l.tickEvery = max(l.cfg.OpsPerWorker/32, 1)
+	r.tickEvery = max(r.cl.Cfg.OpsPerWorker/32, 1)
 	plane, err := obs.NewPlane(obs.PlaneOptions{
-		WindowPs: windowPs,
+		WindowPs: max(r.basePs/8, 1),
 		Windows:  512,
-		Collect:  l.cl.collectMNs,
-		Latency:  l.metrics.OpLatency,
-		SLOs:     []obs.SLO{l.slo},
+		Collect:  r.cl.collectMNs,
+		Latency:  r.metrics.OpLatency,
+		SLOs:     []obs.SLO{r.slo},
 	})
-	l.plane = plane
+	r.plane = plane
 	return err
 }
 
-func (l *ledger) size() int {
-	n := 0
-	for _, m := range l.acked {
-		n += len(m)
-	}
-	return n
-}
-
-// window runs one ledgered 50/50 read/update pass over a quiescent
-// placement and returns the per-MN NIC load it induced. The only
-// traffic sources of a steady window are the phase's own worker
-// clients, so the per-MN attributed round trips must reconcile exactly
-// against the clients' counters.
-func (l *ledger) window(name string) (MNWindow, error) {
-	cl := l.cl
+// window runs one ledgered pass over a quiescent placement and returns
+// the per-MN NIC load it induced. The only traffic sources of a steady
+// window are the pass's own worker clients, so the per-MN attributed
+// round trips must reconcile exactly against the clients' counters.
+func (r *chaosRun) window(name string) (MNWindow, error) {
+	cl := r.cl
 	cl.F.ResetTimelines()
 	before := cl.F.NICStats()
-	stats, err := l.run(name, nil)
+	t, err := r.pass(name, nil)
 	if err != nil {
 		return MNWindow{}, fmt.Errorf("%s: %w", name, err)
 	}
-	after := cl.F.NICStats()
-	w := nicWindow(name, before, after, cl.memberNodes())
-	w.ClientRTs = stats.clientRTs
+	w := nicWindow(name, before, cl.F.NICStats(), cl.memberNodes())
+	w.ClientRTs = t.net.RoundTrips
 	var mnRTs uint64
 	for _, ld := range w.Loads {
 		mnRTs += ld.RoundTrips
 	}
-	ok := mnRTs == stats.clientRTs
+	ok := mnRTs == w.ClientRTs
 	w.RTsReconciled = &ok
 	return w, nil
 }
 
 // chaos runs one ledgered pass during which the given membership
-// transition opens a quarter of the way in and worker 0 paces the
+// transition opens an eighth of the way in and worker 0 paces the
 // migration sweeps through the rest of its own op loop. Every worker
 // barriers on the transition opening (sync.Once blocks late arrivals
 // until the first call returns), so all post-trigger reads run against
@@ -492,8 +460,7 @@ func (l *ledger) window(name string) (MNWindow, error) {
 // that may finish before any read observes it. The phase's worker
 // counters (epoch fallbacks, unlearns) land in the returned
 // ElasticChaos.
-func (l *ledger) chaos(name string, begin func() (*core.Placement, error)) (*ElasticChaos, error) {
-	cl := l.cl
+func (r *chaosRun) chaos(name string, begin func() (*core.Placement, error)) (*ElasticChaos, error) {
 	ch := &ElasticChaos{Phase: name}
 	tr := &chaosTrigger{
 		open: func() error {
@@ -502,8 +469,8 @@ func (l *ledger) chaos(name string, begin func() (*core.Placement, error)) (*Ela
 				return fmt.Errorf("begin %s: %w", name, err)
 			}
 			ch.EpochAfter = p.Epoch
-			midx, _ := cl.NewIndex(0)
-			ch.mig = midx.(sphinxIndex).c
+			midx, _ := r.cl.NewIndex(0)
+			ch.mig = midx.(*core.Client)
 			return nil
 		},
 		step: func() (bool, error) {
@@ -522,18 +489,18 @@ func (l *ledger) chaos(name string, begin func() (*core.Placement, error)) (*Ela
 			return srep.CutOver, nil
 		},
 	}
-	stats, err := l.run(name, tr)
+	t, err := r.pass(name, tr)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	ch.EpochFallbacks = stats.core.EpochFallbacks
-	ch.SpecRefutes = stats.core.SpecRefutes
-	ch.FalsePositives = stats.core.FalsePositives
-	ch.Restarts = stats.core.Restarts
+	ch.EpochFallbacks = t.core.EpochFallbacks
+	ch.SpecRefutes = t.core.SpecRefutes
+	ch.FalsePositives = t.core.FalsePositives
+	ch.Restarts = t.core.Restarts
 	return ch, nil
 }
 
-// chaosTrigger is the contract between chaos and run: open begins the
+// chaosTrigger is the contract between chaos and pass: open begins the
 // transition (called under the workers' barrier), step advances the
 // migration one sweep and reports cutover. Worker 0 paces step calls
 // through its remaining ops and drains any leftover sweeps after its
@@ -544,25 +511,18 @@ type chaosTrigger struct {
 	step func() (bool, error)
 }
 
-// phaseStats is one ledgered pass's aggregated accounting: the worker
-// clients' core counters and their summed fabric round trips.
-type phaseStats struct {
-	core      core.Stats
-	clientRTs uint64
-}
-
-// run drives one ledgered 50/50 read/update pass: cfg.Workers workers,
-// cfg.OpsPerWorker ops each over their fixed key shard, read-your-write
-// checked against the ledger on every read. Every op's virtual latency
-// feeds the ledger metrics; worker 0 ticks the observability plane as
-// it goes, and the phase ends with one tick at its accumulated end
-// time. Returns the phase's aggregated counters; its SLO verdict is
-// appended to sloPhases (skipped for the calibration pass, which runs
-// before the SLO exists).
-func (l *ledger) run(name string, trigger *chaosTrigger) (phaseStats, error) {
-	cl, cfg := l.cl, l.cfg
-	workers := cfg.Workers
-	ops := cfg.OpsPerWorker
+// pass drives one ledgered 50/50 read/update pass: Cfg.Workers workers,
+// Cfg.OpsPerWorker ops each over their ledger shard. Worker 0 ticks the
+// observability plane as it goes, and the pass ends with one tick at its
+// accumulated end time. Returns the pass's aggregated counters; its SLO
+// verdict is appended to sloPhases (skipped for the calibration pass,
+// which runs before the SLO exists).
+//
+// Measured workers run without the speculative leaf-address cache (see
+// NewIndexNoSpec): the SLO must see the migration's fallback cost, not
+// the fast path hiding it.
+func (r *chaosRun) pass(name string, trigger *chaosTrigger) (tally, error) {
+	workers, ops := r.cl.Cfg.Workers, r.cl.Cfg.OpsPerWorker
 	// Open the transition an eighth of the way in and pace the sweeps so
 	// cutover lands around 80% through worker 0's loop: the transition
 	// stays open across most of the phase's measured reads, which is what
@@ -573,161 +533,89 @@ func (l *ledger) run(name string, trigger *chaosTrigger) (phaseStats, error) {
 	var triggerOnce sync.Once
 	var triggerErr error
 
-	stats := make([]core.Stats, workers)
-	clientRTs := make([]uint64, workers)
-	clocks := make([]int64, workers)
-	lats := make([][]int64, workers)
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Measured workers run without the speculative leaf-address
-			// cache (see NewIndexNoSpec): the SLO below must see the
-			// migration's fallback cost, not the fast path hiding it.
-			idx, fc := cl.NewIndexNoSpec(w % cfg.CNs)
-			si := idx.(sphinxIndex)
-			shard := l.shards[w]
-			lastAcked := l.acked[w]
-			// Warm the fresh client over its whole shard before measuring.
-			// This pays the cold directory-view round trips up front AND
-			// unlearns the succinct filter's false positives for every key
-			// the measured loop can draw: an FP costs the same 2 extra
-			// round trips as a mid-transition epoch fallback, so leaving
-			// them in would make steady phases indistinguishable from
-			// chaos in the latency tail.
-			for _, key := range shard {
-				if _, _, err := idx.Search(key); err != nil {
-					errCh <- fmt.Errorf("worker %d warmup: %w", w, err)
-					return
-				}
-			}
-			rng := uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(l.phase*workers+w+1)
-			cutOver := trigger == nil
-			for i := 0; i < ops; i++ {
-				if trigger != nil && i == triggerAt {
-					// Barrier: every worker blocks here until the
-					// transition is open (Once.Do holds late arrivals
-					// until the first call returns), so all post-trigger
-					// ops run against it.
-					triggerOnce.Do(func() { triggerErr = trigger.open() })
-					if triggerErr != nil {
-						errCh <- triggerErr
-						return
-					}
-				}
-				if w == 0 && !cutOver && i > triggerAt && (i-triggerAt)%sweepEvery == 0 {
-					done, err := trigger.step()
-					if err != nil {
-						errCh <- err
-						return
-					}
-					cutOver = done
-				}
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				ki := int(rng>>33) % len(shard)
-				key := shard[ki]
-				t0, rt0 := fc.Clock(), fc.RoundTrips()
-				isRead := rng&1 == 0
-				if isRead {
-					v, ok, err := idx.Search(key)
-					if err != nil {
-						errCh <- fmt.Errorf("worker %d read op %d: %w", w, i, err)
-						return
-					}
-					if want, wrote := lastAcked[ki]; wrote && (!ok || !bytes.Equal(v, want)) {
-						errCh <- fmt.Errorf("worker %d op %d: read-your-write violated for %q", w, i, key)
-						return
-					}
-					lat := fc.Clock() - t0
-					l.metrics.ObserveOp(obs.OpGet, lat, fc.RoundTrips()-rt0)
-					lats[w] = append(lats[w], lat)
-				} else {
-					val := []byte(fmt.Sprintf("p%d-w%d-op%d", l.phase, w, i))
-					if _, err := idx.Update(key, val); err != nil {
-						errCh <- fmt.Errorf("worker %d update op %d: %w", w, i, err)
-						return
-					}
-					lastAcked[ki] = val
-					l.metrics.ObserveOp(obs.OpUpdate, fc.Clock()-t0, fc.RoundTrips()-rt0)
-				}
-				if w == 0 && l.plane != nil && (i+1)%l.tickEvery == 0 {
-					l.plane.Tick(l.basePs + fc.Clock())
-				}
-			}
-			// Worker 0 drains any sweeps the pacing left unfinished, so
-			// the phase always ends cut over and converged.
-			for w == 0 && !cutOver {
-				done, err := trigger.step()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				cutOver = done
-			}
-			stats[w] = si.c.Stats()
-			clientRTs[w] = fc.RoundTrips()
-			clocks[w] = fc.Clock()
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return phaseStats{}, err
-	}
-	l.phase++
-	var agg phaseStats
-	var maxClock int64
-	var all []int64
-	for w, s := range stats {
-		agg.core = agg.core.Add(s)
-		agg.clientRTs += clientRTs[w]
-		maxClock = max(maxClock, clocks[w])
-		all = append(all, lats[w]...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	l.lastLats = all
-
-	// Advance the accumulated virtual time to the phase's end (the
-	// slowest worker's clock) and close the phase out on the plane, then
-	// score the phase against the SLO from the exact read latencies.
-	l.basePs += maxClock
-	if l.plane == nil {
-		return agg, nil // calibration pass: no SLO configured yet
-	}
-	l.plane.Tick(l.basePs)
-	var bad uint64
-	for i := len(all) - 1; i >= 0 && uint64(all[i]) > l.slo.LatencyPs; i-- {
-		bad++
-	}
-	sp := ElasticSLOPhase{Phase: name, Ops: uint64(len(all)), Bad: bad}
-	if len(all) > 0 {
-		sp.Burn = float64(bad) / float64(len(all)) / (1 - l.slo.Quantile)
-		sp.P99Ps = uint64(all[int(0.99*float64(len(all)-1))])
-		sp.MaxPs = uint64(all[len(all)-1])
-	}
-	l.sloPhases = append(l.sloPhases, sp)
-	return agg, nil
-}
-
-// verify re-reads every acknowledged write through idx, counting into
-// the three result slots.
-func (l *ledger) verify(idx Index, verified, lost, wrong *uint64) {
-	for w := range l.acked {
-		for ki, want := range l.acked[w] {
-			v, ok, err := idx.Search(l.shards[w][ki])
-			*verified++
-			switch {
-			case err != nil || !ok:
-				*lost++
-			case !bytes.Equal(v, want):
-				*wrong++
+	reads := make([][]int64, workers)
+	ws, err := r.cl.drive(workers, sequential(r.cl.NewIndexNoSpec), func(w *worker) error {
+		// Warm the fresh client over its whole shard before measuring.
+		// This pays the cold directory-view round trips up front AND
+		// unlearns the succinct filter's false positives for every key
+		// the measured loop can draw: an FP costs the same 2 extra
+		// round trips as a mid-transition epoch fallback, so leaving
+		// them in would make steady phases indistinguishable from
+		// chaos in the latency tail.
+		for _, key := range r.led.shards[w.id] {
+			if _, _, err := w.idx.Search(key); err != nil {
+				return fmt.Errorf("warmup: %w", err)
 			}
 		}
+		rng := r.led.stream(w.id)
+		cutOver := trigger == nil
+		sweep := func() (err error) {
+			cutOver, err = trigger.step()
+			return err
+		}
+		for i := 0; i < ops; i++ {
+			if trigger != nil && i == triggerAt {
+				// Barrier: every worker blocks here until the
+				// transition is open (Once.Do holds late arrivals
+				// until the first call returns), so all post-trigger
+				// ops run against it.
+				triggerOnce.Do(func() { triggerErr = trigger.open() })
+				if triggerErr != nil {
+					return triggerErr
+				}
+			}
+			if w.id == 0 && !cutOver && i > triggerAt && (i-triggerAt)%sweepEvery == 0 {
+				if err := sweep(); err != nil {
+					return err
+				}
+			}
+			read, lat, err := r.led.op(w, &rng, i)
+			if err != nil {
+				return err
+			}
+			if read {
+				reads[w.id] = append(reads[w.id], lat)
+			}
+			if w.id == 0 && r.plane != nil && (i+1)%r.tickEvery == 0 {
+				r.plane.Tick(r.basePs + w.fc.Clock())
+			}
+		}
+		// Worker 0 drains any sweeps the pacing left unfinished, so
+		// the phase always ends cut over and converged.
+		for w.id == 0 && !cutOver {
+			if err := sweep(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return tally{}, err
 	}
+	r.led.pass++
+	t := tallyOf(ws)
+	all := sortLatencies(reads...)
+	r.lastReads = all
+
+	// Advance the accumulated virtual time to the pass's end (the
+	// slowest worker's clock) and close the pass out on the plane, then
+	// score it against the SLO from the exact read latencies.
+	r.basePs += t.elapsedPs
+	if r.plane == nil {
+		return t, nil // calibration pass: no SLO configured yet
+	}
+	r.plane.Tick(r.basePs)
+	var bad uint64
+	for i := len(all) - 1; i >= 0 && uint64(all[i]) > r.slo.LatencyPs; i-- {
+		bad++
+	}
+	sp := ElasticSLOPhase{Phase: name, Ops: uint64(len(all)), Bad: bad,
+		P99Ps: uint64(all.pct(99)), MaxPs: uint64(all.max())}
+	if len(all) > 0 {
+		sp.Burn = float64(bad) / float64(len(all)) / (1 - r.slo.Quantile)
+	}
+	r.sloPhases = append(r.sloPhases, sp)
+	return t, nil
 }
 
 // nicWindow diffs two NIC snapshots into a per-MN load window.

@@ -10,6 +10,45 @@ import (
 	"sphinx/internal/ycsb"
 )
 
+// loaded builds a cluster of the system and populates it with the
+// dataset, returning the load phase's measurement beside it.
+func loaded(sys System, cfg Config) (*Cluster, Result, error) {
+	cl, err := NewCluster(sys, cfg)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	load, err := cl.Load(0)
+	if err != nil {
+		return nil, Result{}, fmt.Errorf("%v load: %w", sys, err)
+	}
+	return cl, load, nil
+}
+
+// table is an experiment's result table: rows are printed as they land
+// and collected for the caller.
+type table struct {
+	out  io.Writer
+	rows []Result
+}
+
+// newTable prints the experiment's title line and the column header.
+func newTable(out io.Writer, title string, args ...any) *table {
+	fmt.Fprintf(out, title, args...)
+	fmt.Fprintln(out, ResultHeader())
+	return &table{out: out}
+}
+
+// add appends one row, followed by its non-empty diagnostic lines.
+func (t *table) add(r Result, diags ...string) {
+	t.rows = append(t.rows, r)
+	fmt.Fprintln(t.out, r.Row())
+	for _, d := range diags {
+		if d != "" {
+			fmt.Fprintln(t.out, d)
+		}
+	}
+}
+
 // Fig4 regenerates the paper's Fig. 4 for one dataset: YCSB throughput of
 // LOAD, A, B, C, D, E for each compared system. The LOAD measurement is
 // the dataset population itself; the remaining workloads run against the
@@ -18,31 +57,23 @@ func Fig4(cfg Config, systems []System, out io.Writer) ([]Result, error) {
 	if len(systems) == 0 {
 		systems = PaperSystems
 	}
-	fmt.Fprintf(out, "# Fig. 4 — YCSB throughput, dataset=%v keys=%d workers=%d\n",
-		cfg.withDefaults().Dataset, cfg.withDefaults().Keys, cfg.withDefaults().Workers)
-	fmt.Fprintln(out, ResultHeader())
-	var results []Result
+	d := cfg.withDefaults()
+	t := newTable(out, "# Fig. 4 — YCSB throughput, dataset=%v keys=%d workers=%d\n", d.Dataset, d.Keys, d.Workers)
 	for _, sys := range systems {
-		cl, err := NewCluster(sys, cfg)
+		cl, load, err := loaded(sys, cfg)
 		if err != nil {
 			return nil, err
 		}
-		load, err := cl.Load(0)
-		if err != nil {
-			return nil, fmt.Errorf("%v load: %w", sys, err)
-		}
-		results = append(results, load)
-		fmt.Fprintln(out, load.Row())
+		t.add(load)
 		for _, w := range []ycsb.Workload{ycsb.WorkloadA, ycsb.WorkloadB, ycsb.WorkloadC, ycsb.WorkloadD, ycsb.WorkloadE} {
 			r, err := cl.Run(w, 0, 0)
 			if err != nil {
 				return nil, fmt.Errorf("%v workload %s: %w", sys, w.Name, err)
 			}
-			results = append(results, r)
-			fmt.Fprintln(out, r.Row())
+			t.add(r)
 		}
 	}
-	return results, nil
+	return t.rows, nil
 }
 
 // Fig5Workers is the paper's worker sweep (6–192 across 3 CNs).
@@ -58,28 +89,22 @@ func Fig5(cfg Config, systems []System, workerSteps []int, out io.Writer) ([]Res
 	if len(workerSteps) == 0 {
 		workerSteps = Fig5Workers
 	}
-	fmt.Fprintf(out, "# Fig. 5 — YCSB-A throughput vs latency, dataset=%v keys=%d\n",
-		cfg.withDefaults().Dataset, cfg.withDefaults().Keys)
-	fmt.Fprintln(out, ResultHeader())
-	var results []Result
+	d := cfg.withDefaults()
+	t := newTable(out, "# Fig. 5 — YCSB-A throughput vs latency, dataset=%v keys=%d\n", d.Dataset, d.Keys)
 	for _, sys := range systems {
-		cl, err := NewCluster(sys, cfg)
+		cl, _, err := loaded(sys, cfg)
 		if err != nil {
 			return nil, err
-		}
-		if _, err := cl.Load(0); err != nil {
-			return nil, fmt.Errorf("%v load: %w", sys, err)
 		}
 		for _, workers := range workerSteps {
 			r, err := cl.Run(ycsb.WorkloadA, workers, 0)
 			if err != nil {
 				return nil, fmt.Errorf("%v workers=%d: %w", sys, workers, err)
 			}
-			results = append(results, r)
-			fmt.Fprintln(out, r.Row())
+			t.add(r)
 		}
 	}
-	return results, nil
+	return t.rows, nil
 }
 
 // Fig6 regenerates the paper's Fig. 6: MN-side memory usage after loading
@@ -95,12 +120,9 @@ func Fig6(cfg Config, out io.Writer) ([]MemUsage, error) {
 	var artTotal uint64
 	var usages []MemUsage
 	for _, sys := range []System{ART, Sphinx, SMART} {
-		cl, err := NewCluster(sys, cfg)
+		cl, _, err := loaded(sys, cfg)
 		if err != nil {
 			return nil, err
-		}
-		if _, err := cl.Load(0); err != nil {
-			return nil, fmt.Errorf("%v load: %w", sys, err)
 		}
 		mu, err := cl.MemoryUsage()
 		if err != nil {
@@ -129,31 +151,22 @@ func Fig6(cfg Config, out io.Writer) ([]MemUsage, error) {
 // doorbell batching, and filter capacity pressure.
 func Ablation(cfg Config, out io.Writer) ([]Result, error) {
 	systems := []System{Sphinx, SphinxNoSFC, SphinxNoBatch, SphinxNoDirCache, SphinxTinySFC, SphinxTinyRand}
-	fmt.Fprintf(out, "# Ablation — Sphinx variants, dataset=%v keys=%d workers=%d\n",
-		cfg.withDefaults().Dataset, cfg.withDefaults().Keys, cfg.withDefaults().Workers)
-	fmt.Fprintln(out, ResultHeader())
-	var results []Result
+	d := cfg.withDefaults()
+	t := newTable(out, "# Ablation — Sphinx variants, dataset=%v keys=%d workers=%d\n", d.Dataset, d.Keys, d.Workers)
 	for _, sys := range systems {
-		cl, err := NewCluster(sys, cfg)
+		cl, _, err := loaded(sys, cfg)
 		if err != nil {
 			return nil, err
-		}
-		if _, err := cl.Load(0); err != nil {
-			return nil, fmt.Errorf("%v load: %w", sys, err)
 		}
 		for _, w := range []ycsb.Workload{ycsb.WorkloadC, ycsb.WorkloadA} {
 			r, err := cl.Run(w, 0, 0)
 			if err != nil {
 				return nil, fmt.Errorf("%v workload %s: %w", sys, w.Name, err)
 			}
-			results = append(results, r)
-			fmt.Fprintln(out, r.Row())
-			if d := r.Diag(); d != "" {
-				fmt.Fprintln(out, d)
-			}
+			t.add(r, r.Diag())
 		}
 	}
-	return results, nil
+	return t.rows, nil
 }
 
 // TreeDepthScaling measures how Sphinx's advantage over the naive ART
@@ -167,21 +180,15 @@ func TreeDepthScaling(base Config, keySteps []int, out io.Writer) ([]Result, err
 	if len(keySteps) == 0 {
 		keySteps = []int{10_000, 50_000, 250_000}
 	}
-	fmt.Fprintf(out, "# Tree depth — Sphinx vs ART on YCSB-C as the tree deepens, dataset=%v\n",
-		base.withDefaults().Dataset)
-	fmt.Fprintln(out, ResultHeader())
-	var results []Result
+	t := newTable(out, "# Tree depth — Sphinx vs ART on YCSB-C as the tree deepens, dataset=%v\n", base.withDefaults().Dataset)
 	for _, keys := range keySteps {
 		cfg := base
 		cfg.Keys = keys
 		var pair [2]Result
 		for i, sys := range []System{Sphinx, ART} {
-			cl, err := NewCluster(sys, cfg)
+			cl, _, err := loaded(sys, cfg)
 			if err != nil {
-				return nil, err
-			}
-			if _, err := cl.Load(0); err != nil {
-				return nil, fmt.Errorf("%v keys=%d load: %w", sys, keys, err)
+				return nil, fmt.Errorf("keys=%d: %w", keys, err)
 			}
 			r, err := cl.Run(ycsb.WorkloadC, 0, 0)
 			if err != nil {
@@ -189,14 +196,13 @@ func TreeDepthScaling(base Config, keySteps []int, out io.Writer) ([]Result, err
 			}
 			r.Workload = fmt.Sprintf("C/%dk", keys/1000)
 			pair[i] = r
-			results = append(results, r)
-			fmt.Fprintln(out, r.Row())
+			t.add(r)
 		}
 		fmt.Fprintf(out, "    keys=%d: Sphinx/ART throughput %.2fx, ART depth cost %.2f RT/op vs Sphinx %.2f\n",
 			keys, pair[0].ThroughputMops/pair[1].ThroughputMops,
 			pair[1].RoundTripsPerOp, pair[0].RoundTripsPerOp)
 	}
-	return results, nil
+	return t.rows, nil
 }
 
 // ScalingWorkers is the default worker sweep of the CN-multicore scaling
@@ -225,12 +231,9 @@ func WorkerScaling(base Config, workerSteps []int, out io.Writer) ([]Result, err
 		cfg.Dataset, cfg.Keys, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(out, "%-16s %8s %14s %14s %12s\n",
 		"system", "workers", "wall(Mops)", "virt(Mops)", "efficiency")
-	cl, err := NewCluster(Sphinx, base)
+	cl, _, err := loaded(Sphinx, base)
 	if err != nil {
 		return nil, err
-	}
-	if _, err := cl.Load(0); err != nil {
-		return nil, fmt.Errorf("Sphinx load: %w", err)
 	}
 	var results []Result
 	var basePerWorker float64
@@ -264,29 +267,23 @@ func ValueSweep(base Config, sizes []int, out io.Writer) ([]Result, error) {
 	if len(sizes) == 0 {
 		sizes = []int{16, 64, 256, 1024}
 	}
-	fmt.Fprintf(out, "# Value sweep — Sphinx YCSB-A across value sizes, dataset=%v keys=%d\n",
-		base.withDefaults().Dataset, base.withDefaults().Keys)
-	fmt.Fprintln(out, ResultHeader())
-	var results []Result
+	d := base.withDefaults()
+	t := newTable(out, "# Value sweep — Sphinx YCSB-A across value sizes, dataset=%v keys=%d\n", d.Dataset, d.Keys)
 	for _, size := range sizes {
 		cfg := base
 		cfg.ValueSize = size
-		cl, err := NewCluster(Sphinx, cfg)
+		cl, _, err := loaded(Sphinx, cfg)
 		if err != nil {
-			return nil, err
-		}
-		if _, err := cl.Load(0); err != nil {
-			return nil, fmt.Errorf("valsize=%d load: %w", size, err)
+			return nil, fmt.Errorf("valsize=%d: %w", size, err)
 		}
 		r, err := cl.Run(ycsb.WorkloadA, 0, 0)
 		if err != nil {
 			return nil, fmt.Errorf("valsize=%d: %w", size, err)
 		}
 		r.Workload = fmt.Sprintf("A/%dB", size)
-		results = append(results, r)
-		fmt.Fprintln(out, r.Row())
+		t.add(r)
 	}
-	return results, nil
+	return t.rows, nil
 }
 
 // PipelineDepths is the default issue-depth sweep.
@@ -304,17 +301,11 @@ func PipelineSweep(base Config, depths []int, out io.Writer) ([]Result, error) {
 		depths = PipelineDepths
 	}
 	cfg := base.withDefaults()
-	fmt.Fprintf(out, "# Pipeline — Sphinx issue-depth sweep, dataset=%v keys=%d workers=%d\n",
-		cfg.Dataset, cfg.Keys, cfg.Workers)
-	fmt.Fprintln(out, ResultHeader())
-	cl, err := NewCluster(Sphinx, base)
+	t := newTable(out, "# Pipeline — Sphinx issue-depth sweep, dataset=%v keys=%d workers=%d\n", cfg.Dataset, cfg.Keys, cfg.Workers)
+	cl, _, err := loaded(Sphinx, base)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	if _, err := cl.Load(0); err != nil {
-		return nil, fmt.Errorf("pipeline load: %w", err)
-	}
-	var results []Result
 	baseline := map[string]Result{}
 	for _, w := range []ycsb.Workload{ycsb.WorkloadC, ycsb.WorkloadA} {
 		for _, d := range depths {
@@ -324,8 +315,7 @@ func PipelineSweep(base Config, depths []int, out io.Writer) ([]Result, error) {
 				return nil, fmt.Errorf("pipeline %s depth=%d: %w", w.Name, d, err)
 			}
 			r.Workload = fmt.Sprintf("%s/d%d", w.Name, d)
-			results = append(results, r)
-			fmt.Fprintln(out, r.Row())
+			t.add(r)
 			if d == depths[0] {
 				baseline[w.Name] = r
 			} else if b := baseline[w.Name]; b.ThroughputMops > 0 {
@@ -335,7 +325,7 @@ func PipelineSweep(base Config, depths []int, out io.Writer) ([]Result, error) {
 			}
 		}
 	}
-	return results, nil
+	return t.rows, nil
 }
 
 // FastpathDepths is the issue-depth sweep the fastpath experiment adds
@@ -354,26 +344,19 @@ var FastpathDepths = []int{4, 8}
 // (50 % Update) on the then warm cache follows for both systems: a warm
 // Update is 2 round trips through the cache, 5 without; and a YCSB-E pass
 // (95 % Scan), the one the cache must not move. Metrics are
-// forced on (the verdict needs them); the warm split is the experiment's
-// whole point, so Config.Warm is implied.
+// forced on (the verdict needs them).
 func Fastpath(base Config, out io.Writer) ([]Result, error) {
 	cfg := base
-	cfg.Warm = true
 	cfg.Metrics = true
 	cfg.Depth = 1
 	d := cfg.withDefaults()
-	fmt.Fprintf(out, "# Fastpath — speculative warm reads and in-place writes: YCSB-C warmup/steady, YCSB-A, then YCSB-E, LAC on vs off, dataset=%v keys=%d workers=%d\n",
+	t := newTable(out, "# Fastpath — speculative warm reads and in-place writes: YCSB-C warmup/steady, YCSB-A, then YCSB-E, LAC on vs off, dataset=%v keys=%d workers=%d\n",
 		d.Dataset, d.Keys, d.Workers)
-	fmt.Fprintln(out, ResultHeader())
-	var results []Result
 	steady, mixed, scans := map[System]Result{}, map[System]Result{}, map[System]Result{}
 	for _, sys := range []System{Sphinx, SphinxNoLAC} {
-		cl, err := NewCluster(sys, cfg)
+		cl, _, err := loaded(sys, cfg)
 		if err != nil {
 			return nil, err
-		}
-		if _, err := cl.Load(0); err != nil {
-			return nil, fmt.Errorf("%v load: %w", sys, err)
 		}
 		warmup, st, err := cl.RunPhases(ycsb.WorkloadC, 0, 0)
 		if err != nil {
@@ -381,11 +364,7 @@ func Fastpath(base Config, out io.Writer) ([]Result, error) {
 		}
 		for _, r := range []Result{warmup, st} {
 			r.Workload = "C/" + r.Phase
-			results = append(results, r)
-			fmt.Fprintln(out, r.Row())
-			if diag := fastpathDiag(r); diag != "" {
-				fmt.Fprintln(out, diag)
-			}
+			t.add(r, fastpathDiag(r))
 		}
 		steady[sys] = st
 		a, err := cl.Run(ycsb.WorkloadA, 0, 0)
@@ -394,11 +373,7 @@ func Fastpath(base Config, out io.Writer) ([]Result, error) {
 		}
 		a.Workload, a.Phase = "A/steady", "steady"
 		mixed[sys] = a
-		results = append(results, a)
-		fmt.Fprintln(out, a.Row())
-		if diag := fastpathDiag(a); diag != "" {
-			fmt.Fprintln(out, diag)
-		}
+		t.add(a, fastpathDiag(a))
 		if sys == Sphinx {
 			// Depth sweep on the now fully warm cache: speculative reads
 			// of concurrent ops share doorbell flushes, so RT/op falls
@@ -411,11 +386,7 @@ func Fastpath(base Config, out io.Writer) ([]Result, error) {
 				}
 				r.Workload = fmt.Sprintf("C/d%d", dep)
 				r.Phase = "steady"
-				results = append(results, r)
-				fmt.Fprintln(out, r.Row())
-				if diag := fastpathDiag(r); diag != "" {
-					fmt.Fprintln(out, diag)
-				}
+				t.add(r, fastpathDiag(r))
 			}
 			cl.Cfg.Depth = 1
 		}
@@ -427,8 +398,7 @@ func Fastpath(base Config, out io.Writer) ([]Result, error) {
 		}
 		e.Workload, e.Phase = "E/steady", "steady"
 		scans[sys] = e
-		results = append(results, e)
-		fmt.Fprintln(out, e.Row())
+		t.add(e)
 	}
 	on, off := steady[Sphinx], steady[SphinxNoLAC]
 	if off.ThroughputMops > 0 {
@@ -444,7 +414,7 @@ func Fastpath(base Config, out io.Writer) ([]Result, error) {
 		fmt.Fprintf(out, "    steady YCSB-E depth 1: LAC on %.2f RT/op, %.1f verbs/op, %.0f B/op vs off %.2f, %.1f, %.0f (scans bypass the cache)\n",
 			on.RoundTripsPerOp, on.VerbsPerOp, on.BytesPerOp, off.RoundTripsPerOp, off.VerbsPerOp, off.BytesPerOp)
 	}
-	return results, nil
+	return t.rows, nil
 }
 
 // SkewThetas is the default zipfian sweep of the skew experiment: truly
@@ -522,14 +492,11 @@ func Skew(base Config, thetas []float64, out io.Writer) ([]Result, *SkewReport, 
 	}
 	cfg.Depth = 1
 	cfg.Metrics = true
-	cfg.Warm = true
 	cfg.Net = skewNet(base.Net)
 	d := cfg.withDefaults()
-	fmt.Fprintf(out, "# Skew — hot-spot tolerance: YCSB-C theta sweep, replicated vs unreplicated, dataset=%v keys=%d mns=%d workers=%d value=%dB\n",
+	t := newTable(out, "# Skew — hot-spot tolerance: YCSB-C theta sweep, replicated vs unreplicated, dataset=%v keys=%d mns=%d workers=%d value=%dB\n",
 		d.Dataset, d.Keys, d.MNs, d.Workers, d.ValueSize)
-	fmt.Fprintln(out, ResultHeader())
 	rep := &SkewReport{Gate: SkewSpeedupGate}
-	var results []Result
 	for _, theta := range thetas {
 		tcfg := cfg
 		tcfg.Theta = theta
@@ -542,12 +509,9 @@ func Skew(base Config, thetas []float64, out io.Writer) ([]Result, *SkewReport, 
 		}
 		pt := SkewPoint{Theta: eff}
 		for _, sys := range []System{Sphinx, SphinxHot} {
-			cl, err := NewCluster(sys, tcfg)
+			cl, _, err := loaded(sys, tcfg)
 			if err != nil {
-				return nil, nil, err
-			}
-			if _, err := cl.Load(0); err != nil {
-				return nil, nil, fmt.Errorf("%v theta=%.2f load: %w", sys, eff, err)
+				return nil, nil, fmt.Errorf("theta=%.2f: %w", eff, err)
 			}
 			warmup, steady, err := cl.RunPhases(ycsb.WorkloadC, 0, 0)
 			if err != nil {
@@ -555,11 +519,7 @@ func Skew(base Config, thetas []float64, out io.Writer) ([]Result, *SkewReport, 
 			}
 			for _, r := range []Result{warmup, steady} {
 				r.Workload = fmt.Sprintf("t%.2f/%c", eff, r.Phase[0])
-				results = append(results, r)
-				fmt.Fprintln(out, r.Row())
-				if diag := skewDiag(r); diag != "" {
-					fmt.Fprintln(out, diag)
-				}
+				t.add(r, skewDiag(r))
 			}
 			if sys == SphinxHot {
 				pt.HotMops = steady.ThroughputMops
@@ -585,7 +545,7 @@ func Skew(base Config, thetas []float64, out io.Writer) ([]Result, *SkewReport, 
 	} else {
 		fmt.Fprintf(out, "    gate: sweep has no theta~0.99 point; speedup gate unevaluated -> pass=false\n")
 	}
-	return results, rep, nil
+	return t.rows, rep, nil
 }
 
 // evaluate fills in the report's Pass/SpeedupAt099 verdict from its

@@ -1,15 +1,11 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"sphinx/internal/core"
-	"sphinx/internal/fabric"
 )
 
 // FailoverReport is the MN-loss chaos experiment's result: did killing a
@@ -61,13 +57,6 @@ type FailoverReport struct {
 	ReadsDuringRepair    uint64 `json:"reads_during_repair"`
 }
 
-// ackedWrite is one worker's record of an acknowledged write: the value
-// the cluster promised to hold for the key.
-type ackedWrite struct {
-	key   []byte
-	value []byte
-}
-
 // Failover is the MN-loss chaos experiment: load a replicated Sphinx
 // cluster, drive a 50/50 read/update workload over per-worker key
 // partitions (unique value per write, so verification detects silent
@@ -85,12 +74,9 @@ func Failover(cfg Config, out io.Writer) (*FailoverReport, error) {
 	}
 	fmt.Fprintf(out, "# Failover — kill 1 of %d MNs mid-run, R=%d, dataset=%v keys=%d workers=%d\n",
 		cfg.MNs, cfg.Replication, cfg.Dataset, cfg.Keys, cfg.Workers)
-	cl, err := NewCluster(Sphinx, cfg)
+	cl, _, err := loaded(Sphinx, cfg)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := cl.Load(0); err != nil {
-		return nil, fmt.Errorf("failover load: %w", err)
+		return nil, fmt.Errorf("failover: %w", err)
 	}
 
 	rep := &FailoverReport{
@@ -110,129 +96,60 @@ func Failover(cfg Config, out io.Writer) (*FailoverReport, error) {
 		}
 	}
 
-	workers := cfg.Workers
+	// One ledgered pass; worker 0 kills the victim halfway through its
+	// own loop. preOps counts, per worker, the ops that finished before
+	// the kill: the split point of its latency sample.
 	ops := cfg.OpsPerWorker
 	killAt := ops / 2
-	var killOnce sync.Once
-	var killed uint32
-
-	type workerOut struct {
-		acked    []ackedWrite
-		preLats  []int64
-		postLats []int64
-		stats    core.Stats
-		fstats   fabric.Stats
-	}
-	outs := make([]workerOut, workers)
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			idx, fc := cl.NewIndex(w % cfg.CNs)
-			si := idx.(sphinxIndex)
-			// Partitioned key shard: single writer per key, so the last
-			// acknowledged value per key is the exact expected value.
-			shard := make([][]byte, 0, len(cl.keys)/workers+1)
-			for i := w; i < len(cl.keys); i += workers {
-				shard = append(shard, cl.keys[i])
+	var killed atomic.Bool
+	preOps := make([]int, cfg.Workers)
+	led := newLedger(cl.keys, cfg.Workers, cfg.Seed)
+	ws, err := cl.drive(cfg.Workers, sequential(cl.NewIndex), func(w *worker) error {
+		rng := led.stream(w.id)
+		for i := 0; i < ops; i++ {
+			if w.id == 0 && i == killAt {
+				cl.F.KillNode(victim)
+				killed.Store(true)
 			}
-			lastAcked := make(map[int][]byte, len(shard))
-			o := &outs[w]
-			rng := uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(w+1)
-			for i := 0; i < ops; i++ {
-				if w == 0 && i == killAt {
-					killOnce.Do(func() {
-						cl.F.KillNode(victim)
-						atomic.StoreUint32(&killed, 1)
-					})
-				}
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				ki := int(rng>>33) % len(shard)
-				key := shard[ki]
-				start := fc.Clock()
-				if rng&1 == 0 {
-					v, ok, err := idx.Search(key)
-					if err != nil {
-						errCh <- fmt.Errorf("worker %d read op %d: %w", w, i, err)
-						return
-					}
-					if want, wrote := lastAcked[ki]; wrote && (!ok || !bytes.Equal(v, want)) {
-						errCh <- fmt.Errorf("worker %d op %d: read-your-write violated for %q", w, i, key)
-						return
-					}
-				} else {
-					val := []byte(fmt.Sprintf("w%d-op%d", w, i))
-					if _, err := idx.Update(key, val); err != nil {
-						errCh <- fmt.Errorf("worker %d update op %d: %w", w, i, err)
-						return
-					}
-					// Acknowledged: the cluster must never lose it.
-					lastAcked[ki] = val
-				}
-				lat := fc.Clock() - start
-				if atomic.LoadUint32(&killed) == 1 {
-					o.postLats = append(o.postLats, lat)
-				} else {
-					o.preLats = append(o.preLats, lat)
-				}
+			if _, _, err := led.op(w, &rng, i); err != nil {
+				return err
 			}
-			for ki, val := range lastAcked {
-				o.acked = append(o.acked, ackedWrite{key: shard[ki], value: val})
+			if !killed.Load() {
+				preOps[w.id] = i + 1
 			}
-			o.stats = si.c.Stats()
-			o.fstats = fc.Stats()
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
-	var pre, post []int64
-	for w := range outs {
-		o := &outs[w]
-		pre = append(pre, o.preLats...)
-		post = append(post, o.postLats...)
-		rep.AckedWrites += uint64(len(o.acked))
-		rep.Failovers += o.stats.Failovers
-		rep.DegradedPuts += o.stats.DegradedPuts
-		rep.PartialReplicas += o.stats.PartialReplicas
-		rep.HealthRejects += o.fstats.HealthRejects
+	// Latency split at the kill.
+	var preLists, postLists [][]int64
+	for _, w := range ws {
+		preLists = append(preLists, w.lat[:preOps[w.id]])
+		postLists = append(postLists, w.lat[preOps[w.id]:])
 	}
-	rep.PreKillOps = uint64(len(pre))
-	rep.PostKillOps = uint64(len(post))
-	rep.PreKillP50Us, rep.PreKillP99Us = latPercentiles(pre)
-	rep.PostKillP50Us, rep.PostKillP99Us = latPercentiles(post)
-	for _, l := range post {
-		if us := float64(l) / 1e6; us > rep.MaxPostKillUs {
-			rep.MaxPostKillUs = us
-		}
-	}
+	pre, post := sortLatencies(preLists...), sortLatencies(postLists...)
+	rep.PreKillOps, rep.PostKillOps = uint64(len(pre)), uint64(len(post))
+	rep.PreKillP50Us, rep.PreKillP99Us = float64(pre.pct(50))/1e6, float64(pre.pct(99))/1e6
+	rep.PostKillP50Us, rep.PostKillP99Us = float64(post.pct(50))/1e6, float64(post.pct(99))/1e6
+	rep.MaxPostKillUs = float64(post.max()) / 1e6
+	t := tallyOf(ws)
+	rep.Failovers = t.core.Failovers
+	rep.DegradedPuts = t.core.DegradedPuts
+	rep.PartialReplicas = t.core.PartialReplicas
+	rep.HealthRejects = t.net.HealthRejects
 
 	// Verification: a fresh client re-reads every acknowledged write.
+	rep.AckedWrites = uint64(led.size())
 	vidx, _ := cl.NewIndex(0)
-	for w := range outs {
-		for _, aw := range outs[w].acked {
-			v, ok, err := vidx.Search(aw.key)
-			rep.VerifiedReads++
-			switch {
-			case err != nil || !ok:
-				rep.LostAckedWrites++
-			case !bytes.Equal(v, aw.value):
-				rep.WrongValueReads++
-			}
-		}
-	}
+	led.verify(vidx, &rep.VerifiedReads, &rep.LostAckedWrites, &rep.WrongValueReads)
 
 	// Online repair: sweep until a pass reports zero deficits, reading
 	// live keys between sweeps to prove the cluster serves throughout.
 	ridx, _ := cl.NewIndex(1 % cfg.CNs)
-	rc := ridx.(sphinxIndex).c
+	rc := ridx.(*core.Client)
 	reader, _ := cl.NewIndex(2 % cfg.CNs)
 	for sweep := 0; sweep < 10; sweep++ {
 		srep, err := rc.RepairSweep()
@@ -264,16 +181,4 @@ func Failover(cfg Config, out io.Writer) (*FailoverReport, error) {
 	fmt.Fprintf(out, "repair: %d sweeps, %d replicas copied, under-replicated %d, %d reads served during repair\n",
 		rep.RepairSweeps, rep.RepairCopied, rep.UnderReplicatedFinal, rep.ReadsDuringRepair)
 	return rep, nil
-}
-
-// latPercentiles returns the p50 and p99 of a latency sample in
-// microseconds (0, 0 for an empty sample).
-func latPercentiles(lats []int64) (p50, p99 float64) {
-	if len(lats) == 0 {
-		return 0, 0
-	}
-	s := make([]int64, len(lats))
-	copy(s, lats)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return float64(s[len(s)/2]) / 1e6, float64(s[len(s)*99/100]) / 1e6
 }

@@ -51,7 +51,7 @@ type MetricsBlock struct {
 	LAC  *LACBlock  `json:"lac,omitempty"`
 	Hot  *HotBlock  `json:"hot,omitempty"`
 
-	// Tail sampling totals for this phase (Config.Tail or Config.Live).
+	// Tail sampling totals for this phase (present when Config.Live is set).
 	TailOffered  uint64 `json:"tail_offered,omitempty"`
 	TailCaptured uint64 `json:"tail_captured,omitempty"`
 }

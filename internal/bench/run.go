@@ -10,6 +10,7 @@ import (
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
 	"sphinx/internal/obs"
+	"sphinx/internal/racehash"
 	"sphinx/internal/rart"
 	"sphinx/internal/ycsb"
 )
@@ -25,8 +26,8 @@ type Result struct {
 	// Depth is the per-worker issue depth the run phase used (1 =
 	// sequential clients).
 	Depth int `json:"depth"`
-	// Phase labels the measurement pass when Config.Warm splits a run into
-	// a warmup pass and a steady-state pass over the same workload
+	// Phase labels the measurement pass when RunPhases splits a run into a
+	// warmup pass and a steady-state pass over the same workload
 	// ("warmup" / "steady"); empty for single-pass runs.
 	Phase string `json:"phase,omitempty"`
 
@@ -130,68 +131,77 @@ func (r Result) Row() string {
 		r.RoundTripsPerOp, r.VerbsPerOp, r.BytesPerOp)
 }
 
-// Load inserts the full dataset with the given number of workers. When
-// measured, the insert phase itself is the benchmark (the paper's LOAD
-// workload); otherwise it is just population.
-func (cl *Cluster) Load(workers int) (Result, error) {
-	if workers <= 0 {
-		workers = cl.Cfg.Workers
-	}
-	cl.F.ResetTimelines() // fresh measurement phase: idle network
-	cl.beginPhaseMetrics()
-	nicBase := cl.nicBase()
-	keys := cl.keys
-	value := cl.value
-	wallStart := time.Now()
-	var wg sync.WaitGroup
+// worker is one goroutine of a phase: the client the driver mounted for
+// it (idx, or pl for a pipelined executor), its tail recorder when
+// sampling is on, and the latency of every operation it timed.
+type worker struct {
+	cl  *Cluster
+	id  int
+	idx Index
+	pl  *core.Pipeline
+	fc  *fabric.Client
+	rec *obs.Recorder
+	lat []int64
+}
+
+// sequential adapts NewIndex / NewIndexNoSpec to the driver's mount step.
+func sequential(newIndex func(cn int) (Index, *fabric.Client)) func(*worker, int) {
+	return func(w *worker, cn int) { w.idx, w.fc = newIndex(cn) }
+}
+
+// drive is the harness's one phase driver: it runs body on `workers`
+// goroutines, worker i on a fresh client that mount put on compute node
+// i % CNs (clock zero, so the measurement window is clean; CN-level
+// caches keep their warmth, as on a real cluster), with a tail recorder
+// armed on sequential clients. It returns the workers in id order, or the
+// first error a worker reported. What a phase does — load, YCSB, a
+// ledgered chaos pass — is entirely its body's.
+func (cl *Cluster) drive(workers int, mount func(w *worker, cn int), body func(w *worker) error) ([]*worker, error) {
+	ws := make([]*worker, workers)
 	errCh := make(chan error, workers)
-	lats := make([][]int64, workers)
-	clients := make([]*fabric.Client, workers)
-	idxs := make([]Index, workers)
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for id := range ws {
+		ws[id] = &worker{cl: cl, id: id}
 		wg.Add(1)
-		go func(w int) {
+		go func(w *worker) {
 			defer wg.Done()
-			idx, fc := cl.NewIndex(w % cl.Cfg.CNs)
-			clients[w] = fc
-			idxs[w] = idx
-			rec := cl.armTail(idx, fc)
-			lat := make([]int64, 0, len(keys)/workers+1)
-			for i := w; i < len(keys); i += workers {
-				start, rt0 := fc.Clock(), fc.RoundTrips()
-				if rec != nil {
-					rec.BeginReuse(obs.OpPut.String(), start)
-				}
-				if _, err := idx.Insert(keys[i], value); err != nil {
-					errCh <- fmt.Errorf("load worker %d key %d: %w", w, i, err)
-					return
-				}
-				lat = append(lat, fc.Clock()-start)
-				cl.observeOp(obs.OpPut, fc.Clock()-start, fc.RoundTrips()-rt0)
-				if rec != nil {
-					rec.End(fc.Clock())
-					cl.tail.Offer(obs.OpPut, rec.Trace())
-				}
+			mount(w, w.id%cl.Cfg.CNs)
+			if w.idx != nil {
+				w.rec = cl.armTail(w.idx, w.fc)
 			}
-			lats[w] = lat
-		}(w)
+			if err := body(w); err != nil {
+				errCh <- fmt.Errorf("worker %d: %w", w.id, err)
+			}
+		}(ws[id])
 	}
 	wg.Wait()
-	wall := time.Since(wallStart)
 	close(errCh)
 	for err := range errCh {
-		return Result{}, err
+		return nil, err
 	}
-	r := cl.summarize("LOAD", workers, clients, lats)
-	attachWall(&r, wall)
-	r.Depth = 1 // loading is always sequential
-	coreAgg, hashAgg, isSphinx := cl.aggSphinx(idxs, nil)
-	cl.attachSphinxDiag(&r, coreAgg, isSphinx)
-	attachRecoveryDiag(&r, idxs, nil)
-	cl.attachMetrics(&r)
-	cl.attachMNShares(&r, nicBase)
-	cl.attachIndexBlocks(&r, coreAgg, hashAgg, isSphinx)
-	return r, nil
+	return ws, nil
+}
+
+// timed runs one operation on the worker's sequential client and accounts
+// it: latency and round trips on the client's virtual clock into the
+// worker's sample and the active metric sets, the round-trip timeline to
+// the tail sampler. It returns the operation's latency.
+func (w *worker) timed(kind obs.OpKind, op func() error) (int64, error) {
+	start, rt0 := w.fc.Clock(), w.fc.RoundTrips()
+	if w.rec != nil {
+		w.rec.BeginReuse(kind.String(), start)
+	}
+	if err := op(); err != nil {
+		return 0, err
+	}
+	lat := w.fc.Clock() - start
+	w.lat = append(w.lat, lat)
+	w.cl.observeOp(kind, lat, w.fc.RoundTrips()-rt0)
+	if w.rec != nil {
+		w.rec.End(w.fc.Clock())
+		w.cl.tail.Offer(kind, w.rec.Trace())
+	}
+	return lat, nil
 }
 
 // armTail gives one sequential worker a trace recorder feeding the tail
@@ -209,16 +219,98 @@ func (cl *Cluster) armTail(idx Index, fc *fabric.Client) *obs.Recorder {
 	} else {
 		fc.SetObserver(rec)
 	}
-	if si, ok := idx.(sphinxIndex); ok {
-		si.c.SetRecorder(rec)
+	if c, ok := idx.(*core.Client); ok {
+		c.SetRecorder(rec)
 	}
 	return rec
 }
 
-// Run drives one YCSB workload. The index must already be loaded. Every
-// worker gets a fresh fabric client (clock zero) so that the measurement
-// window is clean; CN-level caches keep the warmth they gained during
-// loading, as on a real cluster.
+// tally is what a finished phase's workers add up to.
+type tally struct {
+	elapsedPs int64        // the slowest worker's virtual clock
+	net       fabric.Stats // over every worker's fabric client
+	engine    rart.EngineStats
+	// core and hash are the Sphinx-family counters, of sequential clients
+	// and pipelined executors alike; sphinx says whether any worker has them.
+	core   core.Stats
+	hash   racehash.Stats
+	sphinx bool
+}
+
+func tallyOf(ws []*worker) tally {
+	var t tally
+	for _, w := range ws {
+		t.elapsedPs = max(t.elapsedPs, w.fc.Clock())
+		t.net = t.net.Add(w.fc.Stats())
+		if w.pl != nil {
+			t.core, t.hash = t.core.Add(w.pl.Stats()), t.hash.Add(w.pl.HashStats())
+			t.engine = t.engine.Add(w.pl.EngineStats())
+			t.sphinx = true
+			continue
+		}
+		t.engine = t.engine.Add(w.idx.Engine().Stats())
+		if c, ok := w.idx.(*core.Client); ok {
+			t.core, t.hash = t.core.Add(c.Stats()), t.hash.Add(c.HashStats())
+			t.sphinx = true
+		}
+	}
+	return t
+}
+
+// measure runs one measured phase — the load, or one workload run — and
+// folds it into a Result: the network is idle and the phase metric set
+// fresh when the workers start, and the per-MN NIC counters are diffed
+// across the phase.
+func (cl *Cluster) measure(workload string, workers, depth int, mount func(*worker, int), body func(*worker) error) (Result, error) {
+	cl.F.ResetTimelines()
+	cl.beginPhaseMetrics()
+	nicBase := cl.nicBase()
+	wallStart := time.Now()
+	ws, err := cl.drive(workers, mount, body)
+	wall := time.Since(wallStart)
+	if err != nil {
+		return Result{}, err
+	}
+	t := tallyOf(ws)
+	r := cl.summarize(workload, ws, t)
+	r.Depth = depth
+	if wall > 0 {
+		r.WallElapsedNs = wall.Nanoseconds()
+		r.WallMops = float64(r.Ops) / wall.Seconds() / 1e6
+	}
+	cl.attachSphinxDiag(&r, t)
+	r.LockSteals, r.LeafLockBreaks, r.DeleteRepairs = t.engine.LockSteals, t.engine.LeafLockBreaks, t.engine.DeleteRepairs
+	cl.attachMetrics(&r)
+	cl.attachMNShares(&r, nicBase)
+	cl.attachIndexBlocks(&r, t)
+	return r, nil
+}
+
+// Load inserts the full dataset with the given number of workers. When
+// measured, the insert phase itself is the benchmark (the paper's LOAD
+// workload); otherwise it is just population. Loading is always
+// sequential (depth 1).
+func (cl *Cluster) Load(workers int) (Result, error) {
+	if workers <= 0 {
+		workers = cl.Cfg.Workers
+	}
+	return cl.measure("LOAD", workers, 1, sequential(cl.NewIndex), func(w *worker) error {
+		w.lat = make([]int64, 0, len(cl.keys)/workers+1)
+		for i := w.id; i < len(cl.keys); i += workers {
+			if _, err := w.timed(obs.OpPut, func() error {
+				_, err := w.idx.Insert(cl.keys[i], cl.value)
+				return err
+			}); err != nil {
+				return fmt.Errorf("load key %d: %w", i, err)
+			}
+		}
+		return nil
+	})
+}
+
+// Run drives one YCSB workload. The index must already be loaded. At
+// Config.Depth > 1 the Sphinx-family workers run pipelined executors; the
+// baselines keep their sequential clients, as in the paper.
 func (cl *Cluster) Run(w ycsb.Workload, workers, opsPerWorker int) (Result, error) {
 	if workers <= 0 {
 		workers = cl.Cfg.Workers
@@ -226,91 +318,43 @@ func (cl *Cluster) Run(w ycsb.Workload, workers, opsPerWorker int) (Result, erro
 	if opsPerWorker <= 0 {
 		opsPerWorker = cl.Cfg.OpsPerWorker
 	}
-	depth := cl.Cfg.Depth
-	if depth < 1 {
-		depth = 1
-	}
-	cl.F.ResetTimelines() // fresh measurement phase: idle network
-	cl.beginPhaseMetrics()
-	nicBase := cl.nicBase()
-	wallStart := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	lats := make([][]int64, workers)
-	clients := make([]*fabric.Client, workers)
-	idxs := make([]Index, workers)
-	pls := make([]*core.Pipeline, workers)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			gen := ycsb.NewGenerator(w, cl.space, cl.zipf, cl.Cfg.Seed+int64(wk)*7919)
-			if depth > 1 {
-				if pl, fc, ok := cl.NewPipeline(wk % cl.Cfg.CNs); ok {
-					clients[wk] = fc
-					pls[wk] = pl
-					lat, err := runPipelined(cl, pl, gen, cl.value, opsPerWorker, depth)
-					if err != nil {
-						errCh <- fmt.Errorf("worker %d: %w", wk, err)
-						return
-					}
-					lats[wk] = lat
-					return
-				}
+	depth := max(cl.Cfg.Depth, 1)
+	mount := sequential(cl.NewIndex)
+	if depth > 1 {
+		mount = func(wk *worker, cn int) {
+			if pl, fc, ok := cl.NewPipeline(cn); ok {
+				wk.pl, wk.fc = pl, fc
+			} else {
+				wk.idx, wk.fc = cl.NewIndex(cn)
 			}
-			idx, fc := cl.NewIndex(wk % cl.Cfg.CNs)
-			clients[wk] = fc
-			idxs[wk] = idx
-			rec := cl.armTail(idx, fc)
-			lat := make([]int64, 0, opsPerWorker)
-			for i := 0; i < opsPerWorker; i++ {
-				op := gen.Next()
-				kind := ycsbOpKind(op.Kind)
-				start, rt0 := fc.Clock(), fc.RoundTrips()
-				if rec != nil {
-					rec.BeginReuse(kind.String(), start)
-				}
-				var err error
+		}
+	}
+	return cl.measure(w.Name, workers, depth, mount, func(wk *worker) error {
+		gen := ycsb.NewGenerator(w, cl.space, cl.zipf, cl.Cfg.Seed+int64(wk.id)*7919)
+		wk.lat = make([]int64, 0, opsPerWorker)
+		if wk.pl != nil {
+			return runPipelined(wk, gen, opsPerWorker, depth)
+		}
+		for i := 0; i < opsPerWorker; i++ {
+			op := gen.Next()
+			if _, err := wk.timed(ycsbOpKind(op.Kind), func() (err error) {
 				switch op.Kind {
 				case ycsb.OpRead:
-					_, _, err = idx.Search(op.Key)
+					_, _, err = wk.idx.Search(op.Key)
 				case ycsb.OpUpdate:
-					_, err = idx.Update(op.Key, cl.value)
+					_, err = wk.idx.Update(op.Key, cl.value)
 				case ycsb.OpInsert:
-					_, err = idx.Insert(op.Key, cl.value)
+					_, err = wk.idx.Insert(op.Key, cl.value)
 				case ycsb.OpScan:
-					_, err = idx.ScanN(op.Key, op.ScanLen)
+					_, err = wk.idx.Scan(op.Key, nil, op.ScanLen)
 				}
-				if err != nil {
-					errCh <- fmt.Errorf("worker %d op %d (%v): %w", wk, i, op.Kind, err)
-					return
-				}
-				lat = append(lat, fc.Clock()-start)
-				cl.observeOp(kind, fc.Clock()-start, fc.RoundTrips()-rt0)
-				if rec != nil {
-					rec.End(fc.Clock())
-					cl.tail.Offer(kind, rec.Trace())
-				}
+				return err
+			}); err != nil {
+				return fmt.Errorf("op %d (%v): %w", i, op.Kind, err)
 			}
-			lats[wk] = lat
-		}(wk)
-	}
-	wg.Wait()
-	wall := time.Since(wallStart)
-	close(errCh)
-	for err := range errCh {
-		return Result{}, err
-	}
-	r := cl.summarize(w.Name, workers, clients, lats)
-	attachWall(&r, wall)
-	r.Depth = depth
-	coreAgg, hashAgg, isSphinx := cl.aggSphinx(idxs, pls)
-	cl.attachSphinxDiag(&r, coreAgg, isSphinx)
-	attachRecoveryDiag(&r, idxs, pls)
-	cl.attachMetrics(&r)
-	cl.attachMNShares(&r, nicBase)
-	cl.attachIndexBlocks(&r, coreAgg, hashAgg, isSphinx)
-	return r, nil
+		}
+		return nil
+	})
 }
 
 // RunPhases drives one workload twice, labelling the passes "warmup" and
@@ -335,34 +379,6 @@ func (cl *Cluster) RunPhases(w ycsb.Workload, workers, opsPerWorker int) (warmup
 	return warmup, steady, nil
 }
 
-// RunMaybePhased runs the workload honouring Config.Warm: split into
-// warmup+steady passes when set (two results), a single unlabelled pass
-// otherwise (one result).
-func (cl *Cluster) RunMaybePhased(w ycsb.Workload, workers, opsPerWorker int) ([]Result, error) {
-	if cl.Cfg.Warm {
-		warmup, steady, err := cl.RunPhases(w, workers, opsPerWorker)
-		if err != nil {
-			return nil, err
-		}
-		return []Result{warmup, steady}, nil
-	}
-	r, err := cl.Run(w, workers, opsPerWorker)
-	if err != nil {
-		return nil, err
-	}
-	return []Result{r}, nil
-}
-
-// attachWall fills the wall-clock throughput fields from a measured
-// phase duration.
-func attachWall(r *Result, wall time.Duration) {
-	if wall <= 0 {
-		return
-	}
-	r.WallElapsedNs = wall.Nanoseconds()
-	r.WallMops = float64(r.Ops) / wall.Seconds() / 1e6
-}
-
 // ycsbOpKind maps a YCSB op to its metrics op kind.
 func ycsbOpKind(k ycsb.OpKind) obs.OpKind {
 	switch k {
@@ -377,13 +393,12 @@ func ycsbOpKind(k ycsb.OpKind) obs.OpKind {
 	}
 }
 
-// runPipelined drives one worker's share of a workload through a
+// runPipelined drives one worker's share of a workload through its
 // pipelined executor, one issue window at a time: depth ops in flight,
 // windows of a few depths so that generation (which for YCSB-D tracks
 // the growing key space) never runs far ahead of execution. Per-op
 // latency spans each op's own in-flight window.
-func runPipelined(cl *Cluster, pl *core.Pipeline, gen *ycsb.Generator, value []byte, total, depth int) ([]int64, error) {
-	lat := make([]int64, 0, total)
+func runPipelined(w *worker, gen *ycsb.Generator, total, depth int) error {
 	window := depth * 8
 	opBuf := make([]ycsb.Op, 0, window)
 	pipeOps := make([]*core.PipeOp, window)
@@ -391,10 +406,7 @@ func runPipelined(cl *Cluster, pl *core.Pipeline, gen *ycsb.Generator, value []b
 		pipeOps[i] = &core.PipeOp{}
 	}
 	for done := 0; done < total; {
-		n := window
-		if total-done < n {
-			n = total - done
-		}
+		n := min(window, total-done)
 		opBuf = gen.NextN(opBuf[:0], n)
 		for i, op := range opBuf {
 			po := pipeOps[i]
@@ -404,121 +416,118 @@ func runPipelined(cl *Cluster, pl *core.Pipeline, gen *ycsb.Generator, value []b
 				po.Kind = core.PipeGet
 			case ycsb.OpUpdate:
 				po.Kind = core.PipeUpdate
-				po.Value = value
+				po.Value = w.cl.value
 			case ycsb.OpInsert:
 				po.Kind = core.PipePut
-				po.Value = value
+				po.Value = w.cl.value
 			case ycsb.OpScan:
 				po.Kind = core.PipeScan
 				po.Limit = op.ScanLen
 			}
 		}
-		pl.Run(pipeOps[:n], depth)
+		w.pl.Run(pipeOps[:n], depth)
 		for i, po := range pipeOps[:n] {
 			if po.Err != nil {
-				return nil, fmt.Errorf("op %d (%v): %w", done+i, opBuf[i].Kind, po.Err)
+				return fmt.Errorf("op %d (%v): %w", done+i, opBuf[i].Kind, po.Err)
 			}
-			lat = append(lat, po.EndPs-po.StartPs)
+			w.lat = append(w.lat, po.EndPs-po.StartPs)
 			// Round trips are shared across in-flight ops (doorbell
 			// coalescing), so no per-op attribution exists at depth>1;
 			// the per-stage histograms carry the RT accounting instead.
-			cl.observeOp(pipeOpKind(po.Kind), po.EndPs-po.StartPs, 0)
+			w.cl.observeOp(pipeOpKind(po.Kind), po.EndPs-po.StartPs, 0)
 		}
 		done += n
 	}
-	return lat, nil
+	return nil
 }
 
-// attachSphinxDiag folds the phase's aggregated Sphinx client counters
-// (see aggSphinx) into the result's diagnostic fields.
-func (cl *Cluster) attachSphinxDiag(r *Result, agg core.Stats, found bool) {
-	if !found || r.Ops == 0 {
+// attachSphinxDiag folds the phase's Sphinx client counters into the
+// result's diagnostic fields.
+func (cl *Cluster) attachSphinxDiag(r *Result, t tally) {
+	if !t.sphinx || r.Ops == 0 {
 		return
 	}
-	locates := agg.FilterHits + agg.FilterFallbacks + agg.RootStarts
+	locates := t.core.FilterHits + t.core.FilterFallbacks + t.core.RootStarts
 	if locates > 0 {
-		r.SphinxFilterHitPct = 100 * float64(agg.FilterHits) / float64(locates)
+		r.SphinxFilterHitPct = 100 * float64(t.core.FilterHits) / float64(locates)
 	}
-	r.SphinxFPPerKOp = 1000 * float64(agg.FalsePositives) / float64(r.Ops)
-	r.SphinxRestartsPerKOp = 1000 * float64(agg.Restarts) / float64(r.Ops)
-	r.SphinxCollisions = agg.CollisionRetry
-	r.Restarts = agg.Restarts
+	r.SphinxFPPerKOp = 1000 * float64(t.core.FalsePositives) / float64(r.Ops)
+	r.SphinxRestartsPerKOp = 1000 * float64(t.core.Restarts) / float64(r.Ops)
+	r.SphinxCollisions = t.core.CollisionRetry
+	r.Restarts = t.core.Restarts
 }
 
-// attachRecoveryDiag aggregates node-engine lock-recovery counters; every
-// system's index wrapper exposes its engine, and pipelined executors
-// aggregate over their lanes.
-func attachRecoveryDiag(r *Result, idxs []Index, pls []*core.Pipeline) {
-	var agg rart.EngineStats
-	for _, ix := range idxs {
-		if ex, ok := ix.(interface{ engine() *rart.Engine }); ok {
-			if e := ex.engine(); e != nil {
-				agg = agg.Add(e.Stats())
-			}
-		}
+// latencies is a latency sample in ascending order.
+type latencies []int64
+
+// sortLatencies merges latency lists into one ascending sample. Every
+// percentile the harness reports is read off such a sample by pct.
+func sortLatencies(lists ...[]int64) latencies {
+	var all latencies
+	for _, l := range lists {
+		all = append(all, l...)
 	}
-	for _, pl := range pls {
-		if pl != nil {
-			agg = agg.Add(pl.EngineStats())
-		}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	return all
+}
+
+// pct returns the p-th percentile (p < 100) by the nearest-rank rule, 0
+// for an empty sample.
+func (l latencies) pct(p int) int64 {
+	if len(l) == 0 {
+		return 0
 	}
-	r.LockSteals = agg.LockSteals
-	r.LeafLockBreaks = agg.LeafLockBreaks
-	r.DeleteRepairs = agg.DeleteRepairs
+	return l[len(l)*p/100]
+}
+
+// max returns the largest latency, 0 for an empty sample.
+func (l latencies) max() int64 {
+	if len(l) == 0 {
+		return 0
+	}
+	return l[len(l)-1]
 }
 
 // summarize folds per-worker clocks, latencies and network stats into a
 // Result. Throughput is total operations over the slowest worker's virtual
 // time, matching how a wall-clock experiment would measure a fixed
 // per-worker op count.
-func (cl *Cluster) summarize(workload string, workers int, clients []*fabric.Client, lats [][]int64) Result {
-	var all []int64
-	var elapsed int64
-	var net fabric.Stats
-	var ops uint64
-	for w := range clients {
-		if clients[w] == nil {
-			continue
-		}
-		if c := clients[w].Clock(); c > elapsed {
-			elapsed = c
-		}
-		net = net.Add(clients[w].Stats())
-		all = append(all, lats[w]...)
-		ops += uint64(len(lats[w]))
+func (cl *Cluster) summarize(workload string, ws []*worker, t tally) Result {
+	lists := make([][]int64, len(ws))
+	for i, w := range ws {
+		lists[i] = w.lat
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	all := sortLatencies(lists...)
+	ops := uint64(len(all))
 	r := Result{
 		System:   cl.Sys.String(),
 		Workload: workload,
 		Dataset:  cl.Cfg.Dataset.String(),
-		Workers:  workers,
+		Workers:  len(ws),
 		Ops:      ops,
 	}
-	if elapsed > 0 {
-		r.ElapsedPs = elapsed
+	if t.elapsedPs > 0 {
+		r.ElapsedPs = t.elapsedPs
 		// ops / (ps → s): ops * 1e12 / ps, reported in Mops.
-		r.ThroughputMops = float64(ops) / (float64(elapsed) / 1e12) / 1e6
+		r.ThroughputMops = float64(ops) / (float64(t.elapsedPs) / 1e12) / 1e6
 	}
-	if len(all) > 0 {
+	if ops > 0 {
 		var sum int64
 		for _, l := range all {
 			sum += l
 		}
-		r.AvgLatUs = float64(sum) / float64(len(all)) / 1e6
-		r.P50LatUs = float64(all[len(all)/2]) / 1e6
-		r.P99LatUs = float64(all[len(all)*99/100]) / 1e6
+		r.AvgLatUs = float64(sum) / float64(ops) / 1e6
+		r.P50LatUs = float64(all.pct(50)) / 1e6
+		r.P99LatUs = float64(all.pct(99)) / 1e6
+		r.RoundTripsPerOp = float64(t.net.RoundTrips) / float64(ops)
+		r.VerbsPerOp = float64(t.net.Verbs) / float64(ops)
+		r.BytesPerOp = float64(t.net.BytesRead+t.net.BytesWrite) / float64(ops)
 	}
-	if ops > 0 {
-		r.RoundTripsPerOp = float64(net.RoundTrips) / float64(ops)
-		r.VerbsPerOp = float64(net.Verbs) / float64(ops)
-		r.BytesPerOp = float64(net.BytesRead+net.BytesWrite) / float64(ops)
-	}
-	r.TransientFaults = net.Transients
-	r.Timeouts = net.Timeouts
-	r.NodeDownRejects = net.NodeDownRejects
+	r.TransientFaults = t.net.Transients
+	r.Timeouts = t.net.Timeouts
+	r.NodeDownRejects = t.net.NodeDownRejects
 	if cl.runMetrics != nil {
-		r.RoundTrips = net.RoundTrips
+		r.RoundTrips = t.net.RoundTrips
 	}
 	return r
 }

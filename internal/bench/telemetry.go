@@ -437,72 +437,32 @@ func (cl *Cluster) filterOccupancy() (occupied, capacity uint64, load, bound flo
 	return occupied, capacity, load, bound
 }
 
-// collectMNs samples every memory node for the observability plane:
-// fabric NIC accounting (cumulative — the plane windows the deltas),
-// breaker health, hash-table load for nodes holding an INHT, and arena
-// occupancy (skipped for killed nodes, whose regions are gone).
+// placement returns the current placement — the epoch-versioned ring and
+// hash tables when the system publishes them (elastic membership may have
+// added or drained nodes since bootstrap), the static bootstrap ring and
+// no tables for the baselines.
+func (cl *Cluster) placement() *core.Placement {
+	if m := cl.sphinxShared.Members; m != nil {
+		return m.Current()
+	}
+	return &core.Placement{Ring: cl.Ring}
+}
+
+// memberNodes returns the memory nodes of the current placement.
+func (cl *Cluster) memberNodes() []mem.NodeID { return cl.placement().Ring.Nodes() }
+
+// collectMNs samples every memory node for the observability plane.
 func (cl *Cluster) collectMNs() []obs.MNSample {
-	h := cl.F.Health()
-	members := make(map[mem.NodeID]bool)
-	for _, n := range cl.memberNodes() {
-		members[n] = true
-	}
-	tables := cl.sphinxShared.Tables
-	if m := cl.sphinxShared.Members; m != nil {
-		tables = m.Current().Tables
-	}
-	ops := cl.F.Regions()
-	stats := cl.F.NICStats()
-	out := make([]obs.MNSample, 0, len(stats))
-	for _, st := range stats {
-		n := st.Node
-		state := h.State(n)
-		s := obs.MNSample{
-			Node: int(n), Member: members[n],
-			Health: state.String(), HealthCode: float64(state),
-			RoundTrips: st.RoundTrips, Verbs: st.Verbs, Bytes: st.Bytes,
-			Faults: st.Faults, BusyPs: st.BusyPs, WaitPs: st.WaitPs,
-		}
-		if t, ok := tables[n]; ok {
-			u := racehash.ReadUsage(cl.F.Region(n), t)
-			s.HashLoad = u.LoadFactor()
-			s.HashEntries = u.Entries
-		}
-		if !cl.F.NodeKilled(n) {
-			if mu, err := mem.ReadUsage(ops, n); err == nil {
-				for _, b := range mu.ByClass {
-					s.ArenaUsed += b
-				}
-				s.ArenaCap = cl.F.RegionSize(n)
-			}
-		}
-		out = append(out, s)
-	}
-	return out
+	p := cl.placement()
+	return obs.CollectMNs(cl.F, p.Ring.Nodes(), p.Tables)
 }
 
-// memberNodes returns the memory nodes of the current placement — the
-// epoch-versioned ring when the system publishes one (elastic membership
-// may have added or drained nodes since bootstrap), the static bootstrap
-// ring otherwise.
-func (cl *Cluster) memberNodes() []mem.NodeID {
-	if m := cl.sphinxShared.Members; m != nil {
-		return m.Current().Ring.Nodes()
-	}
-	return cl.Ring.Nodes()
-}
-
-// inhtUsage scans every memory node's hash-table structure MN-side (no
-// virtual-clock cost; race-clean through the region locks). The table set
-// comes from the current placement, so tables bootstrapped by an elastic
-// add are counted and drained ones are not.
+// inhtUsage scans every member's hash-table structure MN-side (no
+// virtual-clock cost; race-clean through the region locks): tables
+// bootstrapped by an elastic add are counted and drained ones are not.
 func (cl *Cluster) inhtUsage() racehash.Usage {
 	var u racehash.Usage
-	tables := cl.sphinxShared.Tables
-	if m := cl.sphinxShared.Members; m != nil {
-		tables = m.Current().Tables
-	}
-	for node, t := range tables {
+	for node, t := range cl.placement().Tables {
 		u = u.Add(racehash.ReadUsage(cl.F.Region(node), t))
 	}
 	return u
@@ -523,36 +483,14 @@ func (cl *Cluster) phaseDoneHash() racehash.Stats {
 	return cl.doneHash
 }
 
-// aggSphinx folds the phase's Sphinx worker counters (sequential clients
-// and pipelined executors) into one pair of core/hash totals.
-func (cl *Cluster) aggSphinx(idxs []Index, pls []*core.Pipeline) (core.Stats, racehash.Stats, bool) {
-	var coreAgg core.Stats
-	var hashAgg racehash.Stats
-	found := false
-	for _, ix := range idxs {
-		if si, ok := ix.(sphinxIndex); ok && si.c != nil {
-			coreAgg = coreAgg.Add(si.c.Stats())
-			hashAgg = hashAgg.Add(si.c.HashStats())
-			found = true
-		}
-	}
-	for _, pl := range pls {
-		if pl != nil {
-			coreAgg = coreAgg.Add(pl.Stats())
-			hashAgg = hashAgg.Add(pl.HashStats())
-			found = true
-		}
-	}
-	return coreAgg, hashAgg, found
-}
-
 // attachIndexBlocks fills the result's SFC and INHT sections from the
 // phase deltas, and folds the phase's worker counters into the cluster's
 // lifetime totals for the live registry.
-func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg racehash.Stats, isSphinx bool) {
-	if !isSphinx {
+func (cl *Cluster) attachIndexBlocks(r *Result, t tally) {
+	if !t.sphinx {
 		return
 	}
+	coreAgg, hashAgg := t.core, t.hash
 	cl.doneMu.Lock()
 	cl.doneCore = cl.doneCore.Add(coreAgg)
 	cl.doneHash = cl.doneHash.Add(hashAgg)
@@ -560,6 +498,13 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 	if r.Metrics == nil || cl.index == nil {
 		return
 	}
+	// The three *_reconciled identities below hold only for sequential
+	// read-only phases on a healthy index: writes, scans and restarts add
+	// stage traffic of their own, and pipelining coalesces many ops into
+	// shared round trips. Other phases carry no verdict.
+	exact := cl.runMetrics != nil && r.Depth == 1 &&
+		coreAgg.Inserts == 0 && coreAgg.Updates == 0 && coreAgg.Deletes == 0 &&
+		coreAgg.Scans == 0 && coreAgg.Restarts == 0 && coreAgg.StaleEntries == 0
 
 	inht := &INHTBlock{
 		Candidates:      histJSON(cl.index.INHTCandidates.Snapshot().Sub(cl.candBase), 1),
@@ -604,15 +549,11 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 		if capacity > 0 {
 			lac.Occupancy = float64(occupied) / float64(capacity)
 		}
-		// The speculative-RT reconciliation holds only for sequential
-		// read-only phases on a healthy index, like FPReconciled: every
-		// speculative read then costs exactly one leaf-spec round trip
+		// Every speculative read costs exactly one leaf-spec round trip
 		// (hit or refute, never an abort), and the read stages — plus
 		// the hot-replica read and maintenance stages when the hot layer
 		// is on — sum to the fabric's own counter.
-		if cl.runMetrics != nil && r.Depth == 1 &&
-			coreAgg.Inserts == 0 && coreAgg.Updates == 0 && coreAgg.Deletes == 0 &&
-			coreAgg.Scans == 0 && coreAgg.Restarts == 0 && coreAgg.StaleEntries == 0 {
+		if exact {
 			specRT := cl.runMetrics.StageRT(fabric.StageLeafSpec).Sum
 			hashRT := cl.runMetrics.StageRT(fabric.StageHashRead).Sum
 			nodeRT := cl.runMetrics.StageRT(fabric.StageNodeRead).Sum
@@ -629,7 +570,7 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 
 	// Hot read-replication section (absent unless the layer was
 	// bootstrapped for this cluster).
-	if cl.sphinxShared.Hot != nil && r.Metrics != nil {
+	if cl.sphinxShared.Hot != nil {
 		hot := &HotBlock{
 			HotHits:    coreAgg.HotHits,
 			HotRefutes: coreAgg.HotRefutes,
@@ -644,12 +585,9 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 		for _, hs := range cl.hotsets {
 			hot.TrackerBytes += hs.SizeBytes()
 		}
-		// Trust-but-verify accounting, same preconditions as the LAC
-		// verdict: in a sequential read-only phase every hot-read stage
-		// round trip must be exactly one verified hit or one refutation.
-		if cl.runMetrics != nil && r.Depth == 1 &&
-			coreAgg.Inserts == 0 && coreAgg.Updates == 0 && coreAgg.Deletes == 0 &&
-			coreAgg.Scans == 0 && coreAgg.Restarts == 0 && coreAgg.StaleEntries == 0 {
+		// Trust-but-verify accounting: every hot-read stage round trip
+		// must be exactly one verified hit or one refutation.
+		if exact {
 			hotReadRT := cl.runMetrics.StageRT(fabric.StageHotRead).Sum
 			ok := hotReadRT == coreAgg.HotHits+coreAgg.HotRefutes &&
 				coreAgg.HotAborts == 0
@@ -681,13 +619,9 @@ func (cl *Cluster) attachIndexBlocks(r *Result, coreAgg core.Stats, hashAgg race
 	if probes > 0 {
 		sfc.MeasuredFPRate = float64(coreAgg.FalsePositives) / float64(probes)
 	}
-	// The FP↔round-trip reconciliation is meaningful only when the phase
-	// was purely sequential reads on a healthy index: writes and restarts
-	// add hash-stage traffic of their own, and pipelining coalesces many
-	// lookups into shared round trips.
-	if cl.runMetrics != nil && r.Depth == 1 &&
-		coreAgg.Inserts == 0 && coreAgg.Updates == 0 && coreAgg.Deletes == 0 &&
-		coreAgg.Scans == 0 && coreAgg.Restarts == 0 && coreAgg.StaleEntries == 0 {
+	// Every false positive shows up as exactly one extra hash-entry round
+	// trip.
+	if exact {
 		hashRT := cl.runMetrics.StageRT(fabric.StageHashRead).Sum
 		wantRT := hashAgg.Lookups + hashAgg.RetryReads + 2*hashAgg.Refreshes
 		ok := hashAgg.Lookups == coreAgg.FilterHits+coreAgg.FalsePositives &&

@@ -17,7 +17,7 @@ import (
 func TestIndexBlocksAttached(t *testing.T) {
 	cfg := smallConfig(dataset.U64)
 	cfg.Metrics = true
-	cfg.Tail = true
+	cfg.Live = NewLive() // turns tail sampling on
 	cl, err := NewCluster(Sphinx, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -198,12 +198,9 @@ type Options struct {
 	Index *obs.IndexMetrics
 	// Hot is the CN's shared hot-key tracker (sketch + replica route
 	// caches). If nil and Shared.Hot is active, the client builds a
-	// private one sized by HotSetBytes. Share one HotSet across a CN's
-	// workers so promotion decisions see the CN's aggregate traffic.
+	// private default-sized one. Share one HotSet across a CN's workers
+	// so promotion decisions see the CN's aggregate traffic.
 	Hot *HotSet
-	// HotSetBytes sizes the private tracker when Hot is nil (0 selects
-	// DefaultHotSetBytes).
-	HotSetBytes int
 	// DisableHot turns the hot read-replication layer off for this client
 	// even when the cluster has it bootstrapped. Ablation lever — only
 	// meaningful cluster-wide (a writer with the layer off would leave
@@ -380,7 +377,7 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 		if !opts.DisableHot {
 			cl.hotset = opts.Hot
 			if cl.hotset == nil {
-				cl.hotset = NewHotSet(uint64(opts.HotSetBytes), opts.Seed, hot.R)
+				cl.hotset = NewHotSet(0, opts.Seed, hot.R)
 			}
 		}
 	}

@@ -37,10 +37,10 @@ const (
 // essentially never does — so the hot layer stays inert unless the
 // workload is actually skewed.
 const (
-	hotPromoteAt   = 32
-	hotDemoteAt    = 8
-	hotDecayFloor  = 4096
-	hotSFCBoost    = 2 // observation weight when the SFC hotness bit agrees
+	hotPromoteAt  = 32
+	hotDemoteAt   = 8
+	hotDecayFloor = 4096
+	hotSFCBoost   = 2 // observation weight when the SFC hotness bit agrees
 	// DefaultHotSetBytes is the per-CN tracker budget: half frequency
 	// sketch, half split across the per-replica-rank route caches.
 	DefaultHotSetBytes = 256 << 10

@@ -81,7 +81,7 @@ func TestNICRoundTripsReconcileUnderFaults(t *testing.T) {
 			n2 := nodes[(i+1)%3]
 			ops := writeOps(n1, uint64(128+i), 2)
 			if i%4 == 0 { // every fourth batch spans two nodes
-				ops = append(ops, Op{Kind: Write, Addr: mem.NewAddr(n2, uint64(4096 + i)),
+				ops = append(ops, Op{Kind: Write, Addr: mem.NewAddr(n2, uint64(4096+i)),
 					Data: []byte{0xff}})
 			}
 			_ = c.Batch(ops) // faults expected; accounting is what's under test

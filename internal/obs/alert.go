@@ -1,6 +1,9 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Rule is a declarative alert condition over plane signals, e.g.
 // {Signal: "nic_busy_ratio", Over: 0.8, ForTicks: 3} reads as
@@ -8,7 +11,7 @@ import "fmt"
 // node, per SLO name); a rule evaluates every label of its signal
 // independently unless Label pins one.
 type Rule struct {
-	Name  string `json:"name"`
+	Name string `json:"name"`
 	// Signal names a plane signal family: nic_busy_ratio,
 	// nic_wait_ratio, nic_verb_share, hash_load, arena_occupancy,
 	// health, slo_fast_burn, slo_slow_burn.
@@ -95,10 +98,10 @@ type Alert struct {
 	Signal   string     `json:"signal"`
 	Label    string     `json:"label"`
 	State    AlertState `json:"state"`
-	Value    float64    `json:"value"`     // last evaluated signal value
-	SincePs  int64      `json:"since_ps"`  // tick time of the last fire transition
-	Fired    uint64     `json:"fired"`     // lifetime inactive->firing transitions
-	Resolved uint64     `json:"resolved"`  // lifetime firing->inactive transitions
+	Value    float64    `json:"value"`    // last evaluated signal value
+	SincePs  int64      `json:"since_ps"` // tick time of the last fire transition
+	Fired    uint64     `json:"fired"`    // lifetime inactive->firing transitions
+	Resolved uint64     `json:"resolved"` // lifetime firing->inactive transitions
 }
 
 // alertEngine evaluates rules against a per-tick signal map with
@@ -125,7 +128,15 @@ func newAlertEngine(rules []Rule) *alertEngine {
 func (e *alertEngine) tick(nowPs int64, signals map[string]map[string]float64) {
 	for _, r := range e.rules {
 		labels := signals[r.Signal]
-		for label, v := range labels {
+		// Sorted, not map order: a label's first visit fixes its place in
+		// order, which /alerts and the bench reports list verbatim.
+		sorted := make([]string, 0, len(labels))
+		for label := range labels {
+			sorted = append(sorted, label)
+		}
+		sort.Strings(sorted)
+		for _, label := range sorted {
+			v := labels[label]
 			if r.Label != "" && r.Label != label {
 				continue
 			}

@@ -6,6 +6,10 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"sphinx/internal/fabric"
+	"sphinx/internal/mem"
+	"sphinx/internal/racehash"
 )
 
 // DefaultWindowPs is the plane's default series window length: 250 ms,
@@ -37,19 +41,62 @@ type MNSample struct {
 	ArenaCap    uint64 // region size
 }
 
+// CollectMNs samples every node of the fabric for the observability
+// plane: NIC accounting (cumulative — the plane windows the deltas),
+// breaker health, membership in the given placement, hash-table load for
+// nodes holding one of its tables, and arena occupancy (skipped for
+// killed nodes, whose regions are gone). The MN-side scans (racehash
+// usage, allocator counters) cost no fabric round trips, like a
+// management agent running on the node.
+func CollectMNs(f *fabric.Fabric, members []mem.NodeID, tables map[mem.NodeID]racehash.Table) []MNSample {
+	h := f.Health()
+	member := make(map[mem.NodeID]bool, len(members))
+	for _, n := range members {
+		member[n] = true
+	}
+	ops := f.Regions()
+	stats := f.NICStats()
+	out := make([]MNSample, 0, len(stats))
+	for _, st := range stats {
+		n := st.Node
+		state := h.State(n)
+		s := MNSample{
+			Node: int(n), Member: member[n],
+			Health: state.String(), HealthCode: float64(state),
+			RoundTrips: st.RoundTrips, Verbs: st.Verbs, Bytes: st.Bytes,
+			Faults: st.Faults, BusyPs: st.BusyPs, WaitPs: st.WaitPs,
+		}
+		if t, ok := tables[n]; ok {
+			u := racehash.ReadUsage(f.Region(n), t)
+			s.HashLoad = u.LoadFactor()
+			s.HashEntries = u.Entries
+		}
+		if !f.NodeKilled(n) {
+			if mu, err := mem.ReadUsage(ops, n); err == nil {
+				for _, b := range mu.ByClass {
+					s.ArenaUsed += b
+				}
+				s.ArenaCap = f.RegionSize(n)
+			}
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
 // MNStatus is one node's row in the /mn table: latest-tick windowed
 // rates plus cumulative counters, and the recent busy-ratio / verb-share
 // windows for trend rendering.
 type MNStatus struct {
-	Node    int    `json:"node"`
-	Member  bool   `json:"member"`
-	Health  string `json:"health"`
+	Node   int    `json:"node"`
+	Member bool   `json:"member"`
+	Health string `json:"health"`
 
-	BusyRatio  float64 `json:"busy_ratio"` // NIC busy ps per elapsed ps, latest tick
-	WaitRatio  float64 `json:"wait_ratio"`
-	VerbShare  float64 `json:"verb_share"` // node's share of verbs, latest tick
-	WindowVerbs uint64 `json:"window_verbs"`
-	WindowRTs   uint64 `json:"window_rts"`
+	BusyRatio   float64 `json:"busy_ratio"` // NIC busy ps per elapsed ps, latest tick
+	WaitRatio   float64 `json:"wait_ratio"`
+	VerbShare   float64 `json:"verb_share"` // node's share of verbs, latest tick
+	WindowVerbs uint64  `json:"window_verbs"`
+	WindowRTs   uint64  `json:"window_rts"`
 
 	HashLoad       float64 `json:"hash_load"`
 	HashEntries    uint64  `json:"hash_entries"`

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -209,6 +210,35 @@ func TestAlertHysteresis(t *testing.T) {
 	p.Tick(now)
 	if a := p.Alerts()[0]; a.State != AlertInactive || a.Resolved != 2 {
 		t.Fatalf("vanished-label resolve = %+v", a)
+	}
+}
+
+// TestAlertOrderIsDeterministic feeds identical engines the same
+// 8-label signal map: /alerts, Cluster.Alerts() and the bench reports
+// list alerts in first-seen order, so that order must not depend on Go's
+// map iteration.
+func TestAlertOrderIsDeterministic(t *testing.T) {
+	signals := map[string]map[string]float64{"nic_busy_ratio": {}}
+	for n := 0; n < 8; n++ {
+		signals["nic_busy_ratio"][fmt.Sprint(n)] = 0.1 * float64(n)
+	}
+	labelsOf := func() string {
+		e := newAlertEngine([]Rule{{Name: "hot", Signal: "nic_busy_ratio", Over: 0.8}})
+		e.tick(1000, signals)
+		var labels []string
+		for _, a := range e.alerts() {
+			labels = append(labels, a.Label)
+		}
+		return strings.Join(labels, ",")
+	}
+	want := labelsOf()
+	if want != "0,1,2,3,4,5,6,7" {
+		t.Errorf("alert order = %s, want the labels sorted", want)
+	}
+	for run := 1; run < 20; run++ {
+		if got := labelsOf(); got != want {
+			t.Fatalf("run %d listed alerts as %s, run 0 as %s", run, got, want)
+		}
 	}
 }
 

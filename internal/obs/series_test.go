@@ -9,7 +9,10 @@ import (
 // TestSeriesRejectsZeroWindows checks the typed construction error for
 // non-positive window length or count.
 func TestSeriesRejectsZeroWindows(t *testing.T) {
-	for _, tc := range []struct{ ps int64; n int }{
+	for _, tc := range []struct {
+		ps int64
+		n  int
+	}{
 		{0, 8}, {-1, 8}, {1000, 0}, {1000, -3}, {0, 0},
 	} {
 		if _, err := NewSeries(tc.ps, tc.n); !errors.Is(err, ErrZeroWindow) {

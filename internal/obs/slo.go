@@ -50,13 +50,13 @@ func (s SLO) Evaluate(prev, cur HistSnapshot) (ops, bad uint64, burn float64) {
 type SLOStatus struct {
 	SLO        SLO     `json:"slo"`
 	OpName     string  `json:"op"`
-	WindowOps  uint64  `json:"window_ops"`  // ops in the latest tick window
-	WindowBad  uint64  `json:"window_bad"`  // of those, above-threshold
-	TotalOps   uint64  `json:"total_ops"`   // cumulative since engine start
+	WindowOps  uint64  `json:"window_ops"` // ops in the latest tick window
+	WindowBad  uint64  `json:"window_bad"` // of those, above-threshold
+	TotalOps   uint64  `json:"total_ops"`  // cumulative since engine start
 	TotalBad   uint64  `json:"total_bad"`
-	FastBurn   float64 `json:"fast_burn"`   // burn rate over the latest window
-	SlowBurn   float64 `json:"slow_burn"`   // burn rate over the last slowWindows windows
-	Attainment float64 `json:"attainment"`  // cumulative good fraction, 1 when idle
+	FastBurn   float64 `json:"fast_burn"`  // burn rate over the latest window
+	SlowBurn   float64 `json:"slow_burn"`  // burn rate over the last slowWindows windows
+	Attainment float64 `json:"attainment"` // cumulative good fraction, 1 when idle
 }
 
 // sloState tracks one SLO across ticks: the previous cumulative

@@ -33,7 +33,7 @@ type TailSampler struct {
 	mu       sync.Mutex
 	quantile float64
 	warmup   uint64
-	minPop   uint64 // observations needed before the quantile is meaningful
+	minPop   uint64                     // observations needed before the quantile is meaningful
 	buckets  [NumOps][NumBuckets]uint64 // power-of-two latency counts
 	counts   [NumOps]uint64
 	samples  []TailSample // ring of the most recent captures

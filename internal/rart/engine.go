@@ -36,19 +36,9 @@ type Config struct {
 	// design, trading the paper's reported 2.1–3.0× MN memory overhead
 	// for cache-friendly stable addresses.
 	Prealloc256 bool
-	// LeafSpecRead is the speculative first-READ size for leaves of
-	// unknown length. 128 covers a 64-byte value with a ≤40-byte key in
-	// one round trip. 0 selects the default.
-	LeafSpecRead int
 	// MaxRetries bounds retry loops on contended structures (it is the
 	// default budget of the Backoff policy).
 	MaxRetries int
-	// LeasePs is the lock lease duration: a waiter that observes the
-	// same lock holder for this much of its own virtual time presumes
-	// the holder dead and steals the lock. It must comfortably exceed
-	// the longest time a live client can hold a lock (a few round trips
-	// plus injected timeouts). 0 selects the default.
-	LeasePs int64
 	// Backoff tunes the shared capped-exponential-backoff-with-jitter
 	// policy used by the engine's retry loops. Zero fields select the
 	// fabric defaults, with MaxRetries as the budget.
@@ -61,27 +51,18 @@ type Config struct {
 }
 
 const (
+	// defaultLeafSpecRead is the speculative first-READ size for leaves
+	// of unknown length: 128 covers a 64-byte value with a ≤40-byte key
+	// in one round trip.
 	defaultLeafSpecRead = 128
-	// defaultLeasePs is 500 µs of virtual time: three orders above a
-	// round trip and far beyond any live lock hold, yet short enough
-	// that waiters recover from a crashed holder within one backoff
-	// budget.
+	// defaultLeasePs is the lock lease duration: a waiter that observes
+	// the same lock holder for this much of its own virtual time presumes
+	// the holder dead and steals the lock. 500 µs of virtual time is three
+	// orders above a round trip and far beyond any live lock hold (a few
+	// round trips plus injected timeouts), yet short enough that waiters
+	// recover from a crashed holder within one backoff budget.
 	defaultLeasePs = 500_000_000
 )
-
-func (c Config) leasePs() int64 {
-	if c.LeasePs <= 0 {
-		return defaultLeasePs
-	}
-	return c.LeasePs
-}
-
-func (c Config) leafSpecRead() int {
-	if c.LeafSpecRead <= 0 {
-		return defaultLeafSpecRead
-	}
-	return c.LeafSpecRead
-}
 
 func (c Config) maxRetries() int {
 	if c.MaxRetries <= 0 {
@@ -355,7 +336,7 @@ type Leaf struct {
 // to Idle restores the leaf exactly (docs/failure-model.md).
 func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafRead))
-	want := e.clampRead(addr, uint64(e.Cfg.leafSpecRead()))
+	want := e.clampRead(addr, defaultLeafSpecRead)
 	bo := e.Backoff()
 	var watching uint64
 	for {
@@ -387,7 +368,7 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 				if hdrWord != watching {
 					watching = hdrWord
 					bo.ResetWatch()
-				} else if bo.WaitedPs() >= e.Cfg.leasePs() {
+				} else if bo.WaitedPs() >= defaultLeasePs {
 					old, err := e.C.CompareSwap(addr, hdrWord, wire.WithStatus(hdrWord, wire.StatusIdle))
 					if err != nil {
 						return nil, err
@@ -753,7 +734,7 @@ func (e *Engine) postLock(t *lockTry, ops []fabric.Op) []fabric.Op {
 		ops = append(ops, fabric.Op{
 			Kind: fabric.CAS, Addr: t.addr.Add(wire.LeaseOff),
 			Expect:  t.expect,
-			Desired: wire.EncodeLease(uint16(e.C.ID()), e.C.Clock()+e.Cfg.leasePs()),
+			Desired: wire.EncodeLease(uint16(e.C.ID()), e.C.Clock()+defaultLeasePs),
 		})
 	}
 	return append(ops, fabric.Op{Kind: fabric.Read, Addr: t.addr, Data: t.buf})
@@ -823,7 +804,7 @@ func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*N
 	case wire.LeaseOwnedBy(lease, owner):
 		// Our own abandoned lease: reclaim without waiting it out.
 		t.tryCAS, t.expect = true, lease
-	case lease == t.watching && bo.WaitedPs() >= e.Cfg.leasePs():
+	case lease == t.watching && bo.WaitedPs() >= defaultLeasePs:
 		// Same holder for a full lease of our waiting: presume dead.
 		t.tryCAS, t.expect = true, lease
 	default:
@@ -864,7 +845,7 @@ func (e *Engine) acquire(t *lockTry, bo *fabric.Backoff, polled bool) (*Node, er
 //
 // The lock is a lease (docs/failure-model.md): acquisition CASes the lease
 // word from 0 to (owner, stamp). A waiter that observes the *same* held
-// lease word for a full Config.LeasePs of its own virtual waiting time
+// lease word for a full defaultLeasePs of its own virtual waiting time
 // presumes the holder crashed and CAS-steals the word — the exact-value
 // CAS lets at most one waiter win, and a concurrent release or steal makes
 // a stale attempt fail harmlessly. A client that finds its own lease on

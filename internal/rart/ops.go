@@ -766,7 +766,7 @@ func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 			if l.Seen != watching {
 				watching = l.Seen
 				bo.ResetWatch()
-			} else if bo.WaitedPs() >= e.Cfg.leasePs() {
+			} else if bo.WaitedPs() >= defaultLeasePs {
 				// Stuck lock: restore Idle over the intact old image.
 				if broke, err := e.C.CompareSwap(leaf.Addr, l.Seen, wire.WithStatus(l.Seen, wire.StatusIdle)); err != nil {
 					return err

@@ -269,7 +269,7 @@ func (s *scanner) post(next []scanEnt, ent scanEnt) []scanEnt {
 		addr, size = ent.parent.Add(uint64(ent.off)), 8
 	case size != 0:
 	case ent.slot.Leaf:
-		size = s.e.clampRead(addr, uint64(s.e.Cfg.leafSpecRead()))
+		size = s.e.clampRead(addr, defaultLeafSpecRead)
 	default:
 		size = s.e.nodeReadSize(ent.slot.ChildType)
 	}

@@ -34,7 +34,7 @@ func TestClusterObservabilityPlane(t *testing.T) {
 	cl, err := NewCluster(Config{
 		MemoryNodes:           3,
 		ObservabilityWindowPs: 1_000_000, // 1 µs virtual windows
-		SLOs: []SLO{{Name: "get-p99", Op: OpGet, Quantile: 0.99, LatencyPs: 1 << 40}},
+		SLOs:                  []SLO{{Name: "get-p99", Op: OpGet, Quantile: 0.99, LatencyPs: 1 << 40}},
 	})
 	if err != nil {
 		t.Fatal(err)

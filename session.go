@@ -95,7 +95,6 @@ func (s *Session) coreOptions() core.Options {
 		LeafCache:        s.cn.lac,
 		DisableLeafCache: cfg.DisableLeafCache,
 		Hot:              s.cn.hotset,
-		HotSetBytes:      int(cfg.HotSetBytes),
 		DisableHot:       cfg.DisableHotReplicas,
 		Index:            s.index,
 	}
@@ -600,18 +599,13 @@ func (s *Session) Registry() *Registry {
 			c := s.cn.cluster
 			// Scrape the CURRENT placement epoch's tables: elastic
 			// membership changes add and retire tables at runtime.
-			tables := c.sphinxShared.Tables
-			epoch := uint64(0)
-			if c.sphinxShared.Members != nil {
-				p := c.sphinxShared.Members.Current()
-				tables, epoch = p.Tables, p.Epoch
-			}
+			p := c.placement()
 			var u racehash.Usage
-			for node, t := range tables {
+			for node, t := range p.Tables {
 				u = u.Add(racehash.ReadUsage(c.f.Region(node), t))
 			}
 			return map[string]float64{
-				"epoch":            float64(epoch),
+				"epoch":            float64(p.Epoch),
 				"load_factor":      u.LoadFactor(),
 				"entries":          float64(u.Entries),
 				"capacity_entries": float64(u.Capacity),

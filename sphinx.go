@@ -41,7 +41,6 @@ import (
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
 	"sphinx/internal/obs"
-	"sphinx/internal/racehash"
 	"sphinx/internal/smart"
 )
 
@@ -273,7 +272,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	cl.plane, err = obs.NewPlane(obs.PlaneOptions{
 		WindowPs: cfg.ObservabilityWindowPs,
-		Collect:  cl.collectMNs,
+		Collect: func() []obs.MNSample {
+			p := cl.placement()
+			return obs.CollectMNs(cl.f, p.Ring.Nodes(), p.Tables)
+		},
 		Latency: func(k obs.OpKind) obs.HistSnapshot {
 			if m := cl.sloSource.Load(); m != nil {
 				return m.OpLatency(k)
@@ -286,50 +288,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("sphinx: building observability plane: %w", err)
 	}
 	return cl, nil
-}
-
-// collectMNs samples every fabric node for the observability plane:
-// NIC accounting, breaker state, membership, hash-table load and arena
-// occupancy. MN-side scans (racehash usage, allocator counters) cost no
-// fabric round trips, like a management agent running on the node.
-func (c *Cluster) collectMNs() []obs.MNSample {
-	h := c.f.Health()
-	members := make(map[mem.NodeID]bool)
-	for _, n := range c.memNodes() {
-		members[n] = true
-	}
-	tables := c.sphinxShared.Tables
-	if c.sphinxShared.Members != nil {
-		tables = c.sphinxShared.Members.Current().Tables
-	}
-	ops := c.f.Regions()
-	stats := c.f.NICStats()
-	out := make([]obs.MNSample, 0, len(stats))
-	for _, st := range stats {
-		n := st.Node
-		state := h.State(n)
-		s := obs.MNSample{
-			Node: int(n), Member: members[n],
-			Health: state.String(), HealthCode: float64(state),
-			RoundTrips: st.RoundTrips, Verbs: st.Verbs, Bytes: st.Bytes,
-			Faults: st.Faults, BusyPs: st.BusyPs, WaitPs: st.WaitPs,
-		}
-		if t, ok := tables[n]; ok {
-			u := racehash.ReadUsage(c.f.Region(n), t)
-			s.HashLoad = u.LoadFactor()
-			s.HashEntries = u.Entries
-		}
-		if !c.f.NodeKilled(n) {
-			if mu, err := mem.ReadUsage(ops, n); err == nil {
-				for _, b := range mu.ByClass {
-					s.ArenaUsed += b
-				}
-				s.ArenaCap = c.f.RegionSize(n)
-			}
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 // SampleObservability advances the cluster observability plane to the
@@ -352,16 +310,20 @@ func (c *Cluster) Observability() PlaneSnapshot { return c.plane.Snapshot() }
 // System returns the cluster's index system.
 func (c *Cluster) System() System { return c.cfg.System }
 
-// memNodes lists the cluster's member memory nodes under the CURRENT
-// placement epoch — elastic membership changes grow and shrink this list,
-// so node indices passed to KillMemoryNode etc. are interpreted against
-// it. Non-Sphinx systems keep the static bootstrap ring.
-func (c *Cluster) memNodes() []mem.NodeID {
+// placement returns the CURRENT placement epoch's ring and hash tables —
+// elastic membership changes republish it at runtime. Non-Sphinx systems
+// keep the static bootstrap ring and have no tables.
+func (c *Cluster) placement() *core.Placement {
 	if c.sphinxShared.Members != nil {
-		return c.sphinxShared.Members.Current().Ring.Nodes()
+		return c.sphinxShared.Members.Current()
 	}
-	return c.ring.Nodes()
+	return &core.Placement{Ring: c.ring}
 }
+
+// memNodes lists the cluster's member memory nodes under the current
+// placement: node indices passed to KillMemoryNode etc. are interpreted
+// against it.
+func (c *Cluster) memNodes() []mem.NodeID { return c.placement().Ring.Nodes() }
 
 // AddMemoryNode grows the cluster online (SystemSphinx only): a fresh
 // memory node joins the fabric, its hash tables are bootstrapped, and a
