@@ -9,7 +9,6 @@ package artdm
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 
 	"sphinx/internal/consistenthash"
@@ -47,48 +46,37 @@ type Client struct {
 }
 
 // NewClient mounts the index for one fabric client.
-func NewClient(shared Shared, c *fabric.Client, cfg rart.Config) *Client {
-	alloc := mem.NewAllocator(c, 0)
-	return &Client{shared: shared, eng: rart.NewEngine(c, alloc, shared.Ring, cfg)}
+func NewClient(shared Shared, c *fabric.Client) *Client {
+	return &Client{shared: shared, eng: rart.NewEngine(c, mem.NewAllocator(c, 0), shared.Ring, rart.Config{})}
 }
 
 // Engine exposes the underlying engine (stats, fabric client).
 func (c *Client) Engine() *rart.Engine { return c.eng }
 
-// retriable reports whether an operation should re-run from the root.
-func retriable(err error) bool {
-	return errors.Is(err, rart.ErrRestart) || errors.Is(err, rart.ErrNeedParent) ||
-		errors.Is(err, fabric.ErrTransient) || errors.Is(err, fabric.ErrTimeout)
-}
-
-func (c *Client) readRoot() (*rart.Node, error) {
-	return c.eng.ReadNode(c.shared.Root, wire.Node256)
+// fromRoot runs one operation under the engine's retry loop; every attempt
+// re-reads the root and descends from it.
+func (c *Client) fromRoot(op string, key []byte, attempt func(root *rart.Node) error) error {
+	return c.eng.Retry(op, key, func() error {
+		root, err := c.eng.ReadNode(c.shared.Root, wire.Node256)
+		if err != nil {
+			return err
+		}
+		return attempt(root)
+	})
 }
 
 // Search returns the value for key.
-func (c *Client) Search(key []byte) ([]byte, bool, error) {
-	for bo := c.eng.Backoff(); ; {
-		root, err := c.readRoot()
-		var leaf *rart.Leaf
-		if err == nil {
-			leaf, err = c.eng.SearchFrom(root, key, rart.NopHooks{})
+func (c *Client) Search(key []byte) (value []byte, ok bool, err error) {
+	err = c.fromRoot("artdm search", key, func(root *rart.Node) error {
+		leaf, err := c.eng.SearchFrom(root, key, rart.NopHooks{})
+		// A leaf on the key's path can hold a different key that merely
+		// shares the prefix up to its edge.
+		if ok = leaf != nil && bytes.Equal(leaf.Key, key); ok {
+			value = leaf.Value
 		}
-		if retriable(err) {
-			if bo.Wait() {
-				continue
-			}
-			return nil, false, fmt.Errorf("%w: artdm search for %q", rart.ErrRetriesExhausted, key)
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		if leaf == nil || !bytes.Equal(leaf.Key, key) {
-			// A leaf on the key's path can hold a different key that
-			// merely shares the prefix up to its edge.
-			return nil, false, nil
-		}
-		return leaf.Value, true, nil
-	}
+		return err
+	})
+	return value, ok, err
 }
 
 // Insert stores value for key (upsert). It reports whether the key
@@ -103,63 +91,32 @@ func (c *Client) Update(key, value []byte) (bool, error) {
 	return c.put(key, value, rart.PutUpdateOnly)
 }
 
-func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
+func (c *Client) put(key, value []byte, mode rart.PutMode) (existed bool, err error) {
 	if len(key) == 0 || len(key) > wire.MaxDepth {
 		return false, fmt.Errorf("artdm: key length %d out of range", len(key))
 	}
-	var last error
-	for bo := c.eng.Backoff(); ; {
-		root, err := c.readRoot()
-		var existed bool
-		if err == nil {
-			existed, err = c.eng.PutFrom(root, key, value, mode, rart.NopHooks{})
-		}
-		if retriable(err) {
-			last = err
-			if bo.Wait() {
-				continue
-			}
-			return false, fmt.Errorf("%w: artdm put for %q (last: %v)", rart.ErrRetriesExhausted, key, last)
-		}
-		return existed, err
-	}
+	err = c.fromRoot("artdm put", key, func(root *rart.Node) (err error) {
+		existed, err = c.eng.PutFrom(root, key, value, mode, rart.NopHooks{})
+		return err
+	})
+	return existed, err
 }
 
 // Delete removes key, reporting whether it was present.
-func (c *Client) Delete(key []byte) (bool, error) {
-	for bo := c.eng.Backoff(); ; {
-		root, err := c.readRoot()
-		var ok bool
-		if err == nil {
-			ok, err = c.eng.DeleteFrom(root, key, rart.NopHooks{})
-		}
-		if retriable(err) {
-			if bo.Wait() {
-				continue
-			}
-			return false, fmt.Errorf("%w: artdm delete for %q", rart.ErrRetriesExhausted, key)
-		}
-		return ok, err
-	}
+func (c *Client) Delete(key []byte) (ok bool, err error) {
+	err = c.fromRoot("artdm delete", key, func(root *rart.Node) (err error) {
+		ok, err = c.eng.DeleteFrom(root, key, rart.NopHooks{})
+		return err
+	})
+	return ok, err
 }
 
 // Scan returns up to limit keys in [lo, hi], ascending. The naive port
 // reads one node per round trip — no doorbell batching.
-func (c *Client) Scan(lo, hi []byte, limit int) ([]rart.KV, error) {
-	for bo := c.eng.Backoff(); ; {
-		root, err := c.readRoot()
-		var kvs []rart.KV
-		if err == nil {
-			kvs, err = c.eng.ScanFrom(root, lo, hi, limit, false)
-		}
-		if err == nil {
-			return kvs, nil
-		}
-		if !retriable(err) {
-			return nil, err
-		}
-		if !bo.Wait() {
-			return nil, fmt.Errorf("%w: artdm scan", rart.ErrRetriesExhausted)
-		}
-	}
+func (c *Client) Scan(lo, hi []byte, limit int) (kvs []rart.KV, err error) {
+	err = c.fromRoot("artdm scan", lo, func(root *rart.Node) (err error) {
+		kvs, err = c.eng.ScanFrom(root, lo, hi, limit, false)
+		return err
+	})
+	return kvs, err
 }

@@ -12,7 +12,6 @@ import (
 	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
-	"sphinx/internal/rart"
 )
 
 func newCluster(t *testing.T, mns int, cfg fabric.Config) (*fabric.Fabric, Shared) {
@@ -31,7 +30,7 @@ func newCluster(t *testing.T, mns int, cfg fabric.Config) (*fabric.Fabric, Share
 }
 
 func newTestClient(f *fabric.Fabric, shared Shared) *Client {
-	return NewClient(shared, f.NewClient(), rart.Config{})
+	return NewClient(shared, f.NewClient())
 }
 
 func TestEmptyIndex(t *testing.T) {

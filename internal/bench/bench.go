@@ -444,7 +444,7 @@ func (cl *Cluster) NewIndex(cn int) (Index, *fabric.Client) {
 	case SMART, SMARTC:
 		return smart.NewClient(cl.smartShared, fc, smart.Options{Cache: cl.caches[cn%len(cl.caches)]}), fc
 	case ART:
-		return artdm.NewClient(cl.artShared, fc, rart.Config{}), fc
+		return artdm.NewClient(cl.artShared, fc), fc
 	default:
 		panic("bench: unknown system")
 	}

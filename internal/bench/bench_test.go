@@ -170,6 +170,30 @@ func TestAblationOrdering(t *testing.T) {
 	}
 }
 
+// TestRestartsReportedForEverySystem: Result.Restarts is documented "all
+// systems". The baselines' operation-level restarts are counted by the
+// engine's retry loop, Sphinx's by its own driver; under injected faults a
+// load restarts on every one of them.
+func TestRestartsReportedForEverySystem(t *testing.T) {
+	for _, sys := range PaperSystems {
+		cfg := smallConfig(dataset.U64)
+		cfg.Workers, cfg.CNs = 1, 1
+		cfg.Faults = &fabric.FaultPlan{Seed: 1, TransientPer64k: 600, TimeoutPer64k: 300}
+		cl, err := NewCluster(sys, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", sys, err)
+		}
+		load, err := cl.Load(0)
+		if err != nil {
+			t.Fatalf("%v load: %v", sys, err)
+		}
+		if load.TransientFaults == 0 || load.Restarts == 0 {
+			t.Errorf("%v load under faults reports %d restarts for %d transients and %d timeouts",
+				sys, load.Restarts, load.TransientFaults, load.Timeouts)
+		}
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Keys == 0 || c.ValueSize != 64 || c.MNs != 3 || c.CNs != 3 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sphinx/internal/dataset"
+	"sphinx/internal/fabric"
 )
 
 // ledgerPass drives one plain ledgered pass: every worker runs ops ledger
@@ -116,9 +117,20 @@ func TestElasticExperimentSmoke(t *testing.T) {
 func TestOneWorkerRunsRepeatExactly(t *testing.T) {
 	cfg := smallConfig(dataset.U64)
 	cfg.Keys, cfg.Workers, cfg.CNs, cfg.OpsPerWorker, cfg.Metrics = 2000, 1, 1, 200, true
+	// The faulty lane: every retry, completion and lock-wait loop of all four
+	// systems, wait for wait — each backoff wait draws its jitter from the
+	// client's stream, so one wait more or less moves everything behind it.
+	// Metrics are off: the LAC reconciliation gate rightly rejects aborts.
+	faulty := cfg
+	faulty.Metrics = false
+	faulty.Faults = &fabric.FaultPlan{Seed: 1, TransientPer64k: 600, TimeoutPer64k: 300}
 	experiments := map[string]func() (JSONReport, error){
 		"fig4": func() (rep JSONReport, err error) {
 			rep.Results, err = Fig4(cfg, nil, io.Discard)
+			return
+		},
+		"fig4 under faults": func() (rep JSONReport, err error) {
+			rep.Results, err = Fig4(faulty, nil, io.Discard)
 			return
 		},
 		"fastpath": func() (rep JSONReport, err error) {

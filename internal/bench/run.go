@@ -278,8 +278,10 @@ func (cl *Cluster) measure(workload string, workers, depth int, mount func(*work
 		r.WallElapsedNs = wall.Nanoseconds()
 		r.WallMops = float64(r.Ops) / wall.Seconds() / 1e6
 	}
+	// The baselines' restarts are the engine's (rart.Engine.Retry); Sphinx
+	// drives its own operations, and attachSphinxDiag reports its count.
+	r.Restarts, r.LockSteals, r.LeafLockBreaks, r.DeleteRepairs = t.engine.Restarts, t.engine.LockSteals, t.engine.LeafLockBreaks, t.engine.DeleteRepairs
 	cl.attachSphinxDiag(&r, t)
-	r.LockSteals, r.LeafLockBreaks, r.DeleteRepairs = t.engine.LockSteals, t.engine.LeafLockBreaks, t.engine.DeleteRepairs
 	cl.attachMetrics(&r)
 	cl.attachMNShares(&r, nicBase)
 	cl.attachIndexBlocks(&r, t)

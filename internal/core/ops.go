@@ -317,14 +317,14 @@ func (c *Client) drive(op string, key []byte, rooted bool,
 // outlive — as the counter of its cause; nil for a terminal error (budget
 // exhaustion and client crashes among them).
 func (c *Client) restartCause(err error) *uint64 {
-	switch {
-	case errors.Is(err, rart.ErrRestart), errors.Is(err, rart.ErrNeedParent):
+	switch rart.RetryCause(err) {
+	case rart.CauseStructural:
 		return &c.stats.RestartsStructural
-	case errors.Is(err, fabric.ErrTransient):
+	case rart.CauseTransient:
 		return &c.stats.RestartsTransient
-	case errors.Is(err, fabric.ErrTimeout):
+	case rart.CauseTimeout:
 		return &c.stats.RestartsTimeout
-	case errors.Is(err, fabric.ErrNodeDown):
+	case rart.CauseNodeDown:
 		return &c.stats.RestartsNodeDown
 	}
 	return nil

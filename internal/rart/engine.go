@@ -1,6 +1,7 @@
 package rart
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -36,12 +37,9 @@ type Config struct {
 	// design, trading the paper's reported 2.1–3.0× MN memory overhead
 	// for cache-friendly stable addresses.
 	Prealloc256 bool
-	// MaxRetries bounds retry loops on contended structures (it is the
-	// default budget of the Backoff policy).
-	MaxRetries int
 	// Backoff tunes the shared capped-exponential-backoff-with-jitter
 	// policy used by the engine's retry loops. Zero fields select the
-	// fabric defaults, with MaxRetries as the budget.
+	// fabric defaults.
 	Backoff fabric.BackoffPolicy
 	// Place, if set, overrides ring placement for new allocations
 	// (NodeHome/LeafHome). Replica-aware layers install it to steer
@@ -63,13 +61,6 @@ const (
 	// recover from a crashed holder within one backoff budget.
 	defaultLeasePs = 500_000_000
 )
-
-func (c Config) maxRetries() int {
-	if c.MaxRetries <= 0 {
-		return 256
-	}
-	return c.MaxRetries
-}
 
 // Engine bundles one client's access to the remote tree: verbs, allocator
 // and node placement. Engines are per-worker, like the client they wrap.
@@ -131,6 +122,10 @@ func (e *Engine) ReleaseBuf(b []byte) {
 // EngineStats counts the engine's lock-recovery events and the cost of its
 // range scans.
 type EngineStats struct {
+	// Restarts is the number of attempts Retry ran again: the baselines'
+	// operation-level re-descents (Sphinx drives its operations itself and
+	// counts them in core.Stats.Restarts).
+	Restarts uint64
 	// LockSteals is the number of node leases this client took over from
 	// an apparently dead holder (including reclaiming its own lease after
 	// a fault between acquisition and release).
@@ -175,6 +170,7 @@ type EngineStats struct {
 
 // Add returns s + t, field-wise; used to aggregate workers.
 func (s EngineStats) Add(t EngineStats) EngineStats {
+	s.Restarts += t.Restarts
 	s.LockSteals += t.LockSteals
 	s.LeafLockBreaks += t.LeafLockBreaks
 	s.DeleteRepairs += t.DeleteRepairs
@@ -195,6 +191,7 @@ func (s EngineStats) Add(t EngineStats) EngineStats {
 // worker driving the engine.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
+		Restarts:          atomic.LoadUint64(&e.stats.Restarts),
 		LockSteals:        atomic.LoadUint64(&e.stats.LockSteals),
 		LeafLockBreaks:    atomic.LoadUint64(&e.stats.LeafLockBreaks),
 		DeleteRepairs:     atomic.LoadUint64(&e.stats.DeleteRepairs),
@@ -220,13 +217,7 @@ func (e *Engine) Abandoned() (objects, bytes uint64) {
 // Backoff starts one retry sequence under the engine's policy; the
 // index layers above use it for their operation-level restart loops so
 // every retry in the stack follows one schedule.
-func (e *Engine) Backoff() *fabric.Backoff {
-	pol := e.Cfg.Backoff
-	if pol.Budget == 0 {
-		pol.Budget = e.Cfg.maxRetries()
-	}
-	return pol.Start(e.C)
-}
+func (e *Engine) Backoff() *fabric.Backoff { return e.Cfg.Backoff.Start(e.C) }
 
 // NewEngine creates an engine over the given client.
 func NewEngine(c *fabric.Client, alloc *mem.Allocator, ring *consistenthash.Ring, cfg Config) *Engine {
@@ -295,7 +286,7 @@ func (e *Engine) ReadNode(addr mem.Addr, hint wire.NodeType) (*Node, error) {
 			e.ReleaseBuf(buf)
 			return nil, err
 		}
-		hdr := wire.DecodeNodeHeader(leUint64(buf))
+		hdr := wire.DecodeNodeHeader(binary.LittleEndian.Uint64(buf))
 		if need := wire.NodeSize(hdr.Type); need > want {
 			want = need
 			e.ReleaseBuf(buf)
@@ -327,79 +318,89 @@ type Leaf struct {
 	Value  []byte
 }
 
+// leafSight is what one READ of a leaf saw (sightOf).
+type leafSight uint8
+
+const (
+	// leafRetired: the header says Invalid. A retired leaf's content may
+	// legitimately disagree with its header (a racing in-place update), so
+	// nothing else of the image is looked at.
+	leafRetired leafSight = iota
+	// leafLonger: the leaf's units outrun the bytes read.
+	leafLonger
+	// leafUnsettled: torn (the checksum disagrees) or locked — an in-place
+	// update is in flight and finishes with a single WRITE.
+	leafUnsettled
+	leafWhole
+)
+
+// sightOf classifies the image one READ of a leaf returned; key and value
+// alias buf and are set for leafWhole only.
+func sightOf(buf []byte) (sight leafSight, word uint64, hdr wire.LeafHeader, key, value []byte) {
+	word = binary.LittleEndian.Uint64(buf)
+	hdr = wire.DecodeLeafHeader(word)
+	if hdr.Status == wire.StatusInvalid {
+		return leafRetired, word, hdr, nil, nil
+	}
+	if uint64(hdr.Units)*wire.LeafUnit > uint64(len(buf)) {
+		return leafLonger, word, hdr, nil, nil
+	}
+	key, value, st, ok := wire.DecodeLeaf(buf)
+	if !ok || st != wire.StatusIdle {
+		return leafUnsettled, word, hdr, nil, nil
+	}
+	return leafWhole, word, hdr, key, value
+}
+
+// leafAt is the leaf a retired or whole image at addr decodes to, its key and
+// value (none for a retired image) copied out of the read buffer they alias
+// through one backing array.
+func leafAt(addr mem.Addr, hdr wire.LeafHeader, key, value []byte) Leaf {
+	kv := make([]byte, len(key)+len(value))
+	copy(kv[copy(kv, key):], value)
+	return Leaf{Addr: addr, Status: hdr.Status, Units: hdr.Units, Key: kv[:len(key):len(key)], Value: kv[len(key):]}
+}
+
 // ReadLeaf fetches the leaf at addr, retrying torn or locked images.
 // Usually one round trip (speculative over-read); leaves longer than the
-// speculative size cost one more. A leaf whose lock never clears — the
-// holder crashed between its lock CAS and its single image WRITE — is
-// broken after a full lease of watching: the content under a held leaf
-// lock is still the old, checksum-valid image, so CASing the status back
-// to Idle restores the leaf exactly (docs/failure-model.md).
+// speculative size cost one more. A lock that outlives a lease of watching
+// is broken: its holder crashed between its lock CAS and its single image
+// WRITE, so the content under the lock is still the old, checksum-valid
+// image, and CASing the status back to Idle restores the leaf exactly
+// (docs/failure-model.md).
 func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafRead))
 	want := e.clampRead(addr, defaultLeafSpecRead)
 	bo := e.Backoff()
-	var watching uint64
+	var watch leaseWatch
 	for {
 		buf := e.GrabBuf(want)
 		if err := e.C.Read(addr, buf); err != nil {
 			e.ReleaseBuf(buf)
 			return nil, err
 		}
-		hdrWord := leUint64(buf)
-		hdr := wire.DecodeLeafHeader(hdrWord)
-		if hdr.Status == wire.StatusInvalid {
-			// A retired leaf's content may legitimately disagree with its
-			// header (a racing in-place update); Invalid alone is enough
-			// for the caller to restart.
+		sight, word, hdr, key, value := sightOf(buf)
+		if sight == leafRetired || sight == leafWhole {
+			// Invalid alone is enough for the caller to restart.
+			l := leafAt(addr, hdr, key, value)
 			e.ReleaseBuf(buf)
-			return &Leaf{Addr: addr, Status: wire.StatusInvalid, Units: hdr.Units}, nil
-		}
-		if need := uint64(hdr.Units) * wire.LeafUnit; need > uint64(len(buf)) {
-			want = e.clampRead(addr, need)
-			e.ReleaseBuf(buf)
-			continue
-		}
-		key, val, st, ok := wire.DecodeLeaf(buf)
-		if !ok || st == wire.StatusLocked {
-			// Torn read (a concurrent in-place update) or a locked leaf:
-			// a live writer finishes with a single WRITE, so retry shortly.
-			e.ReleaseBuf(buf)
-			if hdr.Status == wire.StatusLocked {
-				if hdrWord != watching {
-					watching = hdrWord
-					bo.ResetWatch()
-				} else if bo.WaitedPs() >= defaultLeasePs {
-					old, err := e.C.CompareSwap(addr, hdrWord, wire.WithStatus(hdrWord, wire.StatusIdle))
-					if err != nil {
-						return nil, err
-					}
-					if old == hdrWord {
-						atomic.AddUint64(&e.stats.LeafLockBreaks, 1)
-					}
-					watching = 0
-					bo.ResetWatch()
-					continue
-				}
-			}
-			if !bo.Wait() {
-				return nil, fmt.Errorf("%w: leaf at %v never stabilized", ErrRetriesExhausted, addr)
-			}
-			continue
-		}
-		// Copy key and value out through one backing array (the decoded
-		// slices alias buf, which goes back to the free list).
-		kv := make([]byte, len(key)+len(val))
-		copy(kv, key)
-		copy(kv[len(key):], val)
-		l := &Leaf{
-			Addr:   addr,
-			Status: st,
-			Units:  hdr.Units,
-			Key:    kv[:len(key):len(key)],
-			Value:  kv[len(key):],
+			return &l, nil
 		}
 		e.ReleaseBuf(buf)
-		return l, nil
+		switch {
+		case sight == leafLonger:
+			want = e.clampRead(addr, uint64(hdr.Units)*wire.LeafUnit)
+			continue
+		case hdr.Status == wire.StatusLocked && watch.expired(bo, word):
+			if err := e.breakLeafLock(addr, word, &watch, bo); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		// A live writer finishes with a single WRITE, so retry shortly.
+		if !bo.Wait() {
+			return nil, fmt.Errorf("%w: leaf at %v never stabilized", ErrRetriesExhausted, addr)
+		}
 	}
 }
 
@@ -410,8 +411,9 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 //
 //   - a decoded image (including Status Invalid): (leaf, true, nil) — the
 //     caller checks status and key;
-//   - a torn or locked image: (_, false, nil) — an in-flight writer, nothing
-//     to conclude, fall back without unlearning;
+//   - a torn or locked image, or a leaf that grew past the cached size (the
+//     address was reused or the hint is stale): (_, false, nil) — nothing
+//     provable in one round trip, fall back without unlearning;
 //   - a fabric error: (_, false, err) — the caller maps failoverable errors
 //     to unlearns.
 //
@@ -432,30 +434,44 @@ func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8) (leaf Leaf, stable boo
 	if err = e.C.Read(addr, buf); err != nil {
 		return Leaf{}, false, err
 	}
-	hdr := wire.DecodeLeafHeader(leUint64(buf))
-	if hdr.Status == wire.StatusInvalid {
-		return Leaf{Addr: addr, Status: wire.StatusInvalid, Units: hdr.Units}, true, nil
+	if sight, _, hdr, key, value := sightOf(buf); sight == leafRetired || sight == leafWhole {
+		return leafAt(addr, hdr, key, value), true, nil
 	}
-	if need := uint64(hdr.Units) * wire.LeafUnit; need > uint64(len(buf)) {
-		// The leaf at this address grew past the cached size (the address
-		// was reused or the hint is stale): nothing provable in one round
-		// trip.
-		return Leaf{}, false, nil
+	return Leaf{}, false, nil
+}
+
+// leaseWatch is one waiter's view of a lock word that stands in its way, a
+// node's lease or a leaf's Locked header alike: the word last seen there.
+type leaseWatch uint64
+
+// expired is the one rule by which a waiter presumes a lock holder dead: it
+// has seen the same word for a whole lease of its own waiting (bo's virtual
+// time; polls of a changing word prove a live holder and start the
+// measurement over). The caller then steals the lease or breaks the lock with
+// a CAS expecting exactly that word, so at most one waiter wins and a
+// concurrent release makes a stale attempt fail harmlessly.
+func (w *leaseWatch) expired(bo *fabric.Backoff, word uint64) bool {
+	if uint64(*w) != word {
+		*w = leaseWatch(word)
+		bo.ResetWatch()
+		return false
 	}
-	key, val, st, ok := wire.DecodeLeaf(buf)
-	if !ok || st == wire.StatusLocked {
-		return Leaf{}, false, nil
+	return bo.WaitedPs() >= defaultLeasePs
+}
+
+// breakLeafLock frees the leaf lock whose Locked word a waiter watched for a
+// whole lease, and starts the watch over: someone may lock the leaf again.
+func (e *Engine) breakLeafLock(addr mem.Addr, locked uint64, w *leaseWatch, bo *fabric.Backoff) error {
+	old, err := e.C.CompareSwap(addr, locked, wire.WithStatus(locked, wire.StatusIdle))
+	if err != nil {
+		return err
 	}
-	kv := make([]byte, len(key)+len(val))
-	copy(kv, key)
-	copy(kv[len(key):], val)
-	return Leaf{
-		Addr:   addr,
-		Status: st,
-		Units:  hdr.Units,
-		Key:    kv[:len(key):len(key)],
-		Value:  kv[len(key):],
-	}, true, nil
+	if old == locked {
+		atomic.AddUint64(&e.stats.LeafLockBreaks, 1)
+	}
+	*w = 0
+	bo.ResetWatch()
+	return nil
 }
 
 // LeafLock is one in-place update's hold on a leaf: the leaf's header lock
@@ -703,12 +719,13 @@ func (e *Engine) release(ops []fabric.Op) {
 
 // lockTry is the state of one node's lease acquisition across attempts.
 type lockTry struct {
-	addr             mem.Addr
-	want             uint64 // bytes to READ for the post-lock image
-	expect, watching uint64 // lease word the next CAS expects / the holder being watched
-	tryCAS           bool
-	buf              []byte // destination of the in-flight attempt's READ
-	cas              int    // index of the in-flight attempt's CAS in its batch, -1 if it only polls
+	addr   mem.Addr
+	want   uint64     // bytes to READ for the post-lock image
+	expect uint64     // lease word the next CAS expects
+	watch  leaseWatch // the holder being waited for
+	tryCAS bool
+	buf    []byte // destination of the in-flight attempt's READ
+	cas    int    // index of the in-flight attempt's CAS in its batch, -1 if it only polls
 }
 
 // newLockTry starts an acquisition. expectLease is the lease word the caller
@@ -717,7 +734,7 @@ type lockTry struct {
 func (e *Engine) newLockTry(addr mem.Addr, hint wire.NodeType, expectLease uint64) lockTry {
 	return lockTry{
 		addr: addr, want: e.nodeReadSize(hint),
-		expect: expectLease, watching: expectLease,
+		expect: expectLease, watch: leaseWatch(expectLease),
 		tryCAS: expectLease == 0 || wire.LeaseOwnedBy(expectLease, uint16(e.C.ID())),
 	}
 }
@@ -764,7 +781,7 @@ func (e *Engine) dropLock(t *lockTry, ops []fabric.Op, cause error) {
 func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*Node, error) {
 	buf := t.buf
 	t.buf = nil
-	hdr := wire.DecodeNodeHeader(leUint64(buf))
+	hdr := wire.DecodeNodeHeader(binary.LittleEndian.Uint64(buf))
 	if hdr.Status == wire.StatusInvalid {
 		e.ReleaseBuf(buf)
 		return nil, ErrNodeInvalid
@@ -796,7 +813,7 @@ func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*N
 	if need := wire.NodeSize(hdr.Type); need > t.want {
 		t.want = need
 	}
-	lease := leUint64(buf[wire.LeaseOff:])
+	lease := binary.LittleEndian.Uint64(buf[wire.LeaseOff:])
 	e.ReleaseBuf(buf)
 	switch {
 	case lease == 0:
@@ -804,14 +821,10 @@ func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*N
 	case wire.LeaseOwnedBy(lease, owner):
 		// Our own abandoned lease: reclaim without waiting it out.
 		t.tryCAS, t.expect = true, lease
-	case lease == t.watching && bo.WaitedPs() >= defaultLeasePs:
-		// Same holder for a full lease of our waiting: presume dead.
+	case t.watch.expired(bo, lease):
+		// Presumed dead: steal.
 		t.tryCAS, t.expect = true, lease
 	default:
-		if lease != t.watching {
-			t.watching = lease
-			bo.ResetWatch()
-		}
 		t.tryCAS = false
 	}
 	return nil, nil
@@ -844,12 +857,9 @@ func (e *Engine) acquire(t *lockTry, bo *fabric.Backoff, polled bool) (*Node, er
 // batch (postLock).
 //
 // The lock is a lease (docs/failure-model.md): acquisition CASes the lease
-// word from 0 to (owner, stamp). A waiter that observes the *same* held
-// lease word for a full defaultLeasePs of its own virtual waiting time
-// presumes the holder crashed and CAS-steals the word — the exact-value
-// CAS lets at most one waiter win, and a concurrent release or steal makes
-// a stale attempt fail harmlessly. A client that finds its own lease on
-// the node (left behind by a fault between its acquisition and release)
+// word from 0 to (owner, stamp), and a waiter steals a word it has watched
+// for a whole lease (leaseWatch.expired). A client that finds its own lease
+// on the node (left behind by a fault between its acquisition and release)
 // reclaims it immediately.
 //
 // expectLease is the lease word the caller last observed (from a decoded
@@ -952,23 +962,7 @@ func (e *Engine) UnlockOp(n *Node) fabric.Op {
 // InvalidateOp builds the write retiring a node after a type switch.
 func (e *Engine) InvalidateOp(n *Node) fabric.Op {
 	w := wire.WithStatus(n.HdrWord, wire.StatusInvalid)
-	return fabric.Op{Kind: fabric.Write, Addr: n.Addr, Data: leBytes(w)}
-}
-
-func leUint64(b []byte) uint64 {
-	v := uint64(0)
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func leBytes(v uint64) []byte {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	return b
+	return fabric.Op{Kind: fabric.Write, Addr: n.Addr, Data: binary.LittleEndian.AppendUint64(nil, w)}
 }
 
 // MatchPartial compares key against node n's compressed path. It returns

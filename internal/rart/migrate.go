@@ -35,22 +35,12 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 	if err != nil {
 		return false, err
 	}
-	depth := int(locked.Hdr.Depth)
-	if depth > len(key) {
+	if int(locked.Hdr.Depth) > len(key) {
 		// Restructured past this key since the walk snapshot.
 		return false, e.abort(nil, fmt.Errorf("relocate: node %v outgrew key: %w", locked.Addr, ErrRestart), locked, nil)
 	}
-	eol := len(key) == depth
-	var slot wire.Slot
-	var idx int
-	if eol {
-		slot = locked.EOL
-	} else {
-		var ok bool
-		if slot, idx, ok = locked.Child(key[depth]); !ok {
-			slot = wire.Slot{}
-		}
-	}
+	ed := locked.edgeOf(key)
+	slot := ed.slot
 	if !slot.Present || !slot.Leaf || slot.Addr.Node() == target {
 		// Deleted, converted to a subtree, or already home: nothing to move.
 		return false, e.abort(nil, nil, locked, nil)
@@ -74,62 +64,44 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 		// A writer beat us to the leaf; retry on a later sweep.
 		return false, e.abort(nil, fmt.Errorf("relocate: leaf %v contended: %w", slot.Addr, ErrRestart), locked, nil)
 	}
-	// Re-read the image under the lock: it is stable now (writers CAS the
-	// header before touching bytes, and we hold it).
-	buf := e.GrabBuf(uint64(leaf.Units) * wire.LeafUnit)
-	if err := e.C.Read(slot.Addr, buf); err != nil {
-		e.ReleaseBuf(buf)
-		if lerr := e.UnlockLeaf(&ll); lerr != nil {
-			return false, lerr
-		}
-		return false, e.abort(nil, err, locked, nil)
-	}
-	k, v, _, ok := wire.DecodeLeaf(buf)
-	if !ok || !bytes.Equal(k, key) {
-		e.ReleaseBuf(buf)
-		if lerr := e.UnlockLeaf(&ll); lerr != nil {
-			return false, lerr
-		}
-		return false, e.abort(nil, fmt.Errorf("relocate: leaf %v unstable under lock: %w", slot.Addr, ErrRestart), locked, nil)
-	}
-	img := wire.EncodeLeaf(wire.StatusIdle, k, v)
-	e.ReleaseBuf(buf)
-	newAddr, err := e.Alloc.Alloc(target, mem.ClassLeaf, uint64(len(img)))
-	if err == nil {
-		err = e.C.Write(newAddr, img)
-	}
+	newAddr, err := e.copyLockedLeaf(leaf, target)
 	if err != nil {
 		if lerr := e.UnlockLeaf(&ll); lerr != nil {
 			return false, lerr
 		}
 		return false, e.abort(nil, err, locked, nil)
 	}
-	newSlot := wire.Slot{Present: true, Leaf: true, Addr: newAddr}
-	var swing fabric.Op
-	if eol {
-		swing = fabric.Op{Kind: fabric.Write, Addr: locked.EOLAddr(), Data: leBytes(newSlot.Encode())}
-	} else {
-		newSlot.KeyByte = slot.KeyByte
-		swing = fabric.Op{Kind: fabric.Write, Addr: locked.SlotAddr(idx), Data: leBytes(newSlot.Encode())}
-	}
-	oldHdr := wire.LeafHeader{
-		Status: wire.StatusInvalid,
-		Units:  leaf.Units,
-		KeyLen: uint16(len(k)),
-		ValLen: uint32(len(v)),
-	}
 	// Commit: swing + retirement + unlock in one doorbell. The retirement
-	// releases the leaf lock too (Invalid supersedes Locked); readers and
-	// remote leaf-address caches holding the old address see Invalid and
+	// (the lengths are still leaf's: the header did not change before our
+	// lock) releases the leaf lock too — Invalid supersedes Locked; readers
+	// and remote leaf-address caches holding the old address see Invalid and
 	// refute/unlearn through their usual trust-but-verify paths.
-	if err := e.completeBatch([]fabric.Op{
-		swing,
-		{Kind: fabric.Write, Addr: slot.Addr, Data: leBytes(oldHdr.Encode())},
-		e.UnlockOp(locked),
-	}); err != nil {
+	newSlot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: newAddr}
+	if err := e.completeBatch(slotWrite(locked, ed, newSlot.Encode(), retireOp(leaf), e.UnlockOp(locked))); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// copyLockedLeaf re-reads leaf under its header lock, which the caller holds
+// — the image is stable now: writers CAS the header before touching bytes —
+// and writes it to a fresh allocation on target.
+func (e *Engine) copyLockedLeaf(leaf *Leaf, target mem.NodeID) (mem.Addr, error) {
+	buf := e.GrabBuf(uint64(leaf.Units) * wire.LeafUnit)
+	defer e.ReleaseBuf(buf)
+	if err := e.C.Read(leaf.Addr, buf); err != nil {
+		return 0, err
+	}
+	k, v, _, ok := wire.DecodeLeaf(buf)
+	if !ok || !bytes.Equal(k, leaf.Key) {
+		return 0, fmt.Errorf("relocate: leaf %v unstable under lock: %w", leaf.Addr, ErrRestart)
+	}
+	img := wire.EncodeLeaf(wire.StatusIdle, k, v)
+	addr, err := e.Alloc.Alloc(target, mem.ClassLeaf, uint64(len(img)))
+	if err == nil {
+		err = e.C.Write(addr, img)
+	}
+	return addr, err
 }
 
 // RelocateNode copies inner node child (whose full prefix is prefix and
@@ -141,10 +113,7 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 // its walk in, and whether a move happened.
 //
 // The protocol is the grow-and-install publication with the type kept:
-// both nodes locked, parent slot verified, swing + parent unlock in one
-// batch, hook to completion, then invalidation — the original's lease is
-// held until after the hook lands, so no competing type switch can read
-// the old address in between.
+// both nodes locked, parent slot verified, then replaceNode.
 func (e *Engine) RelocateNode(parent, child *Node, prefix []byte, target mem.NodeID, publish func(old, moved *Node) error) (*Node, bool, error) {
 	if child.Addr.Node() == target {
 		return nil, false, nil
@@ -157,10 +126,9 @@ func (e *Engine) RelocateNode(parent, child *Node, prefix []byte, target mem.Nod
 	if int(lockedParent.Hdr.Depth) >= len(prefix) {
 		return nil, false, e.abort(nil, fmt.Errorf("relocate: parent %v outgrew prefix: %w", lockedParent.Addr, ErrRestart), lockedParent, lockedChild)
 	}
-	edge := prefix[lockedParent.Hdr.Depth]
-	ps, idx, ok := lockedParent.Child(edge)
-	if !ok || ps.Leaf || ps.Addr != lockedChild.Addr {
-		return nil, false, e.abort(nil, fmt.Errorf("relocate: parent slot moved on %v: %w", lockedParent.Addr, ErrRestart), lockedParent, lockedChild)
+	ed, err := e.confirmEdge(nil, "relocate", lockedParent, lockedChild, prefix, lockedChild.Addr)
+	if err != nil {
+		return nil, false, err
 	}
 
 	// Clone the locked image at the same type: fresh lease, Idle status.
@@ -184,20 +152,9 @@ func (e *Engine) RelocateNode(parent, child *Node, prefix []byte, target mem.Nod
 	if err != nil {
 		return nil, false, e.abort(nil, err, lockedParent, lockedChild)
 	}
-	newSlot := wire.Slot{Present: true, KeyByte: edge, ChildType: clone.Hdr.Type, Addr: clone.Addr}
 	// Commit point: from here the publication runs to completion, exactly
-	// like a type switch — abandoning it midway would leave the retired
-	// original reachable through its stale hash entry.
-	if err := e.completeBatch([]fabric.Op{
-		{Kind: fabric.Write, Addr: lockedParent.SlotAddr(idx), Data: leBytes(newSlot.Encode())},
-		e.UnlockOp(lockedParent),
-	}); err != nil {
-		return nil, false, err
-	}
-	if err := e.completeHook(func() error { return publish(lockedChild, clone) }); err != nil {
-		return nil, false, err
-	}
-	if err := e.completeBatch([]fabric.Op{e.InvalidateOp(lockedChild)}); err != nil {
+	// like a type switch.
+	if err := e.replaceNode(lockedParent, ed, lockedChild, clone, func() error { return publish(lockedChild, clone) }); err != nil {
 		return nil, false, err
 	}
 	return clone, true, nil

@@ -145,6 +145,39 @@ func (n *Node) Child(b byte) (slot wire.Slot, idx int, ok bool) {
 	return wire.Slot{}, 0, false
 }
 
+// edge is the key's edge of a node: its EOL slot when the key ends at the
+// node's depth, else the child slot of the key's next byte.
+type edge struct {
+	slot wire.Slot // what the edge holds; the zero Slot while it is empty
+	eol  bool
+	b    byte     // child edge: the key byte it hangs off (0 for EOL, as in the slot)
+	idx  int      // child edge: the slot's position; for an empty edge, where a child would go
+	addr mem.Addr // the slot word; null for an empty child edge of a full node
+}
+
+// edge returns n's EOL edge, or its child edge for byte b.
+func (n *Node) edge(eol bool, b byte) edge {
+	if eol {
+		return edge{slot: n.EOL, eol: true, addr: n.EOLAddr()}
+	}
+	slot, idx, ok := n.Child(b)
+	if !ok {
+		if idx, ok = n.FreeSlot(b); !ok {
+			return edge{b: b}
+		}
+	}
+	return edge{slot: slot, b: b, idx: idx, addr: n.SlotAddr(idx)}
+}
+
+// edgeOf returns the edge of n that key runs through. key must reach n's
+// depth, as every key on n's path does.
+func (n *Node) edgeOf(key []byte) edge {
+	if d := int(n.Hdr.Depth); d < len(key) {
+		return n.edge(false, key[d])
+	}
+	return n.edge(true, 0)
+}
+
 // FreeSlot returns the position where a child for edge byte b can be
 // installed, or ok=false if the node is full for that byte.
 func (n *Node) FreeSlot(b byte) (idx int, ok bool) {

@@ -111,145 +111,138 @@ func OnPath(n *Node, key []byte) (match bool, inconsistent bool) {
 	return true, false
 }
 
+// landingKind says where a descent toward a key ended.
+type landingKind uint8
+
+const (
+	// landDiverged: the key leaves the tree inside n's compressed path, or
+	// ends within it.
+	landDiverged landingKind = iota
+	// landEmpty: the key's edge of n is empty.
+	landEmpty
+	// landLeaf: the edge holds a leaf — the key's, or that of another key
+	// that shares the prefix up to the edge.
+	landLeaf
+	// landCleared: the edge held the residue of an interrupted delete, which
+	// the walk finished (completeDelete): it is empty by now, though not in
+	// the image n.
+	landCleared
+)
+
+// landing is what a descent reports, by value: where it ended, the node it
+// ended in, that node's parent on this walk (nil while n is the start node)
+// and the key's edge of n. leaf is set for landLeaf: the leaf on the edge,
+// read whole and never Invalid.
+type landing struct {
+	kind      landingKind
+	n, parent *Node
+	edge      edge
+	leaf      *Leaf
+}
+
+// descend is the one walk from start toward key, shared by every point
+// operation (op names the caller in errors). It is lock-free and answers
+// ErrRestart for the transient states a retry resolves: an invalidated node,
+// a node off the key's path (OnPath), an Invalid leaf whose slot moved on.
+func (e *Engine) descend(op string, start *Node, key []byte, h Hooks) (landing, error) {
+	at := landing{n: start}
+	for hop := 0; hop < wire.MaxDepth+2; hop++ {
+		n := at.n
+		if n.Hdr.Status == wire.StatusInvalid {
+			return at, fmt.Errorf("%s: node %v invalid: %w", op, n.Addr, ErrRestart)
+		}
+		match, inconsistent := OnPath(n, key)
+		if inconsistent {
+			return at, fmt.Errorf("%s: node %v off path: %w", op, n.Addr, ErrRestart)
+		}
+		if !match {
+			return at, nil
+		}
+		h.SawNode(key[:n.Hdr.Depth], n)
+		at.edge = n.edgeOf(key)
+		slot := at.edge.slot
+		if !slot.Present {
+			at.kind = landEmpty
+			return at, nil
+		}
+		if !slot.Leaf {
+			child, err := e.ReadNode(slot.Addr, slot.ChildType)
+			if err != nil {
+				return at, err
+			}
+			at.n, at.parent = child, n
+			continue
+		}
+		leaf, err := e.ReadLeaf(slot.Addr)
+		if err != nil {
+			return at, err
+		}
+		if leaf.Status != wire.StatusInvalid {
+			at.kind, at.leaf = landLeaf, leaf
+			return at, nil
+		}
+		// An invalid leaf still linked from a slot is a delete that faulted
+		// between committing (invalidating the leaf) and clearing the slot.
+		// Finish it; the key is absent.
+		cleared, err := e.completeDelete(n, at.edge, leaf.Addr)
+		if err != nil {
+			return at, err
+		}
+		if !cleared {
+			return at, fmt.Errorf("%s: leaf %v invalid: %w", op, leaf.Addr, ErrRestart)
+		}
+		at.kind = landCleared
+		return at, nil
+	}
+	return at, fmt.Errorf("%w: descent exceeded max depth", ErrRetriesExhausted)
+}
+
 // SearchFrom descends from start toward key and returns the leaf reached,
 // or nil if the key is not in the tree. The returned leaf's Key can differ
 // from the searched key only when start was located via a collided hash
 // jump; callers that jump (Sphinx) compare and fall back (paper §III-B).
-//
-// The descent is lock-free; it returns ErrRestart when it observes a
-// transient state (invalidated node or leaf) that a retry will resolve.
 func (e *Engine) SearchFrom(start *Node, key []byte, h Hooks) (*Leaf, error) {
-	n := start
-	for hop := 0; hop < wire.MaxDepth+2; hop++ {
-		if n.Hdr.Status == wire.StatusInvalid {
-			return nil, fmt.Errorf("search: node %v invalid: %w", n.Addr, ErrRestart)
-		}
-		match, inconsistent := OnPath(n, key)
-		if inconsistent {
-			return nil, fmt.Errorf("search: node %v off path: %w", n.Addr, ErrRestart)
-		}
-		if !match {
-			return nil, nil
-		}
-		depth := int(n.Hdr.Depth)
-		h.SawNode(key[:depth], n)
-		var slot wire.Slot
-		if len(key) == depth {
-			slot = n.EOL
-			if !slot.Present {
-				return nil, nil
-			}
-		} else {
-			var ok bool
-			slot, _, ok = n.Child(key[depth])
-			if !ok {
-				return nil, nil
-			}
-		}
-		if slot.Leaf {
-			leaf, err := e.ReadLeaf(slot.Addr)
-			if err != nil {
-				return nil, err
-			}
-			if leaf.Status == wire.StatusInvalid {
-				// An invalid leaf still linked from a slot is a delete that
-				// faulted between committing (invalidating the leaf) and
-				// clearing the slot. Finish it; the key is absent.
-				cleared, cerr := e.completeDelete(n, len(key) == depth, slot.KeyByte, leaf.Addr)
-				if cerr != nil {
-					return nil, cerr
-				}
-				if cleared {
-					return nil, nil
-				}
-				return nil, fmt.Errorf("search: leaf %v invalid: %w", leaf.Addr, ErrRestart)
-			}
-			return leaf, nil
-		}
-		child, err := e.ReadNode(slot.Addr, slot.ChildType)
-		if err != nil {
-			return nil, err
-		}
-		n = child
+	at, err := e.descend("search", start, key, h)
+	if err != nil || at.kind != landLeaf {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: descent exceeded max depth", ErrRetriesExhausted)
+	return at.leaf, nil
 }
 
 // PutFrom inserts or updates key starting from the given node, per mode.
 // It returns whether the key already existed. ErrRestart and ErrNeedParent
 // bubble up for the caller to re-locate its start node and retry.
 func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) (existed bool, err error) {
-	n := start
-	var parent *Node // nil while n == start
-	for hop := 0; hop < wire.MaxDepth+2; hop++ {
-		if n.Hdr.Status == wire.StatusInvalid {
-			return false, fmt.Errorf("put: node %v invalid: %w", n.Addr, ErrRestart)
+	at, err := e.descend("put", start, key, h)
+	switch {
+	case err != nil:
+		return false, err
+	case at.kind == landCleared:
+		// The one landing the operations answer differently: Search and
+		// Delete say "absent", but a put would install into an image that
+		// predates the repair. The retried descent sees a free slot.
+		return false, fmt.Errorf("put: leaf %v invalid: %w", at.edge.slot.Addr, ErrRestart)
+	case at.kind == landLeaf && bytes.Equal(at.leaf.Key, key):
+		if mode == PutInsertOnly {
+			return true, nil
 		}
-		match, inconsistent := OnPath(n, key)
-		if inconsistent {
-			return false, fmt.Errorf("put: node %v off path: %w", n.Addr, ErrRestart)
-		}
-		if !match {
-			// Key diverges inside n's compressed path (or ends within
-			// it): split n's partial under a new parent node.
-			if mode == PutUpdateOnly {
-				return false, nil
-			}
-			if parent == nil {
-				return false, ErrNeedParent
-			}
-			return false, e.splitPartial(parent, n, key, value, h)
-		}
-		depth := int(n.Hdr.Depth)
-		h.SawNode(key[:depth], n)
-		var slot wire.Slot
-		eol := len(key) == depth
-		if eol {
-			slot = n.EOL
-		} else {
-			slot, _, _ = n.Child(key[depth])
-		}
-		switch {
-		case !slot.Present:
-			if mode == PutUpdateOnly {
-				return false, nil
-			}
-			return false, e.installLeaf(parent, n, key, value, eol, h)
-		case slot.Leaf:
-			leaf, err := e.ReadLeaf(slot.Addr)
-			if err != nil {
-				return false, err
-			}
-			if leaf.Status == wire.StatusInvalid {
-				// Residue of an interrupted delete (see completeDelete).
-				// Repair, then restart: the retried descent sees a free
-				// slot and installs normally.
-				if _, cerr := e.completeDelete(n, eol, slot.KeyByte, leaf.Addr); cerr != nil {
-					return false, cerr
-				}
-				return false, fmt.Errorf("put: leaf %v invalid: %w", leaf.Addr, ErrRestart)
-			}
-			if bytes.Equal(leaf.Key, key) {
-				if mode == PutInsertOnly {
-					return true, nil
-				}
-				return true, e.updateLeaf(n, leaf, key, value, eol, h)
-			}
-			if mode == PutUpdateOnly {
-				return false, nil
-			}
-			// Two distinct keys on one edge: grow the edge into a chain
-			// of inner nodes covering their shared prefix.
-			return false, e.convertLeaf(n, key, value, leaf, h)
-		default:
-			child, err := e.ReadNode(slot.Addr, slot.ChildType)
-			if err != nil {
-				return false, err
-			}
-			parent, n = n, child
-		}
+		return true, e.updateLeaf(at.n, at.leaf, key, value, h)
+	case mode == PutUpdateOnly:
+		// Every other landing says the key is absent.
+		return false, nil
+	case at.kind == landEmpty:
+		return false, e.installLeaf(at.parent, at.n, key, value, at.edge, h)
+	case at.kind == landLeaf:
+		// Two distinct keys on one edge: grow the edge into a chain
+		// of inner nodes covering their shared prefix.
+		return false, e.convertLeaf(at.n, key, value, at.leaf, h)
+	case at.parent == nil:
+		// landDiverged in the start node: its parent is unknown.
+		return false, ErrNeedParent
 	}
-	return false, fmt.Errorf("%w: descent exceeded max depth", ErrRetriesExhausted)
+	// Key diverges inside n's compressed path (or ends within it): split
+	// n's partial under a new parent node.
+	return false, e.splitPartial(at.parent, at.n, key, value, h)
 }
 
 // lockVerified acquires n's lock alone, with nothing riding the batch; see
@@ -271,15 +264,80 @@ func (e *Engine) plan(st *staged, h Hooks, pubs []Publication) (Publisher, error
 	return pub, nil
 }
 
+// confirmEdge re-derives key's edge from locked, the image read under the
+// node's lock, and confirms that it still names addr (null: is still empty)
+// as it did in the unlocked image the write was planned on. The locked image
+// is authoritative: if a competing writer moved or claimed the edge first,
+// the write aborts into a restart, releasing locked and also. Comparing
+// addresses is enough — the allocator never reuses one, so an address is a
+// leaf's or a node's for good.
+func (e *Engine) confirmEdge(st *staged, op string, locked, also *Node, key []byte, addr mem.Addr) (edge, error) {
+	ed := locked.edgeOf(key)
+	if ed.slot.Addr != addr {
+		return ed, e.abort(st, fmt.Errorf("%s: edge moved on %v: %w", op, locked.Addr, ErrRestart), also, locked)
+	}
+	return ed, nil
+}
+
+// slotWrite builds a commit batch: the WRITE of word into the slot of ed, an
+// edge of the locked node n, then the verbs of then (the unlock last). An
+// edge that appears in or disappears from a Node48 takes its index byte
+// along; a swing from one child to another leaves it alone.
+func slotWrite(n *Node, ed edge, word uint64, then ...fabric.Op) []fabric.Op {
+	present := word != 0
+	indexed := n.Hdr.Type == wire.Node48 && !ed.eol && present != ed.slot.Present
+	size := 1 + len(then)
+	if indexed {
+		size++
+	}
+	ops := append(make([]fabric.Op, 0, size),
+		fabric.Op{Kind: fabric.Write, Addr: ed.addr, Data: binary.LittleEndian.AppendUint64(nil, word)})
+	if indexed {
+		pos := uint8(0)
+		if present {
+			pos = uint8(ed.idx + 1)
+		}
+		ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: n.IndexAddr(ed.b), Data: []byte{pos}})
+	}
+	return append(ops, then...)
+}
+
+// swing repoints ed, an edge of the locked node n, at the inner node to and
+// releases n, in one batch driven to completion: the commit point of a leaf
+// conversion, the publication of a split's or a replacement's new node.
+func (e *Engine) swing(n *Node, ed edge, to *Node) error {
+	slot := wire.Slot{Present: true, KeyByte: ed.b, ChildType: to.Hdr.Type, Addr: to.Addr}
+	return e.completeBatch(slotWrite(n, ed, slot.Encode(), e.UnlockOp(n)))
+}
+
+// retireOp builds the header WRITE that retires a leaf, so that readers that
+// still hold its address restart their operation. The header keeps the
+// lengths the leaf was read with, so a reader that decodes it sees a
+// checksum-consistent Invalid image.
+func retireOp(leaf *Leaf) fabric.Op {
+	hdr := wire.LeafHeader{
+		Status: wire.StatusInvalid,
+		Units:  leaf.Units,
+		KeyLen: uint16(len(leaf.Key)),
+		ValLen: uint32(len(leaf.Value)),
+	}
+	return fabric.Op{Kind: fabric.Write, Addr: leaf.Addr, Data: binary.LittleEndian.AppendUint64(nil, hdr.Encode())}
+}
+
+// invalidateLeaf retires a leaf in a round trip of its own.
+func (e *Engine) invalidateLeaf(leaf *Leaf) error {
+	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
+	op := retireOp(leaf)
+	return e.C.Write(op.Addr, op.Data)
+}
+
 // installLeaf links a fresh leaf into node n in two round trips (paper §IV
 // Insert): the leaf WRITE rides the lock batch, the slot install carries
 // the unlock.
-func (e *Engine) installLeaf(parent, n *Node, key, value []byte, eol bool, h Hooks) error {
+func (e *Engine) installLeaf(parent, n *Node, key, value []byte, ed edge, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageInstall))
-	if !eol {
-		if _, free := n.FreeSlot(key[n.Hdr.Depth]); !free {
-			return e.growAndInstall(parent, n, key, value, h)
-		}
+	if ed.addr.IsNull() {
+		return e.growAndInstall(parent, n, key, value, h)
 	}
 	st := e.stage()
 	leafAddr, err := e.stageLeaf(&st, key, value)
@@ -290,32 +348,15 @@ func (e *Engine) installLeaf(parent, n *Node, key, value []byte, eol bool, h Hoo
 	if err != nil {
 		return err
 	}
-	// The locked image is authoritative: if a competing writer claimed the
-	// edge or the last free slot first, redo the descent.
-	slot := wire.Slot{Present: true, Leaf: true, Addr: leafAddr}
-	if eol {
-		if locked.EOL.Present {
-			return e.abort(&st, fmt.Errorf("install: edge claimed on %v: %w", locked.Addr, ErrRestart), locked, nil)
-		}
-		return e.C.Batch([]fabric.Op{
-			{Kind: fabric.Write, Addr: locked.EOLAddr(), Data: leBytes(slot.Encode())},
-			e.UnlockOp(locked),
-		})
+	if ed, err = e.confirmEdge(&st, "install", locked, nil, key, 0); err != nil {
+		return err
 	}
-	slot.KeyByte = key[int(locked.Hdr.Depth)]
-	if _, _, ok := locked.Child(slot.KeyByte); ok {
-		return e.abort(&st, fmt.Errorf("install: edge claimed on %v: %w", locked.Addr, ErrRestart), locked, nil)
-	}
-	idx, ok := locked.FreeSlot(slot.KeyByte)
-	if !ok {
+	if ed.addr.IsNull() {
+		// A competing writer took the last free slot first.
 		return e.abort(&st, fmt.Errorf("install: node %v filled up: %w", locked.Addr, ErrRestart), locked, nil)
 	}
-	ops := []fabric.Op{{Kind: fabric.Write, Addr: locked.SlotAddr(idx), Data: leBytes(slot.Encode())}}
-	if locked.Hdr.Type == wire.Node48 {
-		ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: locked.IndexAddr(slot.KeyByte), Data: []byte{uint8(idx + 1)}})
-	}
-	ops = append(ops, e.UnlockOp(locked))
-	return e.C.Batch(ops)
+	slot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: leafAddr}
+	return e.C.Batch(slotWrite(locked, ed, slot.Encode(), e.UnlockOp(locked)))
 }
 
 // sameImage reports whether the image read under the lock still is the one
@@ -335,11 +376,10 @@ func sameImage(locked, seen *Node) bool {
 }
 
 // growAndInstall performs a node type switch (paper §III-C): a larger copy
-// of the full node n absorbs the new key's slot, the parent is repointed,
-// the hash table is updated through the publisher, and the original is
-// invalidated so that readers holding stale pointers retry. The copy is
-// built from the descent's unlocked image and written, with the new leaf,
-// in the batch that locks both nodes; the locked image must then match it.
+// of the full node n absorbs the new key's slot and replaces n (replaceNode).
+// The copy is built from the descent's unlocked image and written, with the
+// new leaf, in the batch that locks both nodes; the locked image must then
+// match it.
 func (e *Engine) growAndInstall(parent, n *Node, key, value []byte, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
 	if parent == nil {
@@ -373,99 +413,87 @@ func (e *Engine) growAndInstall(parent, n *Node, key, value []byte, h Hooks) err
 	if !sameImage(locked, n) {
 		return e.abort(&st, fmt.Errorf("grow: node %v changed: %w", locked.Addr, ErrRestart), locked, lockedParent)
 	}
-	edge := key[lockedParent.Hdr.Depth]
-	ps, idx, ok := lockedParent.Child(edge)
-	if !ok || ps.Addr != locked.Addr {
-		return e.abort(&st, fmt.Errorf("grow: parent slot moved on %v: %w", lockedParent.Addr, ErrRestart), locked, lockedParent)
-	}
-	newSlot := wire.Slot{Present: true, KeyByte: edge, ChildType: grown.Hdr.Type, Addr: grown.Addr}
-
-	// Publish phase: parent slot → grown, hash entry → grown, original →
-	// invalid. Abandoning this sequence midway would leave the retired
-	// original valid yet reachable through its stale hash entry, and every
-	// later jump-started descent would miss children only the grown copy
-	// has (a permanent false absence). So once the parent slot is
-	// verified, the publish runs to completion under its own backoff.
-	if err := e.completeBatch([]fabric.Op{
-		{Kind: fabric.Write, Addr: lockedParent.SlotAddr(idx), Data: leBytes(newSlot.Encode())},
-		e.UnlockOp(lockedParent),
-	}); err != nil {
+	ed, err := e.confirmEdge(&st, "grow", lockedParent, locked, key, locked.Addr)
+	if err != nil {
 		return err
 	}
-	if err := e.completeHook(pub.Publish); err != nil {
-		return err
-	}
-	// Invalidation both retires the original and releases any waiters on
-	// its lock into a retry (paper §III-C).
-	return e.completeBatch([]fabric.Op{e.InvalidateOp(locked)})
+	return e.replaceNode(lockedParent, ed, locked, grown, pub.Publish)
 }
 
-// completeBatch drives one doorbell batch to completion. Only for use
-// past an operation's commit point, where abandoning the batch would
-// strand the structure mid-protocol. A timeout means every verb executed
-// and only the completion was lost, so it counts as done and is never
-// re-issued — re-issuing could clobber state the batch's own trailing
-// unlock already handed to another client. A transient fault failed
-// mid-batch without releasing anything (the unlock, when present, is the
-// last verb), so re-issuing is safe. A batch a permanently killed node
-// rejected executed no verb and never will (ErrNodeKilled wraps ErrNodeDown,
-// so it has to be told apart first): the error goes back at once, still
-// naming the node, so the layer above can fail the operation over instead of
-// watching the budget die on "retries exhausted".
-func (e *Engine) completeBatch(ops []fabric.Op) error {
+// replaceNode is what a type switch and a node relocation share, from their
+// commit point on: parent slot → replacement (releasing the parent), hash
+// entry → replacement through publish, original → invalid. Abandoning this
+// sequence midway would leave the retired original valid yet reachable
+// through its stale hash entry, and every later jump-started descent would
+// miss children only the replacement has (a permanent false absence). So
+// once the parent slot is verified, each step runs to completion under its
+// own backoff. The original's lease is held until the invalidation — no
+// competing type switch can read the old address in between — which both
+// retires the original and releases any waiters on its lock into a retry
+// (paper §III-C).
+func (e *Engine) replaceNode(lockedParent *Node, ed edge, original, replacement *Node, publish func() error) error {
+	if err := e.swing(lockedParent, ed, replacement); err != nil {
+		return err
+	}
+	if err := e.completeHook(publish); err != nil {
+		return err
+	}
+	return e.completeBatch([]fabric.Op{e.InvalidateOp(original)})
+}
+
+// complete drives one step past an operation's commit point to completion,
+// where abandoning it would strand the structure mid-protocol. The step is a
+// doorbell batch (completeBatch) or an idempotent side-structure publication
+// (completeHook), and the one thing that tells them apart is what a lost
+// completion means, rerunTimeout:
+//
+//   - A timed-out batch executed every verb, so it counts as done and is
+//     never re-issued — re-issuing could clobber state the batch's own
+//     trailing unlock already handed to another client. A timed-out hook (a
+//     hash-table insert or swap that returns early on an entry already
+//     there) is simply run again.
+//   - A transient fault failed mid-batch without releasing anything (the
+//     unlock, when present, is the last verb), and a down window executed
+//     nothing: both wait and go again.
+//   - A permanently killed node rejected the step, executed no verb and never
+//     will (ErrNodeKilled wraps ErrNodeDown, so it has to be told apart
+//     first): the error goes back at once, still naming the node, so the
+//     layer above can fail the operation over instead of watching the budget
+//     die on "retries exhausted".
+func (e *Engine) complete(what string, rerunTimeout bool, step func() error) error {
 	var bo *fabric.Backoff // started by the first fault: the clean path allocates nothing
 	for {
-		err := e.C.Batch(ops)
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, fabric.ErrNodeKilled):
+		err := step()
+		cause := RetryCause(err)
+		if cause == CauseNone || cause == CauseStructural || errors.Is(err, fabric.ErrNodeKilled) {
 			return err
-		case errors.Is(err, fabric.ErrTimeout):
-			atomic.AddUint64(&e.stats.PublishRetries, 1)
+		}
+		atomic.AddUint64(&e.stats.PublishRetries, 1)
+		if cause == CauseTimeout && !rerunTimeout {
 			return nil
-		case errors.Is(err, fabric.ErrTransient) || errors.Is(err, fabric.ErrNodeDown):
-			atomic.AddUint64(&e.stats.PublishRetries, 1)
-			if bo == nil {
-				bo = e.Backoff()
-			}
-			if !bo.Wait() {
-				return fmt.Errorf("%w: publish batch", ErrRetriesExhausted)
-			}
-		default:
-			return err
+		}
+		if bo == nil {
+			bo = e.Backoff()
+		}
+		if !bo.Wait() {
+			return fmt.Errorf("%w: %s", ErrRetriesExhausted, what)
 		}
 	}
 }
 
-// completeHook drives a side-structure publication (a hash-table insert
-// or swap) to completion across fabric faults. By the time these hooks
-// run, the new nodes are already reachable through the tree, and other
-// clients' protocols rely on the publication eventually landing — a later
-// type switch waits for the node's hash entry before swapping it, so an
-// abandoned insert would wedge every grow of that node. The hooks are
-// idempotent (the table insert returns early on an already-present entry),
-// so re-execution is safe. A table on a permanently killed node is gone for
-// good: that error is returned at once, like completeBatch's.
+// completeBatch drives one doorbell batch to completion; see complete.
+func (e *Engine) completeBatch(ops []fabric.Op) error {
+	return e.complete("publish batch", false, func() error { return e.C.Batch(ops) })
+}
+
+// completeHook drives a side-structure publication to completion across
+// fabric faults; see complete. By the time these hooks run, the new nodes are
+// already reachable through the tree, and other clients' protocols rely on
+// the publication eventually landing — a later type switch waits for the
+// node's hash entry before swapping it, so an abandoned insert would wedge
+// every grow of that node.
 func (e *Engine) completeHook(run func() error) error {
-	bo := e.Backoff()
-	for {
-		err := run()
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, fabric.ErrNodeKilled):
-			return err
-		case errors.Is(err, fabric.ErrTransient) || errors.Is(err, fabric.ErrTimeout) ||
-			errors.Is(err, fabric.ErrNodeDown):
-			atomic.AddUint64(&e.stats.PublishRetries, 1)
-			if !bo.Wait() {
-				return fmt.Errorf("%w: hook publication", ErrRetriesExhausted)
-			}
-		default:
-			return err
-		}
-	}
+	return e.complete("hook publication", true, run)
 }
 
 // convertLeaf replaces a leaf edge of n by a chain of inner nodes covering
@@ -478,7 +506,6 @@ func (e *Engine) completeHook(run func() error) error {
 func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
 	depth := int(n.Hdr.Depth)
-	edge := key[depth]
 	cp := CommonPrefixLen(key, oldLeaf.Key)
 	if cp <= depth {
 		// The leaf does not actually extend this node's prefix: the
@@ -543,19 +570,14 @@ func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks)
 	if err != nil {
 		return err
 	}
-	ps, idx, ok := locked.Child(edge)
-	if !ok || !ps.Leaf || ps.Addr != oldLeaf.Addr {
-		return e.abort(&st, fmt.Errorf("convert: slot moved on %v: %w", locked.Addr, ErrRestart), locked, nil)
+	ed, err := e.confirmEdge(&st, "convert", locked, nil, key, oldLeaf.Addr)
+	if err != nil {
+		return err
 	}
-	top := chain[len(chain)-1]
-	newSlot := wire.Slot{Present: true, KeyByte: edge, ChildType: top.Hdr.Type, Addr: top.Addr}
 	// The swing is the commit point; it and the hash publications below
 	// must land even across faults, or a later type switch of a chain node
 	// would wait forever for its hash entry.
-	if err := e.completeBatch([]fabric.Op{
-		{Kind: fabric.Write, Addr: locked.SlotAddr(idx), Data: leBytes(newSlot.Encode())},
-		e.UnlockOp(locked),
-	}); err != nil {
+	if err := e.swing(locked, ed, chain[len(chain)-1]); err != nil {
 		return err
 	}
 	return e.completeHook(pub.Publish)
@@ -613,10 +635,9 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 	if !bytes.Equal(lockedChild.Partial, child.Partial) {
 		return e.abort(&st, fmt.Errorf("split: partial changed on %v: %w", lockedChild.Addr, ErrRestart), lockedChild, lockedParent)
 	}
-	edge := key[lockedParent.Hdr.Depth]
-	ps, idx, ok := lockedParent.Child(edge)
-	if !ok || ps.Leaf || ps.Addr != lockedChild.Addr {
-		return e.abort(&st, fmt.Errorf("split: parent slot moved on %v: %w", lockedParent.Addr, ErrRestart), lockedChild, lockedParent)
+	ed, err := e.confirmEdge(&st, "split", lockedParent, lockedChild, key, lockedChild.Addr)
+	if err != nil {
+		return err
 	}
 
 	// Shrink the child's partial: header + partial bytes live in the first
@@ -640,11 +661,7 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 	}
 
 	// Publish the new parent and release the old one.
-	newSlot := wire.Slot{Present: true, KeyByte: edge, ChildType: mid.Hdr.Type, Addr: mid.Addr}
-	if err := e.completeBatch([]fabric.Op{
-		{Kind: fabric.Write, Addr: lockedParent.SlotAddr(idx), Data: leBytes(newSlot.Encode())},
-		e.UnlockOp(lockedParent),
-	}); err != nil {
+	if err := e.swing(lockedParent, ed, mid); err != nil {
 		return err
 	}
 	return e.completeHook(pub.Publish)
@@ -654,7 +671,7 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 // in-place with the checksum scheme when the new value fits the leaf's
 // 64-byte units, out-of-place (new leaf, repointed slot, invalidated old)
 // otherwise.
-func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool, h Hooks) error {
+func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
 	if wire.LeafSize(len(leaf.Key), len(value)) <= uint64(leaf.Units)*wire.LeafUnit {
 		if err := e.updateLeafInPlace(leaf, value); err != nil {
@@ -675,20 +692,9 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool, h 
 	if err != nil {
 		return err
 	}
-	var slotAddr [1]fabric.Op
-	newSlot := wire.Slot{Present: true, Leaf: true, Addr: newAddr}
-	if eol {
-		if !locked.EOL.Present || locked.EOL.Addr != leaf.Addr {
-			return e.abort(&st, fmt.Errorf("update: EOL moved on %v: %w", locked.Addr, ErrRestart), locked, nil)
-		}
-		slotAddr[0] = fabric.Op{Kind: fabric.Write, Addr: locked.EOLAddr(), Data: leBytes(newSlot.Encode())}
-	} else {
-		ps, idx, ok := locked.Child(key[int(locked.Hdr.Depth)])
-		if !ok || ps.Addr != leaf.Addr {
-			return e.abort(&st, fmt.Errorf("update: slot moved on %v: %w", locked.Addr, ErrRestart), locked, nil)
-		}
-		newSlot.KeyByte = ps.KeyByte
-		slotAddr[0] = fabric.Op{Kind: fabric.Write, Addr: locked.SlotAddr(idx), Data: leBytes(newSlot.Encode())}
+	ed, err := e.confirmEdge(&st, "update", locked, nil, key, leaf.Addr)
+	if err != nil {
+		return err
 	}
 	// Commit batch: swing the slot, retire the old leaf, release the lock —
 	// all in one doorbell. Retiring in the SAME batch (not a follow-up round
@@ -696,17 +702,8 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool, h 
 	// executes fully, so a fault here can no longer leave the old leaf
 	// checksum-valid and Idle at an address other compute nodes still have
 	// cached — an orphan a speculative read would wrongly trust.
-	oldHdr := wire.LeafHeader{
-		Status: wire.StatusInvalid,
-		Units:  leaf.Units,
-		KeyLen: uint16(len(leaf.Key)),
-		ValLen: uint32(len(leaf.Value)),
-	}
-	err = e.C.Batch([]fabric.Op{
-		slotAddr[0],
-		{Kind: fabric.Write, Addr: leaf.Addr, Data: leBytes(oldHdr.Encode())},
-		e.UnlockOp(locked),
-	})
+	newSlot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: newAddr}
+	err = e.C.Batch(slotWrite(locked, ed, newSlot.Encode(), retireOp(leaf), e.UnlockOp(locked)))
 	if err != nil {
 		// A transient fault truncates the batch at a random verb, so the
 		// swing may have landed without the retirement. Probe the slot: if
@@ -717,7 +714,7 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool, h 
 		// publication: were it abandoned, the restarted put would find the
 		// key at the new leaf and acknowledge with the old one still Idle.
 		_ = e.completeHook(func() error {
-			word, rerr := e.C.ReadUint64(slotAddr[0].Addr)
+			word, rerr := e.C.ReadUint64(ed.addr)
 			if rerr != nil {
 				return rerr
 			}
@@ -738,14 +735,14 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, eol bool, h 
 // updateLeafInPlace is the checksum-based single-WRITE update (§III-C):
 // lock the leaf with one CAS on its header word, then write the whole new
 // image — new value, new checksum, Idle status — in one WRITE that doubles
-// as the lock release (WriteLockedLeaf). A lock that never clears (its
-// holder crashed before the WRITE; the old image is intact underneath) is
-// broken after a full lease of watching, like ReadLeaf does.
+// as the lock release (WriteLockedLeaf). A lock that never clears is broken
+// after a lease of watching, for ReadLeaf's reason: the old image is intact
+// underneath.
 func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
 	l := lockOf(leaf)
 	var bo *fabric.Backoff // started by the first lost attempt
-	var watching uint64
+	var watch leaseWatch
 	for {
 		// A lost attempt leaves the observed header in l.Seen, and the next
 		// one expects its Idle form: a concurrent in-place update that
@@ -763,18 +760,10 @@ func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 		case wire.StatusInvalid:
 			return fmt.Errorf("update: leaf %v invalidated: %w", leaf.Addr, ErrRestart)
 		case wire.StatusLocked:
-			if l.Seen != watching {
-				watching = l.Seen
-				bo.ResetWatch()
-			} else if bo.WaitedPs() >= defaultLeasePs {
-				// Stuck lock: restore Idle over the intact old image.
-				if broke, err := e.C.CompareSwap(leaf.Addr, l.Seen, wire.WithStatus(l.Seen, wire.StatusIdle)); err != nil {
+			if watch.expired(bo, l.Seen) {
+				if err := e.breakLeafLock(leaf.Addr, l.Seen, &watch, bo); err != nil {
 					return err
-				} else if broke == l.Seen {
-					atomic.AddUint64(&e.stats.LeafLockBreaks, 1)
 				}
-				watching = 0
-				bo.ResetWatch()
 			}
 		}
 		if !bo.Wait() {
@@ -783,117 +772,33 @@ func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 	}
 }
 
-// invalidateLeaf retires a leaf so readers that still hold its address
-// restart their operation. The header keeps the lengths the leaf was read
-// with, so a reader that decodes it sees a checksum-consistent Invalid
-// image.
-func (e *Engine) invalidateLeaf(leaf *Leaf) error {
-	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
-	hdr := wire.LeafHeader{
-		Status: wire.StatusInvalid,
-		Units:  leaf.Units,
-		KeyLen: uint16(len(leaf.Key)),
-		ValLen: uint32(len(leaf.Value)),
-	}
-	return e.C.WriteUint64(leaf.Addr, hdr.Encode())
-}
-
 // DeleteFrom removes key, reporting whether it was present (paper §IV
 // Delete: invalidate the leaf, then clear the parent slot).
 func (e *Engine) DeleteFrom(start *Node, key []byte, h Hooks) (bool, error) {
-	n := start
-	for hop := 0; hop < wire.MaxDepth+2; hop++ {
-		if n.Hdr.Status == wire.StatusInvalid {
-			return false, fmt.Errorf("delete: node %v invalid: %w", n.Addr, ErrRestart)
-		}
-		match, inconsistent := OnPath(n, key)
-		if inconsistent {
-			return false, fmt.Errorf("delete: node %v off path: %w", n.Addr, ErrRestart)
-		}
-		if !match {
-			return false, nil
-		}
-		depth := int(n.Hdr.Depth)
-		h.SawNode(key[:depth], n)
-		eol := len(key) == depth
-		var slot wire.Slot
-		if eol {
-			slot = n.EOL
-			if !slot.Present {
-				return false, nil
-			}
-		} else {
-			var ok bool
-			slot, _, ok = n.Child(key[depth])
-			if !ok {
-				return false, nil
-			}
-		}
-		if !slot.Leaf {
-			child, err := e.ReadNode(slot.Addr, slot.ChildType)
-			if err != nil {
-				return false, err
-			}
-			n = child
-			continue
-		}
-		leaf, err := e.ReadLeaf(slot.Addr)
-		if err != nil {
-			return false, err
-		}
-		if leaf.Status == wire.StatusInvalid {
-			// Residue of an interrupted delete (see completeDelete): finish
-			// the clear. Either way the key is already deleted.
-			cleared, cerr := e.completeDelete(n, eol, slot.KeyByte, leaf.Addr)
-			if cerr != nil {
-				return false, cerr
-			}
-			if cleared {
-				return false, nil
-			}
-			return false, fmt.Errorf("delete: leaf %v invalid: %w", leaf.Addr, ErrRestart)
-		}
-		if !bytes.Equal(leaf.Key, key) {
-			return false, nil
-		}
-		locked, err := e.lockVerified(n)
-		if err != nil {
-			return false, err
-		}
-		var clearAddr fabric.Op
-		if eol {
-			if !locked.EOL.Present || locked.EOL.Addr != leaf.Addr {
-				return false, e.abort(nil, fmt.Errorf("delete: EOL moved on %v: %w", locked.Addr, ErrRestart), locked, nil)
-			}
-			clearAddr = fabric.Op{Kind: fabric.Write, Addr: locked.EOLAddr(), Data: leBytes(0)}
-		} else {
-			ps, idx, ok := locked.Child(key[depth])
-			if !ok || ps.Addr != leaf.Addr {
-				return false, e.abort(nil, fmt.Errorf("delete: slot moved on %v: %w", locked.Addr, ErrRestart), locked, nil)
-			}
-			clearAddr = fabric.Op{Kind: fabric.Write, Addr: locked.SlotAddr(idx), Data: leBytes(0)}
-		}
-		if err := e.invalidateLeaf(leaf); err != nil {
-			return false, err
-		}
-		ops := []fabric.Op{clearAddr}
-		if !eol && locked.Hdr.Type == wire.Node48 {
-			ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: locked.IndexAddr(key[depth]), Data: []byte{0}})
-		}
-		ops = append(ops, e.UnlockOp(locked))
-		// The invalidation above was the commit point; drive the clear to
-		// completion so the slot does not linger pointing at a dead leaf
-		// (completeDelete repairs that state, but only when a descent
-		// happens to revisit this edge).
-		prevStage := e.C.SetStage(fabric.StageInstall)
-		err = e.completeBatch(ops)
-		e.C.SetStage(prevStage)
-		if err != nil {
-			return false, err
-		}
-		return true, nil
+	at, err := e.descend("delete", start, key, h)
+	if err != nil || at.kind != landLeaf || !bytes.Equal(at.leaf.Key, key) {
+		return false, err
 	}
-	return false, fmt.Errorf("%w: descent exceeded max depth", ErrRetriesExhausted)
+	locked, err := e.lockVerified(at.n)
+	if err != nil {
+		return false, err
+	}
+	ed, err := e.confirmEdge(nil, "delete", locked, nil, key, at.leaf.Addr)
+	if err != nil {
+		return false, err
+	}
+	if err := e.invalidateLeaf(at.leaf); err != nil {
+		return false, err
+	}
+	// The invalidation above was the commit point; drive the clear to
+	// completion so the slot does not linger pointing at a dead leaf
+	// (completeDelete repairs that state, but only when a descent
+	// happens to revisit this edge).
+	defer e.C.SetStage(e.C.SetStage(fabric.StageInstall))
+	if err := e.completeBatch(slotWrite(locked, ed, 0, e.UnlockOp(locked))); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // completeDelete finishes an interrupted delete on behalf of whoever
@@ -903,28 +808,21 @@ func (e *Engine) DeleteFrom(start *Node, key []byte, h Hooks) (bool, error) {
 // before retiring the old leaf, so under the node lock the pairing is
 // unambiguous. Clearing the slot here unblocks every descent through this
 // edge — without the repair, the tree answers ErrRestart on this key
-// forever. The edge is n's EOL slot or the child slot for byte edge. Reports
+// forever. at is the edge as the caller's image of n has it. Reports
 // whether it cleared the slot; false means the edge moved on and the caller
 // should restart its descent.
-func (e *Engine) completeDelete(n *Node, eol bool, edge byte, leafAddr mem.Addr) (bool, error) {
+func (e *Engine) completeDelete(n *Node, at edge, leafAddr mem.Addr) (bool, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
 	locked, err := e.lockVerified(n)
 	if err != nil {
 		return false, err
 	}
-	var ops []fabric.Op
-	if eol {
-		if locked.EOL.Present && locked.EOL.Leaf && locked.EOL.Addr == leafAddr {
-			ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: locked.EOLAddr(), Data: leBytes(0)})
-		}
-	} else if ps, idx, ok := locked.Child(edge); ok && ps.Leaf && ps.Addr == leafAddr {
-		ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: locked.SlotAddr(idx), Data: leBytes(0)})
-		if locked.Hdr.Type == wire.Node48 {
-			ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: locked.IndexAddr(edge), Data: []byte{0}})
-		}
+	ops := []fabric.Op{e.UnlockOp(locked)}
+	ed := locked.edge(at.eol, at.b)
+	cleared := ed.slot.Leaf && ed.slot.Addr == leafAddr
+	if cleared {
+		ops = slotWrite(locked, ed, 0, ops...)
 	}
-	cleared := len(ops) > 0
-	ops = append(ops, e.UnlockOp(locked))
 	if err := e.C.Batch(ops); err != nil {
 		return false, err
 	}
@@ -932,11 +830,4 @@ func (e *Engine) completeDelete(n *Node, eol bool, edge byte, leafAddr mem.Addr)
 		atomic.AddUint64(&e.stats.DeleteRepairs, 1)
 	}
 	return cleared, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

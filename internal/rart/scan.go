@@ -2,6 +2,7 @@ package rart
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -183,7 +184,7 @@ func (s *scanner) drain() bool {
 		case entLeaf:
 			// Key and value lie back to back in the image; only now, for a
 			// leaf that is returned, are they copied out of the arena.
-			h := wire.DecodeLeafHeader(leUint64(ent.img))
+			h := wire.DecodeLeafHeader(binary.LittleEndian.Uint64(ent.img))
 			kv := append([]byte(nil), ent.img[wire.LeafHeaderSize:wire.LeafHeaderSize+int(h.KeyLen)+int(h.ValLen)]...)
 			if s.out == nil && s.limit > 0 {
 				s.out = make([]KV, 0, min(s.limit, 2*scanChunk))
@@ -281,7 +282,7 @@ func (s *scanner) post(next []scanEnt, ent scanEnt) []scanEnt {
 // peek returns the entry for the next in-range child of the opened node n,
 // and the cursor position behind that child, without moving the cursor.
 func (s *scanner) peek(n *scanEnt) (child scanEnt, after int, ok bool) {
-	hdr := wire.DecodeNodeHeader(leUint64(n.img))
+	hdr := wire.DecodeNodeHeader(binary.LittleEndian.Uint64(n.img))
 	depth := int(hdr.Depth)
 	addr := n.slot.Addr
 	child = scanEnt{parent: addr, ptype: hdr.Type, base: hdr.Depth + 1}
@@ -301,7 +302,7 @@ func (s *scanner) peek(n *scanEnt) (child scanEnt, after int, ok bool) {
 		from = 0
 		// The EOL leaf holds the node's own prefix as its key: in range
 		// unless lo runs on past it.
-		if w := leUint64(n.img[wire.EOLSlotOff:]); loEdge < 0 && w>>62 == 3 {
+		if w := binary.LittleEndian.Uint64(n.img[wire.EOLSlotOff:]); loEdge < 0 && w>>62 == 3 {
 			child.slot, child.off = wire.DecodeSlot(w), wire.EOLSlotOff
 			return child, 0, true
 		}
@@ -326,7 +327,7 @@ func nextChild(img []byte, t wire.NodeType, from int) (w uint64, idx, edge int) 
 	switch t {
 	case wire.Node4, wire.Node16:
 		for i := 0; i < t.Capacity(); i++ {
-			sw := leUint64(slots[8*i:])
+			sw := binary.LittleEndian.Uint64(slots[8*i:])
 			if b := int(byte(sw >> 54)); sw>>63 == 1 && b >= from && b < edge {
 				w, idx, edge = sw, i, b
 			}
@@ -339,7 +340,7 @@ func nextChild(img []byte, t wire.NodeType, from int) (w uint64, idx, edge int) 
 					continue
 				}
 			}
-			if sw := leUint64(slots[8*i:]); sw>>63 == 1 {
+			if sw := binary.LittleEndian.Uint64(slots[8*i:]); sw>>63 == 1 {
 				return sw, i, b
 			}
 		}
@@ -354,7 +355,7 @@ func (s *scanner) settle() error {
 		var err error
 		switch {
 		case ent.state == entStale:
-			err = s.followSlot(ent, leUint64(buf))
+			err = s.followSlot(ent, binary.LittleEndian.Uint64(buf))
 		case ent.slot.Leaf:
 			s.reads++
 			err = s.gotLeaf(ent, buf)
@@ -384,21 +385,19 @@ func (s *scanner) again(ent *scanEnt, stale bool, why string) error {
 }
 
 func (s *scanner) gotLeaf(ent *scanEnt, buf []byte) error {
-	hdr := wire.DecodeLeafHeader(leUint64(buf))
-	if hdr.Status == wire.StatusInvalid {
+	sight, _, hdr, key, _ := sightOf(buf)
+	switch sight {
+	case leafRetired:
 		// Retired by an out-of-place update, a relocation or a delete; the
 		// slot says which.
 		return s.again(ent, true, "leaf retired")
-	}
-	if need := uint64(hdr.Units) * wire.LeafUnit; need > uint64(len(buf)) {
-		ent.want = uint32(s.e.clampRead(ent.slot.Addr, need))
+	case leafLonger:
+		ent.want = uint32(s.e.clampRead(ent.slot.Addr, uint64(hdr.Units)*wire.LeafUnit))
 		return s.again(ent, false, "leaf longer than read")
-	}
-	key, _, st, ok := wire.DecodeLeaf(buf)
-	if !ok || st != wire.StatusIdle {
-		// Torn or locked: an in-place update is one WRITE from done, so the
-		// next round usually finds it whole. A lock that outlives the tries
-		// is ReadLeaf's to wait out or break.
+	case leafUnsettled:
+		// An in-place update is one WRITE from done, so the next round
+		// usually finds the leaf whole. A lock that outlives the tries is
+		// ReadLeaf's to wait out or break.
 		if ent.tries++; ent.tries <= scanTries {
 			return nil
 		}
@@ -484,7 +483,7 @@ func (s *scanner) followSlot(ent *scanEnt, word uint64) error {
 		// commit point — if the parent image is current, which only its
 		// lock can tell: finish the delete as a point operation would.
 		parent := &Node{Addr: ent.parent, Hdr: wire.NodeHeader{Type: ent.ptype, Depth: ent.base - 1}}
-		cleared, err := s.e.completeDelete(parent, ent.off == wire.EOLSlotOff, now.KeyByte, now.Addr)
+		cleared, err := s.e.completeDelete(parent, edge{eol: ent.off == wire.EOLSlotOff, b: now.KeyByte}, now.Addr)
 		if err != nil {
 			return err
 		}

@@ -151,12 +151,9 @@ func (nc *NodeCache) removeLocked(el *list.Element) {
 
 // Options tunes one SMART client.
 type Options struct {
-	// Cache is the CN's shared node cache; if nil, CacheBudget sizes a
-	// private one (default 16 MiB).
-	Cache       *NodeCache
-	CacheBudget uint64
-	// Engine passes through node-engine tuning; Prealloc256 is forced on.
-	Engine rart.Config
+	// Cache is the CN's shared node cache; nil gives the client a private
+	// one of 16 MiB.
+	Cache *NodeCache
 }
 
 // Client is one worker's handle on a SMART index. Not safe for concurrent
@@ -174,25 +171,17 @@ type Stats struct {
 	Searches, Inserts, Updates, Deletes, Scans uint64
 	JumpDepthSum                               uint64 // cumulative depth of cache-walk jump targets
 	JumpRejected                               uint64 // reverse check failed; cache entry dropped
-	Restarts                                   uint64
 }
 
 // NewClient mounts a SMART index over one fabric client.
 func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
-	cfg := opts.Engine
-	cfg.Prealloc256 = true
-	alloc := mem.NewAllocator(c, 0)
 	cache := opts.Cache
 	if cache == nil {
-		budget := opts.CacheBudget
-		if budget == 0 {
-			budget = 16 << 20
-		}
-		cache = NewNodeCache(budget)
+		cache = NewNodeCache(16 << 20)
 	}
 	return &Client{
 		shared: shared,
-		eng:    rart.NewEngine(c, alloc, shared.Ring, cfg),
+		eng:    rart.NewEngine(c, mem.NewAllocator(c, 0), shared.Ring, rart.Config{Prealloc256: true}),
 		cache:  cache,
 	}
 }
@@ -205,12 +194,6 @@ func (c *Client) Cache() *NodeCache { return c.cache }
 
 // ClientStats returns the client's counters.
 func (c *Client) ClientStats() Stats { return c.stats }
-
-func retriable(err error) bool {
-	return errors.Is(err, rart.ErrRestart) ||
-		errors.Is(err, fabric.ErrTransient) ||
-		errors.Is(err, fabric.ErrTimeout)
-}
 
 // hooks caches every inner node fetched during remote traversals.
 type hooks struct{ c *Client }
@@ -302,32 +285,23 @@ func (c *Client) jump(key []byte) (*rart.Node, int, error) {
 }
 
 // Search returns the value stored for key.
-func (c *Client) Search(key []byte) ([]byte, bool, error) {
+func (c *Client) Search(key []byte) (value []byte, ok bool, err error) {
 	if err := c.checkKey(key); err != nil {
 		return nil, false, err
 	}
 	c.stats.Searches++
-	for bo := c.eng.Backoff(); ; {
+	err = c.eng.Retry("smart search", key, func() error {
 		start, _, err := c.jump(key)
-		var leaf *rart.Leaf
-		if err == nil {
-			leaf, err = c.eng.SearchFrom(start, key, hooks{c})
-		}
-		if retriable(err) {
-			c.stats.Restarts++
-			if bo.Wait() {
-				continue
-			}
-			return nil, false, fmt.Errorf("%w: smart search for %q", rart.ErrRetriesExhausted, key)
-		}
 		if err != nil {
-			return nil, false, err
+			return err
 		}
-		if leaf == nil || !bytes.Equal(leaf.Key, key) {
-			return nil, false, nil
+		leaf, err := c.eng.SearchFrom(start, key, hooks{c})
+		if ok = leaf != nil && bytes.Equal(leaf.Key, key); ok {
+			value = leaf.Value
 		}
-		return leaf.Value, true, nil
-	}
+		return err
+	})
+	return value, ok, err
 }
 
 // Insert stores value for key (upsert), reporting whether it existed.
@@ -342,82 +316,58 @@ func (c *Client) Update(key, value []byte) (bool, error) {
 	return c.put(key, value, rart.PutUpdateOnly)
 }
 
-func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
+func (c *Client) put(key, value []byte, mode rart.PutMode) (existed bool, err error) {
 	if err := c.checkKey(key); err != nil {
 		return false, err
 	}
-	for bo := c.eng.Backoff(); ; {
+	err = c.eng.Retry("smart put", key, func() error {
 		start, depth, err := c.jump(key)
-		var existed bool
-		if err == nil {
-			existed, err = c.eng.PutFrom(start, key, value, mode, hooks{c})
+		if err != nil {
+			return err
 		}
-		switch {
-		case errors.Is(err, rart.ErrNeedParent):
+		existed, err = c.eng.PutFrom(start, key, value, mode, hooks{c})
+		if errors.Is(err, rart.ErrNeedParent) {
 			// A split is needed at the jump target; its parent is not
 			// known from here, so force a shallower start.
 			c.cache.Invalidate(start.Addr)
 			if depth == 0 {
-				return false, fmt.Errorf("smart: split required at root for %q", key)
+				return fmt.Errorf("smart: split required at root for %q", key)
 			}
-		case retriable(err):
-			c.stats.Restarts++
-		case err != nil:
-			return false, err
-		default:
-			return existed, nil
 		}
-		if !bo.Wait() {
-			return false, fmt.Errorf("%w: smart put for %q", rart.ErrRetriesExhausted, key)
-		}
-	}
+		return err
+	})
+	return existed, err
 }
 
 // Delete removes key, reporting whether it was present.
-func (c *Client) Delete(key []byte) (bool, error) {
+func (c *Client) Delete(key []byte) (ok bool, err error) {
 	if err := c.checkKey(key); err != nil {
 		return false, err
 	}
 	c.stats.Deletes++
-	for bo := c.eng.Backoff(); ; {
+	err = c.eng.Retry("smart delete", key, func() error {
 		start, _, err := c.jump(key)
-		var ok bool
 		if err == nil {
 			ok, err = c.eng.DeleteFrom(start, key, hooks{c})
 		}
-		if retriable(err) {
-			c.stats.Restarts++
-			if bo.Wait() {
-				continue
-			}
-			return false, fmt.Errorf("%w: smart delete for %q", rart.ErrRetriesExhausted, key)
-		}
-		return ok, err
-	}
+		return err
+	})
+	return ok, err
 }
 
 // Scan returns up to limit keys in [lo, hi], ascending, using doorbell
 // batching per level like Sphinx (the paper groups SMART with Sphinx on
 // YCSB-E for exactly this reason).
-func (c *Client) Scan(lo, hi []byte, limit int) ([]rart.KV, error) {
+func (c *Client) Scan(lo, hi []byte, limit int) (kvs []rart.KV, err error) {
 	c.stats.Scans++
-	for bo := c.eng.Backoff(); ; {
+	err = c.eng.Retry("smart scan", lo, func() error {
 		root, err := c.eng.ReadNode(c.shared.Root, wire.Node256)
-		var kvs []rart.KV
 		if err == nil {
 			kvs, err = c.eng.ScanFrom(root, lo, hi, limit, true)
 		}
-		if err == nil {
-			return kvs, nil
-		}
-		if !retriable(err) {
-			return nil, err
-		}
-		c.stats.Restarts++
-		if !bo.Wait() {
-			return nil, fmt.Errorf("%w: smart scan", rart.ErrRetriesExhausted)
-		}
-	}
+		return err
+	})
+	return kvs, err
 }
 
 func (c *Client) checkKey(key []byte) error {

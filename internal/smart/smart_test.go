@@ -75,7 +75,7 @@ func TestAllNodesAreNode256Footprint(t *testing.T) {
 
 func TestCacheReducesRoundTrips(t *testing.T) {
 	f, shared := newCluster(t, 2, fabric.DefaultConfig())
-	c := NewClient(shared, f.NewClient(), Options{CacheBudget: 8 << 20})
+	c := NewClient(shared, f.NewClient(), Options{Cache: NewNodeCache(8 << 20)})
 	var keys [][]byte
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("users/account/%05d", i))
@@ -106,7 +106,7 @@ func TestTinyCacheDegradesToPerLevelRoundTrips(t *testing.T) {
 	f, shared := newCluster(t, 2, fabric.DefaultConfig())
 	// A cache that fits nothing: every level costs a round trip, like the
 	// naive port — the regime of the paper's small-cache comparison.
-	c := NewClient(shared, f.NewClient(), Options{CacheBudget: 1})
+	c := NewClient(shared, f.NewClient(), Options{Cache: NewNodeCache(1)})
 	var keys [][]byte
 	for i := 0; i < 100; i++ {
 		k := []byte(fmt.Sprintf("deep/path/%05d", i))
@@ -159,7 +159,7 @@ func TestStaleCacheRecovers(t *testing.T) {
 
 func TestRandomOpsAgainstOracle(t *testing.T) {
 	f, shared := newCluster(t, 3, fabric.InstantConfig())
-	c := NewClient(shared, f.NewClient(), Options{CacheBudget: 1 << 20})
+	c := NewClient(shared, f.NewClient(), Options{Cache: NewNodeCache(1 << 20)})
 	oracle := map[string]string{}
 	rng := rand.New(rand.NewSource(21))
 	randKey := func() []byte {
@@ -380,7 +380,7 @@ func TestLargerCacheJumpsDeeper(t *testing.T) {
 		}
 	}
 	meanJump := func(budget uint64) float64 {
-		c := NewClient(shared, f.NewClient(), Options{CacheBudget: budget})
+		c := NewClient(shared, f.NewClient(), Options{Cache: NewNodeCache(budget)})
 		for _, k := range keys {
 			if _, ok, err := c.Search(k); err != nil || !ok {
 				t.Fatal(ok, err)

@@ -27,6 +27,16 @@ type Metrics = obs.Metrics
 // histograms) behind snapshot/diff with Prometheus and JSON exporters.
 type Registry = obs.Registry
 
+// index is the operation surface the three systems' clients share.
+type index interface {
+	Search(key []byte) ([]byte, bool, error)
+	Insert(key, value []byte) (bool, error)
+	Update(key, value []byte) (bool, error)
+	Delete(key []byte) (bool, error)
+	Scan(lo, hi []byte, limit int) ([]rart.KV, error)
+	Engine() *rart.Engine
+}
+
 // Session is one worker's handle on the cluster's index: it owns a network
 // endpoint (virtual clock, verb counters) and shares its compute node's
 // caches. Sessions are not safe for concurrent use — create one per
@@ -35,9 +45,11 @@ type Session struct {
 	cn *ComputeNode
 	fc *fabric.Client
 
+	// idx is the mounted client, whichever system it is; sphinx and smart
+	// are the same client again, for what only that system has.
+	idx    index
 	sphinx *core.Client
 	smart  *smart.Client
-	art    *artdm.Client
 
 	// pl is the session's pipelined executor (Sphinx only), created on
 	// first use and kept so its lanes' directory caches stay warm. An
@@ -76,10 +88,12 @@ func (cn *ComputeNode) NewSession() *Session {
 	case SystemSphinx:
 		s.sphinx = core.NewClient(c.sphinxShared, fc, s.coreOptions())
 		s.sphinx.SetRecorder(s.tailRec)
+		s.idx = s.sphinx
 	case SystemSMART:
 		s.smart = smart.NewClient(c.smartShared, fc, smart.Options{Cache: cn.cache})
+		s.idx = s.smart
 	case SystemART:
-		s.art = artdm.NewClient(c.artShared, fc, rart.Config{})
+		s.idx = artdm.NewClient(c.artShared, fc)
 	}
 	return s
 }
@@ -122,28 +136,13 @@ func (s *Session) observeOp(k obs.OpKind, startPs int64, rt0 uint64) {
 // Get returns the value stored for key.
 func (s *Session) Get(key []byte) (value []byte, ok bool, err error) {
 	defer s.observeOp(s.beginOp(obs.OpGet))
-	switch {
-	case s.sphinx != nil:
-		return s.sphinx.Search(key)
-	case s.smart != nil:
-		return s.smart.Search(key)
-	default:
-		return s.art.Search(key)
-	}
+	return s.idx.Search(key)
 }
 
 // Put stores value for key, overwriting any existing value.
 func (s *Session) Put(key, value []byte) error {
 	defer s.observeOp(s.beginOp(obs.OpPut))
-	var err error
-	switch {
-	case s.sphinx != nil:
-		_, err = s.sphinx.Insert(key, value)
-	case s.smart != nil:
-		_, err = s.smart.Insert(key, value)
-	default:
-		_, err = s.art.Insert(key, value)
-	}
+	_, err := s.idx.Insert(key, value)
 	return err
 }
 
@@ -151,43 +150,20 @@ func (s *Session) Put(key, value []byte) error {
 // key was present; absent keys are left absent.
 func (s *Session) Update(key, value []byte) (bool, error) {
 	defer s.observeOp(s.beginOp(obs.OpUpdate))
-	switch {
-	case s.sphinx != nil:
-		return s.sphinx.Update(key, value)
-	case s.smart != nil:
-		return s.smart.Update(key, value)
-	default:
-		return s.art.Update(key, value)
-	}
+	return s.idx.Update(key, value)
 }
 
 // Delete removes key, reporting whether it was present.
 func (s *Session) Delete(key []byte) (bool, error) {
 	defer s.observeOp(s.beginOp(obs.OpDelete))
-	switch {
-	case s.sphinx != nil:
-		return s.sphinx.Delete(key)
-	case s.smart != nil:
-		return s.smart.Delete(key)
-	default:
-		return s.art.Delete(key)
-	}
+	return s.idx.Delete(key)
 }
 
 // Scan returns key-value pairs in [lo, hi] (inclusive; nil bounds are
 // open) in ascending key order, at most limit pairs when limit > 0.
 func (s *Session) Scan(lo, hi []byte, limit int) ([]KV, error) {
 	defer s.observeOp(s.beginOp(obs.OpScan))
-	var kvs []rart.KV
-	var err error
-	switch {
-	case s.sphinx != nil:
-		kvs, err = s.sphinx.Scan(lo, hi, limit)
-	case s.smart != nil:
-		kvs, err = s.smart.Scan(lo, hi, limit)
-	default:
-		kvs, err = s.art.Scan(lo, hi, limit)
-	}
+	kvs, err := s.idx.Scan(lo, hi, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -200,20 +176,7 @@ func (s *Session) Scan(lo, hi []byte, limit int) ([]KV, error) {
 
 // RepairReport summarizes one anti-entropy repair sweep; see
 // Session.RepairSweep.
-type RepairReport struct {
-	// Scanned counts anchor records visited across all live memory nodes.
-	Scanned uint64
-	// Deficits counts missing or stale replica slots the sweep found —
-	// the under-replicated gauge. 0 means the sweep proved the cluster
-	// fully replicated.
-	Deficits uint64
-	// Copied counts replicas the sweep re-published.
-	Copied uint64
-	// Remaining counts records the sweep could not repair this pass
-	// (transient races or unreachable sources); they are retried by the
-	// next sweep.
-	Remaining uint64
-}
+type RepairReport = core.RepairReport
 
 // RepairSweep runs one online anti-entropy pass over the replicated
 // entry store: it walks every live node's records and re-publishes any
@@ -226,42 +189,12 @@ func (s *Session) RepairSweep() (RepairReport, error) {
 	if s.sphinx == nil || s.cn.cluster.sphinxShared.FT == nil {
 		return RepairReport{}, fmt.Errorf("sphinx: repair sweep requires SystemSphinx with Replication >= 2")
 	}
-	rep, err := s.sphinx.RepairSweep()
-	return RepairReport{
-		Scanned:   rep.Scanned,
-		Deficits:  rep.Deficits,
-		Copied:    rep.Copied,
-		Remaining: rep.Remaining,
-	}, err
+	return s.sphinx.RepairSweep()
 }
 
 // MigrateReport summarizes one elastic-membership migration sweep; see
 // Session.MigrateSweep.
-type MigrateReport struct {
-	// Epoch is the placement epoch the sweep ran against.
-	Epoch uint64
-	// ScannedNodes / ScannedLeaves count tree objects the sweep visited.
-	ScannedNodes  uint64
-	ScannedLeaves uint64
-	// MovedNodes / MovedLeaves count tree objects relocated onto their new
-	// owners this pass.
-	MovedNodes  uint64
-	MovedLeaves uint64
-	// AnchorsScanned / AnchorsCopied / AnchorsRemoved count replicated
-	// anchor records visited, re-replicated and retired (Replication >= 2
-	// clusters only).
-	AnchorsScanned uint64
-	AnchorsCopied  uint64
-	AnchorsRemoved uint64
-	// Remaining counts objects the sweep could not settle (lost races,
-	// unreachable nodes); the next sweep retries them.
-	Remaining uint64
-	// Converged reports the sweep found nothing left to move.
-	Converged bool
-	// CutOver reports this sweep retired the old epoch: the membership
-	// change is complete.
-	CutOver bool
-}
+type MigrateReport = core.MigrateReport
 
 // MigrateSweep runs one online rebalancing pass of an in-flight
 // membership change (Cluster.AddMemoryNode / DrainMemoryNode): it walks
@@ -276,20 +209,7 @@ func (s *Session) MigrateSweep() (MigrateReport, error) {
 	if s.sphinx == nil {
 		return MigrateReport{}, fmt.Errorf("sphinx: migration sweep requires SystemSphinx")
 	}
-	rep, err := s.sphinx.MigrateSweep()
-	return MigrateReport{
-		Epoch:          rep.Epoch,
-		ScannedNodes:   rep.ScannedNodes,
-		ScannedLeaves:  rep.ScannedLeaves,
-		MovedNodes:     rep.MovedNodes,
-		MovedLeaves:    rep.MovedLeaves,
-		AnchorsScanned: rep.AnchorsScanned,
-		AnchorsCopied:  rep.AnchorsCopied,
-		AnchorsRemoved: rep.AnchorsRemoved,
-		Remaining:      rep.Remaining,
-		Converged:      rep.Converged,
-		CutOver:        rep.CutOver,
-	}, err
+	return s.sphinx.MigrateSweep()
 }
 
 // Stats summarizes the session's network activity.
@@ -507,16 +427,16 @@ func (s *Session) Registry() *Registry {
 	}
 	r := obs.NewRegistry()
 	r.AddCounterStruct("fabric", func() any { return s.fc.Stats() })
+	r.AddCounterStruct("engine", func() any {
+		st := s.idx.Engine().Stats()
+		if pl := s.pl.Load(); pl != nil {
+			st = st.Add(pl.EngineStats())
+		}
+		return st
+	})
 	switch {
 	case s.sphinx != nil:
 		r.AddCounterStruct("core", func() any { return s.coreStats() })
-		r.AddCounterStruct("engine", func() any {
-			st := s.sphinx.Engine().Stats()
-			if pl := s.pl.Load(); pl != nil {
-				st = st.Add(pl.EngineStats())
-			}
-			return st
-		})
 		r.AddCounterStruct("inht", func() any {
 			st := s.sphinx.HashStats()
 			if pl := s.pl.Load(); pl != nil {
