@@ -39,10 +39,7 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 		// tracker (hotTouch reads this after the walk): a prefix the SFC
 		// already marked recently-used corroborates skew.
 		c.sfcWasHot = wasHot
-		if c.rec != nil {
-			c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(),
-				fmt.Sprintf("sfc probe hit: prefix %d/%d, fetching", l, len(key)))
-		}
+		c.noteProbe(l, len(key))
 		n, err := c.fetchValidated(prefix)
 		if err != nil {
 			return nil, 0, err
@@ -59,10 +56,7 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 		// and retry shorter (paper §III-B false-positive handling).
 		atomic.AddUint64(&c.stats.FalsePositives, 1)
 		c.filter.Delete(h)
-		if c.rec != nil {
-			c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(),
-				fmt.Sprintf("sfc false positive at prefix %d: unlearned", l))
-		}
+		c.noteProbe(l, 0)
 	}
 	atomic.AddUint64(&c.stats.RootStarts, 1)
 	if c.index != nil {
@@ -73,6 +67,42 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 	}
 	root, err := c.readRoot()
 	return root, 0, err
+}
+
+// probeNotes holds the notes of locate's filter verdicts for every key
+// shorter than its side: [n][l] a hit on prefix l of an n-byte key, [0][l] a
+// false positive at prefix l. Sessions keep a tail recorder armed, so every
+// located operation notes at least one of them and must not build it (the
+// replicaNotes idiom); longer keys format theirs.
+var probeNotes [64][64]string
+
+const (
+	probeHitNote      = "sfc probe hit: prefix %d/%d, fetching"
+	falsePositiveNote = "sfc false positive at prefix %d: unlearned"
+)
+
+func init() {
+	for l := 1; l < len(probeNotes); l++ {
+		probeNotes[0][l] = fmt.Sprintf(falsePositiveNote, l)
+		for n := l; n < len(probeNotes); n++ {
+			probeNotes[n][l] = fmt.Sprintf(probeHitNote, l, n)
+		}
+	}
+}
+
+// noteProbe annotates, on the armed trace recorder, the filter's verdict on
+// prefix l: a hit about to be fetched for a key of n bytes, or — n 0 — a
+// false positive the fetch has just refuted.
+func (c *Client) noteProbe(l, n int) {
+	switch {
+	case c.rec == nil:
+	case l < len(probeNotes) && n < len(probeNotes):
+		c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(), probeNotes[n][l])
+	case n == 0:
+		c.note(fabric.StageFilterProbe, falsePositiveNote, l)
+	default:
+		c.note(fabric.StageFilterProbe, probeHitNote, l, n)
+	}
 }
 
 // fetchValidated looks the prefix up in the inner node hash table, reads

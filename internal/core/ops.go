@@ -52,11 +52,12 @@ func (h hooks) Plan(pubs []rart.Publication) (rart.Publisher, error) {
 // learns the prefix, remote CNs learn it lazily during traversals:
 // "synchronization of caches on other CNs is deferred"); a type switch is a
 // swap of the node's entry for the grown copy's (typeSwitched). The bucket
-// pairs were fetched with the write's lock batch, so the first Publish lands
-// every entry CAS, each with its bucket-header re-check, in ONE doorbell
-// batch; an entry whose prefetched buckets turned out stale, split-locked,
-// full or already changed — and every entry on a re-driven Publish — takes
-// the table's own read-then-CAS loop, which is idempotent.
+// pairs were fetched with the write's lock batch, so every entry CAS, each
+// with its bucket-header re-check, rides the write's commit batch and costs
+// no round trip of its own; an entry whose prefetched buckets turned out
+// stale, split-locked, full or already changed, whose CAS lost, or whose
+// batch's outcomes are unknown takes the table's own read-then-CAS loop in
+// Publish, which is idempotent (counted: racehash.Stats.PlannedLost).
 //
 // One per client, reused across operations: the write paths are not
 // re-entrant.
@@ -66,12 +67,10 @@ type publisher struct {
 	views []*racehash.View // table of pubs[i]; nil: published by the slow path only
 	reads []racehash.PreparedRead
 	done  []bool
-	ops   []fabric.Op
-	fused bool // the one-batch publish has been attempted
 }
 
 func (p *publisher) plan(c *Client, pubs []rart.Publication) error {
-	p.c, p.pubs, p.fused = c, pubs, false
+	p.c, p.pubs = c, pubs
 	p.views, p.done = p.views[:0], p.done[:0]
 	if cap(p.reads) < len(pubs) {
 		p.reads = make([]racehash.PreparedRead, len(pubs))
@@ -108,29 +107,23 @@ func entryOf(prefix []byte, n *rart.Node) wire.HashEntry {
 	return wire.HashEntry{Valid: true, FP: wire.FP12(prefix), Type: n.Hdr.Type, Addr: n.Addr}
 }
 
-// Publish implements rart.Publisher.
-func (p *publisher) Publish() error {
-	c := p.c
-	var ops []fabric.Op // nil on a re-driven Publish: outcomes of the fused batch are unknown
-	if !p.fused {
-		p.fused = true
-		ops = p.ops[:0]
-		for i, pub := range p.pubs {
-			switch {
-			case p.views[i] == nil:
-			case pub.Old == nil:
-				ops, _ = p.reads[i].AppendInsert(ops, entryOf(pub.Prefix, pub.Node))
-			default:
-				ops, _ = p.reads[i].AppendReplace(ops, entryOf(pub.Prefix, pub.Old), entryOf(pub.Prefix, pub.Node))
-			}
-		}
-		p.ops = ops[:0]
-		if len(ops) > 0 {
-			if err := c.eng.C.Batch(ops); err != nil {
-				return err
-			}
+// AppendCommit implements rart.Publisher.
+func (p *publisher) AppendCommit(ops []fabric.Op) []fabric.Op {
+	for i, pub := range p.pubs {
+		switch {
+		case p.views[i] == nil:
+		case pub.Old == nil:
+			ops, _ = p.reads[i].AppendInsert(ops, entryOf(pub.Prefix, pub.Node))
+		default:
+			ops, _ = p.reads[i].AppendReplace(ops, entryOf(pub.Prefix, pub.Old), entryOf(pub.Prefix, pub.Node))
 		}
 	}
+	return ops
+}
+
+// Publish implements rart.Publisher.
+func (p *publisher) Publish(commit []fabric.Op) error {
+	c := p.c
 	for i, pub := range p.pubs {
 		if p.done[i] {
 			continue
@@ -140,9 +133,13 @@ func (p *publisher) Publish() error {
 		case view == nil:
 			err = c.typeSwitched(pub.Prefix, pub.Old, pub.Node)
 		case pub.Old == nil:
-			err = view.FinishInsert(&p.reads[i], ops, entryOf(pub.Prefix, pub.Node), c.eng.Alloc)
+			err = view.FinishInsert(&p.reads[i], commit, entryOf(pub.Prefix, pub.Node), c.eng.Alloc)
 		default:
-			err = view.FinishReplace(&p.reads[i], ops, entryOf(pub.Prefix, pub.Old), entryOf(pub.Prefix, pub.Node))
+			err = view.FinishReplace(&p.reads[i], commit, entryOf(pub.Prefix, pub.Old), entryOf(pub.Prefix, pub.Node))
+		}
+		if c.rec != nil && p.views[i] != nil && p.reads[i].Lost {
+			c.rec.Note(fabric.StagePublish, c.eng.C.Clock(),
+				"inht entry missed the commit batch (CAS lost, unplannable or outcome unknown): table loop")
 		}
 		if err != nil {
 			return err
@@ -262,6 +259,8 @@ func (c *Client) checkKey(key []byte) error {
 //     backoff, no restart counted; the narrowing survives later restarts (a
 //     fabric fault says nothing about the collided prefix, and descents
 //     re-learn it into the filter, so widening would re-detect it each time).
+//     The walk that comes for the parent meets the start node again below it
+//     and takes the image already held (rart.Engine.Held), not a second READ.
 //   - the path crosses a lost node and the layer above can answer instead
 //     (anchors with fault tolerance; a rooted scan's typed error): lost is
 //     reported with the error, in one decision, no backoff.
@@ -271,6 +270,7 @@ func (c *Client) checkKey(key []byte) error {
 func (c *Client) drive(op string, key []byte, rooted bool,
 	attempt func(start *rart.Node, startLen int) (collided bool, err error)) (lost bool, err error) {
 	maxLen := len(key)
+	var held *rart.Node
 	for bo := c.eng.Backoff(); ; {
 		var start *rart.Node
 		var startLen int
@@ -281,11 +281,15 @@ func (c *Client) drive(op string, key []byte, rooted bool,
 		}
 		if err == nil {
 			var narrow bool
+			c.eng.Held, held = held, nil
 			narrow, err = attempt(start, startLen)
+			c.eng.Held = nil
 			if errors.Is(err, rart.ErrNeedParent) && startLen > 0 {
 				atomic.AddUint64(&c.stats.ParentRetries, 1)
 				c.note(fabric.StagePublish, "need parent: re-routing via prefix %d, no backoff", startLen-1)
-				narrow = true
+				// The re-routed walk meets start again, one level down: it
+				// takes this image instead of reading the node a second time.
+				narrow, held = true, start
 			}
 			if narrow {
 				maxLen = startLen - 1

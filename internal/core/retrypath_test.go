@@ -69,7 +69,9 @@ func plantImpostor(t *testing.T, c *Client, prefix []byte, edge byte, slot wire.
 // TestPutNeedParentNoBackoff: a jump-started insert that discovers it
 // needs the parent (full node at the jump target) is a deterministic
 // structural re-route, not contention — it must re-loop immediately
-// without advancing the backoff clock or burning retry budget.
+// without advancing the backoff clock or burning retry budget, and the walk
+// that comes back through the parent takes the image of the full node the
+// jump already read instead of reading it again.
 func TestPutNeedParentNoBackoff(t *testing.T) {
 	f, shared := newCluster(t, 1, fabric.InstantConfig(), 1000)
 	filter := NewFilterCache(1<<12, 1)
@@ -87,11 +89,23 @@ func TestPutNeedParentNoBackoff(t *testing.T) {
 
 	clock0 := c.eng.C.Clock()
 	restarts0 := c.stats.Restarts
+	var log batchLog
+	c.eng.C.SetObserver(&log)
 	if _, err := c.Insert([]byte("ab5z"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	c.eng.C.SetObserver(nil)
 	if c.stats.ParentRetries == 0 {
 		t.Fatal("insert never hit ErrNeedParent; the scenario exercises nothing")
+	}
+	nodeReads := 0
+	for _, ev := range log.evs {
+		if ev.Stage == fabric.StageNodeRead {
+			nodeReads++
+		}
+	}
+	if nodeReads != 2 {
+		t.Errorf("re-routed insert read %d nodes before its lock batch, want 2: the full node at the jump, then its parent (the root)", nodeReads)
 	}
 	// Under InstantConfig every batch is free, so any clock advance can
 	// only come from backoff sleep — which this path must not take.

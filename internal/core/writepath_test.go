@@ -35,19 +35,21 @@ var longShared = string(bytes.Repeat([]byte("p"), 2*wire.MaxPartial+5))
 
 // writeScenarios lists every structural write. The verb counts are those
 // of the one-batch-per-verb-group protocol this design replaced: fusion
-// regroups verbs into dependency levels, it adds none.
+// regroups verbs into dependency levels, it adds none. The round trips are
+// the bare tree's (rart.TestWriteBudgets): the hash-table verbs ride the lock
+// batch and the commit batch, so the table costs none of its own.
 var writeScenarios = []writeScenario{
 	// W leaf + CAS,READ lock | W slot + CAS unlock
 	{"fresh insert", []string{"budget-a", "budget-b"}, "budget-c", 2, 5, []string{"lock", "install"}},
 	{"EOL insert", []string{"budget-a", "budget-b"}, "budget-", 2, 5, []string{"lock", "install"}},
-	// W leaf + W node + 2 READ bucket + CAS,READ lock | W slot + CAS unlock | CAS entry + READ bucket header
-	{"leaf conversion, chain 1", []string{"budget-a", "budget-b"}, "budget-ax", 3, 10, []string{"lock", "publish", "publish"}},
-	// chain of 3: 3 W node, 3×2 READ bucket, 3×(CAS entry + READ header)
-	{"leaf conversion, chain 3", []string{"budget-a", "budget-b", longShared + "A"}, longShared + "B", 3, 20, []string{"lock", "publish", "publish"}},
-	// W leaf + W mid + 2 READ bucket + 2×(CAS,READ) lock | W child head | W parent slot + CAS unlock | CAS entry + READ header
-	{"partial split", []string{"budget-a", "budget-b"}, "bud!", 4, 13, []string{"lock", "publish", "publish", "publish"}},
-	// W leaf + W grown + 2 READ bucket + 2×(CAS,READ) lock | W parent slot + CAS unlock | CAS entry + READ header | W invalidate
-	{"type switch", []string{"budget-a", "budget-b", "budget-c", "budget-d"}, "budget-e", 4, 13, []string{"lock", "publish", "publish", "publish"}},
+	// W leaf + W node + 2 READ bucket + CAS,READ lock | W slot + CAS entry + READ bucket header + CAS unlock
+	{"leaf conversion, chain 1", []string{"budget-a", "budget-b"}, "budget-ax", 2, 10, []string{"lock", "publish"}},
+	// chain of 3: 3 W node, 3×2 READ bucket | W slot + 3×(CAS entry + READ header) + CAS unlock
+	{"leaf conversion, chain 3", []string{"budget-a", "budget-b", longShared + "A"}, longShared + "B", 2, 20, []string{"lock", "publish"}},
+	// W leaf + W mid + 2 READ bucket + 2×(CAS,READ) lock | W child head | W parent slot + CAS entry + READ header + CAS unlock
+	{"partial split", []string{"budget-a", "budget-b"}, "bud!", 3, 13, []string{"lock", "publish", "publish"}},
+	// W leaf + W grown + 2 READ bucket + 2×(CAS,READ) lock | W parent slot + CAS entry + READ header + CAS unlock | W invalidate
+	{"type switch", []string{"budget-a", "budget-b", "budget-c", "budget-d"}, "budget-e", 3, 13, []string{"lock", "publish", "publish"}},
 }
 
 // build creates a cluster holding the scenario's setup keys, inserted by a
@@ -73,36 +75,78 @@ func isDescent(s fabric.Stage) bool {
 	return s == fabric.StageHashRead || s == fabric.StageNodeRead || s == fabric.StageLeafRead
 }
 
+// writeCost sums the batches that follow an operation's descent.
+func (b *batchLog) writeCost() (rts, verbs int, stages []string) {
+	for _, ev := range b.evs {
+		if !isDescent(ev.Stage) {
+			rts += int(ev.RoundTrips)
+			verbs += ev.Verbs
+			stages = append(stages, ev.Stage.String())
+		}
+	}
+	return rts, verbs, stages
+}
+
+// bareTreeCost measures the scenario's put on a tree with no side structure:
+// the same engine, rart.NopHooks, every put from the root.
+func (sc writeScenario) bareTreeCost(t *testing.T) (rts, verbs int) {
+	t.Helper()
+	f, shared := newCluster(t, 1, fabric.DefaultConfig(), 1000)
+	c := newTestClient(f, shared, Options{})
+	var log batchLog
+	for _, k := range append(append([]string(nil), sc.setup...), sc.key) {
+		root, err := c.readRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == sc.key {
+			c.eng.C.SetObserver(&log)
+		}
+		if _, err := c.eng.PutFrom(root, []byte(k), []byte("v"), rart.PutUpsert, rart.NopHooks{}); err != nil {
+			t.Fatalf("bare-tree put %q: %v", k, err)
+		}
+	}
+	rts, verbs, _ = log.writeCost()
+	return rts, verbs
+}
+
 // TestWriteBudgetsWithINHT pins the post-descent cost of every structural
 // write at the core level — hash-table publication included — in round
-// trips and verbs, and that an uncontended write abandons nothing.
+// trips and verbs; that the round trips are exactly the bare tree's, so
+// maintaining the table costs none; that every entry landed in the commit
+// batch it rode; and that an uncontended write abandons nothing.
 func TestWriteBudgetsWithINHT(t *testing.T) {
 	for _, sc := range writeScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			// One memory node: every slab the put needs was reserved by the
 			// setup puts, so no allocator round trip blurs the count.
 			_, _, c := sc.build(t, 1)
+			planned := c.HashStats().PlannedSwaps
 			var log batchLog
 			c.eng.C.SetObserver(&log)
 			if _, err := c.Insert([]byte(sc.key), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 			c.eng.C.SetObserver(nil)
-			var rts, verbs int
-			var stages []string
-			for _, ev := range log.evs {
-				if !isDescent(ev.Stage) {
-					rts += int(ev.RoundTrips)
-					verbs += ev.Verbs
-					stages = append(stages, ev.Stage.String())
-				}
-			}
+			rts, verbs, stages := log.writeCost()
 			if rts != sc.rts || verbs != sc.verbs || fmt.Sprint(stages) != fmt.Sprint(sc.stages) {
 				t.Errorf("post-descent cost = %d RT, %d verbs, batches %v; want %d RT, %d verbs, batches %v",
 					rts, verbs, stages, sc.rts, sc.verbs, sc.stages)
 			}
+			bareRTs, bareVerbs := sc.bareTreeCost(t)
+			if rts != bareRTs {
+				t.Errorf("post-descent cost = %d RT with the hash table, %d RT on the bare tree; want them equal", rts, bareRTs)
+			}
 			if sc.name == "fresh insert" && len(log.evs) != 4 {
 				t.Errorf("warm fresh-key insert took %d round trips, want 4 (hash-read, node-read, lock‖leaf, install+unlock)", len(log.evs))
+			}
+			// What the table adds to the bare tree's verbs is four per entry:
+			// the bucket pair in the lock batch, the CAS and the header
+			// re-read in the commit batch — and every entry landed there.
+			hs := c.HashStats()
+			if rode := hs.PlannedSwaps - planned; verbs != bareVerbs+4*int(rode) || hs.PlannedLost != 0 {
+				t.Errorf("%d verbs against the bare tree's %d with %d entries planned into the commit batch, %d of them lost; want 4 verbs per entry, none lost",
+					verbs, bareVerbs, rode, hs.PlannedLost)
 			}
 			if st := c.eng.Stats(); st.AbandonedObjects != 0 || st.PublishRetries != 0 {
 				t.Errorf("uncontended put: %d abandoned objects, %d publish retries", st.AbandonedObjects, st.PublishRetries)
@@ -121,7 +165,8 @@ func TestWriteBudgetsWithINHT(t *testing.T) {
 
 // TestOneDriverLoadAbandonsNothing: without write contention or faults the
 // write-ahead never loses its bet — the speculative-waste counters read 0
-// over a load that takes every write path many times.
+// over a load that takes every write path many times, and every hash-table
+// entry lands in the commit batch it was planned into.
 func TestOneDriverLoadAbandonsNothing(t *testing.T) {
 	f, shared := newCluster(t, 3, fabric.InstantConfig(), 20000)
 	c := newTestClient(f, shared, Options{})
@@ -137,6 +182,9 @@ func TestOneDriverLoadAbandonsNothing(t *testing.T) {
 	}
 	if c.Stats().ParentRetries == 0 {
 		t.Error("load never re-routed a type switch through the parent; the scenario misses that path")
+	}
+	if hs := c.HashStats(); hs.PlannedSwaps == 0 || hs.PlannedLost != 0 {
+		t.Errorf("%d entries planned into commit batches, %d of them fell to the table loop; want some, 0", hs.PlannedSwaps, hs.PlannedLost)
 	}
 }
 
@@ -186,6 +234,75 @@ func checkNoPhantomEntries(t *testing.T, c *Client, before map[mem.Addr]bool, wh
 	}
 }
 
+// checkOneEntryPerPrefix asserts that no prefix has two live hash-table
+// entries — a publication that landed both in the commit batch it rode and
+// through the table's own loop, or a swap that left the old entry beside the
+// new one. A live entry names a valid node; the node stores its prefix.
+func checkOneEntryPerPrefix(t *testing.T, c *Client, what string) {
+	t.Helper()
+	type prefix struct {
+		depth uint16
+		hash  uint64
+	}
+	live := make(map[prefix]int)
+	for node := range c.members.Current().Tables {
+		err := c.viewOf(node).Walk(func(e wire.HashEntry) error {
+			if n, err := c.eng.ReadNode(e.Addr, e.Type); err == nil && n.Hdr.Status != wire.StatusInvalid {
+				live[prefix{n.Hdr.Depth, n.Hdr.PrefixHash}]++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p, n := range live {
+		if n != 1 {
+			t.Errorf("%s: %d live hash-table entries for the prefix of depth %d, hash %#x; want 1", what, n, p.depth, p.hash)
+		}
+	}
+}
+
+// commitShape locates the commit batch of a clean put — the slot WRITE
+// first, the hash-table verbs behind it, the unlock last — in the sequence
+// of verbs and batches its client posts.
+type commitShape struct {
+	verbs uint64 // of the whole put
+	batch int    // index of the commit batch among the put's batches
+	first uint64 // verbs posted before it: its slot WRITE is verb first+1
+	n     int    // its verbs
+}
+
+// calibrate runs the scenario's put cleanly, by fabric client 1 of a cluster
+// of its own, and reports where its commit batch sits: the first batch of two
+// or more verbs behind the lock batch (a split's head WRITE and a type
+// switch's invalidation are batches of one).
+func (sc writeScenario) calibrate(t *testing.T) commitShape {
+	t.Helper()
+	f, shared, _ := sc.build(t, 2)
+	var log batchLog
+	vc := f.NewClient()
+	if vc.ID() != 1 {
+		t.Fatalf("victim client ID = %d, want 1", vc.ID())
+	}
+	vc.SetObserver(&log)
+	if _, err := NewClient(shared, vc, Options{}).Insert([]byte(sc.key), []byte("victim")); err != nil {
+		t.Fatalf("clean put: %v", err)
+	}
+	shape := commitShape{verbs: vc.Stats().Verbs, batch: -1}
+	locked := false
+	for i, ev := range log.evs {
+		if locked && ev.Verbs >= 2 {
+			shape.batch, shape.n = i, ev.Verbs
+			return shape
+		}
+		locked = locked || ev.Stage == fabric.StageLock
+		shape.first += uint64(ev.Verbs)
+	}
+	t.Fatalf("calibration found no lock batch followed by a commit batch: %+v", log.evs)
+	return shape
+}
+
 // checkReadable asserts every setup key of the scenario reads back through
 // the filter-guided path and through the filter-less one, which looks up
 // every prefix of the key in the hash table.
@@ -204,10 +321,11 @@ func (sc writeScenario) checkReadable(t *testing.T, f *fabric.Fabric, shared Sha
 
 // TestFusedWriteCrashSweep kills a client after every verb of every
 // structural write — the fused lock batch with its write-ahead objects, the
-// commit batches, the one-batch publication — and requires of a survivor
-// that it reads every previously acknowledged key, that no hash-table entry
-// names a never-reachable node, and that it can insert the victim's key and
-// read it back. The sweep calibrates itself on a clean run of each path.
+// commit batches with the hash-table verbs they carry — and requires of a
+// survivor that it reads every previously acknowledged key, that no
+// hash-table entry names a never-reachable node and no prefix has two, and
+// that it can insert the victim's key and read it back. The sweep calibrates
+// itself, per verb, on a clean run of each path.
 //
 // The two-node protocols have a window the lease steal cannot repair, right
 // after their commit point, where only publish-to-completion by the (now
@@ -219,44 +337,20 @@ func (sc writeScenario) checkReadable(t *testing.T, f *fabric.Fabric, shared Sha
 //     slot implies. Readers stay correct (the prefix-hash check); a later
 //     split at that node restarts until its budget runs out, so the
 //     survivor's insert is not required to succeed;
-//   - a type switch killed between the parent repoint and the hash-entry
-//     swap leaves the table naming the retired, still valid original.
-//     Everything acknowledged is in both copies and the survivor's insert
-//     succeeds; only a jump-started read of a key the original lacks misses
-//     it, so the victim's key is read back through the root path.
+//   - a type switch killed between the parent-slot WRITE and the entry-swap
+//     CAS behind it — two verbs of one batch — leaves the table naming the
+//     retired, still valid original. Everything acknowledged is in both
+//     copies and the survivor's insert succeeds; only a jump-started read of
+//     a key the original lacks misses it, so the victim's key is read back
+//     through the root path. From the CAS on the entry names the grown copy
+//     and the jump-started survivor reads the key itself.
 func TestFusedWriteCrashSweep(t *testing.T) {
 	for _, sc := range writeScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			// Calibrate: verbs of a clean put by the victim (fabric client 1),
-			// and the verbs after which its lock batch and its first commit
-			// batch have fully executed.
-			f, shared, _ := sc.build(t, 2)
-			var log batchLog
-			vc := f.NewClient()
-			if vc.ID() != 1 {
-				t.Fatalf("victim client ID = %d, want 1", vc.ID())
-			}
-			vc.SetObserver(&log)
-			if _, err := NewClient(shared, vc, Options{}).Insert([]byte(sc.key), []byte("victim")); err != nil {
-				t.Fatalf("clean put: %v", err)
-			}
-			verbs := vc.Stats().Verbs
-			var lockEnd, commitEnd, n uint64
-			for _, ev := range log.evs {
-				n += uint64(ev.Verbs)
-				if ev.Stage == fabric.StageLock {
-					lockEnd = n
-				} else if lockEnd != 0 && commitEnd == 0 {
-					commitEnd = n
-				}
-			}
-			if lockEnd == 0 || commitEnd == 0 {
-				t.Fatalf("calibration found no lock batch followed by a commit batch: %+v", log.evs)
-			}
-
+			shape := sc.calibrate(t)
 			crashed := 0
-			for n := uint64(1); n <= verbs; n++ {
-				what := fmt.Sprintf("crash after verb %d/%d", n, verbs)
+			for n := uint64(1); n <= shape.verbs; n++ {
+				what := fmt.Sprintf("crash after verb %d/%d", n, shape.verbs)
 				f, shared, setup := sc.build(t, 2)
 				before := reachableInner(t, setup)
 				f.SetFaultPlan(&fabric.FaultPlan{Seed: 1, CrashAfterVerbs: map[int]uint64{1: n}})
@@ -269,17 +363,20 @@ func TestFusedWriteCrashSweep(t *testing.T) {
 					crashed++
 				}
 				sc.checkReadable(t, f, shared, what)
-				survivor := newTestClient(f, shared, Options{})
+				// No leaf-address cache: the survivor reads its put back through
+				// the filter-guided jump, not at the address the put learned.
+				survivor := newTestClient(f, shared, Options{DisableLeafCache: true})
 				checkNoPhantomEntries(t, survivor, before, what)
-				unrepaired := n > lockEnd && n <= commitEnd
-				if unrepaired && sc.name == "partial split" {
-					continue
+				checkOneEntryPerPrefix(t, survivor, what)
+				if sc.name == "partial split" && n == shape.first {
+					continue // head written, parent not repointed
 				}
 				if _, err := survivor.Insert([]byte(sc.key), []byte("survivor")); err != nil {
 					t.Fatalf("%s: survivor put of the victim's key: %v", what, err)
 				}
 				reader := survivor
-				if unrepaired && sc.name == "type switch" {
+				if sc.name == "type switch" && n == shape.first+1 {
+					// Parent repointed, entry not swapped.
 					reader = newTestClient(f, shared, Options{}) // cold filter: root path
 				}
 				if v, ok, err := reader.Search([]byte(sc.key)); err != nil || !ok || string(v) != "survivor" {
@@ -287,6 +384,7 @@ func TestFusedWriteCrashSweep(t *testing.T) {
 				}
 				sc.checkReadable(t, f, shared, what+", after the survivor's put")
 				checkNoPhantomEntries(t, survivor, before, what+", after the survivor's put")
+				checkOneEntryPerPrefix(t, survivor, what+", after the survivor's put")
 			}
 			if crashed == 0 {
 				t.Fatal("no sweep point crashed the victim; the sweep exercises nothing")
@@ -451,5 +549,236 @@ func TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults(t *testing.T) {
 	}
 	if repaired == 0 {
 		t.Fatal("no seed cut a commit batch between swing and retirement; the sweep exercises nothing")
+	}
+}
+
+// afterBatches runs fn once, right after the observed client's n-th batch
+// from now completes — between two batches of an operation in flight.
+type afterBatches struct {
+	n  int
+	fn func()
+}
+
+func (o *afterBatches) ObserveBatch(fabric.BatchEvent) {
+	if o.n--; o.n == 0 {
+		o.fn()
+	}
+}
+
+// TestPlannedEntrySlotTakenByRival: the entry CAS a conversion plans from the
+// lock batch's bucket READs targets the pair's first empty slot. A rival that
+// takes that very slot between the lock batch and the commit batch makes the
+// planned CAS lose; the swing still commits, the table's own loop lands the
+// entry in the next slot — exactly one entry, two round trips more, nothing
+// re-driven — and the put's trace says so.
+func TestPlannedEntrySlotTakenByRival(t *testing.T) {
+	sc := writeScenarios[2] // leaf conversion, chain 1
+	shape := sc.calibrate(t)
+	f, shared, setup := sc.build(t, 2)
+	before := reachableInner(t, setup)
+	victim := NewClient(shared, f.NewClient(), Options{})
+	rival := newTestClient(f, shared, Options{})
+	rec := obs.NewRecorder()
+	rec.Begin("put", victim.eng.C.Clock())
+	victim.SetRecorder(rec)
+
+	prefix := []byte(sc.key[:len(sc.key)-1]) // the converted edge's new node
+	h42 := wire.PrefixHash42(prefix)
+	// An entry no lookup of the prefix matches (the fingerprint differs),
+	// naming a node the tree holds.
+	stranger := wire.HashEntry{Valid: true, FP: wire.FP12(prefix) ^ 1, Type: wire.Node256, Addr: shared.Root}
+	var log batchLog
+	victim.eng.C.SetObserver(obs.Tee{A: &log, B: &afterBatches{n: shape.batch, fn: func() {
+		if err := rival.viewFor(prefix).Insert(h42, stranger, rival.eng.Alloc); err != nil {
+			t.Errorf("rival insert: %v", err)
+		}
+	}}})
+	if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
+		t.Fatalf("victim put: %v", err)
+	}
+	victim.eng.C.SetObserver(nil)
+
+	// The victim is a cold client (allocator slabs, directory caches), so
+	// the count starts at its lock batch.
+	log.evs = log.evs[shape.batch-1:]
+	if rts, _, stages := log.writeCost(); rts != sc.rts+2 {
+		t.Errorf("cost from the lock batch on = %d RT (%v), want the budget's %d + 2 for the table loop", rts, stages, sc.rts)
+	}
+	hs := victim.HashStats()
+	if hs.PlannedSwaps != 1 || hs.PlannedLost != 1 {
+		t.Errorf("PlannedSwaps = %d, PlannedLost = %d; want 1, 1", hs.PlannedSwaps, hs.PlannedLost)
+	}
+	if st := victim.eng.Stats(); st.PublishRetries != 0 || victim.Stats().Restarts != 0 {
+		t.Errorf("PublishRetries = %d, Restarts = %d; want 0, 0", st.PublishRetries, victim.Stats().Restarts)
+	}
+	if want := "inht entry missed the commit batch"; !strings.Contains(rec.Trace().Format(), want) {
+		t.Errorf("put trace lacks the note %q:\n%s", want, rec.Trace().Format())
+	}
+	check := newTestClient(f, shared, Options{DisableFilter: true, DisableLeafCache: true})
+	if n, l, err := check.locate([]byte(sc.key), len(sc.key)); err != nil || l != len(prefix) {
+		t.Errorf("the hash table does not lead to the new node: prefix %d (%v), %v", l, n, err)
+	}
+	warmSearch(t, check, []byte(sc.key), []byte("victim"))
+	sc.checkReadable(t, f, shared, "after the race")
+	checkNoPhantomEntries(t, check, before, "after the race")
+	checkOneEntryPerPrefix(t, check, "after the race")
+}
+
+// TestCommitBatchSurvivesFaults aims one transient at every verb of the
+// commit batch of every structural write — the slot WRITE, each entry CAS,
+// each header re-read, the unlock — and one lost completion at the batch as a
+// whole. A transient executed a prefix and released nothing: the batch is
+// issued again under the held lock, a repeated entry CAS loses to its own
+// first landing and the table's loop finds the word. A lost completion
+// executed everything, the unlock included: nothing is issued again, the
+// entries' outcomes are unknown and the loop finds them. Either way the put
+// acks, every prefix has exactly one entry, the lease is released, and no
+// slot is written once the unlock has executed.
+func TestCommitBatchSurvivesFaults(t *testing.T) {
+	// The paths whose commit batch is driven to completion: a plain insert's
+	// faulted batch goes back to the caller, and the put starts over.
+	for _, sc := range writeScenarios[2:] {
+		t.Run(sc.name, func(t *testing.T) {
+			shape := sc.calibrate(t)
+			cuts := make(map[int]bool) // verbs of the commit batch a transient let execute
+			for seed := uint64(1); len(cuts) < shape.n+1 && seed <= 400; seed++ {
+				timeout := len(cuts) == shape.n // every cut seen: the lost completion
+				what := fmt.Sprintf("seed %d, timeout %v", seed, timeout)
+				f, shared, setup := sc.build(t, 2)
+				before := reachableInner(t, setup)
+				plan := &fabric.FaultPlan{Seed: seed, TimeoutPs: 2_000_000}
+				f.SetFaultPlan(plan)
+				victim := NewClient(shared, f.NewClient(), Options{})
+				f.SetFaultPlan(nil)
+
+				// The fault: the batch behind the commit batch's predecessor.
+				arm := &afterBatches{n: shape.batch, fn: func() {
+					if timeout {
+						plan.TimeoutPer64k = 1 << 16
+					} else {
+						plan.TransientPer64k = 1 << 16
+					}
+				}}
+				cut := -1
+				faulted := observerFunc(func(ev fabric.BatchEvent) {
+					if ev.Err != nil {
+						cut = ev.Verbs
+						plan.TransientPer64k, plan.TimeoutPer64k = 0, 0
+					}
+				})
+				victim.eng.C.SetObserver(obs.Tee{A: arm, B: faulted})
+				// No verb of the victim may write a slot once its unlock ran.
+				var slot mem.Addr
+				unlocked, seen := false, uint64(0)
+				f.Trace = func(c *fabric.Client, op *fabric.Op) {
+					if c != victim.eng.C {
+						return
+					}
+					if seen++; seen == shape.first+1 {
+						slot = op.Addr
+					}
+					switch {
+					case seen <= shape.first+1:
+					case op.Kind == fabric.Write && op.Addr == slot && unlocked:
+						t.Errorf("%s: slot %v written after the unlock executed", what, slot)
+					case op.Kind == fabric.CAS && op.Desired == 0 && op.Old == op.Expect && seen >= shape.first+uint64(shape.n):
+						unlocked = true
+					}
+				}
+				_, err := victim.Insert([]byte(sc.key), []byte("victim"))
+				f.Trace = nil
+				if err != nil {
+					t.Fatalf("%s: victim put: %v", what, err)
+				}
+				if fs := victim.eng.C.Stats(); fs.Transients+fs.Timeouts != 1 || cut < 0 {
+					t.Fatalf("%s: %d transients, %d timeouts; the fault missed", what, fs.Transients, fs.Timeouts)
+				}
+				if timeout {
+					cut = shape.n
+				}
+				cuts[cut] = true
+
+				check := newTestClient(f, shared, Options{})
+				warmSearch(t, check, []byte(sc.key), []byte("victim"))
+				sc.checkReadable(t, f, shared, what)
+				checkNoPhantomEntries(t, check, before, what)
+				checkOneEntryPerPrefix(t, check, what)
+				// Leases released: writers that lock the nodes the victim locked
+				// — the node under "budget-", the root — are not kept waiting.
+				clock0 := check.eng.C.Clock()
+				for _, k := range []string{"budget-+", "+"} {
+					if _, err := check.Insert([]byte(k), []byte("next")); err != nil {
+						t.Fatalf("%s: next put %q: %v", what, k, err)
+					}
+				}
+				if dt := check.eng.C.Clock() - clock0; dt > 100_000_000 || check.eng.Stats().LockSteals != 0 {
+					t.Errorf("%s: the next writers took %d ps and stole %d leases; a lease was left held", what, dt, check.eng.Stats().LockSteals)
+				}
+			}
+			for cut := 0; cut <= shape.n; cut++ {
+				if !cuts[cut] {
+					t.Errorf("no seed cut the %d-verb commit batch after verb %d (%d = lost completion)", shape.n, cut, shape.n)
+				}
+			}
+		})
+	}
+}
+
+// observerFunc adapts a function to fabric.BatchObserver.
+type observerFunc func(fabric.BatchEvent)
+
+func (f observerFunc) ObserveBatch(ev fabric.BatchEvent) { f(ev) }
+
+// TestTypeSwitchNoFalseAbsenceBetweenBatches: while a type switch is between
+// two of its batches, past its commit point, a rival whose filter knows the
+// node's prefix inserts a fresh key through the root path — it lands in the
+// grown copy, which the parent's slot names from the commit batch on — and
+// reads it back through its filter-guided jump. The read is never absent: the
+// entry swap rides the commit batch behind the parent repoint, so no batch
+// boundary separates "the tree leads to the grown copy" from "the table does".
+// (With the swap in a batch of its own, the jump at that boundary lands on the
+// still-valid original, which lacks the key.) The boundary behind the lock
+// batch is left out: both nodes are leased there and a rival waits, by design.
+func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
+	sc := writeScenarios[5]
+	shape := sc.calibrate(t)
+	boundaries := 0
+	for at := shape.batch + 1; ; at++ {
+		f, shared, _ := sc.build(t, 2)
+		victim := NewClient(shared, f.NewClient(), Options{})
+		rival := newTestClient(f, shared, Options{DisableLeafCache: true})
+		warmSearch(t, rival, []byte(sc.setup[0]), []byte("v-"+sc.setup[0]))
+		fresh := []byte("budget-~") // a free edge of the switching node
+		ran := false
+		victim.eng.C.SetObserver(&afterBatches{n: at, fn: func() {
+			ran = true
+			root, err := rival.readRoot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rival.eng.PutFrom(root, fresh, []byte("fresh"), rart.PutUpsert, hooks{rival}); err != nil {
+				t.Fatalf("boundary %d: rival put through the root: %v", at, err)
+			}
+			jumps := rival.Stats().FilterHits
+			v, ok, err := rival.Search(fresh)
+			if err != nil || !ok || string(v) != "fresh" {
+				t.Errorf("boundary %d: the rival's own insert reads back %q, %v, %v", at, v, ok, err)
+			}
+			if rival.Stats().FilterHits != jumps+1 {
+				t.Errorf("boundary %d: the read-back did not jump through the hash table", at)
+			}
+		}})
+		if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
+			t.Fatalf("victim put: %v", err)
+		}
+		if !ran {
+			break // past the put's last batch
+		}
+		boundaries++
+		warmSearch(t, rival, fresh, []byte("fresh"))
+		warmSearch(t, rival, []byte(sc.key), []byte("victim"))
+	}
+	if boundaries < 2 {
+		t.Fatalf("%d batch boundaries behind the commit point; want the swing's and the invalidation's", boundaries)
 	}
 }

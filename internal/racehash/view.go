@@ -33,6 +33,14 @@ type Stats struct {
 	BucketOverflows uint64 // inserts that found both candidate buckets full
 	Reinserted      uint64 // leftover entries re-inserted after a split
 	StaleChecks     uint64 // post-CAS verifications forced by a concurrent split
+	// PlannedSwaps counts entry mutations concluded by a Finish… call: their
+	// CAS was planned from a prefetched read to ride a batch of the caller's.
+	// PlannedLost counts those that did not land there — never planned (stale,
+	// split-locked or full buckets, word already changed), CAS lost, dropped
+	// by an overlapping split, or outcome unknown — and took the table's own
+	// read-then-CAS loop, a round trip or more that the plan was to save.
+	PlannedSwaps uint64
+	PlannedLost  uint64
 }
 
 // Add returns s + t, field-wise; used to aggregate the per-memory-node
@@ -50,6 +58,8 @@ func (s Stats) Add(t Stats) Stats {
 	s.BucketOverflows += t.BucketOverflows
 	s.Reinserted += t.Reinserted
 	s.StaleChecks += t.StaleChecks
+	s.PlannedSwaps += t.PlannedSwaps
+	s.PlannedLost += t.PlannedLost
 	return s
 }
 
@@ -109,6 +119,8 @@ func (v *View) Stats() Stats {
 	s.BucketOverflows = atomic.LoadUint64(&v.stats.BucketOverflows)
 	s.Reinserted = atomic.LoadUint64(&v.stats.Reinserted)
 	s.StaleChecks = atomic.LoadUint64(&v.stats.StaleChecks)
+	s.PlannedSwaps = atomic.LoadUint64(&v.stats.PlannedSwaps)
+	s.PlannedLost = atomic.LoadUint64(&v.stats.PlannedLost)
 	return s
 }
 
@@ -182,6 +194,10 @@ type PreparedRead struct {
 	at     slotRef
 	chk    [8]byte
 	swapAt int
+
+	// Lost says, after a Finish… call, that the planned swap did not land in
+	// the caller's batch and took the table's own loop (Stats.PlannedLost).
+	Lost bool
 }
 
 // Prepare resolves the candidate buckets for h through the directory cache
@@ -198,7 +214,7 @@ func (v *View) Prepare(h uint64) (*PreparedRead, error) {
 
 // PrepareInto is Prepare into caller-provided storage.
 func (v *View) PrepareInto(p *PreparedRead, h uint64) error {
-	p.swapAt = -1
+	p.swapAt, p.Lost = -1, false
 	if v.noCache {
 		return v.prepareUncached(p, h)
 	}
@@ -488,13 +504,18 @@ func (v *View) Insert(h uint64, e wire.HashEntry, alloc *mem.Allocator) error {
 // landed concludes the swap planned on p (AppendInsert/AppendReplace) and
 // executed in ops, reporting whether word is now live in the table. False
 // when the CAS lost, was never planned, or its batch is unknown (ops nil:
-// it faulted); the caller then takes the mutation's own loop, which is
-// idempotent on an entry that did land.
-func (v *View) landed(p *PreparedRead, ops []fabric.Op, word uint64) (bool, error) {
+// the batch faulted or its completion was lost); the caller then takes the
+// mutation's own loop, which is idempotent on an entry that did land. Both
+// outcomes are counted (Stats.PlannedSwaps, PlannedLost) and left in p.Lost.
+func (v *View) landed(p *PreparedRead, ops []fabric.Op, word uint64) (done bool, err error) {
+	atomic.AddUint64(&v.stats.PlannedSwaps, 1)
 	if won, ambiguous, ok := p.swapResult(ops); ok && won {
-		return v.settle(p.h, word, p.at.slot, ambiguous)
+		done, err = v.settle(p.h, word, p.at.slot, ambiguous)
 	}
-	return false, nil
+	if p.Lost = !done && err == nil; p.Lost {
+		atomic.AddUint64(&v.stats.PlannedLost, 1)
+	}
+	return done, err
 }
 
 // FinishInsert concludes an insert whose CAS was planned with AppendInsert
@@ -649,10 +670,13 @@ func (v *View) swap(h, oldWord, newWord uint64, wait bool) (bool, error) {
 // split that may have resurrected the entry, never planned — takes Remove's
 // own loop, which is idempotent.
 func (v *View) FinishRemove(p *PreparedRead, ops []fabric.Op, old wire.HashEntry) error {
-	if won, ambiguous, ok := p.swapResult(ops); ok && won && !ambiguous {
+	atomic.AddUint64(&v.stats.PlannedSwaps, 1)
+	won, ambiguous, ok := p.swapResult(ops)
+	if p.Lost = !ok || !won || ambiguous; !p.Lost {
 		atomic.AddUint64(&v.stats.Removes, 1)
 		return nil
 	}
+	atomic.AddUint64(&v.stats.PlannedLost, 1)
 	return v.Remove(p.h, old)
 }
 

@@ -70,6 +70,12 @@ type Engine struct {
 	Ring  *consistenthash.Ring
 	Cfg   Config
 
+	// Held, when set, is an image the caller already holds of a node the
+	// next descent is about to meet: the walk takes it in place of the READ of
+	// its address. Like every image a descent reads it is unlocked and may be
+	// stale, which the write paths settle under their locks.
+	Held *Node
+
 	regionSizes map[mem.NodeID]uint64
 	stats       EngineStats
 	// bufs is a free list of read buffers for the hot path (node and leaf
@@ -81,6 +87,12 @@ type Engine struct {
 	// publication plan (see staged); like bufs, per-worker and reused.
 	stagedOps []fabric.Op
 	pubs      []Publication
+	// commitOps backs the commit batches behind it (slotWrite), commitWords
+	// the words they WRITE — [0] a slot, [1] the header retiring a leaf or a
+	// node — and commitIdx a Node48 index byte.
+	commitOps   []fabric.Op
+	commitWords [2][8]byte
+	commitIdx   [1]byte
 	// leafBuf and leafOps back the in-place leaf update (LeafLock): the READ
 	// behind the lock CAS lands in leafBuf, which the releasing WRITE's image
 	// then overwrites.
@@ -957,12 +969,6 @@ func (e *Engine) UnlockOp(n *Node) fabric.Op {
 		Expect:  n.LeaseWord,
 		Desired: 0,
 	}
-}
-
-// InvalidateOp builds the write retiring a node after a type switch.
-func (e *Engine) InvalidateOp(n *Node) fabric.Op {
-	w := wire.WithStatus(n.HdrWord, wire.StatusInvalid)
-	return fabric.Op{Kind: fabric.Write, Addr: n.Addr, Data: binary.LittleEndian.AppendUint64(nil, w)}
 }
 
 // MatchPartial compares key against node n's compressed path. It returns

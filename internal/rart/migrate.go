@@ -77,7 +77,7 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 	// and remote leaf-address caches holding the old address see Invalid and
 	// refute/unlearn through their usual trust-but-verify paths.
 	newSlot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: newAddr}
-	if err := e.completeBatch(slotWrite(locked, ed, newSlot.Encode(), retireOp(leaf), e.UnlockOp(locked))); err != nil {
+	if err := e.completeBatch(e.thenUnlock(append(e.slotWrite(locked, ed, newSlot.Encode()), e.retireOp(leaf)), locked)); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -154,8 +154,17 @@ func (e *Engine) RelocateNode(parent, child *Node, prefix []byte, target mem.Nod
 	}
 	// Commit point: from here the publication runs to completion, exactly
 	// like a type switch.
-	if err := e.replaceNode(lockedParent, ed, lockedChild, clone, func() error { return publish(lockedChild, clone) }); err != nil {
+	if err := e.replaceNode(lockedParent, ed, lockedChild, clone, hookPublisher{publish: func() error { return publish(lockedChild, clone) }}); err != nil {
 		return nil, false, err
 	}
 	return clone, true, nil
 }
+
+// hookPublisher publishes through the caller's idempotent hook alone: nothing
+// of it rides the write's batches.
+type hookPublisher struct {
+	NopPublisher
+	publish func() error
+}
+
+func (p hookPublisher) Publish([]fabric.Op) error { return p.publish() }

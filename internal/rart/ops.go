@@ -18,8 +18,8 @@ import (
 type Hooks interface {
 	// Plan is called by a structural write before it takes its locks, with
 	// every side-structure change the write will make once it commits. The
-	// returned Publisher's reads ride the write's lock batch and its Publish
-	// runs after the commit point.
+	// returned Publisher's reads ride the write's lock batch, its own verbs
+	// the commit batch, and its Publish runs after the commit point.
 	Plan(pubs []Publication) (Publisher, error)
 	// SawNode runs for every valid inner node visited during a descent,
 	// with the node's full prefix (Sphinx learns these into its filter).
@@ -48,20 +48,29 @@ type Publication struct {
 type Publisher interface {
 	// AppendReads appends the READs the publication wants fetched ahead of
 	// its own verbs (hash-bucket reads that precede an entry CAS); they
-	// ride the write's lock batch. Publish is only called after a batch
-	// carrying them completed.
+	// ride the write's lock batch. The other two methods are only called
+	// after a batch carrying them completed.
 	AppendReads(ops []fabric.Op) []fabric.Op
-	// Publish makes every planned change visible. It runs after the write's
-	// commit point, is re-driven across fabric faults until it returns nil
-	// (completeHook), and must therefore be idempotent.
-	Publish() error
+	// AppendCommit appends the publication's own verbs, planned from those
+	// READs, to the write's commit batch: behind the slot WRITE that links
+	// the new node into the tree, ahead of the unlock (swing). A batch
+	// executes in posting order, so no entry names a node the tree does not,
+	// and the whole batch may be issued again after a transient fault.
+	AppendCommit(ops []fabric.Op) []fabric.Op
+	// Publish makes every planned change visible that the commit batch did
+	// not: commit is that batch, executed, or nil when its completion was lost
+	// and the outcomes of its verbs with it. It runs after the write's commit
+	// point, is re-driven across fabric faults until it returns nil
+	// (completeHook), and must therefore be idempotent: an outcome is consumed
+	// once, and a change already visible is left alone.
+	Publish(commit []fabric.Op) error
 }
 
 // NopHooks ignores all events.
 type NopHooks struct{}
 
 // Plan implements Hooks.
-func (NopHooks) Plan([]Publication) (Publisher, error) { return nopPublisher{}, nil }
+func (NopHooks) Plan([]Publication) (Publisher, error) { return NopPublisher{}, nil }
 
 // SawNode implements Hooks.
 func (NopHooks) SawNode([]byte, *Node) {}
@@ -69,10 +78,13 @@ func (NopHooks) SawNode([]byte, *Node) {}
 // UpdatedLeaf implements Hooks.
 func (NopHooks) UpdatedLeaf([]byte, mem.Addr, uint8) {}
 
-type nopPublisher struct{}
+// NopPublisher rides no batch and publishes nothing; a Publisher with nothing
+// to read or to CAS embeds it and says what its Publish does.
+type NopPublisher struct{}
 
-func (nopPublisher) AppendReads(ops []fabric.Op) []fabric.Op { return ops }
-func (nopPublisher) Publish() error                          { return nil }
+func (NopPublisher) AppendReads(ops []fabric.Op) []fabric.Op  { return ops }
+func (NopPublisher) AppendCommit(ops []fabric.Op) []fabric.Op { return ops }
+func (NopPublisher) Publish([]fabric.Op) error                { return nil }
 
 // PutMode selects upsert semantics for PutFrom.
 type PutMode int
@@ -166,9 +178,12 @@ func (e *Engine) descend(op string, start *Node, key []byte, h Hooks) (landing, 
 			return at, nil
 		}
 		if !slot.Leaf {
-			child, err := e.ReadNode(slot.Addr, slot.ChildType)
-			if err != nil {
-				return at, err
+			child := e.Held
+			if child == nil || child.Addr != slot.Addr {
+				var err error
+				if child, err = e.ReadNode(slot.Addr, slot.ChildType); err != nil {
+					return at, err
+				}
 			}
 			at.n, at.parent = child, n
 			continue
@@ -279,55 +294,75 @@ func (e *Engine) confirmEdge(st *staged, op string, locked, also *Node, key []by
 	return ed, nil
 }
 
-// slotWrite builds a commit batch: the WRITE of word into the slot of ed, an
-// edge of the locked node n, then the verbs of then (the unlock last). An
-// edge that appears in or disappears from a Node48 takes its index byte
-// along; a swing from one child to another leaves it alone.
-func slotWrite(n *Node, ed edge, word uint64, then ...fabric.Op) []fabric.Op {
+// slotWrite starts a commit batch in the engine's storage (commitOps,
+// commitWords: no allocation): the WRITE of word into the slot of ed, an edge
+// of the locked node n. An edge that appears in or disappears from a Node48
+// takes its index byte along; a swing from one child to another leaves it
+// alone. The caller appends what rides behind the slot and ends the batch
+// with thenUnlock.
+func (e *Engine) slotWrite(n *Node, ed edge, word uint64) []fabric.Op {
+	binary.LittleEndian.PutUint64(e.commitWords[0][:], word)
+	ops := append(e.commitOps[:0], fabric.Op{Kind: fabric.Write, Addr: ed.addr, Data: e.commitWords[0][:]})
 	present := word != 0
-	indexed := n.Hdr.Type == wire.Node48 && !ed.eol && present != ed.slot.Present
-	size := 1 + len(then)
-	if indexed {
-		size++
-	}
-	ops := append(make([]fabric.Op, 0, size),
-		fabric.Op{Kind: fabric.Write, Addr: ed.addr, Data: binary.LittleEndian.AppendUint64(nil, word)})
-	if indexed {
-		pos := uint8(0)
+	if n.Hdr.Type == wire.Node48 && !ed.eol && present != ed.slot.Present {
+		e.commitIdx[0] = 0
 		if present {
-			pos = uint8(ed.idx + 1)
+			e.commitIdx[0] = uint8(ed.idx + 1)
 		}
-		ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: n.IndexAddr(ed.b), Data: []byte{pos}})
+		ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: n.IndexAddr(ed.b), Data: e.commitIdx[:]})
 	}
-	return append(ops, then...)
+	return ops
 }
 
-// swing repoints ed, an edge of the locked node n, at the inner node to and
-// releases n, in one batch driven to completion: the commit point of a leaf
-// conversion, the publication of a split's or a replacement's new node.
-func (e *Engine) swing(n *Node, ed edge, to *Node) error {
+// thenUnlock ends a commit batch with the release of the locked node n — the
+// one releasing verb, last, so a batch a fault cut short has released nothing
+// and may be issued again — and keeps the storage the batch grew.
+func (e *Engine) thenUnlock(ops []fabric.Op, n *Node) []fabric.Op {
+	ops = append(ops, e.UnlockOp(n))
+	e.commitOps = ops[:0]
+	return ops
+}
+
+// swing repoints ed, an edge of the locked node n, at the inner node to,
+// lands pub's entries and releases n, in ONE batch driven to completion —
+// [W slot → to · pub's verbs · CAS unlock]: the commit point of a leaf
+// conversion, the publication of a split's or a replacement's new node. The
+// tree link comes first and a batch executes in posting order over all its
+// targets (the contract of fabric.Client.runBatch, DESIGN.md §5.1), so an
+// entry never names a node the tree does not. pub then finishes from the
+// batch's outcomes; what did not land takes pub's own idempotent path.
+func (e *Engine) swing(n *Node, ed edge, to *Node, pub Publisher) error {
 	slot := wire.Slot{Present: true, KeyByte: ed.b, ChildType: to.Hdr.Type, Addr: to.Addr}
-	return e.completeBatch(slotWrite(n, ed, slot.Encode(), e.UnlockOp(n)))
+	ops := e.thenUnlock(pub.AppendCommit(e.slotWrite(n, ed, slot.Encode())), n)
+	var last error
+	if err := e.complete("publish batch", false, func() error { last = e.C.Batch(ops); return last }); err != nil {
+		return err
+	}
+	if last != nil {
+		ops = nil // a lost completion: every verb executed, with outcomes unknown
+	}
+	return e.completeHook(func() error { return pub.Publish(ops) })
 }
 
 // retireOp builds the header WRITE that retires a leaf, so that readers that
 // still hold its address restart their operation. The header keeps the
 // lengths the leaf was read with, so a reader that decodes it sees a
-// checksum-consistent Invalid image.
-func retireOp(leaf *Leaf) fabric.Op {
+// checksum-consistent Invalid image. The word lives in commitWords[1].
+func (e *Engine) retireOp(leaf *Leaf) fabric.Op {
 	hdr := wire.LeafHeader{
 		Status: wire.StatusInvalid,
 		Units:  leaf.Units,
 		KeyLen: uint16(len(leaf.Key)),
 		ValLen: uint32(len(leaf.Value)),
 	}
-	return fabric.Op{Kind: fabric.Write, Addr: leaf.Addr, Data: binary.LittleEndian.AppendUint64(nil, hdr.Encode())}
+	binary.LittleEndian.PutUint64(e.commitWords[1][:], hdr.Encode())
+	return fabric.Op{Kind: fabric.Write, Addr: leaf.Addr, Data: e.commitWords[1][:]}
 }
 
 // invalidateLeaf retires a leaf in a round trip of its own.
 func (e *Engine) invalidateLeaf(leaf *Leaf) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
-	op := retireOp(leaf)
+	op := e.retireOp(leaf)
 	return e.C.Write(op.Addr, op.Data)
 }
 
@@ -356,7 +391,7 @@ func (e *Engine) installLeaf(parent, n *Node, key, value []byte, ed edge, h Hook
 		return e.abort(&st, fmt.Errorf("install: node %v filled up: %w", locked.Addr, ErrRestart), locked, nil)
 	}
 	slot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: leafAddr}
-	return e.C.Batch(slotWrite(locked, ed, slot.Encode(), e.UnlockOp(locked)))
+	return e.C.Batch(e.thenUnlock(e.slotWrite(locked, ed, slot.Encode()), locked))
 }
 
 // sameImage reports whether the image read under the lock still is the one
@@ -417,28 +452,30 @@ func (e *Engine) growAndInstall(parent, n *Node, key, value []byte, h Hooks) err
 	if err != nil {
 		return err
 	}
-	return e.replaceNode(lockedParent, ed, locked, grown, pub.Publish)
+	return e.replaceNode(lockedParent, ed, locked, grown, pub)
 }
 
 // replaceNode is what a type switch and a node relocation share, from their
-// commit point on: parent slot → replacement (releasing the parent), hash
-// entry → replacement through publish, original → invalid. Abandoning this
-// sequence midway would leave the retired original valid yet reachable
-// through its stale hash entry, and every later jump-started descent would
-// miss children only the replacement has (a permanent false absence). So
-// once the parent slot is verified, each step runs to completion under its
-// own backoff. The original's lease is held until the invalidation — no
-// competing type switch can read the old address in between — which both
-// retires the original and releases any waiters on its lock into a retry
-// (paper §III-C).
-func (e *Engine) replaceNode(lockedParent *Node, ed edge, original, replacement *Node, publish func() error) error {
-	if err := e.swing(lockedParent, ed, replacement); err != nil {
+// commit point on: parent slot → replacement, hash entry → replacement
+// through pub, parent released (swing, one batch), then original → invalid.
+// Abandoning this sequence midway would leave the retired original valid yet
+// reachable through its stale hash entry, and every later jump-started
+// descent would miss children only the replacement has (a permanent false
+// absence). So once the parent slot is verified, each step runs to completion
+// under its own backoff. The original's lease is held until the invalidation
+// — no competing type switch can read the old address in between — which
+// both retires the original and releases any waiters on its lock into a
+// retry (paper §III-C). It stays a batch of its own: were it inside the
+// swing, an entry swap that fell to pub's finish step would come after it,
+// and a reader that meets an entry naming a retired node removes the entry —
+// the swap would wait for an old entry that is gone for good.
+func (e *Engine) replaceNode(lockedParent *Node, ed edge, original, replacement *Node, pub Publisher) error {
+	if err := e.swing(lockedParent, ed, replacement, pub); err != nil {
 		return err
 	}
-	if err := e.completeHook(publish); err != nil {
-		return err
-	}
-	return e.completeBatch([]fabric.Op{e.InvalidateOp(original)})
+	binary.LittleEndian.PutUint64(e.commitWords[1][:], wire.WithStatus(original.HdrWord, wire.StatusInvalid))
+	return e.completeBatch(append(e.commitOps[:0],
+		fabric.Op{Kind: fabric.Write, Addr: original.Addr, Data: e.commitWords[1][:]}))
 }
 
 // complete drives one step past an operation's commit point to completion,
@@ -574,13 +611,10 @@ func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks)
 	if err != nil {
 		return err
 	}
-	// The swing is the commit point; it and the hash publications below
+	// The swing is the commit point; it and the hash publications riding it
 	// must land even across faults, or a later type switch of a chain node
 	// would wait forever for its hash entry.
-	if err := e.swing(locked, ed, chain[len(chain)-1]); err != nil {
-		return err
-	}
-	return e.completeHook(pub.Publish)
+	return e.swing(locked, ed, chain[len(chain)-1], pub)
 }
 
 // splitPartial handles a key diverging inside child's compressed path: a
@@ -660,11 +694,11 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 		return err
 	}
 
-	// Publish the new parent and release the old one.
-	if err := e.swing(lockedParent, ed, mid); err != nil {
-		return err
-	}
-	return e.completeHook(pub.Publish)
+	// Publish the new parent and release the old one. The head write above
+	// stays a batch of its own: it zeroes the child's lease, and a second
+	// releasing verb inside a batch that may be issued again would break
+	// completeBatch's rule.
+	return e.swing(lockedParent, ed, mid, pub)
 }
 
 // updateLeaf applies the paper's update protocol (§III-C, §IV Update):
@@ -703,7 +737,7 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) err
 	// checksum-valid and Idle at an address other compute nodes still have
 	// cached — an orphan a speculative read would wrongly trust.
 	newSlot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: newAddr}
-	err = e.C.Batch(slotWrite(locked, ed, newSlot.Encode(), retireOp(leaf), e.UnlockOp(locked)))
+	err = e.C.Batch(e.thenUnlock(append(e.slotWrite(locked, ed, newSlot.Encode()), e.retireOp(leaf)), locked))
 	if err != nil {
 		// A transient fault truncates the batch at a random verb, so the
 		// swing may have landed without the retirement. Probe the slot: if
@@ -795,7 +829,7 @@ func (e *Engine) DeleteFrom(start *Node, key []byte, h Hooks) (bool, error) {
 	// (completeDelete repairs that state, but only when a descent
 	// happens to revisit this edge).
 	defer e.C.SetStage(e.C.SetStage(fabric.StageInstall))
-	if err := e.completeBatch(slotWrite(locked, ed, 0, e.UnlockOp(locked))); err != nil {
+	if err := e.completeBatch(e.thenUnlock(e.slotWrite(locked, ed, 0), locked)); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -817,13 +851,13 @@ func (e *Engine) completeDelete(n *Node, at edge, leafAddr mem.Addr) (bool, erro
 	if err != nil {
 		return false, err
 	}
-	ops := []fabric.Op{e.UnlockOp(locked)}
+	ops := e.commitOps[:0]
 	ed := locked.edge(at.eol, at.b)
 	cleared := ed.slot.Leaf && ed.slot.Addr == leafAddr
 	if cleared {
-		ops = slotWrite(locked, ed, 0, ops...)
+		ops = e.slotWrite(locked, ed, 0)
 	}
-	if err := e.C.Batch(ops); err != nil {
+	if err := e.C.Batch(e.thenUnlock(ops, locked)); err != nil {
 		return false, err
 	}
 	if cleared {

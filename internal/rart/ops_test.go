@@ -123,17 +123,16 @@ type recordingHooks struct {
 
 // Plan implements Hooks: the callbacks fire at Publish, once per publication.
 func (h recordingHooks) Plan(pubs []Publication) (Publisher, error) {
-	return recordingPublisher{h, append([]Publication(nil), pubs...)}, nil
+	return recordingPublisher{h: h, pubs: append([]Publication(nil), pubs...)}, nil
 }
 
 type recordingPublisher struct {
+	NopPublisher
 	h    recordingHooks
 	pubs []Publication
 }
 
-func (recordingPublisher) AppendReads(ops []fabric.Op) []fabric.Op { return ops }
-
-func (p recordingPublisher) Publish() error {
+func (p recordingPublisher) Publish([]fabric.Op) error {
 	for _, pub := range p.pubs {
 		switch {
 		case pub.Old != nil && p.h.onSwitch != nil:

@@ -207,20 +207,19 @@ func (hooks) UpdatedLeaf([]byte, mem.Addr, uint8) {}
 // Plan implements rart.Hooks: fresh nodes go straight into the cache once
 // published. Type switches are unreachable under Prealloc256.
 func (h hooks) Plan(pubs []rart.Publication) (rart.Publisher, error) {
-	h.c.pub = cachePublisher{h.c, pubs}
+	h.c.pub = cachePublisher{c: h.c, pubs: pubs}
 	return &h.c.pub, nil
 }
 
 // cachePublisher is the client's one publication in flight (write paths are
 // not re-entrant), held by the client so planning allocates nothing.
 type cachePublisher struct {
-	c    *Client
-	pubs []rart.Publication
+	rart.NopPublisher // nothing rides the write's batches
+	c                 *Client
+	pubs              []rart.Publication
 }
 
-func (*cachePublisher) AppendReads(ops []fabric.Op) []fabric.Op { return ops }
-
-func (p *cachePublisher) Publish() error {
+func (p *cachePublisher) Publish([]fabric.Op) error {
 	for _, pub := range p.pubs {
 		p.c.cache.Add(pub.Node)
 	}
