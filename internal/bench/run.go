@@ -61,6 +61,11 @@ type Result struct {
 	SphinxFPPerKOp       float64 `json:"fp_per_kop,omitempty"`
 	SphinxRestartsPerKOp float64 `json:"restarts_per_kop,omitempty"`
 	SphinxCollisions     uint64  `json:"collisions,omitempty"`
+	// The landing bets of Sphinx's inserting puts (rart.EngineStats): posted,
+	// lost to a held lease (free), won and given back unused (a round trip).
+	LeaseBets         uint64 `json:"lease_bets,omitempty"`
+	LeaseBetsLost     uint64 `json:"lease_bets_lost,omitempty"`
+	LeaseBetsReturned uint64 `json:"lease_bets_returned,omitempty"`
 
 	// Fault and recovery accounting, all systems: nonzero only when a
 	// fault plan is active or locks were contended. Restarts counts
@@ -100,8 +105,9 @@ func (r Result) Diag() string {
 	if r.SphinxFilterHitPct == 0 && r.SphinxFPPerKOp == 0 && r.SphinxRestartsPerKOp == 0 {
 		return ""
 	}
-	return fmt.Sprintf("    [sphinx] filter-hit %.1f%%  falsePos %.2f/kop  restarts %.2f/kop  collisions %d",
-		r.SphinxFilterHitPct, r.SphinxFPPerKOp, r.SphinxRestartsPerKOp, r.SphinxCollisions)
+	return fmt.Sprintf("    [sphinx] filter-hit %.1f%%  falsePos %.2f/kop  restarts %.2f/kop  collisions %d  leaseBets %d lost %d returned %d",
+		r.SphinxFilterHitPct, r.SphinxFPPerKOp, r.SphinxRestartsPerKOp, r.SphinxCollisions,
+		r.LeaseBets, r.LeaseBetsLost, r.LeaseBetsReturned)
 }
 
 // FaultLine renders the fault/recovery counters, or "" when the run saw
@@ -456,6 +462,7 @@ func (cl *Cluster) attachSphinxDiag(r *Result, t tally) {
 	r.SphinxFPPerKOp = 1000 * float64(t.core.FalsePositives) / float64(r.Ops)
 	r.SphinxRestartsPerKOp = 1000 * float64(t.core.Restarts) / float64(r.Ops)
 	r.SphinxCollisions = t.core.CollisionRetry
+	r.LeaseBets, r.LeaseBetsLost, r.LeaseBetsReturned = t.engine.LeaseBets, t.engine.LeaseBetsLost, t.engine.LeaseBetsReturned
 	r.Restarts = t.core.Restarts
 }
 

@@ -323,6 +323,10 @@ type Client struct {
 	hotset    *HotSet
 	sfcWasHot bool
 
+	// inserting says the operation in flight is a put that may link a new
+	// leaf: its jump start bets on the landing's lease (readCandidates).
+	inserting bool
+
 	// Warm-path scratch, reused across operations (clients are
 	// single-goroutine). Valid only within one locate step.
 	candScratch []racehash.Candidate
@@ -359,6 +363,11 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 		lac:     opts.LeafCache,
 		opts:    opts,
 		index:   opts.Index,
+	}
+	cl.eng.Note = func(stage fabric.Stage, note string) {
+		if cl.rec != nil {
+			cl.rec.Note(stage, cl.eng.C.Clock(), note)
+		}
 	}
 	cur := members.Current()
 	views := &viewSet{m: make(map[mem.NodeID]*racehash.View, len(cur.Tables))}

@@ -147,7 +147,8 @@ func (c *Client) fetchValidatedIn(view *racehash.View, prefix []byte) (*rart.Nod
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	nodes, err := c.readCandidates(cands)
+	// A put that may insert bets on the one candidate's lease (readCandidates).
+	nodes, err := c.readCandidates(cands, c.inserting && len(cands) == 1)
 	if err != nil {
 		return nil, err
 	}
@@ -161,6 +162,7 @@ func (c *Client) fetchValidatedIn(view *racehash.View, prefix []byte) (*rart.Nod
 			// Retired by a type switch whose table update this entry
 			// predates; clean it up so future lookups stay single-read.
 			atomic.AddUint64(&c.stats.StaleEntries, 1)
+			c.eng.ReturnLeases(rart.BetRefuted)
 			if err := view.Remove(h42, cands[i].Entry); err != nil {
 				return nil, err
 			}
@@ -169,6 +171,7 @@ func (c *Client) fetchValidatedIn(view *racehash.View, prefix []byte) (*rart.Nod
 			// 42-bit full-prefix hash did not: a hash-table-level
 			// fingerprint collision, paid for with a wasted node read.
 			atomic.AddUint64(&c.stats.FPMismatches, 1)
+			c.eng.ReturnLeases(rart.BetRefuted)
 		case found == nil:
 			found = n
 		}
@@ -184,8 +187,26 @@ func (c *Client) validPrefixNode(n *rart.Node, prefix []byte) bool {
 // readCandidates fetches candidate inner nodes in one doorbell batch.
 // Entries whose size hint proved stale are re-read individually. The
 // returned slice is client-owned scratch, valid until the next locate step.
-func (c *Client) readCandidates(cands []racehash.Candidate) ([]*rart.Node, error) {
+//
+// With bet, the batch reading the single candidate leads with the CAS for its
+// lease (rart.LeaseRead): the landing of a put that may insert is, more often
+// than not, the node the put writes, and the lease CAS depends on the hash
+// entry, not on the node's image. The image is the same either way; whoever
+// drops it for failing a check gives a won lease back (ReturnLeases).
+func (c *Client) readCandidates(cands []racehash.Candidate, bet bool) ([]*rart.Node, error) {
 	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageNodeRead))
+	if bet {
+		entry := cands[0].Entry
+		n, err := c.eng.LeaseRead(entry.Addr, entry.Type)
+		if err != nil {
+			return nil, err
+		}
+		if n == nil {
+			n, _ = c.eng.ReadNode(entry.Addr, entry.Type) // as for a failed Decode below
+		}
+		c.nodeScratch = append(c.nodeScratch[:0], n)
+		return c.nodeScratch, nil
+	}
 	ops := c.opScratch[:0]
 	bufs := c.bufScratch[:0]
 	for _, cand := range cands {
@@ -268,7 +289,7 @@ func (c *Client) locateParallel(key []byte, maxLen int) (*rart.Node, int, error)
 		if len(cands) == 0 {
 			continue
 		}
-		nodes, err := c.readCandidates(cands)
+		nodes, err := c.readCandidates(cands, false)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -260,7 +260,9 @@ func (c *Client) checkKey(key []byte) error {
 //     fabric fault says nothing about the collided prefix, and descents
 //     re-learn it into the filter, so widening would re-detect it each time).
 //     The walk that comes for the parent meets the start node again below it
-//     and takes the image already held (rart.Engine.Held), not a second READ.
+//     and takes the image already held (rart.Engine.Held), not a second READ —
+//     and a put that won the start node's lease with that image keeps it too:
+//     it is the child lock of the write the re-routed walk makes.
 //   - the path crosses a lost node and the layer above can answer instead
 //     (anchors with fault tolerance; a rooted scan's typed error): lost is
 //     reported with the error, in one decision, no backoff.
@@ -694,11 +696,15 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 		abObjects, abBytes = c.eng.Abandoned()
 	}
 	var existed bool
+	// A put that may link a leaf bets, at its jump start, on the lease of the
+	// node it lands on (readCandidates); PutFrom resolves the bet.
+	c.inserting = mode != rart.PutUpdateOnly
 	lost, err := c.drive("put", key, false, func(start *rart.Node, _ int) (_ bool, err error) {
 		existed, err = c.eng.PutFrom(start, key, value, mode, hooks{c})
 		c.noteAbandoned(&abObjects, &abBytes)
 		return false, err
 	})
+	c.inserting = false
 	switch {
 	case lost:
 		return c.degradedPut(key, value, mode)

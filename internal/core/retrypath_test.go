@@ -66,18 +66,14 @@ func plantImpostor(t *testing.T, c *Client, prefix []byte, edge byte, slot wire.
 	return n
 }
 
-// TestPutNeedParentNoBackoff: a jump-started insert that discovers it
-// needs the parent (full node at the jump target) is a deterministic
-// structural re-route, not contention — it must re-loop immediately
-// without advancing the backoff clock or burning retry budget, and the walk
-// that comes back through the parent takes the image of the full node the
-// jump already read instead of reading it again.
-func TestPutNeedParentNoBackoff(t *testing.T) {
+// fullNodeCluster builds one full Node4 at depth 2 — four keys sharing the
+// prefix "ab" — that the client's filter knows, because the split that made
+// the node published it.
+func fullNodeCluster(t *testing.T) *Client {
+	t.Helper()
 	f, shared := newCluster(t, 1, fabric.InstantConfig(), 1000)
 	filter := NewFilterCache(1<<12, 1)
 	c := newTestClient(f, shared, Options{Filter: filter})
-	// Four keys sharing the prefix "ab" build one full Node4 at depth 2;
-	// the splits publish it, so the filter knows the prefix.
 	for _, k := range []string{"ab1z", "ab2z", "ab3z", "ab4z"} {
 		if _, err := c.Insert([]byte(k), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -86,41 +82,120 @@ func TestPutNeedParentNoBackoff(t *testing.T) {
 	if !filter.Contains(PrefixFilterHash([]byte("ab"))) {
 		t.Fatal("filter never learned the shared prefix; the insert below would not jump")
 	}
+	return c
+}
 
-	clock0 := c.eng.C.Clock()
-	restarts0 := c.stats.Restarts
-	var log batchLog
-	c.eng.C.SetObserver(&log)
-	if _, err := c.Insert([]byte("ab5z"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	c.eng.C.SetObserver(nil)
-	if c.stats.ParentRetries == 0 {
-		t.Fatal("insert never hit ErrNeedParent; the scenario exercises nothing")
-	}
-	nodeReads := 0
-	for _, ev := range log.evs {
-		if ev.Stage == fabric.StageNodeRead {
+// lockBatches lists the verbs of every lock batch in the log, and counts the
+// node reads.
+func (b *batchLog) lockBatches() (locks []int, nodeReads int) {
+	for _, ev := range b.evs {
+		switch ev.Stage {
+		case fabric.StageLock:
+			locks = append(locks, ev.Verbs)
+		case fabric.StageNodeRead:
 			nodeReads++
 		}
 	}
-	if nodeReads != 2 {
-		t.Errorf("re-routed insert read %d nodes before its lock batch, want 2: the full node at the jump, then its parent (the root)", nodeReads)
-	}
-	// Under InstantConfig every batch is free, so any clock advance can
-	// only come from backoff sleep — which this path must not take.
-	if dt := c.eng.C.Clock() - clock0; dt != 0 {
-		t.Errorf("need-parent re-route slept %d ps of backoff; want 0", dt)
-	}
-	if c.stats.Restarts != restarts0 {
-		t.Errorf("need-parent re-route consumed %d retry budget; want 0",
-			c.stats.Restarts-restarts0)
-	}
-	for _, k := range []string{"ab1z", "ab2z", "ab3z", "ab4z", "ab5z"} {
-		if _, ok, err := c.Search([]byte(k)); err != nil || !ok {
-			t.Errorf("%q missing after grow: %v", k, err)
+	return locks, nodeReads
+}
+
+// TestPutNeedParentNoBackoff: a jump-started insert that discovers it
+// needs the parent (full node at the jump target) is a deterministic
+// structural re-route, not contention — it must re-loop immediately
+// without advancing the backoff clock or burning retry budget, and the walk
+// that comes back through the parent takes the image of the full node the
+// jump already read instead of reading it again — and the lease the jump won
+// with that image instead of taking it again: the re-route's lock batch locks
+// the parent alone.
+func TestPutNeedParentNoBackoff(t *testing.T) {
+	t.Run("lease kept", func(t *testing.T) {
+		c := fullNodeCluster(t)
+		clock0 := c.eng.C.Clock()
+		restarts0 := c.stats.Restarts
+		eng0 := c.eng.Stats()
+		var log batchLog
+		c.eng.C.SetObserver(&log)
+		if _, err := c.Insert([]byte("ab5z"), []byte("v")); err != nil {
+			t.Fatal(err)
 		}
-	}
+		c.eng.C.SetObserver(nil)
+		if c.stats.ParentRetries == 0 {
+			t.Fatal("insert never hit ErrNeedParent; the scenario exercises nothing")
+		}
+		locks, nodeReads := log.lockBatches()
+		if nodeReads != 1 {
+			t.Errorf("re-routed insert read %d nodes outside its lock batches, want 1: the parent (the root); the full node came with the jump's lease", nodeReads)
+		}
+		// The landing: lease CAS + READ. The type switch: W leaf, W grown copy,
+		// 2 bucket READs, lease CAS + READ of the parent — not of the child.
+		if fmt.Sprint(locks) != "[2 6]" {
+			t.Errorf("lock batches carry %v verbs, want [2 6]: the landing's bet, then the parent's lock beside the staged objects", locks)
+		}
+		if st := c.eng.Stats(); st.LeaseBets != eng0.LeaseBets+1 || st.LeaseBetsLost != 0 || st.LeaseBetsReturned != 0 || st.LockSteals != 0 {
+			t.Errorf("bets %d, lost %d, returned %d, steals %d; want 1, 0, 0, 0: the child's lease is kept across the re-route",
+				st.LeaseBets-eng0.LeaseBets, st.LeaseBetsLost, st.LeaseBetsReturned, st.LockSteals)
+		}
+		// Under InstantConfig every batch is free, so any clock advance can
+		// only come from backoff sleep — which this path must not take.
+		if dt := c.eng.C.Clock() - clock0; dt != 0 {
+			t.Errorf("need-parent re-route slept %d ps of backoff; want 0", dt)
+		}
+		if c.stats.Restarts != restarts0 {
+			t.Errorf("need-parent re-route consumed %d retry budget; want 0",
+				c.stats.Restarts-restarts0)
+		}
+		for _, k := range []string{"ab1z", "ab2z", "ab3z", "ab4z", "ab5z"} {
+			if _, ok, err := c.Search([]byte(k)); err != nil || !ok {
+				t.Errorf("%q missing after grow: %v", k, err)
+			}
+		}
+	})
+
+	// The round between the two walks can end in a fault, which gives the
+	// lease back; the image lives on as Engine.Held. Its lease word must have
+	// gone with the lease: an image still carrying our word arms the type
+	// switch's lock CAS with an expectation that is gone, and the lock batch
+	// is followed by a poll.
+	t.Run("lease given back, image handed on", func(t *testing.T) {
+		c := fullNodeCluster(t)
+		key := []byte("ab5z")
+		bets0 := c.eng.Stats().LeaseBets
+		c.inserting = true
+		full, l, err := c.locate(key, len(key))
+		c.inserting = false
+		if err != nil || l != 2 || c.eng.Stats().LeaseBets != bets0+1 {
+			t.Fatalf("locate = prefix %d, %v with %d bets; want the full node at 2 behind a bet", l, err, c.eng.Stats().LeaseBets-bets0)
+		}
+		if !wire.LeaseOwnedBy(full.LeaseWord, uint16(c.eng.C.ID())) {
+			t.Fatalf("the landing's image carries lease word %#x, want ours", full.LeaseWord)
+		}
+		c.eng.ReturnLeases(rart.BetRoundEnded)
+		if full.LeaseWord != 0 {
+			t.Errorf("image's lease word = %#x after the lease was given back, want 0", full.LeaseWord)
+		}
+		root, err := c.readRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log batchLog
+		c.eng.C.SetObserver(&log)
+		c.eng.Held = full
+		_, err = c.eng.PutFrom(root, key, []byte("v"), rart.PutUpsert, hooks{c})
+		c.eng.Held = nil
+		c.eng.C.SetObserver(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if locks, nodeReads := log.lockBatches(); fmt.Sprint(locks) != "[8]" || nodeReads != 0 {
+			t.Errorf("lock batches %v, %d node reads; want [8], 0: one batch locks both nodes, no poll behind it", locks, nodeReads)
+		}
+		if st := c.eng.Stats(); st.LeaseBetsReturned != 1 || st.LockSteals != 0 {
+			t.Errorf("returned %d, steals %d; want 1, 0", st.LeaseBetsReturned, st.LockSteals)
+		}
+		if _, ok, err := c.Search(key); err != nil || !ok {
+			t.Errorf("%q missing after grow: %v", key, err)
+		}
+	})
 }
 
 // deleteCollisionCluster builds the Delete collision-confirm scenario:

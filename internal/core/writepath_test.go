@@ -25,31 +25,60 @@ type writeScenario struct {
 	name  string
 	setup []string
 	key   string
-	// Post-descent budget of an uncontended put (hash, node and leaf reads
-	// excluded): round trips, verbs, and batch stages in order.
+	// Budget of an uncontended put behind its reads (hash, node and leaf
+	// reads excluded; the jump's landing batch, which carries the lease CAS,
+	// is a lock batch and counts): round trips, verbs, and batch stages in
+	// order.
 	rts, verbs int
 	stages     []string
+	// total is every round trip of the put, reads included; bare the
+	// round trips behind the descent of the same put on a tree without the
+	// hash table, which takes no bet (rart.TestWriteBudgets).
+	total, bare int
 }
 
 var longShared = string(bytes.Repeat([]byte("p"), 2*wire.MaxPartial+5))
 
 // writeScenarios lists every structural write. The verb counts are those
 // of the one-batch-per-verb-group protocol this design replaced: fusion
-// regroups verbs into dependency levels, it adds none. The round trips are
-// the bare tree's (rart.TestWriteBudgets): the hash-table verbs ride the lock
-// batch and the commit batch, so the table costs none of its own.
+// regroups verbs into dependency levels, it adds none — the hash-table verbs
+// ride the lock batch and the commit batch, and the lease CAS + READ of a
+// jump's landing are the verbs the bare tree's lock batch carries, posted one
+// level earlier in place of the unlocked node read. So a jump-started one-node
+// write is hash-read, landing, then the bare tree's batches without their
+// lock verbs: the plain insert's whole lock level is gone (3 round trips in
+// all), a conversion keeps it for the staged objects and bucket READs its
+// leaf read had to precede.
 var writeScenarios = []writeScenario{
-	// W leaf + CAS,READ lock | W slot + CAS unlock
-	{"fresh insert", []string{"budget-a", "budget-b"}, "budget-c", 2, 5, []string{"lock", "install"}},
-	{"EOL insert", []string{"budget-a", "budget-b"}, "budget-", 2, 5, []string{"lock", "install"}},
-	// W leaf + W node + 2 READ bucket + CAS,READ lock | W slot + CAS entry + READ bucket header + CAS unlock
-	{"leaf conversion, chain 1", []string{"budget-a", "budget-b"}, "budget-ax", 2, 10, []string{"lock", "publish"}},
-	// chain of 3: 3 W node, 3×2 READ bucket | W slot + 3×(CAS entry + READ header) + CAS unlock
-	{"leaf conversion, chain 3", []string{"budget-a", "budget-b", longShared + "A"}, longShared + "B", 2, 20, []string{"lock", "publish"}},
-	// W leaf + W mid + 2 READ bucket + 2×(CAS,READ) lock | W child head | W parent slot + CAS entry + READ header + CAS unlock
-	{"partial split", []string{"budget-a", "budget-b"}, "bud!", 3, 13, []string{"lock", "publish", "publish"}},
-	// W leaf + W grown + 2 READ bucket + 2×(CAS,READ) lock | W parent slot + CAS entry + READ header + CAS unlock | W invalidate
-	{"type switch", []string{"budget-a", "budget-b", "budget-c", "budget-d"}, "budget-e", 3, 13, []string{"lock", "publish", "publish"}},
+	// hash | CAS,READ landing | W leaf + W slot + CAS unlock
+	{"fresh insert", []string{"budget-a", "budget-b"}, "budget-c", 2, 5, []string{"lock", "install"}, 3, 2},
+	{"EOL insert", []string{"budget-a", "budget-b"}, "budget-", 2, 5, []string{"lock", "install"}, 3, 2},
+	// hash | CAS,READ landing | leaf | W leaf + W node + 2 READ bucket | W slot + CAS entry + READ bucket header + CAS unlock
+	{"leaf conversion, chain 1", []string{"budget-a", "budget-b"}, "budget-ax", 3, 10, []string{"lock", "lock", "publish"}, 5, 2},
+	// chain of 3 from the root (no jump, no bet): root | leaf | W leaf + 3 W node + 3×2 READ bucket + CAS,READ lock |
+	// W slot + 3×(CAS entry + READ header) + CAS unlock
+	{"leaf conversion, chain 3", []string{"budget-a", "budget-b", longShared + "A"}, longShared + "B", 2, 20, []string{"lock", "publish"}, 4, 2},
+	// No jump (the filter knows no prefix of the key), so no bet:
+	// root | node | W leaf + W mid + 2 READ bucket + 2×(CAS,READ) lock | W child head | W parent slot + CAS entry + READ header + CAS unlock
+	{"partial split", []string{"budget-a", "budget-b"}, "bud!", 3, 13, []string{"lock", "publish", "publish"}, 5, 3},
+	// hash | CAS,READ landing: full, need parent, lease kept | root | W leaf + W grown + 2 READ bucket + CAS,READ parent | W parent slot + CAS entry + READ header + CAS unlock | W invalidate
+	{"type switch", []string{"budget-a", "budget-b", "budget-c", "budget-d"}, "budget-e", 4, 13, []string{"lock", "lock", "publish", "publish"}, 6, 3},
+}
+
+// outOfPlaceUpdate is the one structural write that links no new key: the put
+// of a key the setup holds, with a value that outgrows its leaf (value). The
+// slot swings to a fresh leaf and the old one is retired in the commit batch.
+var outOfPlaceUpdate = writeScenario{name: "out-of-place update", setup: []string{"budget-a", "budget-b"}, key: "budget-a"}
+
+// value is what the scenario's put stores under tag: for a key the setup
+// already holds, bytes enough to outgrow its leaf.
+func (sc writeScenario) value(tag string) []byte {
+	for _, k := range sc.setup {
+		if k == sc.key {
+			return append([]byte(tag), bytes.Repeat([]byte("G"), 700)...)
+		}
+	}
+	return []byte(tag)
 }
 
 // build creates a cluster holding the scenario's setup keys, inserted by a
@@ -110,11 +139,12 @@ func (sc writeScenario) bareTreeCost(t *testing.T) (rts, verbs int) {
 	return rts, verbs
 }
 
-// TestWriteBudgetsWithINHT pins the post-descent cost of every structural
-// write at the core level — hash-table publication included — in round
-// trips and verbs; that the round trips are exactly the bare tree's, so
-// maintaining the table costs none; that every entry landed in the commit
-// batch it rode; and that an uncontended write abandons nothing.
+// TestWriteBudgetsWithINHT pins the cost of every structural write at the
+// core level — the jump's landing bet and the hash-table publication included
+// — in round trips and verbs, batch by batch; that the bare tree's twin of the
+// put still costs what rart.TestWriteBudgets says; that every entry landed in
+// the commit batch it rode; and that an uncontended write abandons nothing,
+// gives back no lease in a round trip of its own and leaves none held.
 func TestWriteBudgetsWithINHT(t *testing.T) {
 	for _, sc := range writeScenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -122,6 +152,7 @@ func TestWriteBudgetsWithINHT(t *testing.T) {
 			// setup puts, so no allocator round trip blurs the count.
 			_, _, c := sc.build(t, 1)
 			planned := c.HashStats().PlannedSwaps
+			bets := c.eng.Stats()
 			var log batchLog
 			c.eng.C.SetObserver(&log)
 			if _, err := c.Insert([]byte(sc.key), []byte("v")); err != nil {
@@ -130,15 +161,25 @@ func TestWriteBudgetsWithINHT(t *testing.T) {
 			c.eng.C.SetObserver(nil)
 			rts, verbs, stages := log.writeCost()
 			if rts != sc.rts || verbs != sc.verbs || fmt.Sprint(stages) != fmt.Sprint(sc.stages) {
-				t.Errorf("post-descent cost = %d RT, %d verbs, batches %v; want %d RT, %d verbs, batches %v",
+				t.Errorf("cost behind the reads = %d RT, %d verbs, batches %v; want %d RT, %d verbs, batches %v",
 					rts, verbs, stages, sc.rts, sc.verbs, sc.stages)
 			}
-			bareRTs, bareVerbs := sc.bareTreeCost(t)
-			if rts != bareRTs {
-				t.Errorf("post-descent cost = %d RT with the hash table, %d RT on the bare tree; want them equal", rts, bareRTs)
+			if len(log.evs) != sc.total {
+				t.Errorf("the put took %d round trips in all, want %d: %+v", len(log.evs), sc.total, log.evs)
 			}
-			if sc.name == "fresh insert" && len(log.evs) != 4 {
-				t.Errorf("warm fresh-key insert took %d round trips, want 4 (hash-read, node-read, lock‖leaf, install+unlock)", len(log.evs))
+			bareRTs, bareVerbs := sc.bareTreeCost(t)
+			if bareRTs != sc.bare {
+				t.Errorf("cost behind the descent on the bare tree = %d RT, want %d", bareRTs, sc.bare)
+			}
+			// A put that jumps bets once, on its landing; an uncontended bet is
+			// never lost, and the lease it wins becomes a lock of the write.
+			wantBets := uint64(0)
+			if log.evs[0].Stage == fabric.StageHashRead {
+				wantBets = 1
+			}
+			if st := c.eng.Stats(); st.LeaseBets-bets.LeaseBets != wantBets || st.LeaseBetsLost != bets.LeaseBetsLost || st.LeaseBetsReturned != bets.LeaseBetsReturned {
+				t.Errorf("lease bets %d, lost %d, returned %d; want %d, 0, 0", st.LeaseBets-bets.LeaseBets,
+					st.LeaseBetsLost-bets.LeaseBetsLost, st.LeaseBetsReturned-bets.LeaseBetsReturned, wantBets)
 			}
 			// What the table adds to the bare tree's verbs is four per entry:
 			// the bucket pair in the lock batch, the CAS and the header
@@ -269,37 +310,56 @@ func checkOneEntryPerPrefix(t *testing.T, c *Client, what string) {
 type commitShape struct {
 	verbs uint64 // of the whole put
 	batch int    // index of the commit batch among the put's batches
-	first uint64 // verbs posted before it: its slot WRITE is verb first+1
+	first uint64 // verbs posted before it: its first verb is verb first+1
 	n     int    // its verbs
+	// bet is the verbs posted before the landing batch of a put that jumps —
+	// the lease CAS is verb bet+1, the READ behind it bet+2 — or -1.
+	bet int64
 }
 
-// calibrate runs the scenario's put cleanly, by fabric client 1 of a cluster
-// of its own, and reports where its commit batch sits: the first batch of two
-// or more verbs behind the lock batch (a split's head WRITE and a type
-// switch's invalidation are batches of one).
-func (sc writeScenario) calibrate(t *testing.T) commitShape {
+// victim mounts the client whose put a test watches, cuts or kills — fabric
+// client 1 of the scenario's cluster. Warm, it shares the setup client's filter
+// cache, as the workers of one compute node do, so its put jumps through the
+// hash table and bets on its landing's lease; cold, it walks from the root
+// and locks what it writes in the lock batch.
+func (sc writeScenario) victim(t *testing.T, f *fabric.Fabric, shared Shared, setup *Client, warm bool) *Client {
 	t.Helper()
-	f, shared, _ := sc.build(t, 2)
-	var log batchLog
 	vc := f.NewClient()
 	if vc.ID() != 1 {
 		t.Fatalf("victim client ID = %d, want 1", vc.ID())
 	}
-	vc.SetObserver(&log)
-	if _, err := NewClient(shared, vc, Options{}).Insert([]byte(sc.key), []byte("victim")); err != nil {
+	var opts Options
+	if warm {
+		opts.Filter = setup.filter
+	}
+	return NewClient(shared, vc, opts)
+}
+
+// calibrate runs the scenario's put cleanly, by fabric client 1 of a cluster
+// of its own, and reports where its commit batch sits: the first install,
+// publish or leaf-write batch of two or more verbs (a split's head WRITE and a
+// type switch's invalidation are batches of one).
+func (sc writeScenario) calibrate(t *testing.T, warm bool) commitShape {
+	t.Helper()
+	f, shared, setup := sc.build(t, 2)
+	var log batchLog
+	victim := sc.victim(t, f, shared, setup, warm)
+	victim.eng.C.SetObserver(&log)
+	if _, err := victim.Insert([]byte(sc.key), sc.value("victim")); err != nil {
 		t.Fatalf("clean put: %v", err)
 	}
-	shape := commitShape{verbs: vc.Stats().Verbs, batch: -1}
-	locked := false
+	shape := commitShape{verbs: victim.eng.C.Stats().Verbs, batch: -1, bet: -1}
 	for i, ev := range log.evs {
-		if locked && ev.Verbs >= 2 {
+		if (ev.Stage == fabric.StageInstall || ev.Stage == fabric.StagePublish || ev.Stage == fabric.StageLeafWrite) && ev.Verbs >= 2 {
 			shape.batch, shape.n = i, ev.Verbs
 			return shape
 		}
-		locked = locked || ev.Stage == fabric.StageLock
+		if shape.bet < 0 && ev.Stage == fabric.StageLock && i > 0 && log.evs[i-1].Stage == fabric.StageHashRead {
+			shape.bet = int64(shape.first)
+		}
 		shape.first += uint64(ev.Verbs)
 	}
-	t.Fatalf("calibration found no lock batch followed by a commit batch: %+v", log.evs)
+	t.Fatalf("calibration found no commit batch: %+v", log.evs)
 	return shape
 }
 
@@ -311,6 +371,9 @@ func (sc writeScenario) checkReadable(t *testing.T, f *fabric.Fabric, shared Sha
 	for _, opts := range []Options{{}, {DisableFilter: true, DisableLeafCache: true}} {
 		c := newTestClient(f, shared, opts)
 		for _, k := range sc.setup {
+			if k == sc.key {
+				continue // the put's own key: the caller checks it
+			}
 			v, ok, err := c.Search([]byte(k))
 			if err != nil || !ok || string(v) != "v-"+k {
 				t.Fatalf("%s: acked key %q = %q, %v, %v (filter off: %v)", what, k, v, ok, err, opts.DisableFilter)
@@ -330,7 +393,8 @@ func (sc writeScenario) checkReadable(t *testing.T, f *fabric.Fabric, shared Sha
 // The two-node protocols have a window the lease steal cannot repair, right
 // after their commit point, where only publish-to-completion by the (now
 // dead) writer would have finished the structure (docs/failure-model.md §4);
-// the sweep pins what still holds there:
+// the sweep pins what still holds there (and, for a put that jumps, the
+// point before any of it: the victim dead with nothing but its landing bet):
 //
 //   - a compressed-path split killed between the child's head write and the
 //     parent repoint leaves a child whose partial is shorter than its parent
@@ -347,49 +411,74 @@ func (sc writeScenario) checkReadable(t *testing.T, f *fabric.Fabric, shared Sha
 func TestFusedWriteCrashSweep(t *testing.T) {
 	for _, sc := range writeScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			shape := sc.calibrate(t)
-			crashed := 0
-			for n := uint64(1); n <= shape.verbs; n++ {
-				what := fmt.Sprintf("crash after verb %d/%d", n, shape.verbs)
-				f, shared, setup := sc.build(t, 2)
-				before := reachableInner(t, setup)
-				f.SetFaultPlan(&fabric.FaultPlan{Seed: 1, CrashAfterVerbs: map[int]uint64{1: n}})
-				victim := NewClient(shared, f.NewClient(), Options{})
-				f.SetFaultPlan(nil)
-				if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
-					if !errors.Is(err, fabric.ErrClientCrashed) {
-						t.Fatalf("%s: victim put = %v", what, err)
-					}
-					crashed++
-				}
-				sc.checkReadable(t, f, shared, what)
-				// No leaf-address cache: the survivor reads its put back through
-				// the filter-guided jump, not at the address the put learned.
-				survivor := newTestClient(f, shared, Options{DisableLeafCache: true})
-				checkNoPhantomEntries(t, survivor, before, what)
-				checkOneEntryPerPrefix(t, survivor, what)
-				if sc.name == "partial split" && n == shape.first {
-					continue // head written, parent not repointed
-				}
-				if _, err := survivor.Insert([]byte(sc.key), []byte("survivor")); err != nil {
-					t.Fatalf("%s: survivor put of the victim's key: %v", what, err)
-				}
-				reader := survivor
-				if sc.name == "type switch" && n == shape.first+1 {
-					// Parent repointed, entry not swapped.
-					reader = newTestClient(f, shared, Options{}) // cold filter: root path
-				}
-				if v, ok, err := reader.Search([]byte(sc.key)); err != nil || !ok || string(v) != "survivor" {
-					t.Fatalf("%s: victim's key after the survivor's put = %q, %v, %v", what, v, ok, err)
-				}
-				sc.checkReadable(t, f, shared, what+", after the survivor's put")
-				checkNoPhantomEntries(t, survivor, before, what+", after the survivor's put")
-				checkOneEntryPerPrefix(t, survivor, what+", after the survivor's put")
-			}
-			if crashed == 0 {
-				t.Fatal("no sweep point crashed the victim; the sweep exercises nothing")
-			}
+			t.Run("from the root", func(t *testing.T) { sc.crashSweep(t, false) })
+			t.Run("jumping", func(t *testing.T) { sc.crashSweep(t, true) })
 		})
+	}
+}
+
+func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
+	shape := sc.calibrate(t, warm)
+	if warm && shape.bet < 0 {
+		t.Skip("the filter knows no prefix of the key: the put walks from the root either way")
+	}
+	crashed := 0
+	for n := uint64(1); n <= shape.verbs; n++ {
+		what := fmt.Sprintf("crash after verb %d/%d", n, shape.verbs)
+		f, shared, setup := sc.build(t, 2)
+		before := reachableInner(t, setup)
+		f.SetFaultPlan(&fabric.FaultPlan{Seed: 1, CrashAfterVerbs: map[int]uint64{1: n}})
+		victim := sc.victim(t, f, shared, setup, warm)
+		f.SetFaultPlan(nil)
+		if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
+			if !errors.Is(err, fabric.ErrClientCrashed) {
+				t.Fatalf("%s: victim put = %v", what, err)
+			}
+			crashed++
+		}
+		sc.checkReadable(t, f, shared, what)
+		// Holding only the bet: the victim died with the landing's lease and
+		// nothing else — the CAS executed, at most the READ behind it. Nothing
+		// of its put is reachable, and a survivor that jumps too loses its own
+		// bet on that node, watches the lease out and steals it.
+		onlyBet := shape.bet >= 0 && (n == uint64(shape.bet)+1 || n == uint64(shape.bet)+2)
+		// No leaf-address cache: the survivor reads its put back through
+		// the filter-guided jump, not at the address the put learned.
+		opts := Options{DisableLeafCache: true}
+		if onlyBet {
+			opts.Filter = setup.filter
+		}
+		survivor := newTestClient(f, shared, opts)
+		checkNoPhantomEntries(t, survivor, before, what)
+		checkOneEntryPerPrefix(t, survivor, what)
+		if onlyBet {
+			if _, ok, err := survivor.Search([]byte(sc.key)); err != nil || ok {
+				t.Fatalf("%s: victim's key reads %v, %v while the victim held only its bet", what, ok, err)
+			}
+		}
+		if sc.name == "partial split" && n == shape.first {
+			continue // head written, parent not repointed
+		}
+		if _, err := survivor.Insert([]byte(sc.key), []byte("survivor")); err != nil {
+			t.Fatalf("%s: survivor put of the victim's key: %v", what, err)
+		}
+		if st := survivor.eng.Stats(); onlyBet && (st.LockSteals != 1 || st.LeaseBetsLost == 0) {
+			t.Errorf("%s: survivor stole %d leases and lost %d bets; want the dead victim's one lease stolen behind a lost bet", what, st.LockSteals, st.LeaseBetsLost)
+		}
+		reader := survivor
+		if sc.name == "type switch" && n == shape.first+1 {
+			// Parent repointed, entry not swapped.
+			reader = newTestClient(f, shared, Options{}) // cold filter: root path
+		}
+		if v, ok, err := reader.Search([]byte(sc.key)); err != nil || !ok || string(v) != "survivor" {
+			t.Fatalf("%s: victim's key after the survivor's put = %q, %v, %v", what, v, ok, err)
+		}
+		sc.checkReadable(t, f, shared, what+", after the survivor's put")
+		checkNoPhantomEntries(t, survivor, before, what+", after the survivor's put")
+		checkOneEntryPerPrefix(t, survivor, what+", after the survivor's put")
+	}
+	if crashed == 0 {
+		t.Fatal("no sweep point crashed the victim; the sweep exercises nothing")
 	}
 }
 
@@ -509,16 +598,17 @@ func TestSpeculativeWritesNeverPublished(t *testing.T) {
 
 // TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults: an out-of-place update
 // swings the slot and retires the old leaf in one batch. A transient can cut
-// that batch between the two, and the error path that then replays the
-// retirement runs on the same faulty fabric; if it gives up after one try,
-// the put restarts, finds the key at the new leaf, acks — and the old leaf
-// stays Idle at an address the leaf-address cache still holds, so a
+// that batch between the two; the batch is then issued again under the held
+// lease (and, should the completion loop give up, the error path replays the
+// retirement) on the same faulty fabric. If either gave up after one try,
+// the put would restart, find the key at the new leaf, ack — and the old leaf
+// would stay Idle at an address the leaf-address cache still holds, so a
 // speculative read serves the pre-update value after the ack. Sweeping fault
 // seeds at a rate where double faults are common, the acknowledged value is
 // the only one a read may return.
 func TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults(t *testing.T) {
 	key, small, big := []byte("oop-key"), []byte("small"), bytes.Repeat([]byte("G"), 700)
-	repaired := uint64(0)
+	redriven := uint64(0)
 	for seed := uint64(1); seed <= 100; seed++ {
 		f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
 		lac := NewLeafCache(1<<10, 7)
@@ -542,13 +632,13 @@ func TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults(t *testing.T) {
 			}
 			t.Fatalf("seed %d: grow update: %v", seed, err)
 		}
-		repaired += writer.eng.Stats().LeafRetireRepairs
+		redriven += writer.eng.Stats().PublishRetries + writer.eng.Stats().LeafRetireRepairs
 		if v, ok, err := reader.Search(key); err != nil || !ok || !bytes.Equal(v, big) {
 			t.Fatalf("seed %d: read after the acknowledged grow update = %.20q, %v, %v; want the 700-byte value", seed, v, ok, err)
 		}
 	}
-	if repaired == 0 {
-		t.Fatal("no seed cut a commit batch between swing and retirement; the sweep exercises nothing")
+	if redriven == 0 {
+		t.Fatal("no seed cut a commit batch; the sweep exercises nothing")
 	}
 }
 
@@ -573,10 +663,10 @@ func (o *afterBatches) ObserveBatch(fabric.BatchEvent) {
 // re-driven — and the put's trace says so.
 func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 	sc := writeScenarios[2] // leaf conversion, chain 1
-	shape := sc.calibrate(t)
+	shape := sc.calibrate(t, false)
 	f, shared, setup := sc.build(t, 2)
 	before := reachableInner(t, setup)
-	victim := NewClient(shared, f.NewClient(), Options{})
+	victim := sc.victim(t, f, shared, setup, false)
 	rival := newTestClient(f, shared, Options{})
 	rec := obs.NewRecorder()
 	rec.Begin("put", victim.eng.C.Clock())
@@ -599,10 +689,10 @@ func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 	victim.eng.C.SetObserver(nil)
 
 	// The victim is a cold client (allocator slabs, directory caches), so
-	// the count starts at its lock batch.
+	// the count starts at the lock batch that carries its staged objects.
 	log.evs = log.evs[shape.batch-1:]
-	if rts, _, stages := log.writeCost(); rts != sc.rts+2 {
-		t.Errorf("cost from the lock batch on = %d RT (%v), want the budget's %d + 2 for the table loop", rts, stages, sc.rts)
+	if rts, _, stages := log.writeCost(); rts != 2+2 {
+		t.Errorf("cost from the staged lock batch on = %d RT (%v), want it and the commit batch + 2 for the table loop", rts, stages)
 	}
 	hs := victim.HashStats()
 	if hs.PlannedSwaps != 1 || hs.PlannedLost != 1 {
@@ -625,102 +715,123 @@ func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 }
 
 // TestCommitBatchSurvivesFaults aims one transient at every verb of the
-// commit batch of every structural write — the slot WRITE, each entry CAS,
-// each header re-read, the unlock — and one lost completion at the batch as a
+// commit batch of every structural write — the leaf WRITE that leads a leased
+// insert's, the slot WRITE, each entry CAS, each header re-read, the old
+// leaf's retirement, the unlock — and one lost completion at the batch as a
 // whole. A transient executed a prefix and released nothing: the batch is
 // issued again under the held lock, a repeated entry CAS loses to its own
 // first landing and the table's loop finds the word. A lost completion
 // executed everything, the unlock included: nothing is issued again, the
 // entries' outcomes are unknown and the loop finds them. Either way the put
-// acks, every prefix has exactly one entry, the lease is released, and no
-// slot is written once the unlock has executed.
+// acks without starting over, every prefix has exactly one entry, the lease
+// is released, and no slot is written once the unlock has executed.
+//
+// Every write runs twice: from the root, where the lock batch takes the
+// lease, and jumping, where the landing's bet did. The plain insert and the
+// out-of-place update are in the sweep because their commit batch used to be
+// a bare Batch: a transient behind the slot WRITE sent the put around again,
+// which found its own leaf, updated it in place, and left the node's lease to
+// expire under the next writer.
 func TestCommitBatchSurvivesFaults(t *testing.T) {
-	// The paths whose commit batch is driven to completion: a plain insert's
-	// faulted batch goes back to the caller, and the put starts over.
-	for _, sc := range writeScenarios[2:] {
+	for _, sc := range append(append([]writeScenario(nil), writeScenarios...), outOfPlaceUpdate) {
 		t.Run(sc.name, func(t *testing.T) {
-			shape := sc.calibrate(t)
-			cuts := make(map[int]bool) // verbs of the commit batch a transient let execute
-			for seed := uint64(1); len(cuts) < shape.n+1 && seed <= 400; seed++ {
-				timeout := len(cuts) == shape.n // every cut seen: the lost completion
-				what := fmt.Sprintf("seed %d, timeout %v", seed, timeout)
-				f, shared, setup := sc.build(t, 2)
-				before := reachableInner(t, setup)
-				plan := &fabric.FaultPlan{Seed: seed, TimeoutPs: 2_000_000}
-				f.SetFaultPlan(plan)
-				victim := NewClient(shared, f.NewClient(), Options{})
-				f.SetFaultPlan(nil)
+			t.Run("from the root", func(t *testing.T) { sc.commitFaultSweep(t, false) })
+			t.Run("jumping", func(t *testing.T) { sc.commitFaultSweep(t, true) })
+		})
+	}
+}
 
-				// The fault: the batch behind the commit batch's predecessor.
-				arm := &afterBatches{n: shape.batch, fn: func() {
-					if timeout {
-						plan.TimeoutPer64k = 1 << 16
-					} else {
-						plan.TransientPer64k = 1 << 16
-					}
-				}}
-				cut := -1
-				faulted := observerFunc(func(ev fabric.BatchEvent) {
-					if ev.Err != nil {
-						cut = ev.Verbs
-						plan.TransientPer64k, plan.TimeoutPer64k = 0, 0
-					}
-				})
-				victim.eng.C.SetObserver(obs.Tee{A: arm, B: faulted})
-				// No verb of the victim may write a slot once its unlock ran.
-				var slot mem.Addr
-				unlocked, seen := false, uint64(0)
-				f.Trace = func(c *fabric.Client, op *fabric.Op) {
-					if c != victim.eng.C {
-						return
-					}
-					if seen++; seen == shape.first+1 {
-						slot = op.Addr
-					}
-					switch {
-					case seen <= shape.first+1:
-					case op.Kind == fabric.Write && op.Addr == slot && unlocked:
-						t.Errorf("%s: slot %v written after the unlock executed", what, slot)
-					case op.Kind == fabric.CAS && op.Desired == 0 && op.Old == op.Expect && seen >= shape.first+uint64(shape.n):
-						unlocked = true
-					}
-				}
-				_, err := victim.Insert([]byte(sc.key), []byte("victim"))
-				f.Trace = nil
-				if err != nil {
-					t.Fatalf("%s: victim put: %v", what, err)
-				}
-				if fs := victim.eng.C.Stats(); fs.Transients+fs.Timeouts != 1 || cut < 0 {
-					t.Fatalf("%s: %d transients, %d timeouts; the fault missed", what, fs.Transients, fs.Timeouts)
-				}
-				if timeout {
-					cut = shape.n
-				}
-				cuts[cut] = true
+func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
+	shape := sc.calibrate(t, warm)
+	if warm && shape.bet < 0 {
+		t.Skip("the filter knows no prefix of the key: the put walks from the root either way")
+	}
+	cuts := make(map[int]bool) // verbs of the commit batch a transient let execute
+	for seed := uint64(1); len(cuts) < shape.n+1 && seed <= 400; seed++ {
+		timeout := len(cuts) == shape.n // every cut seen: the lost completion
+		what := fmt.Sprintf("seed %d, timeout %v", seed, timeout)
+		f, shared, setup := sc.build(t, 2)
+		before := reachableInner(t, setup)
+		plan := &fabric.FaultPlan{Seed: seed, TimeoutPs: 2_000_000}
+		f.SetFaultPlan(plan)
+		victim := sc.victim(t, f, shared, setup, warm)
+		f.SetFaultPlan(nil)
 
-				check := newTestClient(f, shared, Options{})
-				warmSearch(t, check, []byte(sc.key), []byte("victim"))
-				sc.checkReadable(t, f, shared, what)
-				checkNoPhantomEntries(t, check, before, what)
-				checkOneEntryPerPrefix(t, check, what)
-				// Leases released: writers that lock the nodes the victim locked
-				// — the node under "budget-", the root — are not kept waiting.
-				clock0 := check.eng.C.Clock()
-				for _, k := range []string{"budget-+", "+"} {
-					if _, err := check.Insert([]byte(k), []byte("next")); err != nil {
-						t.Fatalf("%s: next put %q: %v", what, k, err)
-					}
-				}
-				if dt := check.eng.C.Clock() - clock0; dt > 100_000_000 || check.eng.Stats().LockSteals != 0 {
-					t.Errorf("%s: the next writers took %d ps and stole %d leases; a lease was left held", what, dt, check.eng.Stats().LockSteals)
-				}
+		// The fault: the batch behind the commit batch's predecessor.
+		arm := &afterBatches{n: shape.batch, fn: func() {
+			if timeout {
+				plan.TimeoutPer64k = 1 << 16
+			} else {
+				plan.TransientPer64k = 1 << 16
 			}
-			for cut := 0; cut <= shape.n; cut++ {
-				if !cuts[cut] {
-					t.Errorf("no seed cut the %d-verb commit batch after verb %d (%d = lost completion)", shape.n, cut, shape.n)
-				}
+		}}
+		cut := -1
+		faulted := observerFunc(func(ev fabric.BatchEvent) {
+			if ev.Err != nil {
+				cut = ev.Verbs
+				plan.TransientPer64k, plan.TimeoutPer64k = 0, 0
 			}
 		})
+		victim.eng.C.SetObserver(obs.Tee{A: arm, B: faulted})
+		// No verb of the victim may write a slot once its unlock ran. The
+		// slot WRITE is the commit batch's first WRITE of one word.
+		var slot mem.Addr
+		unlocked, seen := false, uint64(0)
+		f.Trace = func(c *fabric.Client, op *fabric.Op) {
+			if c != victim.eng.C {
+				return
+			}
+			seen++
+			switch {
+			case seen <= shape.first:
+			case slot.IsNull():
+				if op.Kind == fabric.Write && len(op.Data) == 8 {
+					slot = op.Addr
+				}
+			case op.Kind == fabric.Write && op.Addr == slot && unlocked:
+				t.Errorf("%s: slot %v written after the unlock executed", what, slot)
+			case op.Kind == fabric.CAS && op.Desired == 0 && op.Old == op.Expect && seen >= shape.first+uint64(shape.n):
+				unlocked = true
+			}
+		}
+		_, err := victim.Insert([]byte(sc.key), sc.value("victim"))
+		f.Trace = nil
+		if err != nil {
+			t.Fatalf("%s: victim put: %v", what, err)
+		}
+		if fs := victim.eng.C.Stats(); fs.Transients+fs.Timeouts != 1 || cut < 0 {
+			t.Fatalf("%s: %d transients, %d timeouts; the fault missed", what, fs.Transients, fs.Timeouts)
+		}
+		if timeout {
+			cut = shape.n
+		}
+		cuts[cut] = true
+		// The batch was driven to completion: the put did not start over.
+		if victim.Stats().Restarts != 0 || victim.eng.Stats().PublishRetries != 1 {
+			t.Errorf("%s: %d restarts, %d re-driven steps; want 0, 1", what, victim.Stats().Restarts, victim.eng.Stats().PublishRetries)
+		}
+
+		check := newTestClient(f, shared, Options{})
+		warmSearch(t, check, []byte(sc.key), sc.value("victim"))
+		sc.checkReadable(t, f, shared, what)
+		checkNoPhantomEntries(t, check, before, what)
+		checkOneEntryPerPrefix(t, check, what)
+		// Leases released: writers that lock the nodes the victim locked
+		// — the node under "budget-", the root — are not kept waiting.
+		clock0 := check.eng.C.Clock()
+		for _, k := range []string{"budget-+", "+"} {
+			if _, err := check.Insert([]byte(k), []byte("next")); err != nil {
+				t.Fatalf("%s: next put %q: %v", what, k, err)
+			}
+		}
+		if dt := check.eng.C.Clock() - clock0; dt > 100_000_000 || check.eng.Stats().LockSteals != 0 {
+			t.Errorf("%s: the next writers took %d ps and stole %d leases; a lease was left held", what, dt, check.eng.Stats().LockSteals)
+		}
+	}
+	for cut := 0; cut <= shape.n; cut++ {
+		if !cuts[cut] {
+			t.Errorf("no seed cut the %d-verb commit batch after verb %d (%d = lost completion)", shape.n, cut, shape.n)
+		}
 	}
 }
 
@@ -741,7 +852,7 @@ func (f observerFunc) ObserveBatch(ev fabric.BatchEvent) { f(ev) }
 // batch is left out: both nodes are leased there and a rival waits, by design.
 func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 	sc := writeScenarios[5]
-	shape := sc.calibrate(t)
+	shape := sc.calibrate(t, false)
 	boundaries := 0
 	for at := shape.batch + 1; ; at++ {
 		f, shared, _ := sc.build(t, 2)

@@ -75,6 +75,18 @@ type Engine struct {
 	// its address. Like every image a descent reads it is unlocked and may be
 	// stale, which the write paths settle under their locks.
 	Held *Node
+	// Note, when set, receives the constant notes of the lease bets below (the
+	// index layer forwards them to an armed trace recorder).
+	Note func(stage fabric.Stage, note string)
+
+	// bets are the leases this client holds ahead of a write that has not
+	// reached its lock batch: won by LeaseRead with the landing image they
+	// came with, used as the write's locks by lockNodes and installLeaf or
+	// given back by returnBets. At most two — the node a put must change
+	// under its parent, kept across the re-route for that parent, and the
+	// re-routed landing. Kept here and not on Node, which is exactly one
+	// 128-byte size class.
+	bets [2]*Node
 
 	regionSizes map[mem.NodeID]uint64
 	stats       EngineStats
@@ -166,6 +178,15 @@ type EngineStats struct {
 	// before the lock. Zero without write contention or faults.
 	AbandonedObjects uint64
 	AbandonedBytes   uint64
+	// LeaseBets is the number of jump starts that posted the landing node's
+	// lease CAS with its READ (LeaseRead). LeaseBetsLost of them lost the CAS
+	// — the node was leased — and went on with the unlocked image, exactly as
+	// if no bet had been made; LeaseBetsReturned won it and gave the lease back
+	// unused, in a round trip of its own (returnBets). The rest became the
+	// lock of the put's write.
+	LeaseBets         uint64
+	LeaseBetsLost     uint64
+	LeaseBetsReturned uint64
 	// The cost of range scans (ScanFrom): ScanRounds doorbell batches posted
 	// by scan frontiers; ScanReads tree objects those fetched, ScanNodeReads
 	// the inner nodes among them; ScanEmitted keys returned. ScanReresolved
@@ -190,6 +211,9 @@ func (s EngineStats) Add(t EngineStats) EngineStats {
 	s.LeafRetireRepairs += t.LeafRetireRepairs
 	s.AbandonedObjects += t.AbandonedObjects
 	s.AbandonedBytes += t.AbandonedBytes
+	s.LeaseBets += t.LeaseBets
+	s.LeaseBetsLost += t.LeaseBetsLost
+	s.LeaseBetsReturned += t.LeaseBetsReturned
 	s.ScanRounds += t.ScanRounds
 	s.ScanReads += t.ScanReads
 	s.ScanNodeReads += t.ScanNodeReads
@@ -211,6 +235,9 @@ func (e *Engine) Stats() EngineStats {
 		LeafRetireRepairs: atomic.LoadUint64(&e.stats.LeafRetireRepairs),
 		AbandonedObjects:  atomic.LoadUint64(&e.stats.AbandonedObjects),
 		AbandonedBytes:    atomic.LoadUint64(&e.stats.AbandonedBytes),
+		LeaseBets:         atomic.LoadUint64(&e.stats.LeaseBets),
+		LeaseBetsLost:     atomic.LoadUint64(&e.stats.LeaseBetsLost),
+		LeaseBetsReturned: atomic.LoadUint64(&e.stats.LeaseBetsReturned),
 		ScanRounds:        atomic.LoadUint64(&e.stats.ScanRounds),
 		ScanReads:         atomic.LoadUint64(&e.stats.ScanReads),
 		ScanNodeReads:     atomic.LoadUint64(&e.stats.ScanNodeReads),
@@ -777,13 +804,15 @@ func (t *lockTry) undoLock(ops []fabric.Op) fabric.Op {
 
 // dropLock cleans up after an attempt whose batch faulted. The CAS may have
 // executed (a transient truncates after it, a timeout loses only the
-// completion), so the lease it may have taken is released.
-func (e *Engine) dropLock(t *lockTry, ops []fabric.Op, cause error) {
+// completion), so the lease it may have taken is released; released says so.
+func (e *Engine) dropLock(t *lockTry, ops []fabric.Op, cause error) (released bool) {
 	e.ReleaseBuf(t.buf)
 	t.buf = nil
 	if t.cas >= 0 && (errors.Is(cause, fabric.ErrTransient) || errors.Is(cause, fabric.ErrTimeout)) {
 		e.release([]fabric.Op{t.undoLock(ops)})
+		return true
 	}
+	return false
 }
 
 // settleLock interprets a completed attempt. It returns the locked image
@@ -882,6 +911,116 @@ func (e *Engine) Lock(addr mem.Addr, hint wire.NodeType, expectLease uint64) (*N
 	return e.acquire(&t, e.Backoff(), false)
 }
 
+// BetCause says why a lease that a bet won goes back unused (returnBets); each
+// cause has its constant trace note.
+type BetCause uint8
+
+const (
+	BetRefuted    BetCause = iota // the landing is retired, undecodable or fails the Fig 3 metadata check
+	BetFaulted                    // the fused batch faulted: the lease it may have taken
+	BetWalkedOn                   // the walk leaves the landing for a node below it
+	BetKeyExists                  // the key is there: updated in place, or left alone
+	BetRoundEnded                 // the put's round ended, or its write locks other nodes
+)
+
+var betNotes = [...]string{
+	BetRefuted:    "lease bet returned: landing retired or not the prefix's node",
+	BetFaulted:    "lease bet returned: fused landing batch faulted",
+	BetWalkedOn:   "lease bet returned: walk goes below the landing",
+	BetKeyExists:  "lease bet returned: key exists, nothing to link",
+	BetRoundEnded: "lease bet returned: round ended before a write used it",
+}
+
+func (e *Engine) note(stage fabric.Stage, note string) {
+	if e.Note != nil {
+		e.Note(stage, note)
+	}
+}
+
+// LeaseRead is the jump start of a put that may insert: the READ of the
+// landing node with the lease CAS 0 → ours ahead of it, postLock's pair as ONE
+// batch charged to the lock stage. It is a bet that the put will write the
+// node it lands on, and it never waits. A won CAS makes the image the locked
+// one and the lease a bet (e.bets) that PutFrom resolves; behind a lost CAS
+// the READ is the unlocked image a plain ReadNode would have returned and the
+// put goes on exactly as without the bet — no poll, no backoff. A nil node
+// with a nil error is an image that does not decode at the hinted size: the
+// lease, if won, is already given back.
+func (e *Engine) LeaseRead(addr mem.Addr, hint wire.NodeType) (*Node, error) {
+	defer e.C.SetStage(e.C.SetStage(fabric.StageLock))
+	t := e.newLockTry(addr, hint, 0)
+	ops := e.postLock(&t, e.commitOps[:0]) // engine-held storage: no commit batch is being built yet
+	e.commitOps = ops[:0]
+	atomic.AddUint64(&e.stats.LeaseBets, 1)
+	if err := e.C.Batch(ops); err != nil {
+		if e.dropLock(&t, ops, err) {
+			e.countReturned(1, BetFaulted)
+		}
+		return nil, err
+	}
+	n, err := Decode(addr, t.buf)
+	e.ReleaseBuf(t.buf)
+	switch {
+	case ops[t.cas].Old != 0:
+		atomic.AddUint64(&e.stats.LeaseBetsLost, 1)
+		e.note(fabric.StageLock, "lease bet lost: node leased, unlocked image kept")
+	case err != nil:
+		e.release([]fabric.Op{t.undoLock(ops)})
+		e.countReturned(1, BetRefuted)
+	case e.bets[0] == nil:
+		e.bets[0] = n
+	default:
+		// A round bets holding at most the one lease the round before kept
+		// (PutFrom keeps two only for a write it then makes).
+		e.bets[1] = n
+	}
+	return n, nil
+}
+
+// takeBet turns the lease a bet won on n, if any, into the caller's lock.
+func (e *Engine) takeBet(n *Node) bool {
+	for i, b := range e.bets {
+		if b == n && n != nil {
+			e.bets[i] = nil
+			return true
+		}
+	}
+	return false
+}
+
+// returnBets gives back, in one batch of its own, every lease a bet holds
+// except those of keep1 and keep2, through release; the images' lease words
+// are cleared with it, so an image that lives on (Engine.Held) arms no CAS
+// with a word that is gone.
+func (e *Engine) returnBets(cause BetCause, keep1, keep2 *Node) {
+	if e.bets == [2]*Node{} {
+		return // every operation but a put behind a won bet
+	}
+	var arr [2]fabric.Op
+	ops := arr[:0]
+	for i, n := range e.bets {
+		if n == nil || n == keep1 || n == keep2 {
+			continue
+		}
+		ops = append(ops, e.UnlockOp(n))
+		n.LeaseWord = 0
+		e.bets[i] = nil
+	}
+	if len(ops) > 0 {
+		e.release(ops)
+		e.countReturned(uint64(len(ops)), cause)
+	}
+}
+
+func (e *Engine) countReturned(n uint64, cause BetCause) {
+	atomic.AddUint64(&e.stats.LeaseBetsReturned, n)
+	e.note(fabric.StageUnlock, betNotes[cause])
+}
+
+// ReturnLeases gives back every lease a bet still holds; the index layer
+// calls it where a landing fails its checks and where a put's round ends.
+func (e *Engine) ReturnLeases(cause BetCause) { e.returnBets(cause, nil, nil) }
+
 // lockNodes is the first dependency level of every structural write, in one
 // doorbell batch: the staged fresh-object WRITEs and publication reads, the
 // lease CAS + re-read of child, and — for the two-node protocols (split,
@@ -889,6 +1028,11 @@ func (e *Engine) Lock(addr mem.Addr, hint wire.NodeType, expectLease uint64) (*N
 // ride that first batch only; if a lease is held by someone else the wait
 // continues with plain one-node polls. The batch is charged to StageLock,
 // the stage of its gating verb.
+//
+// A node whose lease a bet already won (LeaseRead) posts neither CAS nor
+// re-READ: its image was read under the lease and is returned as the locked
+// one. With every lock held that way the batch is the staged verbs alone, or
+// none at all.
 //
 // Locks are only ever waited for in child-then-parent order: a first batch
 // that won the parent but not the child gives the parent back before
@@ -902,30 +1046,42 @@ func (e *Engine) Lock(addr mem.Addr, hint wire.NodeType, expectLease uint64) (*N
 func (e *Engine) lockNodes(child, parent *Node, st *staged) (lc, lp *Node, err error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLock))
 	bo := e.Backoff()
-	tc := e.newLockTry(child.Addr, child.Hdr.Type, child.LeaseWord)
-	var tp lockTry
+	var tc, tp lockTry
 	ops := e.stagedOps[:0]
 	if st != nil {
 		ops = st.ops
 	}
-	ops = e.postLock(&tc, ops)
-	if parent != nil {
+	if e.takeBet(child) {
+		lc = child
+	} else {
+		tc = e.newLockTry(child.Addr, child.Hdr.Type, child.LeaseWord)
+		ops = e.postLock(&tc, ops)
+	}
+	polls := parent != nil && !e.takeBet(parent)
+	if polls {
 		tp = e.newLockTry(parent.Addr, parent.Hdr.Type, parent.LeaseWord)
 		ops = e.postLock(&tp, ops)
+	} else {
+		lp = parent
 	}
-	err = e.C.Batch(ops)
+	if len(ops) > 0 {
+		err = e.C.Batch(ops)
+	}
 	e.stagedOps = ops[:0]
 	if err != nil {
-		e.dropLock(&tc, ops, err)
-		if parent != nil {
+		if lc == nil {
+			e.dropLock(&tc, ops, err)
+		}
+		if polls {
 			e.dropLock(&tp, ops, err)
 		}
-		e.abandon(st)
-		return nil, nil, err
+		return nil, nil, e.abort(st, err, lc, lp)
 	}
-	lc, err = e.settleLock(&tc, ops, bo)
+	if lc == nil {
+		lc, err = e.settleLock(&tc, ops, bo)
+	}
 	parentPolled := false
-	if parent != nil {
+	if polls {
 		var perr error
 		if lp, perr = e.settleLock(&tp, ops, bo); err == nil {
 			err = perr

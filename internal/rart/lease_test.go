@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
+	"sphinx/internal/wire"
 )
 
 // leaseCluster builds a three-node cluster with the root on node 0 and one
@@ -111,4 +113,86 @@ func TestPreCommitFaultReleasesLocks(t *testing.T) {
 			t.Fatalf("%d seeds faulted the victim exactly once, %d of them after its lock CAS; the sweep exercises nothing", aimed, locked)
 		}
 	})
+}
+
+// TestNodeIsOneSizeClass: a decoded Node is exactly 128 bytes, one allocator
+// size class; a field more makes it 144 and every node read allocates the next
+// class up. What an engine knows about an image (the lease a bet won with it:
+// Engine.bets) is kept beside the image, not on it.
+func TestNodeIsOneSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Node{}); size != 128 {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, want 128", size)
+	}
+}
+
+// TestLeaseReadIsTheLock: the image LeaseRead returns behind a won CAS is the
+// locked image — the write that follows posts no lease CAS and no re-READ of
+// that node, only its staged objects — and behind a lost CAS it is the
+// unlocked image, with no bet held, no wait taken and the holder's lease
+// untouched. A lease given back is 0 in memory and in the image.
+func TestLeaseReadIsTheLock(t *testing.T) {
+	f, ring, readRoot := leaseCluster(t)
+	e := engineOn(f, ring)
+	rootAddr := readRoot(e).Addr
+	probe := engineOn(f, ring)
+	leaseAt := func() uint64 {
+		w, err := probe.C.ReadUint64(rootAddr.Add(wire.LeaseOff))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	var log batchLog
+	e.C.SetObserver(&log)
+
+	// Won and used: the conversion of the root's edge 'l' posts its staged
+	// WRITEs alone, then the commit batch, which releases the lease.
+	root, err := e.LeaseRead(rootAddr, wire.Node256)
+	if err != nil || root == nil || !wire.LeaseOwnedBy(root.LeaseWord, uint16(e.C.ID())) || leaseAt() != root.LeaseWord {
+		t.Fatalf("LeaseRead = %v, %v with lease %#x in memory; want the root under our lease", root, err, leaseAt())
+	}
+	if _, err := e.PutFrom(root, []byte("lease-b"), []byte("v"), PutUpsert, NopHooks{}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range log.evs {
+		if ev.Stage != fabric.StageAlloc {
+			got = append(got, fmt.Sprintf("%v/%d", ev.Stage, ev.Verbs))
+		}
+	}
+	// CAS,READ | old leaf | W leaf + W node | W slot + CAS unlock
+	if want := "[lock/2 leaf-read/1 lock/2 publish/2]"; fmt.Sprint(got) != want {
+		t.Errorf("batches of the put behind a won bet = %v, want %s", got, want)
+	}
+	if st := e.Stats(); st.LeaseBets != 1 || st.LeaseBetsLost != 0 || st.LeaseBetsReturned != 0 || leaseAt() != 0 {
+		t.Errorf("bets %d, lost %d, returned %d, lease %#x; want 1, 0, 0, 0", st.LeaseBets, st.LeaseBetsLost, st.LeaseBetsReturned, leaseAt())
+	}
+
+	// Won and given back.
+	if root, err = e.LeaseRead(rootAddr, wire.Node256); err != nil || leaseAt() == 0 {
+		t.Fatalf("second LeaseRead: %v, lease %#x", err, leaseAt())
+	}
+	e.ReturnLeases(BetRoundEnded)
+	if st := e.Stats(); st.LeaseBetsReturned != 1 || leaseAt() != 0 || root.LeaseWord != 0 {
+		t.Errorf("returned %d, lease %#x in memory, %#x in the image; want 1, 0, 0", st.LeaseBetsReturned, leaseAt(), root.LeaseWord)
+	}
+
+	// Lost: a rival holds the lease.
+	rival := engineOn(f, ring)
+	held, err := rival.Lock(rootAddr, wire.Node256, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock, batches := e.C.Clock(), len(log.evs)
+	root, err = e.LeaseRead(rootAddr, wire.Node256)
+	if err != nil || root == nil || root.LeaseWord != held.LeaseWord || leaseAt() != held.LeaseWord {
+		t.Fatalf("LeaseRead under a rival's lease = %v, %v; want the unlocked image carrying the rival's word", root, err)
+	}
+	if len(log.evs) != batches+1 || log.evs[batches].EndPs != e.C.Clock() || log.evs[batches].StartPs != clock {
+		t.Errorf("a lost bet posted %d batches and moved the clock off them; want 1 batch, no wait", len(log.evs)-batches)
+	}
+	e.ReturnLeases(BetRoundEnded) // nothing to return
+	if st := e.Stats(); st.LeaseBets != 3 || st.LeaseBetsLost != 1 || st.LeaseBetsReturned != 1 || leaseAt() != held.LeaseWord {
+		t.Errorf("bets %d, lost %d, returned %d, lease %#x; want 3, 1, 1 and the rival's word", st.LeaseBets, st.LeaseBetsLost, st.LeaseBetsReturned, leaseAt())
+	}
 }

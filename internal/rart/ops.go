@@ -180,6 +180,9 @@ func (e *Engine) descend(op string, start *Node, key []byte, h Hooks) (landing, 
 		if !slot.Leaf {
 			child := e.Held
 			if child == nil || child.Addr != slot.Addr {
+				// The walk leaves n for a node it holds no image of, so the
+				// put will not write n: a lease bet on it goes back first.
+				e.returnBets(BetWalkedOn, e.Held, nil)
 				var err error
 				if child, err = e.ReadNode(slot.Addr, slot.ChildType); err != nil {
 					return at, err
@@ -229,6 +232,21 @@ func (e *Engine) SearchFrom(start *Node, key []byte, h Hooks) (*Leaf, error) {
 // bubble up for the caller to re-locate its start node and retry.
 func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) (existed bool, err error) {
 	at, err := e.descend("put", start, key, h)
+	exists := err == nil && at.kind == landLeaf && bytes.Equal(at.leaf.Key, key)
+	// The leases the put's jump starts bet on (LeaseRead) are resolved here,
+	// before anything else is posted. A put that links nothing gives them all
+	// back. One that does keeps those of the node it ended in and of that
+	// node's parent: the locks of its write (lockNodes, installLeaf) — or,
+	// when the write needs a parent this walk did not come through
+	// (ErrNeedParent), the child's lock of the write the re-routed walk makes.
+	switch {
+	case err != nil || at.kind == landCleared:
+		e.returnBets(BetRoundEnded, nil, nil)
+	case exists && (mode == PutInsertOnly || fitsInPlace(at.leaf, value)):
+		e.returnBets(BetKeyExists, nil, nil)
+	default:
+		e.returnBets(BetRoundEnded, at.n, at.parent)
+	}
 	switch {
 	case err != nil:
 		return false, err
@@ -237,7 +255,7 @@ func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) 
 		// Delete say "absent", but a put would install into an image that
 		// predates the repair. The retried descent sees a free slot.
 		return false, fmt.Errorf("put: leaf %v invalid: %w", at.edge.slot.Addr, ErrRestart)
-	case at.kind == landLeaf && bytes.Equal(at.leaf.Key, key):
+	case exists:
 		if mode == PutInsertOnly {
 			return true, nil
 		}
@@ -301,8 +319,13 @@ func (e *Engine) confirmEdge(st *staged, op string, locked, also *Node, key []by
 // alone. The caller appends what rides behind the slot and ends the batch
 // with thenUnlock.
 func (e *Engine) slotWrite(n *Node, ed edge, word uint64) []fabric.Op {
+	return e.appendSlotWrite(e.commitOps[:0], n, ed, word)
+}
+
+// appendSlotWrite is slotWrite behind verbs that lead the commit batch.
+func (e *Engine) appendSlotWrite(ops []fabric.Op, n *Node, ed edge, word uint64) []fabric.Op {
 	binary.LittleEndian.PutUint64(e.commitWords[0][:], word)
-	ops := append(e.commitOps[:0], fabric.Op{Kind: fabric.Write, Addr: ed.addr, Data: e.commitWords[0][:]})
+	ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: ed.addr, Data: e.commitWords[0][:]})
 	present := word != 0
 	if n.Hdr.Type == wire.Node48 && !ed.eol && present != ed.slot.Present {
 		e.commitIdx[0] = 0
@@ -368,7 +391,15 @@ func (e *Engine) invalidateLeaf(leaf *Leaf) error {
 
 // installLeaf links a fresh leaf into node n in two round trips (paper §IV
 // Insert): the leaf WRITE rides the lock batch, the slot install carries
-// the unlock.
+// the unlock. In ONE when n's lease came with its image (LeaseRead): the
+// image was read under the lock, its free edge is a fact, and the leaf WRITE
+// leads the commit batch — [W leaf · W slot (+ index) · CAS unlock], executed
+// in posting order though the leaf lives on another memory node (DESIGN.md
+// §5.1), so the slot never names an unwritten leaf.
+//
+// Either commit batch is driven to completion: a transient behind the slot
+// WRITE would otherwise send the put around again to find its own leaf and
+// update it in place, leaving n's lease to expire under every other writer.
 func (e *Engine) installLeaf(parent, n *Node, key, value []byte, ed edge, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageInstall))
 	if ed.addr.IsNull() {
@@ -378,6 +409,12 @@ func (e *Engine) installLeaf(parent, n *Node, key, value []byte, ed edge, h Hook
 	leafAddr, err := e.stageLeaf(&st, key, value)
 	if err != nil {
 		return err
+	}
+	slot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: leafAddr}.Encode()
+	if e.takeBet(n) {
+		ops := append(e.appendSlotWrite(st.ops, n, ed, slot), e.UnlockOp(n))
+		e.stagedOps = ops[:0]
+		return e.completeBatch(ops)
 	}
 	locked, _, err := e.lockNodes(n, nil, &st)
 	if err != nil {
@@ -390,8 +427,7 @@ func (e *Engine) installLeaf(parent, n *Node, key, value []byte, ed edge, h Hook
 		// A competing writer took the last free slot first.
 		return e.abort(&st, fmt.Errorf("install: node %v filled up: %w", locked.Addr, ErrRestart), locked, nil)
 	}
-	slot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: leafAddr}
-	return e.C.Batch(e.thenUnlock(e.slotWrite(locked, ed, slot.Encode()), locked))
+	return e.completeBatch(e.thenUnlock(e.slotWrite(locked, ed, slot), locked))
 }
 
 // sameImage reports whether the image read under the lock still is the one
@@ -701,13 +737,18 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 	return e.swing(lockedParent, ed, mid, pub)
 }
 
+// fitsInPlace reports whether value fits the 64-byte units leaf occupies.
+func fitsInPlace(leaf *Leaf, value []byte) bool {
+	return wire.LeafSize(len(leaf.Key), len(value)) <= uint64(leaf.Units)*wire.LeafUnit
+}
+
 // updateLeaf applies the paper's update protocol (§III-C, §IV Update):
 // in-place with the checksum scheme when the new value fits the leaf's
 // 64-byte units, out-of-place (new leaf, repointed slot, invalidated old)
 // otherwise.
 func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
-	if wire.LeafSize(len(leaf.Key), len(value)) <= uint64(leaf.Units)*wire.LeafUnit {
+	if fitsInPlace(leaf, value) {
 		if err := e.updateLeafInPlace(leaf, value); err != nil {
 			return err
 		}
@@ -737,16 +778,20 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) err
 	// checksum-valid and Idle at an address other compute nodes still have
 	// cached — an orphan a speculative read would wrongly trust.
 	newSlot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: newAddr}
-	err = e.C.Batch(e.thenUnlock(append(e.slotWrite(locked, ed, newSlot.Encode()), e.retireOp(leaf)), locked))
+	// Driven to completion like every commit batch: its unlock is its last
+	// verb, so a transient released nothing and the batch is issued again —
+	// given up instead, the restarted put would find the key at the new leaf
+	// and update it in place, leaving n's lease to expire.
+	err = e.completeBatch(e.thenUnlock(append(e.slotWrite(locked, ed, newSlot.Encode()), e.retireOp(leaf)), locked))
 	if err != nil {
-		// A transient fault truncates the batch at a random verb, so the
-		// swing may have landed without the retirement. Probe the slot: if
-		// it no longer names the old leaf, the swing (or a competing
-		// writer's) is live and retiring the old leaf is required — and
-		// idempotent if someone else already did. The repair runs on the
-		// same faulty fabric, so it is driven to completion like a
-		// publication: were it abandoned, the restarted put would find the
-		// key at the new leaf and acknowledge with the old one still Idle.
+		// The completion loop gave up (its budget, or a killed node) behind a
+		// transient that truncated the batch at a random verb, so the swing
+		// may have landed without the retirement. Probe the slot: if it no
+		// longer names the old leaf, the swing (or a competing writer's) is
+		// live and retiring the old leaf is required — and idempotent if
+		// someone else already did. Were it skipped, a restarted put would
+		// find the key at the new leaf and acknowledge with the old one still
+		// Idle.
 		_ = e.completeHook(func() error {
 			word, rerr := e.C.ReadUint64(ed.addr)
 			if rerr != nil {
