@@ -253,11 +253,16 @@ type Cluster struct {
 	tail                     *obs.TailSampler
 	tailBaseOff, tailBaseCap uint64
 
-	// doneMu guards the lifetime core/hash counter totals folded in at
-	// each phase end, read by live-registry scrape goroutines.
-	doneMu   sync.Mutex
-	doneCore core.Stats
-	doneHash racehash.Stats
+	// src is what is observable of the index on this cluster, summed over its
+	// CNs: the live exporter's source while the cluster is the current one,
+	// and where the per-phase result sections read the caches' totals.
+	src *core.IndexSources
+	// doneMu guards the index-layer counters of the finished phases and the
+	// workers of the running one (drive), read by live-registry scrape
+	// goroutines through liveIndex.
+	doneMu  sync.Mutex
+	done    indexTally
+	running []*worker
 }
 
 // NewCluster builds the fabric, bootstraps the system and generates the
@@ -337,6 +342,13 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	cl.src = &core.IndexSources{
+		Stats:   func() core.Stats { return cl.liveIndex().core },
+		Hash:    func() racehash.Stats { return cl.liveIndex().hash },
+		Engine:  func() rart.EngineStats { return cl.liveIndex().engine },
+		Filters: cl.filters, LACs: cl.lacs, Hots: cl.hotsets,
+		Shared: &cl.sphinxShared, Fabric: f,
 	}
 	if cfg.Live != nil {
 		cfg.Live.attach(cl)

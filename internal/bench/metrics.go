@@ -71,8 +71,8 @@ func (cl *Cluster) beginPhaseMetrics() {
 		cl.probesBase = cl.index.SFCProbes.Snapshot()
 		cl.candBase = cl.index.INHTCandidates.Snapshot()
 	}
-	cl.filterBase = cl.filterStatsAgg()
-	cl.lacBase = cl.lacStatsAgg()
+	cl.filterBase = cl.src.FilterStats()
+	cl.lacBase = cl.src.LACStats()
 	if cl.tail != nil {
 		cl.tailBaseOff, cl.tailBaseCap = cl.tail.Stats()
 	}

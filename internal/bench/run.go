@@ -162,25 +162,43 @@ func sequential(newIndex func(cn int) (Index, *fabric.Client)) func(*worker, int
 // armed on sequential clients. It returns the workers in id order, or the
 // first error a worker reported. What a phase does — load, YCSB, a
 // ledgered chaos pass — is entirely its body's.
+//
+// The workers are mounted before any of them starts and published as the
+// cluster's running phase, so the live exporter counts them while they run
+// (liveIndex); when the last one returns they are folded into the finished
+// phases' totals and unpublished in one critical section — a scrape sees each
+// worker exactly once.
 func (cl *Cluster) drive(workers int, mount func(w *worker, cn int), body func(w *worker) error) ([]*worker, error) {
 	ws := make([]*worker, workers)
+	for id := range ws {
+		w := &worker{cl: cl, id: id}
+		mount(w, id%cl.Cfg.CNs)
+		if w.idx != nil {
+			w.rec = cl.armTail(w.idx, w.fc)
+		}
+		ws[id] = w
+	}
+	cl.doneMu.Lock()
+	cl.running = ws
+	cl.doneMu.Unlock()
 	errCh := make(chan error, workers)
 	var wg sync.WaitGroup
-	for id := range ws {
-		ws[id] = &worker{cl: cl, id: id}
+	for _, w := range ws {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			mount(w, w.id%cl.Cfg.CNs)
-			if w.idx != nil {
-				w.rec = cl.armTail(w.idx, w.fc)
-			}
 			if err := body(w); err != nil {
 				errCh <- fmt.Errorf("worker %d: %w", w.id, err)
 			}
-		}(ws[id])
+		}(w)
 	}
 	wg.Wait()
+	cl.doneMu.Lock()
+	for _, w := range ws {
+		cl.done.add(w)
+	}
+	cl.running = nil
+	cl.doneMu.Unlock()
 	close(errCh)
 	for err := range errCh {
 		return nil, err
@@ -231,16 +249,50 @@ func (cl *Cluster) armTail(idx Index, fc *fabric.Client) *obs.Recorder {
 	return rec
 }
 
+// indexTally is the index layers' counters over a set of workers: the node
+// engine's for every system, core and hash for the Sphinx family (sequential
+// clients and pipelined executors alike; sphinx says whether any worker has
+// them).
+type indexTally struct {
+	engine rart.EngineStats
+	core   core.Stats
+	hash   racehash.Stats
+	sphinx bool
+}
+
+// add folds one worker in. Safe while the worker runs: the clients load
+// their counters atomically and a pipeline guards its lane set.
+func (t *indexTally) add(w *worker) {
+	if w.pl != nil {
+		t.core, t.hash = t.core.Add(w.pl.Stats()), t.hash.Add(w.pl.HashStats())
+		t.engine = t.engine.Add(w.pl.EngineStats())
+		t.sphinx = true
+		return
+	}
+	t.engine = t.engine.Add(w.idx.Engine().Stats())
+	if c, ok := w.idx.(*core.Client); ok {
+		t.core, t.hash = t.core.Add(c.Stats()), t.hash.Add(c.HashStats())
+		t.sphinx = true
+	}
+}
+
+// liveIndex is what the live exporter reports for this cluster: every
+// finished phase plus the workers of the one that is running.
+func (cl *Cluster) liveIndex() indexTally {
+	cl.doneMu.Lock()
+	defer cl.doneMu.Unlock()
+	t := cl.done
+	for _, w := range cl.running {
+		t.add(w)
+	}
+	return t
+}
+
 // tally is what a finished phase's workers add up to.
 type tally struct {
 	elapsedPs int64        // the slowest worker's virtual clock
 	net       fabric.Stats // over every worker's fabric client
-	engine    rart.EngineStats
-	// core and hash are the Sphinx-family counters, of sequential clients
-	// and pipelined executors alike; sphinx says whether any worker has them.
-	core   core.Stats
-	hash   racehash.Stats
-	sphinx bool
+	indexTally
 }
 
 func tallyOf(ws []*worker) tally {
@@ -248,17 +300,7 @@ func tallyOf(ws []*worker) tally {
 	for _, w := range ws {
 		t.elapsedPs = max(t.elapsedPs, w.fc.Clock())
 		t.net = t.net.Add(w.fc.Stats())
-		if w.pl != nil {
-			t.core, t.hash = t.core.Add(w.pl.Stats()), t.hash.Add(w.pl.HashStats())
-			t.engine = t.engine.Add(w.pl.EngineStats())
-			t.sphinx = true
-			continue
-		}
-		t.engine = t.engine.Add(w.idx.Engine().Stats())
-		if c, ok := w.idx.(*core.Client); ok {
-			t.core, t.hash = t.core.Add(c.Stats()), t.hash.Add(c.HashStats())
-			t.sphinx = true
-		}
+		t.add(w)
 	}
 	return t
 }
@@ -461,7 +503,7 @@ func (cl *Cluster) attachSphinxDiag(r *Result, t tally) {
 	}
 	r.SphinxFPPerKOp = 1000 * float64(t.core.FalsePositives) / float64(r.Ops)
 	r.SphinxRestartsPerKOp = 1000 * float64(t.core.Restarts) / float64(r.Ops)
-	r.SphinxCollisions = t.core.CollisionRetry
+	r.SphinxCollisions = t.core.CollisionRetries
 	r.LeaseBets, r.LeaseBetsLost, r.LeaseBetsReturned = t.engine.LeaseBets, t.engine.LeaseBetsLost, t.engine.LeaseBetsReturned
 	r.Restarts = t.core.Restarts
 }

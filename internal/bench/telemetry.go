@@ -4,11 +4,9 @@ import (
 	"sync/atomic"
 
 	"sphinx/internal/core"
-	"sphinx/internal/cuckoo"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
 	"sphinx/internal/obs"
-	"sphinx/internal/racehash"
 )
 
 // Live is the harness's cluster-spanning observability surface: one
@@ -69,12 +67,13 @@ func (lv *Live) attach(cl *Cluster) {
 }
 
 // Registry assembles (once) the registry behind /metrics and /snapshot:
-// the live histograms, index distributions, tail counters, and gauge/
-// counter sources that follow the current cluster. Every source is
-// scrape-safe concurrently with running workers: filter cache stats are
-// padded atomics (lock-free SFC), INHT usage scans go through the region
-// locks, and the finished-phase core/hash counters are mutex-guarded on
-// the cluster.
+// the live histograms, index distributions, tail counters, the plane, and
+// the index layers' families (core.RegisterIndex — the same assembly a
+// session exports) following the current cluster. Every source is
+// scrape-safe concurrently with running workers: the client counters are
+// loaded atomically and move while a phase runs (Cluster.liveIndex), filter
+// cache stats are padded atomics (lock-free SFC), and INHT usage scans go
+// through the region locks.
 func (lv *Live) Registry() *obs.Registry {
 	if lv.reg != nil {
 		return lv.reg
@@ -84,82 +83,11 @@ func (lv *Live) Registry() *obs.Registry {
 	lv.Index.Register(r)
 	lv.Plane.Register(r)
 	r.AddCounters("tail", lv.Tail.Counters)
-	r.AddCounterStruct("core", func() any {
+	core.RegisterIndex(r, func() *core.IndexSources {
 		if cl := lv.cur.Load(); cl != nil {
-			return cl.phaseDoneCore()
+			return cl.src
 		}
-		return core.Stats{}
-	})
-	r.AddCounterStruct("inht", func() any {
-		if cl := lv.cur.Load(); cl != nil {
-			return cl.phaseDoneHash()
-		}
-		return racehash.Stats{}
-	})
-	r.AddCounterStruct("filter", func() any {
-		if cl := lv.cur.Load(); cl != nil {
-			return cl.filterStatsAgg()
-		}
-		return cuckoo.Stats{}
-	})
-	r.AddGauges("sfc", func() map[string]float64 {
-		cl := lv.cur.Load()
-		if cl == nil {
-			return nil
-		}
-		occupied, capacity, load, bound := cl.filterOccupancy()
-		g := map[string]float64{
-			"occupied_slots":    float64(occupied),
-			"capacity_slots":    float64(capacity),
-			"load":              load,
-			"analytic_fp_bound": bound,
-		}
-		fst := cl.filterStatsAgg()
-		if probes := fst.Hits + fst.Misses; probes > 0 {
-			g["false_positive_rate"] = float64(cl.phaseDoneCore().FalsePositives) / float64(probes)
-		}
-		return g
-	})
-	r.AddCounterStruct("lac", func() any {
-		if cl := lv.cur.Load(); cl != nil {
-			return cl.lacStatsAgg()
-		}
-		return core.LACStats{}
-	})
-	r.AddGauges("lac", func() map[string]float64 {
-		cl := lv.cur.Load()
-		if cl == nil || len(cl.lacs) == 0 {
-			return nil
-		}
-		occupied, capacity, full, bytes := cl.lacOccupancy()
-		g := map[string]float64{
-			"occupied_slots": float64(occupied),
-			"capacity_slots": float64(capacity),
-			"full_buckets":   float64(full),
-			"size_bytes":     float64(bytes),
-		}
-		if capacity > 0 {
-			g["occupancy"] = float64(occupied) / float64(capacity)
-		}
-		st := cl.phaseDoneCore()
-		if probes := st.SpecHits + st.SpecMisses + st.SpecRefutes + st.SpecAborts; probes > 0 {
-			g["hit_rate"] = float64(st.SpecHits) / float64(probes)
-		}
-		return g
-	})
-	r.AddGauges("inht", func() map[string]float64 {
-		cl := lv.cur.Load()
-		if cl == nil {
-			return nil
-		}
-		u := cl.inhtUsage()
-		return map[string]float64{
-			"load_factor":      u.LoadFactor(),
-			"entries":          float64(u.Entries),
-			"capacity_entries": float64(u.Capacity),
-			"segments":         float64(u.Segments),
-			"dir_entries":      float64(u.DirEntries),
-		}
+		return nil
 	})
 	lv.reg = r
 	return r
@@ -376,67 +304,6 @@ func (cl *Cluster) attachMNShares(r *Result, base []fabric.NICStats) {
 	}
 }
 
-// lacStatsAgg sums the CN leaf-address caches' maintenance counters
-// (empty for systems without one).
-func (cl *Cluster) lacStatsAgg() core.LACStats {
-	var agg core.LACStats
-	for _, lc := range cl.lacs {
-		agg = agg.Add(lc.Stats())
-	}
-	return agg
-}
-
-// lacOccupancy aggregates live entries, slot capacity, full buckets and byte
-// footprint across the CN leaf-address caches.
-func (cl *Cluster) lacOccupancy() (occupied, capacity, fullBuckets, bytes uint64) {
-	for _, lc := range cl.lacs {
-		o, c, f := lc.Occupancy()
-		occupied += o
-		capacity += c
-		fullBuckets += f
-		bytes += lc.SizeBytes()
-	}
-	return occupied, capacity, fullBuckets, bytes
-}
-
-// filterStatsAgg sums the CN filter caches' counters (empty for systems
-// without a filter).
-func (cl *Cluster) filterStatsAgg() cuckoo.Stats {
-	var agg cuckoo.Stats
-	for _, f := range cl.filters {
-		st := f.FilterStats()
-		agg.Inserts += st.Inserts
-		agg.Duplicates += st.Duplicates
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.SecondWins += st.SecondWins
-		agg.Relocations += st.Relocations
-		agg.Evictions += st.Evictions
-		agg.KickDrops += st.KickDrops
-		agg.HotMarks += st.HotMarks
-		agg.Deletes += st.Deletes
-	}
-	return agg
-}
-
-// filterOccupancy aggregates slot occupancy across the CN filter caches;
-// the analytic bound is averaged (the caches share one geometry).
-func (cl *Cluster) filterOccupancy() (occupied, capacity uint64, load, bound float64) {
-	for _, f := range cl.filters {
-		o, c := f.Occupancy()
-		occupied += o
-		capacity += c
-		bound += f.AnalyticFPBound()
-	}
-	if capacity > 0 {
-		load = float64(occupied) / float64(capacity)
-	}
-	if n := len(cl.filters); n > 0 {
-		bound /= float64(n)
-	}
-	return occupied, capacity, load, bound
-}
-
 // placement returns the current placement — the epoch-versioned ring and
 // hash tables when the system publishes them (elastic membership may have
 // added or drained nodes since bootstrap), the static bootstrap ring and
@@ -457,47 +324,13 @@ func (cl *Cluster) collectMNs() []obs.MNSample {
 	return obs.CollectMNs(cl.F, p.Ring.Nodes(), p.Tables)
 }
 
-// inhtUsage scans every member's hash-table structure MN-side (no
-// virtual-clock cost; race-clean through the region locks): tables
-// bootstrapped by an elastic add are counted and drained ones are not.
-func (cl *Cluster) inhtUsage() racehash.Usage {
-	var u racehash.Usage
-	for node, t := range cl.placement().Tables {
-		u = u.Add(racehash.ReadUsage(cl.F.Region(node), t))
-	}
-	return u
-}
-
-// phaseDoneCore and phaseDoneHash return the core/hash counters of all
-// finished phases (live scrape sources; per-phase worker clients are
-// aggregated into these at each phase end).
-func (cl *Cluster) phaseDoneCore() core.Stats {
-	cl.doneMu.Lock()
-	defer cl.doneMu.Unlock()
-	return cl.doneCore
-}
-
-func (cl *Cluster) phaseDoneHash() racehash.Stats {
-	cl.doneMu.Lock()
-	defer cl.doneMu.Unlock()
-	return cl.doneHash
-}
-
 // attachIndexBlocks fills the result's SFC and INHT sections from the
-// phase deltas, and folds the phase's worker counters into the cluster's
-// lifetime totals for the live registry.
+// phase deltas.
 func (cl *Cluster) attachIndexBlocks(r *Result, t tally) {
-	if !t.sphinx {
+	if !t.sphinx || r.Metrics == nil || cl.index == nil {
 		return
 	}
 	coreAgg, hashAgg := t.core, t.hash
-	cl.doneMu.Lock()
-	cl.doneCore = cl.doneCore.Add(coreAgg)
-	cl.doneHash = cl.doneHash.Add(hashAgg)
-	cl.doneMu.Unlock()
-	if r.Metrics == nil || cl.index == nil {
-		return
-	}
 	// The three *_reconciled identities below hold only for sequential
 	// read-only phases on a healthy index: writes, scans and restarts add
 	// stage traffic of their own, and pipelining coalesces many ops into
@@ -516,7 +349,7 @@ func (cl *Cluster) attachIndexBlocks(r *Result, t tally) {
 		BucketOverflows: hashAgg.BucketOverflows,
 		Splits:          hashAgg.Splits,
 	}
-	u := cl.inhtUsage()
+	u, _ := cl.src.INHTUsage()
 	inht.LoadFactor = u.LoadFactor()
 	inht.Entries = u.Entries
 	inht.CapacityEntries = u.Capacity
@@ -526,8 +359,8 @@ func (cl *Cluster) attachIndexBlocks(r *Result, t tally) {
 
 	// Leaf-address-cache section (absent for the SphinxNoLAC ablation).
 	if len(cl.lacs) > 0 {
-		lacSt := cl.lacStatsAgg()
-		occupied, capacity, full, bytes := cl.lacOccupancy()
+		lacSt := cl.src.LACStats()
+		occupied, capacity, full, bytes := cl.src.LACOccupancy()
 		lac := &LACBlock{
 			SpecHits:    coreAgg.SpecHits,
 			SpecMisses:  coreAgg.SpecMisses,
@@ -601,9 +434,9 @@ func (cl *Cluster) attachIndexBlocks(r *Result, t tally) {
 	if len(cl.filters) == 0 || cl.Sys == SphinxNoSFC {
 		return
 	}
-	fst := cl.filterStatsAgg()
+	fst := cl.src.FilterStats()
 	probes := fst.Hits + fst.Misses - cl.filterBase.Hits - cl.filterBase.Misses
-	occupied, capacity, load, bound := cl.filterOccupancy()
+	occupied, capacity, load, bound := cl.src.FilterOccupancy()
 	sfc := &SFCBlock{
 		HitDepth:        histJSON(cl.index.SFCHitDepth.Snapshot().Sub(cl.hitDepthBase), 1),
 		Probes:          histJSON(cl.index.SFCProbes.Snapshot().Sub(cl.probesBase), 1),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sphinx/internal/dataset"
+	"sphinx/internal/obs"
 	"sphinx/internal/ycsb"
 )
 
@@ -148,5 +149,64 @@ func TestLiveRegistryServesDuringRun(t *testing.T) {
 	}
 	if offered, _ := lv.Tail.Stats(); offered == 0 {
 		t.Error("live tail sampler saw no ops")
+	}
+}
+
+// TestLiveRegistryFollowsRunningPhase scrapes the live registry from inside a
+// phase body: the index counters must already hold the phase's own
+// operations (they used to be folded in only when a phase ended, so
+// sfc_false_positive_rate divided the last phase's false positives by this
+// phase's probes), and once the phase is over the totals must have moved by
+// exactly what its Result reports — nothing counted twice, nothing dropped.
+func TestLiveRegistryFollowsRunningPhase(t *testing.T) {
+	lv := NewLive()
+	cfg := smallConfig(dataset.U64)
+	cfg.Keys, cfg.Workers, cfg.Metrics, cfg.Live = 2000, 1, true, lv
+	cl, err := NewCluster(Sphinx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Load(0); err != nil {
+		t.Fatal(err)
+	}
+	reg := lv.Registry()
+	before := reg.Snapshot()
+	var during obs.Snapshot
+	// No leaf-address cache on the worker, so every Search goes through the
+	// filter and the hash table.
+	const searches = 500
+	r, err := cl.measure("probe", 1, 1, sequential(cl.NewIndexNoSpec), func(w *worker) error {
+		for i := 0; i < searches; i++ {
+			if _, err := w.timed(obs.OpGet, func() error {
+				_, _, err := w.idx.Search(cl.keys[i*3])
+				return err
+			}); err != nil {
+				return err
+			}
+		}
+		during = reg.Snapshot().Sub(before)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := during.Counters["core_searches"]; got < searches {
+		t.Errorf("core_searches moved by %d inside a phase of %d Searches", got, searches)
+	}
+	probes := during.Counters["filter_hits"] + during.Counters["filter_misses"]
+	if fp := during.Counters["core_false_positives"]; probes == 0 || fp > probes {
+		t.Errorf("inside the phase: %d false positives against %d filter probes", fp, probes)
+	}
+	after := reg.Snapshot().Sub(before)
+	for name, want := range map[string]uint64{
+		"core_searches":        r.Ops,
+		"core_filter_hits":     r.Metrics.SFC.FilterHits,
+		"core_false_positives": r.Metrics.SFC.FalsePositives,
+		"inht_lookups":         r.Metrics.INHT.Lookups,
+		"inht_retry_reads":     r.Metrics.INHT.RetryReads,
+	} {
+		if got := after.Counters[name]; got != want {
+			t.Errorf("%s moved by %d over the phase, its Result reports %d", name, got, want)
+		}
 	}
 }

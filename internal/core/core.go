@@ -17,10 +17,10 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"sync/atomic"
 
 	"sphinx/internal/consistenthash"
+	"sphinx/internal/counters"
 	"sphinx/internal/cuckoo"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
@@ -135,12 +135,6 @@ func (fc *FilterCache) ContainsWasHot(h uint64) (present, wasHot bool) {
 	return fc.f.ContainsWasHot(h)
 }
 
-// HotEntries returns how many live filter entries currently carry the
-// hotness bit (exported as the sfc_hot_entries gauge).
-func (fc *FilterCache) HotEntries() uint64 {
-	return fc.f.HotEntries()
-}
-
 // Delete unlearns a prefix hash (after a detected false positive).
 func (fc *FilterCache) Delete(h uint64) {
 	fc.f.Delete(h)
@@ -224,68 +218,119 @@ func (opts Options) withCaches() Options {
 	return opts
 }
 
-// Stats counts Sphinx-level events per client.
+// Stats counts Sphinx-level events per client: how operations were routed
+// (filter cache vs parallel fallback vs root walk), which speculative tier
+// served them, and how often the probabilistic machinery misfired. It is the
+// one declaration of these counters: sphinx.SphinxCounters is this type, and
+// both exporters name them from its fields (core_<field>, RegisterIndex).
 type Stats struct {
-	Searches        uint64
-	Inserts         uint64
-	Updates         uint64
-	Deletes         uint64
-	Scans           uint64
-	FilterHits      uint64 // locates resolved via the filter cache
-	FilterFallbacks uint64 // locates that fell back to the parallel read
-	RootStarts      uint64 // locates that started at the root
-	FalsePositives  uint64 // filter said yes, index said no (unlearned)
-	CollisionRetry  uint64 // leaf-level common-prefix check tripped (§III-B)
-	Restarts        uint64 // operation-level retries (coherence protocol); the sum of the Restarts* causes
-	ParentRetries   uint64 // ErrNeedParent re-routes (structural, no backoff)
-	StaleEntries    uint64 // invalid hash entries cleaned opportunistically
-	FPMismatches    uint64 // candidate nodes read but failing the §III-B checks
-	Failovers       uint64 // reads served from anchor replicas after node loss
-	DegradedPuts    uint64 // writes/deletes served anchor-only (tree path dead)
-	PartialReplicas uint64 // acked writes that reached fewer than R replicas
-	AnchorConfirms  uint64 // degraded-mode absent answers verified via anchors
-	SpecHits        uint64 // searches served by one speculative leaf read
-	SpecMisses      uint64 // searches with no leaf-address-cache entry
-	SpecRefutes     uint64 // speculative reads refuted in-place (unlearned)
-	SpecAborts      uint64 // speculative reads abandoned on unstable leaf or fabric error
-	SpecUpdHits     uint64 // puts served by a speculative in-place write (lock + verify in one batch)
-	SpecUpdMisses   uint64 // puts with no leaf-address-cache entry
-	SpecUpdRefutes  uint64 // speculative in-place writes refuted by the leaf image (unlearned)
-	SpecUpdAborts   uint64 // speculative in-place writes given up, entry kept (busy or outgrown leaf, fabric error)
-	EpochFallbacks  uint64 // reads served from the previous epoch mid-transition
-	Cutovers        uint64 // membership transitions this client retired after convergence
-	HotHits         uint64 // searches served by one verified hot-replica read
-	HotRefutes      uint64 // hot-replica reads refuted in place (route unlearned)
-	HotAborts       uint64 // hot-replica reads abandoned on a transient fabric fault
-	HotPromotes     uint64 // keys promoted into replicated placement
-	HotDemotes      uint64 // cooled keys torn back down to single-owner
-	HotRefreshes    uint64 // writes that republished at least one hot record
-	// Restarts, by the cause the operation driver classified (ops.go drive).
-	RestartsStructural uint64 // lost a structural race (rart.ErrRestart, need-parent at the root)
-	RestartsTransient  uint64 // a batch failed part-way (fabric.ErrTransient)
-	RestartsTimeout    uint64 // a completion was lost (fabric.ErrTimeout)
-	RestartsNodeDown   uint64 // a memory node rejected the batch (down window, or lost without failover)
-	// The replica layers' fan-outs (records.go fanout), anchors and hot together.
-	ReplicaFanouts  uint64 // fan-outs started: one per find, publish or remove over a key's targets
-	ReplicaRounds   uint64 // doorbell batches they posted
-	ReplicaLegs     uint64 // node-legs they carried
-	ReplicaRequeues uint64 // legs sent back to the bucket read: a lost entry CAS, a stale directory
-	ReplicaSplits   uint64 // rounds whose batch faulted and was posted again one node at a time
+	Searches, Inserts, Updates, Deletes, Scans uint64
+	// FilterHits counts operations routed by a filter-cache hit — the
+	// three-round-trip warm path.
+	FilterHits uint64
+	// FilterFallbacks counts parallel multi-prefix hash reads (filter
+	// disabled or useless).
+	FilterFallbacks uint64
+	// RootStarts counts operations that fell back to a root descent.
+	RootStarts uint64
+	// FalsePositives counts filter claims the index refuted and unlearned
+	// (<1% of probes per the paper).
+	FalsePositives uint64
+	// CollisionRetries counts the leaf-level common-prefix detections of
+	// §III-B (<0.01% of operations per the paper).
+	CollisionRetries uint64
+	// Restarts counts operation-level retries (coherence protocol: invalidated
+	// nodes or leaves observed mid-change); the sum of the Restarts* causes.
+	Restarts uint64
+	// ParentRetries counts ErrNeedParent re-routes (structural, no backoff).
+	ParentRetries uint64
+	// StaleEntries counts invalid hash entries cleaned opportunistically.
+	StaleEntries uint64
+	// FPMismatches counts candidate nodes read but failing the §III-B checks.
+	FPMismatches uint64
+	// The fault-tolerance layer: Failovers counts reads served from anchor
+	// replicas after node loss, DegradedPuts writes and deletes served
+	// anchor-only (tree path dead), PartialReplicas acked writes that reached
+	// fewer than R replicas, AnchorConfirms degraded-mode absent answers
+	// verified via anchors.
+	Failovers, DegradedPuts, PartialReplicas, AnchorConfirms uint64
+	// SpecHits counts Gets served by the speculative 1-RT fast path: one
+	// leaf read at the cached address, verified in place.
+	SpecHits uint64
+	// SpecMisses counts Gets with no leaf-address-cache entry (cold keys,
+	// or the cache disabled).
+	SpecMisses uint64
+	// SpecRefutes counts speculative reads the leaf image refuted; the
+	// entry is unlearned and the Get falls back to the 3-RT hash path
+	// without consuming retry budget.
+	SpecRefutes uint64
+	// SpecAborts counts speculative reads abandoned without a verdict (a
+	// torn or locked leaf, or a transient fabric error); the entry is kept.
+	SpecAborts uint64
+	// SpecUpdHits counts Puts and Updates served by the speculative in-place
+	// write: the leaf locked and verified in one batch at the cached address,
+	// then the single releasing image write (2 round trips, 3 when the stored
+	// value's length differed and the lock took a second CAS).
+	SpecUpdHits uint64
+	// SpecUpdMisses counts Puts and Updates with no leaf-address-cache entry
+	// (fresh keys, cold keys, or the cache disabled).
+	SpecUpdMisses uint64
+	// SpecUpdRefutes counts speculative writes the leaf image refuted (a
+	// retired or foreign leaf); the entry is unlearned and the write takes
+	// the tree path without consuming retry budget.
+	SpecUpdRefutes uint64
+	// SpecUpdAborts counts speculative writes given up with the entry kept: a
+	// leaf locked by another writer, a value that outgrew the leaf's units,
+	// or a transient fabric error.
+	SpecUpdAborts uint64
+	// EpochFallbacks counts reads served from the previous placement epoch
+	// while a membership change was mid-migration.
+	EpochFallbacks uint64
+	// Cutovers counts membership transitions this client retired after
+	// convergence.
+	Cutovers uint64
+	// HotHits counts Gets served by one verified hot-replica read (the
+	// replicated 1-RT path of the hot-spot tolerance layer).
+	HotHits uint64
+	// HotRefutes counts hot-replica reads refuted in place (retired or
+	// mismatched record); the route is unlearned and the Get falls back.
+	HotRefutes uint64
+	// HotAborts counts hot-replica reads abandoned on a transient fabric
+	// fault, with the route kept.
+	HotAborts uint64
+	// HotPromotes counts keys promoted into replicated placement.
+	HotPromotes uint64
+	// HotDemotes counts cooled keys torn back down to single-owner.
+	HotDemotes uint64
+	// HotRefreshes counts writes that republished at least one hot record
+	// before acknowledging.
+	HotRefreshes uint64
+	// Restarts by the cause the operation driver classified (ops.go drive);
+	// they sum to Restarts. Structural: a lost tree race (rart.ErrRestart,
+	// need-parent at the root). Transient, Timeout: an injected fabric fault of
+	// that kind. NodeDown: a memory node rejected the batch (a down window, or
+	// a lost node with no replica layer to fail over to).
+	RestartsStructural, RestartsTransient, RestartsTimeout, RestartsNodeDown uint64
+	// The replica layers' write acknowledgement (records.go fanout; anchors
+	// and hot records together): ReplicaFanouts counts passes over a key's
+	// whole target set, ReplicaRounds the doorbell batches they posted,
+	// ReplicaLegs the node-legs they carried — rounds per fan-out is what an
+	// acked write waits for, legs per round what batching saves.
+	// ReplicaRequeues counts legs sent back to the bucket read by a lost entry
+	// CAS or a stale directory cache, ReplicaSplits rounds whose batch faulted
+	// and was posted again one node at a time.
+	ReplicaFanouts, ReplicaRounds, ReplicaLegs, ReplicaRequeues, ReplicaSplits uint64
+}
+
+func init() {
+	counters.Check[Stats]()
+	counters.Check[cuckoo.Stats]() // summed over a CN's filters in telemetry.go
 }
 
 // Add returns s + t, field-wise; used to aggregate workers.
 func (s Stats) Add(t Stats) Stats {
-	eachCounter(&s, &t, func(dst, src *uint64) { *dst += *src })
+	counters.Add(&s, &t)
 	return s
-}
-
-// eachCounter pairs every counter of dst with the same counter of src. Stats
-// is counters only — a field of another type panics here, in the first test.
-func eachCounter(dst, src *Stats, fn func(dst, src *uint64)) {
-	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
-	for i := 0; i < d.NumField(); i++ {
-		fn(d.Field(i).Addr().Interface().(*uint64), s.Field(i).Addr().Interface().(*uint64))
-	}
 }
 
 // viewSet is a copy-on-write map of per-node hash-table views. The owning
@@ -407,11 +452,7 @@ func (c *Client) Engine() *rart.Engine { return c.eng }
 
 // Stats returns a snapshot of the client's counters, loaded atomically so
 // it is safe to call concurrently with the worker driving the client.
-func (c *Client) Stats() Stats {
-	var s Stats
-	eachCounter(&s, &c.stats, func(dst, src *uint64) { *dst = atomic.LoadUint64(src) })
-	return s
-}
+func (c *Client) Stats() Stats { return counters.Load(&c.stats) }
 
 // HashStats aggregates the inner-node-hash-table view counters across all
 // memory nodes this client talks to. Safe to call from scrape goroutines:
@@ -423,13 +464,6 @@ func (c *Client) HashStats() racehash.Stats {
 	}
 	return total
 }
-
-// Filter returns the client's filter cache (nil when disabled).
-func (c *Client) Filter() *FilterCache { return c.filter }
-
-// LeafCache returns the client's speculative leaf-address cache (nil when
-// disabled).
-func (c *Client) LeafCache() *LeafCache { return c.lac }
 
 // HotSet returns the client's hot-key tracker (nil when the hot layer is
 // off for this client).

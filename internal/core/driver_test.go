@@ -172,10 +172,10 @@ func TestDriveDecisionTable(t *testing.T) {
 					t.Errorf("per-cause counters sum to %d, Restarts = %d", sum, after.Restarts)
 				}
 				for name, got := range map[string]uint64{
-					"CollisionRetry": after.CollisionRetry - before.CollisionRetry - w.collisions,
-					"ParentRetries":  after.ParentRetries - before.ParentRetries - w.parents,
-					"Failovers":      after.Failovers - before.Failovers - w.failovers[op],
-					"DegradedPuts":   after.DegradedPuts - before.DegradedPuts - w.degraded[op],
+					"CollisionRetries": after.CollisionRetries - before.CollisionRetries - w.collisions,
+					"ParentRetries":    after.ParentRetries - before.ParentRetries - w.parents,
+					"Failovers":        after.Failovers - before.Failovers - w.failovers[op],
+					"DegradedPuts":     after.DegradedPuts - before.DegradedPuts - w.degraded[op],
 				} {
 					if got != 0 {
 						t.Errorf("%s is off by %d", name, int64(got))

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"sphinx/internal/counters"
 	"sphinx/internal/mem"
 	"sphinx/internal/wire"
 )
@@ -67,11 +68,11 @@ type LACStats struct {
 	Evictions uint64 // learns into a full bucket that displaced a live entry
 }
 
+func init() { counters.Check[LACStats]() }
+
 // Add returns s + t, field-wise.
 func (s LACStats) Add(t LACStats) LACStats {
-	s.Learns += t.Learns
-	s.Unlearns += t.Unlearns
-	s.Evictions += t.Evictions
+	counters.Add(&s, &t)
 	return s
 }
 
@@ -251,10 +252,4 @@ func (lc *LeafCache) Occupancy() (occupied, capacity, fullBuckets uint64) {
 }
 
 // Stats returns a snapshot of the cache's maintenance counters.
-func (lc *LeafCache) Stats() LACStats {
-	return LACStats{
-		Learns:    atomic.LoadUint64(&lc.stats.Learns),
-		Unlearns:  atomic.LoadUint64(&lc.stats.Unlearns),
-		Evictions: atomic.LoadUint64(&lc.stats.Evictions),
-	}
-}
+func (lc *LeafCache) Stats() LACStats { return counters.Load(&lc.stats) }

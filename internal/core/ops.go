@@ -652,7 +652,7 @@ func (c *Client) collided(key, leafKey []byte, startLen int) bool {
 	if rart.CommonPrefixLen(leafKey, key) >= startLen {
 		return false
 	}
-	atomic.AddUint64(&c.stats.CollisionRetry, 1)
+	atomic.AddUint64(&c.stats.CollisionRetries, 1)
 	if c.filter != nil {
 		c.filter.Delete(PrefixFilterHash(key[:startLen]))
 	}

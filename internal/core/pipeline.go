@@ -77,13 +77,6 @@ func NewPipeline(shared Shared, main *fabric.Client, opts Options) *Pipeline {
 // Pipe exposes the underlying coalescer (flush accounting for tests).
 func (p *Pipeline) Pipe() *fabric.Pipe { return p.pipe }
 
-// Lanes returns how many lanes have been materialized so far.
-func (p *Pipeline) Lanes() int {
-	p.laneMu.Lock()
-	defer p.laneMu.Unlock()
-	return len(p.lanes)
-}
-
 func (p *Pipeline) ensureLanes(n int) {
 	p.laneMu.Lock()
 	defer p.laneMu.Unlock()
@@ -95,8 +88,12 @@ func (p *Pipeline) ensureLanes(n int) {
 }
 
 // snapshotLanes returns the current lane set; the returned slice is safe
-// to iterate while Run grows the pipeline.
+// to iterate while Run grows the pipeline. A nil pipeline has no lanes, so
+// the three aggregates below read zero for one not created yet.
 func (p *Pipeline) snapshotLanes() []*Client {
+	if p == nil {
+		return nil
+	}
 	p.laneMu.Lock()
 	defer p.laneMu.Unlock()
 	return p.lanes[:len(p.lanes):len(p.lanes)]
@@ -156,29 +153,13 @@ func runPipeOp(cl *Client, fc *fabric.Client, op *PipeOp) {
 }
 
 // Stats aggregates the Sphinx-level counters of all lanes.
-func (p *Pipeline) Stats() Stats {
-	var agg Stats
-	for _, cl := range p.snapshotLanes() {
-		agg = agg.Add(cl.Stats())
-	}
-	return agg
-}
+func (p *Pipeline) Stats() Stats { return sumOver(p.snapshotLanes(), (*Client).Stats) }
 
 // EngineStats aggregates the node-engine recovery counters of all lanes.
 func (p *Pipeline) EngineStats() rart.EngineStats {
-	var agg rart.EngineStats
-	for _, cl := range p.snapshotLanes() {
-		agg = agg.Add(cl.Engine().Stats())
-	}
-	return agg
+	return sumOver(p.snapshotLanes(), func(c *Client) rart.EngineStats { return c.eng.Stats() })
 }
 
 // HashStats aggregates the inner-node-hash-table view counters of all
 // lanes.
-func (p *Pipeline) HashStats() racehash.Stats {
-	var agg racehash.Stats
-	for _, cl := range p.snapshotLanes() {
-		agg = agg.Add(cl.HashStats())
-	}
-	return agg
-}
+func (p *Pipeline) HashStats() racehash.Stats { return sumOver(p.snapshotLanes(), (*Client).HashStats) }

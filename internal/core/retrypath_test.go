@@ -242,8 +242,8 @@ func TestDeleteCollisionConfirmCrashSweep(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("clean delete = %v, %v; want true, nil", ok, err)
 	}
-	if victim.stats.CollisionRetry != 1 {
-		t.Fatalf("clean delete detected %d collisions, want 1; scenario broken", victim.stats.CollisionRetry)
+	if victim.stats.CollisionRetries != 1 {
+		t.Fatalf("clean delete detected %d collisions, want 1; scenario broken", victim.stats.CollisionRetries)
 	}
 	verbs := fc.Stats().Verbs
 	if verbs == 0 {
@@ -317,8 +317,8 @@ func TestSearchCollisionNarrowingNodeDownSweep(t *testing.T) {
 	if err != nil || !ok || !bytes.Equal(v, []byte("v-k")) {
 		t.Fatalf("clean search = %q, %v, %v", v, ok, err)
 	}
-	if probe.stats.CollisionRetry != 2 {
-		t.Fatalf("clean search detected %d collisions, want 2; scenario broken", probe.stats.CollisionRetry)
+	if probe.stats.CollisionRetries != 2 {
+		t.Fatalf("clean search detected %d collisions, want 2; scenario broken", probe.stats.CollisionRetries)
 	}
 	elapsed := fc.Clock()
 	if elapsed == 0 {
@@ -341,9 +341,9 @@ func TestSearchCollisionNarrowingNodeDownSweep(t *testing.T) {
 		if fc.Stats().NodeDownRejects > 0 {
 			faulted++
 		}
-		if c.stats.CollisionRetry > 2 {
+		if c.stats.CollisionRetries > 2 {
 			t.Fatalf("window at %d ps: %d collision detections (clean run: 2); narrowing was lost across the fault",
-				ps, c.stats.CollisionRetry)
+				ps, c.stats.CollisionRetries)
 		}
 	}
 	if faulted == 0 {

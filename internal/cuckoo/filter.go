@@ -317,26 +317,6 @@ func (f *Filter) probeWasHot(b uint64, fpv uint16) (found, wasHot bool) {
 	return false, false
 }
 
-// ContainsHot reports whether an item with the given hash may be present
-// and, if so, whether its entry currently carries the hotness bit. Unlike
-// Contains it is a pure point query: it neither hot-marks the entry nor
-// bumps the hit/miss counters, so callers can consult hotness (the
-// hot-set tracker seeds its frequency sketch from it) without perturbing
-// the second-chance replacement state they are observing.
-func (f *Filter) ContainsHot(hash uint64) (present, hot bool) {
-	fpv := fp(hash)
-	i1 := f.index(hash)
-	for _, b := range [2]uint64{i1, f.altIndex(i1, fpv)} {
-		w := f.buckets[b].Load()
-		for s := 0; s < SlotsPerBucket; s++ {
-			if e := slotOf(w, s); e&fpMask == fpv {
-				return true, e&hotBit != 0
-			}
-		}
-	}
-	return false, false
-}
-
 // HotSample iterates over the entries whose hotness bit is currently set,
 // calling fn with each entry's bucket index and fingerprint until fn
 // returns false or the scan completes. It returns the number of hot

@@ -61,9 +61,6 @@ type Backoff struct {
 	waitedPs int64
 }
 
-// Attempts returns how many waits have been taken.
-func (b *Backoff) Attempts() int { return b.attempts }
-
 // WaitedPs returns the cumulative virtual time spent waiting in this
 // sequence; lock-steal logic compares it against the lease duration.
 func (b *Backoff) WaitedPs() int64 { return b.waitedPs }

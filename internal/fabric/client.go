@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"sphinx/internal/counters"
 	"sphinx/internal/mem"
 )
 
@@ -32,37 +33,17 @@ type Stats struct {
 	Delays          uint64 // latency spikes injected
 }
 
+func init() { counters.Check[Stats]() }
+
 // Sub returns s - t, field-wise; used to measure a single index operation.
 func (s Stats) Sub(t Stats) Stats {
-	s.RoundTrips -= t.RoundTrips
-	s.Verbs -= t.Verbs
-	s.BytesRead -= t.BytesRead
-	s.BytesWrite -= t.BytesWrite
-	for i := range s.ByKind {
-		s.ByKind[i] -= t.ByKind[i]
-	}
-	s.Transients -= t.Transients
-	s.Timeouts -= t.Timeouts
-	s.NodeDownRejects -= t.NodeDownRejects
-	s.HealthRejects -= t.HealthRejects
-	s.Delays -= t.Delays
+	counters.Sub(&s, &t)
 	return s
 }
 
 // Add returns s + t, field-wise; used to aggregate workers.
 func (s Stats) Add(t Stats) Stats {
-	s.RoundTrips += t.RoundTrips
-	s.Verbs += t.Verbs
-	s.BytesRead += t.BytesRead
-	s.BytesWrite += t.BytesWrite
-	for i := range s.ByKind {
-		s.ByKind[i] += t.ByKind[i]
-	}
-	s.Transients += t.Transients
-	s.Timeouts += t.Timeouts
-	s.NodeDownRejects += t.NodeDownRejects
-	s.HealthRejects += t.HealthRejects
-	s.Delays += t.Delays
+	counters.Add(&s, &t)
 	return s
 }
 
@@ -151,22 +132,7 @@ func (c *Client) AdvanceClock(ps int64) { c.clock += ps }
 // Stats returns a snapshot of the client's accounting. The fields are
 // loaded atomically so a metrics scrape may call this concurrently with
 // the goroutine driving the client.
-func (c *Client) Stats() Stats {
-	var s Stats
-	s.RoundTrips = atomic.LoadUint64(&c.stats.RoundTrips)
-	s.Verbs = atomic.LoadUint64(&c.stats.Verbs)
-	s.BytesRead = atomic.LoadUint64(&c.stats.BytesRead)
-	s.BytesWrite = atomic.LoadUint64(&c.stats.BytesWrite)
-	for i := range s.ByKind {
-		s.ByKind[i] = atomic.LoadUint64(&c.stats.ByKind[i])
-	}
-	s.Transients = atomic.LoadUint64(&c.stats.Transients)
-	s.Timeouts = atomic.LoadUint64(&c.stats.Timeouts)
-	s.NodeDownRejects = atomic.LoadUint64(&c.stats.NodeDownRejects)
-	s.HealthRejects = atomic.LoadUint64(&c.stats.HealthRejects)
-	s.Delays = atomic.LoadUint64(&c.stats.Delays)
-	return s
-}
+func (c *Client) Stats() Stats { return counters.Load(&c.stats) }
 
 // RoundTrips returns the client's round-trip count without copying the
 // whole Stats struct; per-op metric deltas read it on the hot path.

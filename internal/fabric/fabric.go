@@ -274,13 +274,6 @@ func (f *Fabric) AddNode(size uint64) mem.NodeID {
 	return id
 }
 
-// NumNodes returns the number of attached memory nodes.
-func (f *Fabric) NumNodes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.nodes)
-}
-
 // Region exposes a node's region for bootstrap-time direct access
 // (mem.DirectOps) and white-box tests. Index code must not use it.
 func (f *Fabric) Region(id mem.NodeID) *mem.Region {

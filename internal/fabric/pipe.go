@@ -73,9 +73,6 @@ func NewPipe(main *Client) *Pipe {
 	return &Pipe{main: main}
 }
 
-// Main returns the client flushes execute (and account) on.
-func (p *Pipe) Main() *Client { return p.main }
-
 // NewLane creates a lane client: a full fabric client whose doorbell
 // batches are redirected into the pipe's shared flushes. The lane starts
 // at the main client's current virtual time.

@@ -29,23 +29,6 @@ func (s SLO) goodBucket() int {
 	return bits.Len64(s.LatencyPs)
 }
 
-// Evaluate scores the delta between two cumulative latency snapshots
-// against the objective: how many ops the interval saw, how many missed
-// the threshold, and the interval's burn rate. This is the same math the
-// plane's SLO engine applies per tick, exposed for drivers (benchmarks)
-// that want exact per-phase verdicts independent of tick cadence.
-func (s SLO) Evaluate(prev, cur HistSnapshot) (ops, bad uint64, burn float64) {
-	delta := cur.Sub(prev)
-	goodIdx := s.goodBucket()
-	var good uint64
-	for i := 0; i <= goodIdx && i < NumBuckets; i++ {
-		good += delta.Buckets[i]
-	}
-	ops = delta.Count
-	bad = ops - good
-	return ops, bad, burnRate(bad, ops, s.Quantile)
-}
-
 // SLOStatus is the engine's verdict for one SLO at the latest tick.
 type SLOStatus struct {
 	SLO        SLO     `json:"slo"`

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"sphinx/internal/counters"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
 	"sphinx/internal/wire"
@@ -43,23 +44,12 @@ type Stats struct {
 	PlannedLost  uint64
 }
 
+func init() { counters.Check[Stats]() }
+
 // Add returns s + t, field-wise; used to aggregate the per-memory-node
 // views of one client.
 func (s Stats) Add(t Stats) Stats {
-	s.Lookups += t.Lookups
-	s.Inserts += t.Inserts
-	s.Replaces += t.Replaces
-	s.Removes += t.Removes
-	s.Refreshes += t.Refreshes
-	s.RetryReads += t.RetryReads
-	s.Splits += t.Splits
-	s.DirDoubles += t.DirDoubles
-	s.SplitWaits += t.SplitWaits
-	s.BucketOverflows += t.BucketOverflows
-	s.Reinserted += t.Reinserted
-	s.StaleChecks += t.StaleChecks
-	s.PlannedSwaps += t.PlannedSwaps
-	s.PlannedLost += t.PlannedLost
+	counters.Add(&s, &t)
 	return s
 }
 
@@ -105,24 +95,7 @@ func NewViewNoCache(t Table, c *fabric.Client) *View {
 func (v *View) Table() Table { return v.t }
 
 // Stats returns a snapshot of the view's counters, loaded atomically.
-func (v *View) Stats() Stats {
-	var s Stats
-	s.Lookups = atomic.LoadUint64(&v.stats.Lookups)
-	s.Inserts = atomic.LoadUint64(&v.stats.Inserts)
-	s.Replaces = atomic.LoadUint64(&v.stats.Replaces)
-	s.Removes = atomic.LoadUint64(&v.stats.Removes)
-	s.Refreshes = atomic.LoadUint64(&v.stats.Refreshes)
-	s.RetryReads = atomic.LoadUint64(&v.stats.RetryReads)
-	s.Splits = atomic.LoadUint64(&v.stats.Splits)
-	s.DirDoubles = atomic.LoadUint64(&v.stats.DirDoubles)
-	s.SplitWaits = atomic.LoadUint64(&v.stats.SplitWaits)
-	s.BucketOverflows = atomic.LoadUint64(&v.stats.BucketOverflows)
-	s.Reinserted = atomic.LoadUint64(&v.stats.Reinserted)
-	s.StaleChecks = atomic.LoadUint64(&v.stats.StaleChecks)
-	s.PlannedSwaps = atomic.LoadUint64(&v.stats.PlannedSwaps)
-	s.PlannedLost = atomic.LoadUint64(&v.stats.PlannedLost)
-	return s
-}
+func (v *View) Stats() Stats { return counters.Load(&v.stats) }
 
 // DirCacheBytes returns the size of the client-side directory cache.
 func (v *View) DirCacheBytes() uint64 { return uint64(len(v.dir)) * 8 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"sphinx/internal/consistenthash"
+	"sphinx/internal/counters"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
 	"sphinx/internal/wire"
@@ -201,50 +202,18 @@ type EngineStats struct {
 	ScanReresolved uint64
 }
 
+func init() { counters.Check[EngineStats]() }
+
 // Add returns s + t, field-wise; used to aggregate workers.
 func (s EngineStats) Add(t EngineStats) EngineStats {
-	s.Restarts += t.Restarts
-	s.LockSteals += t.LockSteals
-	s.LeafLockBreaks += t.LeafLockBreaks
-	s.DeleteRepairs += t.DeleteRepairs
-	s.PublishRetries += t.PublishRetries
-	s.LeafRetireRepairs += t.LeafRetireRepairs
-	s.AbandonedObjects += t.AbandonedObjects
-	s.AbandonedBytes += t.AbandonedBytes
-	s.LeaseBets += t.LeaseBets
-	s.LeaseBetsLost += t.LeaseBetsLost
-	s.LeaseBetsReturned += t.LeaseBetsReturned
-	s.ScanRounds += t.ScanRounds
-	s.ScanReads += t.ScanReads
-	s.ScanNodeReads += t.ScanNodeReads
-	s.ScanEmitted += t.ScanEmitted
-	s.ScanReresolved += t.ScanReresolved
+	counters.Add(&s, &t)
 	return s
 }
 
 // Stats returns a snapshot of the engine's recovery counters, loaded
 // atomically so a live metrics scrape may call it concurrently with the
 // worker driving the engine.
-func (e *Engine) Stats() EngineStats {
-	return EngineStats{
-		Restarts:          atomic.LoadUint64(&e.stats.Restarts),
-		LockSteals:        atomic.LoadUint64(&e.stats.LockSteals),
-		LeafLockBreaks:    atomic.LoadUint64(&e.stats.LeafLockBreaks),
-		DeleteRepairs:     atomic.LoadUint64(&e.stats.DeleteRepairs),
-		PublishRetries:    atomic.LoadUint64(&e.stats.PublishRetries),
-		LeafRetireRepairs: atomic.LoadUint64(&e.stats.LeafRetireRepairs),
-		AbandonedObjects:  atomic.LoadUint64(&e.stats.AbandonedObjects),
-		AbandonedBytes:    atomic.LoadUint64(&e.stats.AbandonedBytes),
-		LeaseBets:         atomic.LoadUint64(&e.stats.LeaseBets),
-		LeaseBetsLost:     atomic.LoadUint64(&e.stats.LeaseBetsLost),
-		LeaseBetsReturned: atomic.LoadUint64(&e.stats.LeaseBetsReturned),
-		ScanRounds:        atomic.LoadUint64(&e.stats.ScanRounds),
-		ScanReads:         atomic.LoadUint64(&e.stats.ScanReads),
-		ScanNodeReads:     atomic.LoadUint64(&e.stats.ScanNodeReads),
-		ScanEmitted:       atomic.LoadUint64(&e.stats.ScanEmitted),
-		ScanReresolved:    atomic.LoadUint64(&e.stats.ScanReresolved),
-	}
-}
+func (e *Engine) Stats() EngineStats { return counters.Load(&e.stats) }
 
 // Abandoned returns the speculative write-ahead waste counters alone
 // (EngineStats.AbandonedObjects, AbandonedBytes); the put path samples them

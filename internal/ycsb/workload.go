@@ -101,9 +101,6 @@ func NewKeySpace(base [][]byte, novel func(i int64) []byte) *KeySpace {
 	return &KeySpace{base: base, novel: novel}
 }
 
-// Loaded returns the number of pre-loaded keys.
-func (ks *KeySpace) Loaded() int { return len(ks.base) }
-
 // Total returns the current key count including run-time inserts.
 func (ks *KeySpace) Total() int64 { return int64(len(ks.base)) + ks.nextIns.Load() }
 

@@ -83,23 +83,3 @@ func (z *Zipfian) Draw(rng *rand.Rand) uint64 {
 func (z *Zipfian) DrawScrambled(rng *rand.Rand) uint64 {
 	return wire.Mix64(z.Draw(rng)) % z.n
 }
-
-// HeadRanks returns the scrambled key ranks of the n most popular items,
-// hottest first: element i is exactly what DrawScrambled maps rank i to.
-// Tests and the skew bench use this to name the concrete hot keys of a
-// run instead of re-deriving the scramble by hand. n is clamped to the
-// population size; note that the scramble is not injective, so very
-// large heads may contain duplicate ranks.
-func (z *Zipfian) HeadRanks(n int) []uint64 {
-	if n < 0 {
-		n = 0
-	}
-	if uint64(n) > z.n {
-		n = int(z.n)
-	}
-	head := make([]uint64, n)
-	for i := range head {
-		head[i] = wire.Mix64(uint64(i)) % z.n
-	}
-	return head
-}

@@ -237,126 +237,17 @@ func (s *Session) Stats() Stats {
 
 // SphinxCounters are Sphinx-specific per-session counters: how operations
 // were routed (filter cache vs parallel fallback vs root walk) and how
-// often the probabilistic machinery misfired.
-type SphinxCounters struct {
-	Searches, Inserts, Updates, Deletes, Scans uint64
-	// FilterHits counts operations routed by a filter-cache hit — the
-	// three-round-trip warm path.
-	FilterHits uint64
-	// FilterFallbacks counts parallel multi-prefix hash reads (filter
-	// disabled or useless).
-	FilterFallbacks uint64
-	// RootStarts counts operations that fell back to a root descent.
-	RootStarts uint64
-	// FalsePositives counts filter claims the index refuted (<1% of
-	// probes per the paper).
-	FalsePositives uint64
-	// CollisionRetries counts the leaf-level common-prefix detections of
-	// §III-B (<0.01% of operations per the paper).
-	CollisionRetries uint64
-	// Restarts counts coherence-protocol retries (invalidated nodes or
-	// leaves observed mid-change).
-	Restarts uint64
-	// SpecHits counts Gets served by the speculative 1-RT fast path: one
-	// leaf read at the cached address, verified in place.
-	SpecHits uint64
-	// SpecMisses counts Gets with no leaf-address-cache entry (cold keys,
-	// or the cache disabled).
-	SpecMisses uint64
-	// SpecRefutes counts speculative reads the leaf image refuted; the
-	// entry is unlearned and the Get falls back to the 3-RT hash path
-	// without consuming retry budget.
-	SpecRefutes uint64
-	// SpecAborts counts speculative reads abandoned without a verdict (a
-	// torn or locked leaf, or a transient fabric error); the entry is kept.
-	SpecAborts uint64
-	// SpecUpdHits counts Puts and Updates served by the speculative in-place
-	// write: the leaf locked and verified in one batch at the cached address,
-	// then the single releasing image write (2 round trips, 3 when the stored
-	// value's length differed and the lock took a second CAS).
-	SpecUpdHits uint64
-	// SpecUpdMisses counts Puts and Updates with no leaf-address-cache entry
-	// (fresh keys, cold keys, or the cache disabled).
-	SpecUpdMisses uint64
-	// SpecUpdRefutes counts speculative writes the leaf image refuted (a
-	// retired or foreign leaf); the entry is unlearned and the write takes
-	// the tree path without consuming retry budget.
-	SpecUpdRefutes uint64
-	// SpecUpdAborts counts speculative writes given up with the entry kept: a
-	// leaf locked by another writer, a value that outgrew the leaf's units,
-	// or a transient fabric error.
-	SpecUpdAborts uint64
-	// EpochFallbacks counts reads served from the previous placement epoch
-	// while a membership change was mid-migration.
-	EpochFallbacks uint64
-	// HotHits counts Gets served by one verified hot-replica read (the
-	// replicated 1-RT path of the hot-spot tolerance layer).
-	HotHits uint64
-	// HotRefutes counts hot-replica reads refuted in place (retired or
-	// mismatched record); the route is unlearned and the Get falls back.
-	HotRefutes uint64
-	// HotAborts counts hot-replica reads abandoned on a transient fabric
-	// fault, with the route kept.
-	HotAborts uint64
-	// HotPromotes counts keys promoted into replicated placement.
-	HotPromotes uint64
-	// HotDemotes counts cooled keys torn back down to single-owner.
-	HotDemotes uint64
-	// HotRefreshes counts writes that republished at least one hot record
-	// before acknowledging.
-	HotRefreshes uint64
-	// Restarts by the cause the operation driver classified; they sum to
-	// Restarts. Structural: a lost tree race. Transient, Timeout: an injected
-	// fabric fault of that kind. NodeDown: a memory node rejected the batch
-	// (a down window, or a lost node with no replica layer to fail over to).
-	RestartsStructural, RestartsTransient, RestartsTimeout, RestartsNodeDown uint64
-	// The replica layers' write acknowledgement (anchors and hot records
-	// together): ReplicaFanouts counts passes over a key's whole target set,
-	// ReplicaRounds the doorbell batches they posted, ReplicaLegs the
-	// node-legs they carried — rounds per fan-out is what an acked write
-	// waits for, legs per round what batching saves. ReplicaRequeues counts
-	// legs sent back to the bucket read by a lost entry CAS or a stale
-	// directory cache, ReplicaSplits rounds whose batch faulted and was
-	// posted again one node at a time.
-	ReplicaFanouts, ReplicaRounds, ReplicaLegs, ReplicaRequeues, ReplicaSplits uint64
-}
+// often the probabilistic machinery misfired. The fields are documented
+// where they are declared.
+type SphinxCounters = core.Stats
 
-// coreStats sums the Sphinx client's counters with those of the session's
-// pipeline lanes, if it has any.
-func (s *Session) coreStats() core.Stats {
-	st := s.sphinx.Stats()
-	if pl := s.pl.Load(); pl != nil {
-		st = st.Add(pl.Stats())
-	}
-	return st
-}
-
-// SphinxStats returns Sphinx-specific counters; ok is false for other
-// systems.
+// SphinxStats returns Sphinx-specific counters, the session's pipeline
+// lanes included; ok is false for other systems.
 func (s *Session) SphinxStats() (SphinxCounters, bool) {
 	if s.sphinx == nil {
 		return SphinxCounters{}, false
 	}
-	st := s.coreStats()
-	return SphinxCounters{
-		Searches: st.Searches, Inserts: st.Inserts, Updates: st.Updates,
-		Deletes: st.Deletes, Scans: st.Scans,
-		FilterHits: st.FilterHits, FilterFallbacks: st.FilterFallbacks,
-		RootStarts: st.RootStarts, FalsePositives: st.FalsePositives,
-		CollisionRetries: st.CollisionRetry, Restarts: st.Restarts,
-		SpecHits: st.SpecHits, SpecMisses: st.SpecMisses,
-		SpecRefutes: st.SpecRefutes, SpecAborts: st.SpecAborts,
-		SpecUpdHits: st.SpecUpdHits, SpecUpdMisses: st.SpecUpdMisses,
-		SpecUpdRefutes: st.SpecUpdRefutes, SpecUpdAborts: st.SpecUpdAborts,
-		EpochFallbacks: st.EpochFallbacks,
-		HotHits:        st.HotHits, HotRefutes: st.HotRefutes,
-		HotAborts: st.HotAborts, HotPromotes: st.HotPromotes,
-		HotDemotes: st.HotDemotes, HotRefreshes: st.HotRefreshes,
-		RestartsStructural: st.RestartsStructural, RestartsTransient: st.RestartsTransient,
-		RestartsTimeout: st.RestartsTimeout, RestartsNodeDown: st.RestartsNodeDown,
-		ReplicaFanouts: st.ReplicaFanouts, ReplicaRounds: st.ReplicaRounds, ReplicaLegs: st.ReplicaLegs,
-		ReplicaRequeues: st.ReplicaRequeues, ReplicaSplits: st.ReplicaSplits,
-	}, true
+	return s.sphinx.Stats().Add(s.pl.Load().Stats()), true
 }
 
 // Trace runs op with a per-operation trace recorder armed and returns
@@ -418,141 +309,33 @@ func (s *Session) Metrics() *Metrics { return s.metrics }
 func (s *Session) Tail() *obs.TailSampler { return s.tail }
 
 // Registry returns the session's unified metrics registry, assembling it
-// on first use: fabric counters, index counters, filter-cache counters
-// and the session histograms, all snapshot-and-diffable and exportable
-// as Prometheus text or JSON.
+// on first use: fabric counters, the index layers' families
+// (core.RegisterIndex, docs/observability.md), the cluster observability
+// plane and the session histograms, all snapshot-and-diffable and
+// exportable as Prometheus text or JSON.
 func (s *Session) Registry() *Registry {
 	if s.registry != nil {
 		return s.registry
 	}
 	r := obs.NewRegistry()
 	r.AddCounterStruct("fabric", func() any { return s.fc.Stats() })
-	r.AddCounterStruct("engine", func() any {
-		st := s.idx.Engine().Stats()
-		if pl := s.pl.Load(); pl != nil {
-			st = st.Add(pl.EngineStats())
-		}
-		return st
-	})
+	// Every counter source sums the session's pipeline lanes in (a pipeline
+	// not created yet has none).
+	src := &core.IndexSources{Engine: func() rart.EngineStats {
+		return s.idx.Engine().Stats().Add(s.pl.Load().EngineStats())
+	}}
 	switch {
 	case s.sphinx != nil:
-		r.AddCounterStruct("core", func() any { return s.coreStats() })
-		r.AddCounterStruct("inht", func() any {
-			st := s.sphinx.HashStats()
-			if pl := s.pl.Load(); pl != nil {
-				st = st.Add(pl.HashStats())
-			}
-			return st
-		})
-		if f := s.sphinx.Filter(); f != nil {
-			r.AddCounterStruct("filter", func() any { return f.FilterStats() })
-			r.AddGauges("sfc", func() map[string]float64 {
-				occupied, capacity := f.Occupancy()
-				g := map[string]float64{
-					"occupied_slots":    float64(occupied),
-					"capacity_slots":    float64(capacity),
-					"load":              f.Load(),
-					"analytic_fp_bound": f.AnalyticFPBound(),
-					// Entries currently carrying the second-chance hotness
-					// bit — the skew signal the hot-key tracker seeds from.
-					"hot_entries": float64(f.HotEntries()),
-				}
-				// Probes count CN-wide filter traffic; false positives and
-				// hits count this session (plus its pipeline lanes). With a
-				// single session per CN — the exporter's usual shape — the
-				// ratio is the measured per-probe FP rate, comparable to
-				// the analytic bound above.
-				st := s.coreStats()
-				fst := f.FilterStats()
-				if probes := fst.Hits + fst.Misses; probes > 0 {
-					g["false_positive_rate"] = float64(st.FalsePositives) / float64(probes)
-				}
-				if claims := st.FilterHits + st.FalsePositives; claims > 0 {
-					g["fp_per_claim"] = float64(st.FalsePositives) / float64(claims)
-				}
-				return g
-			})
-		}
-		if lac := s.sphinx.LeafCache(); lac != nil {
-			r.AddCounterStruct("lac", func() any { return lac.Stats() })
-			// The speculative in-place write's outcomes, under the cache's own
-			// prefix (they are also core_spec_upd_*, like the Get outcomes).
-			r.AddCounters("lac", func() map[string]uint64 {
-				st := s.coreStats()
-				return map[string]uint64{
-					"update_hits":    st.SpecUpdHits,
-					"update_misses":  st.SpecUpdMisses,
-					"update_refutes": st.SpecUpdRefutes,
-					"update_aborts":  st.SpecUpdAborts,
-				}
-			})
-			r.AddGauges("lac", func() map[string]float64 {
-				occupied, capacity, full := lac.Occupancy()
-				g := map[string]float64{
-					"occupied_slots": float64(occupied),
-					"capacity_slots": float64(capacity),
-					// Buckets with no empty way: a learn there displaces a live
-					// entry. Misses with none full are keys not yet learned.
-					"full_buckets": float64(full),
-					"size_bytes":   float64(lac.SizeBytes()),
-				}
-				st := s.coreStats()
-				if attempts := st.SpecHits + st.SpecMisses + st.SpecRefutes + st.SpecAborts; attempts > 0 {
-					g["hit_rate"] = float64(st.SpecHits) / float64(attempts)
-				}
-				return g
-			})
-		}
-		if hs := s.sphinx.HotSet(); hs != nil {
-			r.AddGauges("hot", func() map[string]float64 {
-				st := s.coreStats()
-				g := map[string]float64{
-					"tracker_bytes": float64(hs.SizeBytes()),
-				}
-				if reads := st.HotHits + st.HotRefutes + st.HotAborts; reads > 0 {
-					g["hit_rate"] = float64(st.HotHits) / float64(reads)
-				}
-				return g
-			})
-		}
-		r.AddGauges("inht", func() map[string]float64 {
-			c := s.cn.cluster
-			// Scrape the CURRENT placement epoch's tables: elastic
-			// membership changes add and retire tables at runtime.
-			p := c.placement()
-			var u racehash.Usage
-			for node, t := range p.Tables {
-				u = u.Add(racehash.ReadUsage(c.f.Region(node), t))
-			}
-			return map[string]float64{
-				"epoch":            float64(p.Epoch),
-				"load_factor":      u.LoadFactor(),
-				"entries":          float64(u.Entries),
-				"capacity_entries": float64(u.Capacity),
-				"segments":         float64(u.Segments),
-				"dir_entries":      float64(u.DirEntries),
-			}
-		})
-		if ft := s.cn.cluster.sphinxShared.FT; ft != nil {
-			r.AddGauges("ft", func() map[string]float64 {
-				cl := s.cn.cluster
-				h := cl.f.Health()
-				g := map[string]float64{
-					"under_replicated": float64(ft.UnderReplicated()),
-				}
-				sweeps, copied := ft.RepairTotals()
-				g["repair_sweeps"] = float64(sweeps)
-				g["repair_copied"] = float64(copied)
-				for _, n := range cl.memNodes() {
-					g[fmt.Sprintf("node_health{node=%q}", fmt.Sprint(uint64(n)))] = float64(h.State(n))
-				}
-				return g
-			})
-		}
+		c := s.cn.cluster
+		src.Stats = func() core.Stats { st, _ := s.SphinxStats(); return st }
+		src.Hash = func() racehash.Stats { return s.sphinx.HashStats().Add(s.pl.Load().HashStats()) }
+		src.Filters, src.LACs, src.Hots = some(s.cn.filter), some(s.cn.lac), some(s.cn.hotset)
+		src.Shared, src.Fabric = &c.sphinxShared, c.f
 		s.index.Register(r)
 	case s.smart != nil:
 		r.AddCounterStruct("smart", func() any { return s.smart.ClientStats() })
 	}
+	core.RegisterIndex(r, func() *core.IndexSources { return src })
 	// The cluster observability plane: mn_* per-node load families,
 	// slo_* burn rates, alert_* states. System-agnostic — collectors
 	// read the fabric and MN-side structures directly.
@@ -561,4 +344,13 @@ func (s *Session) Registry() *Registry {
 	r.AddMetrics("session", s.metrics)
 	s.registry = r
 	return r
+}
+
+// some is the compute node's one cache as the slice IndexSources takes, or
+// none when the session runs without it.
+func some[T any](p *T) []*T {
+	if p == nil {
+		return nil
+	}
+	return []*T{p}
 }
