@@ -120,11 +120,13 @@ type SFCBlock struct {
 	AnalyticFPBound float64 `json:"analytic_fp_bound"`
 
 	// FPReconciled is set for read-only depth-1 phases: true iff hash
-	// lookups == filter hits + false positives AND the hash-read stage's
-	// round trips == lookups + stale-directory retries + 2×refreshes —
-	// i.e. every false positive shows up as exactly one extra hash-entry
-	// round trip (DESIGN.md §5.9). Absent when the phase wrote, restarted
-	// or ran pipelined (coalescing shares round trips across ops).
+	// lookups == filter hits + false positives − node hits (a landing at a
+	// remembered node address is a filter hit with no lookup; a refuted or
+	// untrusted one asks the table and counts as what the table says) AND
+	// the hash-read stage's round trips == lookups + stale-directory retries
+	// + 2×refreshes — i.e. every false positive shows up as exactly one extra
+	// hash-entry round trip (DESIGN.md §5.9). Absent when the phase wrote,
+	// restarted or ran pipelined (coalescing shares round trips across ops).
 	FPReconciled *bool `json:"fp_reconciled,omitempty"`
 }
 
@@ -176,7 +178,6 @@ type LACBlock struct {
 	SpecUpdMisses  uint64 `json:"spec_upd_misses,omitempty"`
 	SpecUpdRefutes uint64 `json:"spec_upd_refutes,omitempty"`
 	SpecUpdAborts  uint64 `json:"spec_upd_aborts,omitempty"`
-
 	// Learns/Unlearns/Evictions are this phase's share of cache
 	// maintenance across the CN leaf-address caches.
 	Learns    uint64 `json:"learns,omitempty"`
@@ -195,10 +196,11 @@ type LACBlock struct {
 	// LACReconciled is set for read-only depth-1 phases: true iff the
 	// leaf-spec stage's round trips == speculative hits + refutes (every
 	// speculative read is exactly one RT, and a healthy read-only phase
-	// never aborts) AND hash + node + leaf + leaf-spec stage round trips
-	// == the fabric's own counter — i.e. every fallback re-descent is
-	// fully accounted and the fast path never double-pays. Absent when
-	// the phase wrote, restarted or ran pipelined.
+	// never aborts), no remembered node address was met leased, AND hash +
+	// node + leaf + leaf-spec stage round trips == the fabric's own counter
+	// — i.e. every fallback re-descent (a refuted node address's wasted
+	// node read included) is fully accounted and the fast path never
+	// double-pays. Absent when the phase wrote, restarted or ran pipelined.
 	LACReconciled *bool `json:"lac_reconciled,omitempty"`
 }
 
@@ -360,7 +362,7 @@ func (cl *Cluster) attachIndexBlocks(r *Result, t tally) {
 	// Leaf-address-cache section (absent for the SphinxNoLAC ablation).
 	if len(cl.lacs) > 0 {
 		lacSt := cl.src.LACStats()
-		occupied, capacity, full, bytes := cl.src.LACOccupancy()
+		occupied, capacity, full, _, bytes := cl.src.LACOccupancy()
 		lac := &LACBlock{
 			SpecHits:    coreAgg.SpecHits,
 			SpecMisses:  coreAgg.SpecMisses,
@@ -394,7 +396,7 @@ func (cl *Cluster) attachIndexBlocks(r *Result, t tally) {
 			hotRT := cl.runMetrics.StageRT(fabric.StageHotRead).Sum +
 				cl.runMetrics.StageRT(fabric.StageHotPub).Sum
 			ok := specRT == coreAgg.SpecHits+coreAgg.SpecRefutes &&
-				coreAgg.SpecAborts == 0 &&
+				coreAgg.SpecAborts == 0 && coreAgg.NodeAborts == 0 &&
 				hashRT+nodeRT+leafRT+specRT+hotRT == r.Metrics.FabricRoundTrips
 			lac.LACReconciled = &ok
 		}
@@ -457,7 +459,7 @@ func (cl *Cluster) attachIndexBlocks(r *Result, t tally) {
 	if exact {
 		hashRT := cl.runMetrics.StageRT(fabric.StageHashRead).Sum
 		wantRT := hashAgg.Lookups + hashAgg.RetryReads + 2*hashAgg.Refreshes
-		ok := hashAgg.Lookups == coreAgg.FilterHits+coreAgg.FalsePositives &&
+		ok := hashAgg.Lookups == coreAgg.FilterHits+coreAgg.FalsePositives-coreAgg.NodeHits &&
 			hashRT == wantRT
 		sfc.FPReconciled = &ok
 	}

@@ -226,7 +226,8 @@ func (opts Options) withCaches() Options {
 type Stats struct {
 	Searches, Inserts, Updates, Deletes, Scans uint64
 	// FilterHits counts operations routed by a filter-cache hit — the
-	// three-round-trip warm path.
+	// three-round-trip warm path, or two when the node's address is
+	// remembered (NodeHits).
 	FilterHits uint64
 	// FilterFallbacks counts parallel multi-prefix hash reads (filter
 	// disabled or useless).
@@ -283,6 +284,18 @@ type Stats struct {
 	// leaf locked by another writer, a value that outgrew the leaf's units,
 	// or a transient fabric error.
 	SpecUpdAborts uint64
+	// NodeHits counts landings read at the address the leaf-address cache
+	// remembers for the prefix the filter named, with no table read
+	// (fetchRemembered); they are FilterHits too.
+	NodeHits uint64
+	// NodeRefutes counts remembered node addresses the image read there
+	// refuted (retired, another prefix's node, undecodable); the entry is
+	// unlearned and the landing asks the table.
+	NodeRefutes uint64
+	// NodeAborts counts remembered node addresses whose image was leased by
+	// someone else and therefore not trusted: the entry is kept, the landing
+	// asks the table.
+	NodeAborts uint64
 	// EpochFallbacks counts reads served from the previous placement epoch
 	// while a membership change was mid-migration.
 	EpochFallbacks uint64
@@ -371,6 +384,10 @@ type Client struct {
 	// inserting says the operation in flight is a put that may link a new
 	// leaf: its jump start bets on the landing's lease (readCandidates).
 	inserting bool
+	// seen is the image a remembered node address just showed leased
+	// (fetchRemembered); the table read behind it takes it in place of a
+	// second READ of the same address.
+	seen *rart.Node
 
 	// Warm-path scratch, reused across operations (clients are
 	// single-goroutine). Valid only within one locate step.

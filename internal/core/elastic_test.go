@@ -65,10 +65,19 @@ func TestElasticAddNode(t *testing.T) {
 	}
 
 	// Mid-transition, before any migration: every key must stay readable
-	// via the previous-epoch fallback.
-	verifyAll(t, c, keys, "mid-transition")
-	if fb := c.Stats().EpochFallbacks; fb == 0 {
+	// via the previous-epoch fallback — by a client that asks the table
+	// (same warm filter, no remembered addresses).
+	asking := newTestClient(f, shared, Options{Filter: c.filter, DisableLeafCache: true})
+	verifyAll(t, asking, keys, "mid-transition")
+	if fb := asking.Stats().EpochFallbacks; fb == 0 {
 		t.Error("no epoch fallbacks recorded while reading mid-transition")
+	}
+	// Its twin remembers where the inner nodes live — it built them — and
+	// needs neither table: an address says nothing about who owns the prefix.
+	verifyAll(t, c, keys, "mid-transition, remembered addresses")
+	if st := c.Stats(); st.EpochFallbacks != 0 || st.NodeHits == 0 || st.NodeRefutes != 0 {
+		t.Errorf("reads through remembered addresses mid-transition: %d epoch fallbacks, %d node hits, %d refutes; want 0, some, 0",
+			st.EpochFallbacks, st.NodeHits, st.NodeRefutes)
 	}
 
 	// New keys written mid-transition land in the new epoch's placement.

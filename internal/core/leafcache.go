@@ -9,8 +9,12 @@ import (
 )
 
 // lacSeed derives the leaf-address-cache hash from a full key; distinct
-// from the filter seed (8) and the leaf checksum seeds (2, 3).
-const lacSeed = 9
+// from the filter seed (8) and the leaf checksum seeds (2, 3). lacNodeSeed
+// derives it from an inner node's full prefix.
+const (
+	lacSeed     = 9
+	lacNodeSeed = 11
+)
 
 // lacWord packs one leaf-address-cache entry into a single uint64 so the
 // cache needs no locks — the same whole-word atomic discipline the cuckoo
@@ -29,6 +33,22 @@ const lacSeed = 9
 // at most 8 times in 8192 — each such match a wasted, refuted round trip.
 //
 // The zero word is "empty": a valid entry always has the present bit set.
+//
+// The table holds a second kind of word, the address of an INNER NODE under
+// its full prefix — what the node's 8-byte hash-table entry says, so that a
+// landing needs no table read (locate.go fetchRemembered):
+//
+//	[63]    present
+//	[62:55] lacNodeUnits + node type: the four values a leaf's size may not
+//	        take mark the word (a leaf of 252 units or more — 16 KiB — is not
+//	        cached)
+//	[54:42] 13-bit prefix fingerprint, of a hash under lacNodeSeed
+//	[41:0]  node mem.Addr >> 3 (node in [41:34], offset>>3 in [33:0])
+//
+// Inner nodes are aligned to 8 bytes, not 64, so three offset bits fewer fit:
+// a node at an offset of 2³⁷ (128 GiB) or beyond is not cached. The kinds
+// never answer for each other — a lease CAS must never be aimed at a leaf —
+// and they do not rank alike: see store.
 const (
 	lacPresentBit = uint64(1) << 63
 	lacUnitsShift = 55
@@ -41,23 +61,49 @@ const (
 
 	// lacWays is the bucket width: eight words, one 64-byte cache line.
 	lacWays = 8
+
+	lacNodeUnits     = 252
+	lacNodeAlignBits = 3 // log2 of an inner node's alignment
+	// lacNodeMark is set in full by a node word alone: units of 252 and up.
+	lacNodeMark = uint64(lacNodeUnits) << lacUnitsShift
+	// lacMNShift is where either kind's address field keeps the memory node.
+	lacMNShift = mem.OffsetBits - lacAlignBits
 )
+
+// isNodeWord tells a node word from a leaf word (and from the empty word).
+func isNodeWord(w uint64) bool { return w&lacNodeMark == lacNodeMark }
 
 // packLACWord returns the entry, under a key's tag (bucketTag), for a leaf of
 // the given size at addr, or false for an address the packed form cannot
-// hold (not 64-byte aligned, or bits above mem.AddrBits set): storing it
-// truncated would send speculative reads to some other object.
+// hold (not 64-byte aligned, bits above mem.AddrBits set, or a size in the
+// range that marks node words): storing it truncated would send speculative
+// reads to some other object.
 func packLACWord(tag uint64, addr mem.Addr, units uint8) (uint64, bool) {
 	a := uint64(addr)
-	if a&(1<<lacAlignBits-1) != 0 || a>>mem.AddrBits != 0 {
+	if a&(1<<lacAlignBits-1) != 0 || a>>mem.AddrBits != 0 || units >= lacNodeUnits {
 		return 0, false
 	}
 	return tag | uint64(units)<<lacUnitsShift | a>>lacAlignBits, true
 }
 
-// lacAddr and lacUnits unpack a present word.
+// packNodeWord is packLACWord for an inner node of type t at addr.
+func packNodeWord(tag uint64, addr mem.Addr, t wire.NodeType) (uint64, bool) {
+	off := addr.Offset()
+	if off&(1<<lacNodeAlignBits-1) != 0 || off>>(lacMNShift+lacNodeAlignBits) != 0 ||
+		uint64(addr)>>mem.AddrBits != 0 || t > wire.Node256 {
+		return 0, false
+	}
+	return tag | (lacNodeUnits+uint64(t))<<lacUnitsShift | uint64(addr.Node())<<lacMNShift | off>>lacNodeAlignBits, true
+}
+
+// lacAddr and lacUnits unpack a present leaf word, lacNodeAddr and lacNodeType
+// a present node word (its four unit values differ in their low two bits).
 func lacAddr(w uint64) mem.Addr { return mem.Addr((w & lacAddrMask) << lacAlignBits) }
 func lacUnits(w uint64) uint8   { return uint8(w >> lacUnitsShift) }
+func lacNodeAddr(w uint64) mem.Addr {
+	return mem.NewAddr(mem.NodeID(w&lacAddrMask>>lacMNShift), w&(1<<lacMNShift-1)<<lacNodeAlignBits)
+}
+func lacNodeType(w uint64) wire.NodeType { return wire.NodeType(lacUnits(w) & 3) }
 
 // LACStats counts leaf-address-cache maintenance events. Hit/refute
 // outcomes are operation-level decisions and live in core.Stats; these are
@@ -135,53 +181,107 @@ func NewLeafCacheBytes(budget uint64, seed uint64) *LeafCache {
 
 // bucketTag derives a key's bucket and the tag (present bit and fingerprint)
 // its entries carry from one hash: low bits pick the bucket, bits above any
-// table's width the fingerprint.
-func (lc *LeafCache) bucketTag(key []byte) (bucket []uint64, tag uint64) {
-	h := wire.Hash64Seed(key, lacSeed^lc.seed)
+// table's width the fingerprint. kindSeed is lacSeed for a key's leaf word,
+// lacNodeSeed for a prefix's node word.
+func (lc *LeafCache) bucketTag(key []byte, kindSeed uint64) (bucket []uint64, tag uint64) {
+	h := wire.Hash64Seed(key, kindSeed^lc.seed)
 	base := (h & lc.mask) * lacWays
 	return lc.words[base : base+lacWays : base+lacWays], lacPresentBit | (h>>48&lacFPMask)<<lacFPShift
+}
+
+// find returns the bucket's word of the given kind that carries tag, or 0.
+func find(bucket []uint64, tag uint64, node bool) uint64 {
+	for i := range bucket {
+		if w := atomic.LoadUint64(&bucket[i]); w&lacTagMask == tag && isNodeWord(w) == node {
+			return w
+		}
+	}
+	return 0
 }
 
 // Lookup returns the cached leaf address and exact unit count for a key.
 // A false return means the cache has no opinion; a true return is a hint
 // that MUST be verified against the leaf image it resolves to.
 func (lc *LeafCache) Lookup(key []byte) (addr mem.Addr, units uint8, ok bool) {
-	bucket, tag := lc.bucketTag(key)
-	for i := range bucket {
-		if w := atomic.LoadUint64(&bucket[i]); w&lacTagMask == tag {
-			return lacAddr(w), lacUnits(w), true
-		}
-	}
-	return 0, 0, false
+	bucket, tag := lc.bucketTag(key, lacSeed)
+	w := find(bucket, tag, false)
+	return lacAddr(w), lacUnits(w), w != 0
+}
+
+// LookupNode returns the cached address and type of the inner node whose full
+// prefix is prefix: a hint like Lookup's, to be verified against the node
+// image it resolves to. It never returns what a leaf word holds.
+func (lc *LeafCache) LookupNode(prefix []byte) (addr mem.Addr, t wire.NodeType, ok bool) {
+	bucket, tag := lc.bucketTag(prefix, lacNodeSeed)
+	w := find(bucket, tag, true)
+	return lacNodeAddr(w), lacNodeType(w), w != 0
 }
 
 // Learn records that key was found at addr in a leaf of the given exact
-// size: over the entry already carrying the key's fingerprint, else into an
-// empty way, else — the bucket is full — over a way that rotates with the
-// learn count, so no resident is singled out (counted as an eviction). An
-// address the word cannot hold is dropped: the key simply stays uncached.
+// size (store has the placement). An address or a size the word cannot hold
+// is dropped: the key simply stays uncached.
 func (lc *LeafCache) Learn(key []byte, addr mem.Addr, units uint8) {
-	bucket, tag := lc.bucketTag(key)
-	next, ok := packLACWord(tag, addr, units)
-	if !ok {
+	bucket, tag := lc.bucketTag(key, lacSeed)
+	if next, ok := packLACWord(tag, addr, units); ok {
+		lc.store(bucket, tag, next)
+	}
+}
+
+// LearnNode records that the inner node with the full prefix prefix is of type
+// t and lives at addr. A nil cache (the ablation) learns nothing.
+func (lc *LeafCache) LearnNode(prefix []byte, addr mem.Addr, t wire.NodeType) {
+	if lc == nil {
 		return
 	}
-	n := atomic.AddUint64(&lc.stats.Learns, 1)
+	bucket, tag := lc.bucketTag(prefix, lacNodeSeed)
+	if next, ok := packNodeWord(tag, addr, t); ok {
+		lc.store(bucket, tag, next)
+	}
+}
+
+// store writes the word next: over the entry of its kind already carrying its
+// tag, else into an empty way, else — the bucket is full — over a resident
+// (counted as an eviction). Leaves come first: a leaf word buys two round
+// trips for its key with certainty, a node word one for the keys below it that
+// miss, so the leaf capacity the table was sized for is never spent on nodes.
+// A full bucket gives up a node word, the first from a way that rotates with
+// the learn count so that no resident is singled out; if it holds none, a leaf
+// word takes the rotating way itself and a node word is dropped. An
+// insert-heavy phase, whose keys have no leaf to remember yet, thus gets the
+// whole table for its landings, and a read phase loses nothing to them.
+func (lc *LeafCache) store(bucket []uint64, tag, next uint64) {
+	node := isNodeWord(next)
 	empty := -1
 	for i := range bucket {
 		switch w := atomic.LoadUint64(&bucket[i]); {
-		case w&lacTagMask == tag:
+		case w&lacTagMask == tag && isNodeWord(w) == node:
 			atomic.StoreUint64(&bucket[i], next)
+			atomic.AddUint64(&lc.stats.Learns, 1)
 			return
 		case w == 0 && empty < 0:
 			empty = i
 		}
 	}
 	if empty >= 0 && atomic.CompareAndSwapUint64(&bucket[empty], 0, next) {
+		atomic.AddUint64(&lc.stats.Learns, 1)
 		return
 	}
-	// Full, or another learner took the empty way first.
-	if prev := atomic.SwapUint64(&bucket[(tag>>lacFPShift+n)%lacWays], next); prev != 0 {
+	// Full, or another learner took the empty way first. A node way is given
+	// up by a CAS on the word seen: it may have become a leaf's since.
+	at := (tag>>lacFPShift + atomic.LoadUint64(&lc.stats.Learns) + 1) % lacWays
+	for j := uint64(0); j < lacWays; j++ {
+		way := &bucket[(at+j)%lacWays]
+		if w := atomic.LoadUint64(way); isNodeWord(w) && atomic.CompareAndSwapUint64(way, w, next) {
+			atomic.AddUint64(&lc.stats.Learns, 1)
+			atomic.AddUint64(&lc.stats.Evictions, 1)
+			return
+		}
+	}
+	if node {
+		return
+	}
+	atomic.AddUint64(&lc.stats.Learns, 1)
+	if prev := atomic.SwapUint64(&bucket[at], next); prev != 0 {
 		atomic.AddUint64(&lc.stats.Evictions, 1)
 	}
 }
@@ -189,8 +289,8 @@ func (lc *LeafCache) Learn(key []byte, addr mem.Addr, units uint8) {
 // Unlearn removes every entry carrying key's fingerprint: the key-only form,
 // for a caller that wants the key forgotten wherever it points (demotion).
 func (lc *LeafCache) Unlearn(key []byte) {
-	bucket, tag := lc.bucketTag(key)
-	lc.remove(bucket, tag, lacTagMask)
+	bucket, tag := lc.bucketTag(key, lacSeed)
+	lc.remove(bucket, tag, lacTagMask, false)
 }
 
 // UnlearnAt removes key's entry only if it still names addr — the address a
@@ -198,18 +298,27 @@ func (lc *LeafCache) Unlearn(key []byte) {
 // learned for the key's new address in the meantime is fresher information
 // and stays.
 func (lc *LeafCache) UnlearnAt(key []byte, addr mem.Addr) {
-	bucket, tag := lc.bucketTag(key)
+	bucket, tag := lc.bucketTag(key, lacSeed)
 	if named, ok := packLACWord(tag, addr, 0); ok {
-		lc.remove(bucket, named, lacTagMask|lacAddrMask)
+		lc.remove(bucket, named, lacTagMask|lacAddrMask, false)
 	}
 }
 
-// remove empties the bucket's words that equal want under mask. Each removal
-// is a CAS on the exact observed word, so a concurrent Learn that already
-// replaced the way is never clobbered.
-func (lc *LeafCache) remove(bucket []uint64, want, mask uint64) {
+// UnlearnNodeAt is UnlearnAt for the node word of prefix.
+func (lc *LeafCache) UnlearnNodeAt(prefix []byte, addr mem.Addr) {
+	bucket, tag := lc.bucketTag(prefix, lacNodeSeed)
+	if named, ok := packNodeWord(tag, addr, 0); ok {
+		lc.remove(bucket, named, lacTagMask|lacAddrMask, true)
+	}
+}
+
+// remove empties the bucket's words of one kind that equal want under mask.
+// Each removal is a CAS on the exact observed word, so a concurrent Learn that
+// already replaced the way is never clobbered.
+func (lc *LeafCache) remove(bucket []uint64, want, mask uint64, node bool) {
 	for i := range bucket {
-		if w := atomic.LoadUint64(&bucket[i]); w&mask == want && atomic.CompareAndSwapUint64(&bucket[i], w, 0) {
+		if w := atomic.LoadUint64(&bucket[i]); (w^want)&mask == 0 && isNodeWord(w) == node &&
+			atomic.CompareAndSwapUint64(&bucket[i], w, 0) {
 			atomic.AddUint64(&lc.stats.Unlearns, 1)
 		}
 	}
@@ -231,16 +340,21 @@ func (lc *LeafCache) SizeBytes() uint64 { return uint64(len(lc.words)) * 8 }
 // Entries returns the cache's slot capacity.
 func (lc *LeafCache) Entries() int { return len(lc.words) }
 
-// Occupancy returns the number of live entries, the slot capacity, and the
-// number of buckets with no empty way left: a learn into one of those
-// displaces a resident. Misses with next to no full buckets are keys not yet
-// learned; misses with many are a cache too small for its working set.
-func (lc *LeafCache) Occupancy() (occupied, capacity, fullBuckets uint64) {
+// Occupancy returns the number of live entries, the slot capacity, the
+// number of buckets with no empty way left — a learn into one of those
+// displaces a resident — and how many of the live entries are node words.
+// Misses with next to no full buckets are keys not yet learned; misses with
+// many are a cache too small for its working set.
+func (lc *LeafCache) Occupancy() (occupied, capacity, fullBuckets, nodes uint64) {
 	for base := 0; base < len(lc.words); base += lacWays {
 		bucket, live := lc.words[base:base+lacWays], 0
 		for i := range bucket {
-			if atomic.LoadUint64(&bucket[i]) != 0 {
+			w := atomic.LoadUint64(&bucket[i])
+			if w != 0 {
 				live++
+			}
+			if isNodeWord(w) {
+				nodes++
 			}
 		}
 		occupied += uint64(live)
@@ -248,7 +362,7 @@ func (lc *LeafCache) Occupancy() (occupied, capacity, fullBuckets uint64) {
 			fullBuckets++
 		}
 	}
-	return occupied, uint64(len(lc.words)), fullBuckets
+	return occupied, uint64(len(lc.words)), fullBuckets, nodes
 }
 
 // Stats returns a snapshot of the cache's maintenance counters.

@@ -9,6 +9,7 @@ import (
 
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
+	"sphinx/internal/wire"
 )
 
 // TestLACWordPacking: the packed word must round-trip every field for
@@ -17,7 +18,9 @@ import (
 // largest offset — the zero word must never look like a valid entry, and an
 // address the packed form cannot hold is dropped by Learn, never stored
 // truncated (a truncated address would aim speculative reads at some other
-// object).
+// object). The same for the node word: every node type, every 8-byte-aligned
+// address up to node 255 and the last offset below 2³⁷; and neither kind's
+// extreme word reads as the other kind.
 func TestLACWordPacking(t *testing.T) {
 	const lastLine = mem.MaxOffset &^ (mem.LineSize - 1)
 	cases := []struct {
@@ -28,7 +31,7 @@ func TestLACWordPacking(t *testing.T) {
 		{mem.NewAddr(0, 0), 1, 0}, // the smallest word is still not the empty word
 		{mem.NewAddr(0, 64), 1, 0},
 		{mem.NewAddr(1, 0), 1, lacFPMask},
-		{mem.NewAddr(255, lastLine), 255, 0x1555},
+		{mem.NewAddr(255, lastLine), lacNodeUnits - 1, 0x1555},
 		{mem.NewAddr(3, 0xdead_bec0), 17, 0x0aaa},
 	}
 	for _, tc := range cases {
@@ -48,6 +51,35 @@ func TestLACWordPacking(t *testing.T) {
 		}
 		if got := (w >> lacFPShift) & lacFPMask; got != tc.fp {
 			t.Errorf("pack(%v,%d,%#x): fp round-trips to %#x", tc.addr, tc.units, tc.fp, got)
+		}
+		if isNodeWord(w) {
+			t.Errorf("pack(%v,%d,%#x): a leaf word reads as a node word", tc.addr, tc.units, tc.fp)
+		}
+	}
+	const lastNodeOffset = 1<<(lacMNShift+lacNodeAlignBits) - 8
+	for _, tc := range []struct {
+		addr mem.Addr
+		typ  wire.NodeType
+		fp   uint64
+	}{
+		{mem.NewAddr(0, 0), wire.Node4, 0},
+		{mem.NewAddr(0, 8), wire.Node16, lacFPMask},
+		{mem.NewAddr(255, lastNodeOffset), wire.Node256, 0x1555},
+		{mem.NewAddr(3, 0xdead_bee8), wire.Node48, 0x0aaa},
+	} {
+		w, ok := packNodeWord(lacPresentBit|tc.fp<<lacFPShift, tc.addr, tc.typ)
+		if !ok {
+			t.Errorf("packNode(%v,%v,%#x): refused a representable address", tc.addr, tc.typ, tc.fp)
+			continue
+		}
+		if !isNodeWord(w) || w&lacPresentBit == 0 {
+			t.Errorf("packNode(%v,%v,%#x) = %#x: not a present node word", tc.addr, tc.typ, tc.fp, w)
+		}
+		if gotA, gotT := lacNodeAddr(w), lacNodeType(w); gotA != tc.addr || gotT != tc.typ {
+			t.Errorf("packNode(%v,%v,%#x): round-trips to (%v,%v)", tc.addr, tc.typ, tc.fp, gotA, gotT)
+		}
+		if got := (w >> lacFPShift) & lacFPMask; got != tc.fp {
+			t.Errorf("packNode(%v,%v,%#x): fp round-trips to %#x", tc.addr, tc.typ, tc.fp, got)
 		}
 	}
 	if lacTagMask&lacAddrMask != 0 || lacTagMask|lacAddrMask|0xff<<lacUnitsShift != ^uint64(0) {
@@ -71,14 +103,194 @@ func TestLACWordPacking(t *testing.T) {
 		}
 		lc.UnlearnAt(key, addr) // must not match anything either
 	}
-	if occupied, _, _ := lc.Occupancy(); occupied != 0 || lc.Stats() != (LACStats{}) {
+	// The sizes that mark node words are no leaf's.
+	for _, units := range []uint8{lacNodeUnits, 255} {
+		lc.Learn(key, mem.NewAddr(1, 4096), units)
+		if _, got, ok := lc.Lookup(key); ok {
+			t.Errorf("Learn(units %d) stored a leaf of %d units: the range is reserved", units, got)
+		}
+	}
+	for _, tc := range []struct {
+		addr mem.Addr
+		typ  wire.NodeType
+	}{
+		{mem.NewAddr(2, 4096+4), wire.Node4},                      // not 8-byte aligned
+		{mem.NewAddr(2, lastNodeOffset+8), wire.Node4},            // offset 2³⁷
+		{mem.NewAddr(255, mem.MaxOffset&^7), wire.Node256},        // the last aligned offset of a region
+		{mem.Addr(1)<<mem.AddrBits | 64, wire.Node4},              // above the 48 address bits
+		{mem.NewAddr(2, 4096), wire.Node256 + 1},                  // no such type
+		{mem.NewAddr(2, 4096), wire.NodeType(lacNodeUnits)},       // would wrap into the units field
+		{mem.NewAddr(2, 4096), wire.NodeType(256 - lacNodeUnits)}, // would overflow it
+	} {
+		if _, ok := packNodeWord(lacPresentBit, tc.addr, tc.typ); ok {
+			t.Errorf("packNode(%#x,%d): accepted an unrepresentable node", uint64(tc.addr), tc.typ)
+		}
+		lc.LearnNode(key, tc.addr, tc.typ)
+		if got, _, ok := lc.LookupNode(key); ok {
+			t.Errorf("LearnNode(%#x,%d) stored %v: an unrepresentable node must be dropped", uint64(tc.addr), tc.typ, got)
+		}
+		lc.UnlearnNodeAt(key, tc.addr)
+	}
+	if occupied, _, _, _ := lc.Occupancy(); occupied != 0 || lc.Stats() != (LACStats{}) {
 		t.Errorf("dropped learns left occupancy %d, stats %+v", occupied, lc.Stats())
+	}
+}
+
+// lacCollidingPrefix returns a prefix whose node word shares bucket AND
+// fingerprint with key's leaf word: the two kinds hash under different seeds,
+// so the pair is searched for.
+func lacCollidingPrefix(lc *LeafCache, key []byte) []byte {
+	bucket, tag := lc.bucketTag(key, lacSeed)
+	for i := 0; ; i++ {
+		cand := []byte(fmt.Sprintf("prefix-%d", i))
+		if b, tg := lc.bucketTag(cand, lacNodeSeed); &b[0] == &bucket[0] && tg == tag {
+			return cand
+		}
+	}
+}
+
+// TestLACKindsNeverAnswerForEachOther: a leaf word and a node word that share
+// bucket and fingerprint — even address bits — are invisible to the other
+// kind's Lookup, Learn and UnlearnAt. A node lookup that returned a leaf word
+// would aim a lease CAS at a leaf; a leaf lookup that returned a node word, a
+// header CAS at a node.
+func TestLACKindsNeverAnswerForEachOther(t *testing.T) {
+	lc := NewLeafCache(64, 1)
+	key := []byte("alpha")
+	prefix := lacCollidingPrefix(lc, key)
+	// One address for both: 64-byte aligned, so either kind can hold it, and
+	// the address fields differ only by the kinds' alignment shift.
+	addr := mem.NewAddr(2, 4096)
+
+	lc.LearnNode(prefix, addr, wire.Node16)
+	if got, units, ok := lc.Lookup(key); ok {
+		t.Fatalf("Lookup(key) = (%v, %d) off a node word", got, units)
+	}
+	lc.UnlearnAt(key, addr)
+	lc.Unlearn(key)
+	if got, typ, ok := lc.LookupNode(prefix); !ok || got != addr || typ != wire.Node16 {
+		t.Fatalf("LookupNode = (%v, %v, %v) after the leaf kind's unlearns, want (%v, Node16, true)", got, typ, ok, addr)
+	}
+	lc.Learn(key, addr, 3) // takes a way of its own, not the node word's
+	if occupied, _, _, nodes := lc.Occupancy(); occupied != 2 || nodes != 1 {
+		t.Fatalf("occupancy %d (%d node words) after one learn of each kind, want 2 (1)", occupied, nodes)
+	}
+	if got, units, ok := lc.Lookup(key); !ok || got != addr || units != 3 {
+		t.Fatalf("Lookup(key) = (%v, %d, %v), want (%v, 3, true)", got, units, ok, addr)
+	}
+	lc.UnlearnNodeAt(prefix, addr)
+	if _, _, ok := lc.LookupNode(prefix); ok {
+		t.Fatal("a node word survived its exact unlearn")
+	}
+	if got, units, ok := lc.Lookup(key); !ok || got != addr || units != 3 {
+		t.Fatalf("Lookup(key) = (%v, %d, %v) after the node kind's unlearn, want it untouched", got, units, ok)
+	}
+	if _, _, ok := lc.LookupNode(prefix); ok {
+		t.Fatal("LookupNode answers off a leaf word")
+	}
+	lc.LearnNode(prefix, mem.NewAddr(2, 8192), wire.Node4) // again a way of its own
+	if got, units, ok := lc.Lookup(key); !ok || got != addr || units != 3 {
+		t.Fatalf("Lookup(key) = (%v, %d, %v) after a node learn, want it untouched", got, units, ok)
+	}
+	// An exact unlearn names the address: a fresher word for the prefix stays.
+	lc.UnlearnNodeAt(prefix, addr)
+	if got, typ, ok := lc.LookupNode(prefix); !ok || got != mem.NewAddr(2, 8192) || typ != wire.Node4 {
+		t.Fatalf("LookupNode = (%v, %v, %v) after unlearning a stale address", got, typ, ok)
+	}
+	if st := lc.Stats(); st.Learns != 3 || st.Unlearns != 1 || st.Evictions != 0 {
+		t.Fatalf("stats %+v, want 3 learns, 1 unlearn, 0 evictions", st)
+	}
+}
+
+// TestLACLeavesFirst: the table is sized for its leaf words and a node word
+// never costs one. A bucket of eight leaves drops a node learn; a bucket of
+// eight node words gives a way to a leaf learn, and to a node learn; a mixed
+// full bucket loses a node way to either kind before any leaf way.
+func TestLACLeavesFirst(t *testing.T) {
+	lc := NewLeafCache(64, 1)
+	keys := lacBucketKeys(lc, "leaf", 0, 2*lacWays)
+	var prefixes [][]byte
+	tags := map[uint64]bool{}
+	for i := 0; len(prefixes) < 2*lacWays; i++ {
+		cand := []byte(fmt.Sprintf("node-%d", i))
+		if b, tag := lc.bucketTag(cand, lacNodeSeed); &b[0] == &lc.words[0] && !tags[tag] {
+			tags[tag] = true
+			prefixes = append(prefixes, cand)
+		}
+	}
+	leafAddr := func(i int) mem.Addr { return mem.NewAddr(1, uint64(i+1)*64) }
+	nodeAddr := func(i int) mem.Addr { return mem.NewAddr(2, uint64(i+1)*8) }
+	answering := func() (leaves, nodes int) {
+		for i, k := range keys {
+			if a, _, ok := lc.Lookup(k); ok && a == leafAddr(i) {
+				leaves++
+			}
+		}
+		for i, p := range prefixes {
+			if a, _, ok := lc.LookupNode(p); ok && a == nodeAddr(i) {
+				nodes++
+			}
+		}
+		return leaves, nodes
+	}
+
+	// Eight leaves: the bucket has no way for a node.
+	for i := 0; i < lacWays; i++ {
+		lc.Learn(keys[i], leafAddr(i), 1)
+	}
+	for i := range prefixes {
+		lc.LearnNode(prefixes[i], nodeAddr(i), wire.Node4)
+	}
+	if leaves, nodes := answering(); leaves != lacWays || nodes != 0 {
+		t.Fatalf("a bucket of %d leaves answers for %d leaves and %d nodes after %d node learns", lacWays, leaves, nodes, len(prefixes))
+	}
+	if st := lc.Stats(); st.Learns != lacWays || st.Evictions != 0 {
+		t.Fatalf("dropped node learns were counted: %+v", st)
+	}
+
+	// Eight nodes: a ninth node takes a node's way, each leaf takes one too.
+	lc.Reset()
+	for i := 0; i < lacWays; i++ {
+		lc.LearnNode(prefixes[i], nodeAddr(i), wire.Node4)
+	}
+	lc.LearnNode(prefixes[lacWays], nodeAddr(lacWays), wire.Node4)
+	if leaves, nodes := answering(); leaves != 0 || nodes != lacWays {
+		t.Fatalf("nine node learns into one bucket: %d nodes answer, want %d", nodes, lacWays)
+	}
+	for i := 0; i < lacWays; i++ {
+		lc.Learn(keys[i], leafAddr(i), 1)
+		leaves, nodes := answering()
+		if _, _, _, words := lc.Occupancy(); leaves != i+1 || nodes != lacWays-i-1 || words != uint64(nodes) {
+			t.Fatalf("leaf learn %d into a full bucket: %d leaves, %d nodes answer (%d node words); want %d and %d",
+				i+1, leaves, nodes, words, i+1, lacWays-i-1)
+		}
+		if i == lacWays/2 {
+			// Mixed and full: a node learn takes a node's way too.
+			lc.LearnNode(prefixes[lacWays+1], nodeAddr(lacWays+1), wire.Node4)
+			if _, _, ok := lc.LookupNode(prefixes[lacWays+1]); !ok {
+				t.Fatal("a node learn into a mixed full bucket was dropped")
+			}
+			lc.UnlearnNodeAt(prefixes[lacWays+1], nodeAddr(lacWays+1))
+			if leaves, _ := answering(); leaves != i+1 {
+				t.Fatalf("a node learn into a mixed full bucket cost a leaf: %d of %d answer", leaves, i+1)
+			}
+			lc.LearnNode(prefixes[lacWays+2], nodeAddr(lacWays+2), wire.Node4) // refill the way
+		}
+	}
+	// All leaves now: the next leaf displaces a leaf, the next node nothing.
+	lc.Learn(keys[lacWays], leafAddr(lacWays), 1)
+	lc.LearnNode(prefixes[0], nodeAddr(0), wire.Node4)
+	if leaves, nodes := answering(); leaves != lacWays || nodes != 0 {
+		t.Fatalf("a full bucket of leaves: %d leaves, %d nodes answer after one learn of each kind", leaves, nodes)
+	}
+	if occupied, _, full, words := lc.Occupancy(); occupied != lacWays || full != 1 || words != 0 {
+		t.Fatalf("occupancy %d, %d full, %d node words", occupied, full, words)
 	}
 }
 
 // lacBucketOf returns the index of key's bucket.
 func lacBucketOf(lc *LeafCache, key []byte) int {
-	bucket, _ := lc.bucketTag(key)
+	bucket, _ := lc.bucketTag(key, lacSeed)
 	for base := 0; ; base += lacWays {
 		if &lc.words[base] == &bucket[0] {
 			return base / lacWays
@@ -93,7 +305,7 @@ func lacBucketKeys(lc *LeafCache, prefix string, bucket, n int) [][]byte {
 	tags := map[uint64]bool{}
 	for i := 0; len(keys) < n; i++ {
 		cand := []byte(fmt.Sprintf("%s-%d", prefix, i))
-		if _, tag := lc.bucketTag(cand); lacBucketOf(lc, cand) == bucket && !tags[tag] {
+		if _, tag := lc.bucketTag(cand, lacSeed); lacBucketOf(lc, cand) == bucket && !tags[tag] {
 			tags[tag] = true
 			keys = append(keys, cand)
 		}
@@ -126,15 +338,15 @@ func TestLACLearnLookupUnlearn(t *testing.T) {
 	if _, gotUnits, _ := lc.Lookup(key); gotUnits != 5 {
 		t.Fatalf("re-Learn did not update units: got %d", gotUnits)
 	}
-	if occupied, _, _ := lc.Occupancy(); occupied != 1 {
+	if occupied, _, _, _ := lc.Occupancy(); occupied != 1 {
 		t.Fatalf("same-key re-learn occupies %d ways, want 1", occupied)
 	}
 
 	// Seven more keys of alpha's bucket fill it; nobody is displaced.
-	_, tagA := lc.bucketTag(key)
+	_, tagA := lc.bucketTag(key, lacSeed)
 	var others [][]byte
 	for _, k := range lacBucketKeys(lc, "other", lacBucketOf(lc, key), lacWays+1) {
-		if _, tag := lc.bucketTag(k); tag != tagA && len(others) < lacWays {
+		if _, tag := lc.bucketTag(k, lacSeed); tag != tagA && len(others) < lacWays {
 			others = append(others, k)
 		}
 	}
@@ -147,7 +359,7 @@ func TestLACLearnLookupUnlearn(t *testing.T) {
 			t.Fatalf("%q lost its entry in a bucket of %d keys", k, lacWays)
 		}
 	}
-	if _, _, full := lc.Occupancy(); full != 1 {
+	if _, _, full, _ := lc.Occupancy(); full != 1 {
 		t.Fatalf("full buckets = %d, want 1", full)
 	}
 	if st := lc.Stats(); st.Evictions != 0 {
@@ -196,7 +408,7 @@ func TestLACLearnLookupUnlearn(t *testing.T) {
 	if st := lc.Stats(); st.Unlearns != lacWays {
 		t.Fatalf("unlearn count = %d, want %d", st.Unlearns, lacWays)
 	}
-	if occupied, _, full := lc.Occupancy(); occupied != 0 || full != 0 {
+	if occupied, _, full, _ := lc.Occupancy(); occupied != 0 || full != 0 {
 		t.Fatalf("occupancy = %d (%d full buckets) after full unlearn, want 0", occupied, full)
 	}
 }
@@ -243,11 +455,11 @@ func TestLACRefutationUnlearnsOnlyTheRefutedAddress(t *testing.T) {
 func TestLACSameFingerprintPair(t *testing.T) {
 	lc := NewLeafCache(64, 1)
 	owner := []byte("pair-0")
-	bucket, tag := lc.bucketTag(owner)
+	bucket, tag := lc.bucketTag(owner, lacSeed)
 	var stranger []byte
 	for i := 1; stranger == nil; i++ {
 		cand := []byte(fmt.Sprintf("pair-%d", i))
-		if b, tg := lc.bucketTag(cand); &b[0] == &bucket[0] && tg == tag {
+		if b, tg := lc.bucketTag(cand, lacSeed); &b[0] == &bucket[0] && tg == tag {
 			stranger = cand
 		}
 	}
@@ -257,7 +469,7 @@ func TestLACSameFingerprintPair(t *testing.T) {
 	// refuted on it and takes it over.
 	lc.Learn(stranger, addrS, 1)
 	lc.Learn(owner, addrO, 1)
-	if occupied, _, _ := lc.Occupancy(); occupied != 1 {
+	if occupied, _, _, _ := lc.Occupancy(); occupied != 1 {
 		t.Fatalf("a same-fingerprint pair occupies %d ways, want 1", occupied)
 	}
 	if got, _, _ := lc.Lookup(stranger); got != addrO {
@@ -307,7 +519,7 @@ func TestLACNoConflictMisses(t *testing.T) {
 	if st := lc.Stats(); st.Evictions > uint64(n)/1000 {
 		t.Errorf("%d evictions at a quarter of capacity", st.Evictions)
 	}
-	if _, _, full := lc.Occupancy(); full > uint64(n)/1000 {
+	if _, _, full, _ := lc.Occupancy(); full > uint64(n)/1000 {
 		t.Errorf("%d full buckets at a quarter of capacity", full)
 	}
 }
@@ -353,7 +565,7 @@ func TestLACCapacityBound(t *testing.T) {
 	if got := float64(refutes) / measured; got > 1.5*lacWays/float64(lacFPMask+1) {
 		t.Errorf("false-match share %.5f, want <= %.5f", got, 1.5*lacWays/float64(lacFPMask+1))
 	}
-	if occupied, capacity, full := lc.Occupancy(); occupied < capacity*95/100 || full < capacity/lacWays*3/4 {
+	if occupied, capacity, full, _ := lc.Occupancy(); occupied < capacity*95/100 || full < capacity/lacWays*3/4 {
 		t.Errorf("occupancy %d of %d, %d full buckets: a saturated cache should be nearly full", occupied, capacity, full)
 	}
 }
@@ -392,15 +604,30 @@ func TestLACConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				key := []byte(fmt.Sprintf("churn-%d", i%97))
-				switch (w + i) % 3 {
+				switch (w + i) % 6 {
 				case 0:
 					lc.Learn(key, mem.NewAddr(mem.NodeID(w), uint64(i+1)*64), uint8(w+1))
 				case 1:
 					lc.Unlearn(key)
-				default:
+				case 2:
 					if addr, units, ok := lc.Lookup(key); ok {
 						if addr == 0 || units == 0 || units > workers {
 							t.Errorf("torn lookup: addr=%v units=%d", addr, units)
+							return
+						}
+					}
+				// The same bytes as a prefix: node words churn through the same
+				// buckets, and neither kind ever answers with the other's word.
+				case 3:
+					lc.LearnNode(key, mem.NewAddr(mem.NodeID(w), uint64(i+1)*8), wire.NodeType(w%4))
+				case 4:
+					if addr, _, ok := lc.LookupNode(key); ok {
+						lc.UnlearnNodeAt(key, addr)
+					}
+				default:
+					if addr, typ, ok := lc.LookupNode(key); ok {
+						if addr.Offset() == 0 || addr.Offset() > 2000*8 || int(addr.Node()) >= workers || int(typ) != int(addr.Node())%4 {
+							t.Errorf("torn node lookup: addr=%v type=%v", addr, typ)
 							return
 						}
 					}
@@ -461,7 +688,7 @@ func TestLACBucketHammer(t *testing.T) {
 	if answers.Load() == 0 {
 		t.Fatal("no lookup ever answered")
 	}
-	occupied, _, full := lc.Occupancy()
+	occupied, _, full, _ := lc.Occupancy()
 	if occupied > 2*lacWays || full > 2 {
 		t.Fatalf("two buckets hold %d entries (%d full buckets)", occupied, full)
 	}
@@ -486,7 +713,7 @@ func TestLACBucketHammer(t *testing.T) {
 			lc.UnlearnAt(k, addr)
 		}
 	}
-	if occupied, _, _ := lc.Occupancy(); occupied != 0 {
+	if occupied, _, _, _ := lc.Occupancy(); occupied != 0 {
 		t.Fatalf("%d entries answer to no key of the set", occupied)
 	}
 	if st := lc.Stats(); st.Learns == 0 || st.Unlearns == 0 || st.Evictions == 0 {
@@ -519,7 +746,7 @@ func TestWarmReadBudget(t *testing.T) {
 	}
 	rts, st := c.eng.C.RoundTrips()-rt0, c.Stats()
 	if n := uint64(len(keys)); rts != n || st.SpecHits-st0.SpecHits != n {
-		_, _, full := lac.Occupancy()
+		_, _, full, _ := lac.Occupancy()
 		t.Errorf("second pass over %d keys: %d round trips, %d hits, %d misses, %d refutes (%d full buckets, %+v); want one verified read each",
 			n, rts, st.SpecHits-st0.SpecHits, st.SpecMisses-st0.SpecMisses, st.SpecRefutes-st0.SpecRefutes, full, lac.Stats())
 	}

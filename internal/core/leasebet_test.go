@@ -74,7 +74,16 @@ func landingOf(t *testing.T, c *Client, key string, prefix string) *rart.Node {
 // put would have read anyway, and the put goes on as if it had never bet: its
 // batches are, one for one, those of a put that reads the node and then locks
 // it, it waits where that one waits and as long, and it counts no restart.
+//
+// At a remembered address the lost bet comes first and the table read second:
+// a leased image is not trusted, the table confirms the address, and the image
+// just read is the landing — the same batches in all, none read twice.
 func TestLeaseBetLostNeverWaits(t *testing.T) {
+	t.Run("first touch", func(t *testing.T) { leaseBetLostNeverWaits(t, false) })
+	t.Run("remembered landing", func(t *testing.T) { leaseBetLostNeverWaits(t, true) })
+}
+
+func leaseBetLostNeverWaits(t *testing.T, remembered bool) {
 	sc := writeScenarios[0]
 	var eng0 rart.EngineStats // the victim's counters before its put
 	run := func(bet bool) (log batchLog, c *Client) {
@@ -85,6 +94,9 @@ func TestLeaseBetLostNeverWaits(t *testing.T) {
 		// then its hash read, its landing, and the lock and commit levels.
 		warmSlabs(t, c)
 		warmSearch(t, c, []byte("budget-a"), []byte("v-budget-a"))
+		if !remembered {
+			c.lac.Reset() // the read taught the cache where the landing lives
+		}
 		rival := newTestClient(f, shared, Options{})
 		held, err := rival.eng.Lock(landing.Addr, landing.Hdr.Type, 0)
 		if err != nil {
@@ -92,7 +104,8 @@ func TestLeaseBetLostNeverWaits(t *testing.T) {
 		}
 		eng0 = c.eng.Stats()
 		// The rival lets go while the victim is polling: behind the victim's
-		// fourth batch — hash read, landing, lock batch, first poll.
+		// fourth batch — hash read and landing (in either order), lock batch,
+		// first poll.
 		c.eng.C.SetObserver(obs.Tee{A: &log, B: &afterBatches{n: 4, fn: func() {
 			if err := rival.eng.C.Batch([]fabric.Op{rival.eng.UnlockOp(held)}); err != nil {
 				t.Errorf("rival release: %v", err)
@@ -118,8 +131,14 @@ func TestLeaseBetLostNeverWaits(t *testing.T) {
 	ref, _ := run(false)
 	got, c := run(true)
 
-	if got.bets() != 1 || ref.bets() != 0 {
-		t.Fatalf("landing batches: %d with the bet, %d without; want 1, 0", got.bets(), ref.bets())
+	landing, wantAborts := 1, uint64(0) // first touch: hash read, then the landing
+	if remembered {
+		landing, wantAborts = 0, 1
+	}
+	if got.evs[landing].Stage != fabric.StageLock || got.evs[1-landing].Stage != fabric.StageHashRead ||
+		ref.evs[landing].Stage != fabric.StageNodeRead {
+		t.Fatalf("the put's first two batches: %v, %v with the bet, %v, %v without; want the landing at %d beside the hash read",
+			got.evs[0].Stage, got.evs[1].Stage, ref.evs[0].Stage, ref.evs[1].Stage, landing)
 	}
 	if len(got.evs) != len(ref.evs) {
 		t.Fatalf("the put posted %d batches, %d without the bet; want them equal:\n%+v\n%+v", len(got.evs), len(ref.evs), got.evs, ref.evs)
@@ -136,7 +155,7 @@ func TestLeaseBetLostNeverWaits(t *testing.T) {
 	if fmt.Sprint(got.waits()) != fmt.Sprint(ref.waits()) {
 		t.Errorf("waits between batches = %v ps, without the bet %v; a lost bet adds none", got.waits(), ref.waits())
 	}
-	// Hash read, landing, lock batch, polls, commit: the waits are the
+	// Hash read and landing, lock batch, polls, commit: the waits are the
 	// backoff ahead of each poll. The bet itself never polls.
 	if w := got.waits(); w[0] != 0 || w[1] != 0 || w[2] == 0 {
 		t.Errorf("waits between the put's batches = %v ps; want none before the lock batch and some behind it", w)
@@ -146,6 +165,9 @@ func TestLeaseBetLostNeverWaits(t *testing.T) {
 	}
 	if c.Stats().Restarts != 0 {
 		t.Errorf("a lost bet counted %d restarts, want 0", c.Stats().Restarts)
+	}
+	if st := c.Stats(); st.NodeAborts != wantAborts || st.NodeRefutes != 0 {
+		t.Errorf("%d remembered addresses met leased, %d refuted; want %d, 0", st.NodeAborts, st.NodeRefutes, wantAborts)
 	}
 	warmSearch(t, c, []byte(sc.key), []byte("victim"))
 }
@@ -185,14 +207,22 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 		name string
 		op   func(e env, c *Client) error
 		cold bool // run by a client whose filter knows nothing
+		// remembered: run by a client whose leaf-address cache holds the
+		// landing's address and nothing else — the landing is then a READ at
+		// that address, and still no CAS rides it.
+		remembered bool
 	}{
-		{"update of a present key", func(e env, c *Client) error { _, err := c.Update([]byte("budget-a"), []byte("new")); return err }, false},
-		{"update of an absent key", func(e env, c *Client) error { _, err := c.Update([]byte("budget-c"), []byte("new")); return err }, false},
-		{"get", func(e env, c *Client) error { _, _, err := c.Search([]byte("budget-a")); return err }, false},
-		{"get of an absent key", func(e env, c *Client) error { _, _, err := c.Search([]byte("budget-c")); return err }, false},
-		{"delete", func(e env, c *Client) error { _, err := c.Delete([]byte("budget-a")); return err }, false},
-		{"scan", func(e env, c *Client) error { _, err := c.Scan([]byte("budget-"), nil, 10); return err }, false},
-		{"insert from the root", func(e env, c *Client) error { _, err := c.Insert([]byte("budget-c"), []byte("v")); return err }, true},
+		{"update of a present key", func(e env, c *Client) error { _, err := c.Update([]byte("budget-a"), []byte("new")); return err }, false, false},
+		{"update of an absent key", func(e env, c *Client) error { _, err := c.Update([]byte("budget-c"), []byte("new")); return err }, false, false},
+		{"get", func(e env, c *Client) error { _, _, err := c.Search([]byte("budget-a")); return err }, false, false},
+		{"get of an absent key", func(e env, c *Client) error { _, _, err := c.Search([]byte("budget-c")); return err }, false, false},
+		{"delete", func(e env, c *Client) error { _, err := c.Delete([]byte("budget-a")); return err }, false, false},
+		{"scan", func(e env, c *Client) error { _, err := c.Scan([]byte("budget-"), nil, 10); return err }, false, false},
+		{"get through a remembered node address", func(e env, c *Client) error { _, _, err := c.Search([]byte("budget-a")); return err }, false, true},
+		{"update through a remembered node address", func(e env, c *Client) error { _, err := c.Update([]byte("budget-a"), []byte("new")); return err }, false, true},
+		{"delete through a remembered node address", func(e env, c *Client) error { _, err := c.Delete([]byte("budget-a")); return err }, false, true},
+		{"scan beside a remembered node address", func(e env, c *Client) error { _, err := c.Scan([]byte("budget-"), nil, 10); return err }, false, true},
+		{"insert from the root", func(e env, c *Client) error { _, err := c.Insert([]byte("budget-c"), []byte("v")); return err }, true, false},
 		{"insert through a bucket with two candidates", func(e env, c *Client) error {
 			strangerEntry(t, e.setup, "budget-", wire.Node256, e.shared.Root)
 			_, err := c.Insert([]byte("budget-c"), []byte("v"))
@@ -200,7 +230,7 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 				err = fmt.Errorf("%d candidates failed the metadata check, want 1: the bucket held one candidate", c.Stats().FPMismatches)
 			}
 			return err
-		}, false},
+		}, false, false},
 	}
 	for _, tc := range never {
 		t.Run("never bets/"+tc.name, func(t *testing.T) {
@@ -210,13 +240,37 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 			if tc.cold {
 				c = newTestClient(e.f, e.shared, Options{})
 			}
+			if tc.remembered {
+				c = NewClient(e.shared, e.f.NewClient(), Options{Filter: e.setup.filter})
+				c.lac.LearnNode([]byte("budget-"), landing.Addr, landing.Hdr.Type)
+			}
 			var log batchLog
 			c.eng.C.SetObserver(&log)
-			if err := tc.op(e, c); err != nil {
+			// The first verb the client aims at the landing node.
+			var first *fabric.Op
+			e.f.Trace = func(fc *fabric.Client, op *fabric.Op) {
+				if off := op.Addr.Offset() - landing.Addr.Offset(); fc == c.eng.C && first == nil &&
+					op.Addr.Node() == landing.Addr.Node() && off < wire.NodeSize(landing.Hdr.Type) {
+					cp := *op
+					first = &cp
+				}
+			}
+			err := tc.op(e, c)
+			e.f.Trace = nil
+			if err != nil {
 				t.Fatal(err)
 			}
 			if log.bets() != 0 || c.eng.Stats().LeaseBets != 0 {
 				t.Errorf("%d landing batches carried a lease CAS, %d bets counted; want 0, 0: %+v", log.bets(), c.eng.Stats().LeaseBets, log.evs)
+			}
+			if first != nil && first.Kind != fabric.Read {
+				t.Errorf("the first verb at the landing is a %v at %v; want its READ, with no CAS ahead of it", first.Kind, first.Addr)
+			}
+			if st := c.Stats(); tc.remembered && (st.NodeHits != st.FilterHits || st.NodeHits != st.Searches+st.Updates+st.Deletes) {
+				t.Errorf("%d of %d landings read the remembered address; want all, one per point operation", st.NodeHits, st.FilterHits)
+			}
+			if tc.remembered && c.HashStats().Lookups != 0 {
+				t.Errorf("%d table lookups beside a remembered address, want 0", c.HashStats().Lookups)
 			}
 			if len(log.evs) == 0 {
 				t.Error("the operation posted no batch; the case exercises nothing")
@@ -322,65 +376,80 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 	// A fault on the fused batch itself: a transient ahead of the CAS executed
 	// nothing, one behind it took the lease and lost the READ, a lost
 	// completion took it and hides that it did. Whichever it was, the put
-	// restarts, acks, and leaves no lease behind.
-	t.Run("returned/fused batch faults", func(t *testing.T) {
-		seen := make(map[string]bool)
-		for seed := uint64(1); len(seen) < 3 && seed <= 200; seed++ {
-			timeout := seed%3 == 0
-			f, shared, setup := sc.build(t, 2)
-			landing := landingOf(t, setup, sc.key, "budget-")
-			plan := &fabric.FaultPlan{Seed: seed, TimeoutPs: 2_000_000}
-			f.SetFaultPlan(plan)
-			victim := sc.victim(t, f, shared, setup, true)
-			f.SetFaultPlan(nil)
-			// Slabs and directory caches first, so the put's first batch is
-			// its hash read and its second the landing.
-			if _, err := victim.Insert([]byte("budget-+"), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-			arm := &afterBatches{n: 1, fn: func() {
-				if timeout {
-					plan.TimeoutPer64k = 1 << 16
+	// restarts, acks, and leaves no lease behind — behind the table read of a
+	// first touch, and as the put's first batch at a remembered address.
+	for _, remembered := range []bool{false, true} {
+		name := "returned/fused batch faults"
+		if remembered {
+			name += " at a remembered address"
+		}
+		t.Run(name, func(t *testing.T) {
+			seen := make(map[string]bool)
+			for seed := uint64(1); len(seen) < 3 && seed <= 200; seed++ {
+				timeout := seed%3 == 0
+				f, shared, setup := sc.build(t, 2)
+				landing := landingOf(t, setup, sc.key, "budget-")
+				plan := &fabric.FaultPlan{Seed: seed, TimeoutPs: 2_000_000}
+				f.SetFaultPlan(plan)
+				victim := sc.victim(t, f, shared, setup, true)
+				f.SetFaultPlan(nil)
+				// Slabs and directory caches first, so the put's first batch is
+				// its hash read and its second the landing; the insert also
+				// teaches the victim where the landing lives.
+				if _, err := victim.Insert([]byte("budget-+"), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+				arm := func() {
+					if timeout {
+						plan.TimeoutPer64k = 1 << 16
+					} else {
+						plan.TransientPer64k = 1 << 16
+					}
+				}
+				after := &afterBatches{n: 1, fn: arm}
+				if remembered {
+					arm() // the landing is the put's first batch
+					after.fn = func() {}
 				} else {
-					plan.TransientPer64k = 1 << 16
+					victim.lac.Reset()
 				}
-			}}
-			cut := ""
-			faulted := observerFunc(func(ev fabric.BatchEvent) {
-				if ev.Err != nil && cut == "" {
-					cut = fmt.Sprintf("%v after verb %d, timeout %v", ev.Stage, ev.Verbs, timeout)
-					plan.TransientPer64k, plan.TimeoutPer64k = 0, 0
+				cut := ""
+				faulted := observerFunc(func(ev fabric.BatchEvent) {
+					if ev.Err != nil && cut == "" {
+						cut = fmt.Sprintf("%v after verb %d, timeout %v", ev.Stage, ev.Verbs, timeout)
+						plan.TransientPer64k, plan.TimeoutPer64k = 0, 0
+					}
+				})
+				victim.eng.C.SetObserver(obs.Tee{A: after, B: faulted})
+				restarts := victim.Stats().Restarts
+				if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
+					t.Fatalf("seed %d: victim put: %v", seed, err)
 				}
-			})
-			victim.eng.C.SetObserver(obs.Tee{A: arm, B: faulted})
-			restarts := victim.Stats().Restarts
-			if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
-				t.Fatalf("seed %d: victim put: %v", seed, err)
+				if !strings.HasPrefix(cut, "lock ") {
+					t.Fatalf("seed %d: the fault hit %q, not the landing batch", seed, cut)
+				}
+				seen[cut] = true
+				if victim.Stats().Restarts != restarts+1 {
+					t.Errorf("seed %d (%s): %d restarts, want 1", seed, cut, victim.Stats().Restarts-restarts)
+				}
+				if w := leaseWordOf(t, setup, landing); w != 0 {
+					t.Errorf("seed %d (%s): landing's lease word = %#x after the put, want 0", seed, cut, w)
+				}
+				check := newTestClient(f, shared, Options{})
+				warmSearch(t, check, []byte(sc.key), []byte("victim"))
+				clock0 := check.eng.C.Clock()
+				if _, err := check.Insert([]byte("budget-~"), []byte("next")); err != nil {
+					t.Fatal(err)
+				}
+				if dt := check.eng.C.Clock() - clock0; dt > 100_000_000 || check.eng.Stats().LockSteals != 0 {
+					t.Errorf("seed %d (%s): the next writer took %d ps and stole %d leases; a lease was left held", seed, cut, dt, check.eng.Stats().LockSteals)
+				}
 			}
-			if !strings.HasPrefix(cut, "lock ") {
-				t.Fatalf("seed %d: the fault hit %q, not the landing batch", seed, cut)
+			if len(seen) < 3 {
+				t.Errorf("the sweep cut the landing batch at %v; want a transient ahead of the CAS, one behind it, and a lost completion", seen)
 			}
-			seen[cut] = true
-			if victim.Stats().Restarts != restarts+1 {
-				t.Errorf("seed %d (%s): %d restarts, want 1", seed, cut, victim.Stats().Restarts-restarts)
-			}
-			if w := leaseWordOf(t, setup, landing); w != 0 {
-				t.Errorf("seed %d (%s): landing's lease word = %#x after the put, want 0", seed, cut, w)
-			}
-			check := newTestClient(f, shared, Options{})
-			warmSearch(t, check, []byte(sc.key), []byte("victim"))
-			clock0 := check.eng.C.Clock()
-			if _, err := check.Insert([]byte("budget-~"), []byte("next")); err != nil {
-				t.Fatal(err)
-			}
-			if dt := check.eng.C.Clock() - clock0; dt > 100_000_000 || check.eng.Stats().LockSteals != 0 {
-				t.Errorf("seed %d (%s): the next writer took %d ps and stole %d leases; a lease was left held", seed, cut, dt, check.eng.Stats().LockSteals)
-			}
-		}
-		if len(seen) < 3 {
-			t.Errorf("the sweep cut the landing batch at %v; want a transient ahead of the CAS, one behind it, and a lost completion", seen)
-		}
-	})
+		})
+	}
 }
 
 // TestLeasedCommitIsOneBatch: the insert whose landing bet won commits in one
@@ -426,8 +495,10 @@ func TestLeasedCommitIsOneBatch(t *testing.T) {
 	for _, ev := range log.evs {
 		stages = append(stages, fmt.Sprintf("%v/%d", ev.Stage, ev.Verbs))
 	}
-	if fmt.Sprint(stages) != "[hash-read/2 lock/2 install/3]" {
-		t.Fatalf("the insert's batches = %v, want [hash-read/2 lock/2 install/3]", stages)
+	// The landing's address is remembered (the insert above walked through
+	// it): lock‖read, commit — the whole put.
+	if fmt.Sprint(stages) != "[lock/2 install/3]" {
+		t.Fatalf("the insert's batches = %v, want [lock/2 install/3]", stages)
 	}
 	commit := verbs[len(verbs)-3:]
 	leaf, slot, unlock := commit[0], commit[1], commit[2]

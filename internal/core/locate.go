@@ -40,7 +40,11 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 		// already marked recently-used corroborates skew.
 		c.sfcWasHot = wasHot
 		c.noteProbe(l, len(key))
-		n, err := c.fetchValidated(prefix)
+		n, err := c.fetchRemembered(prefix)
+		if n == nil && err == nil {
+			n, err = c.fetchValidated(prefix)
+		}
+		c.seen = nil
 		if err != nil {
 			return nil, 0, err
 		}
@@ -103,6 +107,76 @@ func (c *Client) noteProbe(l, n int) {
 	default:
 		c.note(fabric.StageFilterProbe, probeHitNote, l, n)
 	}
+}
+
+// The verdicts on a remembered node address, as trace notes (constants: a
+// session's tail recorder is always armed).
+const (
+	nodeHitNote     = "node address hit: table read skipped"
+	nodeLeasedNote  = "node address not trusted: image leased, asking the table"
+	nodeRetiredNote = "node address refuted: node retired: unlearned"
+	nodeStrangeNote = "node address refuted: not the prefix's node: unlearned"
+	nodeLostNote    = "node address refuted: memory node lost: unlearned"
+)
+
+// fetchRemembered is the landing with no table read: the node of prefix, read
+// at the address the leaf-address cache remembers for it — what the table's
+// entry would have said — behind the lease CAS when the put may insert
+// (readCandidates), which is thereby posted a level earlier still. Like every
+// remembered address it is trusted only after the image read there verifies:
+//
+//   - Hit: the Fig. 3 checks fetchValidatedIn applies to a table candidate
+//     (live status, depth, 42-bit prefix hash) hold AND the image shows no
+//     lease but the bet this put just won. A node being type-switched or
+//     relocated is leased from its lock batch until its invalidation lands,
+//     and one whose writer died between the two stays leased for good: valid,
+//     yet no longer (or about to be no longer) the node the tree and the
+//     table name. The table route meets such a node only until the entry swap,
+//     so a leased image sends this route to the table, and an insert is never
+//     written into a node nothing reaches.
+//   - Refuted: retired, another prefix's node, no node image at all, or on a
+//     lost memory node (as specVerify has it for a leaf: the prefix may live
+//     elsewhere by now, and the table knows). The entry naming this address
+//     is unlearned, a won bet is given back.
+//   - Not trusted: leased by someone else — more often than not an insert about
+//     to release the same node, so the entry is kept, and so is the image
+//     (c.seen): if the table names this address too, the image is the landing
+//     a read behind the table's would have returned, and is not read twice.
+//
+// Anything but a hit returns nil and the caller asks the table. Any other
+// fabric error is the caller's, as from the table read it replaces.
+func (c *Client) fetchRemembered(prefix []byte) (*rart.Node, error) {
+	if c.lac == nil {
+		return nil, nil
+	}
+	addr, t, ok := c.lac.LookupNode(prefix)
+	if !ok {
+		return nil, nil
+	}
+	c.candScratch = append(c.candScratch[:0], racehash.Candidate{Entry: wire.HashEntry{Valid: true, Type: t, Addr: addr}})
+	nodes, err := c.readCandidates(c.candScratch, c.inserting)
+	if err != nil && !nodeLost(err) {
+		return nil, err
+	}
+	var n *rart.Node
+	out, note := specHit, ""
+	switch {
+	case err != nil:
+		out, note = specRefute, nodeLostNote
+	case nodes[0] == nil || !c.validPrefixNode(nodes[0], prefix):
+		out, note = specRefute, nodeStrangeNote
+	case nodes[0].Hdr.Status == wire.StatusInvalid:
+		out, note = specRefute, nodeRetiredNote
+	case nodes[0].LeaseWord != 0 && !c.eng.HoldsBet(nodes[0]):
+		out, note, c.seen = specAbort, nodeLeasedNote, nodes[0]
+	default:
+		n = nodes[0]
+	}
+	c.specSettle(c.specNodes(), prefix, addr, out, note)
+	if out == specRefute {
+		c.eng.ReturnLeases(rart.BetRefuted) // a stranger's, or a retired node's
+	}
+	return n, nil
 }
 
 // fetchValidated looks the prefix up in the inner node hash table, reads
@@ -174,6 +248,7 @@ func (c *Client) fetchValidatedIn(view *racehash.View, prefix []byte) (*rart.Nod
 			c.eng.ReturnLeases(rart.BetRefuted)
 		case found == nil:
 			found = n
+			c.lac.LearnNode(prefix, n.Addr, n.Hdr.Type)
 		}
 	}
 	return found, nil
@@ -195,6 +270,12 @@ func (c *Client) validPrefixNode(n *rart.Node, prefix []byte) bool {
 // drops it for failing a check gives a won lease back (ReturnLeases).
 func (c *Client) readCandidates(cands []racehash.Candidate, bet bool) ([]*rart.Node, error) {
 	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageNodeRead))
+	if len(cands) == 1 && c.seen != nil && c.seen.Addr == cands[0].Entry.Addr {
+		// Read a moment ago at its remembered address, and met leased: the
+		// bet is lost already, the image is the one a READ now would return.
+		c.nodeScratch = append(c.nodeScratch[:0], c.seen)
+		return c.nodeScratch, nil
+	}
 	if bet {
 		entry := cands[0].Entry
 		n, err := c.eng.LeaseRead(entry.Addr, entry.Type)

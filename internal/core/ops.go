@@ -20,12 +20,17 @@ type hooks struct{ c *Client }
 
 // SawNode learns every prefix encountered during a descent into the filter
 // cache ("the client updates the succinct filter cache for any prefixes
-// not present in the cache", §IV Search).
+// not present in the cache", §IV Search), and where its node lives into the
+// leaf-address cache: the pair is in hand, and the next landing on that prefix
+// needs no table read (fetchRemembered).
 func (h hooks) SawNode(prefix []byte, n *rart.Node) {
-	if len(prefix) == 0 || h.c.filter == nil {
+	if len(prefix) == 0 {
 		return
 	}
-	h.c.filter.Insert(PrefixFilterHash(prefix))
+	if h.c.filter != nil {
+		h.c.filter.Insert(PrefixFilterHash(prefix))
+	}
+	h.c.lac.LearnNode(prefix, n.Addr, n.Hdr.Type)
 }
 
 // UpdatedLeaf learns where a put that took the tree path found (or moved)
@@ -148,6 +153,9 @@ func (p *publisher) Publish(commit []fabric.Op) error {
 		if pub.Old == nil && c.filter != nil {
 			c.filter.Insert(PrefixFilterHash(pub.Prefix))
 		}
+		// Fresh or grown, the node is where its prefix now lives: a client's
+		// own type switch re-points its own remembered address.
+		c.lac.LearnNode(pub.Prefix, pub.Node.Addr, pub.Node.Hdr.Type)
 	}
 	return nil
 }
@@ -489,29 +497,38 @@ func specVerify(key []byte, err error, stable bool, status wire.Status, leafKey 
 }
 
 // specPath is one speculative path through a cache of remembered addresses:
-// the cache a refutation unlearns from, the path's outcome counters, and the
-// stage and hit note it appears under on a trace.
+// the cache a refutation unlearns from — a node word or a leaf word —, the
+// path's outcome counters, and the stage and hit note it appears under on a
+// trace.
 type specPath struct {
 	cache                 *LeafCache
+	node                  bool
 	hits, refutes, aborts *uint64
 	stage                 fabric.Stage
 	hit                   string
 }
 
 func (c *Client) specGets() specPath {
-	return specPath{c.lac, &c.stats.SpecHits, &c.stats.SpecRefutes, &c.stats.SpecAborts,
+	return specPath{c.lac, false, &c.stats.SpecHits, &c.stats.SpecRefutes, &c.stats.SpecAborts,
 		fabric.StageLeafSpec, "lac hit: leaf verified in one round trip"}
 }
 
 func (c *Client) specUpdates() specPath {
-	return specPath{c.lac, &c.stats.SpecUpdHits, &c.stats.SpecUpdRefutes, &c.stats.SpecUpdAborts,
+	return specPath{c.lac, false, &c.stats.SpecUpdHits, &c.stats.SpecUpdRefutes, &c.stats.SpecUpdAborts,
 		fabric.StageLeafWrite, "lac update hit: locked+verified in one round trip"}
+}
+
+// specNodes is the landing at the address the leaf-address cache remembers
+// for an inner node's prefix (locate.go fetchRemembered).
+func (c *Client) specNodes() specPath {
+	return specPath{c.lac, true, &c.stats.NodeHits, &c.stats.NodeRefutes, &c.stats.NodeAborts,
+		fabric.StageNodeRead, nodeHitNote}
 }
 
 // specHots is the read of a promoted key's replica record through one rank's
 // route cache (hotGet).
 func (c *Client) specHots(routes *LeafCache) specPath {
-	return specPath{routes, &c.stats.HotHits, &c.stats.HotRefutes, &c.stats.HotAborts,
+	return specPath{routes, false, &c.stats.HotHits, &c.stats.HotRefutes, &c.stats.HotAborts,
 		fabric.StageHotRead, "hot hit: replica record verified in one round trip"}
 }
 
@@ -528,7 +545,11 @@ func (c *Client) specSettle(p specPath, key []byte, addr mem.Addr, out specOutco
 			note = p.hit
 		}
 	case specRefute:
-		p.cache.UnlearnAt(key, addr)
+		if p.node {
+			p.cache.UnlearnNodeAt(key, addr)
+		} else {
+			p.cache.UnlearnAt(key, addr)
+		}
 		atomic.AddUint64(p.refutes, 1)
 	case specAbort:
 		atomic.AddUint64(p.aborts, 1)

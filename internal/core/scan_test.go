@@ -431,8 +431,10 @@ func TestNoDirCacheCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	withCache := newTestClient(f2, shared2, Options{})
-	noCache := newTestClient(f2, shared2, Options{DisableDirCache: true})
+	// The ablation is of the TABLE's directory cache: reads that ask the table,
+	// not a remembered leaf or node address.
+	withCache := newTestClient(f2, shared2, Options{DisableLeafCache: true})
+	noCache := newTestClient(f2, shared2, Options{DisableDirCache: true, DisableLeafCache: true})
 	measure := func(c *Client) float64 {
 		if _, _, err := c.Search([]byte("rt010")); err != nil { // warm
 			t.Fatal(err)

@@ -50,8 +50,9 @@ func leafImage(t *testing.T, f *fabric.Fabric, c *Client, key []byte) (mem.Addr,
 // trips and 3 verbs (CAS + READ, then WRITE) when the value keeps its
 // length, 3 round trips and 4 verbs when a fitting value changes it (the
 // first CAS guessed the stored length wrong), every batch charged to the
-// leaf-write stage; and that the tree path — 5 round trips — teaches the
-// cache, so only the first update of a key pays it.
+// leaf-write stage; and that the tree path — 4 round trips from a landing
+// whose address the client remembers (it built the node), 5 through the
+// table — teaches the cache, so only the first update of a key pays it.
 func TestSpecUpdateBudget(t *testing.T) {
 	f, shared := newCluster(t, 1, fabric.DefaultConfig(), 1000)
 	c := newTestClient(f, shared, Options{})
@@ -84,7 +85,7 @@ func TestSpecUpdateBudget(t *testing.T) {
 		stages     string
 		hits       uint64
 	}{
-		{"cold cache, tree path", val64(2), 5, 6, "[hash-read node-read leaf-read leaf-write leaf-write]", 0},
+		{"cold cache, tree path", val64(2), 4, 4, "[node-read leaf-read leaf-write leaf-write]", 0},
 		{"warm, same length", val64(3), 2, 3, "[leaf-write leaf-write]", 1},
 		{"warm, shorter value", bytes.Repeat([]byte{4}, 30), 3, 4, "[leaf-write leaf-write leaf-write]", 2},
 		{"warm, same length again", bytes.Repeat([]byte{5}, 30), 2, 3, "[leaf-write leaf-write]", 3},
@@ -176,7 +177,8 @@ func TestSpecUpdateRefutesStaleAddress(t *testing.T) {
 				t.Errorf("stale address: refutes %d→%d, hits %d→%d, restarts %d→%d; want one refutation, no backoff",
 					st0.SpecUpdRefutes, st.SpecUpdRefutes, st0.SpecUpdHits, st.SpecUpdHits, st0.Restarts, st.Restarts)
 			}
-			if log.evs[0].Stage != fabric.StageLeafWrite || log.evs[0].Verbs != 2 || log.evs[1].Stage != fabric.StageHashRead {
+			// The tree path starts at the landing the client remembers.
+			if log.evs[0].Stage != fabric.StageLeafWrite || log.evs[0].Verbs != 2 || log.evs[1].Stage != fabric.StageNodeRead {
 				t.Errorf("batches %+v; want the refuted lock batch, then straight into the tree path", log.evs[:2])
 			}
 			// The tree path relearned the live leaf; the retired one is untouched.

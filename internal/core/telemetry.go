@@ -68,14 +68,14 @@ func (s *IndexSources) FilterOccupancy() (occupied, capacity uint64, load, bound
 // LACStats sums the leaf-address caches' maintenance counters.
 func (s *IndexSources) LACStats() LACStats { return sumOver(s.LACs, (*LeafCache).Stats) }
 
-// LACOccupancy sums live entries, slot capacity, full buckets and byte
-// footprint across the leaf-address caches.
-func (s *IndexSources) LACOccupancy() (occupied, capacity, fullBuckets, bytes uint64) {
+// LACOccupancy sums live entries, slot capacity, full buckets, the node words
+// among the live entries and byte footprint across the leaf-address caches.
+func (s *IndexSources) LACOccupancy() (occupied, capacity, fullBuckets, nodes, bytes uint64) {
 	for _, lc := range s.LACs {
-		o, c, f := lc.Occupancy()
-		occupied, capacity, fullBuckets, bytes = occupied+o, capacity+c, fullBuckets+f, bytes+lc.SizeBytes()
+		o, c, f, n := lc.Occupancy()
+		occupied, capacity, fullBuckets, nodes, bytes = occupied+o, capacity+c, fullBuckets+f, nodes+n, bytes+lc.SizeBytes()
 	}
-	return occupied, capacity, fullBuckets, bytes
+	return occupied, capacity, fullBuckets, nodes, bytes
 }
 
 // INHTUsage scans every member's hash-table structure MN-side (no
@@ -159,13 +159,15 @@ func (s *IndexSources) gauges(family string) map[string]float64 {
 		return g
 	case family == "lac" && len(s.LACs) > 0:
 		st := s.Stats()
-		occupied, capacity, full, bytes := s.LACOccupancy()
+		occupied, capacity, full, nodes, bytes := s.LACOccupancy()
 		g := map[string]float64{
 			"occupied_slots": float64(occupied),
 			"capacity_slots": float64(capacity),
 			// Buckets with no empty way: a learn there displaces a live
 			// entry. Misses with none full are keys not yet learned.
 			"full_buckets": float64(full),
+			// Ways holding an inner node's address; the rest hold leaves.
+			"node_entries": float64(nodes),
 			"size_bytes":   float64(bytes),
 		}
 		if capacity > 0 {

@@ -31,10 +31,13 @@ type writeScenario struct {
 	// order.
 	rts, verbs int
 	stages     []string
-	// total is every round trip of the put, reads included; bare the
+	// total is every round trip of the put, reads included, when the client
+	// touches the landing's prefix for the first time and asks the table;
+	// remembered when the leaf-address cache holds the landing's address
+	// (the same verbs minus the bucket-pair READ of the lookup); bare the
 	// round trips behind the descent of the same put on a tree without the
 	// hash table, which takes no bet (rart.TestWriteBudgets).
-	total, bare int
+	total, remembered, bare int
 }
 
 var longShared = string(bytes.Repeat([]byte("p"), 2*wire.MaxPartial+5))
@@ -48,21 +51,22 @@ var longShared = string(bytes.Repeat([]byte("p"), 2*wire.MaxPartial+5))
 // write is hash-read, landing, then the bare tree's batches without their
 // lock verbs: the plain insert's whole lock level is gone (3 round trips in
 // all), a conversion keeps it for the staged objects and bucket READs its
-// leaf read had to precede.
+// leaf read had to precede. And a landing at a remembered address drops the
+// hash read: lock‖read, commit — 2 round trips for the plain insert.
 var writeScenarios = []writeScenario{
 	// hash | CAS,READ landing | W leaf + W slot + CAS unlock
-	{"fresh insert", []string{"budget-a", "budget-b"}, "budget-c", 2, 5, []string{"lock", "install"}, 3, 2},
-	{"EOL insert", []string{"budget-a", "budget-b"}, "budget-", 2, 5, []string{"lock", "install"}, 3, 2},
+	{"fresh insert", []string{"budget-a", "budget-b"}, "budget-c", 2, 5, []string{"lock", "install"}, 3, 2, 2},
+	{"EOL insert", []string{"budget-a", "budget-b"}, "budget-", 2, 5, []string{"lock", "install"}, 3, 2, 2},
 	// hash | CAS,READ landing | leaf | W leaf + W node + 2 READ bucket | W slot + CAS entry + READ bucket header + CAS unlock
-	{"leaf conversion, chain 1", []string{"budget-a", "budget-b"}, "budget-ax", 3, 10, []string{"lock", "lock", "publish"}, 5, 2},
+	{"leaf conversion, chain 1", []string{"budget-a", "budget-b"}, "budget-ax", 3, 10, []string{"lock", "lock", "publish"}, 5, 4, 2},
 	// chain of 3 from the root (no jump, no bet): root | leaf | W leaf + 3 W node + 3×2 READ bucket + CAS,READ lock |
 	// W slot + 3×(CAS entry + READ header) + CAS unlock
-	{"leaf conversion, chain 3", []string{"budget-a", "budget-b", longShared + "A"}, longShared + "B", 2, 20, []string{"lock", "publish"}, 4, 2},
+	{"leaf conversion, chain 3", []string{"budget-a", "budget-b", longShared + "A"}, longShared + "B", 2, 20, []string{"lock", "publish"}, 4, 4, 2},
 	// No jump (the filter knows no prefix of the key), so no bet:
 	// root | node | W leaf + W mid + 2 READ bucket + 2×(CAS,READ) lock | W child head | W parent slot + CAS entry + READ header + CAS unlock
-	{"partial split", []string{"budget-a", "budget-b"}, "bud!", 3, 13, []string{"lock", "publish", "publish"}, 5, 3},
+	{"partial split", []string{"budget-a", "budget-b"}, "bud!", 3, 13, []string{"lock", "publish", "publish"}, 5, 5, 3},
 	// hash | CAS,READ landing: full, need parent, lease kept | root | W leaf + W grown + 2 READ bucket + CAS,READ parent | W parent slot + CAS entry + READ header + CAS unlock | W invalidate
-	{"type switch", []string{"budget-a", "budget-b", "budget-c", "budget-d"}, "budget-e", 4, 13, []string{"lock", "lock", "publish", "publish"}, 6, 3},
+	{"type switch", []string{"budget-a", "budget-b", "budget-c", "budget-d"}, "budget-e", 4, 13, []string{"lock", "lock", "publish", "publish"}, 6, 5, 3},
 }
 
 // outOfPlaceUpdate is the one structural write that links no new key: the put
@@ -141,66 +145,88 @@ func (sc writeScenario) bareTreeCost(t *testing.T) (rts, verbs int) {
 
 // TestWriteBudgetsWithINHT pins the cost of every structural write at the
 // core level — the jump's landing bet and the hash-table publication included
-// — in round trips and verbs, batch by batch; that the bare tree's twin of the
-// put still costs what rart.TestWriteBudgets says; that every entry landed in
-// the commit batch it rode; and that an uncontended write abandons nothing,
-// gives back no lease in a round trip of its own and leaves none held.
+// — in round trips and verbs, batch by batch, in two columns: the first touch
+// of the landing's prefix, which asks the table, and the landing at a
+// remembered address, which is the same put minus the hash read; that the bare
+// tree's twin of the put still costs what rart.TestWriteBudgets says; that
+// every entry landed in the commit batch it rode; and that an uncontended
+// write abandons nothing, gives back no lease in a round trip of its own and
+// leaves none held.
 func TestWriteBudgetsWithINHT(t *testing.T) {
 	for _, sc := range writeScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			// One memory node: every slab the put needs was reserved by the
-			// setup puts, so no allocator round trip blurs the count.
-			_, _, c := sc.build(t, 1)
-			planned := c.HashStats().PlannedSwaps
-			bets := c.eng.Stats()
-			var log batchLog
-			c.eng.C.SetObserver(&log)
-			if _, err := c.Insert([]byte(sc.key), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-			c.eng.C.SetObserver(nil)
-			rts, verbs, stages := log.writeCost()
-			if rts != sc.rts || verbs != sc.verbs || fmt.Sprint(stages) != fmt.Sprint(sc.stages) {
-				t.Errorf("cost behind the reads = %d RT, %d verbs, batches %v; want %d RT, %d verbs, batches %v",
-					rts, verbs, stages, sc.rts, sc.verbs, sc.stages)
-			}
-			if len(log.evs) != sc.total {
-				t.Errorf("the put took %d round trips in all, want %d: %+v", len(log.evs), sc.total, log.evs)
-			}
-			bareRTs, bareVerbs := sc.bareTreeCost(t)
-			if bareRTs != sc.bare {
-				t.Errorf("cost behind the descent on the bare tree = %d RT, want %d", bareRTs, sc.bare)
-			}
-			// A put that jumps bets once, on its landing; an uncontended bet is
-			// never lost, and the lease it wins becomes a lock of the write.
-			wantBets := uint64(0)
-			if log.evs[0].Stage == fabric.StageHashRead {
-				wantBets = 1
-			}
-			if st := c.eng.Stats(); st.LeaseBets-bets.LeaseBets != wantBets || st.LeaseBetsLost != bets.LeaseBetsLost || st.LeaseBetsReturned != bets.LeaseBetsReturned {
-				t.Errorf("lease bets %d, lost %d, returned %d; want %d, 0, 0", st.LeaseBets-bets.LeaseBets,
-					st.LeaseBetsLost-bets.LeaseBetsLost, st.LeaseBetsReturned-bets.LeaseBetsReturned, wantBets)
-			}
-			// What the table adds to the bare tree's verbs is four per entry:
-			// the bucket pair in the lock batch, the CAS and the header
-			// re-read in the commit batch — and every entry landed there.
-			hs := c.HashStats()
-			if rode := hs.PlannedSwaps - planned; verbs != bareVerbs+4*int(rode) || hs.PlannedLost != 0 {
-				t.Errorf("%d verbs against the bare tree's %d with %d entries planned into the commit batch, %d of them lost; want 4 verbs per entry, none lost",
-					verbs, bareVerbs, rode, hs.PlannedLost)
-			}
-			if st := c.eng.Stats(); st.AbandonedObjects != 0 || st.PublishRetries != 0 {
-				t.Errorf("uncontended put: %d abandoned objects, %d publish retries", st.AbandonedObjects, st.PublishRetries)
-			}
-			if c.Stats().Restarts != 0 {
-				t.Errorf("uncontended put restarted %d times", c.Stats().Restarts)
-			}
-			for _, k := range append(sc.setup, sc.key) {
-				if _, ok, err := c.Search([]byte(k)); err != nil || !ok {
-					t.Errorf("%q unreadable after the put: %v", k, err)
-				}
-			}
+			t.Run("first touch", func(t *testing.T) { sc.budgetWithINHT(t, false, sc.total) })
+			t.Run("remembered landing", func(t *testing.T) { sc.budgetWithINHT(t, true, sc.remembered) })
 		})
+	}
+}
+
+func (sc writeScenario) budgetWithINHT(t *testing.T, remembered bool, total int) {
+	// One memory node: every slab the put needs was reserved by the
+	// setup puts, so no allocator round trip blurs the count. The
+	// setup puts also taught the client where its nodes live.
+	_, _, c := sc.build(t, 1)
+	if !remembered {
+		c.lac.Reset()
+	}
+	planned := c.HashStats().PlannedSwaps
+	bets, st0 := c.eng.Stats(), c.Stats()
+	var log batchLog
+	c.eng.C.SetObserver(&log)
+	if _, err := c.Insert([]byte(sc.key), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	c.eng.C.SetObserver(nil)
+	rts, verbs, stages := log.writeCost()
+	if rts != sc.rts || verbs != sc.verbs || fmt.Sprint(stages) != fmt.Sprint(sc.stages) {
+		t.Errorf("cost behind the reads = %d RT, %d verbs, batches %v; want %d RT, %d verbs, batches %v",
+			rts, verbs, stages, sc.rts, sc.verbs, sc.stages)
+	}
+	if len(log.evs) != total {
+		t.Errorf("the put took %d round trips in all, want %d: %+v", len(log.evs), total, log.evs)
+	}
+	bareRTs, bareVerbs := sc.bareTreeCost(t)
+	if bareRTs != sc.bare {
+		t.Errorf("cost behind the descent on the bare tree = %d RT, want %d", bareRTs, sc.bare)
+	}
+	// A put that jumps bets once, on its landing; an uncontended bet is
+	// never lost, and the lease it wins becomes a lock of the write. A
+	// remembered landing is a jump with no hash read ahead of it.
+	wantBets, wantHits := uint64(0), uint64(0)
+	if sc.total != sc.remembered {
+		wantBets = 1
+		if remembered {
+			wantHits = 1
+		}
+	}
+	if (log.evs[0].Stage == fabric.StageHashRead) != (wantBets == 1 && !remembered) {
+		t.Errorf("first batch %v: a first touch that jumps, and nothing else, reads the table", log.evs[0].Stage)
+	}
+	if st := c.eng.Stats(); st.LeaseBets-bets.LeaseBets != wantBets || st.LeaseBetsLost != bets.LeaseBetsLost || st.LeaseBetsReturned != bets.LeaseBetsReturned {
+		t.Errorf("lease bets %d, lost %d, returned %d; want %d, 0, 0", st.LeaseBets-bets.LeaseBets,
+			st.LeaseBetsLost-bets.LeaseBetsLost, st.LeaseBetsReturned-bets.LeaseBetsReturned, wantBets)
+	}
+	if st := c.Stats(); st.NodeHits-st0.NodeHits != wantHits || st.NodeRefutes != 0 || st.NodeAborts != 0 {
+		t.Errorf("node address hits %d, refutes %d, aborts %d; want %d, 0, 0", st.NodeHits-st0.NodeHits, st.NodeRefutes, st.NodeAborts, wantHits)
+	}
+	// What the table adds to the bare tree's verbs is four per entry:
+	// the bucket pair in the lock batch, the CAS and the header
+	// re-read in the commit batch — and every entry landed there.
+	hs := c.HashStats()
+	if rode := hs.PlannedSwaps - planned; verbs != bareVerbs+4*int(rode) || hs.PlannedLost != 0 {
+		t.Errorf("%d verbs against the bare tree's %d with %d entries planned into the commit batch, %d of them lost; want 4 verbs per entry, none lost",
+			verbs, bareVerbs, rode, hs.PlannedLost)
+	}
+	if st := c.eng.Stats(); st.AbandonedObjects != 0 || st.PublishRetries != 0 {
+		t.Errorf("uncontended put: %d abandoned objects, %d publish retries", st.AbandonedObjects, st.PublishRetries)
+	}
+	if c.Stats().Restarts != 0 {
+		t.Errorf("uncontended put restarted %d times", c.Stats().Restarts)
+	}
+	for _, k := range append(sc.setup, sc.key) {
+		if _, ok, err := c.Search([]byte(k)); err != nil || !ok {
+			t.Errorf("%q unreadable after the put: %v", k, err)
+		}
 	}
 }
 
@@ -408,6 +434,17 @@ func (sc writeScenario) checkReadable(t *testing.T, f *fabric.Fabric, shared Sha
 //     a key the original lacks misses it, so the victim's key is read back
 //     through the root path. From the CAS on the entry names the grown copy
 //     and the jump-started survivor reads the key itself.
+//
+// A third client, the holder, remembers since before the victim's put where
+// the node under "budget-" lived. At every crash point it reads every
+// acknowledged key and inserts a key of its own, which a reader walking from
+// the root must find: the insert never lands in a node the tree no longer
+// reaches. From the entry swap to the invalidation that never came, a type
+// switch's original is such a node — valid, named by nothing but the holder's
+// cache — and it is the dead victim's lease on it that keeps the holder out
+// (fetchRemembered: a leased image asks the table). Where the table itself
+// still names the original, the one crash point above, no jump is safe, with
+// or without a remembered address, and the holder's insert is left out.
 func TestFusedWriteCrashSweep(t *testing.T) {
 	for _, sc := range writeScenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -430,6 +467,8 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 		f.SetFaultPlan(&fabric.FaultPlan{Seed: 1, CrashAfterVerbs: map[int]uint64{1: n}})
 		victim := sc.victim(t, f, shared, setup, warm)
 		f.SetFaultPlan(nil)
+		holder := NewClient(shared, f.NewClient(), Options{Filter: setup.filter})
+		original := landingOf(t, holder, "budget-a", "budget-") // and the holder remembers it
 		if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
 			if !errors.Is(err, fabric.ErrClientCrashed) {
 				t.Fatalf("%s: victim put = %v", what, err)
@@ -476,6 +515,40 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 		sc.checkReadable(t, f, shared, what+", after the survivor's put")
 		checkNoPhantomEntries(t, survivor, before, what+", after the survivor's put")
 		checkOneEntryPerPrefix(t, survivor, what+", after the survivor's put")
+
+		if addr, _, ok := holder.lac.LookupNode([]byte("budget-")); !ok || addr != original.Addr {
+			t.Fatalf("%s: the holder remembers %v, %v for \"budget-\"; want the original %v", what, addr, ok, original.Addr)
+		}
+		for _, k := range sc.setup {
+			if want := "v-" + k; k != sc.key {
+				warmSearch(t, holder, []byte(k), []byte(want))
+			}
+		}
+		tableNamesOrphan := sc.name == "type switch" && n == shape.first+1
+		// The swing executed and the victim died before the invalidation:
+		// the original is valid, leased for good, and off the tree.
+		orphaned := sc.name == "type switch" && n > shape.first+1 && n < shape.verbs
+		if addr, _, _ := holder.lac.LookupNode([]byte("budget-")); orphaned && (holder.Stats().NodeAborts != 1 || addr == original.Addr) {
+			t.Errorf("%s: the holder turned down %d leased images and remembers %v; want the orphaned original %v turned down once, for the copy the table names",
+				what, holder.Stats().NodeAborts, addr, original.Addr)
+		}
+		if !tableNamesOrphan {
+			// The survivor's put is acknowledged: the holder reads it. Then the
+			// holder's own writes — a fresh key, and an out-of-place update,
+			// which swings a slot of whichever node it lands in (the orphan of a
+			// type switch is full and turns an insert away by itself).
+			warmSearch(t, holder, []byte(sc.key), []byte("survivor"))
+			mine, grown := []byte("budget-~"), outOfPlaceUpdate.value("holder")
+			if _, err := holder.Insert(mine, []byte("holder")); err != nil {
+				t.Fatalf("%s: holder put: %v", what, err)
+			}
+			if ok, err := holder.Update([]byte(sc.setup[0]), grown); err != nil || !ok {
+				t.Fatalf("%s: holder update = %v, %v", what, ok, err)
+			}
+			fromRoot := newTestClient(f, shared, Options{}) // cold filter
+			warmSearch(t, fromRoot, mine, []byte("holder"))
+			warmSearch(t, fromRoot, []byte(sc.setup[0]), grown)
+		}
 	}
 	if crashed == 0 {
 		t.Fatal("no sweep point crashed the victim; the sweep exercises nothing")
@@ -850,6 +923,12 @@ func (f observerFunc) ObserveBatch(ev fabric.BatchEvent) { f(ev) }
 // (With the swap in a batch of its own, the jump at that boundary lands on the
 // still-valid original, which lacks the key.) The boundary behind the lock
 // batch is left out: both nodes are leased there and a rival waits, by design.
+//
+// A second rival remembers the original's address. Between the swing and the
+// invalidation the original is still valid and nothing but that cache names
+// it; it is also still leased by the switching writer, and a leased image is
+// not trusted: the holder asks the table, reads the first rival's key in the
+// grown copy, and its own insert lands where a walk from the root finds it.
 func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 	sc := writeScenarios[5]
 	shape := sc.calibrate(t, false)
@@ -859,6 +938,8 @@ func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 		victim := NewClient(shared, f.NewClient(), Options{})
 		rival := newTestClient(f, shared, Options{DisableLeafCache: true})
 		warmSearch(t, rival, []byte(sc.setup[0]), []byte("v-"+sc.setup[0]))
+		holder := newTestClient(f, shared, Options{Filter: rival.filter})
+		original := landingOf(t, holder, sc.setup[0], "budget-")
 		fresh := []byte("budget-~") // a free edge of the switching node
 		ran := false
 		victim.eng.C.SetObserver(&afterBatches{n: at, fn: func() {
@@ -878,6 +959,18 @@ func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 			if rival.Stats().FilterHits != jumps+1 {
 				t.Errorf("boundary %d: the read-back did not jump through the hash table", at)
 			}
+			if addr, _, ok := holder.lac.LookupNode([]byte("budget-")); !ok || addr != original.Addr {
+				t.Fatalf("boundary %d: the holder remembers %v, %v; want the original %v", at, addr, ok, original.Addr)
+			}
+			warmSearch(t, holder, fresh, []byte("fresh"))
+			if st := holder.Stats(); st.NodeHits != 0 || st.NodeAborts+st.NodeRefutes != 1 {
+				t.Errorf("boundary %d: the holder's landing at the original: %d hits, %d leased, %d refuted; want it turned down once",
+					at, st.NodeHits, st.NodeAborts, st.NodeRefutes)
+			}
+			if _, err := holder.Insert([]byte("budget-}"), []byte("held")); err != nil {
+				t.Fatalf("boundary %d: holder put: %v", at, err)
+			}
+			warmSearch(t, newTestClient(f, shared, Options{}), []byte("budget-}"), []byte("held")) // from the root
 		}})
 		if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
 			t.Fatalf("victim put: %v", err)

@@ -91,7 +91,7 @@ func TestAddSubLoad(t *testing.T) {
 		walked[fabric.Stats, [13]uint64](t, rng)
 		walked[racehash.Stats, [14]uint64](t, rng)
 		walked[rart.EngineStats, [16]uint64](t, rng)
-		walked[core.Stats, [43]uint64](t, rng)
+		walked[core.Stats, [46]uint64](t, rng)
 		walked[core.LACStats, [3]uint64](t, rng)
 		walked[cuckoo.Stats, [10]uint64](t, rng)
 	}

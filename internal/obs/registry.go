@@ -94,9 +94,11 @@ func (r *Registry) AddMetrics(prefix string, m *Metrics) {
 	r.metrics = append(r.metrics, metricsSource{prefix: prefix, m: m})
 }
 
-// Snapshot reads every registered source. Histograms with zero
-// observations are omitted to keep exports small; Sub treats a missing
-// histogram as empty, so diffs stay correct.
+// Snapshot reads every registered source. Of a Metrics set's many per-op and
+// per-stage histograms those with zero observations are omitted to keep
+// exports small (Sub treats a missing histogram as empty, so diffs stay
+// correct); a standalone histogram is a family of its own and is exported at
+// count 0 too — whether a family exists must not depend on traffic.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -116,7 +118,7 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	for _, src := range r.hists {
-		addHist(s.Hists, src.name, src.h.Snapshot())
+		s.Hists[src.name] = src.h.Snapshot()
 	}
 	for _, src := range r.metrics {
 		for k := 0; k < NumOps; k++ {

@@ -26,7 +26,13 @@ type TailSample struct {
 // TailSampler is an always-on reservoir of slow-operation traces: every
 // finished op's latency feeds a per-op-kind moving distribution, and ops
 // at or above the configured quantile (p99 by default) have their trace
-// deep-copied into a bounded ring. It is mutex-guarded so sequential
+// deep-copied into a bounded ring. The distribution is a power-of-two
+// histogram, so the quantile is only known to a bucket: an op above that
+// bucket is tail for certain and always captured (at most 1 − quantile of
+// the kind's ops lie there, so an outlier is never starved), an op inside
+// it only while the kind's captures are below 1 − quantile of its ops —
+// admitting the whole bucket captured every second op of a kind whose
+// median shares the bucket of its p99. It is mutex-guarded so sequential
 // workers across goroutines can share one sampler; the recorders feeding
 // it remain per-worker.
 type TailSampler struct {
@@ -36,6 +42,7 @@ type TailSampler struct {
 	minPop   uint64                     // observations needed before the quantile is meaningful
 	buckets  [NumOps][NumBuckets]uint64 // power-of-two latency counts
 	counts   [NumOps]uint64
+	captures [NumOps]uint64
 	samples  []TailSample // ring of the most recent captures
 	next     int
 	seq      uint64
@@ -66,10 +73,9 @@ func NewTailSampler(quantile float64, capacity int) *TailSampler {
 	}
 }
 
-// thresholdLocked returns the lower edge of the bucket holding the
-// quantile-th observation for kind: an op is "tail" when it lands in the
-// same power-of-two bucket as the quantile or above it.
-func (ts *TailSampler) thresholdLocked(kind OpKind) uint64 {
+// quantileBucketLocked returns the power-of-two bucket holding the
+// quantile-th observation for kind.
+func (ts *TailSampler) quantileBucketLocked(kind OpKind) int {
 	target := uint64(math.Ceil(ts.quantile * float64(ts.counts[kind])))
 	if target == 0 {
 		target = 1
@@ -78,13 +84,18 @@ func (ts *TailSampler) thresholdLocked(kind OpKind) uint64 {
 	for i, b := range ts.buckets[kind] {
 		cum += b
 		if cum >= target {
-			if i == 0 {
-				return 0
-			}
-			return BucketUpper(i-1) + 1
+			return i
 		}
 	}
-	return math.MaxUint64
+	return NumBuckets - 1
+}
+
+// bucketLower returns the smallest latency of bucket i: the capture bar.
+func bucketLower(i int) uint64 {
+	if i == 0 {
+		return 0
+	}
+	return BucketUpper(i-1) + 1
 }
 
 // Offer feeds one finished operation. It always updates the latency
@@ -107,10 +118,12 @@ func (ts *TailSampler) Offer(kind OpKind, tr *Trace) bool {
 	if ts.counts[kind] <= ts.warmup || ts.counts[kind] < ts.minPop {
 		return false
 	}
-	thr := ts.thresholdLocked(kind)
-	if lat < thr || lat == 0 {
+	q, b := ts.quantileBucketLocked(kind), bits.Len64(lat)
+	if b < q || lat == 0 || (b == q && float64(ts.captures[kind]) >= (1-ts.quantile)*float64(ts.counts[kind])) {
 		return false
 	}
+	thr := bucketLower(q)
+	ts.captures[kind]++
 	ts.seq++
 	sample := TailSample{
 		Trace: tr.Clone(), Kind: kind, LatencyPs: lat,
@@ -170,7 +183,7 @@ func (ts *TailSampler) Threshold(kind OpKind) uint64 {
 	if ts.counts[kind] <= ts.warmup || ts.counts[kind] < ts.minPop {
 		return 0
 	}
-	return ts.thresholdLocked(kind)
+	return bucketLower(ts.quantileBucketLocked(kind))
 }
 
 // Counters exposes the sampler's totals for registry registration.

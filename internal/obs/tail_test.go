@@ -101,6 +101,42 @@ func TestTailSamplerColdStart(t *testing.T) {
 	}
 }
 
+// TestTailSamplerBoundedShare pins the capture share on a distribution whose
+// p99 shares its power-of-two bucket with nearly half the population: a
+// bimodal 53 % / 47 % stream one bucket apart with a 0.5 % far tail mixed in.
+// Admitting the quantile's whole bucket captured ≈ 0.47 of all ops (each a
+// Trace.Clone + Explain). The far tail lies above the bucket and is captured
+// to the last op; the bucket itself is admitted within the 1 − q budget.
+func TestTailSamplerBoundedShare(t *testing.T) {
+	const n = 20_000
+	ts := NewTailSampler(0.99, 8)
+	var far, farCaptured uint64
+	for i := 0; i < n; i++ {
+		switch {
+		case i%200 == 199:
+			far++
+			if ts.Offer(OpGet, mkTrace(400_000_000)) {
+				farCaptured++
+			}
+		case i%100 < 53:
+			ts.Offer(OpGet, mkTrace(3_000_000)) // bucket 22
+		default:
+			ts.Offer(OpGet, mkTrace(6_000_000)) // bucket 23: holds the p99
+		}
+	}
+	if thr := ts.Threshold(OpGet); thr != 1<<22 {
+		t.Fatalf("threshold %d, want the p99 bucket's lower edge %d", thr, 1<<22)
+	}
+	_, captured := ts.Stats()
+	if limit := uint64(2*0.01*n) + 100; captured > limit {
+		t.Errorf("captured %d of %d ops (%.3f), want ≤ %d: the quantile's bucket is admitted whole",
+			captured, n, float64(captured)/n, limit)
+	}
+	if farCaptured != far {
+		t.Errorf("captured %d of %d far-tail ops, want all: ops above the quantile's bucket are never starved", farCaptured, far)
+	}
+}
+
 // TestTailSamplerRing checks ring-buffer retention: capacity bounds the
 // sample count, Samples returns newest first, and the retained traces
 // are clones that survive recorder reuse.

@@ -946,6 +946,11 @@ func (e *Engine) LeaseRead(addr mem.Addr, hint wire.NodeType) (*Node, error) {
 	return n, nil
 }
 
+// HoldsBet reports whether n is an image LeaseRead returned under a lease it
+// won and the put still holds: the one lease on a landing's image that is the
+// reader's own.
+func (e *Engine) HoldsBet(n *Node) bool { return n != nil && (e.bets[0] == n || e.bets[1] == n) }
+
 // takeBet turns the lease a bet won on n, if any, into the caller's lock.
 func (e *Engine) takeBet(n *Node) bool {
 	for i, b := range e.bets {

@@ -103,7 +103,9 @@ func randKeys(n, length int, seed uint64) [][]byte {
 // registry exports next to it.
 func TestMeasuredFPRateGauge(t *testing.T) {
 	// A small filter so the probe phase runs it at meaningful load.
-	cluster, err := NewCluster(Config{Timing: TimingInstant, CacheBytes: 2 << 10})
+	// A leaf-address cache far smaller than the key set: leaves displace node
+	// words, so some landings remember their node and the others ask the table.
+	cluster, err := NewCluster(Config{Timing: TimingInstant, CacheBytes: 2 << 10, LeafCacheBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +174,14 @@ func TestMeasuredFPRateGauge(t *testing.T) {
 // DESIGN.md §5.9: in a read-only steady state every hash-read-stage round
 // trip is a hash-table lookup, a stale-directory retry, or half a
 // directory refresh — and every lookup is either a filter hit or a false
-// positive. So the SFC's false positives are exactly the extra hash-read
-// round trips beyond the filter hits.
+// positive. A filter hit whose node is read at a remembered address is the
+// one claim that looks nothing up (a refuted or untrusted address asks the
+// table and counts as what the table says). So the SFC's false positives are
+// exactly the extra hash-read round trips beyond the filter hits that asked.
 func TestFPHashReadReconciliation(t *testing.T) {
-	cluster, err := NewCluster(Config{Timing: TimingInstant, CacheBytes: 2 << 10})
+	// A leaf-address cache far smaller than the key set: leaves displace node
+	// words, so some landings remember their node and the others ask the table.
+	cluster, err := NewCluster(Config{Timing: TimingInstant, CacheBytes: 2 << 10, LeafCacheBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +216,13 @@ func TestFPHashReadReconciliation(t *testing.T) {
 	}
 	lookups := hs.Lookups - hs0.Lookups
 	claims := (st.FilterHits - st0.FilterHits) + (st.FalsePositives - st0.FalsePositives)
-	if lookups != claims {
-		t.Fatalf("hash lookups %d != filter hits + false positives %d", lookups, claims)
+	remembered := st.NodeHits - st0.NodeHits
+	if lookups != claims-remembered {
+		t.Fatalf("hash lookups %d != filter hits + false positives %d − node hits %d", lookups, claims, remembered)
+	}
+	if remembered == 0 || remembered == st.FilterHits-st0.FilterHits {
+		t.Fatalf("%d of %d filter hits landed at a remembered address; the phase should take both routes",
+			remembered, st.FilterHits-st0.FilterHits)
 	}
 	wantRT := lookups + (hs.RetryReads - hs0.RetryReads) + 2*(hs.Refreshes-hs0.Refreshes)
 	if got := rt - rt0; got != wantRT {

@@ -12,13 +12,16 @@ import (
 // TestTraceColdGet pins the paper's §III-B claim in trace form: a Get the
 // leaf-address cache has no opinion on costs exactly three round trips —
 // hash-read, node-read, leaf-read — independent of tree depth, and the
-// session's histogram totals reconcile with the fabric's own counters.
+// session's histogram totals reconcile with the fabric's own counters. That is
+// the first touch of the prefix; it teaches the cache where the prefix's node
+// lives, and the next Get under it needs no table read: two round trips.
 func TestTraceColdGet(t *testing.T) {
 	cluster, err := NewCluster(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := cluster.NewComputeNode().NewSession()
+	cn := cluster.NewComputeNode()
+	s := cn.NewSession()
 
 	// Two keys diverging at depth 3 force an inner node at "LYR", so the
 	// hash path has a real hash-table target below the root.
@@ -34,6 +37,10 @@ func TestTraceColdGet(t *testing.T) {
 	if _, ok, err := s.Get([]byte("LYRICS")); err != nil || !ok {
 		t.Fatalf("warm-up Get = ok %v, err %v", ok, err)
 	}
+	// The session built "LYR" itself and remembers where it put it. A first
+	// touch is the filter knowing a prefix whose address the cache does not
+	// hold — learned from a peer's traversal, or displaced by leaf addresses.
+	cn.lac.Reset()
 
 	tr, err := s.Trace("get LYRBIC", func() error {
 		v, ok, err := s.Get([]byte("LYRBIC"))
@@ -73,6 +80,30 @@ func TestTraceColdGet(t *testing.T) {
 		if !strings.Contains(out, needle) {
 			t.Errorf("trace output missing %q:\n%s", needle, out)
 		}
+	}
+
+	// Second touch: LYRICS's leaf is forgotten too, the landing is not.
+	sx0, _ := s.SphinxStats()
+	tr2, err := s.Trace("get LYRICS", func() error {
+		_, _, err := s.Get([]byte("LYRICS"))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages = stages[:0]
+	for _, e := range tr2.Events {
+		if e.Batch {
+			stages = append(stages, e.Stage.String())
+		}
+	}
+	if out := tr2.Format(); tr2.RoundTrips() != 2 || strings.Join(stages, " ") != "node-read leaf-read" ||
+		!strings.Contains(out, "node address hit: table read skipped") {
+		t.Fatalf("second-touch Get: %d round trips, stages %v; want 2, the node at its remembered address and the leaf:\n%s",
+			tr2.RoundTrips(), stages, out)
+	}
+	if sx, _ := s.SphinxStats(); sx.NodeHits != sx0.NodeHits+1 || sx.NodeRefutes != 0 || sx.NodeAborts != 0 {
+		t.Errorf("node address hits %d → %d, refutes %d, aborts %d; want one more, 0, 0", sx0.NodeHits, sx.NodeHits, sx.NodeRefutes, sx.NodeAborts)
 	}
 
 	// The tee'd recorder must not have perturbed the session accounting: a
@@ -380,11 +411,13 @@ func TestTraceReplicatedPut(t *testing.T) {
 }
 
 // TestTraceWarmPut pins the write path in trace form: a Put of a fresh key
-// under a node the filter cache knows costs exactly THREE round trips, the
-// paper's — hash-read, the landing node's READ behind the CAS for its lease
-// (a lock batch), and the install carrying the fresh leaf's WRITE, the slot
-// WRITE and the unlock — abandons nothing, gives back no lease, and
-// reconciles with the fabric's own counters.
+// under a node whose prefix the filter cache knows and whose address the
+// leaf-address cache remembers costs exactly TWO round trips — the landing
+// node's READ behind the CAS for its lease (a lock batch), with no table read
+// ahead of it, and the install carrying the fresh leaf's WRITE, the slot WRITE
+// and the unlock — abandons nothing, gives back no lease, and reconciles with
+// the fabric's own counters. (The first touch of a prefix pays the paper's
+// third: internal/core TestWriteBudgetsWithINHT has both columns.)
 func TestTraceWarmPut(t *testing.T) {
 	cluster, err := NewCluster(Config{})
 	if err != nil {
@@ -393,7 +426,7 @@ func TestTraceWarmPut(t *testing.T) {
 	s := cluster.NewComputeNode().NewSession()
 
 	// Two keys diverging at depth 3 create the inner node "LYR" and teach
-	// the filter cache its prefix.
+	// the filter cache its prefix and the leaf-address cache its address.
 	if err := s.Put([]byte("LYRICS"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -405,8 +438,8 @@ func TestTraceWarmPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.RoundTrips(); got != 3 {
-		t.Fatalf("warm fresh-key Put took %d round trips, want 3:\n%s", got, tr.Format())
+	if got := tr.RoundTrips(); got != 2 {
+		t.Fatalf("warm fresh-key Put took %d round trips, want 2:\n%s", got, tr.Format())
 	}
 	var stages []string
 	for _, e := range tr.Events {
@@ -415,12 +448,14 @@ func TestTraceWarmPut(t *testing.T) {
 		}
 	}
 	want := []string{
-		fabric.StageHashRead.String(),
 		fabric.StageLock.String(),
 		fabric.StageInstall.String(),
 	}
 	if strings.Join(stages, " ") != strings.Join(want, " ") {
 		t.Fatalf("batch stages = %v, want %v:\n%s", stages, want, tr.Format())
+	}
+	if !strings.Contains(tr.Format(), "node address hit: table read skipped") {
+		t.Errorf("Put trace lacks the remembered landing's note:\n%s", tr.Format())
 	}
 	if out := tr.Format(); strings.Contains(out, "abandoned") || strings.Contains(out, "restart") || strings.Contains(out, "lease bet") {
 		t.Errorf("uncontended Put trace reports waste, a restart or a bet that did not become the lock:\n%s", out)
