@@ -51,18 +51,22 @@ func (h hooks) Plan(pubs []rart.Publication) (rart.Publisher, error) {
 }
 
 // publisher carries the hash-table publications of one structural write
-// from plan to commit (rart.Publisher): the read-piggyback-then-CAS publish.
-// A fresh inner node is an insert of an 8-byte entry keyed by its full
-// prefix into the owning memory node's table (§IV Insert; the local filter
-// learns the prefix, remote CNs learn it lazily during traversals:
-// "synchronization of caches on other CNs is deferred"); a type switch is a
-// swap of the node's entry for the grown copy's (typeSwitched). The bucket
-// pairs were fetched with the write's lock batch, so every entry CAS, each
-// with its bucket-header re-check, rides the write's commit batch and costs
-// no round trip of its own; an entry whose prefetched buckets turned out
-// stale, split-locked, full or already changed, whose CAS lost, or whose
-// batch's outcomes are unknown takes the table's own read-then-CAS loop in
-// Publish, which is idempotent (counted: racehash.Stats.PlannedLost).
+// from plan to commit (rart.Publisher). A fresh inner node is an insert of
+// an 8-byte entry keyed by its full prefix into the owning memory node's
+// table (§IV Insert; the local filter learns the prefix, remote CNs learn it
+// lazily during traversals: "synchronization of caches on other CNs is
+// deferred"); a type switch is a swap of the node's entry for the grown
+// copy's (typeSwitched). Every entry CAS, with its bucket-header re-check,
+// rides the write's commit batch and costs no round trip of its own. A fresh
+// entry's word is unique, so its CAS goes blind — no bucket READ ahead of it,
+// the pair read behind it (racehash.PreparedRead.AppendFreshInsert); a swap
+// must name the old entry's slot, so it is planned from the bucket pair the
+// lock batch fetched: the read-piggyback-then-CAS publish. An entry whose
+// guessed slot was taken is planned again from the pair read behind it (one
+// round trip); one whose buckets turned out stale, split-locked, full or
+// already changed, whose CAS lost, or whose batch's outcomes are unknown
+// takes the table's own read-then-CAS loop in Publish, which is idempotent
+// (counted: racehash.Stats.BlindLost, PlannedLost).
 //
 // One per client, reused across operations: the write paths are not
 // re-entrant.
@@ -100,8 +104,12 @@ func (p *publisher) plan(c *Client, pubs []rart.Publication) error {
 
 // AppendReads implements rart.Publisher.
 func (p *publisher) AppendReads(ops []fabric.Op) []fabric.Op {
-	for i, view := range p.views {
-		if view != nil {
+	for i, pub := range p.pubs {
+		switch {
+		case p.views[i] == nil:
+		case pub.Old == nil:
+			ops = p.reads[i].AppendFreshReads(ops)
+		default:
 			ops = p.reads[i].AppendOps(ops)
 		}
 	}
@@ -118,7 +126,7 @@ func (p *publisher) AppendCommit(ops []fabric.Op) []fabric.Op {
 		switch {
 		case p.views[i] == nil:
 		case pub.Old == nil:
-			ops, _ = p.reads[i].AppendInsert(ops, entryOf(pub.Prefix, pub.Node))
+			ops, _ = p.reads[i].AppendFreshInsert(ops, entryOf(pub.Prefix, pub.Node))
 		default:
 			ops, _ = p.reads[i].AppendReplace(ops, entryOf(pub.Prefix, pub.Old), entryOf(pub.Prefix, pub.Node))
 		}
@@ -141,6 +149,9 @@ func (p *publisher) Publish(commit []fabric.Op) error {
 			err = view.FinishInsert(&p.reads[i], commit, entryOf(pub.Prefix, pub.Node), c.eng.Alloc)
 		default:
 			err = view.FinishReplace(&p.reads[i], commit, entryOf(pub.Prefix, pub.Old), entryOf(pub.Prefix, pub.Node))
+		}
+		if c.rec != nil && p.views[i] != nil && p.reads[i].Retried {
+			c.rec.Note(fabric.StagePublish, c.eng.C.Clock(), "inht entry: guessed slot taken, planned again from the pair read")
 		}
 		if c.rec != nil && p.views[i] != nil && p.reads[i].Lost {
 			c.rec.Note(fabric.StagePublish, c.eng.C.Clock(),

@@ -89,7 +89,7 @@ func TestAddSubLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 20; i++ {
 		walked[fabric.Stats, [13]uint64](t, rng)
-		walked[racehash.Stats, [14]uint64](t, rng)
+		walked[racehash.Stats, [16]uint64](t, rng)
 		walked[rart.EngineStats, [16]uint64](t, rng)
 		walked[core.Stats, [46]uint64](t, rng)
 		walked[core.LACStats, [3]uint64](t, rng)

@@ -172,13 +172,13 @@ func (c *Client) Fabric() *Fabric { return c.f }
 //
 // This is the primitive behind the paper's "reading all these hash entries
 // can be performed in a single round trip" (§III-A) and its piggybacked
-// lock acquisition/release (§IV).
+// lock acquisition/release (§IV). A transient that cut the batch names the
+// prefix that executed (Executed).
 func (c *Client) Batch(ops []Op) error {
 	if c.pipe != nil {
 		return c.pipe.submit(c, ops)
 	}
-	_, err := c.run(ops)
-	return err
+	return cut(c.run(ops))
 }
 
 // nodeShare accumulates one target NIC's slice of a batch.

@@ -24,7 +24,8 @@ var (
 	// NAK, ECC hiccup, dropped ACK on a reliable QP after retries). Verbs
 	// posted before the failing one in the same batch have executed and
 	// their results stand (READ destinations filled, CAS/FAA pre-images in
-	// Op.Old); the failing verb and everything after it have not.
+	// Op.Old); the failing verb and everything after it have not. Executed
+	// says how many ran.
 	ErrTransient = errors.New("fabric: transient verb failure")
 	// ErrTimeout is a lost completion: the batch executed on the memory
 	// node, but the client never saw the CQE. The client's clock advances
@@ -144,4 +145,40 @@ func mix64(v uint64) uint64 {
 // faultErr wraps a typed fault error with batch context.
 func faultErr(base error, format string, args ...any) error {
 	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), base)
+}
+
+// cutErr is an ErrTransient that names the prefix of the batch it cut: the
+// first executed verbs ran, their results stand, the rest did not.
+type cutErr struct {
+	error
+	executed int
+}
+
+func (c *cutErr) Unwrap() error { return c.error }
+
+// cut attaches to a batch's error how many of its leading verbs executed, for
+// a transient only: the one fault whose executed prefix a poster can build on
+// (a down node or an open breaker executed nothing, a lost completion all of
+// it unseen, and a crash ends the client).
+func cut(executed int, err error) error {
+	if executed <= 0 || !errors.Is(err, ErrTransient) {
+		return err
+	}
+	return &cutErr{err, executed}
+}
+
+// Executed returns how many leading verbs of a batch that failed with err
+// executed, with their results standing (ErrTransient's contract): a batch
+// that must still take effect is issued again from the first verb it did not
+// execute, never again from the top — a verb already executed may have been
+// overtaken since by another client's write. 0 for any other error.
+func Executed(err error) int {
+	if err == nil {
+		return 0 // checked first: the target below escapes, the clean path allocates nothing
+	}
+	var c *cutErr
+	if errors.As(err, &c) {
+		return c.executed
+	}
+	return 0
 }

@@ -54,6 +54,49 @@ func TestTransientFaultExecutesPrefix(t *testing.T) {
 	}
 }
 
+// TestExecutedNamesTheCutPrefix: a transient names the prefix of the poster's
+// own batch that executed — memory shows exactly that many verbs — on a plain
+// client, on one that posts verb by verb (the batching ablation) and on each
+// lane of a coalesced pipeline flush; every other outcome names none.
+func TestExecutedNamesTheCutPrefix(t *testing.T) {
+	sawCut := false
+	for seed := uint64(1); seed <= 16; seed++ {
+		for _, noBatch := range []bool{false, true} {
+			f, id := newTestFabric(InstantConfig())
+			f.SetFaultPlan(&FaultPlan{Seed: seed, TransientPer64k: 1 << 15})
+			c := f.NewClient()
+			c.SetNoBatch(noBatch)
+			err := c.Batch(writeOps(id, 0, 8))
+			got, want := Executed(err), executedPrefix(f, id, 0, 8)
+			if err == nil && want != 8 || err != nil && got != want {
+				t.Errorf("seed %d, no batch %v: Executed(%v) = %d, memory shows %d", seed, noBatch, err, got, want)
+			}
+			sawCut = sawCut || got > 0
+		}
+	}
+	if !sawCut {
+		t.Error("no seed cut a batch after its first verb")
+	}
+	if Executed(nil) != 0 || Executed(ErrTimeout) != 0 || Executed(ErrTransient) != 0 {
+		t.Error("Executed names verbs for an error that is no cut transient")
+	}
+
+	// Pipeline lanes: three lanes of four writes each share one flush; the lane
+	// the cut falls inside sees its own share, the lanes before it no error.
+	f := New(DefaultConfig())
+	id := f.AddNode(1 << 20)
+	f.SetFaultPlan(&FaultPlan{Seed: 5, TransientPer64k: 1 << 16})
+	p := NewPipe(f.NewClient())
+	lanes := []*Client{p.NewLane(), p.NewLane(), p.NewLane()}
+	errs := make([]error, len(lanes))
+	runLanes(p, lanes, func(i int, lane *Client) { errs[i] = lane.Batch(writeOps(id, uint64(64*i), 4)) })
+	for i, err := range errs {
+		if got, want := Executed(err), executedPrefix(f, id, uint64(64*i), 4); err == nil && want != 4 || err != nil && got != want {
+			t.Errorf("lane %d: Executed(%v) = %d, memory shows %d", i, err, got, want)
+		}
+	}
+}
+
 func TestTimeoutExecutesFully(t *testing.T) {
 	f, id := newTestFabric(InstantConfig())
 	f.SetFaultPlan(&FaultPlan{Seed: 2, TimeoutPer64k: 65536, TimeoutPs: 5_000_000})

@@ -33,7 +33,8 @@ import (
 // Fault demultiplexing: a transient fault truncates the merged batch at
 // one verb; lanes whose verbs all executed before the truncation point
 // observed complete successful completions and proceed, while the rest
-// see ErrTransient and retry independently (per-lane backoff, per-lane
+// see ErrTransient — naming the prefix of their own batch that executed
+// (Executed) — and retry independently (per-lane backoff, per-lane
 // jitter). Timeouts, node-down rejections and client crashes are
 // batch-wide: every participant sees the error, as it would have
 // sequentially.
@@ -210,13 +211,21 @@ func (p *Pipe) flushLocked() {
 	off := 0
 	for _, cl := range calls {
 		end := off + len(cl.ops)
+		executedHere := len(cl.ops)
+		if end > executed {
+			executedHere = max(executed-off, 0)
+		}
 		cerr := err
-		if err != nil && errors.Is(err, ErrTransient) && end <= executed {
+		if err != nil && errors.Is(err, ErrTransient) {
 			// Every verb this lane contributed executed before the batch
-			// died, so the lane observed a complete successful completion.
-			// (Timeouts, node-down windows and crashes stay batch-wide:
-			// those lose or reject the whole completion.)
+			// died: the lane observed a complete successful completion. Else
+			// the lane sees the cut at its own share of the batch. (Timeouts,
+			// node-down windows and crashes stay batch-wide: those lose or
+			// reject the whole completion.)
 			cerr = nil
+			if executedHere < len(cl.ops) {
+				cerr = cut(executedHere, err)
+			}
 		}
 		cl.lane.clock = p.main.clock
 		// Notify the lane's observer before releasing the lane goroutine:
@@ -226,13 +235,6 @@ func (p *Pipe) flushLocked() {
 		// round trip on the main client's own event.
 		if o := cl.lane.obs; o != nil {
 			var bytes uint64
-			executedHere := len(cl.ops)
-			if end > executed {
-				executedHere = executed - off
-				if executedHere < 0 {
-					executedHere = 0
-				}
-			}
 			for i := 0; i < executedHere; i++ {
 				bytes += opBytes(&cl.ops[i])
 			}

@@ -74,17 +74,12 @@ func (v *View) splitLocked(h uint64, alloc *mem.Allocator) ([]leftover, error) {
 	}
 	// Another client may have split this segment while we waited for the
 	// lock; if the candidate buckets have room now, there is nothing to do.
-	p, err := v.Prepare(h)
+	p, err := v.read(h)
 	if err != nil {
 		return nil, err
 	}
-	if err := v.c.Batch(p.Ops()); err != nil {
-		return nil, err
-	}
-	if p.Valid() {
-		if _, ok := p.find(0); ok {
-			return nil, nil
-		}
+	if _, ok := p.find(0); ok {
+		return nil, nil
 	}
 
 	dirIdx := h & depthMask(v.depth)
@@ -162,6 +157,13 @@ func (v *View) splitLocked(h uint64, alloc *mem.Allocator) ([]leftover, error) {
 	newImg := emptySegmentImage(newDepth, newSuffix)
 	var leftovers []leftover
 	for _, le := range live {
+		if le.h&depthMask(localDepth) != suffix {
+			// An orphan: an entry CAS that landed here on a stale directory
+			// cache, when this was no longer its hash's home. No lookup
+			// reaches it, and its writer inserts the word at home (settle);
+			// moved along, it would survive there as a second copy.
+			continue
+		}
 		img := oldImg
 		if le.h>>localDepth&1 == 1 {
 			img = newImg
@@ -182,7 +184,6 @@ func (v *View) splitLocked(h uint64, alloc *mem.Allocator) ([]leftover, error) {
 	// Repoint the directory: every index with the old suffix splits on bit
 	// localDepth between the two segments, both at depth+1.
 	var dirOps []fabric.Op
-	_, dirAddr := v.metaCached()
 	for j := uint64(0); j < uint64(1)<<v.depth; j++ {
 		if j&depthMask(localDepth) != suffix {
 			continue
@@ -196,7 +197,7 @@ func (v *View) splitLocked(h uint64, alloc *mem.Allocator) ([]leftover, error) {
 		v.dir[j] = w
 		buf := make([]byte, 8)
 		putUint64(buf, w)
-		dirOps = append(dirOps, fabric.Op{Kind: fabric.Write, Addr: dirAddr.Add(j * 8), Data: buf})
+		dirOps = append(dirOps, fabric.Op{Kind: fabric.Write, Addr: v.dirAddr.Add(j * 8), Data: buf})
 	}
 	for len(dirOps) > 0 {
 		n := len(dirOps)
@@ -216,11 +217,6 @@ func (v *View) splitLocked(h uint64, alloc *mem.Allocator) ([]leftover, error) {
 	}
 	return leftovers, nil
 }
-
-// metaCached reconstructs the cached meta fields. The directory address is
-// tracked alongside the cache by refresh; to avoid a second field it is
-// recomputed here from the last refresh.
-func (v *View) metaCached() (uint8, mem.Addr) { return v.depth, v.dirAddr }
 
 // doubleDirectory doubles the directory under the table lock: the new
 // half mirrors the old, then the meta word flips atomically. Readers

@@ -256,3 +256,68 @@ func TestReplaceWaitsForInFlightInsert(t *testing.T) {
 		t.Error("new entry missing after waited replace")
 	}
 }
+
+// TestConcurrentBlindInsertsRaceSplits: clients insert blind into a table
+// that starts at one segment, so their CASes race the splits other clients'
+// inserts set off, and their directory caches go stale under them. Every entry
+// is found, in exactly one slot.
+func TestConcurrentBlindInsertsRaceSplits(t *testing.T) {
+	env := newEnv(t, 1)
+	const workers, perWorker = 5, 300
+	entries := make([][]wire.HashEntry, workers)
+	stats := make([]Stats, workers)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := env.f.NewClient()
+			alloc := mem.NewAllocator(c, 0)
+			v := NewView(env.table, c)
+			defer func() { stats[w] = v.Stats() }()
+			for i := 0; i < perWorker; i++ {
+				h, fp := hashFP(w*perWorker + i)
+				e := env.makeEntry(t, c, alloc, h, fp)
+				if _, err := blindInsert(v, h, e, alloc, nil); err != nil {
+					errs <- fmt.Errorf("worker %d insert %d: %w", w, i, err)
+					return
+				}
+				entries[w] = append(entries[w], e)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var sum Stats
+	for _, st := range stats {
+		sum = sum.Add(st)
+	}
+	if sum.Splits == 0 || sum.BlindInserts != workers*perWorker || sum.BlindLost == 0 {
+		t.Errorf("%d splits, %d blind inserts, %d lost; want splits racing blind inserts that lost some", sum.Splits, sum.BlindInserts, sum.BlindLost)
+	}
+	seen := make(map[wire.HashEntry]int)
+	if err := NewView(env.table, env.f.NewClient()).Walk(func(e wire.HashEntry) error { seen[e]++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	v := NewView(env.table, env.f.NewClient())
+	for w := range entries {
+		for i, e := range entries[w] {
+			h, fp := hashFP(w*perWorker + i)
+			cands, err := v.Lookup(h, fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, c := range cands {
+				found = found || c.Entry == e
+			}
+			if !found || seen[e] != 1 {
+				t.Fatalf("worker %d entry %d: found %v, in %d slots; want found, 1", w, i, found, seen[e])
+			}
+		}
+	}
+}

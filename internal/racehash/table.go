@@ -30,10 +30,14 @@
 // Entry reads take no locks. Entry writes are single-word CAS, followed in
 // the same doorbell batch by a read of the bucket header; if the header's
 // split lock was set, a splitting client may have missed the write, so the
-// writer waits for the split and re-verifies (see view.go). Splits take the
-// per-table split lock, lock every bucket header of the old segment, and
-// publish the new segment before rewriting the old one, so readers always
-// find live entries.
+// writer waits for the split and re-verifies (see view.go). The insert of a
+// word no table holds needs no read ahead of its CAS: it guesses an empty
+// slot and re-checks against the header its directory cache predicts
+// (AppendFreshInsert). Splits take the per-table split lock, lock every
+// bucket header of the old segment, and publish the new segment before
+// rewriting the old one, so readers always find live entries; an entry whose
+// hash the segment does not cover — a CAS that landed on a stale directory —
+// is dropped, its writer having inserted it at home.
 package racehash
 
 import (

@@ -42,6 +42,14 @@ type Stats struct {
 	// read-then-CAS loop, a round trip or more that the plan was to save.
 	PlannedSwaps uint64
 	PlannedLost  uint64
+	// BlindInserts counts entry inserts concluded by FinishInsert whose CAS
+	// went blind (AppendFreshInsert): no read of the bucket pair ahead of it, a
+	// slot guessed from the word. BlindLost counts those that did not land at
+	// the guessed slot — it was taken (the pair read behind the CAS planned the
+	// retry, one round trip), a split or a stale directory overlapped, or the
+	// outcome is unknown — and paid at least one round trip more.
+	BlindInserts uint64
+	BlindLost    uint64
 }
 
 func init() { counters.Check[Stats]() }
@@ -154,23 +162,29 @@ type Candidate struct {
 // into a later batch → View.FinishInsert/FinishReplace/FinishSwapIfPresent/
 // FinishRemove (the read-piggyback-then-CAS publish). One mutation is planned
 // at a time; a read whose planned mutation has been finished can carry the
-// next one, as long as that one touches another slot.
+// next one, as long as that one touches another slot. The insert of a word no
+// table holds needs no fetched read at all (AppendFreshInsert).
 type PreparedRead struct {
 	view  *View
 	h     uint64
+	depth uint8 // the local depth the directory cache gave the segment
 	addrs [2]mem.Addr
 	bufs  [2][BucketSize]byte
 
 	// State of a planned swap: the slot the CAS targets (with the header
-	// word its bucket showed when it was chosen), the header re-read riding
-	// the CAS, and the CAS's index in the caller's batch (-1: none planned).
+	// word its bucket showed when it was chosen — or, blind, should show),
+	// the header re-read riding the CAS (blind: the pair read behind it), and
+	// the CAS's index in the caller's batch (-1: none planned).
 	at     slotRef
 	chk    [8]byte
 	swapAt int
+	blind  bool
 
 	// Lost says, after a Finish… call, that the planned swap did not land in
-	// the caller's batch and took the table's own loop (Stats.PlannedLost).
-	Lost bool
+	// the caller's batch and took the table's own loop (Stats.PlannedLost,
+	// BlindLost); Retried that a blind insert's guessed slot was taken and the
+	// pair read behind it planned the insert again (BlindLost).
+	Lost, Retried bool
 }
 
 // Prepare resolves the candidate buckets for h through the directory cache
@@ -187,16 +201,16 @@ func (v *View) Prepare(h uint64) (*PreparedRead, error) {
 
 // PrepareInto is Prepare into caller-provided storage.
 func (v *View) PrepareInto(p *PreparedRead, h uint64) error {
-	p.swapAt, p.Lost = -1, false
+	p.swapAt, p.blind, p.Lost, p.Retried = -1, false, false, false
 	if v.noCache {
 		return v.prepareUncached(p, h)
 	}
 	if err := v.ensureDir(); err != nil {
 		return err
 	}
-	seg, _ := v.segFor(h)
+	seg, depth := v.segFor(h)
 	b1, b2 := bucketPair(h)
-	p.view, p.h = v, h
+	p.view, p.h, p.depth = v, h, depth
 	p.addrs[0] = seg.Add(uint64(b1) * BucketSize)
 	p.addrs[1] = seg.Add(uint64(b2) * BucketSize)
 	return nil
@@ -398,6 +412,41 @@ func (p *PreparedRead) AppendInsert(ops []fabric.Op, e wire.HashEntry) ([]fabric
 	return p.appendSwap(ops, 0, e.Encode())
 }
 
+// AppendFreshReads appends what AppendFreshInsert needs fetched ahead of its
+// batch: nothing on a view that caches its directory, the pair otherwise.
+func (p *PreparedRead) AppendFreshReads(ops []fabric.Op) []fabric.Op {
+	if p.view.noCache {
+		return p.AppendOps(ops)
+	}
+	return ops
+}
+
+// AppendFreshInsert plans View.Insert's CAS of e, an entry whose word no
+// table holds — a fresh node's: the allocator never reuses an address — and
+// appends it to ops; conclude it with View.FinishInsert. On a view that
+// caches its directory the CAS goes blind, with no read ahead of it: 0 → word
+// at a slot of the pair guessed from the word, uniformly among its 2 ×
+// EntriesPerBucket, then in the same batch the READ of the pair. Expecting an
+// empty slot it overwrites nothing, and the target bucket's header in that
+// READ is the re-check casChecked makes, against the header the cached
+// directory predicts: unlocked, at its local depth and suffix. A view without
+// the cache plans from the pair AppendFreshReads fetched.
+func (p *PreparedRead) AppendFreshInsert(ops []fabric.Op, e wire.HashEntry) ([]fabric.Op, bool) {
+	word := e.Encode()
+	if p.view.noCache {
+		return p.appendSwap(ops, 0, word)
+	}
+	s := wire.Mix64(word) % (2 * EntriesPerBucket)
+	b := s / EntriesPerBucket
+	p.at = slotRef{
+		slot:   p.addrs[b].Add(8 * (1 + s%EntriesPerBucket)),
+		bucket: p.addrs[b],
+		hdr:    packBucketHeader(p.depth, p.h&depthMask(p.depth), false),
+	}
+	p.swapAt, p.blind = len(ops), true
+	return p.AppendOps(append(ops, fabric.Op{Kind: fabric.CAS, Addr: p.at.slot, Desired: word})), true
+}
+
 // AppendReplace plans View.Replace's CAS — or View.SwapIfPresent's, the same
 // verbs — from this fetched read (see appendSwap); conclude it with
 // View.FinishReplace or View.FinishSwapIfPresent.
@@ -418,6 +467,9 @@ func (p *PreparedRead) swapResult(ops []fabric.Op) (won, ambiguous, ok bool) {
 	p.swapAt = -1
 	if at < 0 || at+1 >= len(ops) {
 		return false, false, false
+	}
+	if p.blind { // both buckets' headers: either moved means a split came by
+		return ops[at].Old == 0, p.header(0) != p.at.hdr || p.header(1) != p.at.hdr, true
 	}
 	return ops[at].Old == ops[at].Expect, getUint64(p.chk[:]) != p.at.hdr, true
 }
@@ -496,9 +548,43 @@ func (v *View) landed(p *PreparedRead, ops []fabric.Op, word uint64) (done bool,
 func (v *View) FinishInsert(p *PreparedRead, ops []fabric.Op, e wire.HashEntry, alloc *mem.Allocator) error {
 	atomic.AddUint64(&v.stats.Inserts, 1)
 	word := e.Encode()
+	if p.blind {
+		return v.finishBlind(p, ops, word, alloc)
+	}
 	if done, err := v.landed(p, ops, word); done || err != nil {
 		return err
 	}
+	return v.insert(p.h, word, alloc)
+}
+
+// finishBlind concludes a blind insert (AppendFreshInsert). Won, with the
+// headers exactly as the cached directory predicts, the word is live by
+// casChecked's argument: only a split writes a header, depth never
+// decreases, and a split sets the lock bit before it snapshots the segment.
+// Won on any other header, a split overlapped or the directory was stale:
+// settle. The slot taken, the pair read behind the CAS plans the retry — one
+// round trip. Anything else (a stale, locked or full pair, a second loss, a
+// lost completion) takes the table's own loop, which is idempotent.
+func (v *View) finishBlind(p *PreparedRead, ops []fabric.Op, word uint64, alloc *mem.Allocator) (err error) {
+	atomic.AddUint64(&v.stats.BlindInserts, 1)
+	won, ambiguous, ok := p.swapResult(ops)
+	p.blind = false
+	at, free := p.find(0)
+	if ok && !won && free && p.Valid() && !p.locked() {
+		p.Retried, p.at = true, at
+		if won, ambiguous, err = v.casChecked(at, 0, word); err != nil {
+			return err
+		}
+	}
+	if p.Retried || !won || ambiguous {
+		atomic.AddUint64(&v.stats.BlindLost, 1)
+	}
+	if won {
+		if done, err := v.settle(p.h, word, p.at.slot, ambiguous); done || err != nil {
+			return err
+		}
+	}
+	p.Lost = true
 	return v.insert(p.h, word, alloc)
 }
 
@@ -557,12 +643,7 @@ func (v *View) Replace(h uint64, old, new wire.HashEntry) error {
 // FinishReplace concludes a replace whose CAS was planned with
 // AppendReplace on p and executed in ops; see landed.
 func (v *View) FinishReplace(p *PreparedRead, ops []fabric.Op, old, new wire.HashEntry) error {
-	atomic.AddUint64(&v.stats.Replaces, 1)
-	newWord := new.Encode()
-	if done, err := v.landed(p, ops, newWord); done || err != nil {
-		return err
-	}
-	_, err := v.swap(p.h, old.Encode(), newWord, true)
+	_, err := v.finishSwap(p, ops, old, new, true)
 	return err
 }
 
@@ -570,12 +651,17 @@ func (v *View) FinishReplace(p *PreparedRead, ops []fabric.Op, old, new wire.Has
 // AppendReplace on p and executed in ops, under SwapIfPresent's rule: an
 // entry that did not land and whose old word is gone is lost, not waited for.
 func (v *View) FinishSwapIfPresent(p *PreparedRead, ops []fabric.Op, old, new wire.HashEntry) (bool, error) {
+	return v.finishSwap(p, ops, old, new, false)
+}
+
+// finishSwap is what FinishReplace (wait) and FinishSwapIfPresent share.
+func (v *View) finishSwap(p *PreparedRead, ops []fabric.Op, old, new wire.HashEntry, wait bool) (bool, error) {
 	atomic.AddUint64(&v.stats.Replaces, 1)
 	newWord := new.Encode()
 	if done, err := v.landed(p, ops, newWord); done || err != nil {
 		return done, err
 	}
-	return v.swap(p.h, old.Encode(), newWord, false)
+	return v.swap(p.h, old.Encode(), newWord, wait)
 }
 
 // SwapIfPresent atomically swaps old for new like Replace, but returns

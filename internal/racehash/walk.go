@@ -19,18 +19,15 @@ func (v *View) Walk(fn func(e wire.HashEntry) error) error {
 	if err := v.refresh(); err != nil {
 		return err
 	}
-	segs := make([]uint64, 0, len(v.dir))
-	seen := make(map[uint64]bool, len(v.dir))
+	seen := make(map[mem.Addr]bool, len(v.dir))
+	buf := make([]byte, SegmentSize)
 	for _, w := range v.dir {
 		_, seg := unpackDirEntry(w)
-		if !seen[uint64(seg)] {
-			seen[uint64(seg)] = true
-			segs = append(segs, uint64(seg))
+		if seen[seg] {
+			continue
 		}
-	}
-	buf := make([]byte, SegmentSize)
-	for _, seg := range segs {
-		if err := v.c.Read(mem.Addr(seg), buf); err != nil {
+		seen[seg] = true
+		if err := v.c.Read(seg, buf); err != nil {
 			return err
 		}
 		for b := 0; b < SegBuckets; b++ {

@@ -79,9 +79,10 @@ func TestDescentLandings(t *testing.T) {
 		want  [4]got // by op, in the order of ops
 	}{
 		// One node read, then the key leaves the tree inside "and/": absent;
-		// an upsert splits the partial (3 more round trips).
+		// an upsert splits the partial (2 more round trips: the lock batch,
+		// then the child's head and the parent's repoint in one).
 		{"diverged inside a partial", fromRoot, "lanX",
-			[4]got{{rts: 1}, {rts: 1}, {rts: 4}, {rts: 1}}},
+			[4]got{{rts: 1}, {rts: 1}, {rts: 3}, {rts: 1}}},
 		// The same landing in the start node itself: nothing is read, and the
 		// split needs a parent the walk never saw.
 		{"diverged inside the start node's partial", fromInner, "lanX",

@@ -643,6 +643,7 @@ type staged struct {
 	ops     []fabric.Op
 	objects uint64
 	bytes   uint64
+	reads   bool // the publisher's READs are among ops: they must execute before its commit verbs are planned
 }
 
 // stage starts a write-ahead set on the engine's reusable op storage.

@@ -145,8 +145,8 @@ func TestLeaseReadIsTheLock(t *testing.T) {
 	var log batchLog
 	e.C.SetObserver(&log)
 
-	// Won and used: the conversion of the root's edge 'l' posts its staged
-	// WRITEs alone, then the commit batch, which releases the lease.
+	// Won and used: the conversion of the root's edge 'l' posts no lock batch —
+	// its staged WRITEs lead the commit batch, which releases the lease.
 	root, err := e.LeaseRead(rootAddr, wire.Node256)
 	if err != nil || root == nil || !wire.LeaseOwnedBy(root.LeaseWord, uint16(e.C.ID())) || leaseAt() != root.LeaseWord {
 		t.Fatalf("LeaseRead = %v, %v with lease %#x in memory; want the root under our lease", root, err, leaseAt())
@@ -160,8 +160,8 @@ func TestLeaseReadIsTheLock(t *testing.T) {
 			got = append(got, fmt.Sprintf("%v/%d", ev.Stage, ev.Verbs))
 		}
 	}
-	// CAS,READ | old leaf | W leaf + W node | W slot + CAS unlock
-	if want := "[lock/2 leaf-read/1 lock/2 publish/2]"; fmt.Sprint(got) != want {
+	// CAS,READ | old leaf | W leaf + W node + W slot + CAS unlock
+	if want := "[lock/2 leaf-read/1 publish/4]"; fmt.Sprint(got) != want {
 		t.Errorf("batches of the put behind a won bet = %v, want %s", got, want)
 	}
 	if st := e.Stats(); st.LeaseBets != 1 || st.LeaseBetsLost != 0 || st.LeaseBetsReturned != 0 || leaseAt() != 0 {

@@ -48,14 +48,16 @@ type Publication struct {
 type Publisher interface {
 	// AppendReads appends the READs the publication wants fetched ahead of
 	// its own verbs (hash-bucket reads that precede an entry CAS); they
-	// ride the write's lock batch. The other two methods are only called
-	// after a batch carrying them completed.
+	// ride the write's lock batch — and a write whose lock a bet already
+	// holds posts a lock batch for them alone. The other two methods are only
+	// called after a batch carrying them completed.
 	AppendReads(ops []fabric.Op) []fabric.Op
 	// AppendCommit appends the publication's own verbs, planned from those
 	// READs, to the write's commit batch: behind the slot WRITE that links
 	// the new node into the tree, ahead of the unlock (swing). A batch
 	// executes in posting order, so no entry names a node the tree does not,
-	// and the whole batch may be issued again after a transient fault.
+	// and after a transient fault it is issued again from its first verb
+	// that did not execute: each verb executes once, its outcome in place.
 	AppendCommit(ops []fabric.Op) []fabric.Op
 	// Publish makes every planned change visible that the commit batch did
 	// not: commit is that batch, executed, or nil when its completion was lost
@@ -293,7 +295,9 @@ func (e *Engine) plan(st *staged, h Hooks, pubs []Publication) (Publisher, error
 		e.abandon(st)
 		return nil, err
 	}
+	n := len(st.ops)
 	st.ops = pub.AppendReads(st.ops)
+	st.reads = len(st.ops) > n
 	return pub, nil
 }
 
@@ -337,32 +341,38 @@ func (e *Engine) appendSlotWrite(ops []fabric.Op, n *Node, ed edge, word uint64)
 	return ops
 }
 
-// thenUnlock ends a commit batch with the release of the locked node n — the
-// one releasing verb, last, so a batch a fault cut short has released nothing
-// and may be issued again — and keeps the storage the batch grew.
+// thenUnlock ends a commit batch with the release of the locked node n —
+// last, so nothing the batch writes into n lands after another writer may
+// hold it — and keeps the storage the batch grew.
 func (e *Engine) thenUnlock(ops []fabric.Op, n *Node) []fabric.Op {
 	ops = append(ops, e.UnlockOp(n))
 	e.commitOps = ops[:0]
 	return ops
 }
 
-// swing repoints ed, an edge of the locked node n, at the inner node to,
-// lands pub's entries and releases n, in ONE batch driven to completion —
-// [W slot → to · pub's verbs · CAS unlock]: the commit point of a leaf
-// conversion, the publication of a split's or a replacement's new node. The
-// tree link comes first and a batch executes in posting order over all its
-// targets (the contract of fabric.Client.runBatch, DESIGN.md §5.1), so an
-// entry never names a node the tree does not. pub then finishes from the
-// batch's outcomes; what did not land takes pub's own idempotent path.
-func (e *Engine) swing(n *Node, ed edge, to *Node, pub Publisher) error {
-	slot := wire.Slot{Present: true, KeyByte: ed.b, ChildType: to.Hdr.Type, Addr: to.Addr}
-	ops := e.thenUnlock(pub.AppendCommit(e.slotWrite(n, ed, slot.Encode())), n)
-	var last error
-	if err := e.complete("publish batch", false, func() error { last = e.C.Batch(ops); return last }); err != nil {
+// childSlot is the slot word of edge ed naming the inner node to.
+func childSlot(ed edge, to *Node) uint64 {
+	return wire.Slot{Present: true, KeyByte: ed.b, ChildType: to.Hdr.Type, Addr: to.Addr}.Encode()
+}
+
+// swing links word into ed, an edge of the locked node n, lands pub's entries
+// and releases n, in ONE batch driven to completion — [lead · W slot · pub's
+// verbs · CAS unlock]: the commit point of an insert, a leaf conversion, the
+// publication of a split's or a replacement's new node. lead is what must
+// land before the link: behind a won bet the fresh objects' WRITEs (no lock
+// batch carried them), in a split the child's head. A batch executes in
+// posting order over all its targets (the contract of fabric.Client.runBatch,
+// DESIGN.md §5.1), so the slot never names an unwritten object and an entry
+// never names a node the tree does not. pub then finishes from the batch's
+// outcomes; what did not land takes pub's own idempotent path.
+func (e *Engine) swing(n *Node, ed edge, word uint64, pub Publisher, lead []fabric.Op) error {
+	ops := e.thenUnlock(pub.AppendCommit(e.appendSlotWrite(append(e.commitOps[:0], lead...), n, ed, word)), n)
+	lost, err := e.issueAll(ops)
+	if err != nil {
 		return err
 	}
-	if last != nil {
-		ops = nil // a lost completion: every verb executed, with outcomes unknown
+	if lost {
+		ops = nil // every verb executed, with outcomes unknown
 	}
 	return e.completeHook(func() error { return pub.Publish(ops) })
 }
@@ -412,9 +422,8 @@ func (e *Engine) installLeaf(parent, n *Node, key, value []byte, ed edge, h Hook
 	}
 	slot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: leafAddr}.Encode()
 	if e.takeBet(n) {
-		ops := append(e.appendSlotWrite(st.ops, n, ed, slot), e.UnlockOp(n))
-		e.stagedOps = ops[:0]
-		return e.completeBatch(ops)
+		e.stagedOps = st.ops[:0]
+		return e.swing(n, ed, slot, NopPublisher{}, st.ops)
 	}
 	locked, _, err := e.lockNodes(n, nil, &st)
 	if err != nil {
@@ -427,7 +436,7 @@ func (e *Engine) installLeaf(parent, n *Node, key, value []byte, ed edge, h Hook
 		// A competing writer took the last free slot first.
 		return e.abort(&st, fmt.Errorf("install: node %v filled up: %w", locked.Addr, ErrRestart), locked, nil)
 	}
-	return e.completeBatch(e.thenUnlock(e.slotWrite(locked, ed, slot), locked))
+	return e.swing(locked, ed, slot, NopPublisher{}, nil)
 }
 
 // sameImage reports whether the image read under the lock still is the one
@@ -506,7 +515,7 @@ func (e *Engine) growAndInstall(parent, n *Node, key, value []byte, h Hooks) err
 // and a reader that meets an entry naming a retired node removes the entry —
 // the swap would wait for an old entry that is gone for good.
 func (e *Engine) replaceNode(lockedParent *Node, ed edge, original, replacement *Node, pub Publisher) error {
-	if err := e.swing(lockedParent, ed, replacement, pub); err != nil {
+	if err := e.swing(lockedParent, ed, childSlot(ed, replacement), pub, nil); err != nil {
 		return err
 	}
 	binary.LittleEndian.PutUint64(e.commitWords[1][:], wire.WithStatus(original.HdrWord, wire.StatusInvalid))
@@ -525,9 +534,14 @@ func (e *Engine) replaceNode(lockedParent *Node, ed edge, original, replacement 
 //     trailing unlock already handed to another client. A timed-out hook (a
 //     hash-table insert or swap that returns early on an entry already
 //     there) is simply run again.
-//   - A transient fault failed mid-batch without releasing anything (the
-//     unlock, when present, is the last verb), and a down window executed
-//     nothing: both wait and go again.
+//   - A transient fault executed a prefix of the batch, and a down window
+//     executed nothing: both wait and go again — a batch from the first
+//     verb that did not execute (fabric.Executed), never from the top. A
+//     verb that ran may have been overtaken in the meantime: a peer's
+//     in-place update of the leaf the slot WRITE just linked, a peer's write
+//     into a node whose lease a split's head WRITE just zeroed. Issued again,
+//     the earlier verb would put the older image back over an acknowledged
+//     write.
 //   - A permanently killed node rejected the step, executed no verb and never
 //     will (ErrNodeKilled wraps ErrNodeDown, so it has to be told apart
 //     first): the error goes back at once, still naming the node, so the
@@ -556,7 +570,20 @@ func (e *Engine) complete(what string, rerunTimeout bool, step func() error) err
 
 // completeBatch drives one doorbell batch to completion; see complete.
 func (e *Engine) completeBatch(ops []fabric.Op) error {
-	return e.complete("publish batch", false, func() error { return e.C.Batch(ops) })
+	_, err := e.issueAll(ops)
+	return err
+}
+
+// issueAll is completeBatch reporting whether the completion was lost: every
+// verb executed, with outcomes unknown. Otherwise each verb's outcome is in
+// ops, whichever attempt executed it.
+func (e *Engine) issueAll(ops []fabric.Op) (lost bool, err error) {
+	err = e.complete("publish batch", false, func() error {
+		last := e.C.Batch(ops)
+		ops, lost = ops[fabric.Executed(last):], last != nil
+		return last
+	})
+	return lost, err
 }
 
 // completeHook drives a side-structure publication to completion across
@@ -576,6 +603,10 @@ func (e *Engine) completeHook(run func() error) error {
 // is made of — n's depth, the old leaf's key and address — was read by the
 // descent, so the new leaf and the whole chain are written in the lock
 // batch; under the lock only the slot still naming the old leaf is checked.
+// Behind a won bet there is no lock batch: n's image was read under its
+// lease, its edge names the old leaf for a fact, and — unless the publisher
+// wants READs ahead of its CASes — the fresh objects lead the commit batch,
+// as installLeaf's leaf does.
 func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
 	depth := int(n.Hdr.Depth)
@@ -639,6 +670,12 @@ func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks)
 	if err != nil {
 		return err
 	}
+	top := chain[len(chain)-1]
+	if !st.reads && e.takeBet(n) {
+		e.stagedOps = st.ops[:0]
+		ed := n.edgeOf(key)
+		return e.swing(n, ed, childSlot(ed, top), pub, st.ops)
+	}
 	locked, _, err := e.lockNodes(n, nil, &st)
 	if err != nil {
 		return err
@@ -650,7 +687,7 @@ func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks)
 	// The swing is the commit point; it and the hash publications riding it
 	// must land even across faults, or a later type switch of a chain node
 	// would wait forever for its hash entry.
-	return e.swing(locked, ed, chain[len(chain)-1], pub)
+	return e.swing(locked, ed, childSlot(ed, top), pub, nil)
 }
 
 // splitPartial handles a key diverging inside child's compressed path: a
@@ -723,18 +760,14 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 	// The head write is the commit point: once the child's partial has
 	// shrunk, descents through the old parent slot fail the prefix-hash
 	// check until mid is published, so the rest of the sequence must land
-	// even across faults.
-	if err := e.completeBatch([]fabric.Op{
+	// even across faults. It leads the batch that publishes mid and releases
+	// the parent: it zeroes the child's lease too, and a batch a transient
+	// cut is issued again only from the first verb that did not execute
+	// (complete), so that release is never repeated over a lease a peer has
+	// taken since.
+	return e.swing(lockedParent, ed, childSlot(ed, mid), pub, []fabric.Op{
 		{Kind: fabric.Write, Addr: lockedChild.Addr, Data: head[:]},
-	}); err != nil {
-		return err
-	}
-
-	// Publish the new parent and release the old one. The head write above
-	// stays a batch of its own: it zeroes the child's lease, and a second
-	// releasing verb inside a batch that may be issued again would break
-	// completeBatch's rule.
-	return e.swing(lockedParent, ed, mid, pub)
+	})
 }
 
 // fitsInPlace reports whether value fits the 64-byte units leaf occupies.
@@ -779,9 +812,10 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) err
 	// cached — an orphan a speculative read would wrongly trust.
 	newSlot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: newAddr}
 	// Driven to completion like every commit batch: its unlock is its last
-	// verb, so a transient released nothing and the batch is issued again —
-	// given up instead, the restarted put would find the key at the new leaf
-	// and update it in place, leaving n's lease to expire.
+	// verb, so after a transient n's lease is still held and the rest of the
+	// batch is issued again — given up instead, the restarted put would find
+	// the key at the new leaf and update it in place, leaving n's lease to
+	// expire.
 	err = e.completeBatch(e.thenUnlock(append(e.slotWrite(locked, ed, newSlot.Encode()), e.retireOp(leaf)), locked))
 	if err != nil {
 		// The completion loop gave up (its budget, or a killed node) behind a

@@ -320,8 +320,8 @@ func TestWriteBudgets(t *testing.T) {
 		{"leaf conversion, chain 1", []string{"budget-a", "budget-b"}, "budget-ax", 2, 6, []string{"lock", "publish"}},
 		// W leaf + 3 W node + CAS,READ | W slot + CAS unlock
 		{"leaf conversion, chain 3", []string{"budget-a", "budget-b", long + "A"}, long + "B", 2, 8, []string{"lock", "publish"}},
-		// W leaf + W mid + 2×(CAS,READ) | W child head | W parent slot + CAS unlock
-		{"partial split", []string{"budget-a", "budget-b"}, "bud!", 3, 9, []string{"lock", "publish", "publish"}},
+		// W leaf + W mid + 2×(CAS,READ) | W child head + W parent slot + CAS unlock
+		{"partial split", []string{"budget-a", "budget-b"}, "bud!", 2, 9, []string{"lock", "publish"}},
 		// W leaf + W grown + 2×(CAS,READ) | W parent slot + CAS unlock | W invalidate
 		{"type switch", []string{"budget-a", "budget-b", "budget-c", "budget-d"}, "budget-e", 3, 9, []string{"lock", "publish", "publish"}},
 	}

@@ -416,8 +416,10 @@ func TestTraceReplicatedPut(t *testing.T) {
 // node's READ behind the CAS for its lease (a lock batch), with no table read
 // ahead of it, and the install carrying the fresh leaf's WRITE, the slot WRITE
 // and the unlock — abandons nothing, gives back no lease, and reconciles with
-// the fabric's own counters. (The first touch of a prefix pays the paper's
-// third: internal/core TestWriteBudgetsWithINHT has both columns.)
+// the fabric's own counters; a leaf conversion there costs three (landing, old
+// leaf, commit) and a compressed-path split from the root four. (The first
+// touch of a prefix pays the paper's third: internal/core
+// TestWriteBudgetsWithINHT has both columns.)
 func TestTraceWarmPut(t *testing.T) {
 	cluster, err := NewCluster(Config{})
 	if err != nil {
@@ -462,6 +464,36 @@ func TestTraceWarmPut(t *testing.T) {
 	}
 	if v, ok, err := s.Get([]byte("LYRE")); err != nil || !ok || string(v) != "v3" {
 		t.Errorf("Get after traced Put = %q, %v, %v", v, ok, err)
+	}
+
+	// The leaf conversion at the remembered landing and the compressed-path
+	// split from the root (docs/trace-put.txt), once inner nodes on every
+	// memory node have reserved the allocator slabs and directory caches: the
+	// conversion posts no lock batch behind its won bet — the fresh leaf and
+	// node lead the commit batch, whose entry CAS goes blind — and the split's
+	// head WRITE leads the batch that repoints its parent.
+	for _, k := range []string{"MOON1", "MOON2", "SUN1", "SUN2", "STAR1", "STAR2", "NOVA1", "NOVA2", "COMET1", "COMET2", "QUASAR1", "QUASAR2"} {
+		if err := s.Put([]byte(k), []byte("a")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ key, rows string }{
+		{"LYRE2", "lock/2 leaf-read/1 publish/7"},
+		{"LYX", "node-read/1 node-read/1 lock/6 publish/6"},
+	} {
+		tr, err := s.Trace("put "+tc.key, func() error { return s.Put([]byte(tc.key), []byte("v")) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, e := range tr.Events {
+			if e.Batch {
+				rows = append(rows, fmt.Sprintf("%v/%d", e.Stage, e.Verbs))
+			}
+		}
+		if got := strings.Join(rows, " "); got != tc.rows || strings.Contains(tr.Format(), "table loop") {
+			t.Errorf("put %s: batches %s, want %s, no table loop:\n%s", tc.key, got, tc.rows, tr.Format())
+		}
 	}
 
 	st := s.Stats()
