@@ -362,7 +362,7 @@ func (cl *Cluster) attachIndexBlocks(r *Result, t tally) {
 	// Leaf-address-cache section (absent for the SphinxNoLAC ablation).
 	if len(cl.lacs) > 0 {
 		lacSt := cl.src.LACStats()
-		occupied, capacity, full, _, bytes := cl.src.LACOccupancy()
+		occupied, capacity, full, _, bytes, _ := cl.src.LACOccupancy()
 		lac := &LACBlock{
 			SpecHits:    coreAgg.SpecHits,
 			SpecMisses:  coreAgg.SpecMisses,

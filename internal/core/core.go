@@ -111,10 +111,7 @@ func NewFilterCacheBytes(budget uint64, seed uint64) *FilterCache {
 // 8-byte bucket word): cuckoo bucket counts are not constrained to powers
 // of two, so none of the budget is lost to rounding.
 func NewFilterCacheBytesPolicy(budget uint64, seed uint64, policy cuckoo.Policy) *FilterCache {
-	if budget < 16 {
-		budget = 16
-	}
-	return &FilterCache{f: cuckoo.NewBytesPolicy(budget, seed, policy)}
+	return &FilterCache{f: cuckoo.NewBytesPolicy(max(budget, 16), seed, policy)}
 }
 
 // Contains checks a prefix hash, marking it hot on a hit.

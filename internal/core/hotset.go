@@ -98,9 +98,7 @@ func NewHotSet(budget uint64, seed uint64, r int) *HotSet {
 	if budget == 0 {
 		budget = DefaultHotSetBytes
 	}
-	if r < 1 {
-		r = 1
-	}
+	r = max(r, 1)
 	size := 64
 	for uint64(size)*2*8 <= budget/2 {
 		size <<= 1
@@ -116,10 +114,7 @@ func NewHotSet(budget uint64, seed uint64, r int) *HotSet {
 		hs.ranks[i] = NewLeafCacheBytes(perRank, seed+uint64(i)*0x9e3779b97f4a7c15+1)
 	}
 	hs.pick.Store(seed | 1)
-	hs.decayEvery = 4 * uint64(size)
-	if hs.decayEvery < hotDecayFloor {
-		hs.decayEvery = hotDecayFloor
-	}
+	hs.decayEvery = max(4*uint64(size), hotDecayFloor)
 	hs.promoteAt = hotPromoteAt
 	hs.demoteAt = hotDemoteAt
 	return hs

@@ -25,12 +25,16 @@ const (
 //	        fetches the whole leaf in one round trip)
 //	[54:42] 13-bit key fingerprint (tells the bucket's entries apart; an
 //	        unlearn for key A cannot remove an entry of key B)
-//	[41:0]  leaf mem.Addr >> 6 (node in [41:34], offset>>6 in [33:0])
+//	[41]    reference bit: set by a lookup that returns the word, cleared by
+//	        a second-chance sweep (store)
+//	[40:0]  leaf mem.Addr >> 6 (node in [40:34], offset>>6 in [33:0])
 //
 // Everything the cache stores is a mem.ClassLeaf address, which the
 // allocator aligns to 64 bytes: the six zero bits are not stored, and pay for
 // a fingerprint wide enough that a probe of a full bucket matches a stranger
-// at most 8 times in 8192 — each such match a wasted, refuted round trip.
+// at most 8 times in 8192 — each such match a wasted, refuted round trip. The
+// reference bit is the memory-node field's top bit: an address on memory node
+// 128 or above is not cached, as an unaligned one is not.
 //
 // The zero word is "empty": a valid entry always has the present bit set.
 //
@@ -43,7 +47,8 @@ const (
 //	        take mark the word (a leaf of 252 units or more — 16 KiB — is not
 //	        cached)
 //	[54:42] 13-bit prefix fingerprint, of a hash under lacNodeSeed
-//	[41:0]  node mem.Addr >> 3 (node in [41:34], offset>>3 in [33:0])
+//	[41]    reference bit, as in a leaf word
+//	[40:0]  node mem.Addr >> 3 (node in [40:34], offset>>3 in [33:0])
 //
 // Inner nodes are aligned to 8 bytes, not 64, so three offset bits fewer fit:
 // a node at an offset of 2³⁷ (128 GiB) or beyond is not cached. The kinds
@@ -54,13 +59,17 @@ const (
 	lacUnitsShift = 55
 	lacFPShift    = 42
 	lacFPMask     = uint64(1)<<13 - 1
-	lacAddrMask   = uint64(1)<<lacFPShift - 1
+	lacRefBit     = uint64(1) << (lacFPShift - 1)
+	lacAddrMask   = lacRefBit - 1
 	lacAlignBits  = 6 // log2(mem.LineSize)
 	// lacTagMask selects what Lookup matches on: present and fingerprint.
 	lacTagMask = lacPresentBit | lacFPMask<<lacFPShift
 
 	// lacWays is the bucket width: eight words, one 64-byte cache line.
 	lacWays = 8
+	// lacWindow is how many leaf learns into a full bucket the placement
+	// rule's window counts before it halves its counts (store).
+	lacWindow = 1 << 14
 
 	lacNodeUnits     = 252
 	lacNodeAlignBits = 3 // log2 of an inner node's alignment
@@ -75,12 +84,12 @@ func isNodeWord(w uint64) bool { return w&lacNodeMark == lacNodeMark }
 
 // packLACWord returns the entry, under a key's tag (bucketTag), for a leaf of
 // the given size at addr, or false for an address the packed form cannot
-// hold (not 64-byte aligned, bits above mem.AddrBits set, or a size in the
-// range that marks node words): storing it truncated would send speculative
-// reads to some other object.
+// hold (not 64-byte aligned, on a memory node of 128 or above, or a size in
+// the range that marks node words): storing it truncated would send
+// speculative reads to some other object.
 func packLACWord(tag uint64, addr mem.Addr, units uint8) (uint64, bool) {
 	a := uint64(addr)
-	if a&(1<<lacAlignBits-1) != 0 || a>>mem.AddrBits != 0 || units >= lacNodeUnits {
+	if a&(1<<lacAlignBits-1) != 0 || a>>lacAlignBits > lacAddrMask || units >= lacNodeUnits {
 		return 0, false
 	}
 	return tag | uint64(units)<<lacUnitsShift | a>>lacAlignBits, true
@@ -90,7 +99,7 @@ func packLACWord(tag uint64, addr mem.Addr, units uint8) (uint64, bool) {
 func packNodeWord(tag uint64, addr mem.Addr, t wire.NodeType) (uint64, bool) {
 	off := addr.Offset()
 	if off&(1<<lacNodeAlignBits-1) != 0 || off>>(lacMNShift+lacNodeAlignBits) != 0 ||
-		uint64(addr)>>mem.AddrBits != 0 || t > wire.Node256 {
+		uint64(addr)>>mem.OffsetBits<<lacMNShift > lacAddrMask || t > wire.Node256 {
 		return 0, false
 	}
 	return tag | (lacNodeUnits+uint64(t))<<lacUnitsShift | uint64(addr.Node())<<lacMNShift | off>>lacNodeAlignBits, true
@@ -112,6 +121,12 @@ type LACStats struct {
 	Learns    uint64 // entries written (fresh or overwriting)
 	Unlearns  uint64 // entries removed: refuted speculative reads, demotions
 	Evictions uint64 // learns into a full bucket that displaced a live entry
+
+	// The placement rule's inputs (store).
+	FullLeafLearns uint64 // leaf learns into a full bucket
+	LeafOverLeaf   uint64 // of those, the ones that displaced a leaf word
+	NodeEvictions  uint64 // node words displaced, by a learn of either kind
+	NodeDrops      uint64 // node learns that took no way
 }
 
 func init() { counters.Check[LACStats]() }
@@ -148,6 +163,9 @@ type LeafCache struct {
 	mask  uint64   // bucket count - 1
 	seed  uint64
 	stats LACStats
+	// window is the placement rule's decaying window: leaf learns into a full
+	// bucket in [63:32], those that displaced a leaf in [31:0].
+	window uint64
 }
 
 // NewLeafCache creates a leaf-address cache with capacity for n entries
@@ -167,13 +185,9 @@ func NewLeafCache(n int, seed uint64) *LeafCache {
 // NewLeafCacheBytes creates a leaf-address cache bounded by a CN-side
 // memory budget (8 bytes per entry).
 func NewLeafCacheBytes(budget uint64, seed uint64) *LeafCache {
-	n := int(budget / 8)
-	if n < 64 {
-		n = 64
-	}
 	// Round down to a power of two so the cache never exceeds the budget.
 	size := 64
-	for size*2 <= n {
+	for uint64(size)*2*8 <= budget {
 		size <<= 1
 	}
 	return NewLeafCache(size, seed)
@@ -189,10 +203,14 @@ func (lc *LeafCache) bucketTag(key []byte, kindSeed uint64) (bucket []uint64, ta
 	return lc.words[base : base+lacWays : base+lacWays], lacPresentBit | (h>>48&lacFPMask)<<lacFPShift
 }
 
-// find returns the bucket's word of the given kind that carries tag, or 0.
+// find returns the bucket's word of the given kind that carries tag, or 0,
+// and marks the word referenced.
 func find(bucket []uint64, tag uint64, node bool) uint64 {
 	for i := range bucket {
 		if w := atomic.LoadUint64(&bucket[i]); w&lacTagMask == tag && isNodeWord(w) == node {
+			if w&lacRefBit == 0 {
+				atomic.CompareAndSwapUint64(&bucket[i], w, w|lacRefBit)
+			}
 			return w
 		}
 	}
@@ -240,22 +258,36 @@ func (lc *LeafCache) LearnNode(prefix []byte, addr mem.Addr, t wire.NodeType) {
 }
 
 // store writes the word next: over the entry of its kind already carrying its
-// tag, else into an empty way, else — the bucket is full — over a resident
-// (counted as an eviction). Leaves come first: a leaf word buys two round
-// trips for its key with certainty, a node word one for the keys below it that
-// miss, so the leaf capacity the table was sized for is never spent on nodes.
-// A full bucket gives up a node word, the first from a way that rotates with
-// the learn count so that no resident is singled out; if it holds none, a leaf
-// word takes the rotating way itself and a node word is dropped. An
-// insert-heavy phase, whose keys have no leaf to remember yet, thus gets the
-// whole table for its landings, and a read phase loses nothing to them.
+// tag (keeping its reference bit), else into an empty way, else — the bucket
+// is full — over a resident, counted as an eviction. Which resident is one
+// rule, read off a decaying window of the leaf learns into full buckets:
+//
+//   - While fewer than half of them displace a leaf, the leaves fit, and
+//     leaves come first: a leaf word buys two round trips for its key with
+//     certainty, a node word one for the keys below it that miss, so the leaf
+//     capacity the table was sized for is not spent on nodes. A full bucket
+//     gives up a node word, the first from a way that rotates with the learn
+//     count so that no resident is singled out; if it holds none, a leaf word
+//     takes the rotating way itself and a node word is dropped. A read phase
+//     whose leaves fit loses nothing to node words.
+//   - Once half or more do, the leaves no longer fit and a leaf way is lost
+//     either way; then whichever word is in use should stay, whatever its
+//     kind. A learn of either kind runs the SFC's second-chance sweep over the
+//     bucket (victim), so a node word that keeps being looked up
+//     displaces an idle leaf. So does a cache that has seen no leaf learn
+//     into a full bucket: an insert-heavy phase, whose keys have no leaf to
+//     remember yet, keeps the landings it uses among its node words.
+//
+// A leaf word takes its victim's way whatever is there by then; a node word
+// takes it by a CAS on the word seen, and is dropped if that word changed in
+// between (while the leaves fit, it may have become a leaf's).
 func (lc *LeafCache) store(bucket []uint64, tag, next uint64) {
 	node := isNodeWord(next)
 	empty := -1
 	for i := range bucket {
 		switch w := atomic.LoadUint64(&bucket[i]); {
 		case w&lacTagMask == tag && isNodeWord(w) == node:
-			atomic.StoreUint64(&bucket[i], next)
+			atomic.StoreUint64(&bucket[i], next|w&lacRefBit)
 			atomic.AddUint64(&lc.stats.Learns, 1)
 			return
 		case w == 0 && empty < 0:
@@ -266,23 +298,65 @@ func (lc *LeafCache) store(bucket []uint64, tag, next uint64) {
 		atomic.AddUint64(&lc.stats.Learns, 1)
 		return
 	}
-	// Full, or another learner took the empty way first. A node way is given
-	// up by a CAS on the word seen: it may have become a leaf's since.
-	at := (tag>>lacFPShift + atomic.LoadUint64(&lc.stats.Learns) + 1) % lacWays
-	for j := uint64(0); j < lacWays; j++ {
-		way := &bucket[(at+j)%lacWays]
-		if w := atomic.LoadUint64(way); isNodeWord(w) && atomic.CompareAndSwapUint64(way, w, next) {
-			atomic.AddUint64(&lc.stats.Learns, 1)
-			atomic.AddUint64(&lc.stats.Evictions, 1)
-			return
-		}
-	}
-	if node {
+	// Full, or another learner took the empty way first.
+	clock := !lc.leavesFit()
+	way, prev := victim(bucket, int((tag>>lacFPShift+atomic.LoadUint64(&lc.stats.Learns)+1)%lacWays), clock)
+	if !node {
+		prev = atomic.SwapUint64(&bucket[way], next)
+		lc.noteFull(prev != 0 && !isNodeWord(prev))
+	} else if !clock && !isNodeWord(prev) || !atomic.CompareAndSwapUint64(&bucket[way], prev, next) {
+		atomic.AddUint64(&lc.stats.NodeDrops, 1)
 		return
 	}
 	atomic.AddUint64(&lc.stats.Learns, 1)
-	if prev := atomic.SwapUint64(&bucket[at], next); prev != 0 {
+	if prev != 0 {
 		atomic.AddUint64(&lc.stats.Evictions, 1)
+	}
+	if isNodeWord(prev) {
+		atomic.AddUint64(&lc.stats.NodeEvictions, 1)
+	}
+}
+
+// victim returns the way a learn into the full bucket takes, and the word seen
+// there, searching from at. While the leaves fit, that is the first way that
+// holds a node word, else at. Otherwise it is the SFC's replacement sweep, a
+// clock over the ways: the first whose word is not referenced, clearing the
+// reference bit of each word it passes on the way there — a referenced word
+// survives one sweep, and the next only if it is looked up again in between.
+// If all eight were referenced, at's word goes.
+func victim(bucket []uint64, at int, clock bool) (int, uint64) {
+	for j := 0; j < lacWays; j++ {
+		i := (at + j) % lacWays
+		switch w := atomic.LoadUint64(&bucket[i]); {
+		case !clock && isNodeWord(w), clock && w&lacRefBit == 0:
+			return i, w
+		case clock:
+			atomic.CompareAndSwapUint64(&bucket[i], w, w&^lacRefBit)
+		}
+	}
+	return at, atomic.LoadUint64(&bucket[at])
+}
+
+// leavesFit reads the rule off the window: fewer than half of the leaf learns
+// into a full bucket displaced a leaf. A window without such a learn is no
+// evidence that there are leaves to protect, and sweeps.
+func (lc *LeafCache) leavesFit() bool {
+	w := atomic.LoadUint64(&lc.window)
+	return 2*(w&(1<<32-1)) < w>>32
+}
+
+// noteFull counts a leaf learn into a full bucket into the window and into the
+// counters, and whether it displaced a leaf. The window halves both counts
+// once it has seen lacWindow learns.
+func (lc *LeafCache) noteFull(overLeaf bool) {
+	atomic.AddUint64(&lc.stats.FullLeafLearns, 1)
+	add := uint64(1) << 32
+	if overLeaf {
+		atomic.AddUint64(&lc.stats.LeafOverLeaf, 1)
+		add++
+	}
+	if w := atomic.AddUint64(&lc.window, add); w>>32 >= lacWindow {
+		atomic.CompareAndSwapUint64(&lc.window, w, w>>1&^(1<<31))
 	}
 }
 

@@ -14,13 +14,15 @@ import (
 
 // TestLACWordPacking: the packed word must round-trip every field for
 // representative corner values — the present bit, the 8-bit unit count, the
-// 13-bit fingerprint and every 64-byte-aligned address up to node 255 and the
+// 13-bit fingerprint and every 64-byte-aligned address up to node 127 and the
 // largest offset — the zero word must never look like a valid entry, and an
-// address the packed form cannot hold is dropped by Learn, never stored
-// truncated (a truncated address would aim speculative reads at some other
-// object). The same for the node word: every node type, every 8-byte-aligned
-// address up to node 255 and the last offset below 2³⁷; and neither kind's
-// extreme word reads as the other kind.
+// address the packed form cannot hold (node 128 and up: that field's top bit
+// is the reference bit) is dropped by Learn, never stored truncated (a
+// truncated address would aim speculative reads at some other object). The
+// same for the node word: every node type, every 8-byte-aligned address up to
+// node 127 and the last offset below 2³⁷; and neither kind's extreme word
+// reads as the other kind. The reference bit is neither tag nor address: a
+// referenced word answers, unpacks and is unlearned exactly as before.
 func TestLACWordPacking(t *testing.T) {
 	const lastLine = mem.MaxOffset &^ (mem.LineSize - 1)
 	cases := []struct {
@@ -31,7 +33,7 @@ func TestLACWordPacking(t *testing.T) {
 		{mem.NewAddr(0, 0), 1, 0}, // the smallest word is still not the empty word
 		{mem.NewAddr(0, 64), 1, 0},
 		{mem.NewAddr(1, 0), 1, lacFPMask},
-		{mem.NewAddr(255, lastLine), lacNodeUnits - 1, 0x1555},
+		{mem.NewAddr(127, lastLine), lacNodeUnits - 1, 0x1555},
 		{mem.NewAddr(3, 0xdead_bec0), 17, 0x0aaa},
 	}
 	for _, tc := range cases {
@@ -43,8 +45,8 @@ func TestLACWordPacking(t *testing.T) {
 		if w&lacPresentBit == 0 {
 			t.Errorf("pack(%v,%d,%#x): present bit clear", tc.addr, tc.units, tc.fp)
 		}
-		if got := lacAddr(w); got != tc.addr {
-			t.Errorf("pack(%v,%d,%#x): addr round-trips to %v", tc.addr, tc.units, tc.fp, got)
+		if got, ref := lacAddr(w), lacAddr(w|lacRefBit); got != tc.addr || ref != tc.addr {
+			t.Errorf("pack(%v,%d,%#x): addr round-trips to %v, referenced to %v", tc.addr, tc.units, tc.fp, got, ref)
 		}
 		if got := lacUnits(w); got != tc.units {
 			t.Errorf("pack(%v,%d,%#x): units round-trips to %d", tc.addr, tc.units, tc.fp, got)
@@ -64,7 +66,7 @@ func TestLACWordPacking(t *testing.T) {
 	}{
 		{mem.NewAddr(0, 0), wire.Node4, 0},
 		{mem.NewAddr(0, 8), wire.Node16, lacFPMask},
-		{mem.NewAddr(255, lastNodeOffset), wire.Node256, 0x1555},
+		{mem.NewAddr(127, lastNodeOffset), wire.Node256, 0x1555},
 		{mem.NewAddr(3, 0xdead_bee8), wire.Node48, 0x0aaa},
 	} {
 		w, ok := packNodeWord(lacPresentBit|tc.fp<<lacFPShift, tc.addr, tc.typ)
@@ -75,15 +77,16 @@ func TestLACWordPacking(t *testing.T) {
 		if !isNodeWord(w) || w&lacPresentBit == 0 {
 			t.Errorf("packNode(%v,%v,%#x) = %#x: not a present node word", tc.addr, tc.typ, tc.fp, w)
 		}
-		if gotA, gotT := lacNodeAddr(w), lacNodeType(w); gotA != tc.addr || gotT != tc.typ {
-			t.Errorf("packNode(%v,%v,%#x): round-trips to (%v,%v)", tc.addr, tc.typ, tc.fp, gotA, gotT)
+		if gotA, gotT, ref := lacNodeAddr(w), lacNodeType(w), lacNodeAddr(w|lacRefBit); gotA != tc.addr || gotT != tc.typ || ref != tc.addr {
+			t.Errorf("packNode(%v,%v,%#x): round-trips to (%v,%v), referenced to %v", tc.addr, tc.typ, tc.fp, gotA, gotT, ref)
 		}
 		if got := (w >> lacFPShift) & lacFPMask; got != tc.fp {
 			t.Errorf("packNode(%v,%v,%#x): fp round-trips to %#x", tc.addr, tc.typ, tc.fp, got)
 		}
 	}
-	if lacTagMask&lacAddrMask != 0 || lacTagMask|lacAddrMask|0xff<<lacUnitsShift != ^uint64(0) {
-		t.Error("present, units, fingerprint and address fields do not tile the word")
+	if lacTagMask&lacAddrMask != 0 || (lacTagMask|lacAddrMask)&lacRefBit != 0 ||
+		lacTagMask|lacRefBit|lacAddrMask|0xff<<lacUnitsShift != ^uint64(0) {
+		t.Error("present, units, fingerprint, reference and address fields do not tile the word")
 	}
 
 	lc := NewLeafCache(64, 1)
@@ -91,7 +94,9 @@ func TestLACWordPacking(t *testing.T) {
 	for _, addr := range []mem.Addr{
 		mem.NewAddr(2, 4096+8),          // 8-byte aligned only: a node-class object
 		mem.NewAddr(255, mem.MaxOffset), // unaligned last byte
-		mem.Addr(1)<<mem.AddrBits | 64,  // above the 48 address bits
+		mem.NewAddr(128, 0),             // the memory node's top bit is the reference bit
+		mem.NewAddr(255, lastLine),
+		mem.Addr(1)<<mem.AddrBits | 64, // above the 48 address bits
 		mem.NewAddr(3, 0xdead_beef),
 	} {
 		if _, ok := packLACWord(lacPresentBit, addr, 1); ok {
@@ -116,6 +121,7 @@ func TestLACWordPacking(t *testing.T) {
 	}{
 		{mem.NewAddr(2, 4096+4), wire.Node4},                      // not 8-byte aligned
 		{mem.NewAddr(2, lastNodeOffset+8), wire.Node4},            // offset 2³⁷
+		{mem.NewAddr(128, 0), wire.Node4},                         // the reference bit's memory node
 		{mem.NewAddr(255, mem.MaxOffset&^7), wire.Node256},        // the last aligned offset of a region
 		{mem.Addr(1)<<mem.AddrBits | 64, wire.Node4},              // above the 48 address bits
 		{mem.NewAddr(2, 4096), wire.Node256 + 1},                  // no such type
@@ -133,6 +139,33 @@ func TestLACWordPacking(t *testing.T) {
 	}
 	if occupied, _, _, _ := lc.Occupancy(); occupied != 0 || lc.Stats() != (LACStats{}) {
 		t.Errorf("dropped learns left occupancy %d, stats %+v", occupied, lc.Stats())
+	}
+
+	// The extreme words, looked up twice: the second lookup meets the word the
+	// first referenced. A relearn keeps the reference, as a descent relearns
+	// the node it landed on.
+	top, topNode := mem.NewAddr(127, lastLine), mem.NewAddr(127, lastNodeOffset)
+	lc.Learn(key, top, 3)
+	lc.LearnNode(key, topNode, wire.Node256)
+	for i := 0; i < 2; i++ {
+		if got, units, ok := lc.Lookup(key); !ok || got != top || units != 3 {
+			t.Errorf("lookup %d = (%v, %d, %v), want (%v, 3, true)", i, got, units, ok, top)
+		}
+		if got, typ, ok := lc.LookupNode(key); !ok || got != topNode || typ != wire.Node256 {
+			t.Errorf("node lookup %d = (%v, %v, %v), want (%v, Node256, true)", i, got, typ, ok, topNode)
+		}
+	}
+	lc.Learn(key, top, 3)
+	lc.LearnNode(key, topNode, wire.Node256)
+	for _, w := range lc.words {
+		if w != 0 && w&lacRefBit == 0 {
+			t.Errorf("word %#x was looked up and is not referenced", w)
+		}
+	}
+	lc.UnlearnAt(key, top)
+	lc.UnlearnNodeAt(key, topNode)
+	if occupied, _, _, _ := lc.Occupancy(); occupied != 0 {
+		t.Errorf("%d referenced words survived their exact unlearns", occupied)
 	}
 }
 
@@ -202,90 +235,282 @@ func TestLACKindsNeverAnswerForEachOther(t *testing.T) {
 	}
 }
 
-// TestLACLeavesFirst: the table is sized for its leaf words and a node word
-// never costs one. A bucket of eight leaves drops a node learn; a bucket of
-// eight node words gives a way to a leaf learn, and to a node learn; a mixed
-// full bucket loses a node way to either kind before any leaf way.
-func TestLACLeavesFirst(t *testing.T) {
+// lacRule is one bucket of a fresh 64-entry cache and 2×lacWays keys and
+// 2×lacWays prefixes that all fall into it, key i's leaf and prefix i's node
+// each at an address of their own.
+type lacRule struct {
+	lc             *LeafCache
+	keys, prefixes [][]byte
+}
+
+func newLACRule() *lacRule {
 	lc := NewLeafCache(64, 1)
-	keys := lacBucketKeys(lc, "leaf", 0, 2*lacWays)
-	var prefixes [][]byte
-	tags := map[uint64]bool{}
-	for i := 0; len(prefixes) < 2*lacWays; i++ {
-		cand := []byte(fmt.Sprintf("node-%d", i))
-		if b, tag := lc.bucketTag(cand, lacNodeSeed); &b[0] == &lc.words[0] && !tags[tag] {
-			tags[tag] = true
-			prefixes = append(prefixes, cand)
-		}
-	}
-	leafAddr := func(i int) mem.Addr { return mem.NewAddr(1, uint64(i+1)*64) }
-	nodeAddr := func(i int) mem.Addr { return mem.NewAddr(2, uint64(i+1)*8) }
-	answering := func() (leaves, nodes int) {
-		for i, k := range keys {
-			if a, _, ok := lc.Lookup(k); ok && a == leafAddr(i) {
-				leaves++
-			}
-		}
-		for i, p := range prefixes {
-			if a, _, ok := lc.LookupNode(p); ok && a == nodeAddr(i) {
-				nodes++
-			}
-		}
-		return leaves, nodes
-	}
+	return &lacRule{lc, lacBucketKeys(lc, "leaf", 0, 2*lacWays), lacBucketNames(lc, "node", 0, 2*lacWays, lacNodeSeed)}
+}
 
-	// Eight leaves: the bucket has no way for a node.
-	for i := 0; i < lacWays; i++ {
-		lc.Learn(keys[i], leafAddr(i), 1)
-	}
-	for i := range prefixes {
-		lc.LearnNode(prefixes[i], nodeAddr(i), wire.Node4)
-	}
-	if leaves, nodes := answering(); leaves != lacWays || nodes != 0 {
-		t.Fatalf("a bucket of %d leaves answers for %d leaves and %d nodes after %d node learns", lacWays, leaves, nodes, len(prefixes))
-	}
-	if st := lc.Stats(); st.Learns != lacWays || st.Evictions != 0 {
-		t.Fatalf("dropped node learns were counted: %+v", st)
-	}
+func (*lacRule) leafAddr(i int) mem.Addr { return mem.NewAddr(1, uint64(i+1)*64) }
+func (*lacRule) nodeAddr(i int) mem.Addr { return mem.NewAddr(2, uint64(i+1)*8) }
+func (r *lacRule) learn(i int)           { r.lc.Learn(r.keys[i], r.leafAddr(i), 1) }
+func (r *lacRule) learnNode(i int)       { r.lc.LearnNode(r.prefixes[i], r.nodeAddr(i), wire.Node4) }
 
-	// Eight nodes: a ninth node takes a node's way, each leaf takes one too.
-	lc.Reset()
-	for i := 0; i < lacWays; i++ {
-		lc.LearnNode(prefixes[i], nodeAddr(i), wire.Node4)
+// look looks key i up: the word it answers with is referenced from now on.
+func (r *lacRule) look(t *testing.T, i int) {
+	t.Helper()
+	if a, _, ok := r.lc.Lookup(r.keys[i]); !ok || a != r.leafAddr(i) {
+		t.Fatalf("key %d does not answer", i)
 	}
-	lc.LearnNode(prefixes[lacWays], nodeAddr(lacWays), wire.Node4)
-	if leaves, nodes := answering(); leaves != 0 || nodes != lacWays {
-		t.Fatalf("nine node learns into one bucket: %d nodes answer, want %d", nodes, lacWays)
+}
+
+// holds tells, without a lookup (no word is referenced by it), whether the
+// bucket holds key i's leaf word or, with node, prefix i's node word.
+func (r *lacRule) holds(i int, node bool) bool {
+	unpack, want := lacAddr, r.leafAddr(i)
+	if node {
+		unpack, want = lacNodeAddr, r.nodeAddr(i)
 	}
-	for i := 0; i < lacWays; i++ {
-		lc.Learn(keys[i], leafAddr(i), 1)
-		leaves, nodes := answering()
-		if _, _, _, words := lc.Occupancy(); leaves != i+1 || nodes != lacWays-i-1 || words != uint64(nodes) {
-			t.Fatalf("leaf learn %d into a full bucket: %d leaves, %d nodes answer (%d node words); want %d and %d",
-				i+1, leaves, nodes, words, i+1, lacWays-i-1)
-		}
-		if i == lacWays/2 {
-			// Mixed and full: a node learn takes a node's way too.
-			lc.LearnNode(prefixes[lacWays+1], nodeAddr(lacWays+1), wire.Node4)
-			if _, _, ok := lc.LookupNode(prefixes[lacWays+1]); !ok {
-				t.Fatal("a node learn into a mixed full bucket was dropped")
-			}
-			lc.UnlearnNodeAt(prefixes[lacWays+1], nodeAddr(lacWays+1))
-			if leaves, _ := answering(); leaves != i+1 {
-				t.Fatalf("a node learn into a mixed full bucket cost a leaf: %d of %d answer", leaves, i+1)
-			}
-			lc.LearnNode(prefixes[lacWays+2], nodeAddr(lacWays+2), wire.Node4) // refill the way
+	for _, w := range r.lc.words[:lacWays] {
+		if w != 0 && isNodeWord(w) == node && unpack(w) == want {
+			return true
 		}
 	}
-	// All leaves now: the next leaf displaces a leaf, the next node nothing.
-	lc.Learn(keys[lacWays], leafAddr(lacWays), 1)
-	lc.LearnNode(prefixes[0], nodeAddr(0), wire.Node4)
-	if leaves, nodes := answering(); leaves != lacWays || nodes != 0 {
-		t.Fatalf("a full bucket of leaves: %d leaves, %d nodes answer after one learn of each kind", leaves, nodes)
+	return false
+}
+
+// referenced counts the bucket's words that carry the reference bit.
+func (r *lacRule) referenced() (n int) {
+	for _, w := range r.lc.words[:lacWays] {
+		if w&lacRefBit != 0 {
+			n++
+		}
 	}
-	if occupied, _, full, words := lc.Occupancy(); occupied != lacWays || full != 1 || words != 0 {
-		t.Fatalf("occupancy %d, %d full, %d node words", occupied, full, words)
+	return n
+}
+
+// fit teaches a fresh cache, which runs the sweep, that its leaves fit — a
+// leaf learn into a bucket of eight node words displaces one — and empties the
+// table and its counters again.
+func (r *lacRule) fit(t *testing.T) {
+	t.Helper()
+	if r.lc.leavesFit() {
+		t.Fatal("the leaves fit before any leaf learn into a full bucket")
 	}
+	for i := 0; i < lacWays; i++ {
+		r.learnNode(i)
+	}
+	r.learn(0)
+	if !r.lc.leavesFit() {
+		t.Fatalf("a leaf learn displaced a node word and the leaves do not fit: %+v", r.lc.Stats())
+	}
+	r.lc.Reset()
+	r.lc.stats = LACStats{}
+}
+
+// overflow teaches the cache that its leaves do not fit — a ninth leaf learn
+// into a bucket of eight leaves displaces one — and empties the table again.
+func (r *lacRule) overflow(t *testing.T) {
+	t.Helper()
+	for i := 0; i <= lacWays; i++ {
+		r.learn(i)
+	}
+	if r.lc.leavesFit() {
+		t.Fatalf("a leaf learn displaced a leaf and the leaves still fit: %+v", r.lc.Stats())
+	}
+	r.lc.Reset()
+}
+
+// TestLACPlacementRule: which resident a learn into a full bucket displaces
+// (store), in the rule's two modes and across the switch between them. While
+// the leaves fit, the table is sized for its leaf words and a node word never
+// costs one. Once leaf learns displace leaves — and before any leaf learn has
+// shown that they fit — a lookup buys any word a second chance: an idle leaf
+// yields to a node learn, and a referenced word survives exactly one sweep.
+// Once they stop, leaves come first again. Every case fails with the gate
+// inverted, the overflow case with the second chance removed.
+func TestLACPlacementRule(t *testing.T) {
+	// A bucket of eight leaves drops a node learn; a bucket of eight node
+	// words gives a way to a leaf learn, and to a node learn; a mixed full
+	// bucket loses a node way to either kind before any leaf way.
+	t.Run("leaves fit", func(t *testing.T) {
+		r := newLACRule()
+		r.fit(t)
+		lc, keys, prefixes, leafAddr, nodeAddr := r.lc, r.keys, r.prefixes, r.leafAddr, r.nodeAddr
+		answering := func() (leaves, nodes int) {
+			for i, k := range keys {
+				if a, _, ok := lc.Lookup(k); ok && a == leafAddr(i) {
+					leaves++
+				}
+			}
+			for i, p := range prefixes {
+				if a, _, ok := lc.LookupNode(p); ok && a == nodeAddr(i) {
+					nodes++
+				}
+			}
+			return leaves, nodes
+		}
+
+		// Eight leaves: the bucket has no way for a node.
+		for i := 0; i < lacWays; i++ {
+			lc.Learn(keys[i], leafAddr(i), 1)
+		}
+		for i := range prefixes {
+			lc.LearnNode(prefixes[i], nodeAddr(i), wire.Node4)
+		}
+		if leaves, nodes := answering(); leaves != lacWays || nodes != 0 {
+			t.Fatalf("a bucket of %d leaves answers for %d leaves and %d nodes after %d node learns", lacWays, leaves, nodes, len(prefixes))
+		}
+		if st := lc.Stats(); st.Learns != lacWays || st.Evictions != 0 || st.NodeDrops != uint64(len(prefixes)) {
+			t.Fatalf("dropped node learns were counted as learns, or not as drops: %+v", st)
+		}
+
+		// Eight nodes: a ninth node takes a node's way, each leaf takes one too.
+		lc.Reset()
+		for i := 0; i < lacWays; i++ {
+			lc.LearnNode(prefixes[i], nodeAddr(i), wire.Node4)
+		}
+		lc.LearnNode(prefixes[lacWays], nodeAddr(lacWays), wire.Node4)
+		if leaves, nodes := answering(); leaves != 0 || nodes != lacWays {
+			t.Fatalf("nine node learns into one bucket: %d nodes answer, want %d", nodes, lacWays)
+		}
+		for i := 0; i < lacWays; i++ {
+			lc.Learn(keys[i], leafAddr(i), 1)
+			leaves, nodes := answering()
+			if _, _, _, words := lc.Occupancy(); leaves != i+1 || nodes != lacWays-i-1 || words != uint64(nodes) {
+				t.Fatalf("leaf learn %d into a full bucket: %d leaves, %d nodes answer (%d node words); want %d and %d",
+					i+1, leaves, nodes, words, i+1, lacWays-i-1)
+			}
+			if i == lacWays/2 {
+				// Mixed and full: a node learn takes a node's way too.
+				lc.LearnNode(prefixes[lacWays+1], nodeAddr(lacWays+1), wire.Node4)
+				if _, _, ok := lc.LookupNode(prefixes[lacWays+1]); !ok {
+					t.Fatal("a node learn into a mixed full bucket was dropped")
+				}
+				lc.UnlearnNodeAt(prefixes[lacWays+1], nodeAddr(lacWays+1))
+				if leaves, _ := answering(); leaves != i+1 {
+					t.Fatalf("a node learn into a mixed full bucket cost a leaf: %d of %d answer", leaves, i+1)
+				}
+				lc.LearnNode(prefixes[lacWays+2], nodeAddr(lacWays+2), wire.Node4) // refill the way
+			}
+		}
+		// All leaves now: the next leaf displaces a leaf, the next node nothing.
+		lc.Learn(keys[lacWays], leafAddr(lacWays), 1)
+		lc.LearnNode(prefixes[0], nodeAddr(0), wire.Node4)
+		if leaves, nodes := answering(); leaves != lacWays || nodes != 0 {
+			t.Fatalf("a full bucket of leaves: %d leaves, %d nodes answer after one learn of each kind", leaves, nodes)
+		}
+		if occupied, _, full, words := lc.Occupancy(); occupied != lacWays || full != 1 || words != 0 {
+			t.Fatalf("occupancy %d, %d full, %d node words", occupied, full, words)
+		}
+	})
+
+	// Eight referenced leaves: a node learn's sweep clears every bit and takes
+	// one way. Then every word but one survivor is looked up again, and the
+	// next node learn takes that survivor's way — whichever way the sweep
+	// starts from, so each survivor in turn is the idle one.
+	t.Run("leaves overflow", func(t *testing.T) {
+		for idle := 0; idle < lacWays-1; idle++ {
+			r := newLACRule()
+			r.overflow(t)
+			for i := 0; i < lacWays; i++ {
+				r.learn(i)
+				r.look(t, i)
+			}
+			r.learnNode(0)
+			var survivors []int
+			for i := 0; i < lacWays; i++ {
+				if r.holds(i, false) {
+					survivors = append(survivors, i)
+				}
+			}
+			if !r.holds(0, true) || len(survivors) != lacWays-1 {
+				t.Fatalf("a node learn into a bucket of %d leaves: node stored %v, %d leaves left", lacWays, r.holds(0, true), len(survivors))
+			}
+			if n := r.referenced(); n != 0 {
+				t.Fatalf("%d words still referenced behind a sweep of a bucket referenced throughout", n)
+			}
+			for j, i := range survivors {
+				if j != idle {
+					r.look(t, i)
+				}
+			}
+			if _, _, ok := r.lc.LookupNode(r.prefixes[0]); !ok {
+				t.Fatal("the node word does not answer")
+			}
+			r.learnNode(1)
+			for j, i := range survivors {
+				if r.holds(i, false) == (j == idle) {
+					t.Fatalf("survivor %d of %d (idle: %v) held %v after the second sweep", j, len(survivors), j == idle, r.holds(i, false))
+				}
+			}
+			if !r.holds(0, true) || !r.holds(1, true) {
+				t.Fatalf("node words held: %v, %v; want both", r.holds(0, true), r.holds(1, true))
+			}
+			if st := r.lc.Stats(); st.NodeDrops != 0 || st.NodeEvictions != 0 {
+				t.Fatalf("a node learn was dropped or displaced a node: %+v", st)
+			}
+		}
+	})
+
+	// From the overflow: four referenced leaves beside four idle node words.
+	// Two leaf learns each displace an idle node word — whatever the kind,
+	// the idle word goes — and with that fewer than half of the leaf learns
+	// into a full bucket displaced a leaf: the leaves fit again, and a node
+	// learn into a bucket of leaves, two of them idle, is dropped.
+	t.Run("switches back", func(t *testing.T) {
+		r := newLACRule()
+		r.overflow(t)
+		for i := 0; i < lacWays/2; i++ {
+			r.learn(i)
+			r.learnNode(i)
+		}
+		for n := lacWays / 2; n < lacWays/2+2; n++ {
+			for i := 0; i < n; i++ {
+				r.look(t, i)
+			}
+			r.learn(n)
+			if !r.holds(n, false) {
+				t.Fatalf("leaf learn %d was not stored", n)
+			}
+			for i := 0; i < n; i++ {
+				if !r.holds(i, false) {
+					t.Fatalf("leaf learn %d displaced referenced leaf %d", n, i)
+				}
+			}
+		}
+		if st := r.lc.Stats(); st.FullLeafLearns != 3 || st.LeafOverLeaf != 1 || st.NodeEvictions != 2 || !r.lc.leavesFit() {
+			t.Fatalf("two leaf learns displaced node words after one displaced a leaf: %+v, leaves fit %v", st, r.lc.leavesFit())
+		}
+		r.learn(lacWays - 2) // leaves first again: the last node words go,
+		r.learn(lacWays - 1) // and these two leaves are never looked up
+		r.learnNode(lacWays)
+		for i := 0; i < lacWays; i++ {
+			if !r.holds(i, false) {
+				t.Fatalf("leaf %d lost its way to a node learn while the leaves fit", i)
+			}
+		}
+		if st := r.lc.Stats(); r.holds(lacWays, true) || st.NodeDrops != 1 {
+			t.Fatalf("a node learn into a bucket of leaves was stored while the leaves fit: %+v", st)
+		}
+	})
+
+	// The window halves its counts every lacWindow learns, so a cache whose
+	// leaves overflowed for a long time fits again within about half a window
+	// of learns that displace no leaf.
+	t.Run("window forgets", func(t *testing.T) {
+		lc := NewLeafCache(64, 1)
+		for i := 0; i < 4*lacWindow; i++ {
+			lc.noteFull(true)
+		}
+		n := 0
+		for ; !lc.leavesFit(); n++ {
+			lc.noteFull(false)
+		}
+		if n == 0 || n > lacWindow {
+			t.Fatalf("%d learns that displaced no leaf before the leaves fit again, want 1..%d", n, lacWindow)
+		}
+		if w := atomic.LoadUint64(&lc.window); w>>32 >= lacWindow {
+			t.Fatalf("window counts %d learns, past its %d", w>>32, lacWindow)
+		}
+	})
 }
 
 // lacBucketOf returns the index of key's bucket.
@@ -301,16 +526,22 @@ func lacBucketOf(lc *LeafCache, key []byte) int {
 // lacBucketKeys returns n keys named prefix-<i> that all fall into the given
 // bucket, with pairwise distinct fingerprints.
 func lacBucketKeys(lc *LeafCache, prefix string, bucket, n int) [][]byte {
-	var keys [][]byte
+	return lacBucketNames(lc, prefix, bucket, n, lacSeed)
+}
+
+// lacBucketNames is lacBucketKeys for words of the kind kindSeed hashes: keys
+// under lacSeed, prefixes under lacNodeSeed.
+func lacBucketNames(lc *LeafCache, prefix string, bucket, n int, kindSeed uint64) [][]byte {
+	var names [][]byte
 	tags := map[uint64]bool{}
-	for i := 0; len(keys) < n; i++ {
+	for i := 0; len(names) < n; i++ {
 		cand := []byte(fmt.Sprintf("%s-%d", prefix, i))
-		if _, tag := lc.bucketTag(cand, lacSeed); lacBucketOf(lc, cand) == bucket && !tags[tag] {
+		if b, tag := lc.bucketTag(cand, kindSeed); &b[0] == &lc.words[bucket*lacWays] && !tags[tag] {
 			tags[tag] = true
-			keys = append(keys, cand)
+			names = append(names, cand)
 		}
 	}
-	return keys
+	return names
 }
 
 // TestLACLearnLookupUnlearn: the basic hint lifecycle, including that a
@@ -527,8 +758,10 @@ func TestLACNoConflictMisses(t *testing.T) {
 // TestLACCapacityBound: associativity must not change what a cache far
 // smaller than its working set delivers. Under a uniform trace over 7x
 // capacity keys — every miss relearned, every false match refuted, as Search
-// does — the hit share is capacity/keys under any mapping (the read-cold
-// workload's must-not-move property), and false matches stay rare.
+// does — the hit share is capacity/keys under any mapping (read-cold's floor
+// for leaf words: no placement of them holds more of a uniform working set,
+// which is why the placement rule gives ways to node words there), and false
+// matches stay rare.
 func TestLACCapacityBound(t *testing.T) {
 	lc := NewLeafCache(4096, 3)
 	n := 7 * lc.Entries()
@@ -718,6 +951,131 @@ func TestLACBucketHammer(t *testing.T) {
 	}
 	if st := lc.Stats(); st.Learns == 0 || st.Unlearns == 0 || st.Evictions == 0 {
 		t.Fatalf("hammer exercised too little: %+v", st)
+	}
+}
+
+// TestLACModeFlipChurn: the hammer with both kinds of word while the placement
+// rule flips between its modes. Four workers learn, look up and refute 24 keys
+// and 24 prefixes confined to two buckets — references set and swept, node
+// words dropped and displacing leaves — while a fifth goroutine drives the
+// rule's window across its threshold and back, over and over. Under -race the
+// run is clean; every answer is a whole word some learn wrote for that key or
+// prefix (identity in the node, unit and type fields), never the other kind's;
+// the buckets never hold more than their ways; and what is left drains one
+// exact unlearn at a time.
+func TestLACModeFlipChurn(t *testing.T) {
+	lc := NewLeafCache(64, 5)
+	keys := append(lacBucketKeys(lc, "flip", 0, 12), lacBucketKeys(lc, "flip", 1, 12)...)
+	prefixes := append(lacBucketNames(lc, "flip", 0, 12, lacNodeSeed), lacBucketNames(lc, "flip", 1, 12, lacNodeSeed)...)
+	const workers, rounds, versions, wantFlips = 4, 20_000, 1 << 10, 200
+	leafWritten := func(i int, addr mem.Addr, units uint8) bool {
+		ver := addr.Offset() / 64
+		return int(addr.Node()) == i && int(units) == i+1 && addr.Offset()%64 == 0 && ver >= 1 && ver <= versions
+	}
+	nodeWritten := func(i int, addr mem.Addr, typ wire.NodeType) bool {
+		ver := addr.Offset() / 8
+		return int(addr.Node()) == i && typ == wire.NodeType(i%4) && addr.Offset()%8 == 0 && ver >= 1 && ver <= versions
+	}
+
+	var flips atomic.Int64
+	flipped := make(chan struct{})
+	go func() {
+		defer close(flipped)
+		for fit := lc.leavesFit(); flips.Load() < wantFlips; flips.Add(1) {
+			for n := 0; lc.leavesFit() == fit; n++ {
+				if n == 4*lacWindow {
+					t.Errorf("the window did not flip (leaves fit: %v) in %d learns", fit, n)
+					flips.Store(wantFlips)
+					return
+				}
+				lc.noteFull(fit)
+			}
+			fit = !fit
+		}
+	}()
+	var answers [2]atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for r := 0; r < rounds || flips.Load() < wantFlips; r++ {
+				i := rng.Intn(len(keys))
+				if rng.Intn(2) == 0 {
+					addr, units, ok := lc.Lookup(keys[i])
+					if ok {
+						answers[0].Add(1)
+						if !leafWritten(i, addr, units) {
+							t.Errorf("Lookup(%q) = (%v, %d): no Learn wrote that for key %d", keys[i], addr, units, i)
+							return
+						}
+					}
+					switch {
+					case ok && rng.Intn(4) == 0:
+						lc.UnlearnAt(keys[i], addr)
+					case !ok || rng.Intn(4) == 0:
+						lc.Learn(keys[i], mem.NewAddr(mem.NodeID(i), uint64(1+rng.Intn(versions))*64), uint8(i+1))
+					}
+					continue
+				}
+				addr, typ, ok := lc.LookupNode(prefixes[i])
+				if ok {
+					answers[1].Add(1)
+					if !nodeWritten(i, addr, typ) {
+						t.Errorf("LookupNode(%q) = (%v, %v): no LearnNode wrote that for prefix %d", prefixes[i], addr, typ, i)
+						return
+					}
+				}
+				switch {
+				case ok && rng.Intn(4) == 0:
+					lc.UnlearnNodeAt(prefixes[i], addr)
+				case !ok || rng.Intn(4) == 0:
+					lc.LearnNode(prefixes[i], mem.NewAddr(mem.NodeID(i), uint64(1+rng.Intn(versions))*8), wire.NodeType(i%4))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	<-flipped
+	if answers[0].Load() == 0 || answers[1].Load() == 0 {
+		t.Fatalf("answers: %d leaf, %d node; want both kinds", answers[0].Load(), answers[1].Load())
+	}
+	if occupied, _, full, _ := lc.Occupancy(); occupied > 2*lacWays || full > 2 {
+		t.Fatalf("two buckets hold %d entries (%d full buckets)", occupied, full)
+	}
+	for _, w := range lc.words[2*lacWays:] {
+		if w != 0 {
+			t.Fatalf("an entry escaped its bucket: %#x", w)
+		}
+	}
+	for i := range keys {
+		for n := 0; ; n++ {
+			addr, units, ok := lc.Lookup(keys[i])
+			if !ok {
+				break
+			}
+			if n == lacWays || !leafWritten(i, addr, units) {
+				t.Fatalf("Lookup(%q) = (%v, %d) after %d exact unlearns", keys[i], addr, units, n)
+			}
+			lc.UnlearnAt(keys[i], addr)
+		}
+		for n := 0; ; n++ {
+			addr, typ, ok := lc.LookupNode(prefixes[i])
+			if !ok {
+				break
+			}
+			if n == lacWays || !nodeWritten(i, addr, typ) {
+				t.Fatalf("LookupNode(%q) = (%v, %v) after %d exact unlearns", prefixes[i], addr, typ, n)
+			}
+			lc.UnlearnNodeAt(prefixes[i], addr)
+		}
+	}
+	if occupied, _, _, _ := lc.Occupancy(); occupied != 0 {
+		t.Fatalf("%d entries answer to no key or prefix of the set", occupied)
+	}
+	if st := lc.Stats(); st.LeafOverLeaf == 0 || st.NodeEvictions == 0 || st.NodeDrops == 0 {
+		t.Fatalf("churn exercised too little of the rule: %+v", st)
 	}
 }
 

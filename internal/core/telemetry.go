@@ -69,13 +69,17 @@ func (s *IndexSources) FilterOccupancy() (occupied, capacity uint64, load, bound
 func (s *IndexSources) LACStats() LACStats { return sumOver(s.LACs, (*LeafCache).Stats) }
 
 // LACOccupancy sums live entries, slot capacity, full buckets, the node words
-// among the live entries and byte footprint across the leaf-address caches.
-func (s *IndexSources) LACOccupancy() (occupied, capacity, fullBuckets, nodes, bytes uint64) {
+// among the live entries and byte footprint across the leaf-address caches,
+// and counts the caches whose leaves fit (LeafCache.store).
+func (s *IndexSources) LACOccupancy() (occupied, capacity, fullBuckets, nodes, bytes, fit uint64) {
 	for _, lc := range s.LACs {
 		o, c, f, n := lc.Occupancy()
 		occupied, capacity, fullBuckets, nodes, bytes = occupied+o, capacity+c, fullBuckets+f, nodes+n, bytes+lc.SizeBytes()
+		if lc.leavesFit() {
+			fit++
+		}
 	}
-	return occupied, capacity, fullBuckets, nodes, bytes
+	return occupied, capacity, fullBuckets, nodes, bytes, fit
 }
 
 // INHTUsage scans every member's hash-table structure MN-side (no
@@ -159,19 +163,20 @@ func (s *IndexSources) gauges(family string) map[string]float64 {
 		return g
 	case family == "lac" && len(s.LACs) > 0:
 		st := s.Stats()
-		occupied, capacity, full, nodes, bytes := s.LACOccupancy()
+		occupied, capacity, full, nodes, bytes, fit := s.LACOccupancy()
 		g := map[string]float64{
 			"occupied_slots": float64(occupied),
 			"capacity_slots": float64(capacity),
+			"occupancy":      float64(occupied) / float64(capacity),
 			// Buckets with no empty way: a learn there displaces a live
 			// entry. Misses with none full are keys not yet learned.
 			"full_buckets": float64(full),
 			// Ways holding an inner node's address; the rest hold leaves.
 			"node_entries": float64(nodes),
 			"size_bytes":   float64(bytes),
-		}
-		if capacity > 0 {
-			g["occupancy"] = float64(occupied) / float64(capacity)
+			// Caches whose leaves fit: a full bucket gives up node words
+			// first; the rest run the second-chance sweep over both kinds.
+			"leaves_fit": float64(fit),
 		}
 		if attempts := st.SpecHits + st.SpecMisses + st.SpecRefutes + st.SpecAborts; attempts > 0 {
 			g["hit_rate"] = float64(st.SpecHits) / float64(attempts)

@@ -92,7 +92,7 @@ func TestAddSubLoad(t *testing.T) {
 		walked[racehash.Stats, [16]uint64](t, rng)
 		walked[rart.EngineStats, [16]uint64](t, rng)
 		walked[core.Stats, [46]uint64](t, rng)
-		walked[core.LACStats, [3]uint64](t, rng)
+		walked[core.LACStats, [7]uint64](t, rng)
 		walked[cuckoo.Stats, [10]uint64](t, rng)
 	}
 }
