@@ -381,10 +381,6 @@ type Client struct {
 	// inserting says the operation in flight is a put that may link a new
 	// leaf: its jump start bets on the landing's lease (readCandidates).
 	inserting bool
-	// seen is the image a remembered node address just showed leased
-	// (fetchRemembered); the table read behind it takes it in place of a
-	// second READ of the same address.
-	seen *rart.Node
 
 	// Warm-path scratch, reused across operations (clients are
 	// single-goroutine). Valid only within one locate step.

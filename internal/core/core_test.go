@@ -505,10 +505,22 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			c := newTestClient(f, shared, Options{Filter: sharedFilter})
 			rng := rand.New(rand.NewSource(int64(w)))
+			// No lease outlives its operation: the engine's hand is empty once
+			// the put returns, and once the get does.
+			handEmpty := func(op string, i int) bool {
+				if n := c.eng.Holding(); n != 0 {
+					errs <- fmt.Errorf("w%d %s %d: the engine's hand holds %d entries after it", w, op, i, n)
+					return false
+				}
+				return true
+			}
 			for i := 0; i < perWorker; i++ {
 				k := []byte(fmt.Sprintf("w%02d-key-%04d", w, i))
 				if _, err := c.Insert(k, []byte(fmt.Sprint(i))); err != nil {
 					errs <- fmt.Errorf("w%d insert %d: %w", w, i, err)
+					return
+				}
+				if !handEmpty("insert", i) {
 					return
 				}
 				j := rng.Intn(i + 1)
@@ -516,6 +528,9 @@ func TestConcurrentClients(t *testing.T) {
 				v, ok, err := c.Search(kk)
 				if err != nil || !ok || string(v) != fmt.Sprint(j) {
 					errs <- fmt.Errorf("w%d lost key %d: ok=%v err=%v", w, j, ok, err)
+					return
+				}
+				if !handEmpty("search", i) {
 					return
 				}
 			}

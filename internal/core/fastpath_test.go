@@ -387,6 +387,10 @@ func TestChaosLACChurn(t *testing.T) {
 								return
 							}
 						}
+						if n := c.eng.Holding(); n != 0 {
+							errCh <- fmt.Errorf("w%d step %d: the engine's hand holds %d entries between operations", w, i, n)
+							return
+						}
 					}
 				}(w)
 			}

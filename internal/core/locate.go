@@ -44,7 +44,6 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 		if n == nil && err == nil {
 			n, err = c.fetchValidated(prefix)
 		}
-		c.seen = nil
 		if err != nil {
 			return nil, 0, err
 		}
@@ -137,11 +136,12 @@ const (
 //   - Refuted: retired, another prefix's node, no node image at all, or on a
 //     lost memory node (as specVerify has it for a leaf: the prefix may live
 //     elsewhere by now, and the table knows). The entry naming this address
-//     is unlearned, a won bet is given back.
+//     is unlearned and the bet, if won, given back (refuted).
 //   - Not trusted: leased by someone else — more often than not an insert about
-//     to release the same node, so the entry is kept, and so is the image
-//     (c.seen): if the table names this address too, the image is the landing
-//     a read behind the table's would have returned, and is not read twice.
+//     to release the same node, so the entry is kept, and so is the image, in
+//     the engine's hand (rart.Leased): if the table names this address too, the
+//     image is the landing a read behind the table's would have returned, and
+//     is not read twice.
 //
 // Anything but a hit returns nil and the caller asks the table. Any other
 // fabric error is the caller's, as from the table read it replaces.
@@ -163,19 +163,18 @@ func (c *Client) fetchRemembered(prefix []byte) (*rart.Node, error) {
 	switch {
 	case err != nil:
 		out, note = specRefute, nodeLostNote
-	case nodes[0] == nil || !c.validPrefixNode(nodes[0], prefix):
+	case nodes[0] == nil || c.refuted(nodes[0], prefix):
 		out, note = specRefute, nodeStrangeNote
-	case nodes[0].Hdr.Status == wire.StatusInvalid:
-		out, note = specRefute, nodeRetiredNote
-	case nodes[0].LeaseWord != 0 && !c.eng.HoldsBet(nodes[0]):
-		out, note, c.seen = specAbort, nodeLeasedNote, nodes[0]
+		if nodes[0] != nil && nodes[0].Hdr.Status == wire.StatusInvalid {
+			note = nodeRetiredNote
+		}
+	case nodes[0].LeaseWord != c.eng.LeaseOn(nodes[0]):
+		out, note = specAbort, nodeLeasedNote
+		c.eng.Hold(nodes[0], rart.Leased)
 	default:
 		n = nodes[0]
 	}
 	c.specSettle(c.specNodes(), prefix, addr, out, note)
-	if out == specRefute {
-		c.eng.ReturnLeases(rart.BetRefuted) // a stranger's, or a retired node's
-	}
 	return n, nil
 }
 
@@ -228,35 +227,41 @@ func (c *Client) fetchValidatedIn(view *racehash.View, prefix []byte) (*rart.Nod
 	}
 	var found *rart.Node
 	for i, n := range nodes {
-		if n == nil {
-			continue
-		}
 		switch {
+		case n == nil:
+		case !c.refuted(n, prefix):
+			if found == nil {
+				found = n
+				c.lac.LearnNode(prefix, n.Addr, n.Hdr.Type)
+			}
 		case n.Hdr.Status == wire.StatusInvalid:
 			// Retired by a type switch whose table update this entry
 			// predates; clean it up so future lookups stay single-read.
 			atomic.AddUint64(&c.stats.StaleEntries, 1)
-			c.eng.ReturnLeases(rart.BetRefuted)
 			if err := view.Remove(h42, cands[i].Entry); err != nil {
 				return nil, err
 			}
-		case !c.validPrefixNode(n, prefix):
+		default:
 			// The 12-bit entry fingerprint matched, but the node's depth or
 			// 42-bit full-prefix hash did not: a hash-table-level
 			// fingerprint collision, paid for with a wasted node read.
 			atomic.AddUint64(&c.stats.FPMismatches, 1)
-			c.eng.ReturnLeases(rart.BetRefuted)
-		case found == nil:
-			found = n
-			c.lac.LearnNode(prefix, n.Addr, n.Hdr.Type)
 		}
 	}
 	return found, nil
 }
 
-// validPrefixNode applies the §III-B metadata checks.
-func (c *Client) validPrefixNode(n *rart.Node, prefix []byte) bool {
-	return int(n.Hdr.Depth) == len(prefix) && n.Hdr.PrefixHash == wire.PrefixHash42(prefix)
+// refuted reports whether n, read as prefix's node, is not its live node:
+// retired, or failing the §III-B metadata checks (depth, 42-bit prefix hash).
+// A refuted landing gives back the leases the engine's hand holds — the one a
+// bet won with n among them — and the rest of the round goes on without them.
+func (c *Client) refuted(n *rart.Node, prefix []byte) bool {
+	if n.Hdr.Status != wire.StatusInvalid &&
+		int(n.Hdr.Depth) == len(prefix) && n.Hdr.PrefixHash == wire.PrefixHash42(prefix) {
+		return false
+	}
+	c.eng.Release(rart.BetRefuted)
+	return true
 }
 
 // readCandidates fetches candidate inner nodes in one doorbell batch.
@@ -267,13 +272,13 @@ func (c *Client) validPrefixNode(n *rart.Node, prefix []byte) bool {
 // lease (rart.LeaseRead): the landing of a put that may insert is, more often
 // than not, the node the put writes, and the lease CAS depends on the hash
 // entry, not on the node's image. The image is the same either way; whoever
-// drops it for failing a check gives a won lease back (ReturnLeases).
+// drops it for failing a check gives a won lease back (refuted).
 func (c *Client) readCandidates(cands []racehash.Candidate, bet bool) ([]*rart.Node, error) {
 	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageNodeRead))
-	if len(cands) == 1 && c.seen != nil && c.seen.Addr == cands[0].Entry.Addr {
+	if seen := c.eng.TakeLeased(); len(cands) == 1 && seen != nil && seen.Addr == cands[0].Entry.Addr {
 		// Read a moment ago at its remembered address, and met leased: the
 		// bet is lost already, the image is the one a READ now would return.
-		c.nodeScratch = append(c.nodeScratch[:0], c.seen)
+		c.nodeScratch = append(c.nodeScratch[:0], seen)
 		return c.nodeScratch, nil
 	}
 	if bet {
@@ -375,7 +380,7 @@ func (c *Client) locateParallel(key []byte, maxLen int) (*rart.Node, int, error)
 			return nil, 0, err
 		}
 		for _, n := range nodes {
-			if n != nil && n.Hdr.Status != wire.StatusInvalid && c.validPrefixNode(n, key[:p.l]) {
+			if n != nil && !c.refuted(n, key[:p.l]) {
 				return n, p.l, nil
 			}
 		}

@@ -279,46 +279,50 @@ func (c *Client) checkKey(key []byte) error {
 //     fabric fault says nothing about the collided prefix, and descents
 //     re-learn it into the filter, so widening would re-detect it each time).
 //     The walk that comes for the parent meets the start node again below it
-//     and takes the image already held (rart.Engine.Held), not a second READ —
-//     and a put that won the start node's lease with that image keeps it too:
-//     it is the child lock of the write the re-routed walk makes.
+//     and takes the image from the engine's hand (rart.Rerouted), not a second
+//     READ — and a put that won the start node's lease with that image keeps
+//     it too: it is the child lock of the write the re-routed walk makes.
 //   - the path crosses a lost node and the layer above can answer instead
 //     (anchors with fault tolerance; a rooted scan's typed error): lost is
 //     reported with the error, in one decision, no backoff.
 //   - a lost race or an injected fault a later attempt can outlive: counted
 //     once, by cause, noted on the trace, and charged to the backoff budget.
 //   - anything else, or the budget is spent: the terminal error.
+//
+// Every round ends on the hand (rart.Engine.Release): whatever a put still
+// holds goes back before the next step — a wait, a return — but a re-route's
+// entry, so nothing outlives the round it was won in but that entry, and
+// nothing outlives drive.
 func (c *Client) drive(op string, key []byte, rooted bool,
 	attempt func(start *rart.Node, startLen int) (collided bool, err error)) (lost bool, err error) {
 	maxLen := len(key)
-	var held *rart.Node
 	for bo := c.eng.Backoff(); ; {
-		var start *rart.Node
+		var start, kept *rart.Node
 		var startLen int
+		var narrow bool
 		if rooted {
 			start, err = c.readRoot()
 		} else {
 			start, startLen, err = c.locate(key, maxLen)
 		}
 		if err == nil {
-			var narrow bool
-			c.eng.Held, held = held, nil
 			narrow, err = attempt(start, startLen)
-			c.eng.Held = nil
 			if errors.Is(err, rart.ErrNeedParent) && startLen > 0 {
 				atomic.AddUint64(&c.stats.ParentRetries, 1)
 				c.note(fabric.StagePublish, "need parent: re-routing via prefix %d, no backoff", startLen-1)
 				// The re-routed walk meets start again, one level down: it
 				// takes this image instead of reading the node a second time.
-				narrow, held = true, start
+				c.eng.Hold(start, rart.Rerouted)
+				narrow, kept = true, start
 			}
-			if narrow {
-				maxLen = startLen - 1
-				continue
-			}
-			if err == nil {
-				return false, nil
-			}
+		}
+		c.eng.Release(rart.BetRoundEnded, kept)
+		if narrow {
+			maxLen = startLen - 1
+			continue
+		}
+		if err == nil {
+			return false, nil
 		}
 		if nodeLost(err) && (rooted || c.shared.FT != nil) {
 			c.note(fabric.StageNone, "node lost: %v", err)

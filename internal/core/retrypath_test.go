@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -68,12 +69,15 @@ func plantImpostor(t *testing.T, c *Client, prefix []byte, edge byte, slot wire.
 
 // fullNodeCluster builds one full Node4 at depth 2 — four keys sharing the
 // prefix "ab" — that the client's filter knows, because the split that made
-// the node published it.
-func fullNodeCluster(t *testing.T) *Client {
+// the node published it. The client is created under plan (nil: none), which
+// injects nothing until its rates are armed.
+func fullNodeCluster(t *testing.T, plan *fabric.FaultPlan) *Client {
 	t.Helper()
 	f, shared := newCluster(t, 1, fabric.InstantConfig(), 1000)
 	filter := NewFilterCache(1<<12, 1)
+	f.SetFaultPlan(plan)
 	c := newTestClient(f, shared, Options{Filter: filter})
+	f.SetFaultPlan(nil)
 	for _, k := range []string{"ab1z", "ab2z", "ab3z", "ab4z"} {
 		if _, err := c.Insert([]byte(k), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -109,7 +113,7 @@ func (b *batchLog) lockBatches() (locks []int, nodeReads int) {
 // the parent alone.
 func TestPutNeedParentNoBackoff(t *testing.T) {
 	t.Run("lease kept", func(t *testing.T) {
-		c := fullNodeCluster(t)
+		c := fullNodeCluster(t, nil)
 		clock0 := c.eng.C.Clock()
 		restarts0 := c.stats.Restarts
 		eng0 := c.eng.Stats()
@@ -151,13 +155,13 @@ func TestPutNeedParentNoBackoff(t *testing.T) {
 		}
 	})
 
-	// The round between the two walks can end in a fault, which gives the
-	// lease back; the image lives on as Engine.Held. Its lease word must have
-	// gone with the lease: an image still carrying our word arms the type
-	// switch's lock CAS with an expectation that is gone, and the lock batch
-	// is followed by a poll.
+	// The re-routed walk's own landing can be refuted, which gives back every
+	// lease the hand holds — the kept one too — and leaves the kept image in.
+	// Its lease word must have gone with the lease: an image still carrying
+	// our word arms the type switch's lock CAS with an expectation that is
+	// gone, and the lock batch is followed by a poll.
 	t.Run("lease given back, image handed on", func(t *testing.T) {
-		c := fullNodeCluster(t)
+		c := fullNodeCluster(t, nil)
 		key := []byte("ab5z")
 		bets0 := c.eng.Stats().LeaseBets
 		c.inserting = true
@@ -169,9 +173,10 @@ func TestPutNeedParentNoBackoff(t *testing.T) {
 		if !wire.LeaseOwnedBy(full.LeaseWord, uint16(c.eng.C.ID())) {
 			t.Fatalf("the landing's image carries lease word %#x, want ours", full.LeaseWord)
 		}
-		c.eng.ReturnLeases(rart.BetRoundEnded)
-		if full.LeaseWord != 0 {
-			t.Errorf("image's lease word = %#x after the lease was given back, want 0", full.LeaseWord)
+		c.eng.Hold(full, rart.Rerouted) // as the driver's re-route does
+		c.eng.Release(rart.BetRefuted)  // as a refuted landing does
+		if full.LeaseWord != 0 || c.eng.Holding() != 1 {
+			t.Errorf("image's lease word = %#x with %d entries held after the lease was given back, want 0 and the image", full.LeaseWord, c.eng.Holding())
 		}
 		root, err := c.readRoot()
 		if err != nil {
@@ -179,12 +184,13 @@ func TestPutNeedParentNoBackoff(t *testing.T) {
 		}
 		var log batchLog
 		c.eng.C.SetObserver(&log)
-		c.eng.Held = full
 		_, err = c.eng.PutFrom(root, key, []byte("v"), rart.PutUpsert, hooks{c})
-		c.eng.Held = nil
 		c.eng.C.SetObserver(nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := c.eng.Holding(); n != 0 {
+			t.Errorf("the hand holds %d entries after the put, want 0: the walk took the image", n)
 		}
 		if locks, nodeReads := log.lockBatches(); fmt.Sprint(locks) != "[8]" || nodeReads != 0 {
 			t.Errorf("lock batches %v, %d node reads; want [8], 0: one batch locks both nodes, no poll behind it", locks, nodeReads)
@@ -196,6 +202,41 @@ func TestPutNeedParentNoBackoff(t *testing.T) {
 			t.Errorf("%q missing after grow: %v", key, err)
 		}
 	})
+}
+
+// TestRerouteLeaseEndsWithItsRound: the round of the re-routed walk can end
+// in an error — here its locate, round after round, until the budget is spent
+// — and the put with it. The lease kept for that walk goes back with the
+// round, before the backoff wait, and the put returns holding nothing. Every
+// batch behind the landing loses its completion: a timeout executes the
+// batch, so the give-back lands (cut by a transient, it would leave the lease
+// to expire). The next writer of the full node neither waits nor steals.
+func TestRerouteLeaseEndsWithItsRound(t *testing.T) {
+	plan := &fabric.FaultPlan{Seed: 1, TimeoutPs: 1_000}
+	c := fullNodeCluster(t, plan)
+	key := []byte("ab5z")
+	full := landingOf(t, c, string(key), "ab")
+	c.eng.C.SetObserver(&afterBatches{n: 1, fn: func() { plan.TimeoutPer64k = 1 << 16 }})
+	_, err := c.Insert(key, []byte("v"))
+	c.eng.C.SetObserver(nil)
+	if !errors.Is(err, ErrRetriesExhausted) || c.stats.ParentRetries != 1 {
+		t.Fatalf("put = %v after %d re-routes; want retries exhausted behind one", err, c.stats.ParentRetries)
+	}
+	if n := c.eng.Holding(); n != 0 {
+		t.Errorf("the hand holds %d entries after the put, want 0", n)
+	}
+	next := NewClient(c.shared, c.eng.C.Fabric().NewClient(), Options{Filter: c.filter})
+	if w := leaseWordOf(t, next, full); w != 0 {
+		t.Errorf("full node's lease word = %#x after the put, want 0", w)
+	}
+	clock0 := next.eng.C.Clock()
+	if _, err := next.Insert(key, []byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	if dt, steals := next.eng.C.Clock()-clock0, next.eng.Stats().LockSteals; dt >= 100_000_000 || steals != 0 {
+		t.Errorf("the next writer took %d ps and stole %d leases; want < 100 µs and none", dt, steals)
+	}
+	warmSearch(t, next, key, []byte("next"))
 }
 
 // deleteCollisionCluster builds the Delete collision-confirm scenario:

@@ -307,8 +307,13 @@ func reachableInner(t *testing.T, c *Client) map[mem.Addr]bool {
 // checkNoPhantomEntries asserts that every inner-node hash-table entry names
 // a node that is, or (per before) once was, reachable from the tree: an
 // object written ahead of a lock that was then lost must never be published.
+// And that c, between its operations, holds nothing in its engine's hand: no
+// lease a bet won outlives the operation it was won for.
 func checkNoPhantomEntries(t *testing.T, c *Client, before map[mem.Addr]bool, what string) {
 	t.Helper()
+	if n := c.eng.Holding(); n != 0 {
+		t.Errorf("%s: the client's hand holds %d entries between operations", what, n)
+	}
 	after := reachableInner(t, c)
 	for node := range c.members.Current().Tables {
 		err := c.viewOf(node).Walk(func(e wire.HashEntry) error {

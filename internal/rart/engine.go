@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"sphinx/internal/consistenthash"
@@ -71,23 +72,13 @@ type Engine struct {
 	Ring  *consistenthash.Ring
 	Cfg   Config
 
-	// Held, when set, is an image the caller already holds of a node the
-	// next descent is about to meet: the walk takes it in place of the READ of
-	// its address. Like every image a descent reads it is unlocked and may be
-	// stale, which the write paths settle under their locks.
-	Held *Node
 	// Note, when set, receives the constant notes of the lease bets below (the
 	// index layer forwards them to an armed trace recorder).
 	Note func(stage fabric.Stage, note string)
 
-	// bets are the leases this client holds ahead of a write that has not
-	// reached its lock batch: won by LeaseRead with the landing image they
-	// came with, used as the write's locks by lockNodes and installLeaf or
-	// given back by returnBets. At most two — the node a put must change
-	// under its parent, kept across the re-route for that parent, and the
-	// re-routed landing. Kept here and not on Node, which is exactly one
-	// 128-byte size class.
-	bets [2]*Node
+	// hand is what the operation in flight carries from one batch to a later
+	// one: images and the leases won with them (see hand).
+	hand hand
 
 	regionSizes map[mem.NodeID]uint64
 	stats       EngineStats
@@ -183,7 +174,7 @@ type EngineStats struct {
 	// lease CAS with its READ (LeaseRead). LeaseBetsLost of them lost the CAS
 	// — the node was leased — and went on with the unlocked image, exactly as
 	// if no bet had been made; LeaseBetsReturned won it and gave the lease back
-	// unused, in a round trip of its own (returnBets). The rest became the
+	// unused, in a round trip of its own (Release). The rest became the
 	// lock of the put's write.
 	LeaseBets         uint64
 	LeaseBetsLost     uint64
@@ -249,16 +240,9 @@ func (e *Engine) LeafHome(key []byte) mem.NodeID {
 	return e.Ring.OwnerKey(key)
 }
 
-// nodeReadSize returns how many bytes to READ for a node of type t.
-func (e *Engine) nodeReadSize(t wire.NodeType) uint64 {
-	if e.Cfg.Prealloc256 {
-		return wire.NodeSize(wire.Node256)
-	}
-	return wire.NodeSize(t)
-}
-
-// nodeAllocSize returns how many bytes to allocate for a node of type t.
-func (e *Engine) nodeAllocSize(t wire.NodeType) uint64 {
+// nodeSize returns how many bytes a node of type t occupies — to READ it and
+// to allocate it: a Node256's in Prealloc256 mode.
+func (e *Engine) nodeSize(t wire.NodeType) uint64 {
 	if e.Cfg.Prealloc256 {
 		return wire.NodeSize(wire.Node256)
 	}
@@ -287,7 +271,7 @@ func (e *Engine) clampRead(addr mem.Addr, want uint64) uint64 {
 // call sequences and these fine annotations override it per batch.
 func (e *Engine) ReadNode(addr mem.Addr, hint wire.NodeType) (*Node, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageNodeRead))
-	want := e.nodeReadSize(hint)
+	want := e.nodeSize(hint)
 	for attempt := 0; attempt < 2; attempt++ {
 		buf := e.GrabBuf(want)
 		if err := e.C.Read(addr, buf); err != nil {
@@ -312,7 +296,7 @@ func (e *Engine) ReadNode(addr mem.Addr, hint wire.NodeType) (*Node, error) {
 // with the destination buffer. The buffer comes from the engine's free
 // list; the caller passes it back via ReleaseBuf once the image is decoded.
 func (e *Engine) AppendNodeRead(ops []fabric.Op, addr mem.Addr, hint wire.NodeType) ([]fabric.Op, []byte) {
-	buf := e.GrabBuf(e.nodeReadSize(hint))
+	buf := e.GrabBuf(e.nodeSize(hint))
 	return append(ops, fabric.Op{Kind: fabric.Read, Addr: addr, Data: buf}), buf
 }
 
@@ -669,7 +653,7 @@ func (e *Engine) stageLeaf(st *staged, key, value []byte) (mem.Addr, error) {
 // is encoded.
 func (e *Engine) reserveNode(st *staged, n *Node, prefix []byte) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageAlloc))
-	size := e.nodeAllocSize(n.Hdr.Type)
+	size := e.nodeSize(n.Hdr.Type)
 	addr, err := e.Alloc.Alloc(e.NodeHome(prefix), mem.ClassInner, size)
 	if err != nil {
 		return err
@@ -709,15 +693,15 @@ func (e *Engine) abort(st *staged, cause error, a, b *Node) error {
 			ops = append(ops, e.UnlockOp(n))
 		}
 	}
-	e.release(ops)
+	e.unlock(ops)
 	return cause
 }
 
-// release posts lease-release CASes best effort: each expects the exact
+// unlock posts lease-release CASes best effort: each expects the exact
 // lease word its lock attempt installed, so it is a no-op on a lease that
 // was never taken or has since been stolen, and a release the fabric drops
 // only means the lease expires instead (docs/failure-model.md §3).
-func (e *Engine) release(ops []fabric.Op) {
+func (e *Engine) unlock(ops []fabric.Op) {
 	if len(ops) == 0 {
 		return
 	}
@@ -742,7 +726,7 @@ type lockTry struct {
 // self-owned lock CAS immediately; 0 when unknown.
 func (e *Engine) newLockTry(addr mem.Addr, hint wire.NodeType, expectLease uint64) lockTry {
 	return lockTry{
-		addr: addr, want: e.nodeReadSize(hint),
+		addr: addr, want: e.nodeSize(hint),
 		expect: expectLease, watch: leaseWatch(expectLease),
 		tryCAS: expectLease == 0 || wire.LeaseOwnedBy(expectLease, uint16(e.C.ID())),
 	}
@@ -779,7 +763,7 @@ func (e *Engine) dropLock(t *lockTry, ops []fabric.Op, cause error) (released bo
 	e.ReleaseBuf(t.buf)
 	t.buf = nil
 	if t.cas >= 0 && (errors.Is(cause, fabric.ErrTransient) || errors.Is(cause, fabric.ErrTimeout)) {
-		e.release([]fabric.Op{t.undoLock(ops)})
+		e.unlock([]fabric.Op{t.undoLock(ops)})
 		return true
 	}
 	return false
@@ -816,7 +800,7 @@ func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*N
 		}
 		e.ReleaseBuf(buf)
 		if err != nil {
-			e.release([]fabric.Op{t.undoLock(ops)})
+			e.unlock([]fabric.Op{t.undoLock(ops)})
 			return nil, err
 		}
 		return n, nil
@@ -881,8 +865,9 @@ func (e *Engine) Lock(addr mem.Addr, hint wire.NodeType, expectLease uint64) (*N
 	return e.acquire(&t, e.Backoff(), false)
 }
 
-// BetCause says why a lease that a bet won goes back unused (returnBets); each
-// cause has its constant trace note.
+// BetCause says why a lease that a bet won goes back unused (Release); each
+// cause has its constant trace note. The first three are verdicts on a
+// landing, the last two on the put.
 type BetCause uint8
 
 const (
@@ -911,7 +896,7 @@ func (e *Engine) note(stage fabric.Stage, note string) {
 // landing node with the lease CAS 0 → ours ahead of it, postLock's pair as ONE
 // batch charged to the lock stage. It is a bet that the put will write the
 // node it lands on, and it never waits. A won CAS makes the image the locked
-// one and the lease a bet (e.bets) that PutFrom resolves; behind a lost CAS
+// one, held in the hand as a LandingBet that PutFrom resolves; behind a lost CAS
 // the READ is the unlocked image a plain ReadNode would have returned and the
 // put goes on exactly as without the bet — no poll, no backoff. A nil node
 // with a nil error is an image that does not decode at the hinted size: the
@@ -935,56 +920,12 @@ func (e *Engine) LeaseRead(addr mem.Addr, hint wire.NodeType) (*Node, error) {
 		atomic.AddUint64(&e.stats.LeaseBetsLost, 1)
 		e.note(fabric.StageLock, "lease bet lost: node leased, unlocked image kept")
 	case err != nil:
-		e.release([]fabric.Op{t.undoLock(ops)})
+		e.unlock([]fabric.Op{t.undoLock(ops)})
 		e.countReturned(1, BetRefuted)
-	case e.bets[0] == nil:
-		e.bets[0] = n
 	default:
-		// A round bets holding at most the one lease the round before kept
-		// (PutFrom keeps two only for a write it then makes).
-		e.bets[1] = n
+		e.Hold(n, LandingBet)
 	}
 	return n, nil
-}
-
-// HoldsBet reports whether n is an image LeaseRead returned under a lease it
-// won and the put still holds: the one lease on a landing's image that is the
-// reader's own.
-func (e *Engine) HoldsBet(n *Node) bool { return n != nil && (e.bets[0] == n || e.bets[1] == n) }
-
-// takeBet turns the lease a bet won on n, if any, into the caller's lock.
-func (e *Engine) takeBet(n *Node) bool {
-	for i, b := range e.bets {
-		if b == n && n != nil {
-			e.bets[i] = nil
-			return true
-		}
-	}
-	return false
-}
-
-// returnBets gives back, in one batch of its own, every lease a bet holds
-// except those of keep1 and keep2, through release; the images' lease words
-// are cleared with it, so an image that lives on (Engine.Held) arms no CAS
-// with a word that is gone.
-func (e *Engine) returnBets(cause BetCause, keep1, keep2 *Node) {
-	if e.bets == [2]*Node{} {
-		return // every operation but a put behind a won bet
-	}
-	var arr [2]fabric.Op
-	ops := arr[:0]
-	for i, n := range e.bets {
-		if n == nil || n == keep1 || n == keep2 {
-			continue
-		}
-		ops = append(ops, e.UnlockOp(n))
-		n.LeaseWord = 0
-		e.bets[i] = nil
-	}
-	if len(ops) > 0 {
-		e.release(ops)
-		e.countReturned(uint64(len(ops)), cause)
-	}
 }
 
 func (e *Engine) countReturned(n uint64, cause BetCause) {
@@ -992,9 +933,131 @@ func (e *Engine) countReturned(n uint64, cause BetCause) {
 	e.note(fabric.StageUnlock, betNotes[cause])
 }
 
-// ReturnLeases gives back every lease a bet still holds; the index layer
-// calls it where a landing fails its checks and where a put's round ends.
-func (e *Engine) ReturnLeases(cause BetCause) { e.returnBets(cause, nil, nil) }
+// Origin says how an image came into the hand.
+type Origin uint8
+
+const (
+	// LandingBet: a landing LeaseRead read behind the CAS for its lease, which
+	// won. The lease is the lock of the write the put makes there.
+	LandingBet Origin = iota
+	// Rerouted: the landing of a put that needs its parent (ErrNeedParent),
+	// kept across the index layer's re-route for the walk that comes back
+	// through the parent. That walk meets the image in place of a READ of the
+	// node, and a lease held with it is the child lock of the write it makes.
+	Rerouted
+	// Leased: an image read at a remembered address and found leased by
+	// someone else, kept for the table read behind it: if the table names the
+	// same address, the image is the one a READ there would return.
+	Leased
+)
+
+// held is one entry of the hand: an image, the lease this client holds on it
+// (0: none) and how it came in.
+type held struct {
+	n      *Node
+	lease  uint64
+	origin Origin
+}
+
+// hand is what an operation carries from one batch to a later one instead of
+// reading or locking it again. One per engine, a fixed array — holding
+// allocates nothing — kept beside the images and not on Node, which is
+// exactly one 128-byte size class. Two entries are the most an operation
+// holds at once: a re-route's, and beside it the re-routed landing's bet or
+// the image a remembered address showed leased — the candidate read that
+// could bet takes that image out first (TakeLeased).
+//
+// LeaseRead and Hold put entries in; the writes (lockNodes, installLeaf,
+// convertLeaf) and the index layer's candidate read (TakeLeased) take them
+// out; the walk meets a re-route's image; and Release gives back what is
+// left, the one path by which a lease a bet won goes back unused. The index
+// layer's driver closes every round with it, so only a re-route's entry
+// outlives a round and nothing outlives an operation.
+type hand struct {
+	e [2]held
+	n int // entries in use, in the order they came in: e[:n]
+}
+
+// find returns the index of the entry holding n — for a nil n, of the first
+// of origin o — or -1.
+func (h *hand) find(n *Node, o Origin) int {
+	return slices.IndexFunc(h.e[:h.n], func(e held) bool { return n != nil && e.n == n || n == nil && e.origin == o })
+}
+
+// at returns entry i, a blank one for -1.
+func (h *hand) at(i int) (e held) {
+	if i >= 0 {
+		e = h.e[i]
+	}
+	return e
+}
+
+// take takes out of the hand the entry holding n — for a nil n, the first of
+// origin o — and returns it, a blank entry for none.
+func (e *Engine) take(n *Node, o Origin) held {
+	i := e.hand.find(n, o)
+	t := e.hand.at(i)
+	if i >= 0 {
+		e.hand.n = len(slices.Delete(e.hand.e[:e.hand.n], i, i+1)) // zeroes the freed entry
+	}
+	return t
+}
+
+// Hold puts n into the hand as o: a LandingBet with the lease its image was
+// read under, anything else with the lease the hand already holds on n.
+func (e *Engine) Hold(n *Node, o Origin) {
+	t := e.take(n, 0)
+	if o == LandingBet {
+		t.lease = n.LeaseWord // installed by the CAS the READ rode behind
+	}
+	e.hand.e[e.hand.n] = held{n, t.lease, o} // never out of range: see hand
+	e.hand.n++
+}
+
+// TakeLeased takes out of the hand the image last found leased at a
+// remembered address, if any: it stands in for the next READ of that address
+// and for nothing later.
+func (e *Engine) TakeLeased() *Node { return e.take(nil, Leased).n }
+
+// LeaseOn is the lease the hand holds on n, 0 for none: an image whose lease
+// word is another is leased by someone else.
+func (e *Engine) LeaseOn(n *Node) uint64 { return e.hand.at(e.hand.find(n, 0)).lease }
+
+// Holding counts the entries in the hand: none between operations.
+func (e *Engine) Holding() int { return e.hand.n }
+
+// Release gives back, in one batch of its own, every lease the hand holds but
+// those on keep's images, and takes every other entry out — but for a
+// re-route's image on a verdict about a landing (a cause before
+// BetKeyExists), which stays for the walk it was kept for. The releases go in
+// the hand's order, the order the leases were won in: a batch a fault cuts
+// short releases the older first. An image's lease word is cleared with its
+// lease: a walk that goes on with the image arms no lock CAS with a word that
+// is gone.
+func (e *Engine) Release(cause BetCause, keep ...*Node) {
+	ops, h := e.commitOps[:0], &e.hand // engine-held storage: no commit batch is being built
+	n := 0
+	for _, t := range h.e[:h.n] {
+		if !slices.Contains(keep, t.n) {
+			if t.lease != 0 {
+				ops = append(ops, fabric.Op{Kind: fabric.CAS, Addr: t.n.LeaseAddr(), Expect: t.lease})
+				t.n.LeaseWord, t.lease = 0, 0
+			}
+			if t.origin != Rerouted || cause >= BetKeyExists {
+				continue
+			}
+		}
+		h.e[n] = t
+		n++
+	}
+	clear(h.e[n:h.n])
+	h.n = n
+	e.commitOps = ops[:0]
+	if len(ops) > 0 {
+		e.unlock(ops)
+		e.countReturned(uint64(len(ops)), cause)
+	}
+}
 
 // lockNodes is the first dependency level of every structural write, in one
 // doorbell batch: the staged fresh-object WRITEs and publication reads, the
@@ -1026,13 +1089,13 @@ func (e *Engine) lockNodes(child, parent *Node, st *staged) (lc, lp *Node, err e
 	if st != nil {
 		ops = st.ops
 	}
-	if e.takeBet(child) {
+	if e.take(child, 0).lease != 0 {
 		lc = child
 	} else {
 		tc = e.newLockTry(child.Addr, child.Hdr.Type, child.LeaseWord)
 		ops = e.postLock(&tc, ops)
 	}
-	polls := parent != nil && !e.takeBet(parent)
+	polls := parent != nil && e.take(parent, 0).lease == 0
 	if polls {
 		tp = e.newLockTry(parent.Addr, parent.Hdr.Type, parent.LeaseWord)
 		ops = e.postLock(&tp, ops)
@@ -1065,7 +1128,7 @@ func (e *Engine) lockNodes(child, parent *Node, st *staged) (lc, lp *Node, err e
 	}
 	if err == nil && lc == nil {
 		if lp != nil {
-			e.release([]fabric.Op{e.UnlockOp(lp)})
+			e.unlock([]fabric.Op{e.UnlockOp(lp)})
 			lp, parentPolled = nil, false
 			tp = e.newLockTry(parent.Addr, parent.Hdr.Type, 0)
 		}
@@ -1121,11 +1184,8 @@ func MatchPartial(n *Node, key []byte) (matched int, full bool) {
 // CommonPrefixLen returns the length of the longest common prefix of two
 // keys.
 func CommonPrefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
+	n := min(len(a), len(b))
+	for i := range n {
 		if a[i] != b[i] {
 			return i
 		}

@@ -31,7 +31,6 @@ func FuzzDecodeNode(f *testing.F) {
 			node.Child(byte(b))
 		}
 		node.Children()
-		node.NumChildren()
 		_ = node.Encode()
 		MatchPartial(node, []byte("anything"))
 		OnPath(node, []byte("anything at all"))

@@ -118,7 +118,7 @@ func TestPreCommitFaultReleasesLocks(t *testing.T) {
 // TestNodeIsOneSizeClass: a decoded Node is exactly 128 bytes, one allocator
 // size class; a field more makes it 144 and every node read allocates the next
 // class up. What an engine knows about an image (the lease a bet won with it:
-// Engine.bets) is kept beside the image, not on it.
+// the engine's hand) is kept beside the image, not on it.
 func TestNodeIsOneSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Node{}); size != 128 {
 		t.Fatalf("unsafe.Sizeof(Node{}) = %d, want 128", size)
@@ -172,7 +172,7 @@ func TestLeaseReadIsTheLock(t *testing.T) {
 	if root, err = e.LeaseRead(rootAddr, wire.Node256); err != nil || leaseAt() == 0 {
 		t.Fatalf("second LeaseRead: %v, lease %#x", err, leaseAt())
 	}
-	e.ReturnLeases(BetRoundEnded)
+	e.Release(BetRoundEnded)
 	if st := e.Stats(); st.LeaseBetsReturned != 1 || leaseAt() != 0 || root.LeaseWord != 0 {
 		t.Errorf("returned %d, lease %#x in memory, %#x in the image; want 1, 0, 0", st.LeaseBetsReturned, leaseAt(), root.LeaseWord)
 	}
@@ -191,7 +191,7 @@ func TestLeaseReadIsTheLock(t *testing.T) {
 	if len(log.evs) != batches+1 || log.evs[batches].EndPs != e.C.Clock() || log.evs[batches].StartPs != clock {
 		t.Errorf("a lost bet posted %d batches and moved the clock off them; want 1 batch, no wait", len(log.evs)-batches)
 	}
-	e.ReturnLeases(BetRoundEnded) // nothing to return
+	e.Release(BetRoundEnded) // nothing to return
 	if st := e.Stats(); st.LeaseBets != 3 || st.LeaseBetsLost != 1 || st.LeaseBetsReturned != 1 || leaseAt() != held.LeaseWord {
 		t.Errorf("bets %d, lost %d, returned %d, lease %#x; want 3, 1, 1 and the rival's word", st.LeaseBets, st.LeaseBetsLost, st.LeaseBetsReturned, leaseAt())
 	}

@@ -136,15 +136,12 @@ func (e *Engine) RelocateNode(parent, child *Node, prefix []byte, target mem.Nod
 		Hdr:     lockedChild.Hdr,
 		EOL:     lockedChild.EOL,
 		Partial: append([]byte(nil), lockedChild.Partial...),
+		Index:   append([]byte(nil), lockedChild.Index...), // nil but for a Node48
 		Slots:   append([]uint64(nil), lockedChild.Slots...),
-	}
-	if lockedChild.Index != nil {
-		clone.Index = append([]byte(nil), lockedChild.Index...)
 	}
 	clone.Hdr.Status = wire.StatusIdle
 	clone.HdrWord = clone.Hdr.Encode()
-	clone.LeaseWord = 0
-	addr, err := e.Alloc.Alloc(target, mem.ClassInner, e.nodeAllocSize(clone.Hdr.Type))
+	addr, err := e.Alloc.Alloc(target, mem.ClassInner, e.nodeSize(clone.Hdr.Type))
 	if err == nil {
 		clone.Addr = addr
 		err = e.C.Write(addr, clone.Encode())

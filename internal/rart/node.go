@@ -85,10 +85,9 @@ func Decode(addr mem.Addr, buf []byte) (*Node, error) {
 	if hdr.Type == wire.Node48 {
 		n.Index = append([]byte(nil), buf[wire.SlotBase:wire.SlotBase+wire.Node48IndexSize]...)
 	}
-	cap := hdr.Type.Capacity()
-	n.Slots = make([]uint64, cap)
+	n.Slots = make([]uint64, hdr.Type.Capacity())
 	off := int(wire.SlotsOff(hdr.Type))
-	for i := 0; i < cap; i++ {
+	for i := range n.Slots {
 		n.Slots[i] = binary.LittleEndian.Uint64(buf[off+8*i:])
 	}
 	return n, nil
@@ -181,32 +180,15 @@ func (n *Node) edgeOf(key []byte) edge {
 // FreeSlot returns the position where a child for edge byte b can be
 // installed, or ok=false if the node is full for that byte.
 func (n *Node) FreeSlot(b byte) (idx int, ok bool) {
-	switch n.Hdr.Type {
-	case wire.Node4, wire.Node16, wire.Node48:
-		for i, w := range n.Slots {
-			if w == 0 {
-				return i, true
-			}
+	if n.Hdr.Type == wire.Node256 {
+		return int(b), n.Slots[b] == 0
+	}
+	for i, w := range n.Slots {
+		if w == 0 {
+			return i, true
 		}
-		return 0, false
-	case wire.Node256:
-		if n.Slots[b] == 0 {
-			return int(b), true
-		}
-		return 0, false
 	}
 	return 0, false
-}
-
-// NumChildren counts present children.
-func (n *Node) NumChildren() int {
-	c := 0
-	for _, w := range n.Slots {
-		if wire.DecodeSlot(w).Present {
-			c++
-		}
-	}
-	return c
 }
 
 // Children returns present (edge byte, slot) pairs in ascending edge order.
@@ -282,29 +264,16 @@ func (n *Node) Grown() *Node {
 }
 
 // addChildLocal inserts into the decoded image only (used when building
-// nodes locally before they are written out).
+// nodes locally before they are written out), at the key byte's free slot.
 func (g *Node) addChildLocal(s wire.Slot) {
-	switch g.Hdr.Type {
-	case wire.Node4, wire.Node16:
-		for i, w := range g.Slots {
-			if w == 0 {
-				g.Slots[i] = s.Encode()
-				return
-			}
-		}
-	case wire.Node48:
-		for i, w := range g.Slots {
-			if w == 0 {
-				g.Slots[i] = s.Encode()
-				g.Index[s.KeyByte] = uint8(i + 1)
-				return
-			}
-		}
-	case wire.Node256:
-		g.Slots[s.KeyByte] = s.Encode()
-		return
+	i, ok := g.FreeSlot(s.KeyByte)
+	if !ok {
+		panic("rart: addChildLocal on full node")
 	}
-	panic("rart: addChildLocal on full node")
+	g.Slots[i] = s.Encode()
+	if g.Hdr.Type == wire.Node48 {
+		g.Index[s.KeyByte] = uint8(i + 1)
+	}
 }
 
 // NewNode builds a fresh local node image with the given type, depth and

@@ -138,15 +138,15 @@ func TestGrowChainToNode256(t *testing.T) {
 		if n.Hdr.Type != want {
 			t.Fatalf("grew to %v, want %v", n.Hdr.Type, want)
 		}
-		for b := n.NumChildren(); b < n.Hdr.Type.Capacity(); b++ {
+		for b := len(n.Children()); b < n.Hdr.Type.Capacity(); b++ {
 			n.addChildLocal(wire.Slot{Present: true, Leaf: true, KeyByte: byte(b), Addr: mem.NewAddr(0, 64)})
 		}
 		if _, ok := n.FreeSlot(255); ok && n.Hdr.Type != wire.Node256 {
 			t.Fatalf("%v reports free slot while full", n.Hdr.Type)
 		}
 	}
-	if n.NumChildren() != 256 {
-		t.Errorf("final children = %d", n.NumChildren())
+	if len(n.Children()) != 256 {
+		t.Errorf("final children = %d", len(n.Children()))
 	}
 }
 

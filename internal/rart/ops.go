@@ -180,11 +180,14 @@ func (e *Engine) descend(op string, start *Node, key []byte, h Hooks) (landing, 
 			return at, nil
 		}
 		if !slot.Leaf {
-			child := e.Held
+			// The image a re-route kept, if the hand holds one: of the node
+			// this slot names, or of one further down.
+			child := e.hand.at(e.hand.find(nil, Rerouted)).n
 			if child == nil || child.Addr != slot.Addr {
 				// The walk leaves n for a node it holds no image of, so the
-				// put will not write n: a lease bet on it goes back first.
-				e.returnBets(BetWalkedOn, e.Held, nil)
+				// put will not write n: a lease bet on it goes back first —
+				// all but the one held with a re-route's image further down.
+				e.Release(BetWalkedOn, child)
 				var err error
 				if child, err = e.ReadNode(slot.Addr, slot.ChildType); err != nil {
 					return at, err
@@ -234,21 +237,6 @@ func (e *Engine) SearchFrom(start *Node, key []byte, h Hooks) (*Leaf, error) {
 // bubble up for the caller to re-locate its start node and retry.
 func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) (existed bool, err error) {
 	at, err := e.descend("put", start, key, h)
-	exists := err == nil && at.kind == landLeaf && bytes.Equal(at.leaf.Key, key)
-	// The leases the put's jump starts bet on (LeaseRead) are resolved here,
-	// before anything else is posted. A put that links nothing gives them all
-	// back. One that does keeps those of the node it ended in and of that
-	// node's parent: the locks of its write (lockNodes, installLeaf) — or,
-	// when the write needs a parent this walk did not come through
-	// (ErrNeedParent), the child's lock of the write the re-routed walk makes.
-	switch {
-	case err != nil || at.kind == landCleared:
-		e.returnBets(BetRoundEnded, nil, nil)
-	case exists && (mode == PutInsertOnly || fitsInPlace(at.leaf, value)):
-		e.returnBets(BetKeyExists, nil, nil)
-	default:
-		e.returnBets(BetRoundEnded, at.n, at.parent)
-	}
 	switch {
 	case err != nil:
 		return false, err
@@ -257,6 +245,22 @@ func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) 
 		// Delete say "absent", but a put would install into an image that
 		// predates the repair. The retried descent sees a free slot.
 		return false, fmt.Errorf("put: leaf %v invalid: %w", at.edge.slot.Addr, ErrRestart)
+	}
+	exists := at.kind == landLeaf && bytes.Equal(at.leaf.Key, key)
+	// The leases the put's jump starts bet on (LeaseRead) are resolved here,
+	// before anything else is posted (an error above ends the put's round, and
+	// the index layer's close of the round gives them back). A put that links
+	// nothing gives them all back. One that does keeps those of the node it
+	// ended in and of that node's parent: the locks of its write (lockNodes,
+	// installLeaf) — or, when the write needs a parent this walk did not come
+	// through (ErrNeedParent), the child's lock of the write the re-routed walk
+	// makes.
+	keep, cause := [2]*Node{at.n, at.parent}, BetRoundEnded
+	if exists && (mode == PutInsertOnly || fitsInPlace(at.leaf, value)) {
+		keep, cause = [2]*Node{}, BetKeyExists
+	}
+	e.Release(cause, keep[:]...)
+	switch {
 	case exists:
 		if mode == PutInsertOnly {
 			return true, nil
@@ -421,7 +425,7 @@ func (e *Engine) installLeaf(parent, n *Node, key, value []byte, ed edge, h Hook
 		return err
 	}
 	slot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: leafAddr}.Encode()
-	if e.takeBet(n) {
+	if e.take(n, 0).lease != 0 {
 		e.stagedOps = st.ops[:0]
 		return e.swing(n, ed, slot, NopPublisher{}, st.ops)
 	}
@@ -671,7 +675,7 @@ func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks)
 		return err
 	}
 	top := chain[len(chain)-1]
-	if !st.reads && e.takeBet(n) {
+	if !st.reads && e.take(n, 0).lease != 0 {
 		e.stagedOps = st.ops[:0]
 		ed := n.edgeOf(key)
 		return e.swing(n, ed, childSlot(ed, top), pub, st.ops)

@@ -272,7 +272,7 @@ func (s *scanner) post(next []scanEnt, ent scanEnt) []scanEnt {
 	case ent.slot.Leaf:
 		size = s.e.clampRead(addr, defaultLeafSpecRead)
 	default:
-		size = s.e.nodeReadSize(ent.slot.ChildType)
+		size = s.e.nodeSize(ent.slot.ChildType)
 	}
 	s.sel = append(s.sel, len(next))
 	s.ops = append(s.ops, fabric.Op{Kind: fabric.Read, Addr: addr, Data: s.take(size)})
