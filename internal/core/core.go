@@ -321,11 +321,11 @@ type Stats struct {
 	// that kind. NodeDown: a memory node rejected the batch (a down window, or
 	// a lost node with no replica layer to fail over to).
 	RestartsStructural, RestartsTransient, RestartsTimeout, RestartsNodeDown uint64
-	// The replica layers' write acknowledgement (records.go fanout; anchors
-	// and hot records together): ReplicaFanouts counts passes over a key's
-	// whole target set, ReplicaRounds the doorbell batches they posted,
-	// ReplicaLegs the node-legs they carried — rounds per fan-out is what an
-	// acked write waits for, legs per round what batching saves.
+	// The replica layers' write acknowledgement (records.go begin and run;
+	// anchors and hot records together): ReplicaFanouts counts passes over a
+	// key's whole target set, ReplicaRounds the doorbell batches they posted
+	// (a round carrying both layers' verbs is one), ReplicaLegs the node-legs
+	// they carried — legs per round is what batching saves.
 	// ReplicaRequeues counts legs sent back to the bucket read by a lost entry
 	// CAS or a stale directory cache, ReplicaSplits rounds whose batch faulted
 	// and was posted again one node at a time.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"sphinx/internal/fabric"
@@ -12,9 +13,31 @@ import (
 	"sphinx/internal/wire"
 )
 
-// The fan-out suite pins the replica fan-out (records.go fanout, DESIGN.md
-// §5.14): its round-trip and verb budget per path, a swap race lost on one
-// leg only, and a target killed before and in the middle of a fan-out.
+// The fan-out suite pins the replica fan-out (records.go begin and run,
+// DESIGN.md §5.14): its round-trip and verb budget per path, one layer alone
+// and both in the same rounds, a swap race lost on one leg only, and a target
+// killed or down before and in the middle of a fan-out.
+
+// The single-layer forms of a write's acknowledgement (replicate with one
+// layer on), as the suites drive them.
+
+func (c *Client) anchorUpsert(key, value []byte) (bool, error) {
+	return c.replicate(key, value, false, true, false)
+}
+
+func (c *Client) anchorRemove(key []byte) (bool, error) {
+	return c.replicate(key, nil, true, true, false)
+}
+
+func (c *Client) hotRefresh(key, value []byte) error {
+	_, err := c.replicate(key, value, false, false, true)
+	return err
+}
+
+func (c *Client) hotRemove(key []byte) error {
+	_, err := c.replicate(key, nil, true, false, true)
+	return err
+}
 
 // The per-node forms the record store's suites are written in. Each is a
 // one-target fan-out — which is the sequential path.
@@ -121,7 +144,10 @@ func warmAck(t *testing.T, c *Client, value []byte) {
 // batches, or is fused by adding verbs, fails here. was is what the per-node
 // store this replaced took, measured with this test at the parent commit: one
 // bucket read, two record reads, the image write, a second bucket read plus
-// the entry CAS, a retire — per target, one target after another.
+// the entry CAS, a retire — per target, one target after another. A joint row
+// is a write acknowledged by both layers at once (replicate): as many rounds
+// as the longer of its two single-layer rows, their verbs summed; its was is
+// the two fan-outs one after the other, their rounds summed.
 func TestReplicaAckBudget(t *testing.T) {
 	f, shared, c := newAckCluster(t, fabric.DefaultConfig())
 	val := bytes.Repeat([]byte("v"), 1024)
@@ -166,6 +192,10 @@ func TestReplicaAckBudget(t *testing.T) {
 		{name: "hot remove, key not promoted", rts: 1, verbs: 6, was: [2]uint64{3, 6}, run: func() error {
 			return c.hotRemove(key)
 		}},
+		{name: "joint: anchored update + hot refresh, key not promoted", rts: 3, verbs: 12 + 6, was: [2]uint64{3 + 1, 12 + 6}, run: func() error {
+			_, err := c.replicate(key, val, false, true, true)
+			return err
+		}},
 		{name: "promotion onto three empty targets", rts: 11, verbs: 45, atMost: true, was: [2]uint64{36, 57}, run: func() error {
 			c.hotPromote(key)
 			if c.Stats().HotPromotes != 2 {
@@ -176,6 +206,10 @@ func TestReplicaAckBudget(t *testing.T) {
 		{name: "hot refresh, key live on three targets", rts: 4, verbs: 21, was: [2]uint64{21, 30}, run: func() error {
 			return c.hotRefresh(key, val)
 		}},
+		{name: "joint: anchored update + hot refresh, key live", rts: 4, verbs: 12 + 21, was: [2]uint64{3 + 4, 12 + 21}, run: func() error {
+			_, err := c.replicate(key, val, false, true, true)
+			return err
+		}},
 		{name: "adoption re-promotion by another CN", rts: 2, verbs: 9, was: [2]uint64{9, 12}, run: func() error {
 			other.hotPromote(key)
 			if other.Stats().HotPromotes != 2 {
@@ -185,6 +219,11 @@ func TestReplicaAckBudget(t *testing.T) {
 		}},
 		{name: "hot remove, key live on three targets", rts: 3, verbs: 18, was: [2]uint64{18, 27}, run: func() error {
 			return c.hotRemove(key)
+		}},
+		// warmAck promoted its first key, and both clients wrote it since.
+		{name: "joint: anchor remove + hot remove, key live", rts: 3, verbs: 10 + 18, was: [2]uint64{3 + 3, 10 + 18}, run: func() error {
+			_, err := c.replicate([]byte("warm-key-00"), nil, true, true, true)
+			return err
 		}},
 	}
 	for _, st := range steps {
@@ -197,7 +236,7 @@ func TestReplicaAckBudget(t *testing.T) {
 			t.Fatalf("%s: %v", st.name, err)
 		}
 		d := who.eng.C.Stats().Sub(before)
-		t.Logf("%-40s %2d round trips (was %2d), %2d verbs (was %2d)", st.name, d.RoundTrips, st.was[0], d.Verbs, st.was[1])
+		t.Logf("%-54s %2d round trips (was %2d), %2d verbs (was %2d)", st.name, d.RoundTrips, st.was[0], d.Verbs, st.was[1])
 		exact := d.RoundTrips == st.rts && d.Verbs == st.verbs
 		if !exact && !(st.atMost && d.RoundTrips <= st.rts && d.Verbs <= st.verbs) {
 			t.Errorf("%s: %d round trips, %d verbs; want %d, %d (at most: %v)", st.name, d.RoundTrips, d.Verbs, st.rts, st.verbs, st.atMost)
@@ -365,6 +404,65 @@ func TestFanoutKilledLeg(t *testing.T) {
 			}
 		}
 	})
+
+	// Both layers in the same rounds (replicate): the first round carries the
+	// legs of both to a killed or a down node, and every leg of it is posted
+	// again alone before each layer judges its own — the anchors skip the node
+	// either way and count a partial set, the hot writer fails on a down one.
+	for _, fault := range []string{"killed", "down"} {
+		t.Run("joint/"+fault, func(t *testing.T) {
+			f, shared, c := newAckCluster(t, fabric.DefaultConfig())
+			plan := &fabric.FaultPlan{Seed: 1}
+			f.SetFaultPlan(plan)
+			writer := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 1<<30)})
+			f.SetFaultPlan(nil)
+			warmAck(t, c, val)
+			warmAck(t, writer, val)
+			if _, err := c.Insert(key, val); err != nil {
+				t.Fatal(err)
+			}
+			c.hotPromote(key)
+			anchors, _ := writer.anchors.targets(writer.members.Current(), key, false)
+			victim, legs := anchors[0], len(anchors)
+			hots, _ := writer.hot.targets(writer.members.Current(), key, false)
+			if legs += len(hots); !slices.Contains(hots, victim) {
+				t.Fatalf("anchor target %d is not among the hot targets %v", victim, hots)
+			}
+			hots = slices.DeleteFunc(slices.Clone(hots), func(n mem.NodeID) bool { return n == victim })
+			if fault == "killed" {
+				f.KillNode(victim)
+			} else {
+				plan.Down = []fabric.DownWindow{{Node: victim, FromPs: 0, ToPs: 1 << 62}}
+			}
+
+			before := writer.Stats()
+			_, err := writer.replicate(key, []byte("after the fault"), false, true, true)
+			st := writer.Stats()
+			// A promoted key's refresh takes 4 rounds, the anchors' 3 within them.
+			if st.ReplicaSplits != before.ReplicaSplits+1 || st.ReplicaRounds != before.ReplicaRounds+4+uint64(legs) ||
+				st.PartialReplicas != before.PartialReplicas+1 {
+				t.Errorf("splits %d→%d, rounds %d→%d, partial replicas %d→%d; want one split round posted again leg by leg (%d legs) and one partial anchor set",
+					before.ReplicaSplits, st.ReplicaSplits, before.ReplicaRounds, st.ReplicaRounds, before.PartialReplicas, st.PartialReplicas, legs)
+			}
+			if fault == "down" {
+				if !errors.Is(err, fabric.ErrNodeDown) || errors.Is(err, fabric.ErrNodeKilled) {
+					t.Fatalf("joint write with a target down = %v; want the hot writer's node-down error", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("joint write with a target killed = %v; want the killed node skipped by both layers", err)
+			}
+			if v, ok, err := writer.anchorGet(key); err != nil || !ok || string(v) != "after the fault" {
+				t.Errorf("anchorGet after the kill = %q, %v, %v", v, ok, err)
+			}
+			for _, n := range hots {
+				if recs, err := writer.hot.recordsOn(n, key); err != nil || len(recs) != 1 || string(recs[0].value) != "after the fault" {
+					t.Errorf("surviving hot target %d: %d records, err %v; want exactly the refreshed one", n, len(recs), err)
+				}
+			}
+		})
+	}
 }
 
 // TestCommitToKilledNodeFailsOver replays the kill TestConcurrentKillRepairServe

@@ -255,35 +255,36 @@ func (c *Client) hotLearn(rank int, key []byte, addr mem.Addr, size int) bool {
 	return true
 }
 
-// hotRefresh republishes a committed write over the key's hot records,
-// called by put between tree commit and acknowledgement. LWW-idempotent,
-// so the caller's retry machinery can re-run it. Killed targets are
-// skipped — no reader can fetch their records; any other failure
-// propagates so the write is not acknowledged with a stale replica
-// readable.
-func (c *Client) hotRefresh(key, value []byte) error {
-	if !c.shared.Hot.Published() {
-		return nil
-	}
-	rec := record{wire.StatusIdle, key, value, c.hot.nextVersion()}
-	refreshed := false
+// hotBegin readies the hot layer's half of a write's acknowledgement
+// (replicate) over the store's mid-transition target union and returns the
+// store, with how many leading targets come from the current ring. A put is
+// republished swap-only at a version drawn here, after the tree commit (see
+// the gate ordering above); a delete removes and retires every record.
+func (c *Client) hotBegin(key, value []byte, remove bool) (*recordStore, int) {
 	targets, curN := c.hot.targets(c.members.Current(), key, true)
-	legs := c.hot.publish(targets, rec, publishSwapOnly)
+	return c.hot.begin(targets, c.hot.writeOp(key, value, remove, publishSwapOnly)), curN
+}
+
+// hotSettle judges the hot layer's half once it ran. LWW-idempotent, so the
+// caller's retry machinery can re-run the write. Killed targets are skipped —
+// no reader can fetch their records; any other failure propagates so the
+// write is not acknowledged with a stale replica readable.
+func (c *Client) hotSettle(key []byte, curN int) error {
+	legs := c.hot.legs
 	if _, err := c.hot.reached(legs); err != nil {
 		return err
 	}
+	refreshed := false
 	for i := range legs {
-		pub := legs[i].pub
-		if legs[i].err != nil || !pub.servable {
-			continue
-		}
-		refreshed = true
-		// The old record was just retired, so this CN's route to it is
-		// stale; re-learn the fresh address in the same breath (rank =
-		// position among the current ring's targets). Other CNs refute
-		// once and re-promote — see hotGet.
-		if c.hotset != nil && i < curN {
-			c.hotLearn(i, key, pub.addr, pub.size)
+		if pub := legs[i].pub; legs[i].err == nil && pub.servable {
+			refreshed = true
+			// The old record was just retired, so this CN's route to it is
+			// stale; re-learn the fresh address in the same breath (rank =
+			// position among the current ring's targets). Other CNs refute
+			// once and re-promote — see hotGet.
+			if c.hotset != nil && i < curN {
+				c.hotLearn(i, key, pub.addr, pub.size)
+			}
 		}
 	}
 	if refreshed {
@@ -291,19 +292,6 @@ func (c *Client) hotRefresh(key, value []byte) error {
 	}
 	c.noteReplicas(c.hot)
 	return nil
-}
-
-// hotRemove removes and retires every hot record of the key, called by
-// Delete between tree commit and acknowledgement (failures other than killed
-// nodes propagate) and by demotion (best effort: the error is dropped there).
-func (c *Client) hotRemove(key []byte) error {
-	if !c.shared.Hot.Published() {
-		return nil
-	}
-	targets, _ := c.hot.targets(c.members.Current(), key, true)
-	_, err := c.hot.reached(c.hot.remove(targets, key, nil))
-	c.noteReplicas(c.hot)
-	return err
 }
 
 // hotDemote tears down a cooled key: forget the routes, best-effort
@@ -314,7 +302,7 @@ func (c *Client) hotDemote(key []byte) {
 	for i := 0; i < c.hotset.Ranks(); i++ {
 		c.hotset.Rank(i).Unlearn(key)
 	}
-	_ = c.hotRemove(key)
+	_, _ = c.replicate(key, nil, true, false, true) // the hot records alone; best effort
 	atomic.AddUint64(&c.stats.HotDemotes, 1)
 }
 

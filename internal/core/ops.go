@@ -754,24 +754,45 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 // path or the speculative one — by carrying it to the replica layers before
 // it is acknowledged.
 func (c *Client) ackPut(key, value []byte, mode rart.PutMode, existed bool) (bool, error) {
-	// Publish-to-completion to the replica set: from here on, losing any
-	// single replica cannot lose this write. An update-only miss wrote nothing
-	// to the tree, so nothing is published either — except in degraded mode,
-	// where the key may live only in the anchors.
-	if c.shared.FT != nil && (mode == rart.PutUpsert || existed || c.degraded()) {
-		anchorExisted, aerr := c.anchorUpsert(key, value)
-		if aerr != nil {
-			return false, aerr
-		}
-		existed = existed || anchorExisted
+	// An update-only miss wrote nothing to the tree, so nothing is published
+	// either — except in degraded mode, where the key may live only in the
+	// anchors (its hot records, swap-only, then take the write too).
+	carry := mode == rart.PutUpsert || existed || c.degraded()
+	anchorExisted, err := c.replicate(key, value, false, carry, carry)
+	if err != nil {
+		return false, err
 	}
-	// Same contract for the hot replica records: a promoted key's replicas
-	// carry this write (LWW) before it is acknowledged, so no reader can
-	// verify a hit on the superseded value afterwards.
-	if c.hotEnabled() && (mode == rart.PutUpsert || existed) {
-		if herr := c.hotRefresh(key, value); herr != nil {
-			return false, herr
-		}
+	return existed || anchorExisted, nil
+}
+
+// replicate carries a committed write — a put of value, or with remove a
+// delete — to the replica layers before it is acknowledged: to the anchors
+// when anchored, to the hot records when hot, each only where its layer is on
+// — the hot one only once a record may be discoverable (the writers' gate,
+// Published). Publish-to-completion: from here on, losing any single replica
+// cannot lose the write, and no reader can verify a hit on a promoted key's
+// superseded value. Both layers' fan-outs advance in the same doorbell rounds
+// (run), then each settles by its own policy, the anchors first: an anchor
+// error fails the write whatever the hot records did. existed: an anchor
+// replica held the key.
+func (c *Client) replicate(key, value []byte, remove, anchored, hot bool) (existed bool, err error) {
+	var anchors, hots *recordStore
+	if anchored && c.anchors != nil {
+		anchors = c.anchorBegin(key, value, remove)
+	}
+	curN := 0
+	if hot && c.hotEnabled() && c.shared.Hot.Published() {
+		hots, curN = c.hotBegin(key, value, remove)
+	}
+	run(anchors, hots)
+	if anchors != nil {
+		existed, err = c.anchorSettle(key, remove)
+	}
+	if hots != nil && err == nil {
+		err = c.hotSettle(key, curN)
+	}
+	if err != nil {
+		return false, err
 	}
 	return existed, nil
 }
@@ -791,7 +812,7 @@ func (c *Client) degradedPut(key, value []byte, mode rart.PutMode) (bool, error)
 			return false, nil
 		}
 	}
-	return c.anchorUpsert(key, value)
+	return c.replicate(key, value, false, true, false)
 }
 
 // Delete removes key (paper §IV Delete), reporting whether it was present.
@@ -820,27 +841,17 @@ func (c *Client) Delete(key []byte) (bool, error) {
 		// Tree path lost: delete the anchors only; presence is judged from
 		// them (acked writes reached every replica).
 		atomic.AddUint64(&c.stats.DegradedPuts, 1)
-		return c.anchorRemove(key)
+		return c.replicate(key, nil, true, true, false)
 	case err != nil:
 		return false, err
 	}
-	if c.shared.FT != nil {
-		// Remove the anchors before acknowledging, mirroring the put path's
-		// publish-to-completion.
-		anchorPresent, aerr := c.anchorRemove(key)
-		if aerr != nil {
-			return false, aerr
-		}
-		ok = ok || anchorPresent
-	}
-	// Hot replica records go before the ack too: a reader must not verify a
+	// Both replica layers before the ack, as for a put: no reader may verify a
 	// hit on a key whose delete was acknowledged.
-	if c.hotEnabled() {
-		if herr := c.hotRemove(key); herr != nil {
-			return false, herr
-		}
+	anchorPresent, err := c.replicate(key, nil, true, true, true)
+	if err != nil {
+		return false, err
 	}
-	return ok, nil
+	return ok || anchorPresent, nil
 }
 
 // Scan returns up to limit key-value pairs in [lo, hi], ascending (paper

@@ -11,8 +11,9 @@
 // are written here once, and each of the first three is ONE fan-out over the
 // key's whole target list (fanout): every target advances together, one
 // doorbell batch per dependency level, instead of one target after another.
-// What stays with each layer is its placement predicate and its callers'
-// per-node error policy.
+// A write's acknowledgement advances the fan-outs of both layers in the same
+// batches (begin, run). What stays with each layer is its placement predicate
+// and its callers' per-node error policy.
 //
 // Publication takes no serialising lock, so two publishers that both
 // observe "absent" on a node both insert and the table briefly holds two
@@ -215,7 +216,7 @@ type recordStore struct {
 	ops    []fabric.Op
 	img    []byte
 	dead   [8]byte
-	batchN int // batches the last fan-out posted, for its trace note
+	batchN int // batches that carried the last fan-out's verbs, for its trace note
 }
 
 // nextVersion returns a fresh LWW version from the layer's cluster-wide
@@ -334,7 +335,6 @@ type published struct {
 	addr     mem.Addr
 	size     int
 	servable bool
-	existed  bool // the node already held a record of the key
 	wrote    bool // our image went live
 }
 
@@ -423,30 +423,36 @@ func (s *recordStore) remove(nodes []mem.NodeID, key []byte, only func(head) boo
 // entry CAS that failed with an error is not such an exit: the completion
 // may have been lost after the CAS landed, and the image may be live.
 func (s *recordStore) publish(nodes []mem.NodeID, rec record, mode publishMode) []leg {
-	s.img = appendRecord(s.img[:0], rec)
 	return s.fanout(nodes, fanOp{key: rec.key, publish: true, rec: rec, mode: mode})
 }
 
-// fanout carries op to every node at once: each round posts ONE doorbell
-// batch holding whatever every unfinished leg does next, so the targets pay a
-// dependency level together — bucket pairs, heads, image WRITE + entry CAS,
-// retires and drops — not one after another. One MN executes a batch in
-// posting order, so an image is whole before the entry CAS behind it names it.
-// A leg whose swap lost, or whose directory was stale, goes back to the bucket
-// read alone. A batch that failed says nothing about which node failed it, so
-// each leg's share is posted again by itself and the error, if it repeats, is
-// that leg's: every verb here is idempotent, or concluded by a racehash
-// Finish… that is. The returned legs are store scratch, valid until the next
-// fan-out.
+// writeOp is what a committed write does to the store's records of key: drop
+// every one (remove), or publish value over them at a fresh version under mode.
+func (s *recordStore) writeOp(key, value []byte, remove bool, mode publishMode) fanOp {
+	if remove {
+		return fanOp{key: key, remove: true}
+	}
+	return fanOp{key: key, publish: true, rec: record{wire.StatusIdle, key, value, s.nextVersion()}, mode: mode}
+}
+
+// fanout carries op to every node at once: begin, then run alone. The returned
+// legs are store scratch, valid until the next fan-out.
 func (s *recordStore) fanout(nodes []mem.NodeID, op fanOp) []leg {
-	defer s.fc.SetStage(s.fc.SetStage(s.stage))
+	run(s.begin(nodes, op))
+	return s.legs
+}
+
+// begin readies one leg per node for op and returns s, for run to carry; a
+// publish's image is encoded here, once for every target.
+func (s *recordStore) begin(nodes []mem.NodeID, op fanOp) *recordStore {
 	op.h42, op.fp = racehash.PlacementHash(op.key), wire.FP12(op.key)
-	s.op = op
+	if s.op = op; op.publish {
+		s.img = appendRecord(s.img[:0], op.rec)
+	}
 	binary.LittleEndian.PutUint64(s.dead[:], recordHeader(wire.StatusInvalid, op.key))
 	s.legs = slices.Grow(s.legs[:0], len(nodes))[:len(nodes)]
-	legs := s.legs
-	for i := range legs {
-		l := &legs[i]
+	for i := range s.legs {
+		l := &s.legs[i]
 		*l = leg{node: nodes[i], heads: l.heads[:0], bufs: l.bufs[:0], drops: l.drops[:0]}
 		if l.view, l.err = s.viewOf(l.node); l.err != nil {
 			l.step = stepDone
@@ -454,51 +460,78 @@ func (s *recordStore) fanout(nodes []mem.NodeID, op fanOp) []leg {
 	}
 	s.batchN = 0
 	atomic.AddUint64(&s.stats.ReplicaFanouts, 1)
-	atomic.AddUint64(&s.stats.ReplicaLegs, uint64(len(legs)))
-	for active := true; active; {
-		ops := s.ops[:0]
-		for i := range legs {
-			l := &legs[i]
-			l.from = len(ops)
-			ops = s.post(l, ops)
-			l.to = len(ops)
-		}
-		s.ops = ops[:0]
-		err := s.batch(ops)
-		split := false
-		active = false
-		for i := range legs {
-			l := &legs[i]
-			if l.step == stepDone {
-				continue
-			}
-			lerr := err
-			if err != nil && l.to-l.from < len(ops) {
-				split = true
-				lerr = s.batch(ops[l.from:l.to])
-			}
-			if lerr != nil {
-				l.fail(lerr)
-			} else {
-				s.settle(l, ops)
-			}
-			active = active || l.step != stepDone
-		}
-		if split {
-			atomic.AddUint64(&s.stats.ReplicaSplits, 1)
-		}
-	}
-	return legs
+	atomic.AddUint64(&s.stats.ReplicaLegs, uint64(len(nodes)))
+	return s
 }
 
-// batch posts one doorbell batch of a fan-out.
-func (s *recordStore) batch(ops []fabric.Op) error {
-	if len(ops) == 0 {
-		return nil
+// run carries the begun fan-outs of stores (nil ones skipped; all share their
+// owning client's fabric client and Stats) to their end together: each round
+// posts ONE doorbell batch holding whatever every unfinished leg of every
+// store does next, so the targets pay a dependency level together — bucket
+// pairs, heads, image WRITE + entry CAS, retires and drops — not one after
+// another, nor one layer after the other. One MN executes a batch in posting
+// order, so an image is whole before the entry CAS behind it names it. A leg
+// whose swap lost, or whose directory was stale, goes back to the bucket read
+// alone. A batch that failed says nothing about which node failed it, so each
+// leg's share is posted again by itself and the error, if it repeats, is that
+// leg's: every verb here is idempotent, or concluded by a racehash Finish…
+// that is. A round is charged to the stage of the last store with verbs in it
+// (hot-pub, when a write's round carries a hot-record verb); what a store's
+// legs post on their own — a directory fetch, a re-posted share, the table's
+// own loop — to the store's stage.
+func run(stores ...*recordStore) {
+	if stores = slices.DeleteFunc(stores, func(s *recordStore) bool { return s == nil }); len(stores) == 0 {
+		return
 	}
-	s.batchN++
-	atomic.AddUint64(&s.stats.ReplicaRounds, 1)
-	return s.fc.Batch(ops)
+	fc, stats := stores[0].fc, stores[0].stats
+	defer fc.SetStage(fc.Stage())
+	for {
+		ops, stage := stores[0].ops[:0], fc.Stage()
+		for _, s := range stores {
+			fc.SetStage(s.stage)
+			from := len(ops)
+			for i := range s.legs {
+				l := &s.legs[i]
+				l.from = len(ops)
+				ops = s.post(l, ops)
+				l.to = len(ops)
+			}
+			if len(ops) > from {
+				s.batchN++
+				stage = s.stage
+			}
+		}
+		if stores[0].ops = ops[:0]; len(ops) == 0 {
+			return // every leg is done: an unfinished one always has a verb to post
+		}
+		fc.SetStage(stage)
+		atomic.AddUint64(&stats.ReplicaRounds, 1)
+		err, split := fc.Batch(ops), false
+		for _, s := range stores {
+			fc.SetStage(s.stage)
+			for i := range s.legs {
+				l := &s.legs[i]
+				if l.step == stepDone {
+					continue
+				}
+				lerr := err
+				if err != nil && l.to-l.from < len(ops) {
+					split = true
+					s.batchN++
+					atomic.AddUint64(&stats.ReplicaRounds, 1)
+					lerr = fc.Batch(ops[l.from:l.to])
+				}
+				if lerr != nil {
+					l.fail(lerr)
+				} else {
+					s.settle(l, ops)
+				}
+			}
+		}
+		if split {
+			atomic.AddUint64(&stats.ReplicaSplits, 1)
+		}
+	}
 }
 
 // reached applies the layer's error policy to a fan-out's legs: how many
@@ -608,7 +641,7 @@ func (s *recordStore) settle(l *leg, ops []fabric.Op) {
 		case !won:
 			s.again(l)
 		default:
-			l.pub = published{addr: l.own.Addr, size: len(s.img), servable: s.op.rec.status == wire.StatusIdle, existed: l.over >= 0, wrote: true}
+			l.pub = published{addr: l.own.Addr, size: len(s.img), servable: s.op.rec.status == wire.StatusIdle, wrote: true}
 			if l.over >= 0 && s.routed {
 				// Our image is live, but until the superseded one is retired
 				// another CN's route still serves it: no ack without this.
@@ -647,7 +680,7 @@ func (s *recordStore) decide(l *leg) {
 		l.abandon()
 	case best >= 0 && (s.op.mode == publishIfAbsent || l.heads[best].version >= s.op.rec.version):
 		w := l.heads[best]
-		l.pub = published{addr: w.entry.Addr, size: w.size, servable: w.status == wire.StatusIdle, existed: true}
+		l.pub = published{addr: w.entry.Addr, size: w.size, servable: w.status == wire.StatusIdle}
 		if s.op.mode != publishIfAbsent {
 			l.dedup(best)
 		}

@@ -412,12 +412,21 @@ func plantRecord(t *testing.T, s *recordStore, node mem.NodeID, rec record) {
 // error dropped, the put (or delete) was acknowledged and that CN's next read
 // verified the old image in place: an acked write read stale. The error must
 // reach the writer instead, so that either the operation is not acknowledged
-// or the reader refutes.
+// or the reader refutes. With anchors on, a put's anchor legs ride the hot
+// refresh's first three rounds and land; the retire round behind them fails
+// on every posting, and the put must still not be acknowledged.
 func TestHotRetireFaultIsNotAcked(t *testing.T) {
 	key, old := []byte("retire-key"), []byte("v1")
-	for _, op := range []string{"put", "delete"} {
+	for _, op := range []string{"put", "delete", "put beside anchors"} {
 		t.Run(op, func(t *testing.T) {
-			f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+			anchored := op == "put beside anchors"
+			var f *fabric.Fabric
+			var shared Shared
+			if anchored {
+				f, shared, _ = newAckCluster(t, fabric.DefaultConfig())
+			} else {
+				f, shared = newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+			}
 			reader := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 3)})
 			plan := &fabric.FaultPlan{Seed: 1}
 			f.SetFaultPlan(plan)
@@ -439,28 +448,41 @@ func TestHotRetireFaultIsNotAcked(t *testing.T) {
 			// record — makes its next batch, the round of retire WRITEs, fail
 			// once. A delete's drop round holds the entry CAS and the retire
 			// WRITE behind it, so there the read of a head makes the drop round
-			// the next batch.
+			// the next batch. (Beside the anchors the CAS may be an anchor's:
+			// their swap rides the same round, under the hot stage.)
 			f.Trace = func(c *fabric.Client, o *fabric.Op) {
 				if c != writer.eng.C || c.Stage() != fabric.StageHotPub {
 					return
 				}
 				won := o.Kind == fabric.CAS && o.Old == o.Expect
 				head := o.Kind == fabric.Read && len(o.Data) == recordDataOff+len(key)
-				if (op == "put" && won) || (op == "delete" && head) {
+				if (op != "delete" && won) || (op == "delete" && head) {
 					f.Trace = nil
 					plan.TransientPer64k = 1 << 16
 				}
 			}
-			writer.eng.C.SetObserver(faultOnce{plan})
+			if !anchored {
+				writer.eng.C.SetObserver(faultOnce{plan})
+			}
 			var err error
 			want, present := []byte("v2"), true
-			if op == "put" {
+			if op != "delete" {
 				_, err = writer.Insert(key, want)
 			} else {
 				_, err = writer.Delete(key)
 				want, present = nil, false
 			}
-			f.Trace = nil
+			f.Trace, plan.TransientPer64k = nil, 0
+			if anchored {
+				// The retire round and each of its three legs posted alone.
+				if n := writer.eng.C.Stats().Transients; n != 4 || err == nil {
+					t.Fatalf("%d transients, put = %v; want the retire round failed on every posting and the put not acknowledged", n, err)
+				}
+				if v, ok, err := writer.anchorGet(key); err != nil || !ok || !bytes.Equal(v, want) {
+					t.Errorf("anchors after the unacknowledged put = %q, %v, %v; want the value their legs landed", v, ok, err)
+				}
+				return
+			}
 			if writer.eng.C.Stats().Transients != 1 {
 				t.Fatalf("%d transients; the fault missed the retire write", writer.eng.C.Stats().Transients)
 			}

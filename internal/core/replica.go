@@ -38,7 +38,6 @@ import (
 	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
-	"sphinx/internal/wire"
 )
 
 // DefaultReplication is the replication factor the paper-scale clusters
@@ -124,26 +123,36 @@ func BootstrapReplicated(f *fabric.Fabric, ring *consistenthash.Ring, expectedKe
 	return sh, nil
 }
 
-// anchorUpsert publishes the write to the key's replica set,
-// publish-to-completion: the caller acknowledges only after it returns.
-// Dead or unreachable replicas are skipped (counted as partial); if no
-// replica is reachable the write fails with ErrReplicaSetUnavailable.
-func (c *Client) anchorUpsert(key, value []byte) (existed bool, err error) {
-	rec := record{wire.StatusIdle, key, value, c.anchors.nextVersion()}
-	targets, _ := c.anchors.targets(c.members.Current(), key, false)
-	legs := c.anchors.publish(targets, rec, publishUpsert)
-	written, err := c.anchors.reached(legs)
-	if err != nil {
+// anchorBegin readies the anchors' half of a write's acknowledgement
+// (replicate) and returns their store. A put publishes to the key's replica
+// set. A delete removes the key from it — mid-transition from the UNION of the
+// new and old replica sets: a replica left behind on the previous epoch's
+// targets would otherwise resurrect the key when the migration sweep
+// LWW-copies it forward. No tombstones: a replica that was unreachable during
+// the delete and later repairs from a stale peer can resurrect the key
+// (documented in docs/failure-model.md).
+func (c *Client) anchorBegin(key, value []byte, remove bool) *recordStore {
+	targets, _ := c.anchors.targets(c.members.Current(), key, remove)
+	return c.anchors.begin(targets, c.anchors.writeOp(key, value, remove, publishUpsert))
+}
+
+// anchorSettle judges the anchors' half once it ran, publish-to-completion:
+// the caller acknowledges only after it returns. Dead or unreachable replicas
+// are skipped (a put that missed one counts a partial replica set); if no
+// replica was reachable the write fails with ErrReplicaSetUnavailable.
+// existed: a replica held a record of the key.
+func (c *Client) anchorSettle(key []byte, remove bool) (existed bool, err error) {
+	legs := c.anchors.legs
+	switch reached, err := c.anchors.reached(legs); {
+	case err != nil:
 		return false, err
+	case reached == 0:
+		return false, fmt.Errorf("%w: no anchor replica reachable for %q", ErrReplicaSetUnavailable, key)
+	case !remove && reached < c.shared.FT.R:
+		atomic.AddUint64(&c.stats.PartialReplicas, 1)
 	}
 	for i := range legs {
-		existed = existed || legs[i].pub.existed
-	}
-	if written == 0 {
-		return false, fmt.Errorf("%w: no anchor replica reachable for %q", ErrReplicaSetUnavailable, key)
-	}
-	if written < c.shared.FT.R {
-		atomic.AddUint64(&c.stats.PartialReplicas, 1)
+		existed = existed || len(legs[i].heads) > 0
 	}
 	c.noteReplicas(c.anchors)
 	return existed, nil
@@ -188,29 +197,6 @@ func (c *Client) anchorGet(key []byte) (value []byte, ok bool, err error) {
 		return nil, false, fmt.Errorf("%w: no anchor replica reachable for %q", ErrReplicaSetUnavailable, key)
 	}
 	return nil, false, nil
-}
-
-// anchorRemove deletes the key from every reachable replica — mid-
-// transition from the UNION of the new and old replica sets: a replica left
-// behind on the previous epoch's targets would otherwise resurrect the key
-// when the migration sweep LWW-copies it forward. No tombstones: a replica
-// that was unreachable during the delete and later repairs from a stale
-// peer can resurrect the key (documented in docs/failure-model.md).
-func (c *Client) anchorRemove(key []byte) (present bool, err error) {
-	targets, _ := c.anchors.targets(c.members.Current(), key, true)
-	legs := c.anchors.remove(targets, key, nil)
-	reached, err := c.anchors.reached(legs)
-	if err != nil {
-		return false, err
-	}
-	for i := range legs {
-		present = present || len(legs[i].heads) > 0
-	}
-	if reached == 0 {
-		return false, fmt.Errorf("%w: no anchor replica reachable for %q", ErrReplicaSetUnavailable, key)
-	}
-	c.noteReplicas(c.anchors)
-	return present, nil
 }
 
 // RepairReport summarizes one anti-entropy sweep.

@@ -336,12 +336,17 @@ func TestTraceHotGet(t *testing.T) {
 }
 
 // TestTraceReplicatedPut pins a write's acknowledgement on a cluster with both
-// replica layers in trace form: a warm Update of a key that is not promoted,
-// once another key's promotion has opened the hot writers' gate, is the
-// speculative in-place write (2 round trips), ONE fan-out over the key's two
-// anchor replicas (3: bucket pairs, heads, image WRITE + entry CAS — unstaged,
-// the "none" rows) and ONE probe of its three hot tables (1) — each fan-out
-// closed by a note of its legs and rounds, and counted.
+// replica layers in trace form. A warm Update is the speculative in-place
+// write (2 round trips), then ONE fan-out over the key's two anchor replicas
+// (3 rounds: bucket pairs, heads, image WRITE + entry CAS) and ONE over its
+// three hot tables, advancing in the same doorbell rounds: for a key that is
+// not promoted (once another key's promotion has opened the hot writers'
+// gate) the hot fan-out is the probe riding the anchors' first round, 2 + 3 =
+// 5 round trips where the layers one after the other took 6; for the promoted
+// key it is 4 rounds (bucket pairs, heads, WRITE + CAS, retires), the anchors'
+// 3 inside them, 2 + 4 = 6 where they took 9. A round carrying a hot-record
+// verb is a hot-pub row, one carrying only anchor verbs a "none" row; each
+// fan-out closes with a note of its legs and rounds, and is counted.
 func TestTraceReplicatedPut(t *testing.T) {
 	cluster, err := NewCluster(Config{MemoryNodes: 3, Replication: 2, HotReplicaFactor: 3})
 	if err != nil {
@@ -365,35 +370,43 @@ func TestTraceReplicatedPut(t *testing.T) {
 	if before.HotPromotes != 1 {
 		t.Fatalf("%d promotions; the hot writers' gate is still shut", before.HotPromotes)
 	}
-	// The first Update walks the tree and teaches the cache the key's leaf.
-	if ok, err := s.Update(key, value); err != nil || !ok {
-		t.Fatalf("warm-up Update = ok %v, err %v", ok, err)
-	}
-	before, _ = s.SphinxStats()
-
-	tr, err := s.Trace("update plain-key", func() error {
-		_, err := s.Update(key, value)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []string
-	for _, e := range tr.Events {
-		if e.Batch {
-			rows = append(rows, e.Stage.String())
-		} else if strings.HasPrefix(e.Note, "replicas: ") {
-			rows = append(rows, e.Stage.String()+" "+e.Note)
+	for _, tc := range []struct {
+		key      []byte
+		rts      uint64
+		rows     string
+		counters [5]uint64 // fan-outs, rounds, legs, requeues, splits
+	}{
+		{key, 5, "[leaf-write leaf-write hot-pub none none none replicas: 2 legs, 3 rounds hot-pub replicas: 3 legs, 1 rounds]", [5]uint64{2, 3, 5, 0, 0}},
+		{popular, 6, "[leaf-write leaf-write hot-pub hot-pub hot-pub hot-pub none replicas: 2 legs, 3 rounds hot-pub replicas: 3 legs, 4 rounds]", [5]uint64{2, 4, 5, 0, 0}},
+	} {
+		// The first Update teaches the leaf-address cache the key's leaf.
+		if ok, err := s.Update(tc.key, value); err != nil || !ok {
+			t.Fatalf("warm-up Update of %s = ok %v, err %v", tc.key, ok, err)
 		}
-	}
-	want := "[leaf-write leaf-write none none none none replicas: 2 legs, 3 rounds hot-pub hot-pub replicas: 3 legs, 1 rounds]"
-	if tr.RoundTrips() != 6 || fmt.Sprint(rows) != want {
-		t.Errorf("replicated warm Update: %d round trips, rows %v; want 6, %s:\n%s", tr.RoundTrips(), rows, want, tr.Format())
-	}
-	after, _ := s.SphinxStats()
-	if d := [5]uint64{after.ReplicaFanouts - before.ReplicaFanouts, after.ReplicaRounds - before.ReplicaRounds,
-		after.ReplicaLegs - before.ReplicaLegs, after.ReplicaRequeues - before.ReplicaRequeues, after.ReplicaSplits - before.ReplicaSplits}; d != [5]uint64{2, 4, 5, 0, 0} {
-		t.Errorf("fan-outs, rounds, legs, requeues, splits of the traced Update = %v; want [2 4 5 0 0]", d)
+		before, _ = s.SphinxStats()
+		tr, err := s.Trace("update "+string(tc.key), func() error {
+			_, err := s.Update(tc.key, value)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, e := range tr.Events {
+			if e.Batch {
+				rows = append(rows, e.Stage.String())
+			} else if strings.HasPrefix(e.Note, "replicas: ") {
+				rows = append(rows, e.Stage.String()+" "+e.Note)
+			}
+		}
+		if tr.RoundTrips() != tc.rts || fmt.Sprint(rows) != tc.rows {
+			t.Errorf("replicated warm Update of %s: %d round trips, rows %v; want %d, %s:\n%s", tc.key, tr.RoundTrips(), rows, tc.rts, tc.rows, tr.Format())
+		}
+		after, _ := s.SphinxStats()
+		if d := [5]uint64{after.ReplicaFanouts - before.ReplicaFanouts, after.ReplicaRounds - before.ReplicaRounds,
+			after.ReplicaLegs - before.ReplicaLegs, after.ReplicaRequeues - before.ReplicaRequeues, after.ReplicaSplits - before.ReplicaSplits}; d != tc.counters {
+			t.Errorf("fan-outs, rounds, legs, requeues, splits of the traced Update of %s = %v; want %v", tc.key, d, tc.counters)
+		}
 	}
 	var prom strings.Builder
 	if err := s.Registry().Snapshot().WritePrometheus(&prom, "sphinx"); err != nil {
