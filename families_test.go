@@ -10,6 +10,7 @@ import (
 	"sphinx/internal/core"
 	"sphinx/internal/cuckoo"
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/obs"
 	"sphinx/internal/racehash"
 	"sphinx/internal/rart"
@@ -93,14 +94,16 @@ func indexFamily(name string) bool {
 }
 
 // warmedSession runs every kind of operation — a hot key, updates, a scan, a
-// delete, a pipelined MultiGet — on a replicated cluster with hot replicas,
-// so every conditional family (rates, ft_*, hot_*) has a source.
+// delete, a pipelined MultiGet — on a replicated cluster with hot replicas
+// whose fabric shows one NIC queueing, so every conditional family (rates,
+// ft_*, hot_*) has a source.
 func warmedSession(t *testing.T) *Session {
 	t.Helper()
-	cluster, err := NewCluster(Config{Timing: TimingInstant, Replication: 2, HotReplicaFactor: 3})
+	cluster, err := NewCluster(Config{Replication: 2, HotReplicaFactor: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fabrictest.Queue(t, cluster.f, cluster.sphinxShared.Hot.Load, 0)
 	s := cluster.NewComputeNode().NewSession()
 	keys := make([][]byte, 300)
 	for i := range keys {

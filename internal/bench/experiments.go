@@ -428,8 +428,8 @@ const SkewSpeedupGate = 1.5
 
 // SkewPoint is one θ of the sweep: steady-state throughput of the
 // unreplicated baseline vs the hot-replicated system, their per-MN
-// round-trip imbalance scalars, and the hot layer's trust-but-verify
-// verdict.
+// round-trip imbalance scalars, the hot layer's trust-but-verify verdict,
+// and how many keys it promoted over both phases.
 type SkewPoint struct {
 	Theta         float64 `json:"theta"`
 	BaseMops      float64 `json:"base_mops"`
@@ -438,11 +438,13 @@ type SkewPoint struct {
 	BaseImbalance float64 `json:"base_imbalance"`
 	HotImbalance  float64 `json:"hot_imbalance"`
 	HotReconciled *bool   `json:"hot_reconciled,omitempty"`
+	HotPromotes   uint64  `json:"hot_promotes"`
 }
 
 // SkewReport is the skew experiment's verdict: the sweep points plus the
 // pass/fail of the θ=0.99 gates (speedup ≥ Gate, imbalance flattened,
-// every point's hot reads reconciled).
+// every point's hot reads reconciled) and of the uniform point's (nothing
+// promoted: no NIC queues out of proportion, DESIGN.md §5.13).
 type SkewReport struct {
 	Gate         float64     `json:"gate"`
 	Points       []SkewPoint `json:"points"`
@@ -520,6 +522,9 @@ func Skew(base Config, thetas []float64, out io.Writer) ([]Result, *SkewReport, 
 			for _, r := range []Result{warmup, steady} {
 				r.Workload = fmt.Sprintf("t%.2f/%c", eff, r.Phase[0])
 				t.add(r, skewDiag(r))
+				if r.Metrics != nil && r.Metrics.Hot != nil {
+					pt.HotPromotes += r.Metrics.Hot.Promotes
+				}
 			}
 			if sys == SphinxHot {
 				pt.HotMops = steady.ThroughputMops
@@ -536,11 +541,11 @@ func Skew(base Config, thetas []float64, out io.Writer) ([]Result, *SkewReport, 
 			pt.Speedup = pt.HotMops / pt.BaseMops
 		}
 		rep.Points = append(rep.Points, pt)
-		fmt.Fprintf(out, "    theta=%.2f: replicated %.2fx unreplicated (MN imbalance %.2f -> %.2f, reconciled %s)\n",
-			eff, pt.Speedup, pt.BaseImbalance, pt.HotImbalance, verdictString(pt.HotReconciled))
+		fmt.Fprintf(out, "    theta=%.2f: replicated %.2fx unreplicated (MN imbalance %.2f -> %.2f, reconciled %s, %d keys promoted)\n",
+			eff, pt.Speedup, pt.BaseImbalance, pt.HotImbalance, verdictString(pt.HotReconciled), pt.HotPromotes)
 	}
 	if rep.evaluate() {
-		fmt.Fprintf(out, "    gate: theta=0.99 replicated >= %.1fx unreplicated, imbalance flattened, hot reads reconciled -> pass=%v\n",
+		fmt.Fprintf(out, "    gate: theta=0.99 replicated >= %.1fx unreplicated, imbalance flattened, hot reads reconciled, uniform promotes nothing -> pass=%v\n",
 			rep.Gate, rep.Pass)
 	} else {
 		fmt.Fprintf(out, "    gate: sweep has no theta~0.99 point; speedup gate unevaluated -> pass=false\n")
@@ -549,15 +554,15 @@ func Skew(base Config, thetas []float64, out io.Writer) ([]Result, *SkewReport, 
 }
 
 // evaluate fills in the report's Pass/SpeedupAt099 verdict from its
-// points: every point's hot reads reconciled, and at θ≈0.99 the
-// replicated speedup clears Gate with the imbalance flattened. Returns
-// whether a θ≈0.99 point was present at all; without one the speedup
-// gate cannot be asserted, so Pass fails closed — a custom sweep must
-// include the gate point to be green, not merely avoid it.
+// points: every point's hot reads reconciled, the uniform point promoted
+// nothing, and at θ≈0.99 the replicated speedup clears Gate with the
+// imbalance flattened. Returns whether a θ≈0.99 point was present at all;
+// without one the speedup gate cannot be asserted, so Pass fails closed — a
+// custom sweep must include the gate point to be green, not merely avoid it.
 func (rep *SkewReport) evaluate() (gated bool) {
 	rep.Pass = true
 	for _, pt := range rep.Points {
-		if pt.HotReconciled == nil || !*pt.HotReconciled {
+		if pt.HotReconciled == nil || !*pt.HotReconciled || (pt.Theta == 0 && pt.HotPromotes > 0) {
 			rep.Pass = false
 		}
 		if pt.Theta > 0.98 && pt.Theta < 1.0 {
@@ -597,8 +602,8 @@ func skewDiag(r Result) string {
 		return ""
 	}
 	h := r.Metrics.Hot
-	return fmt.Sprintf("    [hot] hits %d  refutes %d  aborts %d  promotes %d  refreshes %d  hit-rate %.1f%%  imbalance %.2f  reconciled %s",
-		h.HotHits, h.HotRefutes, h.HotAborts, h.Promotes, h.Refreshes,
+	return fmt.Sprintf("    [hot] hits %d  refutes %d  aborts %d  promotes %d  declined %d  refreshes %d  hit-rate %.1f%%  imbalance %.2f  reconciled %s",
+		h.HotHits, h.HotRefutes, h.HotAborts, h.Promotes, h.Declined, h.Refreshes,
 		100*h.HitRate, r.MNImbalance, verdictString(h.HotReconciled))
 }
 

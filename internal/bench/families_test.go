@@ -11,6 +11,7 @@ import (
 	"sphinx/internal/core"
 	"sphinx/internal/cuckoo"
 	"sphinx/internal/dataset"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/obs"
 	"sphinx/internal/racehash"
 	"sphinx/internal/rart"
@@ -83,9 +84,9 @@ func indexFamily(name string) bool {
 	return false
 }
 
-// warmedLive loads a replicated hot-replica cluster and runs a read-only, a
-// write-heavy and a scan workload into a fresh Live, so every conditional
-// family (rates, ft_*, hot_*) has a source.
+// warmedLive loads a replicated hot-replica cluster whose fabric shows one NIC
+// queueing and runs a read-only, a write-heavy and a scan workload into a
+// fresh Live, so every conditional family (rates, ft_*, hot_*) has a source.
 func warmedLive(t *testing.T) *Live {
 	t.Helper()
 	lv := NewLive()
@@ -99,6 +100,7 @@ func warmedLive(t *testing.T) *Live {
 	if _, err := cl.Load(0); err != nil {
 		t.Fatal(err)
 	}
+	fabrictest.Queue(t, cl.F, cl.sphinxShared.Hot.Load, 0)
 	for _, w := range []ycsb.Workload{ycsb.WorkloadC, ycsb.WorkloadA, ycsb.WorkloadE} {
 		if _, err := cl.Run(w, 0, 0); err != nil {
 			t.Fatal(err)
@@ -110,13 +112,28 @@ func warmedLive(t *testing.T) *Live {
 
 // warmedSessionFamilies is the other exporter on the same kind of cluster:
 // a sphinx.Session that has run every kind of operation, a hot key included.
+// The public API reaches no fabric, so the NIC queueing that lets the key
+// promote is fabrictest.Queue's collision made through it: sessions of their
+// own, whose clocks start at zero, read one 16 KB value at the same virtual
+// instant; the declined promotions of the hot key tick the contention cache
+// until a refresh sees it.
 func warmedSessionFamilies(t *testing.T) map[string]bool {
 	t.Helper()
-	cluster, err := sphinx.NewCluster(sphinx.Config{Timing: sphinx.TimingInstant, Replication: 2, HotReplicaFactor: 3})
+	cluster, err := sphinx.NewCluster(sphinx.Config{Replication: 2, HotReplicaFactor: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := cluster.NewComputeNode().NewSession()
+	cn := cluster.NewComputeNode()
+	s := cn.NewSession()
+	big := strings.Repeat("q", 16000)
+	if err := s.Put([]byte("fam-big"), []byte(big)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if v, _, err := cn.NewSession().Get([]byte("fam-big")); err != nil || string(v) != big {
+			t.Fatalf("colliding Get = %d bytes, %v", len(v), err)
+		}
+	}
 	for i := 0; i < 200; i++ {
 		if err := s.Put([]byte(fmt.Sprintf("fam-%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)

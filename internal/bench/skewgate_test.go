@@ -38,3 +38,19 @@ func TestSkewGateEvaluates(t *testing.T) {
 		t.Errorf("slow sweep: gated=%v pass=%v, want true/false", gated, fail.Pass)
 	}
 }
+
+// TestSkewGateUniformPromotesNothing covers the uniform point's half of the
+// gate: under uniform load no NIC queues out of proportion, so a hot layer
+// that promoted anything there fails the sweep however fast it ran.
+func TestSkewGateUniformPromotesNothing(t *testing.T) {
+	yes := true
+	for _, promotes := range []uint64{0, 1} {
+		rep := &SkewReport{Gate: SkewSpeedupGate, Points: []SkewPoint{
+			{Theta: 0, Speedup: 1.0, HotReconciled: &yes, HotPromotes: promotes},
+			{Theta: 0.99, Speedup: 2.0, BaseImbalance: 5, HotImbalance: 2, HotReconciled: &yes, HotPromotes: 40},
+		}}
+		if gated := rep.evaluate(); !gated || rep.Pass != (promotes == 0) {
+			t.Errorf("uniform point with %d promotions: gated=%v pass=%v, want true/%v", promotes, gated, rep.Pass, promotes == 0)
+		}
+	}
+}

@@ -219,10 +219,12 @@ type HotBlock struct {
 	HotAborts  uint64 `json:"hot_aborts,omitempty"`
 	// Promotes/Demotes/Refreshes are the layer's maintenance churn:
 	// keys promoted into replicated placement, demoted back out, and
-	// writes that republished at least one hot record.
+	// writes that republished at least one hot record. Declined counts
+	// promotions the fabric's contention verdict turned down.
 	Promotes  uint64 `json:"promotes,omitempty"`
 	Demotes   uint64 `json:"demotes,omitempty"`
 	Refreshes uint64 `json:"refreshes,omitempty"`
+	Declined  uint64 `json:"declined,omitempty"`
 	// HitRate is hits over all replica-read attempts.
 	HitRate float64 `json:"hit_rate"`
 	// TrackerBytes is the CN hot-key trackers' total footprint.
@@ -413,6 +415,7 @@ func (cl *Cluster) attachIndexBlocks(r *Result, t tally) {
 			Promotes:   coreAgg.HotPromotes,
 			Demotes:    coreAgg.HotDemotes,
 			Refreshes:  coreAgg.HotRefreshes,
+			Declined:   coreAgg.HotDeclined,
 		}
 		if attempts := coreAgg.HotHits + coreAgg.HotRefutes + coreAgg.HotAborts; attempts > 0 {
 			hot.HitRate = float64(coreAgg.HotHits) / float64(attempts)

@@ -310,6 +310,10 @@ type Stats struct {
 	HotAborts uint64
 	// HotPromotes counts keys promoted into replicated placement.
 	HotPromotes uint64
+	// HotDeclined counts promotions declined because no NIC queued out of
+	// proportion to the others in the fabric's last contention window
+	// (hotPromote): the key is unclaimed and nothing is posted.
+	HotDeclined uint64
 	// HotDemotes counts cooled keys torn back down to single-owner.
 	HotDemotes uint64
 	// HotRefreshes counts writes that republished at least one hot record

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/racehash"
 	"sphinx/internal/wire"
@@ -111,14 +112,15 @@ func afterHeads(key []byte, n int, fn func()) *onBatch {
 }
 
 // newAckCluster is a 3-MN cluster with both replica layers on — anchors at
-// R=2, hot replicas at factor 3 — and a client whose tracker never promotes
-// by itself.
+// R=2, hot replicas at factor 3 — whose fabric shows one NIC queueing, so that
+// a promotion runs, and a client whose tracker never promotes by itself.
 func newAckCluster(t *testing.T, cfg fabric.Config) (*fabric.Fabric, Shared, *Client) {
 	t.Helper()
 	f, shared := newReplicatedCluster(t, 3, cfg, 1000)
 	if err := BootstrapHot(f, &shared, 256, 3); err != nil {
 		t.Fatal(err)
 	}
+	fabrictest.Queue(t, f, shared.Hot.Load, 0)
 	return f, shared, newTestClient(f, shared, Options{Hot: eagerHotSet(3, 1<<30)})
 }
 

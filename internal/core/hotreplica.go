@@ -9,6 +9,9 @@
 // key's first R ring successors. A promoted read then takes one round trip
 // to a replica chosen by power-of-two-choices on the fabric's cached per-MN
 // queued-wait signal, spreading the head of the distribution across NICs.
+// That pays only where a NIC queues, so a key is promoted only while the
+// same signal shows one NIC queueing out of proportion to the others; on a
+// calm fabric the layer stays dormant (hotPromote).
 //
 // The read keeps the trust-but-verify shape of the leaf-address cache:
 // the cached record address is only a hint, the record image is verified
@@ -182,6 +185,12 @@ func (c *Client) hotAbandon(targets []mem.NodeID, key []byte, v0 uint64) {
 // effort: any failure unclaims the key in the sketch so a later Observe
 // retries; leftover placeholders are benign (see the package comment).
 //
+// Only while the fabric shows one NIC queueing out of proportion to the
+// others (fabric.LoadCache.Skewed): a replica spreads reads over NICs, which
+// pays only where one of them is the bottleneck, and on a calm fabric it
+// would add nothing but the writes' fan-out. A declined key is unclaimed and
+// nothing is posted, so Published() stays false until a promotion runs.
+//
 // Targets that already hold an Idle record for the key are ADOPTED, not
 // republished: an Idle record was placed by a completed promotion or
 // write refresh (publish-to-completion + LWW), so its image is at least
@@ -195,6 +204,14 @@ func (c *Client) hotAbandon(targets []mem.NodeID, key []byte, v0 uint64) {
 // held nothing servable. A target whose leg failed — killed, or a transient —
 // forgoes its rank: whatever the fault left there no route names.
 func (c *Client) hotPromote(key []byte) {
+	if !c.shared.Hot.Load.Skewed() {
+		c.hotset.Unclaim(key)
+		atomic.AddUint64(&c.stats.HotDeclined, 1)
+		if c.rec != nil {
+			c.rec.Note(fabric.StageHotPub, c.eng.C.Clock(), "hot promotion declined: no NIC queues out of proportion")
+		}
+		return
+	}
 	targets, _ := c.hot.targets(c.members.Current(), key, false)
 	// Both versions are drawn before the read: any write committing after it
 	// outranks v1, so our swap below can never bury a fresher value.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/wire"
 )
@@ -21,7 +22,9 @@ import (
 // churn no Get ever returns a value older than the last acknowledged
 // write for its key.
 
-// newHotCluster is newCluster plus the hot-replication layer at factor r.
+// newHotCluster is newCluster plus the hot-replication layer at factor r. Its
+// fabric is idle: a test that needs keys promoted makes a NIC queue first
+// (fabrictest.Queue).
 func newHotCluster(t *testing.T, mns int, cfg fabric.Config, r int) (*fabric.Fabric, Shared) {
 	t.Helper()
 	f, shared := newCluster(t, mns, cfg, 1000)
@@ -41,7 +44,8 @@ func eagerHotSet(r int, promoteAt uint32) *HotSet {
 }
 
 func TestHotPromoteAndServe(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.InstantConfig(), 3)
+	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+	fabrictest.Queue(t, f, shared.Hot.Load, 0)
 	hs := eagerHotSet(3, 3)
 	c := newTestClient(f, shared, Options{Hot: hs})
 	key, val := []byte("popular-key"), []byte("v1")
@@ -80,8 +84,68 @@ func TestHotPromoteAndServe(t *testing.T) {
 	}
 }
 
+// TestHotPromotionNeedsQueueing pins the promotion rule (DESIGN.md §5.13): a
+// key that crosses the tracker's threshold is promoted only while the fabric
+// shows one NIC queueing out of proportion to the others. On an idle fabric,
+// and with every NIC queueing alike, the promotion is declined: the claim is
+// dropped, the writers' gate stays shut, and a write's acknowledgement posts
+// no hot leg. With one NIC queueing the key promotes at once — and so it does
+// when the collision came after the layer's last look at the fabric, once the
+// declines themselves have ticked the contention cache into a refresh.
+func TestHotPromotionNeedsQueueing(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		queue    func(t *testing.T, f *fabric.Fabric, shared Shared)
+		promote  bool
+		declines bool // before the promotion, where there is one
+	}{
+		{name: "idle fabric", queue: func(*testing.T, *fabric.Fabric, Shared) {}, declines: true},
+		{name: "one NIC queueing", queue: func(t *testing.T, f *fabric.Fabric, shared Shared) {
+			fabrictest.Queue(t, f, shared.Hot.Load, 0)
+		}, promote: true},
+		{name: "one NIC queueing, unseen by the layer's cache", queue: func(t *testing.T, f *fabric.Fabric, _ Shared) {
+			fabrictest.Queue(t, f, f.NewLoadCache(0), 0)
+		}, promote: true, declines: true},
+		{name: "every NIC queueing evenly", queue: func(t *testing.T, f *fabric.Fabric, shared Shared) {
+			fabrictest.Queue(t, f, shared.Hot.Load, 0, 1, 2)
+		}, declines: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+			hs := eagerHotSet(3, 3)
+			c := newTestClient(f, shared, Options{Hot: hs})
+			key := []byte("popular-key")
+			if _, err := c.Insert(key, []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			tc.queue(t, f, shared)
+			// One contention window past the threshold: every Search from the
+			// third on crosses it again while the key is unclaimed.
+			for i := 0; i < 300 && c.Stats().HotPromotes == 0; i++ {
+				warmSearch(t, c, key, []byte("v1"))
+			}
+			st := c.Stats()
+			if promoted := st.HotPromotes == 1; promoted != tc.promote || (st.HotDeclined > 0) != tc.declines {
+				t.Fatalf("%d promotions after %d declines; want promoted %v, declines %v", st.HotPromotes, st.HotDeclined, tc.promote, tc.declines)
+			}
+			if hs.Claimed(key) != tc.promote || shared.Hot.Published() != tc.promote {
+				t.Errorf("claimed %v, writers' gate open %v; want both %v", hs.Claimed(key), shared.Hot.Published(), tc.promote)
+			}
+			stages := newStageCounter()
+			c.eng.C.SetObserver(stages)
+			if _, err := c.Update(key, []byte("v2")); err != nil {
+				t.Fatal(err)
+			}
+			if hotLeg := stages.rts(fabric.StageHotPub) > 0; hotLeg != tc.promote {
+				t.Errorf("the write's acknowledgement posted %d hot-pub round trips; want a hot leg: %v", stages.rts(fabric.StageHotPub), tc.promote)
+			}
+		})
+	}
+}
+
 func TestHotWriteRefreshesReplicas(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.InstantConfig(), 3)
+	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+	fabrictest.Queue(t, f, shared.Hot.Load, 0)
 	hs := eagerHotSet(3, 3)
 	c := newTestClient(f, shared, Options{Hot: hs})
 	key := []byte("popular-key")
@@ -116,7 +180,8 @@ func TestHotWriteRefreshesReplicas(t *testing.T) {
 }
 
 func TestHotDeleteRemovesReplicas(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.InstantConfig(), 3)
+	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+	fabrictest.Queue(t, f, shared.Hot.Load, 0)
 	hs := eagerHotSet(3, 3)
 	c := newTestClient(f, shared, Options{Hot: hs})
 	key := []byte("popular-key")
@@ -145,7 +210,8 @@ func TestHotDeleteRemovesReplicas(t *testing.T) {
 // costs one refuted round trip and falls back with no backoff sleep and
 // no retry budget, mirroring the leaf-address-cache contract.
 func TestHotStaleRouteRefutedNoBackoff(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.InstantConfig(), 3)
+	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+	fabrictest.Queue(t, f, shared.Hot.Load, 0)
 	hs := eagerHotSet(3, 3)
 	c := newTestClient(f, shared, Options{Hot: hs})
 	key := []byte("popular-key")
@@ -165,10 +231,14 @@ func TestHotStaleRouteRefutedNoBackoff(t *testing.T) {
 			}
 		}
 	}
+	// The clock moves by the round trips' own time and by backoff waits alone;
+	// the batches account for the first.
+	batches := newStageCounter()
+	c.eng.C.SetObserver(batches)
 	clock0 := c.eng.C.Clock()
 	st0 := c.Stats()
 	warmSearch(t, c, key, []byte("v1")) // authoritative fallback still serves
-	if dt := c.eng.C.Clock() - clock0; dt != 0 {
+	if dt := c.eng.C.Clock() - clock0 - batches.ps(); dt != 0 {
 		t.Errorf("refuted hot reads slept %d ps of backoff; want 0", dt)
 	}
 	st := c.Stats()
@@ -189,6 +259,7 @@ func TestHotStaleRouteRefutedNoBackoff(t *testing.T) {
 // reconcile exactly.
 func TestHotReadReconciled(t *testing.T) {
 	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+	fabrictest.Queue(t, f, shared.Hot.Load, 0)
 	hs := eagerHotSet(3, 3)
 	c := newTestClient(f, shared, Options{Hot: hs})
 	obsv := newStageCounter()
@@ -223,10 +294,12 @@ func TestHotReadReconciled(t *testing.T) {
 	}
 }
 
-// stageCounter tallies round trips per stage from batch events.
+// stageCounter tallies round trips per stage from batch events, and the
+// virtual time the batches took.
 type stageCounter struct {
-	mu  sync.Mutex
-	rtm map[fabric.Stage]uint64
+	mu   sync.Mutex
+	rtm  map[fabric.Stage]uint64
+	took int64
 }
 
 func newStageCounter() *stageCounter {
@@ -236,6 +309,7 @@ func newStageCounter() *stageCounter {
 func (s *stageCounter) ObserveBatch(ev fabric.BatchEvent) {
 	s.mu.Lock()
 	s.rtm[ev.Stage] += uint64(ev.RoundTrips)
+	s.took += ev.EndPs - ev.StartPs
 	s.mu.Unlock()
 }
 
@@ -245,6 +319,12 @@ func (s *stageCounter) rts(st fabric.Stage) uint64 {
 	return s.rtm[st]
 }
 
+func (s *stageCounter) ps() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.took
+}
+
 // TestHotChurn hammers a small hot keyspace with concurrent readers,
 // writers and the promote/demote machinery, asserting the acknowledged-
 // write floor: a Get that begins after write seq S was acknowledged for
@@ -252,7 +332,7 @@ func (s *stageCounter) rts(st fabric.Stage) uint64 {
 // -cpu 1,4,8 (CI's churn matrix) this doubles as the memory-model check
 // for the CN-shared tracker and route caches.
 func TestHotChurn(t *testing.T) {
-	f, shared := newHotCluster(t, 4, fabric.InstantConfig(), 3)
+	f, shared := newHotCluster(t, 4, fabric.DefaultConfig(), 3)
 	const (
 		workers = 6
 		keys    = 8
@@ -283,6 +363,7 @@ func TestHotChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	fabrictest.Queue(t, f, shared.Hot.Load, 0)
 
 	var wg sync.WaitGroup
 	errc := make(chan error, workers)
@@ -360,7 +441,8 @@ func TestHotChurn(t *testing.T) {
 // removes its records and routes (a later Get takes the normal path and
 // re-promotion still works).
 func TestHotDemoteTearsDown(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.InstantConfig(), 3)
+	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+	fabrictest.Queue(t, f, shared.Hot.Load, 0)
 	hs := NewHotSet(0, 7, 3)
 	// Demote at < 4, decay every 32 observations: a burst promotes, a
 	// stream of other-key traffic decays it cold.
@@ -495,7 +577,8 @@ func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
 // routed=0, unclaimed, and was retried as soon as the sketch re-crossed
 // the threshold, churning forever with no routable result.
 func TestHotOversizedValueExcluded(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.InstantConfig(), 3)
+	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+	fabrictest.Queue(t, f, shared.Hot.Load, 0)
 	hs := eagerHotSet(3, 3)
 	c := newTestClient(f, shared, Options{Hot: hs})
 	key := []byte("jumbo-key")

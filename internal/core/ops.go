@@ -594,7 +594,7 @@ func (c *Client) specGet(key []byte) ([]byte, bool) {
 		return nil, false
 	}
 	// An unstable image is torn or locked: an in-flight single-WRITE updater.
-	leaf, stable, err := c.eng.SpecReadLeaf(addr, units)
+	leaf, stable, err := c.eng.SpecReadLeaf(addr, units, key)
 	out, why := specVerify(key, err, stable, leaf.Status, leaf.Key)
 	c.specSettle(c.specGets(), key, addr, out, why)
 	if out != specHit {

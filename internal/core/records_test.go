@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/racehash"
 	"sphinx/internal/wire"
@@ -426,6 +427,7 @@ func TestHotRetireFaultIsNotAcked(t *testing.T) {
 				f, shared, _ = newAckCluster(t, fabric.DefaultConfig())
 			} else {
 				f, shared = newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+				fabrictest.Queue(t, f, shared.Hot.Load, 0)
 			}
 			reader := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 3)})
 			plan := &fabric.FaultPlan{Seed: 1}

@@ -13,13 +13,25 @@ import (
 // a fraction of a single verb post.
 const loadCacheRefreshEvery = 256
 
+// The contention verdict (Skewed) of one window: its busiest-waiting NIC
+// queued for at least 1/skewWaitShare of its own busy time, and for at least
+// skewOverMean times the cluster's mean queued wait. The first keeps a single
+// collision inside a busy window from counting as contention; the second
+// keeps NICs that all queue alike (uniform load past saturation) calm, and
+// still lets one of two NICs — exactly twice the mean — count.
+const (
+	skewWaitShare = 16
+	skewOverMean  = 2
+)
+
 // loadSnap is one immutable per-MN contention snapshot: a score per node,
 // swapped in whole via an atomic pointer so readers never see a torn
 // refresh.
 type loadSnap struct {
-	score []int64 // indexed by NodeID
-	wait  []int64 // cumulative WaitPs at snapshot time (next window's base)
-	busy  []int64 // cumulative BusyPs at snapshot time
+	score  []int64 // indexed by NodeID
+	wait   []int64 // cumulative WaitPs at snapshot time (next window's base)
+	busy   []int64 // cumulative BusyPs at snapshot time
+	skewed bool    // the window's verdict (Skewed)
 }
 
 // LoadCache is a cheap, slightly stale view of per-MN NIC contention for
@@ -35,7 +47,8 @@ type loadSnap struct {
 // chooser away from the NIC doing more work. Staleness is bounded by the
 // refresh period and is exactly the point: power-of-two-choices needs
 // only a signal that is right on average, and a tick-fresh signal would
-// cost more than the imbalance it removes.
+// cost more than the imbalance it removes. Each refresh also judges its
+// window as a whole (Skewed): whether replicating anything would pay.
 type LoadCache struct {
 	f     *Fabric
 	every uint64
@@ -73,6 +86,7 @@ func (lc *LoadCache) Refresh() {
 		wait:  make([]int64, len(stats)),
 		busy:  make([]int64, len(stats)),
 	}
+	var topWait, topBusy, sumWait int64
 	for i, s := range stats {
 		ns.wait[i] = s.WaitPs
 		ns.busy[i] = s.BusyPs
@@ -86,8 +100,23 @@ func (lc *LoadCache) Refresh() {
 		// NICs. The shift keeps both in one comparable scalar without
 		// overflow at realistic window sizes.
 		ns.score[i] = waitWin*8 + busyWin
+		sumWait += waitWin
+		if waitWin > topWait {
+			topWait, topBusy = waitWin, busyWin
+		}
 	}
+	ns.skewed = topWait > 0 && topWait*skewWaitShare >= topBusy && topWait*int64(len(stats)) >= skewOverMean*sumWait
 	lc.snap.Store(ns)
+}
+
+// Skewed reports the last window's contention verdict: whether one NIC
+// queued out of proportion to the others, the one case in which spreading a
+// key's reads over replicas relieves a queue. It ticks the cache like
+// PickLighter, so a caller that routes nothing still keeps the verdict
+// fresh.
+func (lc *LoadCache) Skewed() bool {
+	lc.Tick()
+	return lc.snap.Load().skewed
 }
 
 // Score returns the node's contention score from the last snapshot

@@ -409,13 +409,16 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 //   - a fabric error: (_, false, err) — the caller maps failoverable errors
 //     to unlearns.
 //
-// The leaf is returned by value: on the warm path the one allocation is the
-// array its key and value share.
+// The leaf is returned by value. On the warm path — an Idle image storing
+// exactly key — status and key are checked in the read buffer and the one
+// allocation is the value's copy; Key is the caller's key. Any other decoded
+// image (retired, another key's leaf) is the rare refutation, and comes back
+// with its own key and value for the caller's verdict.
 //
 // Batches are stage-annotated StageLeafSpec so the speculative round trips
 // reconcile separately from the 3-RT hash path (the lac_reconciled
 // verdict).
-func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8) (leaf Leaf, stable bool, err error) {
+func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8, key []byte) (leaf Leaf, stable bool, err error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafSpec))
 	want := e.clampRead(addr, uint64(units)*wire.LeafUnit)
 	if want < wire.LeafHeaderSize {
@@ -426,8 +429,11 @@ func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8) (leaf Leaf, stable boo
 	if err = e.C.Read(addr, buf); err != nil {
 		return Leaf{}, false, err
 	}
-	if sight, _, hdr, key, value := sightOf(buf); sight == leafRetired || sight == leafWhole {
-		return leafAt(addr, hdr, key, value), true, nil
+	switch sight, _, hdr, k, value := sightOf(buf); {
+	case sight == leafWhole && string(k) == string(key):
+		return Leaf{Addr: addr, Status: hdr.Status, Units: hdr.Units, Key: key, Value: slices.Clone(value)}, true, nil
+	case sight == leafRetired || sight == leafWhole:
+		return leafAt(addr, hdr, k, value), true, nil
 	}
 	return Leaf{}, false, nil
 }

@@ -148,10 +148,14 @@ type Config struct {
 	// sketch seeded by the filter cache's hotness bit, promotes them into
 	// this many replicated read-only records spread over ring successors,
 	// and serves their Gets from the least-contended replica (power-of-two
-	// choices on per-MN queued-wait). Writes republish or remove the
-	// replicas before acknowledging, so reads stay verify-or-fallback
-	// correct. 0 (the default) disables the layer; values >= 2 enable it
-	// (1 is rounded up to the default factor of 3).
+	// choices on per-MN queued-wait). It promotes only while that same
+	// signal shows one memory node's NIC queueing out of proportion to the
+	// others — the one case a replica relieves; on a calm fabric the layer
+	// stays dormant, Gets take the leaf-address cache and writes post
+	// nothing for it. Writes republish or remove the replicas before
+	// acknowledging, so reads stay verify-or-fallback correct. 0 (the
+	// default) disables the layer; values >= 2 enable it (1 is rounded up to
+	// the default factor of 3).
 	HotReplicaFactor int
 	// HotSetBytes is the per-CN budget of the hot-key tracker (sketch +
 	// replica route caches; default 256 KiB). Only meaningful with

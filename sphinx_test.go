@@ -3,8 +3,11 @@ package sphinx
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+
+	"sphinx/internal/fabric/fabrictest"
 )
 
 func TestFacadeAllSystems(t *testing.T) {
@@ -182,6 +185,7 @@ func TestPipelineLanesShareSessionOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fabrictest.Queue(t, cluster.f, cluster.sphinxShared.Hot.Load, 0)
 		cn := cluster.NewComputeNode()
 		s := cn.NewSession()
 		if err := s.Put(key, []byte("old")); err != nil {
@@ -227,9 +231,10 @@ func TestPipelineLanesShareSessionOptions(t *testing.T) {
 // TestWarmPathAllocations pins what the Go code of a compute node allocates
 // per operation on the two warm paths through the leaf-address cache — near
 // one round trip per op the CN's own work decides throughput. A warm Get is
-// the one array its returned value lives in (beside the leaf's key); a warm
-// same-size Update allocates nothing (single verbs post from the fabric
-// client's own one-op array; the speculative read returns its leaf by value).
+// the one array its returned value lives in, and no byte more: status and key
+// are verified in the read buffer, never copied out; a warm same-size Update
+// allocates nothing (single verbs post from the fabric client's own one-op
+// array; the speculative read returns its leaf by value).
 func TestWarmPathAllocations(t *testing.T) {
 	cluster, err := NewCluster(Config{Timing: TimingInstant})
 	if err != nil {
@@ -264,6 +269,24 @@ func TestWarmPathAllocations(t *testing.T) {
 	})
 	if gets > 1 {
 		t.Errorf("warm Get: %.2f allocs/op, want <= 1", gets)
+	}
+	// Bytes, unlike allocations, are not whole, and TotalAlloc counts what
+	// any goroutine of the process allocated meanwhile: the least of five
+	// rounds must stay under key and value together.
+	least := ^uint64(0)
+	for round := 0; round < 5; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for n := 0; n < 400; n++ {
+			if _, ok, err := s.Get(keys[n%len(keys)]); err != nil || !ok {
+				t.Fatalf("Get = %v, %v", ok, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/400)
+	}
+	if bound := uint64(len(keys[0]) + len(val)); least >= bound {
+		t.Errorf("warm Get: %d B/op allocated, want under %d: the %d-byte value alone, no copy of the key", least, bound, len(val))
 	}
 	if updates > 0 {
 		t.Errorf("warm Update: %.2f allocs/op, want 0", updates)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 )
 
 // TestTraceColdGet pins the paper's §III-B claim in trace form: a Get the
@@ -286,6 +287,7 @@ func TestTraceHotGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fabrictest.Queue(t, cluster.f, cluster.sphinxShared.Hot.Load, 0)
 	cn := cluster.NewComputeNode()
 	cn.hotset.SetThresholds(3, 1, 1<<40)
 	s, other := cn.NewSession(), cluster.NewComputeNode().NewSession()
@@ -352,6 +354,7 @@ func TestTraceReplicatedPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fabrictest.Queue(t, cluster.f, cluster.sphinxShared.Hot.Load, 0)
 	cn := cluster.NewComputeNode()
 	cn.hotset.SetThresholds(3, 1, 1<<40)
 	s := cn.NewSession()
