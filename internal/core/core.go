@@ -332,8 +332,10 @@ type Stats struct {
 	// they carried — legs per round is what batching saves.
 	// ReplicaRequeues counts legs sent back to the bucket read by a lost entry
 	// CAS or a stale directory cache, ReplicaSplits rounds whose batch faulted
-	// and was posted again one node at a time.
-	ReplicaFanouts, ReplicaRounds, ReplicaLegs, ReplicaRequeues, ReplicaSplits uint64
+	// and was posted again one node at a time. ReplicaRidden counts the rounds
+	// among ReplicaRounds that another batch carried: an anchored write's read
+	// rounds behind its own tree write's verbs (records.go ride).
+	ReplicaFanouts, ReplicaRounds, ReplicaLegs, ReplicaRequeues, ReplicaSplits, ReplicaRidden uint64
 }
 
 func init() {

@@ -149,7 +149,8 @@ func warmAck(t *testing.T, c *Client, value []byte) {
 // the entry CAS, a retire — per target, one target after another. A joint row
 // is a write acknowledged by both layers at once (replicate): as many rounds
 // as the longer of its two single-layer rows, their verbs summed; its was is
-// the two fan-outs one after the other, their rounds summed.
+// the two fan-outs one after the other, their rounds summed. A whole-write row
+// is an Update, Insert or Delete, tree write and acknowledgement together.
 func TestReplicaAckBudget(t *testing.T) {
 	f, shared, c := newAckCluster(t, fabric.DefaultConfig())
 	val := bytes.Repeat([]byte("v"), 1024)
@@ -159,6 +160,11 @@ func TestReplicaAckBudget(t *testing.T) {
 
 	key := []byte("budget-key")
 	if _, err := c.Insert(key, val); err != nil {
+		t.Fatal(err)
+	}
+	// An Update teaches the leaf-address cache the key's leaf: the whole-write
+	// Update below is the speculative in-place write.
+	if _, err := c.Update(key, val); err != nil {
 		t.Fatal(err)
 	}
 	// Every step runs on the state the one before it left.
@@ -196,6 +202,23 @@ func TestReplicaAckBudget(t *testing.T) {
 		}},
 		{name: "joint: anchored update + hot refresh, key not promoted", rts: 3, verbs: 12 + 6, was: [2]uint64{3 + 1, 12 + 6}, run: func() error {
 			_, err := c.replicate(key, val, false, true, true)
+			return err
+		}},
+		// Whole writes, tree write included: the anchors' read rounds ride its
+		// batches, and the hot probe their one round after the commit. was is
+		// the anchors' fan-out begun after the commit: the speculative write's 2
+		// + 3, a fresh insert's tree 5 + 2 (bucket pairs; WRITE + CAS), a
+		// delete's tree 6 + 3 (bucket pairs, heads, entry CAS → 0).
+		{name: "whole write: warm Update", rts: 2 + 1, verbs: 21, was: [2]uint64{2 + 3, 21}, run: func() error {
+			_, err := c.Update(key, val)
+			return err
+		}},
+		{name: "whole write: Insert of a fresh key", rts: 5 + 1, verbs: 28, was: [2]uint64{5 + 2, 28}, run: func() error {
+			_, err := c.Insert([]byte("budget-whole"), val)
+			return err
+		}},
+		{name: "whole write: Delete", rts: 6 + 1, verbs: 24, was: [2]uint64{6 + 3, 24}, run: func() error {
+			_, err := c.Delete([]byte("budget-whole"))
 			return err
 		}},
 		{name: "promotion onto three empty targets", rts: 11, verbs: 45, atMost: true, was: [2]uint64{36, 57}, run: func() error {
@@ -506,5 +529,206 @@ func TestCommitToKilledNodeFailsOver(t *testing.T) {
 	}
 	if v, ok, err := c.Search(key); err != nil || !ok || string(v) != "after!" {
 		t.Errorf("read after the failed-over update = %q, %v, %v", v, ok, err)
+	}
+}
+
+// The riding fan-out: a write begins the anchors' fan-out before its tree
+// write, whose batches carry the bucket-pair and head reads; the version gate
+// and everything that writes wait for the commit (anchorArm).
+
+// afterBatch runs fn once, right after the observed client's n-th batch.
+type afterBatch struct {
+	n  int
+	fn func()
+}
+
+func (o *afterBatch) ObserveBatch(fabric.BatchEvent) {
+	if o.n--; o.n == 0 {
+		o.fn()
+	}
+}
+
+// parkedAtGate reports whether every leg of the store's fan-out read its heads
+// and waits at the version gate with nothing allocated.
+func parkedAtGate(s *recordStore) bool {
+	for i := range s.legs {
+		if l := &s.legs[i]; l.err != nil || l.step != stepGate || l.own.Valid {
+			return false
+		}
+	}
+	return len(s.legs) > 0
+}
+
+// warmUpdateClient is a client on a 3-MN replicated cluster whose
+// leaf-address cache knows key: its next Update is the speculative in-place
+// write, two batches — the lock CAS and leaf READ, carrying the anchors'
+// bucket pairs; the releasing WRITE, carrying their heads.
+func warmUpdateClient(t *testing.T, key []byte) (*fabric.Fabric, Shared, *Client) {
+	t.Helper()
+	f, shared := newReplicatedCluster(t, 3, fabric.DefaultConfig(), 1000)
+	c := newTestClient(f, shared, Options{})
+	if _, err := c.Insert(key, []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Update(key, []byte("v1")); err != nil { // teaches the leaf-address cache
+		t.Fatal(err)
+	}
+	return f, shared, c
+}
+
+// TestAnchorRideLosesRaceToRival is TestFanoutLosesRaceOnOneLeg with the read
+// rounds ridden: a rival publishes on one target between the heads our
+// Update's releasing WRITE carried and our entry CAS. The CAS was planned
+// from the earlier pair read and names the superseded entry's exact word, so
+// it loses; that leg alone reads again and swaps over the rival. The rival's
+// version was drawn before ours — ours is drawn when the fan-out is armed,
+// after the commit — so LWW keeps the tree's value on every replica.
+func TestAnchorRideLosesRaceToRival(t *testing.T) {
+	key := []byte("ridden-race-key")
+	f, shared, a := warmUpdateClient(t, key)
+	b := newTestClient(f, shared, Options{})
+	nodes := a.anchors.place(nil, shared.Ring, key)
+	rival := record{wire.StatusIdle, key, []byte("rival"), 0}
+	var rivalPub published
+	var rivalErr error
+	// The observer runs as the releasing WRITE's batch completes, before the
+	// rider settles the heads it carried.
+	a.eng.C.SetObserver(&afterBatch{n: 2, fn: func() {
+		for i := range a.anchors.legs {
+			if l := &a.anchors.legs[i]; l.step != stepHeads || len(l.heads) != 1 {
+				t.Errorf("leg %d at step %d with %d heads: the heads did not ride the releasing WRITE", i, l.step, len(l.heads))
+			}
+		}
+		rival.version = b.anchors.nextVersion()
+		rivalPub, rivalErr = b.anchors.publishOn(nodes[0], rival, publishUpsert)
+	}})
+	before := a.Stats()
+	ok, err := a.Update(key, []byte("ours"))
+	a.eng.C.SetObserver(nil)
+	if err != nil || !ok {
+		t.Fatalf("Update = %v, %v", ok, err)
+	}
+	if rivalErr != nil || !rivalPub.wrote {
+		t.Fatalf("rival's publish: %+v, %v", rivalPub, rivalErr)
+	}
+	st := a.Stats()
+	if st.SpecUpdHits != before.SpecUpdHits+1 || st.ReplicaRidden != before.ReplicaRidden+2 || st.ReplicaRequeues != before.ReplicaRequeues+1 {
+		t.Errorf("spec hits +%d, ridden rounds +%d, requeues +%d; want 1, 2, 1 (the raced leg)",
+			st.SpecUpdHits-before.SpecUpdHits, st.ReplicaRidden-before.ReplicaRidden, st.ReplicaRequeues-before.ReplicaRequeues)
+	}
+	for _, n := range nodes {
+		recs, err := a.anchors.recordsOn(n, key)
+		if err != nil || len(recs) != 1 || string(recs[0].value) != "ours" || recs[0].version <= rival.version {
+			t.Errorf("node %d: %d records (err %v); want exactly ours, above the rival's version %d", n, len(recs), err, rival.version)
+		}
+	}
+	if v, ok, err := b.anchorGet(key); err != nil || !ok || string(v) != "ours" {
+		t.Errorf("anchorGet = %q, %v, %v; want the tree's value", v, ok, err)
+	}
+}
+
+// TestAnchorRideTreeWriteFails: a tree write that fails after both read rounds
+// rode it — its client dies in the batch behind them — leaves the anchors as
+// they were: every leg parked at the version gate, no image allocated or
+// written, no entry CASed, and the fan-out off the rider slot.
+func TestAnchorRideTreeWriteFails(t *testing.T) {
+	f, shared := newReplicatedCluster(t, 3, fabric.DefaultConfig(), 1000)
+	key := []byte("ridden-fail-key")
+	c := newTestClient(f, shared, Options{DisableLeafCache: true})
+	if _, err := c.Insert(key, []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	targets := c.anchors.place(nil, shared.Ring, key)
+	images := make([]int, len(targets))
+	for i, n := range targets {
+		images[i] = len(scanImages(t, f, n, key))
+	}
+	c.eng.C.SetObserver(&afterBatch{n: 2, fn: c.eng.C.Kill})
+	before := c.Stats()
+	if _, err := c.Update(key, []byte("never")); !errors.Is(err, fabric.ErrClientCrashed) {
+		t.Fatalf("Update = %v; want the crash", err)
+	}
+	if st := c.Stats(); !parkedAtGate(c.anchors) || c.anchors.pending || st.ReplicaRidden != before.ReplicaRidden+2 || st.ReplicaRounds != st.ReplicaRidden-before.ReplicaRidden+before.ReplicaRounds {
+		t.Errorf("after the failed write: parked %v, pending %v, ridden rounds +%d, rounds +%d; want parked, off the slot, 2 and 2",
+			parkedAtGate(c.anchors), c.anchors.pending, st.ReplicaRidden-before.ReplicaRidden, st.ReplicaRounds-before.ReplicaRounds)
+	}
+	r := newTestClient(f, shared, Options{})
+	for i, n := range targets {
+		if recs, err := r.anchors.recordsOn(n, key); err != nil || len(recs) != 1 || string(recs[0].value) != "v0" {
+			t.Errorf("node %d: %d records (err %v); want the one acknowledged before", n, len(recs), err)
+		}
+		if got := len(scanImages(t, f, n, key)); got != images[i] {
+			t.Errorf("node %d: %d images of the key, %d before the failed write", n, got, images[i])
+		}
+	}
+}
+
+// TestAnchorRideUpdateMissPostsNoSwap: an Update of an absent key writes
+// nothing to the tree, so the anchors' fan-out its batches carried is dropped
+// at the gate: every round it cost was a ridden read, and no replica holds the
+// key.
+func TestAnchorRideUpdateMissPostsNoSwap(t *testing.T) {
+	f, shared := newReplicatedCluster(t, 3, fabric.DefaultConfig(), 1000)
+	c := newTestClient(f, shared, Options{})
+	for _, k := range testKeys(8) {
+		if _, err := c.Insert(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := []byte("ridden-missing-key")
+	before := c.Stats()
+	if ok, err := c.Update(key, []byte("never")); ok || err != nil {
+		t.Fatalf("Update of an absent key = %v, %v", ok, err)
+	}
+	st := c.Stats()
+	if ridden := st.ReplicaRidden - before.ReplicaRidden; ridden == 0 || st.ReplicaRounds-before.ReplicaRounds != ridden || !parkedAtGate(c.anchors) || c.anchors.pending {
+		t.Errorf("rounds +%d, ridden +%d, parked %v, pending %v; want only ridden rounds, every leg left at the gate, off the slot",
+			st.ReplicaRounds-before.ReplicaRounds, ridden, parkedAtGate(c.anchors), c.anchors.pending)
+	}
+	for _, n := range c.anchors.place(nil, shared.Ring, key) {
+		if recs, err := c.anchors.recordsOn(n, key); err != nil || len(recs) != 0 {
+			t.Errorf("node %d: %d records of the absent key (err %v)", n, len(recs), err)
+		}
+	}
+}
+
+// TestAnchorRideTargetsMoved: a target's breaker learns it dead between the
+// batch that carried the bucket pairs and the commit. The heads' batch names
+// the dead node, so it is rejected and posted again without them: the write
+// commits alone. At the commit the targets differ from those the fan-out
+// began on, so it begins afresh on the new ones — the replica set is whole,
+// as it is for a write begun after the breaker opened.
+func TestAnchorRideTargetsMoved(t *testing.T) {
+	key := []byte("ridden-moved-key")
+	f, shared, c := warmUpdateClient(t, key)
+	leaf := leafAddrOf(t, c, key)
+	targets := c.anchors.place(nil, shared.Ring, key)
+	victim := targets[0]
+	if victim == leaf.Node() {
+		victim = targets[1]
+	}
+	c.eng.C.SetObserver(&afterBatch{n: 1, fn: func() {
+		f.KillNode(victim)
+		f.Health().MarkDead(victim)
+	}})
+	before := c.Stats()
+	ok, err := c.Update(key, []byte("after"))
+	c.eng.C.SetObserver(nil)
+	if err != nil || !ok {
+		t.Fatalf("Update with a target lost mid-write = %v, %v", ok, err)
+	}
+	st := c.Stats()
+	if st.PartialReplicas != before.PartialReplicas || st.ReplicaFanouts != before.ReplicaFanouts+2 || st.SpecUpdHits != before.SpecUpdHits+1 {
+		t.Errorf("partial replicas +%d, fan-outs +%d, spec hits +%d; want 0, 2 (the ridden one dropped), 1",
+			st.PartialReplicas-before.PartialReplicas, st.ReplicaFanouts-before.ReplicaFanouts, st.SpecUpdHits-before.SpecUpdHits)
+	}
+	moved, _ := c.anchors.targets(c.members.Current(), key, false)
+	if slices.Contains(moved, victim) || len(moved) != DefaultReplication {
+		t.Fatalf("targets after the loss %v still name %d", moved, victim)
+	}
+	for _, n := range slices.Clone(moved) {
+		if recs, err := c.anchors.recordsOn(n, key); err != nil || len(recs) != 1 || string(recs[0].value) != "after" {
+			t.Errorf("node %d: %d records (err %v); want exactly the write's", n, len(recs), err)
+		}
 	}
 }

@@ -274,12 +274,13 @@ func (c *Client) hotLearn(rank int, key []byte, addr mem.Addr, size int) bool {
 
 // hotBegin readies the hot layer's half of a write's acknowledgement
 // (replicate) over the store's mid-transition target union and returns the
-// store, with how many leading targets come from the current ring. A put is
-// republished swap-only at a version drawn here, after the tree commit (see
-// the gate ordering above); a delete removes and retires every record.
+// store, armed, with how many leading targets come from the current ring. It
+// begins after the tree commit, where the writers' gate is judged (see the
+// gate ordering above), so it rides nothing. A put is republished swap-only at
+// a version drawn here; a delete removes and retires every record.
 func (c *Client) hotBegin(key, value []byte, remove bool) (*recordStore, int) {
 	targets, curN := c.hot.targets(c.members.Current(), key, true)
-	return c.hot.begin(targets, c.hot.writeOp(key, value, remove, publishSwapOnly)), curN
+	return c.hot.begin(targets, c.hot.writeOp(key, value, remove, publishSwapOnly)).arm(), curN
 }
 
 // hotSettle judges the hot layer's half once it ran. LWW-idempotent, so the

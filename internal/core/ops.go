@@ -335,26 +335,38 @@ func (c *Client) note(stage fabric.Stage, format string, args ...any) {
 	}
 }
 
-// replicaNotes holds the note of every fan-out shape a write normally takes,
+// replicaNotes holds the note of every fan-out shape a write normally takes —
+// legs, rounds, and the rounds among them that rode the tree write's batches —
 // so that a session's always-armed tail recorder costs an acked write no
 // allocation.
-var replicaNotes [8][8]string
+var replicaNotes [8][8][4]string
 
 func init() {
 	for legs := range replicaNotes {
 		for rounds := range replicaNotes[legs] {
-			replicaNotes[legs][rounds] = fmt.Sprintf("replicas: %d legs, %d rounds", legs, rounds)
+			for ridden := range replicaNotes[legs][rounds] {
+				replicaNotes[legs][rounds][ridden] = replicaNote(legs, rounds, ridden)
+			}
 		}
 	}
+}
+
+func replicaNote(legs, rounds, ridden int) string {
+	if ridden == 0 {
+		return fmt.Sprintf("replicas: %d legs, %d rounds", legs, rounds)
+	}
+	return fmt.Sprintf("replicas: %d legs, %d rounds, %d ridden", legs, rounds, ridden)
 }
 
 // noteReplicas annotates, on the armed trace recorder, what the layer's last
 // fan-out — the one an acked write just waited for — cost.
 func (c *Client) noteReplicas(s *recordStore) {
-	if legs := len(s.legs); legs >= len(replicaNotes) || s.batchN >= len(replicaNotes[0]) {
-		c.note(s.stage, "replicas: %d legs, %d rounds", legs, s.batchN)
-	} else if c.rec != nil {
-		c.rec.Note(s.stage, c.eng.C.Clock(), replicaNotes[legs][s.batchN])
+	switch legs := len(s.legs); {
+	case c.rec == nil:
+	case legs < len(replicaNotes) && s.batchN < len(replicaNotes[0]) && s.ridden < len(replicaNotes[0][0]):
+		c.rec.Note(s.stage, c.eng.C.Clock(), replicaNotes[legs][s.batchN][s.ridden])
+	default:
+		c.rec.Note(s.stage, c.eng.C.Clock(), replicaNote(legs, s.batchN, s.ridden))
 	}
 }
 
@@ -681,6 +693,10 @@ func (c *Client) Update(key, value []byte) (bool, error) {
 }
 
 func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
+	// The anchors' read rounds ride the tree write's batches, whichever path
+	// it takes; a write that never commits drops them.
+	c.anchorBegin(key, value, false)
+	defer c.anchorDrop()
 	// Speculative in-place write: a cached leaf address turns the descent,
 	// the lock and the verification into one round trip (see specPut). A
 	// refuted or aborted speculation falls through to the tree path below
@@ -730,16 +746,17 @@ func (c *Client) ackPut(key, value []byte, mode rart.PutMode, existed bool) (boo
 // delete — to the replica layers before it is acknowledged: to the anchors
 // when anchored, to the hot records when hot, each only where its layer is on
 // — the hot one only once a record may be discoverable (the writers' gate,
-// Published). Publish-to-completion: from here on, losing any single replica
-// cannot lose the write, and no reader can verify a hit on a promoted key's
-// superseded value. Both layers' fan-outs advance in the same doorbell rounds
-// (run), then each settles by its own policy, the anchors first: an anchor
-// error fails the write whatever the hot records did. existed: an anchor
-// replica held the key.
+// Published, judged here, after the commit). Publish-to-completion: from here
+// on, losing any single replica cannot lose the write, and no reader can
+// verify a hit on a promoted key's superseded value. The anchors' fan-out is
+// the one the write began before its tree write, armed (anchorArm); both
+// layers' fan-outs advance in the same doorbell rounds (run), then each
+// settles by its own policy, the anchors first: an anchor error fails the
+// write whatever the hot records did. existed: an anchor replica held the key.
 func (c *Client) replicate(key, value []byte, remove, anchored, hot bool) (existed bool, err error) {
 	var anchors, hots *recordStore
 	if anchored && c.anchors != nil {
-		anchors = c.anchorBegin(key, value, remove)
+		anchors = c.anchorArm(key, value, remove)
 	}
 	curN := 0
 	if hot && c.hotEnabled() && c.shared.Hot.Published() {
@@ -782,6 +799,8 @@ func (c *Client) Delete(key []byte) (bool, error) {
 		return false, err
 	}
 	atomic.AddUint64(&c.stats.Deletes, 1)
+	c.anchorBegin(key, nil, true)
+	defer c.anchorDrop()
 	var ok bool
 	lost, err := c.drive("delete", key, false, func(start *rart.Node, startLen int) (collided bool, err error) {
 		ok, err = c.eng.DeleteFrom(start, key, hooks{c})

@@ -11,9 +11,11 @@
 // are written here once, and each of the first three is ONE fan-out over the
 // key's whole target list (fanout): every target advances together, one
 // doorbell batch per dependency level, instead of one target after another.
-// A write's acknowledgement advances the fan-outs of both layers in the same
-// batches (begin, run). What stays with each layer is its placement predicate
-// and its callers' per-node error policy.
+// A write's acknowledgement begins the anchors' fan-out before its tree write,
+// whose own batches carry the read rounds (ride), and advances the fan-outs of
+// both layers in the same batches once it has committed (arm, run). What stays
+// with each layer is its placement predicate and its callers' per-node error
+// policy.
 //
 // Publication takes no serialising lock, so two publishers that both
 // observe "absent" on a node both insert and the table briefly holds two
@@ -211,12 +213,19 @@ type recordStore struct {
 	// operation, the legs (valid until the next fan-out), the round's batch,
 	// the record image — encoded once, written to every target — and the
 	// status word that retires an image of the key.
-	op     fanOp
-	legs   []leg
-	ops    []fabric.Op
-	img    []byte
-	dead   [8]byte
-	batchN int // batches that carried the last fan-out's verbs, for its trace note
+	op   fanOp
+	legs []leg
+	ops  []fabric.Op
+	img  []byte
+	dead [8]byte
+	// The last fan-out's batches, for its trace note: all that carried its
+	// verbs, and those of them another batch carried (ride).
+	batchN, ridden int
+	// pending: the fan-out was begun, under placement at, for a write that has
+	// not committed yet, and rides its client's batches (ride); a leg that
+	// reaches the version gate parks there until arm.
+	pending bool
+	at      *Placement
 }
 
 // nextVersion returns a fresh LWW version from the layer's cluster-wide
@@ -350,6 +359,7 @@ type fanOp struct {
 	publish bool
 	rec     record
 	mode    publishMode
+	stamp   bool // rec takes a fresh version when the fan-out is armed
 }
 
 // legStep is where a leg stands: the doorbell batch it posts next.
@@ -358,6 +368,7 @@ type legStep uint8
 const (
 	stepBuckets legStep = iota // R1: READ the key's bucket pair
 	stepHeads                  // R2: READ the head of every fingerprint match
+	stepGate                   // parked at the version gate until the fan-out is armed
 	stepSwap                   // R3: WRITE our image, CAS its entry in, re-check the bucket header
 	stepDrops                  // R4: retire a superseded image; drop an entry (CAS→0, re-check, retire)
 	stepDone
@@ -375,6 +386,7 @@ type leg struct {
 	read     racehash.PreparedRead // the bucket pair: R1 fetches it, every later entry CAS is planned from it
 	step     legStep
 	races    int              // re-entries into R1: lost swaps, stale directories
+	stale    bool             // the directory cache failed R1: refresh before the next one
 	from, to int              // the leg's verbs in the round's batch
 	bufs     []byte           // the head reads of R2, back to back
 	own      wire.HashEntry   // our image's entry, once allocated
@@ -426,42 +438,141 @@ func (s *recordStore) publish(nodes []mem.NodeID, rec record, mode publishMode) 
 	return s.fanout(nodes, fanOp{key: rec.key, publish: true, rec: rec, mode: mode})
 }
 
-// writeOp is what a committed write does to the store's records of key: drop
-// every one (remove), or publish value over them at a fresh version under mode.
+// writeOp is what a write does to the store's records of key once it has
+// committed: drop every one (remove), or publish value over them at a version
+// drawn then (arm) under mode.
 func (s *recordStore) writeOp(key, value []byte, remove bool, mode publishMode) fanOp {
 	if remove {
 		return fanOp{key: key, remove: true}
 	}
-	return fanOp{key: key, publish: true, rec: record{wire.StatusIdle, key, value, s.nextVersion()}, mode: mode}
+	return fanOp{key: key, publish: true, rec: record{wire.StatusIdle, key, value, 0}, mode: mode, stamp: true}
 }
 
-// fanout carries op to every node at once: begin, then run alone. The returned
-// legs are store scratch, valid until the next fan-out.
+// fanout carries op to every node at once: begin, arm, then run alone. The
+// returned legs are store scratch, valid until the next fan-out.
 func (s *recordStore) fanout(nodes []mem.NodeID, op fanOp) []leg {
-	run(s.begin(nodes, op))
+	run(s.begin(nodes, op).arm())
 	return s.legs
 }
 
-// begin readies one leg per node for op and returns s, for run to carry; a
-// publish's image is encoded here, once for every target.
+// begin readies one leg per node for op and returns s: each leg's bucket pair
+// is prepared here, so any directory fetch is posted here, outside every batch
+// the fan-out may ride (ride). A leg whose view or directory failed is done.
 func (s *recordStore) begin(nodes []mem.NodeID, op fanOp) *recordStore {
+	s.unride()
+	defer s.fc.SetStage(s.fc.SetStage(s.stage))
 	op.h42, op.fp = racehash.PlacementHash(op.key), wire.FP12(op.key)
-	if s.op = op; op.publish {
-		s.img = appendRecord(s.img[:0], op.rec)
-	}
+	s.op = op
 	binary.LittleEndian.PutUint64(s.dead[:], recordHeader(wire.StatusInvalid, op.key))
 	s.legs = slices.Grow(s.legs[:0], len(nodes))[:len(nodes)]
 	for i := range s.legs {
 		l := &s.legs[i]
 		*l = leg{node: nodes[i], heads: l.heads[:0], bufs: l.bufs[:0], drops: l.drops[:0]}
-		if l.view, l.err = s.viewOf(l.node); l.err != nil {
+		if l.view, l.err = s.viewOf(l.node); l.err == nil {
+			l.err = l.view.PrepareInto(&l.read, op.h42)
+		}
+		if l.err != nil {
 			l.step = stepDone
 		}
 	}
-	s.batchN = 0
+	s.batchN, s.ridden = 0, 0
 	atomic.AddUint64(&s.stats.ReplicaFanouts, 1)
 	atomic.AddUint64(&s.stats.ReplicaLegs, uint64(len(nodes)))
 	return s
+}
+
+// ride registers the fan-out, begun on targets resolved under p, as its
+// client's rider: its read rounds — bucket pairs, then heads — go out behind
+// the verbs of the client's next batches, the tree write's, and each leg parks
+// at the version gate (arm).
+func (s *recordStore) ride(p *Placement) {
+	s.pending, s.at = true, p
+	s.fc.SetRider(s)
+}
+
+// unride ends a pending fan-out's ride: off its client's rider slot, and no
+// longer parking legs at the version gate.
+func (s *recordStore) unride() {
+	if s.pending {
+		s.pending = false
+		s.fc.SetRider(nil)
+	}
+}
+
+// begunUnder reports whether the riding fan-out still has the targets a write
+// resolved under p would: the same placement, and every target still eligible.
+// Eligibility only ever shrinks (a breaker's dead verdict is terminal), so
+// that is the same target list without resolving it again. A write whose
+// targets moved since it began (an epoch change, a target found dead) begins
+// again instead.
+func (s *recordStore) begunUnder(p *Placement) bool {
+	if !s.pending || s.at != p {
+		return false
+	}
+	for i := range s.legs {
+		if !s.eligible(s.legs[i].node) {
+			return false
+		}
+	}
+	return true
+}
+
+// arm readies the begun fan-out for run, once the write it acknowledges has
+// committed: the rider slot is given back, a write's version is drawn — after
+// the commit, as LWW order wants — and the image encoded, once for every
+// target; then every leg parked at the version gate passes it.
+func (s *recordStore) arm() *recordStore {
+	s.unride()
+	if s.op.stamp {
+		s.op.rec.version = s.nextVersion()
+	}
+	if s.op.publish {
+		s.img = appendRecord(s.img[:0], s.op.rec)
+	}
+	for i := range s.legs {
+		if l := &s.legs[i]; l.step == stepGate {
+			s.decide(l)
+		}
+	}
+	return s
+}
+
+// Ride implements fabric.Rider: the read round every riding leg posts next —
+// its bucket pair, or the heads behind it — goes behind the client's verbs.
+func (s *recordStore) Ride(ops []fabric.Op) []fabric.Op {
+	base := len(ops)
+	for i := range s.legs {
+		l := &s.legs[i]
+		l.from = len(ops) - base
+		switch {
+		case l.step == stepBuckets && !l.stale:
+			ops = l.read.AppendOps(ops) // prepared by begin: nothing to fetch
+		case l.step == stepHeads:
+			ops = s.post(l, ops)
+		}
+		l.to = len(ops) - base
+	}
+	return ops
+}
+
+// Rode implements fabric.Rider: every leg whose share executed settles, which
+// parks it at the version gate once its heads are known; the rest ride the
+// next batch again. A rejected batch may have named a node the tree write does
+// not touch, so the ride ends there: run carries what is left, leg by leg.
+func (s *recordStore) Rode(share []fabric.Op, executed int, err error) {
+	s.batchN++
+	s.ridden++
+	atomic.AddUint64(&s.stats.ReplicaRounds, 1)
+	atomic.AddUint64(&s.stats.ReplicaRidden, 1)
+	if executed == 0 && errors.Is(err, fabric.ErrNodeDown) {
+		s.fc.SetRider(nil)
+		return
+	}
+	for i := range s.legs {
+		if l := &s.legs[i]; l.to > l.from && l.to <= executed {
+			s.settle(l, share)
+		}
+	}
 }
 
 // run carries the begun fan-outs of stores (nil ones skipped; all share their
@@ -552,6 +663,13 @@ func (s *recordStore) reached(legs []leg) (n int, err error) {
 func (s *recordStore) post(l *leg, ops []fabric.Op) []fabric.Op {
 	switch l.step {
 	case stepBuckets:
+		if l.stale {
+			if err := l.view.Refresh(); err != nil {
+				l.fail(err)
+				return ops
+			}
+			l.stale = false
+		}
 		if err := l.view.PrepareInto(&l.read, s.op.h42); err != nil {
 			l.fail(err)
 			return ops
@@ -598,11 +716,10 @@ func (s *recordStore) settle(l *leg, ops []fabric.Op) {
 	switch l.step {
 	case stepBuckets:
 		if !l.read.Valid() {
-			if err := l.view.Refresh(); err != nil {
-				l.fail(err)
-			} else {
-				s.again(l)
-			}
+			// Refreshed where the leg posts next (post): a ridden round settles
+			// inside another's batch, which must not post one of its own.
+			l.stale = true
+			s.again(l)
 			return
 		}
 		// A match with no room behind it for the key's head is not the key's.
@@ -664,8 +781,13 @@ func (s *recordStore) settle(l *leg, ops []fabric.Op) {
 }
 
 // decide is the version gate: what the operation does on l's node, now that
-// the heads of the key's records there are known.
+// the heads of the key's records there are known. While the fan-out is
+// pending the leg parks here: what it does waits for the write to commit.
 func (s *recordStore) decide(l *leg) {
+	if s.pending {
+		l.step = stepGate
+		return
+	}
 	best := newest(l.heads)
 	switch {
 	case !s.op.publish:

@@ -123,17 +123,45 @@ func BootstrapReplicated(f *fabric.Fabric, ring *consistenthash.Ring, expectedKe
 	return sh, nil
 }
 
-// anchorBegin readies the anchors' half of a write's acknowledgement
-// (replicate) and returns their store. A put publishes to the key's replica
-// set. A delete removes the key from it — mid-transition from the UNION of the
-// new and old replica sets: a replica left behind on the previous epoch's
-// targets would otherwise resurrect the key when the migration sweep
-// LWW-copies it forward. No tombstones: a replica that was unreachable during
-// the delete and later repairs from a stale peer can resurrect the key
-// (documented in docs/failure-model.md).
-func (c *Client) anchorBegin(key, value []byte, remove bool) *recordStore {
-	targets, _ := c.anchors.targets(c.members.Current(), key, remove)
-	return c.anchors.begin(targets, c.anchors.writeOp(key, value, remove, publishUpsert))
+// anchorBegin begins the anchors' half of a write's acknowledgement before
+// the write's tree write, and registers it as the fabric client's rider: the
+// fan-out's read rounds — bucket pairs, heads — go out in the tree write's own
+// doorbell batches, and nothing is written before the write commits
+// (anchorArm). A put publishes to the key's replica set. A delete removes the
+// key from it — mid-transition from the UNION of the new and old replica sets:
+// a replica left behind on the previous epoch's targets would otherwise
+// resurrect the key when the migration sweep LWW-copies it forward. No
+// tombstones: a replica that was unreachable during the delete and later
+// repairs from a stale peer can resurrect the key (documented in
+// docs/failure-model.md). A no-op without anchors.
+func (c *Client) anchorBegin(key, value []byte, remove bool) {
+	if c.anchors != nil {
+		p := c.members.Current()
+		targets, _ := c.anchors.targets(p, key, remove)
+		c.anchors.begin(targets, c.anchors.writeOp(key, value, remove, publishUpsert)).ride(p)
+	}
+}
+
+// anchorArm readies the anchors' half once the write has committed and
+// returns their store, for run: the fan-out anchorBegin began, when it is
+// still this write's — its targets unmoved, whether the tree write committed
+// or the write is served anchor-only (degradedPut) —, else one begun afresh
+// (nothing was begun, or an epoch change or a target found dead moved the
+// targets in between), whose read rounds then cost rounds of their own.
+func (c *Client) anchorArm(key, value []byte, remove bool) *recordStore {
+	if p := c.members.Current(); !c.anchors.begunUnder(p) {
+		targets, _ := c.anchors.targets(p, key, remove)
+		c.anchors.begin(targets, c.anchors.writeOp(key, value, remove, publishUpsert))
+	}
+	return c.anchors.arm()
+}
+
+// anchorDrop drops the fan-out anchorBegin began if the write never armed it:
+// the write did not commit. Only reads rode; nothing was allocated or written.
+func (c *Client) anchorDrop() {
+	if c.anchors != nil {
+		c.anchors.unride()
+	}
 }
 
 // anchorSettle judges the anchors' half once it ran, publish-to-completion:

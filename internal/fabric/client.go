@@ -81,6 +81,11 @@ type Client struct {
 	// slice literal per call would escape into Batch. A client runs one call
 	// at a time — a pipeline lane blocks in submit — so one array does.
 	one [1]Op
+
+	// rider, when set, posts its verbs behind the caller's in every batch
+	// (rider.go); rideOps is the merged batch's scratch.
+	rider   Rider
+	rideOps []Op
 }
 
 // SetNoBatch disables doorbell batching for this client: every verb in a
@@ -173,12 +178,22 @@ func (c *Client) Fabric() *Fabric { return c.f }
 // This is the primitive behind the paper's "reading all these hash entries
 // can be performed in a single round trip" (§III-A) and its piggybacked
 // lock acquisition/release (§IV). A transient that cut the batch names the
-// prefix that executed (Executed).
+// prefix that executed (Executed). A registered rider's verbs go out behind
+// ops (SetRider).
 func (c *Client) Batch(ops []Op) error {
+	if c.rider != nil && len(ops) > 0 {
+		return c.ride(ops)
+	}
+	return cut(c.exec(ops))
+}
+
+// exec posts ops as one doorbell batch — through the pipe, on a lane —
+// reporting how many leading verbs executed.
+func (c *Client) exec(ops []Op) (int, error) {
 	if c.pipe != nil {
 		return c.pipe.submit(c, ops)
 	}
-	return cut(c.run(ops))
+	return c.run(ops)
 }
 
 // nodeShare accumulates one target NIC's slice of a batch.
@@ -282,7 +297,7 @@ func (c *Client) runBatch(ops []Op) (int, error) {
 				// Known dead: the CN-side breaker rejects before posting,
 				// costing nothing — the fail-fast path failover relies on.
 				atomic.AddUint64(&c.stats.HealthRejects, 1)
-				return 0, faultErr(ErrNodeKilled, "node %d (breaker dead)", sh.node)
+				return 0, reject(sh.node, ErrNodeKilled, "node %d (breaker dead)", sh.node)
 			}
 			// Discovery: contacting the dead node costs one round trip of
 			// waiting, then the shared breaker learns the death.
@@ -292,15 +307,15 @@ func (c *Client) runBatch(ops []Op) (int, error) {
 			}
 			c.clock += cfg.RTTPs
 			h.MarkDead(sh.node)
-			return 0, faultErr(ErrNodeKilled, "node %d", sh.node)
+			return 0, reject(sh.node, ErrNodeKilled, "node %d", sh.node)
 		}
 		if h.Gated() {
 			if ok, dead := h.admit(sh.node); !ok {
 				atomic.AddUint64(&c.stats.HealthRejects, 1)
 				if dead {
-					return 0, faultErr(ErrNodeKilled, "node %d (breaker dead)", sh.node)
+					return 0, reject(sh.node, ErrNodeKilled, "node %d (breaker dead)", sh.node)
 				}
-				return 0, faultErr(ErrBreakerOpen, "node %d", sh.node)
+				return 0, reject(sh.node, ErrBreakerOpen, "node %d", sh.node)
 			}
 		}
 	}
@@ -338,7 +353,7 @@ func (c *Client) runBatch(ops []Op) (int, error) {
 				// The rejected attempt still costs a round trip of waiting.
 				c.clock += cfg.RTTPs
 				h.ReportFailure(sh.node)
-				return 0, faultErr(ErrNodeDown, "node %d down [%dps,%dps)", sh.node, w.FromPs, w.ToPs)
+				return 0, reject(sh.node, ErrNodeDown, "node %d down [%dps,%dps)", sh.node, w.FromPs, w.ToPs)
 			}
 		}
 		// Seeded rolls, always three per batch and always in this order,

@@ -147,6 +147,20 @@ func faultErr(base error, format string, args ...any) error {
 	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), base)
 }
 
+// rejectErr is an ErrNodeDown that names the node which refused the batch —
+// down, killed or behind an open breaker — before any of its verbs ran.
+type rejectErr struct {
+	error
+	node mem.NodeID
+}
+
+func (r *rejectErr) Unwrap() error { return r.error }
+
+// reject is faultErr for a batch that node refused before any verb ran.
+func reject(node mem.NodeID, base error, format string, args ...any) error {
+	return &rejectErr{faultErr(base, format, args...), node}
+}
+
 // cutErr is an ErrTransient that names the prefix of the batch it cut: the
 // first executed verbs ran, their results stand, the rest did not.
 type cutErr struct {

@@ -18,9 +18,12 @@ const loadCacheRefreshEvery = 256
 // skewOverMean times the cluster's mean queued wait. The first keeps a single
 // collision inside a busy window from counting as contention; the second
 // keeps NICs that all queue alike (uniform load past saturation) calm, and
-// still lets one of two NICs — exactly twice the mean — count.
+// still lets one of two NICs — exactly twice the mean — count. Wait is
+// charged once per batch and busy time per verb, so the first bound follows
+// how many verbs a batch carries: fuller batches — a write whose replica
+// reads ride it — show the same queue as less wait per busy picosecond.
 const (
-	skewWaitShare = 16
+	skewWaitShare = 32
 	skewOverMean  = 2
 )
 

@@ -55,11 +55,12 @@ type Pipe struct {
 // are captured at submit time so the observer event reflects what the
 // lane was doing when it posted, not the merged flush.
 type pipeCall struct {
-	lane    *Client
-	ops     []Op
-	done    chan error
-	stage   Stage
-	startPs int64
+	lane     *Client
+	ops      []Op
+	done     chan error
+	executed int // the lane's verbs that executed, set before done is sent
+	stage    Stage
+	startPs  int64
 }
 
 // NewPipe creates a coalescer that flushes on the given client. The main
@@ -143,10 +144,11 @@ func (p *Pipe) Coalesced() (flushes, verbs uint64) {
 // lane's goroutine until the flush carrying it completes. The last
 // runnable lane to arrive triggers the flush. Outside a BeginLanes/Done
 // window a batch flushes immediately, so a lone lane behaves exactly
-// like a sequential client.
-func (p *Pipe) submit(lane *Client, ops []Op) error {
+// like a sequential client. It reports how many of the lane's own verbs
+// executed.
+func (p *Pipe) submit(lane *Client, ops []Op) (int, error) {
 	if len(ops) == 0 {
-		return nil
+		return 0, nil
 	}
 	call := &pipeCall{
 		lane: lane, ops: ops, done: make(chan error, 1),
@@ -158,7 +160,8 @@ func (p *Pipe) submit(lane *Client, ops []Op) error {
 		p.flushLocked()
 	}
 	p.mu.Unlock()
-	return <-call.done
+	err := <-call.done
+	return call.executed, err
 }
 
 // flushLocked merges every pending batch into one doorbell batch on the
@@ -216,17 +219,15 @@ func (p *Pipe) flushLocked() {
 			executedHere = max(executed-off, 0)
 		}
 		cerr := err
-		if err != nil && errors.Is(err, ErrTransient) {
+		if err != nil && errors.Is(err, ErrTransient) && executedHere == len(cl.ops) {
 			// Every verb this lane contributed executed before the batch
 			// died: the lane observed a complete successful completion. Else
 			// the lane sees the cut at its own share of the batch. (Timeouts,
 			// node-down windows and crashes stay batch-wide: those lose or
 			// reject the whole completion.)
 			cerr = nil
-			if executedHere < len(cl.ops) {
-				cerr = cut(executedHere, err)
-			}
 		}
+		cl.executed = executedHere
 		cl.lane.clock = p.main.clock
 		// Notify the lane's observer before releasing the lane goroutine:
 		// the send on done is the happens-before edge that lets a

@@ -31,7 +31,7 @@ func TestLoadCacheSkewed(t *testing.T) {
 			fabrictest.Queue(t, f, f.NewLoadCache(0), 0)
 			c := f.NewClient() // one client's READs, one after the other: busy, never queued
 			buf := make([]byte, 64<<10)
-			for i := 0; i < 20; i++ {
+			for i := 0; i < 40; i++ {
 				if err := c.Read(mem.NewAddr(0, 0), buf); err != nil {
 					t.Fatal(err)
 				}

@@ -339,16 +339,20 @@ func TestTraceHotGet(t *testing.T) {
 
 // TestTraceReplicatedPut pins a write's acknowledgement on a cluster with both
 // replica layers in trace form. A warm Update is the speculative in-place
-// write (2 round trips), then ONE fan-out over the key's two anchor replicas
-// (3 rounds: bucket pairs, heads, image WRITE + entry CAS) and ONE over its
-// three hot tables, advancing in the same doorbell rounds: for a key that is
-// not promoted (once another key's promotion has opened the hot writers'
-// gate) the hot fan-out is the probe riding the anchors' first round, 2 + 3 =
-// 5 round trips where the layers one after the other took 6; for the promoted
-// key it is 4 rounds (bucket pairs, heads, WRITE + CAS, retires), the anchors'
-// 3 inside them, 2 + 4 = 6 where they took 9. A round carrying a hot-record
-// verb is a hot-pub row, one carrying only anchor verbs a "none" row; each
-// fan-out closes with a note of its legs and rounds, and is counted.
+// write (2 round trips) with the anchors' fan-out over the key's two replicas
+// begun ahead of it: its read rounds ride the write's own batches — the bucket
+// pairs behind the lock CAS and leaf READ, the heads behind the releasing
+// WRITE — and only its image WRITE + entry CAS waits for the commit. ONE
+// fan-out over the key's three hot tables begins there, where the hot
+// writers' gate is judged, and advances in the same doorbell rounds: for a key
+// that is not promoted (once another key's promotion has opened the gate) it
+// is the probe riding the anchors' last round, 2 + 1 = 3 round trips where the
+// anchors behind the write took 5 and the layers one after the other 6; for
+// the promoted key it is 4 rounds (bucket pairs, heads, WRITE + CAS, retires),
+// the anchors' last inside the first, 2 + 4 = 6 where they took 9. A round
+// carrying a hot-record verb is a hot-pub row, a ridden one the write's own
+// leaf-write row; each fan-out closes with a note of its legs, rounds and
+// ridden rounds, and is counted.
 func TestTraceReplicatedPut(t *testing.T) {
 	cluster, err := NewCluster(Config{MemoryNodes: 3, Replication: 2, HotReplicaFactor: 3})
 	if err != nil {
@@ -377,10 +381,10 @@ func TestTraceReplicatedPut(t *testing.T) {
 		key      []byte
 		rts      uint64
 		rows     string
-		counters [5]uint64 // fan-outs, rounds, legs, requeues, splits
+		counters [6]uint64 // fan-outs, rounds, legs, requeues, splits, ridden
 	}{
-		{key, 5, "[leaf-write leaf-write hot-pub none none none replicas: 2 legs, 3 rounds hot-pub replicas: 3 legs, 1 rounds]", [5]uint64{2, 3, 5, 0, 0}},
-		{popular, 6, "[leaf-write leaf-write hot-pub hot-pub hot-pub hot-pub none replicas: 2 legs, 3 rounds hot-pub replicas: 3 legs, 4 rounds]", [5]uint64{2, 4, 5, 0, 0}},
+		{key, 3, "[leaf-write leaf-write hot-pub none replicas: 2 legs, 3 rounds, 2 ridden hot-pub replicas: 3 legs, 1 rounds]", [6]uint64{2, 3, 5, 0, 0, 2}},
+		{popular, 6, "[leaf-write leaf-write hot-pub hot-pub hot-pub hot-pub none replicas: 2 legs, 3 rounds, 2 ridden hot-pub replicas: 3 legs, 4 rounds]", [6]uint64{2, 6, 5, 0, 0, 2}},
 	} {
 		// The first Update teaches the leaf-address cache the key's leaf.
 		if ok, err := s.Update(tc.key, value); err != nil || !ok {
@@ -406,9 +410,10 @@ func TestTraceReplicatedPut(t *testing.T) {
 			t.Errorf("replicated warm Update of %s: %d round trips, rows %v; want %d, %s:\n%s", tc.key, tr.RoundTrips(), rows, tc.rts, tc.rows, tr.Format())
 		}
 		after, _ := s.SphinxStats()
-		if d := [5]uint64{after.ReplicaFanouts - before.ReplicaFanouts, after.ReplicaRounds - before.ReplicaRounds,
-			after.ReplicaLegs - before.ReplicaLegs, after.ReplicaRequeues - before.ReplicaRequeues, after.ReplicaSplits - before.ReplicaSplits}; d != tc.counters {
-			t.Errorf("fan-outs, rounds, legs, requeues, splits of the traced Update of %s = %v; want %v", tc.key, d, tc.counters)
+		if d := [6]uint64{after.ReplicaFanouts - before.ReplicaFanouts, after.ReplicaRounds - before.ReplicaRounds,
+			after.ReplicaLegs - before.ReplicaLegs, after.ReplicaRequeues - before.ReplicaRequeues, after.ReplicaSplits - before.ReplicaSplits,
+			after.ReplicaRidden - before.ReplicaRidden}; d != tc.counters {
+			t.Errorf("fan-outs, rounds, legs, requeues, splits, ridden rounds of the traced Update of %s = %v; want %v", tc.key, d, tc.counters)
 		}
 	}
 	var prom strings.Builder
@@ -416,7 +421,7 @@ func TestTraceReplicatedPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, needle := range []string{"sphinx_core_replica_fanouts ", "sphinx_core_replica_rounds ", "sphinx_core_replica_legs ",
-		"sphinx_core_replica_requeues 0", "sphinx_core_replica_splits 0"} {
+		"sphinx_core_replica_requeues 0", "sphinx_core_replica_splits 0", "sphinx_core_replica_ridden "} {
 		if !strings.Contains(prom.String(), needle) {
 			t.Errorf("prometheus export missing %q", needle)
 		}
