@@ -50,9 +50,7 @@ type Shared struct {
 	// behaviour byte-for-byte.
 	FT *FaultTolerance
 	// Members publishes epoch-versioned placement snapshots (see
-	// membership.go); elastic scale-out/in swaps them atomically. When
-	// nil (hand-built Shared values), clients fall back to the static
-	// Ring/Tables fields above — epoch 0 forever.
+	// membership.go); elastic scale-out/in swaps them atomically.
 	Members *Membership
 	// Hot, when non-nil, enables the hot-key read-replication layer
 	// (hotness-driven R-way replica records with contention-aware replica
@@ -124,14 +122,6 @@ func (fc *FilterCache) Insert(h uint64) {
 	fc.f.Insert(h)
 }
 
-// ContainsWasHot checks a prefix hash like Contains (marking it hot on a
-// hit) and additionally reports whether the entry was already hot before
-// this probe — the signal the hot-key tracker uses as corroborating
-// evidence of skew.
-func (fc *FilterCache) ContainsWasHot(h uint64) (present, wasHot bool) {
-	return fc.f.ContainsWasHot(h)
-}
-
 // Delete unlearns a prefix hash (after a detected false positive).
 func (fc *FilterCache) Delete(h uint64) {
 	fc.f.Delete(h)
@@ -192,11 +182,6 @@ type Options struct {
 	// private default-sized one. Share one HotSet across a CN's workers
 	// so promotion decisions see the CN's aggregate traffic.
 	Hot *HotSet
-	// DisableHot turns the hot read-replication layer off for this client
-	// even when the cluster has it bootstrapped. Ablation lever — only
-	// meaningful cluster-wide (a writer with the layer off would leave
-	// replica records stale for everyone else).
-	DisableHot bool
 }
 
 // defaultCacheEntries sizes the private caches of a client no CN shares its
@@ -379,10 +364,8 @@ type Client struct {
 	anchors *recordStore
 	hot     *recordStore
 
-	// Hot-replication state (inert without Shared.Hot): the CN's hot-key
-	// tracker and the SFC hotness observation of the last locate.
-	hotset    *HotSet
-	sfcWasHot bool
+	// The CN's hot-key tracker; nil without Shared.Hot.
+	hotset *HotSet
 
 	// inserting says the operation in flight is a put that may link a new
 	// leaf: its jump start bets on the landing's lease (readCandidates).
@@ -403,11 +386,6 @@ type Client struct {
 // NewClient mounts a Sphinx index over one fabric client.
 func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 	members := shared.Members
-	if members == nil {
-		// Hand-built Shared (tests, static deployments): synthesize the
-		// epoch-0 placement from the legacy fields.
-		members = NewMembership(&Placement{Ring: shared.Ring, Tables: shared.Tables})
-	}
 	// Steer new tree allocations (inner nodes, leaves) by the CURRENT ring
 	// — and, with fault tolerance, to the first healthy successor on it — so
 	// post-loss growth avoids dead nodes and post-rebalance growth lands on
@@ -444,11 +422,9 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 		cl.hot = &recordStore{fc: c, alloc: alloc, tables: hot.records, r: hot.R, eligible: hot.records.hosts,
 			routed: true, stage: fabric.StageHotPub, skip: fabric.ErrNodeKilled,
 			views: make(map[mem.NodeID]*racehash.View), stats: &cl.stats}
-		if !opts.DisableHot {
-			cl.hotset = opts.Hot
-			if cl.hotset == nil {
-				cl.hotset = NewHotSet(0, opts.Seed, hot.R)
-			}
+		cl.hotset = opts.Hot
+		if cl.hotset == nil {
+			cl.hotset = NewHotSet(0, opts.Seed, hot.R)
 		}
 	}
 	if opts.Observer != nil {
@@ -480,10 +456,6 @@ func (c *Client) HashStats() racehash.Stats {
 	}
 	return total
 }
-
-// HotSet returns the client's hot-key tracker (nil when the hot layer is
-// off for this client).
-func (c *Client) HotSet() *HotSet { return c.hotset }
 
 // CacheBytes reports the client's total CN-side cache consumption: the
 // succinct filter cache plus the hash-table directory caches (paper §IV:

@@ -128,14 +128,6 @@ func BootstrapHot(f *fabric.Fabric, sh *Shared, expectedHot, r int) error {
 	return nil
 }
 
-// hotEnabled reports whether this client participates in the hot layer.
-// DisableHot is an ablation lever and only safe cluster-wide: a writing
-// client that skips the replica refresh would leave records stale for
-// every other CN.
-func (c *Client) hotEnabled() bool {
-	return c.shared.Hot != nil && !c.opts.DisableHot
-}
-
 // hotUnits converts a record image length to the route cache's 64-byte
 // unit count; 0 (unroutable) when the record exceeds the 8-bit field.
 func hotUnits(imgLen int) uint8 {
@@ -329,11 +321,11 @@ func (c *Client) hotDemote(key []byte) {
 // hot layer is entirely off there — degraded writes land anchor-only and
 // would leave records stale) and for values too large to route (see
 // hotRoutable) — valLen is the length of the value the read served.
-func (c *Client) hotTouch(key []byte, valLen int, sfcHot bool) {
-	if c.hotset == nil || !c.hotEnabled() || !hotRoutable(key, valLen) {
+func (c *Client) hotTouch(key []byte, valLen int) {
+	if c.hotset == nil || !hotRoutable(key, valLen) {
 		return
 	}
-	switch c.hotset.Observe(key, sfcHot) {
+	switch c.hotset.Observe(key) {
 	case HotPromoteNow:
 		if c.degraded() {
 			c.hotset.Unclaim(key)
@@ -383,7 +375,7 @@ func (c *Client) hotReadRecord(routes *LeafCache, addr mem.Addr, units uint8, ke
 // with routes kept. Only a verified hit is served.
 func (c *Client) hotGet(key []byte) ([]byte, bool) {
 	hs := c.hotset
-	if hs == nil || !c.hotEnabled() {
+	if hs == nil {
 		return nil, false
 	}
 	hs.FlushRoutes(c.members.Current().Epoch)

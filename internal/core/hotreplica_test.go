@@ -483,27 +483,6 @@ func TestHotDemoteTearsDown(t *testing.T) {
 	warmSearch(t, c, hot, []byte("v"))
 }
 
-// TestHotDisabledIsInert checks the ablation lever: with DisableHot the
-// client neither consults nor maintains the hot layer.
-func TestHotDisabledIsInert(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.InstantConfig(), 3)
-	c := newTestClient(f, shared, Options{DisableHot: true})
-	key := []byte("popular-key")
-	if _, err := c.Insert(key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		warmSearch(t, c, key, []byte("v"))
-	}
-	st := c.Stats()
-	if st.HotPromotes != 0 || st.HotHits != 0 {
-		t.Errorf("disabled hot layer moved: promotes %d hits %d", st.HotPromotes, st.HotHits)
-	}
-	if c.HotSet() != nil {
-		t.Error("disabled client built a tracker")
-	}
-}
-
 // TestHotPublishGateOpensBeforePlaceholders replays the first-promotion
 // race single-threaded: once a promotion placeholder is discoverable,
 // Published() must already be true, so a write committing between the

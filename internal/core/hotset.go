@@ -40,7 +40,6 @@ const (
 	hotPromoteAt  = 32
 	hotDemoteAt   = 8
 	hotDecayFloor = 4096
-	hotSFCBoost   = 2 // observation weight when the SFC hotness bit agrees
 	// DefaultHotSetBytes is the per-CN tracker budget: half frequency
 	// sketch, half split across the per-replica-rank route caches.
 	DefaultHotSetBytes = 256 << 10
@@ -188,15 +187,9 @@ func epochDelta(cur, old uint64) uint64 {
 // Observe records one access to key, decaying lazily, and reports
 // whether the key just crossed a promotion or demotion threshold with
 // this CN winning the state transition (the claim bit arbitrates, so
-// concurrent workers of one CN produce exactly one promoter). sfcHot
-// weights the observation by the SFC hotness bit — a prefix the filter
-// already marked recently-used is corroborating evidence of skew.
-func (hs *HotSet) Observe(key []byte, sfcHot bool) HotAction {
+// concurrent workers of one CN produce exactly one promoter).
+func (hs *HotSet) Observe(key []byte) HotAction {
 	slot, tag := hs.slotTag(key)
-	inc := uint64(1)
-	if sfcHot {
-		inc = hotSFCBoost
-	}
 	epoch := (hs.obs.Add(1) / hs.decayEvery) & hotEpochMask
 	for spin := 0; spin < maxHotSpins; spin++ {
 		w := atomic.LoadUint64(&hs.words[slot])
@@ -208,10 +201,10 @@ func (hs *HotSet) Observe(key []byte, sfcHot bool) HotAction {
 		switch {
 		case wtag == 0:
 			// Free slot: claim it for this key.
-			next = tag<<hotTagShift | epoch<<hotEpochShift | inc
+			next = tag<<hotTagShift | epoch<<hotEpochShift | 1
 		case wtag == tag:
 			claim := w & hotClaimBit
-			count += inc
+			count++
 			if count > hotCountCap {
 				count = hotCountCap
 			}
@@ -233,7 +226,7 @@ func (hs *HotSet) Observe(key []byte, sfcHot bool) HotAction {
 				count--
 			}
 			if count == 0 {
-				next = tag<<hotTagShift | epoch<<hotEpochShift | inc
+				next = tag<<hotTagShift | epoch<<hotEpochShift | 1
 			} else {
 				next = wtag<<hotTagShift | w&hotClaimBit | epoch<<hotEpochShift | count
 			}

@@ -10,34 +10,19 @@ func TestHotSetPromotesAtThreshold(t *testing.T) {
 	hs.SetThresholds(5, 2, 1<<40)
 	key := []byte("k")
 	for i := 1; i < 5; i++ {
-		if a := hs.Observe(key, false); a != HotNone {
+		if a := hs.Observe(key); a != HotNone {
 			t.Fatalf("Observe #%d = %v, want HotNone", i, a)
 		}
 	}
-	if a := hs.Observe(key, false); a != HotPromoteNow {
+	if a := hs.Observe(key); a != HotPromoteNow {
 		t.Fatalf("Observe #5 = %v, want HotPromoteNow", a)
 	}
 	if !hs.Claimed(key) {
 		t.Error("key not claimed after promote signal")
 	}
 	// Further observations on a claimed key stay quiet.
-	if a := hs.Observe(key, false); a != HotNone {
+	if a := hs.Observe(key); a != HotNone {
 		t.Errorf("Observe on claimed = %v, want HotNone", a)
-	}
-}
-
-func TestHotSetSFCBoostCountsDouble(t *testing.T) {
-	hs := NewHotSet(0, 1, 1)
-	hs.SetThresholds(6, 2, 1<<40)
-	key := []byte("k")
-	got := HotNone
-	n := 0
-	for got == HotNone {
-		n++
-		got = hs.Observe(key, true)
-	}
-	if n != 3 {
-		t.Errorf("promotion after %d boosted observations, want 3 (weight %d)", n, hotSFCBoost)
 	}
 }
 
@@ -45,15 +30,15 @@ func TestHotSetUnclaimAllowsRetry(t *testing.T) {
 	hs := NewHotSet(0, 1, 1)
 	hs.SetThresholds(2, 1, 1<<40)
 	key := []byte("k")
-	hs.Observe(key, false)
-	if a := hs.Observe(key, false); a != HotPromoteNow {
+	hs.Observe(key)
+	if a := hs.Observe(key); a != HotPromoteNow {
 		t.Fatalf("no promote signal: %v", a)
 	}
 	hs.Unclaim(key)
 	if hs.Claimed(key) {
 		t.Fatal("still claimed after Unclaim")
 	}
-	if a := hs.Observe(key, false); a != HotPromoteNow {
+	if a := hs.Observe(key); a != HotPromoteNow {
 		t.Errorf("re-observe after Unclaim = %v, want HotPromoteNow", a)
 	}
 }
@@ -65,7 +50,7 @@ func TestHotSetDecayDemotes(t *testing.T) {
 	key := []byte("k")
 	var a HotAction
 	for i := 0; i < 4; i++ {
-		a = hs.Observe(key, false)
+		a = hs.Observe(key)
 	}
 	if a != HotPromoteNow {
 		t.Fatalf("no promotion: %v", a)
@@ -73,9 +58,9 @@ func TestHotSetDecayDemotes(t *testing.T) {
 	// Burn observations on other keys to advance decay epochs; the
 	// claimed key's count halves per epoch (4 → 2 < 3 after one).
 	for i := 0; i < 64; i++ {
-		hs.Observe([]byte(fmt.Sprintf("other-%d", i)), false)
+		hs.Observe([]byte(fmt.Sprintf("other-%d", i)))
 	}
-	got := hs.Observe(key, false)
+	got := hs.Observe(key)
 	if got != HotDemoteNow {
 		t.Errorf("Observe after decay = %v, want HotDemoteNow", got)
 	}

@@ -31,14 +31,9 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 		prefix := key[:l]
 		h := PrefixFilterHash(prefix)
 		probes++
-		present, wasHot := c.filter.ContainsWasHot(h)
-		if !present {
+		if !c.filter.Contains(h) {
 			continue
 		}
-		// The deepest prefix's pre-probe hotness bit seeds the hot-key
-		// tracker (hotTouch reads this after the walk): a prefix the SFC
-		// already marked recently-used corroborates skew.
-		c.sfcWasHot = wasHot
 		c.noteProbe(l, len(key))
 		n, err := c.fetchRemembered(prefix)
 		if n == nil && err == nil {

@@ -125,9 +125,6 @@ func (m *Membership) Cutover() (*Placement, bool) {
 // the new node now owns is moved by MigrateSweep; until a sweep converges
 // and cuts over, reads fall back to the old owners.
 func BeginAddNode(f *fabric.Fabric, sh Shared, id mem.NodeID, expectedKeys int) (*Placement, error) {
-	if sh.Members == nil {
-		return nil, errors.New("core: elastic membership requires a membership-aware bootstrap")
-	}
 	cur := sh.Members.Current()
 	if cur.Ring.Contains(id) {
 		return nil, fmt.Errorf("core: node %d already a member", id)
@@ -162,9 +159,6 @@ func BeginAddNode(f *fabric.Fabric, sh Shared, id mem.NodeID, expectedKeys int) 
 // with KillNode, the crash-failure path — see docs/failure-model.md.)
 // The node hosting the pinned tree root cannot be drained.
 func BeginDrainNode(sh Shared, id mem.NodeID) (*Placement, error) {
-	if sh.Members == nil {
-		return nil, errors.New("core: elastic membership requires a membership-aware bootstrap")
-	}
 	if sh.Root.Node() == id {
 		return nil, fmt.Errorf("core: node %d hosts the pinned tree root and cannot be drained", id)
 	}

@@ -397,15 +397,12 @@ func (c *Client) Search(key []byte) ([]byte, bool, error) {
 	if !ok {
 		val, ok = c.specGet(key)
 	}
-	// Only the authoritative walk probes the filter (inside locate), which
-	// records the SFC hotness observation into sfcWasHot for hotTouch.
-	c.sfcWasHot = false
 	var err error
 	if !ok {
 		val, ok, err = c.searchTree(key)
 	}
 	if ok && err == nil {
-		c.hotTouch(key, len(val), c.sfcWasHot)
+		c.hotTouch(key, len(val))
 	}
 	return val, ok, err
 }
@@ -759,7 +756,7 @@ func (c *Client) replicate(key, value []byte, remove, anchored, hot bool) (exist
 		anchors = c.anchorArm(key, value, remove)
 	}
 	curN := 0
-	if hot && c.hotEnabled() && c.shared.Hot.Published() {
+	if hot && c.hot != nil && c.shared.Hot.Published() {
 		hots, curN = c.hotBegin(key, value, remove)
 	}
 	run(anchors, hots)

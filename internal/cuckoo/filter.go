@@ -278,74 +278,22 @@ func (f *Filter) Contains(hash uint64) bool {
 	return false
 }
 
-// ContainsWasHot behaves exactly like Contains — two bucket probes, a
-// best-effort hot-mark on a cold hit, the hit/miss counters — and
-// additionally reports whether the matched entry was hot *before* this
-// probe. Contains itself cannot answer that (its own mark destroys the
-// evidence); the hot-set tracker wants the prior state as its skew
-// signal, captured in the same probe the warm path already pays for.
-func (f *Filter) ContainsWasHot(hash uint64) (present, wasHot bool) {
-	fpv := fp(hash)
-	i1 := f.index(hash)
-	if ok, was := f.probeWasHot(i1, fpv); ok {
-		f.hits.Add(1)
-		return true, was
-	}
-	if ok, was := f.probeWasHot(f.altIndex(i1, fpv), fpv); ok {
-		f.hits.Add(1)
-		return true, was
-	}
-	f.misses.Add(1)
-	return false, false
-}
-
-// probeWasHot is probe, reporting the match's pre-probe hotness bit.
-func (f *Filter) probeWasHot(b uint64, fpv uint16) (found, wasHot bool) {
-	w := f.buckets[b].Load()
-	for s := 0; s < SlotsPerBucket; s++ {
-		e := slotOf(w, s)
-		if e&fpMask == fpv {
-			if e&hotBit == 0 {
-				if f.buckets[b].CompareAndSwap(w, withSlot(w, s, e|hotBit)) {
-					f.hotMarks.Add(1)
-				}
-				return true, false
-			}
-			return true, true
-		}
-	}
-	return false, false
-}
-
-// HotSample iterates over the entries whose hotness bit is currently set,
-// calling fn with each entry's bucket index and fingerprint until fn
-// returns false or the scan completes. It returns the number of hot
-// entries visited. The scan is a sequence of atomic bucket loads — safe
-// concurrently with mutation, but the sample is a moving snapshot: an
-// entry hot-marked (or evicted) mid-scan may or may not be visited.
-// Fingerprints are one-way (the filter never stores keys), so the sample
-// names hot *filter entries*, not hot keys; the sfc_hot_entries gauge and
-// the hot-set tracker's seeding both work at that granularity.
-func (f *Filter) HotSample(fn func(bucket uint64, fingerprint uint16) bool) uint64 {
+// HotEntries returns the current number of hot-marked entries: one full
+// scan of atomic bucket loads, safe concurrently with mutation but a moving
+// snapshot (an entry hot-marked or evicted mid-scan may or may not count).
+// Intended for gauges, not per-op paths.
+func (f *Filter) HotEntries() uint64 {
 	var n uint64
-	for b := uint64(0); b < f.nBuckets; b++ {
+	for b := range f.buckets {
 		w := f.buckets[b].Load()
 		for s := 0; s < SlotsPerBucket; s++ {
-			e := slotOf(w, s)
-			if e&fpMask != 0 && e&hotBit != 0 {
+			if e := slotOf(w, s); e&fpMask != 0 && e&hotBit != 0 {
 				n++
-				if fn != nil && !fn(b, e&fpMask) {
-					return n
-				}
 			}
 		}
 	}
 	return n
 }
-
-// HotEntries returns the current number of hot-marked entries (one full
-// scan; intended for gauges, not per-op paths).
-func (f *Filter) HotEntries() uint64 { return f.HotSample(nil) }
 
 // probe scans one bucket for fpv and hot-marks a cold match (one
 // best-effort CAS, skipped on contention).

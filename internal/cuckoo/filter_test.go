@@ -115,6 +115,35 @@ func TestHotnessSecondChance(t *testing.T) {
 	}
 }
 
+func TestHotEntriesCountsMarks(t *testing.T) {
+	// Inserts enter cold; a hit marks its entry hot exactly once, and the
+	// gauge's scan counts exactly the marked entries.
+	const n = 500
+	f := New(4*n, 9) // roomy: no eviction, no relocation
+	for i := 0; i < n; i++ {
+		f.Insert(hashOf(fmt.Sprintf("prefix-%d", i)))
+	}
+	if st := f.Stats(); st.Inserts != n || st.Duplicates != 0 || st.Evictions != 0 {
+		t.Fatalf("setup: %+v; want %d distinct inserts and no eviction", st, n)
+	}
+	if got := f.HotEntries(); got != 0 {
+		t.Fatalf("HotEntries after inserts alone = %d, want 0", got)
+	}
+	want := uint64(0)
+	for i := 0; i < n; i += 3 {
+		if !f.Contains(hashOf(fmt.Sprintf("prefix-%d", i))) {
+			t.Fatalf("false negative for prefix-%d", i)
+		}
+		want++
+	}
+	if got := f.HotEntries(); got != want {
+		t.Errorf("HotEntries = %d after %d distinct hits, want %d", got, want, want)
+	}
+	if got := f.Stats().HotMarks; got != want {
+		t.Errorf("HotMarks = %d, want %d", got, want)
+	}
+}
+
 func TestRelocationResetsHotness(t *testing.T) {
 	// After relocations, previously hot entries must be evictable again:
 	// keep inserting into a tiny filter where everything is hot.

@@ -109,7 +109,6 @@ func (s *Session) coreOptions() core.Options {
 		LeafCache:        s.cn.lac,
 		DisableLeafCache: cfg.DisableLeafCache,
 		Hot:              s.cn.hotset,
-		DisableHot:       cfg.DisableHotReplicas,
 		Index:            s.index,
 	}
 }

@@ -161,10 +161,6 @@ type Config struct {
 	// replica route caches; default 256 KiB). Only meaningful with
 	// HotReplicaFactor > 0.
 	HotSetBytes uint64
-	// DisableHotReplicas turns the hot layer off at the client while the
-	// cluster still hosts the tables — the ablation lever for comparing
-	// skewed workloads with and without replication on one cluster build.
-	DisableHotReplicas bool
 	// SLOs configures latency objectives for the cluster observability
 	// plane: each is evaluated every sample into fast/slow error-budget
 	// burn rates, exported as slo_* metric families and fed to the alert
@@ -479,7 +475,7 @@ func (c *Cluster) NewComputeNode() *ComputeNode {
 		if !c.cfg.DisableLeafCache {
 			cn.lac = core.NewLeafCacheBytes(c.cfg.LeafCacheBytes, uint64(c.cfg.Seed+int64(cn.id)))
 		}
-		if hot := c.sphinxShared.Hot; hot != nil && !c.cfg.DisableHotReplicas {
+		if hot := c.sphinxShared.Hot; hot != nil {
 			// One tracker per CN, shared by its sessions, so promotion
 			// decisions see the CN's aggregate traffic — the same sharing
 			// shape as the filter cache.

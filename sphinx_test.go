@@ -172,16 +172,17 @@ func TestSystemString(t *testing.T) {
 // TestPipelineLanesShareSessionOptions: pipeline lanes are core clients of
 // the session like its own, built from the same options. Built from a second,
 // shorter literal they missed the hot layer's: each lane grew a private
-// tracker, and under DisableHotReplicas kept promoting and serving replica
-// records that the session's writes (hot layer off) no longer refresh.
+// tracker, so the compute node's never saw the lanes' reads. The replica
+// records the lanes promote stay fresh: the session's acked Put refreshes
+// them, and every lane reads the new value back.
 func TestPipelineLanesShareSessionOptions(t *testing.T) {
 	key := []byte("lane-hot-key")
 	heat := make([][]byte, 400) // 100 per lane at depth 4: past the promote threshold on every one
 	for i := range heat {
 		heat[i] = key
 	}
-	setup := func(t *testing.T, disable bool) (*ComputeNode, *Session) {
-		cluster, err := NewCluster(Config{MemoryNodes: 3, HotReplicaFactor: 3, DisableHotReplicas: disable})
+	t.Run("hot layer enabled", func(t *testing.T) {
+		cluster, err := NewCluster(Config{MemoryNodes: 3, HotReplicaFactor: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,24 +197,6 @@ func TestPipelineLanesShareSessionOptions(t *testing.T) {
 				t.Fatalf("heating MultiGet = %q, %v", r.Value, r.Err)
 			}
 		}
-		return cn, s
-	}
-	t.Run("hot layer disabled", func(t *testing.T) {
-		_, s := setup(t, true)
-		if err := s.Put(key, []byte("new")); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range s.MultiGet(heat[:8], 4) {
-			if r.Err != nil || string(r.Value) != "new" {
-				t.Fatalf("MultiGet after an acked Put = %q, %v; want the new value", r.Value, r.Err)
-			}
-		}
-		if st, _ := s.SphinxStats(); st.HotPromotes != 0 || st.HotHits != 0 {
-			t.Errorf("%d promotions, %d hot hits with the hot layer disabled", st.HotPromotes, st.HotHits)
-		}
-	})
-	t.Run("hot layer enabled", func(t *testing.T) {
-		cn, s := setup(t, false)
 		if !cn.hotset.Claimed(key) {
 			t.Fatal("the compute node's tracker never saw the lanes' reads: lanes track hotness privately")
 		}
@@ -224,6 +207,17 @@ func TestPipelineLanesShareSessionOptions(t *testing.T) {
 		}
 		if after, _ := s.SphinxStats(); after.HotHits != before.HotHits+1 {
 			t.Errorf("sequential Get after the lanes promoted the key: %d hot hits, want 1", after.HotHits-before.HotHits)
+		}
+		if err := s.Put(key, []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range s.MultiGet(heat[:8], 4) {
+			if r.Err != nil || string(r.Value) != "new" {
+				t.Fatalf("MultiGet after an acked Put = %q, %v; want the new value", r.Value, r.Err)
+			}
+		}
+		if after, _ := s.SphinxStats(); after.HotRefreshes == before.HotRefreshes {
+			t.Error("the acked Put refreshed no replica record")
 		}
 	})
 }
