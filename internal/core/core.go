@@ -211,10 +211,13 @@ type Stats struct {
 	// three-round-trip warm path, or two when the node's address is
 	// remembered (NodeHits).
 	FilterHits uint64
-	// FilterFallbacks counts parallel multi-prefix hash reads (filter
-	// disabled or useless).
+	// FilterFallbacks counts locates of a client without the filter
+	// (Options.DisableFilter) that landed on a node the parallel
+	// multi-prefix hash read named.
 	FilterFallbacks uint64
-	// RootStarts counts operations that fell back to a root descent.
+	// RootStarts counts locates, with the filter or without, that landed on
+	// no table node and start at the root: FilterHits + FilterFallbacks +
+	// RootStarts is the number of locates.
 	RootStarts uint64
 	// FalsePositives counts filter claims the index refuted and unlearned
 	// (<1% of probes per the paper).
@@ -374,6 +377,7 @@ type Client struct {
 	// Warm-path scratch, reused across operations (clients are
 	// single-goroutine). Valid only within one locate step.
 	candScratch []racehash.Candidate
+	readScratch []racehash.PreparedRead // the filter-less locate's bucket pairs
 	opScratch   []fabric.Op
 	bufScratch  [][]byte
 	nodeScratch []*rart.Node

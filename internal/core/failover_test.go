@@ -273,7 +273,7 @@ func TestConcurrentKillRepairServe(t *testing.T) {
 
 // TestAnchorConcurrentSameKeyUpdates is the regression test for the
 // anchor last-writer-wins races: concurrent writers of one key race on the
-// anchor-table entry CAS. Before the SwapIfPresent fix the losing updater
+// anchor-table entry CAS. Before the swap-if-present rule the losing updater
 // called View.Replace with its stale expectation — then a wait loop meant
 // for lock-holding callers — and died waiting for an entry gone for good;
 // and concurrent FIRST inserts, which all observe "absent", each insert an

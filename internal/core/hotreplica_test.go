@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -597,5 +598,70 @@ func TestHotOversizedValueExcluded(t *testing.T) {
 	}
 	if got := c.Stats().HotPromotes; got != 1 {
 		t.Errorf("HotPromotes = %d for routable key, want 1", got)
+	}
+}
+
+// TestHotReadsFreshAcrossMembershipChange: two CNs promote one key, a
+// membership change runs to cutover, and then A updates the key three times;
+// after each acknowledged update B's Gets read the new value. Draining one of
+// the key's hot targets moves its replica set, and the record left on the
+// drained node is no longer refreshed by writes: B's routes predate the
+// change, so hotGet flushes them on the new epoch (HotSet.FlushRoutes) and
+// re-promotes rather than serve that record. Adding a node leaves the set as
+// it was (a joining node hosts no hot table); the reads stay fresh there too.
+func TestHotReadsFreshAcrossMembershipChange(t *testing.T) {
+	for _, change := range []string{"drain", "add"} {
+		t.Run(change, func(t *testing.T) {
+			f, shared := newHotCluster(t, 4, fabric.DefaultConfig(), 3)
+			fabrictest.Queue(t, f, shared.Hot.Load, 0)
+			a := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 3)})
+			b := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 3)})
+			key := []byte("popular-key")
+			if _, err := a.Insert(key, []byte("v0")); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []*Client{a, b} {
+				for i := 0; i < 8 && c.Stats().HotPromotes == 0; i++ {
+					warmSearch(t, c, key, []byte("v0"))
+				}
+				if c.Stats().HotPromotes != 1 {
+					t.Fatalf("HotPromotes = %d after warm searches, want 1", c.Stats().HotPromotes)
+				}
+			}
+			targets, _ := a.hot.targets(a.members.Current(), key, false)
+			before := slices.Clone(targets)
+			switch change {
+			case "drain":
+				victim := before[0]
+				if victim == shared.Root.Node() {
+					victim = before[1]
+				}
+				if _, err := BeginDrainNode(shared, victim); err != nil {
+					t.Fatal(err)
+				}
+			case "add":
+				if _, err := BeginAddNode(f, shared, f.AddNode(256<<20), 1000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sweepToCutover(t, a)
+			after, _ := a.hot.targets(a.members.Current(), key, false)
+			if moved := !slices.Equal(before, after); moved != (change == "drain") {
+				t.Fatalf("the key's hot targets went %v -> %v; want them moved: %v", before, after, change == "drain")
+			}
+			hits := b.Stats().HotHits
+			for i := 1; i <= 3; i++ {
+				val := []byte(fmt.Sprintf("v%d", i))
+				if _, err := a.Update(key, val); err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < 4; j++ {
+					warmSearch(t, b, key, val)
+				}
+			}
+			if b.Stats().HotHits == hits {
+				t.Error("B served no Get from a replica after the change; the test exercises nothing")
+			}
+		})
 	}
 }

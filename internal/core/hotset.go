@@ -258,7 +258,8 @@ func (hs *HotSet) Unclaim(key []byte) {
 }
 
 // Claimed reports whether the key currently holds this CN's claim bit
-// (promoted, or promotion in flight). Diagnostic/test helper.
+// (promoted, or promotion in flight): hotGet re-promotes a claimed key that
+// has lost every route.
 func (hs *HotSet) Claimed(key []byte) bool {
 	slot, tag := hs.slotTag(key)
 	w := atomic.LoadUint64(&hs.words[slot])

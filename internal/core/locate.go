@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"sphinx/internal/fabric"
@@ -17,8 +18,10 @@ import (
 //
 // With the filter cache this is the paper's warm path: local existence
 // checks pick the longest live prefix, then one hash-entry round trip and
-// one node round trip. Without it (ablation / cold fallback), all prefix
-// buckets are fetched in a single doorbell batch (§III-A).
+// one node round trip; a prefix no probe confirms starts at the root. With
+// the filter disabled (Options.DisableFilter, the noSFC ablation), the
+// buckets of every prefix are fetched in a single doorbell batch (§III-A,
+// locateParallel).
 func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 	if maxLen > len(key) {
 		maxLen = len(key)
@@ -119,7 +122,7 @@ const (
 // (readCandidates), which is thereby posted a level earlier still. Like every
 // remembered address it is trusted only after the image read there verifies:
 //
-//   - Hit: the Fig. 3 checks fetchValidatedIn applies to a table candidate
+//   - Hit: the Fig. 3 checks land applies to a table candidate
 //     (live status, depth, 42-bit prefix hash) hold AND the image shows no
 //     lease but the bet this put just won. A node being type-switched or
 //     relocated is leased from its lock batch until its invalidation lands,
@@ -173,11 +176,8 @@ func (c *Client) fetchRemembered(prefix []byte) (*rart.Node, error) {
 	return n, nil
 }
 
-// fetchValidated looks the prefix up in the inner node hash table, reads
-// all fingerprint-matching candidate nodes in one doorbell batch, and
-// returns the first that passes the metadata checks of Fig. 3: live
-// status, matching depth and matching 42-bit full-prefix hash. Stale
-// entries pointing at retired nodes are removed opportunistically.
+// fetchValidated looks the prefix up in the inner node hash table and lands
+// on what its entries name (land).
 //
 // During a membership transition, a miss on the current epoch's table
 // falls back to the previous owner's table: an entry the migrator has
@@ -202,21 +202,29 @@ func (c *Client) fetchValidatedIn(view *racehash.View, prefix []byte) (*rart.Nod
 		return nil, nil
 	}
 	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHashRead))
-	h42 := racehash.PlacementHash(prefix)
-	fp := wire.FP12(prefix)
-	cands, err := view.LookupAppend(c.candScratch[:0], h42, fp)
+	cands, err := view.LookupAppend(c.candScratch[:0], racehash.PlacementHash(prefix), wire.FP12(prefix))
 	c.candScratch = cands
 	if err != nil {
 		return nil, err
 	}
+	return c.land(view, prefix, cands, c.inserting)
+}
+
+// land judges view's answer for prefix — the fingerprint-matching entries of
+// its bucket pair — for both locates: it reads every candidate node in one
+// doorbell batch and returns the first that passes the metadata checks of
+// Fig. 3 (live status, matching depth, matching 42-bit full-prefix hash),
+// remembering its address. Entries naming retired nodes are removed on the
+// way. With bet (a put that may insert), a lone candidate's read carries the
+// lease CAS (readCandidates).
+func (c *Client) land(view *racehash.View, prefix []byte, cands []racehash.Candidate, bet bool) (*rart.Node, error) {
 	if c.index != nil {
 		c.index.INHTCandidates.Observe(uint64(len(cands)))
 	}
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	// A put that may insert bets on the one candidate's lease (readCandidates).
-	nodes, err := c.readCandidates(cands, c.inserting && len(cands) == 1)
+	nodes, err := c.readCandidates(cands, bet && len(cands) == 1)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +241,7 @@ func (c *Client) fetchValidatedIn(view *racehash.View, prefix []byte) (*rart.Nod
 			// Retired by a type switch whose table update this entry
 			// predates; clean it up so future lookups stay single-read.
 			atomic.AddUint64(&c.stats.StaleEntries, 1)
-			if err := view.Remove(h42, cands[i].Entry); err != nil {
+			if err := view.Remove(racehash.PlacementHash(prefix), cands[i].Entry); err != nil {
 				return nil, err
 			}
 		default:
@@ -320,64 +328,44 @@ func (c *Client) readCandidates(cands []racehash.Candidate, bet bool) ([]*rart.N
 	return nodes, nil
 }
 
-// locateParallel is the filter-less path: read the candidate buckets of
+// locateParallel is the filter-less locate (§III-A): the bucket pairs of
 // every prefix of the key in one doorbell batch (Θ(L) entries, one round
-// trip — §III-A), then fetch the deepest candidate node.
+// trip), then the table path's landing on each prefix's candidates, deepest
+// first, with no lease bet (DESIGN.md §5.6). It reads the current epoch's
+// tables only: during a migration, a prefix whose entry the migrator has not
+// moved yet is missed here, and the root descent finds its node.
 func (c *Client) locateParallel(key []byte, maxLen int) (*rart.Node, int, error) {
 	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHashRead))
-	type pending struct {
-		l    int
-		view *racehash.View
-		h42  uint64
-		fp   uint16
-		read *racehash.PreparedRead
-	}
-	pendings := make([]pending, 0, maxLen)
-	var ops []fabric.Op
+	p := c.members.Current()
+	c.readScratch = slices.Grow(c.readScratch[:0], maxLen)[:maxLen]
+	ops := c.opScratch[:0]
 	for l := 1; l <= maxLen; l++ {
-		prefix := key[:l]
-		view := c.viewFor(prefix)
-		p, err := view.Prepare(racehash.PlacementHash(prefix))
+		if err := c.viewOf(c.placeIn(p, key[:l])).PrepareInto(&c.readScratch[l-1], racehash.PlacementHash(key[:l])); err != nil {
+			return nil, 0, err
+		}
+		ops = c.readScratch[l-1].AppendOps(ops)
+	}
+	c.opScratch = ops
+	if err := c.eng.C.Batch(ops); err != nil {
+		return nil, 0, err
+	}
+	for l := maxLen; l >= 1; l-- {
+		prefix, read := key[:l], &c.readScratch[l-1]
+		view, fp := c.viewOf(c.placeIn(p, prefix)), wire.FP12(prefix)
+		// With this prefix's directory cache stale, its pair alone is read again.
+		var err error
+		if read.Valid() {
+			c.candScratch = read.AppendCandidates(c.candScratch[:0], fp)
+		} else if c.candScratch, err = view.LookupAppend(c.candScratch[:0], racehash.PlacementHash(prefix), fp); err != nil {
+			return nil, 0, err
+		}
+		n, err := c.land(view, prefix, c.candScratch, false)
 		if err != nil {
 			return nil, 0, err
 		}
-		pendings = append(pendings, pending{
-			l: l, view: view,
-			h42: racehash.PlacementHash(prefix), fp: wire.FP12(prefix),
-			read: p,
-		})
-		ops = p.AppendOps(ops)
-	}
-	if len(ops) > 0 {
-		if err := c.eng.C.Batch(ops); err != nil {
-			return nil, 0, err
-		}
-	}
-	atomic.AddUint64(&c.stats.FilterFallbacks, 1)
-
-	// Deepest first: validate the bucket read, collect candidates, fetch.
-	for i := len(pendings) - 1; i >= 0; i-- {
-		p := pendings[i]
-		cands := p.read.Candidates(p.fp)
-		if !p.read.Valid() {
-			// Stale directory cache for this prefix: redo just this one.
-			fresh, err := p.view.Lookup(p.h42, p.fp)
-			if err != nil {
-				return nil, 0, err
-			}
-			cands = fresh
-		}
-		if len(cands) == 0 {
-			continue
-		}
-		nodes, err := c.readCandidates(cands, false)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, n := range nodes {
-			if n != nil && !c.refuted(n, key[:p.l]) {
-				return n, p.l, nil
-			}
+		if n != nil {
+			atomic.AddUint64(&c.stats.FilterFallbacks, 1)
+			return n, l, nil
 		}
 	}
 	atomic.AddUint64(&c.stats.RootStarts, 1)

@@ -16,8 +16,8 @@ import (
 // it: prepared and never fetched, the CAS and the pair READ in one batch,
 // concluded by FinishInsert. between runs after planning, before the batch.
 func blindInsert(v *View, h uint64, e wire.HashEntry, alloc *mem.Allocator, between func(p *PreparedRead)) (*PreparedRead, error) {
-	p, err := v.Prepare(h)
-	if err != nil {
+	p := new(PreparedRead)
+	if err := v.PrepareInto(p, h); err != nil {
 		return nil, err
 	}
 	ops, ok := p.AppendFreshInsert(nil, e)
@@ -53,7 +53,7 @@ func occurrences(t *testing.T, env *testEnv, e wire.HashEntry) int {
 // holds its word in exactly one slot.
 func holdsOnce(t *testing.T, env *testEnv, h uint64, e wire.HashEntry) {
 	t.Helper()
-	cands, err := NewView(env.table, env.f.NewClient()).Lookup(h, e.FP)
+	cands, err := NewView(env.table, env.f.NewClient()).LookupAppend(nil, h, e.FP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +279,8 @@ func TestBlindInsertSplitInFlight(t *testing.T) {
 	e := env.makeEntry(t, c, alloc, h, fp)
 	region := env.f.Region(env.node)
 	var at slotRef
-	p, err := v.Prepare(h)
-	if err != nil {
+	p := new(PreparedRead)
+	if err := v.PrepareInto(p, h); err != nil {
 		t.Fatal(err)
 	}
 	ops, _ := p.AppendFreshInsert(nil, e)
@@ -313,8 +313,8 @@ func TestBlindInsertCompletionLost(t *testing.T) {
 		v := warmView(t, env, c)
 		h, fp := hashFP(1)
 		e := env.makeEntry(t, c, alloc, h, fp)
-		p, err := v.Prepare(h)
-		if err != nil {
+		p := new(PreparedRead)
+		if err := v.PrepareInto(p, h); err != nil {
 			t.Fatal(err)
 		}
 		ops, _ := p.AppendFreshInsert(nil, e)
@@ -343,8 +343,8 @@ func TestBlindInsertNeedsDirectoryCache(t *testing.T) {
 	v := NewViewNoCache(env.table, c)
 	h, fp := hashFP(1)
 	e := env.makeEntry(t, c, alloc, h, fp)
-	p, err := v.Prepare(h)
-	if err != nil {
+	p := new(PreparedRead)
+	if err := v.PrepareInto(p, h); err != nil {
 		t.Fatal(err)
 	}
 	reads := p.AppendFreshReads(nil)

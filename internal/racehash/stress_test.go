@@ -73,7 +73,7 @@ func TestConcurrentReplaceDuringSplits(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		for id, want := range states[w].last {
 			h, fp := hashFP(id)
-			got, err := v.Lookup(h, fp)
+			got, err := v.LookupAppend(nil, h, fp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestConcurrentRemoveDuringSplits(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			id := w*1000 + i
 			h, fp := hashFP(id)
-			got, err := v.Lookup(h, fp)
+			got, err := v.LookupAppend(nil, h, fp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestNoCacheViewBasics(t *testing.T) {
 	}
 	for i := 0; i < 1200; i += 13 {
 		h, fp := hashFP(i)
-		got, err := v.Lookup(h, fp)
+		got, err := v.LookupAppend(nil, h, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestConcurrentBlindInsertsRaceSplits(t *testing.T) {
 	for w := range entries {
 		for i, e := range entries[w] {
 			h, fp := hashFP(w*perWorker + i)
-			cands, err := v.Lookup(h, fp)
+			cands, err := v.LookupAppend(nil, h, fp)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -101,9 +101,6 @@ func NewViewNoCache(t Table, c *fabric.Client) *View {
 	return &View{t: t, c: c, noCache: true}
 }
 
-// Table returns the table this view operates on.
-func (v *View) Table() Table { return v.t }
-
 // Stats returns a snapshot of the view's counters, loaded atomically.
 func (v *View) Stats() Stats { return counters.Load(&v.stats) }
 
@@ -156,13 +153,15 @@ type Candidate struct {
 
 // PreparedRead is a bucket-pair read that a caller can merge into a larger
 // doorbell batch (the paper's parallel multi-prefix read, §III-A). Use
-// Prepare → collect Ops from several PreparedReads → Client.Batch →
-// Candidates on each.
+// PrepareInto → AppendOps of several PreparedReads → Client.Batch →
+// AppendCandidates on each (Valid first: a stale directory cache fetched
+// the wrong pair, and LookupAppend reads it again).
 //
-// A fetched read can also carry the entry mutation that follows it: Prepare
-// → merge Ops into an earlier batch → AppendInsert/AppendReplace/AppendRemove
-// into a later batch → View.FinishInsert/FinishReplace/FinishSwapIfPresent/
-// FinishRemove (the read-piggyback-then-CAS publish). One mutation is planned
+// A fetched read can also carry the entry mutation that follows it:
+// PrepareInto → merge AppendOps into an earlier batch → AppendInsert/
+// AppendReplace/AppendRemove into a later batch → View.FinishInsert/
+// FinishReplace/FinishSwapIfPresent/FinishRemove (the read-piggyback-then-CAS
+// publish). One mutation is planned
 // at a time; a read whose planned mutation has been finished can carry the
 // next one, as long as that one touches another slot. The insert of a word no
 // table holds needs no fetched read at all (AppendFreshInsert).
@@ -191,19 +190,10 @@ type PreparedRead struct {
 	Lost, Retried, Inserted bool
 }
 
-// Prepare resolves the candidate buckets for h through the directory cache
-// and returns the pending read. It costs no network round trips (beyond a
+// PrepareInto resolves the candidate buckets for h through the directory
+// cache into p, the pending read. It costs no network round trips (beyond a
 // first-use directory fetch) — unless the view runs without a directory
 // cache, in which case the resolution itself is two dependent round trips.
-func (v *View) Prepare(h uint64) (*PreparedRead, error) {
-	p := new(PreparedRead)
-	if err := v.PrepareInto(p, h); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// PrepareInto is Prepare into caller-provided storage.
 func (v *View) PrepareInto(p *PreparedRead, h uint64) error {
 	p.swapAt, p.blind, p.Lost, p.Retried, p.Inserted = -1, false, false, false, false
 	if v.noCache {
@@ -219,9 +209,6 @@ func (v *View) PrepareInto(p *PreparedRead, h uint64) error {
 	p.addrs[1] = seg.Add(uint64(b2) * BucketSize)
 	return nil
 }
-
-// Ops returns the two READ verbs of the prepared bucket-pair fetch.
-func (p *PreparedRead) Ops() []fabric.Op { return p.AppendOps(nil) }
 
 // AppendOps appends the two READ verbs of the prepared bucket-pair fetch
 // to ops, letting callers assemble multi-prefix batches without per-read
@@ -241,11 +228,9 @@ func (p *PreparedRead) Valid() bool {
 		headerMatches(getUint64(p.bufs[1][:]), p.h)
 }
 
-// Candidates scans the fetched buckets for entries matching fp.
-func (p *PreparedRead) Candidates(fp uint16) []Candidate { return p.AppendCandidates(nil, fp) }
-
-// AppendCandidates appends the entries matching fp to out. Candidates are
-// self-contained values: they stay valid after the PreparedRead is reused.
+// AppendCandidates appends the fetched buckets' entries matching fp to out.
+// Candidates are self-contained values: they stay valid after the
+// PreparedRead is reused.
 func (p *PreparedRead) AppendCandidates(out []Candidate, fp uint16) []Candidate {
 	for b := 0; b < 2; b++ {
 		for s := 0; s < EntriesPerBucket; s++ {
@@ -351,14 +336,9 @@ func (v *View) readInto(p *PreparedRead, h uint64) error {
 	return fmt.Errorf("%w: bucket read for h=%#x", ErrRetryExhausted, h)
 }
 
-// Lookup returns all entries whose fingerprint matches fp in the candidate
-// buckets of h. One round trip with a warm directory cache.
-func (v *View) Lookup(h uint64, fp uint16) ([]Candidate, error) {
-	return v.LookupAppend(nil, h, fp)
-}
-
-// LookupAppend is Lookup with caller-provided result storage; the bucket
-// read itself reuses view-held scratch, so a warm hit in already-grown dst
+// LookupAppend appends to dst all entries whose fingerprint matches fp in the
+// candidate buckets of h. One round trip with a warm directory cache. The
+// bucket read reuses view-held scratch, so a warm hit in already-grown dst
 // allocates nothing.
 func (v *View) LookupAppend(dst []Candidate, h uint64, fp uint16) ([]Candidate, error) {
 	atomic.AddUint64(&v.stats.Lookups, 1)
@@ -451,9 +431,9 @@ func (p *PreparedRead) AppendFreshInsert(ops []fabric.Op, e wire.HashEntry) ([]f
 	return p.AppendOps(append(ops, fabric.Op{Kind: fabric.CAS, Addr: p.at.slot, Desired: word})), true
 }
 
-// AppendReplace plans View.Replace's CAS — or View.SwapIfPresent's, the same
-// verbs — from this fetched read (see appendSwap); conclude it with
-// View.FinishReplace or View.FinishSwapIfPresent.
+// AppendReplace plans the CAS of a swap from this fetched read (see
+// appendSwap); conclude it with View.FinishReplace (an upsert) or
+// View.FinishSwapIfPresent.
 func (p *PreparedRead) AppendReplace(ops []fabric.Op, old, new wire.HashEntry) ([]fabric.Op, bool) {
 	return p.appendSwap(ops, old.Encode(), new.Encode())
 }
@@ -624,8 +604,12 @@ func (v *View) FinishReplace(p *PreparedRead, ops []fabric.Op, old, new wire.Has
 }
 
 // FinishSwapIfPresent concludes a swap whose CAS was planned with
-// AppendReplace on p and executed in ops, under SwapIfPresent's rule: an
-// entry that did not land and whose old word is gone is lost.
+// AppendReplace on p and executed in ops, like FinishReplace but returning
+// won=false instead of inserting when old is not (or no longer) in the
+// table. Last-writer-wins callers (the anchor tables) hold no lock that
+// serializes competing swaps, so for them "the expected entry vanished"
+// means a concurrent writer won the race — an outcome to re-read and
+// re-decide on.
 func (v *View) FinishSwapIfPresent(p *PreparedRead, ops []fabric.Op, old, new wire.HashEntry) (bool, error) {
 	return v.finishSwap(p, ops, old, new, nil)
 }
@@ -642,24 +626,12 @@ func (v *View) finishSwap(p *PreparedRead, ops []fabric.Op, old, new wire.HashEn
 	return won, err
 }
 
-// SwapIfPresent atomically swaps old for new like Replace, but returns
-// won=false instead of inserting when old is not (or no longer) in the
-// table. Last-writer-wins callers (the anchor tables) hold no lock that
-// serializes competing swaps, so for them "the expected entry vanished"
-// means a concurrent writer won the race — an outcome to re-read and
-// re-decide on.
-func (v *View) SwapIfPresent(h uint64, old, new wire.HashEntry) (bool, error) {
-	atomic.AddUint64(&v.stats.Replaces, 1)
-	won, _, err := v.swap(h, old.Encode(), new.Encode(), nil)
-	return won, err
-}
-
 // swap is the table's one read-then-CAS loop for an entry word: the CAS
 // oldWord → newWord at the slot holding oldWord, done at once when newWord is
 // already there. With oldWord absent, a swap given alloc takes an empty slot
 // instead, splitting full buckets — Insert's (oldWord is the empty slot's 0)
 // and Replace's upsert (inserted) — and one without alloc is lost
-// (SwapIfPresent). No branch waits for another client.
+// (FinishSwapIfPresent). No branch waits for another client.
 func (v *View) swap(h, oldWord, newWord uint64, alloc *mem.Allocator) (won, inserted bool, err error) {
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		p, err := v.read(h)

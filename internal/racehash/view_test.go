@@ -64,7 +64,7 @@ func TestInsertLookup(t *testing.T) {
 	if err := v.Insert(h, e, alloc); err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.Lookup(h, fp)
+	got, err := v.LookupAppend(nil, h, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestLookupMiss(t *testing.T) {
 	c := env.f.NewClient()
 	v := NewView(env.table, c)
 	h, fp := hashFP(999)
-	got, err := v.Lookup(h, fp)
+	got, err := v.LookupAppend(nil, h, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestWarmLookupIsOneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Stats()
-	if _, err := v.Lookup(h, fp); err != nil {
+	if _, err := v.LookupAppend(nil, h, fp); err != nil {
 		t.Fatal(err)
 	}
 	d := c.Stats().Sub(before)
@@ -123,7 +123,7 @@ func TestInsertIdempotent(t *testing.T) {
 	if err := v.Insert(h, e, alloc); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := v.Lookup(h, fp)
+	got, _ := v.LookupAppend(nil, h, fp)
 	if len(got) != 1 {
 		t.Fatalf("idempotent insert produced %d entries", len(got))
 	}
@@ -145,7 +145,7 @@ func TestReplace(t *testing.T) {
 	if err := v.Replace(h, old, newE, alloc); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := v.Lookup(h, fp)
+	got, _ := v.LookupAppend(nil, h, fp)
 	if len(got) != 1 || got[0].Entry != newE {
 		t.Fatalf("after replace: %+v", got)
 	}
@@ -231,7 +231,7 @@ func TestRemove(t *testing.T) {
 	if err := v.Remove(h, e); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := v.Lookup(h, fp)
+	got, _ := v.LookupAppend(nil, h, fp)
 	if len(got) != 0 {
 		t.Fatalf("entry survived remove: %+v", got)
 	}
@@ -268,7 +268,7 @@ func TestManyInsertsForceSplits(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		h, fp := hashFP(i)
-		got, err := v.Lookup(h, fp)
+		got, err := v.LookupAppend(nil, h, fp)
 		if err != nil {
 			t.Fatalf("lookup %d: %v", i, err)
 		}
@@ -304,7 +304,7 @@ func TestFreshViewSeesExistingEntries(t *testing.T) {
 	c2 := env.f.NewClient()
 	v2 := NewView(env.table, c2)
 	for i := range hs {
-		got, err := v2.Lookup(hs[i], fps[i])
+		got, err := v2.LookupAppend(nil, hs[i], fps[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestStaleDirectoryCacheRecovers(t *testing.T) {
 	if err := v1.Insert(h0, e0, alloc1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v2.Lookup(h0, fp0); err != nil {
+	if _, err := v2.LookupAppend(nil, h0, fp0); err != nil {
 		t.Fatal(err)
 	}
 	// Grow the table through v1 only.
@@ -347,7 +347,7 @@ func TestStaleDirectoryCacheRecovers(t *testing.T) {
 	// v2's stale cache must transparently refresh on every lookup.
 	for i := 0; i < 2000; i += 37 {
 		h, fp := hashFP(i)
-		got, err := v2.Lookup(h, fp)
+		got, err := v2.LookupAppend(nil, h, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +381,7 @@ func TestConcurrentInsertsAndLookups(t *testing.T) {
 					errs <- fmt.Errorf("worker %d insert %d: %w", w, i, err)
 					return
 				}
-				if got, err := v.Lookup(h, fp); err != nil || len(got) == 0 {
+				if got, err := v.LookupAppend(nil, h, fp); err != nil || len(got) == 0 {
 					errs <- fmt.Errorf("worker %d lost own entry %d (err=%v)", w, i, err)
 					return
 				}
@@ -398,7 +398,7 @@ func TestConcurrentInsertsAndLookups(t *testing.T) {
 	v := NewView(env.table, c)
 	for id := 0; id < workers*perWorker; id++ {
 		h, fp := hashFP(id)
-		got, err := v.Lookup(h, fp)
+		got, err := v.LookupAppend(nil, h, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +412,7 @@ func TestDirCacheBytesReported(t *testing.T) {
 	env := newEnv(t, 10000)
 	c := env.f.NewClient()
 	v := NewView(env.table, c)
-	if _, err := v.Lookup(1, 1); err != nil {
+	if _, err := v.LookupAppend(nil, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if v.DirCacheBytes() == 0 {
@@ -439,7 +439,7 @@ func TestInsertLookupProperty(t *testing.T) {
 		inserted[h] = e
 		// Every inserted entry remains findable.
 		for hh, ee := range inserted {
-			cands, err := v.Lookup(hh, ee.FP)
+			cands, err := v.LookupAppend(nil, hh, ee.FP)
 			if err != nil {
 				return false
 			}
@@ -509,9 +509,10 @@ func TestPlannedSwapAndRemove(t *testing.T) {
 	}
 	fetch := func() *PreparedRead {
 		t.Helper()
-		p, err := v.Prepare(h)
+		p := new(PreparedRead)
+		err := v.PrepareInto(p, h)
 		if err == nil {
-			err = c.Batch(p.Ops())
+			err = c.Batch(p.AppendOps(nil))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -520,7 +521,7 @@ func TestPlannedSwapAndRemove(t *testing.T) {
 	}
 	holds := func(want ...wire.HashEntry) {
 		t.Helper()
-		cands, err := v.Lookup(h, fp)
+		cands, err := v.LookupAppend(nil, h, fp)
 		if err != nil || len(cands) != len(want) {
 			t.Fatalf("table holds %d entries (err %v), want %d", len(cands), err, len(want))
 		}
@@ -556,7 +557,7 @@ func TestPlannedSwapAndRemove(t *testing.T) {
 
 	// A rival replaces the entry between the fetch and the CAS: lost, not waited for.
 	p = fetch()
-	if won, err := v.SwapIfPresent(h, next, rival); err != nil || !won {
+	if won, _, err := v.swap(h, next.Encode(), rival.Encode(), nil); err != nil || !won {
 		t.Fatalf("rival's swap = %v, %v", won, err)
 	}
 	ops, _ = p.AppendReplace(ops[:0], next, old)

@@ -100,16 +100,13 @@ func (cn *ComputeNode) NewSession() *Session {
 
 // coreOptions is what every core client of the session is built from — its
 // own and each pipeline lane's — so all of them share the compute node's
-// caches and hot-key tracker, the session's index distributions and the
-// cluster's ablation switches.
+// caches and hot-key tracker and the session's index distributions.
 func (s *Session) coreOptions() core.Options {
-	cfg := &s.cn.cluster.cfg
 	return core.Options{
-		Filter:           s.cn.filter,
-		LeafCache:        s.cn.lac,
-		DisableLeafCache: cfg.DisableLeafCache,
-		Hot:              s.cn.hotset,
-		Index:            s.index,
+		Filter:    s.cn.filter,
+		LeafCache: s.cn.lac,
+		Hot:       s.cn.hotset,
+		Index:     s.index,
 	}
 }
 

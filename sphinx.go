@@ -129,9 +129,6 @@ type Config struct {
 	// warm Get read its leaf in ONE round trip and verify in place
 	// (default 512 KiB — 64K entries of 8 bytes).
 	LeafCacheBytes uint64
-	// DisableLeafCache turns the speculative 1-RT fast path off: every
-	// warm Get pays the full 3-RT hash path. Ablation lever.
-	DisableLeafCache bool
 	// Timing selects the network cost model.
 	Timing Timing
 	// Seed makes cache behaviour deterministic.
@@ -145,9 +142,9 @@ type Config struct {
 	Replication int
 	// HotReplicaFactor enables the hot-spot tolerance layer (SystemSphinx
 	// only): each CN tracks its hottest keys with a decaying frequency
-	// sketch seeded by the filter cache's hotness bit, promotes them into
-	// this many replicated read-only records spread over ring successors,
-	// and serves their Gets from the least-contended replica (power-of-two
+	// sketch of the Gets it serves (every served read counts once),
+	// promotes them into this many replicated read-only records spread over
+	// ring successors, and serves their Gets from the least-contended replica (power-of-two
 	// choices on per-MN queued-wait). It promotes only while that same
 	// signal shows one memory node's NIC queueing out of proportion to the
 	// others — the one case a replica relieves; on a calm fabric the layer
@@ -472,9 +469,7 @@ func (c *Cluster) NewComputeNode() *ComputeNode {
 	switch c.cfg.System {
 	case SystemSphinx:
 		cn.filter = core.NewFilterCacheBytes(c.cfg.CacheBytes, uint64(c.cfg.Seed+int64(cn.id))|1)
-		if !c.cfg.DisableLeafCache {
-			cn.lac = core.NewLeafCacheBytes(c.cfg.LeafCacheBytes, uint64(c.cfg.Seed+int64(cn.id)))
-		}
+		cn.lac = core.NewLeafCacheBytes(c.cfg.LeafCacheBytes, uint64(c.cfg.Seed+int64(cn.id)))
 		if hot := c.sphinxShared.Hot; hot != nil {
 			// One tracker per CN, shared by its sessions, so promotion
 			// decisions see the CN's aggregate traffic — the same sharing
