@@ -398,7 +398,7 @@ func (cl *Cluster) sphinxOptions(cn int) (core.Options, bool) {
 	case Sphinx, SphinxNoBatch, SphinxTinySFC, SphinxTinyRand, SphinxNoLAC, SphinxHot:
 		o = core.Options{Filter: cl.filters[cn%len(cl.filters)]}
 	case SphinxNoSFC:
-		o = core.Options{DisableFilter: true}
+		// No filter: every locate reads all its prefixes' bucket pairs.
 	case SphinxNoDirCache:
 		o = core.Options{
 			Filter:          cl.filters[cn%len(cl.filters)],
@@ -409,11 +409,9 @@ func (cl *Cluster) sphinxOptions(cn int) (core.Options, bool) {
 	}
 	// Every Sphinx-family variant shares its CN's leaf-address cache, so
 	// that (like the filter) warmth crosses worker and phase boundaries;
-	// SphinxNoLAC has none and runs with the fast path disabled.
+	// SphinxNoLAC has none and runs without the fast path.
 	if len(cl.lacs) > 0 {
 		o.LeafCache = cl.lacs[cn%len(cl.lacs)]
-	} else {
-		o.DisableLeafCache = true
 	}
 	// Workers of one CN share that CN's hot-key tracker, like the filter:
 	// the promotion claim bit then arbitrates one promoter per CN and the
@@ -462,8 +460,8 @@ func (cl *Cluster) NewIndex(cn int) (Index, *fabric.Client) {
 	}
 }
 
-// NewIndexNoSpec mounts a Sphinx-family worker like NewIndex but with
-// the speculative leaf-address cache disabled. The elastic chaos run's
+// NewIndexNoSpec mounts a Sphinx-family worker like NewIndex but without
+// the speculative leaf-address cache. The elastic chaos run's
 // measured workers use this: a 1-RT cache hit never consults the
 // placement, so it hides the epoch-fallback cost of a migration that the
 // run's latency SLO must see. With the cache off the warm read path is
@@ -475,7 +473,7 @@ func (cl *Cluster) NewIndexNoSpec(cn int) (Index, *fabric.Client) {
 	if !ok {
 		return cl.NewIndex(cn)
 	}
-	opts.LeafCache, opts.DisableLeafCache = nil, true
+	opts.LeafCache = nil
 	fc := cl.fabricClient()
 	return core.NewClient(cl.sphinxShared, fc, opts), fc
 }

@@ -38,7 +38,7 @@ func runChaosWorkload(t *testing.T, plan *fabric.FaultPlan) ([]rart.KV, fabric.S
 	t.Helper()
 	f, shared := newCluster(t, 2, fabric.DefaultConfig(), 2000)
 	f.SetFaultPlan(plan)
-	c := newTestClient(f, shared, Options{Seed: 7})
+	c := newSeededClient(f, shared, 7)
 	rng := rand.New(rand.NewSource(99))
 	oracle := map[string]string{}
 	for step := 0; step < 1500; step++ {
@@ -135,7 +135,7 @@ func TestChaosConcurrentMixedFaults(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := newTestClient(f, shared, Options{Seed: uint64(w)})
+			c := newSeededClient(f, shared, uint64(w))
 			rng := rand.New(rand.NewSource(int64(w)))
 			oracle := map[string]string{}
 			oracles[w] = oracle
@@ -248,7 +248,7 @@ func TestChaosNodeDown(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := newTestClient(f, shared, Options{Seed: uint64(w)})
+			c := newSeededClient(f, shared, uint64(w))
 			for i := 0; i < 60; i++ {
 				k := []byte(fmt.Sprintf("down-%d-%03d", w, i))
 				if _, err := c.Insert(k, []byte("v")); err != nil {
@@ -414,7 +414,7 @@ func TestChaosPipelinedConvergence(t *testing.T) {
 	f, shared := newCluster(t, 2, fabric.DefaultConfig(), 2000)
 	f.SetFaultPlan(chaosPlan(23))
 	main := f.NewClient()
-	pl := NewPipeline(shared, main, Options{Seed: 11})
+	pl := NewPipeline(shared, main, withCaches(shared, Options{}, 11))
 
 	const depth, perWindow, rounds = 6, 24, 50
 	rng := rand.New(rand.NewSource(17))
@@ -499,7 +499,7 @@ func TestChaosPipelinedNodeDown(t *testing.T) {
 		Down: []fabric.DownWindow{{Node: nodeIDs[0], FromPs: 0, ToPs: 300_000_000}},
 	})
 	main := f.NewClient()
-	pl := NewPipeline(shared, main, Options{Seed: 3})
+	pl := NewPipeline(shared, main, withCaches(shared, Options{}, 3))
 	const n = 48
 	ops := make([]*PipeOp, n)
 	for i := range ops {

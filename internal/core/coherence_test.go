@@ -41,7 +41,7 @@ func TestReadMonotonicity(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			c := newTestClient(f, shared, Options{Seed: uint64(k + 1)})
+			c := newSeededClient(f, shared, uint64(k+1))
 			key := []byte(fmt.Sprintf("mono-%d", k))
 			for v := uint64(1); v <= versionsPerKey; v++ {
 				if _, err := c.Update(key, val(v)); err != nil {
@@ -56,7 +56,7 @@ func TestReadMonotonicity(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			c := newTestClient(f, shared, Options{Seed: uint64(100 + r)})
+			c := newSeededClient(f, shared, uint64(100+r))
 			high := make([]uint64, keys)
 			for i := 0; !stop.Load(); i++ {
 				k := i % keys
@@ -87,7 +87,7 @@ func TestReadMonotonicity(t *testing.T) {
 	go func() {
 		defer writerWait.Done()
 		// Poll until all writers finished: final values reach max version.
-		c := newTestClient(f, shared, Options{Seed: 999})
+		c := newSeededClient(f, shared, 999)
 		for {
 			allDone := true
 			for k := 0; k < keys; k++ {

@@ -145,29 +145,21 @@ func (fc *FilterCache) Load() float64 { return fc.f.Load() }
 // its current load.
 func (fc *FilterCache) AnalyticFPBound() float64 { return fc.f.AnalyticFPBound() }
 
-// Options tunes one Sphinx client.
+// Options tunes one Sphinx client. Every pointer names something the
+// client's compute node holds; a nil one is a tier the client runs without.
 type Options struct {
-	// Filter is the CN's shared Succinct Filter Cache. If nil (and not
-	// disabled), the client builds a private default-sized one.
+	// Filter is the CN's shared Succinct Filter Cache. With none, every
+	// locate reads the bucket pairs of all prefixes in one doorbell batch
+	// (§III-A, the Θ(L) mode of §III-B's analysis; the noSFC ablation).
 	Filter *FilterCache
-	// DisableFilter turns the Succinct Filter Cache off: every operation
-	// falls back to the parallel multi-prefix hash read (the Θ(L) mode of
-	// §III-B's analysis). Ablation lever.
-	DisableFilter bool
-	// LeafCache is the CN's shared speculative leaf-address cache. If nil
-	// (and not disabled), the client builds a private default-sized one.
+	// LeafCache is the CN's shared speculative leaf-address cache. With
+	// none, no Get takes the 1-RT fast path, no write the speculative
+	// in-place one, and every landing asks the table.
 	LeafCache *LeafCache
-	// DisableLeafCache turns the speculative 1-RT fast path off: every
-	// Search pays the full 3-RT hash path. Ablation lever.
-	DisableLeafCache bool
 	// DisableDirCache drops the client-side hash-table directory caches:
 	// every bucket resolution reads the meta word and directory entry
 	// remotely. Ablation lever for the §IV directory cache.
 	DisableDirCache bool
-	// Engine passes through node-engine tuning.
-	Engine rart.Config
-	// Seed makes the private filter deterministic.
-	Seed uint64
 	// Observer, when non-nil, is installed on the fabric client so every
 	// doorbell batch is reported with its stage annotation (obs.Metrics
 	// implements it). Shared observers must be concurrency-safe.
@@ -178,26 +170,11 @@ type Options struct {
 	// be shared by all workers of a CN.
 	Index *obs.IndexMetrics
 	// Hot is the CN's shared hot-key tracker (sketch + replica route
-	// caches). If nil and Shared.Hot is active, the client builds a
-	// private default-sized one. Share one HotSet across a CN's workers
-	// so promotion decisions see the CN's aggregate traffic.
+	// caches). Share one HotSet across a CN's workers so promotion
+	// decisions see the CN's aggregate traffic. With none, a client on a
+	// cluster with Shared.Hot neither promotes keys nor serves hot reads;
+	// its writes still refresh every published hot record.
 	Hot *HotSet
-}
-
-// defaultCacheEntries sizes the private caches of a client no CN shares its
-// caches with.
-const defaultCacheEntries = 1 << 16
-
-// withCaches fills in a private default-sized filter cache and leaf-address
-// cache where opts names neither a shared one nor the ablation.
-func (opts Options) withCaches() Options {
-	if opts.Filter == nil && !opts.DisableFilter {
-		opts.Filter = NewFilterCache(defaultCacheEntries, opts.Seed|1)
-	}
-	if opts.LeafCache == nil && !opts.DisableLeafCache {
-		opts.LeafCache = NewLeafCache(defaultCacheEntries, opts.Seed)
-	}
-	return opts
 }
 
 // Stats counts Sphinx-level events per client: how operations were routed
@@ -212,7 +189,7 @@ type Stats struct {
 	// remembered (NodeHits).
 	FilterHits uint64
 	// FilterFallbacks counts locates of a client without the filter
-	// (Options.DisableFilter) that landed on a node the parallel
+	// (a nil Options.Filter) that landed on a node the parallel
 	// multi-prefix hash read named.
 	FilterFallbacks uint64
 	// RootStarts counts locates, with the filter or without, that landed on
@@ -243,8 +220,8 @@ type Stats struct {
 	// SpecHits counts Gets served by the speculative 1-RT fast path: one
 	// leaf read at the cached address, verified in place.
 	SpecHits uint64
-	// SpecMisses counts Gets with no leaf-address-cache entry (cold keys,
-	// or the cache disabled).
+	// SpecMisses counts Gets with no leaf-address-cache entry (cold keys); a
+	// client without the cache counts none.
 	SpecMisses uint64
 	// SpecRefutes counts speculative reads the leaf image refuted; the
 	// entry is unlearned and the Get falls back to the 3-RT hash path
@@ -259,7 +236,7 @@ type Stats struct {
 	// value's length differed and the lock took a second CAS).
 	SpecUpdHits uint64
 	// SpecUpdMisses counts Puts and Updates with no leaf-address-cache entry
-	// (fresh keys, cold keys, or the cache disabled).
+	// (fresh keys, cold keys); a client without the cache counts none.
 	SpecUpdMisses uint64
 	// SpecUpdRefutes counts speculative writes the leaf image refuted (a
 	// retired or foreign leaf); the entry is unlearned and the write takes
@@ -367,7 +344,7 @@ type Client struct {
 	anchors *recordStore
 	hot     *recordStore
 
-	// The CN's hot-key tracker; nil without Shared.Hot.
+	// The CN's hot-key tracker; nil without Shared.Hot or Options.Hot.
 	hotset *HotSet
 
 	// inserting says the operation in flight is a put that may link a new
@@ -395,13 +372,12 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 	// post-loss growth avoids dead nodes and post-rebalance growth lands on
 	// the new placement.
 	var cl *Client
-	opts = opts.withCaches()
-	opts.Engine.Place = func(key []byte) mem.NodeID { return cl.placeIn(members.Current(), key) }
+	place := func(key []byte) mem.NodeID { return cl.placeIn(members.Current(), key) }
 	alloc := mem.NewAllocator(c, 0)
 	cl = &Client{
 		shared:  shared,
 		members: members,
-		eng:     rart.NewEngine(c, alloc, shared.Ring, opts.Engine),
+		eng:     rart.NewEngine(c, alloc, shared.Ring, rart.Config{Place: place}),
 		filter:  opts.Filter,
 		lac:     opts.LeafCache,
 		opts:    opts,
@@ -427,9 +403,6 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 			routed: true, stage: fabric.StageHotPub, skip: fabric.ErrNodeKilled,
 			views: make(map[mem.NodeID]*racehash.View), stats: &cl.stats}
 		cl.hotset = opts.Hot
-		if cl.hotset == nil {
-			cl.hotset = NewHotSet(0, opts.Seed, hot.R)
-		}
 	}
 	if opts.Observer != nil {
 		c.SetObserver(opts.Observer)
@@ -457,23 +430,6 @@ func (c *Client) HashStats() racehash.Stats {
 	var total racehash.Stats
 	for _, v := range c.views.Load().m {
 		total = total.Add(v.Stats())
-	}
-	return total
-}
-
-// CacheBytes reports the client's total CN-side cache consumption: the
-// succinct filter cache plus the hash-table directory caches (paper §IV:
-// "typically 2-5% of the succinct filter cache size").
-func (c *Client) CacheBytes() uint64 {
-	var total uint64
-	if c.filter != nil {
-		total += c.filter.SizeBytes()
-	}
-	if c.lac != nil {
-		total += c.lac.SizeBytes()
-	}
-	for _, v := range c.views.Load().m {
-		total += v.DirCacheBytes()
 	}
 	return total
 }

@@ -31,8 +31,39 @@ func newCluster(t *testing.T, mns int, cfg fabric.Config, expected int) (*fabric
 	return f, shared
 }
 
+// testCacheEntries sizes the caches a test client is given where its test
+// names none.
+const testCacheEntries = 1 << 16
+
+// testFilter and testLAC build the default-sized caches of a test client.
+func testFilter(seed uint64) *FilterCache { return NewFilterCache(testCacheEntries, seed|1) }
+func testLAC(seed uint64) *LeafCache      { return NewLeafCache(testCacheEntries, seed) }
+
+// withCaches fills in what a compute node of its own would give the client
+// where opts names nothing: a filter cache, a leaf-address cache and, on a
+// hot cluster, a hot-key tracker, all seeded by seed.
+func withCaches(shared Shared, opts Options, seed uint64) Options {
+	if opts.Filter == nil {
+		opts.Filter = testFilter(seed)
+	}
+	if opts.LeafCache == nil {
+		opts.LeafCache = testLAC(seed)
+	}
+	if opts.Hot == nil && shared.Hot != nil {
+		opts.Hot = NewHotSet(0, seed, shared.Hot.R)
+	}
+	return opts
+}
+
+// newTestClient mounts a client with every cache opts does not name filled
+// in by withCaches; a test that runs a tier off calls NewClient itself.
 func newTestClient(f *fabric.Fabric, shared Shared, opts Options) *Client {
-	return NewClient(shared, f.NewClient(), opts)
+	return NewClient(shared, f.NewClient(), withCaches(shared, opts, 0))
+}
+
+// newSeededClient is newTestClient with caches seeded by seed.
+func newSeededClient(f *fabric.Fabric, shared Shared, seed uint64) *Client {
+	return NewClient(shared, f.NewClient(), withCaches(shared, Options{}, seed))
 }
 
 func TestEmptyIndex(t *testing.T) {
@@ -81,7 +112,7 @@ func TestWarmSearchIsThreeRoundTrips(t *testing.T) {
 	// cache — a search costs three round trips: hash entry, inner node,
 	// leaf.
 	f, shared := newCluster(t, 3, fabric.DefaultConfig(), 1000)
-	c := newTestClient(f, shared, Options{DisableLeafCache: true})
+	c := NewClient(shared, f.NewClient(), Options{Filter: testFilter(0)})
 	// Build enough structure for a real inner node below the root.
 	for i := 0; i < 50; i++ {
 		k := []byte(fmt.Sprintf("user%04d", i))
@@ -169,7 +200,7 @@ func TestFilterDisabledParallelFallback(t *testing.T) {
 	// The leaf-address cache is disabled so the warm search below actually
 	// exercises the parallel multi-prefix fallback instead of spec-hitting
 	// the leaf in one round trip.
-	c := newTestClient(f, shared, Options{DisableFilter: true, DisableLeafCache: true})
+	c := NewClient(shared, f.NewClient(), Options{})
 	for i := 0; i < 60; i++ {
 		k := []byte(fmt.Sprintf("user%04d", i))
 		if _, err := c.Insert(k, []byte("v")); err != nil {
@@ -184,7 +215,7 @@ func TestFilterDisabledParallelFallback(t *testing.T) {
 		}
 	}
 	if c.Stats().FilterFallbacks == 0 {
-		t.Error("DisableFilter never used the parallel fallback")
+		t.Error("the filter-less client never used the parallel fallback")
 	}
 	// The fallback still avoids sequential descent: a warm search reads
 	// all prefix buckets in one round trip + node + leaf.
@@ -201,6 +232,47 @@ func TestFilterDisabledParallelFallback(t *testing.T) {
 	if d.Verbs < 8 {
 		t.Errorf("parallel fallback issued only %d verbs; expected Θ(key length) bucket reads", d.Verbs)
 	}
+}
+
+// TestNilCacheIsATierRunWithout: a client given no leaf-address cache or no
+// filter cache runs without that tier; it builds no private one.
+func TestNilCacheIsATierRunWithout(t *testing.T) {
+	build := func(t *testing.T, opts Options) *Client {
+		f, shared := newCluster(t, 3, fabric.DefaultConfig(), 1000)
+		c := NewClient(shared, f.NewClient(), opts)
+		for i := 0; i < 50; i++ {
+			if _, err := c.Insert([]byte(fmt.Sprintf("user%04d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	key := []byte("user0017")
+	t.Run("no LAC", func(t *testing.T) {
+		c := build(t, Options{Filter: testFilter(0)})
+		warmSearch(t, c, key, []byte("v"))
+		rt0 := c.eng.C.Stats().RoundTrips
+		warmSearch(t, c, key, []byte("v"))
+		if rt := c.eng.C.Stats().RoundTrips - rt0; rt != 3 {
+			t.Errorf("second Get took %d round trips; want 3: hash entry, node, leaf", rt)
+		}
+		if st := c.Stats(); st.SpecHits != 0 || st.NodeHits != 0 {
+			t.Errorf("SpecHits %d, NodeHits %d; want 0: the client has no leaf-address cache", st.SpecHits, st.NodeHits)
+		}
+	})
+	t.Run("no filter", func(t *testing.T) {
+		c := build(t, Options{})
+		warmSearch(t, c, key, []byte("v"))
+		before := c.Stats()
+		warmSearch(t, c, key, []byte("v"))
+		after := c.Stats()
+		if after.FilterHits != 0 {
+			t.Errorf("FilterHits = %d; want 0: the client has no filter cache", after.FilterHits)
+		}
+		if n := after.FilterFallbacks + after.RootStarts - before.FilterFallbacks - before.RootStarts; n != 1 {
+			t.Errorf("the warm Search counted %d filter-less locates; want 1", n)
+		}
+	})
 }
 
 func TestFilterLearnsFromOtherClientsInserts(t *testing.T) {
@@ -561,7 +633,7 @@ func TestConcurrentChurnSharedKeys(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := newTestClient(f, shared, Options{Seed: uint64(w)})
+			c := newSeededClient(f, shared, uint64(w))
 			for i := 0; i < 250; i++ {
 				k := []byte(fmt.Sprintf("churn-%d-%d", w, i%20))
 				if _, err := c.Insert(k, []byte("v")); err != nil {
@@ -590,9 +662,6 @@ func TestCacheBytesReported(t *testing.T) {
 	}
 	if _, _, err := c.Search([]byte("k")); err != nil {
 		t.Fatal(err)
-	}
-	if c.CacheBytes() == 0 {
-		t.Error("CacheBytes = 0")
 	}
 	// The directory caches must be small relative to the filter (paper
 	// §IV: "typically 2-5% of the succinct filter cache size").

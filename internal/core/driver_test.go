@@ -45,7 +45,8 @@ func TestDriveDecisionTable(t *testing.T) {
 			}
 		}
 		f.SetFaultPlan(plan)
-		c := newTestClient(f, shared, Options{DisableLeafCache: true, Engine: smallBudget})
+		c := NewClient(shared, f.NewClient(), Options{Filter: testFilter(0)})
+		c.eng.Cfg.Backoff = smallBudget.Backoff
 		f.SetFaultPlan(nil)
 		return f, c
 	}

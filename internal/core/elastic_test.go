@@ -67,7 +67,7 @@ func TestElasticAddNode(t *testing.T) {
 	// Mid-transition, before any migration: every key must stay readable
 	// via the previous-epoch fallback — by a client that asks the table
 	// (same warm filter, no remembered addresses).
-	asking := newTestClient(f, shared, Options{Filter: c.filter, DisableLeafCache: true})
+	asking := NewClient(shared, f.NewClient(), Options{Filter: c.filter})
 	verifyAll(t, asking, keys, "mid-transition")
 	if fb := asking.Stats().EpochFallbacks; fb == 0 {
 		t.Error("no epoch fallbacks recorded while reading mid-transition")

@@ -23,7 +23,8 @@ func TestRetriesExhaustedTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.SetFaultPlan(&fabric.FaultPlan{Seed: 1, TransientPer64k: 65536})
-	c := newTestClient(f, shared, Options{Engine: smallBudget})
+	c := newTestClient(f, shared, Options{})
+	c.eng.Cfg.Backoff = smallBudget.Backoff
 
 	_, _, err := c.Search([]byte("present"))
 	if !errors.Is(err, ErrRetriesExhausted) {
@@ -63,7 +64,8 @@ func TestNodeUnavailableTyped(t *testing.T) {
 		Seed: 2,
 		Down: []fabric.DownWindow{{Node: node, FromPs: 0, ToPs: 1 << 62}},
 	})
-	c := newTestClient(f, shared, Options{Engine: smallBudget})
+	c := newTestClient(f, shared, Options{})
+	c.eng.Cfg.Backoff = smallBudget.Backoff
 	_, _, err := c.Search([]byte("stranded"))
 	if !errors.Is(err, ErrNodeUnavailable) {
 		t.Fatalf("Search err = %v, want ErrNodeUnavailable", err)

@@ -500,7 +500,7 @@ func TestFanoutKilledLeg(t *testing.T) {
 func TestCommitToKilledNodeFailsOver(t *testing.T) {
 	f, shared := newReplicatedCluster(t, 3, fabric.DefaultConfig(), 1000)
 	// The tree path's lock and commit: two batches, with the kill between them.
-	c := newTestClient(f, shared, Options{DisableLeafCache: true})
+	c := NewClient(shared, f.NewClient(), Options{Filter: testFilter(0)})
 	keys := testKeys(32)
 	for _, k := range keys {
 		if _, err := c.Insert(k, []byte("before")); err != nil {
@@ -634,7 +634,7 @@ func TestAnchorRideLosesRaceToRival(t *testing.T) {
 func TestAnchorRideTreeWriteFails(t *testing.T) {
 	f, shared := newReplicatedCluster(t, 3, fabric.DefaultConfig(), 1000)
 	key := []byte("ridden-fail-key")
-	c := newTestClient(f, shared, Options{DisableLeafCache: true})
+	c := NewClient(shared, f.NewClient(), Options{Filter: testFilter(0)})
 	if _, err := c.Insert(key, []byte("v0")); err != nil {
 		t.Fatal(err)
 	}

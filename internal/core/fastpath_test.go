@@ -308,15 +308,15 @@ func TestChaosLACChurn(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			f, shared := newCluster(t, 2, fabric.DefaultConfig(), 4000)
 			f.SetFaultPlan(chaosPlan(17))
-			opts := func() Options {
-				if mode == "lac-on" {
-					return Options{LeafCache: NewLeafCache(1<<10, 7)} // shared, collision-prone
-				}
-				return Options{DisableLeafCache: true}
+			var lac *LeafCache // lac-off runs without one
+			if mode == "lac-on" {
+				lac = NewLeafCache(1<<10, 7) // shared, collision-prone
 			}
-			sharedOpts := opts()
+			mount := func() *Client {
+				return NewClient(shared, f.NewClient(), Options{Filter: testFilter(0), LeafCache: lac})
+			}
 
-			loader := newTestClient(f, shared, sharedOpts)
+			loader := mount()
 			const immutable = 60
 			for i := 0; i < immutable; i++ {
 				k := []byte(fmt.Sprintf("pinned-%03d", i))
@@ -330,7 +330,7 @@ func TestChaosLACChurn(t *testing.T) {
 			errCh := make(chan error, workers)
 			clients := make([]*Client, workers)
 			for w := 0; w < workers; w++ {
-				clients[w] = newTestClient(f, shared, sharedOpts)
+				clients[w] = mount()
 			}
 			big := bytes.Repeat([]byte("G"), 700)
 			for w := 0; w < workers; w++ {

@@ -144,6 +144,53 @@ func TestHotPromotionNeedsQueueing(t *testing.T) {
 	}
 }
 
+// TestHotTierNeedsATracker: on a hot cluster whose NIC queues, a client given
+// no hot-key tracker neither promotes keys nor serves hot reads, yet its
+// writes refresh the records another CN's tracker published: each of that
+// CN's Gets after an acknowledged write returns the value just written.
+func TestHotTierNeedsATracker(t *testing.T) {
+	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+	fabrictest.Queue(t, f, shared.Hot.Load, 0)
+	key := []byte("popular-key")
+	b := NewClient(shared, f.NewClient(), Options{Filter: testFilter(0), LeafCache: testLAC(0)})
+	if _, err := b.Insert(key, []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("reads", func(t *testing.T) {
+		stages := newStageCounter()
+		b.eng.C.SetObserver(stages)
+		defer b.eng.C.SetObserver(nil)
+		for i := 0; i < 100; i++ {
+			warmSearch(t, b, key, []byte("v0"))
+		}
+		if got := b.Stats().HotPromotes; got != 0 {
+			t.Errorf("HotPromotes = %d; want 0: the client has no tracker", got)
+		}
+		if rts := stages.rts(fabric.StageHotRead); rts != 0 {
+			t.Errorf("%d hot-read round trips; want 0", rts)
+		}
+	})
+	t.Run("writes", func(t *testing.T) {
+		a := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 3)})
+		for i := 0; i < 8 && a.Stats().HotPromotes == 0; i++ {
+			warmSearch(t, a, key, []byte("v0"))
+		}
+		if a.Stats().HotPromotes != 1 {
+			t.Fatal("A did not promote the key")
+		}
+		for i := 1; i <= 3; i++ {
+			val := []byte(fmt.Sprintf("v%d", i))
+			if _, err := b.Update(key, val); err != nil {
+				t.Fatal(err)
+			}
+			warmSearch(t, a, key, val)
+		}
+		if got := b.Stats().HotRefreshes; got != 3 {
+			t.Errorf("B's writes refreshed the hot records %d times; want 3", got)
+		}
+	})
+}
+
 func TestHotWriteRefreshesReplicas(t *testing.T) {
 	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
 	fabrictest.Queue(t, f, shared.Hot.Load, 0)

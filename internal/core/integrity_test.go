@@ -37,7 +37,7 @@ func TestNoTornValuesUnderConcurrentUpdates(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := newTestClient(f, shared, Options{Seed: uint64(w)})
+			c := newSeededClient(f, shared, uint64(w))
 			for i := 0; i < 300; i++ {
 				k := []byte(fmt.Sprintf("torn-%d", i%hotKeys))
 				if _, err := c.Update(k, mkVal(byte(w+1))); err != nil {
@@ -52,7 +52,7 @@ func TestNoTornValuesUnderConcurrentUpdates(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			c := newTestClient(f, shared, Options{Seed: uint64(100 + r)})
+			c := newSeededClient(f, shared, uint64(100+r))
 			for i := 0; !stop.Load() && i < 600; i++ {
 				k := []byte(fmt.Sprintf("torn-%d", i%hotKeys))
 				v, ok, err := c.Search(k)
@@ -158,7 +158,7 @@ func TestDeleteThenReuseUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := newTestClient(f, shared, Options{Seed: uint64(w)})
+			c := newSeededClient(f, shared, uint64(w))
 			for round := 0; round < 30; round++ {
 				for i := 0; i < 15; i++ {
 					k := []byte(fmt.Sprintf("cycle/%d/%02d", w, i))

@@ -89,7 +89,7 @@ func leaseBetLostNeverWaits(t *testing.T, remembered bool) {
 	run := func(bet bool) (log batchLog, c *Client) {
 		f, shared, setup := sc.build(t, 2)
 		landing := landingOf(t, setup, sc.key, "budget-")
-		c = NewClient(shared, f.NewClient(), Options{Filter: setup.filter})
+		c = NewClient(shared, f.NewClient(), Options{Filter: setup.filter, LeafCache: testLAC(0)})
 		// Allocator slabs and directory caches first: the put's batches are
 		// then its hash read, its landing, and the lock and commit levels.
 		warmSlabs(t, c)
@@ -199,7 +199,7 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 	}
 	build := func(t *testing.T) env {
 		f, shared, setup := sc.build(t, 2)
-		c := NewClient(shared, f.NewClient(), Options{Filter: setup.filter, DisableLeafCache: true})
+		c := NewClient(shared, f.NewClient(), Options{Filter: setup.filter})
 		return env{f, shared, setup, c}
 	}
 
@@ -241,7 +241,7 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 				c = newTestClient(e.f, e.shared, Options{})
 			}
 			if tc.remembered {
-				c = NewClient(e.shared, e.f.NewClient(), Options{Filter: e.setup.filter})
+				c = NewClient(e.shared, e.f.NewClient(), Options{Filter: e.setup.filter, LeafCache: testLAC(0)})
 				c.lac.LearnNode([]byte("budget-"), landing.Addr, landing.Hdr.Type)
 			}
 			var log batchLog
@@ -301,7 +301,7 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 			}
 			private := NewFilterCache(1<<12, 3)
 			private.Insert(PrefixFilterHash([]byte("budget-")))
-			c := NewClient(e.shared, e.f.NewClient(), Options{Filter: private, DisableLeafCache: true})
+			c := NewClient(e.shared, e.f.NewClient(), Options{Filter: private})
 			return landingOf(t, c, "budget-ay", "budget-"), c
 		}, "budget-ay", "walk goes below the landing", nil},
 		{"candidate fails the metadata check", func(t *testing.T, e env) (*rart.Node, *Client) {
@@ -471,7 +471,7 @@ func TestLeasedCommitIsOneBatch(t *testing.T) {
 	if key == "" {
 		t.Fatal("every free edge's leaf is homed on the landing's node")
 	}
-	c := NewClient(shared, f.NewClient(), Options{Filter: setup.filter})
+	c := NewClient(shared, f.NewClient(), Options{Filter: setup.filter, LeafCache: testLAC(0)})
 	// Allocator slabs on every node, then the directory caches.
 	warmSlabs(t, c)
 	if _, err := c.Insert([]byte("budget-+"), []byte("v")); err != nil {

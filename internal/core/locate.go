@@ -18,15 +18,15 @@ import (
 //
 // With the filter cache this is the paper's warm path: local existence
 // checks pick the longest live prefix, then one hash-entry round trip and
-// one node round trip; a prefix no probe confirms starts at the root. With
-// the filter disabled (Options.DisableFilter, the noSFC ablation), the
+// one node round trip; a prefix no probe confirms starts at the root.
+// Without the filter (a nil Options.Filter, the noSFC ablation), the
 // buckets of every prefix are fetched in a single doorbell batch (§III-A,
 // locateParallel).
 func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 	if maxLen > len(key) {
 		maxLen = len(key)
 	}
-	if c.opts.DisableFilter {
+	if c.filter == nil {
 		return c.locateParallel(key, maxLen)
 	}
 	var probes uint64

@@ -49,11 +49,11 @@ func lateEntryCluster(t *testing.T, filter bool) (*Client, *rart.Node, func() []
 	if n := len(entries()); n != 2 {
 		t.Fatalf("the table holds %d entries for %q; want the grown copy's and the late one", n, prefix)
 	}
-	opts := Options{DisableFilter: true, DisableLeafCache: true}
+	opts := Options{}
 	if filter {
-		opts = Options{Filter: setup.filter, DisableLeafCache: true}
+		opts = Options{Filter: setup.filter}
 	}
-	return newTestClient(f, shared, opts), original, entries
+	return NewClient(shared, f.NewClient(), opts), original, entries
 }
 
 // TestFilterlessLocateRemovesLateEntry: a reader whose jump meets the retired

@@ -48,7 +48,7 @@ func TestNodeAddressRefutedByPeerTypeSwitch(t *testing.T) {
 	for _, tc := range ops {
 		t.Run(tc.name, func(t *testing.T) {
 			f, shared, setup := sc.build(t, 2)
-			holder := NewClient(shared, f.NewClient(), Options{Filter: setup.filter})
+			holder := NewClient(shared, f.NewClient(), Options{Filter: setup.filter, LeafCache: testLAC(0)})
 			warmSlabs(t, holder)
 			original := landingOf(t, holder, sc.setup[0], "budget-")
 			peer := newTestClient(f, shared, Options{})
@@ -202,7 +202,11 @@ func TestNodeAddressOnKilledNodeFailsOver(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			reader := NewClient(shared, f.NewClient(), Options{Filter: c.filter, DisableLeafCache: !remembers})
+			opts := Options{Filter: c.filter}
+			if remembers {
+				opts.LeafCache = testLAC(0)
+			}
+			reader := NewClient(shared, f.NewClient(), opts)
 			key := keys[7]
 			landing, l, err := reader.locate(key, len(key))
 			if err != nil || l == 0 {

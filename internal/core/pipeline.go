@@ -64,14 +64,12 @@ type Pipeline struct {
 }
 
 // NewPipeline mounts a pipelined executor flushing on the given main
-// client. All network accounting lands on that client. When opts carries
-// no shared FilterCache (or leaf-address cache), one is created here and
-// shared across lanes — per-lane private caches would be cold and
-// scheduling-dependent. Sharing the LAC also means a speculative read on
-// one lane coalesces into the same doorbell flush as the other lanes'
+// client. Every lane is built from opts, so the lanes share exactly the
+// caches it names. Sharing the LAC also means a speculative read on one
+// lane coalesces into the same doorbell flush as the other lanes'
 // batches, so the 1-RT fast path stacks with depth>1 pipelining.
 func NewPipeline(shared Shared, main *fabric.Client, opts Options) *Pipeline {
-	return &Pipeline{shared: shared, opts: opts.withCaches(), pipe: fabric.NewPipe(main)}
+	return &Pipeline{shared: shared, opts: opts, pipe: fabric.NewPipe(main)}
 }
 
 // Pipe exposes the underlying coalescer (flush accounting for tests).

@@ -26,7 +26,7 @@ func TestPipelineGetCorrectness(t *testing.T) {
 	filter := NewFilterCache(1<<16, 9)
 	keys := loadKeys(t, f, shared, filter, 500)
 
-	pl := NewPipeline(shared, f.NewClient(), Options{Filter: filter})
+	pl := NewPipeline(shared, f.NewClient(), Options{Filter: filter, LeafCache: testLAC(0)})
 	ops := make([]*PipeOp, len(keys))
 	for i, k := range keys {
 		ops[i] = &PipeOp{Kind: PipeGet, Key: k}
@@ -51,9 +51,33 @@ func TestPipelineGetCorrectness(t *testing.T) {
 	}
 }
 
-func TestPipelineMixedOps(t *testing.T) {
+// TestPipelineLanesRunWithoutFilter: the lanes of a pipeline given no filter
+// cache share none; every locate reads all prefixes' bucket pairs.
+func TestPipelineLanesRunWithoutFilter(t *testing.T) {
 	f, shared := newCluster(t, 2, fabric.DefaultConfig(), 2000)
 	pl := NewPipeline(shared, f.NewClient(), Options{})
+	ops := make([]*PipeOp, 0, 256)
+	for i := 0; i < 128; i++ {
+		ops = append(ops, &PipeOp{Kind: PipePut, Key: []byte(fmt.Sprintf("bare-%04d", i)), Value: []byte("v")})
+	}
+	pl.Run(ops, 6)
+	for i := 0; i < 128; i++ {
+		ops = append(ops, &PipeOp{Kind: PipeGet, Key: []byte(fmt.Sprintf("bare-%04d", i))})
+	}
+	pl.Run(ops[128:], 6)
+	for i, op := range ops {
+		if op.Err != nil || (op.Kind == PipeGet && !op.Found) {
+			t.Fatalf("op %d: found=%v err=%v", i, op.Found, op.Err)
+		}
+	}
+	if st := pl.Stats(); st.FilterHits != 0 || st.FilterFallbacks == 0 {
+		t.Errorf("lanes counted %d filter hits, %d filter-less landings; want 0 and some", st.FilterHits, st.FilterFallbacks)
+	}
+}
+
+func TestPipelineMixedOps(t *testing.T) {
+	f, shared := newCluster(t, 2, fabric.DefaultConfig(), 2000)
+	pl := NewPipeline(shared, f.NewClient(), withCaches(shared, Options{}, 0))
 
 	const n = 200
 	puts := make([]*PipeOp, n)
@@ -125,7 +149,7 @@ func TestPipelineCoalescesWarmGets(t *testing.T) {
 	keys := loadKeys(t, f, shared, filter, 512)
 
 	// Sequential reference: warm client, count RTs for N gets.
-	seq := newTestClient(f, shared, Options{Filter: filter, DisableLeafCache: true})
+	seq := NewClient(shared, f.NewClient(), Options{Filter: filter})
 	warm := func(get func(k []byte)) {
 		for _, k := range keys {
 			get(k)
@@ -147,7 +171,7 @@ func TestPipelineCoalescesWarmGets(t *testing.T) {
 
 	// Pipelined: same warm state, same N gets, depth 8.
 	main := f.NewClient()
-	pl := NewPipeline(shared, main, Options{Filter: filter, DisableLeafCache: true})
+	pl := NewPipeline(shared, main, Options{Filter: filter})
 	warmOps := make([]*PipeOp, len(keys))
 	for i, k := range keys {
 		warmOps[i] = &PipeOp{Kind: PipeGet, Key: k}
@@ -192,7 +216,7 @@ func TestPipelineCoalescesSpecGets(t *testing.T) {
 	keys := loadKeys(t, f, shared, filter, 512)
 
 	main := f.NewClient()
-	pl := NewPipeline(shared, main, Options{Filter: filter})
+	pl := NewPipeline(shared, main, Options{Filter: filter, LeafCache: testLAC(0)})
 	warmOps := make([]*PipeOp, len(keys))
 	for i, k := range keys {
 		warmOps[i] = &PipeOp{Kind: PipeGet, Key: k}
@@ -244,7 +268,7 @@ func TestPipelineDepthOneMatchesSequential(t *testing.T) {
 	seqStats := seq.Engine().C.Stats().Sub(before)
 
 	main := f.NewClient()
-	pl := NewPipeline(shared, main, Options{Filter: filter})
+	pl := NewPipeline(shared, main, Options{Filter: filter, LeafCache: testLAC(0)})
 	warmOps := make([]*PipeOp, len(keys))
 	for i, k := range keys {
 		warmOps[i] = &PipeOp{Kind: PipeGet, Key: k}

@@ -225,7 +225,7 @@ func TestRerouteLeaseEndsWithItsRound(t *testing.T) {
 	if n := c.eng.Holding(); n != 0 {
 		t.Errorf("the hand holds %d entries after the put, want 0", n)
 	}
-	next := NewClient(c.shared, c.eng.C.Fabric().NewClient(), Options{Filter: c.filter})
+	next := NewClient(c.shared, c.eng.C.Fabric().NewClient(), Options{Filter: c.filter, LeafCache: testLAC(0)})
 	if w := leaseWordOf(t, next, full); w != 0 {
 		t.Errorf("full node's lease word = %#x after the put, want 0", w)
 	}
@@ -275,7 +275,7 @@ func TestDeleteCollisionConfirmCrashSweep(t *testing.T) {
 	// collision and delete the key; count its verbs to bound the sweep.
 	f, shared, filter := deleteCollisionCluster(t)
 	fc := f.NewClient()
-	victim := NewClient(shared, fc, Options{Filter: filter})
+	victim := NewClient(shared, fc, Options{Filter: filter, LeafCache: testLAC(0)})
 	if id := fc.ID(); id != 1 {
 		t.Fatalf("victim client ID = %d, want 1", id)
 	}
@@ -296,7 +296,7 @@ func TestDeleteCollisionConfirmCrashSweep(t *testing.T) {
 		f, shared, filter := deleteCollisionCluster(t)
 		f.SetFaultPlan(&fabric.FaultPlan{Seed: 1, CrashAfterVerbs: map[int]uint64{1: n}})
 		fc := f.NewClient()
-		victim := NewClient(shared, fc, Options{Filter: filter})
+		victim := NewClient(shared, fc, Options{Filter: filter, LeafCache: testLAC(0)})
 		ok, err := victim.Delete(K)
 		if err != nil {
 			sawCrash = true
@@ -353,7 +353,7 @@ func TestSearchCollisionNarrowingNodeDownSweep(t *testing.T) {
 	// the sweep.
 	f, shared, filter := searchCollisionCluster(t, cfg)
 	fc := f.NewClient()
-	probe := NewClient(shared, fc, Options{Filter: filter})
+	probe := NewClient(shared, fc, Options{Filter: filter, LeafCache: testLAC(0)})
 	v, ok, err := probe.Search(K)
 	if err != nil || !ok || !bytes.Equal(v, []byte("v-k")) {
 		t.Fatalf("clean search = %q, %v, %v", v, ok, err)
@@ -374,7 +374,7 @@ func TestSearchCollisionNarrowingNodeDownSweep(t *testing.T) {
 			Down: []fabric.DownWindow{{Node: shared.Ring.Nodes()[0], FromPs: ps, ToPs: ps + 1}},
 		})
 		fc := f.NewClient()
-		c := NewClient(shared, fc, Options{Filter: filter})
+		c := NewClient(shared, fc, Options{Filter: filter, LeafCache: testLAC(0)})
 		v, ok, err := c.Search(K)
 		if err != nil || !ok || !bytes.Equal(v, []byte("v-k")) {
 			t.Fatalf("window at %d ps: search = %q, %v, %v", ps, v, ok, err)
@@ -445,7 +445,7 @@ func TestChaosRegistryCounters(t *testing.T) {
 	f.SetFaultPlan(chaosPlan(31))
 	m := obs.NewMetrics()
 	fc := f.NewClient()
-	c := NewClient(shared, fc, Options{Seed: 5, Observer: m})
+	c := NewClient(shared, fc, withCaches(shared, Options{Observer: m}, 5))
 
 	reg := obs.NewRegistry()
 	reg.AddCounterStruct("fabric", func() any { return fc.Stats() })

@@ -153,7 +153,7 @@ func TestScanDuringConcurrentInserts(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w := newTestClient(f, shared, Options{Seed: 9})
+		w := newSeededClient(f, shared, 9)
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; !stop.Load(); i++ {
 			// Extends a stable key (which becomes an EOL leaf) or lands
@@ -433,8 +433,8 @@ func TestNoDirCacheCorrectness(t *testing.T) {
 	}
 	// The ablation is of the TABLE's directory cache: reads that ask the table,
 	// not a remembered leaf or node address.
-	withCache := newTestClient(f2, shared2, Options{DisableLeafCache: true})
-	noCache := newTestClient(f2, shared2, Options{DisableDirCache: true, DisableLeafCache: true})
+	withCache := NewClient(shared2, f2.NewClient(), Options{Filter: testFilter(0)})
+	noCache := NewClient(shared2, f2.NewClient(), Options{Filter: testFilter(0), DisableDirCache: true})
 	measure := func(c *Client) float64 {
 		if _, _, err := c.Search([]byte("rt010")); err != nil { // warm
 			t.Fatal(err)

@@ -371,7 +371,11 @@ func TestReleasingWriteSurvivesFaults(t *testing.T) {
 				f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
 				plan := &fabric.FaultPlan{Seed: 1, TimeoutPs: 2_000_000}
 				f.SetFaultPlan(plan)
-				c := newTestClient(f, shared, Options{DisableLeafCache: path == "tree"})
+				opts := withCaches(shared, Options{}, 0)
+				if path == "tree" {
+					opts.LeafCache = nil
+				}
+				c := NewClient(shared, f.NewClient(), opts)
 				f.SetFaultPlan(nil)
 				if _, err := c.Insert([]byte("release-kin"), val64(1)); err != nil {
 					t.Fatal(err)

@@ -33,7 +33,7 @@ func servedClient(b *testing.B) *Client {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := NewClient(shared, f.NewClient(), Options{})
+	c := NewClient(shared, f.NewClient(), withCaches(shared, Options{}, 0))
 	if _, err := c.Insert([]byte("key"), []byte("value")); err != nil {
 		b.Fatal(err)
 	}

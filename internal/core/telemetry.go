@@ -145,8 +145,8 @@ func (s *IndexSources) gauges(family string) map[string]float64 {
 			"load":              load,
 			"analytic_fp_bound": bound,
 		}
-		// Entries currently carrying the second-chance hotness bit — the
-		// skew signal the hot-key tracker seeds from.
+		// Entries currently carrying the second-chance hotness bit: the
+		// prefixes the filter's eviction passes over once.
 		for _, f := range s.Filters {
 			g["hot_entries"] += float64(f.f.HotEntries())
 		}

@@ -385,7 +385,7 @@ func (sc writeScenario) victim(t *testing.T, f *fabric.Fabric, shared Shared, se
 	if warm {
 		opts.Filter = setup.filter
 	}
-	return NewClient(shared, vc, opts)
+	return NewClient(shared, vc, withCaches(shared, opts, 0))
 }
 
 // calibrate runs the scenario's put cleanly, by fabric client 1 of a cluster
@@ -420,15 +420,15 @@ func (sc writeScenario) calibrate(t *testing.T, warm bool) commitShape {
 // every prefix of the key in the hash table.
 func (sc writeScenario) checkReadable(t *testing.T, f *fabric.Fabric, shared Shared, what string) {
 	t.Helper()
-	for _, opts := range []Options{{}, {DisableFilter: true, DisableLeafCache: true}} {
-		c := newTestClient(f, shared, opts)
+	for _, opts := range []Options{withCaches(shared, Options{}, 0), {}} {
+		c := NewClient(shared, f.NewClient(), opts)
 		for _, k := range sc.setup {
 			if k == sc.key {
 				continue // the put's own key: the caller checks it
 			}
 			v, ok, err := c.Search([]byte(k))
 			if err != nil || !ok || string(v) != "v-"+k {
-				t.Fatalf("%s: acked key %q = %q, %v, %v (filter off: %v)", what, k, v, ok, err, opts.DisableFilter)
+				t.Fatalf("%s: acked key %q = %q, %v, %v (filter off: %v)", what, k, v, ok, err, opts.Filter == nil)
 			}
 		}
 	}
@@ -494,7 +494,7 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 		f.SetFaultPlan(&fabric.FaultPlan{Seed: 1, CrashAfterVerbs: map[int]uint64{1: n}})
 		victim := sc.victim(t, f, shared, setup, warm)
 		f.SetFaultPlan(nil)
-		holder := NewClient(shared, f.NewClient(), Options{Filter: setup.filter})
+		holder := NewClient(shared, f.NewClient(), Options{Filter: setup.filter, LeafCache: testLAC(0)})
 		original := landingOf(t, holder, "budget-a", "budget-") // and the holder remembers it
 		// Window (a) of a split: its head WRITE — the one WRITE of a node's
 		// head, SlotBase bytes — executed, the parent slot's WRITE behind it not.
@@ -520,11 +520,11 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 		onlyBet := shape.bet >= 0 && (n == uint64(shape.bet)+1 || n == uint64(shape.bet)+2)
 		// No leaf-address cache: the survivor reads its put back through
 		// the filter-guided jump, not at the address the put learned.
-		opts := Options{DisableLeafCache: true}
+		opts := Options{Filter: testFilter(0)}
 		if onlyBet {
 			opts.Filter = setup.filter
 		}
-		survivor := newTestClient(f, shared, opts)
+		survivor := NewClient(shared, f.NewClient(), opts)
 		checkNoPhantomEntries(t, survivor, before, what)
 		checkOneEntryPerPrefix(t, survivor, what)
 		if onlyBet {
@@ -836,7 +836,7 @@ func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 	if strings.Contains(rec.Trace().Format(), "table loop") {
 		t.Errorf("the retry fell to the table loop:\n%s", rec.Trace().Format())
 	}
-	check := newTestClient(f, shared, Options{DisableFilter: true, DisableLeafCache: true})
+	check := NewClient(shared, f.NewClient(), Options{})
 	if n, l, err := check.locate([]byte(sc.key), len(sc.key)); err != nil || l != len(prefix) {
 		t.Errorf("the hash table does not lead to the new node: prefix %d (%v), %v", l, n, err)
 	}
@@ -1108,7 +1108,7 @@ func TestTypeSwitchOfNodeWithoutEntry(t *testing.T) {
 		t.Errorf("%d swaps inserted their entry; want the type switch's one", st.ReplaceInserts)
 	}
 	checkOneEntryPerPrefix(t, survivor, "after the type switch")
-	reader := newTestClient(f, shared, Options{Filter: survivor.filter, DisableLeafCache: true})
+	reader := NewClient(shared, f.NewClient(), Options{Filter: survivor.filter})
 	for k, v := range want {
 		warmSearch(t, reader, []byte(k), []byte(v))
 	}
@@ -1146,8 +1146,8 @@ func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 	boundaries := 0
 	for at := shape.batch + 1; ; at++ {
 		f, shared, _ := sc.build(t, 2)
-		victim := NewClient(shared, f.NewClient(), Options{})
-		rival := newTestClient(f, shared, Options{DisableLeafCache: true})
+		victim := NewClient(shared, f.NewClient(), withCaches(shared, Options{}, 0))
+		rival := NewClient(shared, f.NewClient(), Options{Filter: testFilter(0)})
 		warmSearch(t, rival, []byte(sc.setup[0]), []byte("v-"+sc.setup[0]))
 		holder := newTestClient(f, shared, Options{Filter: rival.filter})
 		original := landingOf(t, holder, sc.setup[0], "budget-")
