@@ -72,7 +72,7 @@ func (c *Client) Search(key []byte) (value []byte, ok bool, err error) {
 		// A leaf on the key's path can hold a different key that merely
 		// shares the prefix up to its edge.
 		if ok = leaf != nil && bytes.Equal(leaf.Key, key); ok {
-			value = leaf.Value
+			value = bytes.Clone(leaf.Value) // out of the engine's arena
 		}
 		return err
 	})

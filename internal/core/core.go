@@ -356,7 +356,6 @@ type Client struct {
 	candScratch []racehash.Candidate
 	readScratch []racehash.PreparedRead // the filter-less locate's bucket pairs
 	opScratch   []fabric.Op
-	bufScratch  [][]byte
 	nodeScratch []*rart.Node
 
 	// pub carries the hash-table publications of the structural write in

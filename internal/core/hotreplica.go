@@ -351,8 +351,7 @@ func (c *Client) hotReadRecord(routes *LeafCache, addr mem.Addr, units uint8, ke
 		c.specSettle(p, key, addr, specRefute, "refuted: route past the region's end, unlearned")
 		return nil, specRefute
 	}
-	buf := c.eng.GrabBuf(size)
-	defer c.eng.ReleaseBuf(buf)
+	buf := c.eng.ImageBuf(size)
 	err := c.eng.C.Read(addr, buf)
 	st, _, keyLen, valLen := decodeRecordWords(buf)
 	valOff := recordDataOff + keyLen

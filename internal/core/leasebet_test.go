@@ -66,7 +66,8 @@ func landingOf(t *testing.T, c *Client, key string, prefix string) *rart.Node {
 	if err != nil || l != len(prefix) {
 		t.Fatalf("locating the landing of %q: prefix %d, %v; want %d", key, l, err, len(prefix))
 	}
-	return n
+	// The test's own copy: the engine's image lives until c's next operation.
+	return n.Clone()
 }
 
 // TestLeaseBetLostNeverWaits: a rival holds the landing's lease when the put

@@ -37,7 +37,7 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 		if !c.filter.Contains(h) {
 			continue
 		}
-		c.noteProbe(l, len(key))
+		c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(), "sfc probe hit: prefix %d/%d, fetching", uint64(l), uint64(len(key)))
 		n, err := c.fetchRemembered(prefix)
 		if n == nil && err == nil {
 			n, err = c.fetchValidated(prefix)
@@ -57,7 +57,7 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 		// and retry shorter (paper §III-B false-positive handling).
 		atomic.AddUint64(&c.stats.FalsePositives, 1)
 		c.filter.Delete(h)
-		c.noteProbe(l, 0)
+		c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(), "sfc false positive at prefix %d: unlearned", uint64(l))
 	}
 	atomic.AddUint64(&c.stats.RootStarts, 1)
 	if c.index != nil {
@@ -68,42 +68,6 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 	}
 	root, err := c.readRoot()
 	return root, 0, err
-}
-
-// probeNotes holds the notes of locate's filter verdicts for every key
-// shorter than its side: [n][l] a hit on prefix l of an n-byte key, [0][l] a
-// false positive at prefix l. Sessions keep a tail recorder armed, so every
-// located operation notes at least one of them and must not build it (the
-// replicaNotes idiom); longer keys format theirs.
-var probeNotes [64][64]string
-
-const (
-	probeHitNote      = "sfc probe hit: prefix %d/%d, fetching"
-	falsePositiveNote = "sfc false positive at prefix %d: unlearned"
-)
-
-func init() {
-	for l := 1; l < len(probeNotes); l++ {
-		probeNotes[0][l] = fmt.Sprintf(falsePositiveNote, l)
-		for n := l; n < len(probeNotes); n++ {
-			probeNotes[n][l] = fmt.Sprintf(probeHitNote, l, n)
-		}
-	}
-}
-
-// noteProbe annotates, on the armed trace recorder, the filter's verdict on
-// prefix l: a hit about to be fetched for a key of n bytes, or — n 0 — a
-// false positive the fetch has just refuted.
-func (c *Client) noteProbe(l, n int) {
-	switch {
-	case c.rec == nil:
-	case l < len(probeNotes) && n < len(probeNotes):
-		c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(), probeNotes[n][l])
-	case n == 0:
-		c.note(fabric.StageFilterProbe, falsePositiveNote, l)
-	default:
-		c.note(fabric.StageFilterProbe, probeHitNote, l, n)
-	}
 }
 
 // The verdicts on a remembered node address, as trace notes (constants: a
@@ -297,23 +261,16 @@ func (c *Client) readCandidates(cands []racehash.Candidate, bet bool) ([]*rart.N
 		return c.nodeScratch, nil
 	}
 	ops := c.opScratch[:0]
-	bufs := c.bufScratch[:0]
 	for _, cand := range cands {
-		var buf []byte
-		ops, buf = c.eng.AppendNodeRead(ops, cand.Entry.Addr, cand.Entry.Type)
-		bufs = append(bufs, buf)
+		ops = c.eng.AppendNodeRead(ops, cand.Entry.Addr, cand.Entry.Type)
 	}
-	c.opScratch, c.bufScratch = ops, bufs
+	c.opScratch = ops
 	if err := c.eng.C.Batch(ops); err != nil {
-		for _, buf := range bufs {
-			c.eng.ReleaseBuf(buf)
-		}
 		return nil, err
 	}
 	nodes := c.nodeScratch[:0]
 	for i, cand := range cands {
-		n, err := rart.Decode(cand.Entry.Addr, bufs[i])
-		c.eng.ReleaseBuf(bufs[i])
+		n, err := c.eng.Decode(cand.Entry.Addr, ops[i].Data)
 		if err != nil {
 			// Stale size hint or garbage behind a collided entry: retry
 			// once at full fidelity, and treat a second failure as a

@@ -56,6 +56,7 @@ type MigrateReport struct {
 // raced a concurrent writer publishing into the old epoch; only a sweep
 // that proves the placement already settled is allowed to cut over.
 func (c *Client) MigrateSweep() (MigrateReport, error) {
+	c.eng.Rewind() // the walk below holds every node on its path: no rewind inside it
 	p := c.members.Current()
 	rep := MigrateReport{Epoch: p.Epoch}
 	if p.Prev == nil {

@@ -198,10 +198,10 @@ func (c *Client) noteScan(before rart.EngineStats) {
 	}
 	st := c.eng.Stats()
 	reads, nodes := st.ScanReads-before.ScanReads, st.ScanNodeReads-before.ScanNodeReads
-	c.rec.Note(fabric.StageScan, c.eng.C.Clock(), fmt.Sprintf(
+	c.rec.Note(fabric.StageScan, c.eng.C.Clock(),
 		"scan: %d rounds, %d reads (%d nodes, %d leaves), %d emitted, %d re-resolved",
 		st.ScanRounds-before.ScanRounds, reads, nodes, reads-nodes,
-		st.ScanEmitted-before.ScanEmitted, st.ScanReresolved-before.ScanReresolved))
+		st.ScanEmitted-before.ScanEmitted, st.ScanReresolved-before.ScanReresolved)
 }
 
 // noteAbandoned annotates, on the armed trace recorder, the write-ahead
@@ -213,16 +213,20 @@ func (c *Client) noteAbandoned(objects, bytes *uint64) {
 	}
 	o, b := c.eng.Abandoned()
 	if o > *objects {
-		c.rec.Note(fabric.StageLock, c.eng.C.Clock(),
-			fmt.Sprintf("abandoned %d write-ahead objects (%d bytes)", o-*objects, b-*bytes))
+		c.rec.Note(fabric.StageLock, c.eng.C.Clock(), "abandoned %d write-ahead objects (%d bytes)", o-*objects, b-*bytes)
 	}
 	*objects, *bytes = o, b
 }
 
-func (c *Client) checkKey(key []byte) error {
+// begin starts an outermost operation on key: the key is checked, and the
+// engine's image arena rewound — what the client's last operation read is dead
+// from here on (DESIGN.md §5.7). Nested reads (hot promotion's searchTree,
+// anchorGet) never call it.
+func (c *Client) begin(key []byte) error {
 	if len(key) == 0 || len(key) > wire.MaxDepth {
 		return fmt.Errorf("core: key length %d out of range [1,%d]", len(key), wire.MaxDepth)
 	}
+	c.eng.Rewind()
 	return nil
 }
 
@@ -270,7 +274,7 @@ func (c *Client) drive(op string, key []byte, rooted bool,
 			narrow, err = attempt(start, startLen)
 			if errors.Is(err, rart.ErrNeedParent) && startLen > 0 {
 				atomic.AddUint64(&c.stats.ParentRetries, 1)
-				c.note(fabric.StagePublish, "need parent: re-routing via prefix %d, no backoff", startLen-1)
+				c.rec.Note(fabric.StagePublish, c.eng.C.Clock(), "need parent: re-routing via prefix %d, no backoff", uint64(startLen-1))
 				// The re-routed walk meets start again, one level down: it
 				// takes this image instead of reading the node a second time.
 				c.eng.Hold(start, rart.Rerouted)
@@ -328,45 +332,24 @@ func nodeLost(err error) bool {
 }
 
 // note annotates a local event on the armed trace recorder; the fmt.Sprintf
-// only runs while tracing.
+// only runs while tracing. A note whose format takes only numbers goes to the
+// recorder with them (obs.Recorder.Note), which formats them in only when the
+// trace is read: sessions keep a tail recorder armed.
 func (c *Client) note(stage fabric.Stage, format string, args ...any) {
 	if c.rec != nil {
 		c.rec.Note(stage, c.eng.C.Clock(), fmt.Sprintf(format, args...))
 	}
 }
 
-// replicaNotes holds the note of every fan-out shape a write normally takes —
-// legs, rounds, and the rounds among them that rode the tree write's batches —
-// so that a session's always-armed tail recorder costs an acked write no
-// allocation.
-var replicaNotes [8][8][4]string
-
-func init() {
-	for legs := range replicaNotes {
-		for rounds := range replicaNotes[legs] {
-			for ridden := range replicaNotes[legs][rounds] {
-				replicaNotes[legs][rounds][ridden] = replicaNote(legs, rounds, ridden)
-			}
-		}
-	}
-}
-
-func replicaNote(legs, rounds, ridden int) string {
-	if ridden == 0 {
-		return fmt.Sprintf("replicas: %d legs, %d rounds", legs, rounds)
-	}
-	return fmt.Sprintf("replicas: %d legs, %d rounds, %d ridden", legs, rounds, ridden)
-}
-
 // noteReplicas annotates, on the armed trace recorder, what the layer's last
-// fan-out — the one an acked write just waited for — cost.
+// fan-out — the one an acked write just waited for — cost: its legs, its
+// rounds, and the rounds among them that rode the tree write's batches.
 func (c *Client) noteReplicas(s *recordStore) {
-	switch legs := len(s.legs); {
-	case c.rec == nil:
-	case legs < len(replicaNotes) && s.batchN < len(replicaNotes[0]) && s.ridden < len(replicaNotes[0][0]):
-		c.rec.Note(s.stage, c.eng.C.Clock(), replicaNotes[legs][s.batchN][s.ridden])
-	default:
-		c.rec.Note(s.stage, c.eng.C.Clock(), replicaNote(legs, s.batchN, s.ridden))
+	legs, rounds := uint64(len(s.legs)), uint64(s.batchN)
+	if s.ridden == 0 {
+		c.rec.Note(s.stage, c.eng.C.Clock(), "replicas: %d legs, %d rounds", legs, rounds)
+	} else {
+		c.rec.Note(s.stage, c.eng.C.Clock(), "replicas: %d legs, %d rounds, %d ridden", legs, rounds, uint64(s.ridden))
 	}
 }
 
@@ -377,7 +360,7 @@ func (c *Client) noteReplicas(s *recordStore) {
 // tier: one hash-entry round trip, one inner-node round trip, one leaf round
 // trip.
 func (c *Client) Search(key []byte) ([]byte, bool, error) {
-	if err := c.checkKey(key); err != nil {
+	if err := c.begin(key); err != nil {
 		return nil, false, err
 	}
 	atomic.AddUint64(&c.stats.Searches, 1)
@@ -437,7 +420,7 @@ func (c *Client) searchTree(key []byte) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	c.learn(key, leaf.Addr, leaf.Units)
-	return leaf.Value, true, nil
+	return bytes.Clone(leaf.Value), true, nil // out of the engine's arena
 }
 
 // specOutcome is the verdict of one speculative round trip at a cached leaf
@@ -662,7 +645,7 @@ func (c *Client) collided(key, leafKey []byte, startLen int) bool {
 	if c.filter != nil {
 		c.filter.Delete(PrefixFilterHash(key[:startLen]))
 	}
-	c.note(fabric.StageFilterProbe, "prefix collision at %d: unlearned, narrowing to %d", startLen, startLen-1)
+	c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(), "prefix collision at %d: unlearned, narrowing to %d", uint64(startLen), uint64(startLen-1))
 	return true
 }
 
@@ -671,7 +654,7 @@ func (c *Client) collided(key, leafKey []byte, startLen int) bool {
 // validated operations only, so malformed arguments do not skew per-op
 // metrics (same policy as Scan).
 func (c *Client) Insert(key, value []byte) (bool, error) {
-	if err := c.checkKey(key); err != nil {
+	if err := c.begin(key); err != nil {
 		return false, err
 	}
 	atomic.AddUint64(&c.stats.Inserts, 1)
@@ -682,7 +665,7 @@ func (c *Client) Insert(key, value []byte) (bool, error) {
 // when the new value fits the leaf, out of place otherwise). It reports
 // whether the key was present.
 func (c *Client) Update(key, value []byte) (bool, error) {
-	if err := c.checkKey(key); err != nil {
+	if err := c.begin(key); err != nil {
 		return false, err
 	}
 	atomic.AddUint64(&c.stats.Updates, 1)
@@ -792,7 +775,7 @@ func (c *Client) degradedPut(key, value []byte, mode rart.PutMode) (bool, error)
 
 // Delete removes key (paper §IV Delete), reporting whether it was present.
 func (c *Client) Delete(key []byte) (bool, error) {
-	if err := c.checkKey(key); err != nil {
+	if err := c.begin(key); err != nil {
 		return false, err
 	}
 	atomic.AddUint64(&c.stats.Deletes, 1)
@@ -852,6 +835,7 @@ func (c *Client) Scan(lo, hi []byte, limit int) ([]rart.KV, error) {
 	// Counted after validation: rejected calls pay no round trip and must
 	// not inflate per-op metrics.
 	atomic.AddUint64(&c.stats.Scans, 1)
+	c.eng.Rewind()
 	if c.degraded() {
 		// Degraded writes live only in the unordered anchor store, so a
 		// tree traversal — even one that avoids the dead node — could

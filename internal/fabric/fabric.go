@@ -110,6 +110,9 @@ type Op struct {
 // fine enough that queueing delays resolve well below a round trip.
 const nicSlotPs = 1_000_000
 
+// nicPage is the number of slots in one page of a NIC's timeline.
+const nicPage = 4096
+
 // nic is one memory node's NIC processing timeline, modelled as capacity
 // per virtual-time slot. Unlike a single free-pointer queue, this lets a
 // request whose issue time (virtual clock) lies in the past consume the
@@ -119,8 +122,11 @@ const nicSlotPs = 1_000_000
 // around an instant exceeds slot capacity, requests spill into later
 // slots and completion times stretch.
 type nic struct {
-	mu    sync.Mutex
-	slots map[int64]int64 // slot index → capacity already consumed (ps)
+	mu sync.Mutex
+	// slots is the capacity already consumed (ps, at most nicSlotPs) of every
+	// slot, in pages of nicPage slots allocated on first touch: slot i is
+	// slots[i/nicPage][i%nicPage].
+	slots [][]int32
 	// cumulative demand counters, for utilization reports
 	busyPs int64
 	waitPs int64 // queueing delay: reservations pushed past their ready time
@@ -152,26 +158,20 @@ func (n *nic) chargeRT() {
 // returns the start time of the reservation.
 func (n *nic) reserve(notBefore, cost int64, verbs int, bytes uint64) int64 {
 	n.mu.Lock()
-	if n.slots == nil {
-		n.slots = make(map[int64]int64)
-	}
 	slot := notBefore / nicSlotPs
 	start := int64(-1)
 	rem := cost
 	for rem > 0 {
-		avail := nicSlotPs - n.slots[slot]
-		if avail > 0 {
+		used := n.used(slot)
+		if avail := nicSlotPs - int64(*used); avail > 0 {
 			if start < 0 {
 				start = slot * nicSlotPs
 				if notBefore > start {
 					start = notBefore
 				}
 			}
-			take := avail
-			if rem < take {
-				take = rem
-			}
-			n.slots[slot] += take
+			take := min(avail, rem)
+			*used += int32(take)
 			rem -= take
 		}
 		slot++
@@ -189,6 +189,19 @@ func (n *nic) reserve(notBefore, cost int64, verbs int, bytes uint64) int64 {
 	n.bytes += bytes
 	n.mu.Unlock()
 	return start
+}
+
+// used returns the consumed capacity of a slot, its page allocated on first
+// touch.
+func (n *nic) used(slot int64) *int32 {
+	p := int(slot / nicPage)
+	if p >= len(n.slots) {
+		n.slots = append(n.slots, make([][]int32, p+1-len(n.slots))...)
+	}
+	if n.slots[p] == nil {
+		n.slots[p] = make([]int32, nicPage)
+	}
+	return &n.slots[p][slot%nicPage]
 }
 
 type node struct {

@@ -90,7 +90,7 @@ func TestRecorderNilSafety(t *testing.T) {
 func TestRecorderTimelineAndFormat(t *testing.T) {
 	r := NewRecorder()
 	r.Begin("get K", 100)
-	r.Note(fabric.StageFilterProbe, 100, "sfc probe hit")
+	r.Note(fabric.StageFilterProbe, 100, "sfc probe hit: prefix %d/%d", 3, 7)
 	r.ObserveBatch(fabric.BatchEvent{
 		Stage: fabric.StageHashRead, StartPs: 100, EndPs: 2_100_000,
 		Verbs: 2, Bytes: 128, RoundTrips: 1,
@@ -108,10 +108,21 @@ func TestRecorderTimelineAndFormat(t *testing.T) {
 		t.Fatalf("events = %+v", tr.Events)
 	}
 	out := tr.Format()
-	for _, want := range []string{"get K: 2 round trips, 3 verbs, 192 B", "sfc probe hit", "hash-read", "leaf-read"} {
+	for _, want := range []string{"get K: 2 round trips, 3 verbs, 192 B", "sfc probe hit: prefix 3/7", "hash-read", "leaf-read"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("format output missing %q:\n%s", want, out)
 		}
+	}
+	if got := Explain(tr); !strings.Contains(got, "sfc probe hit: prefix 3/7") {
+		t.Errorf("Explain = %q, missing the note with its numbers", got)
+	}
+	// A note's numbers are formatted when the trace is read, not recorded: an
+	// always-armed recorder builds nothing per operation.
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.BeginReuse("get K", 0)
+		r.Note(fabric.StageFilterProbe, 0, "sfc probe hit: prefix %d/%d", 3, 700)
+	}); allocs != 0 {
+		t.Errorf("a note with numbers: %.0f allocs, want 0", allocs)
 	}
 }
 

@@ -202,10 +202,15 @@ func Explain(t *Trace) string {
 	}
 	var stageDur [fabric.NumStages]int64
 	var stageRT [fabric.NumStages]uint64
-	var notes []string
-	faulted := 0
+	// The first keep notes are told and the rest only counted, so a dropped
+	// note is never formatted. A trace is explained on the path of the
+	// operation it records, so the pieces of the line stay on the stack.
+	const keep = 3
+	notes, parts := make([]string, 0, keep+1), make([]string, 0, 3)
+	faulted, more := 0, 0
 	for _, e := range t.Events {
-		if e.Batch {
+		switch {
+		case e.Batch:
 			if int(e.Stage) < fabric.NumStages {
 				stageDur[e.Stage] += e.EndPs - e.StartPs
 				stageRT[e.Stage] += e.RoundTrips
@@ -213,8 +218,11 @@ func Explain(t *Trace) string {
 			if e.Err != "" {
 				faulted++
 			}
-		} else if e.Note != "" {
-			notes = append(notes, e.Note)
+		case e.note == "":
+		case len(notes) < keep:
+			notes = append(notes, e.Text())
+		default:
+			more++
 		}
 	}
 	best := -1
@@ -223,7 +231,6 @@ func Explain(t *Trace) string {
 			best = i
 		}
 	}
-	var parts []string
 	if best >= 0 {
 		parts = append(parts, fmt.Sprintf("dominant stage %s: %d rt, %.2fµs of %.2fµs",
 			fabric.Stage(best), stageRT[best], us(stageDur[best]), us(t.EndPs-t.StartPs)))
@@ -231,11 +238,10 @@ func Explain(t *Trace) string {
 	if faulted > 0 {
 		parts = append(parts, fmt.Sprintf("%d faulted batches", faulted))
 	}
+	if more > 0 {
+		notes = append(notes, fmt.Sprintf("(+%d more notes)", more))
+	}
 	if len(notes) > 0 {
-		const keep = 3
-		if len(notes) > keep {
-			notes = append(notes[:keep], fmt.Sprintf("(+%d more notes)", len(notes)-keep))
-		}
 		parts = append(parts, strings.Join(notes, "; "))
 	}
 	if len(parts) == 0 {

@@ -151,7 +151,7 @@ func TestTailSamplerRing(t *testing.T) {
 		if !ts.Offer(OpGet, shared) {
 			t.Fatalf("offer %d not captured at p50", i)
 		}
-		shared.Events[0].Note = "mutated after capture"
+		shared.Events[0].note = "mutated after capture"
 	}
 	offered, captured := ts.Stats()
 	if offered != 74 || captured != 10 {
@@ -194,7 +194,7 @@ func TestExplain(t *testing.T) {
 		batchEvent(fabric.StageHashRead, 1_000_000, 1),
 		batchEvent(fabric.StageNodeRead, 6_000_000, 3),
 		Event{Stage: fabric.StageNodeRead, Batch: true, EndPs: 500, Err: "transient"},
-		Event{Note: "sfc false positive at prefix 3: unlearned"},
+		Event{note: "sfc false positive at prefix 3: unlearned"},
 	)
 	got := Explain(tr)
 	for _, want := range []string{

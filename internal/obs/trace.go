@@ -9,7 +9,7 @@ import (
 
 // Event is one entry of an operation trace: either a doorbell batch
 // (Batch true, with costs) or a local annotation such as a filter probe,
-// a detected collision or a restart (Batch false, Note set).
+// a detected collision or a restart (Batch false, its text read with Text).
 type Event struct {
 	Stage      fabric.Stage
 	StartPs    int64
@@ -19,7 +19,23 @@ type Event struct {
 	RoundTrips uint64
 	Batch      bool
 	Err        string
-	Note       string
+	// note is the annotation as Recorder.Note took it: a format whose verbs
+	// take nums. Only Text reads it, with the numbers formatted in.
+	note  string
+	nums  [6]uint64
+	nnums uint8
+}
+
+// Text is the event's note, with its numbers formatted in; "" for a batch.
+func (e *Event) Text() string {
+	if e.nnums == 0 {
+		return e.note
+	}
+	var args [len(e.nums)]any
+	for i := range e.nnums {
+		args[i] = e.nums[i]
+	}
+	return fmt.Sprintf(e.note, args[:e.nnums]...)
 }
 
 // Trace is the recorded timeline of one index operation on the virtual
@@ -79,7 +95,7 @@ func (t *Trace) Format() string {
 	fmt.Fprintf(&b, "  %-3s %8s %8s  %-10s %3s %5s %6s  %s\n",
 		"#", "t(µs)", "+µs", "stage", "rt", "verbs", "bytes", "detail")
 	for i, e := range t.Events {
-		detail := e.Note
+		detail := e.Text()
 		if e.Err != "" {
 			if detail != "" {
 				detail += "; "
@@ -162,14 +178,17 @@ func (r *Recorder) Trace() *Trace {
 	return r.tr
 }
 
-// Note appends a local (non-batch) annotation at the given virtual time.
-func (r *Recorder) Note(stage fabric.Stage, nowPs int64, note string) {
+// Note appends a local (non-batch) annotation at the given virtual time. Up
+// to six numbers the note's format takes may follow it: they are kept beside
+// it and formatted in only when the event is read (Event.Text), so an
+// always-armed recorder builds no string per operation.
+func (r *Recorder) Note(stage fabric.Stage, nowPs int64, note string, nums ...uint64) {
 	if r == nil || !r.live {
 		return
 	}
-	r.tr.Events = append(r.tr.Events, Event{
-		Stage: stage, StartPs: nowPs, EndPs: nowPs, Note: note,
-	})
+	e := Event{Stage: stage, StartPs: nowPs, EndPs: nowPs, note: note}
+	e.nnums = uint8(copy(e.nums[:], nums))
+	r.tr.Events = append(r.tr.Events, e)
 }
 
 // ObserveBatch implements fabric.BatchObserver.

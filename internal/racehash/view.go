@@ -83,9 +83,11 @@ type View struct {
 	// read before it issues the next one, and re-reads after any nested
 	// mutation (a split re-inserting leftovers), so one buffer serves.
 	mut PreparedRead
-	// casOps and casHdr back casChecked's two-verb batch.
-	casOps [2]fabric.Op
-	casHdr [8]byte
+	// readOps backs readInto's bucket-pair batch, casOps and casHdr
+	// casChecked's two-verb batch.
+	readOps [2]fabric.Op
+	casOps  [2]fabric.Op
+	casHdr  [8]byte
 }
 
 // NewView creates a view; the directory cache is fetched lazily on first
@@ -315,12 +317,11 @@ func (v *View) read(h uint64) (*PreparedRead, error) {
 
 // readInto is read into caller-provided storage.
 func (v *View) readInto(p *PreparedRead, h uint64) error {
-	var opsArr [2]fabric.Op
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := v.PrepareInto(p, h); err != nil {
 			return err
 		}
-		if err := v.c.Batch(p.AppendOps(opsArr[:0])); err != nil {
+		if err := v.c.Batch(p.AppendOps(v.readOps[:0])); err != nil {
 			return err
 		}
 		if p.Valid() {

@@ -82,13 +82,10 @@ type Engine struct {
 
 	regionSizes map[mem.NodeID]uint64
 	stats       EngineStats
-	// bufs is a free list of read buffers for the hot path (node and leaf
-	// fetches). Engines are per-worker, so it needs no locking; Decode
-	// copies everything it keeps, so a buffer is reusable the moment the
-	// image is decoded.
-	bufs [][]byte
+	// arena holds every image of the operation in flight (see arena).
+	arena arena
 	// stagedOps and pubs back the write paths' fused lock batch and its
-	// publication plan (see staged); like bufs, per-worker and reused.
+	// publication plan (see staged); per-worker and reused.
 	stagedOps []fabric.Op
 	pubs      []Publication
 	// commitOps backs the commit batches behind it (slotWrite), commitWords
@@ -97,42 +94,11 @@ type Engine struct {
 	commitOps   []fabric.Op
 	commitWords [2][8]byte
 	commitIdx   [1]byte
-	// leafBuf and leafOps back the in-place leaf update (LeafLock): the READ
-	// behind the lock CAS lands in leafBuf, which the releasing WRITE's image
-	// then overwrites.
-	leafBuf []byte
+	// leafOps backs the in-place leaf update (LeafLock).
 	leafOps [2]fabric.Op
-	// scan is the range scan in progress, kept for its frontier, op list and
-	// read arena (ScanFrom).
+	// scan is the range scan in progress, kept for its frontier and op list
+	// (ScanFrom).
 	scan scanner
-}
-
-// maxPooledBufs caps the free list; beyond it buffers are dropped to the GC.
-const maxPooledBufs = 16
-
-// GrabBuf returns a zero-fill-free read buffer of length n, reusing a
-// pooled one when large enough.
-func (e *Engine) GrabBuf(n uint64) []byte {
-	for i := len(e.bufs) - 1; i >= 0; i-- {
-		if b := e.bufs[i]; uint64(cap(b)) >= n {
-			last := len(e.bufs) - 1
-			e.bufs[i] = e.bufs[last]
-			e.bufs[last] = nil
-			e.bufs = e.bufs[:last]
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-// ReleaseBuf returns a read buffer to the engine's free list. Callers of
-// AppendNodeRead release the buffer once the image is decoded; the buffer
-// must not be referenced afterwards (decoded nodes are safe to keep).
-func (e *Engine) ReleaseBuf(b []byte) {
-	if cap(b) == 0 || len(e.bufs) >= maxPooledBufs {
-		return
-	}
-	e.bufs = append(e.bufs, b)
 }
 
 // EngineStats counts the engine's lock-recovery events and the cost of its
@@ -273,32 +239,29 @@ func (e *Engine) ReadNode(addr mem.Addr, hint wire.NodeType) (*Node, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageNodeRead))
 	want := e.nodeSize(hint)
 	for attempt := 0; attempt < 2; attempt++ {
-		buf := e.GrabBuf(want)
+		buf := e.arena.buf(want)
 		if err := e.C.Read(addr, buf); err != nil {
-			e.ReleaseBuf(buf)
 			return nil, err
 		}
 		hdr := wire.DecodeNodeHeader(binary.LittleEndian.Uint64(buf))
 		if need := wire.NodeSize(hdr.Type); need > want {
 			want = need
-			e.ReleaseBuf(buf)
 			continue
 		}
-		n, err := Decode(addr, buf)
-		e.ReleaseBuf(buf)
-		return n, err
+		return e.arena.decode(addr, buf)
 	}
 	return nil, fmt.Errorf("%w: node at %v kept growing", ErrRetriesExhausted, addr)
 }
 
 // AppendNodeRead appends the READ fetching the node at addr to ops, for
-// merging into a larger doorbell batch, and returns the extended ops along
-// with the destination buffer. The buffer comes from the engine's free
-// list; the caller passes it back via ReleaseBuf once the image is decoded.
-func (e *Engine) AppendNodeRead(ops []fabric.Op, addr mem.Addr, hint wire.NodeType) ([]fabric.Op, []byte) {
-	buf := e.GrabBuf(e.nodeSize(hint))
-	return append(ops, fabric.Op{Kind: fabric.Read, Addr: addr, Data: buf}), buf
+// merging into a larger doorbell batch; its buffer, the op's Data, is cut from
+// the arena and decoded with Decode once the batch completed.
+func (e *Engine) AppendNodeRead(ops []fabric.Op, addr mem.Addr, hint wire.NodeType) []fabric.Op {
+	return append(ops, fabric.Op{Kind: fabric.Read, Addr: addr, Data: e.arena.buf(e.nodeSize(hint))})
 }
+
+// Decode parses a node image read from addr (see arena.decode).
+func (e *Engine) Decode(addr mem.Addr, buf []byte) (*Node, error) { return e.arena.decode(addr, buf) }
 
 // Leaf is a decoded leaf image. Units is the leaf's allocated footprint in
 // 64-byte units, which bounds what an in-place update may fit.
@@ -345,12 +308,10 @@ func sightOf(buf []byte) (sight leafSight, word uint64, hdr wire.LeafHeader, key
 }
 
 // leafAt is the leaf a retired or whole image at addr decodes to, its key and
-// value (none for a retired image) copied out of the read buffer they alias
-// through one backing array.
+// value (none for a retired image) left in the read buffer, which the arena
+// keeps as long as the leaf.
 func leafAt(addr mem.Addr, hdr wire.LeafHeader, key, value []byte) Leaf {
-	kv := make([]byte, len(key)+len(value))
-	copy(kv[copy(kv, key):], value)
-	return Leaf{Addr: addr, Status: hdr.Status, Units: hdr.Units, Key: kv[:len(key):len(key)], Value: kv[len(key):]}
+	return Leaf{Addr: addr, Status: hdr.Status, Units: hdr.Units, Key: slices.Clip(key), Value: slices.Clip(value)}
 }
 
 // ReadLeaf fetches the leaf at addr, retrying torn or locked images.
@@ -366,19 +327,15 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 	bo := e.Backoff()
 	var watch leaseWatch
 	for {
-		buf := e.GrabBuf(want)
+		buf := e.arena.buf(want)
 		if err := e.C.Read(addr, buf); err != nil {
-			e.ReleaseBuf(buf)
 			return nil, err
 		}
 		sight, word, hdr, key, value := sightOf(buf)
 		if sight == leafRetired || sight == leafWhole {
 			// Invalid alone is enough for the caller to restart.
-			l := leafAt(addr, hdr, key, value)
-			e.ReleaseBuf(buf)
-			return &l, nil
+			return one(&e.arena.leaves, leafAt(addr, hdr, key, value)), nil
 		}
-		e.ReleaseBuf(buf)
 		switch {
 		case sight == leafLonger:
 			want = e.clampRead(addr, uint64(hdr.Units)*wire.LeafUnit)
@@ -411,9 +368,10 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 //
 // The leaf is returned by value. On the warm path — an Idle image storing
 // exactly key — status and key are checked in the read buffer and the one
-// allocation is the value's copy; Key is the caller's key. Any other decoded
-// image (retired, another key's leaf) is the rare refutation, and comes back
-// with its own key and value for the caller's verdict.
+// allocation is the value's copy, which the caller hands back; Key is the
+// caller's key. Any other decoded image (retired, another key's leaf) is the
+// rare refutation, and comes back with its own key and value, in the arena,
+// for the caller's verdict.
 //
 // Batches are stage-annotated StageLeafSpec so the speculative round trips
 // reconcile separately from the 3-RT hash path (the lac_reconciled
@@ -424,8 +382,7 @@ func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8, key []byte) (leaf Leaf
 	if want < wire.LeafHeaderSize {
 		return Leaf{}, false, nil
 	}
-	buf := e.GrabBuf(want)
-	defer e.ReleaseBuf(buf)
+	buf := e.arena.buf(want)
 	if err = e.C.Read(addr, buf); err != nil {
 		return Leaf{}, false, err
 	}
@@ -492,8 +449,7 @@ type LeafLock struct {
 	// Key is the key field of the image SpecLockLeaf read behind its CAS, cut
 	// to the key length in Seen. A leaf's key and key length never change
 	// while its address lives, so the bytes are the leaf's key even when the
-	// read raced a writer. Aliases engine scratch: valid until the next
-	// LeafLock call on this engine.
+	// read raced a writer. In the arena.
 	Key []byte
 }
 
@@ -533,11 +489,7 @@ func (e *Engine) SpecLockLeaf(addr mem.Addr, units uint8, keyLen, valLen int) (L
 	l.Seen = wire.LeafHeader{
 		Status: wire.StatusIdle, Units: units, KeyLen: uint16(keyLen), ValLen: uint32(valLen),
 	}.Encode()
-	want := e.clampRead(addr, uint64(units)*wire.LeafUnit)
-	if uint64(cap(e.leafBuf)) < want {
-		e.leafBuf = make([]byte, want)
-	}
-	buf := e.leafBuf[:want]
+	buf := e.arena.buf(e.clampRead(addr, uint64(units)*wire.LeafUnit))
 	if err := e.lockLeaf(&l, buf); err != nil {
 		return l, err
 	}
@@ -607,7 +559,7 @@ func (e *Engine) UnlockLeaf(l *LeafLock) error {
 // footprint — new value, new checksum, Idle status — that doubles as the
 // release of the held lock. The allocated unit count is preserved so later
 // fit checks see the real footprint, and the whole footprint is written so
-// no stale byte survives. key must not alias l.Key.
+// no stale byte survives.
 //
 // The WRITE is past the update's commit point (the lock is ours), so it is
 // driven like a publication: a transient executed nothing and is re-issued —
@@ -616,9 +568,9 @@ func (e *Engine) UnlockLeaf(l *LeafLock) error {
 // the image landed and the lock is gone, so it is never re-issued.
 func (e *Engine) WriteLockedLeaf(l *LeafLock, key, value []byte) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
-	e.leafBuf = wire.EncodeLeafInto(e.leafBuf, wire.StatusIdle, l.Units, key, value)
+	img := wire.EncodeLeafInto(e.arena.buf(uint64(l.Units)*wire.LeafUnit), wire.StatusIdle, l.Units, key, value)
 	ops := e.leafOps[:1]
-	ops[0] = fabric.Op{Kind: fabric.Write, Addr: l.Addr, Data: e.leafBuf}
+	ops[0] = fabric.Op{Kind: fabric.Write, Addr: l.Addr, Data: img}
 	l.Held = false
 	return e.completeBatch(ops)
 }
@@ -643,7 +595,7 @@ func (e *Engine) stage() staged { return staged{ops: e.stagedOps[:0]} }
 // and stages its WRITE, returning the reserved address.
 func (e *Engine) stageLeaf(st *staged, key, value []byte) (mem.Addr, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageAlloc))
-	img := wire.EncodeLeaf(wire.StatusIdle, key, value)
+	img := e.encodeLeaf(key, value)
 	addr, err := e.Alloc.Alloc(e.LeafHome(key), mem.ClassLeaf, uint64(len(img)))
 	if err != nil {
 		return 0, err
@@ -670,9 +622,20 @@ func (e *Engine) reserveNode(st *staged, n *Node, prefix []byte) error {
 	return nil
 }
 
+// encodeLeaf is the image of a fresh leaf for (key, value), in the arena.
+func (e *Engine) encodeLeaf(key, value []byte) []byte {
+	size := wire.LeafSize(len(key), len(value))
+	return wire.EncodeLeafInto(e.arena.buf(size), wire.StatusIdle, uint8(size/wire.LeafUnit), key, value)
+}
+
 // stageNode stages the WRITE of a reserved node's finished image.
-func (st *staged) stageNode(n *Node) {
-	st.ops = append(st.ops, fabric.Op{Kind: fabric.Write, Addr: n.Addr, Data: n.Encode()})
+func (e *Engine) stageNode(st *staged, n *Node) {
+	st.ops = append(st.ops, fabric.Op{Kind: fabric.Write, Addr: n.Addr, Data: e.encodeNode(n)})
+}
+
+// encodeNode is n's image, in the arena.
+func (e *Engine) encodeNode(n *Node) []byte {
+	return n.encodeInto(e.arena.buf(wire.NodeSize(n.Hdr.Type)))
 }
 
 // abandon books a write-ahead set whose operation will not commit.
@@ -719,11 +682,10 @@ func (e *Engine) unlock(ops []fabric.Op) {
 // lockTry is the state of one node's lease acquisition across attempts.
 type lockTry struct {
 	addr   mem.Addr
-	want   uint64     // bytes to READ for the post-lock image
 	expect uint64     // lease word the next CAS expects
 	watch  leaseWatch // the holder being waited for
 	tryCAS bool
-	buf    []byte // destination of the in-flight attempt's READ
+	buf    []byte // every attempt's READ destination, as long as the post-lock image
 	cas    int    // index of the in-flight attempt's CAS in its batch, -1 if it only polls
 }
 
@@ -732,7 +694,7 @@ type lockTry struct {
 // self-owned lock CAS immediately; 0 when unknown.
 func (e *Engine) newLockTry(addr mem.Addr, hint wire.NodeType, expectLease uint64) lockTry {
 	return lockTry{
-		addr: addr, want: e.nodeSize(hint),
+		addr: addr, buf: e.arena.buf(e.nodeSize(hint)),
 		expect: expectLease, watch: leaseWatch(expectLease),
 		tryCAS: expectLease == 0 || wire.LeaseOwnedBy(expectLease, uint16(e.C.ID())),
 	}
@@ -742,8 +704,10 @@ func (e *Engine) newLockTry(addr mem.Addr, hint wire.NodeType, expectLease uint6
 // full re-read. Both target one memory node, where a batch executes in
 // posting order, so a winning CAS guarantees the trailing read is a stable
 // post-lock snapshot (paper §III-C).
+//
+// A lost attempt's image is dead once settleLock has read its lease, so the
+// next poll READs into the same buffer: a spin cuts one, not one per try.
 func (e *Engine) postLock(t *lockTry, ops []fabric.Op) []fabric.Op {
-	t.buf = e.GrabBuf(t.want)
 	t.cas = -1
 	if t.tryCAS {
 		t.cas = len(ops)
@@ -766,8 +730,6 @@ func (t *lockTry) undoLock(ops []fabric.Op) fabric.Op {
 // executed (a transient truncates after it, a timeout loses only the
 // completion), so the lease it may have taken is released; released says so.
 func (e *Engine) dropLock(t *lockTry, ops []fabric.Op, cause error) (released bool) {
-	e.ReleaseBuf(t.buf)
-	t.buf = nil
 	if t.cas >= 0 && (errors.Is(cause, fabric.ErrTransient) || errors.Is(cause, fabric.ErrTimeout)) {
 		e.unlock([]fabric.Op{t.undoLock(ops)})
 		return true
@@ -781,10 +743,8 @@ func (e *Engine) dropLock(t *lockTry, ops []fabric.Op, cause error) (released bo
 // node — nobody revives one, so a lease won on it is moot).
 func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*Node, error) {
 	buf := t.buf
-	t.buf = nil
 	hdr := wire.DecodeNodeHeader(binary.LittleEndian.Uint64(buf))
 	if hdr.Status == wire.StatusInvalid {
-		e.ReleaseBuf(buf)
 		return nil, ErrNodeInvalid
 	}
 	owner := uint16(e.C.ID())
@@ -796,26 +756,23 @@ func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*N
 		if need := wire.NodeSize(hdr.Type); need > uint64(len(buf)) {
 			// Stale size hint; re-read at full size while holding the
 			// lock, under which the image is stable.
-			e.ReleaseBuf(buf)
-			buf = e.GrabBuf(need)
+			buf = e.arena.buf(need)
 			err = e.C.Read(t.addr, buf)
 		}
 		var n *Node
 		if err == nil {
-			n, err = Decode(t.addr, buf)
+			n, err = e.arena.decode(t.addr, buf)
 		}
-		e.ReleaseBuf(buf)
 		if err != nil {
 			e.unlock([]fabric.Op{t.undoLock(ops)})
 			return nil, err
 		}
 		return n, nil
 	}
-	if need := wire.NodeSize(hdr.Type); need > t.want {
-		t.want = need
+	if need := wire.NodeSize(hdr.Type); need > uint64(len(buf)) {
+		t.buf = e.arena.buf(need)
 	}
 	lease := binary.LittleEndian.Uint64(buf[wire.LeaseOff:])
-	e.ReleaseBuf(buf)
 	switch {
 	case lease == 0:
 		t.tryCAS, t.expect = true, 0
@@ -919,8 +876,7 @@ func (e *Engine) LeaseRead(addr mem.Addr, hint wire.NodeType) (*Node, error) {
 		}
 		return nil, err
 	}
-	n, err := Decode(addr, t.buf)
-	e.ReleaseBuf(t.buf)
+	n, err := e.arena.decode(addr, t.buf)
 	switch {
 	case ops[t.cas].Old != 0:
 		atomic.AddUint64(&e.stats.LeaseBetsLost, 1)

@@ -87,8 +87,7 @@ func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, err
 // — the image is stable now: writers CAS the header before touching bytes —
 // and writes it to a fresh allocation on target.
 func (e *Engine) copyLockedLeaf(leaf *Leaf, target mem.NodeID) (mem.Addr, error) {
-	buf := e.GrabBuf(uint64(leaf.Units) * wire.LeafUnit)
-	defer e.ReleaseBuf(buf)
+	buf := e.arena.buf(uint64(leaf.Units) * wire.LeafUnit)
 	if err := e.C.Read(leaf.Addr, buf); err != nil {
 		return 0, err
 	}
@@ -96,7 +95,7 @@ func (e *Engine) copyLockedLeaf(leaf *Leaf, target mem.NodeID) (mem.Addr, error)
 	if !ok || !bytes.Equal(k, leaf.Key) {
 		return 0, fmt.Errorf("relocate: leaf %v unstable under lock: %w", leaf.Addr, ErrRestart)
 	}
-	img := wire.EncodeLeaf(wire.StatusIdle, k, v)
+	img := e.encodeLeaf(k, v)
 	addr, err := e.Alloc.Alloc(target, mem.ClassLeaf, uint64(len(img)))
 	if err == nil {
 		err = e.C.Write(addr, img)
@@ -131,20 +130,15 @@ func (e *Engine) RelocateNode(parent, child *Node, prefix []byte, target mem.Nod
 		return nil, false, err
 	}
 
-	// Clone the locked image at the same type: fresh lease, Idle status.
-	clone := &Node{
-		Hdr:     lockedChild.Hdr,
-		EOL:     lockedChild.EOL,
-		Partial: append([]byte(nil), lockedChild.Partial...),
-		Index:   append([]byte(nil), lockedChild.Index...), // nil but for a Node48
-		Slots:   append([]uint64(nil), lockedChild.Slots...),
-	}
-	clone.Hdr.Status = wire.StatusIdle
+	// Copy the locked image at the same type: fresh lease, Idle status. Neither
+	// image changes again, so the copy shares the original's partial and slots.
+	clone := one(&e.arena.nodes, *lockedChild)
+	clone.Hdr.Status, clone.LeaseWord = wire.StatusIdle, 0
 	clone.HdrWord = clone.Hdr.Encode()
 	addr, err := e.Alloc.Alloc(target, mem.ClassInner, e.nodeSize(clone.Hdr.Type))
 	if err == nil {
 		clone.Addr = addr
-		err = e.C.Write(addr, clone.Encode())
+		err = e.C.Write(addr, e.encodeNode(clone))
 	}
 	if err != nil {
 		return nil, false, e.abort(nil, err, lockedParent, lockedChild)

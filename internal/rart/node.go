@@ -17,6 +17,7 @@ package rart
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"sphinx/internal/mem"
 	"sphinx/internal/wire"
@@ -62,10 +63,11 @@ func decodeNodeHeader(buf []byte) (wire.NodeHeader, error) {
 	return hdr, nil
 }
 
-// Decode parses a node image read from addr. The buffer must hold at least
-// the node's encoded size; Decode reports how many bytes the node actually
-// occupies so callers that over-read can tell.
-func Decode(addr mem.Addr, buf []byte) (*Node, error) {
+// decode parses a node image read from addr into the arena: the Node and its
+// slot words are cut from it, Partial and Index alias buf, which must live as
+// long (the arena's rule). The buffer must hold at least the node's encoded
+// size; a shorter one is an error, so callers that under-read can tell.
+func (a *arena) decode(addr mem.Addr, buf []byte) (*Node, error) {
 	hdr, err := decodeNodeHeader(buf)
 	if err != nil {
 		return nil, err
@@ -74,23 +76,31 @@ func Decode(addr mem.Addr, buf []byte) (*Node, error) {
 	if uint64(len(buf)) < size {
 		return nil, fmt.Errorf("rart: %v image needs %d bytes, have %d", hdr.Type, size, len(buf))
 	}
-	n := &Node{
+	n := one(&a.nodes, Node{
 		Addr:      addr,
 		Hdr:       hdr,
 		HdrWord:   binary.LittleEndian.Uint64(buf[wire.HeaderOff:]),
 		LeaseWord: binary.LittleEndian.Uint64(buf[wire.LeaseOff:]),
 		EOL:       wire.DecodeSlot(binary.LittleEndian.Uint64(buf[wire.EOLSlotOff:])),
-		Partial:   append([]byte(nil), buf[wire.PartialOff:wire.PartialOff+int(hdr.PartialLen)]...),
-	}
+		Partial:   slices.Clip(buf[wire.PartialOff : wire.PartialOff+int(hdr.PartialLen)]),
+		Slots:     a.words.cut(hdr.Type.Capacity()),
+	})
 	if hdr.Type == wire.Node48 {
-		n.Index = append([]byte(nil), buf[wire.SlotBase:wire.SlotBase+wire.Node48IndexSize]...)
+		n.Index = slices.Clip(buf[wire.SlotBase : wire.SlotBase+wire.Node48IndexSize])
 	}
-	n.Slots = make([]uint64, hdr.Type.Capacity())
 	off := int(wire.SlotsOff(hdr.Type))
 	for i := range n.Slots {
 		n.Slots[i] = binary.LittleEndian.Uint64(buf[off+8*i:])
 	}
 	return n, nil
+}
+
+// Clone returns a copy of n that owns its storage, for a holder that keeps an
+// image past the operation that read it (SMART's node cache).
+func (n *Node) Clone() *Node {
+	c := *n
+	c.Partial, c.Index, c.Slots = slices.Clone(n.Partial), slices.Clone(n.Index), slices.Clone(n.Slots)
+	return &c
 }
 
 // Encode serializes the node into a fresh buffer of its exact size.
@@ -192,18 +202,22 @@ func (n *Node) FreeSlot(b byte) (idx int, ok bool) {
 }
 
 // Children returns present (edge byte, slot) pairs in ascending edge order.
-func (n *Node) Children() []wire.Slot {
-	var out []wire.Slot
+func (n *Node) Children() []wire.Slot { return n.appendChildren(nil) }
+
+// appendChildren appends n's present child slots to out in ascending edge
+// order.
+func (n *Node) appendChildren(out []wire.Slot) []wire.Slot {
 	switch n.Hdr.Type {
 	case wire.Node4, wire.Node16:
 		// Slots are unordered on the wire; collect then sort by key byte.
+		from := len(out)
 		for _, w := range n.Slots {
 			if s := wire.DecodeSlot(w); s.Present {
 				out = append(out, s)
 			}
 		}
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j-1].KeyByte > out[j].KeyByte; j-- {
+		for i := from + 1; i < len(out); i++ {
+			for j := i; j > from && out[j-1].KeyByte > out[j].KeyByte; j-- {
 				out[j-1], out[j] = out[j], out[j-1]
 			}
 		}
@@ -241,22 +255,22 @@ func (n *Node) IndexAddr(b byte) mem.Addr {
 	return n.Addr.Add(wire.SlotBase + uint64(b))
 }
 
-// Grown returns a copy of n with the next capacity class, preserving
-// header fields (depth, partial, prefix hash), EOL and children. The copy
-// has no address and Idle status; the caller allocates and publishes it.
-func (n *Node) Grown() *Node {
-	g := &Node{
-		Hdr:     n.Hdr,
-		EOL:     n.EOL,
-		Partial: append([]byte(nil), n.Partial...),
-	}
+// grown returns a copy of n in the arena with the next capacity class,
+// preserving header fields (depth, partial, prefix hash), EOL and children.
+// The copy has no address and Idle status; the caller allocates and publishes
+// it.
+func (a *arena) grown(n *Node) *Node {
+	g := one(&a.nodes, Node{Hdr: n.Hdr, EOL: n.EOL, Partial: n.Partial})
 	g.Hdr.Type = n.Hdr.Type.Grow()
 	g.Hdr.Status = wire.StatusIdle
-	g.Slots = make([]uint64, g.Hdr.Type.Capacity())
+	g.Slots = a.words.cut(g.Hdr.Type.Capacity())
+	clear(g.Slots)
 	if g.Hdr.Type == wire.Node48 {
-		g.Index = make([]byte, wire.Node48IndexSize)
+		g.Index = a.buf(wire.Node48IndexSize)
+		clear(g.Index)
 	}
-	for _, s := range n.Children() {
+	var kids [48]wire.Slot // a node grows from at most 48 children
+	for _, s := range n.appendChildren(kids[:0]) {
 		g.addChildLocal(s)
 	}
 	g.HdrWord = g.Hdr.Encode()
@@ -279,10 +293,15 @@ func (g *Node) addChildLocal(s wire.Slot) {
 // NewNode builds a fresh local node image with the given type, depth and
 // partial bytes (full prefix = prefix; partial = its tail).
 func NewNode(t wire.NodeType, prefix []byte, partialLen int) *Node {
+	return new(arena).newNode(t, prefix, partialLen)
+}
+
+// newNode is NewNode in the arena.
+func (a *arena) newNode(t wire.NodeType, prefix []byte, partialLen int) *Node {
 	if partialLen > wire.MaxPartial {
 		panic(fmt.Sprintf("rart: partial of %d exceeds max %d", partialLen, wire.MaxPartial))
 	}
-	n := &Node{
+	n := one(&a.nodes, Node{
 		Hdr: wire.NodeHeader{
 			Status:     wire.StatusIdle,
 			Type:       t,
@@ -290,11 +309,14 @@ func NewNode(t wire.NodeType, prefix []byte, partialLen int) *Node {
 			PartialLen: uint8(partialLen),
 			PrefixHash: wire.PrefixHash42(prefix),
 		},
-		Partial: append([]byte(nil), prefix[len(prefix)-partialLen:]...),
-		Slots:   make([]uint64, t.Capacity()),
-	}
+		Partial: a.buf(uint64(partialLen)),
+		Slots:   a.words.cut(t.Capacity()),
+	})
+	copy(n.Partial, prefix[len(prefix)-partialLen:])
+	clear(n.Slots)
 	if t == wire.Node48 {
-		n.Index = make([]byte, wire.Node48IndexSize)
+		n.Index = a.buf(wire.Node48IndexSize)
+		clear(n.Index)
 	}
 	n.HdrWord = n.Hdr.Encode()
 	return n

@@ -9,6 +9,12 @@ import (
 	"sphinx/internal/wire"
 )
 
+// Decode and Grown are the arena's decode and grown over a throwaway arena:
+// the images are the test's to keep.
+func Decode(addr mem.Addr, buf []byte) (*Node, error) { return new(arena).decode(addr, buf) }
+
+func (n *Node) Grown() *Node { return new(arena).grown(n) }
+
 func TestNewNodeFields(t *testing.T) {
 	n := NewNode(wire.Node4, []byte("LYRICS"), 3)
 	if n.Hdr.Depth != 6 || n.Hdr.PartialLen != 3 {

@@ -480,13 +480,13 @@ func (e *Engine) growAndInstall(parent, n *Node, key, value []byte, h Hooks) err
 	if err != nil {
 		return err
 	}
-	grown := n.Grown()
+	grown := e.arena.grown(n)
 	grown.addChildLocal(wire.Slot{Present: true, Leaf: true, KeyByte: key[n.Hdr.Depth], Addr: leafAddr})
 	if err := e.reserveNode(&st, grown, prefix); err != nil {
 		e.abandon(&st)
 		return err
 	}
-	st.stageNode(grown)
+	e.stageNode(&st, grown)
 	e.pubs = append(e.pubs[:0], Publication{Prefix: prefix, Node: grown, Old: n})
 	pub, err := e.plan(&st, h, e.pubs)
 	if err != nil {
@@ -625,7 +625,7 @@ func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks)
 
 	// Build the chain bottom-up locally: the bottom node at depth cp holds
 	// both leaves; intermediates each cover MaxPartial bytes plus an edge.
-	bottom := NewNode(e.freshType(), key[:cp], min(cp-(depth+1), wire.MaxPartial))
+	bottom := e.arena.newNode(e.freshType(), key[:cp], min(cp-(depth+1), wire.MaxPartial))
 	place := func(k []byte, addr wire.Slot) {
 		if len(k) == cp {
 			bottom.EOL = addr
@@ -640,7 +640,7 @@ func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks)
 	chain := []*Node{bottom} // bottom ... top, each a new prefix
 	for bottom.Base() > depth+1 {
 		childBase := bottom.Base()
-		upper := NewNode(e.freshType(), key[:childBase-1], min(childBase-1-(depth+1), wire.MaxPartial))
+		upper := e.arena.newNode(e.freshType(), key[:childBase-1], min(childBase-1-(depth+1), wire.MaxPartial))
 		chain = append(chain, upper)
 		bottom = upper
 	}
@@ -664,7 +664,7 @@ func (e *Engine) convertLeaf(n *Node, key, value []byte, oldLeaf *Leaf, h Hooks)
 	}
 	e.pubs = pubs
 	for _, node := range chain {
-		st.stageNode(node)
+		e.stageNode(&st, node)
 	}
 	pub, err := e.plan(&st, h, pubs)
 	if err != nil {
@@ -713,7 +713,7 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 	if err != nil {
 		return err
 	}
-	mid := NewNode(e.freshType(), key[:splitAt], splitAt-(int(parent.Hdr.Depth)+1))
+	mid := e.arena.newNode(e.freshType(), key[:splitAt], splitAt-(int(parent.Hdr.Depth)+1))
 	// Old child hangs off the partial byte where the paths diverge.
 	mid.addChildLocal(wire.Slot{
 		Present: true, KeyByte: child.Partial[m],
@@ -729,7 +729,7 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 		e.abandon(&st)
 		return err
 	}
-	st.stageNode(mid)
+	e.stageNode(&st, mid)
 	e.pubs = append(e.pubs[:0], Publication{Prefix: key[:splitAt], Node: mid})
 	pub, err := e.plan(&st, h, e.pubs)
 	if err != nil {
@@ -753,7 +753,8 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 	newHdr := lockedChild.Hdr
 	newHdr.Status = wire.StatusIdle
 	newHdr.PartialLen = uint8(len(lockedChild.Partial) - m - 1)
-	var head [wire.SlotBase]byte
+	head := e.arena.buf(wire.SlotBase)
+	clear(head)
 	binary.LittleEndian.PutUint64(head[wire.HeaderOff:], newHdr.Encode())
 	binary.LittleEndian.PutUint64(head[wire.EOLSlotOff:], lockedChild.EOL.Encode())
 	copy(head[wire.PartialOff:], lockedChild.Partial[m+1:])
@@ -766,7 +767,7 @@ func (e *Engine) splitPartial(parent, child *Node, key, value []byte, h Hooks) e
 	// (complete), so that release is never repeated over a lease a peer has
 	// taken since.
 	return e.swing(lockedParent, ed, childSlot(ed, mid), pub, []fabric.Op{
-		{Kind: fabric.Write, Addr: lockedChild.Addr, Data: head[:]},
+		{Kind: fabric.Write, Addr: lockedChild.Addr, Data: head},
 	})
 }
 

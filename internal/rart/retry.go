@@ -50,8 +50,10 @@ func RetryCause(err error) Cause {
 // counting EngineStats.Restarts for every attempt a RetryCause sends back.
 // A killed node never comes back and ends the operation at once; a spent
 // budget ends it with ErrRetriesExhausted naming op and key and wrapping what
-// the last attempt saw.
+// the last attempt saw. The operation begins here (Rewind): what the
+// attempts read lives until the engine's next one.
 func (e *Engine) Retry(op string, key []byte, attempt func() error) error {
+	e.Rewind()
 	for bo := e.Backoff(); ; {
 		err := attempt()
 		if RetryCause(err) == CauseNone || errors.Is(err, fabric.ErrNodeKilled) {

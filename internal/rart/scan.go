@@ -74,7 +74,7 @@ const (
 type scanEnt struct {
 	slot   wire.Slot // what the parent's slot word named when last read
 	parent mem.Addr  // the node holding that word (unused for the root)
-	img    []byte    // entLeaf, entNode: the image, cut from the scan arena
+	img    []byte    // entLeaf, entNode: the image, in the engine's arena
 	want   uint32    // bytes the next READ of the object asks for; 0 = by slot
 	off    uint16    // offset of the slot word within the parent
 	base   uint16    // parent's depth + 1: where the partial of an inner child must start
@@ -96,20 +96,19 @@ type scanEnt struct {
 // as later rounds reach them, a fetched leaf waits in place until everything
 // ahead of it is emitted and is never read twice. A scan therefore costs about
 // one round per tree level, not one per visited node. The scanner lives in
-// the engine so that its frontier, op list and read arena are reused.
+// the engine so that its frontier and op list are reused; its images are the
+// engine's arena's.
 type scanner struct {
 	e      *Engine
 	lo, hi []byte
 	limit  int
-	out    []KV
+	out    []KV // the emitted keys and values, in the arena until the scan ends
+	size   int  // their bytes
 
 	front, spare []scanEnt // the frontier from head on, and the buffer the next round rebuilds it in
 	head         int
 	ops          []fabric.Op
 	sel          []int // ops[i] reads for front[sel[i]]
-	// arena holds every image of the scan. A block that fills up is left to
-	// the images cut from it and replaced; the engine keeps the first one.
-	arena, block0 []byte
 	// What the scan cost, booked into EngineStats.Scan* when it ends.
 	rounds, reads, nodeReads, reresolved uint64
 }
@@ -130,15 +129,14 @@ func (e *Engine) ScanFrom(root *Node, lo, hi []byte, limit int, batched bool) ([
 	defer e.C.SetStage(e.C.SetStage(fabric.StageScan))
 	s := &e.scan
 	*s = scanner{e: e, lo: lo, hi: hi, limit: limit,
-		front: s.front[:0], spare: s.spare[:0], ops: s.ops[:0], sel: s.sel[:0],
-		arena: s.block0[:0], block0: s.block0}
+		front: s.front[:0], spare: s.spare[:0], ops: s.ops[:0], sel: s.sel[:0]}
 	window := scanChunk
 	if !batched {
 		window = 1
 	}
 	s.front = append(s.front, scanEnt{
 		state: entNode, slot: wire.Slot{Addr: root.Addr}, next: -1, onLo: lo != nil, onHi: hi != nil,
-		img: root.encodeInto(s.take(wire.NodeSize(root.Hdr.Type))),
+		img: e.encodeNode(root),
 	})
 	var err error
 	for err == nil && s.drain() {
@@ -153,26 +151,22 @@ func (e *Engine) ScanFrom(root *Node, lo, hi []byte, limit int, batched bool) ([
 	atomic.AddUint64(&e.stats.ScanNodeReads, s.nodeReads)
 	atomic.AddUint64(&e.stats.ScanEmitted, uint64(len(s.out)))
 	atomic.AddUint64(&e.stats.ScanReresolved, s.reresolved)
-	if s.block0 == nil {
-		s.block0 = s.arena[:0]
-	}
 	// The engine keeps the scratch, not the caller's bounds and results.
 	out := s.out
 	s.lo, s.hi, s.out = nil, nil, nil
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// take cuts n bytes off the arena.
-func (s *scanner) take(n uint64) []byte {
-	if uint64(cap(s.arena)-len(s.arena)) < n {
-		s.arena = make([]byte, 0, max(n, 32<<10))
+	// Only now are the results copied out of the arena: into one block, each
+	// key and value with its own capacity, so an append to one cannot reach
+	// the next.
+	block := make([]byte, 0, s.size)
+	for i, kv := range out {
+		at, k := len(block), len(kv.Key)
+		block = append(append(block, kv.Key...), kv.Value...)
+		out[i] = KV{Key: block[at : at+k : at+k], Value: block[at+k : len(block) : len(block)]}
 	}
-	off := uint64(len(s.arena))
-	s.arena = s.arena[:off+n]
-	return s.arena[off : off+n : off+n]
+	return out, nil
 }
 
 // drain emits the resolved head of the frontier and reports whether the scan
@@ -182,14 +176,14 @@ func (s *scanner) drain() bool {
 		ent := &s.front[s.head]
 		switch ent.state {
 		case entLeaf:
-			// Key and value lie back to back in the image; only now, for a
-			// leaf that is returned, are they copied out of the arena.
+			// Key and value lie back to back in the image.
 			h := wire.DecodeLeafHeader(binary.LittleEndian.Uint64(ent.img))
-			kv := append([]byte(nil), ent.img[wire.LeafHeaderSize:wire.LeafHeaderSize+int(h.KeyLen)+int(h.ValLen)]...)
+			k, v := wire.LeafHeaderSize+int(h.KeyLen), wire.LeafHeaderSize+int(h.KeyLen)+int(h.ValLen)
 			if s.out == nil && s.limit > 0 {
 				s.out = make([]KV, 0, min(s.limit, 2*scanChunk))
 			}
-			s.out = append(s.out, KV{Key: kv[:h.KeyLen:h.KeyLen], Value: kv[h.KeyLen:]})
+			s.out = append(s.out, KV{Key: ent.img[wire.LeafHeaderSize:k], Value: ent.img[k:v]})
+			s.size += v - wire.LeafHeaderSize
 			if len(s.out) == s.limit {
 				return false
 			}
@@ -275,7 +269,7 @@ func (s *scanner) post(next []scanEnt, ent scanEnt) []scanEnt {
 		size = s.e.nodeSize(ent.slot.ChildType)
 	}
 	s.sel = append(s.sel, len(next))
-	s.ops = append(s.ops, fabric.Op{Kind: fabric.Read, Addr: addr, Data: s.take(size)})
+	s.ops = append(s.ops, fabric.Op{Kind: fabric.Read, Addr: addr, Data: s.e.arena.buf(size)})
 	return append(next, ent)
 }
 
@@ -409,7 +403,7 @@ func (s *scanner) gotLeaf(ent *scanEnt, buf []byte) error {
 			return s.again(ent, true, "leaf retired")
 		}
 		key = l.Key
-		buf = wire.EncodeLeafInto(s.take(uint64(l.Units)*wire.LeafUnit), l.Status, l.Units, l.Key, l.Value)
+		buf = wire.EncodeLeafInto(s.e.arena.buf(uint64(l.Units)*wire.LeafUnit), l.Status, l.Units, l.Key, l.Value)
 	}
 	if !keyInRange(key, s.lo, s.hi) {
 		ent.state = entDropped

@@ -65,7 +65,7 @@ type NodeCache struct {
 
 type cacheEntry struct {
 	addr mem.Addr
-	node *rart.Node // treated as immutable once cached
+	node *rart.Node // a copy of its own (Add), treated as immutable
 }
 
 const cachedNodeCost = wire.SlotBase + 8*256 // wire.NodeSize(Node256)
@@ -107,7 +107,8 @@ func (nc *NodeCache) Get(addr mem.Addr) *rart.Node {
 	return el.Value.(*cacheEntry).node
 }
 
-// Add caches a freshly read node, evicting LRU entries past the budget.
+// Add caches a copy of a freshly read node — the engine's image lives only
+// until its next operation — evicting LRU entries past the budget.
 func (nc *NodeCache) Add(n *rart.Node) {
 	if n.Addr.IsNull() {
 		return
@@ -115,7 +116,7 @@ func (nc *NodeCache) Add(n *rart.Node) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	if el, ok := nc.items[n.Addr]; ok {
-		el.Value.(*cacheEntry).node = n
+		el.Value.(*cacheEntry).node = n.Clone()
 		nc.ll.MoveToFront(el)
 		return
 	}
@@ -127,7 +128,7 @@ func (nc *NodeCache) Add(n *rart.Node) {
 		nc.removeLocked(back)
 		nc.evictions++
 	}
-	el := nc.ll.PushFront(&cacheEntry{addr: n.Addr, node: n})
+	el := nc.ll.PushFront(&cacheEntry{addr: n.Addr, node: n.Clone()})
 	nc.items[n.Addr] = el
 	nc.used += cachedNodeCost
 }
@@ -296,7 +297,7 @@ func (c *Client) Search(key []byte) (value []byte, ok bool, err error) {
 		}
 		leaf, err := c.eng.SearchFrom(start, key, hooks{c})
 		if ok = leaf != nil && bytes.Equal(leaf.Key, key); ok {
-			value = leaf.Value
+			value = bytes.Clone(leaf.Value) // out of the engine's arena
 		}
 		return err
 	})

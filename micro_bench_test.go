@@ -145,14 +145,14 @@ func benchCluster(b *testing.B, keys [][]byte) (*sphinx.ComputeNode, *sphinx.Ses
 	return cn, s
 }
 
-// Allocation budgets on the warm paths (go test -bench 'BenchmarkSphinx'
-// -benchmem -benchtime 2000x): before the engine buffer free list, the
-// single-backing-array leaf decode and the view-scratch lookup, GetWarm
-// cost 23 allocs/op (1281 B); Put and Update 32 allocs/op (1670 B) each.
-// After: GetWarm 6 allocs/op (586 B), Put and Update 9 allocs/op (874 B).
-// With the leaf-address cache holding every key (-benchtime 20000x) GetWarm
-// is 1 alloc/op (90 B): the array the returned value lives in
-// (TestWarmPathAllocations).
+// Allocation budgets (go test -run '^$' -bench 'BenchmarkSphinx' -benchmem
+// -benchtime 2000x, 2-vCPU x86-64, go1.24): GetWarm 1 alloc/op (64 B) — the
+// array the returned value lives in: the leaf-address cache holds every key
+// — whether at 2000x or 20000x; Put and Update 0 allocs/op (0 B), where they
+// were 4 (362 B) with the engine's buffer free list and 32 (1670 B) before
+// it: every image a tree operation reads, decodes or builds lives in the
+// engine's arena until its next operation (DESIGN.md §5.7).
+// TestWarmPathAllocations pins them, the cold Get's one allocation with them.
 func BenchmarkSphinxGetWarm(b *testing.B) {
 	keys := dataset.GenerateEmail(20_000, 1)
 	_, s := benchCluster(b, keys)
@@ -177,7 +177,7 @@ func BenchmarkSphinxGetWarm(b *testing.B) {
 // walked the tree and built its image with EncodeLeaf + pad + re-encode;
 // 0 allocs/op now: the default cache of 65 536 entries in 8-way buckets holds
 // all 20 000 keys, and a hit allocates nothing (the tree path's cost is
-// BenchmarkSphinxUpdate's, 6 allocs/op). TestWarmPathAllocations pins it.
+// BenchmarkSphinxUpdate's, 0 allocs/op too). TestWarmPathAllocations pins it.
 func BenchmarkWarmUpdate(b *testing.B) {
 	keys := dataset.GenerateEmail(20_000, 1)
 	_, s := benchCluster(b, keys)
@@ -309,7 +309,8 @@ func BenchmarkFilterCacheInsertParallel(b *testing.B) {
 // node, every buffer, prefix and decoded node allocated); 8.9 rt, 101 verbs,
 // 17.2 KB, 55 allocs and 12 KB with the ordered frontier (DESIGN.md §5.15) —
 // the result slice, one copy per returned key, the root's decoded image and
-// the trace note.
+// the trace note; 2 allocs and 7.0 KB with the engine's image arena (§5.7) —
+// the result slice and the one block the keys and values share.
 // Budget: ≤ 10 rt, ≤ 105 verbs, ≤ 18 KB, ≤ 300 allocs, ≤ 40 KB allocated.
 func BenchmarkSphinxScan50(b *testing.B) {
 	keys := dataset.GenerateEmail(100_000, 1)

@@ -2,7 +2,6 @@ package sphinx
 
 import (
 	"sphinx/internal/core"
-	"sphinx/internal/rart"
 )
 
 // OpResult is one pipelined operation's outcome; fields are valid after
@@ -105,10 +104,7 @@ func (p *Pipeline) Wait() error {
 		r.Value, r.Found, r.Err = op.Val, op.Found, op.Err
 		r.LatencyPs = op.EndPs - op.StartPs
 		if len(op.KVs) > 0 {
-			r.KVs = make([]KV, len(op.KVs))
-			for j, kv := range op.KVs {
-				r.KVs[j] = KV{Key: kv.Key, Value: kv.Value}
-			}
+			r.KVs = op.KVs
 		}
 		if first == nil && op.Err != nil {
 			first = op.Err
@@ -133,12 +129,7 @@ func (p *Pipeline) runSequential() {
 		case core.PipeDelete:
 			op.Found, op.Err = p.s.Delete(op.Key)
 		case core.PipeScan:
-			var kvs []KV
-			kvs, op.Err = p.s.Scan(op.Key, op.Hi, op.Limit)
-			op.KVs = op.KVs[:0]
-			for _, kv := range kvs {
-				op.KVs = append(op.KVs, rart.KV{Key: kv.Key, Value: kv.Value})
-			}
+			op.KVs, op.Err = p.s.Scan(op.Key, op.Hi, op.Limit)
 		}
 		op.EndPs = p.s.fc.Clock()
 	}

@@ -159,15 +159,7 @@ func (s *Session) Delete(key []byte) (bool, error) {
 // open) in ascending key order, at most limit pairs when limit > 0.
 func (s *Session) Scan(lo, hi []byte, limit int) ([]KV, error) {
 	defer s.observeOp(s.beginOp(obs.OpScan))
-	kvs, err := s.idx.Scan(lo, hi, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]KV, len(kvs))
-	for i, kv := range kvs {
-		out[i] = KV{Key: kv.Key, Value: kv.Value}
-	}
-	return out, nil
+	return s.idx.Scan(lo, hi, limit)
 }
 
 // RepairReport summarizes one anti-entropy repair sweep; see

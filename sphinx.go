@@ -41,6 +41,7 @@ import (
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
 	"sphinx/internal/obs"
+	"sphinx/internal/rart"
 	"sphinx/internal/smart"
 )
 
@@ -194,11 +195,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// KV is one key-value pair returned by Scan.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
+// KV is one key-value pair returned by Scan: the engine's result as it is,
+// one block of key and value bytes per result set.
+type KV = rart.KV
 
 // Cluster is a simulated disaggregated-memory cluster hosting one index.
 type Cluster struct {

@@ -228,7 +228,8 @@ func TestPipelineLanesShareSessionOptions(t *testing.T) {
 // the one array its returned value lives in, and no byte more: status and key
 // are verified in the read buffer, never copied out; a warm same-size Update
 // allocates nothing (single verbs post from the fabric client's own one-op
-// array; the speculative read returns its leaf by value).
+// array; the speculative read returns its leaf by value). The subtest holds
+// the paths through the tree to what they hand back (treePathAllocations).
 func TestWarmPathAllocations(t *testing.T) {
 	cluster, err := NewCluster(Config{Timing: TimingInstant})
 	if err != nil {
@@ -285,4 +286,82 @@ func TestWarmPathAllocations(t *testing.T) {
 	if updates > 0 {
 		t.Errorf("warm Update: %.2f allocs/op, want 0", updates)
 	}
+	t.Run("tree paths", treePathAllocations)
+}
+
+// treePathAllocations pins the operations that take the tree: every image an
+// operation reads, decodes or builds lives in its engine's arena until the
+// next operation begins (DESIGN.md §5.7), so what it allocates is what it
+// hands back. A cold Get — a compute node whose leaf-address cache holds few
+// of the keys, so the Get goes SFC, INHT, node, leaf — allocates its value; a
+// fresh-key Put nothing but what an allocator slab or a table split brings now
+// and then; a limit-50 Scan its result slice and the one block its keys and
+// values share.
+func treePathAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	cluster, err := NewCluster(Config{Timing: TimingInstant, LeafCacheBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cluster.NewComputeNode().NewSession()
+	keys, vals := make([][]byte, 4096), make([][]byte, 4096)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("cold-key-%05d", i))
+		vals[i] = bytes.Repeat([]byte{byte('a' + i%26)}, 64)
+	}
+	for i, k := range keys[:2048] {
+		if err := s.Put(k, vals[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range keys[:2048] { // the filter and the directory caches
+		if _, ok, err := s.Get(k); err != nil || !ok {
+			t.Fatalf("warming Get(%q) = %v, %v", k, ok, err)
+		}
+	}
+	first, _, err := s.Get(keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := s.SphinxStats()
+	i := 1
+	gets := testing.AllocsPerRun(1000, func() {
+		if _, ok, err := s.Get(keys[i%2048]); err != nil || !ok {
+			t.Fatalf("Get = %v, %v", ok, err)
+		}
+		i += 7
+	})
+	after, _ := s.SphinxStats()
+	if served := after.SpecHits - before.SpecHits; served > 100 {
+		t.Fatalf("the leaf-address cache served %d of 1001 Gets: they were not cold", served)
+	}
+	if !bytes.Equal(first, vals[0]) {
+		t.Errorf("a value a Get handed back changed under later operations: %q", first)
+	}
+	i = 2048
+	puts := testing.AllocsPerRun(1000, func() {
+		if err := s.Put(keys[i], vals[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	i = 0
+	scans := testing.AllocsPerRun(200, func() {
+		if kvs, err := s.Scan(keys[i], nil, 50); err != nil || len(kvs) != 50 {
+			t.Fatalf("Scan = %d, %v", len(kvs), err)
+		}
+		i += 13
+	})
+	if gets > 1 {
+		t.Errorf("cold Get: %.2f allocs/op, want <= 1: the value alone", gets)
+	}
+	if puts > 1 {
+		t.Errorf("fresh-key Put: %.2f allocs/op, want <= 1", puts)
+	}
+	if scans > 2 {
+		t.Errorf("limit-50 Scan: %.2f allocs/op, want <= 2: the result slice and its one block", scans)
+	}
+	t.Logf("allocs/op: cold Get %.0f, fresh-key Put %.0f, limit-50 Scan %.0f", gets, puts, scans)
 }

@@ -327,7 +327,7 @@ func TestTraceHotGet(t *testing.T) {
 	tr = tracedGet("v2")
 	refuted := false
 	for _, e := range tr.Events {
-		refuted = refuted || (e.Stage == fabric.StageHotRead && e.Note == "refuted: verification failed, unlearned")
+		refuted = refuted || (e.Stage == fabric.StageHotRead && e.Text() == "refuted: verification failed, unlearned")
 	}
 	if !refuted {
 		t.Errorf("Get over retired records lacks the hot-read refutation note:\n%s", tr.Format())
@@ -402,8 +402,8 @@ func TestTraceReplicatedPut(t *testing.T) {
 		for _, e := range tr.Events {
 			if e.Batch {
 				rows = append(rows, e.Stage.String())
-			} else if strings.HasPrefix(e.Note, "replicas: ") {
-				rows = append(rows, e.Stage.String()+" "+e.Note)
+			} else if strings.HasPrefix(e.Text(), "replicas: ") {
+				rows = append(rows, e.Stage.String()+" "+e.Text())
 			}
 		}
 		if tr.RoundTrips() != tc.rts || fmt.Sprint(rows) != tc.rows {
