@@ -302,7 +302,7 @@ func TestChaosLockSteal(t *testing.T) {
 	if _, err := a.eng.Lock(root.Addr, root.Hdr.Type, root.LeaseWord); err != nil {
 		t.Fatal(err)
 	}
-	a.eng.C.Kill()
+	a.eng.C.FailAt(0, fabric.ErrClientCrashed)
 
 	// B's insert of a new top-level edge needs the root lease; it must
 	// steal the dead client's lock and complete.
@@ -346,7 +346,7 @@ func TestChaosLeafLockBreak(t *testing.T) {
 	if err != nil || old != idle {
 		t.Fatalf("could not wedge leaf lock: old=%#x err=%v", old, err)
 	}
-	a.eng.C.Kill()
+	a.eng.C.FailAt(0, fabric.ErrClientCrashed)
 
 	b := newTestClient(f, shared, Options{})
 	got, ok, err := b.Search(key)
@@ -364,16 +364,13 @@ func TestChaosLeafLockBreak(t *testing.T) {
 	}
 }
 
-// TestChaosCrashMidWrite: a client killed by the fault plan partway
+// TestChaosCrashMidWrite: a client killed by an aimed crash partway
 // through its verb stream (wherever that lands it — possibly holding
 // locks) must not stop a later client from writing the same key space.
 func TestChaosCrashMidWrite(t *testing.T) {
 	f, shared := newCluster(t, 2, fabric.DefaultConfig(), 2000)
-	f.SetFaultPlan(&fabric.FaultPlan{Seed: 5, CrashAfterVerbs: map[int]uint64{0: 600}})
 	a := newTestClient(f, shared, Options{})
-	if a.eng.C.ID() != 0 {
-		t.Fatalf("first client ID = %d, want 0", a.eng.C.ID())
-	}
+	a.eng.C.FailAt(600, fabric.ErrClientCrashed)
 	crashed := false
 	for i := 0; i < 400 && !crashed; i++ {
 		k := []byte(fmt.Sprintf("cr-%03d", i))

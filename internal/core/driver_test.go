@@ -30,7 +30,7 @@ func TestDriveDecisionTable(t *testing.T) {
 	keyed := all[:4]
 
 	// cluster builds an index holding K and Z and returns a victim client
-	// created under plan, so a test can arm the plan's fields afterwards.
+	// created under plan.
 	cluster := func(t *testing.T, mns int, replicated bool, plan *fabric.FaultPlan) (*fabric.Fabric, *Client) {
 		t.Helper()
 		boot := newCluster
@@ -50,14 +50,11 @@ func TestDriveDecisionTable(t *testing.T) {
 		f.SetFaultPlan(nil)
 		return f, c
 	}
-	// oneFault arms plan so that the client's next batch — the first of the
-	// operation — faults, and no later one does.
-	oneFault := func(arm func(plan *fabric.FaultPlan)) func(t *testing.T) *Client {
+	// aimed faults the first verb of the operation, and no later one.
+	aimed := func(fault error) func(t *testing.T) *Client {
 		return func(t *testing.T) *Client {
-			plan := &fabric.FaultPlan{Seed: 1, TimeoutPs: 1_000}
-			_, c := cluster(t, 1, false, plan)
-			arm(plan)
-			c.eng.C.SetObserver(faultOnce{plan})
+			_, c := cluster(t, 1, false, nil)
+			c.eng.C.FailAt(0, fault)
 			return c
 		}
 	}
@@ -87,16 +84,17 @@ func TestDriveDecisionTable(t *testing.T) {
 		build   func(t *testing.T) *Client
 		want    want
 	}{
-		{"transient", all,
-			oneFault(func(p *fabric.FaultPlan) { p.TransientPer64k = 1 << 16 }),
+		{"transient", all, aimed(fabric.ErrTransient),
 			want{restarts: 1, cause: transient}},
-		{"timeout", all,
-			oneFault(func(p *fabric.FaultPlan) { p.TimeoutPer64k = 1 << 16 }),
+		{"timeout", all, aimed(fabric.ErrTimeout),
 			want{restarts: 1, cause: func(s Stats) uint64 { return s.RestartsTimeout }}},
 		{"node-down window", all,
 			// One instant wide: the backoff sleep the restart is charged
 			// carries the next attempt past it.
-			oneFault(func(p *fabric.FaultPlan) { p.Down = []fabric.DownWindow{{Node: 0, FromPs: 0, ToPs: 1}} }),
+			func(t *testing.T) *Client {
+				_, c := cluster(t, 1, false, &fabric.FaultPlan{Seed: 1, Down: []fabric.DownWindow{{Node: 0, FromPs: 0, ToPs: 1}}})
+				return c
+			},
 			want{restarts: 1, cause: nodeDown}},
 		{"budget exhaustion", all,
 			func(t *testing.T) *Client {

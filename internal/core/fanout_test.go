@@ -643,7 +643,7 @@ func TestAnchorRideTreeWriteFails(t *testing.T) {
 	for i, n := range targets {
 		images[i] = len(scanImages(t, f, n, key))
 	}
-	c.eng.C.SetObserver(&afterBatch{n: 2, fn: c.eng.C.Kill})
+	c.eng.C.SetObserver(&afterBatch{n: 2, fn: func() { c.eng.C.FailAt(0, fabric.ErrClientCrashed) }})
 	before := c.Stats()
 	if _, err := c.Update(key, []byte("never")); !errors.Is(err, fabric.ErrClientCrashed) {
 		t.Fatalf("Update = %v; want the crash", err)

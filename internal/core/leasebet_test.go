@@ -385,56 +385,54 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 			name += " at a remembered address"
 		}
 		t.Run(name, func(t *testing.T) {
-			seen := make(map[string]bool)
-			for seed := uint64(1); len(seen) < 3 && seed <= 200; seed++ {
-				timeout := seed%3 == 0
+			for _, point := range []struct {
+				at    uint64
+				fault error
+				cut   string
+			}{
+				{0, fabric.ErrTransient, "lock after verb 0"},
+				{1, fabric.ErrTransient, "lock after verb 1"},
+				{0, fabric.ErrTimeout, "lock after verb 2"},
+			} {
 				f, shared, setup := sc.build(t, 2)
 				landing := landingOf(t, setup, sc.key, "budget-")
-				plan := &fabric.FaultPlan{Seed: seed, TimeoutPs: 2_000_000}
-				f.SetFaultPlan(plan)
 				victim := sc.victim(t, f, shared, setup, true)
-				f.SetFaultPlan(nil)
 				// Slabs and directory caches first, so the put's first batch is
 				// its hash read and its second the landing; the insert also
 				// teaches the victim where the landing lives.
 				if _, err := victim.Insert([]byte("budget-+"), []byte("v")); err != nil {
 					t.Fatal(err)
 				}
-				arm := func() {
-					if timeout {
-						plan.TimeoutPer64k = 1 << 16
-					} else {
-						plan.TransientPer64k = 1 << 16
-					}
-				}
-				after := &afterBatches{n: 1, fn: arm}
 				if remembered {
-					arm() // the landing is the put's first batch
-					after.fn = func() {}
+					victim.eng.C.FailAt(point.at, point.fault) // the landing is the put's first batch
 				} else {
 					victim.lac.Reset()
+					// Aimed while the hash read executes: the landing is next.
+					f.Trace = func(c *fabric.Client, _ *fabric.Op) {
+						if c == victim.eng.C {
+							f.Trace = nil
+							c.FailAt(point.at, point.fault)
+						}
+					}
 				}
 				cut := ""
-				faulted := observerFunc(func(ev fabric.BatchEvent) {
+				victim.eng.C.SetObserver(observerFunc(func(ev fabric.BatchEvent) {
 					if ev.Err != nil && cut == "" {
-						cut = fmt.Sprintf("%v after verb %d, timeout %v", ev.Stage, ev.Verbs, timeout)
-						plan.TransientPer64k, plan.TimeoutPer64k = 0, 0
+						cut = fmt.Sprintf("%v after verb %d", ev.Stage, ev.Verbs)
 					}
-				})
-				victim.eng.C.SetObserver(obs.Tee{A: after, B: faulted})
+				}))
 				restarts := victim.Stats().Restarts
 				if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
-					t.Fatalf("seed %d: victim put: %v", seed, err)
+					t.Fatalf("%s: victim put: %v", point.cut, err)
 				}
-				if !strings.HasPrefix(cut, "lock ") {
-					t.Fatalf("seed %d: the fault hit %q, not the landing batch", seed, cut)
+				if cut != point.cut {
+					t.Fatalf("the fault hit %q, want %q", cut, point.cut)
 				}
-				seen[cut] = true
 				if victim.Stats().Restarts != restarts+1 {
-					t.Errorf("seed %d (%s): %d restarts, want 1", seed, cut, victim.Stats().Restarts-restarts)
+					t.Errorf("%s: %d restarts, want 1", cut, victim.Stats().Restarts-restarts)
 				}
 				if w := leaseWordOf(t, setup, landing); w != 0 {
-					t.Errorf("seed %d (%s): landing's lease word = %#x after the put, want 0", seed, cut, w)
+					t.Errorf("%s: landing's lease word = %#x after the put, want 0", cut, w)
 				}
 				check := newTestClient(f, shared, Options{})
 				warmSearch(t, check, []byte(sc.key), []byte("victim"))
@@ -443,11 +441,8 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 					t.Fatal(err)
 				}
 				if dt := check.eng.C.Clock() - clock0; dt > 100_000_000 || check.eng.Stats().LockSteals != 0 {
-					t.Errorf("seed %d (%s): the next writer took %d ps and stole %d leases; a lease was left held", seed, cut, dt, check.eng.Stats().LockSteals)
+					t.Errorf("%s: the next writer took %d ps and stole %d leases; a lease was left held", cut, dt, check.eng.Stats().LockSteals)
 				}
-			}
-			if len(seen) < 3 {
-				t.Errorf("the sweep cut the landing batch at %v; want a transient ahead of the CAS, one behind it, and a lost completion", seen)
 			}
 		})
 	}

@@ -447,10 +447,10 @@ func TestHotRetireFaultIsNotAcked(t *testing.T) {
 			}
 
 			// A put's first winning CAS in the hot store — the swap over a
-			// record — makes its next batch, the round of retire WRITEs, fail
-			// once. A delete's drop round holds the entry CAS and the retire
-			// WRITE behind it, so there the read of a head makes the drop round
-			// the next batch. (Beside the anchors the CAS may be an anchor's:
+			// record — makes its next batch, the round of retire WRITEs, fail.
+			// A delete's drop round holds the entry CAS and the retire WRITE
+			// behind it, so there the read of a head makes the drop round the
+			// next batch. (Beside the anchors the CAS may be an anchor's:
 			// their swap rides the same round, under the hot stage.)
 			f.Trace = func(c *fabric.Client, o *fabric.Op) {
 				if c != writer.eng.C || c.Stage() != fabric.StageHotPub {
@@ -460,11 +460,12 @@ func TestHotRetireFaultIsNotAcked(t *testing.T) {
 				head := o.Kind == fabric.Read && len(o.Data) == recordDataOff+len(key)
 				if (op != "delete" && won) || (op == "delete" && head) {
 					f.Trace = nil
-					plan.TransientPer64k = 1 << 16
+					if anchored {
+						plan.TransientPer64k = 1 << 16 // every posting from here on fails
+					} else {
+						c.FailAt(0, fabric.ErrTransient)
+					}
 				}
-			}
-			if !anchored {
-				writer.eng.C.SetObserver(faultOnce{plan})
 			}
 			var err error
 			want, present := []byte("v2"), true

@@ -265,7 +265,7 @@ func deleteCollisionCluster(t *testing.T) (*fabric.Fabric, Shared, *FilterCache)
 // the key (prefix collision) confirms through a shallower start; a fault
 // during that confirm must surface or restart the operation — it must
 // never be swallowed into a fabricated (false, nil) "absent" answer while
-// the key is still present. The test sweeps a planned client crash across
+// the key is still present. The test sweeps an aimed client crash across
 // every verb of the operation, so the confirm read's whole window is
 // covered.
 func TestDeleteCollisionConfirmCrashSweep(t *testing.T) {
@@ -276,9 +276,6 @@ func TestDeleteCollisionConfirmCrashSweep(t *testing.T) {
 	f, shared, filter := deleteCollisionCluster(t)
 	fc := f.NewClient()
 	victim := NewClient(shared, fc, Options{Filter: filter, LeafCache: testLAC(0)})
-	if id := fc.ID(); id != 1 {
-		t.Fatalf("victim client ID = %d, want 1", id)
-	}
 	ok, err := victim.Delete(K)
 	if err != nil || !ok {
 		t.Fatalf("clean delete = %v, %v; want true, nil", ok, err)
@@ -294,8 +291,8 @@ func TestDeleteCollisionConfirmCrashSweep(t *testing.T) {
 	sawCrash := false
 	for n := uint64(1); n <= verbs; n++ {
 		f, shared, filter := deleteCollisionCluster(t)
-		f.SetFaultPlan(&fabric.FaultPlan{Seed: 1, CrashAfterVerbs: map[int]uint64{1: n}})
 		fc := f.NewClient()
+		fc.FailAt(n, fabric.ErrClientCrashed)
 		victim := NewClient(shared, fc, Options{Filter: filter, LeafCache: testLAC(0)})
 		ok, err := victim.Delete(K)
 		if err != nil {
@@ -306,7 +303,6 @@ func TestDeleteCollisionConfirmCrashSweep(t *testing.T) {
 			continue // completed before the crash point
 		}
 		// (false, nil) claims the key was absent; it must actually be.
-		f.SetFaultPlan(nil)
 		check := newTestClient(f, shared, Options{})
 		if _, present, cerr := check.Search(K); cerr != nil || present {
 			t.Fatalf("crash after %d/%d verbs: Delete(%q) = (false, nil) but the key is still present (err=%v)",

@@ -6,27 +6,43 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"sphinx/internal/art"
 	"sphinx/internal/dataset"
 	"sphinx/internal/fabric"
 )
 
-// checkScan compares one remote scan with the local reference ART.
-func checkScan(t *testing.T, c *Client, oracle *art.Tree, lo, hi []byte, limit int) {
+// sortedKeys returns vals' keys, ascending: with vals, the local reference a
+// remote scan is checked against.
+func sortedKeys(vals map[string]string) []string {
+	keys := make([]string, 0, len(vals))
+	for k := range vals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// checkScan compares one remote scan with the local reference: the keys in
+// [lo, hi] (nil bounds open), at most limit of them (0: all).
+func checkScan(t *testing.T, c *Client, keys []string, vals map[string]string, lo, hi []byte, limit int) {
 	t.Helper()
 	got, err := c.Scan(lo, hi, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []string
-	oracle.Scan(lo, hi, func(k, v []byte) bool {
-		want = append(want, string(k)+"="+string(v))
-		return limit <= 0 || len(want) < limit
-	})
+	from, _ := slices.BinarySearch(keys, string(lo))
+	for _, k := range keys[from:] {
+		if hi != nil && k > string(hi) || limit > 0 && len(want) == limit {
+			break
+		}
+		want = append(want, k+"="+vals[k])
+	}
 	if len(got) != len(want) {
 		t.Fatalf("scan [%q,%q] limit %d: %d results, oracle %d", lo, hi, limit, len(got), len(want))
 	}
@@ -38,17 +54,17 @@ func checkScan(t *testing.T, c *Client, oracle *art.Tree, lo, hi []byte, limit i
 }
 
 // TestScanAgainstLocalART cross-validates the remote ordered scan against
-// the local reference ART: on a dense tree of short random keys (many keys
-// that are strict prefixes of others, so scans start on EOL leaves), and on
-// 20 k email keys (long compressed paths) with bounds cut out of keys — inside
-// compressed paths, between neighbours, past the last key — and every limit
-// from one key to more than the range holds.
+// a local reference, the inserted keys sorted: on a dense tree of short
+// random keys (many keys that are strict prefixes of others, so scans start
+// on EOL leaves), and on 20 k email keys (long compressed paths) with bounds
+// cut out of keys — inside compressed paths, between neighbours, past the
+// last key — and every limit from one key to more than the range holds.
 func TestScanAgainstLocalART(t *testing.T) {
 	limits := []int{0, 1, 7, 50, 500}
 	t.Run("dense", func(t *testing.T) {
 		f, shared := newCluster(t, 3, fabric.InstantConfig(), 3000)
 		c := newTestClient(f, shared, Options{})
-		var oracle art.Tree
+		vals := map[string]string{}
 		rng := rand.New(rand.NewSource(77))
 		randKey := func() []byte {
 			n := 1 + rng.Intn(12)
@@ -65,41 +81,43 @@ func TestScanAgainstLocalART(t *testing.T) {
 			if _, err := c.Insert(k, v); err != nil {
 				t.Fatal(err)
 			}
-			oracle.Insert(k, v)
+			vals[string(k)] = string(v)
 			if len(k) <= 3 {
 				short = append(short, k)
 			}
 		}
-		checkScan(t, c, &oracle, nil, nil, 0)
+		keys := sortedKeys(vals)
+		checkScan(t, c, keys, vals, nil, nil, 0)
 		for i := 0; i < 100; i++ {
 			lo, hi := randKey(), randKey()
 			if bytes.Compare(lo, hi) > 0 {
 				lo, hi = hi, lo
 			}
-			checkScan(t, c, &oracle, lo, hi, 0)
-			checkScan(t, c, &oracle, lo, nil, 1+rng.Intn(40))
-			checkScan(t, c, &oracle, nil, hi, 0)
+			checkScan(t, c, keys, vals, lo, hi, 0)
+			checkScan(t, c, keys, vals, lo, nil, 1+rng.Intn(40))
+			checkScan(t, c, keys, vals, nil, hi, 0)
 		}
 		// lo (and hi) a key that other keys extend: its EOL leaf comes first
 		// (last), ahead of the subtree it heads.
 		for _, k := range short {
-			checkScan(t, c, &oracle, k, nil, limits[1+rng.Intn(3)])
-			checkScan(t, c, &oracle, nil, k, 0)
-			checkScan(t, c, &oracle, k, k, 0)
+			checkScan(t, c, keys, vals, k, nil, limits[1+rng.Intn(3)])
+			checkScan(t, c, keys, vals, nil, k, 0)
+			checkScan(t, c, keys, vals, k, k, 0)
 		}
 	})
 	t.Run("email", func(t *testing.T) {
 		keys := dataset.GenerateEmail(20_000, 3)
 		f, shared := newCluster(t, 3, fabric.InstantConfig(), len(keys))
 		c := newTestClient(f, shared, Options{})
-		var oracle art.Tree
+		vals := map[string]string{}
 		for i, k := range keys {
 			v := []byte(fmt.Sprintf("m%d", i))
 			if _, err := c.Insert(k, v); err != nil {
 				t.Fatal(err)
 			}
-			oracle.Insert(k, v)
+			vals[string(k)] = string(v)
 		}
+		sorted := sortedKeys(vals)
 		rng := rand.New(rand.NewSource(78))
 		// bound cuts a key somewhere — mostly inside a compressed path —
 		// and sometimes hangs a byte no key has there onto the cut.
@@ -117,18 +135,18 @@ func TestScanAgainstLocalART(t *testing.T) {
 				lo, hi = hi, lo
 			}
 			limit := limits[rng.Intn(len(limits))]
-			checkScan(t, c, &oracle, lo, hi, limit)
-			checkScan(t, c, &oracle, lo, nil, limits[1+rng.Intn(len(limits)-1)])
-			checkScan(t, c, &oracle, nil, hi, limits[1+rng.Intn(len(limits)-1)])
+			checkScan(t, c, sorted, vals, lo, hi, limit)
+			checkScan(t, c, sorted, vals, lo, nil, limits[1+rng.Intn(len(limits)-1)])
+			checkScan(t, c, sorted, vals, nil, hi, limits[1+rng.Intn(len(limits)-1)])
 			// A narrow range around one key, under a limit far above it, and
 			// the empty range just behind that key.
 			k := keys[rng.Intn(len(keys))]
-			checkScan(t, c, &oracle, k[:len(k)-1], append(append([]byte(nil), k...), 0xff), 500)
-			checkScan(t, c, &oracle, append(append([]byte(nil), k...), 0), append(append([]byte(nil), k...), 0, 1), limit)
+			checkScan(t, c, sorted, vals, k[:len(k)-1], append(append([]byte(nil), k...), 0xff), 500)
+			checkScan(t, c, sorted, vals, append(append([]byte(nil), k...), 0), append(append([]byte(nil), k...), 0, 1), limit)
 		}
-		checkScan(t, c, &oracle, []byte("~~~"), nil, 50) // past the last key
-		checkScan(t, c, &oracle, nil, []byte("!"), 0)    // before the first
-		checkScan(t, c, &oracle, nil, nil, 0)
+		checkScan(t, c, sorted, vals, []byte("~~~"), nil, 50) // past the last key
+		checkScan(t, c, sorted, vals, nil, []byte("!"), 0)    // before the first
+		checkScan(t, c, sorted, vals, nil, nil, 0)
 	})
 }
 

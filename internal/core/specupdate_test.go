@@ -328,33 +328,6 @@ func TestSpecUpdateDegradedBypass(t *testing.T) {
 	}
 }
 
-// aimFault makes the client's next batch after it wins a leaf-header lock CAS
-// — the releasing image WRITE — fail once, with a transient (nothing
-// executed) or a timeout (executed, completion lost). The client must have
-// been created with plan installed.
-func aimFault(f *fabric.Fabric, fc *fabric.Client, plan *fabric.FaultPlan, timeout bool) {
-	f.Trace = func(c *fabric.Client, op *fabric.Op) {
-		if c == fc && op.Kind == fabric.CAS && op.Old == op.Expect && wire.DecodeLeafHeader(op.Desired).Status == wire.StatusLocked {
-			f.Trace = nil
-			if timeout {
-				plan.TimeoutPer64k = 1 << 16
-			} else {
-				plan.TransientPer64k = 1 << 16
-			}
-		}
-	}
-	fc.SetObserver(faultOnce{plan})
-}
-
-// faultOnce disarms the plan once a batch has faulted.
-type faultOnce struct{ plan *fabric.FaultPlan }
-
-func (o faultOnce) ObserveBatch(ev fabric.BatchEvent) {
-	if ev.Err != nil {
-		o.plan.TransientPer64k, o.plan.TimeoutPer64k = 0, 0
-	}
-}
-
 // TestReleasingWriteSurvivesFaults: the image WRITE of an in-place update is
 // also the release of the leaf lock the update holds. A transient there
 // executed nothing, so abandoning it leaves the leaf locked by the writer
@@ -369,25 +342,33 @@ func TestReleasingWriteSurvivesFaults(t *testing.T) {
 		for _, fault := range []string{"transient", "timeout"} {
 			t.Run(path+"/"+fault, func(t *testing.T) {
 				f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
-				plan := &fabric.FaultPlan{Seed: 1, TimeoutPs: 2_000_000}
-				f.SetFaultPlan(plan)
 				opts := withCaches(shared, Options{}, 0)
 				if path == "tree" {
 					opts.LeafCache = nil
 				}
 				c := NewClient(shared, f.NewClient(), opts)
-				f.SetFaultPlan(nil)
 				if _, err := c.Insert([]byte("release-kin"), val64(1)); err != nil {
 					t.Fatal(err)
 				}
 				warmPut(t, c, key, val64(1))
 
-				aimFault(f, c.eng.C, plan, fault == "timeout")
+				// The batch behind the winning leaf-header lock CAS — the
+				// releasing image WRITE — faults: a transient executes nothing
+				// of it, a timeout all of it and loses the completion.
+				kind := fabric.ErrTransient
+				if fault == "timeout" {
+					kind = fabric.ErrTimeout
+				}
+				f.Trace = func(fc *fabric.Client, op *fabric.Op) {
+					if fc == c.eng.C && op.Kind == fabric.CAS && op.Old == op.Expect && wire.DecodeLeafHeader(op.Desired).Status == wire.StatusLocked {
+						f.Trace = nil
+						fc.FailAt(0, kind)
+					}
+				}
 				clock0, writes0 := c.eng.C.Clock(), c.eng.C.Stats().ByKind[fabric.Write]
 				if ok, err := c.Update(key, val64(2)); err != nil || !ok {
 					t.Fatalf("update = %v, %v", ok, err)
 				}
-				c.eng.C.SetObserver(nil)
 				fs := c.eng.C.Stats()
 				if fs.Transients+fs.Timeouts != 1 {
 					t.Fatalf("%d transients, %d timeouts; the fault missed", fs.Transients, fs.Timeouts)
@@ -437,9 +418,8 @@ func TestSpecUpdateCrashSweep(t *testing.T) {
 			}
 			warmPut(t, teacher, key, old)
 
-			f.SetFaultPlan(&fabric.FaultPlan{Seed: 1, CrashAfterVerbs: map[int]uint64{teacher.eng.C.ID() + 1: n}})
 			victim := newTestClient(f, shared, Options{LeafCache: lac})
-			f.SetFaultPlan(nil)
+			victim.eng.C.FailAt(n, fabric.ErrClientCrashed)
 			ok, err := victim.Update(key, next)
 			acked := err == nil && ok
 			if !acked && !errors.Is(err, fabric.ErrClientCrashed) {

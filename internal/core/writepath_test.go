@@ -377,20 +377,16 @@ type commitShape struct {
 // and locks what it writes in the lock batch.
 func (sc writeScenario) victim(t *testing.T, f *fabric.Fabric, shared Shared, setup *Client, warm bool) *Client {
 	t.Helper()
-	vc := f.NewClient()
-	if vc.ID() != 1 {
-		t.Fatalf("victim client ID = %d, want 1", vc.ID())
-	}
 	var opts Options
 	if warm {
 		opts.Filter = setup.filter
 	}
-	return NewClient(shared, vc, withCaches(shared, opts, 0))
+	return NewClient(shared, f.NewClient(), withCaches(shared, opts, 0))
 }
 
-// calibrate runs the scenario's put cleanly, by fabric client 1 of a cluster
-// of its own, and reports where its commit batch sits: the first install,
-// publish or leaf-write batch of two or more verbs.
+// calibrate runs the scenario's put cleanly, by the victim of a cluster of its
+// own, and reports where its commit batch sits: the first install, publish or
+// leaf-write batch of two or more verbs.
 func (sc writeScenario) calibrate(t *testing.T, warm bool) commitShape {
 	t.Helper()
 	f, shared, setup := sc.build(t, 2)
@@ -491,9 +487,8 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 		what := fmt.Sprintf("crash after verb %d/%d", n, shape.verbs)
 		f, shared, setup := sc.build(t, 2)
 		before := reachableInner(t, setup)
-		f.SetFaultPlan(&fabric.FaultPlan{Seed: 1, CrashAfterVerbs: map[int]uint64{1: n}})
 		victim := sc.victim(t, f, shared, setup, warm)
-		f.SetFaultPlan(nil)
+		victim.eng.C.FailAt(n, fabric.ErrClientCrashed)
 		holder := NewClient(shared, f.NewClient(), Options{Filter: setup.filter, LeafCache: testLAC(0)})
 		original := landingOf(t, holder, "budget-a", "budget-") // and the holder remembers it
 		// Window (a) of a split: its head WRITE — the one WRITE of a node's
@@ -880,31 +875,18 @@ func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
 	if warm && shape.bet < 0 {
 		t.Skip("the filter knows no prefix of the key: the put walks from the root either way")
 	}
-	cuts := make(map[int]bool) // verbs of the commit batch a transient let execute
-	peerUpdates, peerInserts := 0, 0
-	defer func() {
-		if !t.Failed() && (peerUpdates == 0 || peerKeys[sc.name] != "" && peerInserts == 0) {
-			t.Errorf("the peer updated the key behind %d cuts and put its own key behind %d; the sweep exercises nothing", peerUpdates, peerInserts)
+	// A transient after each verb of the commit batch, then a lost
+	// completion of the whole of it (cut == shape.n).
+	for cut := 0; cut <= shape.n; cut++ {
+		timeout := cut == shape.n
+		what, at, fault := fmt.Sprintf("transient after verb %d/%d", cut, shape.n), shape.first+uint64(cut), fabric.ErrTransient
+		if timeout {
+			what, at, fault = "lost completion", shape.first, fabric.ErrTimeout
 		}
-	}()
-	for seed := uint64(1); len(cuts) < shape.n+1 && seed <= 400; seed++ {
-		timeout := len(cuts) == shape.n // every cut seen: the lost completion
-		what := fmt.Sprintf("seed %d, timeout %v", seed, timeout)
 		f, shared, setup := sc.build(t, 2)
 		before := reachableInner(t, setup)
-		plan := &fabric.FaultPlan{Seed: seed, TimeoutPs: 2_000_000}
-		f.SetFaultPlan(plan)
 		victim := sc.victim(t, f, shared, setup, warm)
-		f.SetFaultPlan(nil)
-
-		// The fault: the batch behind the commit batch's predecessor.
-		arm := &afterBatches{n: shape.batch, fn: func() {
-			if timeout {
-				plan.TimeoutPer64k = 1 << 16
-			} else {
-				plan.TransientPer64k = 1 << 16
-			}
-		}}
+		victim.eng.C.FailAt(at, fault)
 		// No verb of the victim may write a slot once its unlock ran. The
 		// slot WRITE is the commit batch's first WRITE of one word; a split's
 		// head WRITE, of SlotBase bytes, is ahead of it.
@@ -935,14 +917,13 @@ func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
 		// head WRITE gave its lease back. Both writes are acknowledged there
 		// and must survive the batch issued again: from the first verb that
 		// did not execute, every verb of the commit batch executes once.
-		cut, reissued := -1, uint64(0)
+		faulted, reissued := false, uint64(0)
 		peer := newTestClient(f, shared, Options{})
 		peerKey, updated, inserted := peerKeys[sc.name], false, false
-		faulted := observerFunc(func(ev fabric.BatchEvent) {
+		victim.eng.C.SetObserver(observerFunc(func(ev fabric.BatchEvent) {
 			switch {
 			case ev.Err != nil:
-				cut = ev.Verbs
-				plan.TransientPer64k, plan.TimeoutPer64k = 0, 0
+				faulted = true
 				if timeout {
 					return
 				}
@@ -958,26 +939,22 @@ func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
 					}
 					inserted = true
 				}
-			case cut >= 0 && reissued == 0:
+			case faulted && reissued == 0:
 				reissued = seen
 			}
-		})
-		victim.eng.C.SetObserver(obs.Tee{A: arm, B: faulted})
+		}))
 		_, err := victim.Insert([]byte(sc.key), sc.value("victim"))
 		f.Trace = nil
 		if err != nil {
 			t.Fatalf("%s: victim put: %v", what, err)
 		}
-		if fs := victim.eng.C.Stats(); fs.Transients+fs.Timeouts != 1 || cut < 0 {
+		if fs := victim.eng.C.Stats(); fs.Transients+fs.Timeouts != 1 || !faulted {
 			t.Fatalf("%s: %d transients, %d timeouts; the fault missed", what, fs.Transients, fs.Timeouts)
 		}
-		if timeout {
-			cut = shape.n
-		} else if reissued != shape.first+uint64(shape.n) {
-			t.Errorf("%s: cut after verb %d, the %d-verb commit batch had executed %d verbs when it was done; want each once",
-				what, cut, shape.n, int64(reissued)-int64(shape.first))
+		if !timeout && reissued != shape.first+uint64(shape.n) {
+			t.Errorf("%s: the %d-verb commit batch had executed %d verbs when it was done; want each once",
+				what, shape.n, int64(reissued)-int64(shape.first))
 		}
-		cuts[cut] = true
 		// The batch was driven to completion: the put did not start over.
 		if victim.Stats().Restarts != 0 || victim.eng.Stats().PublishRetries != 1 {
 			t.Errorf("%s: %d restarts, %d re-driven steps; want 0, 1", what, victim.Stats().Restarts, victim.eng.Stats().PublishRetries)
@@ -989,11 +966,7 @@ func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
 		} else {
 			warmSearch(t, check, []byte(sc.key), sc.value("victim"))
 		}
-		if updated {
-			peerUpdates++
-		}
 		if inserted {
-			peerInserts++
 			warmSearch(t, check, []byte(peerKey), []byte("peer"))
 		}
 		sc.checkReadable(t, f, shared, what)
@@ -1011,11 +984,6 @@ func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
 			t.Errorf("%s: the next writers took %d ps and stole %d leases; a lease was left held", what, dt, check.eng.Stats().LockSteals)
 		}
 	}
-	for cut := 0; cut <= shape.n; cut++ {
-		if !cuts[cut] {
-			t.Errorf("no seed cut the %d-verb commit batch after verb %d (%d = lost completion)", shape.n, cut, shape.n)
-		}
-	}
 }
 
 // TestReissueKeepsPeerUpdate: a commit batch a transient cut is issued again
@@ -1029,40 +997,28 @@ func TestReissueKeepsPeerUpdate(t *testing.T) {
 	sc := writeScenarios[0]
 	shape := sc.calibrate(t, true)
 	key := []byte(sc.key)
-	for seed := uint64(1); seed <= 400; seed++ {
-		f, shared, setup := sc.build(t, 2)
-		plan := &fabric.FaultPlan{Seed: seed}
-		f.SetFaultPlan(plan)
-		victim := sc.victim(t, f, shared, setup, true)
-		f.SetFaultPlan(nil)
-		peer := newTestClient(f, shared, Options{})
-		acked := false
-		arm := &afterBatches{n: shape.batch, fn: func() { plan.TransientPer64k = 1 << 16 }}
-		faulted := observerFunc(func(ev fabric.BatchEvent) {
-			if ev.Err == nil {
-				return
-			}
-			plan.TransientPer64k = 0
-			if ev.Verbs != 2 {
-				return // the slot WRITE did not execute: the key is not reachable yet
-			}
-			if _, err := peer.Insert(key, []byte("peer")); err != nil {
-				t.Fatalf("seed %d: peer put: %v", seed, err)
-			}
-			acked = true
-			warmSearch(t, peer, key, []byte("peer"))
-		})
-		victim.eng.C.SetObserver(obs.Tee{A: arm, B: faulted})
-		if _, err := victim.Insert(key, []byte("victim")); err != nil {
-			t.Fatalf("seed %d: victim put: %v", seed, err)
+	f, shared, setup := sc.build(t, 2)
+	victim := sc.victim(t, f, shared, setup, true)
+	victim.eng.C.FailAt(shape.first+2, fabric.ErrTransient)
+	peer := newTestClient(f, shared, Options{})
+	acked := false
+	victim.eng.C.SetObserver(observerFunc(func(ev fabric.BatchEvent) {
+		if ev.Err == nil {
+			return
 		}
-		if !acked {
-			continue
+		if ev.Verbs != 2 {
+			t.Fatalf("the commit batch was cut after %d verbs, want 2: behind its slot WRITE", ev.Verbs)
 		}
-		warmSearch(t, newTestClient(f, shared, Options{}), key, []byte("peer"))
-		return
+		if _, err := peer.Insert(key, []byte("peer")); err != nil {
+			t.Fatalf("peer put: %v", err)
+		}
+		acked = true
+		warmSearch(t, peer, key, []byte("peer"))
+	}))
+	if _, err := victim.Insert(key, []byte("victim")); err != nil || !acked {
+		t.Fatalf("victim put: %v (peer acked %v)", err, acked)
 	}
-	t.Fatal("no seed cut the commit batch right behind its slot WRITE")
+	warmSearch(t, newTestClient(f, shared, Options{}), key, []byte("peer"))
 }
 
 // TestTypeSwitchOfNodeWithoutEntry: a leaf conversion is killed behind its
@@ -1079,9 +1035,8 @@ func TestTypeSwitchOfNodeWithoutEntry(t *testing.T) {
 	prefix := []byte("budget-a")
 	shape := sc.calibrate(t, false)
 	f, shared, setup := sc.build(t, 2)
-	f.SetFaultPlan(&fabric.FaultPlan{Seed: 1, CrashAfterVerbs: map[int]uint64{1: shape.first + 1}})
 	victim := sc.victim(t, f, shared, setup, false)
-	f.SetFaultPlan(nil)
+	victim.eng.C.FailAt(shape.first+1, fabric.ErrClientCrashed)
 	if _, err := victim.Insert([]byte(sc.key), []byte("victim")); !errors.Is(err, fabric.ErrClientCrashed) {
 		t.Fatalf("victim put = %v; want it killed behind its slot WRITE", err)
 	}

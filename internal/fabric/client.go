@@ -71,11 +71,14 @@ type Client struct {
 
 	// Fault-injection state: the plan snapshot taken at creation, the
 	// private deterministic random stream, the count of verbs actually
-	// posted (for crash points), and whether the client has crashed.
-	plan    *FaultPlan
-	rng     uint64
-	posted  uint64
-	crashed bool
+	// posted, the aimed fault (FailAt; a nil shotErr aims none) with the
+	// count of posted verbs ahead of its verb, and whether the client has
+	// crashed.
+	plan           *FaultPlan
+	rng            uint64
+	posted, shotAt uint64
+	shotErr        error
+	crashed        bool
 
 	// one backs the single-verb calls (Read, Write, CompareSwap, FetchAdd): a
 	// slice literal per call would escape into Batch. A client runs one call
@@ -120,12 +123,27 @@ func (c *Client) ID() int { return c.id }
 // policies use it for jitter so backoff sequences are reproducible.
 func (c *Client) Rand64() uint64 { return splitmix64(&c.rng) }
 
-// Kill marks the client crashed: every subsequent verb fails with
-// ErrClientCrashed. Tests use it to abandon a client mid-protocol.
-func (c *Client) Kill() { c.crashed = true }
-
-// Crashed reports whether the client has passed its crash point.
-func (c *Client) Crashed() bool { return c.crashed }
+// FailAt aims one fault at the client's n-th verb, counted from 0 at its next
+// batch: the batch carrying that verb faults, and the n verbs ahead of it
+// execute. err is the fault's kind:
+//
+//   - ErrTransient: the verb and the verbs after it in its batch do not run,
+//     and Executed names the executed prefix.
+//   - ErrClientCrashed: the same, and then the client is dead; the batch
+//     charges no round trip.
+//   - ErrTimeout: the whole batch runs and its completion is lost; the clock
+//     waits the plan's TimeoutPs, or DefaultTimeoutPs without a plan.
+//
+// The shot fires once. It is decided at batch start, with the plan's faults,
+// and neither draws from nor shifts the plan's seeded rolls; aimed from
+// inside Fabric.Trace, it falls on a later batch. A pipeline lane's batches
+// run on its pipe's main client, so a shot is aimed there.
+func (c *Client) FailAt(n uint64, err error) {
+	if err != ErrTransient && err != ErrTimeout && err != ErrClientCrashed {
+		panic(fmt.Sprintf("fabric: FailAt(%d, %v): not an aimable fault", n, err))
+	}
+	c.shotAt, c.shotErr = c.posted+n, err
+}
 
 // Clock returns the client's virtual time in picoseconds.
 func (c *Client) Clock() int64 { return c.clock }
@@ -302,9 +320,7 @@ func (c *Client) runBatch(ops []Op) (int, error) {
 			// Discovery: contacting the dead node costs one round trip of
 			// waiting, then the shared breaker learns the death.
 			atomic.AddUint64(&c.stats.NodeDownRejects, 1)
-			if n, err := c.f.node(sh.node); err == nil {
-				n.nic.chargeFault()
-			}
+			c.f.chargeFault(sh.node)
 			c.clock += cfg.RTTPs
 			h.MarkDead(sh.node)
 			return 0, reject(sh.node, ErrNodeKilled, "node %d", sh.node)
@@ -322,65 +338,72 @@ func (c *Client) runBatch(ops []Op) (int, error) {
 
 	// Fault decisions happen before any byte moves, in a fixed order, so
 	// the injected sequence is a pure function of (plan seed, client ID,
-	// batch sequence) and never of goroutine scheduling.
-	execUpTo := len(ops)
-	var faultRes error
-	var extraPs int64
-	if plan := c.plan; plan != nil {
-		if limit, ok := plan.CrashAfterVerbs[c.id]; ok && c.posted+uint64(len(ops)) > limit {
-			// The batch carrying the Nth posted verb executes only up to
-			// it; the client is dead from here on, taking any locks it
-			// holds to the grave.
-			rem := 0
-			if limit > c.posted {
-				rem = int(limit - c.posted)
-			}
-			for i := 0; i < rem; i++ {
-				if err := c.execute(&ops[i]); err != nil {
-					return i, err
-				}
-			}
-			c.posted = limit
-			c.crashed = true
-			return rem, faultErr(ErrClientCrashed, "client %d crashed after verb %d", c.id, limit)
-		}
+	// batch sequence, aimed fault) and never of goroutine scheduling.
+	plan := c.plan
+	if plan != nil {
 		for _, sh := range shares {
 			if w, down := plan.downNode(sh.node, c.clock); down {
 				atomic.AddUint64(&c.stats.NodeDownRejects, 1)
-				if n, err := c.f.node(sh.node); err == nil {
-					n.nic.chargeFault()
-				}
+				c.f.chargeFault(sh.node)
 				// The rejected attempt still costs a round trip of waiting.
 				c.clock += cfg.RTTPs
 				h.ReportFailure(sh.node)
 				return 0, reject(sh.node, ErrNodeDown, "node %d down [%dps,%dps)", sh.node, w.FromPs, w.ToPs)
 			}
 		}
+	}
+	var fault error
+	var cutAt int
+	if c.shotErr != nil && c.posted+uint64(len(ops)) > c.shotAt {
+		fault, cutAt, c.shotErr = c.shotErr, int(c.shotAt-c.posted), nil
+	}
+	var extraPs int64
+	if plan != nil {
 		// Seeded rolls, always three per batch and always in this order,
-		// so one roll's outcome never shifts the stream of the others.
+		// so one roll's outcome never shifts the stream of the others. An
+		// aimed fault takes the batch's place in the stream, its rolls drawn
+		// and unused.
 		rT, rTo, rD := splitmix64(&c.rng), splitmix64(&c.rng), splitmix64(&c.rng)
 		switch {
+		case fault != nil:
 		case uint32(rT&0xffff) < plan.TransientPer64k:
-			execUpTo = int((rT >> 16) % uint64(len(ops)))
-			atomic.AddUint64(&c.stats.Transients, 1)
-			faultRes = faultErr(ErrTransient, "verb %d/%d %v", execUpTo, len(ops), ops[execUpTo].Kind)
+			fault, cutAt = ErrTransient, int((rT>>16)%uint64(len(ops)))
 		case uint32(rTo&0xffff) < plan.TimeoutPer64k:
-			atomic.AddUint64(&c.stats.Timeouts, 1)
-			extraPs = plan.timeoutPs()
-			for _, sh := range shares {
-				h.ReportFailure(sh.node)
-			}
-			faultRes = faultErr(ErrTimeout, "batch of %d verbs", len(ops))
+			fault = ErrTimeout
 		case uint32(rD&0xffff) < plan.DelayPer64k:
 			atomic.AddUint64(&c.stats.Delays, 1)
 			extraPs = plan.delayPs()
 		}
-		if faultRes != nil {
-			for _, sh := range shares {
-				if n, err := c.f.node(sh.node); err == nil {
-					n.nic.chargeFault()
-				}
+	}
+	execUpTo := len(ops)
+	switch fault {
+	case ErrClientCrashed:
+		// The batch carrying the aimed verb executes only the verbs ahead of
+		// it, uncharged; the client is dead from here on, taking any locks it
+		// holds to the grave.
+		c.crashed = true
+		c.posted += uint64(cutAt)
+		for i := 0; i < cutAt; i++ {
+			if err := c.execute(&ops[i]); err != nil {
+				return i, err
 			}
+		}
+		return cutAt, faultErr(ErrClientCrashed, "client %d crashed at verb %d/%d", c.id, cutAt, len(ops))
+	case ErrTransient:
+		execUpTo = cutAt
+		atomic.AddUint64(&c.stats.Transients, 1)
+		fault = faultErr(ErrTransient, "verb %d/%d %v", execUpTo, len(ops), ops[execUpTo].Kind)
+	case ErrTimeout:
+		atomic.AddUint64(&c.stats.Timeouts, 1)
+		extraPs = plan.timeoutPs()
+		for _, sh := range shares {
+			h.ReportFailure(sh.node)
+		}
+		fault = faultErr(ErrTimeout, "batch of %d verbs", len(ops))
+	}
+	if fault != nil {
+		for _, sh := range shares {
+			c.f.chargeFault(sh.node)
 		}
 	}
 
@@ -415,22 +438,22 @@ func (c *Client) runBatch(ops []Op) (int, error) {
 	// order (RDMA guarantees ordering within one QP). A transient fault
 	// truncates execution at the failing verb; a timeout executes fully
 	// but the client never learns the outcome.
+	c.posted += uint64(execUpTo) // ahead of Trace: a shot aimed from it counts from the next batch
 	for i := 0; i < execUpTo; i++ {
 		if err := c.execute(&ops[i]); err != nil {
 			return i, err
 		}
 	}
 
-	c.posted += uint64(execUpTo)
 	c.clock = completion + extraPs
 	atomic.AddUint64(&c.stats.RoundTrips, 1)
 	atomic.AddUint64(&c.stats.Verbs, uint64(execUpTo))
-	if faultRes == nil {
+	if fault == nil {
 		for _, sh := range shares {
 			h.ReportSuccess(sh.node)
 		}
 	}
-	return execUpTo, faultRes
+	return execUpTo, fault
 }
 
 func (c *Client) execute(op *Op) error {

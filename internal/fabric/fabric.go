@@ -75,20 +75,15 @@ const (
 	FAA
 )
 
+// kindNames names the verbs, by Kind.
+var kindNames = [...]string{Read: "READ", Write: "WRITE", CAS: "CAS", FAA: "FAA"}
+
 // String names the verb.
 func (k Kind) String() string {
-	switch k {
-	case Read:
-		return "READ"
-	case Write:
-		return "WRITE"
-	case CAS:
-		return "CAS"
-	case FAA:
-		return "FAA"
-	default:
-		return fmt.Sprintf("verb(%d)", uint8(k))
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("verb(%d)", uint8(k))
 }
 
 // Op is one verb within a doorbell batch. For Read, Data is the destination
@@ -136,11 +131,13 @@ type nic struct {
 	faults uint64 // injected faults charged to batches targeting this NIC
 }
 
-// chargeFault counts one injected fault against this NIC.
-func (n *nic) chargeFault() {
-	n.mu.Lock()
-	n.faults++
-	n.mu.Unlock()
+// chargeFault counts one injected fault against the NIC of node id.
+func (f *Fabric) chargeFault(id mem.NodeID) {
+	if n, err := f.node(id); err == nil {
+		n.nic.mu.Lock()
+		n.nic.faults++
+		n.nic.mu.Unlock()
+	}
 }
 
 // chargeRT attributes one completed doorbell batch to this NIC. Each
@@ -255,21 +252,15 @@ func (f *Fabric) NodeKilled(id mem.NodeID) bool {
 // Config returns the fabric's cost model.
 func (f *Fabric) Config() Config { return f.cfg }
 
-// SetFaultPlan installs a fault schedule. Call it before creating the
-// clients that should observe it: each client derives its deterministic
-// fault stream from the plan's seed at creation time. A nil plan (the
-// default) injects nothing and adds no per-verb overhead.
+// SetFaultPlan installs the seeded, probabilistic faults and the down
+// windows every client created afterwards observes: each derives its
+// deterministic fault stream from the plan's seed at creation time. A nil
+// plan (the default) injects nothing and adds no per-verb overhead. A fault
+// aimed at one verb belongs to a client, not to the plan (Client.FailAt).
 func (f *Fabric) SetFaultPlan(p *FaultPlan) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.plan = p
-}
-
-// FaultPlan returns the installed fault schedule, or nil.
-func (f *Fabric) FaultPlan() *FaultPlan {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.plan
 }
 
 // AddNode attaches a memory node with a region of the given size and

@@ -7,6 +7,8 @@
 // only on the plan and on that client's own batch sequence — never on
 // goroutine scheduling. The same seed therefore yields the same fault
 // sequence, and for a single-threaded workload the same final index state.
+// A fault a test aims at one verb of one client (Client.FailAt) lands there
+// by construction and leaves the seeded stream as it was.
 package fabric
 
 import (
@@ -34,8 +36,9 @@ var (
 	// ErrNodeDown is returned for any verb targeting a memory node inside
 	// one of the plan's down windows. Nothing executes.
 	ErrNodeDown = errors.New("fabric: memory node down")
-	// ErrClientCrashed is returned once a client passed its planned crash
-	// point (and forever after): the compute node died mid-operation.
+	// ErrClientCrashed is returned once a client crashed (an aimed crash,
+	// Client.FailAt) and forever after: the compute node died
+	// mid-operation.
 	ErrClientCrashed = errors.New("fabric: client crashed")
 )
 
@@ -62,12 +65,14 @@ type DownWindow struct {
 	ToPs   int64
 }
 
-// FaultPlan is a seeded, reproducible fault schedule. Probabilities are
-// per doorbell batch, in parts per 65536, decided from the per-client
-// stream in a fixed order (transient, timeout, delay) so outcomes never
-// depend on which roll fired first. The zero plan injects nothing.
+// FaultPlan is a seeded, reproducible fault schedule: the probabilistic
+// faults and the node-down windows every client of the fabric observes.
+// Probabilities are per doorbell batch, in parts per 65536, decided from the
+// per-client stream in a fixed order (transient, timeout, delay) so outcomes
+// never depend on which roll fired first. The zero plan injects nothing.
 //
-// Install a plan with Fabric.SetFaultPlan before creating clients.
+// Install a plan with Fabric.SetFaultPlan before creating clients. A fault at
+// one chosen verb is no plan's: it is aimed at a client (Client.FailAt).
 type FaultPlan struct {
 	Seed uint64
 
@@ -89,12 +94,6 @@ type FaultPlan struct {
 
 	// Down lists node-down windows.
 	Down []DownWindow
-
-	// CrashAfterVerbs kills a client (by ID) after it has posted the
-	// given number of verbs: the batch containing the Nth verb executes
-	// only up to verb N, then the client is dead — including any verbs
-	// that would have released locks it holds.
-	CrashAfterVerbs map[int]uint64
 }
 
 // Default fault timing parameters (virtual time).
@@ -103,8 +102,9 @@ const (
 	DefaultDelayPs   = 20_000_000 // 20 µs spike, an order above the base RTT
 )
 
+// timeoutPs is also the wait of an aimed timeout, with or without a plan.
 func (p *FaultPlan) timeoutPs() int64 {
-	if p.TimeoutPs <= 0 {
+	if p == nil || p.TimeoutPs <= 0 {
 		return DefaultTimeoutPs
 	}
 	return p.TimeoutPs
@@ -161,8 +161,9 @@ func reject(node mem.NodeID, base error, format string, args ...any) error {
 	return &rejectErr{faultErr(base, format, args...), node}
 }
 
-// cutErr is an ErrTransient that names the prefix of the batch it cut: the
-// first executed verbs ran, their results stand, the rest did not.
+// cutErr is an ErrTransient or ErrClientCrashed that names the prefix of the
+// batch it cut: the first executed verbs ran, their results stand, the rest
+// did not.
 type cutErr struct {
 	error
 	executed int
@@ -171,21 +172,22 @@ type cutErr struct {
 func (c *cutErr) Unwrap() error { return c.error }
 
 // cut attaches to a batch's error how many of its leading verbs executed, for
-// a transient only: the one fault whose executed prefix a poster can build on
-// (a down node or an open breaker executed nothing, a lost completion all of
-// it unseen, and a crash ends the client).
+// the faults that cut a batch: a transient, whose executed prefix a poster
+// can build on, and a crash, which ends the client behind it (a down node or
+// an open breaker executed nothing, a lost completion all of it unseen).
 func cut(executed int, err error) error {
-	if executed <= 0 || !errors.Is(err, ErrTransient) {
+	if executed <= 0 || !errors.Is(err, ErrTransient) && !errors.Is(err, ErrClientCrashed) {
 		return err
 	}
 	return &cutErr{err, executed}
 }
 
 // Executed returns how many leading verbs of a batch that failed with err
-// executed, with their results standing (ErrTransient's contract): a batch
-// that must still take effect is issued again from the first verb it did not
-// execute, never again from the top — a verb already executed may have been
-// overtaken since by another client's write. 0 for any other error.
+// executed, with their results standing (ErrTransient's contract; a crash
+// names its prefix too): a batch that must still take effect is issued again
+// from the first verb it did not execute, never again from the top — a verb
+// already executed may have been overtaken since by another client's write.
+// 0 for any other error.
 func Executed(err error) int {
 	if err == nil {
 		return 0 // checked first: the target below escapes, the clean path allocates nothing

@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"sphinx/internal/mem"
@@ -158,30 +160,110 @@ func TestNodeDownWindow(t *testing.T) {
 	}
 }
 
-func TestCrashAfterVerbs(t *testing.T) {
+// spanOps is n writes on node a and n on node b: one batch over two MNs.
+// spanPrefix counts how many of them landed, in posting order.
+func spanOps(a, b mem.NodeID, base uint64, n int) []Op {
+	return append(writeOps(a, base, n), writeOps(b, base, n)...)
+}
+
+func spanPrefix(f *Fabric, a, b mem.NodeID, base uint64, n int) int {
+	if got := executedPrefix(f, a, base, n); got < n {
+		return got
+	}
+	return n + executedPrefix(f, b, base, n)
+}
+
+// TestAimedFault aims each kind of fault at each verb of a batch that spans
+// two MNs, and past it into the next batch, with and without a plan. Verbs
+// count from the batch after the aim. The verbs ahead of the aimed one run
+// and Executed names them; a transient and a crash run no more; a timeout runs
+// the whole batch and waits the timeout; a crash kills the client and charges
+// no round trip; the shot fires once. Aimed from inside Trace, a shot counts
+// from the batch after the one executing.
+func TestAimedFault(t *testing.T) {
+	const half = 3 // a batch is half verbs on each MN
+	for _, plan := range []*FaultPlan{nil, {Seed: 3, TimeoutPs: 5_000_000}} {
+		for _, kind := range []error{ErrTransient, ErrClientCrashed, ErrTimeout} {
+			for at := 0; at < 4*half; at++ {
+				name := fmt.Sprintf("plan %v, %v at verb %d", plan != nil, kind, at)
+				f := New(InstantConfig())
+				f.SetFaultPlan(plan)
+				a, b := f.AddNode(1<<20), f.AddNode(1<<20)
+				c := f.NewClient()
+				if err := c.Batch(spanOps(a, b, 0, 1)); err != nil { // ahead of the aim: not counted
+					t.Fatal(err)
+				}
+				c.FailAt(uint64(at), kind)
+				base := uint64(64)
+				if at >= 2*half { // aimed into the second batch: the first runs clean
+					if err := c.Batch(spanOps(a, b, base, half)); err != nil || spanPrefix(f, a, b, base, half) != 2*half {
+						t.Fatalf("%s: the batch ahead of the aimed one = %v", name, err)
+					}
+					base += 64
+				}
+				rt, clock := c.Stats().RoundTrips, c.Clock()
+				err := c.Batch(spanOps(a, b, base, half))
+				ran, executed, wantRT, wait := at%(2*half), at%(2*half), rt+1, int64(0)
+				switch kind {
+				case ErrClientCrashed:
+					wantRT = rt
+				case ErrTimeout:
+					ran, executed, wait = 2*half, 0, plan.timeoutPs()
+				}
+				if got := spanPrefix(f, a, b, base, half); !errors.Is(err, kind) || got != ran || Executed(err) != executed {
+					t.Errorf("%s: %v, %d verbs ran, Executed %d; want %d ran, Executed %d", name, err, got, Executed(err), ran, executed)
+				}
+				if st := c.Stats(); st.RoundTrips != wantRT || c.Clock()-clock != wait {
+					t.Errorf("%s: %d round trips, %d ps waited; want %d, %d", name, st.RoundTrips-rt, c.Clock()-clock, wantRT-rt, wait)
+				}
+				err = c.Batch(spanOps(a, b, 512, half))
+				if crashed := kind == ErrClientCrashed; crashed != errors.Is(err, ErrClientCrashed) || crashed != (err != nil) {
+					t.Errorf("%s: the next batch = %v", name, err)
+				}
+			}
+		}
+	}
+
 	f, id := newTestFabric(InstantConfig())
-	f.SetFaultPlan(&FaultPlan{Seed: 5, CrashAfterVerbs: map[int]uint64{0: 3}})
 	c := f.NewClient()
-	if c.ID() != 0 {
-		t.Fatalf("first client ID = %d, want 0", c.ID())
+	f.Trace = func(cl *Client, _ *Op) {
+		f.Trace = nil
+		cl.FailAt(1, ErrTransient)
 	}
-	if err := c.Batch(writeOps(id, 0, 2)); err != nil {
-		t.Fatalf("verbs 1-2 are before the crash point: %v", err)
+	err1, err2 := c.Batch(writeOps(id, 0, 4)), c.Batch(writeOps(id, 64, 4))
+	if err1 != nil || !errors.Is(err2, ErrTransient) || Executed(err2) != 1 || executedPrefix(f, id, 64, 4) != 1 {
+		t.Errorf("aimed from Trace: %v, then %v; want the next batch cut after 1 verb", err1, err2)
 	}
-	err := c.Batch(writeOps(id, 2, 2))
-	if !errors.Is(err, ErrClientCrashed) {
-		t.Fatalf("err = %v, want ErrClientCrashed", err)
+}
+
+// TestAimedFaultLeavesTheRollsAlone: a client with a shot and a seeded plan
+// meets the same rolled faults as its twin without one, on every batch but
+// the one the shot took.
+func TestAimedFaultLeavesTheRollsAlone(t *testing.T) {
+	run := func(aim bool) (outcomes []string) {
+		f, id := newTestFabric(InstantConfig())
+		f.SetFaultPlan(&FaultPlan{Seed: 42, TransientPer64k: 1 << 14, DelayPer64k: 1 << 13})
+		c := f.NewClient()
+		if aim {
+			c.FailAt(100, ErrTimeout)
+		}
+		for i := 0; i < 60; i++ {
+			delays := c.Stats().Delays
+			err := c.Batch(writeOps(id, uint64(8*i), 8))
+			outcomes = append(outcomes, fmt.Sprint(err, Executed(err), c.Stats().Delays-delays))
+		}
+		return outcomes
 	}
-	if !c.Crashed() {
-		t.Error("client not marked crashed")
+	twin, aimed, shots := run(false), run(true), 0
+	for i := range twin {
+		if strings.Contains(aimed[i], ErrTimeout.Error()) {
+			shots++ // the plan rolls no timeouts: this batch is the shot's
+		} else if aimed[i] != twin[i] {
+			t.Errorf("batch %d: %s with the shot, %s without", i, aimed[i], twin[i])
+		}
 	}
-	// Verb 3 (the first of the second batch) executed; verb 4 did not.
-	if got := executedPrefix(f, id, 2, 2); got != 1 {
-		t.Errorf("second batch executed %d verbs, want 1", got)
-	}
-	// The client is dead for good.
-	if err := c.Batch(writeOps(id, 8, 1)); !errors.Is(err, ErrClientCrashed) {
-		t.Errorf("post-crash batch err = %v, want ErrClientCrashed", err)
+	if shots != 1 {
+		t.Errorf("the shot fired %d times, want once", shots)
 	}
 }
 
@@ -190,8 +272,8 @@ func TestCrashAfterVerbs(t *testing.T) {
 // verb must stop the remaining ones.
 func TestNoBatchStopsAtFailingVerb(t *testing.T) {
 	f, id := newTestFabric(InstantConfig())
-	f.SetFaultPlan(&FaultPlan{Seed: 6, CrashAfterVerbs: map[int]uint64{0: 2}})
 	c := f.NewClient()
+	c.FailAt(2, ErrClientCrashed)
 	c.SetNoBatch(true)
 	err := c.Batch(writeOps(id, 0, 6))
 	if !errors.Is(err, ErrClientCrashed) {

@@ -173,8 +173,8 @@ func TestRiderCrashCountsRiderVerbs(t *testing.T) {
 		{limit: 1, callerErr: true, riderRan: 0, callerRan: 1, postedWant: 1},
 	} {
 		f, id := newTestFabric(InstantConfig())
-		f.SetFaultPlan(&FaultPlan{Seed: 1, CrashAfterVerbs: map[int]uint64{0: tc.limit}})
 		c := f.NewClient()
+		c.FailAt(tc.limit, ErrClientCrashed)
 		r := &shareRider{ops: writeOps(id, 512, 2)}
 		c.SetRider(r)
 		err := c.Batch(writeOps(id, 0, 2))

@@ -10,30 +10,6 @@ import (
 	"sphinx/internal/wire"
 )
 
-// faultyEngine returns an engine whose every batch faults — with a transient,
-// or a lost completion — until one has, then never again.
-func faultyEngine(f *fabric.Fabric, e *Engine, seed uint64, timeout bool) *Engine {
-	plan := &fabric.FaultPlan{Seed: seed, TimeoutPs: 1_000_000}
-	if timeout {
-		plan.TimeoutPer64k = 1 << 16
-	} else {
-		plan.TransientPer64k = 1 << 16
-	}
-	f.SetFaultPlan(plan)
-	c := f.NewClient()
-	f.SetFaultPlan(nil)
-	c.SetObserver(disarm{plan})
-	return NewEngine(c, e.Alloc, e.Ring, Config{})
-}
-
-type disarm struct{ plan *fabric.FaultPlan }
-
-func (d disarm) ObserveBatch(ev fabric.BatchEvent) {
-	if ev.Err != nil {
-		d.plan.TransientPer64k, d.plan.TimeoutPer64k = 0, 0
-	}
-}
-
 func leafStatus(t *testing.T, e *Engine, addr mem.Addr) wire.Status {
 	t.Helper()
 	w, err := e.C.ReadUint64(addr)
@@ -73,6 +49,10 @@ func TestFaultedLeafLockNeverFreesAnothersLock(t *testing.T) {
 		},
 	}
 
+	// verbs is the size of each attempt's lock batch: the fault is aimed at
+	// every verb of it, ahead of the CAS and behind it.
+	verbs := map[string]int{"bare": 1, "speculative": 2}
+
 	for name, attempt := range attempts {
 		for _, timeout := range []bool{false, true} {
 			fault, want := "transient", fabric.ErrTransient
@@ -80,35 +60,34 @@ func TestFaultedLeafLockNeverFreesAnothersLock(t *testing.T) {
 				fault, want = "timeout", fabric.ErrTimeout
 			}
 			t.Run(name+"/"+fault+"/held by another writer", func(t *testing.T) {
-				casRan := map[bool]int{}
-				for seed := uint64(1); seed <= 16; seed++ {
+				for at := 0; at < verbs[name]; at++ {
 					f, a, leaf := setup(t)
 					held := lockOf(leaf)
 					if err := a.TryLeafLock(&held); err != nil || !held.Held {
 						t.Fatalf("holder's lock = %v, %v", held.Held, err)
 					}
-					b := faultyEngine(f, a, seed, timeout)
+					b := engineOn(f, a.Ring)
+					b.C.FailAt(uint64(at), want)
 					if err := attempt(b, leaf); !errors.Is(err, want) {
-						t.Fatalf("seed %d: contender = %v, want %v", seed, err, want)
+						t.Fatalf("fault at verb %d: contender = %v, want %v", at, err, want)
 					}
 					st := b.C.Stats()
-					casRan[st.ByKind[fabric.CAS] > 0]++
+					if casRan := st.ByKind[fabric.CAS] > 0; casRan != (at > 0 || timeout) {
+						t.Errorf("fault at verb %d: the contender's CAS ran: %v", at, casRan)
+					}
 					if st.RoundTrips != 1 {
-						t.Errorf("seed %d: contender spent %d round trips; it lost (or never ran) its CAS and has nothing to release", seed, st.RoundTrips)
+						t.Errorf("fault at verb %d: contender spent %d round trips; it lost (or never ran) its CAS and has nothing to release", at, st.RoundTrips)
 					}
 					if got := leafStatus(t, a, leaf.Addr); got != wire.StatusLocked {
-						t.Fatalf("seed %d: leaf header is %v while the first writer still holds it: the faulted contender freed a lock it never took", seed, got)
+						t.Fatalf("fault at verb %d: leaf header is %v while the first writer still holds it: the faulted contender freed a lock it never took", at, got)
 					}
 					// The holder's release lands on its own lock.
 					if err := a.WriteLockedLeaf(&held, key, []byte("w")); err != nil {
 						t.Fatal(err)
 					}
 					if got, err := a.ReadLeaf(leaf.Addr); err != nil || !bytes.Equal(got.Value, []byte("w")) {
-						t.Fatalf("seed %d: after the holder's write: %v, %v", seed, got, err)
+						t.Fatalf("fault at verb %d: after the holder's write: %v, %v", at, got, err)
 					}
-				}
-				if name == "speculative" && !timeout && (casRan[false] == 0 || casRan[true] == 0) {
-					t.Fatalf("transients fell before the CAS %d times and behind it %d times; the sweep misses a side", casRan[false], casRan[true])
 				}
 			})
 		}
@@ -116,24 +95,22 @@ func TestFaultedLeafLockNeverFreesAnothersLock(t *testing.T) {
 
 	// The one release a faulted attempt owes: nobody else holds the leaf, the
 	// CAS executed and won, the READ behind it failed. Left alone, that lock
-	// costs this put's own restart a whole lease.
+	// costs this put's own restart a whole lease. Cut ahead of the CAS, the
+	// attempt took nothing and releases nothing.
 	t.Run("speculative/transient/won then cut", func(t *testing.T) {
-		won := 0
-		for seed := uint64(1); seed <= 16; seed++ {
+		for at := 0; at < verbs["speculative"]; at++ {
 			f, a, leaf := setup(t)
-			b := faultyEngine(f, a, seed, false)
+			b := engineOn(f, a.Ring)
+			b.C.FailAt(uint64(at), fabric.ErrTransient)
 			if err := attempts["speculative"](b, leaf); !errors.Is(err, fabric.ErrTransient) {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatalf("fault at verb %d: %v", at, err)
 			}
 			if got := leafStatus(t, a, leaf.Addr); got != wire.StatusIdle {
-				t.Fatalf("seed %d: leaf left %v behind a cut lock batch", seed, got)
+				t.Fatalf("fault at verb %d: leaf left %v behind a cut lock batch", at, got)
 			}
-			if b.C.Stats().ByKind[fabric.CAS] == 2 {
-				won++ // lock, then the release
+			if cas, want := b.C.Stats().ByKind[fabric.CAS], uint64(2*at); cas != want {
+				t.Errorf("fault at verb %d: %d CASes, want %d (lock, then the release, behind a won CAS)", at, cas, want)
 			}
-		}
-		if won == 0 {
-			t.Fatal("no transient fell behind a winning CAS; the sweep exercises nothing")
 		}
 	})
 }
@@ -152,7 +129,8 @@ func TestFaultedContenderLeavesRelocationLocked(t *testing.T) {
 	if err != nil || leaf == nil {
 		t.Fatalf("search = %v, %v", leaf, err)
 	}
-	contender := faultyEngine(f, clean, 1, false)
+	contender := engineOn(f, ring)
+	contender.C.FailAt(0, fabric.ErrTransient)
 
 	var interleaved bool
 	f.Trace = func(c *fabric.Client, op *fabric.Op) {

@@ -81,36 +81,32 @@ func TestPreCommitFaultReleasesLocks(t *testing.T) {
 	})
 
 	t.Run("transient truncation sweep", func(t *testing.T) {
-		aimed, locked := 0, 0
-		for seed := uint64(1); seed <= 200; seed++ {
+		// put is the victim's insert: only the victim's own batches fault —
+		// its allocator and the root image it starts from go through a
+		// fault-free client — and the transient is aimed at its verb at.
+		put := func(at uint64, aim bool) (*fabric.Client, error) {
 			f, ring, root := leaseCluster(t)
-			f.SetFaultPlan(&fabric.FaultPlan{Seed: seed, TransientPer64k: 1 << 14})
 			vc := f.NewClient()
-			f.SetFaultPlan(nil)
-			// Only the victim's own batches fault: its allocator and the root
-			// image it starts from go through a fault-free client, so most
-			// faults land on the write path under test.
+			if aim {
+				vc.FailAt(at, fabric.ErrTransient)
+			}
 			clean := engineOn(f, ring)
 			victim := NewEngine(vc, clean.Alloc, ring, Config{})
 			_, err := victim.PutFrom(root(clean), []byte("lease-ab"), []byte("v"), PutUpsert, NopHooks{})
-			if err == nil {
-				continue
+			if err != nil {
+				if !errors.Is(err, fabric.ErrTransient) {
+					t.Fatalf("transient at verb %d: victim put = %v, want success or a transient fault", at, err)
+				}
+				putUnderRootQuickly(t, f, ring, root, fmt.Sprintf("transient at verb %d", at))
 			}
-			if !errors.Is(err, fabric.ErrTransient) {
-				t.Fatalf("seed %d: victim put = %v, want success or a transient fault", seed, err)
-			}
-			st := vc.Stats()
-			if st.Transients > 1 {
-				continue // the best-effort release faulted too
-			}
-			aimed++
-			if st.ByKind[fabric.CAS] > 0 {
-				locked++ // the batch was cut after its lock CAS had executed
-			}
-			putUnderRootQuickly(t, f, ring, root, fmt.Sprintf("transient seed %d", seed))
+			return vc, err
 		}
-		if aimed == 0 || locked == 0 {
-			t.Fatalf("%d seeds faulted the victim exactly once, %d of them after its lock CAS; the sweep exercises nothing", aimed, locked)
+		vc, err := put(0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for at := uint64(0); at < vc.Stats().Verbs; at++ {
+			put(at, true)
 		}
 	})
 }

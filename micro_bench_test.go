@@ -4,7 +4,6 @@
 package sphinx_test
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 
 	"sphinx"
 
-	"sphinx/internal/art"
 	"sphinx/internal/core"
 	"sphinx/internal/cuckoo"
 	"sphinx/internal/dataset"
@@ -75,45 +73,6 @@ func BenchmarkPrefixHash(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wire.PrefixHash42(key)
-	}
-}
-
-func BenchmarkLocalARTInsert(b *testing.B) {
-	keys := dataset.GenerateEmail(100_000, 1)
-	var t art.Tree
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Insert(keys[i%len(keys)], keys[i%len(keys)])
-	}
-}
-
-func BenchmarkLocalARTGet(b *testing.B) {
-	keys := dataset.GenerateEmail(100_000, 1)
-	var t art.Tree
-	for _, k := range keys {
-		t.Insert(k, k)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := t.Get(keys[i%len(keys)]); !ok {
-			b.Fatal("missing key")
-		}
-	}
-}
-
-func BenchmarkLocalARTScan100(b *testing.B) {
-	var t art.Tree
-	for i := 0; i < 100_000; i++ {
-		t.Insert([]byte(fmt.Sprintf("scan%07d", i)), []byte("v"))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := []byte(fmt.Sprintf("scan%07d", (i*37)%90_000))
-		n := 0
-		t.Scan(lo, nil, func(k, v []byte) bool {
-			n++
-			return n < 100
-		})
 	}
 }
 
