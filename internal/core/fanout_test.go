@@ -87,28 +87,13 @@ func newestWhole(ws []whole) whole {
 	return best
 }
 
-// onBatch runs fn once, right after the observed client completes a batch of
-// exactly verbs verbs moving exactly bytes bytes — with the head size of a key
-// that is the head-read round of a fan-out, after which a competing writer has
+// headsRead accepts the park behind a fan-out's head-read round of key: a
+// batch that ends in the READ of one head, after which a competing writer has
 // to land to win the race for the entry CAS of the next round.
-type onBatch struct {
-	verbs int
-	bytes uint64
-	fn    func()
-}
-
-func (o *onBatch) ObserveBatch(ev fabric.BatchEvent) {
-	if o.fn != nil && ev.Err == nil && ev.Verbs == o.verbs && ev.Bytes == o.bytes {
-		fn := o.fn
-		o.fn = nil
-		fn()
+func headsRead(key []byte) func(fabrictest.Step) bool {
+	return func(s fabrictest.Step) bool {
+		return s.BatchEnd && s.Op.Kind == fabric.Read && len(s.Op.Data) == recordDataOff+len(key)
 	}
-}
-
-// afterHeads observes the head-read round of a fan-out of key over n nodes
-// that each hold one fingerprint match.
-func afterHeads(key []byte, n int, fn func()) *onBatch {
-	return &onBatch{verbs: n, bytes: uint64(n * (recordDataOff + len(key))), fn: fn}
 }
 
 // newAckCluster is a 3-MN cluster with both replica layers on — anchors at
@@ -276,7 +261,7 @@ func TestReplicaAckBudget(t *testing.T) {
 	}
 }
 
-// TestFanoutLosesRaceOnOneLeg replays, on one goroutine, a rival that lands a
+// TestFanoutLosesRaceOnOneLeg replays, in a schedule, a rival that lands a
 // version on ONE target between the fan-out's read of the heads and its round
 // of image WRITEs and entry CASes. Only that leg goes back to the bucket read;
 // the others publish in the round they were in. A newer rival is adopted there
@@ -309,14 +294,13 @@ func TestFanoutLosesRaceOnOneLeg(t *testing.T) {
 				}
 				var rivalPub published
 				var rivalErr error
-				a.eng.C.SetObserver(afterHeads(key, len(nodes), func() {
-					rivalPub, rivalErr = sb.publishOn(nodes[0], rival, sh.live)
-				}))
+				var legs []leg
 				before := a.Stats()
-				legs := sa.publish(nodes, ours, sh.live)
-				a.eng.C.SetObserver(nil)
-				if rivalErr != nil || !rivalPub.wrote {
-					t.Fatalf("rival's publish: %+v, %v", rivalPub, rivalErr)
+				sw := &fabrictest.Switch{Match: headsRead(key)}
+				fabrictest.Run(f, sw, fabrictest.Proc{C: a.eng.C, Fn: func() { legs = sa.publish(nodes, ours, sh.live) }},
+					fabrictest.Proc{Fn: func() { rivalPub, rivalErr = sb.publishOn(nodes[0], rival, sh.live) }})
+				if sw.At == nil || rivalErr != nil || !rivalPub.wrote {
+					t.Fatalf("rival's publish behind the head read (%+v): %+v, %v", sw.At, rivalPub, rivalErr)
 				}
 				if d := a.Stats().ReplicaRequeues - before.ReplicaRequeues; d != 1 {
 					t.Errorf("%d legs went back to the bucket read, want the raced one only", d)
@@ -370,14 +354,22 @@ func TestFanoutKilledLeg(t *testing.T) {
 			}
 			targets, _ := c.anchors.targets(c.members.Current(), key, false)
 			victim := targets[len(targets)-1]
-			if when == "before the bucket read" {
-				f.KillNode(victim)
-			} else {
-				c.eng.C.SetObserver(&onBatch{verbs: 2 * len(targets), bytes: uint64(2 * len(targets) * racehash.BucketSize), fn: func() { f.KillNode(victim) }})
+			// At the write's start, or behind the bucket read: the batch of the
+			// targets' pairs, a READ each.
+			sw, wantAt := &fabrictest.Switch{}, uint64(0)
+			if when == "after the bucket read" {
+				sw.Match = func(s fabrictest.Step) bool {
+					return s.BatchEnd && s.Op.Kind == fabric.Read && len(s.Op.Data) == racehash.BucketSize
+				}
+				wantAt = uint64(2 * len(targets))
 			}
 			before := c.Stats()
-			existed, err := c.anchorUpsert(key, []byte("after the kill"))
-			c.eng.C.SetObserver(nil)
+			existed, err := false, error(nil)
+			fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { existed, err = c.anchorUpsert(key, []byte("after the kill")) }},
+				fabrictest.Proc{Fn: func() { f.KillNode(victim) }})
+			if sw.At == nil || sw.At.K != wantAt {
+				t.Fatalf("the kill landed at %+v; want %s", sw.At, when)
+			}
 			if err != nil || !existed {
 				t.Fatalf("anchorUpsert with one target killed = %v, %v; want it acknowledged by the survivor", existed, err)
 			}
@@ -509,15 +501,14 @@ func TestCommitToKilledNodeFailsOver(t *testing.T) {
 	}
 	key := keys[0]
 	leaf := leafAddrOf(t, c, key)
-	f.Trace = func(fc *fabric.Client, o *fabric.Op) {
-		if fc == c.eng.C && o.Kind == fabric.CAS && o.Addr == leaf && o.Old == o.Expect {
-			f.Trace = nil
-			f.KillNode(leaf.Node())
-		}
-	}
+	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+		return s.Op.Kind == fabric.CAS && s.Op.Addr == leaf && s.Op.Old == s.Op.Expect
+	}}
 	before := c.Stats()
-	existed, err := c.Update(key, []byte("after!"))
-	if f.Trace != nil {
+	existed, err := false, error(nil)
+	fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { existed, err = c.Update(key, []byte("after!")) }},
+		fabrictest.Proc{Fn: func() { f.KillNode(leaf.Node()) }})
+	if sw.At == nil {
 		t.Fatal("the update never locked the leaf; nothing was replayed")
 	}
 	if err != nil || !existed {
@@ -535,18 +526,6 @@ func TestCommitToKilledNodeFailsOver(t *testing.T) {
 // The riding fan-out: a write begins the anchors' fan-out before its tree
 // write, whose batches carry the bucket-pair and head reads; the version gate
 // and everything that writes wait for the commit (anchorArm).
-
-// afterBatch runs fn once, right after the observed client's n-th batch.
-type afterBatch struct {
-	n  int
-	fn func()
-}
-
-func (o *afterBatch) ObserveBatch(fabric.BatchEvent) {
-	if o.n--; o.n == 0 {
-		o.fn()
-	}
-}
 
 // parkedAtGate reports whether every leg of the store's fan-out read its heads
 // and waits at the version gate with nothing allocated.
@@ -591,9 +570,9 @@ func TestAnchorRideLosesRaceToRival(t *testing.T) {
 	rival := record{wire.StatusIdle, key, []byte("rival"), 0}
 	var rivalPub published
 	var rivalErr error
-	// The observer runs as the releasing WRITE's batch completes, before the
+	// The rival runs as the releasing WRITE's batch completes, before the
 	// rider settles the heads it carried.
-	a.eng.C.SetObserver(&afterBatch{n: 2, fn: func() {
+	rivalFn := func() {
 		for i := range a.anchors.legs {
 			if l := &a.anchors.legs[i]; l.step != stepHeads || len(l.heads) != 1 {
 				t.Errorf("leg %d at step %d with %d heads: the heads did not ride the releasing WRITE", i, l.step, len(l.heads))
@@ -601,10 +580,14 @@ func TestAnchorRideLosesRaceToRival(t *testing.T) {
 		}
 		rival.version = b.anchors.nextVersion()
 		rivalPub, rivalErr = b.anchors.publishOn(nodes[0], rival, publishUpsert)
-	}})
+	}
 	before := a.Stats()
-	ok, err := a.Update(key, []byte("ours"))
-	a.eng.C.SetObserver(nil)
+	ok, err := false, error(nil)
+	sw := &fabrictest.Switch{K: 2, Match: fabrictest.AtBatchEnd}
+	fabrictest.Run(f, sw, fabrictest.Proc{C: a.eng.C, Fn: func() { ok, err = a.Update(key, []byte("ours")) }}, fabrictest.Proc{Fn: rivalFn})
+	if sw.At == nil || sw.At.Op.Kind != fabric.Read || sw.At.Stage != fabric.StageLeafWrite {
+		t.Fatalf("the rival ran at %+v; want behind the releasing WRITE's batch, the heads' READs", sw.At)
+	}
 	if err != nil || !ok {
 		t.Fatalf("Update = %v, %v", ok, err)
 	}
@@ -643,10 +626,13 @@ func TestAnchorRideTreeWriteFails(t *testing.T) {
 	for i, n := range targets {
 		images[i] = len(scanImages(t, f, n, key))
 	}
-	c.eng.C.SetObserver(&afterBatch{n: 2, fn: func() { c.eng.C.FailAt(0, fabric.ErrClientCrashed) }})
 	before := c.Stats()
-	if _, err := c.Update(key, []byte("never")); !errors.Is(err, fabric.ErrClientCrashed) {
-		t.Fatalf("Update = %v; want the crash", err)
+	var err error
+	sw := &fabrictest.Switch{K: 2, Match: fabrictest.AtBatchEnd}
+	fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { _, err = c.Update(key, []byte("never")) }},
+		fabrictest.Proc{Fn: func() { c.eng.C.FailAt(0, fabric.ErrClientCrashed) }})
+	if sw.At == nil || !errors.Is(err, fabric.ErrClientCrashed) {
+		t.Fatalf("Update = %v, the crash aimed at %+v; want it behind the second batch", err, sw.At)
 	}
 	if st := c.Stats(); !parkedAtGate(c.anchors) || c.anchors.pending || st.ReplicaRidden != before.ReplicaRidden+2 || st.ReplicaRounds != st.ReplicaRidden-before.ReplicaRidden+before.ReplicaRounds {
 		t.Errorf("after the failed write: parked %v, pending %v, ridden rounds +%d, rounds +%d; want parked, off the slot, 2 and 2",
@@ -707,13 +693,17 @@ func TestAnchorRideTargetsMoved(t *testing.T) {
 	if victim == leaf.Node() {
 		victim = targets[1]
 	}
-	c.eng.C.SetObserver(&afterBatch{n: 1, fn: func() {
-		f.KillNode(victim)
-		f.Health().MarkDead(victim)
-	}})
 	before := c.Stats()
-	ok, err := c.Update(key, []byte("after"))
-	c.eng.C.SetObserver(nil)
+	ok, err := false, error(nil)
+	sw := &fabrictest.Switch{K: 1, Match: fabrictest.AtBatchEnd}
+	fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { ok, err = c.Update(key, []byte("after")) }},
+		fabrictest.Proc{Fn: func() {
+			f.KillNode(victim)
+			f.Health().MarkDead(victim)
+		}})
+	if sw.At == nil || sw.At.Stage != fabric.StageLeafWrite {
+		t.Fatalf("the loss landed at %+v; want behind the lock batch", sw.At)
+	}
 	if err != nil || !ok {
 		t.Fatalf("Update with a target lost mid-write = %v, %v", ok, err)
 	}

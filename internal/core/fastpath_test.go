@@ -17,14 +17,17 @@ import (
 // and the refuted fallback is a routing decision that burns no retry
 // backoff or budget.
 
-// warmSearch searches key and fails the test on any miss; the successful
-// traversal teaches the client's leaf-address cache.
-func warmSearch(t *testing.T, c *Client, key, want []byte) {
+// warmSearch searches key and reports a miss as an error — it may run in a
+// schedule's proc, off the test's goroutine; the caller decides whether to go
+// on. The successful traversal teaches the client's leaf-address cache.
+func warmSearch(t *testing.T, c *Client, key, want []byte) bool {
 	t.Helper()
 	v, ok, err := c.Search(key)
 	if err != nil || !ok || !bytes.Equal(v, want) {
-		t.Fatalf("warm Search(%q) = %q, %v, %v; want %q", key, v, ok, err, want)
+		t.Errorf("warm Search(%q) = %q, %v, %v; want %q", key, v, ok, err, want)
+		return false
 	}
+	return true
 }
 
 // TestSpecStaleEntryNoBackoff is the retry-accounting satellite for the

@@ -531,17 +531,17 @@ func TestHotDemoteTearsDown(t *testing.T) {
 	warmSearch(t, c, hot, []byte("v"))
 }
 
-// TestHotPublishGateOpensBeforePlaceholders replays the first-promotion
-// race single-threaded: once a promotion placeholder is discoverable,
-// Published() must already be true, so a write committing between the
-// placeholder publish and the promoter's final swap runs the replica
-// refresh instead of skipping it — and the promoter's pre-write value
-// then loses the LWW swap instead of sticking as a verified-servable
-// stale record.
+// TestHotPublishGateOpensBeforePlaceholders: once a promotion's placeholders
+// are discoverable, Published() is already true, so a write committing
+// between the promoter's authoritative read and its final swap runs the
+// replica refresh instead of skipping it — and the promoter's pre-write value
+// then loses the LWW swap instead of sticking as a verified-servable stale
+// record.
 func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.InstantConfig(), 3)
-	hs := eagerHotSet(3, 1<<30) // never auto-promotes: phases run by hand
-	c := newTestClient(f, shared, Options{Hot: hs})
+	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+	fabrictest.Queue(t, f, shared.Hot.Load, 0)
+	c := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 1<<30)}) // never promotes by itself
+	writer := newTestClient(f, shared, Options{})
 	key := []byte("raced-key")
 	if _, err := c.Insert(key, []byte("v1")); err != nil {
 		t.Fatal(err)
@@ -549,51 +549,29 @@ func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
 	if shared.Hot.Published() {
 		t.Fatal("Published() true before any hot record exists")
 	}
-	// Promoter phase 1: placeholders become discoverable, versions drawn.
+	// The write lands behind the promoter's read of the leaf.
+	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool { return s.BatchEnd && s.Stage == fabric.StageLeafRead }}
+	fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { c.hotPromote(key) }}, fabrictest.Proc{Fn: func() {
+		if !shared.Hot.Published() {
+			t.Error("Published() false with placeholders discoverable; a racing write would skip the replica refresh")
+		}
+		if _, err := writer.Update(key, []byte("v2")); err != nil {
+			t.Error(err)
+		}
+	}})
+	if sw.At == nil {
+		t.Fatal("the promoter read no leaf; the write never raced it")
+	}
 	targets, _ := c.hot.targets(c.members.Current(), key, false)
-	if len(targets) == 0 {
-		t.Fatal("no hot targets for key")
-	}
-	// targets returns the store's scratch slice; the Update below reuses
-	// it, so keep a private copy across the race.
-	targets = append([]mem.NodeID(nil), targets...)
-	v0 := c.hot.nextVersion()
-	for _, l := range c.hotPlacehold(targets, key, v0) {
-		if l.err != nil {
-			t.Fatal(l.err)
-		}
-	}
-	if !shared.Hot.Published() {
-		t.Fatal("Published() false with placeholders discoverable; a racing write would skip the replica refresh")
-	}
-	v1 := c.hot.nextVersion()
-	stale, ok, err := c.searchTree(key)
-	if err != nil || !ok {
-		t.Fatalf("authoritative read = %v, %v", ok, err)
-	}
-	// The racing write commits after the promoter's read, before its swap.
-	if _, err := c.Update(key, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	// Promoter phase 2: swapping the pre-write value in at v1 must lose
-	// on every target; whatever record is servable must hold v2.
-	for _, tgt := range targets {
-		pub, err := c.hot.publishOn(tgt, record{wire.StatusIdle, key, stale, v1}, publishSwapOnly)
+	for _, tgt := range slices.Clone(targets) {
+		recs, err := c.hot.recordsOn(tgt, key)
 		if err != nil {
-			t.Fatalf("publish(node %d): %v", tgt, err)
+			t.Fatalf("records on node %d: %v", tgt, err)
 		}
-		if !pub.servable {
-			continue // nothing servable there: fine, never stale
-		}
-		rec, err := c.hot.read(pub.addr, recordSpecRead)
-		if err != nil {
-			t.Fatalf("read(node %d): %v", tgt, err)
-		}
-		if rec.status != wire.StatusIdle || !bytes.Equal(rec.key, key) {
-			t.Fatalf("node %d: servable record status=%v key=%q", tgt, rec.status, rec.key)
-		}
-		if !bytes.Equal(rec.value, []byte("v2")) {
-			t.Errorf("node %d: hot record serves %q after racing write, want %q", tgt, rec.value, "v2")
+		for _, r := range recs {
+			if r.status == wire.StatusIdle && !bytes.Equal(r.value, []byte("v2")) {
+				t.Errorf("node %d: hot record v%d serves %q after the racing write, want %q", tgt, r.version, r.value, "v2")
+			}
 		}
 	}
 }
@@ -654,8 +632,10 @@ func TestHotOversizedValueExcluded(t *testing.T) {
 // the key's hot targets moves its replica set, and the record left on the
 // drained node is no longer refreshed by writes: B's routes predate the
 // change, so hotGet flushes them on the new epoch (HotSet.FlushRoutes) and
-// re-promotes rather than serve that record. Adding a node leaves the set as
-// it was (a joining node hosts no hot table); the reads stay fresh there too.
+// re-promotes rather than serve that record. A joining node hosts a hot table
+// of its own: the key's set moves to it (it is among the key's first three
+// successors), the re-promotion publishes a record there, and the reads stay
+// fresh too.
 func TestHotReadsFreshAcrossMembershipChange(t *testing.T) {
 	for _, change := range []string{"drain", "add"} {
 		t.Run(change, func(t *testing.T) {
@@ -677,6 +657,7 @@ func TestHotReadsFreshAcrossMembershipChange(t *testing.T) {
 			}
 			targets, _ := a.hot.targets(a.members.Current(), key, false)
 			before := slices.Clone(targets)
+			var joined mem.NodeID
 			switch change {
 			case "drain":
 				victim := before[0]
@@ -687,14 +668,15 @@ func TestHotReadsFreshAcrossMembershipChange(t *testing.T) {
 					t.Fatal(err)
 				}
 			case "add":
-				if _, err := BeginAddNode(f, shared, f.AddNode(256<<20), 1000); err != nil {
+				joined = f.AddNode(256 << 20)
+				if _, err := BeginAddNode(f, shared, joined, 1000); err != nil {
 					t.Fatal(err)
 				}
 			}
 			sweepToCutover(t, a)
 			after, _ := a.hot.targets(a.members.Current(), key, false)
-			if moved := !slices.Equal(before, after); moved != (change == "drain") {
-				t.Fatalf("the key's hot targets went %v -> %v; want them moved: %v", before, after, change == "drain")
+			if slices.Equal(before, after) || change == "add" && !slices.Contains(after, joined) {
+				t.Fatalf("the key's hot targets went %v -> %v; want them moved (to the joined node %d)", before, after, joined)
 			}
 			hits := b.Stats().HotHits
 			for i := 1; i <= 3; i++ {
@@ -708,6 +690,9 @@ func TestHotReadsFreshAcrossMembershipChange(t *testing.T) {
 			}
 			if b.Stats().HotHits == hits {
 				t.Error("B served no Get from a replica after the change; the test exercises nothing")
+			}
+			if recs, err := a.hot.recordsOn(joined, key); change == "add" && (err != nil || len(recs) != 1 || string(recs[0].value) != "v3") {
+				t.Errorf("joined node %d holds %d records of the key (err %v); want the one refreshed", joined, len(recs), err)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/obs"
 	"sphinx/internal/rart"
@@ -104,18 +105,13 @@ func leaseBetLostNeverWaits(t *testing.T, remembered bool) {
 			t.Fatal(err)
 		}
 		eng0 = c.eng.Stats()
-		// The rival lets go while the victim is polling: behind the victim's
-		// fourth batch — hash read and landing (in either order), lock batch,
-		// first poll.
-		c.eng.C.SetObserver(obs.Tee{A: &log, B: &afterBatches{n: 4, fn: func() {
-			if err := rival.eng.C.Batch([]fabric.Op{rival.eng.UnlockOp(held)}); err != nil {
-				t.Errorf("rival release: %v", err)
-			}
-		}}})
+		c.eng.C.SetObserver(&log)
 		key, value := []byte(sc.key), []byte("victim")
-		if bet {
-			_, err = c.Insert(key, value)
-		} else {
+		put := func() {
+			if bet {
+				_, err = c.Insert(key, value)
+				return
+			}
 			// The put without the bet, by hand: locate reads the landing
 			// unlocked, the tree write takes it from there.
 			var start *rart.Node
@@ -123,9 +119,18 @@ func leaseBetLostNeverWaits(t *testing.T, remembered bool) {
 				_, err = c.eng.PutFrom(start, key, value, rart.PutUpsert, hooks{c})
 			}
 		}
+		// The rival lets go while the victim is polling: behind the victim's
+		// fourth batch — hash read and landing (in either order), lock batch,
+		// first poll.
+		sw := &fabrictest.Switch{K: 4, Match: fabrictest.AtBatchEnd}
+		fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: put}, fabrictest.Proc{Fn: func() {
+			if err := rival.eng.C.Batch([]fabric.Op{rival.eng.UnlockOp(held)}); err != nil {
+				t.Errorf("rival release: %v", err)
+			}
+		}})
 		c.eng.C.SetObserver(nil)
-		if err != nil {
-			t.Fatalf("put (bet %v): %v", bet, err)
+		if err != nil || sw.At == nil || len(log.evs) <= 4 {
+			t.Fatalf("put (bet %v): %v, %d batches, the release at %+v; want it behind the fourth", bet, err, len(log.evs), sw.At)
 		}
 		return log, c
 	}
@@ -415,15 +420,17 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 						}
 					}
 				}
-				cut := ""
-				victim.eng.C.SetObserver(observerFunc(func(ev fabric.BatchEvent) {
-					if ev.Err != nil && cut == "" {
-						cut = fmt.Sprintf("%v after verb %d", ev.Stage, ev.Verbs)
-					}
-				}))
+				var log batchLog
+				victim.eng.C.SetObserver(&log)
 				restarts := victim.Stats().Restarts
 				if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
 					t.Fatalf("%s: victim put: %v", point.cut, err)
+				}
+				cut := ""
+				for _, ev := range log.evs {
+					if ev.Err != nil && cut == "" {
+						cut = fmt.Sprintf("%v after verb %d", ev.Stage, ev.Verbs)
+					}
 				}
 				if cut != point.cut {
 					t.Fatalf("the fault hit %q, want %q", cut, point.cut)

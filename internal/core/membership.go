@@ -120,10 +120,11 @@ func (m *Membership) Cutover() (*Placement, bool) {
 // BeginAddNode opens the transition that brings memory node id — already
 // registered with the fabric via AddNode — into the placement: it
 // bootstraps the node's inner-node hash table (and anchor table, under
-// fault tolerance) sized like the original bootstrap's, then publishes a
-// new epoch whose ring includes the node. The tree and anchor state that
-// the new node now owns is moved by MigrateSweep; until a sweep converges
-// and cuts over, reads fall back to the old owners.
+// fault tolerance) sized like the original bootstrap's, and its hot-record
+// table where the hot layer is on (a table grows as records arrive), then
+// publishes a new epoch whose ring includes the node. The tree and anchor
+// state that the new node now owns is moved by MigrateSweep; until a sweep
+// converges and cuts over, reads fall back to the old owners.
 func BeginAddNode(f *fabric.Fabric, sh Shared, id mem.NodeID, expectedKeys int) (*Placement, error) {
 	cur := sh.Members.Current()
 	if cur.Ring.Contains(id) {
@@ -142,6 +143,13 @@ func BeginAddNode(f *fabric.Fabric, sh Shared, id mem.NodeID, expectedKeys int) 
 			return nil, fmt.Errorf("core: bootstrap anchor %w", err)
 		}
 		sh.FT.records.extend(id, anchors[id])
+	}
+	if sh.Hot != nil {
+		hot, err := bootstrapTables(f, alloc, joining, 1)
+		if err != nil {
+			return nil, fmt.Errorf("core: bootstrap hot %w", err)
+		}
+		sh.Hot.records.extend(id, hot[id])
 	}
 	return sh.Members.BeginChange(func(cur *Placement) (*Placement, error) {
 		ring, err := cur.Ring.WithNode(id)

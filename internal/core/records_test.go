@@ -169,7 +169,7 @@ func TestRecordLWWConcurrentPublishers(t *testing.T) {
 	})
 }
 
-// TestRecordLostSwapRetiresImage replays a lost swap race on one goroutine:
+// TestRecordLostSwapRetiresImage replays a lost swap race in a schedule:
 // a competitor lands a newer version between the publisher's read of the
 // heads and the round that writes its image and CASes its entry in, one
 // behind the other in one batch. The loser must adopt the winner and retire the image
@@ -186,15 +186,13 @@ func TestRecordLostSwapRetiresImage(t *testing.T) {
 		}
 		loser := record{wire.StatusIdle, key, bytes.Repeat([]byte("a"), 100), sa.nextVersion()}
 		winner := record{wire.StatusIdle, key, bytes.Repeat([]byte("b"), 100), sb.nextVersion()}
-		var winPub published
-		var winErr error
-		a.eng.C.SetObserver(afterHeads(key, 1, func() {
-			winPub, winErr = sb.publishOn(node, winner, sh.live)
-		}))
-		pub, err := sa.publishOn(node, loser, sh.live)
-		a.eng.C.SetObserver(nil)
-		if winErr != nil || !winPub.wrote {
-			t.Fatalf("competing publish: %+v, %v", winPub, winErr)
+		var pub, winPub published
+		var err, winErr error
+		sw := &fabrictest.Switch{Match: headsRead(key)}
+		fabrictest.Run(f, sw, fabrictest.Proc{C: a.eng.C, Fn: func() { pub, err = sa.publishOn(node, loser, sh.live) }},
+			fabrictest.Proc{Fn: func() { winPub, winErr = sb.publishOn(node, winner, sh.live) }})
+		if sw.At == nil || winErr != nil || !winPub.wrote {
+			t.Fatalf("competing publish behind the head read (%+v): %+v, %v", sw.At, winPub, winErr)
 		}
 		if err != nil || pub.wrote || !pub.servable || pub.addr != winPub.addr {
 			t.Fatalf("losing publish = %+v, %v; want the winner's record at %v adopted", pub, err, winPub.addr)
@@ -244,14 +242,13 @@ func TestRecordSwapOnlyNeverInserts(t *testing.T) {
 		}
 		rec.version = sa.nextVersion()
 		var removed bool
-		var rmErr error
-		a.eng.C.SetObserver(afterHeads(key, 1, func() {
-			removed, rmErr = sb.removeOn(node, key, nil)
-		}))
-		pub, err := sa.publishOn(node, rec, publishSwapOnly)
-		a.eng.C.SetObserver(nil)
-		if rmErr != nil || !removed {
-			t.Fatalf("concurrent remove = %v, %v", removed, rmErr)
+		var pub published
+		var err, rmErr error
+		sw := &fabrictest.Switch{Match: headsRead(key)}
+		fabrictest.Run(f, sw, fabrictest.Proc{C: a.eng.C, Fn: func() { pub, err = sa.publishOn(node, rec, publishSwapOnly) }},
+			fabrictest.Proc{Fn: func() { removed, rmErr = sb.removeOn(node, key, nil) }})
+		if sw.At == nil || rmErr != nil || !removed {
+			t.Fatalf("concurrent remove behind the head read (%+v) = %v, %v", sw.At, removed, rmErr)
 		}
 		if err != nil || pub != (published{}) {
 			t.Fatalf("swap-only publish racing a delete = %+v, %v; want nothing", pub, err)
@@ -452,30 +449,29 @@ func TestHotRetireFaultIsNotAcked(t *testing.T) {
 			// behind it, so there the read of a head makes the drop round the
 			// next batch. (Beside the anchors the CAS may be an anchor's:
 			// their swap rides the same round, under the hot stage.)
-			f.Trace = func(c *fabric.Client, o *fabric.Op) {
-				if c != writer.eng.C || c.Stage() != fabric.StageHotPub {
-					return
-				}
-				won := o.Kind == fabric.CAS && o.Old == o.Expect
-				head := o.Kind == fabric.Read && len(o.Data) == recordDataOff+len(key)
-				if (op != "delete" && won) || (op == "delete" && head) {
-					f.Trace = nil
-					if anchored {
-						plan.TransientPer64k = 1 << 16 // every posting from here on fails
-					} else {
-						c.FailAt(0, fabric.ErrTransient)
-					}
-				}
+			sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+				won := s.Op.Kind == fabric.CAS && s.Op.Old == s.Op.Expect
+				head := s.Op.Kind == fabric.Read && len(s.Op.Data) == recordDataOff+len(key)
+				return s.Stage == fabric.StageHotPub && (op != "delete" && won || op == "delete" && head)
+			}}
+			fault := func() { writer.eng.C.FailAt(0, fabric.ErrTransient) }
+			if anchored {
+				fault = func() { plan.TransientPer64k = 1 << 16 } // every posting from here on fails
 			}
 			var err error
 			want, present := []byte("v2"), true
-			if op != "delete" {
-				_, err = writer.Insert(key, want)
-			} else {
-				_, err = writer.Delete(key)
-				want, present = nil, false
+			fabrictest.Run(f, sw, fabrictest.Proc{C: writer.eng.C, Fn: func() {
+				if op != "delete" {
+					_, err = writer.Insert(key, want)
+				} else {
+					_, err = writer.Delete(key)
+					want, present = nil, false
+				}
+			}}, fabrictest.Proc{Fn: fault})
+			plan.TransientPer64k = 0
+			if sw.At == nil {
+				t.Fatal("the write took no swap in the hot store; the fault was never aimed")
 			}
-			f.Trace, plan.TransientPer64k = nil, 0
 			if anchored {
 				// The retire round and each of its three legs posted alone.
 				if n := writer.eng.C.Stats().Transients; n != 4 || err == nil {

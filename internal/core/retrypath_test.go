@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/obs"
 	"sphinx/internal/rart"
@@ -216,9 +217,13 @@ func TestRerouteLeaseEndsWithItsRound(t *testing.T) {
 	c := fullNodeCluster(t, plan)
 	key := []byte("ab5z")
 	full := landingOf(t, c, string(key), "ab")
-	c.eng.C.SetObserver(&afterBatches{n: 1, fn: func() { plan.TimeoutPer64k = 1 << 16 }})
-	_, err := c.Insert(key, []byte("v"))
-	c.eng.C.SetObserver(nil)
+	var err error
+	sw := &fabrictest.Switch{K: 1, Match: fabrictest.AtBatchEnd}
+	fabrictest.Run(c.eng.C.Fabric(), sw, fabrictest.Proc{C: c.eng.C, Fn: func() { _, err = c.Insert(key, []byte("v")) }},
+		fabrictest.Proc{Fn: func() { plan.TimeoutPer64k = 1 << 16 }})
+	if sw.At == nil || sw.At.Stage != fabric.StageLock {
+		t.Fatalf("the plan turned faulty at %+v; want behind the landing", sw.At)
+	}
 	if !errors.Is(err, ErrRetriesExhausted) || c.stats.ParentRetries != 1 {
 		t.Fatalf("put = %v after %d re-routes; want retries exhausted behind one", err, c.stats.ParentRetries)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/obs"
 	"sphinx/internal/rart"
@@ -588,18 +589,6 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 	}
 }
 
-// raceAfterRead arms the fabric to run fn once, right after the given
-// client's next READ of the node at addr completes: fn's writes land between
-// that client's unlocked descent and its lock batch.
-func raceAfterRead(f *fabric.Fabric, client *fabric.Client, addr mem.Addr, fn func()) {
-	f.Trace = func(c *fabric.Client, op *fabric.Op) {
-		if c == client && op.Kind == fabric.Read && op.Addr == addr {
-			f.Trace = nil
-			fn()
-		}
-	}
-}
-
 // TestSpeculativeWritesNeverPublished: objects written ahead of a lock are
 // a bet on the descent's unlocked image. When the bet is lost — the locked
 // image refutes the unlocked one, or a transient fault cuts the lock batch —
@@ -644,14 +633,17 @@ func TestSpeculativeWritesNeverPublished(t *testing.T) {
 			rec := obs.NewRecorder()
 			rec.Begin("put", victim.eng.C.Clock())
 			victim.SetRecorder(rec)
+			// The rival's writes land between the victim's unlocked descent —
+			// its READ of the node — and its lock batch.
 			var rerr error
-			raced := false
-			raceAfterRead(f, victim.eng.C, node.Addr, func() { raced, rerr = true, tc.rival(rival) })
-			if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
+			sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool { return s.Op.Kind == fabric.Read && s.Op.Addr == node.Addr }}
+			fabrictest.Run(f, sw, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), []byte("victim")) }},
+				fabrictest.Proc{Fn: func() { rerr = tc.rival(rival) }})
+			if err != nil {
 				t.Fatalf("victim put: %v", err)
 			}
-			if !raced || rerr != nil {
-				t.Fatalf("rival ran: %v, err %v", raced, rerr)
+			if sw.At == nil || rerr != nil {
+				t.Fatalf("rival ran at %+v, err %v", sw.At, rerr)
 			}
 			st := victim.eng.Stats()
 			if st.AbandonedObjects != tc.abandoned || st.AbandonedBytes == 0 {
@@ -748,19 +740,6 @@ func TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults(t *testing.T) {
 	}
 }
 
-// afterBatches runs fn once, right after the observed client's n-th batch
-// from now completes — between two batches of an operation in flight.
-type afterBatches struct {
-	n  int
-	fn func()
-}
-
-func (o *afterBatches) ObserveBatch(fabric.BatchEvent) {
-	if o.n--; o.n == 0 {
-		o.fn()
-	}
-}
-
 // TestPlannedEntrySlotTakenByRival: a conversion's entry CAS goes blind, at a
 // slot of the bucket pair guessed from the entry's word, with the pair READ
 // behind it. A rival that takes that very slot between the lock batch and the
@@ -770,19 +749,15 @@ func (o *afterBatches) ObserveBatch(fabric.BatchEvent) {
 // and the put's trace says so.
 func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 	sc := writeScenarios[2] // leaf conversion, chain 1
-	shape := sc.calibrate(t, false)
 	// Where the entry CAS goes: the commit batch's CAS expecting an empty slot,
 	// in a clean run — the same address in every build of the scenario.
 	var guess mem.Addr
 	{
 		f, shared, setup := sc.build(t, 2)
 		victim := sc.victim(t, f, shared, setup, false)
-		seen := uint64(0)
 		f.Trace = func(c *fabric.Client, op *fabric.Op) {
-			if c == victim.eng.C {
-				if seen++; seen > shape.first && op.Kind == fabric.CAS && op.Expect == 0 {
-					guess = op.Addr
-				}
+			if c == victim.eng.C && c.Stage() == fabric.StagePublish && op.Kind == fabric.CAS && op.Expect == 0 {
+				guess = op.Addr
 			}
 		}
 		if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil || guess.IsNull() {
@@ -802,19 +777,26 @@ func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 	// naming a node the tree holds.
 	stranger := wire.HashEntry{Valid: true, FP: wire.FP12(prefix) ^ 1, Type: wire.Node256, Addr: shared.Root}
 	var log batchLog
-	victim.eng.C.SetObserver(obs.Tee{A: &log, B: &afterBatches{n: shape.batch, fn: func() {
-		if old, err := rival.eng.C.CompareSwap(guess, 0, stranger.Encode()); err != nil || old != 0 {
-			t.Errorf("rival CAS into the guessed slot: %#x, %v", old, err)
-		}
-	}}})
-	if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
-		t.Fatalf("victim put: %v", err)
-	}
+	victim.eng.C.SetObserver(&log)
+	// The rival lands between the lock batch and the commit batch.
+	var err error
+	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool { return s.BatchEnd && s.Stage == fabric.StageLock }}
+	fabrictest.Run(f, sw, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), []byte("victim")) }},
+		fabrictest.Proc{Fn: func() {
+			if old, err := rival.eng.C.CompareSwap(guess, 0, stranger.Encode()); err != nil || old != 0 {
+				t.Errorf("rival CAS into the guessed slot: %#x, %v", old, err)
+			}
+		}})
 	victim.eng.C.SetObserver(nil)
+	if err != nil || sw.At == nil {
+		t.Fatalf("victim put: %v, the rival ran at %+v", err, sw.At)
+	}
 
 	// The victim is a cold client (allocator slabs, directory caches), so
 	// the count starts at the lock batch that carries its staged objects.
-	log.evs = log.evs[shape.batch-1:]
+	for len(log.evs) > 0 && log.evs[0].Stage != fabric.StageLock {
+		log.evs = log.evs[1:]
+	}
 	if rts, _, stages := log.writeCost(); rts != 2+1 {
 		t.Errorf("cost from the staged lock batch on = %d RT (%v), want it and the commit batch + 1 for the retry", rts, stages)
 	}
@@ -917,36 +899,48 @@ func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
 		// head WRITE gave its lease back. Both writes are acknowledged there
 		// and must survive the batch issued again: from the first verb that
 		// did not execute, every verb of the commit batch executes once.
-		faulted, reissued := false, uint64(0)
 		peer := newTestClient(f, shared, Options{})
 		peerKey, updated, inserted := peerKeys[sc.name], false, false
-		victim.eng.C.SetObserver(observerFunc(func(ev fabric.BatchEvent) {
-			switch {
-			case ev.Err != nil:
-				faulted = true
-				if timeout {
+		peerFn := func() {
+			if timeout {
+				return
+			}
+			if !slot.IsNull() {
+				ok, err := peer.Update([]byte(sc.key), []byte("peer"))
+				if updated = ok; err != nil || !ok {
+					t.Errorf("%s: peer update of the linked key = %v, %v", what, ok, err)
 					return
 				}
-				if !slot.IsNull() {
-					ok, err := peer.Update([]byte(sc.key), []byte("peer"))
-					if updated = ok; err != nil || !ok {
-						t.Fatalf("%s: peer update of the linked key = %v, %v", what, ok, err)
-					}
-				}
-				if peerKey != "" && (!slot.IsNull() || head) { // head: a split's, the only WRITE of SlotBase bytes
-					if _, err := peer.Insert([]byte(peerKey), []byte("peer")); err != nil {
-						t.Fatalf("%s: peer put %q: %v", what, peerKey, err)
-					}
-					inserted = true
-				}
-			case faulted && reissued == 0:
-				reissued = seen
 			}
-		}))
-		_, err := victim.Insert([]byte(sc.key), sc.value("victim"))
+			if peerKey != "" && (!slot.IsNull() || head) { // head: a split's, the only WRITE of SlotBase bytes
+				if _, err := peer.Insert([]byte(peerKey), []byte("peer")); err != nil {
+					t.Errorf("%s: peer put %q: %v", what, peerKey, err)
+					return
+				}
+				inserted = true
+			}
+		}
+		var log batchLog
+		victim.eng.C.SetObserver(&log)
+		var err error
+		// The peer lands where the fault cut: park `at` is FailAt(at)'s point.
+		sw := &fabrictest.Switch{K: int(at)}
+		fabrictest.Run(f, sw, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), sc.value("victim")) }},
+			fabrictest.Proc{Fn: peerFn})
 		f.Trace = nil
-		if err != nil {
-			t.Fatalf("%s: victim put: %v", what, err)
+		if err != nil || sw.At == nil || sw.At.K != at {
+			t.Fatalf("%s: victim put: %v, the peer ran at %+v", what, err, sw.At)
+		}
+		// The batch behind the faulted one is the re-issue: count the verbs
+		// executed when it was done.
+		faulted, reissued := false, uint64(0)
+		for i, ev := range log.evs {
+			if faulted = ev.Err != nil; faulted {
+				for _, ev := range log.evs[:min(i+2, len(log.evs))] {
+					reissued += uint64(ev.Verbs)
+				}
+				break
+			}
 		}
 		if fs := victim.eng.C.Stats(); fs.Transients+fs.Timeouts != 1 || !faulted {
 			t.Fatalf("%s: %d transients, %d timeouts; the fault missed", what, fs.Transients, fs.Timeouts)
@@ -999,23 +993,25 @@ func TestReissueKeepsPeerUpdate(t *testing.T) {
 	key := []byte(sc.key)
 	f, shared, setup := sc.build(t, 2)
 	victim := sc.victim(t, f, shared, setup, true)
-	victim.eng.C.FailAt(shape.first+2, fabric.ErrTransient)
+	at := shape.first + 2
+	victim.eng.C.FailAt(at, fabric.ErrTransient)
 	peer := newTestClient(f, shared, Options{})
 	acked := false
-	victim.eng.C.SetObserver(observerFunc(func(ev fabric.BatchEvent) {
-		if ev.Err == nil {
-			return
-		}
-		if ev.Verbs != 2 {
-			t.Fatalf("the commit batch was cut after %d verbs, want 2: behind its slot WRITE", ev.Verbs)
-		}
-		if _, err := peer.Insert(key, []byte("peer")); err != nil {
-			t.Fatalf("peer put: %v", err)
-		}
-		acked = true
-		warmSearch(t, peer, key, []byte("peer"))
-	}))
-	if _, err := victim.Insert(key, []byte("victim")); err != nil || !acked {
+	var err error
+	// The peer lands where the transient cut the commit batch.
+	sw := &fabrictest.Switch{K: int(at)}
+	fabrictest.Run(f, sw, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert(key, []byte("victim")) }},
+		fabrictest.Proc{Fn: func() {
+			if _, err := peer.Insert(key, []byte("peer")); err != nil {
+				t.Errorf("peer put: %v", err)
+				return
+			}
+			acked = warmSearch(t, peer, key, []byte("peer"))
+		}})
+	if sw.At == nil || !sw.At.BatchEnd || sw.At.Op.Kind != fabric.Write || len(sw.At.Op.Data) != 8 {
+		t.Fatalf("the peer ran at %+v; want where the commit batch was cut, behind its slot WRITE", sw.At)
+	}
+	if err != nil || !acked {
 		t.Fatalf("victim put: %v (peer acked %v)", err, acked)
 	}
 	warmSearch(t, newTestClient(f, shared, Options{}), key, []byte("peer"))
@@ -1072,11 +1068,6 @@ func TestTypeSwitchOfNodeWithoutEntry(t *testing.T) {
 	}
 }
 
-// observerFunc adapts a function to fabric.BatchObserver.
-type observerFunc func(fabric.BatchEvent)
-
-func (f observerFunc) ObserveBatch(ev fabric.BatchEvent) { f(ev) }
-
 // TestTypeSwitchNoFalseAbsenceBetweenBatches: at every batch boundary of a
 // type switch past its commit point, a rival whose filter knows the node's
 // prefix inserts a fresh key through the root path — it lands in the grown
@@ -1097,9 +1088,19 @@ func (f observerFunc) ObserveBatch(ev fabric.BatchEvent) { f(ev) }
 // finds it.
 func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 	sc := writeScenarios[5]
-	shape := sc.calibrate(t, false)
-	boundaries := 0
-	for at := shape.batch + 1; ; at++ {
+	// The boundaries past the commit point: every batch end from the commit
+	// batch's — the first publish batch of more than one verb; the table's
+	// one-verb reads ahead of the lock are publish-stage too — on. The switch
+	// asks at every park of the victim's until it is taken, so the predicate
+	// follows the run: batchStart is whether the park's verb opened a batch.
+	committed, batchStart := false, true
+	pastCommit := func(s fabrictest.Step) bool {
+		committed = committed || s.BatchEnd && !batchStart && s.Stage == fabric.StagePublish
+		batchStart = s.BatchEnd
+		return committed && s.BatchEnd
+	}
+	boundaries := fabrictest.Switches(pastCommit, func(sw *fabrictest.Switch) {
+		committed, batchStart = false, true
 		f, shared, _ := sc.build(t, 2)
 		victim := NewClient(shared, f.NewClient(), withCaches(shared, Options{}, 0))
 		rival := NewClient(shared, f.NewClient(), Options{Filter: testFilter(0)})
@@ -1107,15 +1108,16 @@ func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 		holder := newTestClient(f, shared, Options{Filter: rival.filter})
 		original := landingOf(t, holder, sc.setup[0], "budget-")
 		fresh := []byte("budget-~") // a free edge of the switching node
-		ran := false
-		victim.eng.C.SetObserver(&afterBatches{n: at, fn: func() {
-			ran = true
+		at := sw.K
+		rivalFn := func() {
 			root, err := rival.readRoot()
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return
 			}
 			if _, err := rival.eng.PutFrom(root, fresh, []byte("fresh"), rart.PutUpsert, hooks{rival}); err != nil {
-				t.Fatalf("boundary %d: rival put through the root: %v", at, err)
+				t.Errorf("boundary %d: rival put through the root: %v", at, err)
+				return
 			}
 			jumps := rival.Stats().FilterHits
 			v, ok, err := rival.Search(fresh)
@@ -1126,28 +1128,33 @@ func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 				t.Errorf("boundary %d: the read-back did not jump through the hash table", at)
 			}
 			if addr, _, ok := holder.lac.LookupNode([]byte("budget-")); !ok || addr != original.Addr {
-				t.Fatalf("boundary %d: the holder remembers %v, %v; want the original %v", at, addr, ok, original.Addr)
+				t.Errorf("boundary %d: the holder remembers %v, %v; want the original %v", at, addr, ok, original.Addr)
+				return
 			}
-			warmSearch(t, holder, fresh, []byte("fresh"))
+			if !warmSearch(t, holder, fresh, []byte("fresh")) {
+				return
+			}
 			if st := holder.Stats(); st.NodeHits != 0 || st.NodeAborts+st.NodeRefutes != 1 {
 				t.Errorf("boundary %d: the holder's landing at the original: %d hits, %d leased, %d refuted; want it turned down once",
 					at, st.NodeHits, st.NodeAborts, st.NodeRefutes)
 			}
 			if _, err := holder.Insert([]byte("budget-}"), []byte("held")); err != nil {
-				t.Fatalf("boundary %d: holder put: %v", at, err)
+				t.Errorf("boundary %d: holder put: %v", at, err)
+				return
 			}
 			warmSearch(t, newTestClient(f, shared, Options{}), []byte("budget-}"), []byte("held")) // from the root
-		}})
-		if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
+		}
+		var err error
+		fabrictest.Run(f, sw, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), []byte("victim")) }},
+			fabrictest.Proc{Fn: rivalFn})
+		if err != nil {
 			t.Fatalf("victim put: %v", err)
 		}
-		if !ran {
-			break // past the put's last batch
+		if sw.At != nil {
+			warmSearch(t, rival, fresh, []byte("fresh"))
+			warmSearch(t, rival, []byte(sc.key), []byte("victim"))
 		}
-		boundaries++
-		warmSearch(t, rival, fresh, []byte("fresh"))
-		warmSearch(t, rival, []byte(sc.key), []byte("victim"))
-	}
+	})
 	if boundaries < 1 {
 		t.Fatalf("%d batch boundaries behind the commit point; want the swing's", boundaries)
 	}

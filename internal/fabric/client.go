@@ -145,6 +145,10 @@ func (c *Client) FailAt(n uint64, err error) {
 	c.shotAt, c.shotErr = c.posted+n, err
 }
 
+// Posted returns how many verbs the client has posted, counted as FailAt
+// counts them: the batch in flight whole, as far as it executes.
+func (c *Client) Posted() uint64 { return c.posted }
+
 // Clock returns the client's virtual time in picoseconds.
 func (c *Client) Clock() int64 { return c.clock }
 

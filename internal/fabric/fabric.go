@@ -223,8 +223,9 @@ type Fabric struct {
 	killed [mem.MaxNodes]uint32
 
 	// Trace, if set before any client runs, is invoked after every verb
-	// executes (under no locks). Test-only: used to reconstruct event
-	// orders when debugging protocol races.
+	// executes (under no locks). Test-only: it records event orders, aims a
+	// fault, and is where the schedule explorer (fabrictest.Run) parks a
+	// client between its verbs.
 	Trace func(client *Client, op *Op)
 }
 

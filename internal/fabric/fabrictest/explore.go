@@ -1,0 +1,144 @@
+package fabrictest
+
+import (
+	"slices"
+
+	"sphinx/internal/fabric"
+)
+
+// The schedule explorer. Procs — a client and the function that drives it —
+// run one at a time, each on a goroutine of its own, and a proc's client
+// parks after every verb it executes, on Fabric.Trace's call site. After
+// every park a Picker names the proc that runs next, so a run is one
+// interleaving of the procs' verbs, and a pure function of the fault plan's
+// seed, the faults aimed with FailAt and the picker.
+
+// Proc is one thread of a schedule. Fn runs on a goroutine of its own, so it
+// reports failures with t.Error; C's verbs park it. A proc with a nil C parks
+// nowhere — a KillNode, a fault-plan edit, a rival run whole — and runs to
+// its end where it is picked.
+type Proc struct {
+	C  *fabric.Client
+	Fn func()
+}
+
+// Step is one park of a run.
+type Step struct {
+	Proc int // index into Run's procs
+	// K is the verbs the proc's client has executed since the run began, so
+	// park K is the point FailAt(K, …), aimed at the run's start, cuts at.
+	K        uint64
+	Op       fabric.Op    // the verb executed last, its result filled in; zero at K 0
+	Stage    fabric.Stage // the client's stage at that verb
+	BatchEnd bool         // Op was the last verb of its batch to execute; true at K 0
+	Done     bool         // Fn returned
+}
+
+// AtBatchEnd accepts the parks between two batches.
+func AtBatchEnd(s Step) bool { return s.BatchEnd }
+
+// A Picker names, after every park, the proc that runs next: an element of
+// ready, the unfinished procs in ascending order; last is the park just taken.
+type Picker interface {
+	Pick(last Step, ready []int) int
+}
+
+// Run runs procs to their ends under p, one at a time, and returns the parks
+// in the order they were taken. The run opens parked at proc 0's start (K 0,
+// not a verb); the others start where p first picks them.
+func Run(f *fabric.Fabric, p Picker, procs ...Proc) []Step {
+	type proc struct {
+		k, base uint64
+		resume  chan struct{}
+	}
+	parked := make(chan Step)
+	byClient := make(map[*fabric.Client]int, len(procs))
+	ps := make([]proc, len(procs))
+	ready := make([]int, len(procs))
+	for i, pr := range procs {
+		ps[i].resume, ready[i] = make(chan struct{}), i
+		if pr.C != nil {
+			ps[i].base, byClient[pr.C] = pr.C.Posted(), i
+		}
+		go func() {
+			<-ps[i].resume
+			defer func() { parked <- Step{Proc: i, K: ps[i].k, Done: true} }()
+			pr.Fn()
+		}()
+	}
+	prev := f.Trace
+	defer func() { f.Trace = prev }()
+	f.Trace = func(c *fabric.Client, op *fabric.Op) {
+		if prev != nil {
+			prev(c, op)
+		}
+		if i, ok := byClient[c]; ok {
+			p := &ps[i]
+			p.k++
+			parked <- Step{Proc: i, K: p.k, Op: *op, Stage: c.Stage(), BatchEnd: c.Posted()-p.base == p.k}
+			<-p.resume
+		}
+	}
+	steps := []Step{{BatchEnd: true}}
+	for len(ready) > 0 {
+		ps[p.Pick(steps[len(steps)-1], ready)].resume <- struct{}{}
+		s := <-parked
+		if steps = append(steps, s); s.Done {
+			ready = slices.DeleteFunc(ready, func(i int) bool { return i == s.Proc })
+		}
+	}
+	return steps
+}
+
+// Seeded picks uniformly among the ready procs from a splitmix64 stream:
+// one seed, one schedule.
+type Seeded struct{ rng uint64 }
+
+// NewSeeded returns the picker of seed's schedule.
+func NewSeeded(seed uint64) *Seeded { return &Seeded{rng: seed} }
+
+// Pick draws the next proc.
+func (s *Seeded) Pick(_ Step, ready []int) int {
+	s.rng += 0x9e3779b97f4a7c15
+	z := (s.rng ^ s.rng>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return ready[(z^z>>31)%uint64(len(ready))]
+}
+
+// Switch runs proc 0 alone up to the K-th of its parks that Match accepts
+// (from 0; a nil Match accepts every park), switches there to the other procs
+// once and runs them to their ends, then proc 0 to its end. At is the park the
+// switch was taken at; nil means it fell past proc 0's operation, and the
+// others ran behind it.
+type Switch struct {
+	K     int
+	Match func(Step) bool
+	At    *Step
+	seen  int
+}
+
+// Pick keeps to proc 0 until the switch, then to the others until they end.
+func (s *Switch) Pick(last Step, ready []int) int {
+	if s.At == nil && last.Proc == 0 && !last.Done && (s.Match == nil || s.Match(last)) {
+		if s.seen == s.K {
+			s.At = &last
+		}
+		s.seen++
+	}
+	if ready[0] != 0 || s.At == nil || len(ready) == 1 {
+		return ready[0]
+	}
+	return ready[1]
+}
+
+// Switches hands run a Switch at K = 0, 1, … of the parks match accepts —
+// run calls Run with it — until one falls past the operation, and returns
+// how many landed.
+func Switches(match func(Step) bool, run func(*Switch)) int {
+	for k := 0; ; k++ {
+		sw := &Switch{K: k, Match: match}
+		if run(sw); sw.At == nil {
+			return k
+		}
+	}
+}

@@ -1,0 +1,158 @@
+package fabrictest
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"sphinx/internal/fabric"
+	"sphinx/internal/mem"
+)
+
+// The explorer's tests share one memory node: a counter word, and behind it
+// a log of the counter's takers.
+const counterOff, logOff = 4096, 4104
+
+func exploreFabric() (*fabric.Fabric, mem.NodeID) {
+	f := fabric.New(fabric.InstantConfig())
+	return f, f.AddNode(1 << 16)
+}
+
+// replay runs seed's schedule of three takers — each takes the counter six
+// times, a batch per FAA, and writes its name into the log slot the FAA handed
+// it, a batch more — with a crash aimed at the first taker's k-th verb when
+// k ≥ 0. It returns the parks as text, the first taker's last park and error,
+// and the log: the order the schedule let the takers through.
+func replay(seed uint64, k int) (parks string, last Step, err error, log string) {
+	f, n := exploreFabric()
+	errs := make([]error, 3)
+	var procs []Proc
+	for i := range errs {
+		c := f.NewClient()
+		procs = append(procs, Proc{C: c, Fn: func() {
+			for r := 0; r < 6 && errs[i] == nil; r++ {
+				var old uint64
+				if old, errs[i] = c.FetchAdd(mem.NewAddr(n, counterOff), 1); errs[i] == nil {
+					errs[i] = c.Write(mem.NewAddr(n, logOff+old), []byte{"abc"[i]})
+				}
+			}
+		}})
+	}
+	if k >= 0 {
+		procs[0].C.FailAt(uint64(k), fabric.ErrClientCrashed)
+	}
+	for _, s := range Run(f, NewSeeded(seed), procs...) {
+		parks += fmt.Sprintf("%d:%d:%v:%v:%v ", s.Proc, s.K, s.Op.Kind, s.Op.Addr, s.Done)
+		if s.Proc == 0 {
+			last = s
+		}
+	}
+	buf := make([]byte, 18)
+	f.Region(n).Read(logOff, buf)
+	return parks, last, errs[0], string(buf)
+}
+
+// TestSeededScheduleRepeats: one seed is one schedule — the same parks, verb
+// for verb, and the same memory — and the seed picks it.
+func TestSeededScheduleRepeats(t *testing.T) {
+	logs := map[string]bool{}
+	for seed := uint64(1); seed <= 8; seed++ {
+		p1, last, _, l1 := replay(seed, -1)
+		if p2, _, _, l2 := replay(seed, -1); p1 != p2 || l1 != l2 {
+			t.Fatalf("seed %d ran two schedules:\n%s %q\n%s %q", seed, p1, l1, p2, l2)
+		}
+		if !last.Done || last.K != 12 {
+			t.Errorf("seed %d: the first taker's last park %+v; want its end, after 12 parked verbs", seed, last)
+		}
+		logs[l1] = true
+	}
+	if len(logs) < 4 {
+		t.Errorf("8 seeds let the takers through in %d orders; want the seed to pick the schedule", len(logs))
+	}
+}
+
+// TestAimedCrashReplays: a crash aimed at a proc's k-th verb under a seeded
+// schedule replays bit for bit, and the proc ends at park k — the point
+// FailAt(k) names.
+func TestAimedCrashReplays(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		for k := 0; k < 12; k += 3 {
+			p1, last, err, l1 := replay(seed, k)
+			if p2, _, _, l2 := replay(seed, k); p1 != p2 || l1 != l2 {
+				t.Fatalf("seed %d, crash at verb %d replayed differently:\n%s\n%s", seed, k, p1, p2)
+			}
+			if !errors.Is(err, fabric.ErrClientCrashed) || !last.Done || last.K != uint64(k) {
+				t.Errorf("seed %d, crash at verb %d: %v, last park %+v; want the crash, ending at park %d", seed, k, err, last, k)
+			}
+		}
+	}
+}
+
+// TestSwitchesEndPastTheOp: a switch at every batch boundary of a 3-batch
+// operation lands 4 times — before the first batch, between each two, behind
+// the last verb — and the fifth falls past the operation; at every park, 7
+// times. At each landing the rival sees exactly the verbs ahead of it. A verb
+// the client posted before the run is not one of the run's parks.
+func TestSwitchesEndPastTheOp(t *testing.T) {
+	for _, tc := range []struct {
+		match func(Step) bool
+		want  string
+	}{{nil, "[0 1 2 3 4 5 6]"}, {AtBatchEnd, "[0 2 4 6]"}} {
+		var at []uint64
+		landed := Switches(tc.match, func(sw *Switch) {
+			f, n := exploreFabric()
+			c, rc := f.NewClient(), f.NewClient()
+			counter := mem.NewAddr(n, counterOff)
+			if err := c.Write(mem.NewAddr(n, logOff), []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+			var seen uint64
+			var err, rerr error
+			Run(f, sw, Proc{C: c, Fn: func() {
+				for i := 0; i < 3 && err == nil; i++ {
+					err = c.Batch([]fabric.Op{{Kind: fabric.FAA, Addr: counter, Delta: 1}, {Kind: fabric.FAA, Addr: counter, Delta: 1}})
+				}
+			}}, Proc{C: rc, Fn: func() { seen, rerr = rc.ReadUint64(counter) }})
+			if err != nil || rerr != nil {
+				t.Fatal(err, rerr)
+			}
+			if sw.At == nil && seen != 6 || sw.At != nil && (sw.At.Proc != 0 || seen != sw.At.K) {
+				t.Errorf("switch %d at %+v: the rival saw %d verbs", sw.K, sw.At, seen)
+			}
+			if sw.At != nil {
+				at = append(at, sw.At.K)
+			}
+		})
+		if got := fmt.Sprint(at); got != tc.want || landed != len(at) {
+			t.Errorf("%d switches landed, at %v; want %v", landed, at, tc.want)
+		}
+	}
+}
+
+// TestProcWithoutVerbs: procs that post nothing — a node's kill, a fault-plan
+// edit — run whole where the schedule puts them, and the proc that posts meets
+// their effect from its next batch on.
+func TestProcWithoutVerbs(t *testing.T) {
+	f, n := exploreFabric()
+	plan := &fabric.FaultPlan{Seed: 1}
+	f.SetFaultPlan(plan)
+	c := f.NewClient()
+	f.SetFaultPlan(nil)
+	other := f.AddNode(1 << 16)
+	var errs []error
+	sw := &Switch{K: 2, Match: AtBatchEnd}
+	steps := Run(f, sw, Proc{C: c, Fn: func() {
+		for _, node := range []mem.NodeID{n, n, other, n} {
+			errs = append(errs, c.Write(mem.NewAddr(node, counterOff), []byte{1}))
+		}
+	}}, Proc{Fn: func() { f.KillNode(other) }}, Proc{Fn: func() { plan.TransientPer64k = 1 << 16 }})
+	if sw.At == nil || sw.At.K != 2 {
+		t.Fatalf("switch at %+v; want behind the second WRITE", sw.At)
+	}
+	if errs[0] != nil || errs[1] != nil || !errors.Is(errs[2], fabric.ErrNodeKilled) || !errors.Is(errs[3], fabric.ErrTransient) {
+		t.Errorf("the WRITEs returned %v; want two landed, then the kill, then the plan's transient", errs)
+	}
+	if end := steps[len(steps)-1]; !end.Done || end.Proc != 0 || end.K != 2 {
+		t.Errorf("last park %+v; want proc 0's end after its 2 executed verbs", end)
+	}
+}

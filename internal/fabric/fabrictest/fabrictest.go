@@ -1,5 +1,7 @@
-// Package fabrictest gives tests of code that acts on the simulated fabric's
-// contention signal (fabric.LoadCache) real NIC queueing to act on.
+// Package fabrictest gives tests two things the simulated fabric does not do
+// by itself: real NIC queueing for code that acts on the contention signal
+// (fabric.LoadCache) to act on (Queue), and a schedule — which client's verb
+// runs next — chosen by the test, not by the Go runtime (Run).
 package fabrictest
 
 import (

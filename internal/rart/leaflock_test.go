@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/wire"
 )
@@ -132,14 +133,19 @@ func TestFaultedContenderLeavesRelocationLocked(t *testing.T) {
 	contender := engineOn(f, ring)
 	contender.C.FailAt(0, fabric.ErrTransient)
 
-	var interleaved bool
-	f.Trace = func(c *fabric.Client, op *fabric.Op) {
-		// The relocator's re-read under its leaf lock.
-		if c != relocator.C || op.Kind != fabric.Read || op.Addr != leaf.Addr || leafStatus(t, clean, leaf.Addr) != wire.StatusLocked {
-			return
+	// The contender lands behind the relocator's re-read under its leaf lock:
+	// the leaf's first READ behind the winning CAS that locked it.
+	locked := false
+	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+		if s.Op.Kind == fabric.CAS && s.Op.Addr == leaf.Addr && s.Op.Old == s.Op.Expect && wire.DecodeLeafHeader(s.Op.Desired).Status == wire.StatusLocked {
+			locked = true
 		}
-		f.Trace = nil
-		interleaved = true
+		return locked && s.Op.Kind == fabric.Read && s.Op.Addr == leaf.Addr
+	}}
+	contend := func() {
+		if got := leafStatus(t, clean, leaf.Addr); got != wire.StatusLocked {
+			t.Errorf("leaf header is %v where the contender lands; want the relocator's lock", got)
+		}
 		if err := contender.updateLeafInPlace(leaf, []byte("w")); !errors.Is(err, fabric.ErrTransient) {
 			t.Errorf("contender's faulted update = %v, want a transient", err)
 		}
@@ -157,9 +163,11 @@ func TestFaultedContenderLeavesRelocationLocked(t *testing.T) {
 			target = n
 		}
 	}
-	moved, err := relocator.RelocateLeaf(root(clean), key, target)
-	if err != nil || !moved || !interleaved {
-		t.Fatalf("relocate = %v, %v (interleaved %v)", moved, err, interleaved)
+	var moved bool
+	fabrictest.Run(f, sw, fabrictest.Proc{C: relocator.C, Fn: func() { moved, err = relocator.RelocateLeaf(root(clean), key, target) }},
+		fabrictest.Proc{Fn: contend})
+	if err != nil || !moved || sw.At == nil {
+		t.Fatalf("relocate = %v, %v (the contender at %+v)", moved, err, sw.At)
 	}
 	if got := leafStatus(t, clean, leaf.Addr); got != wire.StatusInvalid {
 		t.Fatalf("old leaf is %v after the move, want Invalid", got)
@@ -189,15 +197,16 @@ func TestCommitToKilledNodeReturnsAtOnce(t *testing.T) {
 		t.Fatalf("search = %v, %v", leaf, err)
 	}
 	// The node dies right behind the CAS that takes the leaf's lock.
-	f.Trace = func(c *fabric.Client, o *fabric.Op) {
-		if c == e.C && o.Kind == fabric.CAS && o.Addr == leaf.Addr && o.Old == o.Expect {
-			f.Trace = nil
-			f.KillNode(leaf.Addr.Node())
-		}
-	}
+	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+		return s.Op.Kind == fabric.CAS && s.Op.Addr == leaf.Addr && s.Op.Old == s.Op.Expect
+	}}
 	before := e.C.Stats()
-	_, err = e.PutFrom(root(e), key, bytes.Repeat([]byte("w"), len(leaf.Value)), PutUpsert, NopHooks{})
-	f.Trace = nil
+	fabrictest.Run(f, sw, fabrictest.Proc{C: e.C, Fn: func() {
+		_, err = e.PutFrom(root(e), key, bytes.Repeat([]byte("w"), len(leaf.Value)), PutUpsert, NopHooks{})
+	}}, fabrictest.Proc{Fn: func() { f.KillNode(leaf.Addr.Node()) }})
+	if sw.At == nil {
+		t.Fatal("the put never locked the leaf; the kill never landed")
+	}
 	if !errors.Is(err, fabric.ErrNodeKilled) || errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("put whose commit met a killed node = %v; want the kill, not an exhausted budget", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sphinx/internal/consistenthash"
 	"sphinx/internal/dataset"
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/wire"
 )
@@ -48,22 +49,6 @@ func scanKeys(kvs []KV) string {
 	return strings.Join(ks, " ")
 }
 
-// afterBatch runs fn once, right after the observed client's n-th batch of
-// the given stage: a rival's write placed between two rounds of a scan.
-type afterBatch struct {
-	stage fabric.Stage
-	n     int
-	fn    func()
-}
-
-func (a *afterBatch) ObserveBatch(ev fabric.BatchEvent) {
-	if ev.Stage == a.stage {
-		if a.n--; a.n == 0 {
-			a.fn()
-		}
-	}
-}
-
 // TestScanSurvivesTypeSwitch: the scanner holds a root image whose slot names
 // a Node4 that a rival's insert then grows into a Node16 at a new address.
 // The retired node is not the end of the subtree: the scan follows the root's
@@ -96,12 +81,15 @@ func TestScanSurvivesLeafMove(t *testing.T) {
 	putAll(t, e, root, "v", "k/a", "k/b", "k/c", "k/d")
 	big := strings.Repeat("V", 500)
 	start := root(e)
-	// The scan's first round reads node "k/".
-	e.C.SetObserver(&afterBatch{stage: fabric.StageScan, n: 1, fn: func() { putAll(t, rival, root, big, "k/a") }})
-	kvs, err := e.ScanFrom(start, []byte("k/"), nil, 0, true)
-	e.C.SetObserver(nil)
-	if err != nil {
-		t.Fatal(err)
+	// The rival's update lands behind the scan's first round, which reads
+	// node "k/".
+	var kvs []KV
+	var err, rerr error
+	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool { return s.BatchEnd && s.Stage == fabric.StageScan }}
+	fabrictest.Run(f, sw, fabrictest.Proc{C: e.C, Fn: func() { kvs, err = e.ScanFrom(start, []byte("k/"), nil, 0, true) }},
+		fabrictest.Proc{Fn: func() { _, rerr = rival.PutFrom(root(rival), []byte("k/a"), []byte(big), PutUpsert, NopHooks{}) }})
+	if err != nil || rerr != nil || sw.At == nil {
+		t.Fatalf("scan: %v; rival update: %v, at %+v", err, rerr, sw.At)
 	}
 	if got := scanKeys(kvs); got != "k/a k/b k/c k/d" {
 		t.Fatalf("scan across an out-of-place update returned %q", got)
