@@ -284,8 +284,8 @@ func TestChaosNodeDown(t *testing.T) {
 }
 
 // TestChaosLockSteal: a client that crashes while holding an inner-node
-// lease must not block others — a waiter that watches the same lease for a
-// full lease duration steals it and proceeds.
+// lease must not block others — a waiter that finds the lease's owner
+// crashed takes it over at once, without waiting, and proceeds.
 func TestChaosLockSteal(t *testing.T) {
 	f, shared := newCluster(t, 1, fabric.DefaultConfig(), 1000)
 	a := newTestClient(f, shared, Options{})
@@ -302,16 +302,20 @@ func TestChaosLockSteal(t *testing.T) {
 	if _, err := a.eng.Lock(root.Addr, root.Hdr.Type, root.LeaseWord); err != nil {
 		t.Fatal(err)
 	}
-	a.eng.C.FailAt(0, fabric.ErrClientCrashed)
+	crash(t, a)
 
 	// B's insert of a new top-level edge needs the root lease; it must
 	// steal the dead client's lock and complete.
 	b := newTestClient(f, shared, Options{})
+	clock0 := b.eng.C.Clock()
 	if _, err := b.Insert([]byte("zeta"), []byte("new")); err != nil {
 		t.Fatalf("insert blocked by dead lock holder: %v", err)
 	}
 	if steals := b.Engine().Stats().LockSteals; steals == 0 {
 		t.Error("LockSteals = 0; the stuck lease was never stolen")
+	}
+	if dt := b.eng.C.Clock() - clock0; dt >= takeoverPs {
+		t.Errorf("insert took %d ps behind the dead holder's lease; the takeover waited", dt)
 	}
 	for _, k := range []string{"alpha", "beta", "zeta"} {
 		if _, ok, err := b.Search([]byte(k)); err != nil || !ok {
@@ -320,9 +324,22 @@ func TestChaosLockSteal(t *testing.T) {
 	}
 }
 
+// crash makes the aimed crash of c land: c posts a verb, which dies with it.
+func crash(t *testing.T, c *Client) {
+	t.Helper()
+	c.eng.C.FailAt(0, fabric.ErrClientCrashed)
+	if _, err := c.eng.C.ReadUint64(c.shared.Root); !errors.Is(err, fabric.ErrClientCrashed) {
+		t.Fatalf("aimed crash = %v, want the client crashed", err)
+	}
+}
+
+// takeoverPs bounds an operation that takes over a crashed holder's lock: a
+// few round trips, and no wait behind them.
+const takeoverPs = 100_000_000
+
 // TestChaosLeafLockBreak: a leaf whose holder crashed between the lock CAS
-// and the image WRITE still carries the old checksum-valid image; waiters
-// break the lock after a full lease of watching.
+// and the image WRITE still carries the old checksum-valid image; a waiter
+// that finds the Locked word's owner crashed breaks the lock at once.
 func TestChaosLeafLockBreak(t *testing.T) {
 	f, shared := newCluster(t, 1, fabric.DefaultConfig(), 1000)
 	a := newTestClient(f, shared, Options{})
@@ -342,13 +359,14 @@ func TestChaosLeafLockBreak(t *testing.T) {
 		Status: wire.StatusIdle, Units: leaf.Units,
 		KeyLen: uint16(len(key)), ValLen: uint32(len(val)),
 	}.Encode()
-	old, err := a.eng.C.CompareSwap(leaf.Addr, idle, wire.WithStatus(idle, wire.StatusLocked))
+	old, err := a.eng.C.CompareSwap(leaf.Addr, idle, wire.LockedLeafWord(idle, uint16(a.eng.C.ID())))
 	if err != nil || old != idle {
 		t.Fatalf("could not wedge leaf lock: old=%#x err=%v", old, err)
 	}
-	a.eng.C.FailAt(0, fabric.ErrClientCrashed)
+	crash(t, a)
 
 	b := newTestClient(f, shared, Options{})
+	clock0 := b.eng.C.Clock()
 	got, ok, err := b.Search(key)
 	if err != nil || !ok || !bytes.Equal(got, val) {
 		t.Fatalf("search under stuck leaf lock = %q,%v,%v", got, ok, err)
@@ -358,6 +376,9 @@ func TestChaosLeafLockBreak(t *testing.T) {
 	}
 	if breaks := b.Engine().Stats().LeafLockBreaks; breaks == 0 {
 		t.Error("LeafLockBreaks = 0; the stuck leaf lock was never broken")
+	}
+	if dt := b.eng.C.Clock() - clock0; dt >= takeoverPs {
+		t.Errorf("search and update took %d ps behind the dead holder's leaf lock; the break waited", dt)
 	}
 	if got, ok, _ := b.Search(key); !ok || !bytes.Equal(got, []byte("new-value")) {
 		t.Errorf("after break: %q = %q,%v", key, got, ok)

@@ -210,8 +210,8 @@ func TestPutNeedParentNoBackoff(t *testing.T) {
 // — and the put with it. The lease kept for that walk goes back with the
 // round, before the backoff wait, and the put returns holding nothing. Every
 // batch behind the landing loses its completion: a timeout executes the
-// batch, so the give-back lands (cut by a transient, it would leave the lease
-// to expire). The next writer of the full node neither waits nor steals.
+// batch, so the give-back lands. The next writer of the full node neither
+// waits nor steals.
 func TestRerouteLeaseEndsWithItsRound(t *testing.T) {
 	plan := &fabric.FaultPlan{Seed: 1, TimeoutPs: 1_000}
 	c := fullNodeCluster(t, plan)

@@ -722,9 +722,8 @@ func TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults(t *testing.T) {
 		writer := newTestClient(f, shared, Options{LeafCache: lac})
 		f.SetFaultPlan(nil)
 		if _, err := writer.Insert(key, big); err != nil {
-			// At this fault rate a put can run out of retries (a leaf lock
-			// left by a cut in-place write is only broken after a lease of
-			// unfaulted polls); an unacknowledged write promises nothing.
+			// At this fault rate a put can run out of retries; an
+			// unacknowledged write promises nothing.
 			if errors.Is(err, ErrRetriesExhausted) {
 				continue
 			}
@@ -841,8 +840,8 @@ func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 // lease, and jumping, where the landing's bet did. The plain insert and the
 // out-of-place update are in the sweep because their commit batch used to be
 // a bare Batch: a transient behind the slot WRITE sent the put around again,
-// which found its own leaf, updated it in place, and left the node's lease to
-// expire under the next writer.
+// which found its own leaf, updated it in place, and left the node's lease
+// behind for the next writer.
 func TestCommitBatchSurvivesFaults(t *testing.T) {
 	for _, sc := range append(append([]writeScenario(nil), writeScenarios...), outOfPlaceUpdate) {
 		t.Run(sc.name, func(t *testing.T) {

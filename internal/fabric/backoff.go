@@ -58,40 +58,38 @@ type Backoff struct {
 	pol      BackoffPolicy
 	c        *Client
 	attempts int
-	waitedPs int64
 }
-
-// WaitedPs returns the cumulative virtual time spent waiting in this
-// sequence; lock-steal logic compares it against the lease duration.
-func (b *Backoff) WaitedPs() int64 { return b.waitedPs }
-
-// ResetWatch restarts the cumulative-wait measurement (used when a watched
-// lock changed hands, so the lease observation starts over).
-func (b *Backoff) ResetWatch() { b.waitedPs = 0 }
 
 // Wait blocks (virtually) before the next retry: an exponentially growing,
 // capped, jittered pause on the client's clock. It returns false once the
 // retry budget is exhausted, in which case the caller must give up.
-func (b *Backoff) Wait() bool {
+func (b *Backoff) Wait() bool { return b.wait(false) }
+
+// WaitHolder is Wait for a waiter on a lock whose holder lives: nobody takes
+// such a lock over, so the waiter must outlast the time the host keeps the
+// holder off the CPU — under the race detector, beside other processes, tens
+// of milliseconds. The virtual wait is Wait's; only the host park differs,
+// growing 20 µs a poll up to 2 ms, so a whole budget is about half a second
+// of wall time.
+func (b *Backoff) WaitHolder() bool { return b.wait(true) }
+
+func (b *Backoff) wait(holder bool) bool {
 	if b.attempts >= b.pol.budget() {
 		return false
 	}
-	step := b.pol.basePs()
-	cap := b.pol.capPs()
-	if shift := b.attempts; shift < 20 {
-		step <<= uint(shift)
-	} else {
-		step = cap
-	}
-	if step > cap || step <= 0 {
+	step, cap := b.pol.basePs()<<min(b.attempts, 20), b.pol.capPs()
+	if b.attempts >= 20 || step > cap || step <= 0 {
 		step = cap
 	}
 	// Full jitter over [step/2, step]: desynchronizes competing clients
 	// while keeping each client's schedule deterministic.
 	wait := step/2 + int64(b.c.Rand64()%uint64(step/2+1))
 	b.c.AdvanceClock(wait)
-	b.waitedPs += wait
-	Yield(b.attempts)
+	if park := time.Duration(b.attempts-yieldSpins+1) * 20 * time.Microsecond; holder && park > 0 {
+		time.Sleep(min(park, 2*time.Millisecond))
+	} else {
+		Yield(b.attempts)
+	}
 	b.attempts++
 	return true
 }

@@ -383,9 +383,12 @@ func (c *Client) runBatch(ops []Op) (int, error) {
 	switch fault {
 	case ErrClientCrashed:
 		// The batch carrying the aimed verb executes only the verbs ahead of
-		// it, uncharged; the client is dead from here on, taking any locks it
-		// holds to the grave.
+		// it, uncharged; the client is dead from here on, and the fabric's
+		// record of it lets others take over the locks it holds. The record
+		// is made once the prefix has run: until then a verb of the dead
+		// client may still land over a taker's write.
 		c.crashed = true
+		defer c.f.crashed.Store(c.id, true)
 		c.posted += uint64(cutAt)
 		for i := 0; i < cutAt; i++ {
 			if err := c.execute(&ops[i]); err != nil {

@@ -221,6 +221,9 @@ type Fabric struct {
 	// injected ground truth, distinct from the observed breaker state.
 	health *Health
 	killed [mem.MaxNodes]uint32
+	// crashed holds the IDs of the clients an aimed crash ended
+	// (ClientCrashed).
+	crashed sync.Map
 
 	// Trace, if set before any client runs, is invoked after every verb
 	// executes (under no locks). Test-only: it records event orders, aims a
@@ -248,6 +251,17 @@ func (f *Fabric) KillNode(id mem.NodeID) {
 // NodeKilled reports whether the node has been permanently killed.
 func (f *Fabric) NodeKilled(id mem.NodeID) bool {
 	return atomic.LoadUint32(&f.killed[id]) != 0
+}
+
+// ClientCrashed reports whether the client with this ID crashed (an aimed
+// crash, Client.FailAt). It stands for a membership service that declares a
+// compute node dead and revokes its queue pairs: the answer turns true once
+// the verbs its last batch ran ahead of the crash have executed, and the
+// client posts nothing ever again, so a lock it held is fenced and may
+// change hands.
+func (f *Fabric) ClientCrashed(id int) bool {
+	_, ok := f.crashed.Load(id)
+	return ok
 }
 
 // Config returns the fabric's cost model.

@@ -98,11 +98,35 @@ type Seeded struct{ rng uint64 }
 func NewSeeded(seed uint64) *Seeded { return &Seeded{rng: seed} }
 
 // Pick draws the next proc.
-func (s *Seeded) Pick(_ Step, ready []int) int {
+func (s *Seeded) Pick(_ Step, ready []int) int { return ready[s.next()%uint64(len(ready))] }
+
+// next draws from the stream.
+func (s *Seeded) next() uint64 {
 	s.rng += 0x9e3779b97f4a7c15
 	z := (s.rng ^ s.rng>>30) * 0xbf58476d1ce4e5b9
 	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return ready[(z^z>>31)%uint64(len(ready))]
+	return z ^ z>>31
+}
+
+// Hold is Seeded with stretches: after each park it keeps the proc that just
+// parked unless a draw from the stream says to pick again (one in stay), then
+// picks uniformly. A proc runs for stay parks on average, far ahead of the
+// others — mid-protocol while they are parked for long, the interleavings of
+// a descheduled lock holder that a uniform pick almost never draws.
+type Hold struct {
+	Seeded
+	stay uint64
+}
+
+// NewHold returns the picker of seed's schedule with stretches of stay parks.
+func NewHold(seed, stay uint64) *Hold { return &Hold{Seeded{seed}, stay} }
+
+// Pick keeps the last proc or draws the next.
+func (h *Hold) Pick(last Step, ready []int) int {
+	if !last.Done && h.next()%h.stay != 0 && slices.Contains(ready, last.Proc) {
+		return last.Proc
+	}
+	return h.Seeded.Pick(last, ready)
 }
 
 // Switch runs proc 0 alone up to the K-th of its parks that Match accepts

@@ -3,6 +3,7 @@ package fabrictest
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sphinx/internal/fabric"
@@ -18,12 +19,12 @@ func exploreFabric() (*fabric.Fabric, mem.NodeID) {
 	return f, f.AddNode(1 << 16)
 }
 
-// replay runs seed's schedule of three takers — each takes the counter six
+// replay runs p's schedule of three takers — each takes the counter six
 // times, a batch per FAA, and writes its name into the log slot the FAA handed
 // it, a batch more — with a crash aimed at the first taker's k-th verb when
 // k ≥ 0. It returns the parks as text, the first taker's last park and error,
 // and the log: the order the schedule let the takers through.
-func replay(seed uint64, k int) (parks string, last Step, err error, log string) {
+func replay(p Picker, k int) (parks string, last Step, err error, log string) {
 	f, n := exploreFabric()
 	errs := make([]error, 3)
 	var procs []Proc
@@ -41,7 +42,7 @@ func replay(seed uint64, k int) (parks string, last Step, err error, log string)
 	if k >= 0 {
 		procs[0].C.FailAt(uint64(k), fabric.ErrClientCrashed)
 	}
-	for _, s := range Run(f, NewSeeded(seed), procs...) {
+	for _, s := range Run(f, p, procs...) {
 		parks += fmt.Sprintf("%d:%d:%v:%v:%v ", s.Proc, s.K, s.Op.Kind, s.Op.Addr, s.Done)
 		if s.Proc == 0 {
 			last = s
@@ -57,8 +58,8 @@ func replay(seed uint64, k int) (parks string, last Step, err error, log string)
 func TestSeededScheduleRepeats(t *testing.T) {
 	logs := map[string]bool{}
 	for seed := uint64(1); seed <= 8; seed++ {
-		p1, last, _, l1 := replay(seed, -1)
-		if p2, _, _, l2 := replay(seed, -1); p1 != p2 || l1 != l2 {
+		p1, last, _, l1 := replay(NewSeeded(seed), -1)
+		if p2, _, _, l2 := replay(NewSeeded(seed), -1); p1 != p2 || l1 != l2 {
 			t.Fatalf("seed %d ran two schedules:\n%s %q\n%s %q", seed, p1, l1, p2, l2)
 		}
 		if !last.Done || last.K != 12 {
@@ -71,14 +72,44 @@ func TestSeededScheduleRepeats(t *testing.T) {
 	}
 }
 
+// TestHoldScheduleRepeats: the hold picker is one schedule per seed and stay
+// too, and it keeps a proc for stretches: at stay 16 the takers change hands
+// far less often than under a uniform pick.
+func TestHoldScheduleRepeats(t *testing.T) {
+	switches := func(parks string) (n int) {
+		prev := ""
+		for _, p := range strings.Fields(parks) {
+			if proc, _, _ := strings.Cut(p, ":"); proc != prev {
+				n, prev = n+1, proc
+			}
+		}
+		return n
+	}
+	held, uniform := 0, 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		p1, last, _, l1 := replay(NewHold(seed, 16), -1)
+		if p2, _, _, l2 := replay(NewHold(seed, 16), -1); p1 != p2 || l1 != l2 {
+			t.Fatalf("seed %d ran two schedules:\n%s %q\n%s %q", seed, p1, l1, p2, l2)
+		}
+		if !last.Done || last.K != 12 {
+			t.Errorf("seed %d: the first taker's last park %+v; want its end, after 12 parked verbs", seed, last)
+		}
+		p3, _, _, _ := replay(NewSeeded(seed), -1)
+		held, uniform = held+switches(p1), uniform+switches(p3)
+	}
+	if 3*held > uniform {
+		t.Errorf("8 seeds changed hands %d times under hold(16), %d under a uniform pick; want stretches", held, uniform)
+	}
+}
+
 // TestAimedCrashReplays: a crash aimed at a proc's k-th verb under a seeded
 // schedule replays bit for bit, and the proc ends at park k — the point
 // FailAt(k) names.
 func TestAimedCrashReplays(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		for k := 0; k < 12; k += 3 {
-			p1, last, err, l1 := replay(seed, k)
-			if p2, _, _, l2 := replay(seed, k); p1 != p2 || l1 != l2 {
+			p1, last, err, l1 := replay(NewSeeded(seed), k)
+			if p2, _, _, l2 := replay(NewSeeded(seed), k); p1 != p2 || l1 != l2 {
 				t.Fatalf("seed %d, crash at verb %d replayed differently:\n%s\n%s", seed, k, p1, p2)
 			}
 			if !errors.Is(err, fabric.ErrClientCrashed) || !last.Done || last.K != uint64(k) {

@@ -219,6 +219,8 @@ func TestAimedFault(t *testing.T) {
 				err = c.Batch(spanOps(a, b, 512, half))
 				if crashed := kind == ErrClientCrashed; crashed != errors.Is(err, ErrClientCrashed) || crashed != (err != nil) {
 					t.Errorf("%s: the next batch = %v", name, err)
+				} else if f.ClientCrashed(c.ID()) != crashed {
+					t.Errorf("%s: the fabric's crash record says %v", name, !crashed)
 				}
 			}
 		}

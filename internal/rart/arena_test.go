@@ -101,7 +101,7 @@ func TestLockSpinCutsOneBuffer(t *testing.T) {
 		root(waiter)
 	}
 	waiter.Rewind()
-	waiter.Cfg.Backoff = fabric.BackoffPolicy{Budget: 16} // 17 polls, well inside one lease
+	waiter.Cfg.Backoff = fabric.BackoffPolicy{Budget: 16} // 17 polls of a live holder's lease, then the budget ends
 	if _, err := waiter.Lock(r.Addr, r.Hdr.Type, 0); !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("lock on a held node: %v, want retries exhausted", err)
 	}

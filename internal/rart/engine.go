@@ -55,13 +55,6 @@ const (
 	// of unknown length: 128 covers a 64-byte value with a ≤40-byte key
 	// in one round trip.
 	defaultLeafSpecRead = 128
-	// defaultLeasePs is the lock lease duration: a waiter that observes
-	// the same lock holder for this much of its own virtual time presumes
-	// the holder dead and steals the lock. 500 µs of virtual time is three
-	// orders above a round trip and far beyond any live lock hold (a few
-	// round trips plus injected timeouts), yet short enough that waiters
-	// recover from a crashed holder within one backoff budget.
-	defaultLeasePs = 500_000_000
 )
 
 // Engine bundles one client's access to the remote tree: verbs, allocator
@@ -108,12 +101,12 @@ type EngineStats struct {
 	// operation-level re-descents (Sphinx drives its operations itself and
 	// counts them in core.Stats.Restarts).
 	Restarts uint64
-	// LockSteals is the number of node leases this client took over from
-	// an apparently dead holder (including reclaiming its own lease after
-	// a fault between acquisition and release).
+	// LockSteals is the number of node leases this client took over from a
+	// crashed holder (including reclaiming its own lease, left behind by a
+	// release that gave up).
 	LockSteals uint64
-	// LeafLockBreaks is the number of stuck leaf locks this client broke
-	// after watching them for a full lease.
+	// LeafLockBreaks is the number of leaf locks this client broke because
+	// their holder crashed.
 	LeafLockBreaks uint64
 	// DeleteRepairs is the number of interrupted deletes this client
 	// finished on another client's behalf (a slot still pointing at an
@@ -316,16 +309,12 @@ func leafAt(addr mem.Addr, hdr wire.LeafHeader, key, value []byte) Leaf {
 
 // ReadLeaf fetches the leaf at addr, retrying torn or locked images.
 // Usually one round trip (speculative over-read); leaves longer than the
-// speculative size cost one more. A lock that outlives a lease of watching
-// is broken: its holder crashed between its lock CAS and its single image
-// WRITE, so the content under the lock is still the old, checksum-valid
-// image, and CASing the status back to Idle restores the leaf exactly
-// (docs/failure-model.md).
+// speculative size cost one more. A lock whose holder crashed is broken
+// (breakLeafLock).
 func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafRead))
 	want := e.clampRead(addr, defaultLeafSpecRead)
 	bo := e.Backoff()
-	var watch leaseWatch
 	for {
 		buf := e.arena.buf(want)
 		if err := e.C.Read(addr, buf); err != nil {
@@ -340,14 +329,14 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 		case sight == leafLonger:
 			want = e.clampRead(addr, uint64(hdr.Units)*wire.LeafUnit)
 			continue
-		case hdr.Status == wire.StatusLocked && watch.expired(bo, word):
-			if err := e.breakLeafLock(addr, word, &watch, bo); err != nil {
+		case hdr.Status == wire.StatusLocked && e.ownerCrashed(wire.LeafLockOwner(word)):
+			if err := e.breakLeafLock(addr, word); err != nil {
 				return nil, err
 			}
 			continue
 		}
 		// A live writer finishes with a single WRITE, so retry shortly.
-		if !bo.Wait() {
+		if !bo.WaitHolder() {
 			return nil, fmt.Errorf("%w: leaf at %v never stabilized", ErrRetriesExhausted, addr)
 		}
 	}
@@ -395,48 +384,36 @@ func (e *Engine) SpecReadLeaf(addr mem.Addr, units uint8, key []byte) (leaf Leaf
 	return Leaf{}, false, nil
 }
 
-// leaseWatch is one waiter's view of a lock word that stands in its way, a
-// node's lease or a leaf's Locked header alike: the word last seen there.
-type leaseWatch uint64
-
-// expired is the one rule by which a waiter presumes a lock holder dead: it
-// has seen the same word for a whole lease of its own waiting (bo's virtual
-// time; polls of a changing word prove a live holder and start the
-// measurement over). The caller then steals the lease or breaks the lock with
-// a CAS expecting exactly that word, so at most one waiter wins and a
-// concurrent release makes a stale attempt fail harmlessly.
-func (w *leaseWatch) expired(bo *fabric.Backoff, word uint64) bool {
-	if uint64(*w) != word {
-		*w = leaseWatch(word)
-		bo.ResetWatch()
-		return false
-	}
-	return bo.WaitedPs() >= defaultLeasePs
+// ownerCrashed is the one rule by which a lock changes hands without its
+// holder's release, a node's lease (settleLock) and a leaf's Locked word
+// (breakLeafLock) alike: the owner the word names crashed. A crashed client
+// posts nothing ever again (fabric.Fabric.ClientCrashed), so the taker's CAS,
+// expecting exactly the word it saw, races nobody but other takers, and at
+// most one of them wins. A live holder is never robbed, however long it
+// holds: a waiter waits, within its backoff budget.
+func (e *Engine) ownerCrashed(owner uint16, named bool) bool {
+	return named && e.C.Fabric().ClientCrashed(int(owner))
 }
 
-// breakLeafLock frees the leaf lock whose Locked word a waiter watched for a
-// whole lease, and starts the watch over: someone may lock the leaf again.
-func (e *Engine) breakLeafLock(addr mem.Addr, locked uint64, w *leaseWatch, bo *fabric.Backoff) error {
-	old, err := e.C.CompareSwap(addr, locked, wire.WithStatus(locked, wire.StatusIdle))
-	if err != nil {
-		return err
-	}
-	if old == locked {
+// breakLeafLock frees the leaf lock whose Locked word a waiter saw, its owner
+// crashed: the holder died between its lock CAS and its single image WRITE,
+// so the content under the lock is still the old, checksum-valid image, and
+// CASing the status back to Idle restores the leaf exactly
+// (docs/failure-model.md).
+func (e *Engine) breakLeafLock(addr mem.Addr, locked uint64) error {
+	old, err := e.C.CompareSwap(addr, locked, wire.IdleLeafWord(locked))
+	if err == nil && old == locked {
 		atomic.AddUint64(&e.stats.LeafLockBreaks, 1)
 	}
-	*w = 0
-	bo.ResetWatch()
-	return nil
+	return err
 }
 
 // LeafLock is one in-place update's hold on a leaf: the leaf's header lock
 // (§III-C: CAS the header word Idle → Locked), from the first lock attempt to
 // the single image WRITE that releases it. Every release short of that WRITE
-// is a CAS expecting the exact Locked word, so it cannot touch a leaf that has
-// since been rewritten or retired. The word carries no owner — two writers
-// storing values of one length install the same Locked word — so a release is
-// only ever posted by a client that KNOWS its own CAS won (lockLeaf); a lock
-// whose fate a lost completion hides is left to the lease.
+// is a CAS expecting the exact Locked word, which names its owner
+// (wire.LockedLeafWord), so it cannot touch a leaf that has since been
+// rewritten, retired or locked by another writer.
 type LeafLock struct {
 	Addr  mem.Addr
 	Units uint8
@@ -453,12 +430,12 @@ type LeafLock struct {
 	Key []byte
 }
 
-// lockWords returns the Idle word the next lock CAS expects — the Idle form
+// lockWords returns the Idle word l's next lock CAS expects — the Idle form
 // of what the last attempt saw, so a waiter adopts a changed value length —
-// and its Locked counterpart.
-func (l *LeafLock) lockWords() (idle, locked uint64) {
-	idle = wire.WithStatus(l.Seen, wire.StatusIdle)
-	return idle, wire.WithStatus(idle, wire.StatusLocked)
+// and its Locked counterpart, naming this client.
+func (e *Engine) lockWords(l *LeafLock) (idle, locked uint64) {
+	idle = wire.IdleLeafWord(l.Seen)
+	return idle, wire.LockedLeafWord(idle, uint16(e.C.ID()))
 }
 
 // lockOf starts a hold on a leaf a traversal read: the first lock CAS expects
@@ -511,30 +488,22 @@ func (e *Engine) TryLeafLock(l *LeafLock) error {
 // lockLeaf posts one lock attempt: the header CAS and, when image is non-nil,
 // a READ of the leaf behind it.
 //
-// A faulted attempt releases the lock only when this client provably took it.
-// That is one case: a transient that fell on the READ, after the CAS executed
-// and delivered the Idle word it replaced (verbs ahead of the failing one
-// have executed and their results stand, fabric.ErrTransient). A transient on
-// the CAS itself executed nothing, and a timeout hides who won: the header
-// names no owner, so a release posted "just in case" would free the
-// identical Locked word of another writer — or of a RelocateLeaf about to
-// copy the image — and break mutual exclusion on the spot. A lock a timeout
-// did take is left to the lease, like a crashed holder's (ReadLeaf breaks it).
+// A faulted attempt releases its own Locked word whenever its CAS may have
+// won: after a timeout, which hides who won, and after a transient behind a
+// CAS that executed and won (verbs ahead of the failing one stand,
+// fabric.ErrTransient). The word names this client, so the release cannot
+// free another writer's lock — or a RelocateLeaf's about to copy the image —
+// and a live holder never leaves a lock behind for others to wait on.
 func (e *Engine) lockLeaf(l *LeafLock, image []byte) error {
-	idle, locked := l.lockWords()
+	idle, locked := e.lockWords(l)
 	ops := e.leafOps[:1]
-	// Old is preset to a word a winning CAS cannot return, so after a
-	// transient "Old == idle" means executed and won.
-	ops[0] = fabric.Op{Kind: fabric.CAS, Addr: l.Addr, Expect: idle, Desired: locked, Old: locked}
+	ops[0] = fabric.Op{Kind: fabric.CAS, Addr: l.Addr, Expect: idle, Desired: locked}
 	if image != nil {
 		ops = append(ops, fabric.Op{Kind: fabric.Read, Addr: l.Addr, Data: image})
 	}
 	if err := e.C.Batch(ops); err != nil {
-		if errors.Is(err, fabric.ErrTransient) && ops[0].Old == idle {
-			// Re-issued across further faults (UnlockLeaf): a lock left behind
-			// costs whoever meets it — most likely this put's own restart — a
-			// whole lease. l.Seen is untouched, so the words are this attempt's.
-			_ = e.UnlockLeaf(l)
+		if errors.Is(err, fabric.ErrTimeout) || ops[0].Old == idle {
+			_ = e.UnlockLeaf(l) // re-issued across further faults; l.Seen is this attempt's
 		}
 		return err
 	}
@@ -547,7 +516,7 @@ func (e *Engine) lockLeaf(l *LeafLock, image []byte) error {
 // exact Idle header the lock replaced, leaving the leaf byte-identical.
 func (e *Engine) UnlockLeaf(l *LeafLock) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
-	idle, locked := l.lockWords()
+	idle, locked := e.lockWords(l)
 	ops := e.leafOps[:1]
 	ops[0] = fabric.Op{Kind: fabric.CAS, Addr: l.Addr, Expect: locked, Desired: idle}
 	l.Held = false
@@ -564,7 +533,8 @@ func (e *Engine) UnlockLeaf(l *LeafLock) error {
 // The WRITE is past the update's commit point (the lock is ours), so it is
 // driven like a publication: a transient executed nothing and is re-issued —
 // abandoning it would leave the leaf locked by ourselves, and the restarted
-// put would wait out a lease to break its own lock — while a timeout means
+// put would wait on its own lock, which nobody breaks while its owner lives —
+// while a timeout means
 // the image landed and the lock is gone, so it is never re-issued.
 func (e *Engine) WriteLockedLeaf(l *LeafLock, key, value []byte) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
@@ -650,9 +620,8 @@ func (e *Engine) abandon(st *staged) {
 
 // abort is the one exit of a structural write that fails before its commit
 // point: it releases every lock the operation holds (nil nodes are skipped)
-// and books the staged objects as abandoned. The release is best effort — a
-// lease it cannot reach expires, or is reclaimed when this client next
-// locks the node — so the cause, not the release, is what the caller sees.
+// and books the staged objects as abandoned. The cause, not the release, is
+// what the caller sees.
 func (e *Engine) abort(st *staged, cause error, a, b *Node) error {
 	e.abandon(st)
 	var arr [2]fabric.Op
@@ -666,24 +635,27 @@ func (e *Engine) abort(st *staged, cause error, a, b *Node) error {
 	return cause
 }
 
-// unlock posts lease-release CASes best effort: each expects the exact
-// lease word its lock attempt installed, so it is a no-op on a lease that
-// was never taken or has since been stolen, and a release the fabric drops
-// only means the lease expires instead (docs/failure-model.md §3).
+// unlock drives lease-release CASes to completion (completeBatch), through a
+// down window too: a live holder never leaves a lease behind, since nobody
+// else may take it (ownerCrashed). Each CAS expects the exact lease word its
+// lock attempt installed, so issuing it again is harmless, and it is a no-op
+// on a lease that was never taken. Should the loop give up (a budget spent on
+// transient faults alone; a killed node takes the lease with it), the lease
+// stays until this client next locks the node and reclaims it
+// (docs/failure-model.md §3).
 func (e *Engine) unlock(ops []fabric.Op) {
 	if len(ops) == 0 {
 		return
 	}
 	prev := e.C.SetStage(fabric.StageUnlock)
-	_ = e.C.Batch(ops) // best effort, see above
+	_ = e.completeBatch(ops)
 	e.C.SetStage(prev)
 }
 
 // lockTry is the state of one node's lease acquisition across attempts.
 type lockTry struct {
 	addr   mem.Addr
-	expect uint64     // lease word the next CAS expects
-	watch  leaseWatch // the holder being waited for
+	expect uint64 // lease word the next CAS expects
 	tryCAS bool
 	buf    []byte // every attempt's READ destination, as long as the post-lock image
 	cas    int    // index of the in-flight attempt's CAS in its batch, -1 if it only polls
@@ -695,7 +667,7 @@ type lockTry struct {
 func (e *Engine) newLockTry(addr mem.Addr, hint wire.NodeType, expectLease uint64) lockTry {
 	return lockTry{
 		addr: addr, buf: e.arena.buf(e.nodeSize(hint)),
-		expect: expectLease, watch: leaseWatch(expectLease),
+		expect: expectLease,
 		tryCAS: expectLease == 0 || wire.LeaseOwnedBy(expectLease, uint16(e.C.ID())),
 	}
 }
@@ -714,7 +686,7 @@ func (e *Engine) postLock(t *lockTry, ops []fabric.Op) []fabric.Op {
 		ops = append(ops, fabric.Op{
 			Kind: fabric.CAS, Addr: t.addr.Add(wire.LeaseOff),
 			Expect:  t.expect,
-			Desired: wire.EncodeLease(uint16(e.C.ID()), e.C.Clock()+defaultLeasePs),
+			Desired: wire.EncodeLease(uint16(e.C.ID()), e.C.Clock()),
 		})
 	}
 	return append(ops, fabric.Op{Kind: fabric.Read, Addr: t.addr, Data: t.buf})
@@ -741,13 +713,12 @@ func (e *Engine) dropLock(t *lockTry, ops []fabric.Op, cause error) (released bo
 // when the lease was won; (nil, nil) when it was not, with t advanced to
 // what the next poll should do; or an error (ErrNodeInvalid for a retired
 // node — nobody revives one, so a lease won on it is moot).
-func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*Node, error) {
+func (e *Engine) settleLock(t *lockTry, ops []fabric.Op) (*Node, error) {
 	buf := t.buf
 	hdr := wire.DecodeNodeHeader(binary.LittleEndian.Uint64(buf))
 	if hdr.Status == wire.StatusInvalid {
 		return nil, ErrNodeInvalid
 	}
-	owner := uint16(e.C.ID())
 	if t.cas >= 0 && ops[t.cas].Old == t.expect {
 		if t.expect != 0 {
 			atomic.AddUint64(&e.stats.LockSteals, 1)
@@ -773,18 +744,9 @@ func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*N
 		t.buf = e.arena.buf(need)
 	}
 	lease := binary.LittleEndian.Uint64(buf[wire.LeaseOff:])
-	switch {
-	case lease == 0:
-		t.tryCAS, t.expect = true, 0
-	case wire.LeaseOwnedBy(lease, owner):
-		// Our own abandoned lease: reclaim without waiting it out.
-		t.tryCAS, t.expect = true, lease
-	case t.watch.expired(bo, lease):
-		// Presumed dead: steal.
-		t.tryCAS, t.expect = true, lease
-	default:
-		t.tryCAS = false
-	}
+	holder, _, held := wire.DecodeLease(lease)
+	// Free, our own abandoned lease, or a crashed holder's: CAS for it.
+	t.tryCAS, t.expect = !held || holder == uint16(e.C.ID()) || e.ownerCrashed(holder, held), lease
 	return nil, nil
 }
 
@@ -795,7 +757,7 @@ func (e *Engine) settleLock(t *lockTry, ops []fabric.Op, bo *fabric.Backoff) (*N
 func (e *Engine) acquire(t *lockTry, bo *fabric.Backoff, polled bool) (*Node, error) {
 	var arr [2]fabric.Op
 	for ; ; polled = true {
-		if polled && !bo.Wait() {
+		if polled && !bo.WaitHolder() {
 			return nil, fmt.Errorf("%w: lock on %v", ErrRetriesExhausted, t.addr)
 		}
 		ops := e.postLock(t, arr[:0])
@@ -803,7 +765,7 @@ func (e *Engine) acquire(t *lockTry, bo *fabric.Backoff, polled bool) (*Node, er
 			e.dropLock(t, ops, err)
 			return nil, err
 		}
-		if n, err := e.settleLock(t, ops, bo); n != nil || err != nil {
+		if n, err := e.settleLock(t, ops); n != nil || err != nil {
 			return n, err
 		}
 	}
@@ -815,10 +777,9 @@ func (e *Engine) acquire(t *lockTry, bo *fabric.Backoff, polled bool) (*Node, er
 // batch (postLock).
 //
 // The lock is a lease (docs/failure-model.md): acquisition CASes the lease
-// word from 0 to (owner, stamp), and a waiter steals a word it has watched
-// for a whole lease (leaseWatch.expired). A client that finds its own lease
-// on the node (left behind by a fault between its acquisition and release)
-// reclaims it immediately.
+// word from 0 to (owner, stamp), and a waiter takes over a word whose owner
+// crashed (ownerCrashed). A client that finds its own lease on the node (left
+// behind by a release that gave up) reclaims it immediately.
 //
 // expectLease is the lease word the caller last observed (from a decoded
 // image); pass 0 when unknown.
@@ -1078,12 +1039,12 @@ func (e *Engine) lockNodes(child, parent *Node, st *staged) (lc, lp *Node, err e
 		return nil, nil, e.abort(st, err, lc, lp)
 	}
 	if lc == nil {
-		lc, err = e.settleLock(&tc, ops, bo)
+		lc, err = e.settleLock(&tc, ops)
 	}
 	parentPolled := false
 	if polls {
 		var perr error
-		if lp, perr = e.settleLock(&tp, ops, bo); err == nil {
+		if lp, perr = e.settleLock(&tp, ops); err == nil {
 			err = perr
 		}
 		parentPolled = lp == nil
@@ -1117,8 +1078,8 @@ func (e *Engine) lockNodes(child, parent *Node, st *staged) (lc, lp *Node, err e
 // UnlockOp builds the CAS releasing a lease taken by Lock. It is meant to
 // be piggybacked onto the final doorbell batch of a write operation
 // (paper §IV: "followed by a piggybacked lock release"). The CAS expects
-// our exact lease word, so a release after our lock was presumed dead and
-// stolen fails harmlessly instead of unlocking the thief.
+// our exact lease word, so a release issued again after it landed, or of a
+// lease never taken, fails harmlessly instead of unlocking the next holder.
 func (e *Engine) UnlockOp(n *Node) fabric.Op {
 	return fabric.Op{
 		Kind: fabric.CAS, Addr: n.LeaseAddr(),

@@ -8,6 +8,7 @@ import (
 
 	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/wire"
 )
@@ -31,9 +32,13 @@ func engineOn(f *fabric.Fabric, ring *consistenthash.Ring) *Engine {
 	return NewEngine(c, mem.NewAllocator(c, 0), ring, Config{})
 }
 
+// quickPs bounds a fault-free put under a node nobody holds: a few round
+// trips, far below what a waiter spends polling a held lease.
+const quickPs = 125_000_000
+
 // putUnderRootQuickly asserts that a fault-free client's insert under the
 // root — the node the faulted victim was writing under — finishes in well
-// under one lease of virtual time: the victim must not have left the root
+// under quickPs of virtual time: the victim must not have left the root
 // locked behind its error.
 func putUnderRootQuickly(t *testing.T, f *fabric.Fabric, ring *consistenthash.Ring, root func(*Engine) *Node, what string) {
 	t.Helper()
@@ -43,15 +48,14 @@ func putUnderRootQuickly(t *testing.T, f *fabric.Fabric, ring *consistenthash.Ri
 	if _, err := survivor.PutFrom(start, []byte("zebra"), []byte("v"), PutUpsert, NopHooks{}); err != nil {
 		t.Fatalf("%s: survivor put: %v", what, err)
 	}
-	if dt := survivor.C.Clock() - t0; dt >= defaultLeasePs/4 {
-		t.Fatalf("%s: survivor's put under the victim's node took %d ps of virtual time (lease: %d ps): the victim's error exit left the node locked",
-			what, dt, int64(defaultLeasePs))
+	if dt := survivor.C.Clock() - t0; dt >= quickPs {
+		t.Fatalf("%s: survivor's put under the victim's node took %d ps of virtual time (bound: %d ps): the victim's error exit left the node locked",
+			what, dt, int64(quickPs))
 	}
 }
 
 // TestPreCommitFaultReleasesLocks: a structural write that fails before its
-// commit point must not leave its node locked for other clients to wait out
-// a full lease. Both cases aim a fault at the batch that writes the fresh
+// commit point must not leave its node locked for other clients to wait on. Both cases aim a fault at the batch that writes the fresh
 // objects of a leaf conversion.
 func TestPreCommitFaultReleasesLocks(t *testing.T) {
 	t.Run("node-down window on the fresh leaf's home", func(t *testing.T) {
@@ -190,5 +194,186 @@ func TestLeaseReadIsTheLock(t *testing.T) {
 	e.Release(BetRoundEnded) // nothing to return
 	if st := e.Stats(); st.LeaseBets != 3 || st.LeaseBetsLost != 1 || st.LeaseBetsReturned != 1 || leaseAt() != held.LeaseWord {
 		t.Errorf("bets %d, lost %d, returned %d, lease %#x; want 3, 1, 1 and the rival's word", st.LeaseBets, st.LeaseBetsLost, st.LeaseBetsReturned, leaseAt())
+	}
+}
+
+// TestLiveHolderNeverRobbed: a lock holder that the schedule parks between its
+// lock batch and its commit batch — for longer than any rival can afford to
+// wait — still holds its lock when it runs again. A rival writing the same
+// node (a node lease) or the same leaf (a leaf lock) polls until its backoff
+// budget ends, past 500 µs of virtual time, and takes nothing over: the holder
+// is alive. No acknowledged write is lost.
+func TestLiveHolderNeverRobbed(t *testing.T) {
+	for _, tc := range []struct {
+		name, key, rival string // the holder's put and the rival's
+		// lock accepts the holder's winning lock CAS, given the root's and the
+		// leaf's addresses.
+		lock func(op fabric.Op, root, leaf mem.Addr) bool
+	}{
+		{"node lease", "lease-ab", "lease-ac", func(op fabric.Op, root, _ mem.Addr) bool {
+			return op.Addr == root.Add(wire.LeaseOff) && op.Desired != 0
+		}},
+		{"leaf lock", "lease-a", "lease-a", func(op fabric.Op, _, leaf mem.Addr) bool {
+			return op.Addr == leaf && wire.DecodeLeafHeader(op.Desired).Status == wire.StatusLocked
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, ring, root := leaseCluster(t)
+			holder, rival, check := engineOn(f, ring), engineOn(f, ring), engineOn(f, ring)
+			leaf, err := check.SearchFrom(root(check), []byte("lease-a"), NopHooks{})
+			if err != nil || leaf == nil {
+				t.Fatalf("search = %v, %v", leaf, err)
+			}
+			rootAddr, locked := root(check).Addr, false
+			sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+				if s.Op.Kind == fabric.CAS && s.Op.Old == s.Op.Expect && tc.lock(s.Op, rootAddr, leaf.Addr) {
+					locked = true
+				}
+				return locked && s.BatchEnd
+			}}
+			var herr, rerr error
+			var waited int64
+			fabrictest.Run(f, sw, fabrictest.Proc{C: holder.C, Fn: func() {
+				_, herr = holder.PutFrom(root(holder), []byte(tc.key), []byte("h"), PutUpsert, NopHooks{})
+			}}, fabrictest.Proc{Fn: func() {
+				t0 := rival.C.Clock()
+				_, rerr = rival.PutFrom(root(rival), []byte(tc.rival), []byte("r"), PutUpsert, NopHooks{})
+				waited = rival.C.Clock() - t0
+			}})
+			if sw.At == nil {
+				t.Fatal("the holder never parked behind its lock; the rival ran after it")
+			}
+			if herr != nil {
+				t.Fatalf("holder's put = %v", herr)
+			}
+			if !errors.Is(rerr, ErrRetriesExhausted) || waited < 500_000_000 {
+				t.Errorf("rival's put = %v after %d ps; want its budget spent on the lock, past 500 µs", rerr, waited)
+			}
+			want := map[string]string{tc.key: "h"}
+			if rerr == nil && tc.rival != tc.key {
+				want[tc.rival] = "r"
+			}
+			for k, v := range want {
+				if got, err := check.SearchFrom(root(check), []byte(k), NopHooks{}); err != nil || got == nil || string(got.Value) != v {
+					t.Errorf("acknowledged %q = %q reads %+v, %v", k, v, got, err)
+				}
+			}
+			if st := rival.Stats(); st.LockSteals+st.LeafLockBreaks != 0 {
+				t.Errorf("the rival stole %d leases and broke %d leaf locks of a live holder", st.LockSteals, st.LeafLockBreaks)
+			}
+		})
+	}
+}
+
+// TestCrashRecordFollowsItsLastVerbs: a crash aimed at the unlock that ends a
+// commit batch still runs the verbs ahead of it — behind a won landing bet the
+// new leaf's WRITE, then the slot WRITE — and the client is recorded crashed
+// only once they have. A rival switched in between those two verbs meets a
+// live holder and takes nothing over; had it stolen the lease there, its key
+// would have gone into the empty slot and the dead holder's slot WRITE would
+// have landed over it, acknowledged. Once the holder is recorded, the rival's
+// put steals the lease and its key reads back.
+func TestCrashRecordFollowsItsLastVerbs(t *testing.T) {
+	f, ring, root := leaseCluster(t)
+	holder, rival, check := engineOn(f, ring), engineOn(f, ring), engineOn(f, ring)
+	rootAddr := root(check).Addr
+	// The holder's verbs: the bet's CAS and READ, two allocator FAAs, then the
+	// commit batch [W leaf · W slot · CAS unlock]; the crash cuts at the unlock.
+	holder.C.FailAt(6, fabric.ErrClientCrashed)
+	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+		return s.Stage == fabric.StageInstall
+	}}
+	var herr, rerr error
+	fabrictest.Run(f, sw, fabrictest.Proc{C: holder.C, Fn: func() {
+		start, err := holder.LeaseRead(rootAddr, wire.Node256)
+		if err != nil || start == nil || !wire.LeaseOwnedBy(start.LeaseWord, uint16(holder.C.ID())) {
+			t.Errorf("LeaseRead = %v, %v; want the root under the holder's lease", start, err)
+			return
+		}
+		_, herr = holder.PutFrom(start, []byte("m1"), []byte("h"), PutUpsert, NopHooks{})
+	}}, fabrictest.Proc{Fn: func() {
+		_, rerr = rival.PutFrom(root(rival), []byte("m2"), []byte("r"), PutUpsert, NopHooks{})
+	}})
+	if sw.At == nil || sw.At.Op.Kind != fabric.Write || sw.At.BatchEnd {
+		t.Fatalf("switched at %+v; want the commit batch's first WRITE", sw.At)
+	}
+	if !errors.Is(herr, fabric.ErrClientCrashed) || fabric.Executed(herr) != 2 {
+		t.Fatalf("holder's put = %v; want a crash after 2 of the commit batch's verbs", herr)
+	}
+	if rerr == nil {
+		if got, err := check.SearchFrom(root(check), []byte("m2"), NopHooks{}); err != nil || got == nil || string(got.Value) != "r" {
+			t.Fatalf("the rival's acknowledged m2 reads %+v, %v: the dead holder's slot WRITE landed after the lease changed hands", got, err)
+		}
+	} else if !errors.Is(rerr, ErrRetriesExhausted) || rival.Stats().LockSteals != 0 {
+		t.Fatalf("rival's put = %v after %d steals; want a wait on a live holder", rerr, rival.Stats().LockSteals)
+	}
+	if _, err := rival.PutFrom(root(rival), []byte("m2"), []byte("r"), PutUpsert, NopHooks{}); err != nil || rival.Stats().LockSteals != 1 {
+		t.Fatalf("rival's put behind the crashed holder = %v after %d steals; want one steal", err, rival.Stats().LockSteals)
+	}
+	if got, err := check.SearchFrom(root(check), []byte("m2"), NopHooks{}); err != nil || got == nil || string(got.Value) != "r" {
+		t.Errorf("acknowledged m2 reads %+v, %v", got, err)
+	}
+}
+
+// TestReleaseOutlastsDownWindow: a down window on the memory node of a held
+// lock, opened once the holder has it and longer than the holder's backoff
+// budget, keeps its releasing batch out — the commit batch ending in the
+// lease's unlock, the leaf's releasing WRITE. Nobody takes over a live
+// holder's lock, so the holder waits the window out and releases: the put
+// succeeds, and another client reads the key and writes under the node at
+// once afterwards.
+func TestReleaseOutlastsDownWindow(t *testing.T) {
+	const windowPs = 10_000_000_000 // 10 ms, about three backoff budgets
+	for _, tc := range []struct {
+		name, key string
+		// lock accepts the holder's winning lock CAS, given the root's and the
+		// leaf's addresses; the window opens on that CAS's memory node.
+		lock func(op fabric.Op, root, leaf mem.Addr) bool
+	}{
+		{"node lease", "lease-ab", func(op fabric.Op, root, _ mem.Addr) bool {
+			return op.Addr == root.Add(wire.LeaseOff) && op.Desired != 0
+		}},
+		{"leaf lock", "lease-a", func(op fabric.Op, _, leaf mem.Addr) bool {
+			return op.Addr == leaf && wire.DecodeLeafHeader(op.Desired).Status == wire.StatusLocked
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, ring, root := leaseCluster(t)
+			plan := &fabric.FaultPlan{Seed: 1}
+			f.SetFaultPlan(plan)
+			holder := engineOn(f, ring)
+			f.SetFaultPlan(nil)
+			check := engineOn(f, ring)
+			leaf, err := check.SearchFrom(root(check), []byte("lease-a"), NopHooks{})
+			if err != nil || leaf == nil {
+				t.Fatalf("search = %v, %v", leaf, err)
+			}
+			rootAddr, locked := root(check).Addr, mem.Addr(0)
+			sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+				if s.Op.Kind == fabric.CAS && s.Op.Old == s.Op.Expect && tc.lock(s.Op, rootAddr, leaf.Addr) {
+					locked = s.Op.Addr
+				}
+				return locked != 0 && s.BatchEnd
+			}}
+			var herr error
+			var until int64
+			fabrictest.Run(f, sw, fabrictest.Proc{C: holder.C, Fn: func() {
+				_, herr = holder.PutFrom(root(holder), []byte(tc.key), []byte("h"), PutUpsert, NopHooks{})
+			}}, fabrictest.Proc{Fn: func() {
+				until = holder.C.Clock() + windowPs
+				plan.Down = []fabric.DownWindow{{Node: locked.Node(), FromPs: 0, ToPs: until}}
+			}})
+			if sw.At == nil {
+				t.Fatal("the holder never took its lock")
+			}
+			if herr != nil || holder.C.Clock() < until || holder.C.Stats().NodeDownRejects == 0 {
+				t.Fatalf("holder's put = %v at %d ps after %d down rejects; want its release to wait out the window to %d ps",
+					herr, holder.C.Clock(), holder.C.Stats().NodeDownRejects, until)
+			}
+			if got, err := check.SearchFrom(root(check), []byte(tc.key), NopHooks{}); err != nil || got == nil || string(got.Value) != "h" {
+				t.Errorf("acknowledged %q reads %+v, %v: the lock is still held", tc.key, got, err)
+			}
+			putUnderRootQuickly(t, f, ring, root, tc.name)
+		})
 	}
 }

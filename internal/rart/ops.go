@@ -415,7 +415,7 @@ func (e *Engine) invalidateLeaf(leaf *Leaf) error {
 //
 // Either commit batch is driven to completion: a transient behind the slot
 // WRITE would otherwise send the put around again to find its own leaf and
-// update it in place, leaving n's lease to expire under every other writer.
+// update it in place, leaving n's lease behind for every other writer.
 func (e *Engine) installLeaf(parent, n *Node, key, value []byte, ed edge, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageInstall))
 	if ed.addr.IsNull() {
@@ -548,6 +548,10 @@ func (e *Engine) replaceNode(lockedParent *Node, ed edge, original, replacement 
 //     first): the error goes back at once, still naming the node, so the
 //     layer above can fail the operation over instead of watching the budget
 //     die on "retries exhausted".
+//   - A doorbell batch is, or ends in, a lock release, and a live holder's
+//     lock is taken over by nobody (ownerCrashed): it never gives up on a node
+//     that is down but not killed. Its budget spent in a down window, it
+//     starts another, until the node comes back.
 func (e *Engine) complete(what string, rerunTimeout bool, step func() error) error {
 	var bo *fabric.Backoff // started by the first fault: the clean path allocates nothing
 	for {
@@ -564,7 +568,10 @@ func (e *Engine) complete(what string, rerunTimeout bool, step func() error) err
 			bo = e.Backoff()
 		}
 		if !bo.Wait() {
-			return fmt.Errorf("%w: %s", ErrRetriesExhausted, what)
+			if cause != CauseNodeDown || rerunTimeout {
+				return fmt.Errorf("%w: %s", ErrRetriesExhausted, what)
+			}
+			bo = e.Backoff()
 		}
 	}
 }
@@ -815,8 +822,8 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) err
 	// Driven to completion like every commit batch: its unlock is its last
 	// verb, so after a transient n's lease is still held and the rest of the
 	// batch is issued again — given up instead, the restarted put would find
-	// the key at the new leaf and update it in place, leaving n's lease to
-	// expire.
+	// the key at the new leaf and update it in place, leaving n's lease
+	// behind.
 	err = e.completeBatch(e.thenUnlock(append(e.slotWrite(locked, ed, newSlot.Encode()), e.retireOp(leaf)), locked))
 	if err != nil {
 		// The completion loop gave up (its budget, or a killed node) behind a
@@ -849,14 +856,12 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) err
 // updateLeafInPlace is the checksum-based single-WRITE update (§III-C):
 // lock the leaf with one CAS on its header word, then write the whole new
 // image — new value, new checksum, Idle status — in one WRITE that doubles
-// as the lock release (WriteLockedLeaf). A lock that never clears is broken
-// after a lease of watching, for ReadLeaf's reason: the old image is intact
-// underneath.
+// as the lock release (WriteLockedLeaf). A lock whose holder crashed is
+// broken, for ReadLeaf's reason: the old image is intact underneath.
 func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
 	l := lockOf(leaf)
 	var bo *fabric.Backoff // started by the first lost attempt
-	var watch leaseWatch
 	for {
 		// A lost attempt leaves the observed header in l.Seen, and the next
 		// one expects its Idle form: a concurrent in-place update that
@@ -874,13 +879,13 @@ func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 		case wire.StatusInvalid:
 			return fmt.Errorf("update: leaf %v invalidated: %w", leaf.Addr, ErrRestart)
 		case wire.StatusLocked:
-			if watch.expired(bo, l.Seen) {
-				if err := e.breakLeafLock(leaf.Addr, l.Seen, &watch, bo); err != nil {
+			if e.ownerCrashed(wire.LeafLockOwner(l.Seen)) {
+				if err := e.breakLeafLock(leaf.Addr, l.Seen); err != nil {
 					return err
 				}
 			}
 		}
-		if !bo.Wait() {
+		if !bo.WaitHolder() {
 			return fmt.Errorf("%w: leaf lock at %v", ErrRetriesExhausted, leaf.Addr)
 		}
 	}

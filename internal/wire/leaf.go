@@ -15,6 +15,7 @@ import (
 //	             bits 2..9  leafLen, in 64-byte units
 //	             bits 10..21 keyLen  (≤ MaxDepth)
 //	             bits 22..37 valLen
+//	             bits 38..53 owner of a Locked word: client ID + 1
 //	word1 (8 B): checksum over (keyLen, valLen, key, value)
 //	bytes 16..:  key bytes, then value bytes, zero-padded to 64·leafLen
 //
@@ -51,6 +52,28 @@ func (h LeafHeader) Encode() uint64 {
 		uint64(h.Units)<<2 |
 		uint64(h.KeyLen)<<10 |
 		uint64(h.ValLen)<<22
+}
+
+// leafOwnerShift places a Locked leaf word's owner (LockedLeafWord).
+const leafOwnerShift = 38
+
+// LockedLeafWord is the Locked form of leaf header word w, naming owner (a
+// client ID) in bits 38..53 — two writers of same-length values install
+// different words, so a CAS releasing one's lock cannot free the other's.
+func LockedLeafWord(w uint64, owner uint16) uint64 {
+	return WithStatus(IdleLeafWord(w), StatusLocked) | uint64(owner+1)<<leafOwnerShift
+}
+
+// IdleLeafWord is the Idle form of leaf header word w: status Idle, no owner.
+func IdleLeafWord(w uint64) uint64 {
+	return WithStatus(w, StatusIdle) &^ ((1<<16 - 1) << leafOwnerShift)
+}
+
+// LeafLockOwner returns the owner a Locked leaf word names; tagged is false
+// for a word that names none.
+func LeafLockOwner(w uint64) (owner uint16, tagged bool) {
+	o := uint16(w >> leafOwnerShift)
+	return o - 1, o != 0
 }
 
 // DecodeLeafHeader unpacks a leaf header word.

@@ -4,20 +4,20 @@ package wire
 // word means unlocked. A non-zero word records who holds the lock and a
 // stamp of the holder's virtual clock at acquisition:
 //
-//	bits  0..47  stamp: holder's clock + lease duration, in ps (truncated)
+//	bits  0..47  stamp: holder's clock at acquisition, in ps (truncated)
 //	bits 48..63  owner: holder's client ID + 1 (so a held lease is never 0)
 //
-// The lock is acquired and released with RDMA CAS on this word, which also
-// makes it stealable: a waiter that has watched the *same* lease word for a
-// full lease duration of its own virtual time concludes the holder is dead
-// and CASes the word from the observed value to its own. The CAS-on-exact-
-// value protocol means at most one waiter wins a steal, and a release or a
-// competing steal in the meantime makes the stale steal fail harmlessly.
+// The lock is acquired and released with RDMA CAS on this word. It changes
+// hands without its holder's release only when the owner it names crashed
+// (fabric.Fabric.ClientCrashed): a waiter then CASes the word from the
+// observed value to its own. The CAS-on-exact-value protocol means at most
+// one waiter wins, and a competing takeover in the meantime makes the stale
+// one fail harmlessly.
 //
-// The stamp is diagnostic and an ABA uniquifier (two acquisitions by one
-// client virtually never carry the same clock); expiry is judged on the
-// waiter's clock by watching, not by comparing cross-client clocks, so
-// clock drift between clients cannot cause a false steal.
+// The stamp is not an expiry: no waiter reads time into it. It only tells
+// one acquisition from the next (two acquisitions by one client virtually
+// never carry the same clock), so a release expecting the exact word cannot
+// free a later acquisition's lock.
 const (
 	LeaseStampBits = 48
 	leaseStampMask = 1<<LeaseStampBits - 1

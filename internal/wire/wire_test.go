@@ -306,6 +306,28 @@ func TestLeafHeaderRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestLockedLeafWordNamesItsOwner: a Locked leaf word names its owner and
+// keeps the header's fields; two owners lock one Idle word into different
+// words, and the Idle form of either is the word they locked.
+func TestLockedLeafWordNamesItsOwner(t *testing.T) {
+	f := func(units uint8, kl uint16, vl uint32, a, b uint16) bool {
+		a, b = a%0xffff, b%0xffff // client IDs below the one whose ID + 1 wraps to 0
+		idle := LeafHeader{Status: StatusIdle, Units: units, KeyLen: kl % (MaxDepth + 1), ValLen: vl % (MaxValueLen + 1)}
+		la := LockedLeafWord(idle.Encode(), a)
+		owner, tagged := LeafLockOwner(la)
+		locked := idle
+		locked.Status = StatusLocked
+		return DecodeLeafHeader(la) == locked && owner == a && tagged &&
+			IdleLeafWord(la) == idle.Encode() && (a == b) == (la == LockedLeafWord(idle.Encode(), b))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if _, tagged := LeafLockOwner(LeafHeader{Status: StatusIdle, Units: 1}.Encode()); tagged {
+		t.Error("an Idle header names an owner")
+	}
+}
+
 func TestLeafSize(t *testing.T) {
 	cases := []struct {
 		k, v int
