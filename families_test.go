@@ -33,8 +33,7 @@ var sessionFamiliesAtPR22 = []string{
 	"core_searches", "core_spec_aborts", "core_spec_hits", "core_spec_misses", "core_spec_refutes",
 	"core_spec_upd_aborts", "core_spec_upd_hits", "core_spec_upd_misses", "core_spec_upd_refutes",
 	"core_stale_entries", "core_updates", "engine_abandoned_bytes", "engine_abandoned_objects",
-	"engine_delete_repairs", "engine_leaf_lock_breaks", "engine_leaf_retire_repairs",
-	"engine_lease_bets", "engine_lease_bets_lost", "engine_lease_bets_returned",
+	"engine_leaf_lock_breaks", "engine_lease_bets", "engine_lease_bets_lost", "engine_lease_bets_returned",
 	"engine_lock_steals", "engine_publish_retries", "engine_restarts", "engine_scan_emitted",
 	"engine_scan_node_reads", "engine_scan_reads", "engine_scan_reresolved", "engine_scan_rounds",
 	"fabric_by_kind_0", "fabric_by_kind_1", "fabric_by_kind_2", "fabric_by_kind_3",

@@ -633,17 +633,17 @@ func fastpathDiag(r Result) string {
 
 // WriteCSV renders results as CSV for external plotting.
 func WriteCSV(results []Result, out io.Writer) error {
-	if _, err := fmt.Fprintln(out, "system,workload,dataset,workers,ops,tput_mops,avg_us,p50_us,p99_us,rt_per_op,verbs_per_op,bytes_per_op,filter_hit_pct,fp_per_kop,restarts,transients,timeouts,node_down,lock_steals,leaf_breaks,delete_repairs"); err != nil {
+	if _, err := fmt.Fprintln(out, "system,workload,dataset,workers,ops,tput_mops,avg_us,p50_us,p99_us,rt_per_op,verbs_per_op,bytes_per_op,filter_hit_pct,fp_per_kop,restarts,transients,timeouts,node_down,lock_steals,leaf_breaks"); err != nil {
 		return err
 	}
 	for _, r := range results {
-		if _, err := fmt.Fprintf(out, "%s,%s,%s,%d,%d,%.4f,%.3f,%.3f,%.3f,%.3f,%.3f,%.1f,%.2f,%.3f,%d,%d,%d,%d,%d,%d,%d\n",
+		if _, err := fmt.Fprintf(out, "%s,%s,%s,%d,%d,%.4f,%.3f,%.3f,%.3f,%.3f,%.3f,%.1f,%.2f,%.3f,%d,%d,%d,%d,%d,%d\n",
 			r.System, r.Workload, r.Dataset, r.Workers, r.Ops,
 			r.ThroughputMops, r.AvgLatUs, r.P50LatUs, r.P99LatUs,
 			r.RoundTripsPerOp, r.VerbsPerOp, r.BytesPerOp,
 			r.SphinxFilterHitPct, r.SphinxFPPerKOp,
 			r.Restarts, r.TransientFaults, r.Timeouts, r.NodeDownRejects,
-			r.LockSteals, r.LeafLockBreaks, r.DeleteRepairs); err != nil {
+			r.LockSteals, r.LeafLockBreaks); err != nil {
 			return err
 		}
 	}

@@ -77,7 +77,6 @@ type Result struct {
 	NodeDownRejects uint64 `json:"node_down,omitempty"`
 	LockSteals      uint64 `json:"lock_steals,omitempty"`
 	LeafLockBreaks  uint64 `json:"leaf_breaks,omitempty"`
-	DeleteRepairs   uint64 `json:"delete_repairs,omitempty"`
 
 	// RoundTrips is the phase's absolute fabric round-trip total (the
 	// denominator of the metrics reconciliation check). Present only when
@@ -114,13 +113,12 @@ func (r Result) Diag() string {
 // neither injected faults nor lock recovery.
 func (r Result) FaultLine() string {
 	if r.Restarts == 0 && r.TransientFaults == 0 && r.Timeouts == 0 &&
-		r.NodeDownRejects == 0 && r.LockSteals == 0 && r.LeafLockBreaks == 0 &&
-		r.DeleteRepairs == 0 {
+		r.NodeDownRejects == 0 && r.LockSteals == 0 && r.LeafLockBreaks == 0 {
 		return ""
 	}
-	return fmt.Sprintf("    [faults] restarts %d  transients %d  timeouts %d  nodeDown %d  lockSteals %d  leafBreaks %d  deleteRepairs %d",
+	return fmt.Sprintf("    [faults] restarts %d  transients %d  timeouts %d  nodeDown %d  lockSteals %d  leafBreaks %d",
 		r.Restarts, r.TransientFaults, r.Timeouts, r.NodeDownRejects,
-		r.LockSteals, r.LeafLockBreaks, r.DeleteRepairs)
+		r.LockSteals, r.LeafLockBreaks)
 }
 
 // header returns the column header matching Result.Row.
@@ -328,7 +326,7 @@ func (cl *Cluster) measure(workload string, workers, depth int, mount func(*work
 	}
 	// The baselines' restarts are the engine's (rart.Engine.Retry); Sphinx
 	// drives its own operations, and attachSphinxDiag reports its count.
-	r.Restarts, r.LockSteals, r.LeafLockBreaks, r.DeleteRepairs = t.engine.Restarts, t.engine.LockSteals, t.engine.LeafLockBreaks, t.engine.DeleteRepairs
+	r.Restarts, r.LockSteals, r.LeafLockBreaks = t.engine.Restarts, t.engine.LockSteals, t.engine.LeafLockBreaks
 	cl.attachSphinxDiag(&r, t)
 	cl.attachMetrics(&r)
 	cl.attachMNShares(&r, nicBase)

@@ -193,7 +193,7 @@ func TestReplicaAckBudget(t *testing.T) {
 		// batches, and the hot probe their one round after the commit. was is
 		// the anchors' fan-out begun after the commit: the speculative write's 2
 		// + 3, a fresh insert's tree 5 + 2 (bucket pairs; WRITE + CAS), a
-		// delete's tree 6 + 3 (bucket pairs, heads, entry CAS → 0).
+		// delete's tree 5 + 3 (bucket pairs, heads, entry CAS → 0).
 		{name: "whole write: warm Update", rts: 2 + 1, verbs: 21, was: [2]uint64{2 + 3, 21}, run: func() error {
 			_, err := c.Update(key, val)
 			return err
@@ -202,7 +202,7 @@ func TestReplicaAckBudget(t *testing.T) {
 			_, err := c.Insert([]byte("budget-whole"), val)
 			return err
 		}},
-		{name: "whole write: Delete", rts: 6 + 1, verbs: 24, was: [2]uint64{6 + 3, 24}, run: func() error {
+		{name: "whole write: Delete", rts: 5 + 1, verbs: 25, was: [2]uint64{5 + 3, 25}, run: func() error {
 			_, err := c.Delete([]byte("budget-whole"))
 			return err
 		}},
@@ -296,11 +296,11 @@ func TestFanoutLosesRaceOnOneLeg(t *testing.T) {
 				var rivalErr error
 				var legs []leg
 				before := a.Stats()
-				sw := &fabrictest.Switch{Match: headsRead(key)}
+				sw := fabrictest.Switch(0, headsRead(key))
 				fabrictest.Run(f, sw, fabrictest.Proc{C: a.eng.C, Fn: func() { legs = sa.publish(nodes, ours, sh.live) }},
 					fabrictest.Proc{Fn: func() { rivalPub, rivalErr = sb.publishOn(nodes[0], rival, sh.live) }})
-				if sw.At == nil || rivalErr != nil || !rivalPub.wrote {
-					t.Fatalf("rival's publish behind the head read (%+v): %+v, %v", sw.At, rivalPub, rivalErr)
+				if sw.Turns[0].At == nil || rivalErr != nil || !rivalPub.wrote {
+					t.Fatalf("rival's publish behind the head read (%+v): %+v, %v", sw.Turns[0].At, rivalPub, rivalErr)
 				}
 				if d := a.Stats().ReplicaRequeues - before.ReplicaRequeues; d != 1 {
 					t.Errorf("%d legs went back to the bucket read, want the raced one only", d)
@@ -356,19 +356,21 @@ func TestFanoutKilledLeg(t *testing.T) {
 			victim := targets[len(targets)-1]
 			// At the write's start, or behind the bucket read: the batch of the
 			// targets' pairs, a READ each.
-			sw, wantAt := &fabrictest.Switch{}, uint64(0)
+			var match func(fabrictest.Step) bool
+			wantAt := uint64(0)
 			if when == "after the bucket read" {
-				sw.Match = func(s fabrictest.Step) bool {
+				match = func(s fabrictest.Step) bool {
 					return s.BatchEnd && s.Op.Kind == fabric.Read && len(s.Op.Data) == racehash.BucketSize
 				}
 				wantAt = uint64(2 * len(targets))
 			}
+			sw := fabrictest.Switch(0, match)
 			before := c.Stats()
 			existed, err := false, error(nil)
 			fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { existed, err = c.anchorUpsert(key, []byte("after the kill")) }},
 				fabrictest.Proc{Fn: func() { f.KillNode(victim) }})
-			if sw.At == nil || sw.At.K != wantAt {
-				t.Fatalf("the kill landed at %+v; want %s", sw.At, when)
+			if sw.Turns[0].At == nil || sw.Turns[0].At.K != wantAt {
+				t.Fatalf("the kill landed at %+v; want %s", sw.Turns[0].At, when)
 			}
 			if err != nil || !existed {
 				t.Fatalf("anchorUpsert with one target killed = %v, %v; want it acknowledged by the survivor", existed, err)
@@ -501,14 +503,14 @@ func TestCommitToKilledNodeFailsOver(t *testing.T) {
 	}
 	key := keys[0]
 	leaf := leafAddrOf(t, c, key)
-	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+	sw := fabrictest.Switch(0, func(s fabrictest.Step) bool {
 		return s.Op.Kind == fabric.CAS && s.Op.Addr == leaf && s.Op.Old == s.Op.Expect
-	}}
+	})
 	before := c.Stats()
 	existed, err := false, error(nil)
 	fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { existed, err = c.Update(key, []byte("after!")) }},
 		fabrictest.Proc{Fn: func() { f.KillNode(leaf.Node()) }})
-	if sw.At == nil {
+	if sw.Turns[0].At == nil {
 		t.Fatal("the update never locked the leaf; nothing was replayed")
 	}
 	if err != nil || !existed {
@@ -583,10 +585,10 @@ func TestAnchorRideLosesRaceToRival(t *testing.T) {
 	}
 	before := a.Stats()
 	ok, err := false, error(nil)
-	sw := &fabrictest.Switch{K: 2, Match: fabrictest.AtBatchEnd}
+	sw := fabrictest.Switch(2, fabrictest.AtBatchEnd)
 	fabrictest.Run(f, sw, fabrictest.Proc{C: a.eng.C, Fn: func() { ok, err = a.Update(key, []byte("ours")) }}, fabrictest.Proc{Fn: rivalFn})
-	if sw.At == nil || sw.At.Op.Kind != fabric.Read || sw.At.Stage != fabric.StageLeafWrite {
-		t.Fatalf("the rival ran at %+v; want behind the releasing WRITE's batch, the heads' READs", sw.At)
+	if sw.Turns[0].At == nil || sw.Turns[0].At.Op.Kind != fabric.Read || sw.Turns[0].At.Stage != fabric.StageLeafWrite {
+		t.Fatalf("the rival ran at %+v; want behind the releasing WRITE's batch, the heads' READs", sw.Turns[0].At)
 	}
 	if err != nil || !ok {
 		t.Fatalf("Update = %v, %v", ok, err)
@@ -628,11 +630,11 @@ func TestAnchorRideTreeWriteFails(t *testing.T) {
 	}
 	before := c.Stats()
 	var err error
-	sw := &fabrictest.Switch{K: 2, Match: fabrictest.AtBatchEnd}
+	sw := fabrictest.Switch(2, fabrictest.AtBatchEnd)
 	fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { _, err = c.Update(key, []byte("never")) }},
 		fabrictest.Proc{Fn: func() { c.eng.C.FailAt(0, fabric.ErrClientCrashed) }})
-	if sw.At == nil || !errors.Is(err, fabric.ErrClientCrashed) {
-		t.Fatalf("Update = %v, the crash aimed at %+v; want it behind the second batch", err, sw.At)
+	if sw.Turns[0].At == nil || !errors.Is(err, fabric.ErrClientCrashed) {
+		t.Fatalf("Update = %v, the crash aimed at %+v; want it behind the second batch", err, sw.Turns[0].At)
 	}
 	if st := c.Stats(); !parkedAtGate(c.anchors) || c.anchors.pending || st.ReplicaRidden != before.ReplicaRidden+2 || st.ReplicaRounds != st.ReplicaRidden-before.ReplicaRidden+before.ReplicaRounds {
 		t.Errorf("after the failed write: parked %v, pending %v, ridden rounds +%d, rounds +%d; want parked, off the slot, 2 and 2",
@@ -695,14 +697,14 @@ func TestAnchorRideTargetsMoved(t *testing.T) {
 	}
 	before := c.Stats()
 	ok, err := false, error(nil)
-	sw := &fabrictest.Switch{K: 1, Match: fabrictest.AtBatchEnd}
+	sw := fabrictest.Switch(1, fabrictest.AtBatchEnd)
 	fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { ok, err = c.Update(key, []byte("after")) }},
 		fabrictest.Proc{Fn: func() {
 			f.KillNode(victim)
 			f.Health().MarkDead(victim)
 		}})
-	if sw.At == nil || sw.At.Stage != fabric.StageLeafWrite {
-		t.Fatalf("the loss landed at %+v; want behind the lock batch", sw.At)
+	if sw.Turns[0].At == nil || sw.Turns[0].At.Stage != fabric.StageLeafWrite {
+		t.Fatalf("the loss landed at %+v; want behind the lock batch", sw.Turns[0].At)
 	}
 	if err != nil || !ok {
 		t.Fatalf("Update with a target lost mid-write = %v, %v", ok, err)

@@ -550,7 +550,7 @@ func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
 		t.Fatal("Published() true before any hot record exists")
 	}
 	// The write lands behind the promoter's read of the leaf.
-	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool { return s.BatchEnd && s.Stage == fabric.StageLeafRead }}
+	sw := fabrictest.Switch(0, func(s fabrictest.Step) bool { return s.BatchEnd && s.Stage == fabric.StageLeafRead })
 	fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { c.hotPromote(key) }}, fabrictest.Proc{Fn: func() {
 		if !shared.Hot.Published() {
 			t.Error("Published() false with placeholders discoverable; a racing write would skip the replica refresh")
@@ -559,7 +559,7 @@ func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
 			t.Error(err)
 		}
 	}})
-	if sw.At == nil {
+	if sw.Turns[0].At == nil {
 		t.Fatal("the promoter read no leaf; the write never raced it")
 	}
 	targets, _ := c.hot.targets(c.members.Current(), key, false)

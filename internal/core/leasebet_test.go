@@ -122,15 +122,15 @@ func leaseBetLostNeverWaits(t *testing.T, remembered bool) {
 		// The rival lets go while the victim is polling: behind the victim's
 		// fourth batch — hash read and landing (in either order), lock batch,
 		// first poll.
-		sw := &fabrictest.Switch{K: 4, Match: fabrictest.AtBatchEnd}
+		sw := fabrictest.Switch(4, fabrictest.AtBatchEnd)
 		fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: put}, fabrictest.Proc{Fn: func() {
 			if err := rival.eng.C.Batch([]fabric.Op{rival.eng.UnlockOp(held)}); err != nil {
 				t.Errorf("rival release: %v", err)
 			}
 		}})
 		c.eng.C.SetObserver(nil)
-		if err != nil || sw.At == nil || len(log.evs) <= 4 {
-			t.Fatalf("put (bet %v): %v, %d batches, the release at %+v; want it behind the fourth", bet, err, len(log.evs), sw.At)
+		if err != nil || sw.Turns[0].At == nil || len(log.evs) <= 4 {
+			t.Fatalf("put (bet %v): %v, %d batches, the release at %+v; want it behind the fourth", bet, err, len(log.evs), sw.Turns[0].At)
 		}
 		return log, c
 	}

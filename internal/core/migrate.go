@@ -20,6 +20,7 @@ package core
 import (
 	"sync/atomic"
 
+	"sphinx/internal/mem"
 	"sphinx/internal/rart"
 	"sphinx/internal/wire"
 )
@@ -103,36 +104,12 @@ func (c *Client) migrateVisit(p *Placement, n *rart.Node, prefix []byte, rep *Mi
 	full := append(append([]byte(nil), prefix...), n.Partial...)
 
 	if n.EOL.Present && n.EOL.Leaf {
-		rep.ScannedLeaves++
-		if target := c.placeIn(p, full); n.EOL.Addr.Node() != target {
-			moved, err := c.eng.RelocateLeaf(n, full, target)
-			if err != nil {
-				rep.Remaining++
-			} else if moved {
-				rep.MovedLeaves++
-			}
-		}
+		c.migrateLeaf(p, n, n.EOL.Addr, n.Via(true, 0), full, rep)
 	}
 
 	for _, sl := range n.Children() {
 		if sl.Leaf {
-			rep.ScannedLeaves++
-			leaf, err := c.eng.ReadLeaf(sl.Addr)
-			if err != nil {
-				rep.Remaining++
-				continue
-			}
-			if leaf.Status == wire.StatusInvalid {
-				continue // interrupted delete; completeDelete's business
-			}
-			if target := c.placeIn(p, leaf.Key); sl.Addr.Node() != target {
-				moved, err := c.eng.RelocateLeaf(n, leaf.Key, target)
-				if err != nil {
-					rep.Remaining++
-				} else if moved {
-					rep.MovedLeaves++
-				}
-			}
+			c.migrateLeaf(p, n, sl.Addr, n.Via(false, sl.KeyByte), nil, rep)
 			continue
 		}
 		child, err := c.eng.ReadNode(sl.Addr, sl.ChildType)
@@ -160,6 +137,29 @@ func (c *Client) migrateVisit(p *Placement, n *rart.Node, prefix []byte, rep *Mi
 			}
 		}
 		c.migrateVisit(p, child, stub, rep)
+	}
+}
+
+// migrateLeaf relocates the leaf at addr, on the edge of n at via, if its
+// ring owner changed. key, when known (an EOL leaf holds n's full prefix),
+// places the leaf before it is read; RelocateLeaf takes the leaf as read.
+func (c *Client) migrateLeaf(p *Placement, n *rart.Node, addr mem.Addr, via rart.Via, key []byte, rep *MigrateReport) {
+	rep.ScannedLeaves++
+	if key != nil && addr.Node() == c.placeIn(p, key) {
+		return
+	}
+	leaf, err := c.eng.ReadLeaf(addr, via)
+	if err != nil {
+		rep.Remaining++
+		return
+	}
+	if leaf.Status == wire.StatusInvalid {
+		return // retired since n was read: the slot names something else now, which a later walk meets
+	}
+	if moved, err := c.eng.RelocateLeaf(n, leaf, c.placeIn(p, leaf.Key)); err != nil {
+		rep.Remaining++
+	} else if moved {
+		rep.MovedLeaves++
 	}
 }
 

@@ -613,8 +613,8 @@ func (c *Client) specPut(key, value []byte) bool {
 			out, why = specAbort, "aborted: releasing write failed, entry kept"
 		}
 	case lk.Held:
-		// Best effort: a restore the fabric drops leaves a lock the next
-		// reader breaks after a lease, over the same intact image.
+		// Driven to completion (UnlockLeaf). Should it give up on a budget
+		// of transients, the lock stays: only a crashed owner's is broken.
 		_ = c.eng.UnlockLeaf(&lk)
 		if out == specRefute {
 			why = "refuted: stranger's leaf restored, unlearned"

@@ -188,11 +188,11 @@ func TestRecordLostSwapRetiresImage(t *testing.T) {
 		winner := record{wire.StatusIdle, key, bytes.Repeat([]byte("b"), 100), sb.nextVersion()}
 		var pub, winPub published
 		var err, winErr error
-		sw := &fabrictest.Switch{Match: headsRead(key)}
+		sw := fabrictest.Switch(0, headsRead(key))
 		fabrictest.Run(f, sw, fabrictest.Proc{C: a.eng.C, Fn: func() { pub, err = sa.publishOn(node, loser, sh.live) }},
 			fabrictest.Proc{Fn: func() { winPub, winErr = sb.publishOn(node, winner, sh.live) }})
-		if sw.At == nil || winErr != nil || !winPub.wrote {
-			t.Fatalf("competing publish behind the head read (%+v): %+v, %v", sw.At, winPub, winErr)
+		if sw.Turns[0].At == nil || winErr != nil || !winPub.wrote {
+			t.Fatalf("competing publish behind the head read (%+v): %+v, %v", sw.Turns[0].At, winPub, winErr)
 		}
 		if err != nil || pub.wrote || !pub.servable || pub.addr != winPub.addr {
 			t.Fatalf("losing publish = %+v, %v; want the winner's record at %v adopted", pub, err, winPub.addr)
@@ -244,11 +244,11 @@ func TestRecordSwapOnlyNeverInserts(t *testing.T) {
 		var removed bool
 		var pub published
 		var err, rmErr error
-		sw := &fabrictest.Switch{Match: headsRead(key)}
+		sw := fabrictest.Switch(0, headsRead(key))
 		fabrictest.Run(f, sw, fabrictest.Proc{C: a.eng.C, Fn: func() { pub, err = sa.publishOn(node, rec, publishSwapOnly) }},
 			fabrictest.Proc{Fn: func() { removed, rmErr = sb.removeOn(node, key, nil) }})
-		if sw.At == nil || rmErr != nil || !removed {
-			t.Fatalf("concurrent remove behind the head read (%+v) = %v, %v", sw.At, removed, rmErr)
+		if sw.Turns[0].At == nil || rmErr != nil || !removed {
+			t.Fatalf("concurrent remove behind the head read (%+v) = %v, %v", sw.Turns[0].At, removed, rmErr)
 		}
 		if err != nil || pub != (published{}) {
 			t.Fatalf("swap-only publish racing a delete = %+v, %v; want nothing", pub, err)
@@ -449,11 +449,11 @@ func TestHotRetireFaultIsNotAcked(t *testing.T) {
 			// behind it, so there the read of a head makes the drop round the
 			// next batch. (Beside the anchors the CAS may be an anchor's:
 			// their swap rides the same round, under the hot stage.)
-			sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+			sw := fabrictest.Switch(0, func(s fabrictest.Step) bool {
 				won := s.Op.Kind == fabric.CAS && s.Op.Old == s.Op.Expect
 				head := s.Op.Kind == fabric.Read && len(s.Op.Data) == recordDataOff+len(key)
 				return s.Stage == fabric.StageHotPub && (op != "delete" && won || op == "delete" && head)
-			}}
+			})
 			fault := func() { writer.eng.C.FailAt(0, fabric.ErrTransient) }
 			if anchored {
 				fault = func() { plan.TransientPer64k = 1 << 16 } // every posting from here on fails
@@ -469,7 +469,7 @@ func TestHotRetireFaultIsNotAcked(t *testing.T) {
 				}
 			}}, fabrictest.Proc{Fn: fault})
 			plan.TransientPer64k = 0
-			if sw.At == nil {
+			if sw.Turns[0].At == nil {
 				t.Fatal("the write took no swap in the hot store; the fault was never aimed")
 			}
 			if anchored {

@@ -218,11 +218,11 @@ func TestRerouteLeaseEndsWithItsRound(t *testing.T) {
 	key := []byte("ab5z")
 	full := landingOf(t, c, string(key), "ab")
 	var err error
-	sw := &fabrictest.Switch{K: 1, Match: fabrictest.AtBatchEnd}
+	sw := fabrictest.Switch(1, fabrictest.AtBatchEnd)
 	fabrictest.Run(c.eng.C.Fabric(), sw, fabrictest.Proc{C: c.eng.C, Fn: func() { _, err = c.Insert(key, []byte("v")) }},
 		fabrictest.Proc{Fn: func() { plan.TimeoutPer64k = 1 << 16 }})
-	if sw.At == nil || sw.At.Stage != fabric.StageLock {
-		t.Fatalf("the plan turned faulty at %+v; want behind the landing", sw.At)
+	if sw.Turns[0].At == nil || sw.Turns[0].At.Stage != fabric.StageLock {
+		t.Fatalf("the plan turned faulty at %+v; want behind the landing", sw.Turns[0].At)
 	}
 	if !errors.Is(err, ErrRetriesExhausted) || c.stats.ParentRetries != 1 {
 		t.Fatalf("put = %v after %d re-routes; want retries exhausted behind one", err, c.stats.ParentRetries)

@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"sphinx/internal/fabric"
+	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
+	"sphinx/internal/rart"
 	"sphinx/internal/wire"
 )
 
@@ -132,12 +134,13 @@ func TestSpecUpdateRefutesStaleAddress(t *testing.T) {
 		},
 		"relocation": func(t *testing.T, f *fabric.Fabric, other *Client) {
 			parent, err := other.readRoot()
-			for err == nil {
-				slot, _, _ := parent.Child(key[parent.Hdr.Depth])
-				if slot.Leaf {
-					break
+			var leaf *rart.Leaf
+			for err == nil && leaf == nil {
+				if slot, _, _ := parent.Child(key[parent.Hdr.Depth]); slot.Leaf {
+					leaf, err = other.eng.ReadLeaf(slot.Addr, parent.Via(false, key[parent.Hdr.Depth]))
+				} else {
+					parent, err = other.eng.ReadNode(slot.Addr, slot.ChildType)
 				}
-				parent, err = other.eng.ReadNode(slot.Addr, slot.ChildType)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -145,7 +148,7 @@ func TestSpecUpdateRefutesStaleAddress(t *testing.T) {
 			from := leafAddrOf(t, other, key).Node()
 			for _, target := range other.members.Current().Ring.Nodes() {
 				if target != from {
-					if moved, err := other.eng.RelocateLeaf(parent, key, target); err != nil || !moved {
+					if moved, err := other.eng.RelocateLeaf(parent, leaf, target); err != nil || !moved {
 						t.Fatalf("relocate = %v, %v", moved, err)
 					}
 					return
@@ -642,5 +645,161 @@ func TestChaosSpecUpdateChurn(t *testing.T) {
 	}
 	if agg.SpecUpdHits == 0 || agg.SpecUpdRefutes == 0 || agg.SpecUpdAborts == 0 || agg.SpecHits == 0 {
 		t.Errorf("churn missed a speculative outcome: %+v", agg)
+	}
+}
+
+// TestRetireWaitsForLACUpdate: two clients agree on a key that one updates
+// in place through its leaf-address cache while the other retires its leaf.
+// The schedule: client B's Delete — or its Update with a value that outgrows
+// the leaf — reads the key's leaf, client A's Update through its cache takes
+// the leaf's lock, B runs, A's releasing WRITE lands. Were B's retirement a
+// plain header WRITE over A's Locked word, A's WRITE would make the retired
+// leaf Idle again: both acknowledge, and A's next Search reads "h" through
+// its cache while B's reads the tree. B's leaf CAS rides its lock batch and
+// loses to A; the picker returns to A there, B's retry retires the leaf A
+// released, and both clients read B's outcome.
+func TestRetireWaitsForLACUpdate(t *testing.T) {
+	key, big := []byte("race-key"), bytes.Repeat([]byte("B"), 700)
+	for _, tc := range []struct {
+		name  string
+		rival func(*Client) error
+		want  []byte // nil: absent
+	}{
+		{"delete", func(c *Client) error { _, err := c.Delete(key); return err }, nil},
+		{"growing update", func(c *Client) error { _, err := c.Update(key, big); return err }, big},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
+			a := newTestClient(f, shared, Options{LeafCache: NewLeafCache(1<<10, 7)})
+			b := newTestClient(f, shared, Options{})
+			warmPut(t, a, key, []byte("v"))
+			leaf := leafAddrOf(t, b, key)
+			cas := func(won bool) func(fabrictest.Step) bool {
+				return func(s fabrictest.Step) bool {
+					return s.Op.Kind == fabric.CAS && s.Op.Addr == leaf && (s.Op.Old == s.Op.Expect) == won
+				}
+			}
+			script := &fabrictest.Script{Turns: []fabrictest.Turn{
+				{Proc: 1, Until: func(s fabrictest.Step) bool { return s.Op.Kind == fabric.Read && s.Op.Addr == leaf }},
+				{Proc: 0, Until: cas(true)},
+				{Proc: 1, Until: cas(false)},
+				{Proc: 0},
+			}}
+			var aerr, berr error
+			fabrictest.Run(f, script, fabrictest.Proc{C: a.eng.C, Fn: func() { _, aerr = a.Update(key, []byte("h")) }},
+				fabrictest.Proc{C: b.eng.C, Fn: func() { berr = tc.rival(b) }})
+			if aerr != nil || berr != nil {
+				t.Fatalf("A's update = %v, B's %s = %v; want both acknowledged", aerr, tc.name, berr)
+			}
+			if a.Stats().SpecUpdHits != 1 {
+				t.Fatalf("A's update took %d cache hits; want it through the leaf-address cache", a.Stats().SpecUpdHits)
+			}
+			for name, c := range map[string]*Client{"A": a, "B": b} {
+				if v, ok, err := c.Search(key); err != nil || ok != (tc.want != nil) || !bytes.Equal(v, tc.want) {
+					t.Errorf("%s's Search after both acks = %.10q, %v, %v; want %.10q", name, v, ok, err, tc.want)
+				}
+			}
+			for i, turn := range script.Turns[:3] {
+				if turn.At == nil {
+					t.Errorf("turn %d never ended where the schedule aims it", i)
+				}
+			}
+		})
+	}
+}
+
+// TestCrashedRetireMeetsLACReader: B's delete, or growing update, crashes
+// between its commit's slot WRITE and its Invalid WRITE. The old leaf is off
+// the tree and Locked by a dead owner, at an address A's leaf-address cache
+// still holds. D's Search read the leaf's node before B ran, so its walk
+// reaches the old leaf after B's crash; the slot it came through names the
+// leaf no more, and D restarts rather than break the lock. Then A's Search and
+// Update, through the cache first, answer as the tree does, and the old leaf
+// stays Locked. Broken back to Idle by D, the leaf would have served its old
+// value to D and, through the cache, to A.
+func TestCrashedRetireMeetsLACReader(t *testing.T) {
+	key, big := []byte("race-key"), bytes.Repeat([]byte("B"), 700)
+	for _, tc := range []struct {
+		name  string
+		rival func(*Client) error
+		want  []byte // after B's write; nil: absent
+	}{
+		{"delete", func(c *Client) error { _, err := c.Delete(key); return err }, nil},
+		{"growing update", func(c *Client) error { _, err := c.Update(key, big); return err }, big},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// run runs B's write, its verb at crashing (none when at is
+			// negative), behind D's read of the leaf's node when at is not.
+			// It returns A, D's answer, the old leaf's address and where among
+			// B's verbs the WRITE to that leaf fell.
+			run := func(at int) (a *Client, got []byte, leaf mem.Addr, invalid uint64) {
+				f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
+				a = newTestClient(f, shared, Options{LeafCache: NewLeafCache(1<<10, 7)})
+				b, d := newTestClient(f, shared, Options{}), newTestClient(f, shared, Options{})
+				warmPut(t, a, key, []byte("v"))
+				leaf = leafAddrOf(t, b, key)
+				k := uint64(0)
+				f.Trace = func(c *fabric.Client, op *fabric.Op) {
+					if c == b.eng.C {
+						if op.Kind == fabric.Write && op.Addr == leaf {
+							invalid = k
+						}
+						k++
+					}
+				}
+				defer func() { f.Trace = nil }()
+				if at < 0 {
+					if err := tc.rival(b); err != nil {
+						t.Fatal(err)
+					}
+					return a, nil, leaf, invalid
+				}
+				parent, err := b.readRoot()
+				for slot, _, _ := parent.Child(key[parent.Hdr.Depth]); err == nil && !slot.Leaf; slot, _, _ = parent.Child(key[parent.Hdr.Depth]) {
+					parent, err = b.eng.ReadNode(slot.Addr, slot.ChildType)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.eng.C.FailAt(uint64(at), fabric.ErrClientCrashed)
+				script := &fabrictest.Script{Turns: []fabrictest.Turn{
+					{Proc: 0, Until: func(s fabrictest.Step) bool { return s.Op.Kind == fabric.Read && s.Op.Addr == parent.Addr }},
+					{Proc: 1},
+				}}
+				var berr, derr error
+				fabrictest.Run(f, script, fabrictest.Proc{C: d.eng.C, Fn: func() { got, _, derr = d.Search(key) }},
+					fabrictest.Proc{C: b.eng.C, Fn: func() { berr = tc.rival(b) }})
+				if !errors.Is(berr, fabric.ErrClientCrashed) || derr != nil || script.Turns[0].At == nil {
+					t.Fatalf("B's %s = %v, D's Search = %v, D parked at %+v; want B's crash behind D's read of %v", tc.name, berr, derr, script.Turns[0].At, parent.Addr)
+				}
+				return a, got, leaf, invalid
+			}
+			_, _, _, at := run(-1)
+			a, got, leaf, _ := run(int(at))
+			if !bytes.Equal(got, tc.want) {
+				t.Errorf("D's Search = %.10q; want %.10q", got, tc.want)
+			}
+			locked := func(what string) {
+				w, err := a.eng.C.ReadUint64(leaf)
+				if err != nil || wire.DecodeLeafHeader(w).Status != wire.StatusLocked {
+					t.Errorf("%s: the old leaf's header is %v, %v; want B's lock", what, wire.DecodeLeafHeader(w).Status, err)
+				}
+			}
+			locked("after D's Search")
+			if v, ok, err := a.Search(key); err != nil || ok != (tc.want != nil) || !bytes.Equal(v, tc.want) {
+				t.Errorf("A's Search = %.10q, %v, %v; want %.10q", v, ok, err, tc.want)
+			}
+			if ok, err := a.Update(key, []byte("h")); err != nil || ok != (tc.want != nil) {
+				t.Errorf("A's Update = %v, %v; want %v", ok, err, tc.want != nil)
+			}
+			want := []byte("h")
+			if tc.want == nil {
+				want = nil
+			}
+			if v, ok, err := a.Search(key); err != nil || ok != (want != nil) || !bytes.Equal(v, want) {
+				t.Errorf("A's Search after its Update = %q, %v, %v; want %q", v, ok, err, want)
+			}
+			locked("after A's operations")
+		})
 	}
 }

@@ -636,14 +636,14 @@ func TestSpeculativeWritesNeverPublished(t *testing.T) {
 			// The rival's writes land between the victim's unlocked descent —
 			// its READ of the node — and its lock batch.
 			var rerr error
-			sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool { return s.Op.Kind == fabric.Read && s.Op.Addr == node.Addr }}
+			sw := fabrictest.Switch(0, func(s fabrictest.Step) bool { return s.Op.Kind == fabric.Read && s.Op.Addr == node.Addr })
 			fabrictest.Run(f, sw, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), []byte("victim")) }},
 				fabrictest.Proc{Fn: func() { rerr = tc.rival(rival) }})
 			if err != nil {
 				t.Fatalf("victim put: %v", err)
 			}
-			if sw.At == nil || rerr != nil {
-				t.Fatalf("rival ran at %+v, err %v", sw.At, rerr)
+			if sw.Turns[0].At == nil || rerr != nil {
+				t.Fatalf("rival ran at %+v, err %v", sw.Turns[0].At, rerr)
 			}
 			st := victim.eng.Stats()
 			if st.AbandonedObjects != tc.abandoned || st.AbandonedBytes == 0 {
@@ -694,48 +694,73 @@ func TestSpeculativeWritesNeverPublished(t *testing.T) {
 	})
 }
 
-// TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults: an out-of-place update
-// swings the slot and retires the old leaf in one batch. A transient can cut
-// that batch between the two; the batch is then issued again under the held
-// lease (and, should the completion loop give up, the error path replays the
-// retirement) on the same faulty fabric. If either gave up after one try,
-// the put would restart, find the key at the new leaf, ack — and the old leaf
-// would stay Idle at an address the leaf-address cache still holds, so a
-// speculative read serves the pre-update value after the ack. Sweeping fault
-// seeds at a rate where double faults are common, the acknowledged value is
-// the only one a read may return.
+// quickPs bounds a fault-free write of a key nobody holds a lock on: a few
+// round trips, far below what a waiter spends polling a held lock.
+const quickPs = 125_000_000
+
+// TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults: an out-of-place update and
+// a delete take the key's leaf off the tree in one commit batch — [W slot · W
+// Invalid · CAS unlock], behind the leaf's lock, which rides the node's lock
+// batch. A transient can cut either batch at any verb: a cut lock batch gives
+// back what it took, a cut commit is issued again under the held locks. Were
+// the old leaf left Idle at an address the leaf-address cache still holds, a
+// speculative read would serve the value from before the acknowledged write.
+// Sweeping fault seeds at a rate where double faults are common, the
+// acknowledged outcome is the only one a read may return, and afterwards a
+// fault-free client's write of the key, in place where the key is there,
+// finishes within quickPs: no live lock was left behind.
 func TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults(t *testing.T) {
 	key, small, big := []byte("oop-key"), []byte("small"), bytes.Repeat([]byte("G"), 700)
-	redriven := uint64(0)
-	for seed := uint64(1); seed <= 100; seed++ {
-		f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
-		lac := NewLeafCache(1<<10, 7)
-		reader := newTestClient(f, shared, Options{LeafCache: lac})
-		if _, err := reader.Insert(key, small); err != nil {
-			t.Fatal(err)
-		}
-		// A traversal teaches the shared cache the small leaf's address.
-		if v, ok, err := reader.Search(key); err != nil || !ok || !bytes.Equal(v, small) {
-			t.Fatalf("seed %d: warm-up read = %q, %v, %v", seed, v, ok, err)
-		}
-		f.SetFaultPlan(&fabric.FaultPlan{Seed: seed, TransientPer64k: 1 << 14})
-		writer := newTestClient(f, shared, Options{LeafCache: lac})
-		f.SetFaultPlan(nil)
-		if _, err := writer.Insert(key, big); err != nil {
-			// At this fault rate a put can run out of retries; an
-			// unacknowledged write promises nothing.
-			if errors.Is(err, ErrRetriesExhausted) {
-				continue
+	for _, leg := range []struct {
+		name  string
+		write func(*Client) error
+		want  []byte // what a read returns after the ack; nil: absent
+	}{
+		{"grow update", func(c *Client) error { _, err := c.Insert(key, big); return err }, big},
+		{"delete", func(c *Client) error { _, err := c.Delete(key); return err }, nil},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			redriven := uint64(0)
+			for seed := uint64(1); seed <= 100; seed++ {
+				f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
+				lac := NewLeafCache(1<<10, 7)
+				reader := newTestClient(f, shared, Options{LeafCache: lac})
+				if _, err := reader.Insert(key, small); err != nil {
+					t.Fatal(err)
+				}
+				// A traversal teaches the shared cache the small leaf's address.
+				if v, ok, err := reader.Search(key); err != nil || !ok || !bytes.Equal(v, small) {
+					t.Fatalf("seed %d: warm-up read = %q, %v, %v", seed, v, ok, err)
+				}
+				f.SetFaultPlan(&fabric.FaultPlan{Seed: seed, TransientPer64k: 1 << 14})
+				writer := newTestClient(f, shared, Options{LeafCache: lac})
+				f.SetFaultPlan(nil)
+				err := leg.write(writer)
+				// At this fault rate a write can run out of retries; an
+				// unacknowledged write promises nothing.
+				if err != nil && !errors.Is(err, ErrRetriesExhausted) {
+					t.Fatalf("seed %d: %s: %v", seed, leg.name, err)
+				}
+				if err == nil {
+					redriven += writer.eng.Stats().PublishRetries
+					if v, ok, err := reader.Search(key); err != nil || ok != (leg.want != nil) || !bytes.Equal(v, leg.want) {
+						t.Fatalf("seed %d: read after the acknowledged %s = %.20q, %v, %v; want %.20q", seed, leg.name, v, ok, err, leg.want)
+					}
+				}
+				fresh := newTestClient(f, shared, Options{})
+				t0 := fresh.eng.C.Clock()
+				v, _, err := fresh.Search(key)
+				if err == nil {
+					_, err = fresh.Insert(key, bytes.Repeat([]byte("H"), max(len(v), 1)))
+				}
+				if dt := fresh.eng.C.Clock() - t0; err != nil || dt >= quickPs {
+					t.Fatalf("seed %d: a fault-free read and write of the key took %d ps (bound %d) and returned %v: a live lock was left behind", seed, dt, int64(quickPs), err)
+				}
 			}
-			t.Fatalf("seed %d: grow update: %v", seed, err)
-		}
-		redriven += writer.eng.Stats().PublishRetries + writer.eng.Stats().LeafRetireRepairs
-		if v, ok, err := reader.Search(key); err != nil || !ok || !bytes.Equal(v, big) {
-			t.Fatalf("seed %d: read after the acknowledged grow update = %.20q, %v, %v; want the 700-byte value", seed, v, ok, err)
-		}
-	}
-	if redriven == 0 {
-		t.Fatal("no seed cut a commit batch; the sweep exercises nothing")
+			if redriven == 0 {
+				t.Fatal("no seed cut a commit batch; the sweep exercises nothing")
+			}
+		})
 	}
 }
 
@@ -779,7 +804,7 @@ func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 	victim.eng.C.SetObserver(&log)
 	// The rival lands between the lock batch and the commit batch.
 	var err error
-	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool { return s.BatchEnd && s.Stage == fabric.StageLock }}
+	sw := fabrictest.Switch(0, func(s fabrictest.Step) bool { return s.BatchEnd && s.Stage == fabric.StageLock })
 	fabrictest.Run(f, sw, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), []byte("victim")) }},
 		fabrictest.Proc{Fn: func() {
 			if old, err := rival.eng.C.CompareSwap(guess, 0, stranger.Encode()); err != nil || old != 0 {
@@ -787,8 +812,8 @@ func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 			}
 		}})
 	victim.eng.C.SetObserver(nil)
-	if err != nil || sw.At == nil {
-		t.Fatalf("victim put: %v, the rival ran at %+v", err, sw.At)
+	if err != nil || sw.Turns[0].At == nil {
+		t.Fatalf("victim put: %v, the rival ran at %+v", err, sw.Turns[0].At)
 	}
 
 	// The victim is a cold client (allocator slabs, directory caches), so
@@ -923,12 +948,12 @@ func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
 		victim.eng.C.SetObserver(&log)
 		var err error
 		// The peer lands where the fault cut: park `at` is FailAt(at)'s point.
-		sw := &fabrictest.Switch{K: int(at)}
+		sw := fabrictest.Switch(int(at), nil)
 		fabrictest.Run(f, sw, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), sc.value("victim")) }},
 			fabrictest.Proc{Fn: peerFn})
 		f.Trace = nil
-		if err != nil || sw.At == nil || sw.At.K != at {
-			t.Fatalf("%s: victim put: %v, the peer ran at %+v", what, err, sw.At)
+		if err != nil || sw.Turns[0].At == nil || sw.Turns[0].At.K != at {
+			t.Fatalf("%s: victim put: %v, the peer ran at %+v", what, err, sw.Turns[0].At)
 		}
 		// The batch behind the faulted one is the re-issue: count the verbs
 		// executed when it was done.
@@ -998,7 +1023,7 @@ func TestReissueKeepsPeerUpdate(t *testing.T) {
 	acked := false
 	var err error
 	// The peer lands where the transient cut the commit batch.
-	sw := &fabrictest.Switch{K: int(at)}
+	sw := fabrictest.Switch(int(at), nil)
 	fabrictest.Run(f, sw, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert(key, []byte("victim")) }},
 		fabrictest.Proc{Fn: func() {
 			if _, err := peer.Insert(key, []byte("peer")); err != nil {
@@ -1007,8 +1032,8 @@ func TestReissueKeepsPeerUpdate(t *testing.T) {
 			}
 			acked = warmSearch(t, peer, key, []byte("peer"))
 		}})
-	if sw.At == nil || !sw.At.BatchEnd || sw.At.Op.Kind != fabric.Write || len(sw.At.Op.Data) != 8 {
-		t.Fatalf("the peer ran at %+v; want where the commit batch was cut, behind its slot WRITE", sw.At)
+	if sw.Turns[0].At == nil || !sw.Turns[0].At.BatchEnd || sw.Turns[0].At.Op.Kind != fabric.Write || len(sw.Turns[0].At.Op.Data) != 8 {
+		t.Fatalf("the peer ran at %+v; want where the commit batch was cut, behind its slot WRITE", sw.Turns[0].At)
 	}
 	if err != nil || !acked {
 		t.Fatalf("victim put: %v (peer acked %v)", err, acked)
@@ -1098,7 +1123,7 @@ func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 		batchStart = s.BatchEnd
 		return committed && s.BatchEnd
 	}
-	boundaries := fabrictest.Switches(pastCommit, func(sw *fabrictest.Switch) {
+	boundaries := fabrictest.Switches(pastCommit, func(at int, sw *fabrictest.Script) {
 		committed, batchStart = false, true
 		f, shared, _ := sc.build(t, 2)
 		victim := NewClient(shared, f.NewClient(), withCaches(shared, Options{}, 0))
@@ -1107,7 +1132,6 @@ func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 		holder := newTestClient(f, shared, Options{Filter: rival.filter})
 		original := landingOf(t, holder, sc.setup[0], "budget-")
 		fresh := []byte("budget-~") // a free edge of the switching node
-		at := sw.K
 		rivalFn := func() {
 			root, err := rival.readRoot()
 			if err != nil {
@@ -1149,7 +1173,7 @@ func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("victim put: %v", err)
 		}
-		if sw.At != nil {
+		if sw.Turns[0].At != nil {
 			warmSearch(t, rival, fresh, []byte("fresh"))
 			warmSearch(t, rival, []byte(sc.key), []byte("victim"))
 		}

@@ -90,7 +90,7 @@ func TestAddSubLoad(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		walked[fabric.Stats, [13]uint64](t, rng)
 		walked[racehash.Stats, [17]uint64](t, rng)
-		walked[rart.EngineStats, [16]uint64](t, rng)
+		walked[rart.EngineStats, [14]uint64](t, rng)
 		walked[core.Stats, [48]uint64](t, rng)
 		walked[core.LACStats, [7]uint64](t, rng)
 		walked[cuckoo.Stats, [10]uint64](t, rng)

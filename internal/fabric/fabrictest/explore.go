@@ -129,39 +129,69 @@ func (h *Hold) Pick(last Step, ready []int) int {
 	return h.Seeded.Pick(last, ready)
 }
 
-// Switch runs proc 0 alone up to the K-th of its parks that Match accepts
-// (from 0; a nil Match accepts every park), switches there to the other procs
-// once and runs them to their ends, then proc 0 to its end. At is the park the
-// switch was taken at; nil means it fell past proc 0's operation, and the
-// others ran behind it.
-type Switch struct {
-	K     int
-	Match func(Step) bool
+// Script runs its procs by turns: a turn runs its proc alone until a park of
+// it that Until accepts — the park the proc stands at when the turn begins
+// counts, so a turn can end before its proc runs — or, with a nil Until, to
+// its end; then the next turn begins. A turn whose proc has ended is passed
+// over. Once the turns are used up, the unfinished procs run to their ends in
+// order, from the one after the last turn's proc round to the front. The park
+// a turn ended at is its At; nil means the proc ended first, or the turn
+// never came.
+type Script struct {
+	Turns []Turn
+	turn  int
+}
+
+// Turn is one turn of a Script.
+type Turn struct {
+	Proc  int
+	Until func(Step) bool
 	At    *Step
-	seen  int
 }
 
-// Pick keeps to proc 0 until the switch, then to the others until they end.
-func (s *Switch) Pick(last Step, ready []int) int {
-	if s.At == nil && last.Proc == 0 && !last.Done && (s.Match == nil || s.Match(last)) {
-		if s.seen == s.K {
-			s.At = &last
+// Pick keeps to the current turn's proc until its Until holds.
+func (s *Script) Pick(last Step, ready []int) int {
+	for ; s.turn < len(s.Turns); s.turn++ {
+		t := &s.Turns[s.turn]
+		if !slices.Contains(ready, t.Proc) {
+			continue
 		}
-		s.seen++
+		if last.Proc == t.Proc && t.Until != nil && t.Until(last) {
+			t.At = &last
+			continue
+		}
+		return t.Proc
 	}
-	if ready[0] != 0 || s.At == nil || len(ready) == 1 {
-		return ready[0]
+	i := 0
+	if len(s.Turns) > 0 {
+		i, _ = slices.BinarySearch(ready, s.Turns[len(s.Turns)-1].Proc+1)
 	}
-	return ready[1]
+	return ready[i%len(ready)]
 }
 
-// Switches hands run a Switch at K = 0, 1, … of the parks match accepts —
-// run calls Run with it — until one falls past the operation, and returns
-// how many landed.
-func Switches(match func(Step) bool, run func(*Switch)) int {
+// Switch is the script that runs proc 0 alone up to the k-th of its parks
+// that match accepts (from 0, the run's opening park included; a nil match
+// accepts every park), switches there to the others once and runs them to
+// their ends, then proc 0 to its end. Turns[0].At is the park the switch was
+// taken at; nil means it fell past proc 0's operation, and the others ran
+// behind it.
+func Switch(k int, match func(Step) bool) *Script {
+	return &Script{Turns: []Turn{{Proc: 0, Until: func(s Step) bool {
+		if match != nil && !match(s) {
+			return false
+		}
+		k--
+		return k < 0
+	}}}}
+}
+
+// Switches hands run k and a Switch at k, for k = 0, 1, … of the parks match
+// accepts — run calls Run with it — until one falls past the operation, and
+// returns how many landed.
+func Switches(match func(Step) bool, run func(int, *Script)) int {
 	for k := 0; ; k++ {
-		sw := &Switch{K: k, Match: match}
-		if run(sw); sw.At == nil {
+		sw := Switch(k, match)
+		if run(k, sw); sw.Turns[0].At == nil {
 			return k
 		}
 	}

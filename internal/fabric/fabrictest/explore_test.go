@@ -130,7 +130,7 @@ func TestSwitchesEndPastTheOp(t *testing.T) {
 		want  string
 	}{{nil, "[0 1 2 3 4 5 6]"}, {AtBatchEnd, "[0 2 4 6]"}} {
 		var at []uint64
-		landed := Switches(tc.match, func(sw *Switch) {
+		landed := Switches(tc.match, func(k int, sw *Script) {
 			f, n := exploreFabric()
 			c, rc := f.NewClient(), f.NewClient()
 			counter := mem.NewAddr(n, counterOff)
@@ -147,11 +147,11 @@ func TestSwitchesEndPastTheOp(t *testing.T) {
 			if err != nil || rerr != nil {
 				t.Fatal(err, rerr)
 			}
-			if sw.At == nil && seen != 6 || sw.At != nil && (sw.At.Proc != 0 || seen != sw.At.K) {
-				t.Errorf("switch %d at %+v: the rival saw %d verbs", sw.K, sw.At, seen)
+			if sw.Turns[0].At == nil && seen != 6 || sw.Turns[0].At != nil && (sw.Turns[0].At.Proc != 0 || seen != sw.Turns[0].At.K) {
+				t.Errorf("switch %d at %+v: the rival saw %d verbs", k, sw.Turns[0].At, seen)
 			}
-			if sw.At != nil {
-				at = append(at, sw.At.K)
+			if sw.Turns[0].At != nil {
+				at = append(at, sw.Turns[0].At.K)
 			}
 		})
 		if got := fmt.Sprint(at); got != tc.want || landed != len(at) {
@@ -171,19 +171,38 @@ func TestProcWithoutVerbs(t *testing.T) {
 	f.SetFaultPlan(nil)
 	other := f.AddNode(1 << 16)
 	var errs []error
-	sw := &Switch{K: 2, Match: AtBatchEnd}
+	sw := Switch(2, AtBatchEnd)
 	steps := Run(f, sw, Proc{C: c, Fn: func() {
 		for _, node := range []mem.NodeID{n, n, other, n} {
 			errs = append(errs, c.Write(mem.NewAddr(node, counterOff), []byte{1}))
 		}
 	}}, Proc{Fn: func() { f.KillNode(other) }}, Proc{Fn: func() { plan.TransientPer64k = 1 << 16 }})
-	if sw.At == nil || sw.At.K != 2 {
-		t.Fatalf("switch at %+v; want behind the second WRITE", sw.At)
+	if sw.Turns[0].At == nil || sw.Turns[0].At.K != 2 {
+		t.Fatalf("switch at %+v; want behind the second WRITE", sw.Turns[0].At)
 	}
 	if errs[0] != nil || errs[1] != nil || !errors.Is(errs[2], fabric.ErrNodeKilled) || !errors.Is(errs[3], fabric.ErrTransient) {
 		t.Errorf("the WRITEs returned %v; want two landed, then the kill, then the plan's transient", errs)
 	}
 	if end := steps[len(steps)-1]; !end.Done || end.Proc != 0 || end.K != 2 {
 		t.Errorf("last park %+v; want proc 0's end after its 2 executed verbs", end)
+	}
+}
+
+// TestScriptTakesTurns: a script runs each turn's proc alone until its Until
+// holds, passes over a turn whose proc ended first, and then runs what is
+// left in order. Here taker b takes twice, a once, c all six times, then a
+// and b finish.
+func TestScriptTakesTurns(t *testing.T) {
+	at := func(k uint64) func(Step) bool { return func(s Step) bool { return s.K == k } }
+	s := &Script{Turns: []Turn{{Proc: 1, Until: at(4)}, {Proc: 0, Until: at(2)}, {Proc: 2, Until: at(99)}}}
+	_, _, err, log := replay(s, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "bbaccccccaaaaabbbb"; log != want {
+		t.Errorf("takers went through as %q, want %q", log, want)
+	}
+	if a, b := s.Turns[0].At, s.Turns[1].At; a == nil || a.Proc != 1 || a.K != 4 || b == nil || b.Proc != 0 || b.K != 2 || s.Turns[2].At != nil {
+		t.Errorf("turns ended at %+v, %+v, %+v; want b's 4th park, a's 2nd, none (c ended first)", a, b, s.Turns[2].At)
 	}
 }

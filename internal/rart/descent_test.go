@@ -1,8 +1,8 @@
 package rart
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"sphinx/internal/wire"
@@ -93,9 +93,10 @@ func TestDescentLandings(t *testing.T) {
 		{"empty EOL", fromRoot, "land/",
 			[4]got{{rts: 1}, {rts: 1}, {rts: 3}, {rts: 1}}},
 		// Node read + leaf read; a same-size put is lock CAS + image WRITE, a
-		// delete is lock, retire, clear.
+		// delete is the node's and the leaf's lock in one batch, then the
+		// commit that clears the slot and retires the leaf.
 		{"the key's leaf", fromRoot, "land/alpha",
-			[4]got{{leaf: "land/alpha", rts: 2}, {yes: true, rts: 4}, {yes: true, rts: 4}, {yes: true, rts: 5}}},
+			[4]got{{leaf: "land/alpha", rts: 2}, {yes: true, rts: 4}, {yes: true, rts: 4}, {yes: true, rts: 4}}},
 		// The search hands the foreign leaf to its caller, which compares keys;
 		// an upsert converts the edge into an inner node (2 more round trips).
 		{"another key's leaf on the edge", fromRoot, "land/alpine",
@@ -131,12 +132,11 @@ func TestDescentLandings(t *testing.T) {
 	}
 }
 
-// TestInterruptedDeleteMetByPointOps: a slot that still names an Invalid leaf
-// is a delete past its commit point whose slot clear never happened. Every
-// point operation that walks into it finishes the delete (one DeleteRepairs)
-// and treats the key as absent — a search and a delete on the spot, a put by
-// restarting once behind the repair, since the node image it holds predates
-// it.
+// TestInterruptedDeleteMetByPointOps: a delete whose client crashed at any of
+// its verbs leaves its locks to the crash record, never a slot naming an
+// Invalid leaf (interruptedDelete checks). Every point operation that walks
+// into what the cut left behind finishes, and sees k/b either still "v" —
+// the cut fell before the commit — or gone; a put lands its value either way.
 func TestInterruptedDeleteMetByPointOps(t *testing.T) {
 	key := []byte("k/b")
 	put := func(mode PutMode) func(*Engine, *Node) (bool, error) {
@@ -145,52 +145,59 @@ func TestInterruptedDeleteMetByPointOps(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name     string
-		run      func(e *Engine, start *Node) (bool, error)
-		restarts bool // the first attempt repairs and answers ErrRestart
-		stored   bool // the key is in the tree afterwards
+		name string
+		run  func(e *Engine, start *Node) (bool, error)
+		// after is what k/b reads once the operation acknowledged, given
+		// whether it found the key.
+		after func(found bool) (string, bool)
 	}{
 		{"search", func(e *Engine, start *Node) (bool, error) {
 			leaf, err := e.SearchFrom(start, key, NopHooks{})
+			if leaf != nil && string(leaf.Value) != "v" {
+				return true, fmt.Errorf("search read %q", leaf.Value)
+			}
 			return leaf != nil, err
-		}, false, false},
-		{"update-only", put(PutUpdateOnly), true, false},
-		{"upsert", put(PutUpsert), true, true},
+		}, func(found bool) (string, bool) { return map[bool]string{true: "v"}[found], found }},
+		{"update-only", put(PutUpdateOnly), func(found bool) (string, bool) {
+			return map[bool]string{true: "w"}[found], found
+		}},
+		{"upsert", put(PutUpsert), func(bool) (string, bool) { return "w", true }},
 		{"delete", func(e *Engine, start *Node) (bool, error) {
 			return e.DeleteFrom(start, key, NopHooks{})
-		}, false, false},
+		}, func(bool) (string, bool) { return "", false }},
 	}
+	verbs := deleteVerbs(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, root := testEngine(t, Config{})
-			for _, k := range []string{"k/a", "k/b", "k/c"} {
-				mustPut(t, e, root, k, "v")
-			}
-			leaf, err := e.SearchFrom(root(), key, NopHooks{})
-			if err != nil || leaf == nil {
-				t.Fatal(leaf, err)
-			}
-			if err := e.invalidateLeaf(leaf); err != nil {
-				t.Fatal(err)
-			}
-			found, err := tc.run(e, root())
-			if tc.restarts {
-				if !errors.Is(err, ErrRestart) {
-					t.Fatalf("first attempt = %v, %v; want a restart behind the repair", found, err)
+			seen := map[bool]bool{}
+			for at := uint64(0); at < verbs; at++ {
+				f, ring, root := interruptedDelete(t, at)
+				e := engineOn(f, ring)
+				var found bool
+				err := e.Retry(tc.name, key, func() (err error) {
+					found, err = tc.run(e, root(e))
+					return err
+				})
+				if err != nil {
+					t.Fatalf("cut at verb %d: %v", at, err)
 				}
-				found, err = tc.run(e, root())
-			}
-			if found || err != nil {
-				t.Fatalf("= %v, %v; want the key absent", found, err)
-			}
-			if st := e.Stats(); st.DeleteRepairs != 1 {
-				t.Errorf("DeleteRepairs = %d, want 1", st.DeleteRepairs)
-			}
-			for _, k := range []string{"k/a", "k/b", "k/c"} {
-				want := tc.stored || !bytes.Equal([]byte(k), key)
-				if _, ok := mustGet(t, e, root, k); ok != want {
-					t.Errorf("%q readable = %v afterwards, want %v", k, ok, want)
+				wantVal, wantOK := tc.after(found)
+				reader := engineOn(f, ring)
+				for _, k := range []string{"k/a", "k/b", "k/c"} {
+					val, ok := mustGet(t, reader, func() *Node { return root(reader) }, k)
+					want, wok := "v", true
+					if k == string(key) {
+						want, wok = wantVal, wantOK
+					}
+					if val != want || ok != wok {
+						t.Errorf("cut at verb %d, found %v: %q reads %q, %v; want %q, %v", at, found, k, val, ok, want, wok)
+					}
 				}
+				checkNoRetiredOrHeld(t, f, reader, root(reader), fmt.Sprintf("cut at verb %d, after the %s", at, tc.name))
+				seen[found] = true
+			}
+			if tc.name != "upsert" && tc.name != "delete" && !(seen[true] && seen[false]) {
+				t.Errorf("found %v across the cuts; want cuts on both sides of the delete's commit", seen)
 			}
 		})
 	}

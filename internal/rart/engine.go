@@ -108,18 +108,9 @@ type EngineStats struct {
 	// LeafLockBreaks is the number of leaf locks this client broke because
 	// their holder crashed.
 	LeafLockBreaks uint64
-	// DeleteRepairs is the number of interrupted deletes this client
-	// finished on another client's behalf (a slot still pointing at an
-	// invalidated leaf).
-	DeleteRepairs uint64
 	// PublishRetries is the number of faulted steps re-driven while
 	// publishing a node type switch (grow) to completion.
 	PublishRetries uint64
-	// LeafRetireRepairs is the number of old leaves retired on the error
-	// path of an out-of-place update after the commit batch faulted with
-	// the slot swing already live (the leaf-address cache must never find
-	// such a leaf Idle).
-	LeafRetireRepairs uint64
 	// AbandonedObjects and AbandonedBytes count speculative write-ahead
 	// waste: fresh leaves and inner nodes reserved (and usually written)
 	// ahead of an operation's lock whose operation then did not commit — the
@@ -307,11 +298,19 @@ func leafAt(addr mem.Addr, hdr wire.LeafHeader, key, value []byte) Leaf {
 	return Leaf{Addr: addr, Status: hdr.Status, Units: hdr.Units, Key: slices.Clip(key), Value: slices.Clip(value)}
 }
 
-// ReadLeaf fetches the leaf at addr, retrying torn or locked images.
-// Usually one round trip (speculative over-read); leaves longer than the
-// speculative size cost one more. A lock whose holder crashed is broken
-// (breakLeafLock).
-func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
+// Via is where a walk found a leaf's address: the node it read the slot word
+// in, and the address of that word.
+type Via struct{ Node, Slot mem.Addr }
+
+// Via is the place of n's EOL edge (eol), or of its child edge for byte b.
+func (n *Node) Via(eol bool, b byte) Via { return Via{n.Addr, n.edge(eol, b).addr} }
+
+// ReadLeaf fetches the leaf at addr, which a walk found at via, retrying torn
+// or locked images. Usually one round trip (speculative over-read); leaves
+// longer than the speculative size cost one more. A lock whose holder crashed
+// is broken when via still names the leaf (breakLeafLock); otherwise the leaf
+// is off the tree, and is reported retired (Status Invalid).
+func (e *Engine) ReadLeaf(addr mem.Addr, via Via) (*Leaf, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafRead))
 	want := e.clampRead(addr, defaultLeafSpecRead)
 	bo := e.Backoff()
@@ -330,8 +329,13 @@ func (e *Engine) ReadLeaf(addr mem.Addr) (*Leaf, error) {
 			want = e.clampRead(addr, uint64(hdr.Units)*wire.LeafUnit)
 			continue
 		case hdr.Status == wire.StatusLocked && e.ownerCrashed(wire.LeafLockOwner(word)):
-			if err := e.breakLeafLock(addr, word); err != nil {
+			on, err := e.breakLeafLock(addr, word, via)
+			if err != nil {
 				return nil, err
+			}
+			if !on {
+				// Off the tree under a dead retirer's lock: as good as retired.
+				return one(&e.arena.leaves, Leaf{Addr: addr, Status: wire.StatusInvalid, Units: hdr.Units}), nil
 			}
 			continue
 		}
@@ -396,24 +400,44 @@ func (e *Engine) ownerCrashed(owner uint16, named bool) bool {
 }
 
 // breakLeafLock frees the leaf lock whose Locked word a waiter saw, its owner
-// crashed: the holder died between its lock CAS and its single image WRITE,
-// so the content under the lock is still the old, checksum-valid image, and
-// CASing the status back to Idle restores the leaf exactly
-// (docs/failure-model.md).
-func (e *Engine) breakLeafLock(addr mem.Addr, locked uint64) error {
+// crashed, when the leaf is still on the tree: one batch reads the header of
+// the node the walk found the leaf in and the slot word there (via), and only
+// a live node whose slot still names the leaf lets the CAS back to Idle go
+// out. Then the holder died between its lock CAS and the WRITE that would
+// have released the leaf — an in-place update's image, or a retire whose slot
+// WRITE never executed — so the content under the lock is still the old,
+// checksum-valid image, and the CAS restores the leaf exactly. A retire that
+// died between its slot WRITE and its Invalid WRITE left the leaf off the
+// tree: the lock stays, an image no reader trusts, and the caller hears
+// on = false. So does a walk whose image is stale (the node retired, the edge
+// moved); a fresh walk reaches the leaf through a node that names it, if any
+// does (docs/failure-model.md).
+func (e *Engine) breakLeafLock(addr mem.Addr, locked uint64, via Via) (on bool, err error) {
+	hdr, word := e.arena.buf(8), e.arena.buf(8)
+	ops := append(e.leafOps[:0], fabric.Op{Kind: fabric.Read, Addr: via.Node, Data: hdr},
+		fabric.Op{Kind: fabric.Read, Addr: via.Slot, Data: word})
+	if err := e.C.Batch(ops); err != nil {
+		return false, err
+	}
+	slot := wire.DecodeSlot(binary.LittleEndian.Uint64(word))
+	if wire.DecodeNodeHeader(binary.LittleEndian.Uint64(hdr)).Status == wire.StatusInvalid ||
+		!slot.Present || !slot.Leaf || slot.Addr != addr {
+		return false, nil
+	}
 	old, err := e.C.CompareSwap(addr, locked, wire.IdleLeafWord(locked))
 	if err == nil && old == locked {
 		atomic.AddUint64(&e.stats.LeafLockBreaks, 1)
 	}
-	return err
+	return true, err
 }
 
-// LeafLock is one in-place update's hold on a leaf: the leaf's header lock
-// (§III-C: CAS the header word Idle → Locked), from the first lock attempt to
-// the single image WRITE that releases it. Every release short of that WRITE
-// is a CAS expecting the exact Locked word, which names its owner
-// (wire.LockedLeafWord), so it cannot touch a leaf that has since been
-// rewritten, retired or locked by another writer.
+// LeafLock is one writer's hold on a leaf: the leaf's header lock (§III-C:
+// CAS the header word Idle → Locked), from the first lock attempt to the
+// single WRITE that releases it — an in-place update's new image, or the
+// Invalid header of a write that takes the leaf off the tree (retire). Every
+// release short of that WRITE is a CAS expecting the exact Locked word, which
+// names its owner (wire.LockedLeafWord), so it cannot touch a leaf that has
+// since been rewritten, retired or locked by another writer.
 type LeafLock struct {
 	Addr  mem.Addr
 	Units uint8
@@ -458,8 +482,8 @@ func lockOf(leaf *Leaf) LeafLock {
 // between WriteLockedLeaf, TryLeafLock (lost to a different value length)
 // and UnlockLeaf (won on another key's leaf).
 //
-// On a fabric error l.Held is false; see lockLeaf for what became of a lock
-// the cut batch took.
+// On a fabric error l.Held is false; see settleLeafLock for what became of a
+// lock the cut batch took.
 func (e *Engine) SpecLockLeaf(addr mem.Addr, units uint8, keyLen, valLen int) (LeafLock, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
 	l := LeafLock{Addr: addr, Units: units}
@@ -485,42 +509,58 @@ func (e *Engine) TryLeafLock(l *LeafLock) error {
 	return e.lockLeaf(l, nil)
 }
 
-// lockLeaf posts one lock attempt: the header CAS and, when image is non-nil,
-// a READ of the leaf behind it.
+// lockLeaf posts one lock attempt in a batch of its own (postLeafLock).
+func (e *Engine) lockLeaf(l *LeafLock, image []byte) error {
+	ops := e.postLeafLock(e.leafOps[:0], l, image)
+	err := e.C.Batch(ops)
+	e.settleLeafLock(l, ops[0], err)
+	return err
+}
+
+// postLeafLock appends one lock attempt on l to ops: the header CAS and, when
+// image is non-nil, a READ of the leaf behind it. Both target one memory node,
+// where a batch executes in posting order, so behind a winning CAS the READ is
+// the locked, stable image.
+func (e *Engine) postLeafLock(ops []fabric.Op, l *LeafLock, image []byte) []fabric.Op {
+	idle, locked := e.lockWords(l)
+	ops = append(ops, fabric.Op{Kind: fabric.CAS, Addr: l.Addr, Expect: idle, Desired: locked})
+	if image != nil {
+		ops = append(ops, fabric.Op{Kind: fabric.Read, Addr: l.Addr, Data: image})
+	}
+	return ops
+}
+
+// settleLeafLock takes in an attempt whose CAS is cas, its batch having
+// returned err.
 //
 // A faulted attempt releases its own Locked word whenever its CAS may have
 // won: after a timeout, which hides who won, and after a transient behind a
 // CAS that executed and won (verbs ahead of the failing one stand,
 // fabric.ErrTransient). The word names this client, so the release cannot
-// free another writer's lock — or a RelocateLeaf's about to copy the image —
-// and a live holder never leaves a lock behind for others to wait on.
-func (e *Engine) lockLeaf(l *LeafLock, image []byte) error {
-	idle, locked := e.lockWords(l)
-	ops := e.leafOps[:1]
-	ops[0] = fabric.Op{Kind: fabric.CAS, Addr: l.Addr, Expect: idle, Desired: locked}
-	if image != nil {
-		ops = append(ops, fabric.Op{Kind: fabric.Read, Addr: l.Addr, Data: image})
+// free another writer's lock — or a retiring write's — and a live holder never
+// leaves a lock behind for others to wait on.
+func (e *Engine) settleLeafLock(l *LeafLock, cas fabric.Op, err error) {
+	if err == nil {
+		l.Seen, l.Held = cas.Old, cas.Old == cas.Expect
+	} else if errors.Is(err, fabric.ErrTimeout) || cas.Old == cas.Expect {
+		_ = e.UnlockLeaf(l) // re-issued across further faults; l.Seen is this attempt's
 	}
-	if err := e.C.Batch(ops); err != nil {
-		if errors.Is(err, fabric.ErrTimeout) || ops[0].Old == idle {
-			_ = e.UnlockLeaf(l) // re-issued across further faults; l.Seen is this attempt's
-		}
-		return err
-	}
-	l.Seen = ops[0].Old
-	l.Held = l.Seen == idle
-	return nil
 }
 
-// UnlockLeaf gives a held lock back without writing: the CAS restores the
-// exact Idle header the lock replaced, leaving the leaf byte-identical.
+// UnlockLeaf gives a held lock back without writing (unlockLeafOp).
 func (e *Engine) UnlockLeaf(l *LeafLock) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
-	idle, locked := e.lockWords(l)
 	ops := e.leafOps[:1]
-	ops[0] = fabric.Op{Kind: fabric.CAS, Addr: l.Addr, Expect: locked, Desired: idle}
-	l.Held = false
+	ops[0] = e.unlockLeafOp(l)
 	return e.completeBatch(ops)
+}
+
+// unlockLeafOp builds the CAS that gives l back: it restores the exact Idle
+// header the lock replaced, leaving the leaf byte-identical.
+func (e *Engine) unlockLeafOp(l *LeafLock) fabric.Op {
+	idle, locked := e.lockWords(l)
+	l.Held = false
+	return fabric.Op{Kind: fabric.CAS, Addr: l.Addr, Expect: locked, Desired: idle}
 }
 
 // WriteLockedLeaf is the second half of every in-place update (§III-C), on
@@ -556,7 +596,18 @@ type staged struct {
 	objects uint64
 	bytes   uint64
 	reads   bool // the publisher's READs are among ops: they must execute before its commit verbs are planned
+	// leaf is the lock of the leaf the write takes off the tree (retiring; a
+	// null address for a write that retires none), image where the READ behind
+	// its CAS lands, if one is posted.
+	leaf  LeafLock
+	image []byte
 }
+
+// retiring arms st's lock batch with the lock of leaf, which the write takes
+// off the tree (retire): its CAS rides behind the node's and expects the Idle
+// form of the header the walk read, a READ of the leaf into image behind it
+// when image is non-nil.
+func (st *staged) retiring(leaf *Leaf, image []byte) { st.leaf, st.image = lockOf(leaf), image }
 
 // stage starts a write-ahead set on the engine's reusable op storage.
 func (e *Engine) stage() staged { return staged{ops: e.stagedOps[:0]} }
@@ -619,17 +670,20 @@ func (e *Engine) abandon(st *staged) {
 }
 
 // abort is the one exit of a structural write that fails before its commit
-// point: it releases every lock the operation holds (nil nodes are skipped)
-// and books the staged objects as abandoned. The cause, not the release, is
-// what the caller sees.
+// point: it releases every lock the operation holds (nil nodes are skipped,
+// the leaf of st when held) and books the staged objects as abandoned. The
+// cause, not the release, is what the caller sees.
 func (e *Engine) abort(st *staged, cause error, a, b *Node) error {
 	e.abandon(st)
-	var arr [2]fabric.Op
+	var arr [3]fabric.Op
 	ops := arr[:0]
 	for _, n := range [2]*Node{a, b} {
 		if n != nil {
 			ops = append(ops, e.UnlockOp(n))
 		}
+	}
+	if st != nil && st.leaf.Held {
+		ops = append(ops, e.unlockLeafOp(&st.leaf))
 	}
 	e.unlock(ops)
 	return cause
@@ -995,10 +1049,18 @@ func (e *Engine) Release(cause BetCause, keep ...*Node) {
 // one. With every lock held that way the batch is the staged verbs alone, or
 // none at all.
 //
-// Locks are only ever waited for in child-then-parent order: a first batch
-// that won the parent but not the child gives the parent back before
-// queueing for the child, so two writers can never hold one lock each
-// while waiting for the other's.
+// A write that retires a leaf (st.retiring) posts the leaf's lock CAS last in
+// that first batch: it depends on nothing the batch returns, so it adds a verb
+// and no round trip. A leaf is never waited for: a leaf CAS lost while the
+// nodes are held aborts the write into ErrRestart, and the retried walk's
+// ReadLeaf waits for the leaf instead.
+//
+// Locks are only ever waited for in child-then-parent order, and a node's
+// before a leaf's: a first batch that won the parent but not the child gives
+// the parent back before queueing for the child, and one that won the leaf but
+// not a node gives the leaf back before it polls, and CASes for it once more
+// when it holds the nodes. So two writers can never hold one lock each while
+// waiting for the other's, and no in-place update waits behind a poll.
 //
 // It returns images read under the locks, each verified to still have the
 // depth the caller's unlocked image had (callers re-derive slot state from
@@ -1025,10 +1087,18 @@ func (e *Engine) lockNodes(child, parent *Node, st *staged) (lc, lp *Node, err e
 	} else {
 		lp = parent
 	}
+	leaf := -1
+	if st != nil && !st.leaf.Addr.IsNull() {
+		leaf = len(ops)
+		ops = e.postLeafLock(ops, &st.leaf, st.image)
+	}
 	if len(ops) > 0 {
 		err = e.C.Batch(ops)
 	}
 	e.stagedOps = ops[:0]
+	if leaf >= 0 {
+		e.settleLeafLock(&st.leaf, ops[leaf], err)
+	}
 	if err != nil {
 		if lc == nil {
 			e.dropLock(&tc, ops, err)
@@ -1049,6 +1119,10 @@ func (e *Engine) lockNodes(child, parent *Node, st *staged) (lc, lp *Node, err e
 		}
 		parentPolled = lp == nil
 	}
+	relock := err == nil && leaf >= 0 && (lc == nil || parentPolled)
+	if relock && st.leaf.Held {
+		err = e.UnlockLeaf(&st.leaf)
+	}
 	if err == nil && lc == nil {
 		if lp != nil {
 			e.unlock([]fabric.Op{e.UnlockOp(lp)})
@@ -1060,6 +1134,9 @@ func (e *Engine) lockNodes(child, parent *Node, st *staged) (lc, lp *Node, err e
 	if err == nil && parent != nil && lp == nil {
 		lp, err = e.acquire(&tp, bo, parentPolled)
 	}
+	if err == nil && relock {
+		err = e.lockLeaf(&st.leaf, st.image)
+	}
 	switch {
 	case err == ErrNodeInvalid:
 		err = fmt.Errorf("lock: node %v or its parent invalid: %w", child.Addr, ErrRestart)
@@ -1068,6 +1145,8 @@ func (e *Engine) lockNodes(child, parent *Node, st *staged) (lc, lp *Node, err e
 		err = fmt.Errorf("lock: node %v depth changed: %w", lc.Addr, ErrRestart)
 	case lp != nil && lp.Hdr.Depth != parent.Hdr.Depth:
 		err = fmt.Errorf("lock: node %v depth changed: %w", lp.Addr, ErrRestart)
+	case leaf >= 0 && !st.leaf.Held:
+		err = fmt.Errorf("lock: leaf %v taken: %w", st.leaf.Addr, ErrRestart)
 	}
 	if err != nil {
 		return nil, nil, e.abort(st, err, lc, lp)

@@ -89,7 +89,7 @@ func TestFaultedLeafLockNeverFreesAnothersLock(t *testing.T) {
 					if err := a.WriteLockedLeaf(&held, key, []byte("w")); err != nil {
 						t.Fatal(err)
 					}
-					if got, err := a.ReadLeaf(leaf.Addr); err != nil || !bytes.Equal(got.Value, []byte("w")) {
+					if got, stable, err := a.SpecReadLeaf(leaf.Addr, leaf.Units, key); err != nil || !stable || !bytes.Equal(got.Value, []byte("w")) {
 						t.Fatalf("fault at verb %d: after the holder's write: %v, %v", at, got, err)
 					}
 				}
@@ -120,11 +120,12 @@ func TestFaultedLeafLockNeverFreesAnothersLock(t *testing.T) {
 }
 
 // TestFaultedContenderLeavesRelocationLocked: RelocateLeaf holds the leaf
-// header lock from its re-read to the copy, so that no in-place update can
-// land in between and be lost with the retired original. A contender whose
-// lock attempt faults right then must leave that lock alone: its retry finds
-// the leaf Locked, the relocation copies what it read, and the contender's
-// value lands on the copy afterwards.
+// header lock from its lock batch, which READs the image behind the CAS, to
+// the commit that retires the leaf, so that no in-place update can land in
+// between and be lost with the retired original. A contender whose lock
+// attempt faults right then must leave that lock alone: its retry finds the
+// leaf Locked, the relocation copies what it read, and the contender's value
+// lands on the copy afterwards.
 func TestFaultedContenderLeavesRelocationLocked(t *testing.T) {
 	key := []byte("lease-a")
 	f, ring, root := leaseCluster(t)
@@ -136,20 +137,20 @@ func TestFaultedContenderLeavesRelocationLocked(t *testing.T) {
 	contender := engineOn(f, ring)
 	contender.C.FailAt(0, fabric.ErrTransient)
 
-	// The contender lands behind the relocator's re-read under its leaf lock:
-	// the leaf's first READ behind the winning CAS that locked it.
+	// The contender lands behind the relocator's READ under its leaf lock: the
+	// leaf's first READ behind the winning CAS that locked it.
 	locked := false
-	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+	sw := fabrictest.Switch(0, func(s fabrictest.Step) bool {
 		if s.Op.Kind == fabric.CAS && s.Op.Addr == leaf.Addr && s.Op.Old == s.Op.Expect && wire.DecodeLeafHeader(s.Op.Desired).Status == wire.StatusLocked {
 			locked = true
 		}
 		return locked && s.Op.Kind == fabric.Read && s.Op.Addr == leaf.Addr
-	}}
+	})
 	contend := func() {
 		if got := leafStatus(t, clean, leaf.Addr); got != wire.StatusLocked {
 			t.Errorf("leaf header is %v where the contender lands; want the relocator's lock", got)
 		}
-		if err := contender.updateLeafInPlace(leaf, []byte("w")); !errors.Is(err, fabric.ErrTransient) {
+		if err := contender.updateLeafInPlace(leaf, []byte("w"), viaOf(root(clean), key)); !errors.Is(err, fabric.ErrTransient) {
 			t.Errorf("contender's faulted update = %v, want a transient", err)
 		}
 		if got := leafStatus(t, clean, leaf.Addr); got != wire.StatusLocked {
@@ -167,10 +168,10 @@ func TestFaultedContenderLeavesRelocationLocked(t *testing.T) {
 		}
 	}
 	var moved bool
-	fabrictest.Run(f, sw, fabrictest.Proc{C: relocator.C, Fn: func() { moved, err = relocator.RelocateLeaf(root(clean), key, target) }},
+	fabrictest.Run(f, sw, fabrictest.Proc{C: relocator.C, Fn: func() { moved, err = relocator.RelocateLeaf(root(clean), leaf, target) }},
 		fabrictest.Proc{Fn: contend})
-	if err != nil || !moved || sw.At == nil {
-		t.Fatalf("relocate = %v, %v (the contender at %+v)", moved, err, sw.At)
+	if err != nil || !moved || sw.Turns[0].At == nil {
+		t.Fatalf("relocate = %v, %v (the contender at %+v)", moved, err, sw.Turns[0].At)
 	}
 	if got := leafStatus(t, clean, leaf.Addr); got != wire.StatusInvalid {
 		t.Fatalf("old leaf is %v after the move, want Invalid", got)
@@ -200,14 +201,14 @@ func TestCommitToKilledNodeReturnsAtOnce(t *testing.T) {
 		t.Fatalf("search = %v, %v", leaf, err)
 	}
 	// The node dies right behind the CAS that takes the leaf's lock.
-	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+	sw := fabrictest.Switch(0, func(s fabrictest.Step) bool {
 		return s.Op.Kind == fabric.CAS && s.Op.Addr == leaf.Addr && s.Op.Old == s.Op.Expect
-	}}
+	})
 	before := e.C.Stats()
 	fabrictest.Run(f, sw, fabrictest.Proc{C: e.C, Fn: func() {
 		_, err = e.PutFrom(root(e), key, bytes.Repeat([]byte("w"), len(leaf.Value)), PutUpsert, NopHooks{})
 	}}, fabrictest.Proc{Fn: func() { f.KillNode(leaf.Addr.Node()) }})
-	if sw.At == nil {
+	if sw.Turns[0].At == nil {
 		t.Fatal("the put never locked the leaf; the kill never landed")
 	}
 	if !errors.Is(err, fabric.ErrNodeKilled) || errors.Is(err, ErrRetriesExhausted) {

@@ -225,12 +225,12 @@ func TestLiveHolderNeverRobbed(t *testing.T) {
 				t.Fatalf("search = %v, %v", leaf, err)
 			}
 			rootAddr, locked := root(check).Addr, false
-			sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+			sw := fabrictest.Switch(0, func(s fabrictest.Step) bool {
 				if s.Op.Kind == fabric.CAS && s.Op.Old == s.Op.Expect && tc.lock(s.Op, rootAddr, leaf.Addr) {
 					locked = true
 				}
 				return locked && s.BatchEnd
-			}}
+			})
 			var herr, rerr error
 			var waited int64
 			fabrictest.Run(f, sw, fabrictest.Proc{C: holder.C, Fn: func() {
@@ -240,7 +240,7 @@ func TestLiveHolderNeverRobbed(t *testing.T) {
 				_, rerr = rival.PutFrom(root(rival), []byte(tc.rival), []byte("r"), PutUpsert, NopHooks{})
 				waited = rival.C.Clock() - t0
 			}})
-			if sw.At == nil {
+			if sw.Turns[0].At == nil {
 				t.Fatal("the holder never parked behind its lock; the rival ran after it")
 			}
 			if herr != nil {
@@ -280,9 +280,9 @@ func TestCrashRecordFollowsItsLastVerbs(t *testing.T) {
 	// The holder's verbs: the bet's CAS and READ, two allocator FAAs, then the
 	// commit batch [W leaf · W slot · CAS unlock]; the crash cuts at the unlock.
 	holder.C.FailAt(6, fabric.ErrClientCrashed)
-	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+	sw := fabrictest.Switch(0, func(s fabrictest.Step) bool {
 		return s.Stage == fabric.StageInstall
-	}}
+	})
 	var herr, rerr error
 	fabrictest.Run(f, sw, fabrictest.Proc{C: holder.C, Fn: func() {
 		start, err := holder.LeaseRead(rootAddr, wire.Node256)
@@ -294,8 +294,8 @@ func TestCrashRecordFollowsItsLastVerbs(t *testing.T) {
 	}}, fabrictest.Proc{Fn: func() {
 		_, rerr = rival.PutFrom(root(rival), []byte("m2"), []byte("r"), PutUpsert, NopHooks{})
 	}})
-	if sw.At == nil || sw.At.Op.Kind != fabric.Write || sw.At.BatchEnd {
-		t.Fatalf("switched at %+v; want the commit batch's first WRITE", sw.At)
+	if sw.Turns[0].At == nil || sw.Turns[0].At.Op.Kind != fabric.Write || sw.Turns[0].At.BatchEnd {
+		t.Fatalf("switched at %+v; want the commit batch's first WRITE", sw.Turns[0].At)
 	}
 	if !errors.Is(herr, fabric.ErrClientCrashed) || fabric.Executed(herr) != 2 {
 		t.Fatalf("holder's put = %v; want a crash after 2 of the commit batch's verbs", herr)
@@ -349,12 +349,12 @@ func TestReleaseOutlastsDownWindow(t *testing.T) {
 				t.Fatalf("search = %v, %v", leaf, err)
 			}
 			rootAddr, locked := root(check).Addr, mem.Addr(0)
-			sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool {
+			sw := fabrictest.Switch(0, func(s fabrictest.Step) bool {
 				if s.Op.Kind == fabric.CAS && s.Op.Old == s.Op.Expect && tc.lock(s.Op, rootAddr, leaf.Addr) {
 					locked = s.Op.Addr
 				}
 				return locked != 0 && s.BatchEnd
-			}}
+			})
 			var herr error
 			var until int64
 			fabrictest.Run(f, sw, fabrictest.Proc{C: holder.C, Fn: func() {
@@ -363,7 +363,7 @@ func TestReleaseOutlastsDownWindow(t *testing.T) {
 				until = holder.C.Clock() + windowPs
 				plan.Down = []fabric.DownWindow{{Node: locked.Node(), FromPs: 0, ToPs: until}}
 			}})
-			if sw.At == nil {
+			if sw.Turns[0].At == nil {
 				t.Fatal("the holder never took its lock")
 			}
 			if herr != nil || holder.C.Clock() < until || holder.C.Stats().NodeDownRejects == 0 {

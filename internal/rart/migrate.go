@@ -1,10 +1,10 @@
 // Online relocation primitives for elastic membership: copy a leaf or an
-// inner node to a new owning memory node under the engine's ordinary
-// lease-lock/status-field protocols, while concurrent clients keep
-// serving. The migrator (internal/core) walks the tree and calls these
-// for every object whose ring owner changed; everything here is
-// idempotent at the sweep level — a relocation that loses a race simply
-// reports a restart and the next sweep retries.
+// inner node to a new owning memory node under the engine's ordinary locks —
+// a leaf moves as an out-of-place update does (retire), a node as a type
+// switch does (replaceNode) — while concurrent clients keep serving. The
+// migrator (internal/core) walks the tree and calls these for every object
+// whose ring owner changed; a relocation that loses a race reports a restart
+// and a later sweep retries.
 package rart
 
 import (
@@ -16,91 +16,45 @@ import (
 	"sphinx/internal/wire"
 )
 
-// RelocateLeaf moves the leaf reached from node n along key to the target
-// memory node: copy the image to a fresh allocation on target, swing n's
-// slot, retire the old leaf — slot swing, retirement and node unlock in
-// ONE doorbell batch, exactly like an out-of-place update, so a fault
-// cannot leave the old leaf Idle at an address other CNs still have
-// cached. Reports whether a copy actually moved.
-//
-// Concurrency: the node lease serializes the slot against installs,
-// deletes and out-of-place updates, but in-place updates touch only the
-// leaf header, so the image is re-read UNDER the leaf header lock — an
-// equal-length in-place update between the first read and the lock CAS
-// would otherwise be silently dropped by copying the stale snapshot.
-// Lost races surface as ErrRestart for the sweep to retry.
-func (e *Engine) RelocateLeaf(n *Node, key []byte, target mem.NodeID) (bool, error) {
+// RelocateLeaf moves leaf, which a walk read on an edge of node n, to the
+// target memory node, exactly as an out-of-place update replaces it: the
+// leaf's lock and a READ of it behind the CAS ride n's lock batch, so no
+// in-place update lands between the copy and the retirement, and one commit
+// writes the copy, swings the slot to it and retires the leaf (retire).
+// Reports whether a copy moved. A lost race — the leaf's header or the edge
+// changed since the walk read them, the node restructured, the image behind
+// the won CAS does not decode to leaf's key — is ErrRestart, for a later sweep
+// to retry.
+func (e *Engine) RelocateLeaf(n *Node, leaf *Leaf, target mem.NodeID) (bool, error) {
+	if leaf.Addr.Node() == target {
+		return false, nil
+	}
 	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
-	locked, err := e.lockVerified(n)
+	st := e.stage()
+	st.retiring(leaf, e.arena.buf(uint64(leaf.Units)*wire.LeafUnit))
+	locked, _, err := e.lockNodes(n, nil, &st)
 	if err != nil {
 		return false, err
 	}
-	if int(locked.Hdr.Depth) > len(key) {
-		// Restructured past this key since the walk snapshot.
-		return false, e.abort(nil, fmt.Errorf("relocate: node %v outgrew key: %w", locked.Addr, ErrRestart), locked, nil)
-	}
-	ed := locked.edgeOf(key)
-	slot := ed.slot
-	if !slot.Present || !slot.Leaf || slot.Addr.Node() == target {
-		// Deleted, converted to a subtree, or already home: nothing to move.
-		return false, e.abort(nil, nil, locked, nil)
-	}
-	leaf, err := e.ReadLeaf(slot.Addr)
+	ed, err := e.confirmEdge(&st, "relocate", locked, nil, leaf.Key, leaf.Addr)
 	if err != nil {
-		return false, e.abort(nil, err, locked, nil)
-	}
-	if leaf.Status == wire.StatusInvalid || !bytes.Equal(leaf.Key, key) {
-		// An interrupted delete (completeDelete's business) or a collided
-		// edge; either way not this key's leaf to move.
-		return false, e.abort(nil, nil, locked, nil)
-	}
-	// Lock the leaf header so a concurrent in-place update cannot slip
-	// between our snapshot and the copy.
-	ll := lockOf(leaf)
-	if err := e.TryLeafLock(&ll); err != nil {
-		return false, e.abort(nil, err, locked, nil)
-	}
-	if !ll.Held {
-		// A writer beat us to the leaf; retry on a later sweep.
-		return false, e.abort(nil, fmt.Errorf("relocate: leaf %v contended: %w", slot.Addr, ErrRestart), locked, nil)
-	}
-	newAddr, err := e.copyLockedLeaf(leaf, target)
-	if err != nil {
-		if lerr := e.UnlockLeaf(&ll); lerr != nil {
-			return false, lerr
-		}
-		return false, e.abort(nil, err, locked, nil)
-	}
-	// Commit: swing + retirement + unlock in one doorbell. The retirement
-	// (the lengths are still leaf's: the header did not change before our
-	// lock) releases the leaf lock too — Invalid supersedes Locked; readers
-	// and remote leaf-address caches holding the old address see Invalid and
-	// refute/unlearn through their usual trust-but-verify paths.
-	newSlot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: newAddr}
-	if err := e.completeBatch(e.thenUnlock(append(e.slotWrite(locked, ed, newSlot.Encode()), e.retireOp(leaf)), locked)); err != nil {
 		return false, err
 	}
-	return true, nil
-}
-
-// copyLockedLeaf re-reads leaf under its header lock, which the caller holds
-// — the image is stable now: writers CAS the header before touching bytes —
-// and writes it to a fresh allocation on target.
-func (e *Engine) copyLockedLeaf(leaf *Leaf, target mem.NodeID) (mem.Addr, error) {
-	buf := e.arena.buf(uint64(leaf.Units) * wire.LeafUnit)
-	if err := e.C.Read(leaf.Addr, buf); err != nil {
-		return 0, err
-	}
-	k, v, _, ok := wire.DecodeLeaf(buf)
+	k, v, _, ok := wire.DecodeLeaf(st.image)
 	if !ok || !bytes.Equal(k, leaf.Key) {
-		return 0, fmt.Errorf("relocate: leaf %v unstable under lock: %w", leaf.Addr, ErrRestart)
+		// The image behind the won CAS is torn: a releasing WRITE still lands.
+		return false, e.abort(&st, fmt.Errorf("relocate: leaf %v unsettled under its lock: %w", leaf.Addr, ErrRestart), locked, nil)
 	}
 	img := e.encodeLeaf(k, v)
 	addr, err := e.Alloc.Alloc(target, mem.ClassLeaf, uint64(len(img)))
-	if err == nil {
-		err = e.C.Write(addr, img)
+	if err != nil {
+		return false, e.abort(&st, err, locked, nil)
 	}
-	return addr, err
+	slot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: addr}.Encode()
+	if err := e.retire(&st, locked, ed, slot, fabric.Op{Kind: fabric.Write, Addr: addr, Data: img}); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // RelocateNode copies inner node child (whose full prefix is prefix and

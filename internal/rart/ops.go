@@ -137,10 +137,6 @@ const (
 	// landLeaf: the edge holds a leaf — the key's, or that of another key
 	// that shares the prefix up to the edge.
 	landLeaf
-	// landCleared: the edge held the residue of an interrupted delete, which
-	// the walk finished (completeDelete): it is empty by now, though not in
-	// the image n.
-	landCleared
 )
 
 // landing is what a descent reports, by value: where it ended, the node it
@@ -157,7 +153,8 @@ type landing struct {
 // descend is the one walk from start toward key, shared by every point
 // operation (op names the caller in errors). It is lock-free and answers
 // ErrRestart for the transient states a retry resolves: an invalidated node,
-// a node off the key's path (OnPath), an Invalid leaf whose slot moved on.
+// a node off the key's path (OnPath), an Invalid leaf — the tree never names
+// one (retire), so the image that did is stale.
 func (e *Engine) descend(op string, start *Node, key []byte, h Hooks) (landing, error) {
 	at := landing{n: start}
 	for hop := 0; hop < wire.MaxDepth+2; hop++ {
@@ -196,25 +193,14 @@ func (e *Engine) descend(op string, start *Node, key []byte, h Hooks) (landing, 
 			at.n, at.parent = child, n
 			continue
 		}
-		leaf, err := e.ReadLeaf(slot.Addr)
+		leaf, err := e.ReadLeaf(slot.Addr, Via{n.Addr, at.edge.addr})
 		if err != nil {
 			return at, err
 		}
-		if leaf.Status != wire.StatusInvalid {
-			at.kind, at.leaf = landLeaf, leaf
-			return at, nil
-		}
-		// An invalid leaf still linked from a slot is a delete that faulted
-		// between committing (invalidating the leaf) and clearing the slot.
-		// Finish it; the key is absent.
-		cleared, err := e.completeDelete(n, at.edge, leaf.Addr)
-		if err != nil {
-			return at, err
-		}
-		if !cleared {
+		if leaf.Status == wire.StatusInvalid {
 			return at, fmt.Errorf("%s: leaf %v invalid: %w", op, leaf.Addr, ErrRestart)
 		}
-		at.kind = landCleared
+		at.kind, at.leaf = landLeaf, leaf
 		return at, nil
 	}
 	return at, fmt.Errorf("%w: descent exceeded max depth", ErrRetriesExhausted)
@@ -237,14 +223,8 @@ func (e *Engine) SearchFrom(start *Node, key []byte, h Hooks) (*Leaf, error) {
 // bubble up for the caller to re-locate its start node and retry.
 func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) (existed bool, err error) {
 	at, err := e.descend("put", start, key, h)
-	switch {
-	case err != nil:
+	if err != nil {
 		return false, err
-	case at.kind == landCleared:
-		// The one landing the operations answer differently: Search and
-		// Delete say "absent", but a put would install into an image that
-		// predates the repair. The retried descent sees a free slot.
-		return false, fmt.Errorf("put: leaf %v invalid: %w", at.edge.slot.Addr, ErrRestart)
 	}
 	exists := at.kind == landLeaf && bytes.Equal(at.leaf.Key, key)
 	// The leases the put's jump starts bet on (LeaseRead) are resolved here,
@@ -282,13 +262,6 @@ func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) 
 	// Key diverges inside n's compressed path (or ends within it): split
 	// n's partial under a new parent node.
 	return false, e.splitPartial(at.parent, at.n, key, value, h)
-}
-
-// lockVerified acquires n's lock alone, with nothing riding the batch; see
-// lockNodes.
-func (e *Engine) lockVerified(n *Node) (*Node, error) {
-	locked, _, err := e.lockNodes(n, nil, nil)
-	return locked, err
 }
 
 // plan stages the publication reads of a structural write: the hook learns
@@ -373,7 +346,7 @@ func childSlot(ed edge, to *Node) uint64 {
 // idempotent path.
 func (e *Engine) swing(n *Node, ed edge, word uint64, pub Publisher, lead []fabric.Op, tail ...fabric.Op) error {
 	ops := e.thenUnlock(append(pub.AppendCommit(e.appendSlotWrite(append(e.commitOps[:0], lead...), n, ed, word)), tail...), n)
-	lost, err := e.issueAll(ops)
+	_, lost, err := e.issueAll(ops)
 	if err != nil {
 		return err
 	}
@@ -383,26 +356,28 @@ func (e *Engine) swing(n *Node, ed edge, word uint64, pub Publisher, lead []fabr
 	return e.completeHook(func() error { return pub.Publish(ops) })
 }
 
-// retireOp builds the header WRITE that retires a leaf, so that readers that
-// still hold its address restart their operation. The header keeps the
-// lengths the leaf was read with, so a reader that decodes it sees a
-// checksum-consistent Invalid image. The word lives in commitWords[1].
-func (e *Engine) retireOp(leaf *Leaf) fabric.Op {
-	hdr := wire.LeafHeader{
-		Status: wire.StatusInvalid,
-		Units:  leaf.Units,
-		KeyLen: uint16(len(leaf.Key)),
-		ValLen: uint32(len(leaf.Value)),
+// retire takes st's leaf off the tree, in ONE batch driven to completion —
+// [lead · W slot ← word · W leaf Invalid · CAS unlock]: the commit of a delete
+// (word 0), an out-of-place update and a relocation (word names the fresh
+// leaf; lead is its WRITE when the lock batch did not carry it). locked is the
+// leaf's node, ed the edge of it that names the leaf, and both locks are held
+// (lockNodes with st.retiring). The Invalid header lands over this client's
+// own Locked word, keeps the lengths the lock replaced and releases the leaf:
+// a writer waiting on it restarts, a cached address of it is refuted. The slot
+// goes first, so the tree never names a retired leaf.
+//
+// Should the completion loop give up before the slot WRITE executed, nothing
+// committed and the write aborts, its locks given back; past that point the
+// leaf is off the tree and stays Locked, an image no reader trusts.
+func (e *Engine) retire(st *staged, locked *Node, ed edge, word uint64, lead ...fabric.Op) error {
+	ops := e.appendSlotWrite(append(e.commitOps[:0], lead...), locked, ed, word)
+	binary.LittleEndian.PutUint64(e.commitWords[1][:], wire.WithStatus(st.leaf.Seen, wire.StatusInvalid))
+	ops = e.thenUnlock(append(ops, fabric.Op{Kind: fabric.Write, Addr: st.leaf.Addr, Data: e.commitWords[1][:]}), locked)
+	left, _, err := e.issueAll(ops)
+	if err != nil && left >= len(ops)-len(lead) {
+		return e.abort(st, err, locked, nil)
 	}
-	binary.LittleEndian.PutUint64(e.commitWords[1][:], hdr.Encode())
-	return fabric.Op{Kind: fabric.Write, Addr: leaf.Addr, Data: e.commitWords[1][:]}
-}
-
-// invalidateLeaf retires a leaf in a round trip of its own.
-func (e *Engine) invalidateLeaf(leaf *Leaf) error {
-	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
-	op := e.retireOp(leaf)
-	return e.C.Write(op.Addr, op.Data)
+	return err
 }
 
 // installLeaf links a fresh leaf into node n in two round trips (paper §IV
@@ -578,20 +553,21 @@ func (e *Engine) complete(what string, rerunTimeout bool, step func() error) err
 
 // completeBatch drives one doorbell batch to completion; see complete.
 func (e *Engine) completeBatch(ops []fabric.Op) error {
-	_, err := e.issueAll(ops)
+	_, _, err := e.issueAll(ops)
 	return err
 }
 
-// issueAll is completeBatch reporting whether the completion was lost: every
-// verb executed, with outcomes unknown. Otherwise each verb's outcome is in
-// ops, whichever attempt executed it.
-func (e *Engine) issueAll(ops []fabric.Op) (lost bool, err error) {
+// issueAll is completeBatch reporting how it ended: lost says the completion
+// was lost — every verb executed, with outcomes unknown; otherwise each verb's
+// outcome is in ops, whichever attempt executed it. On an error, the last left
+// verbs of ops never executed.
+func (e *Engine) issueAll(ops []fabric.Op) (left int, lost bool, err error) {
 	err = e.complete("publish batch", false, func() error {
 		last := e.C.Batch(ops)
 		ops, lost = ops[fabric.Executed(last):], last != nil
 		return last
 	})
-	return lost, err
+	return len(ops), lost, err
 }
 
 // completeHook drives a side-structure publication to completion across
@@ -785,25 +761,26 @@ func fitsInPlace(leaf *Leaf, value []byte) bool {
 
 // updateLeaf applies the paper's update protocol (§III-C, §IV Update):
 // in-place with the checksum scheme when the new value fits the leaf's
-// 64-byte units, out-of-place (new leaf, repointed slot, invalidated old)
+// 64-byte units, out-of-place (new leaf, repointed slot, retired old: retire)
 // otherwise.
 func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
 	if fitsInPlace(leaf, value) {
-		if err := e.updateLeafInPlace(leaf, value); err != nil {
+		if err := e.updateLeafInPlace(leaf, value, Via{n.Addr, n.edgeOf(key).addr}); err != nil {
 			return err
 		}
 		h.UpdatedLeaf(key, leaf.Addr, leaf.Units)
 		return nil
 	}
-	// Out-of-place: write the replacement (riding the lock batch), swing the
-	// pointer under the node lock, retire the old leaf so in-flight readers
-	// retry.
+	// Out-of-place: the replacement's WRITE and the old leaf's lock ride the
+	// node's lock batch, and one commit swings the slot and retires the old
+	// leaf, so that no leaf-address cache finds it Idle again.
 	st := e.stage()
 	newAddr, err := e.stageLeaf(&st, key, value)
 	if err != nil {
 		return err
 	}
+	st.retiring(leaf, nil)
 	locked, _, err := e.lockNodes(n, nil, &st)
 	if err != nil {
 		return err
@@ -812,41 +789,7 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) err
 	if err != nil {
 		return err
 	}
-	// Commit batch: swing the slot, retire the old leaf, release the lock —
-	// all in one doorbell. Retiring in the SAME batch (not a follow-up round
-	// trip) matters for the CN-side leaf-address cache: a timed-out batch
-	// executes fully, so a fault here can no longer leave the old leaf
-	// checksum-valid and Idle at an address other compute nodes still have
-	// cached — an orphan a speculative read would wrongly trust.
-	newSlot := wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: newAddr}
-	// Driven to completion like every commit batch: its unlock is its last
-	// verb, so after a transient n's lease is still held and the rest of the
-	// batch is issued again — given up instead, the restarted put would find
-	// the key at the new leaf and update it in place, leaving n's lease
-	// behind.
-	err = e.completeBatch(e.thenUnlock(append(e.slotWrite(locked, ed, newSlot.Encode()), e.retireOp(leaf)), locked))
-	if err != nil {
-		// The completion loop gave up (its budget, or a killed node) behind a
-		// transient that truncated the batch at a random verb, so the swing
-		// may have landed without the retirement. Probe the slot: if it no
-		// longer names the old leaf, the swing (or a competing writer's) is
-		// live and retiring the old leaf is required — and idempotent if
-		// someone else already did. Were it skipped, a restarted put would
-		// find the key at the new leaf and acknowledge with the old one still
-		// Idle.
-		_ = e.completeHook(func() error {
-			word, rerr := e.C.ReadUint64(ed.addr)
-			if rerr != nil {
-				return rerr
-			}
-			if s := wire.DecodeSlot(word); !s.Present || !s.Leaf || s.Addr != leaf.Addr {
-				if ierr := e.invalidateLeaf(leaf); ierr != nil {
-					return ierr
-				}
-				atomic.AddUint64(&e.stats.LeafRetireRepairs, 1)
-			}
-			return nil
-		})
+	if err := e.retire(&st, locked, ed, wire.Slot{Present: true, Leaf: true, KeyByte: ed.b, Addr: newAddr}.Encode()); err != nil {
 		return err
 	}
 	h.UpdatedLeaf(key, newAddr, uint8(wire.LeafSize(len(key), len(value))/wire.LeafUnit))
@@ -857,8 +800,9 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) err
 // lock the leaf with one CAS on its header word, then write the whole new
 // image — new value, new checksum, Idle status — in one WRITE that doubles
 // as the lock release (WriteLockedLeaf). A lock whose holder crashed is
-// broken, for ReadLeaf's reason: the old image is intact underneath.
-func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
+// broken, as ReadLeaf breaks it: when via, where the walk found the leaf,
+// still names it.
+func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte, via Via) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
 	l := lockOf(leaf)
 	var bo *fabric.Backoff // started by the first lost attempt
@@ -880,8 +824,12 @@ func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 			return fmt.Errorf("update: leaf %v invalidated: %w", leaf.Addr, ErrRestart)
 		case wire.StatusLocked:
 			if e.ownerCrashed(wire.LeafLockOwner(l.Seen)) {
-				if err := e.breakLeafLock(leaf.Addr, l.Seen); err != nil {
+				on, err := e.breakLeafLock(leaf.Addr, l.Seen, via)
+				if err != nil {
 					return err
+				}
+				if !on {
+					return fmt.Errorf("update: leaf %v off the tree: %w", leaf.Addr, ErrRestart)
 				}
 			}
 		}
@@ -892,61 +840,26 @@ func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte) error {
 }
 
 // DeleteFrom removes key, reporting whether it was present (paper §IV
-// Delete: invalidate the leaf, then clear the parent slot).
+// Delete): the leaf's lock rides the node's lock batch, and one commit clears
+// the slot and retires the leaf (retire).
 func (e *Engine) DeleteFrom(start *Node, key []byte, h Hooks) (bool, error) {
 	at, err := e.descend("delete", start, key, h)
 	if err != nil || at.kind != landLeaf || !bytes.Equal(at.leaf.Key, key) {
 		return false, err
 	}
-	locked, err := e.lockVerified(at.n)
+	st := e.stage()
+	st.retiring(at.leaf, nil)
+	locked, _, err := e.lockNodes(at.n, nil, &st)
 	if err != nil {
 		return false, err
 	}
-	ed, err := e.confirmEdge(nil, "delete", locked, nil, key, at.leaf.Addr)
+	ed, err := e.confirmEdge(&st, "delete", locked, nil, key, at.leaf.Addr)
 	if err != nil {
 		return false, err
 	}
-	if err := e.invalidateLeaf(at.leaf); err != nil {
-		return false, err
-	}
-	// The invalidation above was the commit point; drive the clear to
-	// completion so the slot does not linger pointing at a dead leaf
-	// (completeDelete repairs that state, but only when a descent
-	// happens to revisit this edge).
 	defer e.C.SetStage(e.C.SetStage(fabric.StageInstall))
-	if err := e.completeBatch(e.thenUnlock(e.slotWrite(locked, ed, 0), locked)); err != nil {
+	if err := e.retire(&st, locked, ed, 0); err != nil {
 		return false, err
 	}
 	return true, nil
-}
-
-// completeDelete finishes an interrupted delete on behalf of whoever
-// started it. A slot that still points at an invalidated leaf can only be
-// the residue of a delete that faulted between its commit point (the leaf
-// invalidation) and the slot clear: out-of-place updates repoint the slot
-// before retiring the old leaf, so under the node lock the pairing is
-// unambiguous. Clearing the slot here unblocks every descent through this
-// edge — without the repair, the tree answers ErrRestart on this key
-// forever. at is the edge as the caller's image of n has it. Reports
-// whether it cleared the slot; false means the edge moved on and the caller
-// should restart its descent.
-func (e *Engine) completeDelete(n *Node, at edge, leafAddr mem.Addr) (bool, error) {
-	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
-	locked, err := e.lockVerified(n)
-	if err != nil {
-		return false, err
-	}
-	ops := e.commitOps[:0]
-	ed := locked.edge(at.eol, at.b)
-	cleared := ed.slot.Leaf && ed.slot.Addr == leafAddr
-	if cleared {
-		ops = e.slotWrite(locked, ed, 0)
-	}
-	if err := e.C.Batch(e.thenUnlock(ops, locked)); err != nil {
-		return false, err
-	}
-	if cleared {
-		atomic.AddUint64(&e.stats.DeleteRepairs, 1)
-	}
-	return cleared, nil
 }

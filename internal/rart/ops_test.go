@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"sphinx/internal/consistenthash"
@@ -324,6 +325,9 @@ func TestWriteBudgets(t *testing.T) {
 		{"partial split", []string{"budget-a", "budget-b"}, "bud!", 2, 9, []string{"lock", "publish"}},
 		// W leaf + W grown + 2×(CAS,READ) | W parent slot + W invalidate + CAS unlock
 		{"type switch", []string{"budget-a", "budget-b", "budget-c", "budget-d"}, "budget-e", 2, 9, []string{"lock", "publish"}},
+		// W leaf + CAS,READ + CAS leaf | W slot + W Invalid + CAS unlock: a value
+		// that outgrows the leaf's units
+		{"out-of-place update", []string{"budget-a", "budget-b"}, "budget-a", 2, 7, []string{"lock", "leaf-write"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -351,7 +355,11 @@ func TestWriteBudgets(t *testing.T) {
 			start := root()
 			var log batchLog
 			c.SetObserver(&log)
-			if _, err := e.PutFrom(start, []byte(tc.key), []byte("v"), PutUpsert, NopHooks{}); err != nil {
+			value := []byte("v")
+			if slices.Contains(tc.setup, tc.key) {
+				value = bytes.Repeat(value, 100)
+			}
+			if _, err := e.PutFrom(start, []byte(tc.key), value, PutUpsert, NopHooks{}); err != nil {
 				t.Fatal(err)
 			}
 			c.SetObserver(nil)

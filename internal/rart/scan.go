@@ -395,7 +395,7 @@ func (s *scanner) gotLeaf(ent *scanEnt, buf []byte) error {
 		if ent.tries++; ent.tries <= scanTries {
 			return nil
 		}
-		l, err := s.e.ReadLeaf(ent.slot.Addr)
+		l, err := s.e.ReadLeaf(ent.slot.Addr, Via{ent.parent, ent.parent.Add(uint64(ent.off))})
 		if err != nil {
 			return err
 		}
@@ -471,25 +471,12 @@ func (s *scanner) followSlot(ent *scanEnt, word uint64) error {
 		ent.state = entDropped
 	case now.Addr != ent.slot.Addr || now.Leaf != ent.slot.Leaf:
 		ent.slot, ent.state, ent.want = now, entPending, 0
-	case now.Leaf:
-		// The slot still names the retired leaf. Updates and relocations
-		// swing the slot before they retire, so this is a delete past its
-		// commit point — if the parent image is current, which only its
-		// lock can tell: finish the delete as a point operation would.
-		parent := &Node{Addr: ent.parent, Hdr: wire.NodeHeader{Type: ent.ptype, Depth: ent.base - 1}}
-		cleared, err := s.e.completeDelete(parent, edge{eol: ent.off == wire.EOLSlotOff, b: now.KeyByte}, now.Addr)
-		if err != nil {
-			return err
-		}
-		if !cleared {
-			return fmt.Errorf("scan: retired leaf %v still linked: %w", now.Addr, ErrRestart)
-		}
-		ent.state = entDropped
 	default:
-		// The slot still names the node: the parent image is itself stale
-		// (retired with this child in it), or a split is between its two
-		// writes. The tries bound the wait.
-		return s.again(ent, false, "node retired under a stale parent")
+		// The slot still names the retired object, so the parent image is
+		// itself stale — retired with it in it: a leaf leaves the tree before
+		// it is retired — or a split is between its two writes. The tries
+		// bound the wait.
+		return s.again(ent, false, "retired under a stale parent")
 	}
 	return nil
 }

@@ -85,11 +85,11 @@ func TestScanSurvivesLeafMove(t *testing.T) {
 	// node "k/".
 	var kvs []KV
 	var err, rerr error
-	sw := &fabrictest.Switch{Match: func(s fabrictest.Step) bool { return s.BatchEnd && s.Stage == fabric.StageScan }}
+	sw := fabrictest.Switch(0, func(s fabrictest.Step) bool { return s.BatchEnd && s.Stage == fabric.StageScan })
 	fabrictest.Run(f, sw, fabrictest.Proc{C: e.C, Fn: func() { kvs, err = e.ScanFrom(start, []byte("k/"), nil, 0, true) }},
 		fabrictest.Proc{Fn: func() { _, rerr = rival.PutFrom(root(rival), []byte("k/a"), []byte(big), PutUpsert, NopHooks{}) }})
-	if err != nil || rerr != nil || sw.At == nil {
-		t.Fatalf("scan: %v; rival update: %v, at %+v", err, rerr, sw.At)
+	if err != nil || rerr != nil || sw.Turns[0].At == nil {
+		t.Fatalf("scan: %v; rival update: %v, at %+v", err, rerr, sw.Turns[0].At)
 	}
 	if got := scanKeys(kvs); got != "k/a k/b k/c k/d" {
 		t.Fatalf("scan across an out-of-place update returned %q", got)
@@ -119,31 +119,33 @@ func TestScanSurvivesPartialSplit(t *testing.T) {
 	}
 }
 
-// TestScanFinishesInterruptedDelete: a leaf retired by a delete whose slot
-// clear never happened (the deleter crashed past its commit point) is absent,
-// and the scan says so after finishing the delete, instead of restarting on
-// the dead edge forever.
+// TestScanFinishesInterruptedDelete: a scan over a delete whose client crashed
+// at any of its verbs returns k/b exactly when a search finds it — still "v"
+// before the delete's commit, gone after — instead of restarting on the edge
+// the cut left behind.
 func TestScanFinishesInterruptedDelete(t *testing.T) {
-	e, root := testEngine(t, Config{})
-	for _, k := range []string{"k/a", "k/b", "k/c"} {
-		mustPut(t, e, root, k, "v")
+	verbs, seen := deleteVerbs(t), map[string]bool{}
+	for at := uint64(0); at < verbs; at++ {
+		f, ring, root := interruptedDelete(t, at)
+		e := engineOn(f, ring)
+		kvs, err := e.ScanFrom(root(e), []byte("k/"), []byte("k/~"), 0, true)
+		if err != nil {
+			t.Fatalf("cut at verb %d: %v", at, err)
+		}
+		want := "k/a k/c"
+		if v, ok := mustGet(t, e, func() *Node { return root(e) }, "k/b"); ok {
+			if v != "v" {
+				t.Fatalf("cut at verb %d: k/b reads %q", at, v)
+			}
+			want = "k/a k/b k/c"
+		}
+		if got := scanKeys(kvs); got != want {
+			t.Errorf("cut at verb %d: scan over a half-deleted key returned %q, want %q", at, got, want)
+		}
+		seen[want] = true
 	}
-	leaf, err := e.SearchFrom(root(), []byte("k/b"), NopHooks{})
-	if err != nil || leaf == nil {
-		t.Fatal(leaf, err)
-	}
-	if err := e.invalidateLeaf(leaf); err != nil {
-		t.Fatal(err)
-	}
-	kvs, err := e.ScanFrom(root(), nil, nil, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := scanKeys(kvs); got != "k/a k/c" {
-		t.Fatalf("scan over a half-deleted key returned %q", got)
-	}
-	if st := e.Stats(); st.DeleteRepairs != 1 {
-		t.Errorf("DeleteRepairs = %d, want 1", st.DeleteRepairs)
+	if len(seen) != 2 {
+		t.Errorf("scans returned %v across the cuts; want cuts on both sides of the delete's commit", seen)
 	}
 }
 

@@ -17,9 +17,7 @@ func handLoadedEngineStats(e *Engine) EngineStats {
 		Restarts:          atomic.LoadUint64(&e.stats.Restarts),
 		LockSteals:        atomic.LoadUint64(&e.stats.LockSteals),
 		LeafLockBreaks:    atomic.LoadUint64(&e.stats.LeafLockBreaks),
-		DeleteRepairs:     atomic.LoadUint64(&e.stats.DeleteRepairs),
 		PublishRetries:    atomic.LoadUint64(&e.stats.PublishRetries),
-		LeafRetireRepairs: atomic.LoadUint64(&e.stats.LeafRetireRepairs),
 		AbandonedObjects:  atomic.LoadUint64(&e.stats.AbandonedObjects),
 		AbandonedBytes:    atomic.LoadUint64(&e.stats.AbandonedBytes),
 		LeaseBets:         atomic.LoadUint64(&e.stats.LeaseBets),
@@ -41,7 +39,7 @@ func countedEngine(b *testing.B) *Engine {
 	ring := consistenthash.New([]mem.NodeID{f.AddNode(1 << 20)}, 8)
 	c := f.NewClient()
 	e := NewEngine(c, mem.NewAllocator(c, 0), ring, Config{})
-	e.stats = EngineStats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	e.stats = EngineStats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
 	if got, want := e.Stats(), handLoadedEngineStats(e); got != want || got != e.stats {
 		b.Fatalf("Engine.Stats() = %+v, hand-written loader = %+v", got, want)
 	}
