@@ -84,23 +84,34 @@ func Bootstrap(f *fabric.Fabric, ring *consistenthash.Ring, expectedKeys int) (S
 
 // FilterCache is the per-compute-node Succinct Filter Cache: a cuckoo
 // filter shared by all workers of one CN (paper §III-B, "a lightweight
-// per-CN cache"). It is lock-free — Contains is two atomic bucket loads
-// (plus a best-effort CAS marking hotness), so the read-dominant warm path
-// scales with the CN's cores instead of funnelling every worker through
-// one lock.
+// per-CN cache"), whose Contains, Insert (learn a prefix hash) and Delete
+// (unlearn one after a detected false positive) are the filter's own.
+// Contains takes no lock — two atomic bucket loads plus a best-effort CAS
+// marking hotness — so the read-dominant warm path scales with the CN's
+// cores instead of funnelling every worker through one lock.
 type FilterCache struct {
-	f *cuckoo.Filter
+	*cuckoo.Filter
 }
 
 // NewFilterCache creates a filter cache with capacity for n prefixes.
 func NewFilterCache(n int, seed uint64) *FilterCache {
-	return &FilterCache{f: cuckoo.New(n, seed)}
+	return &FilterCache{cuckoo.New(n, seed)}
 }
 
-// NewFilterCacheBytes creates a filter cache bounded by a CN-side memory
-// budget (the quantity the paper's evaluation fixes at 20 MB).
+// NewFilterCacheBytes creates a filter cache of a CN-side memory budget (the
+// quantity the paper's evaluation fixes at 20 MB), allocated whole: the
+// filter starts at the budget and never grows. A compute node sizes its
+// cache with NewFilterCacheFor, which treats the budget as a ceiling.
 func NewFilterCacheBytes(budget uint64, seed uint64) *FilterCache {
 	return NewFilterCacheBytesPolicy(budget, seed, cuckoo.PolicySecondChance)
+}
+
+// NewFilterCacheFor creates the filter cache of a compute node of a cluster
+// expected to hold expectedKeys keys. The budget is a ceiling: the filter
+// starts at the size those keys need (two slots, 4 bytes, per key) and
+// doubles toward the budget as the index outgrows it (cuckoo.NewGrowing).
+func NewFilterCacheFor(expectedKeys int, budget, seed uint64) *FilterCache {
+	return &FilterCache{cuckoo.NewGrowing(expectedKeys, max(budget, 16), seed)}
 }
 
 // NewFilterCacheBytesPolicy additionally selects the eviction policy —
@@ -109,41 +120,16 @@ func NewFilterCacheBytes(budget uint64, seed uint64) *FilterCache {
 // 8-byte bucket word): cuckoo bucket counts are not constrained to powers
 // of two, so none of the budget is lost to rounding.
 func NewFilterCacheBytesPolicy(budget uint64, seed uint64, policy cuckoo.Policy) *FilterCache {
-	return &FilterCache{f: cuckoo.NewBytesPolicy(max(budget, 16), seed, policy)}
+	return &FilterCache{cuckoo.NewBytesPolicy(max(budget, 16), seed, policy)}
 }
-
-// Contains checks a prefix hash, marking it hot on a hit.
-func (fc *FilterCache) Contains(h uint64) bool {
-	return fc.f.Contains(h)
-}
-
-// Insert learns a prefix hash.
-func (fc *FilterCache) Insert(h uint64) {
-	fc.f.Insert(h)
-}
-
-// Delete unlearns a prefix hash (after a detected false positive).
-func (fc *FilterCache) Delete(h uint64) {
-	fc.f.Delete(h)
-}
-
-// SizeBytes returns the filter's memory footprint.
-func (fc *FilterCache) SizeBytes() uint64 { return fc.f.SizeBytes() }
 
 // FilterStats returns the underlying filter counters.
-func (fc *FilterCache) FilterStats() cuckoo.Stats { return fc.f.Stats() }
+func (fc *FilterCache) FilterStats() cuckoo.Stats { return fc.Stats() }
 
 // Occupancy returns the filter's occupied slots and total slot capacity.
 func (fc *FilterCache) Occupancy() (occupied, capacity uint64) {
-	return fc.f.Occupancy(), uint64(fc.f.Capacity())
+	return fc.Filter.Occupancy(), uint64(fc.Capacity())
 }
-
-// Load returns the filter's occupied-slot fraction.
-func (fc *FilterCache) Load() float64 { return fc.f.Load() }
-
-// AnalyticFPBound returns the filter's analytic false-positive bound at
-// its current load.
-func (fc *FilterCache) AnalyticFPBound() float64 { return fc.f.AnalyticFPBound() }
 
 // Options tunes one Sphinx client. Every pointer names something the
 // client's compute node holds; a nil one is a tier the client runs without.

@@ -33,6 +33,10 @@ var (
 	// degraded. It means more simultaneous MN losses than the replication
 	// factor tolerates.
 	ErrReplicaSetUnavailable = errors.New("core: replica set unavailable")
+
+	// ErrValueTooLarge is returned by a write whose leaf would exceed
+	// wire.MaxLeafUnits, before any round trip is paid: nothing is written.
+	ErrValueTooLarge = errors.New("core: value too large")
 )
 
 // exhausted builds the terminal error for an operation that ran out of

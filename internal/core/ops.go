@@ -218,13 +218,17 @@ func (c *Client) noteAbandoned(objects, bytes *uint64) {
 	*objects, *bytes = o, b
 }
 
-// begin starts an outermost operation on key: the key is checked, and the
-// engine's image arena rewound — what the client's last operation read is dead
-// from here on (DESIGN.md §5.7). Nested reads (hot promotion's searchTree,
-// anchorGet) never call it.
-func (c *Client) begin(key []byte) error {
+// begin starts an outermost operation on key: the key is checked, and so is
+// the leaf a write of value would build (nil for an operation that writes
+// none), and the engine's image arena rewound — what the client's last
+// operation read is dead from here on (DESIGN.md §5.7). Nested reads (hot
+// promotion's searchTree, anchorGet) never call it.
+func (c *Client) begin(key, value []byte) error {
 	if len(key) == 0 || len(key) > wire.MaxDepth {
 		return fmt.Errorf("core: key length %d out of range [1,%d]", len(key), wire.MaxDepth)
+	}
+	if wire.LeafSize(len(key), len(value)) > wire.MaxLeafUnits*wire.LeafUnit {
+		return fmt.Errorf("%w: %d-byte value for %q", ErrValueTooLarge, len(value), key)
 	}
 	c.eng.Rewind()
 	return nil
@@ -360,7 +364,7 @@ func (c *Client) noteReplicas(s *recordStore) {
 // tier: one hash-entry round trip, one inner-node round trip, one leaf round
 // trip.
 func (c *Client) Search(key []byte) ([]byte, bool, error) {
-	if err := c.begin(key); err != nil {
+	if err := c.begin(key, nil); err != nil {
 		return nil, false, err
 	}
 	atomic.AddUint64(&c.stats.Searches, 1)
@@ -654,7 +658,7 @@ func (c *Client) collided(key, leafKey []byte, startLen int) bool {
 // validated operations only, so malformed arguments do not skew per-op
 // metrics (same policy as Scan).
 func (c *Client) Insert(key, value []byte) (bool, error) {
-	if err := c.begin(key); err != nil {
+	if err := c.begin(key, value); err != nil {
 		return false, err
 	}
 	atomic.AddUint64(&c.stats.Inserts, 1)
@@ -665,7 +669,7 @@ func (c *Client) Insert(key, value []byte) (bool, error) {
 // when the new value fits the leaf, out of place otherwise). It reports
 // whether the key was present.
 func (c *Client) Update(key, value []byte) (bool, error) {
-	if err := c.begin(key); err != nil {
+	if err := c.begin(key, value); err != nil {
 		return false, err
 	}
 	atomic.AddUint64(&c.stats.Updates, 1)
@@ -775,7 +779,7 @@ func (c *Client) degradedPut(key, value []byte, mode rart.PutMode) (bool, error)
 
 // Delete removes key (paper §IV Delete), reporting whether it was present.
 func (c *Client) Delete(key []byte) (bool, error) {
-	if err := c.begin(key); err != nil {
+	if err := c.begin(key, nil); err != nil {
 		return false, err
 	}
 	atomic.AddUint64(&c.stats.Deletes, 1)

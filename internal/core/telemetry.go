@@ -50,7 +50,7 @@ func (s *IndexSources) FilterStats() cuckoo.Stats {
 }
 
 // FilterOccupancy sums slot occupancy across the filter caches; the analytic
-// false-positive bound is averaged (the caches share one geometry).
+// false-positive bound is averaged over them.
 func (s *IndexSources) FilterOccupancy() (occupied, capacity uint64, load, bound float64) {
 	for _, f := range s.Filters {
 		o, c := f.Occupancy()
@@ -148,7 +148,7 @@ func (s *IndexSources) gauges(family string) map[string]float64 {
 		// Entries currently carrying the second-chance hotness bit: the
 		// prefixes the filter's eviction passes over once.
 		for _, f := range s.Filters {
-			g["hot_entries"] += float64(f.f.HotEntries())
+			g["hot_entries"] += float64(f.HotEntries())
 		}
 		// Probes count the filters' whole traffic; false positives and hits
 		// count the clients behind Stats. Where those are all the filters'

@@ -93,7 +93,7 @@ func TestAddSubLoad(t *testing.T) {
 		walked[rart.EngineStats, [14]uint64](t, rng)
 		walked[core.Stats, [48]uint64](t, rng)
 		walked[core.LACStats, [7]uint64](t, rng)
-		walked[cuckoo.Stats, [10]uint64](t, rng)
+		walked[cuckoo.Stats, [12]uint64](t, rng)
 	}
 }
 

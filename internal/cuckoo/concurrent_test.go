@@ -2,6 +2,7 @@ package cuckoo
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sphinx/internal/wire"
@@ -62,8 +63,8 @@ func TestConcurrentChurnInvariants(t *testing.T) {
 			t.Fatalf("policy %d: occupancy %d != inserts-evictions-deletes %d (stats %+v)",
 				policy, occ, want, st)
 		}
-		for i := range f.buckets {
-			w := f.buckets[i].Load()
+		for i := range f.tab.Load().buckets {
+			w := f.tab.Load().buckets[i].Load()
 			for s := 0; s < SlotsPerBucket; s++ {
 				e := slotOf(w, s)
 				if e != 0 && e&fpMask == 0 {
@@ -140,13 +141,14 @@ func TestAltIndexInvolutionNonPowerOfTwo(t *testing.T) {
 		f := NewBytes(budget, 1)
 		for i := 0; i < 10_000; i++ {
 			h := wire.Mix64(uint64(i) * 0x9e3779b97f4a7c15)
+			tb := f.tab.Load()
 			fpv := fp(h)
-			i1 := f.index(h)
-			i2 := f.altIndex(i1, fpv)
-			if i1 >= f.nBuckets || i2 >= f.nBuckets {
-				t.Fatalf("budget %d: index out of range (%d, %d of %d)", budget, i1, i2, f.nBuckets)
+			i1 := tb.index(h)
+			i2 := tb.altIndex(i1, fpv)
+			if i1 >= tb.nBuckets || i2 >= tb.nBuckets {
+				t.Fatalf("budget %d: index out of range (%d, %d of %d)", budget, i1, i2, tb.nBuckets)
 			}
-			if back := f.altIndex(i2, fpv); back != i1 {
+			if back := tb.altIndex(i2, fpv); back != i1 {
 				t.Fatalf("budget %d: altIndex not an involution: %d → %d → %d", budget, i1, i2, back)
 			}
 		}
@@ -208,4 +210,47 @@ func BenchmarkInsertParallel(b *testing.B) {
 			f.Insert(next())
 		}
 	})
+}
+
+// BenchmarkMutationMixParallel measures a CN's filter traffic — half
+// Contains, two fifths Insert, one tenth Delete over 16 384 keys, the filter
+// a quarter full — on a filter below its budget ("growing", which can still
+// double) and on one of the same size built at its budget ("fixed"). Run it
+// at -cpu 1,4,8: the two should cost the same, because a filter that can
+// double serializes its mutations nowhere but in the doubling itself.
+func BenchmarkMutationMixParallel(b *testing.B) {
+	const keys = 1 << 14
+	for _, c := range []struct {
+		name string
+		f    *Filter
+	}{
+		{"growing", NewGrowing(2*keys, 16<<20, 1)},
+		{"fixed", NewBytes(NewGrowing(2*keys, 16<<20, 1).SizeBytes(), 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			f := c.f
+			for i := 0; i < keys; i++ {
+				f.Insert(wire.Mix64(uint64(i)))
+			}
+			var lane atomic.Uint64
+			b.RunParallel(func(pb *testing.PB) {
+				i := lane.Add(1) << 20
+				for pb.Next() {
+					h := wire.Mix64(i % keys)
+					switch i % 10 {
+					case 0:
+						f.Delete(h)
+					case 1, 2, 3, 4:
+						f.Insert(h)
+					default:
+						sinkBool = f.Contains(h)
+					}
+					i += 7
+				}
+			})
+			if g := f.Stats().Grows; g != 0 {
+				b.Fatalf("%d doublings: the mix must stay below the threshold", g)
+			}
+		})
+	}
 }

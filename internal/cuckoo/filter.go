@@ -9,18 +9,23 @@
 // tracked prefix versus the 40–2056 bytes per node of node-based caching —
 // the space argument of the paper.
 //
-// The filter is lock-free and safe for concurrent use by all workers of a
-// compute node: each 4-slot bucket is one 64-bit word mutated only by
-// whole-word compare-and-swap, so a reader can never observe a torn
-// fingerprint. Races are resolved in the direction that is always safe
-// for a cache — a lost race may drop an entry or a hotness mark, both
-// re-learned on the next traversal. See DESIGN.md §5.10 for the word
-// layout and the per-operation CAS protocols.
+// A filter's byte budget is a ceiling, not an allocation: a filter may start
+// smaller and double toward it (NewGrowing).
+//
+// The filter is safe for concurrent use by all workers of a compute node,
+// and Contains takes no lock: each 4-slot bucket is one 64-bit word mutated
+// only by whole-word compare-and-swap, so a reader can never observe a torn
+// fingerprint. Races are resolved in the direction that is always safe for
+// a cache — a lost race may drop an entry or a hotness mark, both re-learned
+// on the next traversal. A doubling swaps in a new table with one more
+// compare-and-swap, on the filter's table pointer. See DESIGN.md §5.10 for
+// the word layout, the per-operation CAS protocols and the doubling.
 package cuckoo
 
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -61,10 +66,12 @@ type Stats struct {
 	Misses      uint64 // Contains == false
 	SecondWins  uint64 // inserts resolved by replacing a cold (hot=0) entry
 	Relocations uint64 // entries moved by cuckoo kicks
-	Evictions   uint64 // entries dropped (cold replacement or kick overflow)
+	Evictions   uint64 // entries dropped (cold replacement, kick overflow or a doubling)
 	KickDrops   uint64 // evictions caused by kick-chain overflow specifically
 	HotMarks    uint64 // cold→hot transitions (hotness-bit churn)
 	Deletes     uint64 // successful deletes
+	Grows       uint64 // doublings
+	GrowDrops   uint64 // evictions by doublings: the entries of the tables they replaced
 }
 
 // counter is an atomic event counter padded out to its own cache line:
@@ -96,8 +103,7 @@ const (
 // cache is per-CN and shared by that CN's workers; the sphinx core hands
 // this structure to them directly.
 type Filter struct {
-	nBuckets uint64
-	policy   Policy
+	policy Policy
 	// rng is the shared replacement-randomness state: a Weyl sequence
 	// advanced by one wait-free atomic add per decision. Concurrent
 	// callers may draw from the same state value — that merely correlates
@@ -107,16 +113,34 @@ type Filter struct {
 	inserts, duplicates, hits, misses, secondWins counter
 	relocations, evictions, kickDrops             counter
 	hotMarks, deletes                             counter
-	// occupied is the live occupied-slot gauge, maintained symmetrically
-	// by tying every movement to exactly one successful CAS transition:
-	// empty→full adds one, full→empty subtracts one, full→full overwrites
-	// (evictions, kicks) are net zero. The churn tests cross-check it
-	// against a full scan and against inserts−evictions−deletes, in both
-	// single-threaded and hammered-concurrent runs.
-	occupied counter
-	// buckets holds one 64-bit word per bucket: 4 slots × 16 bits, slot s
-	// in bits [16s, 16s+16). All mutations are whole-word CAS.
-	buckets []atomic.Uint64
+	// budget is the bucket count of the last table on the doubling
+	// schedule; tab names the current table.
+	budget uint64
+	tab    atomic.Pointer[table]
+	// growing admits one doubling at a time: every insert that claims a
+	// slot past half a table calls grow until the new table is stored, and
+	// only the one holding growing allocates it; the others return.
+	growing sync.Mutex
+}
+
+// table is one size of the filter: one 64-bit word per bucket, 4 slots ×
+// 16 bits, slot s in bits [16s, 16s+16). All mutations are whole-word CAS.
+type table struct {
+	nBuckets uint64
+	buckets  []atomic.Uint64
+	// occupied is the table's live occupied-slot gauge, maintained
+	// symmetrically by tying every movement to exactly one successful CAS
+	// transition: empty→full adds one, full→empty subtracts one,
+	// full→full overwrites (evictions, kicks) are net zero. The churn tests
+	// cross-check it against a full scan and against
+	// inserts−evictions−deletes, in both single-threaded and
+	// hammered-concurrent runs.
+	occupied *counter
+	// dropped holds the gauges of the tables the doublings replaced, oldest
+	// first: what they hold is what the doublings dropped. A mutation that
+	// loaded a table before its doubling lands in it and moves its gauge,
+	// so the drops stay exact without a lock on the mutations.
+	dropped []*counter
 }
 
 // New creates a filter with capacity for at least n entries at ~95% load,
@@ -141,7 +165,7 @@ func NewWithPolicy(n int, seed uint64, policy Policy) *Filter {
 	for nb < want {
 		nb <<= 1
 	}
-	return newFilter(nb, seed, policy)
+	return newFilter(nb, nb, seed, policy)
 }
 
 // NewBytes creates a filter whose entry array fills the byte budget as
@@ -157,31 +181,52 @@ func NewBytes(budget uint64, seed uint64) *Filter {
 // involution, both of which work for any modulus), so SizeBytes() lands
 // within one 8-byte bucket word of the budget.
 func NewBytesPolicy(budget uint64, seed uint64, policy Policy) *Filter {
-	return newFilter(budget/8, seed, policy)
+	return newFilter(budget/8, budget/8, seed, policy)
 }
 
-func newFilter(nb uint64, seed uint64, policy Policy) *Filter {
-	if nb < 1 {
-		nb = 1
+// NewGrowing creates a second-chance filter whose byte budget is a ceiling:
+// it starts at the smallest size on its doubling schedule with two slots per
+// expected entry (4 bytes each) and doubles once half its slots are
+// occupied. The schedule is the budget's bucket count halved down to that
+// start, so the last table lands within 2^doublings bucket words of the
+// budget — exactly on a power-of-two budget. With more entries expected
+// than the budget holds at two slots each, the filter starts at the budget.
+// SizeBytes reports the current table; during a doubling the old one stays
+// allocated until it is collected, so memory briefly peaks at 1.5× the new
+// table.
+func NewGrowing(expected int, budget, seed uint64) *Filter {
+	start, doublings := budget/8, 0
+	for start/2*SlotsPerBucket >= 2*uint64(max(expected, 1)) {
+		start, doublings = start/2, doublings+1
 	}
-	f := &Filter{
-		nBuckets: nb,
-		policy:   policy,
-		buckets:  make([]atomic.Uint64, nb),
-	}
+	return newFilter(start, start<<doublings, seed, PolicySecondChance)
+}
+
+func newFilter(start, budget uint64, seed uint64, policy Policy) *Filter {
+	f := &Filter{policy: policy, budget: max(budget, 1)}
+	f.tab.Store(newTable(max(start, 1)))
 	f.rng.Store(seed | 1)
 	return f
 }
 
-// SizeBytes returns the memory footprint of the filter's entry array — the
-// number the CN-side cache budget is charged with.
-func (f *Filter) SizeBytes() uint64 { return f.nBuckets * 8 }
+func newTable(nb uint64) *table {
+	return &table{nBuckets: nb, buckets: make([]atomic.Uint64, nb), occupied: new(counter)}
+}
 
-// Capacity returns the number of slots in the filter.
-func (f *Filter) Capacity() int { return int(f.nBuckets * SlotsPerBucket) }
+// SizeBytes returns the memory footprint of the filter's current entry
+// array — the number the CN-side cache budget is charged with.
+func (f *Filter) SizeBytes() uint64 { return f.tab.Load().nBuckets * 8 }
+
+// Capacity returns the number of slots in the filter's current table.
+func (f *Filter) Capacity() int { return int(f.tab.Load().nBuckets * SlotsPerBucket) }
 
 // Stats returns a snapshot of the filter's counters.
 func (f *Filter) Stats() Stats {
+	var drops uint64
+	t := f.tab.Load()
+	for _, d := range t.dropped {
+		drops += d.Load()
+	}
 	return Stats{
 		Inserts:     f.inserts.Load(),
 		Duplicates:  f.duplicates.Load(),
@@ -189,16 +234,18 @@ func (f *Filter) Stats() Stats {
 		Misses:      f.misses.Load(),
 		SecondWins:  f.secondWins.Load(),
 		Relocations: f.relocations.Load(),
-		Evictions:   f.evictions.Load(),
+		Evictions:   f.evictions.Load() + drops,
 		KickDrops:   f.kickDrops.Load(),
 		HotMarks:    f.hotMarks.Load(),
 		Deletes:     f.deletes.Load(),
+		Grows:       uint64(len(t.dropped)),
+		GrowDrops:   drops,
 	}
 }
 
 // Occupancy returns the current number of occupied slots, maintained
 // incrementally (no scan).
-func (f *Filter) Occupancy() uint64 { return f.occupied.Load() }
+func (f *Filter) Occupancy() uint64 { return f.tab.Load().occupied.Load() }
 
 // fp derives the non-zero 12-bit fingerprint from a 64-bit item hash.
 func fp(hash uint64) uint16 {
@@ -214,17 +261,17 @@ func fp(hash uint64) uint16 {
 // bits, which in the raw hash are the fingerprint bits, and a bucket
 // index correlated with its own fingerprint would collapse the filter's
 // false-positive behaviour.
-func (f *Filter) index(hash uint64) uint64 { return reduce(mix(hash), f.nBuckets) }
+func (t *table) index(hash uint64) uint64 { return reduce(mix(hash), t.nBuckets) }
 
 // altIndex derives the partner bucket from a bucket and a fingerprint
 // (partial-key cuckoo hashing). Instead of the classic XOR trick, which
 // requires a power-of-two bucket count, it uses the subtractive form
 // i2 = (h(fp) − i1) mod n — an involution for any n, which is what lets
 // NewBytesPolicy hit arbitrary byte budgets exactly.
-func (f *Filter) altIndex(i uint64, fingerprint uint16) uint64 {
-	d := reduce(mix(uint64(fingerprint)), f.nBuckets) + f.nBuckets - i
-	if d >= f.nBuckets {
-		d -= f.nBuckets
+func (t *table) altIndex(i uint64, fingerprint uint16) uint64 {
+	d := reduce(mix(uint64(fingerprint)), t.nBuckets) + t.nBuckets - i
+	if d >= t.nBuckets {
+		d -= t.nBuckets
 	}
 	return d
 }
@@ -261,16 +308,17 @@ func withSlot(w uint64, s int, e uint16) uint64 {
 // the mark is skipped — losing a hot-mark is harmless and the next hit
 // retries.
 func (f *Filter) Contains(hash uint64) bool {
+	t := f.tab.Load()
 	fpv := fp(hash)
-	i1 := f.index(hash)
+	i1 := t.index(hash)
 	// The alternate index is derived lazily: most hits land in the
 	// primary bucket, and altIndex costs a multiply-mix the hot read
 	// path shouldn't pay unless the primary probe comes up empty.
-	if f.probe(i1, fpv) {
+	if f.probe(t, i1, fpv) {
 		f.hits.Add(1)
 		return true
 	}
-	if f.probe(f.altIndex(i1, fpv), fpv) {
+	if f.probe(t, t.altIndex(i1, fpv), fpv) {
 		f.hits.Add(1)
 		return true
 	}
@@ -284,8 +332,9 @@ func (f *Filter) Contains(hash uint64) bool {
 // Intended for gauges, not per-op paths.
 func (f *Filter) HotEntries() uint64 {
 	var n uint64
-	for b := range f.buckets {
-		w := f.buckets[b].Load()
+	t := f.tab.Load()
+	for b := range t.buckets {
+		w := t.buckets[b].Load()
 		for s := 0; s < SlotsPerBucket; s++ {
 			if e := slotOf(w, s); e&fpMask != 0 && e&hotBit != 0 {
 				n++
@@ -297,12 +346,12 @@ func (f *Filter) HotEntries() uint64 {
 
 // probe scans one bucket for fpv and hot-marks a cold match (one
 // best-effort CAS, skipped on contention).
-func (f *Filter) probe(b uint64, fpv uint16) bool {
-	w := f.buckets[b].Load()
+func (f *Filter) probe(t *table, b uint64, fpv uint16) bool {
+	w := t.buckets[b].Load()
 	for s := 0; s < SlotsPerBucket; s++ {
 		e := slotOf(w, s)
 		if e&fpMask == fpv {
-			if e&hotBit == 0 && f.buckets[b].CompareAndSwap(w, withSlot(w, s, e|hotBit)) {
+			if e&hotBit == 0 && t.buckets[b].CompareAndSwap(w, withSlot(w, s, e|hotBit)) {
 				f.hotMarks.Add(1)
 			}
 			return true
@@ -311,55 +360,73 @@ func (f *Filter) probe(b uint64, fpv uint16) bool {
 	return false
 }
 
+// claim puts fpv into a free slot of the emptier of buckets i1 and i2 (i1
+// on a tie). full: both buckets are full; otherwise won reports the CAS,
+// which loses when a racing writer changed the bucket.
+func (t *table) claim(i1, i2 uint64, fpv uint16) (full, won bool) {
+	b, w := i1, t.buckets[i1].Load()
+	s, n := empties(w)
+	w2 := t.buckets[i2].Load()
+	if s2, n2 := empties(w2); n2 > n {
+		b, w, s = i2, w2, s2
+	}
+	if s < 0 {
+		return true, false
+	}
+	return false, t.buckets[b].CompareAndSwap(w, withSlot(w, s, fpv))
+}
+
+// empties returns a bucket word's first empty slot (-1 when it is full)
+// and how many it has.
+func empties(w uint64) (first, n int) {
+	first = -1
+	for s := SlotsPerBucket - 1; s >= 0; s-- {
+		if slotOf(w, s) == 0 {
+			first, n = s, n+1
+		}
+	}
+	return first, n
+}
+
 // Insert adds an item by hash. It returns false only if the item could not
 // be stored — kick-chain overflow, or (under concurrency) persistent CAS
 // contention — which, for a cache, still leaves the filter correct; the
 // return value exists for accounting. Duplicate fingerprints in the
-// candidate buckets are not re-inserted.
+// candidate buckets are not re-inserted. An insert that leaves half the
+// slots of a table short of the budget occupied doubles it.
 func (f *Filter) Insert(hash uint64) bool {
+	t := f.tab.Load()
+	ok, claimed := f.insert(t, hash)
+	if claimed && t.nBuckets < f.budget && 2*t.occupied.Load() >= t.nBuckets*SlotsPerBucket {
+		f.grow(t)
+	}
+	return ok
+}
+
+// insert is Insert on table t; claimed reports an empty slot taken.
+func (f *Filter) insert(t *table, hash uint64) (ok, claimed bool) {
 	fpv := fp(hash)
-	i1 := f.index(hash)
-	i2 := f.altIndex(i1, fpv)
+	i1 := t.index(hash)
+	i2 := t.altIndex(i1, fpv)
 	for spin := 0; spin < maxSpins; spin++ {
 		// Already present (same fp in a candidate bucket) → refresh
 		// hotness, best effort like Contains.
-		for _, b := range [2]uint64{i1, i2} {
-			w := f.buckets[b].Load()
-			for s := 0; s < SlotsPerBucket; s++ {
-				e := slotOf(w, s)
-				if e&fpMask == fpv {
-					if e&hotBit == 0 && f.buckets[b].CompareAndSwap(w, withSlot(w, s, e|hotBit)) {
-						f.hotMarks.Add(1)
-					}
-					f.duplicates.Add(1)
-					return true
-				}
-			}
+		if f.probe(t, i1, fpv) || f.probe(t, i2, fpv) {
+			f.duplicates.Add(1)
+			return true, false
 		}
-		// Free slot in either bucket: new entries start cold (hot=0),
-		// matching the second-chance policy's "not recently used" initial
-		// state (paper §III-B). A lost CAS means the bucket changed —
-		// possibly a racing insert of this very fingerprint — so rescan
+		// A free slot in the emptier bucket: new entries start cold
+		// (hot=0), matching the second-chance policy's "not recently used"
+		// initial state (paper §III-B). A lost CAS means the bucket changed
+		// — possibly a racing insert of this very fingerprint — so rescan
 		// from the duplicate check.
-		lost := false
-		for _, b := range [2]uint64{i1, i2} {
-			w := f.buckets[b].Load()
-			for s := 0; s < SlotsPerBucket; s++ {
-				if slotOf(w, s) == 0 {
-					if f.buckets[b].CompareAndSwap(w, withSlot(w, s, fpv)) {
-						f.occupied.Add(1)
-						f.inserts.Add(1)
-						return true
-					}
-					lost = true
-					break
-				}
-			}
-			if lost {
-				break
-			}
+		full, won := t.claim(i1, i2, fpv)
+		if won {
+			t.occupied.Add(1)
+			f.inserts.Add(1)
+			return true, true
 		}
-		if lost {
+		if !full {
 			continue
 		}
 		// Both buckets full: evict per policy. Replacements overwrite the
@@ -370,34 +437,34 @@ func (f *Filter) Insert(hash uint64) bool {
 		if f.policy == PolicyRandom {
 			b := [2]uint64{i1, i2}[f.rand(2)]
 			s := f.rand(SlotsPerBucket)
-			w := f.buckets[b].Load()
+			w := t.buckets[b].Load()
 			victim := slotOf(w, s)
-			if !f.buckets[b].CompareAndSwap(w, withSlot(w, s, fpv)) {
+			if !t.buckets[b].CompareAndSwap(w, withSlot(w, s, fpv)) {
 				continue
 			}
 			f.inserts.Add(1)
 			if victim == 0 {
-				f.occupied.Add(1)
+				t.occupied.Add(1)
 			} else {
 				f.evictions.Add(1)
 			}
-			return true
+			return true, false
 		}
 		// Second chance: replace a random cold entry if one exists.
-		switch f.replaceCold(i1, i2, fpv) {
+		switch f.replaceCold(t, i1, i2, fpv) {
 		case replaceDone:
 			f.inserts.Add(1)
 			f.secondWins.Add(1)
 			f.evictions.Add(1)
-			return true
+			return true, false
 		case replaceLost:
 			continue
 		}
 		// All entries hot: cuckoo relocation. Relocated entries have their
 		// hotness reset, making them eligible for future eviction.
-		if f.relocate(i1, fpv) {
+		if f.relocate(t, i1, fpv) {
 			f.inserts.Add(1)
-			return true
+			return true, false
 		}
 		// Kick chain overflowed: the new item was placed by the first kick;
 		// the entry displaced at the end of the chain is dropped. One entry
@@ -405,13 +472,13 @@ func (f *Filter) Insert(hash uint64) bool {
 		f.inserts.Add(1)
 		f.evictions.Add(1)
 		f.kickDrops.Add(1)
-		return false
+		return false, false
 	}
 	// Persistent contention: every CAS lost for maxSpins rounds. Drop the
 	// new entry rather than spin unboundedly — always safe for a cache,
 	// and unreachable single-threaded. Nothing is counted, so the
 	// occupancy identity occupied == inserts−evictions−deletes holds.
-	return false
+	return false, false
 }
 
 type replaceResult int
@@ -424,7 +491,7 @@ const (
 
 // replaceCold overwrites one randomly chosen cold (hot=0, non-empty)
 // entry among the two candidate buckets with fpv.
-func (f *Filter) replaceCold(i1, i2 uint64, fpv uint16) replaceResult {
+func (f *Filter) replaceCold(t *table, i1, i2 uint64, fpv uint16) replaceResult {
 	var (
 		cb [2 * SlotsPerBucket]uint64 // bucket of each cold entry
 		cw [2 * SlotsPerBucket]uint64 // bucket word it was seen in
@@ -432,7 +499,7 @@ func (f *Filter) replaceCold(i1, i2 uint64, fpv uint16) replaceResult {
 	)
 	n := 0
 	for _, b := range [2]uint64{i1, i2} {
-		w := f.buckets[b].Load()
+		w := t.buckets[b].Load()
 		for s := 0; s < SlotsPerBucket; s++ {
 			e := slotOf(w, s)
 			if e != 0 && e&hotBit == 0 {
@@ -445,7 +512,7 @@ func (f *Filter) replaceCold(i1, i2 uint64, fpv uint16) replaceResult {
 		return replaceNoCold
 	}
 	j := f.rand(n)
-	if f.buckets[cb[j]].CompareAndSwap(cw[j], withSlot(cw[j], cs[j], fpv)) {
+	if t.buckets[cb[j]].CompareAndSwap(cw[j], withSlot(cw[j], cs[j], fpv)) {
 		return replaceDone
 	}
 	return replaceLost
@@ -456,35 +523,35 @@ func (f *Filter) replaceCold(i1, i2 uint64, fpv uint16) replaceResult {
 // eviction by the caller). Every hop is one whole-word CAS that swaps the
 // carried fingerprint for the victim; a lost CAS burns one kick and
 // retries, so the chain stays bounded under contention.
-func (f *Filter) relocate(i uint64, fpv uint16) bool {
+func (f *Filter) relocate(t *table, i uint64, fpv uint16) bool {
 	cur := fpv
 	b := i
 	for k := 0; k < MaxKicks; k++ {
 		s := f.rand(SlotsPerBucket)
-		w := f.buckets[b].Load()
+		w := t.buckets[b].Load()
 		victim := slotOf(w, s)
 		if victim == 0 {
 			// A racing delete emptied the slot since the bucket was seen
 			// full: claim it and the chain ends with one more occupied slot.
-			if f.buckets[b].CompareAndSwap(w, withSlot(w, s, cur)) {
-				f.occupied.Add(1)
+			if t.buckets[b].CompareAndSwap(w, withSlot(w, s, cur)) {
+				t.occupied.Add(1)
 				return true
 			}
 			continue
 		}
-		if !f.buckets[b].CompareAndSwap(w, withSlot(w, s, cur)) {
+		if !t.buckets[b].CompareAndSwap(w, withSlot(w, s, cur)) {
 			continue
 		}
 		f.relocations.Add(1) // relocated entries enter cold (hot=0)
 		cur = victim & fpMask
-		b = f.altIndex(b, cur)
-		w = f.buckets[b].Load()
+		b = t.altIndex(b, cur)
+		w = t.buckets[b].Load()
 		for s := 0; s < SlotsPerBucket; s++ {
 			if slotOf(w, s) == 0 {
 				// The chain ends in a previously empty slot: the insert
 				// that started it nets one more occupied slot.
-				if f.buckets[b].CompareAndSwap(w, withSlot(w, s, cur)) {
-					f.occupied.Add(1)
+				if t.buckets[b].CompareAndSwap(w, withSlot(w, s, cur)) {
+					t.occupied.Add(1)
 					return true
 				}
 				break // word changed underneath: kick again from here
@@ -494,21 +561,41 @@ func (f *Filter) relocate(i uint64, fpv uint16) bool {
 	return false
 }
 
+// grow replaces table t by an empty one twice its size, unless another
+// insert's doubling got there first. Contains and the mutations that loaded
+// t before the swap keep working on it; what t holds from then on counts as
+// dropped (Stats.GrowDrops, inside Evictions). The filter is a cache: each
+// prefix is re-learned the next time a traversal reads it from the memory
+// nodes.
+func (f *Filter) grow(t *table) {
+	if !f.growing.TryLock() {
+		return
+	}
+	defer f.growing.Unlock()
+	if f.tab.Load() != t {
+		return
+	}
+	nt := newTable(2 * t.nBuckets)
+	nt.dropped = append(t.dropped[:len(t.dropped):len(t.dropped)], t.occupied)
+	f.tab.Store(nt)
+}
+
 // Delete removes one entry matching the hash's fingerprint, if present.
 // Sphinx uses it only when it proactively unlearns a prefix after
 // detecting a false positive against the remote index.
 func (f *Filter) Delete(hash uint64) bool {
+	t := f.tab.Load()
 	fpv := fp(hash)
-	i1 := f.index(hash)
-	i2 := f.altIndex(i1, fpv)
+	i1 := t.index(hash)
+	i2 := t.altIndex(i1, fpv)
 	for spin := 0; spin < maxSpins; spin++ {
 		lost := false
 		for _, b := range [2]uint64{i1, i2} {
-			w := f.buckets[b].Load()
+			w := t.buckets[b].Load()
 			for s := 0; s < SlotsPerBucket; s++ {
 				if slotOf(w, s)&fpMask == fpv {
-					if f.buckets[b].CompareAndSwap(w, withSlot(w, s, 0)) {
-						f.occupied.Add(^uint64(0))
+					if t.buckets[b].CompareAndSwap(w, withSlot(w, s, 0)) {
+						t.occupied.Add(^uint64(0))
 						f.deletes.Add(1)
 						return true
 					}
@@ -528,7 +615,8 @@ func (f *Filter) Delete(hash uint64) bool {
 // Load returns the fraction of occupied slots, from the incrementally
 // maintained count (the churn tests cross-check it against a scan).
 func (f *Filter) Load() float64 {
-	return float64(f.occupied.Load()) / float64(f.nBuckets*SlotsPerBucket)
+	t := f.tab.Load()
+	return float64(t.occupied.Load()) / float64(t.nBuckets*SlotsPerBucket)
 }
 
 // AnalyticFPBound returns the standard cuckoo-filter false-positive bound
@@ -548,8 +636,8 @@ func (f *Filter) rand(n int) int {
 	return int(mix(f.rng.Add(0x9e3779b97f4a7c15)) % uint64(n))
 }
 
-// String summarizes the filter.
+// String summarizes the filter: its current size and its budget.
 func (f *Filter) String() string {
-	return fmt.Sprintf("cuckoo(%d buckets, %.1f%% load, %d B)",
-		f.nBuckets, f.Load()*100, f.SizeBytes())
+	return fmt.Sprintf("cuckoo(%d buckets, %.1f%% load, %d of %d B)",
+		f.tab.Load().nBuckets, f.Load()*100, f.SizeBytes(), f.budget*8)
 }

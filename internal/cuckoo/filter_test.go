@@ -231,10 +231,11 @@ func TestFingerprintNeverZero(t *testing.T) {
 func TestAltIndexIsInvolution(t *testing.T) {
 	f := New(1024, 1)
 	g := func(h uint64) bool {
+		tb := f.tab.Load()
 		fpv := fp(h)
-		i1 := f.index(h)
-		i2 := f.altIndex(i1, fpv)
-		return f.altIndex(i2, fpv) == i1
+		i1 := tb.index(h)
+		i2 := tb.altIndex(i1, fpv)
+		return tb.altIndex(i2, fpv) == i1
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)

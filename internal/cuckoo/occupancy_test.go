@@ -8,8 +8,8 @@ import (
 // scanOccupied is the ground truth the incremental counter must track.
 func scanOccupied(f *Filter) uint64 {
 	var used uint64
-	for i := range f.buckets {
-		w := f.buckets[i].Load()
+	for i := range f.tab.Load().buckets {
+		w := f.tab.Load().buckets[i].Load()
 		for s := 0; s < SlotsPerBucket; s++ {
 			if slotOf(w, s) != 0 {
 				used++

@@ -120,10 +120,15 @@ type Config struct {
 	// (default 256 MiB).
 	MemoryPerNode uint64
 	// ExpectedKeys sizes the inner-node hash tables (they resize beyond
-	// it); default 100 000.
+	// it) and the start of each compute node's succinct filter cache (two
+	// slots, 4 bytes, per key; it doubles beyond it); default 100 000.
 	ExpectedKeys int
-	// CacheBytes is the per-compute-node cache budget: the succinct
-	// filter cache for Sphinx, the node cache for SMART (default 16 MiB).
+	// CacheBytes is the per-compute-node cache budget, a ceiling: the
+	// succinct filter cache for Sphinx doubles up to it from the size
+	// ExpectedKeys needs, the node cache for SMART fills up to it
+	// (default 16 MiB). A doubling drops what the filter held, and while
+	// the old table awaits collection the filter briefly takes 1.5× its
+	// new size, 1.5× CacheBytes at the last doubling.
 	CacheBytes uint64
 	// LeafCacheBytes is the per-compute-node budget for the speculative
 	// leaf-address cache (SystemSphinx only): the CN-side map that lets a
@@ -467,7 +472,7 @@ func (c *Cluster) NewComputeNode() *ComputeNode {
 	c.nextCN++
 	switch c.cfg.System {
 	case SystemSphinx:
-		cn.filter = core.NewFilterCacheBytes(c.cfg.CacheBytes, uint64(c.cfg.Seed+int64(cn.id))|1)
+		cn.filter = core.NewFilterCacheFor(c.cfg.ExpectedKeys, c.cfg.CacheBytes, uint64(c.cfg.Seed+int64(cn.id))|1)
 		cn.lac = core.NewLeafCacheBytes(c.cfg.LeafCacheBytes, uint64(c.cfg.Seed+int64(cn.id)))
 		if hot := c.sphinxShared.Hot; hot != nil {
 			// One tracker per CN, shared by its sessions, so promotion
@@ -482,14 +487,12 @@ func (c *Cluster) NewComputeNode() *ComputeNode {
 }
 
 // CacheBytes reports the CN cache's current memory footprint: for Sphinx
-// the succinct filter cache plus the speculative leaf-address cache.
+// the succinct filter cache at its current size, the speculative
+// leaf-address cache created with it, and the hot-key tracker if any.
 func (cn *ComputeNode) CacheBytes() uint64 {
 	switch {
 	case cn.filter != nil:
-		total := cn.filter.SizeBytes()
-		if cn.lac != nil {
-			total += cn.lac.SizeBytes()
-		}
+		total := cn.filter.SizeBytes() + cn.lac.SizeBytes()
 		if cn.hotset != nil {
 			total += cn.hotset.SizeBytes()
 		}
@@ -500,3 +503,8 @@ func (cn *ComputeNode) CacheBytes() uint64 {
 		return 0
 	}
 }
+
+// ErrValueTooLarge is returned by a Sphinx write whose value, with its key,
+// does not fit the largest leaf (wire.MaxLeafUnits 64-byte units), before
+// anything is written.
+var ErrValueTooLarge = core.ErrValueTooLarge

@@ -2,12 +2,15 @@ package sphinx
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
 	"sphinx/internal/fabric/fabrictest"
+	"sphinx/internal/wire"
 )
 
 func TestFacadeAllSystems(t *testing.T) {
@@ -364,4 +367,118 @@ func treePathAllocations(t *testing.T) {
 		t.Errorf("limit-50 Scan: %.2f allocs/op, want <= 2: the result slice and its one block", scans)
 	}
 	t.Logf("allocs/op: cold Get %.0f, fresh-key Put %.0f, limit-50 Scan %.0f", gets, puts, scans)
+}
+
+// TestValueTooLarge holds writes to the largest leaf: a value that fits it
+// is stored, and one byte more — or the 17 000 and 65 535 bytes that once
+// panicked in the leaf encoder — is ErrValueTooLarge from Put and Update
+// alike, on a plain and on a replicated cluster, with nothing written: no
+// round trip, no memory-node byte, and the key reads its previous value.
+func TestValueTooLarge(t *testing.T) {
+	key := []byte("big")
+	largest := wire.MaxLeafUnits*wire.LeafUnit - wire.LeafHeaderSize - len(key)
+	for _, cfg := range []Config{
+		{Timing: TimingInstant},
+		{Timing: TimingInstant, Replication: 2, HotReplicaFactor: 3},
+	} {
+		cluster, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := cluster.NewComputeNode().NewSession()
+		prev := []byte("small")
+		if err := s.Put(key, prev); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			size int
+			fits bool
+		}{{largest, true}, {largest + 1, false}, {17_000, false}, {65_535, false}} {
+			value := bytes.Repeat([]byte{'v'}, c.size)
+			put := func() error { return s.Put(key, value) }
+			update := func() error {
+				_, err := s.Update(key, value)
+				return err
+			}
+			for name, write := range map[string]func() error{"Put": put, "Update": update} {
+				rt0 := s.Stats().RoundTrips
+				mu0, _ := cluster.MemoryUsage()
+				err := write()
+				switch {
+				case c.fits && err != nil:
+					t.Fatalf("replication %d: %s of %d B: %v", cfg.Replication, name, c.size, err)
+				case c.fits:
+					prev = value
+				case !errors.Is(err, ErrValueTooLarge):
+					t.Fatalf("replication %d: %s of %d B = %v, want ErrValueTooLarge", cfg.Replication, name, c.size, err)
+				default:
+					mu, _ := cluster.MemoryUsage()
+					if rts := s.Stats().RoundTrips - rt0; rts != 0 || mu.TotalBytes != mu0.TotalBytes {
+						t.Errorf("replication %d: refused %s of %d B cost %d round trips and %d MN bytes",
+							cfg.Replication, name, c.size, rts, int64(mu.TotalBytes)-int64(mu0.TotalBytes))
+					}
+				}
+				if v, ok, err := s.Get(key); err != nil || !ok || !bytes.Equal(v, prev) {
+					t.Fatalf("replication %d: after %s of %d B the key reads %d B, %v, %v; want its %d B",
+						cfg.Replication, name, c.size, len(v), ok, err, len(prev))
+				}
+			}
+		}
+	}
+}
+
+// TestFilterCacheGrowsTowardBudget loads eight times the keys a cluster was
+// told to expect. Each compute node's filter starts at the size
+// ExpectedKeys needs and doubles as the index outgrows it, its table never
+// past CacheBytes, and every key reads back. A doubling drops what the filter
+// held, so the first Get pass afterwards re-learns the prefixes no later
+// put touched; from the second pass on, the grown filter costs within 2 %
+// of the round trips of one on a cluster that expected every key.
+func TestFilterCacheGrowsTowardBudget(t *testing.T) {
+	const keys = 80_000
+	const budget = 128 << 10
+	// Random 8-byte keys: about 23 000 inner nodes, over half the slots of a
+	// 64 KiB filter, the start for 10 000 keys; one doubling reaches the
+	// budget, where the filter stops.
+	key := func(i int) []byte { return binary.BigEndian.AppendUint64(nil, wire.Mix64(uint64(i))) }
+	getPasses := func(expected int) (rtPerGet [2]float64, grows uint64) {
+		cluster, err := NewCluster(Config{Timing: TimingInstant, ExpectedKeys: expected, CacheBytes: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cn := cluster.NewComputeNode()
+		s := cn.NewSession()
+		start := cn.filter.SizeBytes()
+		for i := 0; i < keys; i++ {
+			if err := s.Put(key(i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if size := cn.filter.SizeBytes(); size > budget {
+				t.Fatalf("expected %d: filter of %d B over its %d B budget after %d puts", expected, size, budget, i+1)
+			}
+		}
+		for pass := range rtPerGet {
+			rt0 := s.Stats().RoundTrips
+			for i := 0; i < keys; i++ {
+				if v, ok, err := s.Get(key(i)); err != nil || !ok || string(v) != "v" {
+					t.Fatalf("expected %d: Get(%x) = %q, %v, %v", expected, key(i), v, ok, err)
+				}
+			}
+			rtPerGet[pass] = float64(s.Stats().RoundTrips-rt0) / keys
+		}
+		if size := cn.filter.SizeBytes(); size != budget {
+			t.Errorf("expected %d: filter ends at %d B, short of its %d B budget", expected, size, budget)
+		}
+		st := cn.filter.FilterStats()
+		t.Logf("expected %d: filter %d → %d B, %d doublings dropping %d, %.4f then %.4f RT/Get",
+			expected, start, cn.filter.SizeBytes(), st.Grows, st.GrowDrops, rtPerGet[0], rtPerGet[1])
+		return rtPerGet, st.Grows
+	}
+	grown, grows := getPasses(10_000)
+	if grows == 0 {
+		t.Fatal("the filter of a cluster expecting 10 000 keys never doubled under 80 000")
+	}
+	if sized, _ := getPasses(keys); grown[1] > 1.02*sized[1] {
+		t.Errorf("second Get pass on the grown filter: %.4f RT/op, over 2 %% above the %.4f of one sized for every key", grown[1], sized[1])
+	}
 }
