@@ -92,8 +92,8 @@ func (c *Client) Update(key, value []byte) (bool, error) {
 }
 
 func (c *Client) put(key, value []byte, mode rart.PutMode) (existed bool, err error) {
-	if len(key) == 0 || len(key) > wire.MaxDepth {
-		return false, fmt.Errorf("artdm: key length %d out of range", len(key))
+	if err := rart.CheckArgs(key, value); err != nil {
+		return false, err
 	}
 	err = c.fromRoot("artdm put", key, func(root *rart.Node) (err error) {
 		existed, err = c.eng.PutFrom(root, key, value, mode, rart.NopHooks{})

@@ -12,6 +12,8 @@ import (
 	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
+	"sphinx/internal/rart"
+	"sphinx/internal/rart/fscktest"
 )
 
 func newCluster(t *testing.T, mns int, cfg fabric.Config) (*fabric.Fabric, Shared) {
@@ -26,7 +28,13 @@ func newCluster(t *testing.T, mns int, cfg fabric.Config) (*fabric.Fabric, Share
 	if err != nil {
 		t.Fatal(err)
 	}
+	fscktest.AtEnd(t, f, func(fc *fabric.Client) *rart.Check { return fsck(fc, shared) })
 	return f, shared
+}
+
+// fsck runs the index check on shared's tree through fc.
+func fsck(fc *fabric.Client, shared Shared) *rart.Check {
+	return rart.NewEngine(fc, nil, nil, rart.Config{}).Fsck(shared.Root)
 }
 
 func newTestClient(f *fabric.Fabric, shared Shared) *Client {

@@ -11,7 +11,6 @@ import (
 	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/rart"
-	"sphinx/internal/wire"
 )
 
 // scheduledInserts runs the concurrent-insert shape that loses acknowledged
@@ -19,7 +18,8 @@ import (
 // clients insert 6 keys each, wNN-key-000i, into a fresh 3 × 1 MiB cluster,
 // each stopping at its first failed insert. It returns the acknowledged keys
 // that do not read back and the locks still held once every client is done
-// (heldLocks), the failed inserts' errors and the schedule's parks.
+// — the findings of the index check (fsck) — the failed inserts' errors and
+// the schedule's parks.
 func scheduledInserts(t *testing.T, p fabrictest.Picker) (lost []string, failed []error, parks int) {
 	t.Helper()
 	const workers, perWorker = 8, 6
@@ -49,7 +49,9 @@ func scheduledInserts(t *testing.T, p fabrictest.Picker) (lost []string, failed 
 	}
 	parks = len(fabrictest.Run(f, p, procs...))
 	r := newTestClient(f, shared)
-	lost = heldLocks(t, r.Engine(), shared.Root)
+	for _, fd := range fsck(f.NewClient(), shared).Findings {
+		lost = append(lost, fd.String())
+	}
 	for w := 0; w < workers; w++ {
 		for i := 0; i < acked[w]; i++ {
 			if v, ok, err := r.Search([]byte(key(w, i))); err != nil || !ok || string(v) != fmt.Sprint(i) {
@@ -58,41 +60,6 @@ func scheduledInserts(t *testing.T, p fabrictest.Picker) (lost []string, failed 
 		}
 	}
 	return lost, failed, parks
-}
-
-// heldLocks walks the tree from its root and names every lock still held: a
-// node whose lease word is not 0, a leaf whose header is Locked. Once every
-// client is done, a live one has released what it took, so a lock wait that
-// ran out its budget waited on a holder that was parked, not on a leaked lock.
-func heldLocks(t *testing.T, e *rart.Engine, root mem.Addr) (held []string) {
-	t.Helper()
-	var walk func(addr mem.Addr, typ wire.NodeType)
-	walk = func(addr mem.Addr, typ wire.NodeType) {
-		n, err := e.ReadNode(addr, typ)
-		if err != nil {
-			t.Fatalf("node %v: %v", addr, err)
-		}
-		if n.LeaseWord != 0 {
-			held = append(held, fmt.Sprintf("node %v leased %#x", addr, n.LeaseWord))
-		}
-		for _, s := range append(n.Children(), n.EOL) {
-			switch {
-			case !s.Present:
-			case !s.Leaf:
-				walk(s.Addr, s.ChildType)
-			default:
-				w, err := e.C.ReadUint64(s.Addr)
-				if err != nil {
-					t.Fatalf("leaf %v: %v", s.Addr, err)
-				}
-				if wire.DecodeLeafHeader(w).Status == wire.StatusLocked {
-					held = append(held, fmt.Sprintf("leaf %v locked %#x", s.Addr, w))
-				}
-			}
-		}
-	}
-	walk(root, wire.Node256)
-	return held
 }
 
 // TestScheduledInsertsKeepEveryKey runs the shape one verb-granular
@@ -121,14 +88,14 @@ func TestHoldReplaysKeepEveryKey(t *testing.T) {
 }
 
 // TestHoldSweepKeepsEveryKey runs the shape under the hold picker at stay 4,
-// 16 and 64 over a fixed range of seeds: every acknowledged key reads back,
-// and no lock is held once every client is done. A stretch can keep a waiter
+// 16 and 64 over seeds 1..300: every acknowledged key reads back, and the
+// index check finds nothing — no lock held — once every client is done. A stretch can keep a waiter
 // polling while the holder it waits for stays parked, past the waiter's
 // backoff budget, so an insert may fail — with ErrRetriesExhausted from a lock
 // wait, and nothing else; with no lock left behind, the holder it waited for
 // released the lock afterwards. Those failures are counted in the log.
 func TestHoldSweepKeepsEveryKey(t *testing.T) {
-	const seeds = 30
+	const seeds = 300
 	for _, stay := range []uint64{4, 16, 64} {
 		starved := 0
 		for seed := uint64(1); seed <= seeds; seed++ {

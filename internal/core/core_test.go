@@ -14,20 +14,31 @@ import (
 	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
+	"sphinx/internal/rart"
+	"sphinx/internal/rart/fscktest"
 )
 
 func newCluster(t *testing.T, mns int, cfg fabric.Config, expected int) (*fabric.Fabric, Shared) {
+	t.Helper()
+	return bootCluster(t, mns, cfg, func(f *fabric.Fabric, ring *consistenthash.Ring) (Shared, error) {
+		return Bootstrap(f, ring, expected)
+	})
+}
+
+// bootCluster makes a fabric of mns MNs of 256 MiB, bootstraps an index on it
+// and registers the index check (Fsck) to run when t ends.
+func bootCluster(t *testing.T, mns int, cfg fabric.Config, boot func(*fabric.Fabric, *consistenthash.Ring) (Shared, error)) (*fabric.Fabric, Shared) {
 	t.Helper()
 	f := fabric.New(cfg)
 	nodes := make([]mem.NodeID, mns)
 	for i := range nodes {
 		nodes[i] = f.AddNode(256 << 20)
 	}
-	ring := consistenthash.New(nodes, 0)
-	shared, err := Bootstrap(f, ring, expected)
+	shared, err := boot(f, consistenthash.New(nodes, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	fscktest.AtEnd(t, f, func(fc *fabric.Client) *rart.Check { return Fsck(fc, shared) })
 	return f, shared
 }
 

@@ -36,7 +36,7 @@ var (
 
 	// ErrValueTooLarge is returned by a write whose leaf would exceed
 	// wire.MaxLeafUnits, before any round trip is paid: nothing is written.
-	ErrValueTooLarge = errors.New("core: value too large")
+	ErrValueTooLarge = rart.ErrValueTooLarge
 )
 
 // exhausted builds the terminal error for an operation that ran out of

@@ -17,17 +17,9 @@ import (
 // bootstrapped (anchor tables, R=2 replication, breaker gating on).
 func newReplicatedCluster(t *testing.T, mns int, cfg fabric.Config, expected int) (*fabric.Fabric, Shared) {
 	t.Helper()
-	f := fabric.New(cfg)
-	nodes := make([]mem.NodeID, mns)
-	for i := range nodes {
-		nodes[i] = f.AddNode(256 << 20)
-	}
-	ring := consistenthash.New(nodes, 0)
-	shared, err := BootstrapReplicated(f, ring, expected, DefaultReplication)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f, shared
+	return bootCluster(t, mns, cfg, func(f *fabric.Fabric, ring *consistenthash.Ring) (Shared, error) {
+		return BootstrapReplicated(f, ring, expected, DefaultReplication)
+	})
 }
 
 // victimFor returns a node that owns at least one of the keys, so killing

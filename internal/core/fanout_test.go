@@ -7,10 +7,13 @@ import (
 	"slices"
 	"testing"
 
+	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/racehash"
+	"sphinx/internal/rart"
+	"sphinx/internal/rart/fscktest"
 	"sphinx/internal/wire"
 )
 
@@ -101,10 +104,13 @@ func headsRead(key []byte) func(fabrictest.Step) bool {
 // a promotion runs, and a client whose tracker never promotes by itself.
 func newAckCluster(t *testing.T, cfg fabric.Config) (*fabric.Fabric, Shared, *Client) {
 	t.Helper()
-	f, shared := newReplicatedCluster(t, 3, cfg, 1000)
-	if err := BootstrapHot(f, &shared, 256, 3); err != nil {
-		t.Fatal(err)
-	}
+	f, shared := bootCluster(t, 3, cfg, func(f *fabric.Fabric, ring *consistenthash.Ring) (Shared, error) {
+		shared, err := BootstrapReplicated(f, ring, 1000, DefaultReplication)
+		if err == nil {
+			err = BootstrapHot(f, &shared, 256, 3)
+		}
+		return shared, err
+	})
 	fabrictest.Queue(t, f, shared.Hot.Load, 0)
 	return f, shared, newTestClient(f, shared, Options{Hot: eagerHotSet(3, 1<<30)})
 }
@@ -352,6 +358,7 @@ func TestFanoutKilledLeg(t *testing.T) {
 			if _, err := c.Insert(key, val); err != nil {
 				t.Fatal(err)
 			}
+			treeHolds(t, c, key, []byte("after the kill"))
 			targets, _ := c.anchors.targets(c.members.Current(), key, false)
 			victim := targets[len(targets)-1]
 			// At the write's start, or behind the bucket read: the batch of the
@@ -448,6 +455,7 @@ func TestFanoutKilledLeg(t *testing.T) {
 				t.Fatalf("anchor target %d is not among the hot targets %v", victim, hots)
 			}
 			hots = slices.DeleteFunc(slices.Clone(hots), func(n mem.NodeID) bool { return n == victim })
+			treeHolds(t, writer, key, []byte("after the fault"))
 			if fault == "killed" {
 				f.KillNode(victim)
 			} else {
@@ -467,6 +475,7 @@ func TestFanoutKilledLeg(t *testing.T) {
 				if !errors.Is(err, fabric.ErrNodeDown) || errors.Is(err, fabric.ErrNodeKilled) {
 					t.Fatalf("joint write with a target down = %v; want the hot writer's node-down error", err)
 				}
+				fscktest.Accept(f, rart.HotStale) // docs/failure-model.md §5.2: the write is left in doubt
 				return
 			}
 			if err != nil {
@@ -481,6 +490,20 @@ func TestFanoutKilledLeg(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// treeHolds puts value under key in the tree alone: the commit that comes
+// ahead of a replica write which a test drives by itself, so that the index
+// check holds the layers' records to the value they were given.
+func treeHolds(t *testing.T, c *Client, key, value []byte) {
+	t.Helper()
+	root, err := c.readRoot()
+	if err == nil {
+		_, err = c.eng.PutFrom(root, key, value, rart.PutUpsert, rart.NopHooks{})
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

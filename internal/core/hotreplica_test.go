@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sphinx/internal/consistenthash"
 	"sphinx/internal/fabric"
 	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
@@ -28,11 +29,13 @@ import (
 // (fabrictest.Queue).
 func newHotCluster(t *testing.T, mns int, cfg fabric.Config, r int) (*fabric.Fabric, Shared) {
 	t.Helper()
-	f, shared := newCluster(t, mns, cfg, 1000)
-	if err := BootstrapHot(f, &shared, 256, r); err != nil {
-		t.Fatal(err)
-	}
-	return f, shared
+	return bootCluster(t, mns, cfg, func(f *fabric.Fabric, ring *consistenthash.Ring) (Shared, error) {
+		shared, err := Bootstrap(f, ring, 1000)
+		if err == nil {
+			err = BootstrapHot(f, &shared, 256, r)
+		}
+		return shared, err
+	})
 }
 
 // eagerHotSet builds a tracker that promotes on the n-th observation and

@@ -11,6 +11,7 @@ import (
 	"sphinx/internal/mem"
 	"sphinx/internal/obs"
 	"sphinx/internal/rart"
+	"sphinx/internal/rart/fscktest"
 	"sphinx/internal/wire"
 )
 
@@ -188,6 +189,11 @@ func strangerEntry(t *testing.T, c *Client, prefix string, typ wire.NodeType, ad
 		t.Fatal(err)
 	}
 	c.filter.Insert(PrefixFilterHash([]byte(prefix)))
+	fscktest.Unplant(c.eng.C.Fabric(), func() {
+		if err := c.viewFor([]byte(prefix)).Remove(wire.PrefixHash42([]byte(prefix)), e); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestLeaseBetAlwaysReturned walks the table of everything that is not a put

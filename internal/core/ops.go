@@ -218,17 +218,13 @@ func (c *Client) noteAbandoned(objects, bytes *uint64) {
 	*objects, *bytes = o, b
 }
 
-// begin starts an outermost operation on key: the key is checked, and so is
-// the leaf a write of value would build (nil for an operation that writes
-// none), and the engine's image arena rewound — what the client's last
-// operation read is dead from here on (DESIGN.md §5.7). Nested reads (hot
-// promotion's searchTree, anchorGet) never call it.
+// begin starts an outermost operation on key: its arguments are checked
+// (rart.CheckArgs), and the engine's image arena rewound — what the client's
+// last operation read is dead from here on (DESIGN.md §5.7). Nested reads
+// (hot promotion's searchTree, anchorGet) never call it.
 func (c *Client) begin(key, value []byte) error {
-	if len(key) == 0 || len(key) > wire.MaxDepth {
-		return fmt.Errorf("core: key length %d out of range [1,%d]", len(key), wire.MaxDepth)
-	}
-	if wire.LeafSize(len(key), len(value)) > wire.MaxLeafUnits*wire.LeafUnit {
-		return fmt.Errorf("%w: %d-byte value for %q", ErrValueTooLarge, len(value), key)
+	if err := rart.CheckArgs(key, value); err != nil {
+		return err
 	}
 	c.eng.Rewind()
 	return nil

@@ -13,6 +13,8 @@ import (
 	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/racehash"
+	"sphinx/internal/rart"
+	"sphinx/internal/rart/fscktest"
 	"sphinx/internal/wire"
 )
 
@@ -480,6 +482,7 @@ func TestHotRetireFaultIsNotAcked(t *testing.T) {
 				if v, ok, err := writer.anchorGet(key); err != nil || !ok || !bytes.Equal(v, want) {
 					t.Errorf("anchors after the unacknowledged put = %q, %v, %v; want the value their legs landed", v, ok, err)
 				}
+				fscktest.Accept(f, rart.HotStale) // docs/failure-model.md §5.2: the put is left in doubt
 				return
 			}
 			if writer.eng.C.Stats().Transients != 1 {

@@ -12,6 +12,7 @@ import (
 	"sphinx/internal/mem"
 	"sphinx/internal/obs"
 	"sphinx/internal/rart"
+	"sphinx/internal/rart/fscktest"
 	"sphinx/internal/wire"
 )
 
@@ -62,6 +63,12 @@ func plantImpostor(t *testing.T, c *Client, prefix []byte, edge byte, slot wire.
 	if err := c.viewFor(prefix).Insert(n.Hdr.PrefixHash, entry, c.eng.Alloc); err != nil {
 		t.Fatal(err)
 	}
+	// Retired, the impostor leaves an entry naming an Invalid node, which the
+	// index check counts.
+	f := c.eng.C.Fabric()
+	fscktest.Unplant(f, func() {
+		f.Region(addr.Node()).WriteUint64(addr.Offset(), wire.WithStatus(n.Hdr.Encode(), wire.StatusInvalid))
+	})
 	if c.filter != nil {
 		c.filter.Insert(PrefixFilterHash(prefix))
 	}
@@ -296,23 +303,21 @@ func TestDeleteCollisionConfirmCrashSweep(t *testing.T) {
 	sawCrash := false
 	for n := uint64(1); n <= verbs; n++ {
 		f, shared, filter := deleteCollisionCluster(t)
+		fscktest.Accept(f, rart.CrashedLock) // docs/failure-model.md §3: the victim dies holding its locks
 		fc := f.NewClient()
 		fc.FailAt(n, fabric.ErrClientCrashed)
 		victim := NewClient(shared, fc, Options{Filter: filter, LeafCache: testLAC(0)})
 		ok, err := victim.Delete(K)
-		if err != nil {
-			sawCrash = true
-			continue // surfacing the crash is correct
+		sawCrash = sawCrash || err != nil // surfacing the crash is correct
+		if err == nil && !ok {
+			// (false, nil) claims the key was absent; it must actually be.
+			check := newTestClient(f, shared, Options{})
+			if _, present, cerr := check.Search(K); cerr != nil || present {
+				t.Fatalf("crash after %d/%d verbs: Delete(%q) = (false, nil) but the key is still present (err=%v)",
+					n, verbs, K, cerr)
+			}
 		}
-		if ok {
-			continue // completed before the crash point
-		}
-		// (false, nil) claims the key was absent; it must actually be.
-		check := newTestClient(f, shared, Options{})
-		if _, present, cerr := check.Search(K); cerr != nil || present {
-			t.Fatalf("crash after %d/%d verbs: Delete(%q) = (false, nil) but the key is still present (err=%v)",
-				n, verbs, K, cerr)
-		}
+		fscktest.Done(t, f)
 	}
 	if !sawCrash {
 		t.Fatal("no sweep point crashed the victim; the sweep exercises nothing")
@@ -387,6 +392,7 @@ func TestSearchCollisionNarrowingNodeDownSweep(t *testing.T) {
 			t.Fatalf("window at %d ps: %d collision detections (clean run: 2); narrowing was lost across the fault",
 				ps, c.stats.CollisionRetries)
 		}
+		fscktest.Done(t, f)
 	}
 	if faulted == 0 {
 		t.Fatal("no sweep window ever hit a batch; the sweep exercises nothing")

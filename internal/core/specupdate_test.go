@@ -14,6 +14,7 @@ import (
 	"sphinx/internal/fabric/fabrictest"
 	"sphinx/internal/mem"
 	"sphinx/internal/rart"
+	"sphinx/internal/rart/fscktest"
 	"sphinx/internal/wire"
 )
 
@@ -455,6 +456,7 @@ func TestSpecUpdateCrashSweep(t *testing.T) {
 				t.Fatalf("%s: survivor update = %v, %v", what, ok, err)
 			}
 			warmSearch(t, teacher, key, val64(9))
+			fscktest.Done(t, f)
 		}
 	}
 }
@@ -734,6 +736,7 @@ func TestCrashedRetireMeetsLACReader(t *testing.T) {
 			// B's verbs the WRITE to that leaf fell.
 			run := func(at int) (a *Client, got []byte, leaf mem.Addr, invalid uint64) {
 				f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
+				fscktest.Accept(f, rart.CrashedLock) // docs/failure-model.md §4: the retirer dies holding its locks
 				a = newTestClient(f, shared, Options{LeafCache: NewLeafCache(1<<10, 7)})
 				b, d := newTestClient(f, shared, Options{}), newTestClient(f, shared, Options{})
 				warmPut(t, a, key, []byte("v"))

@@ -12,6 +12,7 @@ import (
 	"sphinx/internal/mem"
 	"sphinx/internal/obs"
 	"sphinx/internal/rart"
+	"sphinx/internal/rart/fscktest"
 	"sphinx/internal/wire"
 )
 
@@ -138,6 +139,7 @@ func (b *batchLog) writeCost() (rts, verbs int, stages []string) {
 func (sc writeScenario) bareTreeCost(t *testing.T) (rts, verbs int) {
 	t.Helper()
 	f, shared := newCluster(t, 1, fabric.DefaultConfig(), 1000)
+	fscktest.Accept(f, rart.NoEntry) // the bare tree's puts publish no entries
 	c := newTestClient(f, shared, Options{})
 	var log batchLog
 	for _, k := range append(append([]string(nil), sc.setup...), sc.key) {
@@ -278,83 +280,12 @@ func TestOneDriverLoadAbandonsNothing(t *testing.T) {
 	}
 }
 
-// reachableInner returns the addresses of every inner node reachable from
-// the root.
-func reachableInner(t *testing.T, c *Client) map[mem.Addr]bool {
-	t.Helper()
-	seen := make(map[mem.Addr]bool)
-	var visit func(n *rart.Node)
-	visit = func(n *rart.Node) {
-		seen[n.Addr] = true
-		for _, s := range n.Children() {
-			if s.Leaf || seen[s.Addr] {
-				continue
-			}
-			child, err := c.eng.ReadNode(s.Addr, s.ChildType)
-			if err != nil {
-				t.Fatalf("walking the tree: node %v: %v", s.Addr, err)
-			}
-			visit(child)
-		}
-	}
-	root, err := c.readRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	visit(root)
-	return seen
-}
-
-// checkNoPhantomEntries asserts that every inner-node hash-table entry names
-// a node that is, or (per before) once was, reachable from the tree: an
-// object written ahead of a lock that was then lost must never be published.
-// And that c, between its operations, holds nothing in its engine's hand: no
-// lease a bet won outlives the operation it was won for.
-func checkNoPhantomEntries(t *testing.T, c *Client, before map[mem.Addr]bool, what string) {
+// emptyHand asserts that c, between its operations, holds nothing in its
+// engine's hand: no lease a bet won outlives the operation it was won for.
+func emptyHand(t *testing.T, c *Client, what string) {
 	t.Helper()
 	if n := c.eng.Holding(); n != 0 {
 		t.Errorf("%s: the client's hand holds %d entries between operations", what, n)
-	}
-	after := reachableInner(t, c)
-	for node := range c.members.Current().Tables {
-		err := c.viewOf(node).Walk(func(e wire.HashEntry) error {
-			if !after[e.Addr] && !before[e.Addr] {
-				t.Errorf("%s: hash table of node %d publishes %v (%v), which the tree never reached", what, node, e.Addr, e.Type)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// checkOneEntryPerPrefix asserts that no prefix has two live hash-table
-// entries — a publication that landed both in the commit batch it rode and
-// through the table's own loop, or a swap that left the old entry beside the
-// new one. A live entry names a valid node; the node stores its prefix.
-func checkOneEntryPerPrefix(t *testing.T, c *Client, what string) {
-	t.Helper()
-	type prefix struct {
-		depth uint16
-		hash  uint64
-	}
-	live := make(map[prefix]int)
-	for node := range c.members.Current().Tables {
-		err := c.viewOf(node).Walk(func(e wire.HashEntry) error {
-			if n, err := c.eng.ReadNode(e.Addr, e.Type); err == nil && n.Hdr.Status != wire.StatusInvalid {
-				live[prefix{n.Hdr.Depth, n.Hdr.PrefixHash}]++
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for p, n := range live {
-		if n != 1 {
-			t.Errorf("%s: %d live hash-table entries for the prefix of depth %d, hash %#x; want 1", what, n, p.depth, p.hash)
-		}
 	}
 }
 
@@ -487,7 +418,10 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 	for n := uint64(1); n <= shape.verbs; n++ {
 		what := fmt.Sprintf("crash after verb %d/%d", n, shape.verbs)
 		f, shared, setup := sc.build(t, 2)
-		before := reachableInner(t, setup)
+		// docs/failure-model.md §4: a crash past the commit point is not
+		// repaired — leases stay, entries go missing, windows (a) and (b).
+		crashLeftovers := []rart.Kind{rart.CrashedLock, rart.NoEntry, rart.ShortPartial, rart.OrphanOriginal}
+		fscktest.Accept(f, crashLeftovers...)
 		victim := sc.victim(t, f, shared, setup, warm)
 		victim.eng.C.FailAt(n, fabric.ErrClientCrashed)
 		holder := NewClient(shared, f.NewClient(), Options{Filter: setup.filter, LeafCache: testLAC(0)})
@@ -520,15 +454,15 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 		if onlyBet {
 			opts.Filter = setup.filter
 		}
+		fscktest.Now(t, f, what, crashLeftovers...)
 		survivor := NewClient(shared, f.NewClient(), opts)
-		checkNoPhantomEntries(t, survivor, before, what)
-		checkOneEntryPerPrefix(t, survivor, what)
 		if onlyBet {
 			if _, ok, err := survivor.Search([]byte(sc.key)); err != nil || ok {
 				t.Fatalf("%s: victim's key reads %v, %v while the victim held only its bet", what, ok, err)
 			}
 		}
 		if head && !link {
+			fscktest.Done(t, f)
 			continue // head written, parent not repointed
 		}
 		if _, err := survivor.Insert([]byte(sc.key), []byte("survivor")); err != nil {
@@ -546,8 +480,7 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 			t.Fatalf("%s: victim's key after the survivor's put = %q, %v, %v", what, v, ok, err)
 		}
 		sc.checkReadable(t, f, shared, what+", after the survivor's put")
-		checkNoPhantomEntries(t, survivor, before, what+", after the survivor's put")
-		checkOneEntryPerPrefix(t, survivor, what+", after the survivor's put")
+		emptyHand(t, survivor, what+", after the survivor's put")
 
 		if addr, _, ok := holder.lac.LookupNode([]byte("budget-")); !ok || addr != original.Addr {
 			t.Fatalf("%s: the holder remembers %v, %v for \"budget-\"; want the original %v", what, addr, ok, original.Addr)
@@ -583,6 +516,7 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 			warmSearch(t, fromRoot, mine, []byte("holder"))
 			warmSearch(t, fromRoot, []byte(sc.setup[0]), grown)
 		}
+		fscktest.Done(t, f)
 	}
 	if crashed == 0 {
 		t.Fatal("no sweep point crashed the victim; the sweep exercises nothing")
@@ -623,7 +557,6 @@ func TestSpeculativeWritesNeverPublished(t *testing.T) {
 				}
 			}
 			f, shared, setup := sc.build(t, 2)
-			before := reachableInner(t, setup)
 			node, l, err := setup.locate([]byte("budget-a"), len("budget-a"))
 			if err != nil || l != len("budget-") {
 				t.Fatalf("locating the contended node: prefix %d, %v", l, err)
@@ -660,7 +593,7 @@ func TestSpeculativeWritesNeverPublished(t *testing.T) {
 			if _, ok, err := check.Search([]byte(sc.key)); err != nil || !ok {
 				t.Errorf("victim's key unreadable after the race: %v", err)
 			}
-			checkNoPhantomEntries(t, check, before, "after the race")
+			emptyHand(t, check, "after the race")
 		})
 	}
 
@@ -671,8 +604,7 @@ func TestSpeculativeWritesNeverPublished(t *testing.T) {
 		for seed := uint64(1); seed <= 8; seed++ {
 			for _, sc := range writeScenarios {
 				what := fmt.Sprintf("seed %d, %s", seed, sc.name)
-				f, shared, setup := sc.build(t, 2)
-				before := reachableInner(t, setup)
+				f, shared, _ := sc.build(t, 2)
 				f.SetFaultPlan(&fabric.FaultPlan{Seed: seed, TransientPer64k: 1 << 13})
 				victim := newTestClient(f, shared, Options{})
 				f.SetFaultPlan(nil)
@@ -685,7 +617,8 @@ func TestSpeculativeWritesNeverPublished(t *testing.T) {
 				if v, ok, err := check.Search([]byte(sc.key)); err != nil || !ok || string(v) != "victim" {
 					t.Fatalf("%s: victim's key = %q, %v, %v", what, v, ok, err)
 				}
-				checkNoPhantomEntries(t, check, before, what)
+				emptyHand(t, check, what)
+				fscktest.Done(t, f)
 			}
 		}
 		if abandoned == 0 {
@@ -756,6 +689,7 @@ func TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults(t *testing.T) {
 				if dt := fresh.eng.C.Clock() - t0; err != nil || dt >= quickPs {
 					t.Fatalf("seed %d: a fault-free read and write of the key took %d ps (bound %d) and returned %v: a live lock was left behind", seed, dt, int64(quickPs), err)
 				}
+				fscktest.Done(t, f)
 			}
 			if redriven == 0 {
 				t.Fatal("no seed cut a commit batch; the sweep exercises nothing")
@@ -789,7 +723,6 @@ func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 		}
 	}
 	f, shared, setup := sc.build(t, 2)
-	before := reachableInner(t, setup)
 	victim := sc.victim(t, f, shared, setup, false)
 	rival := newTestClient(f, shared, Options{})
 	rec := obs.NewRecorder()
@@ -843,8 +776,7 @@ func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 	}
 	warmSearch(t, check, []byte(sc.key), []byte("victim"))
 	sc.checkReadable(t, f, shared, "after the race")
-	checkNoPhantomEntries(t, check, before, "after the race")
-	checkOneEntryPerPrefix(t, check, "after the race")
+	emptyHand(t, check, "after the race")
 }
 
 // TestCommitBatchSurvivesFaults aims one transient at every verb of the
@@ -890,7 +822,6 @@ func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
 			what, at, fault = "lost completion", shape.first, fabric.ErrTimeout
 		}
 		f, shared, setup := sc.build(t, 2)
-		before := reachableInner(t, setup)
 		victim := sc.victim(t, f, shared, setup, warm)
 		victim.eng.C.FailAt(at, fault)
 		// No verb of the victim may write a slot once its unlock ran. The
@@ -988,8 +919,7 @@ func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
 			warmSearch(t, check, []byte(peerKey), []byte("peer"))
 		}
 		sc.checkReadable(t, f, shared, what)
-		checkNoPhantomEntries(t, check, before, what)
-		checkOneEntryPerPrefix(t, check, what)
+		emptyHand(t, check, what)
 		// Leases released: writers that lock the nodes the victim locked
 		// — the node under "budget-", the root — are not kept waiting.
 		clock0 := check.eng.C.Clock()
@@ -1001,6 +931,7 @@ func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
 		if dt := check.eng.C.Clock() - clock0; dt > 100_000_000 || check.eng.Stats().LockSteals != 0 {
 			t.Errorf("%s: the next writers took %d ps and stole %d leases; a lease was left held", what, dt, check.eng.Stats().LockSteals)
 		}
+		fscktest.Done(t, f)
 	}
 }
 
@@ -1076,13 +1007,15 @@ func TestTypeSwitchOfNodeWithoutEntry(t *testing.T) {
 		want[k] = k
 	}
 	grown, err := survivor.fetchValidated(prefix)
-	if err != nil || grown == nil || grown.Hdr.Type != wire.Node16 || !reachableInner(t, survivor)[grown.Addr] {
-		t.Fatalf("the table names %v for %q (%v); want the grown copy the tree reaches", grown, prefix, err)
+	if err != nil || grown == nil || grown.Hdr.Type != wire.Node16 {
+		t.Fatalf("the table names %v for %q (%v); want the grown copy", grown, prefix, err)
+	}
+	if _, reached := Fsck(f.NewClient(), shared).Inner[grown.Addr]; !reached {
+		t.Fatalf("the table names %v for %q, which the tree does not reach", grown.Addr, prefix)
 	}
 	if st := survivor.HashStats(); st.ReplaceInserts != 1 {
 		t.Errorf("%d swaps inserted their entry; want the type switch's one", st.ReplaceInserts)
 	}
-	checkOneEntryPerPrefix(t, survivor, "after the type switch")
 	reader := NewClient(shared, f.NewClient(), Options{Filter: survivor.filter})
 	for k, v := range want {
 		warmSearch(t, reader, []byte(k), []byte(v))

@@ -70,7 +70,8 @@ func (b *Backoff) Wait() bool { return b.wait(false) }
 // holder off the CPU — under the race detector, beside other processes, tens
 // of milliseconds. The virtual wait is Wait's; only the host park differs,
 // growing 20 µs a poll up to 2 ms, so a whole budget is about half a second
-// of wall time.
+// of wall time. Under a schedule (Fabric.Scheduled) the holder runs only when
+// the schedule picks it, so no wait parks the host there.
 func (b *Backoff) WaitHolder() bool { return b.wait(true) }
 
 func (b *Backoff) wait(holder bool) bool {
@@ -85,9 +86,11 @@ func (b *Backoff) wait(holder bool) bool {
 	// while keeping each client's schedule deterministic.
 	wait := step/2 + int64(b.c.Rand64()%uint64(step/2+1))
 	b.c.AdvanceClock(wait)
-	if park := time.Duration(b.attempts-yieldSpins+1) * 20 * time.Microsecond; holder && park > 0 {
+	switch park := time.Duration(b.attempts-yieldSpins+1) * 20 * time.Microsecond; {
+	case b.c.f.Scheduled:
+	case holder && park > 0:
 		time.Sleep(min(park, 2*time.Millisecond))
-	} else {
+	default:
 		Yield(b.attempts)
 	}
 	b.attempts++

@@ -230,6 +230,9 @@ type Fabric struct {
 	// fault, and is where the schedule explorer (fabrictest.Run) parks a
 	// client between its verbs.
 	Trace func(client *Client, op *Op)
+	// Scheduled, set by the schedule explorer for the length of a run, says
+	// one client runs at a time: a waiter's host park only stalls the run.
+	Scheduled bool
 }
 
 // New creates a fabric with the given cost model.

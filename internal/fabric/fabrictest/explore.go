@@ -67,8 +67,8 @@ func Run(f *fabric.Fabric, p Picker, procs ...Proc) []Step {
 		}()
 	}
 	prev := f.Trace
-	defer func() { f.Trace = prev }()
-	f.Trace = func(c *fabric.Client, op *fabric.Op) {
+	defer func() { f.Trace, f.Scheduled = prev, false }()
+	f.Trace, f.Scheduled = func(c *fabric.Client, op *fabric.Op) {
 		if prev != nil {
 			prev(c, op)
 		}
@@ -78,7 +78,7 @@ func Run(f *fabric.Fabric, p Picker, procs ...Proc) []Step {
 			parked <- Step{Proc: i, K: p.k, Op: *op, Stage: c.Stage(), BatchEnd: c.Posted()-p.base == p.k}
 			<-p.resume
 		}
-	}
+	}, true
 	steps := []Step{{BatchEnd: true}}
 	for len(ready) > 0 {
 		ps[p.Pick(steps[len(steps)-1], ready)].resume <- struct{}{}

@@ -193,7 +193,7 @@ func TestInterruptedDeleteMetByPointOps(t *testing.T) {
 						t.Errorf("cut at verb %d, found %v: %q reads %q, %v; want %q, %v", at, found, k, val, ok, want, wok)
 					}
 				}
-				checkNoRetiredOrHeld(t, f, reader, root(reader), fmt.Sprintf("cut at verb %d, after the %s", at, tc.name))
+				fsck(t, f, root(reader), fmt.Sprintf("cut at verb %d, after the %s", at, tc.name))
 				seen[found] = true
 			}
 			if tc.name != "upsert" && tc.name != "delete" && !(seen[true] && seen[false]) {

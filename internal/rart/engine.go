@@ -30,7 +30,24 @@ var (
 	// ErrRetriesExhausted is the terminal error of every bounded retry
 	// loop in the engine; callers test it with errors.Is.
 	ErrRetriesExhausted = errors.New("rart: retries exhausted")
+
+	// ErrValueTooLarge is returned by a write whose leaf would exceed
+	// wire.MaxLeafUnits, before any round trip is paid: nothing is written.
+	ErrValueTooLarge = errors.New("rart: value too large")
 )
+
+// CheckArgs checks an operation's key, and the leaf a write of value would
+// build (nil for an operation that writes none), before any round trip: the
+// one argument check of every system's operations.
+func CheckArgs(key, value []byte) error {
+	if len(key) == 0 || len(key) > wire.MaxDepth {
+		return fmt.Errorf("rart: key length %d out of range [1,%d]", len(key), wire.MaxDepth)
+	}
+	if wire.LeafSize(len(key), len(value)) > wire.MaxLeafUnits*wire.LeafUnit {
+		return fmt.Errorf("%w: %d-byte value for %q", ErrValueTooLarge, len(value), key)
+	}
+	return nil
+}
 
 // Config tunes the engine per system.
 type Config struct {

@@ -92,39 +92,13 @@ func TestRetireWaitsForInPlaceHolder(t *testing.T) {
 // viaOf is where a walk that ends in n finds key's leaf.
 func viaOf(n *Node, key []byte) Via { return Via{n.Addr, n.edgeOf(key).addr} }
 
-// checkNoRetiredOrHeld walks the whole tree with raw reads, which break no
-// lock, and fails on a slot that names an Invalid leaf, on a reachable leaf
-// Locked by a live client and on a node leased by one.
-func checkNoRetiredOrHeld(t *testing.T, f *fabric.Fabric, e *Engine, n *Node, what string) {
+// fsck runs the index check on the tree under r through a fresh client of f
+// and fails t on every finding but a crashed client's lock: such a lock stays
+// until a waiter takes it (docs/failure-model.md §3).
+func fsck(t *testing.T, f *fabric.Fabric, r *Node, what string) {
 	t.Helper()
-	if owner, _, held := wire.DecodeLease(n.LeaseWord); held && !f.ClientCrashed(int(owner)) {
-		t.Errorf("%s: node %v leased by live client %d", what, n.Addr, owner)
-	}
-	slots := n.Children()
-	if n.EOL.Present {
-		slots = append(slots, n.EOL)
-	}
-	for _, s := range slots {
-		if !s.Leaf {
-			child, err := e.ReadNode(s.Addr, s.ChildType)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			checkNoRetiredOrHeld(t, f, e, child, what)
-			continue
-		}
-		w, err := e.C.ReadUint64(s.Addr)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		switch hdr := wire.DecodeLeafHeader(w); hdr.Status {
-		case wire.StatusInvalid:
-			t.Errorf("%s: a slot of %v names the Invalid leaf %v", what, n.Addr, s.Addr)
-		case wire.StatusLocked:
-			if owner, _ := wire.LeafLockOwner(w); !f.ClientCrashed(int(owner)) {
-				t.Errorf("%s: reachable leaf %v Locked by live client %d", what, s.Addr, owner)
-			}
-		}
+	for _, fd := range NewEngine(f.NewClient(), nil, nil, Config{}).Fsck(r.Addr).Failures(CrashedLock) {
+		t.Errorf("%s: fsck: %v", what, fd)
 	}
 }
 
@@ -145,7 +119,7 @@ func interruptedDelete(t *testing.T, at uint64) (*fabric.Fabric, *consistenthash
 		t.Fatalf("delete cut at verb %d: %v; want the crash", at, err)
 	}
 	check := engineOn(f, ring)
-	checkNoRetiredOrHeld(t, f, check, root(check), fmt.Sprintf("delete cut at verb %d", at))
+	fsck(t, f, root(check), fmt.Sprintf("delete cut at verb %d", at))
 	return f, ring, root
 }
 
@@ -190,7 +164,7 @@ func TestRetireCutAtEveryVerb(t *testing.T) {
 						t.Fatalf("%s: want the aimed fault", what)
 					}
 					check := engineOn(f, ring)
-					checkNoRetiredOrHeld(t, f, check, root(check), what)
+					fsck(t, f, root(check), what)
 					got, serr := check.SearchFrom(root(check), key, NopHooks{})
 					switch {
 					case serr != nil:
@@ -311,7 +285,7 @@ func TestCrashBeforeInvalidLeavesLeafLocked(t *testing.T) {
 				if err != nil || (got != nil) != (rt.want != nil) || got != nil && !bytes.Equal(got.Value, rt.want) {
 					t.Errorf("the tree reads %+v, %v; want %.10q", got, err, rt.want)
 				}
-				checkNoRetiredOrHeld(t, f, check, root(check), "after the crash")
+				fsck(t, f, root(check), "after the crash")
 			})
 		}
 	}
@@ -409,7 +383,7 @@ func TestRelocationToKilledTargetAborts(t *testing.T) {
 	if sw.Turns[0].At == nil || moved || !errors.Is(err, fabric.ErrNodeKilled) {
 		t.Fatalf("relocation = %v, %v (kill at %+v); want the kill, behind the lock batch", moved, err, sw.Turns[0].At)
 	}
-	checkNoRetiredOrHeld(t, f, check, root(check), "after the aborted relocation")
+	fsck(t, f, root(check), "after the aborted relocation")
 	if got, err := check.SearchFrom(root(check), key, NopHooks{}); err != nil || got == nil || got.Addr != leaf.Addr || got.Status != wire.StatusIdle {
 		t.Fatalf("the key reads %+v, %v; want its leaf in place, Idle", got, err)
 	}

@@ -286,7 +286,7 @@ func (c *Client) jump(key []byte) (*rart.Node, int, error) {
 
 // Search returns the value stored for key.
 func (c *Client) Search(key []byte) (value []byte, ok bool, err error) {
-	if err := c.checkKey(key); err != nil {
+	if err := rart.CheckArgs(key, nil); err != nil {
 		return nil, false, err
 	}
 	c.stats.Searches++
@@ -317,7 +317,7 @@ func (c *Client) Update(key, value []byte) (bool, error) {
 }
 
 func (c *Client) put(key, value []byte, mode rart.PutMode) (existed bool, err error) {
-	if err := c.checkKey(key); err != nil {
+	if err := rart.CheckArgs(key, value); err != nil {
 		return false, err
 	}
 	err = c.eng.Retry("smart put", key, func() error {
@@ -341,7 +341,7 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (existed bool, err er
 
 // Delete removes key, reporting whether it was present.
 func (c *Client) Delete(key []byte) (ok bool, err error) {
-	if err := c.checkKey(key); err != nil {
+	if err := rart.CheckArgs(key, nil); err != nil {
 		return false, err
 	}
 	c.stats.Deletes++
@@ -368,11 +368,4 @@ func (c *Client) Scan(lo, hi []byte, limit int) (kvs []rart.KV, err error) {
 		return err
 	})
 	return kvs, err
-}
-
-func (c *Client) checkKey(key []byte) error {
-	if len(key) == 0 || len(key) > wire.MaxDepth {
-		return fmt.Errorf("smart: key length %d out of range", len(key))
-	}
-	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
 	"sphinx/internal/rart"
+	"sphinx/internal/rart/fscktest"
 )
 
 func newCluster(t *testing.T, mns int, cfg fabric.Config) (*fabric.Fabric, Shared) {
@@ -26,6 +27,9 @@ func newCluster(t *testing.T, mns int, cfg fabric.Config) (*fabric.Fabric, Share
 	if err != nil {
 		t.Fatal(err)
 	}
+	fscktest.AtEnd(t, f, func(fc *fabric.Client) *rart.Check {
+		return rart.NewEngine(fc, nil, nil, rart.Config{Prealloc256: true}).Fsck(shared.Root)
+	})
 	return f, shared
 }
 

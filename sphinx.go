@@ -504,7 +504,7 @@ func (cn *ComputeNode) CacheBytes() uint64 {
 	}
 }
 
-// ErrValueTooLarge is returned by a Sphinx write whose value, with its key,
-// does not fit the largest leaf (wire.MaxLeafUnits 64-byte units), before
-// anything is written.
+// ErrValueTooLarge is returned by a write — on any System — whose value, with
+// its key, does not fit the largest leaf (wire.MaxLeafUnits 64-byte units),
+// before anything is written.
 var ErrValueTooLarge = core.ErrValueTooLarge

@@ -380,6 +380,8 @@ func TestValueTooLarge(t *testing.T) {
 	for _, cfg := range []Config{
 		{Timing: TimingInstant},
 		{Timing: TimingInstant, Replication: 2, HotReplicaFactor: 3},
+		{System: SystemSMART},
+		{System: SystemART},
 	} {
 		cluster, err := NewCluster(cfg)
 		if err != nil {
