@@ -164,10 +164,10 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation quantifies Sphinx's design choices (see DESIGN.md):
-// filter cache on/off/starved and doorbell batching on/off, on YCSB-C.
+// BenchmarkAblation quantifies the filter cache (see DESIGN.md): Sphinx
+// against Sphinx-noSFC on YCSB-C.
 func BenchmarkAblation(b *testing.B) {
-	for _, sys := range []bench.System{bench.Sphinx, bench.SphinxNoSFC, bench.SphinxNoBatch, bench.SphinxTinySFC} {
+	for _, sys := range []bench.System{bench.Sphinx, bench.SphinxNoSFC} {
 		cl, err := bench.NewCluster(sys, benchConfig(dataset.Email))
 		if err != nil {
 			b.Fatal(err)

@@ -5,9 +5,10 @@
 //
 //	sphinxbench [flags] fig4|fig5|fig6|ablation|scaling|treedepth|valsweep|pipeline|fastpath|failover|elastic|skew|all
 //
-// fig4–fig6 and ablation regenerate the paper's figures; scaling (CN
-// multicore), treedepth, valsweep, pipeline (issue depth) and fastpath
-// (leaf-address cache, warmup/steady) extend them; failover, elastic and
+// fig4–fig6 regenerate the paper's figures and ablation the filter cache's
+// share of them (Sphinx against Sphinx-noSFC); scaling (CN multicore),
+// treedepth, valsweep, pipeline (issue depth) and fastpath (leaf-address
+// cache, warmup/steady) extend them; failover, elastic and
 // skew are the ledgered chaos and hot-spot experiments the CI smoke jobs
 // gate on; all runs fig4, fig5, fig6, ablation and pipeline. Each
 // experiment prints an aligned table; see EXPERIMENTS.md for the mapping

@@ -36,13 +36,9 @@ const (
 	ART    // the original ART ported to DM
 
 	// Ablations (not in the paper's figures; see DESIGN.md).
-	SphinxNoSFC      // inner-node hash table only, filter cache disabled
-	SphinxNoBatch    // doorbell batching disabled
-	SphinxTinySFC    // capacity-starved filter cache (eviction pressure)
-	SphinxTinyRand   // starved filter with random eviction (vs second chance)
-	SphinxNoDirCache // hash-table directory caches disabled
-	SphinxNoLAC      // speculative leaf-address cache disabled (3-RT warm reads)
-	SphinxHot        // hotness-driven read replication enabled (skew experiment)
+	SphinxNoSFC // inner-node hash table only, filter cache disabled
+	SphinxNoLAC // speculative leaf-address cache disabled (3-RT warm reads)
+	SphinxHot   // hotness-driven read replication enabled (skew experiment)
 )
 
 // String names the system as the paper's figures do.
@@ -58,14 +54,6 @@ func (s System) String() string {
 		return "ART"
 	case SphinxNoSFC:
 		return "Sphinx-noSFC"
-	case SphinxNoBatch:
-		return "Sphinx-noDB"
-	case SphinxTinySFC:
-		return "Sphinx-tinySFC"
-	case SphinxTinyRand:
-		return "Sphinx-tinyRnd"
-	case SphinxNoDirCache:
-		return "Sphinx-noDirC"
 	case SphinxNoLAC:
 		return "Sphinx-noLAC"
 	case SphinxHot:
@@ -187,17 +175,13 @@ func (c Config) withDefaults() Config {
 // ratios (§V-A): Sphinx's filter and SMART's node cache get 20 MB per
 // 480 MB of u64 key bytes (≈4.17 %), SMART+C 10× that — computed against
 // the u64-equivalent key volume so that email runs see the same absolute
-// budget. The starved-filter ablations get 1/64 of Sphinx's.
+// budget.
 func cacheBudget(sys System, keys int) uint64 {
 	u64Bytes := uint64(keys) * 8
-	switch sys {
-	case SMARTC:
+	if sys == SMARTC {
 		return u64Bytes * 4170 / 10000
-	case SphinxTinySFC, SphinxTinyRand:
-		return u64Bytes * 417 / 10000 / 64
-	default:
-		return u64Bytes * 417 / 10000
 	}
+	return u64Bytes * 417 / 10000
 }
 
 // Index is the operation surface shared by all compared systems: the
@@ -298,7 +282,7 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 	rand.New(rand.NewSource(cfg.Seed)).Read(cl.value)
 
 	switch sys {
-	case Sphinx, SphinxNoSFC, SphinxNoBatch, SphinxTinySFC, SphinxTinyRand, SphinxNoDirCache, SphinxNoLAC, SphinxHot:
+	case Sphinx, SphinxNoSFC, SphinxNoLAC, SphinxHot:
 		if cfg.Replication > 0 {
 			cl.sphinxShared, err = core.BootstrapReplicated(f, ring, cfg.Keys, cfg.Replication)
 		} else {
@@ -314,13 +298,9 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 				}
 			}
 		}
-		policy := cuckoo.PolicySecondChance
-		if sys == SphinxTinyRand {
-			policy = cuckoo.PolicyRandom
-		}
 		cl.filters = make([]*core.FilterCache, cfg.CNs)
 		for i := range cl.filters {
-			cl.filters[i] = core.NewFilterCacheBytesPolicy(cacheBudget(sys, cfg.Keys), uint64(cfg.Seed)+uint64(i)|1, policy)
+			cl.filters[i] = core.NewFilterCacheBytes(cacheBudget(sys, cfg.Keys), uint64(cfg.Seed)+uint64(i)|1)
 		}
 		if sys != SphinxNoLAC {
 			// 512 KiB per CN: 64K packed 8-byte leaf addresses.
@@ -395,15 +375,10 @@ func (cl *Cluster) observeOp(k obs.OpKind, latencyPs int64, roundTrips uint64) {
 func (cl *Cluster) sphinxOptions(cn int) (core.Options, bool) {
 	var o core.Options
 	switch cl.Sys {
-	case Sphinx, SphinxNoBatch, SphinxTinySFC, SphinxTinyRand, SphinxNoLAC, SphinxHot:
+	case Sphinx, SphinxNoLAC, SphinxHot:
 		o = core.Options{Filter: cl.filters[cn%len(cl.filters)]}
 	case SphinxNoSFC:
 		// No filter: every locate reads all its prefixes' bucket pairs.
-	case SphinxNoDirCache:
-		o = core.Options{
-			Filter:          cl.filters[cn%len(cl.filters)],
-			DisableDirCache: true,
-		}
 	default:
 		return core.Options{}, false
 	}
@@ -429,13 +404,10 @@ func (cl *Cluster) sphinxOptions(cn int) (core.Options, bool) {
 	return o, true
 }
 
-// fabricClient builds one worker's fabric client: clock zero, the
-// system's batching mode, the phase's batch observers.
+// fabricClient builds one worker's fabric client: clock zero, the phase's
+// batch observers.
 func (cl *Cluster) fabricClient() *fabric.Client {
 	fc := cl.F.NewClient()
-	if cl.Sys == SphinxNoBatch {
-		fc.SetNoBatch(true)
-	}
 	// The nil guard matters here too (see sphinxOptions).
 	if observer := cl.phaseObs(); observer != nil {
 		fc.SetObserver(observer)

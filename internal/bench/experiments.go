@@ -146,11 +146,11 @@ func Fig6(cfg Config, out io.Writer) ([]MemUsage, error) {
 	return usages, nil
 }
 
-// Ablation quantifies Sphinx's design choices (DESIGN.md experiment
-// index): the filter cache (round trips and bytes saved vs hash-only),
-// doorbell batching, and filter capacity pressure.
+// Ablation quantifies the filter cache (DESIGN.md experiment index): the
+// round trips and bytes Sphinx saves on YCSB-C and YCSB-A against
+// Sphinx-noSFC, which reads every prefix's bucket pair.
 func Ablation(cfg Config, out io.Writer) ([]Result, error) {
-	systems := []System{Sphinx, SphinxNoSFC, SphinxNoBatch, SphinxNoDirCache, SphinxTinySFC, SphinxTinyRand}
+	systems := []System{Sphinx, SphinxNoSFC}
 	d := cfg.withDefaults()
 	t := newTable(out, "# Ablation — Sphinx variants, dataset=%v keys=%d workers=%d\n", d.Dataset, d.Keys, d.Workers)
 	for _, sys := range systems {

@@ -100,10 +100,13 @@ func NewFilterCache(n int, seed uint64) *FilterCache {
 
 // NewFilterCacheBytes creates a filter cache of a CN-side memory budget (the
 // quantity the paper's evaluation fixes at 20 MB), allocated whole: the
-// filter starts at the budget and never grows. A compute node sizes its
-// cache with NewFilterCacheFor, which treats the budget as a ceiling.
+// filter starts at the budget and never grows. It fills the budget exactly
+// (within one 8-byte bucket word): cuckoo bucket counts are not constrained
+// to powers of two, so none of the budget is lost to rounding. A compute
+// node sizes its cache with NewFilterCacheFor, which treats the budget as a
+// ceiling.
 func NewFilterCacheBytes(budget uint64, seed uint64) *FilterCache {
-	return NewFilterCacheBytesPolicy(budget, seed, cuckoo.PolicySecondChance)
+	return &FilterCache{cuckoo.NewBytes(max(budget, 16), seed)}
 }
 
 // NewFilterCacheFor creates the filter cache of a compute node of a cluster
@@ -112,15 +115,6 @@ func NewFilterCacheBytes(budget uint64, seed uint64) *FilterCache {
 // doubles toward the budget as the index outgrows it (cuckoo.NewGrowing).
 func NewFilterCacheFor(expectedKeys int, budget, seed uint64) *FilterCache {
 	return &FilterCache{cuckoo.NewGrowing(expectedKeys, max(budget, 16), seed)}
-}
-
-// NewFilterCacheBytesPolicy additionally selects the eviction policy —
-// the paper's hotness-driven second chance, or random replacement for the
-// ablation comparison. The filter fills the budget exactly (within one
-// 8-byte bucket word): cuckoo bucket counts are not constrained to powers
-// of two, so none of the budget is lost to rounding.
-func NewFilterCacheBytesPolicy(budget uint64, seed uint64, policy cuckoo.Policy) *FilterCache {
-	return &FilterCache{cuckoo.NewBytesPolicy(max(budget, 16), seed, policy)}
 }
 
 // FilterStats returns the underlying filter counters.
@@ -142,10 +136,6 @@ type Options struct {
 	// none, no Get takes the 1-RT fast path, no write the speculative
 	// in-place one, and every landing asks the table.
 	LeafCache *LeafCache
-	// DisableDirCache drops the client-side hash-table directory caches:
-	// every bucket resolution reads the meta word and directory entry
-	// remotely. Ablation lever for the §IV directory cache.
-	DisableDirCache bool
 	// Observer, when non-nil, is installed on the fabric client so every
 	// doorbell batch is reported with its stage annotation (obs.Metrics
 	// implements it). Shared observers must be concurrency-safe.
@@ -317,7 +307,6 @@ type Client struct {
 	views   atomic.Pointer[viewSet]
 	filter  *FilterCache
 	lac     *LeafCache
-	opts    Options
 	// stats fields are incremented atomically and loaded atomically by
 	// Stats(), so a live metrics scrape can snapshot a client while its
 	// worker goroutine runs operations.
@@ -365,7 +354,6 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 		eng:     rart.NewEngine(c, alloc, shared.Ring, rart.Config{Place: place}),
 		filter:  opts.Filter,
 		lac:     opts.LeafCache,
-		opts:    opts,
 		index:   opts.Index,
 	}
 	cl.eng.Note = func(stage fabric.Stage, note string) {
@@ -376,7 +364,7 @@ func NewClient(shared Shared, c *fabric.Client, opts Options) *Client {
 	cur := members.Current()
 	views := &viewSet{m: make(map[mem.NodeID]*racehash.View, len(cur.Tables))}
 	for node, t := range cur.Tables {
-		views.m[node] = cl.newDirView(t, c)
+		views.m[node] = racehash.NewView(t, c)
 	}
 	cl.views.Store(views)
 	if ft := shared.FT; ft != nil {
@@ -419,14 +407,6 @@ func (c *Client) HashStats() racehash.Stats {
 	return total
 }
 
-// newDirView builds an INHT view honoring the directory-cache ablation.
-func (c *Client) newDirView(t racehash.Table, fc *fabric.Client) *racehash.View {
-	if c.opts.DisableDirCache {
-		return racehash.NewViewNoCache(t, fc)
-	}
-	return racehash.NewView(t, fc)
-}
-
 // placeIn resolves the memory node owning key under placement p: the ring
 // owner, or (with fault tolerance) the first healthy successor.
 func (c *Client) placeIn(p *Placement, key []byte) mem.NodeID {
@@ -452,7 +432,7 @@ func (c *Client) viewOf(node mem.NodeID) *racehash.View {
 	if !ok {
 		return nil
 	}
-	v := c.newDirView(t, c.eng.C)
+	v := racehash.NewView(t, c.eng.C)
 	// Publish a grown copy of the view set. Only the owning worker
 	// goroutine mutates it, so a plain load-copy-store suffices; the atomic
 	// pointer is for concurrent metrics scrapes.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"sphinx/internal/cuckoo"
 )
 
 // TestFilterCacheConcurrentChurn hammers one shared FilterCache — the
@@ -17,7 +15,7 @@ import (
 // inserts − evictions − deletes. Run under -race this is the
 // data-race-freedom proof for the lock-free filter.
 func TestFilterCacheConcurrentChurn(t *testing.T) {
-	fc := NewFilterCacheBytesPolicy(32<<10, 7, cuckoo.PolicySecondChance)
+	fc := NewFilterCacheBytes(32<<10, 7)
 	const workers = 8
 	const opsPer = 15000
 	var wg sync.WaitGroup

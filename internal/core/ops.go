@@ -96,12 +96,11 @@ func (p *publisher) plan(c *Client, pubs []rart.Publication) error {
 	return nil
 }
 
-// AppendReads implements rart.Publisher.
+// AppendReads implements rart.Publisher: a swap's bucket pair; a fresh
+// entry's insert goes blind and needs none.
 func (p *publisher) AppendReads(ops []fabric.Op) []fabric.Op {
 	for i, pub := range p.pubs {
-		if pub.Old == nil {
-			ops = p.reads[i].AppendFreshReads(ops)
-		} else {
+		if pub.Old != nil {
 			ops = p.reads[i].AppendOps(ops)
 		}
 	}

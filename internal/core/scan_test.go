@@ -414,60 +414,3 @@ func TestEmailDatasetEndToEnd(t *testing.T) {
 		t.Fatalf("after deletes: scan %d, oracle %d", len(total), len(oracle))
 	}
 }
-
-// TestNoDirCacheCorrectness runs the oracle workload with the directory
-// cache ablation enabled.
-func TestNoDirCacheCorrectness(t *testing.T) {
-	f, shared := newCluster(t, 2, fabric.InstantConfig(), 2000)
-	c := newTestClient(f, shared, Options{DisableDirCache: true})
-	oracle := map[string]string{}
-	rng := rand.New(rand.NewSource(31))
-	for step := 0; step < 1500; step++ {
-		k := []byte(fmt.Sprintf("k%d", rng.Intn(300)))
-		if rng.Intn(2) == 0 {
-			v := fmt.Sprintf("v%d", step)
-			if _, err := c.Insert(k, []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-			oracle[string(k)] = v
-		} else {
-			got, ok, err := c.Search(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantOK := oracle[string(k)]
-			if ok != wantOK || (ok && string(got) != want) {
-				t.Fatalf("step %d: %q = %q,%v want %q,%v", step, k, got, ok, want, wantOK)
-			}
-		}
-	}
-	// Without the cache, lookups pay two extra dependent round trips.
-	f2, shared2 := newCluster(t, 1, fabric.DefaultConfig(), 100)
-	warmup := newTestClient(f2, shared2, Options{})
-	for i := 0; i < 30; i++ {
-		if _, err := warmup.Insert([]byte(fmt.Sprintf("rt%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The ablation is of the TABLE's directory cache: reads that ask the table,
-	// not a remembered leaf or node address.
-	withCache := NewClient(shared2, f2.NewClient(), Options{Filter: testFilter(0)})
-	noCache := NewClient(shared2, f2.NewClient(), Options{Filter: testFilter(0), DisableDirCache: true})
-	measure := func(c *Client) float64 {
-		if _, _, err := c.Search([]byte("rt010")); err != nil { // warm
-			t.Fatal(err)
-		}
-		before := c.Engine().C.Stats()
-		for i := 0; i < 10; i++ {
-			if _, ok, err := c.Search([]byte(fmt.Sprintf("rt%03d", i))); err != nil || !ok {
-				t.Fatal(ok, err)
-			}
-		}
-		return float64(c.Engine().C.Stats().Sub(before).RoundTrips) / 10
-	}
-	rtCache := measure(withCache)
-	rtNo := measure(noCache)
-	if rtNo < rtCache+1.5 {
-		t.Errorf("dir-cache ablation: %.1f vs %.1f RT/op — expected ≥+2 round trips", rtNo, rtCache)
-	}
-}

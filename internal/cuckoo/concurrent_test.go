@@ -21,63 +21,60 @@ import (
 //
 // Run under -race this also proves the filter is data-race-free.
 func TestConcurrentChurnInvariants(t *testing.T) {
-	for _, policy := range []Policy{PolicySecondChance, PolicyRandom} {
-		f := NewWithPolicy(1<<10, 99, policy)
-		const workers = 8
-		const opsPer = 20000
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := uint64(w)*0x9e3779b97f4a7c15 + 1
-				for i := 0; i < opsPer; i++ {
-					rng ^= rng << 13
-					rng ^= rng >> 7
-					rng ^= rng << 17
-					// A key universe ~4× capacity: plenty of duplicates,
-					// evictions, false deletes and cross-goroutine collisions.
-					h := wire.Mix64(rng % (1 << 12))
-					switch {
-					case rng>>32%16 < 10:
-						f.Contains(h)
-					case rng>>32%16 < 14:
-						f.Insert(h)
-					default:
-						f.Delete(h)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-
-		occ := f.Occupancy()
-		if scan := scanOccupied(f); occ != scan {
-			t.Fatalf("policy %d: incremental occupancy %d != scanned %d", policy, occ, scan)
-		}
-		if occ > uint64(f.Capacity()) {
-			t.Fatalf("policy %d: occupancy %d exceeds capacity %d", policy, occ, f.Capacity())
-		}
-		st := f.Stats()
-		if want := st.Inserts - st.Evictions - st.Deletes; occ != want {
-			t.Fatalf("policy %d: occupancy %d != inserts-evictions-deletes %d (stats %+v)",
-				policy, occ, want, st)
-		}
-		for i := range f.tab.Load().buckets {
-			w := f.tab.Load().buckets[i].Load()
-			for s := 0; s < SlotsPerBucket; s++ {
-				e := slotOf(w, s)
-				if e != 0 && e&fpMask == 0 {
-					t.Fatalf("policy %d: torn slot %#x (hot bit without fingerprint)", policy, e)
-				}
-				if e&^uint16(fpMask|hotBit) != 0 {
-					t.Fatalf("policy %d: spare bits set in slot %#x", policy, e)
+	f := New(1<<10, 99)
+	const workers = 8
+	const opsPer = 20000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := uint64(w)*0x9e3779b97f4a7c15 + 1
+			for i := 0; i < opsPer; i++ {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				// A key universe ~4× capacity: plenty of duplicates,
+				// evictions, false deletes and cross-goroutine collisions.
+				h := wire.Mix64(rng % (1 << 12))
+				switch {
+				case rng>>32%16 < 10:
+					f.Contains(h)
+				case rng>>32%16 < 14:
+					f.Insert(h)
+				default:
+					f.Delete(h)
 				}
 			}
+		}(w)
+	}
+	wg.Wait()
+
+	occ := f.Occupancy()
+	if scan := scanOccupied(f); occ != scan {
+		t.Fatalf("incremental occupancy %d != scanned %d", occ, scan)
+	}
+	if occ > uint64(f.Capacity()) {
+		t.Fatalf("occupancy %d exceeds capacity %d", occ, f.Capacity())
+	}
+	st := f.Stats()
+	if want := st.Inserts - st.Evictions - st.Deletes; occ != want {
+		t.Fatalf("occupancy %d != inserts-evictions-deletes %d (stats %+v)", occ, want, st)
+	}
+	for i := range f.tab.Load().buckets {
+		w := f.tab.Load().buckets[i].Load()
+		for s := 0; s < SlotsPerBucket; s++ {
+			e := slotOf(w, s)
+			if e != 0 && e&fpMask == 0 {
+				t.Fatalf("torn slot %#x (hot bit without fingerprint)", e)
+			}
+			if e&^uint16(fpMask|hotBit) != 0 {
+				t.Fatalf("spare bits set in slot %#x", e)
+			}
 		}
-		if st.Hits == 0 || st.Inserts == 0 || st.Deletes == 0 {
-			t.Fatalf("policy %d: churn did not exercise all operations (stats %+v)", policy, st)
-		}
+	}
+	if st.Hits == 0 || st.Inserts == 0 || st.Deletes == 0 {
+		t.Fatalf("churn did not exercise all operations (stats %+v)", st)
 	}
 }
 

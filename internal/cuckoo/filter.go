@@ -83,27 +83,11 @@ type counter struct {
 	_ [56]byte
 }
 
-// Policy selects the replacement behaviour when both candidate buckets
-// are full. The paper's design is second-chance via the hotness bit
-// (§III-B); random replacement exists as the ablation baseline it is
-// compared against.
-type Policy int
-
-// Replacement policies.
-const (
-	// PolicySecondChance replaces a random cold (hot=0) entry, falling
-	// back to cuckoo relocation (which resets hotness) when all are hot.
-	PolicySecondChance Policy = iota
-	// PolicyRandom replaces a uniformly random entry, ignoring hotness.
-	PolicyRandom
-)
-
 // Filter is a cuckoo filter with hotness-based second-chance eviction,
 // safe for concurrent use without external locking. The paper's filter
 // cache is per-CN and shared by that CN's workers; the sphinx core hands
 // this structure to them directly.
 type Filter struct {
-	policy Policy
 	// rng is the shared replacement-randomness state: a Weyl sequence
 	// advanced by one wait-free atomic add per decision. Concurrent
 	// callers may draw from the same state value — that merely correlates
@@ -143,20 +127,14 @@ type table struct {
 	dropped []*counter
 }
 
-// New creates a filter with capacity for at least n entries at ~95% load,
-// using the paper's second-chance policy. Seed makes replacement decisions
-// deterministic for reproducible experiments.
-func New(n int, seed uint64) *Filter {
-	return NewWithPolicy(n, seed, PolicySecondChance)
-}
-
-// NewWithPolicy creates a filter with an explicit replacement policy.
-// The bucket count is rounded up to a power of two: because the policy
-// evicts a cold entry whenever an insert finds both candidate buckets
+// New creates a filter with capacity for at least n entries at ~95% load.
+// Seed makes replacement decisions deterministic for reproducible
+// experiments. The bucket count is rounded up to a power of two: because the
+// filter evicts a cold entry whenever an insert finds both candidate buckets
 // full (cache semantics — it does not kick unless everything is hot),
 // "capacity for n entries" needs slack beyond the raw slot count so that
 // full bucket pairs stay improbable while n entries are live.
-func NewWithPolicy(n int, seed uint64, policy Policy) *Filter {
+func New(n int, seed uint64) *Filter {
 	if n < 1 {
 		n = 1
 	}
@@ -165,23 +143,17 @@ func NewWithPolicy(n int, seed uint64, policy Policy) *Filter {
 	for nb < want {
 		nb <<= 1
 	}
-	return newFilter(nb, nb, seed, policy)
+	return newFilter(nb, nb, seed)
 }
 
 // NewBytes creates a filter whose entry array fills the byte budget as
-// closely as possible without exceeding it, using the paper's
-// second-chance policy.
+// closely as possible without exceeding it. Bucket counts are not
+// constrained to powers of two (the index is a multiplicative range
+// reduction and the partner bucket a subtractive involution, both of which
+// work for any modulus), so SizeBytes() lands within one 8-byte bucket word
+// of the budget.
 func NewBytes(budget uint64, seed uint64) *Filter {
-	return NewBytesPolicy(budget, seed, PolicySecondChance)
-}
-
-// NewBytesPolicy creates a byte-budgeted filter with an explicit policy.
-// Bucket counts are not constrained to powers of two (the index is a
-// multiplicative range reduction and the partner bucket a subtractive
-// involution, both of which work for any modulus), so SizeBytes() lands
-// within one 8-byte bucket word of the budget.
-func NewBytesPolicy(budget uint64, seed uint64, policy Policy) *Filter {
-	return newFilter(budget/8, budget/8, seed, policy)
+	return newFilter(budget/8, budget/8, seed)
 }
 
 // NewGrowing creates a second-chance filter whose byte budget is a ceiling:
@@ -199,11 +171,11 @@ func NewGrowing(expected int, budget, seed uint64) *Filter {
 	for start/2*SlotsPerBucket >= 2*uint64(max(expected, 1)) {
 		start, doublings = start/2, doublings+1
 	}
-	return newFilter(start, start<<doublings, seed, PolicySecondChance)
+	return newFilter(start, start<<doublings, seed)
 }
 
-func newFilter(start, budget uint64, seed uint64, policy Policy) *Filter {
-	f := &Filter{policy: policy, budget: max(budget, 1)}
+func newFilter(start, budget uint64, seed uint64) *Filter {
+	f := &Filter{budget: max(budget, 1)}
 	f.tab.Store(newTable(max(start, 1)))
 	f.rng.Store(seed | 1)
 	return f
@@ -267,7 +239,7 @@ func (t *table) index(hash uint64) uint64 { return reduce(mix(hash), t.nBuckets)
 // (partial-key cuckoo hashing). Instead of the classic XOR trick, which
 // requires a power-of-two bucket count, it uses the subtractive form
 // i2 = (h(fp) − i1) mod n — an involution for any n, which is what lets
-// NewBytesPolicy hit arbitrary byte budgets exactly.
+// NewBytes hit arbitrary byte budgets exactly.
 func (t *table) altIndex(i uint64, fingerprint uint16) uint64 {
 	d := reduce(mix(uint64(fingerprint)), t.nBuckets) + t.nBuckets - i
 	if d >= t.nBuckets {
@@ -429,28 +401,9 @@ func (f *Filter) insert(t *table, hash uint64) (ok, claimed bool) {
 		if !full {
 			continue
 		}
-		// Both buckets full: evict per policy. Replacements overwrite the
-		// victim's slot in the same CAS, so occupancy is unchanged
-		// (evict −1, insert +1) — unless a racing delete emptied the slot
-		// between load and CAS, in which case the "eviction" is really a
-		// claim of an empty slot and counts as such.
-		if f.policy == PolicyRandom {
-			b := [2]uint64{i1, i2}[f.rand(2)]
-			s := f.rand(SlotsPerBucket)
-			w := t.buckets[b].Load()
-			victim := slotOf(w, s)
-			if !t.buckets[b].CompareAndSwap(w, withSlot(w, s, fpv)) {
-				continue
-			}
-			f.inserts.Add(1)
-			if victim == 0 {
-				t.occupied.Add(1)
-			} else {
-				f.evictions.Add(1)
-			}
-			return true, false
-		}
-		// Second chance: replace a random cold entry if one exists.
+		// Both buckets full. Second chance: replace a random cold entry if
+		// one exists; the replacement overwrites the victim's slot in the
+		// same CAS, so occupancy is unchanged (evict −1, insert +1).
 		switch f.replaceCold(t, i1, i2, fpv) {
 		case replaceDone:
 			f.inserts.Add(1)

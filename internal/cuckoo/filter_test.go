@@ -249,55 +249,35 @@ func TestStringFormat(t *testing.T) {
 	}
 }
 
-func TestPolicyRandomVsSecondChance(t *testing.T) {
-	// Under capacity pressure with a skewed access pattern, the hotness
-	// bit must retain hot entries better than random replacement — the
-	// design rationale of paper §III-B's second-chance mechanism.
-	run := func(policy Policy) float64 {
-		f := NewWithPolicy(256, 5, policy)
-		// Hot set: 64 items, touched constantly. Cold stream: churn.
-		hot := make([]uint64, 64)
-		for i := range hot {
-			hot[i] = wire.Mix64(uint64(i) + 1)
-			f.Insert(hot[i])
+// TestSecondChanceKeepsHotSet: under capacity pressure with a skewed access
+// pattern, the hotness bit keeps the hot set resident — the design rationale
+// of paper §III-B's second-chance mechanism. On this stream second chance
+// hits the hot set every time; random replacement, which ignores the bit,
+// hits it about 0.87 of the time, so a probe that stops setting the bit
+// fails the floor.
+func TestSecondChanceKeepsHotSet(t *testing.T) {
+	f := New(256, 5)
+	// Hot set: 64 items, touched constantly. Cold stream: churn.
+	hot := make([]uint64, 64)
+	for i := range hot {
+		hot[i] = wire.Mix64(uint64(i) + 1)
+		f.Insert(hot[i])
+	}
+	hits := 0
+	probes := 0
+	for step := 0; step < 20000; step++ {
+		// Touch hot items to keep their bits set.
+		h := hot[step%len(hot)]
+		probes++
+		if f.Contains(h) {
+			hits++
+		} else {
+			f.Insert(h) // re-learn on miss, as Sphinx does
 		}
-		hits := 0
-		probes := 0
-		for step := 0; step < 20000; step++ {
-			// Touch hot items to keep their bits set.
-			h := hot[step%len(hot)]
-			probes++
-			if f.Contains(h) {
-				hits++
-			} else {
-				f.Insert(h) // re-learn on miss, as Sphinx does
-			}
-			// Cold pressure.
-			f.Insert(wire.Mix64(uint64(step) * 0x9e3779b97f4a7c15))
-		}
-		return float64(hits) / float64(probes)
+		// Cold pressure.
+		f.Insert(wire.Mix64(uint64(step) * 0x9e3779b97f4a7c15))
 	}
-	second := run(PolicySecondChance)
-	random := run(PolicyRandom)
-	if second <= random {
-		t.Errorf("second-chance hot hit rate %.3f not better than random %.3f", second, random)
-	}
-	if second < 0.5 {
-		t.Errorf("second-chance hot hit rate %.3f too low under pressure", second)
-	}
-}
-
-func TestPolicyRandomStillFunctional(t *testing.T) {
-	f := NewWithPolicy(100, 3, PolicyRandom)
-	for i := 0; i < 1000; i++ {
-		f.Insert(wire.Mix64(uint64(i)))
-	}
-	if f.Load() < 0.5 {
-		t.Errorf("random-policy filter collapsed to %.2f load", f.Load())
-	}
-	h := wire.Mix64(99999)
-	f.Insert(h)
-	if !f.Contains(h) {
-		t.Error("just-inserted item missing")
+	if rate := float64(hits) / float64(probes); rate < 0.99 {
+		t.Errorf("second-chance hot hit rate %.3f under pressure, want ≥ 0.99", rate)
 	}
 }

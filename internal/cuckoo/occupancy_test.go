@@ -39,44 +39,41 @@ func checkOccupancy(t *testing.T, f *Filter, where string) {
 // insert. Finally it empties the filter and requires occupancy back at
 // the baseline of zero.
 func TestOccupancyChurnReturnsToBaseline(t *testing.T) {
-	for _, policy := range []Policy{PolicySecondChance, PolicyRandom} {
-		f := NewWithPolicy(48, 42, policy)
-		var hashes []uint64
-		for round := 0; round < 6; round++ {
-			for i := 0; i < 200; i++ {
-				h := hashOf(fmt.Sprintf("churn-%d-%d", round, i))
-				hashes = append(hashes, h)
-				f.Insert(h)
-				// Mark a slice hot so second chance has hot entries to kick.
-				if i%3 == 0 {
-					f.Contains(h)
-				}
-			}
-			checkOccupancy(t, f, fmt.Sprintf("policy %d after insert round %d", policy, round))
-			for i := 0; i < 100; i++ {
-				f.Delete(hashOf(fmt.Sprintf("churn-%d-%d", round, i)))
-			}
-			checkOccupancy(t, f, fmt.Sprintf("policy %d after delete round %d", policy, round))
-		}
-		st := f.Stats()
-		if st.Evictions == 0 {
-			t.Fatalf("policy %d: churn did not exercise eviction paths (stats %+v)", policy, st)
-		}
-		if policy == PolicySecondChance && st.SecondWins == 0 {
-			t.Fatalf("second chance never replaced a cold entry (stats %+v)", st)
-		}
-		// Delete-until-absent over everything ever inserted empties the
-		// filter: relocations preserve the bucket-pair invariant, so every
-		// surviving entry is reachable from one of the inserted hashes.
-		for _, h := range hashes {
-			for f.Delete(h) {
+	f := New(48, 42)
+	var hashes []uint64
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 200; i++ {
+			h := hashOf(fmt.Sprintf("churn-%d-%d", round, i))
+			hashes = append(hashes, h)
+			f.Insert(h)
+			// Mark a slice hot so second chance has hot entries to kick.
+			if i%3 == 0 {
+				f.Contains(h)
 			}
 		}
-		checkOccupancy(t, f, fmt.Sprintf("policy %d after emptying", policy))
-		if f.Occupancy() != 0 {
-			t.Fatalf("policy %d: occupancy %d after deleting everything, want baseline 0",
-				policy, f.Occupancy())
+		checkOccupancy(t, f, fmt.Sprintf("after insert round %d", round))
+		for i := 0; i < 100; i++ {
+			f.Delete(hashOf(fmt.Sprintf("churn-%d-%d", round, i)))
 		}
+		checkOccupancy(t, f, fmt.Sprintf("after delete round %d", round))
+	}
+	st := f.Stats()
+	if st.Evictions == 0 {
+		t.Fatalf("churn did not exercise eviction paths (stats %+v)", st)
+	}
+	if st.SecondWins == 0 {
+		t.Fatalf("second chance never replaced a cold entry (stats %+v)", st)
+	}
+	// Delete-until-absent over everything ever inserted empties the
+	// filter: relocations preserve the bucket-pair invariant, so every
+	// surviving entry is reachable from one of the inserted hashes.
+	for _, h := range hashes {
+		for f.Delete(h) {
+		}
+	}
+	checkOccupancy(t, f, "after emptying")
+	if f.Occupancy() != 0 {
+		t.Fatalf("occupancy %d after deleting everything, want baseline 0", f.Occupancy())
 	}
 }
 

@@ -52,11 +52,10 @@ func (s Stats) Add(t Stats) Stats {
 // (each worker goroutine owns one, mirroring per-coroutine QPs in the
 // paper's systems).
 type Client struct {
-	f       *Fabric
-	id      int
-	clock   int64 // picoseconds of virtual time
-	stats   Stats
-	noBatch bool
+	f     *Fabric
+	id    int
+	clock int64 // picoseconds of virtual time
+	stats Stats
 
 	// pipe, when non-nil, marks this client as a pipeline lane: its
 	// doorbell batches are handed to the pipe, which coalesces the
@@ -90,12 +89,6 @@ type Client struct {
 	rider   Rider
 	rideOps []Op
 }
-
-// SetNoBatch disables doorbell batching for this client: every verb in a
-// Batch pays its own round trip. This exists for the ablation study of the
-// batching mechanism (paper [23]); correctness is unaffected because verbs
-// still execute in posting order.
-func (c *Client) SetNoBatch(v bool) { c.noBatch = v }
 
 // NewClient creates a client with clock zero. Client IDs are assigned in
 // creation order; together with the fault plan's seed they determine the
@@ -230,23 +223,11 @@ type nodeShare struct {
 // actually moved data. The count is what a coalescing pipe needs to
 // demultiplex a partial (transient) failure back onto the in-flight
 // operations that contributed verbs to the batch; Batch callers only see
-// the error. The no-batch split and observer notification live here, so
-// each physical doorbell batch (one runBatch call) produces exactly one
-// BatchEvent.
+// the error. The observer notification lives here, so each physical
+// doorbell batch (one runBatch call) produces exactly one BatchEvent.
 func (c *Client) run(ops []Op) (int, error) {
 	if len(ops) == 0 {
 		return 0, nil
-	}
-	if c.noBatch && len(ops) > 1 {
-		done := 0
-		for i := range ops {
-			n, err := c.run(ops[i : i+1])
-			done += n
-			if err != nil {
-				return done, err
-			}
-		}
-		return done, nil
 	}
 	if c.obs == nil {
 		return c.runBatch(ops)

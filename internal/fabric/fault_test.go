@@ -58,23 +58,20 @@ func TestTransientFaultExecutesPrefix(t *testing.T) {
 
 // TestExecutedNamesTheCutPrefix: a transient names the prefix of the poster's
 // own batch that executed — memory shows exactly that many verbs — on a plain
-// client, on one that posts verb by verb (the batching ablation) and on each
-// lane of a coalesced pipeline flush; every other outcome names none.
+// client and on each lane of a coalesced pipeline flush; every other outcome
+// names none.
 func TestExecutedNamesTheCutPrefix(t *testing.T) {
 	sawCut := false
 	for seed := uint64(1); seed <= 16; seed++ {
-		for _, noBatch := range []bool{false, true} {
-			f, id := newTestFabric(InstantConfig())
-			f.SetFaultPlan(&FaultPlan{Seed: seed, TransientPer64k: 1 << 15})
-			c := f.NewClient()
-			c.SetNoBatch(noBatch)
-			err := c.Batch(writeOps(id, 0, 8))
-			got, want := Executed(err), executedPrefix(f, id, 0, 8)
-			if err == nil && want != 8 || err != nil && got != want {
-				t.Errorf("seed %d, no batch %v: Executed(%v) = %d, memory shows %d", seed, noBatch, err, got, want)
-			}
-			sawCut = sawCut || got > 0
+		f, id := newTestFabric(InstantConfig())
+		f.SetFaultPlan(&FaultPlan{Seed: seed, TransientPer64k: 1 << 15})
+		c := f.NewClient()
+		err := c.Batch(writeOps(id, 0, 8))
+		got, want := Executed(err), executedPrefix(f, id, 0, 8)
+		if err == nil && want != 8 || err != nil && got != want {
+			t.Errorf("seed %d: Executed(%v) = %d, memory shows %d", seed, err, got, want)
 		}
+		sawCut = sawCut || got > 0
 	}
 	if !sawCut {
 		t.Error("no seed cut a batch after its first verb")
@@ -266,44 +263,6 @@ func TestAimedFaultLeavesTheRollsAlone(t *testing.T) {
 	}
 	if shots != 1 {
 		t.Errorf("the shot fired %d times, want once", shots)
-	}
-}
-
-// TestNoBatchStopsAtFailingVerb pins SetNoBatch's error propagation: when
-// batching is disabled, each verb is its own batch, and the first failing
-// verb must stop the remaining ones.
-func TestNoBatchStopsAtFailingVerb(t *testing.T) {
-	f, id := newTestFabric(InstantConfig())
-	c := f.NewClient()
-	c.FailAt(2, ErrClientCrashed)
-	c.SetNoBatch(true)
-	err := c.Batch(writeOps(id, 0, 6))
-	if !errors.Is(err, ErrClientCrashed) {
-		t.Fatalf("err = %v, want ErrClientCrashed", err)
-	}
-	if got := executedPrefix(f, id, 0, 6); got != 2 {
-		t.Errorf("%d verbs executed, want exactly 2 (verbs after the failure must not run)", got)
-	}
-	if st := c.Stats(); st.Verbs != 2 {
-		t.Errorf("Verbs = %d, want 2", st.Verbs)
-	}
-}
-
-// TestNoBatchTransientStopsRemaining is the same property under a
-// probabilistic fault: once a sub-batch fails transiently, no later verb
-// of the original batch may execute.
-func TestNoBatchTransientStopsRemaining(t *testing.T) {
-	f, id := newTestFabric(InstantConfig())
-	f.SetFaultPlan(&FaultPlan{Seed: 7, TransientPer64k: 65536})
-	c := f.NewClient()
-	c.SetNoBatch(true)
-	err := c.Batch(writeOps(id, 0, 5))
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v, want ErrTransient", err)
-	}
-	// Always-transient single-verb batches execute nothing at all.
-	if got := executedPrefix(f, id, 0, 5); got != 0 {
-		t.Errorf("%d verbs executed, want 0", got)
 	}
 }
 

@@ -84,40 +84,6 @@ func TestResetTimelines(t *testing.T) {
 	}
 }
 
-func TestNoBatchMode(t *testing.T) {
-	f := New(DefaultConfig())
-	id := f.AddNode(1 << 16)
-	c := f.NewClient()
-	c.SetNoBatch(true)
-	ops := make([]Op, 4)
-	bufs := make([][8]byte, 4)
-	for i := range ops {
-		ops[i] = Op{Kind: Read, Addr: mem.NewAddr(id, uint64(i)*64), Data: bufs[i][:]}
-	}
-	if err := c.Batch(ops); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().RoundTrips; got != 4 {
-		t.Errorf("no-batch mode: %d round trips for 4 verbs, want 4", got)
-	}
-	// Ordering within the former batch must be preserved.
-	c2 := f.NewClient()
-	c2.SetNoBatch(true)
-	addr := mem.NewAddr(id, 512)
-	var five [8]byte
-	five[0] = 5
-	seq := []Op{
-		{Kind: Write, Addr: addr, Data: five[:]},
-		{Kind: CAS, Addr: addr, Expect: 5, Desired: 6},
-	}
-	if err := c2.Batch(seq); err != nil {
-		t.Fatal(err)
-	}
-	if seq[1].Old != 5 {
-		t.Errorf("no-batch ordering violated: CAS saw %d", seq[1].Old)
-	}
-}
-
 func TestNICBackfillConcurrent(t *testing.T) {
 	// Hammer the timeline from goroutines with wildly different virtual
 	// clocks; the map-based slots must stay consistent under -race.

@@ -332,37 +332,3 @@ func TestBlindInsertCompletionLost(t *testing.T) {
 		holdsOnce(t, env, h, e)
 	}
 }
-
-// TestBlindInsertNeedsDirectoryCache: a view without a directory cache cannot
-// predict a bucket header, so it never goes blind: the pair is fetched ahead
-// (AppendFreshReads) and the CAS planned from it, with its own header re-read.
-func TestBlindInsertNeedsDirectoryCache(t *testing.T) {
-	env := newEnv(t, 100)
-	c := env.f.NewClient()
-	alloc := mem.NewAllocator(c, 0)
-	v := NewViewNoCache(env.table, c)
-	h, fp := hashFP(1)
-	e := env.makeEntry(t, c, alloc, h, fp)
-	p := new(PreparedRead)
-	if err := v.PrepareInto(p, h); err != nil {
-		t.Fatal(err)
-	}
-	reads := p.AppendFreshReads(nil)
-	if err := c.Batch(reads); err != nil || len(reads) != 2 {
-		t.Fatalf("fresh reads: %d verbs, %v; want the pair", len(reads), err)
-	}
-	ops, ok := p.AppendFreshInsert(nil, e)
-	if !ok || len(ops) != 2 {
-		t.Fatalf("planned %d verbs, ok %v; want the CAS and its header re-read", len(ops), ok)
-	}
-	if err := c.Batch(ops); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.FinishInsert(p, ops, e, alloc); err != nil {
-		t.Fatal(err)
-	}
-	if st := v.Stats(); st.BlindInserts != 0 || st.PlannedSwaps != 1 || st.PlannedLost != 0 {
-		t.Errorf("blind %d, planned %d, lost %d; want 0, 1, 0", st.BlindInserts, st.PlannedSwaps, st.PlannedLost)
-	}
-	holdsOnce(t, env, h, e)
-}

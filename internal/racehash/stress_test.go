@@ -169,44 +169,6 @@ func TestConcurrentRemoveDuringSplits(t *testing.T) {
 	}
 }
 
-// TestNoCacheViewBasics exercises the directory-cache ablation view.
-func TestNoCacheViewBasics(t *testing.T) {
-	env := newEnv(t, 1)
-	c := env.f.NewClient()
-	alloc := mem.NewAllocator(c, 0)
-	v := NewViewNoCache(env.table, c)
-	var entries []wire.HashEntry
-	for i := 0; i < 1200; i++ { // enough to split a depth-0 table
-		h, fp := hashFP(i)
-		e := env.makeEntry(t, c, alloc, h, fp)
-		if err := v.Insert(h, e, alloc); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-		entries = append(entries, e)
-	}
-	for i := 0; i < 1200; i += 13 {
-		h, fp := hashFP(i)
-		got, err := v.LookupAppend(nil, h, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, cand := range got {
-			if cand.Entry == entries[i] {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("uncached view lost entry %d", i)
-		}
-	}
-	if v.DirCacheBytes() != 0 {
-		// The uncached view may have populated transient fields, but it
-		// should never claim cache memory it doesn't keep coherent.
-		t.Logf("note: uncached view reports %d dir bytes (transient)", v.DirCacheBytes())
-	}
-}
-
 // TestConcurrentBlindInsertsRaceSplits: clients insert blind into a table
 // that starts at one segment, so their CASes race the splits other clients'
 // inserts set off, and their directory caches go stale under them. Every entry

@@ -72,7 +72,6 @@ type View struct {
 	depth   uint8
 	dirAddr mem.Addr
 	dir     []uint64
-	noCache bool
 	stats   Stats
 	// scratch backs LookupAppend's bucket read, sparing the warm read path
 	// one PreparedRead allocation per lookup. Only the lookup path may use
@@ -93,15 +92,6 @@ type View struct {
 // NewView creates a view; the directory cache is fetched lazily on first
 // use.
 func NewView(t Table, c *fabric.Client) *View { return &View{t: t, c: c} }
-
-// NewViewNoCache creates a view without a client-side directory cache:
-// every bucket-pair resolution reads the meta word and the directory entry
-// remotely (two extra dependent round trips). This is the ablation of the
-// paper's §IV directory cache ("each CN maintains a local directory
-// cache"); splits still use a transient full fetch.
-func NewViewNoCache(t Table, c *fabric.Client) *View {
-	return &View{t: t, c: c, noCache: true}
-}
 
 // Stats returns a snapshot of the view's counters, loaded atomically.
 func (v *View) Stats() Stats { return counters.Load(&v.stats) }
@@ -194,13 +184,9 @@ type PreparedRead struct {
 
 // PrepareInto resolves the candidate buckets for h through the directory
 // cache into p, the pending read. It costs no network round trips (beyond a
-// first-use directory fetch) — unless the view runs without a directory
-// cache, in which case the resolution itself is two dependent round trips.
+// first-use directory fetch).
 func (v *View) PrepareInto(p *PreparedRead, h uint64) error {
 	p.swapAt, p.blind, p.Lost, p.Retried, p.Inserted = -1, false, false, false, false
-	if v.noCache {
-		return v.prepareUncached(p, h)
-	}
 	if err := v.ensureDir(); err != nil {
 		return err
 	}
@@ -276,30 +262,6 @@ func (p *PreparedRead) find(word uint64) (slotRef, bool) {
 		}
 	}
 	return slotRef{}, false
-}
-
-// prepareUncached resolves h by reading the meta word and the directory
-// entry remotely.
-func (v *View) prepareUncached(p *PreparedRead, h uint64) error {
-	w, err := v.c.ReadUint64(v.t.Meta.Add(metaWordOff))
-	if err != nil {
-		return err
-	}
-	depth, dirAddr := unpackMeta(w)
-	dw, err := v.c.ReadUint64(dirAddr.Add((h & depthMask(depth)) * 8))
-	if err != nil {
-		return err
-	}
-	_, seg := unpackDirEntry(dw)
-	// Keep the transient state consistent for split paths that consult
-	// the cached fields.
-	v.depth = depth
-	v.dirAddr = dirAddr
-	b1, b2 := bucketPair(h)
-	p.view, p.h = v, h
-	p.addrs[0] = seg.Add(uint64(b1) * BucketSize)
-	p.addrs[1] = seg.Add(uint64(b2) * BucketSize)
-	return nil
 }
 
 // Refresh discards and refetches the directory cache.
@@ -397,30 +359,17 @@ func (p *PreparedRead) AppendInsert(ops []fabric.Op, e wire.HashEntry) ([]fabric
 	return p.appendSwap(ops, 0, e.Encode())
 }
 
-// AppendFreshReads appends what AppendFreshInsert needs fetched ahead of its
-// batch: nothing on a view that caches its directory, the pair otherwise.
-func (p *PreparedRead) AppendFreshReads(ops []fabric.Op) []fabric.Op {
-	if p.view.noCache {
-		return p.AppendOps(ops)
-	}
-	return ops
-}
-
 // AppendFreshInsert plans View.Insert's CAS of e, an entry whose word no
 // table holds — a fresh node's: the allocator never reuses an address — and
-// appends it to ops; conclude it with View.FinishInsert. On a view that
-// caches its directory the CAS goes blind, with no read ahead of it: 0 → word
-// at a slot of the pair guessed from the word, uniformly among its 2 ×
-// EntriesPerBucket, then in the same batch the READ of the pair. Expecting an
-// empty slot it overwrites nothing, and the target bucket's header in that
-// READ is the re-check casChecked makes, against the header the cached
-// directory predicts: unlocked, at its local depth and suffix. A view without
-// the cache plans from the pair AppendFreshReads fetched.
+// appends it to ops; conclude it with View.FinishInsert. The CAS goes blind,
+// with no read ahead of it: 0 → word at a slot of the pair guessed from the
+// word, uniformly among its 2 × EntriesPerBucket, then in the same batch the
+// READ of the pair. Expecting an empty slot it overwrites nothing, and the
+// target bucket's header in that READ is the re-check casChecked makes,
+// against the header the cached directory predicts: unlocked, at its local
+// depth and suffix.
 func (p *PreparedRead) AppendFreshInsert(ops []fabric.Op, e wire.HashEntry) ([]fabric.Op, bool) {
 	word := e.Encode()
-	if p.view.noCache {
-		return p.appendSwap(ops, 0, word)
-	}
 	s := wire.Mix64(word) % (2 * EntriesPerBucket)
 	b := s / EntriesPerBucket
 	p.at = slotRef{
