@@ -224,21 +224,22 @@ func main() {
 			if r.Metrics == nil {
 				continue
 			}
-			if !r.Metrics.RTReconciled && strings.HasPrefix(r.System, "Sphinx") {
+			m, c := r.Metrics, r.Metrics.Snapshot.Counters
+			if !m.RTReconciled && strings.HasPrefix(r.System, "Sphinx") {
+				op, stage := m.RoundTripSums()
 				fmt.Fprintf(os.Stderr, "sphinxbench: %s %s depth=%d: round trips do not reconcile (op %d, stage %d, fabric %d)\n",
-					r.System, r.Workload, r.Depth,
-					r.Metrics.OpRTTotal, r.Metrics.StageRTTotal, r.Metrics.FabricRoundTrips)
+					r.System, r.Workload, r.Depth, op, stage, r.RoundTrips)
 				bad++
 			}
-			if l := r.Metrics.LAC; l != nil && l.LACReconciled != nil && !*l.LACReconciled {
+			if v := m.LACReconciled; v != nil && !*v {
 				fmt.Fprintf(os.Stderr, "sphinxbench: %s %s depth=%d: speculative round trips do not reconcile (hits %d, refutes %d, aborts %d, fabric %d)\n",
 					r.System, r.Workload, r.Depth,
-					l.SpecHits, l.SpecRefutes, l.SpecAborts, r.Metrics.FabricRoundTrips)
+					c["core_spec_hits"], c["core_spec_refutes"], c["core_spec_aborts"], r.RoundTrips)
 				bad++
 			}
-			if h := r.Metrics.Hot; h != nil && h.HotReconciled != nil && !*h.HotReconciled {
+			if v := m.HotReconciled; v != nil && !*v {
 				fmt.Fprintf(os.Stderr, "sphinxbench: %s %s depth=%d: hot-replica round trips do not reconcile (hits %d, refutes %d, aborts %d)\n",
-					r.System, r.Workload, r.Depth, h.HotHits, h.HotRefutes, h.HotAborts)
+					r.System, r.Workload, r.Depth, c["core_hot_hits"], c["core_hot_refutes"], c["core_hot_aborts"])
 				bad++
 			}
 		}

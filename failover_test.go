@@ -13,7 +13,7 @@ import (
 // through the public surface: replicated cluster, kill one memory node,
 // keep serving every acknowledged write, repair back to full replication.
 func TestFailoverAndRepairPublicAPI(t *testing.T) {
-	cluster, err := NewCluster(Config{Timing: TimingInstant, Replication: 2})
+	cluster, err := newTestCluster(Config{Timing: TimingInstant, Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFailoverAndRepairPublicAPI(t *testing.T) {
 // telemetry — per-node health gauges, failover counters, the
 // under-replicated gauge — is scrape-safe against kills and repair.
 func TestFailoverMetricsScrapeRaceClean(t *testing.T) {
-	cluster, err := NewCluster(Config{Timing: TimingInstant, Replication: 2})
+	cluster, err := newTestCluster(Config{Timing: TimingInstant, Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func indexFamily(name string) bool {
 // ft_*, hot_*) has a source.
 func warmedSession(t *testing.T) *Session {
 	t.Helper()
-	cluster, err := NewCluster(Config{Replication: 2, HotReplicaFactor: 3})
+	cluster, err := newTestCluster(Config{Replication: 2, HotReplicaFactor: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

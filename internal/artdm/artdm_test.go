@@ -21,7 +21,7 @@ func newCluster(t *testing.T, mns int, cfg fabric.Config) (*fabric.Fabric, Share
 	f := fabric.New(cfg)
 	nodes := make([]mem.NodeID, mns)
 	for i := range nodes {
-		nodes[i] = f.AddNode(256 << 20)
+		nodes[i] = f.AddNode(64 << 20)
 	}
 	ring := consistenthash.New(nodes, 0)
 	shared, err := Bootstrap(f, ring)

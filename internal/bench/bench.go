@@ -9,8 +9,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"sphinx/internal/cuckoo"
-
 	"sphinx/internal/artdm"
 	"sphinx/internal/consistenthash"
 	"sphinx/internal/core"
@@ -114,11 +112,10 @@ type Config struct {
 
 	// Metrics enables per-phase observability: every worker client gets a
 	// shared obs.Metrics batch observer and each operation's latency and
-	// round trips are recorded, producing a Result.Metrics section whose
-	// per-stage round-trip totals reconcile against the fabric counters.
-	// Sphinx-family results additionally carry SFC and INHT efficacy
-	// sections (hit-depth distribution, measured FP rate vs the analytic
-	// bound, hash-table load factor).
+	// round trips are recorded, producing a Result.Metrics section — the
+	// registry's diff over the phase, the index layers' families included —
+	// whose per-stage round-trip totals reconcile against the fabric
+	// counters.
 	Metrics bool
 
 	// Live, when non-nil, accumulates every phase's metrics, index
@@ -169,6 +166,12 @@ func (c Config) withDefaults() Config {
 		c.Depth = 1
 	}
 	return c
+}
+
+// regionBytes is one memory node's region: 64 MiB plus its share of 6 KiB
+// per loaded key.
+func (c Config) regionBytes() uint64 {
+	return uint64(64<<20) + uint64(c.Keys)*6*1024/uint64(c.MNs)
 }
 
 // cacheBudget is a system's per-CN cache budget in bytes at the paper's
@@ -224,22 +227,15 @@ type Cluster struct {
 	// reports into (teed with runMetrics on each worker client).
 	live *Live
 	// index receives SFC/INHT distribution observations from every
-	// Sphinx worker; per-phase sections diff against the *Base snapshots
-	// taken at phase start (the set itself accumulates, so a live scrape
-	// mid-phase sees it moving).
-	index        *obs.IndexMetrics
-	hitDepthBase obs.HistSnapshot
-	probesBase   obs.HistSnapshot
-	candBase     obs.HistSnapshot
-	filterBase   cuckoo.Stats
-	lacBase      core.LACStats
+	// Sphinx worker (it accumulates: a phase's section is its diff).
+	index *obs.IndexMetrics
 	// tail samples slow-op timelines from sequential workers.
-	tail                     *obs.TailSampler
-	tailBaseOff, tailBaseCap uint64
+	tail *obs.TailSampler
 
 	// src is what is observable of the index on this cluster, summed over its
-	// CNs: the live exporter's source while the cluster is the current one,
-	// and where the per-phase result sections read the caches' totals.
+	// CNs: the node engine's counters for every system, the Sphinx layers'
+	// and caches for the Sphinx family. The live exporter follows it while
+	// the cluster is the current one, and each phase's section is its diff.
 	src *core.IndexSources
 	// doneMu guards the index-layer counters of the finished phases and the
 	// workers of the running one (drive), read by live-registry scrape
@@ -258,9 +254,8 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 		f.SetFaultPlan(cfg.Faults)
 	}
 	nodes := make([]mem.NodeID, cfg.MNs)
-	perMN := uint64(64<<20) + uint64(cfg.Keys)*6*1024/uint64(cfg.MNs)
 	for i := range nodes {
-		nodes[i] = f.AddNode(perMN)
+		nodes[i] = f.AddNode(cfg.regionBytes())
 	}
 	ring, err := consistenthash.NewChecked(nodes, 0)
 	if err != nil {
@@ -268,6 +263,7 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 	}
 
 	cl := &Cluster{Sys: sys, Cfg: cfg, F: f, Ring: ring, live: cfg.Live}
+	cl.src = &core.IndexSources{Engine: func() rart.EngineStats { return cl.liveIndex().engine }}
 	switch {
 	case cfg.Live != nil:
 		cl.index = cfg.Live.Index
@@ -298,9 +294,11 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 				}
 			}
 		}
-		cl.filters = make([]*core.FilterCache, cfg.CNs)
-		for i := range cl.filters {
-			cl.filters[i] = core.NewFilterCacheBytes(cacheBudget(sys, cfg.Keys), uint64(cfg.Seed)+uint64(i)|1)
+		if sys != SphinxNoSFC {
+			cl.filters = make([]*core.FilterCache, cfg.CNs)
+			for i := range cl.filters {
+				cl.filters[i] = core.NewFilterCacheBytes(cacheBudget(sys, cfg.Keys), uint64(cfg.Seed)+uint64(i)|1)
+			}
 		}
 		if sys != SphinxNoLAC {
 			// 512 KiB per CN: 64K packed 8-byte leaf addresses.
@@ -309,6 +307,10 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 				cl.lacs[i] = core.NewLeafCacheBytes(512<<10, uint64(cfg.Seed)+uint64(i))
 			}
 		}
+		cl.src.Stats = func() core.Stats { return cl.liveIndex().core }
+		cl.src.Hash = func() racehash.Stats { return cl.liveIndex().hash }
+		cl.src.Filters, cl.src.LACs, cl.src.Hots = cl.filters, cl.lacs, cl.hotsets
+		cl.src.Shared, cl.src.Fabric = &cl.sphinxShared, f
 	case SMART, SMARTC:
 		cl.smartShared, err = smart.Bootstrap(f, ring)
 		cl.caches = make([]*smart.NodeCache, cfg.CNs)
@@ -322,13 +324,6 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	cl.src = &core.IndexSources{
-		Stats:   func() core.Stats { return cl.liveIndex().core },
-		Hash:    func() racehash.Stats { return cl.liveIndex().hash },
-		Engine:  func() rart.EngineStats { return cl.liveIndex().engine },
-		Filters: cl.filters, LACs: cl.lacs, Hots: cl.hotsets,
-		Shared: &cl.sphinxShared, Fabric: f,
 	}
 	if cfg.Live != nil {
 		cfg.Live.attach(cl)
@@ -373,14 +368,14 @@ func (cl *Cluster) observeOp(k obs.OpKind, latencyPs int64, roundTrips uint64) {
 // Sphinx-family system on the given compute node, or ok=false for the
 // baselines.
 func (cl *Cluster) sphinxOptions(cn int) (core.Options, bool) {
-	var o core.Options
-	switch cl.Sys {
-	case Sphinx, SphinxNoLAC, SphinxHot:
-		o = core.Options{Filter: cl.filters[cn%len(cl.filters)]}
-	case SphinxNoSFC:
-		// No filter: every locate reads all its prefixes' bucket pairs.
-	default:
+	if cl.src.Shared == nil {
 		return core.Options{}, false
+	}
+	// SphinxNoSFC has no filter: every locate reads all its prefixes' bucket
+	// pairs.
+	var o core.Options
+	if len(cl.filters) > 0 {
+		o.Filter = cl.filters[cn%len(cl.filters)]
 	}
 	// Every Sphinx-family variant shares its CN's leaf-address cache, so
 	// that (like the filter) warmth crosses worker and phase boundaries;

@@ -213,8 +213,7 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 
 	// Attach the future member now (idle: nothing routes to a node that
 	// is not on the ring), so the pre-add window can show its zero share.
-	perMN := uint64(64<<20) + uint64(cfg.Keys)*6*1024/uint64(cfg.MNs)
-	added := cl.F.AddNode(perMN)
+	added := cl.F.AddNode(cfg.regionBytes())
 	rep.AddedNode = int(added)
 
 	// The drain victim is any original member not hosting the pinned root.

@@ -522,16 +522,12 @@ func Skew(base Config, thetas []float64, out io.Writer) ([]Result, *SkewReport, 
 			for _, r := range []Result{warmup, steady} {
 				r.Workload = fmt.Sprintf("t%.2f/%c", eff, r.Phase[0])
 				t.add(r, skewDiag(r))
-				if r.Metrics != nil && r.Metrics.Hot != nil {
-					pt.HotPromotes += r.Metrics.Hot.Promotes
-				}
+				pt.HotPromotes += r.counter("core_hot_promotes")
 			}
 			if sys == SphinxHot {
 				pt.HotMops = steady.ThroughputMops
 				pt.HotImbalance = steady.MNImbalance
-				if steady.Metrics != nil && steady.Metrics.Hot != nil {
-					pt.HotReconciled = steady.Metrics.Hot.HotReconciled
-				}
+				pt.HotReconciled = steady.Metrics.HotReconciled
 			} else {
 				pt.BaseMops = steady.ThroughputMops
 				pt.BaseImbalance = steady.MNImbalance
@@ -591,42 +587,37 @@ func verdictString(v *bool) string {
 	}
 }
 
-// skewDiag renders one result's hot-replication section plus its per-MN
+// skewDiag renders one result's hot-replication counters plus its per-MN
 // imbalance, or "" when neither is present.
 func skewDiag(r Result) string {
-	if r.Metrics == nil || r.Metrics.Hot == nil {
+	if !r.has("hot_tracker_bytes") {
 		if r.MNImbalance > 0 {
 			return fmt.Sprintf("    [mn] imbalance %.2f (busiest/mean RT share over %d nodes)",
 				r.MNImbalance, len(r.MNShares))
 		}
 		return ""
 	}
-	h := r.Metrics.Hot
+	hits, refutes, aborts := r.counter("core_hot_hits"), r.counter("core_hot_refutes"), r.counter("core_hot_aborts")
 	return fmt.Sprintf("    [hot] hits %d  refutes %d  aborts %d  promotes %d  declined %d  refreshes %d  hit-rate %.1f%%  imbalance %.2f  reconciled %s",
-		h.HotHits, h.HotRefutes, h.HotAborts, h.Promotes, h.Declined, h.Refreshes,
-		100*h.HitRate, r.MNImbalance, verdictString(h.HotReconciled))
+		hits, refutes, aborts, r.counter("core_hot_promotes"), r.counter("core_hot_declined"), r.counter("core_hot_refreshes"),
+		100*ratio(hits, hits+refutes+aborts), r.MNImbalance, verdictString(r.Metrics.HotReconciled))
 }
 
-// fastpathDiag renders one result's leaf-address-cache section, or ""
-// when absent (the noLAC ablation).
+// fastpathDiag renders one result's leaf-address-cache counters, or "" when
+// the cache did not run (the noLAC ablation). The occupancy is the cache's
+// at the phase's end.
 func fastpathDiag(r Result) string {
-	if r.Metrics == nil || r.Metrics.LAC == nil {
+	if !r.has("lac_learns") {
 		return ""
 	}
-	l := r.Metrics.LAC
-	verdict := "n/a"
-	if l.LACReconciled != nil {
-		verdict = "FALSE"
-		if *l.LACReconciled {
-			verdict = "true"
-		}
-	}
+	hits, misses, refutes, aborts := r.counter("core_spec_hits"), r.counter("core_spec_misses"), r.counter("core_spec_refutes"), r.counter("core_spec_aborts")
 	diag := fmt.Sprintf("    [lac] hits %d  misses %d  refutes %d  aborts %d  hit-rate %.1f%%  occupancy %.1f%%  reconciled %s",
-		l.SpecHits, l.SpecMisses, l.SpecRefutes, l.SpecAborts,
-		100*l.HitRate, 100*l.Occupancy, verdict)
-	if writes := l.SpecUpdHits + l.SpecUpdMisses + l.SpecUpdRefutes + l.SpecUpdAborts; writes > 0 {
+		hits, misses, refutes, aborts, 100*ratio(hits, hits+misses+refutes+aborts),
+		100*r.Metrics.Snapshot.Gauges["lac_occupancy"], verdictString(r.Metrics.LACReconciled))
+	hits, misses, refutes, aborts = r.counter("core_spec_upd_hits"), r.counter("core_spec_upd_misses"), r.counter("core_spec_upd_refutes"), r.counter("core_spec_upd_aborts")
+	if writes := hits + misses + refutes + aborts; writes > 0 {
 		diag += fmt.Sprintf("\n    [lac update] hits %d  misses %d  refutes %d  aborts %d  hit-rate %.1f%%",
-			l.SpecUpdHits, l.SpecUpdMisses, l.SpecUpdRefutes, l.SpecUpdAborts, 100*float64(l.SpecUpdHits)/float64(writes))
+			hits, misses, refutes, aborts, 100*ratio(hits, writes))
 	}
 	return diag
 }

@@ -1,81 +1,150 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
+
 	"sphinx/internal/core"
 	"sphinx/internal/fabric"
 	"sphinx/internal/obs"
 )
 
-// HistJSON is the compact JSON shape of one histogram: count plus the
-// summary points a reader actually plots. Latency histograms report
-// microseconds; round-trip histograms report counts. Quantiles are bucket
-// upper bounds (power-of-two buckets), so they are conservative.
-type HistJSON struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-// MetricsBlock is the per-result observability section emitted into
-// BENCH_*.json when Config.Metrics is set. Its headline value is the
-// reconciliation verdict: the per-stage round-trip histograms must sum to
-// the fabric's own RoundTrips counter at every pipeline depth, and the
-// per-op histograms must match it too at depth 1 (at depth > 1 round
-// trips are shared across in-flight ops, so no per-op attribution
-// exists).
+// MetricsBlock is a phase's observability section in BENCH_*.json (present
+// when Config.Metrics is set): the phase registry's diff over the phase under
+// the names /metrics serves (docs/observability.md) — counters and
+// histograms moved by what the phase did, gauges read at its end — and the
+// reconciliation verdicts computed from it by name.
 type MetricsBlock struct {
-	OpLatencyUs    map[string]HistJSON `json:"op_latency_us,omitempty"`
-	OpRoundTrips   map[string]HistJSON `json:"op_round_trips,omitempty"`
-	StageLatencyUs map[string]HistJSON `json:"stage_latency_us,omitempty"`
+	Snapshot obs.Snapshot `json:"snapshot"`
 
-	StageRoundTrips map[string]uint64 `json:"stage_round_trips,omitempty"`
-	StageVerbs      map[string]uint64 `json:"stage_verbs,omitempty"`
-	StageBytes      map[string]uint64 `json:"stage_bytes,omitempty"`
-	StageFaults     map[string]uint64 `json:"stage_faults,omitempty"`
-
-	// OpRTTotal and StageRTTotal are the two histogram-side sums;
-	// FabricRoundTrips is the ground truth from the clients' counters.
-	OpRTTotal        uint64 `json:"op_rt_total"`
-	StageRTTotal     uint64 `json:"stage_rt_total"`
-	FabricRoundTrips uint64 `json:"fabric_round_trips"`
-	RTReconciled     bool   `json:"rt_reconciled"`
-
-	// SFC, INHT, LAC and Hot are the index-semantic efficacy sections,
-	// present for Sphinx-family results (SFC absent for the filter-less
-	// ablation, LAC absent for the leaf-address-cache-less one, Hot
-	// present only when the hot read-replication layer is bootstrapped).
-	SFC  *SFCBlock  `json:"sfc,omitempty"`
-	INHT *INHTBlock `json:"inht,omitempty"`
-	LAC  *LACBlock  `json:"lac,omitempty"`
-	Hot  *HotBlock  `json:"hot,omitempty"`
-
-	// Tail sampling totals for this phase (present when Config.Live is set).
-	TailOffered  uint64 `json:"tail_offered,omitempty"`
-	TailCaptured uint64 `json:"tail_captured,omitempty"`
+	// RTReconciled: the per-stage round-trip histograms sum to the fabric's
+	// own RoundTrips counter, and at depth 1 the per-op histograms do too (at
+	// depth > 1 round trips are shared across in-flight ops, so no per-op
+	// attribution exists).
+	RTReconciled bool `json:"rt_reconciled"`
+	// FPReconciled: hash lookups == filter hits + false positives − node hits
+	// (a landing at a remembered node address is a filter hit with no
+	// lookup; a refuted or untrusted one asks the table and counts as what
+	// the table says) AND the hash-read stage's round trips == lookups +
+	// stale-directory retries + 2×refreshes — every false positive shows up
+	// as exactly one extra hash-entry round trip (DESIGN.md §5.9).
+	FPReconciled *bool `json:"fp_reconciled,omitempty"`
+	// LACReconciled: the leaf-spec stage's round trips == speculative hits +
+	// refutes with no abort, no remembered node address was met leased, AND
+	// the hash, node, leaf, leaf-spec and hot stages sum to the fabric's own
+	// counter — every fallback re-descent is accounted and the fast path
+	// never double-pays.
+	LACReconciled *bool `json:"lac_reconciled,omitempty"`
+	// HotReconciled: the hot-read stage's round trips == replica-read hits +
+	// refutations with no abort — every attempt is exactly one verified round
+	// trip.
+	HotReconciled *bool `json:"hot_reconciled,omitempty"`
 }
 
-// beginPhaseMetrics resets the phase metric set: each measurement phase
-// (load, or one workload run) gets a fresh one so its section reconciles
-// against that phase's ResetTimelines-cleared fabric counters. The
-// cumulative sources (index distributions, CN filter counters, tail
-// totals) get baseline snapshots instead, so per-phase sections report
-// deltas while live scrapes see them accumulate.
-func (cl *Cluster) beginPhaseMetrics() {
-	if cl.Cfg.Metrics {
-		cl.runMetrics = obs.NewMetrics()
+// beginPhaseMetrics opens a measured phase's section: a fresh metric set for
+// the phase's workers, the snapshot the phase registry's diff starts from and
+// the per-MN NIC counters. The returned func closes the section into r, whose
+// Depth and RoundTrips must be set; it does nothing when Config.Metrics is
+// off.
+func (cl *Cluster) beginPhaseMetrics() func(r *Result) {
+	if !cl.Cfg.Metrics {
+		return func(*Result) {}
 	}
-	if cl.index != nil {
-		cl.hitDepthBase = cl.index.SFCHitDepth.Snapshot()
-		cl.probesBase = cl.index.SFCProbes.Snapshot()
-		cl.candBase = cl.index.INHTCandidates.Snapshot()
+	cl.runMetrics = obs.NewMetrics()
+	reg := register(cl.runMetrics, cl.index, cl.tail, func() *core.IndexSources { return cl.src })
+	start, nics := reg.Snapshot(), cl.F.NICStats()
+	return func(r *Result) {
+		r.Metrics = &MetricsBlock{Snapshot: reg.Snapshot().Sub(start)}
+		r.Metrics.reconcile(r.RoundTrips, r.Depth)
+		cl.attachMNShares(r, nics)
 	}
-	cl.filterBase = cl.src.FilterStats()
-	cl.lacBase = cl.src.LACStats()
-	if cl.tail != nil {
-		cl.tailBaseOff, cl.tailBaseCap = cl.tail.Stats()
+}
+
+// stageRT is the section's round trips in one fabric stage.
+func (b *MetricsBlock) stageRT(st fabric.Stage) uint64 {
+	return b.Snapshot.Hists[fmt.Sprintf("bench_stage_round_trips{stage=%q}", st)].Sum
+}
+
+// RoundTripSums adds up the section's per-op and per-stage round-trip
+// histograms.
+func (b *MetricsBlock) RoundTripSums() (op, stage uint64) {
+	for name, h := range b.Snapshot.Hists {
+		switch {
+		case strings.HasPrefix(name, "bench_op_round_trips{"):
+			op += h.Sum
+		case strings.HasPrefix(name, "bench_stage_round_trips{"):
+			stage += h.Sum
+		}
 	}
+	return op, stage
+}
+
+// reconcile sets the verdicts from the section's own counters; fabricRT is
+// the phase's round trips by the clients' counter. The fp, lac and hot
+// identities hold only for sequential read-only phases of a Sphinx-family
+// system on a healthy index — writes, scans and restarts add stage traffic
+// of their own, and pipelining coalesces many ops into shared round trips —
+// and each needs its layer's family in the section: other phases carry no
+// such verdict.
+func (b *MetricsBlock) reconcile(fabricRT uint64, depth int) {
+	c, g := b.Snapshot.Counters, b.Snapshot.Gauges
+	opRT, stageRT := b.RoundTripSums()
+	b.RTReconciled = stageRT == fabricRT && (depth > 1 || opRT == fabricRT)
+
+	if _, sphinx := c["core_searches"]; !sphinx || depth != 1 {
+		return
+	}
+	for _, moved := range []string{"inserts", "updates", "deletes", "scans", "restarts", "stale_entries"} {
+		if c["core_"+moved] != 0 {
+			return
+		}
+	}
+	verdict := func(ok bool) *bool { return &ok }
+	if _, ok := c["filter_hits"]; ok {
+		b.FPReconciled = verdict(c["inht_lookups"] == c["core_filter_hits"]+c["core_false_positives"]-c["core_node_hits"] &&
+			b.stageRT(fabric.StageHashRead) == c["inht_lookups"]+c["inht_retry_reads"]+2*c["inht_refreshes"])
+	}
+	if _, ok := c["lac_learns"]; ok {
+		spec := b.stageRT(fabric.StageLeafSpec)
+		var reads uint64
+		for _, st := range []fabric.Stage{fabric.StageHashRead, fabric.StageNodeRead, fabric.StageLeafRead,
+			fabric.StageLeafSpec, fabric.StageHotRead, fabric.StageHotPub} {
+			reads += b.stageRT(st)
+		}
+		b.LACReconciled = verdict(spec == c["core_spec_hits"]+c["core_spec_refutes"] &&
+			c["core_spec_aborts"] == 0 && c["core_node_aborts"] == 0 && reads == fabricRT)
+	}
+	if _, ok := g["hot_tracker_bytes"]; ok {
+		b.HotReconciled = verdict(b.stageRT(fabric.StageHotRead) == c["core_hot_hits"]+c["core_hot_refutes"] &&
+			c["core_hot_aborts"] == 0)
+	}
+}
+
+// counter is one counter of the result's section; 0 without a section.
+func (r Result) counter(name string) uint64 {
+	if r.Metrics == nil {
+		return 0
+	}
+	return r.Metrics.Snapshot.Counters[name]
+}
+
+// has says whether the result's section holds the named counter or gauge:
+// whether the layer that exports it ran.
+func (r Result) has(name string) bool {
+	if r.Metrics == nil {
+		return false
+	}
+	_, counter := r.Metrics.Snapshot.Counters[name]
+	_, gauge := r.Metrics.Snapshot.Gauges[name]
+	return counter || gauge
+}
+
+// ratio is n/d, 0 for d == 0.
+func ratio(n, d uint64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return float64(n) / float64(d)
 }
 
 // pipeOpKind maps a pipelined op kind to its metrics op kind.
@@ -92,72 +161,4 @@ func pipeOpKind(k core.PipeKind) obs.OpKind {
 	default:
 		return obs.OpGet
 	}
-}
-
-func histJSON(h obs.HistSnapshot, scale float64) HistJSON {
-	return HistJSON{
-		Count: h.Count,
-		Mean:  h.Mean() * scale,
-		P50:   float64(h.Quantile(0.50)) * scale,
-		P99:   float64(h.Quantile(0.99)) * scale,
-		Max:   float64(h.Max()) * scale,
-	}
-}
-
-// attachMetrics folds the phase's metric set into the result and runs the
-// round-trip reconciliation check. r.Depth and r.RoundTrips must already
-// be set.
-func (cl *Cluster) attachMetrics(r *Result) {
-	m := cl.runMetrics
-	if m == nil {
-		return
-	}
-	const psToUs = 1e-6
-	b := &MetricsBlock{
-		OpLatencyUs:     map[string]HistJSON{},
-		OpRoundTrips:    map[string]HistJSON{},
-		StageLatencyUs:  map[string]HistJSON{},
-		StageRoundTrips: map[string]uint64{},
-		StageVerbs:      map[string]uint64{},
-		StageBytes:      map[string]uint64{},
-		StageFaults:     map[string]uint64{},
-	}
-	for k := 0; k < obs.NumOps; k++ {
-		kind := obs.OpKind(k)
-		if lat := m.OpLatency(kind); lat.Count > 0 {
-			b.OpLatencyUs[kind.String()] = histJSON(lat, psToUs)
-			b.OpRoundTrips[kind.String()] = histJSON(m.OpRT(kind), 1)
-		}
-	}
-	for s := 0; s < fabric.NumStages; s++ {
-		stage := fabric.Stage(s)
-		name := stage.String()
-		if lat := m.StageLatency(stage); lat.Count > 0 {
-			b.StageLatencyUs[name] = histJSON(lat, psToUs)
-		}
-		if rt := m.StageRT(stage); rt.Sum > 0 {
-			b.StageRoundTrips[name] = rt.Sum
-		}
-		verbs, bytes, faults := m.StageCounters(stage)
-		if verbs > 0 {
-			b.StageVerbs[name] = verbs
-		}
-		if bytes > 0 {
-			b.StageBytes[name] = bytes
-		}
-		if faults > 0 {
-			b.StageFaults[name] = faults
-		}
-	}
-	b.OpRTTotal = m.OpRTTotal()
-	b.StageRTTotal = m.StageRTTotal()
-	b.FabricRoundTrips = r.RoundTrips
-	b.RTReconciled = b.StageRTTotal == b.FabricRoundTrips &&
-		(r.Depth > 1 || b.OpRTTotal == b.FabricRoundTrips)
-	if cl.tail != nil {
-		offered, captured := cl.tail.Stats()
-		b.TailOffered = offered - cl.tailBaseOff
-		b.TailCaptured = captured - cl.tailBaseCap
-	}
-	r.Metrics = b
 }

@@ -93,9 +93,9 @@ type Result struct {
 	MNShares    []MNShare `json:"mn_shares,omitempty"`
 	MNImbalance float64   `json:"mn_imbalance,omitempty"`
 
-	// Metrics is the phase's observability section: per-op and per-stage
-	// histograms plus the round-trip reconciliation verdict. Present only
-	// when Config.Metrics is set.
+	// Metrics is the phase's observability section: the registry's diff
+	// over the phase plus the reconciliation verdicts. Present only when
+	// Config.Metrics is set.
 	Metrics *MetricsBlock `json:"metrics,omitempty"`
 }
 
@@ -309,8 +309,7 @@ func tallyOf(ws []*worker) tally {
 // across the phase.
 func (cl *Cluster) measure(workload string, workers, depth int, mount func(*worker, int), body func(*worker) error) (Result, error) {
 	cl.F.ResetTimelines()
-	cl.beginPhaseMetrics()
-	nicBase := cl.nicBase()
+	endMetrics := cl.beginPhaseMetrics()
 	wallStart := time.Now()
 	ws, err := cl.drive(workers, mount, body)
 	wall := time.Since(wallStart)
@@ -328,9 +327,7 @@ func (cl *Cluster) measure(workload string, workers, depth int, mount func(*work
 	// drives its own operations, and attachSphinxDiag reports its count.
 	r.Restarts, r.LockSteals, r.LeafLockBreaks = t.engine.Restarts, t.engine.LockSteals, t.engine.LeafLockBreaks
 	cl.attachSphinxDiag(&r, t)
-	cl.attachMetrics(&r)
-	cl.attachMNShares(&r, nicBase)
-	cl.attachIndexBlocks(&r, t)
+	endMetrics(&r)
 	return r, nil
 }
 

@@ -1,20 +1,24 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"testing"
 
 	"sphinx/internal/dataset"
+	"sphinx/internal/fabric"
 	"sphinx/internal/obs"
 	"sphinx/internal/ycsb"
 )
 
-// TestIndexBlocksAttached checks the per-phase SFC/INHT sections: hit
-// depth observed, measured FP rate next to the analytic bound, INHT load
-// factor from the MN-side scan, and the FP↔hash-read-RT reconciliation
-// verdict on the read-only workload.
+// TestIndexBlocksAttached checks a Sphinx phase's section — the phase
+// registry's diff under the names of /metrics: hit depth observed, the SFC's
+// load next to its analytic bound, the INHT's load factor from the MN-side
+// scan, tail counts, and the FP↔hash-read-RT verdict on the read-only
+// workload only. The filter-less ablation's section has no sfc or filter
+// family and no fp verdict.
 func TestIndexBlocksAttached(t *testing.T) {
 	cfg := smallConfig(dataset.U64)
 	cfg.Metrics = true
@@ -30,33 +34,29 @@ func TestIndexBlocksAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Metrics == nil || r.Metrics.SFC == nil || r.Metrics.INHT == nil {
-		t.Fatalf("missing metrics sections: %+v", r.Metrics)
+	if r.Metrics == nil {
+		t.Fatal("no metrics section")
 	}
-	sfc, inht := r.Metrics.SFC, r.Metrics.INHT
-	if sfc.HitDepth.Count == 0 || sfc.HitDepth.Mean <= 0 {
-		t.Errorf("no SFC hit-depth distribution: %+v", sfc.HitDepth)
+	s := r.Metrics.Snapshot
+	if h := s.Hists["sfc_hit_depth"]; h.Count == 0 || h.Mean() <= 0 {
+		t.Errorf("no SFC hit-depth distribution: %+v", h)
 	}
-	if sfc.Load <= 0 || sfc.AnalyticFPBound <= 0 {
-		t.Errorf("SFC load/bound not exported: load=%v bound=%v", sfc.Load, sfc.AnalyticFPBound)
+	if s.Gauges["sfc_load"] <= 0 || s.Gauges["sfc_analytic_fp_bound"] <= 0 {
+		t.Errorf("SFC load/bound not exported: %v", s.Gauges)
 	}
-	if sfc.FilterHits == 0 {
+	if s.Counters["core_filter_hits"] == 0 {
 		t.Error("warm YCSB-C run resolved no locates via the filter")
 	}
-	if sfc.FPReconciled == nil {
-		t.Fatal("read-only depth-1 phase did not get an fp_reconciled verdict")
+	if v := r.Metrics.FPReconciled; v == nil || !*v {
+		t.Errorf("read-only depth-1 phase: fp_reconciled %s; counters %v", verdictString(v), s.Counters)
 	}
-	if !*sfc.FPReconciled {
-		t.Errorf("false positives do not reconcile with hash-read round trips: %+v / lookups=%d retries=%d refreshes=%d",
-			sfc, inht.Lookups, inht.RetryReads, inht.Refreshes)
+	if s.Gauges["inht_load_factor"] <= 0 || s.Gauges["inht_entries"] == 0 || s.Gauges["inht_capacity_entries"] == 0 {
+		t.Errorf("INHT usage scan empty: %v", s.Gauges)
 	}
-	if inht.LoadFactor <= 0 || inht.Entries == 0 || inht.CapacityEntries == 0 {
-		t.Errorf("INHT usage scan empty: %+v", inht)
+	if s.Counters["inht_lookups"] == 0 || s.Hists["inht_candidates"].Count == 0 {
+		t.Errorf("INHT lookup accounting empty: %v", s.Counters)
 	}
-	if inht.Lookups == 0 || inht.Candidates.Count == 0 {
-		t.Errorf("INHT lookup accounting empty: %+v", inht)
-	}
-	if r.Metrics.TailOffered == 0 {
+	if s.Counters["tail_offered"] == 0 {
 		t.Error("tail sampler was not offered any ops")
 	}
 
@@ -65,13 +65,11 @@ func TestIndexBlocksAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ra.Metrics.SFC != nil && ra.Metrics.SFC.FPReconciled != nil {
+	if ra.Metrics.FPReconciled != nil {
 		t.Error("fp_reconciled set for a write-heavy phase")
 	}
 
-	// The filter-less ablation gets an INHT section but no SFC section.
-	cfgNo := cfg
-	clNo, err := NewCluster(SphinxNoSFC, cfgNo)
+	clNo, err := NewCluster(SphinxNoSFC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +80,64 @@ func TestIndexBlocksAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rNo.Metrics.SFC != nil {
-		t.Error("filter-less ablation produced an SFC section")
+	for name := range families(rNo.Metrics.Snapshot) {
+		if strings.HasPrefix(name, "sfc_") || strings.HasPrefix(name, "filter_") {
+			t.Errorf("filter-less ablation's section has %s", name)
+		}
+	}
+	if rNo.Metrics.FPReconciled != nil {
+		t.Error("filter-less ablation got an fp_reconciled verdict")
 	}
 	// The parallel-read path prepares raw bucket reads rather than
 	// calling Lookup, so only the structural scan is asserted here.
-	if rNo.Metrics.INHT == nil || rNo.Metrics.INHT.LoadFactor <= 0 {
-		t.Errorf("filter-less ablation INHT section: %+v", rNo.Metrics.INHT)
+	if rNo.Metrics.Snapshot.Gauges["inht_load_factor"] <= 0 {
+		t.Errorf("filter-less ablation INHT gauges: %v", rNo.Metrics.Snapshot.Gauges)
+	}
+}
+
+// TestVerdictsReadTheSection feeds the verdict function a read-only phase's
+// section with one count too many: one more hash lookup than the filter's
+// claims explain breaks fp_reconciled alone, one more leaf-spec round trip
+// than speculative outcomes breaks lac_reconciled (and the round-trip sum).
+func TestVerdictsReadTheSection(t *testing.T) {
+	cfg := smallConfig(dataset.U64)
+	cfg.Workers, cfg.Metrics = 1, true
+	cl, err := NewCluster(Sphinx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Load(0); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cl.Run(ycsb.WorkloadC, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := r.Metrics; !m.RTReconciled || m.FPReconciled == nil || !*m.FPReconciled || m.LACReconciled == nil || !*m.LACReconciled {
+		t.Fatalf("read-only phase: rt %v fp %s lac %s", m.RTReconciled, verdictString(m.FPReconciled), verdictString(m.LACReconciled))
+	}
+	leafSpec := fmt.Sprintf("bench_stage_round_trips{stage=%q}", fabric.StageLeafSpec)
+	for _, tc := range []struct {
+		name        string
+		mutate      func(obs.Snapshot)
+		rt, fp, lac bool
+	}{
+		{"one extra inht_lookups", func(s obs.Snapshot) { s.Counters["inht_lookups"]++ }, true, false, true},
+		{"one extra leaf-spec round trip", func(s obs.Snapshot) {
+			h := s.Hists[leafSpec]
+			h.Count, h.Sum = h.Count+1, h.Sum+1
+			s.Hists[leafSpec] = h
+		}, false, true, false},
+	} {
+		s := r.Metrics.Snapshot.Sub(obs.Snapshot{}) // a copy
+		tc.mutate(s)
+		m := MetricsBlock{Snapshot: s}
+		m.reconcile(r.RoundTrips, r.Depth)
+		if m.RTReconciled != tc.rt || m.FPReconciled == nil || *m.FPReconciled != tc.fp ||
+			m.LACReconciled == nil || *m.LACReconciled != tc.lac {
+			t.Errorf("%s: rt %v fp %s lac %s; want rt %v fp %v lac %v", tc.name,
+				m.RTReconciled, verdictString(m.FPReconciled), verdictString(m.LACReconciled), tc.rt, tc.fp, tc.lac)
+		}
 	}
 }
 
@@ -156,8 +205,9 @@ func TestLiveRegistryServesDuringRun(t *testing.T) {
 // phase body: the index counters must already hold the phase's own
 // operations (they used to be folded in only when a phase ended, so
 // sfc_false_positive_rate divided the last phase's false positives by this
-// phase's probes), and once the phase is over the totals must have moved by
-// exactly what its Result reports — nothing counted twice, nothing dropped.
+// phase's probes), and once the phase is over every counter of the index
+// families must have moved by exactly what its Result's section reports —
+// nothing counted twice, nothing dropped, no counter on one side only.
 func TestLiveRegistryFollowsRunningPhase(t *testing.T) {
 	lv := NewLive()
 	cfg := smallConfig(dataset.U64)
@@ -197,16 +247,30 @@ func TestLiveRegistryFollowsRunningPhase(t *testing.T) {
 	if fp := during.Counters["core_false_positives"]; probes == 0 || fp > probes {
 		t.Errorf("inside the phase: %d false positives against %d filter probes", fp, probes)
 	}
+	section := r.Metrics.Snapshot.Counters
+	if section["core_searches"] != r.Ops || section["inht_lookups"] == 0 {
+		t.Errorf("section: core_searches %d for %d ops, inht_lookups %d", section["core_searches"], r.Ops, section["inht_lookups"])
+	}
 	after := reg.Snapshot().Sub(before)
-	for name, want := range map[string]uint64{
-		"core_searches":        r.Ops,
-		"core_filter_hits":     r.Metrics.SFC.FilterHits,
-		"core_false_positives": r.Metrics.SFC.FalsePositives,
-		"inht_lookups":         r.Metrics.INHT.Lookups,
-		"inht_retry_reads":     r.Metrics.INHT.RetryReads,
-	} {
-		if got := after.Counters[name]; got != want {
-			t.Errorf("%s moved by %d over the phase, its Result reports %d", name, got, want)
+	compared := 0
+	for name, got := range after.Counters {
+		family, _, _ := strings.Cut(name, "_")
+		switch family {
+		case "core", "inht", "filter", "lac", "engine":
+		default:
+			continue
 		}
+		compared++
+		if want, ok := section[name]; !ok || got != want {
+			t.Errorf("%s moved by %d over the phase, its Result's section reports %d (present %v)", name, got, want, ok)
+		}
+	}
+	for name := range section {
+		if _, ok := after.Counters[name]; !ok {
+			t.Errorf("%s is in the section and not on the live registry", name)
+		}
+	}
+	if compared < 50 {
+		t.Errorf("only %d index counters compared", compared)
 	}
 }

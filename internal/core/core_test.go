@@ -25,14 +25,14 @@ func newCluster(t *testing.T, mns int, cfg fabric.Config, expected int) (*fabric
 	})
 }
 
-// bootCluster makes a fabric of mns MNs of 256 MiB, bootstraps an index on it
+// bootCluster makes a fabric of mns MNs of 64 MiB, bootstraps an index on it
 // and registers the index check (Fsck) to run when t ends.
 func bootCluster(t *testing.T, mns int, cfg fabric.Config, boot func(*fabric.Fabric, *consistenthash.Ring) (Shared, error)) (*fabric.Fabric, Shared) {
 	t.Helper()
 	f := fabric.New(cfg)
 	nodes := make([]mem.NodeID, mns)
 	for i := range nodes {
-		nodes[i] = f.AddNode(256 << 20)
+		nodes[i] = f.AddNode(64 << 20)
 	}
 	shared, err := boot(f, consistenthash.New(nodes, 0))
 	if err != nil {

@@ -72,6 +72,7 @@ func TestDriveDecisionTable(t *testing.T) {
 		restarts uint64 // Restarts delta when charged
 		cause    func(Stats) uint64
 		err      error // terminal error (errors.Is); nil: the operation completes
+		wraps    error // what the terminal error also matches, if anything
 		// Counters of the free re-routes and of the lost-node answer, by op.
 		collisions, parents uint64
 		failovers, degraded map[string]uint64
@@ -110,10 +111,12 @@ func TestDriveDecisionTable(t *testing.T) {
 				degraded:  map[string]uint64{"insert": 1, "update": 1, "delete": 1}}},
 		{"lost node, fault tolerance on", []string{"scan"}, killOwner(true),
 			want{free: true, err: ErrReplicaSetUnavailable}},
-		// Without the anchors a killed node is a node that is down for good:
-		// keyed operations spend their budget on it; a scan fails fast.
+		// Without the anchors nothing answers for a killed node, which never
+		// comes back: every operation ends at once, a keyed one with the node
+		// unavailable (and the fabric's verdict inside), a scan as it would
+		// with fault tolerance on.
 		{"lost node, fault tolerance off", keyed, killOwner(false),
-			want{restarts: exhaustedRestarts, cause: nodeDown, err: ErrNodeUnavailable}},
+			want{free: true, err: ErrNodeUnavailable, wraps: fabric.ErrNodeKilled}},
 		{"lost node, fault tolerance off", []string{"scan"}, killOwner(false),
 			want{free: true, err: ErrReplicaSetUnavailable}},
 		{"prefix collision", []string{"search", "delete"},
@@ -151,8 +154,8 @@ func TestDriveDecisionTable(t *testing.T) {
 				after, slept := c.Stats(), c.eng.C.Clock()-clock0
 				w := row.want
 
-				if !errors.Is(err, w.err) {
-					t.Fatalf("err = %v, want %v", err, w.err)
+				if !errors.Is(err, w.err) || (w.wraps != nil && !errors.Is(err, w.wraps)) {
+					t.Fatalf("err = %v, want %v (wrapping %v)", err, w.err, w.wraps)
 				}
 				restarts := after.Restarts - before.Restarts
 				if w.free {

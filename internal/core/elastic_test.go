@@ -52,7 +52,7 @@ func TestElasticAddNode(t *testing.T) {
 		}
 	}
 
-	id := f.AddNode(256 << 20)
+	id := f.AddNode(64 << 20)
 	p, err := BeginAddNode(f, shared, id, keys)
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +163,11 @@ func TestElasticDrainRootRefused(t *testing.T) {
 
 func TestElasticOverlappingTransitionRejected(t *testing.T) {
 	f, shared := newCluster(t, 2, fabric.InstantConfig(), 100)
-	id := f.AddNode(256 << 20)
+	id := f.AddNode(64 << 20)
 	if _, err := BeginAddNode(f, shared, id, 100); err != nil {
 		t.Fatal(err)
 	}
-	id2 := f.AddNode(256 << 20)
+	id2 := f.AddNode(64 << 20)
 	if _, err := BeginAddNode(f, shared, id2, 100); !errors.Is(err, ErrTransitionActive) {
 		t.Fatalf("overlapping add: err = %v, want ErrTransitionActive", err)
 	}
@@ -188,7 +188,7 @@ func TestElasticAddNodeReplicated(t *testing.T) {
 		}
 	}
 
-	id := f.AddNode(256 << 20)
+	id := f.AddNode(64 << 20)
 	if _, err := BeginAddNode(f, shared, id, keys); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestElasticMigrationUnderLoad(t *testing.T) {
 		}
 	}
 
-	id := f.AddNode(256 << 20)
+	id := f.AddNode(64 << 20)
 	if _, err := BeginAddNode(f, shared, id, keys); err != nil {
 		t.Fatal(err)
 	}

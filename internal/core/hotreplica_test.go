@@ -671,7 +671,7 @@ func TestHotReadsFreshAcrossMembershipChange(t *testing.T) {
 					t.Fatal(err)
 				}
 			case "add":
-				joined = f.AddNode(256 << 20)
+				joined = f.AddNode(64 << 20)
 				if _, err := BeginAddNode(f, shared, joined, 1000); err != nil {
 					t.Fatal(err)
 				}

@@ -139,7 +139,7 @@ func TestNodeAddressSurvivesDrainAndKill(t *testing.T) {
 	}
 	migrator := newTestClient(f, shared, Options{})
 
-	id := f.AddNode(256 << 20)
+	id := f.AddNode(64 << 20)
 	if _, err := BeginAddNode(f, shared, id, keys); err != nil {
 		t.Fatal(err)
 	}

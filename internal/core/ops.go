@@ -249,6 +249,8 @@ func (c *Client) begin(key, value []byte) error {
 //   - the path crosses a lost node and the layer above can answer instead
 //     (anchors with fault tolerance; a rooted scan's typed error): lost is
 //     reported with the error, in one decision, no backoff.
+//   - the path crosses a killed node and nothing above can answer: the
+//     terminal ErrNodeUnavailable, wrapping what the attempt saw, at once.
 //   - a lost race or an injected fault a later attempt can outlive: counted
 //     once, by cause, noted on the trace, and charged to the backoff budget.
 //   - anything else, or the budget is spent: the terminal error.
@@ -291,6 +293,11 @@ func (c *Client) drive(op string, key []byte, rooted bool,
 		if nodeLost(err) && (rooted || c.shared.FT != nil) {
 			c.note(fabric.StageNone, "node lost: %v", err)
 			return true, err
+		}
+		if errors.Is(err, fabric.ErrNodeKilled) {
+			// Nothing answers for it without the anchors, and it never comes
+			// back: end now, as rart.Retry does.
+			return false, fmt.Errorf("%w: %s for %q (%w)", ErrNodeUnavailable, op, key, err)
 		}
 		cause := c.restartCause(err)
 		if cause == nil {

@@ -44,14 +44,14 @@ func sumOver[X, T any](xs []X, read func(X) T) (agg T) {
 	return agg
 }
 
-// FilterStats sums the filter caches' counters.
-func (s *IndexSources) FilterStats() cuckoo.Stats {
+// filterStats sums the filter caches' counters.
+func (s *IndexSources) filterStats() cuckoo.Stats {
 	return sumOver(s.Filters, (*FilterCache).FilterStats)
 }
 
-// FilterOccupancy sums slot occupancy across the filter caches; the analytic
+// filterOccupancy sums slot occupancy across the filter caches; the analytic
 // false-positive bound is averaged over them.
-func (s *IndexSources) FilterOccupancy() (occupied, capacity uint64, load, bound float64) {
+func (s *IndexSources) filterOccupancy() (occupied, capacity uint64, load, bound float64) {
 	for _, f := range s.Filters {
 		o, c := f.Occupancy()
 		occupied, capacity, bound = occupied+o, capacity+c, bound+f.AnalyticFPBound()
@@ -65,13 +65,13 @@ func (s *IndexSources) FilterOccupancy() (occupied, capacity uint64, load, bound
 	return occupied, capacity, load, bound
 }
 
-// LACStats sums the leaf-address caches' maintenance counters.
-func (s *IndexSources) LACStats() LACStats { return sumOver(s.LACs, (*LeafCache).Stats) }
+// lacStats sums the leaf-address caches' maintenance counters.
+func (s *IndexSources) lacStats() LACStats { return sumOver(s.LACs, (*LeafCache).Stats) }
 
-// LACOccupancy sums live entries, slot capacity, full buckets, the node words
+// lacOccupancy sums live entries, slot capacity, full buckets, the node words
 // among the live entries and byte footprint across the leaf-address caches,
 // and counts the caches whose leaves fit (LeafCache.store).
-func (s *IndexSources) LACOccupancy() (occupied, capacity, fullBuckets, nodes, bytes, fit uint64) {
+func (s *IndexSources) lacOccupancy() (occupied, capacity, fullBuckets, nodes, bytes, fit uint64) {
 	for _, lc := range s.LACs {
 		o, c, f, n := lc.Occupancy()
 		occupied, capacity, fullBuckets, nodes, bytes = occupied+o, capacity+c, fullBuckets+f, nodes+n, bytes+lc.SizeBytes()
@@ -80,18 +80,6 @@ func (s *IndexSources) LACOccupancy() (occupied, capacity, fullBuckets, nodes, b
 		}
 	}
 	return occupied, capacity, fullBuckets, nodes, bytes, fit
-}
-
-// INHTUsage scans every member's hash-table structure MN-side (no
-// virtual-clock cost; race-clean through the region locks), under the
-// CURRENT placement epoch, which it also returns: tables bootstrapped by an
-// elastic add are counted and drained ones are not.
-func (s *IndexSources) INHTUsage() (u racehash.Usage, epoch uint64) {
-	p := s.Shared.Members.Current()
-	for node, t := range p.Tables {
-		u = u.Add(racehash.ReadUsage(s.Fabric.Region(node), t))
-	}
-	return u, p.Epoch
 }
 
 // RegisterIndex registers the index layers' metric families on r, reading
@@ -119,12 +107,12 @@ func (s *IndexSources) counters(family string) map[string]uint64 {
 	case family == "engine" && s.Engine != nil:
 		return obs.Fields(s.Engine())
 	case family == "filter" && len(s.Filters) > 0:
-		return obs.Fields(s.FilterStats())
+		return obs.Fields(s.filterStats())
 	case family == "lac" && len(s.LACs) > 0:
 		// The cache's own counters, and under its prefix the speculative
 		// in-place write's outcomes (they are also core_spec_upd_*, like the Get
 		// outcomes).
-		out, st := obs.Fields(s.LACStats()), s.Stats()
+		out, st := obs.Fields(s.lacStats()), s.Stats()
 		out["update_hits"], out["update_misses"] = st.SpecUpdHits, st.SpecUpdMisses
 		out["update_refutes"], out["update_aborts"] = st.SpecUpdRefutes, st.SpecUpdAborts
 		return out
@@ -137,8 +125,8 @@ func (s *IndexSources) gauges(family string) map[string]float64 {
 	switch {
 	case s == nil:
 	case family == "sfc" && len(s.Filters) > 0:
-		st, fst := s.Stats(), s.FilterStats()
-		occupied, capacity, load, bound := s.FilterOccupancy()
+		st, fst := s.Stats(), s.filterStats()
+		occupied, capacity, load, bound := s.filterOccupancy()
 		g := map[string]float64{
 			"occupied_slots":    float64(occupied),
 			"capacity_slots":    float64(capacity),
@@ -163,7 +151,7 @@ func (s *IndexSources) gauges(family string) map[string]float64 {
 		return g
 	case family == "lac" && len(s.LACs) > 0:
 		st := s.Stats()
-		occupied, capacity, full, nodes, bytes, fit := s.LACOccupancy()
+		occupied, capacity, full, nodes, bytes, fit := s.lacOccupancy()
 		g := map[string]float64{
 			"occupied_slots": float64(occupied),
 			"capacity_slots": float64(capacity),
@@ -192,9 +180,16 @@ func (s *IndexSources) gauges(family string) map[string]float64 {
 		}
 		return g
 	case family == "inht" && s.Shared != nil:
-		u, epoch := s.INHTUsage()
+		// Every member's table structure, scanned MN-side (no virtual-clock
+		// cost; race-clean through the region locks) under the CURRENT
+		// placement epoch: tables bootstrapped by an elastic add are counted
+		// and drained ones are not.
+		p, u := s.Shared.Members.Current(), racehash.Usage{}
+		for node, t := range p.Tables {
+			u = u.Add(racehash.ReadUsage(s.Fabric.Region(node), t))
+		}
 		return map[string]float64{
-			"epoch":            float64(epoch),
+			"epoch":            float64(p.Epoch),
 			"load_factor":      u.LoadFactor(),
 			"entries":          float64(u.Entries),
 			"capacity_entries": float64(u.Capacity),

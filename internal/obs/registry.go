@@ -150,9 +150,9 @@ func addHist(dst map[string]HistSnapshot, key string, h HistSnapshot) {
 
 // Snapshot is one point-in-time reading of a Registry.
 type Snapshot struct {
-	Counters map[string]uint64       `json:"counters"`
-	Gauges   map[string]float64      `json:"gauges,omitempty"`
-	Hists    map[string]HistSnapshot `json:"histograms"`
+	Counters map[string]uint64
+	Gauges   map[string]float64
+	Hists    map[string]HistSnapshot
 }
 
 // Sub returns s - prev, entry-wise; entries absent from prev are taken
@@ -267,18 +267,26 @@ func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
 	return nil
 }
 
-// WriteJSON renders the snapshot as expvar-style JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
+// MarshalJSON renders the snapshot as expvar-style JSON: counters, gauges,
+// and each histogram's count, sum, mean, p50, p99 and max (quantiles are
+// bucket upper bounds). It is the one JSON form of a snapshot: /snapshot
+// serves it and BENCH_*.json carries it per phase.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	hists := make(map[string]histJSON, len(s.Hists))
+	for k, h := range s.Hists {
+		hists[k] = histJSON{
+			Count: h.Count, Sum: h.Sum, Mean: h.Mean(),
+			P50: h.Quantile(0.50), P99: h.Quantile(0.99), Max: h.Max(),
+		}
+	}
+	return json.Marshal(struct {
 		Counters map[string]uint64   `json:"counters"`
 		Gauges   map[string]float64  `json:"gauges,omitempty"`
 		Hists    map[string]histJSON `json:"histograms"`
 	}{
 		Counters: s.Counters,
 		Gauges:   s.Gauges,
-		Hists:    histsJSON(s.Hists),
+		Hists:    hists,
 	})
 }
 
@@ -291,15 +299,11 @@ type histJSON struct {
 	Max   uint64  `json:"max"`
 }
 
-func histsJSON(in map[string]HistSnapshot) map[string]histJSON {
-	out := make(map[string]histJSON, len(in))
-	for k, h := range in {
-		out[k] = histJSON{
-			Count: h.Count, Sum: h.Sum, Mean: h.Mean(),
-			P50: h.Quantile(0.50), P99: h.Quantile(0.99), Max: h.Max(),
-		}
-	}
-	return out
+// WriteJSON renders the snapshot as indented JSON (MarshalJSON).
+func (s Snapshot) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s)
 }
 
 // Fields flattens a struct value's uint64 fields into snake_case-named

@@ -31,7 +31,7 @@ func httpGet(t *testing.T, url string) string {
 // load, and killing a node fires the mn-dead alert which resolves is
 // never expected (dead stays dead) while the health gauge reflects it.
 func TestClusterObservabilityPlane(t *testing.T) {
-	cl, err := NewCluster(Config{
+	cl, err := newTestCluster(Config{
 		MemoryNodes:           3,
 		ObservabilityWindowPs: 1_000_000, // 1 µs virtual windows
 		SLOs:                  []SLO{{Name: "get-p99", Op: OpGet, Quantile: 0.99, LatencyPs: 1 << 40}},
@@ -148,7 +148,7 @@ func TestClusterObservabilityPlane(t *testing.T) {
 // TestServeObservabilityPlaneEndpoints checks /mn, /slo and /alerts are
 // served alongside the existing endpoints.
 func TestServeObservabilityPlaneEndpoints(t *testing.T) {
-	cl, err := NewCluster(Config{
+	cl, err := newTestCluster(Config{
 		Timing: TimingInstant,
 		SLOs:   []SLO{{Name: "get-p99", Op: OpGet, Quantile: 0.99, LatencyPs: 1 << 40}},
 	})

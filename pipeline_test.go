@@ -9,7 +9,7 @@ import (
 
 func pipelineCluster(t *testing.T, sys sphinx.System, n int) (*sphinx.Cluster, *sphinx.Session, [][]byte) {
 	t.Helper()
-	cluster, err := sphinx.NewCluster(sphinx.Config{System: sys})
+	cluster, err := sphinx.NewCluster(sphinx.Config{System: sys, MemoryPerNode: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,23 @@ import (
 	"sphinx/internal/wire"
 )
 
+// testRegion is the memory-node region of the tests' clusters: room for what
+// they write. Zeroing the 256 MiB default of every node of every cluster was
+// most of the suite's time.
+const testRegion = 64 << 20
+
+// newTestCluster is NewCluster with testRegion where cfg names no region.
+func newTestCluster(cfg Config) (*Cluster, error) {
+	if cfg.MemoryPerNode == 0 {
+		cfg.MemoryPerNode = testRegion
+	}
+	return NewCluster(cfg)
+}
+
 func TestFacadeAllSystems(t *testing.T) {
 	for _, sys := range []System{SystemSphinx, SystemSMART, SystemART} {
 		t.Run(sys.String(), func(t *testing.T) {
-			cluster, err := NewCluster(Config{System: sys, Timing: TimingInstant})
+			cluster, err := newTestCluster(Config{System: sys, Timing: TimingInstant})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +73,7 @@ func TestFacadeAllSystems(t *testing.T) {
 }
 
 func TestFacadeStats(t *testing.T) {
-	cluster, err := NewCluster(Config{Timing: TimingRDMA})
+	cluster, err := newTestCluster(Config{Timing: TimingRDMA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +102,7 @@ func TestFacadeStats(t *testing.T) {
 }
 
 func TestFacadeSharedFilterAcrossSessions(t *testing.T) {
-	cluster, err := NewCluster(Config{Timing: TimingInstant})
+	cluster, err := newTestCluster(Config{Timing: TimingInstant})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +130,7 @@ func TestFacadeSharedFilterAcrossSessions(t *testing.T) {
 }
 
 func TestFacadeConcurrentSessions(t *testing.T) {
-	cluster, err := NewCluster(Config{Timing: TimingRDMA})
+	cluster, err := newTestCluster(Config{Timing: TimingRDMA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +170,7 @@ func TestFacadeConcurrentSessions(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cluster, err := NewCluster(Config{})
+	cluster, err := newTestCluster(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +198,7 @@ func TestPipelineLanesShareSessionOptions(t *testing.T) {
 		heat[i] = key
 	}
 	t.Run("hot layer enabled", func(t *testing.T) {
-		cluster, err := NewCluster(Config{MemoryNodes: 3, HotReplicaFactor: 3})
+		cluster, err := newTestCluster(Config{MemoryNodes: 3, HotReplicaFactor: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +247,7 @@ func TestPipelineLanesShareSessionOptions(t *testing.T) {
 // array; the speculative read returns its leaf by value). The subtest holds
 // the paths through the tree to what they hand back (treePathAllocations).
 func TestWarmPathAllocations(t *testing.T) {
-	cluster, err := NewCluster(Config{Timing: TimingInstant})
+	cluster, err := newTestCluster(Config{Timing: TimingInstant})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +317,7 @@ func treePathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	cluster, err := NewCluster(Config{Timing: TimingInstant, LeafCacheBytes: 1 << 10})
+	cluster, err := newTestCluster(Config{Timing: TimingInstant, LeafCacheBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +396,7 @@ func TestValueTooLarge(t *testing.T) {
 		{System: SystemSMART},
 		{System: SystemART},
 	} {
-		cluster, err := NewCluster(cfg)
+		cluster, err := newTestCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,7 +457,7 @@ func TestFilterCacheGrowsTowardBudget(t *testing.T) {
 	// budget, where the filter stops.
 	key := func(i int) []byte { return binary.BigEndian.AppendUint64(nil, wire.Mix64(uint64(i))) }
 	getPasses := func(expected int) (rtPerGet [2]float64, grows uint64) {
-		cluster, err := NewCluster(Config{Timing: TimingInstant, ExpectedKeys: expected, CacheBytes: budget})
+		cluster, err := newTestCluster(Config{Timing: TimingInstant, ExpectedKeys: expected, CacheBytes: budget})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ import (
 // the registry closures touch (fabric, core, engine, hash-table views,
 // filter cache, INHT usage scan, tail sampler) must be scrape-safe.
 func TestRegistryScrapeRaceClean(t *testing.T) {
-	cluster, err := NewCluster(Config{Timing: TimingInstant})
+	cluster, err := newTestCluster(Config{Timing: TimingInstant})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMeasuredFPRateGauge(t *testing.T) {
 	// A small filter so the probe phase runs it at meaningful load.
 	// A leaf-address cache far smaller than the key set: leaves displace node
 	// words, so some landings remember their node and the others ask the table.
-	cluster, err := NewCluster(Config{Timing: TimingInstant, CacheBytes: 2 << 10, LeafCacheBytes: 512})
+	cluster, err := newTestCluster(Config{Timing: TimingInstant, CacheBytes: 2 << 10, LeafCacheBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestMeasuredFPRateGauge(t *testing.T) {
 func TestFPHashReadReconciliation(t *testing.T) {
 	// A leaf-address cache far smaller than the key set: leaves displace node
 	// words, so some landings remember their node and the others ask the table.
-	cluster, err := NewCluster(Config{Timing: TimingInstant, CacheBytes: 2 << 10, LeafCacheBytes: 512})
+	cluster, err := newTestCluster(Config{Timing: TimingInstant, CacheBytes: 2 << 10, LeafCacheBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestFPHashReadReconciliation(t *testing.T) {
 // TestTailSamplerCapturesSlowOps runs a timed workload and checks that
 // the always-on sampler retains annotated slow-op timelines.
 func TestTailSamplerCapturesSlowOps(t *testing.T) {
-	cluster, err := NewCluster(Config{})
+	cluster, err := newTestCluster(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestTailSamplerCapturesSlowOps(t *testing.T) {
 	}
 	// TimingInstant sessions must never capture: zero-latency timelines
 	// carry no tail signal.
-	instant, err := NewCluster(Config{Timing: TimingInstant})
+	instant, err := newTestCluster(Config{Timing: TimingInstant})
 	if err != nil {
 		t.Fatal(err)
 	}

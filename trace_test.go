@@ -17,7 +17,7 @@ import (
 // the first touch of the prefix; it teaches the cache where the prefix's node
 // lives, and the next Get under it needs no table read: two round trips.
 func TestTraceColdGet(t *testing.T) {
-	cluster, err := NewCluster(Config{})
+	cluster, err := newTestCluster(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTraceColdGet(t *testing.T) {
 // a leaf-spec read verified in place — and the trace carries the hit
 // annotation. Accounting still reconciles with the fabric's counters.
 func TestTraceWarmGet(t *testing.T) {
-	cluster, err := NewCluster(Config{})
+	cluster, err := newTestCluster(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestTraceWarmGet(t *testing.T) {
 // address, then the releasing image WRITE — carries the hit annotation, and
 // surfaces in the session counters and the registry under lac_update_*.
 func TestTraceWarmUpdate(t *testing.T) {
-	cluster, err := NewCluster(Config{})
+	cluster, err := newTestCluster(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestTraceWarmUpdate(t *testing.T) {
 // write has retired the records this node's routes name, the next Get says so
 // on a hot-read row — refuted, unlearned — and is served by the tier below.
 func TestTraceHotGet(t *testing.T) {
-	cluster, err := NewCluster(Config{MemoryNodes: 3, HotReplicaFactor: 3})
+	cluster, err := newTestCluster(Config{MemoryNodes: 3, HotReplicaFactor: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestTraceHotGet(t *testing.T) {
 // leaf-write row; each fan-out closes with a note of its legs, rounds and
 // ridden rounds, and is counted.
 func TestTraceReplicatedPut(t *testing.T) {
-	cluster, err := NewCluster(Config{MemoryNodes: 3, Replication: 2, HotReplicaFactor: 3})
+	cluster, err := newTestCluster(Config{MemoryNodes: 3, Replication: 2, HotReplicaFactor: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestTraceReplicatedPut(t *testing.T) {
 // touch of a prefix pays the paper's third: internal/core
 // TestWriteBudgetsWithINHT has both columns.)
 func TestTraceWarmPut(t *testing.T) {
-	cluster, err := NewCluster(Config{})
+	cluster, err := newTestCluster(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestTraceWarmPut(t *testing.T) {
 // every round, fetched object and returned key, which the registry's
 // engine_scan_* counters repeat.
 func TestTraceScan(t *testing.T) {
-	cluster, err := NewCluster(Config{})
+	cluster, err := newTestCluster(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
