@@ -183,6 +183,11 @@ type Stats struct {
 	Restarts uint64
 	// ParentRetries counts ErrNeedParent re-routes (structural, no backoff).
 	ParentRetries uint64
+	// AheadSwaps counts type switches whose entry swap was planned on the
+	// bucket pair the re-routed landing's batch fetched (publisher.readAhead):
+	// no READ rode the write's lock batch, and behind two won bets there was
+	// no lock batch.
+	AheadSwaps uint64
 	// StaleEntries counts invalid hash entries cleaned opportunistically.
 	StaleEntries uint64
 	// FPMismatches counts candidate nodes read but failing the §III-B checks.

@@ -250,7 +250,8 @@ func (c *Client) readCandidates(cands []racehash.Candidate, bet bool) ([]*rart.N
 	}
 	if bet {
 		entry := cands[0].Entry
-		n, err := c.eng.LeaseRead(entry.Addr, entry.Type)
+		n, err := c.eng.LeaseRead(entry.Addr, entry.Type, c.pub.landing()...)
+		c.pub.fetched(err)
 		if err != nil {
 			return nil, err
 		}
@@ -264,8 +265,10 @@ func (c *Client) readCandidates(cands []racehash.Candidate, bet bool) ([]*rart.N
 	for _, cand := range cands {
 		ops = c.eng.AppendNodeRead(ops, cand.Entry.Addr, cand.Entry.Type)
 	}
+	ops = append(ops, c.pub.landing()...)
 	c.opScratch = ops
-	if err := c.eng.C.Batch(ops); err != nil {
+	err := c.eng.C.Batch(ops)
+	if c.pub.fetched(err); err != nil {
 		return nil, err
 	}
 	nodes := c.nodeScratch[:0]
@@ -330,8 +333,12 @@ func (c *Client) locateParallel(key []byte, maxLen int) (*rart.Node, int, error)
 	return root, 0, err
 }
 
+// readRoot reads the root: the landing of a type switch's re-route that
+// lands there too, whose READ fetches the swap's entry pair
+// (publisher.landing).
 func (c *Client) readRoot() (*rart.Node, error) {
-	n, err := c.eng.ReadNode(c.shared.Root, wire.Node256)
+	n, err := c.eng.ReadNode(c.shared.Root, wire.Node256, c.pub.landing()...)
+	c.pub.fetched(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading root: %w", err)
 	}

@@ -76,18 +76,74 @@ type publisher struct {
 	views []*racehash.View // the current epoch's table of pubs[i]
 	reads []racehash.PreparedRead
 	done  []bool
+
+	// ahead is the bucket pair of a type switch's entry swap, read before the
+	// write plans it: a full start node at aheadOf sent the put to its parent
+	// (ErrNeedParent), and the re-routed round's landing fetches the pair in
+	// its first batch (landing), its verbs in aheadOps. aheadAt is the
+	// publication that took the fetched pair, -1 for none.
+	ahead    racehash.PreparedRead
+	aheadIn  *racehash.View
+	aheadOf  mem.Addr
+	aheadSt  uint8 // aheadNone, aheadArmed, aheadFetched
+	aheadAt  int
+	aheadOps []fabric.Op
+}
+
+const (
+	aheadNone uint8 = iota
+	aheadArmed
+	aheadFetched
+)
+
+// readAhead closes a round of drive: the round re-routed from kept, a full
+// start node the put would have grown (its partial matches key — a split's
+// start diverges), arms the read of kept's entry pair for the next round's
+// landing; any other round leaves none armed or fetched.
+func (p *publisher) readAhead(c *Client, key []byte, kept *rart.Node) {
+	p.aheadSt = aheadNone
+	if kept == nil {
+		return
+	}
+	prefix := key[:kept.Hdr.Depth]
+	if _, grow := rart.MatchPartial(kept, key); grow && len(prefix) > 0 {
+		if v := c.viewFor(prefix); v != nil && v.PrepareInto(&p.ahead, kept.Hdr.PrefixHash) == nil {
+			p.aheadIn, p.aheadOf, p.aheadSt = v, kept.Addr, aheadArmed
+		}
+	}
+}
+
+// landing returns the verbs of the armed pair read, for a landing's batch to
+// carry; none when none is armed.
+func (p *publisher) landing() []fabric.Op {
+	if p.aheadSt != aheadArmed {
+		return nil
+	}
+	p.aheadOps = p.ahead.AppendOps(p.aheadOps[:0])
+	return p.aheadOps
+}
+
+// fetched books the landing batch that carried landing's verbs: completed,
+// its pair is the swap's to plan on.
+func (p *publisher) fetched(err error) {
+	if p.aheadSt == aheadArmed && err == nil {
+		p.aheadSt = aheadFetched
+	}
 }
 
 func (p *publisher) plan(c *Client, pubs []rart.Publication) error {
 	p.c, p.pubs = c, pubs
-	p.views, p.done = p.views[:0], p.done[:0]
+	p.views, p.done, p.aheadAt = p.views[:0], p.done[:0], -1
 	if cap(p.reads) < len(pubs) {
 		p.reads = make([]racehash.PreparedRead, len(pubs))
 	}
 	p.reads = p.reads[:len(pubs)]
 	for i, pub := range pubs {
 		view := c.viewFor(pub.Prefix)
-		if err := view.PrepareInto(&p.reads[i], pub.Node.Hdr.PrefixHash); err != nil {
+		if pub.Old != nil && pub.Old.Addr == p.aheadOf && view == p.aheadIn && p.aheadSt == aheadFetched {
+			p.reads[i], p.aheadAt, p.aheadSt = p.ahead, i, aheadNone
+			atomic.AddUint64(&c.stats.AheadSwaps, 1)
+		} else if err := view.PrepareInto(&p.reads[i], pub.Node.Hdr.PrefixHash); err != nil {
 			return err
 		}
 		p.views = append(p.views, view)
@@ -96,11 +152,11 @@ func (p *publisher) plan(c *Client, pubs []rart.Publication) error {
 	return nil
 }
 
-// AppendReads implements rart.Publisher: a swap's bucket pair; a fresh
-// entry's insert goes blind and needs none.
+// AppendReads implements rart.Publisher: a swap's bucket pair, unless the
+// landing fetched it ahead; a fresh entry's insert goes blind and needs none.
 func (p *publisher) AppendReads(ops []fabric.Op) []fabric.Op {
 	for i, pub := range p.pubs {
-		if pub.Old != nil {
+		if pub.Old != nil && i != p.aheadAt {
 			ops = p.reads[i].AppendOps(ops)
 		}
 	}
@@ -283,6 +339,7 @@ func (c *Client) drive(op string, key []byte, rooted bool,
 			}
 		}
 		c.eng.Release(rart.BetRoundEnded, kept)
+		c.pub.readAhead(c, key, kept)
 		if narrow {
 			maxLen = startLen - 1
 			continue
@@ -698,8 +755,13 @@ func (c *Client) put(key, value []byte, mode rart.PutMode) (bool, error) {
 	// A put that may link a leaf bets, at its jump start, on the lease of the
 	// node it lands on (readCandidates); PutFrom resolves the bet.
 	c.inserting = mode != rart.PutUpdateOnly
+	// An update locks its leaf in the batch that reads it (rart.PutUpdateFused).
+	treeMode := mode
+	if mode == rart.PutUpdateOnly {
+		treeMode = rart.PutUpdateFused
+	}
 	lost, err := c.drive("put", key, false, func(start *rart.Node, _ int) (_ bool, err error) {
-		existed, err = c.eng.PutFrom(start, key, value, mode, hooks{c})
+		existed, err = c.eng.PutFrom(start, key, value, treeMode, hooks{c})
 		c.noteAbandoned(&abObjects, &abBytes)
 		return false, err
 	})

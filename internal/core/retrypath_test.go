@@ -139,9 +139,13 @@ func TestPutNeedParentNoBackoff(t *testing.T) {
 			t.Errorf("re-routed insert read %d nodes outside its lock batches, want 1: the parent (the root); the full node came with the jump's lease", nodeReads)
 		}
 		// The landing: lease CAS + READ. The type switch: W leaf, W grown copy,
-		// 2 bucket READs, lease CAS + READ of the parent — not of the child.
-		if fmt.Sprint(locks) != "[2 6]" {
-			t.Errorf("lock batches carry %v verbs, want [2 6]: the landing's bet, then the parent's lock beside the staged objects", locks)
+		// lease CAS + READ of the parent — not of the child; the swap's 2
+		// bucket READs rode the parent's READ, the re-route's landing.
+		if fmt.Sprint(locks) != "[2 4]" {
+			t.Errorf("lock batches carry %v verbs, want [2 4]: the landing's bet, then the parent's lock beside the staged objects", locks)
+		}
+		if st := c.Stats(); st.AheadSwaps != 1 {
+			t.Errorf("%d swaps planned on a pair read ahead, want 1: the root's READ fetched the full node's", st.AheadSwaps)
 		}
 		if st := c.eng.Stats(); st.LeaseBets != eng0.LeaseBets+1 || st.LeaseBetsLost != 0 || st.LeaseBetsReturned != 0 || st.LockSteals != 0 {
 			t.Errorf("bets %d, lost %d, returned %d, steals %d; want 1, 0, 0, 0: the child's lease is kept across the re-route",

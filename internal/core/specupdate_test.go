@@ -53,9 +53,10 @@ func leafImage(t *testing.T, f *fabric.Fabric, c *Client, key []byte) (mem.Addr,
 // trips and 3 verbs (CAS + READ, then WRITE) when the value keeps its
 // length, 3 round trips and 4 verbs when a fitting value changes it (the
 // first CAS guessed the stored length wrong), every batch charged to the
-// leaf-write stage; and that the tree path — 4 round trips from a landing
-// whose address the client remembers (it built the node), 5 through the
-// table — teaches the cache, so only the first update of a key pays it.
+// leaf-write stage; and that the tree path — 3 round trips from a landing
+// whose address the client remembers (it built the node), 4 through the
+// table: the leaf's READ carries its lock CAS — teaches the cache, so only
+// the first update of a key pays it.
 func TestSpecUpdateBudget(t *testing.T) {
 	f, shared := newCluster(t, 1, fabric.DefaultConfig(), 1000)
 	c := newTestClient(f, shared, Options{})
@@ -88,7 +89,7 @@ func TestSpecUpdateBudget(t *testing.T) {
 		stages     string
 		hits       uint64
 	}{
-		{"cold cache, tree path", val64(2), 4, 4, "[node-read leaf-read leaf-write leaf-write]", 0},
+		{"cold cache, tree path", val64(2), 3, 4, "[node-read leaf-write leaf-write]", 0},
 		{"warm, same length", val64(3), 2, 3, "[leaf-write leaf-write]", 1},
 		{"warm, shorter value", bytes.Repeat([]byte{4}, 30), 3, 4, "[leaf-write leaf-write leaf-write]", 2},
 		{"warm, same length again", bytes.Repeat([]byte{5}, 30), 2, 3, "[leaf-write leaf-write]", 3},
@@ -107,8 +108,9 @@ func TestSpecUpdateBudget(t *testing.T) {
 	if st.SpecUpdMisses != st0.SpecUpdMisses+1 || st.SpecUpdRefutes != 0 || st.SpecUpdAborts != 0 || st.Restarts != 0 {
 		t.Errorf("clean updates: %+v", st)
 	}
-	if es := c.eng.Stats(); es.LeafLockBreaks != 0 || es.PublishRetries != 0 {
-		t.Errorf("clean updates: engine %+v", es)
+	if es := c.eng.Stats(); es.LeafLockBreaks != 0 || es.PublishRetries != 0 ||
+		es.FusedLeafLocks != 1 || es.FusedLeafLocksLost != 0 || es.FusedLeafLocksRestored != 0 {
+		t.Errorf("clean updates: engine %+v; want the tree path's one fused leaf lock, won", es)
 	}
 }
 

@@ -79,10 +79,11 @@ type Client struct {
 	shotErr        error
 	crashed        bool
 
-	// one backs the single-verb calls (Read, Write, CompareSwap, FetchAdd): a
-	// slice literal per call would escape into Batch. A client runs one call
-	// at a time — a pipeline lane blocks in submit — so one array does.
-	one [1]Op
+	// one backs the single-verb calls (Read, Write, CompareSwap, FetchAdd)
+	// and FetchAddPair: a slice literal per call would escape into Batch. A
+	// client runs one call at a time — a pipeline lane blocks in submit — so
+	// one array does.
+	one [2]Op
 
 	// rider, when set, posts its verbs behind the caller's in every batch
 	// (rider.go); rideOps is the merged batch's scratch.
@@ -479,7 +480,7 @@ func (c *Client) execute(op *Op) error {
 // the caller's buffer afterwards.
 func (c *Client) post(op Op) (uint64, error) {
 	c.one[0] = op
-	err := c.Batch(c.one[:])
+	err := c.Batch(c.one[:1])
 	old := c.one[0].Old
 	c.one[0].Data = nil
 	if err != nil {
@@ -528,4 +529,14 @@ func (c *Client) CompareSwap(addr mem.Addr, expect, desired uint64) (uint64, err
 // client and pay real round trips.
 func (c *Client) FetchAdd(addr mem.Addr, delta uint64) (uint64, error) {
 	return c.post(Op{Kind: FAA, Addr: addr, Delta: delta})
+}
+
+// FetchAddPair executes an FAA of delta on the words at a and b in one
+// doorbell batch and returns a's pre-image, meaningless with an error
+// (mem.RemoteOps: an allocator's slab refill moves the bump pointer and the
+// class counter in one round trip).
+func (c *Client) FetchAddPair(a, b mem.Addr, delta uint64) (uint64, error) {
+	c.one = [2]Op{{Kind: FAA, Addr: a, Delta: delta}, {Kind: FAA, Addr: b, Delta: delta}}
+	err := c.Batch(c.one[:])
+	return c.one[0].Old, err
 }

@@ -260,6 +260,9 @@ func TestConcurrentClientsFAA(t *testing.T) {
 	}
 }
 
+// TestAllocatorOverFabricPaysRoundTrips: a slab refill moves the bump pointer
+// and the class counter, two FAAs that wait on nothing of each other: one
+// doorbell batch, one round trip.
 func TestAllocatorOverFabricPaysRoundTrips(t *testing.T) {
 	f, id := newTestFabric(DefaultConfig())
 	c := f.NewClient()
@@ -267,8 +270,12 @@ func TestAllocatorOverFabricPaysRoundTrips(t *testing.T) {
 	if _, err := a.Alloc(id, mem.ClassInner, 64); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.RoundTrips != 2 {
-		t.Errorf("slab reservation took %d round trips, want 2 (bump FAA + class FAA)", s.RoundTrips)
+	if s := c.Stats(); s.RoundTrips != 1 || s.Verbs != 2 || s.ByKind[FAA] != 2 {
+		t.Errorf("slab refill took %d round trips, %d verbs (%d FAAs), want 1, 2, 2 (bump FAA + class FAA in one batch)", s.RoundTrips, s.Verbs, s.ByKind[FAA])
+	}
+	u, err := mem.ReadUsage(f.Regions(), id)
+	if err != nil || u.Total != mem.HeaderSize+4096 || u.ByClass[mem.ClassInner] != 4096 {
+		t.Errorf("usage after the refill = %+v, %v; want the bump pointer and the class counter both 4096 further", u, err)
 	}
 }
 

@@ -52,6 +52,9 @@ const (
 type RemoteOps interface {
 	// FetchAdd executes an RDMA FAA on the 8-byte word at addr.
 	FetchAdd(addr Addr, delta uint64) (uint64, error)
+	// FetchAddPair executes an FAA of delta on the words at a and b in one
+	// doorbell batch, one round trip, and returns a's pre-image.
+	FetchAddPair(a, b Addr, delta uint64) (uint64, error)
 	// ReadUint64 reads the 8-byte word at addr.
 	ReadUint64(addr Addr) (uint64, error)
 }
@@ -138,18 +141,12 @@ func (a *Allocator) Alloc(node NodeID, class Class, size uint64) (Addr, error) {
 }
 
 // reserve claims n contiguous bytes from the node's bump pointer and
-// charges them to class. Slabs are line-aligned because the bump pointer
-// only ever moves in line multiples.
+// charges them to class, both FAAs in one round trip: neither depends on the
+// other's result. Slabs are line-aligned because the bump pointer only ever
+// moves in line multiples.
 func (a *Allocator) reserve(node NodeID, class Class, n uint64) (uint64, error) {
 	n = Align(n, LineSize)
-	off, err := a.ops.FetchAdd(NewAddr(node, allocBumpOff), n)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := a.ops.FetchAdd(NewAddr(node, allocClassOff+8*uint64(class)), n); err != nil {
-		return 0, err
-	}
-	return off, nil
+	return a.ops.FetchAddPair(NewAddr(node, allocBumpOff), NewAddr(node, allocClassOff+8*uint64(class)), n)
 }
 
 // Usage is a snapshot of one memory node's allocation counters.
@@ -191,6 +188,15 @@ func (d DirectOps) FetchAdd(addr Addr, delta uint64) (uint64, error) {
 		return 0, fmt.Errorf("mem: no region for node %d", addr.Node())
 	}
 	return r.FetchAdd(addr.Offset(), delta), nil
+}
+
+// FetchAddPair implements RemoteOps directly against the regions.
+func (d DirectOps) FetchAddPair(a, b Addr, delta uint64) (uint64, error) {
+	old, err := d.FetchAdd(a, delta)
+	if err == nil {
+		_, err = d.FetchAdd(b, delta)
+	}
+	return old, err
 }
 
 // ReadUint64 implements RemoteOps directly against the region.

@@ -157,6 +157,11 @@ func (c countingOps) FetchAdd(addr Addr, delta uint64) (uint64, error) {
 	return c.DirectOps.FetchAdd(addr, delta)
 }
 
+func (c countingOps) FetchAddPair(a, b Addr, delta uint64) (uint64, error) {
+	*c.faas += 2
+	return c.DirectOps.FetchAddPair(a, b, delta)
+}
+
 func TestAllocatorMultipleNodes(t *testing.T) {
 	r0 := NewRegion(0, 1<<20)
 	r1 := NewRegion(1, 1<<20)

@@ -146,6 +146,15 @@ type EngineStats struct {
 	LeaseBets         uint64
 	LeaseBetsLost     uint64
 	LeaseBetsReturned uint64
+	// FusedLeafLocks is the number of in-place updates whose descent posted
+	// the leaf's lock CAS with its READ (lockReadLeaf). FusedLeafLocksLost of
+	// them lost the CAS — another value length, a locked or retired leaf — and
+	// went on with the image read behind it; FusedLeafLocksRestored won it on
+	// another key's leaf and gave it back byte-identical. The rest locked the
+	// update's leaf in the batch that read it.
+	FusedLeafLocks         uint64
+	FusedLeafLocksLost     uint64
+	FusedLeafLocksRestored uint64
 	// The cost of range scans (ScanFrom): ScanRounds doorbell batches posted
 	// by scan frontiers; ScanReads tree objects those fetched, ScanNodeReads
 	// the inner nodes among them; ScanEmitted keys returned. ScanReresolved
@@ -235,13 +244,17 @@ func (e *Engine) clampRead(addr mem.Addr, want uint64) uint64 {
 // ReadNode stage-annotates its batches StageNodeRead, as every engine
 // batch primitive does for its own stage; callers running mixed phases
 // (scan descents, publication chains) set a coarser stage around whole
-// call sequences and these fine annotations override it per batch.
-func (e *Engine) ReadNode(addr mem.Addr, hint wire.NodeType) (*Node, error) {
+// call sequences and these fine annotations override it per batch. also
+// rides the first READ's batch: verbs that wait on nothing the node says —
+// the index layer's reads, the releases of the bets a walk leaves behind.
+func (e *Engine) ReadNode(addr mem.Addr, hint wire.NodeType, also ...fabric.Op) (*Node, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageNodeRead))
 	want := e.nodeSize(hint)
 	for attempt := 0; attempt < 2; attempt++ {
 		buf := e.arena.buf(want)
-		if err := e.C.Read(addr, buf); err != nil {
+		ops := append(append(e.commitOps[:0], fabric.Op{Kind: fabric.Read, Addr: addr, Data: buf}), also...) // engine-held storage: no commit batch is being built
+		e.commitOps, also = ops[:0], nil
+		if err := e.C.Batch(ops); err != nil {
 			return nil, err
 		}
 		hdr := wire.DecodeNodeHeader(binary.LittleEndian.Uint64(buf))
@@ -329,12 +342,20 @@ func (n *Node) Via(eol bool, b byte) Via { return Via{n.Addr, n.edge(eol, b).add
 // is off the tree, and is reported retired (Status Invalid).
 func (e *Engine) ReadLeaf(addr mem.Addr, via Via) (*Leaf, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafRead))
+	return e.settleLeaf(addr, via, nil)
+}
+
+// settleLeaf is ReadLeaf's loop, its first image buf when a batch read it
+// already (nil: READ one).
+func (e *Engine) settleLeaf(addr mem.Addr, via Via, buf []byte) (*Leaf, error) {
 	want := e.clampRead(addr, defaultLeafSpecRead)
 	bo := e.Backoff()
-	for {
-		buf := e.arena.buf(want)
-		if err := e.C.Read(addr, buf); err != nil {
-			return nil, err
+	for ; ; buf = nil {
+		if buf == nil {
+			buf = e.arena.buf(want)
+			if err := e.C.Read(addr, buf); err != nil {
+				return nil, err
+			}
 		}
 		sight, word, hdr, key, value := sightOf(buf)
 		if sight == leafRetired || sight == leafWhole {
@@ -361,6 +382,42 @@ func (e *Engine) ReadLeaf(addr mem.Addr, via Via) (*Leaf, error) {
 			return nil, fmt.Errorf("%w: leaf at %v never stabilized", ErrRetriesExhausted, addr)
 		}
 	}
+}
+
+// lockReadLeaf is the leaf hop of a descent: ReadLeaf — but for an in-place
+// update's (PutUpdateFused, valLen ≥ 0), whose READ rides behind the header
+// CAS in one batch (specLock), the CAS expecting the Idle word of a leaf
+// holding key and a value of valLen bytes in the units they need — the
+// leaf's whenever the update keeps the value's length. Behind a won CAS the image is the locked,
+// stable one: the key's leaf, returned with l held for WriteLockedLeaf; or
+// another key's leaf of the same shape, given back byte-identical (UnlockLeaf)
+// and returned as ReadLeaf would. Behind a lost CAS the image is the one
+// ReadLeaf's READ would have returned, and it settles as there: only a locked
+// or torn image waits. A faulted batch releases its own Locked word
+// (settleLeafLock).
+func (e *Engine) lockReadLeaf(addr mem.Addr, via Via, key []byte, valLen int) (*Leaf, LeafLock, error) {
+	if valLen < 0 {
+		leaf, err := e.ReadLeaf(addr, via)
+		return leaf, LeafLock{}, err
+	}
+	units := uint8(wire.LeafSize(len(key), valLen) / wire.LeafUnit)
+	atomic.AddUint64(&e.stats.FusedLeafLocks, 1)
+	l, buf, err := e.specLock(addr, units, len(key), valLen, max(defaultLeafSpecRead, uint64(units)*wire.LeafUnit))
+	if err != nil {
+		return nil, l, err
+	}
+	if l.Held {
+		leaf := Leaf{Addr: addr, Status: wire.StatusIdle, Units: units, Key: l.Key}
+		if string(l.Key) == string(key) {
+			return one(&e.arena.leaves, leaf), l, nil
+		}
+		atomic.AddUint64(&e.stats.FusedLeafLocksRestored, 1)
+		return one(&e.arena.leaves, leaf), l, e.UnlockLeaf(&l)
+	}
+	atomic.AddUint64(&e.stats.FusedLeafLocksLost, 1)
+	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafRead))
+	leaf, err := e.settleLeaf(addr, via, buf)
+	return leaf, l, err
 }
 
 // SpecReadLeaf is the speculative fast-path leaf read: exactly ONE READ of
@@ -502,20 +559,27 @@ func lockOf(leaf *Leaf) LeafLock {
 // On a fabric error l.Held is false; see settleLeafLock for what became of a
 // lock the cut batch took.
 func (e *Engine) SpecLockLeaf(addr mem.Addr, units uint8, keyLen, valLen int) (LeafLock, error) {
+	l, _, err := e.specLock(addr, units, keyLen, valLen, uint64(units)*wire.LeafUnit)
+	return l, err
+}
+
+// specLock is SpecLockLeaf reading want bytes behind the CAS, and returning
+// them: the one place a lock CAS on a guessed Idle word is built.
+func (e *Engine) specLock(addr mem.Addr, units uint8, keyLen, valLen int, want uint64) (LeafLock, []byte, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
 	l := LeafLock{Addr: addr, Units: units}
 	l.Seen = wire.LeafHeader{
 		Status: wire.StatusIdle, Units: units, KeyLen: uint16(keyLen), ValLen: uint32(valLen),
 	}.Encode()
-	buf := e.arena.buf(e.clampRead(addr, uint64(units)*wire.LeafUnit))
+	buf := e.arena.buf(e.clampRead(addr, want))
 	if err := e.lockLeaf(&l, buf); err != nil {
-		return l, err
+		return l, buf, err
 	}
 	l.Key = buf[min(wire.LeafHeaderSize, len(buf)):]
 	if n := int(wire.DecodeLeafHeader(l.Seen).KeyLen); n < len(l.Key) {
 		l.Key = l.Key[:n]
 	}
-	return l, nil
+	return l, buf, nil
 }
 
 // TryLeafLock is one bare lock attempt (one round trip): the header CAS,
@@ -895,11 +959,12 @@ func (e *Engine) note(stage fabric.Stage, note string) {
 // the READ is the unlocked image a plain ReadNode would have returned and the
 // put goes on exactly as without the bet — no poll, no backoff. A nil node
 // with a nil error is an image that does not decode at the hinted size: the
-// lease, if won, is already given back.
-func (e *Engine) LeaseRead(addr mem.Addr, hint wire.NodeType) (*Node, error) {
+// lease, if won, is already given back. also rides the batch behind the pair:
+// reads of the index layer's that wait on nothing the landing returns.
+func (e *Engine) LeaseRead(addr mem.Addr, hint wire.NodeType, also ...fabric.Op) (*Node, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLock))
 	t := e.newLockTry(addr, hint, 0)
-	ops := e.postLock(&t, e.commitOps[:0]) // engine-held storage: no commit batch is being built yet
+	ops := append(e.postLock(&t, e.commitOps[:0]), also...) // engine-held storage: no commit batch is being built yet
 	e.commitOps = ops[:0]
 	atomic.AddUint64(&e.stats.LeaseBets, 1)
 	if err := e.C.Batch(ops); err != nil {
@@ -1029,8 +1094,16 @@ func (e *Engine) Holding() int { return e.hand.n }
 // lease: a walk that goes on with the image arms no lock CAS with a word that
 // is gone.
 func (e *Engine) Release(cause BetCause, keep ...*Node) {
-	ops, h := e.commitOps[:0], &e.hand // engine-held storage: no commit batch is being built
-	n := 0
+	ops := e.returns(e.commitOps[:0], cause, keep...) // engine-held storage: no commit batch is being built
+	e.commitOps = ops[:0]
+	e.returned(ops, cause, false)
+}
+
+// returns is Release up to its batch: it appends the releases to ops, for a
+// batch the caller posts anyway — the READ the walk goes on with, the lock CAS
+// of the leaf the put updates — which returned then books.
+func (e *Engine) returns(ops []fabric.Op, cause BetCause, keep ...*Node) []fabric.Op {
+	h, n := &e.hand, 0
 	for _, t := range h.e[:h.n] {
 		if !slices.Contains(keep, t.n) {
 			if t.lease != 0 {
@@ -1046,9 +1119,17 @@ func (e *Engine) Release(cause BetCause, keep ...*Node) {
 	}
 	clear(h.e[n:h.n])
 	h.n = n
-	e.commitOps = ops[:0]
+	return ops
+}
+
+// returned books the releases returns built, posted in a batch that completed
+// (posted), or not yet: those are driven to completion alone (unlock), as are
+// those of a batch that faulted.
+func (e *Engine) returned(ops []fabric.Op, cause BetCause, posted bool) {
 	if len(ops) > 0 {
-		e.unlock(ops)
+		if !posted {
+			e.unlock(ops)
+		}
 		e.countReturned(uint64(len(ops)), cause)
 	}
 }

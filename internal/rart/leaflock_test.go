@@ -150,7 +150,7 @@ func TestFaultedContenderLeavesRelocationLocked(t *testing.T) {
 		if got := leafStatus(t, clean, leaf.Addr); got != wire.StatusLocked {
 			t.Errorf("leaf header is %v where the contender lands; want the relocator's lock", got)
 		}
-		if err := contender.updateLeafInPlace(leaf, []byte("w"), viaOf(root(clean), key)); !errors.Is(err, fabric.ErrTransient) {
+		if err := contender.updateLeafInPlace(leaf, LeafLock{}, []byte("w"), viaOf(root(clean), key)); !errors.Is(err, fabric.ErrTransient) {
 			t.Errorf("contender's faulted update = %v, want a transient", err)
 		}
 		if got := leafStatus(t, clean, leaf.Addr); got != wire.StatusLocked {

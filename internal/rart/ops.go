@@ -96,6 +96,10 @@ const (
 	PutUpsert     PutMode = iota // insert or overwrite
 	PutInsertOnly                // report existed=true without writing if present
 	PutUpdateOnly                // do nothing (existed=false) if absent
+	// PutUpdateFused is PutUpdateOnly whose descent locks the leaf in the
+	// batch that reads it (lockReadLeaf): Sphinx's; the baselines read, then
+	// lock.
+	PutUpdateFused
 )
 
 // freshType is the capacity class of newly created inner nodes: SMART-style
@@ -142,20 +146,24 @@ const (
 // landing is what a descent reports, by value: where it ended, the node it
 // ended in, that node's parent on this walk (nil while n is the start node)
 // and the key's edge of n. leaf is set for landLeaf: the leaf on the edge,
-// read whole and never Invalid.
+// read whole and never Invalid; lock is held when the leaf's READ carried
+// the lock CAS and it won on the key's leaf.
 type landing struct {
 	kind      landingKind
 	n, parent *Node
 	edge      edge
 	leaf      *Leaf
+	lock      LeafLock
 }
 
 // descend is the one walk from start toward key, shared by every point
-// operation (op names the caller in errors). It is lock-free and answers
-// ErrRestart for the transient states a retry resolves: an invalidated node,
-// a node off the key's path (OnPath), an Invalid leaf — the tree never names
-// one (retire), so the image that did is stale.
-func (e *Engine) descend(op string, start *Node, key []byte, h Hooks) (landing, error) {
+// operation (op names the caller in errors). It is lock-free — but for the
+// leaf hop of an in-place update, lockFor ≥ 0, which locks the leaf guessing
+// it stores a value of lockFor bytes (lockReadLeaf) — and answers ErrRestart
+// for the transient states a retry resolves: an invalidated node, a node off
+// the key's path (OnPath), an Invalid leaf — the tree never names one
+// (retire), so the image that did is stale.
+func (e *Engine) descend(op string, start *Node, key []byte, lockFor int, h Hooks) (landing, error) {
 	at := landing{n: start}
 	for hop := 0; hop < wire.MaxDepth+2; hop++ {
 		n := at.n
@@ -182,19 +190,22 @@ func (e *Engine) descend(op string, start *Node, key []byte, h Hooks) (landing, 
 			child := e.hand.at(e.hand.find(nil, Rerouted)).n
 			if child == nil || child.Addr != slot.Addr {
 				// The walk leaves n for a node it holds no image of, so the
-				// put will not write n: a lease bet on it goes back first —
-				// all but the one held with a re-route's image further down.
-				e.Release(BetWalkedOn, child)
+				// put will not write n: a lease bet on it goes back in the
+				// batch of the READ — all but the one held with a re-route's
+				// image further down.
+				ops := e.returns(e.stagedOps[:0], BetWalkedOn, child) // engine-held storage: nothing is staged yet
 				var err error
-				if child, err = e.ReadNode(slot.Addr, slot.ChildType); err != nil {
+				child, err = e.ReadNode(slot.Addr, slot.ChildType, ops...)
+				e.stagedOps = ops[:0]
+				if e.returned(ops, BetWalkedOn, err == nil); err != nil {
 					return at, err
 				}
 			}
 			at.n, at.parent = child, n
 			continue
 		}
-		leaf, err := e.ReadLeaf(slot.Addr, Via{n.Addr, at.edge.addr})
-		if err != nil {
+		leaf, lock, err := e.lockReadLeaf(slot.Addr, Via{n.Addr, at.edge.addr}, key, lockFor)
+		if at.lock = lock; err != nil {
 			return at, err
 		}
 		if leaf.Status == wire.StatusInvalid {
@@ -211,7 +222,7 @@ func (e *Engine) descend(op string, start *Node, key []byte, h Hooks) (landing, 
 // from the searched key only when start was located via a collided hash
 // jump; callers that jump (Sphinx) compare and fall back (paper §III-B).
 func (e *Engine) SearchFrom(start *Node, key []byte, h Hooks) (*Leaf, error) {
-	at, err := e.descend("search", start, key, h)
+	at, err := e.descend("search", start, key, -1, h)
 	if err != nil || at.kind != landLeaf {
 		return nil, err
 	}
@@ -222,7 +233,11 @@ func (e *Engine) SearchFrom(start *Node, key []byte, h Hooks) (*Leaf, error) {
 // It returns whether the key already existed. ErrRestart and ErrNeedParent
 // bubble up for the caller to re-locate its start node and retry.
 func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) (existed bool, err error) {
-	at, err := e.descend("put", start, key, h)
+	lockFor := -1
+	if mode == PutUpdateFused {
+		lockFor = len(value)
+	}
+	at, err := e.descend("put", start, key, lockFor, h)
 	if err != nil {
 		return false, err
 	}
@@ -230,23 +245,27 @@ func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) 
 	// The leases the put's jump starts bet on (LeaseRead) are resolved here,
 	// before anything else is posted (an error above ends the put's round, and
 	// the index layer's close of the round gives them back). A put that links
-	// nothing gives them all back. One that does keeps those of the node it
+	// nothing gives them all back — an in-place update with its leaf's lock
+	// CAS (updateLeafInPlace). One that does keeps those of the node it
 	// ended in and of that node's parent: the locks of its write (lockNodes,
 	// installLeaf) — or, when the write needs a parent this walk did not come
 	// through (ErrNeedParent), the child's lock of the write the re-routed walk
 	// makes.
+	inPlace := exists && mode != PutInsertOnly && fitsInPlace(at.leaf, value)
 	keep, cause := [2]*Node{at.n, at.parent}, BetRoundEnded
-	if exists && (mode == PutInsertOnly || fitsInPlace(at.leaf, value)) {
+	if exists && (mode == PutInsertOnly || inPlace) {
 		keep, cause = [2]*Node{}, BetKeyExists
 	}
-	e.Release(cause, keep[:]...)
+	if !inPlace {
+		e.Release(cause, keep[:]...)
+	}
 	switch {
 	case exists:
 		if mode == PutInsertOnly {
 			return true, nil
 		}
-		return true, e.updateLeaf(at.n, at.leaf, key, value, h)
-	case mode == PutUpdateOnly:
+		return true, e.updateLeaf(&at, key, value, h)
+	case mode >= PutUpdateOnly:
 		// Every other landing says the key is absent.
 		return false, nil
 	case at.kind == landEmpty:
@@ -440,7 +459,11 @@ func sameImage(locked, seen *Node) bool {
 // of the full node n absorbs the new key's slot and replaces n (replaceNode).
 // The copy is built from the descent's unlocked image and written, with the
 // new leaf, in the batch that locks both nodes; the locked image must then
-// match it.
+// match it. With both leases come with their images (a re-route's and its
+// landing's bets) and the publisher wanting no READ — the index layer read
+// the entry's bucket pair in that landing's batch — there is no lock batch:
+// the images were read under the leases, and the fresh objects lead the
+// commit batch, as installLeaf's leaf does.
 func (e *Engine) growAndInstall(parent, n *Node, key, value []byte, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StagePublish))
 	if parent == nil {
@@ -467,6 +490,12 @@ func (e *Engine) growAndInstall(parent, n *Node, key, value []byte, h Hooks) err
 	if err != nil {
 		return err
 	}
+	if !st.reads && e.LeaseOn(n) != 0 && e.LeaseOn(parent) != 0 {
+		e.take(n, 0)
+		e.take(parent, 0)
+		e.stagedOps = st.ops[:0]
+		return e.replaceNode(parent, parent.edgeOf(key), n, grown, pub, st.ops...)
+	}
 	locked, lockedParent, err := e.lockNodes(n, parent, &st)
 	if err != nil {
 		return err
@@ -492,10 +521,11 @@ func (e *Engine) growAndInstall(parent, n *Node, key, value []byte, h Hooks) err
 // on its lock into a retry (paper §III-C). An entry swap that falls to the
 // finish step lands behind the invalidation, and a reader may remove the old
 // entry, which names a retired node, first: the swap is an upsert and
-// inserts the new entry then.
-func (e *Engine) replaceNode(lockedParent *Node, ed edge, original, replacement *Node, pub Publisher) error {
+// inserts the new entry then. lead is the fresh objects' WRITEs when no lock
+// batch carried them.
+func (e *Engine) replaceNode(lockedParent *Node, ed edge, original, replacement *Node, pub Publisher, lead ...fabric.Op) error {
 	binary.LittleEndian.PutUint64(e.commitWords[1][:], wire.WithStatus(original.HdrWord, wire.StatusInvalid))
-	return e.swing(lockedParent, ed, childSlot(ed, replacement), pub, nil,
+	return e.swing(lockedParent, ed, childSlot(ed, replacement), pub, lead,
 		fabric.Op{Kind: fabric.Write, Addr: original.Addr, Data: e.commitWords[1][:]})
 }
 
@@ -759,14 +789,15 @@ func fitsInPlace(leaf *Leaf, value []byte) bool {
 	return wire.LeafSize(len(leaf.Key), len(value)) <= uint64(leaf.Units)*wire.LeafUnit
 }
 
-// updateLeaf applies the paper's update protocol (§III-C, §IV Update):
-// in-place with the checksum scheme when the new value fits the leaf's
-// 64-byte units, out-of-place (new leaf, repointed slot, retired old: retire)
-// otherwise.
-func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) error {
+// updateLeaf applies the paper's update protocol (§III-C, §IV Update) to the
+// leaf at landed on: in-place with the checksum scheme when the new value fits
+// the leaf's 64-byte units, out-of-place (new leaf, repointed slot, retired
+// old: retire) otherwise.
+func (e *Engine) updateLeaf(at *landing, key, value []byte, h Hooks) error {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
+	n, leaf := at.n, at.leaf
 	if fitsInPlace(leaf, value) {
-		if err := e.updateLeafInPlace(leaf, value, Via{n.Addr, n.edgeOf(key).addr}); err != nil {
+		if err := e.updateLeafInPlace(leaf, at.lock, value, Via{n.Addr, at.edge.addr}); err != nil {
 			return err
 		}
 		h.UpdatedLeaf(key, leaf.Addr, leaf.Units)
@@ -797,24 +828,32 @@ func (e *Engine) updateLeaf(n *Node, leaf *Leaf, key, value []byte, h Hooks) err
 }
 
 // updateLeafInPlace is the checksum-based single-WRITE update (§III-C):
-// lock the leaf with one CAS on its header word, then write the whole new
-// image — new value, new checksum, Idle status — in one WRITE that doubles
-// as the lock release (WriteLockedLeaf). A lock whose holder crashed is
-// broken, as ReadLeaf breaks it: when via, where the walk found the leaf,
-// still names it.
-func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte, via Via) error {
-	defer e.C.SetStage(e.C.SetStage(fabric.StageLeafWrite))
-	l := lockOf(leaf)
+// lock the leaf with one CAS on its header word — l, when the descent's READ
+// carried it and it won — then write the whole new image — new value, new
+// checksum, Idle status — in one WRITE that doubles as the lock release
+// (WriteLockedLeaf). The first CAS carries the put's lease bets back
+// (BetKeyExists). A lock whose holder crashed is broken, as ReadLeaf breaks
+// it: when via, where the walk found the leaf, still names it.
+func (e *Engine) updateLeafInPlace(leaf *Leaf, l LeafLock, value []byte, via Via) error {
+	if !l.Held {
+		l = lockOf(leaf)
+	}
+	ops := e.returns(e.commitOps[:0], BetKeyExists)
 	var bo *fabric.Backoff // started by the first lost attempt
-	for {
+	for !l.Held {
 		// A lost attempt leaves the observed header in l.Seen, and the next
 		// one expects its Idle form: a concurrent in-place update that
 		// changed the value length is adopted.
-		if err := e.TryLeafLock(&l); err != nil {
+		k := len(ops)
+		ops = e.postLeafLock(ops, &l, nil)
+		err := e.C.Batch(ops)
+		e.settleLeafLock(&l, ops[k], err)
+		e.returned(ops[:k], BetKeyExists, err == nil)
+		if ops = ops[:0]; err != nil {
 			return err
 		}
 		if l.Held {
-			return e.WriteLockedLeaf(&l, leaf.Key, value)
+			break
 		}
 		if bo == nil {
 			bo = e.Backoff()
@@ -837,13 +876,16 @@ func (e *Engine) updateLeafInPlace(leaf *Leaf, value []byte, via Via) error {
 			return fmt.Errorf("%w: leaf lock at %v", ErrRetriesExhausted, leaf.Addr)
 		}
 	}
+	e.returned(ops, BetKeyExists, false) // a lock the descent won posted none
+	e.commitOps = ops[:0]
+	return e.WriteLockedLeaf(&l, leaf.Key, value)
 }
 
 // DeleteFrom removes key, reporting whether it was present (paper §IV
 // Delete): the leaf's lock rides the node's lock batch, and one commit clears
 // the slot and retires the leaf (retire).
 func (e *Engine) DeleteFrom(start *Node, key []byte, h Hooks) (bool, error) {
-	at, err := e.descend("delete", start, key, h)
+	at, err := e.descend("delete", start, key, -1, h)
 	if err != nil || at.kind != landLeaf || !bytes.Equal(at.leaf.Key, key) {
 		return false, err
 	}

@@ -68,7 +68,7 @@ func TestRetireWaitsForInPlaceHolder(t *testing.T) {
 			var rerr, herr error
 			fabrictest.Run(f, script, fabrictest.Proc{C: rival.C, Fn: func() {
 				rerr = rival.Retry(rt.name, key, func() error { return rt.write(rival, root(rival), key) })
-			}}, fabrictest.Proc{C: holder.C, Fn: func() { herr = holder.updateLeafInPlace(leaf, []byte("h"), viaOf(root(check), key)) }})
+			}}, fabrictest.Proc{C: holder.C, Fn: func() { herr = holder.updateLeafInPlace(leaf, LeafLock{}, []byte("h"), viaOf(root(check), key)) }})
 			if rerr != nil || herr != nil {
 				t.Fatalf("rival = %v, holder = %v; want both acknowledged", rerr, herr)
 			}
@@ -271,7 +271,7 @@ func TestCrashBeforeInvalidLeavesLeafLocked(t *testing.T) {
 				if _, err := check.PutFrom(stale, key, []byte("u"), PutUpdateOnly, NopHooks{}); !errors.Is(err, ErrRestart) {
 					t.Errorf("update through the stale image = %v; want a restart", err)
 				}
-				if err := check.updateLeafInPlace(leaf, []byte("u"), viaOf(stale, key)); !errors.Is(err, ErrRestart) {
+				if err := check.updateLeafInPlace(leaf, LeafLock{}, []byte("u"), viaOf(stale, key)); !errors.Is(err, ErrRestart) {
 					t.Errorf("in-place update of the old leaf = %v; want a restart", err)
 				}
 				if old, stable, err := check.SpecReadLeaf(leaf.Addr, leaf.Units, key); err != nil || stable {
