@@ -134,7 +134,7 @@ func BenchmarkFig6(b *testing.B) {
 		if _, err := artCl.Load(0); err != nil {
 			b.Fatal(err)
 		}
-		artMem, err := artCl.MemoryUsage()
+		artMem, err := artCl.Usage()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func BenchmarkFig6(b *testing.B) {
 					if _, err := cl.Load(0); err != nil {
 						b.Fatal(err)
 					}
-					mu, err = cl.MemoryUsage()
+					mu, err = cl.Usage()
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -102,7 +102,7 @@ func warmedSession(t *testing.T) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabrictest.Queue(t, cluster.f, cluster.sphinxShared.Hot.Load, 0)
+	fabrictest.Queue(t, cluster.cl.F, cluster.cl.Sphinx.Hot.Load, 0)
 	s := cluster.NewComputeNode().NewSession()
 	keys := make([][]byte, 300)
 	for i := range keys {

@@ -9,16 +9,13 @@ import (
 	"math/rand"
 	"sync"
 
-	"sphinx/internal/artdm"
-	"sphinx/internal/consistenthash"
+	"sphinx/internal/cluster"
 	"sphinx/internal/core"
 	"sphinx/internal/dataset"
 	"sphinx/internal/fabric"
-	"sphinx/internal/mem"
 	"sphinx/internal/obs"
 	"sphinx/internal/racehash"
 	"sphinx/internal/rart"
-	"sphinx/internal/smart"
 	"sphinx/internal/ycsb"
 )
 
@@ -168,12 +165,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// regionBytes is one memory node's region: 64 MiB plus its share of 6 KiB
-// per loaded key.
-func (c Config) regionBytes() uint64 {
-	return uint64(64<<20) + uint64(c.Keys)*6*1024/uint64(c.MNs)
-}
-
 // cacheBudget is a system's per-CN cache budget in bytes at the paper's
 // ratios (§V-A): Sphinx's filter and SMART's node cache get 20 MB per
 // 480 MB of u64 key bytes (≈4.17 %), SMART+C 10× that — computed against
@@ -187,37 +178,19 @@ func cacheBudget(sys System, keys int) uint64 {
 	return u64Bytes * 417 / 10000
 }
 
-// Index is the operation surface shared by all compared systems: the
-// method set *core.Client, *smart.Client and *artdm.Client have in common.
-type Index interface {
-	Search(key []byte) ([]byte, bool, error)
-	Insert(key, value []byte) (bool, error)
-	Update(key, value []byte) (bool, error)
-	Delete(key []byte) (bool, error)
-	Scan(lo, hi []byte, limit int) ([]rart.KV, error)
-	Engine() *rart.Engine
-}
-
-// Cluster is one bootstrapped system instance plus its dataset and
-// workload state.
+// Cluster is one bootstrapped system instance (the assembly internal/cluster
+// builds) plus its compute nodes, dataset and workload state.
 type Cluster struct {
-	Sys  System
-	Cfg  Config
-	F    *fabric.Fabric
-	Ring *consistenthash.Ring
+	*cluster.Cluster
+	Sys System
+	Cfg Config
+	// cns are the compute nodes; worker i mounts on cns[i % CNs].
+	cns []*cluster.ComputeNode
 
 	keys  [][]byte
 	space *ycsb.KeySpace
 	zipf  *ycsb.Zipfian
 	value []byte
-
-	sphinxShared core.Shared
-	smartShared  smart.Shared
-	artShared    artdm.Shared
-	filters      []*core.FilterCache // per CN
-	lacs         []*core.LeafCache   // per CN (nil for SphinxNoLAC)
-	hotsets      []*core.HotSet      // per CN (nil unless hot replication is on)
-	caches       []*smart.NodeCache  // per CN
 
 	// runMetrics is the current measurement phase's metric set, created
 	// fresh at the top of Load and Run when Cfg.Metrics is set and shared
@@ -245,25 +218,48 @@ type Cluster struct {
 	running []*worker
 }
 
-// NewCluster builds the fabric, bootstraps the system and generates the
-// dataset (not yet loaded into the index).
+// NewCluster builds the fabric, bootstraps the system and its compute
+// nodes, and generates the dataset (not yet loaded into the index).
 func NewCluster(sys System, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	f := fabric.New(cfg.Net)
-	if cfg.Faults != nil {
-		f.SetFaultPlan(cfg.Faults)
+	// A memory node's region is 64 MiB plus its share of 6 KiB per loaded
+	// key; a compute node holds a 512 KiB leaf-address cache (64K packed
+	// 8-byte leaf addresses) beside its cacheBudget.
+	cc := cluster.Config{
+		Net: cfg.Net, Faults: cfg.Faults, MemoryNodes: cfg.MNs,
+		RegionBytes:  uint64(64<<20) + uint64(cfg.Keys)*6*1024/uint64(cfg.MNs),
+		ExpectedKeys: cfg.Keys, Replication: cfg.Replication,
+		CacheBytes: cacheBudget(sys, cfg.Keys), LeafCacheBytes: 512 << 10, Seed: cfg.Seed,
 	}
-	nodes := make([]mem.NodeID, cfg.MNs)
-	for i := range nodes {
-		nodes[i] = f.AddNode(cfg.regionBytes())
+	switch sys {
+	case Sphinx:
+	case SphinxNoSFC:
+		cc.CacheBytes = 0
+	case SphinxNoLAC:
+		cc.LeafCacheBytes = 0
+	case SphinxHot:
+		cc.HotFactor = core.DefaultHotReplication
+	case SMART, SMARTC:
+		cc.System = cluster.SMART
+	case ART:
+		cc.System = cluster.ART
+	default:
+		return nil, fmt.Errorf("bench: unknown system %v", sys)
 	}
-	ring, err := consistenthash.NewChecked(nodes, 0)
+	c, err := cluster.New(cc)
 	if err != nil {
-		return nil, fmt.Errorf("bench: building placement ring: %w", err)
+		return nil, err
 	}
-
-	cl := &Cluster{Sys: sys, Cfg: cfg, F: f, Ring: ring, live: cfg.Live}
-	cl.src = &core.IndexSources{Engine: func() rart.EngineStats { return cl.liveIndex().engine }}
+	cl := &Cluster{Cluster: c, Sys: sys, Cfg: cfg, cns: make([]*cluster.ComputeNode, cfg.CNs), live: cfg.Live}
+	for i := range cl.cns {
+		cl.cns[i] = c.NewComputeNode()
+	}
+	cl.src = c.Sources(cl.cns...)
+	cl.src.Engine = func() rart.EngineStats { return cl.liveIndex().engine }
+	if cl.src.Shared != nil {
+		cl.src.Stats = func() core.Stats { return cl.liveIndex().core }
+		cl.src.Hash = func() racehash.Stats { return cl.liveIndex().hash }
+	}
 	switch {
 	case cfg.Live != nil:
 		cl.index = cfg.Live.Index
@@ -276,55 +272,6 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 	cl.zipf = ycsb.NewZipfian(uint64(cfg.Keys), cfg.Theta)
 	cl.value = make([]byte, cfg.ValueSize)
 	rand.New(rand.NewSource(cfg.Seed)).Read(cl.value)
-
-	switch sys {
-	case Sphinx, SphinxNoSFC, SphinxNoLAC, SphinxHot:
-		if cfg.Replication > 0 {
-			cl.sphinxShared, err = core.BootstrapReplicated(f, ring, cfg.Keys, cfg.Replication)
-		} else {
-			cl.sphinxShared, err = core.Bootstrap(f, ring, cfg.Keys)
-		}
-		// SphinxHot alone turns the hot read-replication layer on, at the
-		// default replica count and per-CN tracker budget.
-		if err == nil && sys == SphinxHot {
-			if err = core.BootstrapHot(f, &cl.sphinxShared, 4096, core.DefaultHotReplication); err == nil {
-				cl.hotsets = make([]*core.HotSet, cfg.CNs)
-				for i := range cl.hotsets {
-					cl.hotsets[i] = core.NewHotSet(0, uint64(cfg.Seed)+uint64(i)*7919+3, cl.sphinxShared.Hot.R)
-				}
-			}
-		}
-		if sys != SphinxNoSFC {
-			cl.filters = make([]*core.FilterCache, cfg.CNs)
-			for i := range cl.filters {
-				cl.filters[i] = core.NewFilterCacheBytes(cacheBudget(sys, cfg.Keys), uint64(cfg.Seed)+uint64(i)|1)
-			}
-		}
-		if sys != SphinxNoLAC {
-			// 512 KiB per CN: 64K packed 8-byte leaf addresses.
-			cl.lacs = make([]*core.LeafCache, cfg.CNs)
-			for i := range cl.lacs {
-				cl.lacs[i] = core.NewLeafCacheBytes(512<<10, uint64(cfg.Seed)+uint64(i))
-			}
-		}
-		cl.src.Stats = func() core.Stats { return cl.liveIndex().core }
-		cl.src.Hash = func() racehash.Stats { return cl.liveIndex().hash }
-		cl.src.Filters, cl.src.LACs, cl.src.Hots = cl.filters, cl.lacs, cl.hotsets
-		cl.src.Shared, cl.src.Fabric = &cl.sphinxShared, f
-	case SMART, SMARTC:
-		cl.smartShared, err = smart.Bootstrap(f, ring)
-		cl.caches = make([]*smart.NodeCache, cfg.CNs)
-		for i := range cl.caches {
-			cl.caches[i] = smart.NewNodeCache(cacheBudget(sys, cfg.Keys))
-		}
-	case ART:
-		cl.artShared, err = artdm.Bootstrap(f, ring)
-	default:
-		return nil, fmt.Errorf("bench: unknown system %v", sys)
-	}
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Live != nil {
 		cfg.Live.attach(cl)
 	}
@@ -364,98 +311,11 @@ func (cl *Cluster) observeOp(k obs.OpKind, latencyPs int64, roundTrips uint64) {
 	}
 }
 
-// sphinxOptions returns the core.Options for one worker of a
-// Sphinx-family system on the given compute node, or ok=false for the
-// baselines.
-func (cl *Cluster) sphinxOptions(cn int) (core.Options, bool) {
-	if cl.src.Shared == nil {
-		return core.Options{}, false
-	}
-	// SphinxNoSFC has no filter: every locate reads all its prefixes' bucket
-	// pairs.
-	var o core.Options
-	if len(cl.filters) > 0 {
-		o.Filter = cl.filters[cn%len(cl.filters)]
-	}
-	// Every Sphinx-family variant shares its CN's leaf-address cache, so
-	// that (like the filter) warmth crosses worker and phase boundaries;
-	// SphinxNoLAC has none and runs without the fast path.
-	if len(cl.lacs) > 0 {
-		o.LeafCache = cl.lacs[cn%len(cl.lacs)]
-	}
-	// Workers of one CN share that CN's hot-key tracker, like the filter:
-	// the promotion claim bit then arbitrates one promoter per CN and the
-	// learned replica routes are visible to every worker on the node.
-	if len(cl.hotsets) > 0 {
-		o.Hot = cl.hotsets[cn%len(cl.hotsets)]
-	}
-	// The nil guard matters: assigning a nil observer interface
-	// unconditionally would make the field non-nil and panic on first
-	// event.
-	if observer := cl.phaseObs(); observer != nil {
-		o.Observer = observer
-	}
-	o.Index = cl.index
-	return o, true
-}
-
-// fabricClient builds one worker's fabric client: clock zero, the phase's
-// batch observers.
-func (cl *Cluster) fabricClient() *fabric.Client {
-	fc := cl.F.NewClient()
-	// The nil guard matters here too (see sphinxOptions).
-	if observer := cl.phaseObs(); observer != nil {
-		fc.SetObserver(observer)
-	}
-	return fc
-}
-
-// NewIndex mounts the cluster's system for one worker on the given compute
-// node. The returned index is single-worker; CN-level caches are shared.
-func (cl *Cluster) NewIndex(cn int) (Index, *fabric.Client) {
-	fc := cl.fabricClient()
-	if opts, ok := cl.sphinxOptions(cn); ok {
-		return core.NewClient(cl.sphinxShared, fc, opts), fc
-	}
-	switch cl.Sys {
-	case SMART, SMARTC:
-		return smart.NewClient(cl.smartShared, fc, smart.Options{Cache: cl.caches[cn%len(cl.caches)]}), fc
-	case ART:
-		return artdm.NewClient(cl.artShared, fc), fc
-	default:
-		panic("bench: unknown system")
-	}
-}
-
-// NewIndexNoSpec mounts a Sphinx-family worker like NewIndex but without
-// the speculative leaf-address cache. The elastic chaos run's
-// measured workers use this: a 1-RT cache hit never consults the
-// placement, so it hides the epoch-fallback cost of a migration that the
-// run's latency SLO must see. With the cache off the warm read path is
-// the deterministic locate-descend, and the SLO cleanly separates steady
-// windows from transitions. Baselines (no speculation) fall through to
-// NewIndex.
-func (cl *Cluster) NewIndexNoSpec(cn int) (Index, *fabric.Client) {
-	opts, ok := cl.sphinxOptions(cn)
-	if !ok {
-		return cl.NewIndex(cn)
-	}
-	opts.LeafCache = nil
-	fc := cl.fabricClient()
-	return core.NewClient(cl.sphinxShared, fc, opts), fc
-}
-
-// NewPipeline mounts a pipelined Sphinx executor for one worker, or
-// ok=false for the baseline systems, which keep sequential clients. The
-// returned fabric client is the executor's main client: all round trips
-// and bytes account there, exactly as for a sequential worker.
-func (cl *Cluster) NewPipeline(cn int) (*core.Pipeline, *fabric.Client, bool) {
-	opts, ok := cl.sphinxOptions(cn)
-	if !ok {
-		return nil, nil, false
-	}
-	fc := cl.fabricClient()
-	return core.NewPipeline(cl.sphinxShared, fc, opts), fc, true
+// NewIndex mounts the cluster's system for one client of compute node cn
+// (modulo the node count) on a fresh fabric client under the phase's
+// observers. The client is single-worker; CN-level caches are shared.
+func (cl *Cluster) NewIndex(cn int) cluster.Index {
+	return cl.Mount(cl.cns[cn%len(cl.cns)], cl.F.NewClient(), cl.phaseObs(), cl.index, nil)
 }
 
 // Keys exposes the loaded key set (for verification in tests).

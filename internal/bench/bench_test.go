@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sphinx/internal/cluster"
 	"sphinx/internal/dataset"
 	"sphinx/internal/fabric"
 	"sphinx/internal/ycsb"
@@ -38,7 +39,7 @@ func TestLoadAndRunAllSystems(t *testing.T) {
 			t.Errorf("%v load result: %+v", sys, load)
 		}
 		// Every loaded key must be readable through a fresh index.
-		idx, _ := cl.NewIndex(0)
+		idx := cl.NewIndex(0)
 		for i, k := range cl.Keys() {
 			if i%97 != 0 {
 				continue
@@ -349,7 +350,7 @@ func TestCrossSystemEquivalence(t *testing.T) {
 	cfg.Net = fabric.InstantConfig()
 	type sysState struct {
 		name string
-		idx  Index
+		idx  cluster.Index
 	}
 	var systems []sysState
 	var scanners []*Cluster
@@ -358,7 +359,7 @@ func TestCrossSystemEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, _ := cl.NewIndex(0)
+		idx := cl.NewIndex(0)
 		systems = append(systems, sysState{sys.String(), idx})
 		scanners = append(scanners, cl)
 	}

@@ -213,13 +213,13 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 
 	// Attach the future member now (idle: nothing routes to a node that
 	// is not on the ring), so the pre-add window can show its zero share.
-	added := cl.F.AddNode(cfg.regionBytes())
+	added := cl.AttachNode()
 	rep.AddedNode = int(added)
 
 	// The drain victim is any original member not hosting the pinned root.
-	root := cl.sphinxShared.Root.Node()
+	root := cl.Sphinx.Root.Node()
 	victim := root
-	for _, n := range cl.memberNodes() {
+	for _, n := range cl.Nodes() {
 		if n != root {
 			victim = n
 			break
@@ -241,9 +241,7 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	}
 
 	// Chaos phase 1: scale-out mid-run.
-	addChaos, err := run.chaos("add", func() (*core.Placement, error) {
-		return core.BeginAddNode(cl.F, cl.sphinxShared, added, cfg.Keys)
-	})
+	addChaos, err := run.chaos("add", func() (*core.Placement, error) { return cl.BeginAdd(added) })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -257,9 +255,7 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	}
 
 	// Chaos phase 2: scale-in mid-run.
-	drainChaos, err := run.chaos("drain", func() (*core.Placement, error) {
-		return core.BeginDrainNode(cl.sphinxShared, victim)
-	})
+	drainChaos, err := run.chaos("drain", func() (*core.Placement, error) { return cl.BeginDrain(victim) })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -276,7 +272,7 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	rep.AddedShareAfter = shareOf(w2, int(added))
 	rep.DrainedShareAfter = shareOf(w3, int(victim))
 
-	p := cl.sphinxShared.Members.Current()
+	p := cl.Placement()
 	rep.FinalEpoch = p.Epoch
 	rep.Converged = p.Prev == nil
 	rep.Cutovers = addChaos.Cutovers() + drainChaos.Cutovers()
@@ -290,7 +286,7 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	// write from every phase.
 	led := run.led
 	rep.AckedWrites = uint64(led.size())
-	vidx, _ := cl.NewIndex(0)
+	vidx := cl.NewIndex(0)
 	led.verify(vidx, &rep.VerifiedReads, &rep.LostAckedWrites, &rep.WrongValueReads)
 
 	// Verification pass 2: kill the drained node outright. Drain is only
@@ -298,7 +294,7 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	// fresh client (cold caches, current placement only) must still see
 	// every acknowledged write.
 	cl.F.KillNode(victim)
-	kidx, _ := cl.NewIndex(1 % cfg.CNs)
+	kidx := cl.NewIndex(1)
 	var verifiedAfterKill uint64
 	led.verify(kidx, &verifiedAfterKill, &rep.LostAfterDecommission, &rep.WrongAfterDecommission)
 
@@ -418,7 +414,7 @@ func (r *chaosRun) calibrate() error {
 	plane, err := obs.NewPlane(obs.PlaneOptions{
 		WindowPs: max(r.basePs/8, 1),
 		Windows:  512,
-		Collect:  r.cl.collectMNs,
+		Collect:  r.cl.CollectMNs,
 		Latency:  r.metrics.OpLatency,
 		SLOs:     []obs.SLO{r.slo},
 	})
@@ -438,7 +434,7 @@ func (r *chaosRun) window(name string) (MNWindow, error) {
 	if err != nil {
 		return MNWindow{}, fmt.Errorf("%s: %w", name, err)
 	}
-	w := nicWindow(name, before, cl.F.NICStats(), cl.memberNodes())
+	w := nicWindow(name, before, cl.F.NICStats(), cl.Nodes())
 	w.ClientRTs = t.net.RoundTrips
 	var mnRTs uint64
 	for _, ld := range w.Loads {
@@ -468,7 +464,7 @@ func (r *chaosRun) chaos(name string, begin func() (*core.Placement, error)) (*E
 				return fmt.Errorf("begin %s: %w", name, err)
 			}
 			ch.EpochAfter = p.Epoch
-			midx, _ := r.cl.NewIndex(0)
+			midx := r.cl.NewIndex(0)
 			ch.mig = midx.(*core.Client)
 			return nil
 		},
@@ -518,7 +514,7 @@ type chaosTrigger struct {
 // which runs before the SLO exists).
 //
 // Measured workers run without the speculative leaf-address cache (see
-// NewIndexNoSpec): the SLO must see the migration's fallback cost, not
+// Cluster.noSpec): the SLO must see the migration's fallback cost, not
 // the fast path hiding it.
 func (r *chaosRun) pass(name string, trigger *chaosTrigger) (tally, error) {
 	workers, ops := r.cl.Cfg.Workers, r.cl.Cfg.OpsPerWorker
@@ -533,7 +529,7 @@ func (r *chaosRun) pass(name string, trigger *chaosTrigger) (tally, error) {
 	var triggerErr error
 
 	reads := make([][]int64, workers)
-	ws, err := r.cl.drive(workers, sequential(r.cl.NewIndexNoSpec), func(w *worker) error {
+	ws, err := r.cl.drive(workers, r.cl.noSpec, func(w *worker) error {
 		// Warm the fresh client over its whole shard before measuring.
 		// This pays the cold directory-view round trips up front AND
 		// unlearns the succinct filter's false positives for every key

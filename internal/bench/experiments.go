@@ -124,7 +124,7 @@ func Fig6(cfg Config, out io.Writer) ([]MemUsage, error) {
 		if err != nil {
 			return nil, err
 		}
-		mu, err := cl.MemoryUsage()
+		mu, err := cl.Usage()
 		if err != nil {
 			return nil, err
 		}

@@ -104,7 +104,7 @@ func Failover(cfg Config, out io.Writer) (*FailoverReport, error) {
 	var killed atomic.Bool
 	preOps := make([]int, cfg.Workers)
 	led := newLedger(cl.keys, cfg.Workers, cfg.Seed)
-	ws, err := cl.drive(cfg.Workers, sequential(cl.NewIndex), func(w *worker) error {
+	ws, err := cl.drive(cfg.Workers, cl.sequential, func(w *worker) error {
 		rng := led.stream(w.id)
 		for i := 0; i < ops; i++ {
 			if w.id == 0 && i == killAt {
@@ -143,14 +143,14 @@ func Failover(cfg Config, out io.Writer) (*FailoverReport, error) {
 
 	// Verification: a fresh client re-reads every acknowledged write.
 	rep.AckedWrites = uint64(led.size())
-	vidx, _ := cl.NewIndex(0)
+	vidx := cl.NewIndex(0)
 	led.verify(vidx, &rep.VerifiedReads, &rep.LostAckedWrites, &rep.WrongValueReads)
 
 	// Online repair: sweep until a pass reports zero deficits, reading
 	// live keys between sweeps to prove the cluster serves throughout.
-	ridx, _ := cl.NewIndex(1 % cfg.CNs)
+	ridx := cl.NewIndex(1)
 	rc := ridx.(*core.Client)
-	reader, _ := cl.NewIndex(2 % cfg.CNs)
+	reader := cl.NewIndex(2)
 	for sweep := 0; sweep < 10; sweep++ {
 		srep, err := rc.RepairSweep()
 		if err != nil {
@@ -166,7 +166,7 @@ func Failover(cfg Config, out io.Writer) (*FailoverReport, error) {
 			break
 		}
 	}
-	if ft := cl.sphinxShared.FT; ft != nil {
+	if ft := cl.Sphinx.FT; ft != nil {
 		rep.UnderReplicatedFinal = ft.UnderReplicated()
 		rep.RepairSweeps, rep.RepairCopied = ft.RepairTotals()
 	}

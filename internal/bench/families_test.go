@@ -100,7 +100,7 @@ func warmedLive(t *testing.T) *Live {
 	if _, err := cl.Load(0); err != nil {
 		t.Fatal(err)
 	}
-	fabrictest.Queue(t, cl.F, cl.sphinxShared.Hot.Load, 0)
+	fabrictest.Queue(t, cl.F, cl.Sphinx.Hot.Load, 0)
 	for _, w := range []ycsb.Workload{ycsb.WorkloadC, ycsb.WorkloadA, ycsb.WorkloadE} {
 		if _, err := cl.Run(w, 0, 0); err != nil {
 			t.Fatal(err)

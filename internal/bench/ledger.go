@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"sphinx/internal/cluster"
 	"sphinx/internal/obs"
 )
 
@@ -90,7 +91,7 @@ func (l *ledger) size() int {
 // verify re-reads every acknowledged write through idx, counting into
 // the three result slots: a lost write is a read that found nothing (or
 // failed), a wrong one a read that found another value.
-func (l *ledger) verify(idx Index, verified, lost, wrong *uint64) {
+func (l *ledger) verify(idx cluster.Index, verified, lost, wrong *uint64) {
 	for w := range l.acked {
 		for ki, want := range l.acked[w] {
 			v, ok, err := idx.Search(l.shards[w][ki])

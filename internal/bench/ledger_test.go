@@ -11,9 +11,9 @@ import (
 )
 
 // ledgerPass drives one plain ledgered pass: every worker runs ops ledger
-// operations on a NewIndex client.
+// operations on a sequential client.
 func ledgerPass(cl *Cluster, led *ledger, ops int) error {
-	_, err := cl.drive(len(led.shards), sequential(cl.NewIndex), func(w *worker) error {
+	_, err := cl.drive(len(led.shards), cl.sequential, func(w *worker) error {
 		rng := led.stream(w.id)
 		for i := 0; i < ops; i++ {
 			if _, _, err := led.op(w, &rng, i); err != nil {
@@ -42,7 +42,7 @@ func TestLedgerVerifyReportsLossAndStaleness(t *testing.T) {
 		t.Fatal(err)
 	}
 	verify := func() (verified, lost, wrong uint64) {
-		idx, _ := cl.NewIndex(0)
+		idx := cl.NewIndex(0)
 		led.verify(idx, &verified, &lost, &wrong)
 		return
 	}
@@ -61,7 +61,7 @@ func TestLedgerVerifyReportsLossAndStaleness(t *testing.T) {
 	if len(victims) != 2 {
 		t.Fatalf("want an acked key per worker, have %d", len(victims))
 	}
-	rogue, _ := cl.NewIndex(1)
+	rogue := cl.NewIndex(1)
 	if ok, err := rogue.Delete(victims[0]); err != nil || !ok {
 		t.Fatalf("delete behind the ledger: ok=%v err=%v", ok, err)
 	}

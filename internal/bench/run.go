@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"sphinx/internal/cluster"
 	"sphinx/internal/core"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
@@ -141,39 +142,56 @@ func (r Result) Row() string {
 type worker struct {
 	cl  *Cluster
 	id  int
-	idx Index
+	idx cluster.Index
 	pl  *core.Pipeline
 	fc  *fabric.Client
 	rec *obs.Recorder
 	lat []int64
 }
 
-// sequential adapts NewIndex / NewIndexNoSpec to the driver's mount step.
-func sequential(newIndex func(cn int) (Index, *fabric.Client)) func(*worker, int) {
-	return func(w *worker, cn int) { w.idx, w.fc = newIndex(cn) }
+// sequential is the driver's mount step for a sequential client: the
+// cluster's system on a fresh fabric client under the phase's observers,
+// with a trace recorder feeding the tail sampler when sampling is on (for a
+// Sphinx client it also receives the locate annotations — false positives,
+// collisions, restarts — so they arrive in the captured timelines).
+func (cl *Cluster) sequential(w *worker, cn *cluster.ComputeNode) {
+	if cl.tail != nil {
+		w.rec = obs.NewRecorder()
+	}
+	w.fc = cl.F.NewClient()
+	w.idx = cl.Mount(cn, w.fc, cl.phaseObs(), cl.index, w.rec)
+}
+
+// noSpec mounts a sequential client like sequential but without the
+// compute node's leaf-address cache. The elastic chaos run's measured
+// workers use it: a 1-RT cache hit never consults the placement, so it
+// hides the epoch-fallback cost of a migration that the run's latency SLO
+// must see. With the cache off the warm read path is the deterministic
+// locate-descend, and the SLO cleanly separates steady windows from
+// transitions.
+func (cl *Cluster) noSpec(w *worker, cn *cluster.ComputeNode) {
+	bare := *cn
+	bare.LAC = nil
+	cl.sequential(w, &bare)
 }
 
 // drive is the harness's one phase driver: it runs body on `workers`
 // goroutines, worker i on a fresh client that mount put on compute node
 // i % CNs (clock zero, so the measurement window is clean; CN-level
-// caches keep their warmth, as on a real cluster), with a tail recorder
-// armed on sequential clients. It returns the workers in id order, or the
-// first error a worker reported. What a phase does — load, YCSB, a
-// ledgered chaos pass — is entirely its body's.
+// caches keep their warmth, as on a real cluster). It returns the workers
+// in id order, or the first error a worker reported. What a phase does —
+// load, YCSB, a ledgered chaos pass — is entirely its body's.
 //
 // The workers are mounted before any of them starts and published as the
 // cluster's running phase, so the live exporter counts them while they run
 // (liveIndex); when the last one returns they are folded into the finished
 // phases' totals and unpublished in one critical section — a scrape sees each
 // worker exactly once.
-func (cl *Cluster) drive(workers int, mount func(w *worker, cn int), body func(w *worker) error) ([]*worker, error) {
+func (cl *Cluster) drive(workers int, mount func(w *worker, cn *cluster.ComputeNode), body func(w *worker) error) ([]*worker, error) {
 	ws := make([]*worker, workers)
 	for id := range ws {
 		w := &worker{cl: cl, id: id}
-		mount(w, id%cl.Cfg.CNs)
-		if w.idx != nil {
-			w.rec = cl.armTail(w.idx, w.fc)
-		}
+		mount(w, cl.cns[id%len(cl.cns)])
 		ws[id] = w
 	}
 	cl.doneMu.Lock()
@@ -224,27 +242,6 @@ func (w *worker) timed(kind obs.OpKind, op func() error) (int64, error) {
 		w.cl.tail.Offer(kind, w.rec.Trace())
 	}
 	return lat, nil
-}
-
-// armTail gives one sequential worker a trace recorder feeding the tail
-// sampler: teed into the client's batch observer chain, and (for Sphinx
-// workers) installed on the core client so locate annotations — false
-// positives, collisions, restarts — arrive in the captured timelines.
-// Returns nil when tail sampling is off.
-func (cl *Cluster) armTail(idx Index, fc *fabric.Client) *obs.Recorder {
-	if cl.tail == nil {
-		return nil
-	}
-	rec := obs.NewRecorder()
-	if observer := cl.phaseObs(); observer != nil {
-		fc.SetObserver(obs.Tee{A: observer, B: rec})
-	} else {
-		fc.SetObserver(rec)
-	}
-	if c, ok := idx.(*core.Client); ok {
-		c.SetRecorder(rec)
-	}
-	return rec
 }
 
 // indexTally is the index layers' counters over a set of workers: the node
@@ -307,7 +304,7 @@ func tallyOf(ws []*worker) tally {
 // folds it into a Result: the network is idle and the phase metric set
 // fresh when the workers start, and the per-MN NIC counters are diffed
 // across the phase.
-func (cl *Cluster) measure(workload string, workers, depth int, mount func(*worker, int), body func(*worker) error) (Result, error) {
+func (cl *Cluster) measure(workload string, workers, depth int, mount func(*worker, *cluster.ComputeNode), body func(*worker) error) (Result, error) {
 	cl.F.ResetTimelines()
 	endMetrics := cl.beginPhaseMetrics()
 	wallStart := time.Now()
@@ -339,7 +336,7 @@ func (cl *Cluster) Load(workers int) (Result, error) {
 	if workers <= 0 {
 		workers = cl.Cfg.Workers
 	}
-	return cl.measure("LOAD", workers, 1, sequential(cl.NewIndex), func(w *worker) error {
+	return cl.measure("LOAD", workers, 1, cl.sequential, func(w *worker) error {
 		w.lat = make([]int64, 0, len(cl.keys)/workers+1)
 		for i := w.id; i < len(cl.keys); i += workers {
 			if _, err := w.timed(obs.OpPut, func() error {
@@ -364,14 +361,13 @@ func (cl *Cluster) Run(w ycsb.Workload, workers, opsPerWorker int) (Result, erro
 		opsPerWorker = cl.Cfg.OpsPerWorker
 	}
 	depth := max(cl.Cfg.Depth, 1)
-	mount := sequential(cl.NewIndex)
-	if depth > 1 {
-		mount = func(wk *worker, cn int) {
-			if pl, fc, ok := cl.NewPipeline(cn); ok {
-				wk.pl, wk.fc = pl, fc
-			} else {
-				wk.idx, wk.fc = cl.NewIndex(cn)
-			}
+	mount := cl.sequential
+	if depth > 1 && cl.src.Shared != nil {
+		mount = func(wk *worker, cn *cluster.ComputeNode) {
+			o := cl.phaseObs()
+			wk.fc = cl.F.NewClient()
+			wk.fc.SetObserver(o)
+			wk.pl = cl.Pipeline(cn, wk.fc, o, cl.index)
 		}
 	}
 	return cl.measure(w.Name, workers, depth, mount, func(wk *worker) error {
@@ -595,21 +591,13 @@ func (m MemUsage) IndexBytes() uint64 {
 // HashBytes is the inner-node-hash-table footprint.
 func (m MemUsage) HashBytes() uint64 { return m.ByClass[mem.ClassHash] }
 
-// MemoryUsage reads every memory node's allocator counters.
-func (cl *Cluster) MemoryUsage() (MemUsage, error) {
-	mu := MemUsage{System: cl.Sys.String(), Dataset: cl.Cfg.Dataset.String()}
-	ops := cl.F.Regions()
-	for _, node := range cl.memberNodes() {
-		u, err := mem.ReadUsage(ops, node)
-		if err != nil {
-			return mu, err
-		}
-		for c := 0; c < int(mem.NumClasses); c++ {
-			mu.ByClass[c] += u.ByClass[c]
-		}
-	}
-	for _, b := range mu.ByClass {
+// Usage is the cluster's MN-side memory by allocation class, labelled as
+// Fig. 6 reports it.
+func (cl *Cluster) Usage() (MemUsage, error) {
+	by, err := cl.MemoryUsage()
+	mu := MemUsage{System: cl.Sys.String(), Dataset: cl.Cfg.Dataset.String(), ByClass: by}
+	for _, b := range by {
 		mu.Total += b
 	}
-	return mu, nil
+	return mu, err
 }

@@ -47,7 +47,7 @@ func NewLive() *Live {
 	lv.Plane, _ = obs.NewPlane(obs.PlaneOptions{
 		Collect: func() []obs.MNSample {
 			if cl := lv.cur.Load(); cl != nil {
-				return cl.collectMNs()
+				return cl.CollectMNs()
 			}
 			return nil
 		},
@@ -126,7 +126,7 @@ func (cl *Cluster) attachMNShares(r *Result, base []fabric.NICStats) {
 		baseByNode[b.Node] = b
 	}
 	members := make(map[mem.NodeID]bool)
-	for _, n := range cl.memberNodes() {
+	for _, n := range cl.Nodes() {
 		members[n] = true
 	}
 	var total, maxMemberRT uint64
@@ -159,24 +159,4 @@ func (cl *Cluster) attachMNShares(r *Result, base []fabric.NICStats) {
 		mean := float64(total) / float64(n)
 		r.MNImbalance = float64(maxMemberRT) / mean
 	}
-}
-
-// placement returns the current placement — the epoch-versioned ring and
-// hash tables when the system publishes them (elastic membership may have
-// added or drained nodes since bootstrap), the static bootstrap ring and
-// no tables for the baselines.
-func (cl *Cluster) placement() *core.Placement {
-	if m := cl.sphinxShared.Members; m != nil {
-		return m.Current()
-	}
-	return &core.Placement{Ring: cl.Ring}
-}
-
-// memberNodes returns the memory nodes of the current placement.
-func (cl *Cluster) memberNodes() []mem.NodeID { return cl.placement().Ring.Nodes() }
-
-// collectMNs samples every memory node for the observability plane.
-func (cl *Cluster) collectMNs() []obs.MNSample {
-	p := cl.placement()
-	return obs.CollectMNs(cl.F, p.Ring.Nodes(), p.Tables)
 }

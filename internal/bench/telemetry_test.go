@@ -225,7 +225,7 @@ func TestLiveRegistryFollowsRunningPhase(t *testing.T) {
 	// No leaf-address cache on the worker, so every Search goes through the
 	// filter and the hash table.
 	const searches = 500
-	r, err := cl.measure("probe", 1, 1, sequential(cl.NewIndexNoSpec), func(w *worker) error {
+	r, err := cl.measure("probe", 1, 1, cl.noSpec, func(w *worker) error {
 		for i := 0; i < searches; i++ {
 			if _, err := w.timed(obs.OpGet, func() error {
 				_, _, err := w.idx.Search(cl.keys[i*3])

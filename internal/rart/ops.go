@@ -94,7 +94,6 @@ type PutMode int
 // Put modes.
 const (
 	PutUpsert     PutMode = iota // insert or overwrite
-	PutInsertOnly                // report existed=true without writing if present
 	PutUpdateOnly                // do nothing (existed=false) if absent
 	// PutUpdateFused is PutUpdateOnly whose descent locks the leaf in the
 	// batch that reads it (lockReadLeaf): Sphinx's; the baselines read, then
@@ -251,9 +250,9 @@ func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) 
 	// installLeaf) — or, when the write needs a parent this walk did not come
 	// through (ErrNeedParent), the child's lock of the write the re-routed walk
 	// makes.
-	inPlace := exists && mode != PutInsertOnly && fitsInPlace(at.leaf, value)
+	inPlace := exists && fitsInPlace(at.leaf, value)
 	keep, cause := [2]*Node{at.n, at.parent}, BetRoundEnded
-	if exists && (mode == PutInsertOnly || inPlace) {
+	if inPlace {
 		keep, cause = [2]*Node{}, BetKeyExists
 	}
 	if !inPlace {
@@ -261,9 +260,6 @@ func (e *Engine) PutFrom(start *Node, key, value []byte, mode PutMode, h Hooks) 
 	}
 	switch {
 	case exists:
-		if mode == PutInsertOnly {
-			return true, nil
-		}
 		return true, e.updateLeaf(&at, key, value, h)
 	case mode >= PutUpdateOnly:
 		// Every other landing says the key is absent.

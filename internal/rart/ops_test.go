@@ -223,16 +223,8 @@ func TestEnginePrealloc256NeverSwitches(t *testing.T) {
 func TestEngineModes(t *testing.T) {
 	e, root := testEngine(t, Config{})
 	mustPut(t, e, root, "mode", "v1")
-	// InsertOnly on an existing key must not overwrite.
-	existed, err := e.PutFrom(root(), []byte("mode"), []byte("v2"), PutInsertOnly, NopHooks{})
-	if err != nil || !existed {
-		t.Fatalf("insert-only: %v %v", existed, err)
-	}
-	if got, _ := mustGet(t, e, root, "mode"); got != "v1" {
-		t.Errorf("insert-only overwrote: %q", got)
-	}
 	// UpdateOnly on a missing key must not create.
-	existed, err = e.PutFrom(root(), []byte("missing"), []byte("x"), PutUpdateOnly, NopHooks{})
+	existed, err := e.PutFrom(root(), []byte("missing"), []byte("x"), PutUpdateOnly, NopHooks{})
 	if err != nil || existed {
 		t.Fatalf("update-only: %v %v", existed, err)
 	}

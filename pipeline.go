@@ -136,18 +136,17 @@ func (p *Pipeline) runSequential() {
 }
 
 // corePipeline lazily creates the session's pipelined executor, flushing
-// (and accounting) on the session's own fabric client; its lanes are built
-// from the session's own options (coreOptions).
+// (and accounting) on the session's own fabric client; its lanes share the
+// compute node's caches and the session's index distributions, as the
+// session's own client does.
 func (s *Session) corePipeline() *core.Pipeline {
 	if pl := s.pl.Load(); pl != nil {
 		return pl
 	}
-	opts := s.coreOptions()
 	// Lanes report their stage-attributed share of each flush into the
 	// session metrics; the flush itself accounts on s.fc, whose observer is
 	// already the same metrics set.
-	opts.Observer = s.metrics
-	pl := core.NewPipeline(s.cn.cluster.sphinxShared, s.fc, opts)
+	pl := s.cn.cluster.cl.Pipeline(s.cn.node, s.fc, s.metrics, s.index)
 	s.pl.Store(pl)
 	return pl
 }

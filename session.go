@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sphinx/internal/artdm"
+	"sphinx/internal/cluster"
 	"sphinx/internal/core"
 	"sphinx/internal/fabric"
 	"sphinx/internal/obs"
@@ -27,16 +27,6 @@ type Metrics = obs.Metrics
 // histograms) behind snapshot/diff with Prometheus and JSON exporters.
 type Registry = obs.Registry
 
-// index is the operation surface the three systems' clients share.
-type index interface {
-	Search(key []byte) ([]byte, bool, error)
-	Insert(key, value []byte) (bool, error)
-	Update(key, value []byte) (bool, error)
-	Delete(key []byte) (bool, error)
-	Scan(lo, hi []byte, limit int) ([]rart.KV, error)
-	Engine() *rart.Engine
-}
-
 // Session is one worker's handle on the cluster's index: it owns a network
 // endpoint (virtual clock, verb counters) and shares its compute node's
 // caches. Sessions are not safe for concurrent use — create one per
@@ -47,7 +37,7 @@ type Session struct {
 
 	// idx is the mounted client, whichever system it is; sphinx and smart
 	// are the same client again, for what only that system has.
-	idx    index
+	idx    cluster.Index
 	sphinx *core.Client
 	smart  *smart.Client
 
@@ -74,8 +64,7 @@ type Session struct {
 
 // NewSession opens a session on this compute node.
 func (cn *ComputeNode) NewSession() *Session {
-	c := cn.cluster
-	fc := c.f.NewClient()
+	fc := cn.cluster.cl.F.NewClient()
 	s := &Session{
 		cn: cn, fc: fc,
 		metrics: obs.NewMetrics(),
@@ -83,31 +72,10 @@ func (cn *ComputeNode) NewSession() *Session {
 		tail:    obs.NewTailSampler(0, 0), // defaults: p99, 32 samples
 		tailRec: obs.NewRecorder(),
 	}
-	fc.SetObserver(obs.Tee{A: s.metrics, B: s.tailRec})
-	switch c.cfg.System {
-	case SystemSphinx:
-		s.sphinx = core.NewClient(c.sphinxShared, fc, s.coreOptions())
-		s.sphinx.SetRecorder(s.tailRec)
-		s.idx = s.sphinx
-	case SystemSMART:
-		s.smart = smart.NewClient(c.smartShared, fc, smart.Options{Cache: cn.cache})
-		s.idx = s.smart
-	case SystemART:
-		s.idx = artdm.NewClient(c.artShared, fc)
-	}
+	s.idx = cn.cluster.cl.Mount(cn.node, fc, s.metrics, s.index, s.tailRec)
+	s.sphinx, _ = s.idx.(*core.Client)
+	s.smart, _ = s.idx.(*smart.Client)
 	return s
-}
-
-// coreOptions is what every core client of the session is built from — its
-// own and each pipeline lane's — so all of them share the compute node's
-// caches and hot-key tracker and the session's index distributions.
-func (s *Session) coreOptions() core.Options {
-	return core.Options{
-		Filter:    s.cn.filter,
-		LeafCache: s.cn.lac,
-		Hot:       s.cn.hotset,
-		Index:     s.index,
-	}
 }
 
 // beginOp arms the tail recorder for one operation and captures the
@@ -174,7 +142,7 @@ type RepairReport = core.RepairReport
 // repeat until a sweep reports Deficits == 0. Requires SystemSphinx with
 // Config.Replication >= 2.
 func (s *Session) RepairSweep() (RepairReport, error) {
-	if s.sphinx == nil || s.cn.cluster.sphinxShared.FT == nil {
+	if s.sphinx == nil || s.cn.cluster.cl.Sphinx.FT == nil {
 		return RepairReport{}, fmt.Errorf("sphinx: repair sweep requires SystemSphinx with Replication >= 2")
 	}
 	return s.sphinx.RepairSweep()
@@ -309,16 +277,14 @@ func (s *Session) Registry() *Registry {
 	r.AddCounterStruct("fabric", func() any { return s.fc.Stats() })
 	// Every counter source sums the session's pipeline lanes in (a pipeline
 	// not created yet has none).
-	src := &core.IndexSources{Engine: func() rart.EngineStats {
+	src := s.cn.cluster.cl.Sources(s.cn.node)
+	src.Engine = func() rart.EngineStats {
 		return s.idx.Engine().Stats().Add(s.pl.Load().EngineStats())
-	}}
+	}
 	switch {
 	case s.sphinx != nil:
-		c := s.cn.cluster
 		src.Stats = func() core.Stats { st, _ := s.SphinxStats(); return st }
 		src.Hash = func() racehash.Stats { return s.sphinx.HashStats().Add(s.pl.Load().HashStats()) }
-		src.Filters, src.LACs, src.Hots = some(s.cn.filter), some(s.cn.lac), some(s.cn.hotset)
-		src.Shared, src.Fabric = &c.sphinxShared, c.f
 		s.index.Register(r)
 	case s.smart != nil:
 		r.AddCounterStruct("smart", func() any { return s.smart.ClientStats() })
@@ -332,13 +298,4 @@ func (s *Session) Registry() *Registry {
 	r.AddMetrics("session", s.metrics)
 	s.registry = r
 	return r
-}
-
-// some is the compute node's one cache as the slice IndexSources takes, or
-// none when the session runs without it.
-func some[T any](p *T) []*T {
-	if p == nil {
-		return nil
-	}
-	return []*T{p}
 }

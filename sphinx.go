@@ -35,14 +35,12 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"sphinx/internal/artdm"
-	"sphinx/internal/consistenthash"
+	"sphinx/internal/cluster"
 	"sphinx/internal/core"
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
 	"sphinx/internal/obs"
 	"sphinx/internal/rart"
-	"sphinx/internal/smart"
 )
 
 // SLO is a per-op-kind latency objective evaluated by the cluster's
@@ -160,9 +158,11 @@ type Config struct {
 	// default) disables the layer; values >= 2 enable it (1 is rounded up to
 	// the default factor of 3).
 	HotReplicaFactor int
-	// HotSetBytes is the per-CN budget of the hot-key tracker (sketch +
-	// replica route caches; default 256 KiB). Only meaningful with
-	// HotReplicaFactor > 0.
+	// HotSetBytes is ignored: each compute node's hot-key tracker (sketch
+	// + replica route caches) takes 256 KiB.
+	//
+	// Deprecated: nothing sizes the tracker; the field is kept so that code
+	// reading it still compiles.
 	HotSetBytes uint64
 	// SLOs configures latency objectives for the cluster observability
 	// plane: each is evaluated every sample into fast/slow error-budget
@@ -206,13 +206,8 @@ type KV = rart.KV
 
 // Cluster is a simulated disaggregated-memory cluster hosting one index.
 type Cluster struct {
-	cfg  Config
-	f    *fabric.Fabric
-	ring *consistenthash.Ring
-
-	sphinxShared core.Shared
-	smartShared  smart.Shared
-	artShared    artdm.Shared
+	cfg Config
+	cl  *cluster.Cluster
 
 	// plane is the cluster observability plane: per-MN windowed load
 	// series, SLO burn rates, hysteresis alerts. sloSource is the
@@ -221,8 +216,6 @@ type Cluster struct {
 	// bench harnesses).
 	plane     *obs.Plane
 	sloSource atomic.Pointer[obs.Metrics]
-
-	nextCN int
 }
 
 // NewCluster builds the memory nodes, interconnect and an empty index.
@@ -237,48 +230,22 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	default:
 		return nil, fmt.Errorf("sphinx: unknown timing model %d", cfg.Timing)
 	}
-	f := fabric.New(netCfg)
-	nodes := make([]mem.NodeID, cfg.MemoryNodes)
-	for i := range nodes {
-		nodes[i] = f.AddNode(cfg.MemoryPerNode)
-	}
-	ring, err := consistenthash.NewChecked(nodes, 0)
-	if err != nil {
-		return nil, fmt.Errorf("sphinx: building placement ring: %w", err)
-	}
-	cl := &Cluster{cfg: cfg, f: f, ring: ring}
-
-	switch cfg.System {
-	case SystemSphinx:
-		if cfg.Replication > 0 {
-			cl.sphinxShared, err = core.BootstrapReplicated(f, ring, cfg.ExpectedKeys, cfg.Replication)
-		} else {
-			cl.sphinxShared, err = core.Bootstrap(f, ring, cfg.ExpectedKeys)
-		}
-		if err == nil && cfg.HotReplicaFactor > 0 {
-			// Hot tables are sized for the promoted working set, which is
-			// the head of the distribution, not the keyspace: a few
-			// thousand keys per CN is generous (trackers demote beyond it).
-			err = core.BootstrapHot(f, &cl.sphinxShared, 4096, cfg.HotReplicaFactor)
-		}
-	case SystemSMART:
-		cl.smartShared, err = smart.Bootstrap(f, ring)
-	case SystemART:
-		cl.artShared, err = artdm.Bootstrap(f, ring)
-	default:
-		err = fmt.Errorf("sphinx: unknown system %v", cfg.System)
-	}
+	// System and cluster.System name the three systems in the same order.
+	cl, err := cluster.New(cluster.Config{
+		System: cluster.System(cfg.System), Net: netCfg,
+		MemoryNodes: cfg.MemoryNodes, RegionBytes: cfg.MemoryPerNode, ExpectedKeys: cfg.ExpectedKeys,
+		Replication: cfg.Replication, HotFactor: cfg.HotReplicaFactor,
+		CacheBytes: cfg.CacheBytes, LeafCacheBytes: cfg.LeafCacheBytes, Seed: cfg.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	cl.plane, err = obs.NewPlane(obs.PlaneOptions{
+	c := &Cluster{cfg: cfg, cl: cl}
+	c.plane, err = obs.NewPlane(obs.PlaneOptions{
 		WindowPs: cfg.ObservabilityWindowPs,
-		Collect: func() []obs.MNSample {
-			p := cl.placement()
-			return obs.CollectMNs(cl.f, p.Ring.Nodes(), p.Tables)
-		},
+		Collect:  cl.CollectMNs,
 		Latency: func(k obs.OpKind) obs.HistSnapshot {
-			if m := cl.sloSource.Load(); m != nil {
+			if m := c.sloSource.Load(); m != nil {
 				return m.OpLatency(k)
 			}
 			return obs.HistSnapshot{}
@@ -288,7 +255,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sphinx: building observability plane: %w", err)
 	}
-	return cl, nil
+	return c, nil
 }
 
 // SampleObservability advances the cluster observability plane to the
@@ -311,21 +278,6 @@ func (c *Cluster) Observability() PlaneSnapshot { return c.plane.Snapshot() }
 // System returns the cluster's index system.
 func (c *Cluster) System() System { return c.cfg.System }
 
-// placement returns the CURRENT placement epoch's ring and hash tables —
-// elastic membership changes republish it at runtime. Non-Sphinx systems
-// keep the static bootstrap ring and have no tables.
-func (c *Cluster) placement() *core.Placement {
-	if c.sphinxShared.Members != nil {
-		return c.sphinxShared.Members.Current()
-	}
-	return &core.Placement{Ring: c.ring}
-}
-
-// memNodes lists the cluster's member memory nodes under the current
-// placement: node indices passed to KillMemoryNode etc. are interpreted
-// against it.
-func (c *Cluster) memNodes() []mem.NodeID { return c.placement().Ring.Nodes() }
-
 // AddMemoryNode grows the cluster online (SystemSphinx only): a fresh
 // memory node joins the fabric, its hash tables are bootstrapped, and a
 // new placement epoch including it is published. The call returns
@@ -337,16 +289,15 @@ func (c *Cluster) AddMemoryNode() (int, error) {
 	if c.cfg.System != SystemSphinx {
 		return 0, fmt.Errorf("sphinx: elastic membership requires SystemSphinx, not %v", c.cfg.System)
 	}
-	if c.sphinxShared.Members.Transitioning() {
+	if c.MigrationPending() {
 		return 0, core.ErrTransitionActive
 	}
-	id := c.f.AddNode(c.cfg.MemoryPerNode)
-	p, err := core.BeginAddNode(c.f, c.sphinxShared, id, c.cfg.ExpectedKeys)
+	id := c.cl.AttachNode()
+	p, err := c.cl.BeginAdd(id)
 	if err != nil {
 		return 0, err
 	}
-	nodes := p.Ring.Nodes()
-	for i, n := range nodes {
+	for i, n := range p.Ring.Nodes() {
 		if n == id {
 			return i, nil
 		}
@@ -365,31 +316,24 @@ func (c *Cluster) DrainMemoryNode(i int) error {
 	if c.cfg.System != SystemSphinx {
 		return fmt.Errorf("sphinx: elastic membership requires SystemSphinx, not %v", c.cfg.System)
 	}
-	nodes := c.memNodes()
+	nodes := c.cl.Nodes()
 	if i < 0 || i >= len(nodes) {
 		return fmt.Errorf("sphinx: memory node %d out of range [0,%d)", i, len(nodes))
 	}
-	_, err := core.BeginDrainNode(c.sphinxShared, nodes[i])
+	_, err := c.cl.BeginDrain(nodes[i])
 	return err
 }
 
 // Epoch reports the current placement epoch: 0 at bootstrap, +1 per
 // membership change. Always 0 for non-Sphinx systems.
-func (c *Cluster) Epoch() uint64 {
-	if c.sphinxShared.Members == nil {
-		return 0
-	}
-	return c.sphinxShared.Members.Current().Epoch
-}
+func (c *Cluster) Epoch() uint64 { return c.cl.Placement().Epoch }
 
 // MigrationPending reports whether a membership change is still
 // mid-migration (drive Session.MigrateSweep to finish it).
-func (c *Cluster) MigrationPending() bool {
-	return c.sphinxShared.Members != nil && c.sphinxShared.Members.Transitioning()
-}
+func (c *Cluster) MigrationPending() bool { return c.cl.Placement().Prev != nil }
 
 // MemoryNodes reports the current member count.
-func (c *Cluster) MemoryNodes() int { return len(c.memNodes()) }
+func (c *Cluster) MemoryNodes() int { return len(c.cl.Nodes()) }
 
 // KillMemoryNode permanently removes memory node i (0-based) from the
 // cluster: every verb addressed to it fails with a permanent-loss error
@@ -397,11 +341,11 @@ func (c *Cluster) MemoryNodes() int { return len(c.memNodes()) }
 // contact. With Replication >= 2 the cluster keeps serving from the
 // surviving replicas; without replication the node's data is simply gone.
 func (c *Cluster) KillMemoryNode(i int) error {
-	nodes := c.memNodes()
+	nodes := c.cl.Nodes()
 	if i < 0 || i >= len(nodes) {
 		return fmt.Errorf("sphinx: memory node %d out of range [0,%d)", i, len(nodes))
 	}
-	c.f.KillNode(nodes[i])
+	c.cl.F.KillNode(nodes[i])
 	return nil
 }
 
@@ -409,11 +353,11 @@ func (c *Cluster) KillMemoryNode(i int) error {
 // "closed" (healthy), "open" (suspected down, probing), "dead"
 // (permanently lost).
 func (c *Cluster) NodeHealth(i int) (string, error) {
-	nodes := c.memNodes()
+	nodes := c.cl.Nodes()
 	if i < 0 || i >= len(nodes) {
 		return "", fmt.Errorf("sphinx: memory node %d out of range [0,%d)", i, len(nodes))
 	}
-	return c.f.Health().State(nodes[i]).String(), nil
+	return c.cl.F.Health().State(nodes[i]).String(), nil
 }
 
 // UnderReplicated reports the latest repair sweep's replica-deficit
@@ -421,10 +365,10 @@ func (c *Cluster) NodeHealth(i int) (string, error) {
 // stale. 0 after a sweep means the cluster is fully replicated. Always 0
 // when the fault-tolerance layer is disabled.
 func (c *Cluster) UnderReplicated() uint64 {
-	if c.sphinxShared.FT == nil {
+	if c.cl.Sphinx.FT == nil {
 		return 0
 	}
-	return c.sphinxShared.FT.UnderReplicated()
+	return c.cl.Sphinx.FT.UnderReplicated()
 }
 
 // MemoryUsage reports the MN-side memory footprint by object class.
@@ -438,20 +382,13 @@ type MemoryUsage struct {
 
 // MemoryUsage sums allocation counters across all memory nodes.
 func (c *Cluster) MemoryUsage() (MemoryUsage, error) {
-	var u MemoryUsage
-	ops := c.f.Regions()
-	for _, node := range c.memNodes() {
-		nu, err := mem.ReadUsage(ops, node)
-		if err != nil {
-			return u, err
-		}
-		u.MetadataBytes += nu.ByClass[mem.ClassMeta]
-		u.InnerNodeBytes += nu.ByClass[mem.ClassInner]
-		u.LeafBytes += nu.ByClass[mem.ClassLeaf]
-		u.HashTableBytes += nu.ByClass[mem.ClassHash]
+	by, err := c.cl.MemoryUsage()
+	u := MemoryUsage{
+		MetadataBytes: by[mem.ClassMeta], InnerNodeBytes: by[mem.ClassInner],
+		LeafBytes: by[mem.ClassLeaf], HashTableBytes: by[mem.ClassHash],
 	}
 	u.TotalBytes = u.MetadataBytes + u.InnerNodeBytes + u.LeafBytes + u.HashTableBytes
-	return u, nil
+	return u, err
 }
 
 // ComputeNode models one compute-side machine: its sessions share the
@@ -459,50 +396,18 @@ func (c *Cluster) MemoryUsage() (MemoryUsage, error) {
 // for SMART), while each session owns its own network endpoint.
 type ComputeNode struct {
 	cluster *Cluster
-	id      int
-	filter  *core.FilterCache
-	lac     *core.LeafCache
-	hotset  *core.HotSet
-	cache   *smart.NodeCache
+	node    *cluster.ComputeNode
 }
 
 // NewComputeNode adds a compute node to the cluster.
 func (c *Cluster) NewComputeNode() *ComputeNode {
-	cn := &ComputeNode{cluster: c, id: c.nextCN}
-	c.nextCN++
-	switch c.cfg.System {
-	case SystemSphinx:
-		cn.filter = core.NewFilterCacheFor(c.cfg.ExpectedKeys, c.cfg.CacheBytes, uint64(c.cfg.Seed+int64(cn.id))|1)
-		cn.lac = core.NewLeafCacheBytes(c.cfg.LeafCacheBytes, uint64(c.cfg.Seed+int64(cn.id)))
-		if hot := c.sphinxShared.Hot; hot != nil {
-			// One tracker per CN, shared by its sessions, so promotion
-			// decisions see the CN's aggregate traffic — the same sharing
-			// shape as the filter cache.
-			cn.hotset = core.NewHotSet(c.cfg.HotSetBytes, uint64(c.cfg.Seed+int64(cn.id)), hot.R)
-		}
-	case SystemSMART:
-		cn.cache = smart.NewNodeCache(c.cfg.CacheBytes)
-	}
-	return cn
+	return &ComputeNode{cluster: c, node: c.cl.NewComputeNode()}
 }
 
 // CacheBytes reports the CN cache's current memory footprint: for Sphinx
 // the succinct filter cache at its current size, the speculative
 // leaf-address cache created with it, and the hot-key tracker if any.
-func (cn *ComputeNode) CacheBytes() uint64 {
-	switch {
-	case cn.filter != nil:
-		total := cn.filter.SizeBytes() + cn.lac.SizeBytes()
-		if cn.hotset != nil {
-			total += cn.hotset.SizeBytes()
-		}
-		return total
-	case cn.cache != nil:
-		return cn.cache.Stats().UsedBytes
-	default:
-		return 0
-	}
-}
+func (cn *ComputeNode) CacheBytes() uint64 { return cn.node.CacheBytes() }
 
 // ErrValueTooLarge is returned by a write — on any System — whose value, with
 // its key, does not fit the largest leaf (wire.MaxLeafUnits 64-byte units),

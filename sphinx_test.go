@@ -2,7 +2,6 @@ package sphinx
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -202,7 +201,7 @@ func TestPipelineLanesShareSessionOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fabrictest.Queue(t, cluster.f, cluster.sphinxShared.Hot.Load, 0)
+		fabrictest.Queue(t, cluster.cl.F, cluster.cl.Sphinx.Hot.Load, 0)
 		cn := cluster.NewComputeNode()
 		s := cn.NewSession()
 		if err := s.Put(key, []byte("old")); err != nil {
@@ -213,7 +212,7 @@ func TestPipelineLanesShareSessionOptions(t *testing.T) {
 				t.Fatalf("heating MultiGet = %q, %v", r.Value, r.Err)
 			}
 		}
-		if !cn.hotset.Claimed(key) {
+		if !cn.node.Hot.Claimed(key) {
 			t.Fatal("the compute node's tracker never saw the lanes' reads: lanes track hotness privately")
 		}
 		// The routes the lanes' promotion learned serve the session's own client.
@@ -439,61 +438,5 @@ func TestValueTooLarge(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestFilterCacheGrowsTowardBudget loads eight times the keys a cluster was
-// told to expect. Each compute node's filter starts at the size
-// ExpectedKeys needs and doubles as the index outgrows it, its table never
-// past CacheBytes, and every key reads back. A doubling drops what the filter
-// held, so the first Get pass afterwards re-learns the prefixes no later
-// put touched; from the second pass on, the grown filter costs within 2 %
-// of the round trips of one on a cluster that expected every key.
-func TestFilterCacheGrowsTowardBudget(t *testing.T) {
-	const keys = 80_000
-	const budget = 128 << 10
-	// Random 8-byte keys: about 23 000 inner nodes, over half the slots of a
-	// 64 KiB filter, the start for 10 000 keys; one doubling reaches the
-	// budget, where the filter stops.
-	key := func(i int) []byte { return binary.BigEndian.AppendUint64(nil, wire.Mix64(uint64(i))) }
-	getPasses := func(expected int) (rtPerGet [2]float64, grows uint64) {
-		cluster, err := newTestCluster(Config{Timing: TimingInstant, ExpectedKeys: expected, CacheBytes: budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cn := cluster.NewComputeNode()
-		s := cn.NewSession()
-		start := cn.filter.SizeBytes()
-		for i := 0; i < keys; i++ {
-			if err := s.Put(key(i), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-			if size := cn.filter.SizeBytes(); size > budget {
-				t.Fatalf("expected %d: filter of %d B over its %d B budget after %d puts", expected, size, budget, i+1)
-			}
-		}
-		for pass := range rtPerGet {
-			rt0 := s.Stats().RoundTrips
-			for i := 0; i < keys; i++ {
-				if v, ok, err := s.Get(key(i)); err != nil || !ok || string(v) != "v" {
-					t.Fatalf("expected %d: Get(%x) = %q, %v, %v", expected, key(i), v, ok, err)
-				}
-			}
-			rtPerGet[pass] = float64(s.Stats().RoundTrips-rt0) / keys
-		}
-		if size := cn.filter.SizeBytes(); size != budget {
-			t.Errorf("expected %d: filter ends at %d B, short of its %d B budget", expected, size, budget)
-		}
-		st := cn.filter.FilterStats()
-		t.Logf("expected %d: filter %d → %d B, %d doublings dropping %d, %.4f then %.4f RT/Get",
-			expected, start, cn.filter.SizeBytes(), st.Grows, st.GrowDrops, rtPerGet[0], rtPerGet[1])
-		return rtPerGet, st.Grows
-	}
-	grown, grows := getPasses(10_000)
-	if grows == 0 {
-		t.Fatal("the filter of a cluster expecting 10 000 keys never doubled under 80 000")
-	}
-	if sized, _ := getPasses(keys); grown[1] > 1.02*sized[1] {
-		t.Errorf("second Get pass on the grown filter: %.4f RT/op, over 2 %% above the %.4f of one sized for every key", grown[1], sized[1])
 	}
 }

@@ -121,19 +121,19 @@ func TestMeasuredFPRateGauge(t *testing.T) {
 	// exactly like real entries, raising the load — and with it both the
 	// analytic bound and the measured rate — into testable territory.
 	rng := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < 20000 && cn.filter.Load() < 0.85; i++ {
+	for i := 0; i < 20000 && cn.node.Filter.Load() < 0.85; i++ {
 		rng ^= rng << 13
 		rng ^= rng >> 7
 		rng ^= rng << 17
-		cn.filter.Insert(rng)
+		cn.node.Filter.Insert(rng)
 	}
-	load := cn.filter.Load()
+	load := cn.node.Filter.Load()
 	if load < 0.5 {
 		t.Fatalf("could not reach meaningful filter load: %.2f", load)
 	}
 
 	fp0 := s.sphinx.Stats().FalsePositives
-	fst0 := cn.filter.FilterStats()
+	fst0 := cn.node.Filter.FilterStats()
 	const absents = 3000
 	for i, key := range randKeys(absents, 12, 0x5eed) {
 		if _, ok, err := s.Get(key); err != nil || ok {
@@ -141,15 +141,15 @@ func TestMeasuredFPRateGauge(t *testing.T) {
 		}
 	}
 	fp := s.sphinx.Stats().FalsePositives - fp0
-	fst := cn.filter.FilterStats()
+	fst := cn.node.Filter.FilterStats()
 	probes := fst.Hits + fst.Misses - fst0.Hits - fst0.Misses
 	if probes < absents {
 		t.Fatalf("probe accounting off: %d probes for %d absent gets", probes, absents)
 	}
 	measured := float64(fp) / float64(probes)
-	analytic := cn.filter.AnalyticFPBound()
+	analytic := cn.node.Filter.AnalyticFPBound()
 	t.Logf("load %.2f, probes %d, false positives %d: measured %.5f vs analytic %.5f",
-		cn.filter.Load(), probes, fp, measured, analytic)
+		cn.node.Filter.Load(), probes, fp, measured, analytic)
 	if measured < 0.3*analytic || measured > 2.0*analytic {
 		t.Fatalf("measured FP rate %.5f outside [0.3, 2.0]× analytic bound %.5f", measured, analytic)
 	}

@@ -41,7 +41,7 @@ func TestTraceColdGet(t *testing.T) {
 	// The session built "LYR" itself and remembers where it put it. A first
 	// touch is the filter knowing a prefix whose address the cache does not
 	// hold — learned from a peer's traversal, or displaced by leaf addresses.
-	cn.lac.Reset()
+	cn.node.LAC.Reset()
 
 	tr, err := s.Trace("get LYRBIC", func() error {
 		v, ok, err := s.Get([]byte("LYRBIC"))
@@ -287,9 +287,9 @@ func TestTraceHotGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabrictest.Queue(t, cluster.f, cluster.sphinxShared.Hot.Load, 0)
+	fabrictest.Queue(t, cluster.cl.F, cluster.cl.Sphinx.Hot.Load, 0)
 	cn := cluster.NewComputeNode()
-	cn.hotset.SetThresholds(3, 1, 1<<40)
+	cn.node.Hot.SetThresholds(3, 1, 1<<40)
 	s, other := cn.NewSession(), cluster.NewComputeNode().NewSession()
 	key := []byte("popular-key")
 	if err := s.Put(key, []byte("v1")); err != nil {
@@ -358,9 +358,9 @@ func TestTraceReplicatedPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabrictest.Queue(t, cluster.f, cluster.sphinxShared.Hot.Load, 0)
+	fabrictest.Queue(t, cluster.cl.F, cluster.cl.Sphinx.Hot.Load, 0)
 	cn := cluster.NewComputeNode()
-	cn.hotset.SetThresholds(3, 1, 1<<40)
+	cn.node.Hot.SetThresholds(3, 1, 1<<40)
 	s := cn.NewSession()
 	key, popular, value := []byte("plain-key"), []byte("popular-key"), bytes.Repeat([]byte("v"), 1024)
 	for _, k := range [][]byte{key, popular} {
