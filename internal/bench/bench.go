@@ -192,13 +192,10 @@ type Cluster struct {
 	zipf  *ycsb.Zipfian
 	value []byte
 
-	// runMetrics is the current measurement phase's metric set, created
-	// fresh at the top of Load and Run when Cfg.Metrics is set and shared
-	// by every worker client of that phase (obs.Metrics is atomic).
-	runMetrics *obs.Metrics
-	// live is Cfg.Live: the harness-lifetime surface every phase also
-	// reports into (teed with runMetrics on each worker client).
-	live *Live
+	// metrics is the cluster's metric set, shared by every client it mounts
+	// (obs.Metrics is atomic): Cfg.Live's when serving, else its own when
+	// Cfg.Metrics is set, else nil. A phase's section is its diff.
+	metrics *obs.Metrics
 	// index receives SFC/INHT distribution observations from every
 	// Sphinx worker (it accumulates: a phase's section is its diff).
 	index *obs.IndexMetrics
@@ -250,7 +247,7 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Cluster: c, Sys: sys, Cfg: cfg, cns: make([]*cluster.ComputeNode, cfg.CNs), live: cfg.Live}
+	cl := &Cluster{Cluster: c, Sys: sys, Cfg: cfg, cns: make([]*cluster.ComputeNode, cfg.CNs)}
 	for i := range cl.cns {
 		cl.cns[i] = c.NewComputeNode()
 	}
@@ -262,10 +259,9 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 	}
 	switch {
 	case cfg.Live != nil:
-		cl.index = cfg.Live.Index
-		cl.tail = cfg.Live.Tail
+		cl.metrics, cl.index, cl.tail = cfg.Live.Metrics, cfg.Live.Index, cfg.Live.Tail
 	case cfg.Metrics:
-		cl.index = obs.NewIndexMetrics()
+		cl.metrics, cl.index = obs.NewMetrics(), obs.NewIndexMetrics()
 	}
 	cl.keys = dataset.Generate(cfg.Dataset, cfg.Keys, cfg.Seed)
 	cl.space = ycsb.NewKeySpace(cl.keys, dataset.Novel(cfg.Dataset, cfg.Seed+7))
@@ -278,44 +274,28 @@ func NewCluster(sys System, cfg Config) (*Cluster, error) {
 	return cl, nil
 }
 
-// phaseObs composes the harness-lifetime and per-phase batch observers
-// for a worker client, returning nil when neither is active. The nil
-// check matters at the call sites: installing a typed-nil observer would
-// make the interface non-nil and panic on the first batch.
-func (cl *Cluster) phaseObs() fabric.BatchObserver {
-	var live, phase fabric.BatchObserver
-	if cl.live != nil {
-		live = cl.live.Metrics
+// observer is the cluster's metric set as a worker client's batch
+// observer, nil without one: a typed-nil observer would make the interface
+// non-nil and panic on the first batch.
+func (cl *Cluster) observer() fabric.BatchObserver {
+	if cl.metrics == nil {
+		return nil
 	}
-	if cl.runMetrics != nil {
-		phase = cl.runMetrics
-	}
-	switch {
-	case live != nil && phase != nil:
-		return obs.Tee{A: live, B: phase}
-	case live != nil:
-		return live
-	default:
-		return phase
-	}
+	return cl.metrics
 }
 
-// observeOp records one finished operation into the per-phase and
-// harness-lifetime metric sets (whichever are active).
+// observeOp records one finished operation into the cluster's metric set.
 func (cl *Cluster) observeOp(k obs.OpKind, latencyPs int64, roundTrips uint64) {
-	if cl.runMetrics != nil {
-		cl.runMetrics.ObserveOp(k, latencyPs, roundTrips)
-	}
-	if cl.live != nil {
-		cl.live.Metrics.ObserveOp(k, latencyPs, roundTrips)
+	if cl.metrics != nil {
+		cl.metrics.ObserveOp(k, latencyPs, roundTrips)
 	}
 }
 
 // NewIndex mounts the cluster's system for one client of compute node cn
-// (modulo the node count) on a fresh fabric client under the phase's
-// observers. The client is single-worker; CN-level caches are shared.
+// (modulo the node count) on a fresh fabric client under the cluster's
+// metric set. The client is single-worker; CN-level caches are shared.
 func (cl *Cluster) NewIndex(cn int) cluster.Index {
-	return cl.Mount(cl.cns[cn%len(cl.cns)], cl.F.NewClient(), cl.phaseObs(), cl.index, nil)
+	return cl.Mount(cl.cns[cn%len(cl.cns)], cl.F.NewClient(), cl.observer(), cl.index, nil)
 }
 
 // Keys exposes the loaded key set (for verification in tests).

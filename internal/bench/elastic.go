@@ -6,47 +6,20 @@ import (
 	"sync"
 
 	"sphinx/internal/core"
-	"sphinx/internal/fabric"
-	"sphinx/internal/mem"
 	"sphinx/internal/obs"
 	"sphinx/internal/ycsb"
 )
 
-// MNLoad is one memory node's share of a measurement window's NIC
-// traffic. Verbs is the windowed verb count (the per-MN round-trip
-// proxy: every posted work request lands on exactly one MN NIC), WaitPs
-// the windowed queueing delay — the saturation signal rebalancing is
-// supposed to relieve.
-type MNLoad struct {
-	Node   int     `json:"node"`
-	Member bool    `json:"member"` // on the serving ring during this window
-	Verbs  uint64  `json:"verbs"`
-	Bytes  uint64  `json:"bytes"`
-	BusyPs int64   `json:"busy_ps"`
-	WaitPs int64   `json:"wait_ps"`
-	Share  float64 `json:"verb_share"` // of the window's total verbs
-	// RoundTrips is the window's completed doorbell batches charged to
-	// this NIC (gating-node attribution); across a steady window they sum
-	// to exactly the worker clients' own round-trip counters.
-	RoundTrips uint64 `json:"round_trips"`
-}
-
-// MNWindow is the per-MN load breakdown of one steady-state measurement
-// window (no migration traffic: windows run only between transitions).
-// MaxMinRatio is max/min verb share over the ring members of the window;
-// 0 means some member served nothing, i.e. the worst possible imbalance
-// — before rebalancing, a freshly added member's share is exactly that.
+// MNWindow is one steady-state window of the chaos run (no migration
+// traffic: windows run only between transitions): every memory node's load
+// over it (obs.NewLoadWindow; a freshly added member's verb share is 0
+// before rebalancing, and so is the window's MaxMinRatio), and the per-MN
+// attribution check: ClientRTs is the sum of the window's worker-client
+// round-trip counters, which the window's round trips must equal exactly
+// (steady windows have no other traffic source).
 type MNWindow struct {
-	Window      string   `json:"window"`
-	Members     []int    `json:"members"`
-	Loads       []MNLoad `json:"loads"`
-	MaxShare    float64  `json:"max_share"`
-	MinShare    float64  `json:"min_share"`
-	MaxMinRatio float64  `json:"max_min_ratio"`
-	// ClientRTs is the sum of the window's worker-client round-trip
-	// counters; RTsReconciled is the per-MN attribution check — the
-	// windowed per-NIC RoundTrips must sum to exactly ClientRTs (steady
-	// windows have no other traffic source).
+	Window string `json:"window"`
+	obs.LoadWindow
 	ClientRTs     uint64 `json:"client_rts,omitempty"`
 	RTsReconciled *bool  `json:"rts_reconciled,omitempty"`
 }
@@ -199,7 +172,9 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 		t.add(r)
 	}
 
-	// Part 2 — the chaos run.
+	// Part 2 — the chaos run, on a cluster with a metric set: the plane's
+	// SLO engine reads its read latencies.
+	cfg.Metrics = true
 	cl, _, err := loaded(Sphinx, cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("elastic: %w", err)
@@ -227,7 +202,7 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 	}
 	rep.DrainedNode = int(victim)
 
-	run := newChaosRun(cl)
+	run := &chaosRun{cl: cl, led: newLedger(cl.keys, cfg.Workers, cfg.Seed), readsBefore: cl.metrics.OpLatency(obs.OpGet)}
 	// Calibrate the read-latency SLO and bring up the observability
 	// plane before the first measured phase.
 	if err := run.calibrate(); err != nil {
@@ -268,9 +243,9 @@ func Elastic(cfg Config, out io.Writer) ([]Result, *ElasticReport, error) {
 		return nil, nil, err
 	}
 	rep.Windows = []MNWindow{w1, w2, w3}
-	rep.AddedShareBefore = shareOf(w1, int(added))
-	rep.AddedShareAfter = shareOf(w2, int(added))
-	rep.DrainedShareAfter = shareOf(w3, int(victim))
+	rep.AddedShareBefore = w1.Loads[added].VerbShare
+	rep.AddedShareAfter = w2.Loads[added].VerbShare
+	rep.DrainedShareAfter = w3.Loads[victim].VerbShare
 
 	p := cl.Placement()
 	rep.FinalEpoch = p.Epoch
@@ -337,47 +312,30 @@ func (c *ElasticChaos) Cutovers() uint64 {
 	return 0
 }
 
-// shareOf returns a node's verb share in a window.
-func shareOf(w MNWindow, node int) float64 {
-	for _, l := range w.Loads {
-		if l.Node == node {
-			return l.Share
-		}
-	}
-	return 0
-}
-
 // chaosRun is the elastic experiment's add-then-drain run on one
 // cluster: the ledgered passes, and the observability they feed.
 type chaosRun struct {
 	cl  *Cluster
 	led *ledger
 
-	// metrics collects every pass's op latencies for the plane's SLO
-	// engine; worker 0 ticks the plane on its virtual clock offset by
-	// basePs (the accumulated end time of the finished passes — each
-	// pass's clients restart their clocks at zero).
-	metrics   *obs.Metrics
-	plane     *obs.Plane
-	slo       obs.SLO
-	basePs    int64
-	tickEvery int
-	sloPhases []ElasticSLOPhase
+	// The plane's SLO engine reads the run's reads from the cluster's
+	// metric set, which every pass's ops land in: the set's read latencies
+	// less readsBefore, those it held when the run began (a serving
+	// harness's set holds every earlier cluster's). Worker 0 ticks the
+	// plane on its virtual clock offset by basePs (the accumulated end time
+	// of the finished passes — each pass's clients restart their clocks at
+	// zero).
+	readsBefore obs.HistSnapshot
+	plane       *obs.Plane
+	slo         obs.SLO
+	basePs      int64
+	tickEvery   int
+	sloPhases   []ElasticSLOPhase
 	// lastReads is the previous pass's exact read latencies. The
 	// per-phase SLO verdicts are computed from these rather than from
 	// the power-of-two histograms: the one-round-trip cost of an epoch
 	// fallback shifts a read by ~25%, which bucket edges cannot resolve.
 	lastReads latencies
-}
-
-// newChaosRun installs the run's metric set as the cluster's phase set,
-// which is where the driver's workers report every op: unlike Load and
-// Run, the chaos passes share one set, so the plane's SLO engine sees
-// cumulative histograms.
-func newChaosRun(cl *Cluster) *chaosRun {
-	r := &chaosRun{cl: cl, led: newLedger(cl.keys, cl.Cfg.Workers, cl.Cfg.Seed), metrics: obs.NewMetrics()}
-	cl.runMetrics = r.metrics
-	return r
 }
 
 // calibrate runs one full ledgered pass under the same contention as
@@ -415,7 +373,7 @@ func (r *chaosRun) calibrate() error {
 		WindowPs: max(r.basePs/8, 1),
 		Windows:  512,
 		Collect:  r.cl.CollectMNs,
-		Latency:  r.metrics.OpLatency,
+		Latency:  func(obs.OpKind) obs.HistSnapshot { return r.cl.metrics.OpLatency(obs.OpGet).Sub(r.readsBefore) },
 		SLOs:     []obs.SLO{r.slo},
 	})
 	r.plane = plane
@@ -434,13 +392,8 @@ func (r *chaosRun) window(name string) (MNWindow, error) {
 	if err != nil {
 		return MNWindow{}, fmt.Errorf("%s: %w", name, err)
 	}
-	w := nicWindow(name, before, cl.F.NICStats(), cl.Nodes())
-	w.ClientRTs = t.net.RoundTrips
-	var mnRTs uint64
-	for _, ld := range w.Loads {
-		mnRTs += ld.RoundTrips
-	}
-	ok := mnRTs == w.ClientRTs
+	w := MNWindow{Window: name, LoadWindow: obs.NewLoadWindow(before, cl.F.NICStats(), cl.Nodes()), ClientRTs: t.net.RoundTrips}
+	ok := w.RoundTrips == w.ClientRTs
 	w.RTsReconciled = &ok
 	return w, nil
 }
@@ -611,54 +564,4 @@ func (r *chaosRun) pass(name string, trigger *chaosTrigger) (tally, error) {
 	}
 	r.sloPhases = append(r.sloPhases, sp)
 	return t, nil
-}
-
-// nicWindow diffs two NIC snapshots into a per-MN load window.
-func nicWindow(name string, before, after []fabric.NICStats, members []mem.NodeID) MNWindow {
-	member := make(map[int]bool, len(members))
-	w := MNWindow{Window: name}
-	for _, n := range members {
-		member[int(n)] = true
-		w.Members = append(w.Members, int(n))
-	}
-	prev := make(map[mem.NodeID]fabric.NICStats, len(before))
-	for _, s := range before {
-		prev[s.Node] = s
-	}
-	var total uint64
-	for _, s := range after {
-		p := prev[s.Node]
-		l := MNLoad{
-			Node:       int(s.Node),
-			Member:     member[int(s.Node)],
-			Verbs:      s.Verbs - p.Verbs,
-			Bytes:      s.Bytes - p.Bytes,
-			BusyPs:     s.BusyPs - p.BusyPs,
-			WaitPs:     s.WaitPs - p.WaitPs,
-			RoundTrips: s.RoundTrips - p.RoundTrips,
-		}
-		total += l.Verbs
-		w.Loads = append(w.Loads, l)
-	}
-	first := true
-	for i := range w.Loads {
-		if total > 0 {
-			w.Loads[i].Share = float64(w.Loads[i].Verbs) / float64(total)
-		}
-		if !w.Loads[i].Member {
-			continue
-		}
-		s := w.Loads[i].Share
-		if first || s > w.MaxShare {
-			w.MaxShare = s
-		}
-		if first || s < w.MinShare {
-			w.MinShare = s
-		}
-		first = false
-	}
-	if w.MinShare > 0 {
-		w.MaxMinRatio = w.MaxShare / w.MinShare
-	}
-	return w
 }

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
+	"sync"
 
 	"sphinx/internal/core"
 )
@@ -96,26 +96,30 @@ func Failover(cfg Config, out io.Writer) (*FailoverReport, error) {
 		}
 	}
 
-	// One ledgered pass; worker 0 kills the victim halfway through its
-	// own loop. preOps counts, per worker, the ops that finished before
-	// the kill: the split point of its latency sample.
+	// One ledgered pass split at op killAt: every worker stops there until
+	// all have arrived, one of them kills the victim, and all go on, so
+	// each worker's first killAt ops ran before the kill and the rest
+	// after it.
 	ops := cfg.OpsPerWorker
 	killAt := ops / 2
-	var killed atomic.Bool
-	preOps := make([]int, cfg.Workers)
+	var arrived sync.WaitGroup
+	arrived.Add(cfg.Workers)
+	var kill sync.Once
 	led := newLedger(cl.keys, cfg.Workers, cfg.Seed)
 	ws, err := cl.drive(cfg.Workers, cl.sequential, func(w *worker) error {
+		arrive := sync.OnceFunc(arrived.Done)
+		defer arrive() // a worker that fails before killAt must not hold the others
 		rng := led.stream(w.id)
 		for i := 0; i < ops; i++ {
-			if w.id == 0 && i == killAt {
-				cl.F.KillNode(victim)
-				killed.Store(true)
+			if i == killAt {
+				arrive()
+				kill.Do(func() {
+					arrived.Wait()
+					cl.F.KillNode(victim)
+				})
 			}
 			if _, _, err := led.op(w, &rng, i); err != nil {
 				return err
-			}
-			if !killed.Load() {
-				preOps[w.id] = i + 1
 			}
 		}
 		return nil
@@ -124,11 +128,10 @@ func Failover(cfg Config, out io.Writer) (*FailoverReport, error) {
 		return nil, err
 	}
 
-	// Latency split at the kill.
 	var preLists, postLists [][]int64
 	for _, w := range ws {
-		preLists = append(preLists, w.lat[:preOps[w.id]])
-		postLists = append(postLists, w.lat[preOps[w.id]:])
+		preLists = append(preLists, w.lat[:killAt])
+		postLists = append(postLists, w.lat[killAt:])
 	}
 	pre, post := sortLatencies(preLists...), sortLatencies(postLists...)
 	rep.PreKillOps, rep.PostKillOps = uint64(len(pre)), uint64(len(post))

@@ -45,4 +45,9 @@ func TestFailoverExperimentSmoke(t *testing.T) {
 	if rep.PostKillOps == 0 || rep.PreKillOps == 0 {
 		t.Errorf("latency split empty: pre=%d post=%d", rep.PreKillOps, rep.PostKillOps)
 	}
+	// The split is by op index: every worker's first OpsPerWorker/2 ops
+	// ran before the kill, whatever the goroutines' schedule.
+	if want := uint64(cfg.Workers * (cfg.OpsPerWorker / 2)); rep.PreKillOps != want {
+		t.Errorf("pre-kill sample is %d ops, want %d (%d workers x %d)", rep.PreKillOps, want, cfg.Workers, cfg.OpsPerWorker/2)
+	}
 }

@@ -41,22 +41,22 @@ type MetricsBlock struct {
 	HotReconciled *bool `json:"hot_reconciled,omitempty"`
 }
 
-// beginPhaseMetrics opens a measured phase's section: a fresh metric set for
-// the phase's workers, the snapshot the phase registry's diff starts from and
-// the per-MN NIC counters. The returned func closes the section into r, whose
-// Depth and RoundTrips must be set; it does nothing when Config.Metrics is
-// off.
+// beginPhaseMetrics opens a measured phase's section: the snapshot of the
+// cluster's registry the section's diff starts from and the per-MN NIC
+// counters its load window starts from. The returned func closes the
+// section into r, whose Depth and RoundTrips must be set; it does nothing
+// when Config.Metrics is off.
 func (cl *Cluster) beginPhaseMetrics() func(r *Result) {
 	if !cl.Cfg.Metrics {
 		return func(*Result) {}
 	}
-	cl.runMetrics = obs.NewMetrics()
-	reg := register(cl.runMetrics, cl.index, cl.tail, func() *core.IndexSources { return cl.src })
+	reg := register(cl.metrics, cl.index, cl.tail, func() *core.IndexSources { return cl.src })
 	start, nics := reg.Snapshot(), cl.F.NICStats()
 	return func(r *Result) {
 		r.Metrics = &MetricsBlock{Snapshot: reg.Snapshot().Sub(start)}
 		r.Metrics.reconcile(r.RoundTrips, r.Depth)
-		cl.attachMNShares(r, nics)
+		w := obs.NewLoadWindow(nics, cl.F.NICStats(), cl.Nodes())
+		r.MNShares, r.MNImbalance = w.Loads, w.Imbalance
 	}
 }
 

@@ -84,15 +84,14 @@ type Result struct {
 	// Config.Metrics is set.
 	RoundTrips uint64 `json:"round_trips,omitempty"`
 
-	// MNShares is the per-memory-node breakdown of this measurement
-	// window's fabric round trips (each Load/Run phase is one window:
-	// NIC counters are snapshotted at phase start and diffed at the end).
-	// MNImbalance is the window's normalized hotspot scalar: the busiest
-	// member node's round-trip share over the mean share (1.0 = perfectly
-	// balanced, N = everything on one of N nodes). Present only when
-	// Config.Metrics is set.
-	MNShares    []MNShare `json:"mn_shares,omitempty"`
-	MNImbalance float64   `json:"mn_imbalance,omitempty"`
+	// MNShares is every memory node's load over the phase (each Load/Run
+	// phase is one window of obs.NewLoadWindow: NIC counters taken at phase
+	// start and diffed at the end); MNImbalance is the window's hotspot
+	// scalar, the busiest member's round trips over the member mean (1.0 =
+	// perfectly balanced, N = everything on one of N nodes). Present only
+	// when Config.Metrics is set.
+	MNShares    []obs.NodeLoad `json:"mn_shares,omitempty"`
+	MNImbalance float64        `json:"mn_imbalance,omitempty"`
 
 	// Metrics is the phase's observability section: the registry's diff
 	// over the phase plus the reconciliation verdicts. Present only when
@@ -159,7 +158,7 @@ func (cl *Cluster) sequential(w *worker, cn *cluster.ComputeNode) {
 		w.rec = obs.NewRecorder()
 	}
 	w.fc = cl.F.NewClient()
-	w.idx = cl.Mount(cn, w.fc, cl.phaseObs(), cl.index, w.rec)
+	w.idx = cl.Mount(cn, w.fc, cl.observer(), cl.index, w.rec)
 }
 
 // noSpec mounts a sequential client like sequential but without the
@@ -364,7 +363,7 @@ func (cl *Cluster) Run(w ycsb.Workload, workers, opsPerWorker int) (Result, erro
 	mount := cl.sequential
 	if depth > 1 && cl.src.Shared != nil {
 		mount = func(wk *worker, cn *cluster.ComputeNode) {
-			o := cl.phaseObs()
+			o := cl.observer()
 			wk.fc = cl.F.NewClient()
 			wk.fc.SetObserver(o)
 			wk.pl = cl.Pipeline(cn, wk.fc, o, cl.index)
@@ -568,7 +567,7 @@ func (cl *Cluster) summarize(workload string, ws []*worker, t tally) Result {
 	r.TransientFaults = t.net.Transients
 	r.Timeouts = t.net.Timeouts
 	r.NodeDownRejects = t.net.NodeDownRejects
-	if cl.runMetrics != nil {
+	if cl.Cfg.Metrics {
 		r.RoundTrips = t.net.RoundTrips
 	}
 	return r

@@ -4,8 +4,6 @@ import (
 	"sync/atomic"
 
 	"sphinx/internal/core"
-	"sphinx/internal/fabric"
-	"sphinx/internal/mem"
 	"sphinx/internal/obs"
 )
 
@@ -101,62 +99,4 @@ func register(m *obs.Metrics, index *obs.IndexMetrics, tail *obs.TailSampler, sr
 	}
 	core.RegisterIndex(r, src)
 	return r
-}
-
-// MNShare is one memory node's slice of a measurement window's fabric
-// round trips, with the NIC busy/queued-wait time that round-trip load
-// produced (the hotspot signal the contention-aware replica choice
-// steers by).
-type MNShare struct {
-	Node       int     `json:"node"`
-	RoundTrips uint64  `json:"round_trips"`
-	Share      float64 `json:"share"`
-	BusyPs     int64   `json:"busy_ps,omitempty"`
-	WaitPs     int64   `json:"wait_ps,omitempty"`
-}
-
-// attachMNShares diffs the per-MN NIC counters against the phase-start
-// baseline and attaches the window's shares plus the normalized
-// max/mean imbalance scalar (computed over current member nodes, so a
-// killed or drained node does not deflate the mean).
-func (cl *Cluster) attachMNShares(r *Result, base []fabric.NICStats) {
-	cur := cl.F.NICStats()
-	baseByNode := make(map[mem.NodeID]fabric.NICStats, len(base))
-	for _, b := range base {
-		baseByNode[b.Node] = b
-	}
-	members := make(map[mem.NodeID]bool)
-	for _, n := range cl.Nodes() {
-		members[n] = true
-	}
-	var total, maxMemberRT uint64
-	shares := make([]MNShare, 0, len(cur))
-	for _, st := range cur {
-		b := baseByNode[st.Node]
-		rt := st.RoundTrips - b.RoundTrips
-		total += rt
-		if members[st.Node] && rt > maxMemberRT {
-			maxMemberRT = rt
-		}
-		if rt == 0 && !members[st.Node] {
-			continue
-		}
-		shares = append(shares, MNShare{
-			Node:       int(st.Node),
-			RoundTrips: rt,
-			BusyPs:     st.BusyPs - b.BusyPs,
-			WaitPs:     st.WaitPs - b.WaitPs,
-		})
-	}
-	if total == 0 {
-		return
-	}
-	for i := range shares {
-		shares[i].Share = float64(shares[i].RoundTrips) / float64(total)
-	}
-	r.MNShares = shares
-	if n := len(members); n > 0 {
-		mean := float64(total) / float64(n)
-		r.MNImbalance = float64(maxMemberRT) / mean
-	}
 }

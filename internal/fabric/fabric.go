@@ -353,21 +353,21 @@ func (f *Fabric) ResetTimelines() {
 
 // NICStats is a snapshot of one memory node's NIC counters.
 type NICStats struct {
-	Node   mem.NodeID
-	BusyPs int64
+	Node   mem.NodeID `json:"node"`
+	BusyPs int64      `json:"busy_ps"`
 	// WaitPs is cumulative queueing delay: how long arriving batches had
 	// to wait for a saturated NIC. A node whose WaitPs grows much faster
 	// than its peers' is a placement hotspot — the signal the elastic
 	// rebalancing experiment tracks before and after a membership change.
-	WaitPs int64
-	Verbs  uint64
-	Bytes  uint64
+	WaitPs int64  `json:"wait_ps"`
+	Verbs  uint64 `json:"verbs"`
+	Bytes  uint64 `json:"bytes"`
 	// RoundTrips counts completed doorbell batches attributed to this
 	// node: each batch is charged to the single NIC whose reservation
 	// gated its completion (ties break to the lowest node ID), so the
 	// sum over all nodes equals the clients' RoundTrips total exactly.
-	RoundTrips uint64
-	Faults     uint64 // injected faults on batches targeting this NIC
+	RoundTrips uint64 `json:"round_trips"`
+	Faults     uint64 `json:"faults"` // injected faults on batches targeting this NIC
 }
 
 // NICStats returns the NIC counters of every node.

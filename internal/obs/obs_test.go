@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -259,5 +260,35 @@ func TestRegistrySnapshotDiffAndExport(t *testing.T) {
 	}
 	if decoded.Counters["cache_hits"] != 5 || len(decoded.Hists) == 0 {
 		t.Errorf("JSON export = %+v", decoded)
+	}
+}
+
+// TestSnapshotSubReadsLikeAFreshSet diffs one long-lived metric set over a
+// second interval and compares it with a set made for that interval: a
+// stage or op the interval did not move is absent from both, histograms
+// and the stage's verbs / bytes / faults triple alike.
+func TestSnapshotSubReadsLikeAFreshSet(t *testing.T) {
+	long, fresh := NewMetrics(), NewMetrics()
+	rl, rf := NewRegistry(), NewRegistry()
+	rl.AddMetrics("bench", long)
+	rf.AddMetrics("bench", fresh)
+
+	long.ObserveBatch(fabric.BatchEvent{Stage: fabric.StageLock, RoundTrips: 1, Verbs: 2, Bytes: 16})
+	long.ObserveOp(OpPut, 3_000_000, 2)
+	start := rl.Snapshot()
+	for _, m := range []*Metrics{long, fresh} {
+		m.ObserveBatch(fabric.BatchEvent{Stage: fabric.StageHashRead, RoundTrips: 1, Verbs: 1, Bytes: 64})
+		m.ObserveBatch(fabric.BatchEvent{Stage: fabric.StageLeafRead, Verbs: 1, Err: fabric.ErrTransient})
+		m.ObserveOp(OpGet, 1_000_000, 2)
+	}
+	diff, want := rl.Snapshot().Sub(start), rf.Snapshot()
+	if !reflect.DeepEqual(diff, want) {
+		t.Errorf("diff over the interval:\n%+v\nset made for it:\n%+v", diff, want)
+	}
+	if _, ok := diff.Counters[`bench_stage_verbs{stage="lock"}`]; ok {
+		t.Error("the lock stage's counters survived an interval that did not move them")
+	}
+	if _, ok := diff.Counters[`bench_stage_faults{stage="hash-read"}`]; !ok {
+		t.Error("a moved stage's zero fault counter is missing")
 	}
 }

@@ -17,22 +17,14 @@ import (
 // clock drivers (tests, bench) pick much shorter windows.
 const DefaultWindowPs = 250_000_000_000
 
-// MNSample is one memory node's cumulative counters and instantaneous
-// gauges as seen by a collector. The plane differences the counters
-// between ticks; the gauges pass through.
+// MNSample is one memory node's cumulative NIC counters (monotone since
+// fabric creation; the plane windows them) and instantaneous gauges as
+// seen by a collector.
 type MNSample struct {
-	Node       int
+	fabric.NICStats
 	Member     bool    // in the current placement ring
 	Health     string  // breaker state: closed / open / dead
 	HealthCode float64 // 0 closed, 1 open, 2 dead
-
-	// Cumulative NIC counters (monotone since fabric creation).
-	RoundTrips uint64
-	Verbs      uint64
-	Bytes      uint64
-	Faults     uint64
-	BusyPs     int64
-	WaitPs     int64
 
 	// Instantaneous gauges.
 	HashLoad    float64 // racehash load factor across the node's tables
@@ -60,12 +52,7 @@ func CollectMNs(f *fabric.Fabric, members []mem.NodeID, tables map[mem.NodeID]ra
 	for _, st := range stats {
 		n := st.Node
 		state := h.State(n)
-		s := MNSample{
-			Node: int(n), Member: member[n],
-			Health: state.String(), HealthCode: float64(state),
-			RoundTrips: st.RoundTrips, Verbs: st.Verbs, Bytes: st.Bytes,
-			Faults: st.Faults, BusyPs: st.BusyPs, WaitPs: st.WaitPs,
-		}
+		s := MNSample{NICStats: st, Member: member[n], Health: state.String(), HealthCode: float64(state)}
 		if t, ok := tables[n]; ok {
 			u := racehash.ReadUsage(f.Region(n), t)
 			s.HashLoad = u.LoadFactor()
@@ -151,7 +138,7 @@ type Plane struct {
 }
 
 type mnState struct {
-	prev   MNSample
+	prev   fabric.NICStats // the counters at the last tick
 	status MNStatus
 	busy   *Series
 	share  *Series
@@ -225,57 +212,50 @@ func (p *Plane) Tick(nowPs int64) {
 		"health":          {},
 	}
 
-	var totalVerbs uint64
-	deltas := make([]MNSample, len(samples))
+	// The window since the last tick: a node met for the first time counts
+	// from zero.
+	start, end := make([]fabric.NICStats, len(samples)), make([]fabric.NICStats, len(samples))
+	var members []mem.NodeID
 	for i, s := range samples {
-		st := p.nodes[s.Node]
+		st := p.nodes[int(s.Node)]
 		if st == nil {
 			busy, _ := NewSeries(p.windowPs, p.windows)
 			share, _ := NewSeries(p.windowPs, p.windows)
 			rts, _ := NewSeries(p.windowPs, p.windows)
-			st = &mnState{busy: busy, share: share, rts: rts}
-			p.nodes[s.Node] = st
+			st = &mnState{prev: fabric.NICStats{Node: s.Node}, busy: busy, share: share, rts: rts}
+			p.nodes[int(s.Node)] = st
 		}
-		d := MNSample{
-			RoundTrips: s.RoundTrips - st.prev.RoundTrips,
-			Verbs:      s.Verbs - st.prev.Verbs,
-			Bytes:      s.Bytes - st.prev.Bytes,
-			Faults:     s.Faults - st.prev.Faults,
-			BusyPs:     s.BusyPs - st.prev.BusyPs,
-			WaitPs:     s.WaitPs - st.prev.WaitPs,
+		start[i], end[i] = st.prev, s.NICStats
+		if s.Member {
+			members = append(members, s.Node)
 		}
-		deltas[i] = d
-		totalVerbs += d.Verbs
 	}
+	win := NewLoadWindow(start, end, members)
 	for i, s := range samples {
-		st := p.nodes[s.Node]
-		d := deltas[i]
+		st := p.nodes[int(s.Node)]
+		d := win.Loads[i]
 		busy := float64(d.BusyPs) / float64(dt)
 		wait := float64(d.WaitPs) / float64(dt)
-		share := 0.0
-		if totalVerbs > 0 {
-			share = float64(d.Verbs) / float64(totalVerbs)
-		}
 		occ := 0.0
 		if s.ArenaCap > 0 {
 			occ = float64(s.ArenaUsed) / float64(s.ArenaCap)
 		}
 		st.busy.Record(nowPs, busy)
-		st.share.Record(nowPs, share)
+		st.share.Record(nowPs, d.VerbShare)
 		st.rts.Record(nowPs, float64(d.RoundTrips))
 		st.status = MNStatus{
-			Node: s.Node, Member: s.Member, Health: s.Health,
-			BusyRatio: busy, WaitRatio: wait, VerbShare: share,
+			Node: int(s.Node), Member: s.Member, Health: s.Health,
+			BusyRatio: busy, WaitRatio: wait, VerbShare: d.VerbShare,
 			WindowVerbs: d.Verbs, WindowRTs: d.RoundTrips,
 			HashLoad: s.HashLoad, HashEntries: s.HashEntries, ArenaOccupancy: occ,
 			Verbs: s.Verbs, RoundTrips: s.RoundTrips, Bytes: s.Bytes, Faults: s.Faults,
 		}
-		st.prev = s
+		st.prev = s.NICStats
 
-		label := strconv.Itoa(s.Node)
+		label := strconv.Itoa(int(s.Node))
 		signals["nic_busy_ratio"][label] = busy
 		signals["nic_wait_ratio"][label] = wait
-		signals["nic_verb_share"][label] = share
+		signals["nic_verb_share"][label] = d.VerbShare
 		signals["hash_load"][label] = s.HashLoad
 		signals["arena_occupancy"][label] = occ
 		signals["health"][label] = s.HealthCode

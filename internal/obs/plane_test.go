@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"sphinx/internal/fabric"
 )
 
 // fakeMNs is a mutable collector backing for plane tests.
@@ -36,14 +38,14 @@ func TestPlaneWindowedDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.set(
-		MNSample{Node: 0, Member: true, Health: "closed", Verbs: 100, RoundTrips: 40, BusyPs: 500},
-		MNSample{Node: 1, Member: true, Health: "closed", Verbs: 100, RoundTrips: 30, BusyPs: 300},
+		MNSample{NICStats: fabric.NICStats{Node: 0, Verbs: 100, RoundTrips: 40, BusyPs: 500}, Member: true, Health: "closed"},
+		MNSample{NICStats: fabric.NICStats{Node: 1, Verbs: 100, RoundTrips: 30, BusyPs: 300}, Member: true, Health: "closed"},
 	)
 	p.Tick(1000)
 	// Second tick: node 0 did 300 more verbs, node 1 did 100.
 	f.set(
-		MNSample{Node: 0, Member: true, Health: "closed", Verbs: 400, RoundTrips: 90, BusyPs: 1300},
-		MNSample{Node: 1, Member: true, Health: "closed", Verbs: 200, RoundTrips: 50, BusyPs: 500},
+		MNSample{NICStats: fabric.NICStats{Node: 0, Verbs: 400, RoundTrips: 90, BusyPs: 1300}, Member: true, Health: "closed"},
+		MNSample{NICStats: fabric.NICStats{Node: 1, Verbs: 200, RoundTrips: 50, BusyPs: 500}, Member: true, Health: "closed"},
 	)
 	p.Tick(2000)
 
@@ -79,7 +81,7 @@ func TestSLOBurn(t *testing.T) {
 	var h Histogram
 	slo := SLO{Name: "read-p99", Op: OpGet, Quantile: 0.99, LatencyPs: 1 << 20}
 	f := &fakeMNs{}
-	f.set(MNSample{Node: 0, Member: true, Health: "closed"})
+	f.set(MNSample{NICStats: fabric.NICStats{Node: 0}, Member: true, Health: "closed"})
 	p, err := NewPlane(PlaneOptions{
 		WindowPs: 1000, Windows: 8, Collect: f.collect,
 		Latency: func(OpKind) HistSnapshot { return h.Snapshot() },
@@ -248,7 +250,7 @@ func TestAlertOrderIsDeterministic(t *testing.T) {
 func TestPlaneRegisterFamilies(t *testing.T) {
 	var h Histogram
 	f := &fakeMNs{}
-	f.set(MNSample{Node: 0, Member: true, Health: "closed", Verbs: 10, RoundTrips: 5,
+	f.set(MNSample{NICStats: fabric.NICStats{Node: 0, Verbs: 10, RoundTrips: 5}, Member: true, Health: "closed",
 		ArenaUsed: 256, ArenaCap: 1024, HashLoad: 0.5})
 	p, err := NewPlane(PlaneOptions{
 		WindowPs: 1000, Windows: 4, Collect: f.collect,

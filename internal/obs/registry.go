@@ -157,7 +157,10 @@ type Snapshot struct {
 
 // Sub returns s - prev, entry-wise; entries absent from prev are taken
 // as zero. Gauges are instantaneous readings, not monotone counters, so
-// the diff carries s's values unchanged.
+// the diff carries s's values unchanged. What a fresh source would not
+// export stays out, so a diff over one long-lived metric set reads like a
+// set made for the interval: a histogram with no count, and a stage's
+// verbs / bytes / faults counters when none of the three moved.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	out := Snapshot{
 		Counters: make(map[string]uint64, len(s.Counters)),
@@ -174,6 +177,17 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		d := v.Sub(prev.Hists[k])
 		if d.Count != 0 {
 			out.Hists[k] = d
+		}
+	}
+	for k := range out.Counters {
+		if name, labels := splitName(k); strings.HasSuffix(name, "_stage_verbs") {
+			family := strings.TrimSuffix(name, "verbs")
+			bytes, faults := family+"bytes"+labels, family+"faults"+labels
+			if out.Counters[k] == 0 && out.Counters[bytes] == 0 && out.Counters[faults] == 0 {
+				delete(out.Counters, k)
+				delete(out.Counters, bytes)
+				delete(out.Counters, faults)
+			}
 		}
 	}
 	return out
