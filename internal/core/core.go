@@ -245,6 +245,11 @@ type Stats struct {
 	// Cutovers counts membership transitions this client retired after
 	// convergence.
 	Cutovers uint64
+	// ScanRootFallbacks counts scans of a client with the filter, from a lo,
+	// that ran from the root after all: no node of lo's path verified, or
+	// the seeded scan failed — a restart, a fault (DESIGN.md §5.15). The
+	// seeded ones are rart.EngineStats.ScanSeeded.
+	ScanRootFallbacks uint64
 	// HotHits counts Gets served by one verified hot-replica read (the
 	// replicated 1-RT path of the hot-spot tolerance layer).
 	HotHits uint64
@@ -337,6 +342,7 @@ type Client struct {
 	readScratch []racehash.PreparedRead // the filter-less locate's bucket pairs
 	opScratch   []fabric.Op
 	nodeScratch []*rart.Node
+	pathScratch []pathCand // a seeded scan's nodes of lo's path (scanPath)
 
 	// pub carries the hash-table publications of the structural write in
 	// progress (see publisher).

@@ -218,17 +218,144 @@ func (c *Client) land(view *racehash.View, prefix []byte, cands []racehash.Candi
 	return found, nil
 }
 
-// refuted reports whether n, read as prefix's node, is not its live node:
-// retired, or failing the §III-B metadata checks (depth, 42-bit prefix hash).
-// A refuted landing gives back the leases the engine's hand holds — the one a
-// bet won with n among them — and the rest of the round goes on without them.
+// refuted reports whether n, read as prefix's node, is not its live node
+// (liveNode). A refuted landing gives back the leases the engine's hand holds
+// — the one a bet won with n among them — and the rest of the round goes on
+// without them.
 func (c *Client) refuted(n *rart.Node, prefix []byte) bool {
-	if n.Hdr.Status != wire.StatusInvalid &&
-		int(n.Hdr.Depth) == len(prefix) && n.Hdr.PrefixHash == wire.PrefixHash42(prefix) {
+	if liveNode(n, prefix) {
 		return false
 	}
 	c.eng.Release(rart.BetRefuted)
 	return true
+}
+
+// liveNode reports whether n, read as prefix's node, passes the §III-B
+// metadata checks of Fig. 3: not retired, depth and 42-bit prefix hash
+// prefix's.
+func liveNode(n *rart.Node, prefix []byte) bool {
+	return n.Hdr.Status != wire.StatusInvalid &&
+		int(n.Hdr.Depth) == len(prefix) && n.Hdr.PrefixHash == wire.PrefixHash42(prefix)
+}
+
+// pathCand is a node a seeded scan reads on lo's path: the length of its
+// prefix and the entry that names it — remembered by the leaf-address cache,
+// found in the table, or, before the table's batch, none yet.
+type pathCand struct {
+	l          int
+	entry      wire.HashEntry
+	remembered bool
+}
+
+// scanPath finds lo's path for a seeded scan (DESIGN.md §5.15) as locate finds
+// a point operation's landing, for every prefix at once: the filter names the
+// prefixes, the leaf-address cache remembers where some of their nodes are,
+// and ONE batch of the others' bucket pairs in the table names the rest (none
+// when every address is remembered); ONE batch reads every node named. A path
+// of one node that only the table names is not asked for: the root's read and
+// its frontier's first round reach it as soon, and read its siblings too. What
+// the images say is booked as for a point landing: a remembered address whose
+// image is not the prefix's live node is unlearned, one leased by someone else
+// kept but not trusted (fetchRemembered), a node the table led to remembered,
+// and a prefix the table holds no live node of unlearned from the filter (a
+// false positive; not while a migration may hold it in the previous epoch's
+// table). It returns the nodes that passed, deepest first, in client scratch:
+// none when none did.
+func (c *Client) scanPath(lo []byte) ([]*rart.Node, error) {
+	defer c.eng.C.SetStage(c.eng.C.SetStage(fabric.StageHashRead))
+	p := c.members.Current()
+	c.readScratch = slices.Grow(c.readScratch[:0], len(lo))[:len(lo)]
+	cands, ops := c.pathScratch[:0], c.opScratch[:0]
+	for l := len(lo); l >= 1; l-- {
+		prefix := lo[:l]
+		if !c.filter.Contains(PrefixFilterHash(prefix)) {
+			continue
+		}
+		if c.lac != nil {
+			if addr, t, ok := c.lac.LookupNode(prefix); ok {
+				cands = append(cands, pathCand{l, wire.HashEntry{Valid: true, Type: t, Addr: addr}, true})
+				continue
+			}
+		}
+		if err := c.viewOf(c.placeIn(p, prefix)).PrepareInto(&c.readScratch[l-1], racehash.PlacementHash(prefix)); err != nil {
+			return nil, err
+		}
+		ops = c.readScratch[l-1].AppendOps(ops)
+		cands = append(cands, pathCand{l: l})
+	}
+	c.pathScratch, c.opScratch = cands, ops
+	if len(ops) > 0 {
+		if len(cands) == 1 {
+			return nil, nil
+		}
+		if err := c.eng.C.Batch(ops); err != nil {
+			return nil, err
+		}
+	}
+	// The table's entries, behind the prefixes that asked for them. A pair a
+	// stale directory cache fetched says nothing: its prefix is left out, and
+	// the cache refreshed for the next operation, which may be a scan again.
+	for i, asked := 0, len(cands); i < asked; i++ {
+		l, read := cands[i].l, &c.readScratch[cands[i].l-1]
+		if cands[i].remembered {
+			continue
+		}
+		if !read.Valid() {
+			if err := c.viewOf(c.placeIn(p, lo[:l])).Refresh(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		c.candScratch = read.AppendCandidates(c.candScratch[:0], wire.FP12(lo[:l]))
+		for _, cand := range c.candScratch {
+			cands = append(cands, pathCand{l: l, entry: cand.Entry})
+		}
+	}
+	c.eng.C.SetStage(fabric.StageNodeRead)
+	ops = ops[:0]
+	for _, pc := range cands {
+		if pc.entry.Valid {
+			ops = c.eng.AppendNodeRead(ops, pc.entry.Addr, pc.entry.Type)
+		}
+	}
+	c.pathScratch, c.opScratch = cands, ops
+	if len(ops) == 0 {
+		return nil, nil
+	}
+	if err := c.eng.C.Batch(ops); err != nil {
+		return nil, err
+	}
+	// Deepest first: the node of prefix length l at len(lo)-l.
+	path := slices.Grow(c.nodeScratch[:0], len(lo))[:len(lo)]
+	clear(path)
+	for _, pc := range cands {
+		if !pc.entry.Valid {
+			continue
+		}
+		prefix := lo[:pc.l]
+		n, err := c.eng.Decode(pc.entry.Addr, ops[0].Data)
+		ops = ops[1:]
+		switch live := err == nil && liveNode(n, prefix); {
+		case live && (!pc.remembered || n.LeaseWord == 0):
+			if path[len(lo)-pc.l] == nil {
+				path[len(lo)-pc.l] = n
+				if !pc.remembered {
+					c.lac.LearnNode(prefix, n.Addr, n.Hdr.Type)
+				}
+			}
+		case pc.remembered && !live:
+			c.lac.UnlearnNodeAt(prefix, pc.entry.Addr)
+		}
+	}
+	for i := range cands {
+		if pc := cands[i]; !pc.remembered && !pc.entry.Valid && c.readScratch[pc.l-1].Valid() &&
+			path[len(lo)-pc.l] == nil && c.prevViewFor(p, lo[:pc.l]) == nil {
+			atomic.AddUint64(&c.stats.FalsePositives, 1)
+			c.filter.Delete(PrefixFilterHash(lo[:pc.l]))
+		}
+	}
+	c.nodeScratch = path
+	return slices.DeleteFunc(path, func(n *rart.Node) bool { return n == nil }), nil
 }
 
 // readCandidates fetches candidate inner nodes in one doorbell batch.

@@ -259,6 +259,34 @@ func (c *Client) noteScan(before rart.EngineStats) {
 		st.ScanEmitted-before.ScanEmitted, st.ScanReresolved-before.ScanReresolved)
 }
 
+// scanSeeded is a scan's first try with the filter and a lo (DESIGN.md
+// §5.15): the frontier seeded from lo's path (scanPath, rart.Engine.ScanPath)
+// instead of the root. Like a refuted speculation, a try that fails — no node
+// of the path worth seeding verified, a restart, a fault — is a routing
+// decision: the scan goes to the root, with the driver's whole budget (false).
+func (c *Client) scanSeeded(lo, hi []byte, limit int) ([]rart.KV, bool) {
+	if c.filter == nil || lo == nil {
+		c.rec.Note(fabric.StageScan, c.eng.C.Clock(), "scan start: root")
+		return nil, false
+	}
+	path, err := c.scanPath(lo)
+	if err == nil && len(path) > 0 {
+		c.rec.Note(fabric.StageScan, c.eng.C.Clock(), "scan start: lo's path, %d nodes verified, landing at depth %d",
+			uint64(len(path)), uint64(path[0].Hdr.Depth))
+		var kvs []rart.KV
+		if kvs, err = c.eng.ScanPath(path, c.shared.Root, lo, hi, limit, true); err == nil {
+			return kvs, true
+		}
+	}
+	atomic.AddUint64(&c.stats.ScanRootFallbacks, 1)
+	if err == nil {
+		c.rec.Note(fabric.StageScan, c.eng.C.Clock(), "scan start: root: no node of lo's path worth seeding verified")
+	} else {
+		c.note(fabric.StageScan, "scan start: root: seeded scan failed: %v", err)
+	}
+	return nil, false
+}
+
 // noteAbandoned annotates, on the armed trace recorder, the write-ahead
 // objects the engine abandoned since the counters were last sampled into
 // objects and bytes: what a lost lock or verify cost the put being traced.
@@ -883,8 +911,10 @@ func (c *Client) Delete(key []byte) (bool, error) {
 }
 
 // Scan returns up to limit key-value pairs in [lo, hi], ascending (paper
-// §IV Scan: root-anchored traversal with doorbell-batched node and leaf
-// reads). A nil or empty bound means unbounded on that side; limit 0 means
+// §IV Scan: an ordered frontier of doorbell-batched node and leaf reads). With
+// the filter and a lo, the frontier starts on lo's path, where a point
+// operation on lo starts (scanSeeded); else, or when that fails, at the root.
+// A nil or empty bound means unbounded on that side; limit 0 means
 // unlimited. Malformed arguments fail with ErrInvalidScan before any round
 // trip is paid.
 func (c *Client) Scan(lo, hi []byte, limit int) ([]rart.KV, error) {
@@ -916,7 +946,11 @@ func (c *Client) Scan(lo, hi []byte, limit int) ([]rart.KV, error) {
 	if c.rec != nil {
 		before = c.eng.Stats()
 	}
-	var kvs []rart.KV
+	kvs, seeded := c.scanSeeded(lo, hi, limit)
+	if seeded {
+		c.noteScan(before)
+		return kvs, nil
+	}
 	lost, err := c.drive("scan", lo, true, func(root *rart.Node, _ int) (_ bool, err error) {
 		kvs, err = c.eng.ScanFrom(root, lo, hi, limit, true)
 		return false, err

@@ -90,8 +90,8 @@ func TestAddSubLoad(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		walked[fabric.Stats, [13]uint64](t, rng)
 		walked[racehash.Stats, [17]uint64](t, rng)
-		walked[rart.EngineStats, [17]uint64](t, rng)
-		walked[core.Stats, [49]uint64](t, rng)
+		walked[rart.EngineStats, [20]uint64](t, rng)
+		walked[core.Stats, [50]uint64](t, rng)
 		walked[core.LACStats, [7]uint64](t, rng)
 		walked[cuckoo.Stats, [12]uint64](t, rng)
 	}

@@ -22,9 +22,10 @@ const DefaultWindowPs = 250_000_000_000
 // seen by a collector.
 type MNSample struct {
 	fabric.NICStats
-	Member     bool    // in the current placement ring
-	Health     string  // breaker state: closed / open / dead
-	HealthCode float64 // 0 closed, 1 open, 2 dead
+	Fabric     *fabric.Fabric // whose counters these are: one per collection
+	Member     bool           // in the current placement ring
+	Health     string         // breaker state: closed / open / dead
+	HealthCode float64        // 0 closed, 1 open, 2 dead
 
 	// Instantaneous gauges.
 	HashLoad    float64 // racehash load factor across the node's tables
@@ -52,7 +53,7 @@ func CollectMNs(f *fabric.Fabric, members []mem.NodeID, tables map[mem.NodeID]ra
 	for _, st := range stats {
 		n := st.Node
 		state := h.State(n)
-		s := MNSample{NICStats: st, Member: member[n], Health: state.String(), HealthCode: float64(state)}
+		s := MNSample{NICStats: st, Fabric: f, Member: member[n], Health: state.String(), HealthCode: float64(state)}
 		if t, ok := tables[n]; ok {
 			u := racehash.ReadUsage(f.Region(n), t)
 			s.HashLoad = u.LoadFactor()
@@ -132,6 +133,7 @@ type Plane struct {
 	slos     []*sloState
 	engine   *alertEngine
 	nodes    map[int]*mnState
+	fab      *fabric.Fabric // whose nodes they are
 	lastPs   int64
 	ticks    uint64
 	wallOnce sync.Once
@@ -213,7 +215,12 @@ func (p *Plane) Tick(nowPs int64) {
 	}
 
 	// The window since the last tick: a node met for the first time counts
-	// from zero.
+	// from zero, and so does one whose counters went backwards. Samples of
+	// another fabric — the collector follows the next cluster — restart
+	// every node.
+	if len(samples) > 0 && samples[0].Fabric != p.fab {
+		p.nodes, p.fab = make(map[int]*mnState), samples[0].Fabric
+	}
 	start, end := make([]fabric.NICStats, len(samples)), make([]fabric.NICStats, len(samples))
 	var members []mem.NodeID
 	for i, s := range samples {
@@ -222,8 +229,12 @@ func (p *Plane) Tick(nowPs int64) {
 			busy, _ := NewSeries(p.windowPs, p.windows)
 			share, _ := NewSeries(p.windowPs, p.windows)
 			rts, _ := NewSeries(p.windowPs, p.windows)
-			st = &mnState{prev: fabric.NICStats{Node: s.Node}, busy: busy, share: share, rts: rts}
+			st = &mnState{busy: busy, share: share, rts: rts}
 			p.nodes[int(s.Node)] = st
+		}
+		if c, o := s.NICStats, st.prev; c.Verbs < o.Verbs || c.RoundTrips < o.RoundTrips || c.Bytes < o.Bytes ||
+			c.Faults < o.Faults || c.BusyPs < o.BusyPs || c.WaitPs < o.WaitPs || o.Node != s.Node {
+			st.prev = fabric.NICStats{Node: s.Node}
 		}
 		start[i], end[i] = st.prev, s.NICStats
 		if s.Member {

@@ -74,6 +74,51 @@ func TestPlaneWindowedDeltas(t *testing.T) {
 	}
 }
 
+// TestPlaneWindowRestartsOnClusterChange: a collector that follows the next
+// experiment's cluster hands the plane another fabric's counters, which may
+// stand below the last ones or above them. Either way the node's window
+// counts the new counters from zero instead of subtracting the old cluster's
+// (which wrapped window_verbs to 1.8e19), a node the new cluster lacks is
+// gone from the table, and a node whose counters went backwards counts from
+// zero too.
+func TestPlaneWindowRestartsOnClusterChange(t *testing.T) {
+	f := &fakeMNs{}
+	p, err := NewPlane(PlaneOptions{WindowPs: 1000, Windows: 8, Collect: f.collect})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, next, last := fabric.New(fabric.InstantConfig()), fabric.New(fabric.InstantConfig()), fabric.New(fabric.InstantConfig())
+	for i, step := range []struct {
+		fab          *fabric.Fabric
+		verbs, want  uint64
+		busy, wantPs int64
+	}{
+		{first, 1000, 1000, 400, 400},
+		{first, 1500, 500, 900, 500},
+		{next, 300, 300, 100, 100},   // the next cluster, below the last counters
+		{last, 2000, 2000, 700, 700}, // and one above them
+		{last, 2100, 100, 750, 50},
+		{last, 40, 40, 10, 10}, // backwards on the same fabric
+	} {
+		samples := []MNSample{{NICStats: fabric.NICStats{Node: 0, Verbs: step.verbs, RoundTrips: step.verbs / 10, BusyPs: step.busy},
+			Fabric: step.fab, Member: true, Health: "closed"}}
+		if step.fab == first {
+			samples = append(samples, MNSample{NICStats: fabric.NICStats{Node: 1, Verbs: 7}, Fabric: first, Member: true})
+		}
+		f.set(samples...)
+		p.Tick(int64(i+1) * 1000)
+		snap := p.Snapshot()
+		if len(snap.Nodes) != len(samples) {
+			t.Fatalf("tick %d: %d nodes in the table, want %d", i+1, len(snap.Nodes), len(samples))
+		}
+		n := snap.Nodes[0]
+		if n.WindowVerbs != step.want || n.WindowRTs != step.want/10 || n.BusyRatio != float64(step.wantPs)/1000 {
+			t.Errorf("tick %d: window %d verbs, %d rts, busy %v; want %d, %d, %v",
+				i+1, n.WindowVerbs, n.WindowRTs, n.BusyRatio, step.want, step.want/10, float64(step.wantPs)/1000)
+		}
+	}
+}
+
 // TestSLOBurn drives the SLO engine with scripted histograms: burn 0
 // while within objective, fast burn spikes on violation, slow burn
 // smooths it, attainment accumulates.

@@ -19,7 +19,7 @@ type TailSample struct {
 	Kind        OpKind
 	LatencyPs   uint64
 	ThresholdPs uint64 // the moving-quantile bar the op cleared
-	Cause       string
+	Cause       string // Explain(Trace), formatted when the sample is read (Samples)
 	Seq         uint64 // monotone capture number
 }
 
@@ -100,7 +100,7 @@ func bucketLower(i int) uint64 {
 
 // Offer feeds one finished operation. It always updates the latency
 // distribution; if the op clears the current quantile bar (and warmup
-// has passed) its trace is cloned and retained, and Offer reports true.
+// has passed) its trace is copied into the ring, and Offer reports true.
 // Nil-receiver- and nil-trace-safe.
 func (ts *TailSampler) Offer(kind OpKind, tr *Trace) bool {
 	if ts == nil || tr == nil {
@@ -122,42 +122,48 @@ func (ts *TailSampler) Offer(kind OpKind, tr *Trace) bool {
 	if b < q || lat == 0 || (b == q && float64(ts.captures[kind]) >= (1-ts.quantile)*float64(ts.counts[kind])) {
 		return false
 	}
-	thr := bucketLower(q)
 	ts.captures[kind]++
 	ts.seq++
-	sample := TailSample{
-		Trace: tr.Clone(), Kind: kind, LatencyPs: lat,
-		ThresholdPs: thr, Cause: Explain(tr), Seq: ts.seq,
-	}
+	var slot *TailSample
 	if len(ts.samples) < cap(ts.samples) {
-		ts.samples = append(ts.samples, sample)
+		ts.samples = append(ts.samples, TailSample{Trace: new(Trace)})
+		slot = &ts.samples[len(ts.samples)-1]
 	} else {
-		ts.samples[ts.next] = sample
+		slot = &ts.samples[ts.next]
 		ts.next = (ts.next + 1) % len(ts.samples)
 	}
+	// The capture is copied into the storage of the sample it evicts: once
+	// the ring is full, a capture allocates nothing.
+	events := append(slot.Trace.Events[:0], tr.Events...)
+	*slot.Trace = *tr
+	slot.Trace.Events = events
+	slot.Kind, slot.LatencyPs, slot.ThresholdPs, slot.Seq = kind, lat, bucketLower(q), ts.seq
 	ts.captured++
 	return true
 }
 
-// Samples returns the retained captures, newest first.
+// Samples returns copies of the retained captures, newest first, each with
+// its cause.
 func (ts *TailSampler) Samples() []TailSample {
 	if ts == nil {
 		return nil
 	}
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	n := len(ts.samples)
 	out := make([]TailSample, 0, n)
-	if n == 0 {
-		return out
-	}
 	// Walk the ring backwards from the most recent write.
 	start := n - 1
 	if n == cap(ts.samples) {
 		start = (ts.next - 1 + n) % n
 	}
 	for i := 0; i < n; i++ {
-		out = append(out, ts.samples[(start-i+n)%n])
+		s := ts.samples[(start-i+n)%n]
+		s.Trace = s.Trace.Clone()
+		out = append(out, s)
+	}
+	ts.mu.Unlock()
+	for i := range out {
+		out[i].Cause = Explain(out[i].Trace)
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"io"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -244,5 +246,43 @@ func TestRegistryGaugesSnapshotAndDiff(t *testing.T) {
 	if !strings.Contains(out, "sphinx_sfc_load 0.75") ||
 		!strings.Contains(out, "sphinx_tail_captured 7") {
 		t.Fatalf("prometheus gauge rendering wrong:\n%s", out)
+	}
+}
+
+// TestTailCaptureAllocatesNothing: once the ring is full, a capture is copied
+// into the storage of the sample it evicts, and its cause is formatted only
+// when the samples are read — /traces still carries the cause line Explain
+// gives the captured trace.
+func TestTailCaptureAllocatesNothing(t *testing.T) {
+	ts := NewTailSampler(0.5, 4)
+	for i := 0; i < 1000; i++ { // the median stays here through every capture below
+		ts.Offer(OpGet, mkTrace(1_000_000))
+	}
+	tr := mkTrace(0, batchEvent(fabric.StageNodeRead, 5, 1), Event{note: "sfc false positive at prefix 3: unlearned"})
+	lat := int64(1 << 40)
+	offer := func() {
+		tr.EndPs = tr.StartPs + lat // each offer the new max: captured
+		lat++
+		if !ts.Offer(OpGet, tr) {
+			t.Fatal("slow op not captured")
+		}
+	}
+	for i := 0; i < 4; i++ {
+		offer()
+	}
+	if allocs := testing.AllocsPerRun(100, offer); allocs != 0 {
+		t.Errorf("a capture into a full ring allocates %.1f times, want 0", allocs)
+	}
+	srv := httptest.NewServer(NewHandler(ServeOptions{Registry: NewRegistry(), Tail: ts}))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := "  cause: " + Explain(tr) + "\n"
+	if strings.Count(string(body), want) != 4 || !strings.Contains(want, "sfc false positive at prefix 3") {
+		t.Errorf("/traces lacks the cause line %q four times:\n%s", want, body)
 	}
 }

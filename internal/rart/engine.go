@@ -161,12 +161,17 @@ type EngineStats struct {
 	// counts frontier entries that met a retired object (a node after a type
 	// switch, a leaf after an out-of-place update or a delete) or a child
 	// whose partial a split had shortened, and followed the parent's slot
-	// word again.
+	// word again. ScanSeeded counts scans started below the root, from lo's
+	// path (ScanPath), ScanSeedNodes the nodes of the chains they started
+	// from, ScanContinued those that went on from the root past their chain.
 	ScanRounds     uint64
 	ScanReads      uint64
 	ScanNodeReads  uint64
 	ScanEmitted    uint64
 	ScanReresolved uint64
+	ScanSeeded     uint64
+	ScanSeedNodes  uint64
+	ScanContinued  uint64
 }
 
 func init() { counters.Check[EngineStats]() }

@@ -85,8 +85,9 @@ type scanEnt struct {
 	// onLo (onHi) says the prefix the entry hangs off — the parent's full
 	// prefix plus the edge byte — is a prefix of lo (hi), so that bound
 	// still cuts through the subtree; otherwise every key below lies on the
-	// inner side of it.
-	onLo, onHi bool
+	// inner side of it. cont says the entry lies past a seeded chain, where
+	// the scanner's cont is the lower bound, not lo (scanner.seed).
+	onLo, onHi, cont bool
 }
 
 // scanner carries one range scan (paper §IV Scan) as an ordered frontier: the
@@ -109,15 +110,19 @@ type scanner struct {
 	head         int
 	ops          []fabric.Op
 	sel          []int // ops[i] reads for front[sel[i]]
+	// root is where a seeded scan goes on past its chain, from cont, the
+	// successor of the chain top's prefix, cut from succ (seed).
+	root       mem.Addr
+	cont, succ []byte
 	// What the scan cost, booked into EngineStats.Scan* when it ends.
-	rounds, reads, nodeReads, reresolved uint64
+	rounds, reads, nodeReads, reresolved, seeded, continued uint64
 }
 
 // ScanFrom collects keys in [lo, hi] (inclusive; nil bounds open) in
 // ascending order starting at the root node, stopping after limit results
 // when limit > 0. Every key committed before the call and not deleted before
 // it returns is among them (up to the limit), none twice; keys written
-// meanwhile may or may not be.
+// meanwhile may or may not be. It is ScanPath with the one-node path.
 //
 // With batched=true each round reads as many frontier entries as the limit
 // still lacks keys, judged by what the slots say, up to scanChunk — the
@@ -126,18 +131,26 @@ type scanner struct {
 // per visited object, in depth-first order. Either way a limit-bounded scan
 // touches only the subtrees it emits from, plus what the estimate overshoots.
 func (e *Engine) ScanFrom(root *Node, lo, hi []byte, limit int, batched bool) ([]KV, error) {
+	return e.ScanPath([]*Node{root}, root.Addr, lo, hi, limit, batched)
+}
+
+// ScanPath is ScanFrom started where a point operation on lo starts: path
+// holds images of inner nodes on lo's path, deepest first, each verified as
+// its prefix's live node, and root is the root's address. path[0], the
+// landing, is read from lo on; each node above it that the chain reaches
+// (seed) from the edge past lo's; the rest of the range, past the prefix of
+// the chain's top, from the root. The guarantee is ScanFrom's, piece by
+// piece: the two pieces' ranges are disjoint.
+func (e *Engine) ScanPath(path []*Node, root mem.Addr, lo, hi []byte, limit int, batched bool) ([]KV, error) {
 	defer e.C.SetStage(e.C.SetStage(fabric.StageScan))
 	s := &e.scan
-	*s = scanner{e: e, lo: lo, hi: hi, limit: limit,
+	*s = scanner{e: e, lo: lo, hi: hi, limit: limit, root: root, succ: s.succ,
 		front: s.front[:0], spare: s.spare[:0], ops: s.ops[:0], sel: s.sel[:0]}
 	window := scanChunk
 	if !batched {
 		window = 1
 	}
-	s.front = append(s.front, scanEnt{
-		state: entNode, slot: wire.Slot{Addr: root.Addr}, next: -1, onLo: lo != nil, onHi: hi != nil,
-		img: e.encodeNode(root),
-	})
+	s.seed(path)
 	var err error
 	for err == nil && s.drain() {
 		s.plan(window)
@@ -151,9 +164,14 @@ func (e *Engine) ScanFrom(root *Node, lo, hi []byte, limit int, batched bool) ([
 	atomic.AddUint64(&e.stats.ScanNodeReads, s.nodeReads)
 	atomic.AddUint64(&e.stats.ScanEmitted, uint64(len(s.out)))
 	atomic.AddUint64(&e.stats.ScanReresolved, s.reresolved)
+	if s.seeded > 0 {
+		atomic.AddUint64(&e.stats.ScanSeeded, 1)
+		atomic.AddUint64(&e.stats.ScanSeedNodes, s.seeded)
+		atomic.AddUint64(&e.stats.ScanContinued, s.continued)
+	}
 	// The engine keeps the scratch, not the caller's bounds and results.
 	out := s.out
-	s.lo, s.hi, s.out = nil, nil, nil
+	s.lo, s.hi, s.out, s.cont = nil, nil, nil, nil
 	if err != nil {
 		return nil, err
 	}
@@ -167,6 +185,66 @@ func (e *Engine) ScanFrom(root *Node, lo, hi []byte, limit int, batched bool) ([
 		out[i] = KV{Key: block[at : at+k : at+k], Value: block[at+k : len(block) : len(block)]}
 	}
 	return out, nil
+}
+
+// seed lays the frontier out from path. The landing path[0] is a cursor from
+// lo on. A node above it continues the chain while its depth is where the
+// partial of the chain's top so far begins, less the edge byte: then it is
+// the top's parent, and a cursor past its edge toward lo — its EOL key and
+// the children before that edge lie below lo. A node the chain does not reach
+// leaves a gap whose keys no cursor holds, so the chain ends below it, and so
+// does the cursors' range: the keys with the top's prefix. Past them the scan
+// goes on from the root, from cont, the successor of that prefix: the root is
+// one more entry behind the cursors, read when a round reaches it like any
+// other. A bound cuts through a cursor's subtree — onLo, onHi — only when it
+// has the node's prefix, lo[:depth].
+func (s *scanner) seed(path []*Node) {
+	top := path[0]
+	s.front = append(s.front, s.cursor(top, -1, s.lo != nil))
+	for _, n := range path[1:] {
+		if int(n.Hdr.Depth) != top.Base()-1 {
+			break
+		}
+		top = n
+		s.front = append(s.front, s.cursor(n, int16(s.lo[n.Hdr.Depth])+1, false))
+	}
+	if path[0].Hdr.Depth == 0 {
+		return
+	}
+	s.seeded = uint64(len(s.front))
+	if s.cont = successor(s.succ[:0], s.lo[:top.Hdr.Depth]); s.cont != nil {
+		s.succ = s.cont[:0]
+	}
+	if s.cont != nil && (s.hi == nil || bytes.Compare(s.cont, s.hi) <= 0) {
+		s.front = append(s.front, scanEnt{slot: wire.Slot{Addr: s.root, ChildType: wire.Node256}, onLo: true, onHi: s.hi != nil, cont: true})
+	}
+}
+
+// cursor is the frontier entry of an opened node of the chain, its image from
+// the caller's path copied into the arena.
+func (s *scanner) cursor(n *Node, next int16, onLo bool) scanEnt {
+	return scanEnt{state: entNode, slot: wire.Slot{Addr: n.Addr}, next: next, img: s.e.encodeNode(n),
+		onLo: onLo, onHi: s.hi != nil && bytes.HasPrefix(s.hi, s.lo[:n.Hdr.Depth])}
+}
+
+// successor appends to dst the least key above every key with prefix p: p
+// with its trailing 0xff bytes cut and the last byte left raised by one; nil
+// when p is all 0xff and nothing follows it.
+func successor(dst, p []byte) []byte {
+	for i := len(p) - 1; i >= 0; i-- {
+		if p[i] != 0xff {
+			return append(append(dst, p[:i]...), p[i]+1)
+		}
+	}
+	return nil
+}
+
+// loOf is the lower bound of ent's part of the range.
+func (s *scanner) loOf(ent *scanEnt) []byte {
+	if ent.cont {
+		return s.cont
+	}
+	return s.lo
 }
 
 // drain emits the resolved head of the frontier and reports whether the scan
@@ -279,11 +357,11 @@ func (s *scanner) peek(n *scanEnt) (child scanEnt, after int, ok bool) {
 	hdr := wire.DecodeNodeHeader(binary.LittleEndian.Uint64(n.img))
 	depth := int(hdr.Depth)
 	addr := n.slot.Addr
-	child = scanEnt{parent: addr, ptype: hdr.Type, base: hdr.Depth + 1}
+	child = scanEnt{parent: addr, ptype: hdr.Type, base: hdr.Depth + 1, cont: n.cont}
 	// lo cuts below this node only if it runs on past the node's prefix.
 	loEdge, hiEdge := -1, 255
-	if n.onLo && len(s.lo) > depth {
-		loEdge = int(s.lo[depth])
+	if lo := s.loOf(n); n.onLo && len(lo) > depth {
+		loEdge = int(lo[depth])
 	}
 	if n.onHi {
 		hiEdge = -1 // hi ends here: it admits the EOL key and no child
@@ -405,7 +483,7 @@ func (s *scanner) gotLeaf(ent *scanEnt, buf []byte) error {
 		key = l.Key
 		buf = wire.EncodeLeafInto(s.e.arena.buf(uint64(l.Units)*wire.LeafUnit), l.Status, l.Units, l.Key, l.Value)
 	}
-	if !keyInRange(key, s.lo, s.hi) {
+	if !keyInRange(key, s.loOf(ent), s.hi) {
 		ent.state = entDropped
 		return nil
 	}
@@ -436,7 +514,7 @@ func (s *scanner) gotNode(ent *scanEnt, buf []byte) error {
 	partial := buf[wire.PartialOff : wire.PartialOff+int(hdr.PartialLen)]
 	var lo, hi int
 	if ent.onLo {
-		lo = sideOf(partial, s.lo[ent.base:])
+		lo = sideOf(partial, s.loOf(ent)[ent.base:])
 	}
 	if ent.onHi {
 		hi = sideOf(partial, s.hi[ent.base:])
@@ -447,6 +525,10 @@ func (s *scanner) gotNode(ent *scanEnt, buf []byte) error {
 	}
 	ent.onLo, ent.onHi = ent.onLo && lo == 0, ent.onHi && hi == 0
 	ent.state, ent.img, ent.next = entNode, buf, -1
+	if ent.cont && hdr.Depth == 0 {
+		s.continued = 1
+		s.e.note(fabric.StageScan, "scan: seeded chain fell short, going on from the root past its top's prefix")
+	}
 	return nil
 }
 

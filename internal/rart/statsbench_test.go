@@ -31,6 +31,9 @@ func handLoadedEngineStats(e *Engine) EngineStats {
 		ScanNodeReads:          atomic.LoadUint64(&e.stats.ScanNodeReads),
 		ScanEmitted:            atomic.LoadUint64(&e.stats.ScanEmitted),
 		ScanReresolved:         atomic.LoadUint64(&e.stats.ScanReresolved),
+		ScanSeeded:             atomic.LoadUint64(&e.stats.ScanSeeded),
+		ScanSeedNodes:          atomic.LoadUint64(&e.stats.ScanSeedNodes),
+		ScanContinued:          atomic.LoadUint64(&e.stats.ScanContinued),
 	}
 }
 
@@ -42,7 +45,7 @@ func countedEngine(b *testing.B) *Engine {
 	ring := consistenthash.New([]mem.NodeID{f.AddNode(1 << 20)}, 8)
 	c := f.NewClient()
 	e := NewEngine(c, mem.NewAllocator(c, 0), ring, Config{})
-	e.stats = EngineStats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+	e.stats = EngineStats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}
 	if got, want := e.Stats(), handLoadedEngineStats(e); got != want || got != e.stats {
 		b.Fatalf("Engine.Stats() = %+v, hand-written loader = %+v", got, want)
 	}

@@ -269,8 +269,10 @@ func BenchmarkFilterCacheInsertParallel(b *testing.B) {
 // 17.2 KB, 55 allocs and 12 KB with the ordered frontier (DESIGN.md §5.15) —
 // the result slice, one copy per returned key, the root's decoded image and
 // the trace note; 2 allocs and 7.0 KB with the engine's image arena (§5.7) —
-// the result slice and the one block the keys and values share.
-// Budget: ≤ 10 rt, ≤ 105 verbs, ≤ 18 KB, ≤ 300 allocs, ≤ 40 KB allocated.
+// the result slice and the one block the keys and values share; 5.9 rt, 76
+// verbs, 10.5 KB with the frontier seeded from lo's path instead of the root
+// (§5.15).
+// Budget: ≤ 7 rt, ≤ 101 verbs, < 14 KB, ≤ 300 allocs, ≤ 40 KB allocated.
 func BenchmarkSphinxScan50(b *testing.B) {
 	keys := dataset.GenerateEmail(100_000, 1)
 	_, s := benchCluster(b, keys)

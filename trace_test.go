@@ -536,11 +536,12 @@ func TestTraceWarmPut(t *testing.T) {
 	}
 }
 
-// TestTraceScan pins a range scan in trace form: the root's node-read, then
-// only scan-stage batches — one per tree level plus what the window estimate
-// fell short by, not one per visited node — closed by one note accounting for
-// every round, fetched object and returned key, which the registry's
-// engine_scan_* counters repeat.
+// TestTraceScan pins a range scan in trace form: the node-read of lo's path
+// and a note that the scan started there, then only scan-stage batches — one
+// per tree level below the landing plus what the window estimate fell short
+// by, not one per visited node — closed by one note accounting for every
+// round, fetched object and returned key, which the registry's engine_scan_*
+// counters repeat.
 func TestTraceScan(t *testing.T) {
 	cluster, err := newTestCluster(Config{})
 	if err != nil {
@@ -569,7 +570,8 @@ func TestTraceScan(t *testing.T) {
 		}
 	}
 	// Keys scan/0100..0149 sit under root → "scan/0" → "scan/01" → ten-key
-	// nodes: four levels below the root's own read.
+	// nodes, whose three prefixes the session's own puts taught its filter
+	// and leaf-address cache: one READ of the path, then the frontier.
 	rounds := len(stages) - 1
 	if stages[0] != fabric.StageNodeRead.String() || strings.Count(strings.Join(stages, " "), "scan") != rounds || rounds > 6 {
 		t.Fatalf("batch stages = %v, want node-read then at most 6 × scan:\n%s", stages, tr.Format())
@@ -577,7 +579,7 @@ func TestTraceScan(t *testing.T) {
 	snap := s.Registry().Snapshot()
 	reads, nodes := snap.Counters["engine_scan_reads"], snap.Counters["engine_scan_node_reads"]
 	note := fmt.Sprintf("scan: %d rounds, %d reads (%d nodes, %d leaves), 50 emitted, 0 re-resolved", rounds, reads, nodes, reads-nodes)
-	if out := tr.Format(); !strings.Contains(out, note) || reads > 100 {
+	if out := tr.Format(); !strings.Contains(out, "scan start: lo's path, 3 nodes verified") || !strings.Contains(out, note) || reads > 100 {
 		t.Errorf("trace lacks the note %q, or the scan over-fetched:\n%s", note, out)
 	}
 	if snap.Counters["engine_scan_rounds"] != uint64(rounds) || snap.Counters["engine_scan_emitted"] != 50 {
