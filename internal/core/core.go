@@ -37,6 +37,14 @@ const sfcSeed = 8
 // PrefixFilterHash returns the succinct-filter-cache hash of a prefix.
 func PrefixFilterHash(prefix []byte) uint64 { return wire.Hash64Seed(prefix, sfcSeed) }
 
+// prefixStates returns, in client scratch, the filter hash states of every
+// prefix of key from one forward pass: PrefixFilterHash(key[:l]) is
+// wire.Mix64 of element l.
+func (c *Client) prefixStates(key []byte) []uint64 {
+	c.stateScratch = wire.HashStates(c.stateScratch[:0], key, sfcSeed)
+	return c.stateScratch
+}
+
 // Shared is the cluster-wide descriptor of one Sphinx index. Everything
 // in it is immutable except Members, which republishes the placement
 // (ring + tables) when memory nodes are added or drained.
@@ -343,6 +351,9 @@ type Client struct {
 	opScratch   []fabric.Op
 	nodeScratch []*rart.Node
 	pathScratch []pathCand // a seeded scan's nodes of lo's path (scanPath)
+	// stateScratch holds the filter hash states of the key a locate or a
+	// scan path probes (prefixStates).
+	stateScratch []uint64
 
 	// pub carries the hash-table publications of the structural write in
 	// progress (see publisher).

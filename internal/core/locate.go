@@ -30,9 +30,10 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 		return c.locateParallel(key, maxLen)
 	}
 	var probes uint64
+	states := c.prefixStates(key[:maxLen])
 	for l := maxLen; l >= 1; l-- {
 		prefix := key[:l]
-		h := PrefixFilterHash(prefix)
+		h := wire.Mix64(states[l])
 		probes++
 		if !c.filter.Contains(h) {
 			continue
@@ -266,9 +267,10 @@ func (c *Client) scanPath(lo []byte) ([]*rart.Node, error) {
 	p := c.members.Current()
 	c.readScratch = slices.Grow(c.readScratch[:0], len(lo))[:len(lo)]
 	cands, ops := c.pathScratch[:0], c.opScratch[:0]
+	states := c.prefixStates(lo)
 	for l := len(lo); l >= 1; l-- {
 		prefix := lo[:l]
-		if !c.filter.Contains(PrefixFilterHash(prefix)) {
+		if !c.filter.Contains(wire.Mix64(states[l])) {
 			continue
 		}
 		if c.lac != nil {
@@ -351,7 +353,7 @@ func (c *Client) scanPath(lo []byte) ([]*rart.Node, error) {
 		if pc := cands[i]; !pc.remembered && !pc.entry.Valid && c.readScratch[pc.l-1].Valid() &&
 			path[len(lo)-pc.l] == nil && c.prevViewFor(p, lo[:pc.l]) == nil {
 			atomic.AddUint64(&c.stats.FalsePositives, 1)
-			c.filter.Delete(PrefixFilterHash(lo[:pc.l]))
+			c.filter.Delete(wire.Mix64(states[pc.l]))
 		}
 	}
 	c.nodeScratch = path

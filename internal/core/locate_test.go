@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"sphinx/internal/racehash"
@@ -124,4 +125,27 @@ func TestFilterlessPutPostsNoLeaseBet(t *testing.T) {
 		t.Error("the put never landed through the filter-less locate")
 	}
 	warmSearch(t, reader, []byte("budget-~"), []byte("fresh"))
+}
+
+// TestPrefixStatesMatchFilterHash: the one forward pass locate and scanPath
+// take their probes from gives every prefix the hash the filter holds it
+// under, bit for bit, at every length of random keys 0–64 bytes long.
+func TestPrefixStatesMatchFilterHash(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	c := &Client{}
+	for i := 0; i < 2000; i++ {
+		key := make([]byte, rng.IntN(65))
+		for j := range key {
+			key[j] = byte(rng.Uint32())
+		}
+		states := c.prefixStates(key)
+		if len(states) != len(key)+1 {
+			t.Fatalf("%d states for a key of %d bytes", len(states), len(key))
+		}
+		for l := 0; l <= len(key); l++ {
+			if got, want := wire.Mix64(states[l]), PrefixFilterHash(key[:l]); got != want {
+				t.Fatalf("key %x prefix %d: state hashes to %#x, PrefixFilterHash %#x", key, l, got, want)
+			}
+		}
+	}
 }

@@ -108,6 +108,12 @@ const nicSlotPs = 1_000_000
 // nicPage is the number of slots in one page of a NIC's timeline.
 const nicPage = 4096
 
+// nicPages is the number of pages a NIC's timeline remembers: a ring of the
+// latest 256 pages, 1.05 s of virtual time (4 MiB per NIC). It must cover
+// the largest virtual-clock skew between one fabric's clients, since a
+// booking behind the ring finds its history forgotten (nic.used).
+const nicPages = 256
+
 // nic is one memory node's NIC processing timeline, modelled as capacity
 // per virtual-time slot. Unlike a single free-pointer queue, this lets a
 // request whose issue time (virtual clock) lies in the past consume the
@@ -118,10 +124,15 @@ const nicPage = 4096
 // slots and completion times stretch.
 type nic struct {
 	mu sync.Mutex
-	// slots is the capacity already consumed (ps, at most nicSlotPs) of every
-	// slot, in pages of nicPage slots allocated on first touch: slot i is
-	// slots[i/nicPage][i%nicPage].
-	slots [][]int32
+	// ring holds the timeline's pages — the capacity already consumed (ps, at
+	// most nicSlotPs) of each slot of nicPage slots — page p at
+	// ring[p%nicPages] with p in pageOf, each allocated on first touch and
+	// taken over in place by a newer page.
+	ring   [nicPages]*[nicPage]int32
+	pageOf [nicPages]int64
+	// forgotten is the slot a booking behind the ring consumes: zeroed
+	// before each use, so such a booking finds the NIC idle.
+	forgotten int32
 	// cumulative demand counters, for utilization reports
 	busyPs int64
 	waitPs int64 // queueing delay: reservations pushed past their ready time
@@ -129,6 +140,7 @@ type nic struct {
 	bytes  uint64
 	rts    uint64 // completed batches whose completion this NIC gated
 	faults uint64 // injected faults charged to batches targeting this NIC
+	late   uint64 // bookings behind the ring, booked as idle (NICStats.LateBookings)
 }
 
 // chargeFault counts one injected fault against the NIC of node id.
@@ -158,8 +170,10 @@ func (n *nic) reserve(notBefore, cost int64, verbs int, bytes uint64) int64 {
 	slot := notBefore / nicSlotPs
 	start := int64(-1)
 	rem := cost
+	late := false
 	for rem > 0 {
-		used := n.used(slot)
+		used, kept := n.used(slot)
+		late = late || !kept
 		if avail := nicSlotPs - int64(*used); avail > 0 {
 			if start < 0 {
 				start = slot * nicSlotPs
@@ -172,6 +186,9 @@ func (n *nic) reserve(notBefore, cost int64, verbs int, bytes uint64) int64 {
 			rem -= take
 		}
 		slot++
+	}
+	if late {
+		n.late++
 	}
 	if start < 0 {
 		start = notBefore
@@ -188,17 +205,24 @@ func (n *nic) reserve(notBefore, cost int64, verbs int, bytes uint64) int64 {
 	return start
 }
 
-// used returns the consumed capacity of a slot, its page allocated on first
-// touch.
-func (n *nic) used(slot int64) *int32 {
-	p := int(slot / nicPage)
-	if p >= len(n.slots) {
-		n.slots = append(n.slots, make([][]int32, p+1-len(n.slots))...)
+// used returns the consumed capacity of a slot. A page newer than the one
+// its ring position holds clears that page in place and takes it over; a
+// page older than it lies behind the ring, its history forgotten: kept is
+// false and the slot returned is an idle one nothing remembers.
+func (n *nic) used(slot int64) (used *int32, kept bool) {
+	p := slot / nicPage
+	i := p % nicPages
+	switch {
+	case n.ring[i] == nil:
+		n.ring[i], n.pageOf[i] = new([nicPage]int32), p
+	case n.pageOf[i] < p:
+		clear(n.ring[i][:])
+		n.pageOf[i] = p
+	case n.pageOf[i] > p:
+		n.forgotten = 0
+		return &n.forgotten, false
 	}
-	if n.slots[p] == nil {
-		n.slots[p] = make([]int32, nicPage)
-	}
-	return &n.slots[p][slot%nicPage]
+	return &n.ring[i][slot%nicPage], true
 }
 
 type node struct {
@@ -339,14 +363,18 @@ func (f *Fabric) RegionSize(id mem.NodeID) uint64 {
 
 // ResetTimelines zeroes every NIC's queue timeline so a new measurement
 // phase starts from an idle network, the way a real experiment separates
-// its load and run phases. Cumulative NIC counters are preserved. Callers
-// must ensure no client is mid-operation.
+// its load and run phases. The ring keeps its pages: each is marked older
+// than any page and cleared when a booking next takes it over. Cumulative
+// NIC counters are preserved. Callers must ensure no client is
+// mid-operation.
 func (f *Fabric) ResetTimelines() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, n := range f.nodes {
 		n.nic.mu.Lock()
-		n.nic.slots = nil
+		for i := range n.nic.pageOf {
+			n.nic.pageOf[i] = -1
+		}
 		n.nic.mu.Unlock()
 	}
 }
@@ -368,6 +396,11 @@ type NICStats struct {
 	// sum over all nodes equals the clients' RoundTrips total exactly.
 	RoundTrips uint64 `json:"round_trips"`
 	Faults     uint64 `json:"faults"` // injected faults on batches targeting this NIC
+	// LateBookings counts the reservations whose virtual time lay behind
+	// the NIC timeline's window (nicPages): booked as if the NIC had been
+	// idle then. Nonzero means clients' clocks drifted apart by more than
+	// the window and queueing was under-counted.
+	LateBookings uint64 `json:"late_bookings,omitempty"`
 }
 
 // NICStats returns the NIC counters of every node.
@@ -377,7 +410,7 @@ func (f *Fabric) NICStats() []NICStats {
 	out := make([]NICStats, len(f.nodes))
 	for i, n := range f.nodes {
 		n.nic.mu.Lock()
-		out[i] = NICStats{Node: mem.NodeID(i), BusyPs: n.nic.busyPs, WaitPs: n.nic.waitPs, Verbs: n.nic.verbs, Bytes: n.nic.bytes, RoundTrips: n.nic.rts, Faults: n.nic.faults}
+		out[i] = NICStats{Node: mem.NodeID(i), BusyPs: n.nic.busyPs, WaitPs: n.nic.waitPs, Verbs: n.nic.verbs, Bytes: n.nic.bytes, RoundTrips: n.nic.rts, Faults: n.nic.faults, LateBookings: n.nic.late}
 		n.nic.mu.Unlock()
 	}
 	return out

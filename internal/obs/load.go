@@ -56,7 +56,8 @@ func NewLoadWindow(start, end []fabric.NICStats, members []mem.NodeID) LoadWindo
 		p := prev[e.Node]
 		w.Loads[i] = NodeLoad{Member: member[e.Node], NICStats: fabric.NICStats{Node: e.Node,
 			RoundTrips: e.RoundTrips - p.RoundTrips, Verbs: e.Verbs - p.Verbs, Bytes: e.Bytes - p.Bytes,
-			Faults: e.Faults - p.Faults, BusyPs: e.BusyPs - p.BusyPs, WaitPs: e.WaitPs - p.WaitPs}}
+			Faults: e.Faults - p.Faults, BusyPs: e.BusyPs - p.BusyPs, WaitPs: e.WaitPs - p.WaitPs,
+			LateBookings: e.LateBookings - p.LateBookings}}
 		w.Verbs += w.Loads[i].Verbs
 		w.RoundTrips += w.Loads[i].RoundTrips
 	}

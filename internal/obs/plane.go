@@ -94,6 +94,9 @@ type MNStatus struct {
 	RoundTrips uint64 `json:"round_trips"`
 	Bytes      uint64 `json:"bytes"`
 	Faults     uint64 `json:"faults"`
+	// LateBookings counts reservations behind the NIC timeline's window
+	// (fabric.NICStats.LateBookings); 0 on a healthy run.
+	LateBookings uint64 `json:"late_bookings,omitempty"`
 
 	BusyWindows  []Window `json:"busy_ratio_windows,omitempty"`
 	ShareWindows []Window `json:"verb_share_windows,omitempty"`
@@ -233,7 +236,7 @@ func (p *Plane) Tick(nowPs int64) {
 			p.nodes[int(s.Node)] = st
 		}
 		if c, o := s.NICStats, st.prev; c.Verbs < o.Verbs || c.RoundTrips < o.RoundTrips || c.Bytes < o.Bytes ||
-			c.Faults < o.Faults || c.BusyPs < o.BusyPs || c.WaitPs < o.WaitPs || o.Node != s.Node {
+			c.Faults < o.Faults || c.BusyPs < o.BusyPs || c.WaitPs < o.WaitPs || c.LateBookings < o.LateBookings || o.Node != s.Node {
 			st.prev = fabric.NICStats{Node: s.Node}
 		}
 		start[i], end[i] = st.prev, s.NICStats
@@ -259,7 +262,7 @@ func (p *Plane) Tick(nowPs int64) {
 			BusyRatio: busy, WaitRatio: wait, VerbShare: d.VerbShare,
 			WindowVerbs: d.Verbs, WindowRTs: d.RoundTrips,
 			HashLoad: s.HashLoad, HashEntries: s.HashEntries, ArenaOccupancy: occ,
-			Verbs: s.Verbs, RoundTrips: s.RoundTrips, Bytes: s.Bytes, Faults: s.Faults,
+			Verbs: s.Verbs, RoundTrips: s.RoundTrips, Bytes: s.Bytes, Faults: s.Faults, LateBookings: s.LateBookings,
 		}
 		st.prev = s.NICStats
 
@@ -395,13 +398,14 @@ func (p *Plane) Register(r *Registry) {
 	r.AddCounters("mn", func() map[string]uint64 {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		c := make(map[string]uint64, len(p.nodes)*4)
+		c := make(map[string]uint64, len(p.nodes)*5)
 		for id, st := range p.nodes {
 			n := strconv.Itoa(id)
 			c[fmt.Sprintf("verbs_total{node=%q}", n)] = st.status.Verbs
 			c[fmt.Sprintf("round_trips_total{node=%q}", n)] = st.status.RoundTrips
 			c[fmt.Sprintf("bytes_total{node=%q}", n)] = st.status.Bytes
 			c[fmt.Sprintf("faults_total{node=%q}", n)] = st.status.Faults
+			c[fmt.Sprintf("late_bookings_total{node=%q}", n)] = st.status.LateBookings
 		}
 		return c
 	})

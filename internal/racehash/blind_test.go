@@ -2,7 +2,10 @@ package racehash
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sphinx/internal/fabric"
 	"sphinx/internal/mem"
@@ -331,4 +334,45 @@ func TestBlindInsertCompletionLost(t *testing.T) {
 		}
 		holdsOnce(t, env, h, e)
 	}
+}
+
+// TestSettleOutwaitsSlowSplit: a split whose driver the host keeps off the CPU
+// for a quarter of a second of wall time holds its lock that long, and an
+// insert that must settle behind it waits the split out as a wait on any live
+// holder does (fabric.Backoff.WaitHolder) instead of giving up on a poll count.
+// A goroutine yielding in a loop stands for a busy box's other clients: with
+// a processor cycling through its scheduler, a short host park lasts what it
+// asks for, and a poll count is soon spent.
+func TestSettleOutwaitsSlowSplit(t *testing.T) {
+	env := newEnv(t, 100)
+	c := env.f.NewClient()
+	alloc := mem.NewAllocator(c, 0)
+	v := warmView(t, env, c)
+	h, fp := hashFP(1)
+	e := env.makeEntry(t, c, alloc, h, fp)
+	region := env.f.Region(env.node)
+	var released atomic.Bool
+	done := make(chan struct{})
+	_, err := blindInsert(v, h, e, alloc, func(p *PreparedRead) {
+		hdr := region.ReadUint64(p.at.bucket.Offset())
+		region.WriteUint64(p.at.bucket.Offset(), hdr|hdrSplitLock)
+		go func() {
+			defer close(done)
+			for !released.Load() {
+				runtime.Gosched()
+			}
+		}()
+		time.AfterFunc(250*time.Millisecond, func() {
+			region.WriteUint64(p.at.bucket.Offset(), hdr)
+			released.Store(true)
+		})
+	})
+	<-done
+	if err != nil {
+		t.Fatalf("insert behind a split held 250 ms: %v", err)
+	}
+	if st := v.Stats(); st.StaleChecks != 1 || st.SplitWaits != 1 {
+		t.Errorf("stale checks %d, split waits %d; want the insert settled behind one wait", st.StaleChecks, st.SplitWaits)
+	}
+	holdsOnce(t, env, h, e)
 }

@@ -409,10 +409,14 @@ func (p *PreparedRead) swapResult(ops []fabric.Op) (won, ambiguous, ok bool) {
 }
 
 // waitSplit polls the candidate buckets of h until no split lock is
-// visible, then returns the fresh read.
+// visible, then returns the fresh read. The split's driver is a live client
+// that nobody takes the lock from, so the polls wait as every wait on a live
+// holder does (fabric.Backoff.WaitHolder): long enough to outlast the host
+// keeping the driver off the CPU.
 func (v *View) waitSplit(h uint64) (*PreparedRead, error) {
 	atomic.AddUint64(&v.stats.SplitWaits, 1)
-	for attempt := 0; attempt < maxAttempts*16; attempt++ {
+	b := fabric.BackoffPolicy{}.Start(v.c)
+	for {
 		p, err := v.read(h)
 		if err != nil {
 			return nil, err
@@ -420,12 +424,10 @@ func (v *View) waitSplit(h uint64) (*PreparedRead, error) {
 		if !p.locked() {
 			return p, nil
 		}
-		// Model a brief backoff before polling again, and let the goroutine
-		// driving the split make progress on a busy machine.
-		v.c.AdvanceClock(500_000) // 0.5 µs
-		fabric.Yield(attempt)
+		if !b.WaitHolder() {
+			return nil, fmt.Errorf("%w: split lock never cleared for h=%#x", ErrRetryExhausted, h)
+		}
 	}
-	return nil, fmt.Errorf("%w: split lock never cleared for h=%#x", ErrRetryExhausted, h)
 }
 
 // settle concludes a CAS that installed word in slot. A clean header

@@ -15,19 +15,35 @@ func Hash64(b []byte) uint64 {
 	return Hash64Seed(b, 0)
 }
 
+// FNV-1a's parameters, under Hash64Seed and HashStates.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // Hash64Seed returns a seeded 64-bit hash of b. Distinct seeds give
 // independent hash functions, which the cuckoo structures rely on.
 func Hash64Seed(b []byte, seed uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64) ^ (seed * 0x9e3779b97f4a7c15)
+	h := uint64(fnvOffset64) ^ (seed * 0x9e3779b97f4a7c15)
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return Mix64(h)
+}
+
+// HashStates appends to dst the unfinished Hash64Seed state of every prefix
+// of b, lengths 0 through len(b), from one forward pass over b: for the
+// returned st, Mix64(st[l]) == Hash64Seed(b[:l], seed).
+func HashStates(dst []uint64, b []byte, seed uint64) []uint64 {
+	h := uint64(fnvOffset64) ^ (seed * 0x9e3779b97f4a7c15)
+	dst = append(dst, h)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+		dst = append(dst, h)
+	}
+	return dst
 }
 
 // Mix64 is the splitmix64 finalizer: a cheap, high-quality avalanche used

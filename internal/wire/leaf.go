@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"sphinx/internal/mem"
 )
@@ -16,7 +17,7 @@ import (
 //	             bits 10..21 keyLen  (≤ MaxDepth)
 //	             bits 22..37 valLen
 //	             bits 38..53 owner of a Locked word: client ID + 1
-//	word1 (8 B): checksum over (keyLen, valLen, key, value)
+//	word1 (8 B): checksum over (keyLen, valLen, key, value), LeafChecksum
 //	bytes 16..:  key bytes, then value bytes, zero-padded to 64·leafLen
 //
 // The checksum is what makes the paper's single-WRITE in-place update safe:
@@ -92,17 +93,68 @@ func LeafSize(keyLen, valLen int) uint64 {
 	return mem.Align(uint64(LeafHeaderSize+keyLen+valLen), LeafUnit)
 }
 
-// LeafChecksum computes the integrity checksum of a leaf's logical content.
-// Status is deliberately excluded: locking and unlocking a leaf must not
-// invalidate its checksum.
+// LeafChecksum computes the integrity checksum of a leaf's logical content:
+// both lengths, the key and the value. Status is deliberately excluded:
+// locking and unlocking a leaf must not invalidate its checksum.
+//
+// Key and value are hashed as one stream, key‖value, in 8-byte words — the
+// leaf's words from byte 16 on, the last one zero-padded. Word i goes to
+// lane i mod 4, and each step is a bijection of its lane's state (XOR the
+// word in, multiply by an odd constant, rotate), as is the lanes' combination
+// in any one lane and Mix64 at the end. So two images whose lengths agree and
+// whose contents differ in one 8-byte word never share a checksum; an image
+// torn from two writes (whole 64-byte lines of each) shares one with either
+// with probability about 2⁻⁶⁴.
 func LeafChecksum(key, value []byte) uint64 {
-	var lens [8]byte
-	binary.LittleEndian.PutUint32(lens[0:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(lens[4:], uint32(len(value)))
-	h := Hash64(lens[:])
-	h = Mix64(h ^ Hash64Seed(key, 2))
-	h = Mix64(h ^ Hash64Seed(value, 3))
-	return h
+	words := (len(key) + len(value) + 7) / 8
+	a, b, c, d := uint64(sumSeed0)^uint64(len(key))<<32^uint64(len(value)), uint64(sumSeed1), uint64(sumSeed2), uint64(sumSeed3)
+	a, b, c, d, tail := sumWords(a, b, c, d, key)
+	if len(tail) > 0 {
+		// The word the key's last bytes and the value's first bytes share.
+		var w [8]byte
+		n := copy(w[:], tail)
+		value = value[copy(w[n:], value):]
+		a, b, c, d = b, c, d, sumStep(a, binary.LittleEndian.Uint64(w[:]))
+	}
+	a, b, c, d, tail = sumWords(a, b, c, d, value)
+	if len(tail) > 0 {
+		var w [8]byte
+		copy(w[:], tail)
+		a, b, c, d = b, c, d, sumStep(a, binary.LittleEndian.Uint64(w[:]))
+	}
+	// a is the lane of the next word: turn lane 0 back into a.
+	for range words % 4 {
+		a, b, c, d = d, a, b, c
+	}
+	return Mix64(a ^ bits.RotateLeft64(b, 16) ^ bits.RotateLeft64(c, 32) ^ bits.RotateLeft64(d, 48))
+}
+
+// The lanes' seeds and the odd multiplier of a lane step.
+const (
+	sumSeed0 = 0x9e3779b97f4a7c15
+	sumSeed1 = 0xc2b2ae3d27d4eb4f
+	sumSeed2 = 0x165667b19e3779f9
+	sumSeed3 = 0x27d4eb2f165667c5
+	sumPrime = 0x9fb21c651e98df25
+)
+
+// sumStep absorbs word w into lane state x.
+func sumStep(x, w uint64) uint64 { return bits.RotateLeft64((x^w)*sumPrime, 31) }
+
+// sumWords absorbs p's whole words into the lanes, a the lane of the first,
+// and returns the lanes rotated so that a is the lane of the next word, and
+// p's bytes past its last whole word.
+func sumWords(a, b, c, d uint64, p []byte) (uint64, uint64, uint64, uint64, []byte) {
+	for ; len(p) >= 32; p = p[32:] {
+		a = sumStep(a, binary.LittleEndian.Uint64(p[0:8]))
+		b = sumStep(b, binary.LittleEndian.Uint64(p[8:16]))
+		c = sumStep(c, binary.LittleEndian.Uint64(p[16:24]))
+		d = sumStep(d, binary.LittleEndian.Uint64(p[24:32]))
+	}
+	for ; len(p) >= 8; p = p[8:] {
+		a, b, c, d = b, c, d, sumStep(a, binary.LittleEndian.Uint64(p))
+	}
+	return a, b, c, d, p
 }
 
 // EncodeLeaf serializes a leaf with the given status into a fresh padded
