@@ -37,12 +37,37 @@ const sfcSeed = 8
 // PrefixFilterHash returns the succinct-filter-cache hash of a prefix.
 func PrefixFilterHash(prefix []byte) uint64 { return wire.Hash64Seed(prefix, sfcSeed) }
 
-// prefixStates returns, in client scratch, the filter hash states of every
-// prefix of key from one forward pass: PrefixFilterHash(key[:l]) is
-// wire.Mix64 of element l.
-func (c *Client) prefixStates(key []byte) []uint64 {
-	c.stateScratch = wire.HashStates(c.stateScratch[:0], key, sfcSeed)
-	return c.stateScratch
+// prefixStates computes, in client scratch, the hash states of every prefix
+// of key from one forward pass — the filter's (PrefixFilterHash(key[:l]) is
+// wire.Mix64 of sfc[l]) and the leaf-address cache's node words'
+// (LeafCache.NodeHash(key[:l]) is wire.Mix64 of node[l]) — and makes them
+// the ones prefixHashes answers from. A key they are already of — a narrowed
+// round's, a nested read's — is not hashed again.
+func (c *Client) prefixStates(key []byte) (sfc, node []uint64) {
+	if len(key) == 0 || len(key) != len(c.stateKey) || &key[0] != &c.stateKey[0] {
+		var nodeSeed uint64
+		if c.lac != nil {
+			nodeSeed = c.lac.nodeSeed()
+		}
+		c.stateKey = key
+		c.sfcStates, c.nodeStates = wire.HashStates(c.sfcStates[:0], c.nodeStates[:0], key, sfcSeed, nodeSeed)
+	}
+	return c.sfcStates, c.nodeStates
+}
+
+// prefixHashes returns the filter hash and the node-word hash of prefix:
+// read off the operation's states when prefix is a prefix of the key they
+// were computed for — the same bytes: the descent, the landing and the
+// publications all slice the operation's key —, hashed here otherwise. The
+// node-word hash is 0 for a client without a leaf-address cache.
+func (c *Client) prefixHashes(prefix []byte) (filter, node uint64) {
+	if l := len(prefix); l > 0 && l <= len(c.stateKey) && &prefix[0] == &c.stateKey[0] {
+		return wire.Mix64(c.sfcStates[l]), wire.Mix64(c.nodeStates[l])
+	}
+	if c.lac != nil {
+		node = c.lac.NodeHash(prefix)
+	}
+	return PrefixFilterHash(prefix), node
 }
 
 // Shared is the cluster-wide descriptor of one Sphinx index. Everything
@@ -168,9 +193,11 @@ type Options struct {
 // both exporters name them from its fields (core_<field>, RegisterIndex).
 type Stats struct {
 	Searches, Inserts, Updates, Deletes, Scans uint64
-	// FilterHits counts operations routed by a filter-cache hit — the
-	// three-round-trip warm path, or two when the node's address is
-	// remembered (NodeHits).
+	// FilterHits counts locates that landed on a node below the root through
+	// the filter-cache tier — the three-round-trip warm path, or two when the
+	// node's address is remembered (NodeHits): at a prefix the filter claims,
+	// or one whose node word the leaf-address cache remembers
+	// (UnclaimedLandings).
 	FilterHits uint64
 	// FilterFallbacks counts locates of a client without the filter
 	// (a nil Options.Filter) that landed on a node the parallel
@@ -236,8 +263,8 @@ type Stats struct {
 	// or a transient fabric error.
 	SpecUpdAborts uint64
 	// NodeHits counts landings read at the address the leaf-address cache
-	// remembers for the prefix the filter named, with no table read
-	// (fetchRemembered); they are FilterHits too.
+	// remembers for a prefix, with no table read (fetchRemembered); they are
+	// FilterHits too.
 	NodeHits uint64
 	// NodeRefutes counts remembered node addresses the image read there
 	// refuted (retired, another prefix's node, undecodable); the entry is
@@ -247,6 +274,11 @@ type Stats struct {
 	// someone else and therefore not trusted: the entry is kept, the landing
 	// asks the table.
 	NodeAborts uint64
+	// UnclaimedLandings counts the FilterHits at a prefix the filter does
+	// not claim: an operation that does not insert landed on the node the
+	// prefix's remembered node word led to (locate), which had outlived the
+	// filter's entry.
+	UnclaimedLandings uint64
 	// EpochFallbacks counts reads served from the previous placement epoch
 	// while a membership change was mid-migration.
 	EpochFallbacks uint64
@@ -351,9 +383,11 @@ type Client struct {
 	opScratch   []fabric.Op
 	nodeScratch []*rart.Node
 	pathScratch []pathCand // a seeded scan's nodes of lo's path (scanPath)
-	// stateScratch holds the filter hash states of the key a locate or a
-	// scan path probes (prefixStates).
-	stateScratch []uint64
+	// The hash states of every prefix of stateKey, the key the operation in
+	// flight locates or the scan path probes (prefixStates); begin drops
+	// them.
+	stateKey              []byte
+	sfcStates, nodeStates []uint64
 
 	// pub carries the hash-table publications of the structural write in
 	// progress (see publisher).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"sphinx/internal/counters"
@@ -10,7 +12,7 @@ import (
 
 // lacSeed derives the leaf-address-cache hash from a full key; distinct
 // from the filter seed (8) and the leaf checksum seeds (2, 3). lacNodeSeed
-// derives it from an inner node's full prefix.
+// derives it from an inner node's full prefix (NodeHash).
 const (
 	lacSeed     = 9
 	lacNodeSeed = 11
@@ -67,9 +69,19 @@ const (
 
 	// lacWays is the bucket width: eight words, one 64-byte cache line.
 	lacWays = 8
-	// lacWindow is how many leaf learns into a full bucket the placement
-	// rule's window counts before it halves its counts (store).
-	lacWindow = 1 << 14
+	// A gated cache's doorkeeper (secondMiss) takes one of every lacDoorShare
+	// of its words, a bucket's at least; each of its words holds the tags of
+	// four keys, lacDoorTagBits each, below the present bit: a doorkeeper
+	// word never reads as a leaf or node word.
+	lacDoorShare   = 128
+	lacDoorTagBits = 15
+	lacDoorTagMask = uint64(1)<<lacDoorTagBits - 1
+	lacDoorMask    = uint64(1)<<(4*lacDoorTagBits) - 1
+	// The sketch that counts the keys a cache has learned (noteKey) has
+	// 2^lacSketchBits one-byte registers: a standard error of 1.04/√512,
+	// 4.6 %.
+	lacSketchBits = 9
+	lacSketchRegs = 1 << lacSketchBits
 
 	lacNodeUnits     = 252
 	lacNodeAlignBits = 3 // log2 of an inner node's alignment
@@ -122,11 +134,10 @@ type LACStats struct {
 	Unlearns  uint64 // entries removed: refuted speculative reads, demotions
 	Evictions uint64 // learns into a full bucket that displaced a live entry
 
-	// The placement rule's inputs (store).
-	FullLeafLearns uint64 // leaf learns into a full bucket
-	LeafOverLeaf   uint64 // of those, the ones that displaced a leaf word
-	NodeEvictions  uint64 // node words displaced, by a learn of either kind
-	NodeDrops      uint64 // node learns that took no way
+	// The placement rule's (store).
+	GateRefusals  uint64 // leaf learns into a full bucket the second-miss gate turned away
+	NodeEvictions uint64 // node words displaced, by a learn of either kind
+	NodeDrops     uint64 // node learns that took no way
 }
 
 func init() { counters.Check[LACStats]() }
@@ -159,13 +170,19 @@ func (s LACStats) Add(t LACStats) LACStats {
 // concurrent Learn just gave to another key (a lost learn: that key relearns
 // on its next miss).
 type LeafCache struct {
-	words []uint64 // len(words)/lacWays buckets of lacWays words each
-	mask  uint64   // bucket count - 1
-	seed  uint64
-	stats LACStats
-	// window is the placement rule's decaying window: leaf learns into a full
-	// bucket in [63:32], those that displaced a leaf in [31:0].
-	window uint64
+	words   []uint64 // buckets of lacWays words each
+	buckets uint64   // a power of two
+	// limit is the number of buckets in use: all of them until the cache
+	// gates, the rest of them a doorkeeper's words from then on (gate).
+	limit atomic.Uint64
+	// sketch is a HyperLogLog of the keys whose leaf words the cache learned,
+	// eight one-byte registers to a word (noteKey).
+	sketch [lacSketchRegs / 8]atomic.Uint64
+	seed   uint64
+	stats  LACStats
+	// depths has the bit of every prefix length a node word was learned at
+	// (depthBit), so that a walk asks for node words at those lengths only.
+	depths atomic.Uint64
 }
 
 // NewLeafCache creates a leaf-address cache with capacity for n entries
@@ -175,11 +192,9 @@ func NewLeafCache(n int, seed uint64) *LeafCache {
 	for size < n {
 		size <<= 1
 	}
-	return &LeafCache{
-		words: make([]uint64, size),
-		mask:  uint64(size/lacWays) - 1,
-		seed:  seed,
-	}
+	lc := &LeafCache{words: make([]uint64, size), buckets: uint64(size / lacWays), seed: seed}
+	lc.limit.Store(lc.buckets)
+	return lc
 }
 
 // NewLeafCacheBytes creates a leaf-address cache bounded by a CN-side
@@ -193,13 +208,27 @@ func NewLeafCacheBytes(budget uint64, seed uint64) *LeafCache {
 	return NewLeafCache(size, seed)
 }
 
-// bucketTag derives a key's bucket and the tag (present bit and fingerprint)
-// its entries carry from one hash: low bits pick the bucket, bits above any
-// table's width the fingerprint. kindSeed is lacSeed for a key's leaf word,
-// lacNodeSeed for a prefix's node word.
-func (lc *LeafCache) bucketTag(key []byte, kindSeed uint64) (bucket []uint64, tag uint64) {
-	h := wire.Hash64Seed(key, kindSeed^lc.seed)
-	base := (h & lc.mask) * lacWays
+// keyHash is the hash a key's leaf word is filed under.
+func (lc *LeafCache) keyHash(key []byte) uint64 { return wire.Hash64Seed(key, lacSeed^lc.seed) }
+
+// NodeHash is the hash the node word of an inner node whose full prefix is
+// prefix is filed under. A client reads it off its operation's forward pass
+// over the key instead (Client.prefixStates), seeded with nodeSeed.
+func (lc *LeafCache) NodeHash(prefix []byte) uint64 { return wire.Hash64Seed(prefix, lc.nodeSeed()) }
+
+func (lc *LeafCache) nodeSeed() uint64 { return lacNodeSeed ^ lc.seed }
+
+// slot derives the bucket of a word hashed to h and the tag (present bit and
+// fingerprint) it carries: low bits pick the bucket, bits above any table's
+// width the fingerprint. In a gated cache a hash that falls on a doorkeeper's
+// bucket is folded onto one of the first: every other word stays where it was
+// before the cache gated.
+func (lc *LeafCache) slot(h uint64) (bucket []uint64, tag uint64) {
+	b := h & (lc.buckets - 1)
+	if limit := lc.limit.Load(); b >= limit {
+		b -= limit
+	}
+	base := b * lacWays
 	return lc.words[base : base+lacWays : base+lacWays], lacPresentBit | (h>>48&lacFPMask)<<lacFPShift
 }
 
@@ -221,16 +250,16 @@ func find(bucket []uint64, tag uint64, node bool) uint64 {
 // A false return means the cache has no opinion; a true return is a hint
 // that MUST be verified against the leaf image it resolves to.
 func (lc *LeafCache) Lookup(key []byte) (addr mem.Addr, units uint8, ok bool) {
-	bucket, tag := lc.bucketTag(key, lacSeed)
+	bucket, tag := lc.slot(lc.keyHash(key))
 	w := find(bucket, tag, false)
 	return lacAddr(w), lacUnits(w), w != 0
 }
 
 // LookupNode returns the cached address and type of the inner node whose full
-// prefix is prefix: a hint like Lookup's, to be verified against the node
-// image it resolves to. It never returns what a leaf word holds.
-func (lc *LeafCache) LookupNode(prefix []byte) (addr mem.Addr, t wire.NodeType, ok bool) {
-	bucket, tag := lc.bucketTag(prefix, lacNodeSeed)
+// prefix hashes to h (NodeHash): a hint like Lookup's, to be verified against
+// the node image it resolves to. It never returns what a leaf word holds.
+func (lc *LeafCache) LookupNode(h uint64) (addr mem.Addr, t wire.NodeType, ok bool) {
+	bucket, tag := lc.slot(h)
 	w := find(bucket, tag, true)
 	return lacNodeAddr(w), lacNodeType(w), w != 0
 }
@@ -239,49 +268,59 @@ func (lc *LeafCache) LookupNode(prefix []byte) (addr mem.Addr, t wire.NodeType, 
 // size (store has the placement). An address or a size the word cannot hold
 // is dropped: the key simply stays uncached.
 func (lc *LeafCache) Learn(key []byte, addr mem.Addr, units uint8) {
-	bucket, tag := lc.bucketTag(key, lacSeed)
+	h := lc.keyHash(key)
+	lc.noteKey(h)
+	bucket, tag := lc.slot(h)
 	if next, ok := packLACWord(tag, addr, units); ok {
-		lc.store(bucket, tag, next)
+		lc.store(bucket, tag, next, h)
 	}
 }
 
-// LearnNode records that the inner node with the full prefix prefix is of type
-// t and lives at addr. A nil cache (the ablation) learns nothing.
-func (lc *LeafCache) LearnNode(prefix []byte, addr mem.Addr, t wire.NodeType) {
+// LearnNode records that the inner node whose full prefix, depth bytes long,
+// hashes to h (NodeHash) is of type t and lives at addr. A nil cache (the
+// ablation) learns nothing.
+func (lc *LeafCache) LearnNode(h uint64, depth int, addr mem.Addr, t wire.NodeType) {
 	if lc == nil {
 		return
 	}
-	bucket, tag := lc.bucketTag(prefix, lacNodeSeed)
+	bit := depthBit(depth)
+	for w := lc.depths.Load(); w&bit == 0 && !lc.depths.CompareAndSwap(w, w|bit); {
+		w = lc.depths.Load()
+	}
+	bucket, tag := lc.slot(h)
 	if next, ok := packNodeWord(tag, addr, t); ok {
-		lc.store(bucket, tag, next)
+		lc.store(bucket, tag, next, h)
 	}
 }
 
-// store writes the word next: over the entry of its kind already carrying its
-// tag (keeping its reference bit), else into an empty way, else — the bucket
-// is full — over a resident, counted as an eviction. Which resident is one
-// rule, read off a decaying window of the leaf learns into full buckets:
+// store writes the word next, hashed to h: over the entry of its kind already
+// carrying its tag (keeping its reference bit), else into an empty way, else —
+// the bucket is full — over a resident, counted as an eviction. Which resident
+// is one rule, which the cache switches once, when it has learned the leaf
+// words of more keys than it has ways (noteKey):
 //
-//   - While fewer than half of them displace a leaf, the leaves fit, and
-//     leaves come first: a leaf word buys two round trips for its key with
-//     certainty, a node word one for the keys below it that miss, so the leaf
-//     capacity the table was sized for is not spent on nodes. A full bucket
-//     gives up a node word, the first from a way that rotates with the learn
-//     count so that no resident is singled out; if it holds none, a leaf word
-//     takes the rotating way itself and a node word is dropped. A read phase
-//     whose leaves fit loses nothing to node words.
-//   - Once half or more do, the leaves no longer fit and a leaf way is lost
-//     either way; then whichever word is in use should stay, whatever its
-//     kind. A learn of either kind runs the SFC's second-chance sweep over the
-//     bucket (victim), so a node word that keeps being looked up
-//     displaces an idle leaf. So does a cache that has seen no leaf learn
-//     into a full bucket: an insert-heavy phase, whose keys have no leaf to
-//     remember yet, keeps the landings it uses among its node words.
+//   - Until then leaves come first: a leaf word buys two round trips for its
+//     key with certainty, a node word one for the keys below it that miss, so
+//     the leaf capacity the table was sized for is not spent on nodes. A full
+//     bucket gives up a node word, the one the second-chance sweep over its
+//     node words picks (victim), from a way that rotates with the learn count
+//     so that no resident is singled out; if it holds none, a leaf word takes
+//     the rotating way itself and a node word is dropped. A read phase whose
+//     leaves fit loses nothing to node words, and a run of inserts, whose
+//     node words compete among themselves, keeps those it looks up.
+//   - A gated cache loses leaf ways whatever it does; then whichever word is
+//     in use should stay, whatever its kind. A learn of either kind runs the
+//     SFC's second-chance sweep over the bucket (victim), so a node word that
+//     keeps being looked up displaces an idle leaf. And a leaf word enters a
+//     full bucket only on its key's second miss (secondMiss): a key of a
+//     working set many times the table is seldom asked for again before its
+//     word would be swept, and its learn would sweep a word that is used. A
+//     key that comes back soon — a hot one — is remembered at its second miss.
 //
 // A leaf word takes its victim's way whatever is there by then; a node word
 // takes it by a CAS on the word seen, and is dropped if that word changed in
-// between (while the leaves fit, it may have become a leaf's).
-func (lc *LeafCache) store(bucket []uint64, tag, next uint64) {
+// between (while leaves come first, it may have become a leaf's).
+func (lc *LeafCache) store(bucket []uint64, tag, next, h uint64) {
 	node := isNodeWord(next)
 	empty := -1
 	for i := range bucket {
@@ -299,11 +338,14 @@ func (lc *LeafCache) store(bucket []uint64, tag, next uint64) {
 		return
 	}
 	// Full, or another learner took the empty way first.
-	clock := !lc.leavesFit()
+	clock := lc.gated()
+	if clock && !node && !lc.secondMiss(h) {
+		atomic.AddUint64(&lc.stats.GateRefusals, 1)
+		return
+	}
 	way, prev := victim(bucket, int((tag>>lacFPShift+atomic.LoadUint64(&lc.stats.Learns)+1)%lacWays), clock)
 	if !node {
 		prev = atomic.SwapUint64(&bucket[way], next)
-		lc.noteFull(prev != 0 && !isNodeWord(prev))
 	} else if !clock && !isNodeWord(prev) || !atomic.CompareAndSwapUint64(&bucket[way], prev, next) {
 		atomic.AddUint64(&lc.stats.NodeDrops, 1)
 		return
@@ -318,52 +360,119 @@ func (lc *LeafCache) store(bucket []uint64, tag, next uint64) {
 }
 
 // victim returns the way a learn into the full bucket takes, and the word seen
-// there, searching from at. While the leaves fit, that is the first way that
-// holds a node word, else at. Otherwise it is the SFC's replacement sweep, a
-// clock over the ways: the first whose word is not referenced, clearing the
-// reference bit of each word it passes on the way there — a referenced word
-// survives one sweep, and the next only if it is looked up again in between.
-// If all eight were referenced, at's word goes.
+// there, searching from at by the SFC's replacement sweep, a clock over the
+// ways: the first whose word is not referenced, clearing the reference bit of
+// each word it passes on the way there — a referenced word survives one sweep,
+// and the next only if it is looked up again in between. While leaves come
+// first the sweep passes leaf words by: it takes a node word, and at if the
+// bucket holds none. In a gated cache it takes either kind.
 func victim(bucket []uint64, at int, clock bool) (int, uint64) {
-	for j := 0; j < lacWays; j++ {
+	for j := 0; j < 2*lacWays; j++ {
 		i := (at + j) % lacWays
 		switch w := atomic.LoadUint64(&bucket[i]); {
-		case !clock && isNodeWord(w), clock && w&lacRefBit == 0:
+		case !clock && !isNodeWord(w):
+		case w&lacRefBit == 0:
 			return i, w
-		case clock:
+		default:
 			atomic.CompareAndSwapUint64(&bucket[i], w, w&^lacRefBit)
 		}
 	}
 	return at, atomic.LoadUint64(&bucket[at])
 }
 
-// leavesFit reads the rule off the window: fewer than half of the leaf learns
-// into a full bucket displaced a leaf. A window without such a learn is no
-// evidence that there are leaves to protect, and sweeps.
-func (lc *LeafCache) leavesFit() bool {
-	w := atomic.LoadUint64(&lc.window)
-	return 2*(w&(1<<32-1)) < w>>32
+// noteKey enters the key hashed to h into the sketch of the keys whose leaf
+// words the cache learned, and gates the cache once the sketch counts more of
+// them than the cache has ways: its leaves do not fit. The rule is read off
+// the keys the cache sees, not a count it was told to expect, and it does not
+// switch back. A register is written only when the key raises it, so a learn
+// costs a load and a compare, and the count is taken only when a register
+// moves: a few thousand times in all.
+func (lc *LeafCache) noteKey(h uint64) {
+	reg, rank := h>>(64-lacSketchBits), uint64(bits.LeadingZeros64(h<<lacSketchBits|1<<(lacSketchBits-1))+1)
+	word, shift := &lc.sketch[reg/8], reg%8*8
+	for {
+		w := word.Load()
+		if w>>shift&0xff >= rank {
+			return
+		}
+		if word.CompareAndSwap(w, w&^(0xff<<shift)|rank<<shift) {
+			break
+		}
+	}
+	if !lc.gated() && lc.keysSeen() > float64(len(lc.words)) {
+		lc.gate()
+	}
 }
 
-// noteFull counts a leaf learn into a full bucket into the window and into the
-// counters, and whether it displaced a leaf. The window halves both counts
-// once it has seen lacWindow learns.
-func (lc *LeafCache) noteFull(overLeaf bool) {
-	atomic.AddUint64(&lc.stats.FullLeafLearns, 1)
-	add := uint64(1) << 32
-	if overLeaf {
-		atomic.AddUint64(&lc.stats.LeafOverLeaf, 1)
-		add++
+// keysSeen estimates how many distinct keys noteKey has seen: HyperLogLog's
+// harmonic mean over the registers, or linear counting while that is below
+// 2.5 registers a key and some register is still zero (Flajolet et al.).
+func (lc *LeafCache) keysSeen() float64 {
+	sum, zeros := 0.0, 0
+	for i := range lc.sketch {
+		w := lc.sketch[i].Load()
+		for shift := 0; shift < 64; shift += 8 {
+			r := int(w >> shift & 0xff)
+			sum += math.Ldexp(1, -r)
+			if r == 0 {
+				zeros++
+			}
+		}
 	}
-	if w := atomic.AddUint64(&lc.window, add); w>>32 >= lacWindow {
-		atomic.CompareAndSwapUint64(&lc.window, w, w>>1&^(1<<31))
+	m := float64(lacSketchRegs)
+	if e := 0.7213 / (1 + 1.079/m) * m * m / sum; e > 2.5*m || zeros == 0 {
+		return e
 	}
+	return m * math.Log(m/float64(zeros))
+}
+
+// gate switches the cache to the second-miss gate: its last buckets — one word
+// in lacDoorShare, a bucket's at least — become the doorkeeper's words,
+// emptied, and the hashes that fell on them fold onto its first buckets
+// (slot), so its footprint is what it was. A learn, lookup or unlearn that
+// picked its bucket before the switch may still reach a doorkeeper word: a
+// word it leaves there costs a tag, and the doorkeeper's own words never
+// carry the present bit, so no lookup takes one for an entry.
+func (lc *LeafCache) gate() {
+	limit := lc.buckets - max(1, lc.buckets/lacDoorShare)
+	if lc.limit.CompareAndSwap(lc.buckets, limit) {
+		for i := limit * lacWays; i < uint64(len(lc.words)); i++ {
+			atomic.StoreUint64(&lc.words[i], 0)
+		}
+	}
+}
+
+// gated tells whether the cache has switched to the second-miss gate.
+func (lc *LeafCache) gated() bool { return lc.limit.Load() < lc.buckets }
+
+// door returns the doorkeeper's words: none until the cache gates.
+func (lc *LeafCache) door() []uint64 { return lc.words[lc.limit.Load()*lacWays:] }
+
+// secondMiss is the gate's doorkeeper, TinyLFU's: a key's first miss into a
+// full bucket leaves only its tag behind. It reports whether the tag of the
+// key hashed to h is among the four its door word holds, and if not, pushes it
+// in as the word's newest, the oldest falling out — the doorkeeper forgets by
+// being written, and needs no reset. A push that loses its CAS to a concurrent
+// one is dropped: that key passes a miss later.
+func (lc *LeafCache) secondMiss(h uint64) bool {
+	door := lc.door()
+	t := wire.Mix64(h)
+	slot := &door[t>>32*uint64(len(door))>>32]
+	tag := t&lacDoorTagMask | 1 // never the empty lane's 0
+	w := atomic.LoadUint64(slot)
+	for i := 0; i < 4*lacDoorTagBits; i += lacDoorTagBits {
+		if w>>i&lacDoorTagMask == tag {
+			return true
+		}
+	}
+	atomic.CompareAndSwapUint64(slot, w, (w<<lacDoorTagBits|tag)&lacDoorMask)
+	return false
 }
 
 // Unlearn removes every entry carrying key's fingerprint: the key-only form,
 // for a caller that wants the key forgotten wherever it points (demotion).
 func (lc *LeafCache) Unlearn(key []byte) {
-	bucket, tag := lc.bucketTag(key, lacSeed)
+	bucket, tag := lc.slot(lc.keyHash(key))
 	lc.remove(bucket, tag, lacTagMask, false)
 }
 
@@ -372,15 +481,15 @@ func (lc *LeafCache) Unlearn(key []byte) {
 // learned for the key's new address in the meantime is fresher information
 // and stays.
 func (lc *LeafCache) UnlearnAt(key []byte, addr mem.Addr) {
-	bucket, tag := lc.bucketTag(key, lacSeed)
+	bucket, tag := lc.slot(lc.keyHash(key))
 	if named, ok := packLACWord(tag, addr, 0); ok {
 		lc.remove(bucket, named, lacTagMask|lacAddrMask, false)
 	}
 }
 
-// UnlearnNodeAt is UnlearnAt for the node word of prefix.
-func (lc *LeafCache) UnlearnNodeAt(prefix []byte, addr mem.Addr) {
-	bucket, tag := lc.bucketTag(prefix, lacNodeSeed)
+// UnlearnNodeAt is UnlearnAt for the node word of the prefix hashed to h.
+func (lc *LeafCache) UnlearnNodeAt(h uint64, addr mem.Addr) {
+	bucket, tag := lc.slot(h)
 	if named, ok := packNodeWord(tag, addr, 0); ok {
 		lc.remove(bucket, named, lacTagMask|lacAddrMask, true)
 	}
@@ -398,7 +507,9 @@ func (lc *LeafCache) remove(bucket []uint64, want, mask uint64, node bool) {
 	}
 }
 
-// Reset clears every entry with plain atomic stores. Concurrent Learns
+// Reset clears every entry, the doorkeeper's tags and the node words' depths
+// with plain atomic stores; the keys seen stay counted, and a gated cache
+// stays gated. Concurrent Learns
 // racing the sweep may be lost — acceptable for the one caller (the hot
 // tracker's route flush on a membership change), where a lost entry only
 // costs a relearn.
@@ -406,13 +517,24 @@ func (lc *LeafCache) Reset() {
 	for i := range lc.words {
 		atomic.StoreUint64(&lc.words[i], 0)
 	}
+	lc.depths.Store(0)
 }
 
-// SizeBytes returns the cache's memory footprint.
+// nodeDepths returns the prefix lengths node words were learned at, as
+// depthBit sets them: no node word of any other length is held.
+func (lc *LeafCache) nodeDepths() uint64 { return lc.depths.Load() }
+
+// depthBit is a prefix length's bit in the depths mask: bit l for l bytes,
+// bit 63 for 63 or more.
+func depthBit(l int) uint64 { return 1 << min(l, 63) }
+
+// SizeBytes returns the cache's memory footprint: its words, the doorkeeper's
+// included. Its counters and the key sketch's 512 bytes are bookkeeping
+// outside it, as a filter's counters are.
 func (lc *LeafCache) SizeBytes() uint64 { return uint64(len(lc.words)) * 8 }
 
-// Entries returns the cache's slot capacity.
-func (lc *LeafCache) Entries() int { return len(lc.words) }
+// Entries returns the cache's slot capacity: the ways of the buckets in use.
+func (lc *LeafCache) Entries() int { return int(lc.limit.Load()) * lacWays }
 
 // Occupancy returns the number of live entries, the slot capacity, the
 // number of buckets with no empty way left — a learn into one of those
@@ -420,7 +542,7 @@ func (lc *LeafCache) Entries() int { return len(lc.words) }
 // Misses with next to no full buckets are keys not yet learned; misses with
 // many are a cache too small for its working set.
 func (lc *LeafCache) Occupancy() (occupied, capacity, fullBuckets, nodes uint64) {
-	for base := 0; base < len(lc.words); base += lacWays {
+	for base := 0; base < lc.Entries(); base += lacWays {
 		bucket, live := lc.words[base:base+lacWays], 0
 		for i := range bucket {
 			w := atomic.LoadUint64(&bucket[i])
@@ -436,7 +558,7 @@ func (lc *LeafCache) Occupancy() (occupied, capacity, fullBuckets, nodes uint64)
 			fullBuckets++
 		}
 	}
-	return occupied, uint64(len(lc.words)), fullBuckets, nodes
+	return occupied, uint64(lc.Entries()), fullBuckets, nodes
 }
 
 // Stats returns a snapshot of the cache's maintenance counters.

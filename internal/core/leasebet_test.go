@@ -254,7 +254,7 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 			}
 			if tc.remembered {
 				c = NewClient(e.shared, e.f.NewClient(), Options{Filter: e.setup.filter, LeafCache: testLAC(0)})
-				c.lac.LearnNode([]byte("budget-"), landing.Addr, landing.Hdr.Type)
+				c.lac.LearnNode(c.lac.NodeHash([]byte("budget-")), len([]byte("budget-")), landing.Addr, landing.Hdr.Type)
 			}
 			var log batchLog
 			c.eng.C.SetObserver(&log)

@@ -18,7 +18,18 @@ import (
 //
 // With the filter cache this is the paper's warm path: local existence
 // checks pick the longest live prefix, then one hash-entry round trip and
-// one node round trip; a prefix no probe confirms starts at the root.
+// one node round trip — or the node's alone where the leaf-address cache
+// remembers its address (fetchRemembered); a prefix no probe confirms starts
+// at the root. An operation that does not insert lands, deepest prefix first,
+// on a node word the cache remembers whether the filter still claims its
+// prefix or has dropped it: verified on landing, the word is as good a claim.
+// Only a claim asks the table, though: a word for an unclaimed prefix that
+// does not verify sends the walk on to shorter prefixes; and the cache is
+// asked only at the prefix lengths it has learned node words at. An inserting put
+// asks the cache only for a prefix the filter claims, the landing its lease
+// bet is posted on. Both hashes of a prefix come from one forward pass over
+// key (prefixStates).
+//
 // Without the filter (a nil Options.Filter, the noSFC ablation), the
 // buckets of every prefix are fetched in a single doorbell batch (§III-A,
 // locateParallel).
@@ -29,18 +40,28 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 	if c.filter == nil {
 		return c.locateParallel(key, maxLen)
 	}
-	var probes uint64
-	states := c.prefixStates(key[:maxLen])
+	var probes, depths uint64
+	sfc, node := c.prefixStates(key)
+	if c.lac != nil && !c.inserting {
+		depths = c.lac.nodeDepths()
+	}
 	for l := maxLen; l >= 1; l-- {
 		prefix := key[:l]
-		h := wire.Mix64(states[l])
+		h := wire.Mix64(sfc[l])
 		probes++
-		if !c.filter.Contains(h) {
+		claimed := c.filter.Contains(h)
+		if claimed {
+			c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(), "sfc probe hit: prefix %d/%d, fetching", uint64(l), uint64(len(key)))
+		} else if depths&depthBit(l) == 0 {
 			continue
 		}
-		c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(), "sfc probe hit: prefix %d/%d, fetching", uint64(l), uint64(len(key)))
-		n, err := c.fetchRemembered(prefix)
-		if n == nil && err == nil {
+		n, err := c.fetchRemembered(prefix, wire.Mix64(node[l]))
+		switch {
+		case !claimed && n == nil && err == nil:
+			continue
+		case !claimed:
+			c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(), "sfc miss, node word remembered: prefix %d/%d", uint64(l), uint64(len(key)))
+		case n == nil && err == nil:
 			n, err = c.fetchValidated(prefix)
 		}
 		if err != nil {
@@ -48,6 +69,9 @@ func (c *Client) locate(key []byte, maxLen int) (*rart.Node, int, error) {
 		}
 		if n != nil {
 			atomic.AddUint64(&c.stats.FilterHits, 1)
+			if !claimed {
+				atomic.AddUint64(&c.stats.UnclaimedLandings, 1)
+			}
 			if c.index != nil {
 				c.index.SFCHitDepth.Observe(uint64(l))
 				c.index.SFCProbes.Observe(probes)
@@ -81,8 +105,9 @@ const (
 	nodeLostNote    = "node address refuted: memory node lost: unlearned"
 )
 
-// fetchRemembered is the landing with no table read: the node of prefix, read
-// at the address the leaf-address cache remembers for it — what the table's
+// fetchRemembered is the landing with no table read: the node of prefix, whose
+// node-word hash is h, read at the address the leaf-address cache remembers
+// for it — what the table's
 // entry would have said — behind the lease CAS when the put may insert
 // (readCandidates), which is thereby posted a level earlier still. Like every
 // remembered address it is trusted only after the image read there verifies:
@@ -108,11 +133,11 @@ const (
 //
 // Anything but a hit returns nil and the caller asks the table. Any other
 // fabric error is the caller's, as from the table read it replaces.
-func (c *Client) fetchRemembered(prefix []byte) (*rart.Node, error) {
+func (c *Client) fetchRemembered(prefix []byte, h uint64) (*rart.Node, error) {
 	if c.lac == nil {
 		return nil, nil
 	}
-	addr, t, ok := c.lac.LookupNode(prefix)
+	addr, t, ok := c.lac.LookupNode(h)
 	if !ok {
 		return nil, nil
 	}
@@ -200,7 +225,8 @@ func (c *Client) land(view *racehash.View, prefix []byte, cands []racehash.Candi
 		case !c.refuted(n, prefix):
 			if found == nil {
 				found = n
-				c.lac.LearnNode(prefix, n.Addr, n.Hdr.Type)
+				_, h := c.prefixHashes(prefix)
+				c.lac.LearnNode(h, len(prefix), n.Addr, n.Hdr.Type)
 			}
 		case n.Hdr.Status == wire.StatusInvalid:
 			// Retired by a type switch whose table update this entry
@@ -267,14 +293,14 @@ func (c *Client) scanPath(lo []byte) ([]*rart.Node, error) {
 	p := c.members.Current()
 	c.readScratch = slices.Grow(c.readScratch[:0], len(lo))[:len(lo)]
 	cands, ops := c.pathScratch[:0], c.opScratch[:0]
-	states := c.prefixStates(lo)
+	sfc, node := c.prefixStates(lo)
 	for l := len(lo); l >= 1; l-- {
 		prefix := lo[:l]
-		if !c.filter.Contains(wire.Mix64(states[l])) {
+		if !c.filter.Contains(wire.Mix64(sfc[l])) {
 			continue
 		}
 		if c.lac != nil {
-			if addr, t, ok := c.lac.LookupNode(prefix); ok {
+			if addr, t, ok := c.lac.LookupNode(wire.Mix64(node[l])); ok {
 				cands = append(cands, pathCand{l, wire.HashEntry{Valid: true, Type: t, Addr: addr}, true})
 				continue
 			}
@@ -342,18 +368,18 @@ func (c *Client) scanPath(lo []byte) ([]*rart.Node, error) {
 			if path[len(lo)-pc.l] == nil {
 				path[len(lo)-pc.l] = n
 				if !pc.remembered {
-					c.lac.LearnNode(prefix, n.Addr, n.Hdr.Type)
+					c.lac.LearnNode(wire.Mix64(node[pc.l]), pc.l, n.Addr, n.Hdr.Type)
 				}
 			}
 		case pc.remembered && !live:
-			c.lac.UnlearnNodeAt(prefix, pc.entry.Addr)
+			c.lac.UnlearnNodeAt(wire.Mix64(node[pc.l]), pc.entry.Addr)
 		}
 	}
 	for i := range cands {
 		if pc := cands[i]; !pc.remembered && !pc.entry.Valid && c.readScratch[pc.l-1].Valid() &&
 			path[len(lo)-pc.l] == nil && c.prevViewFor(p, lo[:pc.l]) == nil {
 			atomic.AddUint64(&c.stats.FalsePositives, 1)
-			c.filter.Delete(wire.Mix64(states[pc.l]))
+			c.filter.Delete(wire.Mix64(sfc[pc.l]))
 		}
 	}
 	c.nodeScratch = path

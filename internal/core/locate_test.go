@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"testing"
 
+	"sphinx/internal/fabric"
 	"sphinx/internal/racehash"
 	"sphinx/internal/rart"
 	"sphinx/internal/wire"
@@ -129,23 +131,115 @@ func TestFilterlessPutPostsNoLeaseBet(t *testing.T) {
 
 // TestPrefixStatesMatchFilterHash: the one forward pass locate and scanPath
 // take their probes from gives every prefix the hash the filter holds it
-// under, bit for bit, at every length of random keys 0–64 bytes long.
+// under, and the hash its node word is filed under, bit for bit, at every
+// length of random keys 0–64 bytes long; and prefixHashes answers from it for
+// a prefix of that key as it hashes any other.
 func TestPrefixStatesMatchFilterHash(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	c := &Client{}
+	c := &Client{lac: NewLeafCache(64, 3)}
 	for i := 0; i < 2000; i++ {
 		key := make([]byte, rng.IntN(65))
 		for j := range key {
 			key[j] = byte(rng.Uint32())
 		}
-		states := c.prefixStates(key)
-		if len(states) != len(key)+1 {
-			t.Fatalf("%d states for a key of %d bytes", len(states), len(key))
+		sfc, node := c.prefixStates(key)
+		if len(sfc) != len(key)+1 || len(node) != len(key)+1 {
+			t.Fatalf("%d and %d states for a key of %d bytes", len(sfc), len(node), len(key))
 		}
 		for l := 0; l <= len(key); l++ {
-			if got, want := wire.Mix64(states[l]), PrefixFilterHash(key[:l]); got != want {
+			if got, want := wire.Mix64(sfc[l]), PrefixFilterHash(key[:l]); got != want {
 				t.Fatalf("key %x prefix %d: state hashes to %#x, PrefixFilterHash %#x", key, l, got, want)
 			}
+			if got, want := wire.Mix64(node[l]), c.lac.NodeHash(key[:l]); got != want {
+				t.Fatalf("key %x prefix %d: node state hashes to %#x, NodeHash %#x", key, l, got, want)
+			}
+			other := bytes.Clone(key[:l])
+			f, n := c.prefixHashes(key[:l])
+			fo, no := c.prefixHashes(other)
+			if f != fo || n != no || f != PrefixFilterHash(other) || n != c.lac.NodeHash(other) {
+				t.Fatalf("key %x prefix %d: prefixHashes %#x/%#x off the states, %#x/%#x off a copy", key, l, f, n, fo, no)
+			}
+		}
+	}
+}
+
+// TestDescentLearnsFilterHashes: the hashes a descent and a put's
+// publications insert into the filter and file node words under are taken off
+// the operation's forward pass, and are PrefixFilterHash and NodeHash of every
+// inner node's prefix on the key's path, bit for bit: the filter holds one
+// entry per such prefix and nothing else, and each node word answers with its
+// node.
+func TestDescentLearnsFilterHashes(t *testing.T) {
+	f, shared := newCluster(t, 3, fabric.InstantConfig(), 4096)
+	writer := newTestClient(f, shared, Options{Filter: testFilter(1), LeafCache: testLAC(1)})
+	keys := []string{"desc/a/1", "desc/a/2", "desc/b/1", "desc/b/22", "desc/b/23", "dx"}
+	for _, k := range keys {
+		if _, err := writer.Insert([]byte(k), []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reader := newTestClient(f, shared, Options{Filter: testFilter(2), LeafCache: testLAC(2)})
+	for _, k := range keys {
+		warmSearch(t, reader, []byte(k), []byte(k))
+	}
+	for name, c := range map[string]*Client{"writer": writer, "reader": reader} {
+		// The path's inner nodes, as the table names them.
+		inner := map[string]*rart.Node{}
+		for _, k := range keys {
+			for l := 1; l < len(k); l++ {
+				n, err := c.fetchValidated([]byte(k[:l]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != nil {
+					inner[k[:l]] = n
+				}
+			}
+		}
+		if len(inner) < 3 {
+			t.Fatalf("%d inner nodes on the keys' paths; the test wants a deeper tree", len(inner))
+		}
+		for p, n := range inner {
+			if !c.filter.Contains(PrefixFilterHash([]byte(p))) {
+				t.Errorf("%s: inner node %q is not in the filter under PrefixFilterHash", name, p)
+			}
+			if addr, _, ok := c.lac.LookupNode(c.lac.NodeHash([]byte(p))); !ok || addr != n.Addr {
+				t.Errorf("%s: the node word of %q = %v, %v; want %v", name, p, addr, ok, n.Addr)
+			}
+		}
+		if occ, _ := c.filter.Occupancy(); occ != uint64(len(inner)) {
+			t.Errorf("%s: the filter holds %d entries for %d inner-node prefixes", name, occ, len(inner))
+		}
+	}
+}
+
+// TestPrefixStatesFollowReusedKeyBuffer: a caller may rewrite one key buffer
+// between operations. The states are matched to a key by its buffer, so
+// every operation — a Get's begin, a Scan — drops the last one's: the hashes
+// read off them are the rewritten key's.
+func TestPrefixStatesFollowReusedKeyBuffer(t *testing.T) {
+	f, shared := newCluster(t, 3, fabric.InstantConfig(), 4096)
+	c := newTestClient(f, shared, Options{})
+	for _, k := range []string{"reuse-a", "reuse-b"} {
+		if _, err := c.Insert([]byte(k), []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := []byte("reuse-a")
+	warmSearch(t, c, buf, []byte("reuse-a"))
+	for _, step := range []struct {
+		key string
+		op  func() error
+	}{
+		{"reuse-b", func() error { _, _, err := c.Search(buf); return err }},
+		{"reuse-a", func() error { _, err := c.Scan(buf, nil, 1); return err }},
+	} {
+		copy(buf, step.key)
+		if err := step.op(); err != nil {
+			t.Fatal(err)
+		}
+		if f, n := c.prefixHashes(buf); f != PrefixFilterHash([]byte(step.key)) || n != c.lac.NodeHash([]byte(step.key)) {
+			t.Fatalf("after an operation on the buffer rewritten to %q, its hashes are another key's", step.key)
 		}
 	}
 }

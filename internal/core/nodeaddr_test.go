@@ -96,7 +96,7 @@ func TestNodeAddressRefutedByPeerTypeSwitch(t *testing.T) {
 			if es := holder.eng.Stats(); es.LeaseBetsReturned != eng0.LeaseBetsReturned || es.LockSteals != 0 {
 				t.Errorf("%d bets returned, %d leases stolen; want 0, 0", es.LeaseBetsReturned-eng0.LeaseBetsReturned, es.LockSteals)
 			}
-			addr, typ, ok := holder.lac.LookupNode([]byte("budget-"))
+			addr, typ, ok := holder.lac.LookupNode(holder.lac.NodeHash([]byte("budget-")))
 			if !ok || addr == original.Addr || typ != original.Hdr.Type.Grow() {
 				t.Errorf("the holder remembers %v (%v), %v; want the grown copy, not the original %v", addr, typ, ok, original.Addr)
 			}
@@ -228,9 +228,68 @@ func TestNodeAddressOnKilledNodeFailsOver(t *testing.T) {
 			if st.NodeRefutes != 1 || st.NodeHits != 0 {
 				t.Errorf("%d refuted addresses, %d hits; want 1, 0", st.NodeRefutes, st.NodeHits)
 			}
-			if addr, _, known := reader.lac.LookupNode(key[:l]); known {
+			if addr, _, known := reader.lac.LookupNode(reader.lac.NodeHash(key[:l])); known {
 				t.Errorf("the address %v on the dead node is still remembered", addr)
 			}
 		})
 	}
+}
+
+// TestNodeWordLandsWhereFilterDropped: the filter has evicted the prefix of a
+// node the client's leaf-address cache still remembers. A Get — an operation
+// that does not insert — lands on the remembered node word anyway, deepest
+// prefix first: node-read, leaf-read, no table read, a landing counted as
+// unclaimed. An inserting put under the same prefix keeps the filter's order
+// and does not: it lands on the shorter prefix the filter still claims. Fails
+// with the node word asked only behind a filter claim.
+func TestNodeWordLandsWhereFilterDropped(t *testing.T) {
+	f, shared := newCluster(t, 3, fabric.InstantConfig(), 4096)
+	keys := []string{"drop/a1", "drop/a2", "drop/b1", "drop/b2"}
+	c := newTestClient(f, shared, Options{})
+	for _, k := range keys {
+		if _, err := c.Insert([]byte(k), []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range keys {
+		warmSearch(t, c, []byte(k), []byte("v-"+k))
+	}
+	for _, p := range []string{"drop/", "drop/a"} {
+		if n, err := c.fetchValidated([]byte(p)); err != nil || n == nil {
+			t.Fatalf("no inner node at %q (%v): the scenario exercises nothing", p, err)
+		}
+	}
+	c.filter.Delete(PrefixFilterHash([]byte("drop/a")))
+	c.lac.Unlearn([]byte("drop/a1"))
+
+	var log batchLog
+	c.eng.C.SetObserver(&log)
+	st0, hs0 := c.Stats(), c.HashStats()
+	warmSearch(t, c, []byte("drop/a1"), []byte("v-drop/a1"))
+	c.eng.C.SetObserver(nil)
+	var stages []string
+	for _, ev := range log.evs {
+		stages = append(stages, ev.Stage.String())
+	}
+	st := c.Stats()
+	if fmt.Sprint(stages) != "[node-read leaf-read]" || st.NodeHits != st0.NodeHits+1 ||
+		st.UnclaimedLandings != st0.UnclaimedLandings+1 || c.HashStats().Lookups != hs0.Lookups {
+		t.Errorf("Get under a dropped prefix: batches %v, node hits +%d, unclaimed +%d, table lookups +%d; want [node-read leaf-read], 1, 1, 0",
+			stages, st.NodeHits-st0.NodeHits, st.UnclaimedLandings-st0.UnclaimedLandings, c.HashStats().Lookups-hs0.Lookups)
+	}
+	// The descent from the landing learned its prefix back into the filter
+	// (hooks.SawNode); drop it again for the put.
+	if !c.filter.Contains(PrefixFilterHash([]byte("drop/a"))) {
+		t.Error("the descent from an unclaimed landing did not learn its prefix back into the filter")
+	}
+	c.filter.Delete(PrefixFilterHash([]byte("drop/a")))
+	st0 = c.Stats()
+	if _, err := c.Insert([]byte("drop/a3"), []byte("v-drop/a3")); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.UnclaimedLandings != st0.UnclaimedLandings || st.FilterHits != st0.FilterHits+1 {
+		t.Errorf("an inserting put under the dropped prefix: unclaimed landings +%d, filter hits +%d; want 0, 1 (the claimed \"drop/\")",
+			st.UnclaimedLandings-st0.UnclaimedLandings, st.FilterHits-st0.FilterHits)
+	}
+	warmSearch(t, c, []byte("drop/a3"), []byte("v-drop/a3"))
 }

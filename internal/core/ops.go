@@ -27,10 +27,11 @@ func (h hooks) SawNode(prefix []byte, n *rart.Node) {
 	if len(prefix) == 0 {
 		return
 	}
+	f, node := h.c.prefixHashes(prefix)
 	if h.c.filter != nil {
-		h.c.filter.Insert(PrefixFilterHash(prefix))
+		h.c.filter.Insert(f)
 	}
-	h.c.lac.LearnNode(prefix, n.Addr, n.Hdr.Type)
+	h.c.lac.LearnNode(node, len(prefix), n.Addr, n.Hdr.Type)
 }
 
 // UpdatedLeaf learns where a put that took the tree path found (or moved)
@@ -207,12 +208,13 @@ func (p *publisher) Publish(commit []fabric.Op) error {
 			return err
 		}
 		p.done[i] = true
+		f, node := c.prefixHashes(pub.Prefix)
 		if pub.Old == nil && c.filter != nil {
-			c.filter.Insert(PrefixFilterHash(pub.Prefix))
+			c.filter.Insert(f)
 		}
 		// Fresh or grown, the node is where its prefix now lives: a client's
 		// own type switch re-points its own remembered address.
-		c.lac.LearnNode(pub.Prefix, pub.Node.Addr, pub.Node.Hdr.Type)
+		c.lac.LearnNode(node, len(pub.Prefix), pub.Node.Addr, pub.Node.Hdr.Type)
 	}
 	return nil
 }
@@ -302,14 +304,16 @@ func (c *Client) noteAbandoned(objects, bytes *uint64) {
 }
 
 // begin starts an outermost operation on key: its arguments are checked
-// (rart.CheckArgs), and the engine's image arena rewound — what the client's
-// last operation read is dead from here on (DESIGN.md §5.7). Nested reads
+// (rart.CheckArgs), the engine's image arena rewound — what the client's
+// last operation read is dead from here on (DESIGN.md §5.7) — and the last
+// key's prefix hash states dropped (prefixStates). Nested reads
 // (hot promotion's searchTree, anchorGet) never call it.
 func (c *Client) begin(key, value []byte) error {
 	if err := rart.CheckArgs(key, value); err != nil {
 		return err
 	}
 	c.eng.Rewind()
+	c.stateKey = nil
 	return nil
 }
 
@@ -605,7 +609,8 @@ func (c *Client) specSettle(p specPath, key []byte, addr mem.Addr, out specOutco
 		}
 	case specRefute:
 		if p.node {
-			p.cache.UnlearnNodeAt(key, addr)
+			_, h := c.prefixHashes(key)
+			p.cache.UnlearnNodeAt(h, addr)
 		} else {
 			p.cache.UnlearnAt(key, addr)
 		}
@@ -734,7 +739,8 @@ func (c *Client) collided(key, leafKey []byte, startLen int) bool {
 	}
 	atomic.AddUint64(&c.stats.CollisionRetries, 1)
 	if c.filter != nil {
-		c.filter.Delete(PrefixFilterHash(key[:startLen]))
+		f, _ := c.prefixHashes(key[:startLen])
+		c.filter.Delete(f)
 	}
 	c.rec.Note(fabric.StageFilterProbe, c.eng.C.Clock(), "prefix collision at %d: unlearned, narrowing to %d", uint64(startLen), uint64(startLen-1))
 	return true
@@ -934,6 +940,7 @@ func (c *Client) Scan(lo, hi []byte, limit int) ([]rart.KV, error) {
 	// not inflate per-op metrics.
 	atomic.AddUint64(&c.stats.Scans, 1)
 	c.eng.Rewind()
+	c.stateKey = nil // as begin: lo may be the last key's buffer, rewritten
 	if c.degraded() {
 		// Degraded writes live only in the unordered anchor store, so a
 		// tree traversal — even one that avoids the dead node — could

@@ -70,16 +70,18 @@ func (s *IndexSources) lacStats() LACStats { return sumOver(s.LACs, (*LeafCache)
 
 // lacOccupancy sums live entries, slot capacity, full buckets, the node words
 // among the live entries and byte footprint across the leaf-address caches,
-// and counts the caches whose leaves fit (LeafCache.store).
-func (s *IndexSources) lacOccupancy() (occupied, capacity, fullBuckets, nodes, bytes, fit uint64) {
+// counts the caches that gate leaf words and sums the keys they have seen
+// (LeafCache.noteKey).
+func (s *IndexSources) lacOccupancy() (occupied, capacity, fullBuckets, nodes, bytes, gated uint64, keys float64) {
 	for _, lc := range s.LACs {
 		o, c, f, n := lc.Occupancy()
 		occupied, capacity, fullBuckets, nodes, bytes = occupied+o, capacity+c, fullBuckets+f, nodes+n, bytes+lc.SizeBytes()
-		if lc.leavesFit() {
-			fit++
+		if lc.gated() {
+			gated++
 		}
+		keys += lc.keysSeen()
 	}
-	return occupied, capacity, fullBuckets, nodes, bytes, fit
+	return occupied, capacity, fullBuckets, nodes, bytes, gated, keys
 }
 
 // RegisterIndex registers the index layers' metric families on r, reading
@@ -145,13 +147,13 @@ func (s *IndexSources) gauges(family string) map[string]float64 {
 		if probes := fst.Hits + fst.Misses; probes > 0 {
 			g["false_positive_rate"] = float64(st.FalsePositives) / float64(probes)
 		}
-		if claims := st.FilterHits + st.FalsePositives; claims > 0 {
+		if claims := st.FilterHits - st.UnclaimedLandings + st.FalsePositives; claims > 0 {
 			g["fp_per_claim"] = float64(st.FalsePositives) / float64(claims)
 		}
 		return g
 	case family == "lac" && len(s.LACs) > 0:
 		st := s.Stats()
-		occupied, capacity, full, nodes, bytes, fit := s.lacOccupancy()
+		occupied, capacity, full, nodes, bytes, gated, keys := s.lacOccupancy()
 		g := map[string]float64{
 			"occupied_slots": float64(occupied),
 			"capacity_slots": float64(capacity),
@@ -162,9 +164,12 @@ func (s *IndexSources) gauges(family string) map[string]float64 {
 			// Ways holding an inner node's address; the rest hold leaves.
 			"node_entries": float64(nodes),
 			"size_bytes":   float64(bytes),
-			// Caches whose leaves fit: a full bucket gives up node words
-			// first; the rest run the second-chance sweep over both kinds.
-			"leaves_fit": float64(fit),
+			// Caches that have learned the leaf words of more keys than they
+			// have ways: they run the second-chance sweep over both kinds and
+			// let a leaf word into a full bucket on its key's second miss;
+			// the rest give up node words first.
+			"gated":     float64(gated),
+			"keys_seen": keys,
 		}
 		if attempts := st.SpecHits + st.SpecMisses + st.SpecRefutes + st.SpecAborts; attempts > 0 {
 			g["hit_rate"] = float64(st.SpecHits) / float64(attempts)

@@ -487,7 +487,7 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 		sc.checkReadable(t, f, shared, what+", after the survivor's put")
 		emptyHand(t, survivor, what+", after the survivor's put")
 
-		if addr, _, ok := holder.lac.LookupNode([]byte("budget-")); !ok || addr != original.Addr {
+		if addr, _, ok := holder.lac.LookupNode(holder.lac.NodeHash([]byte("budget-"))); !ok || addr != original.Addr {
 			t.Fatalf("%s: the holder remembers %v, %v for \"budget-\"; want the original %v", what, addr, ok, original.Addr)
 		}
 		for _, k := range sc.setup {
@@ -500,7 +500,7 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 		// before the invalidation behind it: the original is valid, leased for
 		// good, and off the tree.
 		orphaned := sc.name == "type switch" && n > shape.first+1 && n < shape.verbs-1
-		if addr, _, _ := holder.lac.LookupNode([]byte("budget-")); orphaned && (holder.Stats().NodeAborts != 1 || addr == original.Addr) {
+		if addr, _, _ := holder.lac.LookupNode(holder.lac.NodeHash([]byte("budget-"))); orphaned && (holder.Stats().NodeAborts != 1 || addr == original.Addr) {
 			t.Errorf("%s: the holder turned down %d leased images and remembers %v; want the orphaned original %v turned down once, for the copy the table names",
 				what, holder.Stats().NodeAborts, addr, original.Addr)
 		}
@@ -1088,7 +1088,7 @@ func TestTypeSwitchNoFalseAbsenceBetweenBatches(t *testing.T) {
 			if rival.Stats().FilterHits != jumps+1 {
 				t.Errorf("boundary %d: the read-back did not jump through the hash table", at)
 			}
-			if addr, _, ok := holder.lac.LookupNode([]byte("budget-")); !ok || addr != original.Addr {
+			if addr, _, ok := holder.lac.LookupNode(holder.lac.NodeHash([]byte("budget-"))); !ok || addr != original.Addr {
 				t.Errorf("boundary %d: the holder remembers %v, %v; want the original %v", at, addr, ok, original.Addr)
 				return
 			}

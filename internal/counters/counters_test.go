@@ -91,8 +91,8 @@ func TestAddSubLoad(t *testing.T) {
 		walked[fabric.Stats, [13]uint64](t, rng)
 		walked[racehash.Stats, [17]uint64](t, rng)
 		walked[rart.EngineStats, [20]uint64](t, rng)
-		walked[core.Stats, [50]uint64](t, rng)
-		walked[core.LACStats, [7]uint64](t, rng)
+		walked[core.Stats, [51]uint64](t, rng)
+		walked[core.LACStats, [6]uint64](t, rng)
 		walked[cuckoo.Stats, [12]uint64](t, rng)
 	}
 }

@@ -376,3 +376,40 @@ func TestSettleOutwaitsSlowSplit(t *testing.T) {
 	}
 	holdsOnce(t, env, h, e)
 }
+
+// TestSplitOutwaitsHeldTableLock: a split that finds the table-wide split
+// lock held by another client splitting a segment — whom the host keeps off
+// the CPU for a quarter of a second of wall time — waits the holder out as a
+// wait on any live holder does (fabric.Backoff.WaitHolder) instead of giving
+// up on a poll count, takes the lock once it is free and gives it back. A
+// goroutine yielding in a loop stands for a busy box's other clients, as in
+// TestSettleOutwaitsSlowSplit.
+func TestSplitOutwaitsHeldTableLock(t *testing.T) {
+	env := newEnv(t, 100)
+	c := env.f.NewClient()
+	alloc := mem.NewAllocator(c, 0)
+	v := warmView(t, env, c)
+	h, _ := hashFP(1)
+	region, lock := env.f.Region(env.node), env.table.Meta.Add(metaLockOff).Offset()
+	region.WriteUint64(lock, 1)
+	var released atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !released.Load() {
+			runtime.Gosched()
+		}
+	}()
+	time.AfterFunc(250*time.Millisecond, func() {
+		region.WriteUint64(lock, 0)
+		released.Store(true)
+	})
+	err := v.split(h, alloc)
+	<-done
+	if err != nil {
+		t.Fatalf("split behind a table lock held 250 ms: %v", err)
+	}
+	if got := region.ReadUint64(lock); got != 0 {
+		t.Fatalf("table split lock %d after the split; want it given back", got)
+	}
+}

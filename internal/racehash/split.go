@@ -31,9 +31,15 @@ import (
 // Publishing the new segment before rewriting the old one means a reader
 // can always find a live entry: through the old segment until the
 // directory flips, through the new one after.
+//
+// The table lock's holder is a live client splitting another segment, whom
+// nobody takes the lock from, so the polls wait as every wait on a live holder
+// does (fabric.Backoff.WaitHolder, like waitSplit's): long enough to outlast
+// the host keeping the holder off the CPU, and no longer on an idle box than
+// on a busy one.
 func (v *View) split(h uint64, alloc *mem.Allocator) error {
 	lockAddr := v.t.Meta.Add(metaLockOff)
-	for attempt := 0; ; attempt++ {
+	for b := (fabric.BackoffPolicy{}).Start(v.c); ; {
 		old, err := v.c.CompareSwap(lockAddr, 0, 1)
 		if err != nil {
 			return err
@@ -41,11 +47,9 @@ func (v *View) split(h uint64, alloc *mem.Allocator) error {
 		if old == 0 {
 			break
 		}
-		if attempt > maxAttempts*64 {
+		if !b.WaitHolder() {
 			return fmt.Errorf("%w: table split lock", ErrRetryExhausted)
 		}
-		v.c.AdvanceClock(1_000_000) // back off 1 µs before re-polling
-		fabric.Yield(attempt)
 	}
 	leftovers, err := v.splitLocked(h, alloc)
 	if uerr := v.c.WriteUint64(lockAddr, 0); uerr != nil && err == nil {

@@ -98,7 +98,7 @@ type Engine struct {
 	// publication plan (see staged); per-worker and reused.
 	stagedOps []fabric.Op
 	pubs      []Publication
-	// commitOps backs the commit batches behind it (slotWrite), commitWords
+	// commitOps backs the commit batches behind it (appendSlotWrite), commitWords
 	// the words they WRITE — [0] a slot, [1] the header retiring a leaf or a
 	// node — and commitIdx a Node48 index byte.
 	commitOps   []fabric.Op

@@ -308,17 +308,12 @@ func (e *Engine) confirmEdge(st *staged, op string, locked, also *Node, key []by
 	return ed, nil
 }
 
-// slotWrite starts a commit batch in the engine's storage (commitOps,
-// commitWords: no allocation): the WRITE of word into the slot of ed, an edge
-// of the locked node n. An edge that appears in or disappears from a Node48
-// takes its index byte along; a swing from one child to another leaves it
-// alone. The caller appends what rides behind the slot and ends the batch
-// with thenUnlock.
-func (e *Engine) slotWrite(n *Node, ed edge, word uint64) []fabric.Op {
-	return e.appendSlotWrite(e.commitOps[:0], n, ed, word)
-}
-
-// appendSlotWrite is slotWrite behind verbs that lead the commit batch.
+// appendSlotWrite appends to a commit batch in the engine's storage
+// (commitOps, commitWords: no allocation), behind the verbs that lead it, the
+// WRITE of word into the slot of ed, an edge of the locked node n. An edge
+// that appears in or disappears from a Node48 takes its index byte along; a
+// swing from one child to another leaves it alone. The caller appends what
+// rides behind the slot and ends the batch with thenUnlock.
 func (e *Engine) appendSlotWrite(ops []fabric.Op, n *Node, ed edge, word uint64) []fabric.Op {
 	binary.LittleEndian.PutUint64(e.commitWords[0][:], word)
 	ops = append(ops, fabric.Op{Kind: fabric.Write, Addr: ed.addr, Data: e.commitWords[0][:]})

@@ -32,18 +32,20 @@ func Hash64Seed(b []byte, seed uint64) uint64 {
 	return Mix64(h)
 }
 
-// HashStates appends to dst the unfinished Hash64Seed state of every prefix
-// of b, lengths 0 through len(b), from one forward pass over b: for the
-// returned st, Mix64(st[l]) == Hash64Seed(b[:l], seed).
-func HashStates(dst []uint64, b []byte, seed uint64) []uint64 {
-	h := uint64(fnvOffset64) ^ (seed * 0x9e3779b97f4a7c15)
-	dst = append(dst, h)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-		dst = append(dst, h)
+// HashStates appends to a and b the unfinished Hash64Seed states of every
+// prefix of key, lengths 0 through len(key), under two seeds in one forward
+// pass over key: for the returned sa and sb, Mix64(sa[l]) ==
+// Hash64Seed(key[:l], seedA) and Mix64(sb[l]) == Hash64Seed(key[:l], seedB).
+func HashStates(a, b []uint64, key []byte, seedA, seedB uint64) ([]uint64, []uint64) {
+	ha := uint64(fnvOffset64) ^ (seedA * 0x9e3779b97f4a7c15)
+	hb := uint64(fnvOffset64) ^ (seedB * 0x9e3779b97f4a7c15)
+	a, b = append(a, ha), append(b, hb)
+	for _, c := range key {
+		ha = (ha ^ uint64(c)) * fnvPrime64
+		hb = (hb ^ uint64(c)) * fnvPrime64
+		a, b = append(a, ha), append(b, hb)
 	}
-	return dst
+	return a, b
 }
 
 // Mix64 is the splitmix64 finalizer: a cheap, high-quality avalanche used
