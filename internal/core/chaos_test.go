@@ -10,6 +10,7 @@ import (
 
 	"sphinx/internal/fabric"
 	"sphinx/internal/rart"
+	"sphinx/internal/rart/fscktest"
 	"sphinx/internal/wire"
 )
 
@@ -68,20 +69,7 @@ func runChaosWorkload(t *testing.T, plan *fabric.FaultPlan) ([]rart.KV, fabric.S
 	}
 	// Read the final contents fault-free.
 	f.SetFaultPlan(nil)
-	verify := newTestClient(f, shared, Options{})
-	kvs, err := verify.Scan(nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != len(oracle) {
-		t.Fatalf("final scan has %d keys, oracle has %d", len(kvs), len(oracle))
-	}
-	for _, kv := range kvs {
-		if oracle[string(kv.Key)] != string(kv.Value) {
-			t.Fatalf("final %q = %q, oracle %q", kv.Key, kv.Value, oracle[string(kv.Key)])
-		}
-	}
-	return kvs, c.Engine().C.Stats()
+	return fscktest.ScanHolds(t, newTestClient(f, shared, Options{}), oracle), c.Engine().C.Stats()
 }
 
 // TestChaosConvergence: the same workload converges to the same final
@@ -491,19 +479,7 @@ func TestChaosPipelinedConvergence(t *testing.T) {
 
 	// The final contents, read fault-free, must match the oracle exactly.
 	f.SetFaultPlan(nil)
-	verify := newTestClient(f, shared, Options{})
-	kvs, err := verify.Scan(nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != len(oracle) {
-		t.Fatalf("final scan has %d keys, oracle has %d", len(kvs), len(oracle))
-	}
-	for _, kv := range kvs {
-		if oracle[string(kv.Key)] != string(kv.Value) {
-			t.Fatalf("final %q = %q, oracle %q", kv.Key, kv.Value, oracle[string(kv.Key)])
-		}
-	}
+	fscktest.ScanHolds(t, newTestClient(f, shared, Options{}), oracle)
 }
 
 // TestChaosPipelinedNodeDown: a pipelined window issued against a downed

@@ -26,6 +26,19 @@ func sweepToCutover(t *testing.T, c *Client) MigrateReport {
 	return MigrateReport{}
 }
 
+// loadElastic inserts the n keys verifyAll reads through a client of its own,
+// and returns it.
+func loadElastic(t *testing.T, f *fabric.Fabric, shared Shared, n int) *Client {
+	t.Helper()
+	c := newTestClient(f, shared, Options{})
+	for i := 0; i < n; i++ {
+		if _, err := c.Insert([]byte(fmt.Sprintf("elastic-key-%05d", i)), []byte(fmt.Sprintf("val-%05d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
 func verifyAll(t *testing.T, c *Client, n int, context string) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -44,13 +57,7 @@ func verifyAll(t *testing.T, c *Client, n int, context string) {
 func TestElasticAddNode(t *testing.T) {
 	const keys = 400
 	f, shared := newCluster(t, 2, fabric.InstantConfig(), keys)
-	c := newTestClient(f, shared, Options{})
-	for i := 0; i < keys; i++ {
-		key := []byte(fmt.Sprintf("elastic-key-%05d", i))
-		if _, err := c.Insert(key, []byte(fmt.Sprintf("val-%05d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := loadElastic(t, f, shared, keys)
 
 	id := f.AddNode(64 << 20)
 	p, err := BeginAddNode(f, shared, id, keys)
@@ -115,13 +122,7 @@ func TestElasticAddNode(t *testing.T) {
 func TestElasticDrainNode(t *testing.T) {
 	const keys = 300
 	f, shared := newCluster(t, 3, fabric.InstantConfig(), keys)
-	c := newTestClient(f, shared, Options{})
-	for i := 0; i < keys; i++ {
-		key := []byte(fmt.Sprintf("elastic-key-%05d", i))
-		if _, err := c.Insert(key, []byte(fmt.Sprintf("val-%05d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := loadElastic(t, f, shared, keys)
 
 	// Drain any member that does not host the pinned root.
 	var victim = shared.Root.Node()
@@ -180,13 +181,7 @@ func TestElasticOverlappingTransitionRejected(t *testing.T) {
 func TestElasticAddNodeReplicated(t *testing.T) {
 	const keys = 300
 	f, shared := newReplicatedCluster(t, 3, fabric.InstantConfig(), keys)
-	c := newTestClient(f, shared, Options{})
-	for i := 0; i < keys; i++ {
-		key := []byte(fmt.Sprintf("elastic-key-%05d", i))
-		if _, err := c.Insert(key, []byte(fmt.Sprintf("val-%05d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := loadElastic(t, f, shared, keys)
 
 	id := f.AddNode(64 << 20)
 	if _, err := BeginAddNode(f, shared, id, keys); err != nil {
@@ -221,13 +216,7 @@ func TestElasticAddNodeReplicated(t *testing.T) {
 func TestElasticDrainReplicated(t *testing.T) {
 	const keys = 200
 	f, shared := newReplicatedCluster(t, 4, fabric.InstantConfig(), keys)
-	c := newTestClient(f, shared, Options{})
-	for i := 0; i < keys; i++ {
-		key := []byte(fmt.Sprintf("elastic-key-%05d", i))
-		if _, err := c.Insert(key, []byte(fmt.Sprintf("val-%05d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := loadElastic(t, f, shared, keys)
 	var victim = shared.Root.Node()
 	for _, n := range shared.Members.Current().Ring.Nodes() {
 		if n != shared.Root.Node() {

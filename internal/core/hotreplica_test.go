@@ -47,21 +47,28 @@ func eagerHotSet(r int, promoteAt uint32) *HotSet {
 	return hs
 }
 
-func TestHotPromoteAndServe(t *testing.T) {
+// promoted builds a hot cluster with one NIC queueing and a client whose
+// tracker promotes at the third observation, and drives Searches of
+// "popular-key", inserted as v1, until the tracker promotes it. The
+// speculative leaf cache serves some of them; all of them feed the tracker.
+func promoted(t *testing.T) (c *Client, hs *HotSet, key []byte) {
+	t.Helper()
 	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
 	fabrictest.Queue(t, f, shared.Hot.Load, 0)
-	hs := eagerHotSet(3, 3)
-	c := newTestClient(f, shared, Options{Hot: hs})
-	key, val := []byte("popular-key"), []byte("v1")
-	if _, err := c.Insert(key, val); err != nil {
+	hs, key = eagerHotSet(3, 3), []byte("popular-key")
+	c = newTestClient(f, shared, Options{Hot: hs})
+	if _, err := c.Insert(key, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	// Drive Searches until the tracker promotes (threshold 3). The
-	// speculative leaf cache serves some of these; all of them feed the
-	// tracker.
 	for i := 0; i < 8 && c.Stats().HotPromotes == 0; i++ {
-		warmSearch(t, c, key, val)
+		warmSearch(t, c, key, []byte("v1"))
 	}
+	return c, hs, key
+}
+
+func TestHotPromoteAndServe(t *testing.T) {
+	c, hs, key := promoted(t)
+	val := []byte("v1")
 	st := c.Stats()
 	if st.HotPromotes != 1 {
 		t.Fatalf("HotPromotes = %d after warm searches, want 1", st.HotPromotes)
@@ -195,17 +202,7 @@ func TestHotTierNeedsATracker(t *testing.T) {
 }
 
 func TestHotWriteRefreshesReplicas(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
-	fabrictest.Queue(t, f, shared.Hot.Load, 0)
-	hs := eagerHotSet(3, 3)
-	c := newTestClient(f, shared, Options{Hot: hs})
-	key := []byte("popular-key")
-	if _, err := c.Insert(key, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8 && c.Stats().HotPromotes == 0; i++ {
-		warmSearch(t, c, key, []byte("v1"))
-	}
+	c, _, key := promoted(t)
 	if c.Stats().HotPromotes == 0 {
 		t.Fatal("key did not promote")
 	}
@@ -231,17 +228,7 @@ func TestHotWriteRefreshesReplicas(t *testing.T) {
 }
 
 func TestHotDeleteRemovesReplicas(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
-	fabrictest.Queue(t, f, shared.Hot.Load, 0)
-	hs := eagerHotSet(3, 3)
-	c := newTestClient(f, shared, Options{Hot: hs})
-	key := []byte("popular-key")
-	if _, err := c.Insert(key, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8 && c.Stats().HotPromotes == 0; i++ {
-		warmSearch(t, c, key, []byte("v1"))
-	}
+	c, _, key := promoted(t)
 	if ok, err := c.Delete(key); err != nil || !ok {
 		t.Fatalf("Delete = %v, %v", ok, err)
 	}
@@ -261,17 +248,7 @@ func TestHotDeleteRemovesReplicas(t *testing.T) {
 // costs one refuted round trip and falls back with no backoff sleep and
 // no retry budget, mirroring the leaf-address-cache contract.
 func TestHotStaleRouteRefutedNoBackoff(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
-	fabrictest.Queue(t, f, shared.Hot.Load, 0)
-	hs := eagerHotSet(3, 3)
-	c := newTestClient(f, shared, Options{Hot: hs})
-	key := []byte("popular-key")
-	if _, err := c.Insert(key, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8 && c.Stats().HotPromotes == 0; i++ {
-		warmSearch(t, c, key, []byte("v1"))
-	}
+	c, hs, key := promoted(t)
 	// Retire every replica record behind the tracker's back, leaving the
 	// route caches stale (the shape a lost write-refresh race would have
 	// if the protocol allowed one).
@@ -539,43 +516,62 @@ func TestHotDemoteTearsDown(t *testing.T) {
 // between the promoter's authoritative read and its final swap runs the
 // replica refresh instead of skipping it — and the promoter's pre-write value
 // then loses the LWW swap instead of sticking as a verified-servable stale
-// record.
+// record. A Delete that lands ahead of the placeholders instead — behind the
+// first batch of their fan-out, the gate open, nothing placed yet, so the
+// Delete finds no record to retire — leaves the promoter's read finding the
+// key gone: the promotion aborts, takes back its placeholders (hotAbandon),
+// and no record of the key is left on any hot target.
 func TestHotPublishGateOpensBeforePlaceholders(t *testing.T) {
-	f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
-	fabrictest.Queue(t, f, shared.Hot.Load, 0)
-	c := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 1<<30)}) // never promotes by itself
-	writer := newTestClient(f, shared, Options{})
-	key := []byte("raced-key")
-	if _, err := c.Insert(key, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if shared.Hot.Published() {
-		t.Fatal("Published() true before any hot record exists")
-	}
-	// The write lands behind the promoter's read of the leaf.
-	sw := fabrictest.Switch(0, func(s fabrictest.Step) bool { return s.BatchEnd && s.Stage == fabric.StageLeafRead })
-	fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { c.hotPromote(key) }}, fabrictest.Proc{Fn: func() {
-		if !shared.Hot.Published() {
-			t.Error("Published() false with placeholders discoverable; a racing write would skip the replica refresh")
-		}
-		if _, err := writer.Update(key, []byte("v2")); err != nil {
-			t.Error(err)
-		}
-	}})
-	if sw.Turns[0].At == nil {
-		t.Fatal("the promoter read no leaf; the write never raced it")
-	}
-	targets, _ := c.hot.targets(c.members.Current(), key, false)
-	for _, tgt := range slices.Clone(targets) {
-		recs, err := c.hot.recordsOn(tgt, key)
-		if err != nil {
-			t.Fatalf("records on node %d: %v", tgt, err)
-		}
-		for _, r := range recs {
-			if r.status == wire.StatusIdle && !bytes.Equal(r.value, []byte("v2")) {
-				t.Errorf("node %d: hot record v%d serves %q after the racing write, want %q", tgt, r.version, r.value, "v2")
+	for _, tc := range []struct {
+		name  string
+		at    fabric.Stage // the promoter's batch the write lands behind
+		write func(*Client, []byte) error
+	}{
+		{"update", fabric.StageLeafRead, func(w *Client, key []byte) error { _, err := w.Update(key, []byte("v2")); return err }},
+		{"delete", fabric.StageHotPub, func(w *Client, key []byte) error { _, err := w.Delete(key); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, shared := newHotCluster(t, 3, fabric.DefaultConfig(), 3)
+			fabrictest.Queue(t, f, shared.Hot.Load, 0)
+			c := newTestClient(f, shared, Options{Hot: eagerHotSet(3, 1<<30)}) // never promotes by itself
+			writer := newTestClient(f, shared, Options{})
+			key := []byte("raced-key")
+			if _, err := c.Insert(key, []byte("v1")); err != nil {
+				t.Fatal(err)
 			}
-		}
+			if shared.Hot.Published() {
+				t.Fatal("Published() true before any hot record exists")
+			}
+			sw := fabrictest.Switch(0, func(s fabrictest.Step) bool { return s.BatchEnd && s.Stage == tc.at })
+			fabrictest.Run(f, sw, fabrictest.Proc{C: c.eng.C, Fn: func() { c.hotPromote(key) }}, fabrictest.Proc{Fn: func() {
+				if !shared.Hot.Published() {
+					t.Error("Published() false with placeholders discoverable; a racing write would skip the replica refresh")
+				}
+				if err := tc.write(writer, key); err != nil {
+					t.Error(err)
+				}
+			}})
+			if sw.Turns[0].At == nil {
+				t.Fatalf("the promoter posted no %v batch; the write never raced it", tc.at)
+			}
+			targets, _ := c.hot.targets(c.members.Current(), key, false)
+			for _, tgt := range slices.Clone(targets) {
+				recs, err := c.hot.recordsOn(tgt, key)
+				if err != nil {
+					t.Fatalf("records on node %d: %v", tgt, err)
+				}
+				for _, r := range recs {
+					if tc.name == "delete" {
+						t.Errorf("node %d: a %v record v%d of the deleted key is left behind the aborted promotion", tgt, r.status, r.version)
+					} else if r.status == wire.StatusIdle && !bytes.Equal(r.value, []byte("v2")) {
+						t.Errorf("node %d: hot record v%d serves %q after the racing write, want %q", tgt, r.version, r.value, "v2")
+					}
+				}
+			}
+			if got := c.Stats().HotPromotes; tc.name == "delete" && got != 0 {
+				t.Errorf("HotPromotes = %d; want the promotion of the deleted key aborted", got)
+			}
+		})
 	}
 }
 

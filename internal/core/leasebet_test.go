@@ -396,66 +396,53 @@ func TestLeaseBetAlwaysReturned(t *testing.T) {
 			name += " at a remembered address"
 		}
 		t.Run(name, func(t *testing.T) {
-			for _, point := range []struct {
-				at    uint64
-				fault error
-				cut   string
-			}{
-				{0, fabric.ErrTransient, "lock after verb 0"},
-				{1, fabric.ErrTransient, "lock after verb 1"},
-				{0, fabric.ErrTimeout, "lock after verb 2"},
-			} {
-				f, shared, setup := sc.build(t, 2)
-				landing := landingOf(t, setup, sc.key, "budget-")
-				victim := sc.victim(t, f, shared, setup, true)
-				// Slabs and directory caches first, so the put's first batch is
-				// its hash read and its second the landing; the insert also
-				// teaches the victim where the landing lives.
-				if _, err := victim.Insert([]byte("budget-+"), []byte("v")); err != nil {
-					t.Fatal(err)
-				}
-				if remembered {
-					victim.eng.C.FailAt(point.at, point.fault) // the landing is the put's first batch
-				} else {
-					victim.lac.Reset()
-					// Aimed while the hash read executes: the landing is next.
-					f.Trace = func(c *fabric.Client, _ *fabric.Op) {
-						if c == victim.eng.C {
-							f.Trace = nil
-							c.FailAt(point.at, point.fault)
-						}
+			// Every cut of the put, of which those in the landing batch — the
+			// put's one lock batch — are this test's: a transient at either of
+			// its verbs, a lost completion at its first.
+			landed := 0
+			for _, kind := range []error{fabric.ErrTransient, fabric.ErrTimeout} {
+				fabrictest.Cuts(kind, func(cut *fabrictest.Cut) {
+					f, shared, setup := sc.build(t, 2)
+					landing := landingOf(t, setup, sc.key, "budget-")
+					victim := sc.victim(t, f, shared, setup, true)
+					// Slabs and directory caches first, so the put's first batch is
+					// its hash read and its second the landing; the insert also
+					// teaches the victim where the landing lives.
+					if _, err := victim.Insert([]byte("budget-+"), []byte("v")); err != nil {
+						t.Fatal(err)
 					}
-				}
-				var log batchLog
-				victim.eng.C.SetObserver(&log)
-				restarts := victim.Stats().Restarts
-				if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
-					t.Fatalf("%s: victim put: %v", point.cut, err)
-				}
-				cut := ""
-				for _, ev := range log.evs {
-					if ev.Err != nil && cut == "" {
-						cut = fmt.Sprintf("%v after verb %d", ev.Stage, ev.Verbs)
+					if !remembered {
+						victim.lac.Reset()
 					}
-				}
-				if cut != point.cut {
-					t.Fatalf("the fault hit %q, want %q", cut, point.cut)
-				}
-				if victim.Stats().Restarts != restarts+1 {
-					t.Errorf("%s: %d restarts, want 1", cut, victim.Stats().Restarts-restarts)
-				}
-				if w := leaseWordOf(t, setup, landing); w != 0 {
-					t.Errorf("%s: landing's lease word = %#x after the put, want 0", cut, w)
-				}
-				check := newTestClient(f, shared, Options{})
-				warmSearch(t, check, []byte(sc.key), []byte("victim"))
-				clock0 := check.eng.C.Clock()
-				if _, err := check.Insert([]byte("budget-~"), []byte("next")); err != nil {
-					t.Fatal(err)
-				}
-				if dt := check.eng.C.Clock() - clock0; dt > 100_000_000 || check.eng.Stats().LockSteals != 0 {
-					t.Errorf("%s: the next writer took %d ps and stole %d leases; a lease was left held", cut, dt, check.eng.Stats().LockSteals)
-				}
+					restarts := victim.Stats().Restarts
+					var err error
+					fabrictest.Run(f, cut, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), []byte("victim")) }})
+					what := fmt.Sprintf("%v at verb %d", kind, cut.K)
+					if err != nil {
+						t.Fatalf("%s: victim put: %v", what, err)
+					}
+					if cut.At == nil || cut.Batch.Stage != fabric.StageLock || kind == fabric.ErrTimeout && !cut.At.BatchEnd {
+						return
+					}
+					if landed++; victim.Stats().Restarts != restarts+1 {
+						t.Errorf("%s: %d restarts, want 1", what, victim.Stats().Restarts-restarts)
+					}
+					if w := leaseWordOf(t, setup, landing); w != 0 {
+						t.Errorf("%s: landing's lease word = %#x after the put, want 0", what, w)
+					}
+					check := newTestClient(f, shared, Options{})
+					warmSearch(t, check, []byte(sc.key), []byte("victim"))
+					clock0 := check.eng.C.Clock()
+					if _, err := check.Insert([]byte("budget-~"), []byte("next")); err != nil {
+						t.Fatal(err)
+					}
+					if dt := check.eng.C.Clock() - clock0; dt > 100_000_000 || check.eng.Stats().LockSteals != 0 {
+						t.Errorf("%s: the next writer took %d ps and stole %d leases; a lease was left held", what, dt, check.eng.Stats().LockSteals)
+					}
+				})
+			}
+			if landed != 3 {
+				t.Errorf("%d cuts fell in the landing batch; want 3: a transient ahead of its CAS and behind it, a lost completion", landed)
 			}
 		})
 	}

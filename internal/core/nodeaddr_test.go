@@ -122,13 +122,7 @@ func TestNodeAddressRefutedByPeerTypeSwitch(t *testing.T) {
 func TestNodeAddressSurvivesDrainAndKill(t *testing.T) {
 	const keys = 300
 	f, shared := newCluster(t, 3, fabric.InstantConfig(), keys)
-	c := newTestClient(f, shared, Options{})
-	for i := 0; i < keys; i++ {
-		key := []byte(fmt.Sprintf("elastic-key-%05d", i))
-		if _, err := c.Insert(key, []byte(fmt.Sprintf("val-%05d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadElastic(t, f, shared, keys)
 	// Two holders learn every node's address from one pass of reads, with no
 	// leaf addresses to answer in their place afterwards.
 	holders := [2]*Client{}

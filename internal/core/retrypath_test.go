@@ -281,51 +281,31 @@ func deleteCollisionCluster(t *testing.T) (*fabric.Fabric, Shared, *FilterCache)
 // the key (prefix collision) confirms through a shallower start; a fault
 // during that confirm must surface or restart the operation — it must
 // never be swallowed into a fabricated (false, nil) "absent" answer while
-// the key is still present. The test sweeps an aimed client crash across
-// every verb of the operation, so the confirm read's whole window is
-// covered.
+// the key is still present. The test aims a client crash at every verb of
+// the operation, so the confirm read's whole window is covered; the cut past
+// the operation is the clean run, which detects exactly one collision and
+// deletes the key.
 func TestDeleteCollisionConfirmCrashSweep(t *testing.T) {
 	K := []byte("kkkkkkkk")
-
-	// Calibrate: the clean (fault-free) victim run must detect exactly one
-	// collision and delete the key; count its verbs to bound the sweep.
-	f, shared, filter := deleteCollisionCluster(t)
-	fc := f.NewClient()
-	victim := NewClient(shared, fc, Options{Filter: filter, LeafCache: testLAC(0)})
-	ok, err := victim.Delete(K)
-	if err != nil || !ok {
-		t.Fatalf("clean delete = %v, %v; want true, nil", ok, err)
-	}
-	if victim.stats.CollisionRetries != 1 {
-		t.Fatalf("clean delete detected %d collisions, want 1; scenario broken", victim.stats.CollisionRetries)
-	}
-	verbs := fc.Stats().Verbs
-	if verbs == 0 {
-		t.Fatal("clean delete posted no verbs")
-	}
-
-	sawCrash := false
-	for n := uint64(1); n <= verbs; n++ {
+	fabrictest.Cuts(fabric.ErrClientCrashed, func(cut *fabrictest.Cut) {
 		f, shared, filter := deleteCollisionCluster(t)
 		fscktest.Accept(f, rart.CrashedLock) // docs/failure-model.md §3: the victim dies holding its locks
-		fc := f.NewClient()
-		fc.FailAt(n, fabric.ErrClientCrashed)
-		victim := NewClient(shared, fc, Options{Filter: filter, LeafCache: testLAC(0)})
-		ok, err := victim.Delete(K)
-		sawCrash = sawCrash || err != nil // surfacing the crash is correct
+		victim := NewClient(shared, f.NewClient(), Options{Filter: filter, LeafCache: testLAC(0)})
+		var ok bool
+		var err error
+		fabrictest.Run(f, cut, fabrictest.Proc{C: victim.eng.C, Fn: func() { ok, err = victim.Delete(K) }})
+		if cut.At == nil && (err != nil || !ok || victim.stats.CollisionRetries != 1) {
+			t.Fatalf("clean delete = %v, %v with %d collisions detected; want true, nil, 1", ok, err, victim.stats.CollisionRetries)
+		}
 		if err == nil && !ok {
 			// (false, nil) claims the key was absent; it must actually be.
 			check := newTestClient(f, shared, Options{})
 			if _, present, cerr := check.Search(K); cerr != nil || present {
-				t.Fatalf("crash after %d/%d verbs: Delete(%q) = (false, nil) but the key is still present (err=%v)",
-					n, verbs, K, cerr)
+				t.Fatalf("crash at verb %d: Delete(%q) = (false, nil) but the key is still present (err=%v)", cut.K, K, cerr)
 			}
 		}
 		fscktest.Done(t, f)
-	}
-	if !sawCrash {
-		t.Fatal("no sweep point crashed the victim; the sweep exercises nothing")
-	}
+	})
 }
 
 // searchCollisionCluster builds the two-level §III-B collision chain for

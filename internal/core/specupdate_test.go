@@ -347,77 +347,77 @@ func TestReleasingWriteSurvivesFaults(t *testing.T) {
 	key := []byte("release-key")
 	for _, path := range []string{"tree", "speculative"} {
 		for _, fault := range []string{"transient", "timeout"} {
+			kind := map[string]error{"transient": fabric.ErrTransient, "timeout": fabric.ErrTimeout}[fault]
 			t.Run(path+"/"+fault, func(t *testing.T) {
-				f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
-				opts := withCaches(shared, Options{}, 0)
-				if path == "tree" {
-					opts.LeafCache = nil
-				}
-				c := NewClient(shared, f.NewClient(), opts)
-				if _, err := c.Insert([]byte("release-kin"), val64(1)); err != nil {
-					t.Fatal(err)
-				}
-				warmPut(t, c, key, val64(1))
-
-				// The batch behind the winning leaf-header lock CAS — the
-				// releasing image WRITE — faults: a transient executes nothing
-				// of it, a timeout all of it and loses the completion.
-				kind := fabric.ErrTransient
-				if fault == "timeout" {
-					kind = fabric.ErrTimeout
-				}
-				f.Trace = func(fc *fabric.Client, op *fabric.Op) {
-					if fc == c.eng.C && op.Kind == fabric.CAS && op.Old == op.Expect && wire.DecodeLeafHeader(op.Desired).Status == wire.StatusLocked {
-						f.Trace = nil
-						fc.FailAt(0, kind)
+				// The cut of the batch behind the winning leaf-header lock CAS
+				// and its READ — the releasing image WRITE: a transient executes
+				// nothing of it, a timeout all of it and loses the completion.
+				landed := 0
+				fabrictest.Cuts(kind, func(cut *fabrictest.Cut) {
+					f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
+					opts := withCaches(shared, Options{}, 0)
+					if path == "tree" {
+						opts.LeafCache = nil
 					}
+					c := NewClient(shared, f.NewClient(), opts)
+					if _, err := c.Insert([]byte("release-kin"), val64(1)); err != nil {
+						t.Fatal(err)
+					}
+					warmPut(t, c, key, val64(1))
+					clock0, writes0 := c.eng.C.Clock(), c.eng.C.Stats().ByKind[fabric.Write]
+					var ok bool
+					var err error
+					fabrictest.Run(f, cut, fabrictest.Proc{C: c.eng.C, Fn: func() { ok, err = c.Update(key, val64(2)) }})
+					if err != nil || !ok {
+						t.Fatalf("%v at verb %d: update = %v, %v", kind, cut.K, ok, err)
+					}
+					if at := cut.At; at == nil || at.Stage != fabric.StageLeafWrite || at.Op.Kind != fabric.Read || !at.BatchEnd || cut.Batch.Stage != fabric.StageLeafWrite {
+						return
+					}
+					landed++
+					fs := c.eng.C.Stats()
+					if fs.Transients+fs.Timeouts != 1 {
+						t.Fatalf("%d transients, %d timeouts; the fault missed", fs.Transients, fs.Timeouts)
+					}
+					if writes := fs.ByKind[fabric.Write] - writes0; writes != 1 {
+						t.Errorf("the image WRITE executed %d times, want exactly once", writes)
+					}
+					es := c.eng.Stats()
+					if es.LeafLockBreaks != 0 || es.PublishRetries != 1 {
+						t.Errorf("LeafLockBreaks = %d, PublishRetries = %d; want 0, 1", es.LeafLockBreaks, es.PublishRetries)
+					}
+					if c.Stats().Restarts != 0 {
+						t.Errorf("the put restarted %d times", c.Stats().Restarts)
+					}
+					if dt := c.eng.C.Clock() - clock0; dt > 50_000_000 {
+						t.Errorf("update took %d ps of virtual time; a leaf-lock wait was taken", dt)
+					}
+					if path == "speculative" && c.Stats().SpecUpdHits != 1 {
+						t.Errorf("SpecUpdHits = %d, want 1", c.Stats().SpecUpdHits)
+					}
+					warmSearch(t, newTestClient(f, shared, Options{}), key, val64(2))
+				})
+				if landed != 1 {
+					t.Errorf("%d cuts fell on the releasing WRITE; want one", landed)
 				}
-				clock0, writes0 := c.eng.C.Clock(), c.eng.C.Stats().ByKind[fabric.Write]
-				if ok, err := c.Update(key, val64(2)); err != nil || !ok {
-					t.Fatalf("update = %v, %v", ok, err)
-				}
-				fs := c.eng.C.Stats()
-				if fs.Transients+fs.Timeouts != 1 {
-					t.Fatalf("%d transients, %d timeouts; the fault missed", fs.Transients, fs.Timeouts)
-				}
-				if writes := fs.ByKind[fabric.Write] - writes0; writes != 1 {
-					t.Errorf("the image WRITE executed %d times, want exactly once", writes)
-				}
-				es := c.eng.Stats()
-				if es.LeafLockBreaks != 0 || es.PublishRetries != 1 {
-					t.Errorf("LeafLockBreaks = %d, PublishRetries = %d; want 0, 1", es.LeafLockBreaks, es.PublishRetries)
-				}
-				if c.Stats().Restarts != 0 {
-					t.Errorf("the put restarted %d times", c.Stats().Restarts)
-				}
-				if dt := c.eng.C.Clock() - clock0; dt > 50_000_000 {
-					t.Errorf("update took %d ps of virtual time; a leaf-lock wait was taken", dt)
-				}
-				if path == "speculative" && c.Stats().SpecUpdHits != 1 {
-					t.Errorf("SpecUpdHits = %d, want 1", c.Stats().SpecUpdHits)
-				}
-				warmSearch(t, newTestClient(f, shared, Options{}), key, val64(2))
 			})
 		}
 	}
 }
 
-// TestSpecUpdateCrashSweep kills the writer after every verb of a speculative
-// update — the lock CAS, the READ behind it, the second CAS of a
-// length-changing update, the releasing WRITE. This is the leaf-lock-break
-// case of the tree path's in-place update (docs/failure-model.md §4), reached
-// through a different door: a survivor finds at worst one stuck lock over an
-// intact image, breaks it at once — its owner crashed — and reads the old
-// value or the new.
+// TestSpecUpdateCrashSweep kills the writer at every verb of a speculative
+// update — ahead of the lock CAS, behind it, behind the READ that rides it,
+// the second CAS of a length-changing update, the releasing WRITE. This is the
+// leaf-lock-break case of the tree path's in-place update
+// (docs/failure-model.md §4), reached through a different door: a survivor
+// finds at worst one stuck lock over an intact image — where the writer died
+// behind a lock CAS it won — breaks it at once, its owner crashed, and reads
+// the old value or the new.
 func TestSpecUpdateCrashSweep(t *testing.T) {
 	key, old := []byte("crash-key"), val64(1)
 	for _, next := range [][]byte{val64(2), bytes.Repeat([]byte{2}, 40)} {
-		verbs := uint64(3)
-		if len(next) != len(old) {
-			verbs = 4
-		}
-		for n := uint64(1); n <= verbs; n++ {
-			what := fmt.Sprintf("%d-byte value, crash after verb %d/%d", len(next), n, verbs)
+		fabrictest.Cuts(fabric.ErrClientCrashed, func(cut *fabrictest.Cut) {
+			what := fmt.Sprintf("%d-byte value, crash at verb %d", len(next), cut.K)
 			f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
 			lac := NewLeafCache(1<<10, 3)
 			teacher := newTestClient(f, shared, Options{LeafCache: lac})
@@ -427,14 +427,19 @@ func TestSpecUpdateCrashSweep(t *testing.T) {
 			warmPut(t, teacher, key, old)
 
 			victim := newTestClient(f, shared, Options{LeafCache: lac})
-			victim.eng.C.FailAt(n, fabric.ErrClientCrashed)
-			ok, err := victim.Update(key, next)
+			var ok bool
+			var err error
+			steps := fabrictest.Run(f, cut, fabrictest.Proc{C: victim.eng.C, Fn: func() { ok, err = victim.Update(key, next) }})
 			acked := err == nil && ok
 			if !acked && !errors.Is(err, fabric.ErrClientCrashed) {
 				t.Fatalf("%s: victim update = %v, %v", what, ok, err)
 			}
-			if acked != (n == verbs) {
-				t.Fatalf("%s: acked = %v; the sweep is miscalibrated", what, acked)
+			if acked != (cut.At == nil) {
+				t.Fatalf("%s: acked = %v, the cut landed at %+v", what, acked, cut.At)
+			}
+			won := false // the victim died behind a lock CAS it won
+			for _, s := range steps {
+				won = won || s.Op.Kind == fabric.CAS && s.Op.Old == s.Op.Expect
 			}
 
 			survivor := newTestClient(f, shared, Options{LeafCache: lac})
@@ -447,7 +452,7 @@ func TestSpecUpdateCrashSweep(t *testing.T) {
 				t.Fatalf("%s: survivor read %d×%d, want %d×%d", what, len(got), got[0], len(want), want[0])
 			}
 			breaks, waited := survivor.eng.Stats().LeafLockBreaks, survivor.eng.C.Clock()-clock0
-			lockLeft := !acked && (n == verbs-1 || verbs == 3)
+			lockLeft := !acked && won
 			if lockLeft && (breaks != 1 || waited >= takeoverPs) {
 				t.Errorf("%s: survivor broke %d locks in %d ps; want the stuck lock broken at once", what, breaks, waited)
 			}
@@ -459,7 +464,7 @@ func TestSpecUpdateCrashSweep(t *testing.T) {
 			}
 			warmSearch(t, teacher, key, val64(9))
 			fscktest.Done(t, f)
-		}
+		})
 	}
 }
 
@@ -806,5 +811,47 @@ func TestCrashedRetireMeetsLACReader(t *testing.T) {
 			}
 			locked("after A's operations")
 		})
+	}
+}
+
+// TestReadersBetweenReleasingWriteLines: an in-place update's releasing WRITE
+// lands the leaf's image a 64-byte line at a time. Parked after its first
+// line, the header reads Idle over the old image's tail (DESIGN.md §5.2,
+// §5.11). A speculative Get there aborts — the image is torn, which refutes
+// nothing — and keeps its leaf-address-cache entry; the tree path behind it
+// reads the leaf with ReadLeaf, which waits (a wait park: the script ends the
+// reader's turn there and the writer's WRITE lands) and returns the whole new
+// value.
+func TestReadersBetweenReleasingWriteLines(t *testing.T) {
+	key := []byte("torn-key")
+	f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
+	lac := NewLeafCache(1<<10, 7)
+	writer := newTestClient(f, shared, Options{LeafCache: lac})
+	warmPut(t, writer, key, val64(1))
+	reader := newTestClient(f, shared, Options{LeafCache: lac})
+	addr, units, _ := lac.Lookup(key)
+	var got []byte
+	var found bool
+	var werr, rerr error
+	script := &fabrictest.Script{Turns: []fabrictest.Turn{
+		{Proc: 0, Until: func(s fabrictest.Step) bool { return s.Line == 1 && s.Op.Addr == addr }},
+		{Proc: 1, Until: func(s fabrictest.Step) bool { return s.Wait }},
+	}}
+	fabrictest.Run(f, script, fabrictest.Proc{C: writer.eng.C, Lines: true, Fn: func() {
+		if ok, err := writer.Update(key, val64(2)); err != nil || !ok {
+			werr = fmt.Errorf("update = %v, %v", ok, err)
+		}
+	}}, fabrictest.Proc{C: reader.eng.C, Fn: func() { got, found, rerr = reader.Search(key) }})
+	if werr != nil || script.Turns[0].At == nil || script.Turns[1].At == nil {
+		t.Fatalf("writer: %v; parked mid-WRITE at %+v, the reader waited at %+v", werr, script.Turns[0].At, script.Turns[1].At)
+	}
+	if rerr != nil || !found || !bytes.Equal(got, val64(2)) {
+		t.Errorf("the reader read %d×%v, %v, %v; want the whole new value", len(got), got[:min(len(got), 1)], found, rerr)
+	}
+	if st := reader.Stats(); st.SpecAborts != 1 || st.SpecRefutes != 0 || st.SpecHits != 0 {
+		t.Errorf("speculative Get: %d aborts, %d refutes, %d hits; want the torn image aborted once", st.SpecAborts, st.SpecRefutes, st.SpecHits)
+	}
+	if a, u, ok := lac.Lookup(key); !ok || a != addr || u != units {
+		t.Errorf("the leaf-address cache holds %v, %d, %v; want the entry kept at %v, %d", a, u, ok, addr, units)
 	}
 }

@@ -294,58 +294,45 @@ func emptyHand(t *testing.T, c *Client, what string) {
 	}
 }
 
-// commitShape locates the commit batch of a clean put — the slot WRITE
-// first, the hash-table verbs behind it, the unlock last — in the sequence
-// of verbs and batches its client posts.
-type commitShape struct {
-	verbs uint64 // of the whole put
-	batch int    // index of the commit batch among the put's batches
-	first uint64 // verbs posted before it: its first verb is verb first+1
-	n     int    // its verbs
-	// bet is the verbs posted before the landing batch of a put that jumps —
-	// the lease CAS is verb bet+1, the READ behind it bet+2 — or -1.
-	bet int64
-}
-
 // victim mounts the client whose put a test watches, cuts or kills — fabric
 // client 1 of the scenario's cluster. Warm, it shares the setup client's filter
 // cache, as the workers of one compute node do, so its put jumps through the
 // hash table and bets on its landing's lease; cold, it walks from the root
-// and locks what it writes in the lock batch.
+// and locks what it writes in the lock batch. A warm victim whose filter
+// claims no prefix of the key skips the test: it walks from the root too.
 func (sc writeScenario) victim(t *testing.T, f *fabric.Fabric, shared Shared, setup *Client, warm bool) *Client {
 	t.Helper()
 	var opts Options
 	if warm {
 		opts.Filter = setup.filter
+		claimed := false
+		for l := 1; l <= len(sc.key) && !claimed; l++ {
+			h, _ := setup.prefixHashes([]byte(sc.key[:l]))
+			claimed = setup.filter.Contains(h)
+		}
+		if !claimed {
+			t.Skip("the filter knows no prefix of the key: the put walks from the root either way")
+		}
 	}
 	return NewClient(shared, f.NewClient(), withCaches(shared, opts, 0))
 }
 
-// calibrate runs the scenario's put cleanly, by the victim of a cluster of its
-// own, and reports where its commit batch sits: the first install, publish or
-// leaf-write batch of two or more verbs.
-func (sc writeScenario) calibrate(t *testing.T, warm bool) commitShape {
-	t.Helper()
-	f, shared, setup := sc.build(t, 2)
-	var log batchLog
-	victim := sc.victim(t, f, shared, setup, warm)
-	victim.eng.C.SetObserver(&log)
-	if _, err := victim.Insert([]byte(sc.key), sc.value("victim")); err != nil {
-		t.Fatalf("clean put: %v", err)
-	}
-	shape := commitShape{verbs: victim.eng.C.Stats().Verbs, batch: -1, bet: -1}
-	for i, ev := range log.evs {
-		if (ev.Stage == fabric.StageInstall || ev.Stage == fabric.StagePublish || ev.Stage == fabric.StageLeafWrite) && ev.Verbs >= 2 {
-			shape.batch, shape.n = i, ev.Verbs
-			return shape
+// isCommit says a batch of stage s may be a put's commit batch.
+func isCommit(s fabric.Stage) bool {
+	return s == fabric.StageInstall || s == fabric.StagePublish || s == fabric.StageLeafWrite
+}
+
+// commitStart is how many verbs a put executed ahead of its commit batch —
+// the first install, publish or leaf-write batch that opens with a WRITE (the
+// table's one-verb READs ahead of the lock are publish-stage too) — read off
+// the put's verb parks (fabrictest.Verbs); -1 where none ran.
+func commitStart(vs []fabrictest.Step) int {
+	for i, s := range vs {
+		if (i == 0 || vs[i-1].BatchEnd) && s.Op.Kind == fabric.Write && isCommit(s.Stage) {
+			return int(s.K) - 1
 		}
-		if shape.bet < 0 && ev.Stage == fabric.StageLock && i > 0 && log.evs[i-1].Stage == fabric.StageHashRead {
-			shape.bet = int64(shape.first)
-		}
-		shape.first += uint64(ev.Verbs)
 	}
-	t.Fatalf("calibration found no commit batch: %+v", log.evs)
-	return shape
+	return -1
 }
 
 // checkReadable asserts every setup key of the scenario reads back through
@@ -367,13 +354,13 @@ func (sc writeScenario) checkReadable(t *testing.T, f *fabric.Fabric, shared Sha
 	}
 }
 
-// TestFusedWriteCrashSweep kills a client after every verb of every
-// structural write — the fused lock batch with its write-ahead objects, the
-// commit batches with the hash-table verbs they carry — and requires of a
+// TestFusedWriteCrashSweep kills a client at every verb of every structural
+// write (fabrictest.Cuts) — the fused lock batch with its write-ahead objects,
+// the commit batches with the hash-table verbs they carry — and requires of a
 // survivor that it reads every previously acknowledged key, that no
 // hash-table entry names a never-reachable node and no prefix has two, and
-// that it can insert the victim's key and read it back. The sweep calibrates
-// itself, per verb, on a clean run of each path.
+// that it can insert the victim's key and read it back. Where a cut fell is
+// read off the verbs that executed ahead of it.
 //
 // The two-node protocols have a window the lease steal cannot repair, right
 // after their commit point, where only publish-to-completion by the (now
@@ -415,44 +402,57 @@ func TestFusedWriteCrashSweep(t *testing.T) {
 }
 
 func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
-	shape := sc.calibrate(t, warm)
-	if warm && shape.bet < 0 {
-		t.Skip("the filter knows no prefix of the key: the put walks from the root either way")
-	}
-	crashed := 0
-	for n := uint64(1); n <= shape.verbs; n++ {
-		what := fmt.Sprintf("crash after verb %d/%d", n, shape.verbs)
+	fabrictest.Cuts(fabric.ErrClientCrashed, func(cut *fabrictest.Cut) {
+		what := fmt.Sprintf("crash at verb %d", cut.K)
 		f, shared, setup := sc.build(t, 2)
 		// docs/failure-model.md §4: a crash past the commit point is not
 		// repaired — leases stay, entries go missing, windows (a) and (b).
 		crashLeftovers := []rart.Kind{rart.CrashedLock, rart.NoEntry, rart.ShortPartial, rart.OrphanOriginal}
 		fscktest.Accept(f, crashLeftovers...)
 		victim := sc.victim(t, f, shared, setup, warm)
-		victim.eng.C.FailAt(n, fabric.ErrClientCrashed)
 		holder := NewClient(shared, f.NewClient(), Options{Filter: setup.filter, LeafCache: testLAC(0)})
 		original := landingOf(t, holder, "budget-a", "budget-") // and the holder remembers it
+		var err error
+		steps := fabrictest.Run(f, cut, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), []byte("victim")) }})
+		if err != nil && !errors.Is(err, fabric.ErrClientCrashed) {
+			t.Fatalf("%s: victim put = %v", what, err)
+		}
+		vs := fabrictest.Verbs(steps, 0)
 		// Window (a) of a split: its head WRITE — the one WRITE of a node's
 		// head, SlotBase bytes — executed, the parent slot's WRITE behind it not.
 		head, link := false, false
-		f.Trace = func(c *fabric.Client, op *fabric.Op) {
-			if c == victim.eng.C && op.Kind == fabric.Write {
-				head, link = head || len(op.Data) == wire.SlotBase, link || head && len(op.Data) == 8
+		for _, s := range vs {
+			if s.Op.Kind == fabric.Write {
+				head, link = head || len(s.Op.Data) == wire.SlotBase, link || head && len(s.Op.Data) == 8
 			}
 		}
-		_, err := victim.Insert([]byte(sc.key), []byte("victim"))
-		f.Trace = nil
-		if err != nil {
-			if !errors.Is(err, fabric.ErrClientCrashed) {
-				t.Fatalf("%s: victim put = %v", what, err)
+		// The verbs of the commit batch that executed, where the crash cut it.
+		var ran []fabrictest.Step
+		if cut.At != nil && isCommit(cut.Batch.Stage) {
+			ran = vs[len(vs)-cut.Batch.Verbs:]
+		}
+		writes, cases := 0, 0
+		for _, s := range ran {
+			switch s.Op.Kind {
+			case fabric.Write:
+				writes++
+			case fabric.CAS:
+				cases++
 			}
-			crashed++
+		}
+		if cut.At == nil && warm && (len(vs) == 0 || vs[0].Stage != fabric.StageHashRead) {
+			t.Fatalf("the clean put opened at %+v; want it to jump", vs[:min(len(vs), 1)])
 		}
 		sc.checkReadable(t, f, shared, what)
 		// Holding only the bet: the victim died with the landing's lease and
-		// nothing else — the CAS executed, at most the READ behind it. Nothing
-		// of its put is reachable, and a survivor that jumps too loses its own
-		// bet on that node, watches the lease out and steals it.
-		onlyBet := shape.bet >= 0 && (n == uint64(shape.bet)+1 || n == uint64(shape.bet)+2)
+		// nothing else — its hash read and the CAS of the lock batch behind
+		// it executed, at most the READ behind the CAS. Nothing of its put is
+		// reachable, and a survivor that jumps too loses its own bet on that
+		// node, watches the lease out and steals it.
+		onlyBet := cut.At != nil && len(vs) > 0 && vs[0].Stage == fabric.StageHashRead && vs[len(vs)-1].Stage == fabric.StageLock
+		for _, s := range vs {
+			onlyBet = onlyBet && (s.Stage == fabric.StageHashRead || s.Stage == fabric.StageLock)
+		}
 		// No leaf-address cache: the survivor reads its put back through
 		// the filter-guided jump, not at the address the put learned.
 		opts := Options{Filter: testFilter(0)}
@@ -468,7 +468,7 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 		}
 		if head && !link {
 			fscktest.Done(t, f)
-			continue // head written, parent not repointed
+			return // head written, parent not repointed
 		}
 		if _, err := survivor.Insert([]byte(sc.key), []byte("survivor")); err != nil {
 			t.Fatalf("%s: survivor put of the victim's key: %v", what, err)
@@ -476,9 +476,11 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 		if st := survivor.eng.Stats(); onlyBet && (st.LockSteals != 1 || st.LeaseBetsLost == 0) {
 			t.Errorf("%s: survivor stole %d leases and lost %d bets; want the dead victim's one lease stolen behind a lost bet", what, st.LockSteals, st.LeaseBetsLost)
 		}
+		// A type switch's commit batch cut behind the parent repoint, ahead of
+		// the entry swap: the table names the original.
+		tableNamesOrphan := sc.name == "type switch" && writes == 1 && cases == 0
 		reader := survivor
-		if sc.name == "type switch" && n == shape.first+1 {
-			// Parent repointed, entry not swapped.
+		if tableNamesOrphan {
 			reader = newTestClient(f, shared, Options{}) // cold filter: root path
 		}
 		if v, ok, err := reader.Search([]byte(sc.key)); err != nil || !ok || string(v) != "survivor" {
@@ -495,11 +497,10 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 				warmSearch(t, holder, []byte(k), []byte(want))
 			}
 		}
-		tableNamesOrphan := sc.name == "type switch" && n == shape.first+1
 		// The commit batch executed up to the entry CAS, and the victim died
 		// before the invalidation behind it: the original is valid, leased for
 		// good, and off the tree.
-		orphaned := sc.name == "type switch" && n > shape.first+1 && n < shape.verbs-1
+		orphaned := sc.name == "type switch" && writes == 1 && cases == 1
 		if addr, _, _ := holder.lac.LookupNode(holder.lac.NodeHash([]byte("budget-"))); orphaned && (holder.Stats().NodeAborts != 1 || addr == original.Addr) {
 			t.Errorf("%s: the holder turned down %d leased images and remembers %v; want the orphaned original %v turned down once, for the copy the table names",
 				what, holder.Stats().NodeAborts, addr, original.Addr)
@@ -522,10 +523,7 @@ func (sc writeScenario) crashSweep(t *testing.T, warm bool) {
 			warmSearch(t, fromRoot, []byte(sc.setup[0]), grown)
 		}
 		fscktest.Done(t, f)
-	}
-	if crashed == 0 {
-		t.Fatal("no sweep point crashed the victim; the sweep exercises nothing")
-	}
+	})
 }
 
 // TestSpeculativeWritesNeverPublished: objects written ahead of a lock are
@@ -602,21 +600,22 @@ func TestSpeculativeWritesNeverPublished(t *testing.T) {
 		})
 	}
 
-	// Transient faults cut the victim's batches at random verbs, the fused
-	// lock batch among them.
+	// A transient cuts the victim's put at every verb, the fused lock batch
+	// among them: a cut lock batch abandons the objects written ahead of it.
 	t.Run("transient truncation", func(t *testing.T) {
-		var abandoned uint64
-		for seed := uint64(1); seed <= 8; seed++ {
-			for _, sc := range writeScenarios {
-				what := fmt.Sprintf("seed %d, %s", seed, sc.name)
+		for _, sc := range writeScenarios {
+			fabrictest.Cuts(fabric.ErrTransient, func(cut *fabrictest.Cut) {
+				what := fmt.Sprintf("%s, transient at verb %d", sc.name, cut.K)
 				f, shared, _ := sc.build(t, 2)
-				f.SetFaultPlan(&fabric.FaultPlan{Seed: seed, TransientPer64k: 1 << 13})
 				victim := newTestClient(f, shared, Options{})
-				f.SetFaultPlan(nil)
-				if _, err := victim.Insert([]byte(sc.key), []byte("victim")); err != nil {
+				var err error
+				fabrictest.Run(f, cut, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), []byte("victim")) }})
+				if err != nil {
 					t.Fatalf("%s: victim put: %v", what, err)
 				}
-				abandoned += victim.eng.Stats().AbandonedObjects
+				if cut.Batch.Stage == fabric.StageLock && victim.eng.Stats().AbandonedObjects == 0 {
+					t.Errorf("%s: the cut lock batch abandoned no write-ahead object", what)
+				}
 				sc.checkReadable(t, f, shared, what)
 				check := newTestClient(f, shared, Options{})
 				if v, ok, err := check.Search([]byte(sc.key)); err != nil || !ok || string(v) != "victim" {
@@ -624,10 +623,7 @@ func TestSpeculativeWritesNeverPublished(t *testing.T) {
 				}
 				emptyHand(t, check, what)
 				fscktest.Done(t, f)
-			}
-		}
-		if abandoned == 0 {
-			t.Fatal("no seed cut a batch that carried write-ahead objects; the sweep exercises nothing")
+			})
 		}
 	})
 }
@@ -643,10 +639,11 @@ const quickPs = 125_000_000
 // back what it took, a cut commit is issued again under the held locks. Were
 // the old leaf left Idle at an address the leaf-address cache still holds, a
 // speculative read would serve the value from before the acknowledged write.
-// Sweeping fault seeds at a rate where double faults are common, the
-// acknowledged outcome is the only one a read may return, and afterwards a
-// fault-free client's write of the key, in place where the key is there,
-// finishes within quickPs: no live lock was left behind.
+// A transient aimed at every verb of the write, the acknowledged outcome is
+// the only one a read may return, each of the commit batch's 3 cuts is
+// re-driven once, and afterwards a fault-free client's write of the key, in
+// place where the key is there, finishes within quickPs: no live lock was
+// left behind.
 func TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults(t *testing.T) {
 	key, small, big := []byte("oop-key"), []byte("small"), bytes.Repeat([]byte("G"), 700)
 	for _, leg := range []struct {
@@ -658,8 +655,9 @@ func TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults(t *testing.T) {
 		{"delete", func(c *Client) error { _, err := c.Delete(key); return err }, nil},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			redriven := uint64(0)
-			for seed := uint64(1); seed <= 100; seed++ {
+			commits := 0
+			fabrictest.Cuts(fabric.ErrTransient, func(cut *fabrictest.Cut) {
+				what := fmt.Sprintf("transient at verb %d", cut.K)
 				f, shared := newCluster(t, 2, fabric.DefaultConfig(), 1000)
 				lac := NewLeafCache(1<<10, 7)
 				reader := newTestClient(f, shared, Options{LeafCache: lac})
@@ -668,22 +666,22 @@ func TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults(t *testing.T) {
 				}
 				// A traversal teaches the shared cache the small leaf's address.
 				if v, ok, err := reader.Search(key); err != nil || !ok || !bytes.Equal(v, small) {
-					t.Fatalf("seed %d: warm-up read = %q, %v, %v", seed, v, ok, err)
+					t.Fatalf("%s: warm-up read = %q, %v, %v", what, v, ok, err)
 				}
-				f.SetFaultPlan(&fabric.FaultPlan{Seed: seed, TransientPer64k: 1 << 14})
 				writer := newTestClient(f, shared, Options{LeafCache: lac})
-				f.SetFaultPlan(nil)
-				err := leg.write(writer)
-				// At this fault rate a write can run out of retries; an
-				// unacknowledged write promises nothing.
-				if err != nil && !errors.Is(err, ErrRetriesExhausted) {
-					t.Fatalf("seed %d: %s: %v", seed, leg.name, err)
+				var err error
+				fabrictest.Run(f, cut, fabrictest.Proc{C: writer.eng.C, Fn: func() { err = leg.write(writer) }})
+				if err != nil {
+					t.Fatalf("%s: %s: %v", what, leg.name, err)
 				}
-				if err == nil {
-					redriven += writer.eng.Stats().PublishRetries
-					if v, ok, err := reader.Search(key); err != nil || ok != (leg.want != nil) || !bytes.Equal(v, leg.want) {
-						t.Fatalf("seed %d: read after the acknowledged %s = %.20q, %v, %v; want %.20q", seed, leg.name, v, ok, err, leg.want)
+				// The commit batch is the write's one batch at its stage.
+				if cut.Batch.Stage == fabric.StageLeafWrite || cut.Batch.Stage == fabric.StageInstall {
+					if commits++; writer.eng.Stats().PublishRetries != 1 {
+						t.Errorf("%s: the cut commit batch was re-driven %d times; want once", what, writer.eng.Stats().PublishRetries)
 					}
+				}
+				if v, ok, err := reader.Search(key); err != nil || ok != (leg.want != nil) || !bytes.Equal(v, leg.want) {
+					t.Fatalf("%s: read after the acknowledged %s = %.20q, %v, %v; want %.20q", what, leg.name, v, ok, err, leg.want)
 				}
 				fresh := newTestClient(f, shared, Options{})
 				t0 := fresh.eng.C.Clock()
@@ -692,12 +690,12 @@ func TestOutOfPlaceUpdateRetiresOldLeafAcrossFaults(t *testing.T) {
 					_, err = fresh.Insert(key, bytes.Repeat([]byte("H"), max(len(v), 1)))
 				}
 				if dt := fresh.eng.C.Clock() - t0; err != nil || dt >= quickPs {
-					t.Fatalf("seed %d: a fault-free read and write of the key took %d ps (bound %d) and returned %v: a live lock was left behind", seed, dt, int64(quickPs), err)
+					t.Fatalf("%s: a fault-free read and write of the key took %d ps (bound %d) and returned %v: a live lock was left behind", what, dt, int64(quickPs), err)
 				}
 				fscktest.Done(t, f)
-			}
-			if redriven == 0 {
-				t.Fatal("no seed cut a commit batch; the sweep exercises nothing")
+			})
+			if commits != 3 {
+				t.Errorf("%d cuts fell in the commit batch; want one at each of its 3 verbs", commits)
 			}
 		})
 	}
@@ -784,8 +782,9 @@ func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 	emptyHand(t, check, "after the race")
 }
 
-// TestCommitBatchSurvivesFaults aims one transient at every verb of the
-// commit batch of every structural write — the objects that lead a leased
+// TestCommitBatchSurvivesFaults aims one transient at every verb of every
+// structural write (fabrictest.Cuts), and checks the cuts that fall in its
+// commit batch — the objects that lead a leased
 // insert's or conversion's, a split's child head, the slot WRITE, each entry
 // CAS, each bucket re-read, the old leaf's retirement, the unlock — and one
 // lost completion at the batch as a whole. A transient executed a prefix, the
@@ -803,7 +802,12 @@ func TestPlannedEntrySlotTakenByRival(t *testing.T) {
 // out-of-place update are in the sweep because their commit batch used to be
 // a bare Batch: a transient behind the slot WRITE sent the put around again,
 // which found its own leaf, updated it in place, and left the node's lease
-// behind for the next writer.
+// behind for the next writer. The warm plain insert's commit batch, [W leaf ·
+// W slot · CAS unlock], cut behind its slot WRITE, is the re-issue's own
+// case: the peer's in-place update of the key, acknowledged in the victim's
+// backoff, survives only a batch issued again from the first verb that did
+// not execute — issued whole, its leaf WRITE would put the victim's image back
+// over the acknowledged value.
 func TestCommitBatchSurvivesFaults(t *testing.T) {
 	for _, sc := range append(append([]writeScenario(nil), writeScenarios...), outOfPlaceUpdate) {
 		t.Run(sc.name, func(t *testing.T) {
@@ -814,167 +818,138 @@ func TestCommitBatchSurvivesFaults(t *testing.T) {
 }
 
 func (sc writeScenario) commitFaultSweep(t *testing.T, warm bool) {
-	shape := sc.calibrate(t, warm)
-	if warm && shape.bet < 0 {
-		t.Skip("the filter knows no prefix of the key: the put walks from the root either way")
+	// A transient at every verb of the put, of which the cuts in the commit
+	// batch are this test's; then a lost completion of the whole of it, aimed
+	// at the verb it opens with. verbs is what each commit cut's put executed,
+	// clean what the put past the last cut did.
+	start, clean, verbs := -1, 0, map[int]int{}
+	fabrictest.Cuts(fabric.ErrTransient, func(cut *fabrictest.Cut) {
+		if n, commit := sc.commitFault(t, warm, cut); cut.At == nil {
+			clean = n
+		} else if commit {
+			verbs[cut.K] = n
+			if start < 0 {
+				start = cut.K
+			}
+		}
+	})
+	for k, n := range verbs {
+		if n != clean {
+			t.Errorf("transient at verb %d: the put executed %d verbs, a clean one %d; want each verb of the commit batch once", k, n, clean)
+		}
 	}
-	// A transient after each verb of the commit batch, then a lost
-	// completion of the whole of it (cut == shape.n).
-	for cut := 0; cut <= shape.n; cut++ {
-		timeout := cut == shape.n
-		what, at, fault := fmt.Sprintf("transient after verb %d/%d", cut, shape.n), shape.first+uint64(cut), fabric.ErrTransient
-		if timeout {
-			what, at, fault = "lost completion", shape.first, fabric.ErrTimeout
-		}
-		f, shared, setup := sc.build(t, 2)
-		victim := sc.victim(t, f, shared, setup, warm)
-		victim.eng.C.FailAt(at, fault)
-		// No verb of the victim may write a slot once its unlock ran. The
-		// slot WRITE is the commit batch's first WRITE of one word; a split's
-		// head WRITE, of SlotBase bytes, is ahead of it.
-		var slot mem.Addr
-		head, unlocked, seen := false, false, uint64(0)
-		f.Trace = func(c *fabric.Client, op *fabric.Op) {
-			if c != victim.eng.C {
-				return
-			}
-			seen++
-			switch {
-			case seen <= shape.first:
-			case slot.IsNull():
-				if op.Kind == fabric.Write && len(op.Data) == 8 {
-					slot = op.Addr
-				}
-				head = head || op.Kind == fabric.Write && len(op.Data) == wire.SlotBase
-			case op.Kind == fabric.Write && op.Addr == slot && unlocked:
-				t.Errorf("%s: slot %v written after the unlock executed", what, slot)
-			case op.Kind == fabric.CAS && op.Desired == 0 && op.Old == op.Expect && seen >= shape.first+uint64(shape.n):
-				unlocked = true
-			}
-		}
-		// In the backoff after a transient, a peer writes what the executed
-		// prefix made reachable without any lock the victim holds: the
-		// victim's key, in place, once the slot names it, and a key of its own
-		// into the node the write created — or the split's child, once the
-		// head WRITE gave its lease back. Both writes are acknowledged there
-		// and must survive the batch issued again: from the first verb that
-		// did not execute, every verb of the commit batch executes once.
-		peer := newTestClient(f, shared, Options{})
-		peerKey, updated, inserted := peerKeys[sc.name], false, false
-		peerFn := func() {
-			if timeout {
-				return
-			}
-			if !slot.IsNull() {
-				ok, err := peer.Update([]byte(sc.key), []byte("peer"))
-				if updated = ok; err != nil || !ok {
-					t.Errorf("%s: peer update of the linked key = %v, %v", what, ok, err)
-					return
-				}
-			}
-			if peerKey != "" && (!slot.IsNull() || head) { // head: a split's, the only WRITE of SlotBase bytes
-				if _, err := peer.Insert([]byte(peerKey), []byte("peer")); err != nil {
-					t.Errorf("%s: peer put %q: %v", what, peerKey, err)
-					return
-				}
-				inserted = true
-			}
-		}
-		var log batchLog
-		victim.eng.C.SetObserver(&log)
-		var err error
-		// The peer lands where the fault cut: park `at` is FailAt(at)'s point.
-		sw := fabrictest.Switch(int(at), nil)
-		fabrictest.Run(f, sw, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), sc.value("victim")) }},
-			fabrictest.Proc{Fn: peerFn})
-		f.Trace = nil
-		if err != nil || sw.Turns[0].At == nil || sw.Turns[0].At.K != at {
-			t.Fatalf("%s: victim put: %v, the peer ran at %+v", what, err, sw.Turns[0].At)
-		}
-		// The batch behind the faulted one is the re-issue: count the verbs
-		// executed when it was done.
-		faulted, reissued := false, uint64(0)
-		for i, ev := range log.evs {
-			if faulted = ev.Err != nil; faulted {
-				for _, ev := range log.evs[:min(i+2, len(log.evs))] {
-					reissued += uint64(ev.Verbs)
-				}
-				break
-			}
-		}
-		if fs := victim.eng.C.Stats(); fs.Transients+fs.Timeouts != 1 || !faulted {
-			t.Fatalf("%s: %d transients, %d timeouts; the fault missed", what, fs.Transients, fs.Timeouts)
-		}
-		if !timeout && reissued != shape.first+uint64(shape.n) {
-			t.Errorf("%s: the %d-verb commit batch had executed %d verbs when it was done; want each once",
-				what, shape.n, int64(reissued)-int64(shape.first))
-		}
-		// The batch was driven to completion: the put did not start over.
-		if victim.Stats().Restarts != 0 || victim.eng.Stats().PublishRetries != 1 {
-			t.Errorf("%s: %d restarts, %d re-driven steps; want 0, 1", what, victim.Stats().Restarts, victim.eng.Stats().PublishRetries)
-		}
-
-		check := newTestClient(f, shared, Options{})
-		if updated {
-			warmSearch(t, check, []byte(sc.key), []byte("peer"))
-		} else {
-			warmSearch(t, check, []byte(sc.key), sc.value("victim"))
-		}
-		if inserted {
-			warmSearch(t, check, []byte(peerKey), []byte("peer"))
-		}
-		sc.checkReadable(t, f, shared, what)
-		emptyHand(t, check, what)
-		// Leases released: writers that lock the nodes the victim locked
-		// — the node under "budget-", the root — are not kept waiting.
-		clock0 := check.eng.C.Clock()
-		for _, k := range []string{"budget-+", "+"} {
-			if _, err := check.Insert([]byte(k), []byte("next")); err != nil {
-				t.Fatalf("%s: next put %q: %v", what, k, err)
-			}
-		}
-		if dt := check.eng.C.Clock() - clock0; dt > 100_000_000 || check.eng.Stats().LockSteals != 0 {
-			t.Errorf("%s: the next writers took %d ps and stole %d leases; a lease was left held", what, dt, check.eng.Stats().LockSteals)
-		}
-		fscktest.Done(t, f)
+	if _, commit := sc.commitFault(t, warm, fabrictest.CutAt(start, fabric.ErrTimeout)); !commit {
+		t.Errorf("the lost completion at verb %d missed the commit batch", start)
 	}
 }
 
-// TestReissueKeepsPeerUpdate: a commit batch a transient cut is issued again
-// from the first verb that did not execute, never from the top. A warm insert
-// commits in one batch, [W leaf · W slot · CAS unlock]; cut after its slot
-// WRITE, the key is reachable during the victim's backoff, and a peer's put of
-// the key updates the leaf in place and is acknowledged — it takes the leaf's
-// lock, not the node's. Issued again whole, the batch's leaf WRITE would put
-// the victim's image back over the acknowledged value.
-func TestReissueKeepsPeerUpdate(t *testing.T) {
-	sc := writeScenarios[0]
-	shape := sc.calibrate(t, true)
-	key := []byte(sc.key)
+// commitFault runs the scenario's put under one cut, and where the cut fell
+// in the commit batch checks what TestCommitBatchSurvivesFaults requires. It
+// returns how many verbs the put executed and whether the cut was the commit
+// batch's.
+func (sc writeScenario) commitFault(t *testing.T, warm bool, cut *fabrictest.Cut) (int, bool) {
+	timeout := cut.Kind == fabric.ErrTimeout
+	what := fmt.Sprintf("transient at verb %d", cut.K)
+	if timeout {
+		what = "lost completion"
+	}
 	f, shared, setup := sc.build(t, 2)
-	victim := sc.victim(t, f, shared, setup, true)
-	at := shape.first + 2
-	victim.eng.C.FailAt(at, fabric.ErrTransient)
+	victim := sc.victim(t, f, shared, setup, warm)
+	// The slot WRITE is the commit batch's first WRITE of one word; a split's
+	// head WRITE, of SlotBase bytes, is ahead of it.
+	var slot mem.Addr
+	head := false
+	f.Trace = func(c *fabric.Client, op *fabric.Op) {
+		if c == victim.eng.C && slot.IsNull() && op.Kind == fabric.Write && isCommit(c.Stage()) {
+			if len(op.Data) == 8 {
+				slot = op.Addr
+			}
+			head = head || len(op.Data) == wire.SlotBase
+		}
+	}
+	// In the backoff after a transient, a peer writes what the executed
+	// prefix made reachable without any lock the victim holds: the
+	// victim's key, in place, once the slot names it, and a key of its own
+	// into the node the write created — or the split's child, once the
+	// head WRITE gave its lease back. Both writes are acknowledged there
+	// and must survive the batch issued again: from the first verb that
+	// did not execute, every verb of the commit batch executes once.
 	peer := newTestClient(f, shared, Options{})
-	acked := false
-	var err error
-	// The peer lands where the transient cut the commit batch.
-	sw := fabrictest.Switch(int(at), nil)
-	fabrictest.Run(f, sw, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert(key, []byte("victim")) }},
-		fabrictest.Proc{Fn: func() {
-			if _, err := peer.Insert(key, []byte("peer")); err != nil {
-				t.Errorf("peer put: %v", err)
+	peerKey, updated, inserted := peerKeys[sc.name], false, false
+	peerFn := func() {
+		if timeout {
+			return
+		}
+		if !slot.IsNull() {
+			ok, err := peer.Update([]byte(sc.key), []byte("peer"))
+			if updated = ok; err != nil || !ok {
+				t.Errorf("%s: peer update of the linked key = %v, %v", what, ok, err)
 				return
 			}
-			acked = warmSearch(t, peer, key, []byte("peer"))
-		}})
-	if sw.Turns[0].At == nil || !sw.Turns[0].At.BatchEnd || sw.Turns[0].At.Op.Kind != fabric.Write || len(sw.Turns[0].At.Op.Data) != 8 {
-		t.Fatalf("the peer ran at %+v; want where the commit batch was cut, behind its slot WRITE", sw.Turns[0].At)
+		}
+		if peerKey != "" && (!slot.IsNull() || head) { // head: a split's, the only WRITE of SlotBase bytes
+			if _, err := peer.Insert([]byte(peerKey), []byte("peer")); err != nil {
+				t.Errorf("%s: peer put %q: %v", what, peerKey, err)
+				return
+			}
+			inserted = true
+		}
 	}
-	if err != nil || !acked {
-		t.Fatalf("victim put: %v (peer acked %v)", err, acked)
+	var err error
+	// The peer lands where the fault cut.
+	steps := fabrictest.Run(f, cut, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), sc.value("victim")) }},
+		fabrictest.Proc{Fn: peerFn})
+	f.Trace = nil
+	if err != nil {
+		t.Fatalf("%s: victim put: %v", what, err)
 	}
-	warmSearch(t, newTestClient(f, shared, Options{}), key, []byte("peer"))
+	vs := fabrictest.Verbs(steps, 0)
+	start := commitStart(vs)
+	if cut.At == nil || start < 0 || cut.K < start || timeout && cut.K != start {
+		fscktest.Done(t, f)
+		return len(vs), false
+	}
+	if fs := victim.eng.C.Stats(); fs.Transients+fs.Timeouts != 1 {
+		t.Fatalf("%s: %d transients, %d timeouts; the fault missed", what, fs.Transients, fs.Timeouts)
+	}
+	// No verb of the victim may write a slot once its unlock — the commit
+	// batch's CAS that frees a word — ran.
+	unlocked := false
+	for _, s := range vs[start:] {
+		if s.Op.Kind == fabric.Write && s.Op.Addr == slot && unlocked {
+			t.Errorf("%s: slot %v written after the unlock executed", what, slot)
+		}
+		unlocked = unlocked || s.Op.Kind == fabric.CAS && s.Op.Desired == 0 && s.Op.Old == s.Op.Expect
+	}
+	// The batch was driven to completion: the put did not start over.
+	if victim.Stats().Restarts != 0 || victim.eng.Stats().PublishRetries != 1 {
+		t.Errorf("%s: %d restarts, %d re-driven steps; want 0, 1", what, victim.Stats().Restarts, victim.eng.Stats().PublishRetries)
+	}
+
+	check := newTestClient(f, shared, Options{})
+	if updated {
+		warmSearch(t, check, []byte(sc.key), []byte("peer"))
+	} else {
+		warmSearch(t, check, []byte(sc.key), sc.value("victim"))
+	}
+	if inserted {
+		warmSearch(t, check, []byte(peerKey), []byte("peer"))
+	}
+	sc.checkReadable(t, f, shared, what)
+	emptyHand(t, check, what)
+	// Leases released: writers that lock the nodes the victim locked
+	// — the node under "budget-", the root — are not kept waiting.
+	clock0 := check.eng.C.Clock()
+	for _, k := range []string{"budget-+", "+"} {
+		if _, err := check.Insert([]byte(k), []byte("next")); err != nil {
+			t.Fatalf("%s: next put %q: %v", what, k, err)
+		}
+	}
+	if dt := check.eng.C.Clock() - clock0; dt > 100_000_000 || check.eng.Stats().LockSteals != 0 {
+		t.Errorf("%s: the next writers took %d ps and stole %d leases; a lease was left held", what, dt, check.eng.Stats().LockSteals)
+	}
+	fscktest.Done(t, f)
+	return len(vs), true
 }
 
 // TestTypeSwitchOfNodeWithoutEntry: a leaf conversion is killed behind its
@@ -985,48 +960,59 @@ func TestReissueKeepsPeerUpdate(t *testing.T) {
 // put succeeds, the table holds exactly one live entry for the prefix, naming
 // the grown copy, and a reader that jumps through the table finds every key.
 // A swap that waited for the old entry instead failed the put once its wait
-// budget ran out.
+// budget ran out. The kill is the crash cut that lands behind that WRITE.
 func TestTypeSwitchOfNodeWithoutEntry(t *testing.T) {
 	sc := writeScenarios[2] // leaf conversion, chain 1: links the node of "budget-a"
 	prefix := []byte("budget-a")
-	shape := sc.calibrate(t, false)
-	f, shared, setup := sc.build(t, 2)
-	victim := sc.victim(t, f, shared, setup, false)
-	victim.eng.C.FailAt(shape.first+1, fabric.ErrClientCrashed)
-	if _, err := victim.Insert([]byte(sc.key), []byte("victim")); !errors.Is(err, fabric.ErrClientCrashed) {
-		t.Fatalf("victim put = %v; want it killed behind its slot WRITE", err)
-	}
-	survivor := newTestClient(f, shared, Options{})
-	if n, err := survivor.fetchValidated(prefix); err != nil || n != nil {
-		t.Fatalf("the table names %v (%v) for the victim's node; want no entry", n, err)
-	}
-	want := map[string]string{sc.key: "victim"}
-	for _, k := range sc.setup {
-		want[k] = "v-" + k
-	}
-	for i := 0; i < 4; i++ { // the node holds "x"; the fourth key fills it over
-		k := fmt.Sprintf("%s%d", prefix, i)
-		if _, err := survivor.Insert([]byte(k), []byte(k)); err != nil {
-			t.Fatalf("survivor put %q: %v", k, err)
+	killed := 0
+	fabrictest.Cuts(fabric.ErrClientCrashed, func(cut *fabrictest.Cut) {
+		f, shared, setup := sc.build(t, 2)
+		victim := sc.victim(t, f, shared, setup, false)
+		var err error
+		fabrictest.Run(f, cut, fabrictest.Proc{C: victim.eng.C, Fn: func() { _, err = victim.Insert([]byte(sc.key), []byte("victim")) }})
+		if at := cut.At; at == nil || at.Stage != fabric.StagePublish || at.Op.Kind != fabric.Write || len(at.Op.Data) != 8 {
+			fscktest.Accept(f, rart.CrashedLock) // docs/failure-model.md §3: the victim dies holding its locks
+			return
 		}
-		want[k] = k
-	}
-	grown, err := survivor.fetchValidated(prefix)
-	if err != nil || grown == nil || grown.Hdr.Type != wire.Node16 {
-		t.Fatalf("the table names %v for %q (%v); want the grown copy", grown, prefix, err)
-	}
-	if _, reached := Fsck(f.NewClient(), shared).Inner[grown.Addr]; !reached {
-		t.Fatalf("the table names %v for %q, which the tree does not reach", grown.Addr, prefix)
-	}
-	if st := survivor.HashStats(); st.ReplaceInserts != 1 {
-		t.Errorf("%d swaps inserted their entry; want the type switch's one", st.ReplaceInserts)
-	}
-	reader := NewClient(shared, f.NewClient(), Options{Filter: survivor.filter})
-	for k, v := range want {
-		warmSearch(t, reader, []byte(k), []byte(v))
-	}
-	if reader.Stats().RootStarts != 0 {
-		t.Errorf("the reader walked from the root %d times; want every read to jump", reader.Stats().RootStarts)
+		killed++
+		if !errors.Is(err, fabric.ErrClientCrashed) {
+			t.Fatalf("victim put = %v; want it killed behind its slot WRITE", err)
+		}
+		survivor := newTestClient(f, shared, Options{})
+		if n, err := survivor.fetchValidated(prefix); err != nil || n != nil {
+			t.Fatalf("the table names %v (%v) for the victim's node; want no entry", n, err)
+		}
+		want := map[string]string{sc.key: "victim"}
+		for _, k := range sc.setup {
+			want[k] = "v-" + k
+		}
+		for i := 0; i < 4; i++ { // the node holds "x"; the fourth key fills it over
+			k := fmt.Sprintf("%s%d", prefix, i)
+			if _, err := survivor.Insert([]byte(k), []byte(k)); err != nil {
+				t.Fatalf("survivor put %q: %v", k, err)
+			}
+			want[k] = k
+		}
+		grown, err := survivor.fetchValidated(prefix)
+		if err != nil || grown == nil || grown.Hdr.Type != wire.Node16 {
+			t.Fatalf("the table names %v for %q (%v); want the grown copy", grown, prefix, err)
+		}
+		if _, reached := Fsck(f.NewClient(), shared).Inner[grown.Addr]; !reached {
+			t.Fatalf("the table names %v for %q, which the tree does not reach", grown.Addr, prefix)
+		}
+		if st := survivor.HashStats(); st.ReplaceInserts != 1 {
+			t.Errorf("%d swaps inserted their entry; want the type switch's one", st.ReplaceInserts)
+		}
+		reader := NewClient(shared, f.NewClient(), Options{Filter: survivor.filter})
+		for k, v := range want {
+			warmSearch(t, reader, []byte(k), []byte(v))
+		}
+		if reader.Stats().RootStarts != 0 {
+			t.Errorf("the reader walked from the root %d times; want every read to jump", reader.Stats().RootStarts)
+		}
+	})
+	if killed != 1 {
+		t.Fatalf("%d crash cuts landed behind the conversion's slot WRITE; want one", killed)
 	}
 }
 

@@ -71,7 +71,8 @@ func (b *Backoff) Wait() bool { return b.wait(false) }
 // of milliseconds. The virtual wait is Wait's; only the host park differs,
 // growing 20 µs a poll up to 2 ms, so a whole budget is about half a second
 // of wall time. Under a schedule (Fabric.Scheduled) the holder runs only when
-// the schedule picks it, so no wait parks the host there.
+// the schedule picks it, so no wait parks the host there: each poll is a park
+// of the schedule instead (Fabric.Wait).
 func (b *Backoff) WaitHolder() bool { return b.wait(true) }
 
 func (b *Backoff) wait(holder bool) bool {
@@ -88,6 +89,9 @@ func (b *Backoff) wait(holder bool) bool {
 	b.c.AdvanceClock(wait)
 	switch park := time.Duration(b.attempts-yieldSpins+1) * 20 * time.Microsecond; {
 	case b.c.f.Scheduled:
+		if holder && b.c.f.Wait != nil {
+			b.c.f.Wait(b.c)
+		}
 	case holder && park > 0:
 		time.Sleep(min(park, 2*time.Millisecond))
 	default:

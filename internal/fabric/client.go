@@ -457,7 +457,11 @@ func (c *Client) execute(op *Op) error {
 		r.Read(off, op.Data)
 		atomic.AddUint64(&c.stats.BytesRead, uint64(len(op.Data)))
 	case Write:
-		r.Write(off, op.Data)
+		if c.f.Line == nil {
+			r.Write(off, op.Data)
+		} else {
+			r.WriteLines(off, op.Data, func(lines int) { c.f.Line(c, op, lines) })
+		}
 		atomic.AddUint64(&c.stats.BytesWrite, uint64(len(op.Data)))
 	case CAS:
 		op.Old = r.CompareSwap(off, op.Expect, op.Desired)

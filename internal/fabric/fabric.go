@@ -257,6 +257,12 @@ type Fabric struct {
 	// Scheduled, set by the schedule explorer for the length of a run, says
 	// one client runs at a time: a waiter's host park only stalls the run.
 	Scheduled bool
+	// Line and Wait, set by the schedule explorer beside Trace, are invoked
+	// under no locks where a client stands between two lines of a multi-line
+	// WRITE (line of op's lines have landed, the rest not) and at each poll
+	// of a lock waiter (Backoff.WaitHolder): the explorer's other parks.
+	Line func(client *Client, op *Op, line int)
+	Wait func(client *Client)
 }
 
 // New creates a fabric with the given cost model.

@@ -122,30 +122,39 @@ func TestAimedCrashReplays(t *testing.T) {
 // TestSwitchesEndPastTheOp: a switch at every batch boundary of a 3-batch
 // operation lands 4 times — before the first batch, between each two, behind
 // the last verb — and the fifth falls past the operation; at every park, 7
-// times. At each landing the rival sees exactly the verbs ahead of it. A verb
-// the client posted before the run is not one of the run's parks.
+// times. A cut of each kind lands at each of its 6 verbs, and the seventh
+// falls past it. At each landing the rival sees exactly the verbs ahead of
+// it. A verb the client posted before the run is not one of the run's parks.
 func TestSwitchesEndPastTheOp(t *testing.T) {
+	// op runs the operation under p with a rival that reads the counter at
+	// the switch, and returns what the rival saw and the operation's error.
+	op := func(p Picker) (seen uint64, err error) {
+		f, n := exploreFabric()
+		c, rc := f.NewClient(), f.NewClient()
+		counter := mem.NewAddr(n, counterOff)
+		if err := c.Write(mem.NewAddr(n, logOff), []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		var rerr error
+		Run(f, p, Proc{C: c, Fn: func() {
+			for i := 0; i < 3 && err == nil; i++ {
+				err = c.Batch([]fabric.Op{{Kind: fabric.FAA, Addr: counter, Delta: 1}, {Kind: fabric.FAA, Addr: counter, Delta: 1}})
+			}
+		}}, Proc{C: rc, Fn: func() { seen, rerr = rc.ReadUint64(counter) }})
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		return seen, err
+	}
 	for _, tc := range []struct {
 		match func(Step) bool
 		want  string
 	}{{nil, "[0 1 2 3 4 5 6]"}, {AtBatchEnd, "[0 2 4 6]"}} {
 		var at []uint64
 		landed := Switches(tc.match, func(k int, sw *Script) {
-			f, n := exploreFabric()
-			c, rc := f.NewClient(), f.NewClient()
-			counter := mem.NewAddr(n, counterOff)
-			if err := c.Write(mem.NewAddr(n, logOff), []byte{1}); err != nil {
+			seen, err := op(sw)
+			if err != nil {
 				t.Fatal(err)
-			}
-			var seen uint64
-			var err, rerr error
-			Run(f, sw, Proc{C: c, Fn: func() {
-				for i := 0; i < 3 && err == nil; i++ {
-					err = c.Batch([]fabric.Op{{Kind: fabric.FAA, Addr: counter, Delta: 1}, {Kind: fabric.FAA, Addr: counter, Delta: 1}})
-				}
-			}}, Proc{C: rc, Fn: func() { seen, rerr = rc.ReadUint64(counter) }})
-			if err != nil || rerr != nil {
-				t.Fatal(err, rerr)
 			}
 			if sw.Turns[0].At == nil && seen != 6 || sw.Turns[0].At != nil && (sw.Turns[0].At.Proc != 0 || seen != sw.Turns[0].At.K) {
 				t.Errorf("switch %d at %+v: the rival saw %d verbs", k, sw.Turns[0].At, seen)
@@ -156,6 +165,49 @@ func TestSwitchesEndPastTheOp(t *testing.T) {
 		})
 		if got := fmt.Sprint(at); got != tc.want || landed != len(at) {
 			t.Errorf("%d switches landed, at %v; want %v", landed, at, tc.want)
+		}
+	}
+	for _, kind := range []error{fabric.ErrClientCrashed, fabric.ErrTransient, fabric.ErrTimeout} {
+		landed := Cuts(kind, func(cut *Cut) {
+			seen, err := op(cut)
+			switch {
+			case cut.At == nil && (err != nil || seen != 6):
+				t.Errorf("%v past the operation: %v, the rival saw %d verbs; want a clean run", kind, err, seen)
+			case cut.At != nil && (!errors.Is(err, kind) || cut.At.Proc != 0 || cut.At.K != uint64(cut.K) || seen != cut.At.K):
+				t.Errorf("%v at verb %d: %v, landed at %+v, the rival saw %d verbs", kind, cut.K, err, cut.At, seen)
+			case cut.At != nil && (cut.Batch.Verbs != map[bool]int{false: cut.K % 2, true: 2}[kind == fabric.ErrTimeout]):
+				t.Errorf("%v at verb %d cut a batch after %d of its verbs", kind, cut.K, cut.Batch.Verbs)
+			}
+		})
+		if landed != 6 {
+			t.Errorf("%d %v cuts landed; want one at each of the 6 verbs", landed, kind)
+		}
+	}
+}
+
+// TestLineParksTearAWrite: a proc marked for them parks between the lines of
+// its multi-line WRITEs — two parks in a 3-line WRITE, none in a one-line one
+// — at the K of the verbs ahead of the WRITE; an unmarked proc's WRITEs park
+// only behind their verbs. (What a rival reads there, the torn image:
+// mem.TestRegionMultiLineWritesCanTear.)
+func TestLineParksTearAWrite(t *testing.T) {
+	for lines, want := range map[bool]string{true: "[0/0 1/0 1/1 1/2 2/0]", false: "[0/0 1/0 2/0]"} {
+		f, n := exploreFabric()
+		c, at := f.NewClient(), mem.NewAddr(n, 2*mem.LineSize)
+		var parks []string
+		for _, s := range Run(f, &Script{}, Proc{C: c, Lines: lines, Fn: func() {
+			for _, img := range [][]byte{{9}, make([]byte, 3*mem.LineSize)} {
+				if err := c.Write(at, img); err != nil {
+					t.Error(err)
+				}
+			}
+		}}) {
+			if !s.Done {
+				parks = append(parks, fmt.Sprintf("%d/%d", s.K, s.Line))
+			}
+		}
+		if got := fmt.Sprint(parks); got != want {
+			t.Errorf("lines %v: parked at K/Line %s; want %s", lines, got, want)
 		}
 	}
 }
@@ -204,5 +256,44 @@ func TestScriptTakesTurns(t *testing.T) {
 	}
 	if a, b := s.Turns[0].At, s.Turns[1].At; a == nil || a.Proc != 1 || a.K != 4 || b == nil || b.Proc != 0 || b.K != 2 || s.Turns[2].At != nil {
 		t.Errorf("turns ended at %+v, %+v, %+v; want b's 4th park, a's 2nd, none (c ended first)", a, b, s.Turns[2].At)
+	}
+}
+
+// TestWaitParkHandsTheTurnOn: a lock waiter's poll is a park. The seeded and
+// the hold picker hand the turn on there to another ready proc — under a hold
+// that would otherwise keep the waiter for a million parks, it polls once and
+// the proc it waits for runs — while a script keeps its turn as written, and
+// the waiter spends its budget of 4 polls there.
+func TestWaitParkHandsTheTurnOn(t *testing.T) {
+	for name, tc := range map[string]struct {
+		p     Picker
+		polls int
+	}{"hold": {NewHold(1, 1<<20), 1}, "seeded": {NewSeeded(2), 1}, "script": {&Script{Turns: []Turn{{Proc: 0}}}, 4}} {
+		f, n := exploreFabric()
+		w, h := f.NewClient(), f.NewClient()
+		flag, ok := mem.NewAddr(n, counterOff), false
+		steps := Run(f, tc.p, Proc{C: w, Fn: func() {
+			b := fabric.BackoffPolicy{Budget: 4}.Start(w)
+			for v, err := w.ReadUint64(flag); err == nil && !ok; v, err = w.ReadUint64(flag) {
+				if ok = v == 1; !ok && !b.WaitHolder() {
+					return
+				}
+			}
+		}}, Proc{C: h, Fn: func() {
+			if err := h.WriteUint64(flag, 1); err != nil {
+				t.Error(err)
+			}
+		}})
+		polls := 0
+		for i, s := range steps {
+			if s.Wait {
+				if polls++; tc.polls == 1 && steps[i+1].Proc != 1 {
+					t.Errorf("%s: the wait at %+v handed the turn to proc %d; want the writer", name, s, steps[i+1].Proc)
+				}
+			}
+		}
+		if polls != tc.polls || ok != (tc.polls == 1) {
+			t.Errorf("%s: the waiter parked at %d waits and saw the flag: %v; want %d waits", name, polls, ok, tc.polls)
+		}
 	}
 }

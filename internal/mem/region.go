@@ -39,9 +39,6 @@ func NewRegion(node NodeID, size uint64) *Region {
 	return &Region{node: node, buf: make([]byte, size)}
 }
 
-// Node returns the memory node that owns this region.
-func (r *Region) Node() NodeID { return r.node }
-
 // Size returns the region size in bytes.
 func (r *Region) Size() uint64 { return uint64(len(r.buf)) }
 
@@ -80,9 +77,13 @@ func (r *Region) Read(offset uint64, dst []byte) {
 
 // Write copies src into the region starting at offset.
 // The copy is line-atomic but not transfer-atomic.
-func (r *Region) Write(offset uint64, src []byte) {
+func (r *Region) Write(offset uint64, src []byte) { r.WriteLines(offset, src, nil) }
+
+// WriteLines is Write that, where between is not nil, calls it under no lock
+// after each line but the last has landed, with the count of lines landed.
+func (r *Region) WriteLines(offset uint64, src []byte, between func(lines int)) {
 	r.check(offset, uint64(len(src)))
-	for done := 0; done < len(src); {
+	for done, lines := 0, 1; done < len(src); lines++ {
 		line := (offset + uint64(done)) / LineSize
 		lineEnd := (line + 1) * LineSize
 		n := int(lineEnd - (offset + uint64(done)))
@@ -93,7 +94,9 @@ func (r *Region) Write(offset uint64, src []byte) {
 		mu.Lock()
 		copy(r.buf[offset+uint64(done):], src[done:done+n])
 		mu.Unlock()
-		done += n
+		if done += n; between != nil && done < len(src) {
+			between(lines)
+		}
 	}
 }
 

@@ -187,9 +187,6 @@ func NewPlane(opts PlaneOptions) (*Plane, error) {
 	return p, nil
 }
 
-// WindowPs returns the plane's series window length.
-func (p *Plane) WindowPs() int64 { return p.windowPs }
-
 // Tick advances the plane to nowPs: collects per-MN samples, records
 // windowed deltas into the series, evaluates SLO burn rates from the
 // latency histograms, and steps the alert engine.

@@ -60,9 +60,6 @@ func NewSeries(windowPs int64, windows int) (*Series, error) {
 	return &Series{windowPs: windowPs, ring: make([]Window, windows)}, nil
 }
 
-// WindowPs returns the fixed window length.
-func (s *Series) WindowPs() int64 { return s.windowPs }
-
 // Record adds sample v at time nowPs.
 func (s *Series) Record(nowPs int64, v float64) {
 	if s == nil {

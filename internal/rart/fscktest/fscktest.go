@@ -1,6 +1,7 @@
 // Package fscktest ends a test with the index check (rart.Check): the cluster
 // builders of the index suites register it, and a test that ends in a crash's
-// leftovers names their kinds.
+// leftovers names their kinds. RandomOps and ScanHolds check a system's
+// answers against a map: the one model check the three systems' suites share.
 package fscktest
 
 import (

@@ -51,26 +51,33 @@ func TestFaultedLeafLockNeverFreesAnothersLock(t *testing.T) {
 		},
 	}
 
-	// verbs is the size of each attempt's lock batch: the fault is aimed at
-	// every verb of it, ahead of the CAS and behind it.
-	verbs := map[string]int{"bare": 1, "speculative": 2}
+	// try runs contender b's attempt on leaf under cut, a fault aimed at every
+	// verb of its lock batch, ahead of the CAS and behind it, and of the
+	// release a timeout owes.
+	try := func(t *testing.T, cut *fabrictest.Cut, attempt func(*Engine, *Leaf) error, b *Engine, leaf *Leaf) (err error) {
+		fabrictest.Run(b.C.Fabric(), cut, fabrictest.Proc{C: b.C, Fn: func() { err = attempt(b, leaf) }})
+		if cut.At == nil && err != nil {
+			t.Fatalf("no fault: the attempt = %v", err)
+		}
+		return err
+	}
 
 	for name, attempt := range attempts {
-		for _, timeout := range []bool{false, true} {
-			fault, want := "transient", fabric.ErrTransient
-			if timeout {
-				fault, want = "timeout", fabric.ErrTimeout
-			}
+		for fault, want := range map[string]error{"transient": fabric.ErrTransient, "timeout": fabric.ErrTimeout} {
+			timeout := want == fabric.ErrTimeout
 			t.Run(name+"/"+fault+"/held by another writer", func(t *testing.T) {
-				for at := 0; at < verbs[name]; at++ {
+				fabrictest.Cuts(want, func(cut *fabrictest.Cut) {
 					f, a, leaf := setup(t)
 					held := lockOf(leaf)
 					if err := a.TryLeafLock(&held); err != nil || !held.Held {
 						t.Fatalf("holder's lock = %v, %v", held.Held, err)
 					}
 					b := engineOn(f, a.Ring)
-					b.C.FailAt(uint64(at), want)
-					if err := attempt(b, leaf); !errors.Is(err, want) {
+					err, at := try(t, cut, attempt, b, leaf), cut.K
+					if cut.At == nil {
+						return
+					}
+					if !errors.Is(err, want) {
 						t.Fatalf("fault at verb %d: contender = %v, want %v", at, err, want)
 					}
 					st := b.C.Stats()
@@ -92,7 +99,7 @@ func TestFaultedLeafLockNeverFreesAnothersLock(t *testing.T) {
 					if got, stable, err := a.SpecReadLeaf(leaf.Addr, leaf.Units, key); err != nil || !stable || !bytes.Equal(got.Value, []byte("w")) {
 						t.Fatalf("fault at verb %d: after the holder's write: %v, %v", at, got, err)
 					}
-				}
+				})
 			})
 		}
 	}
@@ -102,11 +109,14 @@ func TestFaultedLeafLockNeverFreesAnothersLock(t *testing.T) {
 	// stand in every writer's way, this put's own restart first. Cut ahead of
 	// the CAS, the attempt took nothing and releases nothing.
 	t.Run("speculative/transient/won then cut", func(t *testing.T) {
-		for at := 0; at < verbs["speculative"]; at++ {
+		fabrictest.Cuts(fabric.ErrTransient, func(cut *fabrictest.Cut) {
 			f, a, leaf := setup(t)
 			b := engineOn(f, a.Ring)
-			b.C.FailAt(uint64(at), fabric.ErrTransient)
-			if err := attempts["speculative"](b, leaf); !errors.Is(err, fabric.ErrTransient) {
+			err, at := try(t, cut, attempts["speculative"], b, leaf), cut.K
+			if cut.At == nil {
+				return
+			}
+			if !errors.Is(err, fabric.ErrTransient) {
 				t.Fatalf("fault at verb %d: %v", at, err)
 			}
 			if got := leafStatus(t, a, leaf.Addr); got != wire.StatusIdle {
@@ -115,7 +125,7 @@ func TestFaultedLeafLockNeverFreesAnothersLock(t *testing.T) {
 			if cas, want := b.C.Stats().ByKind[fabric.CAS], uint64(2*at); cas != want {
 				t.Errorf("fault at verb %d: %d CASes, want %d (lock, then the release, behind a won CAS)", at, cas, want)
 			}
-		}
+		})
 	})
 }
 

@@ -85,33 +85,25 @@ func TestPreCommitFaultReleasesLocks(t *testing.T) {
 	})
 
 	t.Run("transient truncation sweep", func(t *testing.T) {
-		// put is the victim's insert: only the victim's own batches fault —
-		// its allocator and the root image it starts from go through a
-		// fault-free client — and the transient is aimed at its verb at.
-		put := func(at uint64, aim bool) (*fabric.Client, error) {
+		// The victim's insert: only the victim's own batches fault — its
+		// allocator and the root image it starts from go through a fault-free
+		// client — and the transient is aimed at each of its verbs.
+		fabrictest.Cuts(fabric.ErrTransient, func(cut *fabrictest.Cut) {
 			f, ring, root := leaseCluster(t)
-			vc := f.NewClient()
-			if aim {
-				vc.FailAt(at, fabric.ErrTransient)
-			}
 			clean := engineOn(f, ring)
-			victim := NewEngine(vc, clean.Alloc, ring, Config{})
-			_, err := victim.PutFrom(root(clean), []byte("lease-ab"), []byte("v"), PutUpsert, NopHooks{})
-			if err != nil {
-				if !errors.Is(err, fabric.ErrTransient) {
-					t.Fatalf("transient at verb %d: victim put = %v, want success or a transient fault", at, err)
-				}
-				putUnderRootQuickly(t, f, ring, root, fmt.Sprintf("transient at verb %d", at))
+			victim, start := NewEngine(f.NewClient(), clean.Alloc, ring, Config{}), root(clean)
+			var err error
+			fabrictest.Run(f, cut, fabrictest.Proc{C: victim.C, Fn: func() {
+				_, err = victim.PutFrom(start, []byte("lease-ab"), []byte("v"), PutUpsert, NopHooks{})
+			}})
+			switch {
+			case err == nil:
+			case cut.At == nil || !errors.Is(err, fabric.ErrTransient):
+				t.Fatalf("transient at verb %d: victim put = %v, want success or a transient fault", cut.K, err)
+			default:
+				putUnderRootQuickly(t, f, ring, root, fmt.Sprintf("transient at verb %d", cut.K))
 			}
-			return vc, err
-		}
-		vc, err := put(0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for at := uint64(0); at < vc.Stats().Verbs; at++ {
-			put(at, true)
-		}
+		})
 	})
 }
 

@@ -103,38 +103,25 @@ func fsck(t *testing.T, f *fabric.Fabric, r *Node, what string) {
 }
 
 // interruptedDelete builds a tree holding k/a, k/b and k/c, each with value
-// "v", and a delete of k/b that crashes at its verb at: the deleter holds
-// whatever its cut left held, and the fabric's crash record names it. It
-// checks the tree at once — no slot names an Invalid leaf, whether the cut
-// fell before the commit or after it — and returns the cluster.
-func interruptedDelete(t *testing.T, at uint64) (*fabric.Fabric, *consistenthash.Ring, func(*Engine) *Node) {
+// "v", and runs a delete of k/b under cut, a crash (fabrictest.Cuts): the
+// deleter holds whatever its cut left held, and the fabric's crash record
+// names it. It checks the tree at once — no slot names an Invalid leaf,
+// whether the cut fell before the commit or after it — and returns the
+// cluster.
+func interruptedDelete(t *testing.T, cut *fabrictest.Cut) (*fabric.Fabric, *consistenthash.Ring, func(*Engine) *Node) {
 	t.Helper()
 	f, ring, root := scanCluster(t)
 	clean := engineOn(f, ring)
 	putAll(t, clean, root, "v", "k/a", "k/b", "k/c")
-	vc := f.NewClient()
-	vc.FailAt(at, fabric.ErrClientCrashed)
-	victim := NewEngine(vc, clean.Alloc, ring, Config{})
-	if _, err := victim.DeleteFrom(root(clean), []byte("k/b"), NopHooks{}); err != nil && !errors.Is(err, fabric.ErrClientCrashed) {
-		t.Fatalf("delete cut at verb %d: %v; want the crash", at, err)
+	victim, start := NewEngine(f.NewClient(), clean.Alloc, ring, Config{}), root(clean)
+	var err error
+	fabrictest.Run(f, cut, fabrictest.Proc{C: victim.C, Fn: func() { _, err = victim.DeleteFrom(start, []byte("k/b"), NopHooks{}) }})
+	if err != nil && !errors.Is(err, fabric.ErrClientCrashed) {
+		t.Fatalf("delete cut at verb %d: %v; want the crash", cut.K, err)
 	}
 	check := engineOn(f, ring)
-	fsck(t, f, root(check), fmt.Sprintf("delete cut at verb %d", at))
+	fsck(t, f, root(check), fmt.Sprintf("delete cut at verb %d", cut.K))
 	return f, ring, root
-}
-
-// deleteVerbs is how many verbs a fault-free delete of k/b posts in
-// interruptedDelete's tree.
-func deleteVerbs(t *testing.T) uint64 {
-	t.Helper()
-	f, ring, root := scanCluster(t)
-	e := engineOn(f, ring)
-	putAll(t, e, root, "v", "k/a", "k/b", "k/c")
-	before := e.C.Stats().Verbs
-	if found, err := e.DeleteFrom(root(e), []byte("k/b"), NopHooks{}); !found || err != nil {
-		t.Fatalf("delete = %v, %v", found, err)
-	}
-	return e.C.Stats().Verbs - before
 }
 
 // TestRetireCutAtEveryVerb aims a crash, and then a transient, at every verb
@@ -148,18 +135,14 @@ func TestRetireCutAtEveryVerb(t *testing.T) {
 	for _, rt := range retirers {
 		for _, fault := range []error{fabric.ErrClientCrashed, fabric.ErrTransient} {
 			t.Run(rt.name+"/"+map[error]string{fabric.ErrClientCrashed: "crash", fabric.ErrTransient: "transient"}[fault], func(t *testing.T) {
-				// run writes with a fresh victim, cut at its verb at when aim.
-				run := func(at uint64, aim bool) *fabric.Client {
+				fabrictest.Cuts(fault, func(cut *fabrictest.Cut) {
 					f, ring, root := leaseCluster(t)
 					clean := engineOn(f, ring)
 					putAll(t, clean, root, "v", keys...)
-					vc := f.NewClient()
-					if aim {
-						vc.FailAt(at, fault)
-					}
-					victim := NewEngine(vc, clean.Alloc, ring, Config{})
-					err := rt.write(victim, root(clean), key)
-					what := fmt.Sprintf("cut at verb %d: %v", at, err)
+					victim, start := NewEngine(f.NewClient(), clean.Alloc, ring, Config{}), root(clean)
+					var err error
+					fabrictest.Run(f, cut, fabrictest.Proc{C: victim.C, Fn: func() { err = rt.write(victim, start, key) }})
+					what := fmt.Sprintf("cut at verb %d: %v", cut.K, err)
 					if err != nil && !errors.Is(err, fault) {
 						t.Fatalf("%s: want the aimed fault", what)
 					}
@@ -174,12 +157,7 @@ func TestRetireCutAtEveryVerb(t *testing.T) {
 					default:
 						t.Errorf("%s: the key reads %+v", what, got)
 					}
-					return vc
-				}
-				verbs := run(0, false).Stats().Verbs
-				for at := uint64(0); at < verbs; at++ {
-					run(at, true)
-				}
+				})
 			})
 		}
 	}
@@ -223,69 +201,60 @@ func TestCrashBeforeInvalidLeavesLeafLocked(t *testing.T) {
 	for _, tree := range trees {
 		for _, rt := range retirers {
 			t.Run(tree.name+"/"+rt.name, func(t *testing.T) {
-				key := tree.key
-				// run retires key by a fresh victim whose verb at crashes (none
-				// when at is negative). It returns the cluster, the stale image,
-				// the leaf the key had and where among the victim's verbs the
-				// Invalid WRITE fell.
-				run := func(at int) (f *fabric.Fabric, root func(*Engine) *Node, check *Engine, stale *Node, leaf *Leaf, invalid uint64) {
+				key, cuts := tree.key, 0
+				// The crash that falls between the commit's slot WRITE and its
+				// Invalid WRITE: of the retire batch, the one-word slot WRITE
+				// executed.
+				fabrictest.Cuts(fabric.ErrClientCrashed, func(cut *fabrictest.Cut) {
 					f, ring, root := scanCluster(t)
-					check = engineOn(f, ring)
-					stale = tree.build(t, check, root)
+					check := engineOn(f, ring)
+					stale := tree.build(t, check, root)
 					leaf, err := check.SearchFrom(root(check), key, NopHooks{})
 					if err != nil || leaf == nil {
 						t.Fatalf("search = %v, %v", leaf, err)
 					}
 					victim := NewEngine(f.NewClient(), check.Alloc, ring, Config{})
-					if at >= 0 {
-						victim.C.FailAt(uint64(at), fabric.ErrClientCrashed)
+					start := root(victim)
+					fabrictest.Run(f, cut, fabrictest.Proc{C: victim.C, Fn: func() { err = rt.write(victim, start, key) }})
+					if (err != nil) != (cut.At != nil) || err != nil && !errors.Is(err, fabric.ErrClientCrashed) {
+						t.Fatalf("retire cut at verb %d: %v", cut.K, err)
 					}
-					k := uint64(0)
-					f.Trace = func(c *fabric.Client, op *fabric.Op) {
-						if c == victim.C {
-							if op.Kind == fabric.Write && op.Addr == leaf.Addr {
-								invalid = k
-							}
-							k++
+					if at := cut.At; at == nil || at.Op.Kind != fabric.Write || len(at.Op.Data) != 8 || cut.Batch.Verbs != 1 {
+						return
+					}
+					cuts++
+					locked := func(what string) {
+						w, err := check.C.ReadUint64(leaf.Addr)
+						if err != nil || wire.DecodeLeafHeader(w).Status != wire.StatusLocked {
+							t.Errorf("%s: the old leaf's header is %v, %v; want the dead retirer's lock", what, wire.DecodeLeafHeader(w).Status, err)
 						}
 					}
-					err = rt.write(victim, root(victim), key)
-					f.Trace = nil
-					if (err != nil) != (at >= 0) || err != nil && !errors.Is(err, fabric.ErrClientCrashed) {
-						t.Fatalf("retire cut at verb %d: %v", at, err)
+					locked("after the crash")
+					if got, err := check.SearchFrom(stale, key, NopHooks{}); !errors.Is(err, ErrRestart) {
+						t.Errorf("search through the stale image = %+v, %v; want a restart", got, err)
 					}
-					return f, root, check, stale, leaf, invalid
-				}
-				_, _, _, _, _, at := run(-1)
-				f, root, check, stale, leaf, _ := run(int(at))
-				locked := func(what string) {
-					w, err := check.C.ReadUint64(leaf.Addr)
-					if err != nil || wire.DecodeLeafHeader(w).Status != wire.StatusLocked {
-						t.Errorf("%s: the old leaf's header is %v, %v; want the dead retirer's lock", what, wire.DecodeLeafHeader(w).Status, err)
+					if _, err := check.PutFrom(stale, key, []byte("u"), PutUpdateOnly, NopHooks{}); !errors.Is(err, ErrRestart) {
+						t.Errorf("update through the stale image = %v; want a restart", err)
 					}
+					if err := check.updateLeafInPlace(leaf, LeafLock{}, []byte("u"), viaOf(stale, key)); !errors.Is(err, ErrRestart) {
+						t.Errorf("in-place update of the old leaf = %v; want a restart", err)
+					}
+					if old, stable, err := check.SpecReadLeaf(leaf.Addr, leaf.Units, key); err != nil || stable {
+						t.Errorf("cached read of the old address = %v %q (stable %v, %v); want nothing to trust", old.Status, old.Value, stable, err)
+					}
+					locked("after the stale readers")
+					if n := check.Stats().LeafLockBreaks; n != 0 {
+						t.Errorf("%d lock breaks; want none", n)
+					}
+					got, err := check.SearchFrom(root(check), key, NopHooks{})
+					if err != nil || (got != nil) != (rt.want != nil) || got != nil && !bytes.Equal(got.Value, rt.want) {
+						t.Errorf("the tree reads %+v, %v; want %.10q", got, err, rt.want)
+					}
+					fsck(t, f, root(check), "after the crash")
+				})
+				if cuts != 1 {
+					t.Errorf("%d crash cuts fell between the slot WRITE and the Invalid WRITE; want one", cuts)
 				}
-				locked("after the crash")
-				if got, err := check.SearchFrom(stale, key, NopHooks{}); !errors.Is(err, ErrRestart) {
-					t.Errorf("search through the stale image = %+v, %v; want a restart", got, err)
-				}
-				if _, err := check.PutFrom(stale, key, []byte("u"), PutUpdateOnly, NopHooks{}); !errors.Is(err, ErrRestart) {
-					t.Errorf("update through the stale image = %v; want a restart", err)
-				}
-				if err := check.updateLeafInPlace(leaf, LeafLock{}, []byte("u"), viaOf(stale, key)); !errors.Is(err, ErrRestart) {
-					t.Errorf("in-place update of the old leaf = %v; want a restart", err)
-				}
-				if old, stable, err := check.SpecReadLeaf(leaf.Addr, leaf.Units, key); err != nil || stable {
-					t.Errorf("cached read of the old address = %v %q (stable %v, %v); want nothing to trust", old.Status, old.Value, stable, err)
-				}
-				locked("after the stale readers")
-				if n := check.Stats().LeafLockBreaks; n != 0 {
-					t.Errorf("%d lock breaks; want none", n)
-				}
-				got, err := check.SearchFrom(root(check), key, NopHooks{})
-				if err != nil || (got != nil) != (rt.want != nil) || got != nil && !bytes.Equal(got.Value, rt.want) {
-					t.Errorf("the tree reads %+v, %v; want %.10q", got, err, rt.want)
-				}
-				fsck(t, f, root(check), "after the crash")
 			})
 		}
 	}

@@ -3,8 +3,6 @@ package smart
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -163,79 +161,7 @@ func TestStaleCacheRecovers(t *testing.T) {
 
 func TestRandomOpsAgainstOracle(t *testing.T) {
 	f, shared := newCluster(t, 3, fabric.InstantConfig())
-	c := NewClient(shared, f.NewClient(), Options{Cache: NewNodeCache(1 << 20)})
-	oracle := map[string]string{}
-	rng := rand.New(rand.NewSource(21))
-	randKey := func() []byte {
-		n := 1 + rng.Intn(10)
-		k := make([]byte, n)
-		for i := range k {
-			k[i] = byte('a' + rng.Intn(4))
-		}
-		return k
-	}
-	for step := 0; step < 3000; step++ {
-		k := randKey()
-		switch rng.Intn(5) {
-		case 0, 1:
-			v := fmt.Sprintf("v%d", step)
-			existed, err := c.Insert(k, []byte(v))
-			if err != nil {
-				t.Fatalf("step %d insert: %v", step, err)
-			}
-			if _, want := oracle[string(k)]; existed != want {
-				t.Fatalf("step %d insert existed=%v want %v", step, existed, want)
-			}
-			oracle[string(k)] = v
-		case 2:
-			ok, err := c.Delete(k)
-			if err != nil {
-				t.Fatalf("step %d delete: %v", step, err)
-			}
-			if _, want := oracle[string(k)]; ok != want {
-				t.Fatalf("step %d delete ok=%v want %v", step, ok, want)
-			}
-			delete(oracle, string(k))
-		case 3:
-			v := fmt.Sprintf("u%d", step)
-			ok, err := c.Update(k, []byte(v))
-			if err != nil {
-				t.Fatalf("step %d update: %v", step, err)
-			}
-			if _, want := oracle[string(k)]; ok != want {
-				t.Fatalf("step %d update ok=%v want %v", step, ok, want)
-			}
-			if ok {
-				oracle[string(k)] = v
-			}
-		default:
-			got, ok, err := c.Search(k)
-			if err != nil {
-				t.Fatalf("step %d search: %v", step, err)
-			}
-			want, wantOK := oracle[string(k)]
-			if ok != wantOK || (ok && string(got) != want) {
-				t.Fatalf("step %d search %q = %q,%v want %q,%v", step, k, got, ok, want, wantOK)
-			}
-		}
-	}
-	kvs, err := c.Scan(nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != len(oracle) {
-		t.Fatalf("scan %d keys, oracle %d", len(kvs), len(oracle))
-	}
-	var keys []string
-	for k := range oracle {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i := range kvs {
-		if string(kvs[i].Key) != keys[i] {
-			t.Fatalf("scan[%d] = %q want %q", i, kvs[i].Key, keys[i])
-		}
-	}
+	fscktest.RandomOps(t, NewClient(shared, f.NewClient(), Options{Cache: NewNodeCache(1 << 20)}), 21, 3000)
 }
 
 func TestConcurrentClientsSharedCache(t *testing.T) {

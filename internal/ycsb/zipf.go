@@ -54,9 +54,6 @@ func zetaSum(n uint64, theta float64) float64 {
 	return sum
 }
 
-// N returns the population size.
-func (z *Zipfian) N() uint64 { return z.n }
-
 // Theta returns the skew constant the distribution was built with
 // (0 means uniform).
 func (z *Zipfian) Theta() float64 { return z.theta }
